@@ -76,24 +76,43 @@ func (r ScanResult) EffectiveBandwidth(featureBytes int64) float64 {
 // across its chip-level accelerators; channel-level accelerators share L2
 // weight broadcasts the same way).
 type barrier struct {
-	members  int
-	arrived  int
-	waiters  []func()
-	transfer func(done func())
-	rounds   *int64
+	members int
+	arrived int
+	// waiters collects the current round's arrivals; firing holds the round
+	// whose weight transfer is in flight. A member cannot arrive again before
+	// its round is released, so two buffers swapped per round suffice and a
+	// round allocates nothing.
+	waiters []func()
+	firing  []func()
+	// link carries the round's weight transfer; nil when the weights are
+	// L1-resident and nothing streams.
+	link        *sim.Link
+	weightBytes int64
+	rounds      *int64
+	release     func()
+}
+
+func newBarrier(members int, link *sim.Link, weightBytes int64, rounds *int64) *barrier {
+	b := &barrier{members: members, link: link, weightBytes: weightBytes, rounds: rounds}
+	b.release = func() {
+		for _, w := range b.firing {
+			w()
+		}
+		b.firing = b.firing[:0]
+	}
+	return b
 }
 
 func (b *barrier) maybeFire() {
 	if b.members > 0 && b.arrived == b.members {
 		b.arrived = 0
-		ws := b.waiters
-		b.waiters = nil
+		b.waiters, b.firing = b.firing, b.waiters
 		*b.rounds++
-		b.transfer(func() {
-			for _, w := range ws {
-				w()
-			}
-		})
+		if b.link == nil {
+			b.release()
+			return
+		}
+		b.link.Transfer(b.weightBytes, b.release)
 	}
 }
 
@@ -108,16 +127,146 @@ func (b *barrier) leave() {
 	b.maybeFire()
 }
 
-// unit is one accelerator instance's work assignment.
+// scanRun is the state the units of one scan share.
+type scanRun struct {
+	e             *sim.Engine
+	streaming     bool
+	featPerPage   float64
+	pagesPerBatch int64
+	// perFeatCycles × cyclePs is the SCN compute time of one comparison.
+	perFeatCycles int64
+	cyclePs       float64
+
+	pending           int // units still scanning
+	simulatedFeatures float64
+	scanEnd           sim.Time
+
+	// Progress tracking for marginal-rate extrapolation. The steady-state
+	// rate is measured between the 10% and 50% progress marks: before 10%
+	// the pipeline is still filling (first flash reads), and near the end
+	// the prefetch buffers drain faster than the true bottleneck.
+	windowedTotal    float64
+	progressFeatures float64
+	f10, f50         float64
+	t10, t50         sim.Time
+}
+
+func (s *scanRun) noteProgress(feats float64) {
+	s.progressFeatures += feats
+	if s.f10 < 0 && s.progressFeatures >= s.windowedTotal*0.1 {
+		s.f10, s.t10 = s.progressFeatures, s.e.Now()
+	}
+	if s.f50 < 0 && s.progressFeatures >= s.windowedTotal*0.5 {
+		s.f50, s.t50 = s.progressFeatures, s.e.Now()
+	}
+}
+
+// unit is one accelerator instance: its work assignment and the two
+// processes that carry it out. A prefetcher keeps a window of page reads in
+// flight feeding the FLASH_DFV queue; the compute process drains batches,
+// synchronizing on the weight barrier when streaming. Both are state machines
+// over the unit's own fields whose stage callbacks are bound once in newUnit,
+// so a scan schedules its events without building a closure per page or per
+// batch.
 type unit struct {
+	run      *scanRun
 	pages    int64 // pages to read (windowed)
 	features float64
-	read     func(j int64, done func())
 	group    *barrier
-	// prefetch is the outstanding-read window; the SSD-level accelerator
+	// read issues page j of the unit's share; the page's arrival at the
+	// accelerator must call pageArrived.
+	read func(j int64)
+	// window is the outstanding-read limit; the SSD-level accelerator
 	// prefetches across every channel at once and needs a proportionally
 	// larger window to hide the array-read latency.
-	prefetch int64
+	window int64
+	// q is the FLASH_DFV queue. It buffers a handful of pages (Fig. 5) —
+	// enough to decouple array reads from compute without unphysical
+	// staging. The timing model moves no data, so an entry is a page token.
+	q *sim.Queue[struct{}]
+
+	issued, inflight int64 // prefetcher
+	consumed         int64 // compute process: pages of finished batches
+	take, got        int64 // pages the current batch needs and has
+	feats            float64
+
+	pageArrived, pageAccepted, compute, computed func()
+	pageTaken                                    func(struct{})
+}
+
+func newUnit(run *scanRun, pages int64, group *barrier, window int64) *unit {
+	u := &unit{
+		run: run, pages: pages, features: float64(pages) * run.featPerPage,
+		group: group, window: window,
+		q: sim.NewQueue[struct{}](run.e, "flash-dfv", 4),
+	}
+	// The prefetch slot frees only when the FLASH_DFV queue accepts the
+	// page — backpressure from a slow consumer stalls prefetching, as the
+	// bounded queue in Fig. 5 does.
+	u.pageArrived = func() { u.q.Put(struct{}{}, u.pageAccepted) }
+	u.pageAccepted = func() {
+		u.inflight--
+		u.prefetch()
+	}
+	u.pageTaken = func(struct{}) {
+		u.got++
+		u.collect()
+	}
+	u.compute = func() {
+		d := sim.Duration(float64(run.perFeatCycles)*u.feats*run.cyclePs + 0.5)
+		run.e.After(d, u.computed)
+	}
+	u.computed = func() {
+		run.noteProgress(u.feats)
+		u.nextBatch()
+	}
+	return u
+}
+
+func (u *unit) prefetch() {
+	for u.inflight < u.window && u.issued < u.pages {
+		j := u.issued
+		u.issued++
+		u.inflight++
+		u.read(j)
+	}
+}
+
+// nextBatch starts collecting the unit's next batch of pages, or retires the
+// unit when its share is done.
+func (u *unit) nextBatch() {
+	run := u.run
+	if u.consumed >= u.pages {
+		run.simulatedFeatures += u.features
+		u.group.leave()
+		run.pending--
+		if run.pending == 0 {
+			run.scanEnd = run.e.Now()
+		}
+		return
+	}
+	u.take = run.pagesPerBatch
+	if rem := u.pages - u.consumed; u.take > rem {
+		u.take = rem
+	}
+	u.got = 0
+	u.collect()
+}
+
+// collect takes pages from the FLASH_DFV queue until the batch is complete,
+// then computes it (after the group's weight round, when streaming).
+func (u *unit) collect() {
+	if u.got < u.take {
+		u.q.Get(u.pageTaken)
+		return
+	}
+	u.consumed += u.take
+	u.feats = float64(u.take) * u.run.featPerPage
+	if u.run.streaming {
+		u.group.arrive(u.compute)
+	} else {
+		u.compute()
+	}
 }
 
 // Scan runs the event-driven scan simulation. The device's engine must be
@@ -160,23 +309,25 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		featPerPage = 1 / float64(layout.PagesPerFeature())
 	}
 
-	var weightRounds int64
-	transferOver := func(link *sim.Link) func(done func()) {
-		wb := weightBytes
-		return func(done func()) { link.Transfer(wb, done) }
+	pagesPerBatch := int64(float64(batch)/featPerPage + 0.999)
+	if pagesPerBatch < 1 {
+		pagesPerBatch = 1
 	}
-	streaming := src != SourceL1
+	run := &scanRun{
+		e: e, streaming: src != SourceL1,
+		featPerPage: featPerPage, pagesPerBatch: pagesPerBatch,
+		perFeatCycles: perFeatCycles, cyclePs: cyclePs,
+		f10: -1, f50: -1,
+	}
 
 	// Build the accelerator units and their lockstep groups.
+	var weightRounds int64
 	var units []*unit
-	newBarrier := func(members int, link *sim.Link) *barrier {
-		b := &barrier{members: members, rounds: &weightRounds}
-		if streaming {
-			b.transfer = transferOver(link)
-		} else {
-			b.transfer = func(done func()) { done() }
+	group := func(members int, link *sim.Link) *barrier {
+		if !run.streaming {
+			link = nil
 		}
-		return b
+		return newBarrier(members, link, weightBytes, &weightRounds)
 	}
 
 	windowPages := func(share int64) int64 {
@@ -193,6 +344,10 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		return w
 	}
 
+	// defaultWindow is the outstanding-read limit of a channel- or
+	// chip-level accelerator.
+	const defaultWindow = 16
+
 	switch req.Spec.Level {
 	case LevelSSD:
 		// One accelerator streaming every channel through DRAM.
@@ -207,19 +362,16 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		if req.WindowFeaturesPerAccel > 0 {
 			win = windowPages(total)
 		}
-		g := newBarrier(1, dev.DRAM)
-		u := &unit{pages: win, group: g, prefetch: int64(8 * geom.Channels)}
-		u.features = float64(win) * featPerPage
-		u.read = func(j int64, done func()) {
+		u := newUnit(run, win, group(1, dev.DRAM), int64(8*geom.Channels))
+		toDRAM := func() { dev.DRAM.Transfer(geom.PageBytes, u.pageArrived) }
+		u.read = func(j int64) {
 			ch := int(j % int64(geom.Channels))
 			within := j / int64(geom.Channels)
 			// Clamp into the channel's share (shares differ by ±1 page).
 			if within >= perChannel[ch] {
 				within = perChannel[ch] - 1
 			}
-			dev.Flash.ReadPage(layout.ChannelPageAddr(ch, within), func() {
-				dev.DRAM.Transfer(geom.PageBytes, done)
-			})
+			dev.Flash.ReadPage(layout.ChannelPageAddr(ch, within), toDRAM)
 		}
 		units = append(units, u)
 
@@ -232,18 +384,17 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		} else {
 			link = dev.SharedSpad
 		}
-		g := newBarrier(geom.Channels, link)
+		g := group(geom.Channels, link)
 		for ch := 0; ch < geom.Channels; ch++ {
 			ch := ch
-			share := layout.ChannelPages(ch)
-			win := windowPages(share)
-			u := &unit{pages: win, group: g, features: float64(win) * featPerPage}
-			u.read = func(j int64, done func()) {
-				dev.Flash.ReadPage(layout.ChannelPageAddr(ch, j), done)
-			}
+			win := windowPages(layout.ChannelPages(ch))
 			if win == 0 {
 				g.leave()
 				continue
+			}
+			u := newUnit(run, win, g, defaultWindow)
+			u.read = func(j int64) {
+				dev.Flash.ReadPage(layout.ChannelPageAddr(ch, j), u.pageArrived)
 			}
 			units = append(units, u)
 		}
@@ -253,7 +404,7 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		// data traffic); weights broadcast per channel bus in lockstep
 		// across the channel's chips.
 		for ch := 0; ch < geom.Channels; ch++ {
-			g := newBarrier(geom.ChipsPerChannel, dev.Flash.Bus(ch))
+			g := group(geom.ChipsPerChannel, dev.Flash.Bus(ch))
 			chPages := layout.ChannelPages(ch)
 			for chip := 0; chip < geom.ChipsPerChannel; chip++ {
 				ch, chip := ch, chip
@@ -262,14 +413,14 @@ func Scan(req ScanRequest) (ScanResult, error) {
 					share++
 				}
 				win := windowPages(share)
-				u := &unit{pages: win, group: g, features: float64(win) * featPerPage}
-				u.read = func(k int64, done func()) {
-					j := k*int64(geom.ChipsPerChannel) + int64(chip)
-					dev.Flash.ReadPageToBuffer(layout.ChannelPageAddr(ch, j), done)
-				}
 				if win == 0 {
 					g.leave()
 					continue
+				}
+				u := newUnit(run, win, g, defaultWindow)
+				u.read = func(k int64) {
+					j := k*int64(geom.ChipsPerChannel) + int64(chip)
+					dev.Flash.ReadPageToBuffer(layout.ChannelPageAddr(ch, j), u.pageArrived)
 				}
 				units = append(units, u)
 			}
@@ -278,126 +429,25 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		return ScanResult{}, fmt.Errorf("accel: unknown level %v", req.Spec.Level)
 	}
 
-	// Run each unit: a prefetcher keeps a window of page reads in flight
-	// feeding the FLASH_DFV queue; the compute process drains batches,
-	// synchronizing on the weight barrier when streaming.
-	pending := len(units)
-	var simulatedFeatures float64
-	var simulatedPages int64
-	var scanEnd sim.Time
-
-	// Progress tracking for marginal-rate extrapolation: record when half
-	// the windowed work was done so the startup transient (pipeline fill,
-	// first flash reads) does not bias the extrapolated steady-state rate.
-	var windowedTotal float64
+	run.pending = len(units)
 	for _, u := range units {
-		windowedTotal += u.features
+		run.windowedTotal += u.features
 	}
-	// The steady-state rate is measured between the 10% and 50% progress
-	// marks: before 10% the pipeline is still filling, and near the end the
-	// prefetch buffers drain faster than the true bottleneck.
-	var progressFeatures float64
-	var t10, t50 sim.Time
-	f10, f50 := -1.0, -1.0
-	noteProgress := func(feats float64) {
-		progressFeatures += feats
-		if f10 < 0 && progressFeatures >= windowedTotal*0.1 {
-			f10, t10 = progressFeatures, e.Now()
-		}
-		if f50 < 0 && progressFeatures >= windowedTotal*0.5 {
-			f50, t50 = progressFeatures, e.Now()
-		}
-	}
-	pagesPerBatch := int64(float64(batch)/featPerPage + 0.999)
-	if pagesPerBatch < 1 {
-		pagesPerBatch = 1
-	}
-
 	for _, u := range units {
-		u := u
-		// The FLASH_DFV queue buffers a handful of pages (Fig. 5) — enough
-		// to decouple array reads from compute without unphysical staging.
-		q := sim.NewQueue[int64](e, "flash-dfv", 4)
-		window := u.prefetch
-		if window == 0 {
-			window = 16
-		}
-		var issued, inflight int64
-		var prefetch func()
-		prefetch = func() {
-			for inflight < window && issued < u.pages {
-				j := issued
-				issued++
-				inflight++
-				u.read(j, func() {
-					// The slot frees only when the FLASH_DFV queue accepts
-					// the page — backpressure from a slow consumer stalls
-					// prefetching, as the bounded queue in Fig. 5 does.
-					q.Put(j, func() {
-						inflight--
-						prefetch()
-					})
-				})
-			}
-		}
-		prefetch()
-
-		var consumed int64
-		var computeLoop func()
-		computeLoop = func() {
-			if consumed >= u.pages {
-				simulatedFeatures += u.features
-				simulatedPages += u.pages
-				u.group.leave()
-				pending--
-				if pending == 0 {
-					scanEnd = e.Now()
-				}
-				return
-			}
-			take := pagesPerBatch
-			if rem := u.pages - consumed; take > rem {
-				take = rem
-			}
-			var got int64
-			var collect func()
-			collect = func() {
-				if got < take {
-					q.Get(func(int64) {
-						got++
-						collect()
-					})
-					return
-				}
-				consumed += take
-				feats := float64(take) * featPerPage
-				run := func() {
-					d := sim.Duration(float64(perFeatCycles)*feats*cyclePs + 0.5)
-					e.After(d, func() {
-						noteProgress(feats)
-						computeLoop()
-					})
-				}
-				if streaming {
-					u.group.arrive(run)
-				} else {
-					run()
-				}
-			}
-			collect()
-		}
-		computeLoop()
+		u.prefetch()
+		u.nextBatch()
 	}
 
 	e.Run()
-	if pending != 0 {
-		return ScanResult{}, fmt.Errorf("accel: scan deadlocked with %d units pending", pending)
+	if run.pending != 0 {
+		return ScanResult{}, fmt.Errorf("accel: scan deadlocked with %d units pending", run.pending)
 	}
+	simulatedFeatures := run.simulatedFeatures
 
 	// scanEnd was stamped when the last unit finished; other processes
 	// sharing the engine (e.g. concurrent host I/O in the interference
 	// study) may keep running past it.
-	elapsed := sim.Duration(scanEnd - start)
+	elapsed := sim.Duration(run.scanEnd - start)
 	endFlash := dev.Flash.Stats()
 
 	res := ScanResult{
@@ -453,8 +503,8 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	res.Elapsed = sim.Duration(float64(elapsed) * scale)
 	// Refine with the measured steady-state marginal rate: work beyond the
 	// window extends the simulated time at the 10–50% progress rate.
-	if scale > 1 && f10 > 0 && f50 > f10 {
-		rate := float64(t50-t10) / (f50 - f10) // ps per feature (global)
+	if scale > 1 && run.f10 > 0 && run.f50 > run.f10 {
+		rate := float64(run.t50-run.t10) / (run.f50 - run.f10) // ps per feature (global)
 		extra := (float64(res.Features) - simulatedFeatures) * rate
 		res.Elapsed = elapsed + sim.Duration(extra+0.5)
 	}

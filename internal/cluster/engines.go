@@ -209,6 +209,7 @@ func NewReplicatedEngines(shards, replicas int, opts core.Options) (*Engines, er
 		return nil, fmt.Errorf("cluster: %d replicas invalid", replicas)
 	}
 	e := &Engines{opts: opts, reg: obs.NewRegistry(), tracer: obs.NewTracer(0)}
+	e.tracer.CountDrops(e.reg.Counter("obs_tracer_dropped_spans"))
 	for s := 0; s < shards; s++ {
 		group := make([]*core.DeepStore, replicas)
 		for r := range group {

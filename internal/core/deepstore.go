@@ -364,6 +364,7 @@ func New(opts Options) (*DeepStore, error) {
 		obs:         obs.NewRegistry(),
 		tracer:      obs.NewTracer(0),
 	}
+	ds.tracer.CountDrops(ds.obs.Counter("obs_tracer_dropped_spans"))
 	dev.AttachObs(ds.obs, ds.tracer)
 	ds.pools.batch = ds.scoreBatch()
 	ds.pools.quantized = opts.Quantized

@@ -11,6 +11,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/qhist"
+	"repro/internal/racetest"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -173,7 +174,7 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 		for _, v := range variants {
 			for _, q := range []int{1, 7, 64} {
 				t.Run(fmt.Sprintf("%v/%s/q%d", mode, v.name, q), func(t *testing.T) {
-					if raceEnabled && q > 7 {
+					if racetest.Enabled && q > 7 {
 						// A deterministic single-stream replay: the race
 						// detector only multiplies its runtime ~15x. The full
 						// matrix runs in the non-race tier-1 step; the
@@ -230,7 +231,7 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if !raceEnabled && !sawEviction {
+	if !racetest.Enabled && !sawEviction {
 		t.Error("equivalence matrix never filled the cache: admission policy was never consulted")
 	}
 }

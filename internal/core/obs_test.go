@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -188,5 +189,58 @@ func TestEngineObservability(t *testing.T) {
 		if diff := stageSum[tid] - dur; diff > 1e-3 || diff < -1e-3 {
 			t.Errorf("query %d: stage spans sum to %gµs, query span %gµs", tid, stageSum[tid], dur)
 		}
+	}
+}
+
+// TestTracerDropsSurfaceInMetrics: obs_tracer_dropped_spans is in every
+// snapshot, 0 while the trace is whole, and moves by exactly the tracer's own
+// drop count once a paper-scale run overflows DefaultTraceCap — ESTP declared
+// at 25 GiB records more page-read spans over the three levels than one
+// tracer retains.
+func TestTracerDropsSurfaceInMetrics(t *testing.T) {
+	small, db, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", 150)
+	qid, err := small.Query(QuerySpec{QFV: db.Vectors[0], K: 3, Model: model, DB: dbID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := small.GetResults(qid); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := small.MetricsSnapshot().Counters["obs_tracer_dropped_spans"]; !ok || got != 0 {
+		t.Errorf("whole trace: obs_tracer_dropped_spans = %d (present %v), want 0 and present", got, ok)
+	}
+
+	app, err := workload.ByName("ESTP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.TimingWindow = 1024
+	ds, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := app.FeatureBytes()
+	declared, err := ds.DeclareDB(fb, (25<<30)/fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := ds.LoadModelNetwork(app.SCN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qfv := make([]float32, app.SCN.FeatureElems())
+	for _, level := range accel.Levels() {
+		level := level
+		if _, err := ds.Query(QuerySpec{QFV: qfv, K: 3, Model: paper, DB: declared, Level: &level}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dropped := ds.Tracer().Dropped()
+	if dropped == 0 || ds.Tracer().Len() != obs.DefaultTraceCap {
+		t.Fatalf("paper-scale ESTP kept %d spans and dropped %d: the cap was not hit", ds.Tracer().Len(), dropped)
+	}
+	if got := ds.MetricsSnapshot().Counters["obs_tracer_dropped_spans"]; got != dropped {
+		t.Errorf("obs_tracer_dropped_spans = %d, tracer dropped %d", got, dropped)
 	}
 }

@@ -230,6 +230,11 @@ type Array struct {
 	// tracer receives one span per page read (issue → last byte delivered),
 	// on the channel's track. nil (the default) traces nothing.
 	tracer *obs.Tracer
+
+	// freeReads recycles per-read records: a scan keeps at most a prefetch
+	// window of reads in flight per accelerator, so after the first window
+	// a page read allocates nothing.
+	freeReads []*pageRead
 }
 
 // NewArray builds a flash array on the given engine.
@@ -281,53 +286,91 @@ func (a *Array) SetReadFaults(f ReadFaults) error {
 // flash events, so no locking is needed beyond the tracer's own.
 func (a *Array) SetTracer(tr *obs.Tracer) { a.tracer = tr }
 
-// traceRead wraps a read's completion callback with a span covering issue to
-// completion — queueing for the plane, the sense (including retries), and the
-// bus transfer when there is one.
-func (a *Array) traceRead(start sim.Time, channel int, done func()) func() {
-	if a.tracer == nil {
-		return done
-	}
-	return func() {
-		a.tracer.Add(obs.Span{
-			Name:  obs.SpanFlashRead,
-			Cat:   "flash",
-			TID:   int64(channel),
-			Start: start,
-			Dur:   sim.Duration(a.e.Now() - start),
-		})
-		if done != nil {
-			done()
-		}
-	}
+// pageRead is one page read from issue to completion: queueing for the
+// plane, the sense (including read-retry rounds), and the bus transfer when
+// there is one. The stage callbacks are bound to the record when it is first
+// allocated and reused with it, so the chain schedules its events without
+// building a closure per stage.
+type pageRead struct {
+	a     *Array
+	plane *sim.Resource
+	// bus is the channel bus the page crosses after the sense; nil for a
+	// read that stops at the page buffer.
+	bus     *sim.Link
+	channel int
+	start   sim.Time
+	try     int
+	// tracer is the span sink in force when the read was issued.
+	tracer *obs.Tracer
+	done   func()
+
+	granted, sensed, finished func()
 }
 
-// sense performs the array read (cell → page buffer) on an already-acquired
-// plane, charging read-retry rounds to the simulated clock when the fault
-// model is enabled, then calls done with the plane still held.
-func (a *Array) sense(done func()) {
-	var attempt func(try int)
-	attempt = func(try int) {
-		d := a.timing.ReadLatency
-		if try > 0 {
-			d = a.faults.retryLatency(a.timing)
+func (a *Array) startRead(addr PageAddr, bus *sim.Link, done func()) {
+	a.stats.PageReads++
+	var r *pageRead
+	if n := len(a.freeReads); n > 0 {
+		r = a.freeReads[n-1]
+		a.freeReads = a.freeReads[:n-1]
+	} else {
+		r = &pageRead{a: a}
+		r.granted, r.sensed, r.finished = r.onGranted, r.onSensed, r.finish
+	}
+	r.plane, r.bus, r.channel = a.plane(addr), bus, addr.Channel
+	r.start, r.try, r.tracer, r.done = a.e.Now(), 0, a.tracer, done
+	r.plane.Acquire(r.granted)
+}
+
+// onGranted starts the array read (cell → page buffer) on the plane just
+// acquired.
+func (r *pageRead) onGranted() { r.a.e.After(r.a.timing.ReadLatency, r.sensed) }
+
+// onSensed runs when a sense completes with the plane still held, charging
+// read-retry rounds to the simulated clock when the fault model is enabled.
+func (r *pageRead) onSensed() {
+	a := r.a
+	if a.faults.active() && a.faults.Inj.Hit(a.faults.ErrorRate) {
+		if r.try < a.faults.maxRetries() {
+			a.stats.ReadRetries++
+			r.try++
+			a.e.After(a.faults.retryLatency(a.timing), r.sensed)
+			return
 		}
-		a.e.After(d, func() {
-			if a.faults.active() && a.faults.Inj.Hit(a.faults.ErrorRate) {
-				if try < a.faults.maxRetries() {
-					a.stats.ReadRetries++
-					attempt(try + 1)
-					return
-				}
-				// Retry budget exhausted: the read completes anyway —
-				// recovery via ECC/parity is outside the timing model —
-				// but the failure is counted.
-				a.stats.ReadFailures++
-			}
-			done()
+		// Retry budget exhausted: the read completes anyway — recovery via
+		// ECC/parity is outside the timing model — but the failure is
+		// counted.
+		a.stats.ReadFailures++
+	}
+	// The page buffer is free for the next array read as soon as the data
+	// is handed to the channel transfer; SSDs overlap array reads with bus
+	// transfers via the per-plane buffer.
+	r.plane.Release()
+	if r.bus == nil {
+		r.finish()
+		return
+	}
+	a.stats.BusBytes += uint64(a.geom.PageBytes)
+	r.bus.Transfer(a.geom.PageBytes, r.finished)
+}
+
+// finish records the read's span, recycles the record and calls done.
+func (r *pageRead) finish() {
+	a, done := r.a, r.done
+	if r.tracer != nil {
+		r.tracer.Add(obs.Span{
+			Name:  obs.SpanFlashRead,
+			Cat:   "flash",
+			TID:   int64(r.channel),
+			Start: r.start,
+			Dur:   sim.Duration(a.e.Now() - r.start),
 		})
 	}
-	attempt(0)
+	r.done, r.tracer = nil, nil
+	a.freeReads = append(a.freeReads, r)
+	if done != nil {
+		done()
+	}
 }
 
 // Bus returns the channel bus link for utilization inspection or for
@@ -345,36 +388,14 @@ func (a *Array) plane(addr PageAddr) *sim.Resource {
 // (cell → page buffer, Fig. 5 ❷), then the page crosses the channel bus
 // (Fig. 5 ❸). done fires when the last byte leaves the bus.
 func (a *Array) ReadPage(addr PageAddr, done func()) {
-	a.stats.PageReads++
-	done = a.traceRead(a.e.Now(), addr.Channel, done)
-	pl := a.plane(addr)
-	pl.Acquire(func() {
-		a.sense(func() {
-			// The page buffer is free for the next array read as soon as
-			// the data is handed to the channel transfer; SSDs overlap
-			// array reads with bus transfers via the per-plane buffer.
-			pl.Release()
-			a.stats.BusBytes += uint64(a.geom.PageBytes)
-			a.buses[addr.Channel].Transfer(a.geom.PageBytes, done)
-		})
-	})
+	a.startRead(addr, a.buses[addr.Channel], done)
 }
 
 // ReadPageToBuffer performs only the array read (cell → page buffer) without
 // a channel-bus transfer. Chip-level accelerators consume pages directly
 // from the plane page buffers (§4.5), so their data path skips the bus.
 func (a *Array) ReadPageToBuffer(addr PageAddr, done func()) {
-	a.stats.PageReads++
-	done = a.traceRead(a.e.Now(), addr.Channel, done)
-	pl := a.plane(addr)
-	pl.Acquire(func() {
-		a.sense(func() {
-			pl.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	a.startRead(addr, nil, done)
 }
 
 // ProgramPage programs one page: the plane is busy for the program latency

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/fault"
+	"repro/internal/racetest"
 	"repro/internal/sim"
 )
 
@@ -307,5 +308,36 @@ func TestReadFaultsValidation(t *testing.T) {
 	}
 	if err := a.SetReadFaults(ReadFaults{}); err != nil {
 		t.Errorf("zero value rejected: %v", err)
+	}
+}
+
+// TestWarmedReadsDoNotAllocate guards the free-listed read chain: once a
+// window of reads has been in flight, a page read with a pre-bound callback
+// allocates nothing (the issue's bound is one allocation per read).
+func TestWarmedReadsDoNotAllocate(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	e := sim.NewEngine()
+	g := smallGeometry()
+	a, err := NewArray(e, g, DefaultTiming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := func() {}
+	const reads = 64
+	window := func() {
+		for i := int64(0); i < reads/2; i++ {
+			a.ReadPage(g.FromLinear(i), done)
+			a.ReadPageToBuffer(g.FromLinear(i+reads/2), done)
+		}
+		e.Run()
+	}
+	window() // warm: read records, hold records, waiter rings, calendar
+	if got := testing.AllocsPerRun(10, window) / reads; got > 0 {
+		t.Errorf("warmed ReadPage/ReadPageToBuffer: %v allocs per read, want 0", got)
+	}
+	if want := uint64(12 * reads); a.Stats().PageReads != want {
+		t.Errorf("page reads = %d, want %d", a.Stats().PageReads, want)
 	}
 }

@@ -9,11 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultTraceCap bounds a Tracer's retained spans. A paper-scale replay
-// reads tens of thousands of pages; the cap keeps the trace buffer (and the
-// exported file) bounded while counting what was dropped, so a truncated
-// trace is visible rather than silent.
+// DefaultTraceCap bounds a Tracer's retained spans. One engine of a
+// paper-scale sweep at a 1 024-feature window records 8 K–165 K spans (one
+// per page read); the cap keeps the trace buffer (and the exported file)
+// bounded while counting what was dropped, so a truncated trace is visible
+// rather than silent.
 const DefaultTraceCap = 1 << 17
+
+// traceChunk is the number of spans per storage chunk (64 KB of spans).
+const traceChunk = 1 << 10
 
 // Span is one interval on the simulated clock: a query stage, a flash page
 // read, a shard's slice of a cluster fan-out, a proto retry.
@@ -36,11 +40,18 @@ type Span struct {
 
 // Tracer collects spans up to a capacity. Safe for concurrent use; a nil
 // Tracer is a no-op, so instrumented layers call it unconditionally.
+//
+// Spans live in fixed-size chunks: a full chunk is never copied or cleared
+// again, so the always-on tracer costs one chunk allocation per traceChunk
+// spans and only as much memory as it has spans.
 type Tracer struct {
 	mu      sync.Mutex
 	cap     int
-	spans   []Span
+	chunks  [][]Span // every chunk but the last is full
+	n       int      // retained spans
 	dropped int64
+	// onDrop, when set, is told of every dropped span.
+	onDrop *Counter
 }
 
 // NewTracer returns a tracer retaining up to capacity spans
@@ -59,11 +70,30 @@ func (t *Tracer) Add(s Span) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= t.cap {
+	if t.n >= t.cap {
 		t.dropped++
+		t.onDrop.Inc()
 		return
 	}
-	t.spans = append(t.spans, s)
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		t.chunks = append(t.chunks, make([]Span, 0, min(traceChunk, t.cap-t.n)))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], s)
+	t.n++
+}
+
+// CountDrops makes the tracer add every span it drops from now on to c, so
+// a truncated trace shows up in the metrics export as well as in the trace
+// file.
+func (t *Tracer) CountDrops(c *Counter) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.onDrop = c
 }
 
 // Len returns the number of retained spans.
@@ -73,7 +103,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.n
 }
 
 // Dropped returns how many spans were discarded at capacity.
@@ -93,7 +123,14 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	if t.n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, t.n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Reset discards every retained span and the drop count.
@@ -103,7 +140,9 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = t.spans[:0]
+	clear(t.chunks)
+	t.chunks = t.chunks[:0]
+	t.n = 0
 	t.dropped = 0
 }
 

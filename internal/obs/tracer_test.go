@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/racetest"
 	"repro/internal/sim"
 )
 
@@ -85,5 +86,87 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if got.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", got.DisplayTimeUnit)
+	}
+}
+
+// TestTracerSpansAcrossChunks: storage is chunked, the view is not — order,
+// length, the cap (here not a multiple of the chunk size) and the drop count
+// are what a single slice would give, and Reset starts over.
+func TestTracerSpansAcrossChunks(t *testing.T) {
+	const capacity = 2*traceChunk + 5
+	tr := NewTracer(capacity)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < capacity+7; i++ {
+			tr.Add(Span{Name: "s", TID: int64(i)})
+		}
+		if tr.Len() != capacity || tr.Dropped() != 7 {
+			t.Fatalf("round %d: len %d dropped %d, want %d and 7", round, tr.Len(), tr.Dropped(), capacity)
+		}
+		spans := tr.Spans()
+		if len(spans) != capacity {
+			t.Fatalf("round %d: Spans() returned %d", round, len(spans))
+		}
+		for i, s := range spans {
+			if s.TID != int64(i) {
+				t.Fatalf("round %d: span %d has TID %d: arrival order lost", round, i, s.TID)
+			}
+		}
+		tr.Reset()
+		if tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
+			t.Fatalf("round %d: reset did not clear", round)
+		}
+	}
+}
+
+// TestTracerAddIsAmortisedAllocationFree: the always-on tracer pays one chunk
+// per traceChunk spans and never moves a span it has stored.
+func TestTracerAddIsAmortisedAllocationFree(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const spans = 100_000
+	tr := NewTracer(0)
+	allocs := testing.AllocsPerRun(1, func() {
+		tr.Reset()
+		for i := 0; i < spans; i++ {
+			tr.Add(Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i)})
+		}
+	})
+	if perSpan := allocs / spans; perSpan >= 0.01 {
+		t.Errorf("Tracer.Add: %v allocs per span, want < 0.01", perSpan)
+	}
+
+	tr.Reset()
+	tr.Add(Span{Name: "first"})
+	first := &tr.chunks[0][0]
+	for i := 0; i < 10*traceChunk; i++ {
+		tr.Add(Span{Name: "later"})
+	}
+	if &tr.chunks[0][0] != first || first.Name != "first" {
+		t.Error("a retained span was copied when the tracer grew")
+	}
+}
+
+// TestTracerCountsDropsInRegistry: the drop counter is 0 until the cap is
+// hit, then moves with every dropped span, and survives Reset (counters are
+// monotonic; Dropped() is per trace).
+func TestTracerCountsDropsInRegistry(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(3)
+	tr.CountDrops(reg.Counter("obs_tracer_dropped_spans"))
+	for i := 0; i < 3; i++ {
+		tr.Add(Span{Name: "kept"})
+	}
+	if got := reg.Snapshot().Counters["obs_tracer_dropped_spans"]; got != 0 {
+		t.Errorf("under the cap: dropped counter = %d, want 0", got)
+	}
+	tr.Add(Span{Name: "dropped"})
+	tr.Add(Span{Name: "dropped"})
+	if got := reg.Snapshot().Counters["obs_tracer_dropped_spans"]; got != 2 || tr.Dropped() != 2 {
+		t.Errorf("past the cap: dropped counter = %d, Dropped() = %d, want 2 and 2", got, tr.Dropped())
+	}
+	tr.Reset()
+	if got := reg.Counter("obs_tracer_dropped_spans").Value(); got != 2 {
+		t.Errorf("after Reset: dropped counter = %d, want 2", got)
 	}
 }

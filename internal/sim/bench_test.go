@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// BenchmarkEventThroughput measures raw event-calendar throughput — the
-// bound on how fast the device model simulates.
+// BenchmarkEventThroughput measures raw event-calendar throughput with one
+// event pending — the floor of what an event costs.
 func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEngine()
 	var tick func()
@@ -14,8 +14,31 @@ func BenchmarkEventThroughput(b *testing.B) {
 			e.After(Nanosecond, tick)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.After(Nanosecond, tick)
+	e.Run()
+}
+
+// BenchmarkDeepCalendar keeps 2 048 events pending, the shape of a chip-level
+// scan (128 accelerators × 16 reads in flight): every event pays a full sift,
+// which is the bound on how fast the device model simulates.
+func BenchmarkDeepCalendar(b *testing.B) {
+	const depth = 2048
+	e := NewEngine()
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n+depth <= b.N {
+			e.After(Duration(1+n*7919%depth)*Nanosecond, tick)
+		}
+	}
+	for i := 0; i < depth && i < b.N; i++ {
+		e.After(Duration(1+i)*Nanosecond, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	e.Run()
 }
 
@@ -25,6 +48,7 @@ func BenchmarkResourceHold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Hold(Nanosecond, nil)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }
@@ -32,10 +56,12 @@ func BenchmarkResourceHold(b *testing.B) {
 func BenchmarkQueuePutGet(b *testing.B) {
 	e := NewEngine()
 	q := NewQueue[int](e, "bench", 64)
+	taken := func(int) {}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Put(i, nil)
-		q.Get(func(int) {})
+		q.Get(taken)
 		if i%1024 == 0 {
 			e.Run()
 		}

@@ -14,10 +14,7 @@
 // accumulation error.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a virtual timestamp in picoseconds since the start of the
 // simulation.
@@ -77,43 +74,39 @@ type event struct {
 	fn  func()
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a runs before b: the (at, seq) order is the whole
+// ordering contract of the kernel.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event simulation engine. The zero value is ready to
 // use. An Engine is not safe for concurrent use; simulations are
 // single-threaded by design so results are deterministic.
+//
+// The calendar is two structures merged on pop: a binary min-heap of event
+// values for the future, and a FIFO for events scheduled at the current
+// instant (every resource hand-off and queue wake-up), which are already in
+// (at, seq) order by construction and so never pay for a sift. Neither
+// allocates per event: scheduling costs what the callback's own closure
+// costs, nothing if the caller bound it once.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	heap    []event
+	instant ring[event] // events sharing one timestamp, in seq order
 	stopped bool
 
 	// Executed counts events run so far; useful for debugging runaway
 	// simulations.
 	Executed uint64
-	// MaxEvents, when non-zero, is a watchdog: Run panics after executing
-	// that many events, turning a silently spinning model (a process that
-	// reschedules itself at zero delay, a barrier that never releases)
-	// into a loud failure with the event count in hand.
+	// MaxEvents, when non-zero, is a watchdog: Run and RunUntil panic after
+	// executing that many events, turning a silently spinning model (a
+	// process that reschedules itself at zero delay, a barrier that never
+	// releases) into a loud failure with the event count in hand.
 	MaxEvents uint64
 }
 
@@ -130,7 +123,16 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	// The instant FIFO stays sorted only while everything in it shares one
+	// timestamp, so an event joins it when it is due now and the FIFO is
+	// empty or already holds this instant.
+	if t == e.now && (e.instant.len() == 0 || e.instant.peek().at == t) {
+		e.instant.push(ev)
+		return
+	}
+	e.heap = append(e.heap, ev)
+	e.siftUp(len(e.heap) - 1)
 }
 
 // After schedules fn to run d picoseconds from now. Negative delays panic.
@@ -142,7 +144,7 @@ func (e *Engine) After(d Duration, fn func()) {
 }
 
 // Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.heap) + e.instant.len() }
 
 // Stop aborts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
@@ -151,14 +153,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // is called. It returns the final virtual time.
 func (e *Engine) Run() Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		e.Executed++
-		if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
-			panic(fmt.Sprintf("sim: watchdog tripped after %d events at t=%d", e.Executed, e.now))
-		}
-		ev.fn()
+	for !e.stopped && e.step(maxTime) {
 	}
 	return e.now
 }
@@ -168,17 +163,85 @@ func (e *Engine) Run() Time {
 // returns. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
-			break
-		}
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		e.Executed++
-		ev.fn()
+	for !e.stopped && e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
+}
+
+const maxTime = Time(1<<63 - 1)
+
+// step runs the earliest event if it is due by deadline and reports whether
+// it ran one.
+func (e *Engine) step(deadline Time) bool {
+	var ev event
+	switch {
+	case e.instant.len() > 0 && (len(e.heap) == 0 || e.instant.peek().before(&e.heap[0])):
+		if e.instant.peek().at > deadline {
+			return false
+		}
+		ev = e.instant.pop()
+	case len(e.heap) > 0:
+		if e.heap[0].at > deadline {
+			return false
+		}
+		ev = e.popHeap()
+	default:
+		return false
+	}
+	e.now = ev.at
+	e.Executed++
+	if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
+		panic(fmt.Sprintf("sim: watchdog tripped after %d events at t=%d", e.Executed, e.now))
+	}
+	ev.fn()
+	return true
+}
+
+func (e *Engine) siftUp(i int) {
+	h := e.heap
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+// popHeap removes and returns the heap minimum; the heap must be non-empty.
+func (e *Engine) popHeap() event {
+	h := e.heap
+	top := h[0]
+	last := len(h) - 1
+	ev := h[last]
+	h[last] = event{} // drop the callback reference
+	h = h[:last]
+	e.heap = h
+	if last == 0 {
+		return top
+	}
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&ev) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = ev
+	return top
 }

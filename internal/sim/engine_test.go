@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -152,18 +153,49 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
+// TestWatchdogTripsOnRunawayLoop: a zero-delay self-rescheduling process must
+// panic with the event count in hand from either entry point (RunUntil used
+// to spin forever).
 func TestWatchdogTripsOnRunawayLoop(t *testing.T) {
+	entries := map[string]func(*Engine){
+		"Run":      func(e *Engine) { e.Run() },
+		"RunUntil": func(e *Engine) { e.RunUntil(Time(Second)) },
+	}
+	for name, enter := range entries {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			e.MaxEvents = 100
+			var spin func()
+			spin = func() { e.After(0, spin) } // zero-delay self-reschedule
+			e.After(1, spin)
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "watchdog tripped after 101 events"; !strings.Contains(msg, want) {
+					t.Errorf("panic = %q, want it to contain %q", msg, want)
+				}
+				if e.Executed != 101 {
+					t.Errorf("executed %d events, want 101", e.Executed)
+				}
+			}()
+			enter(e)
+		})
+	}
+}
+
+// TestPendingCountsSameInstantEvents: events scheduled for the current
+// instant sit in their own FIFO and are pending all the same.
+func TestPendingCountsSameInstantEvents(t *testing.T) {
 	e := NewEngine()
-	e.MaxEvents = 100
-	var spin func()
-	spin = func() { e.After(0, spin) } // zero-delay self-reschedule
-	e.After(1, spin)
-	defer func() {
-		if recover() == nil {
-			t.Error("runaway simulation did not trip the watchdog")
-		}
-	}()
-	e.Run()
+	e.After(0, func() {})
+	e.At(e.Now(), func() {})
+	e.After(Nanosecond, func() {})
+	if got := e.Pending(); got != 3 {
+		t.Errorf("pending = %d, want 3", got)
+	}
+	e.RunUntil(0)
+	if got := e.Pending(); got != 1 {
+		t.Errorf("pending after the instant drained = %d, want 1", got)
+	}
 }
 
 func TestWatchdogAllowsNormalRuns(t *testing.T) {

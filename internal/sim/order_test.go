@@ -1,0 +1,247 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// The order oracle: random schedules run on the Engine and on a reference
+// that keeps its calendar as a plain list and picks the (at, seq) minimum by
+// scanning it. Execution order, Now() at each event, Executed and Pending()
+// must match exactly — the heap, the same-instant FIFO and the merge between
+// them are invisible.
+
+// child is one scheduling call an event's handler makes.
+type child struct {
+	atNow bool // At(Now()) rather than After(delay)
+	delay Duration
+}
+
+// plan is what the handler of event id does when it runs. It depends only on
+// (seed, id), so both sides replay the same behaviour.
+type plan struct {
+	children []child
+	stop     bool
+}
+
+// mix is a splitmix64 stream: cheap enough to seed one per event.
+type mix uint64
+
+func (m *mix) Intn(n int) int {
+	*m += 0x9e3779b97f4a7c15
+	z := uint64(*m)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int((z ^ (z >> 31)) % uint64(n))
+}
+
+func planFor(seed int64, id int) plan {
+	rng := mix(seed<<20 + int64(id))
+	var p plan
+	// Few distinct delays, so timestamps collide constantly; a third of the
+	// calls are zero-delay, which is what chains hand-offs inside handlers.
+	delays := []Duration{0, 0, 0, 1, 1, 2, 3, 5, 8}
+	for n := rng.Intn(4); n > 0; n-- {
+		c := child{delay: delays[rng.Intn(len(delays))]}
+		if rng.Intn(6) == 0 {
+			c = child{atNow: true}
+		}
+		p.children = append(p.children, c)
+	}
+	p.stop = rng.Intn(25) == 0
+	return p
+}
+
+type ran struct {
+	id  int
+	now Time
+}
+
+// scheduler is the surface the driver needs from either side.
+type scheduler interface {
+	Now() Time
+	schedule(c child)
+	Run() Time
+	RunUntil(Time) Time
+	Pending() int
+	executed() uint64
+	log() []ran
+}
+
+// budget caps the events one schedule creates so every chain terminates.
+const orderBudget = 600
+
+// engineSide drives the real Engine.
+type engineSide struct {
+	*Engine
+	seed   int64
+	nextID int
+	trace  []ran
+}
+
+func (s *engineSide) schedule(c child) {
+	if s.nextID >= orderBudget {
+		return
+	}
+	id := s.nextID
+	s.nextID++
+	fn := func() {
+		s.trace = append(s.trace, ran{id, s.Engine.Now()})
+		p := planFor(s.seed, id)
+		for _, c := range p.children {
+			s.schedule(c)
+		}
+		if p.stop {
+			s.Stop()
+		}
+	}
+	if c.atNow {
+		s.At(s.Engine.Now(), fn)
+	} else {
+		s.After(c.delay, fn)
+	}
+}
+func (s *engineSide) executed() uint64 { return s.Executed }
+func (s *engineSide) log() []ran       { return s.trace }
+
+// refSide is the reference model.
+type refSide struct {
+	seed    int64
+	nextID  int
+	now     Time
+	seq     uint64
+	stopped bool
+	ran     uint64
+	cal     []refEvent
+	trace   []ran
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+func (s *refSide) Now() Time        { return s.now }
+func (s *refSide) Pending() int     { return len(s.cal) }
+func (s *refSide) executed() uint64 { return s.ran }
+func (s *refSide) log() []ran       { return s.trace }
+
+func (s *refSide) schedule(c child) {
+	if s.nextID >= orderBudget {
+		return
+	}
+	at := s.now + Time(c.delay)
+	if c.atNow {
+		at = s.now
+	}
+	s.seq++
+	s.cal = append(s.cal, refEvent{at: at, seq: s.seq, id: s.nextID})
+	s.nextID++
+}
+
+// step runs the (at, seq)-least event if it is due by deadline.
+func (s *refSide) step(deadline Time) bool {
+	best := -1
+	for i, ev := range s.cal {
+		if best < 0 || ev.at < s.cal[best].at || (ev.at == s.cal[best].at && ev.seq < s.cal[best].seq) {
+			best = i
+		}
+	}
+	if best < 0 || s.cal[best].at > deadline {
+		return false
+	}
+	ev := s.cal[best]
+	s.cal = append(s.cal[:best], s.cal[best+1:]...)
+	s.now = ev.at
+	s.ran++
+	s.trace = append(s.trace, ran{ev.id, s.now})
+	p := planFor(s.seed, ev.id)
+	for _, c := range p.children {
+		s.schedule(c)
+	}
+	if p.stop {
+		s.stopped = true
+	}
+	return true
+}
+
+func (s *refSide) Run() Time {
+	s.stopped = false
+	for !s.stopped && s.step(maxTime) {
+	}
+	return s.now
+}
+
+func (s *refSide) RunUntil(deadline Time) Time {
+	s.stopped = false
+	for !s.stopped && s.step(deadline) {
+	}
+	if s.now < deadline {
+		s.now = deadline
+	}
+	return s.now
+}
+
+// drive replays one seeded schedule: rounds of top-level scheduling followed
+// by Run or by RunUntil with a deadline that lands on, between or short of
+// the queued timestamps (leaving events queued past it). Handlers Stop the
+// loop now and then; the next round resumes it.
+func drive(seed int64, s scheduler) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var states []string
+	for round := 0; round < 40; round++ {
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			switch rng.Intn(4) {
+			case 0:
+				s.schedule(child{atNow: true})
+			case 1:
+				s.schedule(child{delay: 0})
+			default:
+				s.schedule(child{delay: Duration(rng.Intn(12))})
+			}
+		}
+		var end Time
+		if rng.Intn(3) == 0 {
+			end = s.Run()
+		} else {
+			end = s.RunUntil(s.Now() + Time(rng.Intn(7)))
+		}
+		states = append(states, fmt.Sprintf("round %d: end %d now %d executed %d pending %d",
+			round, end, s.Now(), s.executed(), s.Pending()))
+	}
+	s.Run()
+	for s.Pending() > 0 { // a handler stopped the drain
+		s.Run()
+	}
+	return append(states, fmt.Sprintf("drained: now %d executed %d", s.Now(), s.executed()))
+}
+
+func TestOrderMatchesReference(t *testing.T) {
+	var total int
+	for seed := int64(1); seed <= 200; seed++ {
+		eng := &engineSide{Engine: NewEngine(), seed: seed}
+		ref := &refSide{seed: seed}
+		got, want := drive(seed, eng), drive(seed, ref)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: engine %q, reference %q", seed, got[i], want[i])
+			}
+		}
+		gl, wl := eng.log(), ref.log()
+		if len(gl) != len(wl) {
+			t.Fatalf("seed %d: engine ran %d events, reference %d", seed, len(gl), len(wl))
+		}
+		for i := range wl {
+			if gl[i] != wl[i] {
+				t.Fatalf("seed %d: event %d: engine ran id %d at %d, reference id %d at %d",
+					seed, i, gl[i].id, gl[i].now, wl[i].id, wl[i].now)
+			}
+		}
+		total += len(wl)
+	}
+	if total < 200*100 {
+		t.Errorf("schedules too small to mean anything: %d events over 200 seeds", total)
+	}
+}

@@ -12,9 +12,14 @@ type Queue[T any] struct {
 	e        *Engine
 	name     string
 	capacity int
-	items    []T
-	getters  []func(T)
-	putters  []pendingPut[T]
+	items    ring[T]
+	getters  ring[func(T)]
+	putters  ring[pendingPut[T]]
+	// handoffs holds (consumer, item) pairs whose delivery event is already
+	// on the calendar; deliver is bound once so a hand-off schedules without
+	// building a closure per item.
+	handoffs ring[handoff[T]]
+	deliver  func()
 
 	puts, gets uint64
 	// highWater tracks the maximum occupancy observed, for sizing studies.
@@ -26,16 +31,28 @@ type pendingPut[T any] struct {
 	fn   func()
 }
 
+type handoff[T any] struct {
+	fn   func(T)
+	item T
+}
+
 // NewQueue creates a bounded queue. capacity must be >= 1.
 func NewQueue[T any](e *Engine, name string, capacity int) *Queue[T] {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sim: queue %q capacity %d < 1", name, capacity))
 	}
-	return &Queue[T]{e: e, name: name, capacity: capacity}
+	q := &Queue[T]{e: e, name: name, capacity: capacity}
+	// Delivery events run in the order they were scheduled, which is the
+	// order the pairs were pushed.
+	q.deliver = func() {
+		h := q.handoffs.pop()
+		h.fn(h.item)
+	}
+	return q
 }
 
 // Len returns the current occupancy.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Capacity returns the maximum occupancy.
 func (q *Queue[T]) Capacity() int { return q.capacity }
@@ -54,21 +71,21 @@ func (q *Queue[T]) Gets() uint64 { return q.gets }
 func (q *Queue[T]) Put(item T, accepted func()) {
 	// Fast path: a consumer is already waiting, hand the item over without
 	// ever occupying a slot.
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
+	if q.getters.len() > 0 {
+		g := q.getters.pop()
 		q.puts++
 		q.gets++
 		if accepted != nil {
 			q.e.After(0, accepted)
 		}
-		q.e.After(0, func() { g(item) })
+		q.handoffs.push(handoff[T]{fn: g, item: item})
+		q.e.After(0, q.deliver)
 		return
 	}
-	if len(q.items) < q.capacity {
-		q.items = append(q.items, item)
-		if len(q.items) > q.highWater {
-			q.highWater = len(q.items)
+	if q.items.len() < q.capacity {
+		q.items.push(item)
+		if q.items.len() > q.highWater {
+			q.highWater = q.items.len()
 		}
 		q.puts++
 		if accepted != nil {
@@ -76,21 +93,19 @@ func (q *Queue[T]) Put(item T, accepted func()) {
 		}
 		return
 	}
-	q.putters = append(q.putters, pendingPut[T]{item: item, fn: accepted})
+	q.putters.push(pendingPut[T]{item: item, fn: accepted})
 }
 
 // Get removes the oldest item, invoking fn with it once one exists
 // (immediately if the queue is non-empty).
 func (q *Queue[T]) Get(fn func(T)) {
-	if len(q.items) > 0 {
-		item := q.items[0]
-		q.items = q.items[1:]
+	if q.items.len() > 0 {
+		item := q.items.pop()
 		q.gets++
 		// Admit a blocked producer into the freed slot.
-		if len(q.putters) > 0 {
-			p := q.putters[0]
-			q.putters = q.putters[1:]
-			q.items = append(q.items, p.item)
+		if q.putters.len() > 0 {
+			p := q.putters.pop()
+			q.items.push(p.item)
 			q.puts++
 			if p.fn != nil {
 				q.e.After(0, p.fn)
@@ -101,9 +116,8 @@ func (q *Queue[T]) Get(fn func(T)) {
 	}
 	// Empty: if a producer is blocked (possible only when capacity would
 	// have been exceeded by a burst), service it directly.
-	if len(q.putters) > 0 {
-		p := q.putters[0]
-		q.putters = q.putters[1:]
+	if q.putters.len() > 0 {
+		p := q.putters.pop()
 		q.puts++
 		q.gets++
 		if p.fn != nil {
@@ -112,5 +126,5 @@ func (q *Queue[T]) Get(fn func(T)) {
 		fn(p.item)
 		return
 	}
-	q.getters = append(q.getters, fn)
+	q.getters.push(fn)
 }

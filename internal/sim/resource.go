@@ -12,16 +12,25 @@ type Resource struct {
 	name     string
 	capacity int
 	busy     int
-	// waiters is a FIFO with an amortized head index: popping advances
-	// head instead of copying the slice, so long waiter queues dequeue in
-	// O(1) amortized rather than O(n).
-	waiters []func()
-	head    int
+	waiters  ring[func()]
+	// freeHolds recycles the per-Hold records, so a steady stream of holds
+	// allocates nothing once the peak number in flight has been reached.
+	freeHolds []*hold
 
 	// utilization accounting
 	busyIntegral float64 // server-picoseconds of busy time
 	lastChange   Time
 	grants       uint64
+}
+
+// hold is the state of one Hold call from request to release. Its two stage
+// callbacks are bound when the record is first allocated and reused with it.
+type hold struct {
+	r       *Resource
+	d       Duration
+	done    func()
+	granted func()
+	expired func()
 }
 
 // NewResource creates a resource with the given server count (capacity >= 1).
@@ -42,7 +51,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.busy }
 
 // QueueLen returns the number of acquire requests waiting for a server.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Grants returns the total number of acquisitions granted so far.
 func (r *Resource) Grants() uint64 { return r.grants }
@@ -64,7 +73,7 @@ func (r *Resource) Acquire(fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, fn)
+	r.waiters.push(fn)
 }
 
 // Release returns one server to the pool and hands it to the oldest waiter,
@@ -73,25 +82,13 @@ func (r *Resource) Release() {
 	if r.busy <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
-	if r.head < len(r.waiters) {
+	if r.waiters.len() > 0 {
 		// Hand the server directly to the next waiter: busy count is
 		// unchanged, but the grant still counts.
-		next := r.waiters[r.head]
-		r.waiters[r.head] = nil
-		r.head++
-		if r.head == len(r.waiters) {
-			r.waiters = r.waiters[:0]
-			r.head = 0
-		} else if r.head > 64 && r.head*2 >= len(r.waiters) {
-			// Compact once the dead prefix dominates.
-			n := copy(r.waiters, r.waiters[r.head:])
-			r.waiters = r.waiters[:n]
-			r.head = 0
-		}
 		r.grants++
 		// Run the waiter as a fresh event so deeply chained handoffs
 		// do not grow the call stack.
-		r.e.After(0, next)
+		r.e.After(0, r.waiters.pop())
 		return
 	}
 	r.account()
@@ -101,14 +98,28 @@ func (r *Resource) Release() {
 // Hold acquires a server, keeps it busy for d, releases it, and then calls
 // done (which may be nil). It is the common pattern for fixed-latency units.
 func (r *Resource) Hold(d Duration, done func()) {
-	r.Acquire(func() {
-		r.e.After(d, func() {
-			r.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	var h *hold
+	if n := len(r.freeHolds); n > 0 {
+		h = r.freeHolds[n-1]
+		r.freeHolds = r.freeHolds[:n-1]
+	} else {
+		h = &hold{r: r}
+		h.granted, h.expired = h.grant, h.expire
+	}
+	h.d, h.done = d, done
+	r.Acquire(h.granted)
+}
+
+func (h *hold) grant() { h.r.e.After(h.d, h.expired) }
+
+func (h *hold) expire() {
+	r, done := h.r, h.done
+	h.done = nil
+	r.freeHolds = append(r.freeHolds, h)
+	r.Release()
+	if done != nil {
+		done()
+	}
 }
 
 // Utilization returns the fraction of server-time spent busy between
