@@ -229,62 +229,63 @@ func BenchmarkQuantSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkScoreRange measures one full-database query on a 100k-feature
-// TIR database (1.5 MB of FC weights per comparison — the weight-streaming
-// regime of the §2–§3 scan) across the three scan implementations: the
-// serial reference, the per-feature worker pool, and the batched GEMM path
-// (the default). Batched runs >= 2x faster than per-feature at equal worker
-// count — the weight matrices stream from memory once per batch instead of
-// once per feature — and all three return bit-identical results (see core's
-// equivalence tests). Reported metrics: features/sec and ns/feature of the
-// functional scan.
+// BenchmarkScoreRange measures the one scan kernel on a 100k-feature TIR
+// database (1.5 MB of FC weights per comparison — the weight-streaming regime
+// of the §2–§3 scan): a single full-database query, and sixteen queries
+// sharing one sweep of a sixteenth of it through QueryMulti, so both cases
+// score the same 100k (query, feature) comparisons per op. Reported metrics:
+// comparisons per second and ns per comparison of the functional scan.
 func BenchmarkScoreRange(b *testing.B) {
 	const features = 100_000
-	setup := func(b *testing.B, mode ScanMode) (*System, QuerySpec) {
-		b.Helper()
-		opts := DefaultOptions()
-		opts.Scan = mode
-		sys, err := New(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		app, err := AppByName("TIR")
-		if err != nil {
-			b.Fatal(err)
-		}
-		app.SCN.InitRandom(1)
-		db := NewFeatureDB(app, features, 42)
-		dbID, err := sys.WriteDB(db.Vectors)
-		if err != nil {
-			b.Fatal(err)
-		}
-		model, err := sys.LoadModelNetwork(app.SCN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys, QuerySpec{QFV: db.Vectors[0], K: 10, Model: model, DB: dbID}
+	sys, err := New(DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, mode := range []struct {
+	app, err := AppByName("TIR")
+	if err != nil {
+		b.Fatal(err)
+	}
+	app.SCN.InitRandom(1)
+	db := NewFeatureDB(app, features, 42)
+	dbID, err := sys.WriteDB(db.Vectors)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := sys.LoadModelNetwork(app.SCN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
 		name string
-		scan ScanMode
-	}{{"serial", ScanSerial}, {"parallel", ScanPerFeature}, {"batched", ScanBatched}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys, spec := setup(b, mode.scan)
+		nq   int
+	}{{"Q=1", 1}, {"Q=16", 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			specs := make([]QuerySpec, c.nq)
+			for i := range specs {
+				specs[i] = QuerySpec{QFV: db.Vectors[i], K: 10, Model: model, DB: dbID, DBEnd: features / int64(c.nq)}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				qid, err := sys.Query(spec)
+				ids := make([]QueryID, 1)
+				if c.nq == 1 {
+					ids[0], err = sys.Query(specs[0])
+				} else {
+					ids, err = sys.QueryMulti(specs)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sys.GetResults(qid); err != nil {
-					b.Fatal(err)
+				for _, id := range ids {
+					if _, err := sys.GetResults(id); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			b.StopTimer()
-			perQuery := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(float64(features)/perQuery, "features/s")
-			b.ReportMetric(perQuery*1e9/float64(features), "ns/feature")
+			perOp := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(features/perOp, "features/s")
+			b.ReportMetric(perOp*1e9/features, "ns/feature")
 		})
 	}
 }

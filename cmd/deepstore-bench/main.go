@@ -23,11 +23,8 @@ import (
 	"repro/internal/viz"
 )
 
-// lastScanRows captures the scan experiment's rows so main can emit the
-// -scanjson artifact without running the study twice.
-var lastScanRows []exp.ScanRow
-
-// lastFaultsRows likewise captures the fault sweep for -faultsjson.
+// lastFaultsRows captures the fault sweep's rows so main can emit the
+// -faultsjson artifact without running the study twice.
 var lastFaultsRows []exp.FaultsRow
 
 // lastBreakdown captures the breakdown experiment's result so main can emit
@@ -263,16 +260,6 @@ func experiments() []experiment {
 			return []report.Table{{Name: "batch", Header: h, Rows: c}},
 				exp.FormatBatch(rows), nil
 		}},
-		{name: "scan", run: func(int64) ([]report.Table, string, error) {
-			rows, err := exp.ScanBench(exp.DefaultScan())
-			if err != nil {
-				return nil, "", err
-			}
-			lastScanRows = rows
-			h, c := exp.CellsScan(rows)
-			return []report.Table{{Name: "scan", Header: h, Rows: c}},
-				exp.FormatScan(rows), nil
-		}},
 		{name: "mq", run: func(int64) ([]report.Table, string, error) {
 			rows, err := exp.MultiQueryBench(exp.DefaultMQ())
 			if err != nil {
@@ -397,10 +384,9 @@ func experiments() []experiment {
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiments to run (comma separated): table1,fig2,fig6,table3,fig8,fig9,fig10,fig11,fig12,fig13,fig14,interference,reorg,throughput,batch,scan,mq,prune,quant,serve,rebalance,qhist,faults,breakdown,recall,ablations")
+	expFlag := flag.String("exp", "all", "experiments to run (comma separated): table1,fig2,fig6,table3,fig8,fig9,fig10,fig11,fig12,fig13,fig14,interference,reorg,throughput,batch,mq,prune,quant,serve,rebalance,qhist,faults,breakdown,recall,ablations")
 	window := flag.Int64("window", exp.DefaultWindow, "features per accelerator simulated before extrapolation (0 = exact)")
 	formatFlag := flag.String("format", "text", "output format: text, csv, markdown, chart")
-	scanJSON := flag.String("scanjson", "", "write the scan experiment's rows as JSON to this file (e.g. BENCH_scan.json); implies running scan")
 	faultsJSON := flag.String("faultsjson", "", "write the fault sweep's rows as JSON to this file (e.g. BENCH_faults.json); implies running faults")
 	mqJSON := flag.String("mqjson", "", "write the multi-query study's rows as JSON to this file (e.g. BENCH_mq.json); implies running mq")
 	pruneJSON := flag.String("prunejson", "", "write the exact-pruning study's rows as JSON to this file (e.g. BENCH_prune.json); implies running prune")
@@ -464,9 +450,6 @@ func main() {
 		for _, n := range strings.Split(*expFlag, ",") {
 			want[strings.TrimSpace(n)] = true
 		}
-	}
-	if *scanJSON != "" {
-		want["scan"] = true
 	}
 	if *faultsJSON != "" {
 		want["faults"] = true
@@ -546,9 +529,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "deepstore-bench: wrote %s\n", path)
-	}
-	if *scanJSON != "" && lastScanRows != nil {
-		writeJSON(*scanJSON, lastScanRows)
 	}
 	if *faultsJSON != "" && lastFaultsRows != nil {
 		writeJSON(*faultsJSON, lastFaultsRows)

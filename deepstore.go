@@ -65,17 +65,6 @@ type DBID = ftl.DBID
 // Result is one top-K entry: feature identity, similarity score, ObjectID.
 type Result = topk.Entry
 
-// ScanMode selects the functional-scoring implementation (Options.Scan).
-type ScanMode = core.ScanMode
-
-// Scan modes: batched GEMM (default), per-feature worker pool, serial
-// reference. Results are identical across modes.
-const (
-	ScanBatched    = core.ScanBatched
-	ScanPerFeature = core.ScanPerFeature
-	ScanSerial     = core.ScanSerial
-)
-
 // New creates a DeepStore engine on a fresh simulated device.
 func New(opts Options) (*System, error) { return core.New(opts) }
 

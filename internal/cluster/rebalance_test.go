@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -52,7 +53,8 @@ func assertSameTopK(t *testing.T, label string, got, want Answer) {
 }
 
 // TestQueriesRacingMigration is the migration-correctness suite: across
-// every scan mode, with and without the pruning tier and the two-pass
+// every shape of the shards' scan (64-row gather batches, one feature per
+// scorer call, a single worker), with and without the pruning tier and the two-pass
 // quantized path, and across batch sizes Q ∈ {1, 7, 64}, queries running
 // while a chunked migration flips routes under them must (a) stay
 // bit-identical to an unsplit oracle, (b) keep every sub-query's stage sum
@@ -75,11 +77,18 @@ func TestQueriesRacingMigration(t *testing.T) {
 			o.RerankMargin = 4
 		}},
 	}
-	for _, mode := range []core.ScanMode{core.ScanBatched, core.ScanPerFeature, core.ScanSerial} {
+	for _, shape := range []struct {
+		name              string
+		scoreBatch, procs int
+	}{{name: "batched"}, {name: "per-feature", scoreBatch: 1}, {name: "serial", procs: 1}} {
 		for _, v := range variants {
-			t.Run(fmt.Sprintf("%v/%s", mode, v.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", shape.name, v.name), func(t *testing.T) {
 				opts := core.DefaultOptions()
-				opts.Scan = mode
+				opts.ScoreBatch = shape.scoreBatch
+				if shape.procs > 0 {
+					// The scan runs one worker per GOMAXPROCS.
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shape.procs))
+				}
 				v.mut(&opts)
 				live, oracle, db := rebalanceFixture(t, 2, features, opts)
 

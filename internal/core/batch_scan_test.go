@@ -1,12 +1,76 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ftl"
+	"repro/internal/nn"
+	"repro/internal/racetest"
 	"repro/internal/topk"
 	"repro/internal/workload"
 )
+
+// scanShape is one geometry the sweep can run under: how many features it
+// gathers per GEMM batch and how many workers drain the channel shards.
+// Results must not depend on it, so the equivalence matrices run every cell
+// under each shape. The names say how a feature gets scored: in 64-row GEMM
+// batches, one feature per scorer call, or by a single worker.
+type scanShape struct {
+	name       string
+	scoreBatch int // Options.ScoreBatch
+	procs      int // GOMAXPROCS — the sweep's worker count — while the test runs; 0 leaves it
+}
+
+var scanShapes = []scanShape{
+	{name: "batched"},
+	{name: "per-feature", scoreBatch: 1},
+	{name: "serial", procs: 1},
+}
+
+// on returns opts with the shape applied, pinning GOMAXPROCS for the rest of
+// the test when the shape asks for it.
+func (s scanShape) on(t *testing.T, opts Options) Options {
+	opts.ScoreBatch = s.scoreBatch
+	if s.procs > 0 {
+		prev := runtime.GOMAXPROCS(s.procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	return opts
+}
+
+// referenceTopK is the brute-force oracle the sweep is compared against:
+// every feature of the key's range scored in ascending id, one scorer call
+// each, into ONE queue. The queue's (score, featureID) total order makes that
+// equal to merging per-channel queues, and exact pruning never changes a
+// top-K, so this is the answer whatever the tier, batch or worker count. On a
+// database with a quant table it scores in int8, as the sweep does.
+func referenceTopK(ds *DeepStore, key scanKey, qfv []float32, k int) []topk.Entry {
+	st := key.st
+	layout := st.meta.Layout
+	scorer := key.net.Scorer()
+	score := func(i int64) float32 { return scorer.Score(qfv, st.vectors[i]) }
+	if qt := ds.quantFor(st); qt != nil {
+		qsc, qq := key.net.Quantize().Scorer(), nn.PrepareQuantQuery(qfv)
+		score = func(i int64) float32 { return qsc.Score(qq, qt.vecs[i]) }
+	}
+	q := topk.New(k)
+	for i := key.start; i < key.end; i++ {
+		q.Offer(topk.Entry{
+			FeatureID: i,
+			Score:     score(i),
+			ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
+		})
+	}
+	return q.Results()
+}
+
+// sweepOne runs the sweep for a single query.
+func sweepOne(ds *DeepStore, key scanKey, qfv []float32, k, workers int) ([]topk.Entry, PruneStats) {
+	tops, pss := ds.sweep(key, [][]float32{qfv}, []int{k}, workers)
+	return tops[0], pss[0]
+}
 
 // buildEngine writes a feature database for the named app and loads its SCN,
 // returning everything the scan-level tests need.
@@ -33,16 +97,15 @@ func buildEngine(t *testing.T, opts Options, appName string, features int) (*Dee
 	return ds, db, model, dbID
 }
 
-// TestScoreRangeBatchedConvApp: the batched scan matches the serial
-// reference on a convolutional SCN (ReId: subtract front end, two padded
-// conv layers through the im2col path) over unaligned sub-ranges.
+// TestScoreRangeBatchedConvApp: the sweep matches the brute-force reference
+// on a convolutional SCN (ReId: subtract front end, two padded conv layers
+// through the im2col path) over unaligned sub-ranges.
 func TestScoreRangeBatchedConvApp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ReId forward passes are slow")
 	}
 	ds, _, model, dbID := buildEngine(t, DefaultOptions(), "ReId", 150)
 	st := ds.dbs[dbID]
-	net := ds.models[model]
 	q := st.vectors[9]
 	for _, c := range []struct {
 		name       string
@@ -52,63 +115,74 @@ func TestScoreRangeBatchedConvApp(t *testing.T) {
 		{"mid-stripe", 3, 141},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			serial, _ := ds.scoreRangeSerial(net, st, q, c.start, c.end, 10)
-			batched, _ := ds.scoreRangeBatched(net, st, q, c.start, c.end, 10)
-			if len(serial) != len(batched) {
-				t.Fatalf("batched returned %d entries, serial %d", len(batched), len(serial))
-			}
-			for i := range serial {
-				if serial[i] != batched[i] {
-					t.Fatalf("entry %d differs: batched %+v != serial %+v", i, batched[i], serial[i])
-				}
-			}
+			key := scanKey{st: st, net: ds.models[model], start: c.start, end: c.end}
+			got, _ := sweepOne(ds, key, q, 10, runtime.GOMAXPROCS(0))
+			assertSameTopK(t, "sweep vs reference", got, referenceTopK(ds, key, q, 10))
 		})
 	}
 }
 
-// TestQueryScanModesMatch: end-to-end Query results are identical across
-// every Options.Scan mode and across batch sizes (1, 7, and the default 64)
-// — batch geometry must never leak into results.
-func TestQueryScanModesMatch(t *testing.T) {
-	run := func(mode ScanMode, batch int) []topk.Entry {
-		opts := DefaultOptions()
-		opts.Scan = mode
-		opts.ScoreBatch = batch
-		ds, _, model, dbID := buildEngine(t, opts, "TextQA", 500)
-		qfv := ds.dbs[dbID].vectors[3]
-		qid, err := ds.Query(QuerySpec{QFV: qfv, K: 10, Model: model, DB: dbID})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ds.GetResults(qid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TopK
-	}
-	want := run(ScanSerial, 0)
+// TestSweepInvariantAcrossShapes: nothing observable depends on how the sweep
+// is shaped. For every precision/tier combination, each member of a Q-wide
+// QueryMulti — at every worker count and gather batch — equals its own
+// single-query run on the default shape in top-K, prune accounting, features
+// scanned, latency, energy and stage durations.
+func TestSweepInvariantAcrossShapes(t *testing.T) {
+	const features = 131
+	net := pruneTestNet()
+	vectors := clusteredVectors(features, 9)
 	for _, c := range []struct {
-		name  string
-		mode  ScanMode
-		batch int
+		name         string
+		prune, quant bool
+		margin       int
 	}{
-		{"per-feature", ScanPerFeature, 0},
-		{"batched/B=default", ScanBatched, 0},
-		{"batched/B=1", ScanBatched, 1},
-		{"batched/B=7", ScanBatched, 7},
-		{"batched/B=64", ScanBatched, 64},
+		{"dense", false, false, 0},
+		{"prune", true, false, 0},
+		{"int8", false, true, 0},
+		{"int8+rerank", false, true, quantTestMargin},
+		{"prune+int8+rerank", true, true, quantTestMargin},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			got := run(c.mode, c.batch)
-			if len(got) != len(want) {
-				t.Fatalf("returned %d entries, serial %d", len(got), len(want))
+		opts := pruneTestOpts(c.prune)
+		opts.Quantized, opts.RerankMargin = c.quant, c.margin
+		alone, model, db := buildPruneEngine(t, opts, net, vectors)
+		specs := make([]QuerySpec, 64)
+		want := make([]*QueryResult, len(specs))
+		var skipped int64
+		for i := range specs {
+			specs[i] = QuerySpec{QFV: vectors[(i*13)%features], K: 1 + (i+2)%5, Model: model, DB: db, DBStart: 3}
+			want[i] = runQuery(t, alone, specs[i])
+			skipped += want[i].Prune.FeaturesSkipped
+		}
+		if c.prune && skipped == 0 {
+			t.Fatalf("%s: the single-query runs never skipped a feature", c.name)
+		}
+		for _, w := range []struct {
+			name  string
+			procs int
+		}{{"1", 1}, {"N", 0}} {
+			for _, batch := range []int{1, 7, 64} {
+				t.Run(fmt.Sprintf("%s/workers=%s/B=%d", c.name, w.name, batch), func(t *testing.T) {
+					shape := scanShape{scoreBatch: batch, procs: w.procs}
+					for _, nq := range []int{1, 7, 64} {
+						if racetest.Enabled && nq > 7 {
+							continue // q64 cells are too slow under the race detector
+						}
+						ds, _, _ := buildPruneEngine(t, shape.on(t, opts), net, vectors)
+						ids, err := ds.QueryMulti(specs[:nq])
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, id := range ids {
+							got, err := ds.GetResults(id)
+							if err != nil {
+								t.Fatal(err)
+							}
+							compareResults(t, i, want[i], got, true)
+						}
+					}
+				})
 			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("entry %d differs: %+v != serial %+v", i, got[i], want[i])
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -120,7 +194,7 @@ func TestRerankBatchedMatchesScalar(t *testing.T) {
 	st := ds.dbs[dbID]
 	net := ds.models[model]
 	qfv := st.vectors[5]
-	cached, _ := ds.scoreRangeSerial(net, st, st.vectors[7], 0, 300, 40)
+	cached := referenceTopK(ds, scanKey{st: st, net: net, end: 300}, st.vectors[7], 40)
 	cached = append(cached, topk.Entry{FeatureID: -1}, topk.Entry{FeatureID: 300})
 
 	want := topk.New(10)
@@ -148,16 +222,20 @@ func TestRerankBatchedMatchesScalar(t *testing.T) {
 }
 
 // TestScoreRangeBatchedAllocSteady: once the batchCtx pool is warm, the
-// batched scan's allocations are per-shard bookkeeping (queues, goroutines)
-// — they must not grow with the number of features scored.
+// sweep's allocations are per-shard bookkeeping (queues, goroutines) — they
+// must not grow with the number of features scored.
 func TestScoreRangeBatchedAllocSteady(t *testing.T) {
 	ds, _, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", 2000)
 	st := ds.dbs[dbID]
-	net := ds.models[model]
+	key := scanKey{st: st, net: ds.models[model]}
 	q := st.vectors[17]
-	ds.scoreRangeBatched(net, st, q, 0, 2000, 10) // warm the pool
-	small := testing.AllocsPerRun(5, func() { _, _ = ds.scoreRangeBatched(net, st, q, 0, 200, 10) })
-	large := testing.AllocsPerRun(5, func() { _, _ = ds.scoreRangeBatched(net, st, q, 0, 2000, 10) })
+	scan := func(end int64) {
+		key.end = end
+		sweepOne(ds, key, q, 10, runtime.GOMAXPROCS(0))
+	}
+	scan(2000) // warm the pool
+	small := testing.AllocsPerRun(5, func() { scan(200) })
+	large := testing.AllocsPerRun(5, func() { scan(2000) })
 	// 1800 extra features → ~29 extra GEMM batches; allow a little noise
 	// from the scheduler but nothing proportional to the feature count.
 	if large-small > 8 {

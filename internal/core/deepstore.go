@@ -34,38 +34,7 @@ type ModelID uint64
 // QueryID identifies a submitted query (query/getResults, Table 2).
 type QueryID uint64
 
-// ScanMode selects the functional-scoring implementation for the miss-path
-// scan. All modes produce identical top-K results (see DESIGN.md "Compute
-// kernels" on the ordering guarantee); they differ only in throughput.
-type ScanMode int
-
-const (
-	// ScanBatched (the default) packs each channel stripe's features into
-	// per-worker GEMM batches, so every FC layer runs as cache-blocked
-	// matrix-matrix compute instead of one Gemv per feature.
-	ScanBatched ScanMode = iota
-	// ScanPerFeature scores one feature at a time across the worker pool —
-	// the pre-GEMM parallel path, kept as a benchmark baseline.
-	ScanPerFeature
-	// ScanSerial is the single-goroutine reference scan.
-	ScanSerial
-)
-
-// String names the scan mode.
-func (m ScanMode) String() string {
-	switch m {
-	case ScanBatched:
-		return "batched"
-	case ScanPerFeature:
-		return "per-feature"
-	case ScanSerial:
-		return "serial"
-	default:
-		return fmt.Sprintf("ScanMode(%d)", int(m))
-	}
-}
-
-// DefaultScoreBatch is the features-per-batch used by the batched scan when
+// DefaultScoreBatch is the features-per-batch the scan gathers when
 // Options.ScoreBatch is zero. 64 rows are enough to amortize each weight
 // panel's memory traffic while keeping per-worker scratch small (see
 // DESIGN.md on batch-size selection).
@@ -88,32 +57,23 @@ type Options struct {
 	// TimingWindow bounds the per-accelerator features simulated in the
 	// event-driven model per query (0 = exact simulation).
 	TimingWindow int64
-	// SerialScoring disables the parallel functional-scoring worker pool,
-	// forcing the single-goroutine reference scan. For equivalence tests
-	// and benchmark baselines; results are identical either way.
-	// Deprecated: equivalent to Scan: ScanSerial, which takes precedence
-	// semantics-wise (SerialScoring forces serial regardless of Scan).
-	SerialScoring bool
-	// Scan selects the functional-scoring implementation; the zero value is
-	// ScanBatched. Results are identical across modes.
-	Scan ScanMode
-	// ScoreBatch is the feature count per GEMM batch on the batched path
+	// ScoreBatch is the feature count the scan gathers per GEMM batch
 	// (0 = DefaultScoreBatch). Results do not depend on it.
 	ScoreBatch int
 	// Prune enables the exact stripe-pruning tier: WriteDB/AppendDB/ReorgDB
 	// build per-channel-stripe bound tables (persisted page-aligned next to
-	// the data), and every scan path skips stripes whose score upper bound
-	// cannot beat the current top-K floor. Results are bit-identical to the
-	// dense scan in every mode (see DESIGN.md "Exact scan pruning"); only
-	// latency, energy, and the new bound_check stage change.
+	// the data), and the scan skips stripes whose score upper bound cannot
+	// beat the current top-K floor. Results are bit-identical to the dense
+	// scan (see DESIGN.md "Exact scan pruning"); only latency, energy, and
+	// the bound_check stage change.
 	Prune bool
 	// PruneStripeFeatures is the per-channel stripe granularity of the bound
 	// tier (0 = DefaultPruneStripe). Results do not depend on it.
 	PruneStripeFeatures int
 	// Quantized enables the int8 scoring path (§7): WriteDB/AppendDB build a
-	// quantized feature table persisted next to the fp32 data, and every
-	// scan path scores int8 activations through GemmInt8 with flash, NoC,
-	// and MAC costs charged at the narrow width. With RerankMargin == 0 the
+	// quantized feature table persisted next to the fp32 data, and the scan
+	// scores int8 activations through GemmInt8 with flash, NoC, and MAC
+	// costs charged at the narrow width. With RerankMargin == 0 the
 	// int8 top-K is returned directly (fast approximate mode); see
 	// RerankMargin for the exact mode. Spec-only (DeclareDB) databases have
 	// no vectors to quantize and fall back to fp32 charging.
@@ -374,16 +334,7 @@ func New(opts Options) (*DeepStore, error) {
 	return ds, nil
 }
 
-// scanMode resolves the effective scan implementation, honoring the legacy
-// SerialScoring flag.
-func (ds *DeepStore) scanMode() ScanMode {
-	if ds.opts.SerialScoring {
-		return ScanSerial
-	}
-	return ds.opts.Scan
-}
-
-// scoreBatch resolves the effective features-per-batch for the batched scan.
+// scoreBatch resolves the effective features-per-batch of the scan's gather.
 func (ds *DeepStore) scoreBatch() int {
 	if ds.opts.ScoreBatch > 0 {
 		return ds.opts.ScoreBatch

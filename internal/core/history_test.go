@@ -147,7 +147,7 @@ func requireSameResult(t *testing.T, tag string, i int, got, want *QueryResult) 
 // TestLearnedAdmissionEquivalence is the equivalence matrix: with history
 // disabled nothing is ever mined, so AdmissionLearned must be bit-identical
 // to plain LRU — top-K, latency, energy, cache hits, stages — across every
-// scan mode, the pruning tier, two-pass exact quantized mode, and stream
+// sweep shape, the pruning tier, two-pass exact quantized mode, and stream
 // lengths 1, 7, and 64. Every learned-engine miss must also match the
 // cache-off oracle bit-for-bit on top-K.
 func TestLearnedAdmissionEquivalence(t *testing.T) {
@@ -170,10 +170,10 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 	}
 	const k, entries = 4, 3
 	sawEviction := false
-	for _, mode := range []ScanMode{ScanBatched, ScanPerFeature, ScanSerial} {
+	for _, shape := range scanShapes {
 		for _, v := range variants {
 			for _, q := range []int{1, 7, 64} {
-				t.Run(fmt.Sprintf("%v/%s/q%d", mode, v.name, q), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/q%d", shape.name, v.name, q), func(t *testing.T) {
 					if racetest.Enabled && q > 7 {
 						// A deterministic single-stream replay: the race
 						// detector only multiplies its runtime ~15x. The full
@@ -181,8 +181,7 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 						// concurrency suites keep their dedicated -race step.
 						t.Skip("q64 equivalence cells run without the race detector")
 					}
-					opts := DefaultOptions()
-					opts.Scan = mode
+					opts := shape.on(t, DefaultOptions())
 					opts.Prune = v.prune
 					opts.Quantized = v.quant
 					if v.quant {

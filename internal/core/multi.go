@@ -3,52 +3,35 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/accel"
 	"repro/internal/energy"
-	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 	"repro/internal/sim"
 	"repro/internal/topk"
 )
 
-// multiItem is one query's slot in a QueryMulti batch: its resolved spec
-// plus the cache decision carried from the lookup pass to the scan and
-// finish passes.
-type multiItem struct {
-	spec  QuerySpec
-	st    *dbState
-	net   *nn.Network
-	level accel.Level
-	start int64
-	end   int64
+// batchItem is one query's slot in a runBatch call: its resolved spec plus
+// the cache decision carried from the lookup pass to the scan and finish
+// passes.
+type batchItem struct {
+	spec QuerySpec
+	scanKey
 
 	result       *QueryResult
 	lookupLat    sim.Duration
 	lookupEnergy energy.Breakdown
 	hit          bool
-	cached       qcache.Entry[[]float32]
+	cached       []topk.Entry
 	// pending is the query-cache entry's result slice, inserted at lookup
 	// time (preserving per-submission cache order) and filled after the
-	// shared sweep computes the real top-K.
+	// sweep computes the real top-K.
 	pending []topk.Entry
 }
 
-// multiGroupKey identifies queries that can share one sweep: same database
-// range scanned by the same model on the same accelerator level.
-type multiGroupKey struct {
-	st    *dbState
-	net   *nn.Network
-	level accel.Level
-	start int64
-	end   int64
-}
-
-type multiGroup struct {
-	key     multiGroupKey
+// scanGroup is the cache-missing queries of a batch that share one sweep.
+type scanGroup struct {
+	key     scanKey
 	members []int // indices into the batch's items, in submission order
 }
 
@@ -61,37 +44,46 @@ type multiGroup struct {
 //
 // Equivalence guarantee: every query's top-K (IDs, scores, object IDs),
 // cache-hit flag, latency, stage sum, and energy are bit-identical to
-// submitting the same specs sequentially through Query. The query cache
-// sees lookups and inserts in exactly submission order (inserted entries'
-// results are filled in after the sweep, which no cache decision depends
-// on), and each query is still charged the full scan latency and energy —
-// what the batch amortizes is the device timeline (the engine clock and
-// flash traffic advance once per group, not once per query), which is the
-// throughput win MultiQueryBench measures. The only intentional difference
-// is the stage name: shared_scan instead of scan. Under flash read faults
-// the per-query fault draws depend on the number of scans issued, so
-// latencies may differ from the sequential oracle; results remain
-// identical.
+// submitting the same specs sequentially through Query — both run the same
+// runBatch, Query at width one. The query cache sees lookups and inserts in
+// exactly submission order (inserted entries' results are filled in after
+// the sweep, which no cache decision depends on), and each query is still
+// charged the full scan latency and energy — what the batch amortizes is the
+// device timeline (the engine clock and flash traffic advance once per
+// group, not once per query), which is the throughput win MultiQueryBench
+// measures. The only intentional difference is the stage name: shared_scan
+// instead of scan. Under flash read faults the per-query fault draws depend
+// on the number of scans issued, so latencies may differ from the sequential
+// oracle; results remain identical.
 //
-// Validation is all-or-nothing: if any spec is invalid, no query executes.
+// Validation is all-or-nothing: if any spec is invalid, no query executes
+// and no engine state changes.
 func (ds *DeepStore) QueryMulti(specs []QuerySpec) ([]QueryID, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: empty multi-query batch")
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-
-	items := make([]multiItem, len(specs))
+	items := make([]batchItem, len(specs))
 	for i, spec := range specs {
-		st, net, level, start, end, err := ds.resolveSpec(spec)
+		key, err := ds.resolveSpec(spec)
 		if err != nil {
 			return nil, fmt.Errorf("core: multi query %d: %w", i, err)
 		}
-		items[i] = multiItem{
-			spec: spec, st: st, net: net, level: level,
-			start: start, end: end, result: &QueryResult{},
-		}
+		items[i] = batchItem{spec: spec, scanKey: key}
 	}
+	ids, err := ds.runBatch(items, obs.StageSharedScan)
+	if err != nil {
+		return nil, err
+	}
+	ds.obs.Counter("core_multi_batches").Inc()
+	return ids, nil
+}
+
+// runBatch executes resolved queries as one batch — the single miss path
+// behind Query (one item, scanStage "scan") and QueryMulti ("shared_scan").
+// Callers hold ds.mu.
+func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, error) {
 	t0 := ds.engine.Now()
 
 	// Pass 1 — cache decisions in submission order. Lookup outcomes, LRU
@@ -99,149 +91,69 @@ func (ds *DeepStore) QueryMulti(specs []QuerySpec) ([]QueryID, error) {
 	// running them up front is indistinguishable from the sequential
 	// interleaving; hits on not-yet-swept batch-mates receive a pending
 	// entry whose backing array the sweep fills before pass 3 reads it.
-	var groups []*multiGroup
-	groupIdx := make(map[multiGroupKey]int)
+	var groups []scanGroup
 	for i := range items {
 		it := &items[i]
+		it.result = &QueryResult{}
 		if ds.qc != nil {
+			// The QCN comparisons execute on the channel-level accelerators;
+			// their latency AND energy are charged per entry (the comparisons
+			// run on real hardware either way — omitting their joules would
+			// overstate the cache's Fig. 13/14 energy win).
 			entries := ds.qc.Len()
 			cached, hit := ds.qc.Lookup(it.spec.QFV, ds.qcThreshold)
 			it.lookupLat = ds.qcLookupLatency(entries)
 			it.lookupEnergy = ds.comparisonEnergy(ds.qcn, accel.LevelChannel, int64(entries))
 			if hit {
-				it.hit = true
-				it.cached = cached
+				it.hit, it.cached = true, cached.Results
 				continue
 			}
 		}
-		key := multiGroupKey{st: it.st, net: it.net, level: it.level, start: it.start, end: it.end}
-		gi, ok := groupIdx[key]
-		if !ok {
-			gi = len(groups)
-			groups = append(groups, &multiGroup{key: key})
-			groupIdx[key] = gi
+		gi := 0
+		for gi < len(groups) && groups[gi].key != it.scanKey {
+			gi++
+		}
+		if gi == len(groups) {
+			groups = append(groups, scanGroup{key: it.scanKey})
 		}
 		groups[gi].members = append(groups[gi].members, i)
 		if ds.qc != nil {
 			if it.st.vectors != nil {
-				n := it.end - it.start
-				if int64(it.spec.K) < n {
-					n = int64(it.spec.K)
-				}
-				it.pending = make([]topk.Entry, n)
+				it.pending = make([]topk.Entry, min(int64(it.spec.K), it.end-it.start))
 			}
 			ds.qc.Insert(cloneVec(it.spec.QFV), it.pending)
 		}
 	}
 
-	// Pass 2 — the shared functional sweep (which also makes each member's
-	// stripe-skip decisions) and then the event-driven scans per group, in
-	// first-miss order. Pruned members can survive different feature counts,
-	// so the device timeline advances once per DISTINCT survivor count —
-	// with pruning off that is exactly one scan per group, as before.
+	// Pass 2 — one sweep and its event-driven scans per group, in first-miss
+	// order.
 	for _, g := range groups {
-		tier := ds.pruneTier(g.key.st)
-		// Two-pass exact quantized mode: the shared sweep collects K·margin
-		// candidates per member; each member's fp32 rerank below restores its
-		// exact top-K before the cache entry is filled.
-		exact := ds.quantFor(g.key.st) != nil && ds.opts.RerankMargin > 0
-		qfvs := make([][]float32, len(g.members))
-		ks := make([]int, len(g.members))
-		for j, qi := range g.members {
-			qfvs[j] = items[qi].spec.QFV
-			ks[j] = items[qi].spec.K
-			if exact {
-				ks[j] *= ds.opts.RerankMargin
-			}
+		if err := ds.scanGroup(items, g, scanStage); err != nil {
+			return nil, err
 		}
-		var tops [][]topk.Entry
-		var pss []pruneStats
-		if g.key.st.vectors != nil {
-			tops, pss = ds.scoreRangeMulti(g.key.net, g.key.st, qfvs, g.key.start, g.key.end, ks)
-		}
-		scans := map[int64]accel.ScanResult{}
-		for j, qi := range g.members {
-			it := &items[qi]
-			r := it.result
-			survivors := g.key.end - g.key.start
-			var ps pruneStats
-			if pss != nil {
-				ps = pss[j]
-				survivors -= ps.featuresSkipped
-			}
-			scanOut, ok := scans[survivors]
-			if !ok {
-				var err error
-				scanOut, err = ds.simulateScanCount(g.key.net, g.key.st, g.key.level, survivors)
-				if err != nil {
-					return nil, err
-				}
-				scans[survivors] = scanOut
-			}
-			r.FeaturesScanned = survivors
-			r.Prune = PruneStats{
-				StripesChecked:  ps.checked,
-				StripesSkipped:  ps.skipped,
-				FeaturesSkipped: ps.featuresSkipped,
-			}
-			var boundLat sim.Duration
-			if tier != nil {
-				boundLat = ds.boundCheckLatency(g.key.net, g.key.level, tier, ps.checked)
-				ds.recordPruneStats(ps)
-			}
-			r.Latency = it.lookupLat + boundLat + scanOut.Elapsed
-			if ds.qc != nil {
-				r.Stages = append(r.Stages, obs.Stage{Name: obs.StageQCacheLookup, Dur: it.lookupLat})
-			}
-			if tier != nil {
-				r.Stages = append(r.Stages, obs.Stage{Name: obs.StageBoundCheck, Dur: boundLat})
-			}
-			r.Stages = append(r.Stages, obs.Stage{Name: obs.StageSharedScan, Dur: scanOut.Elapsed})
-			r.Energy = it.lookupEnergy
-			if tier != nil {
-				r.Energy.Add(ds.boundCheckEnergy(g.key.net, g.key.level, tier, ps.checked))
-			}
-			r.Energy.Add(ds.emodel.Energy(scanOut.Activity))
-			if tops != nil {
-				final := tops[j]
-				if exact {
-					cands := int64(len(final))
-					final = ds.rerank(g.key.net, g.key.st, it.spec.QFV, final, it.spec.K)
-					rrLat := ds.rerankExactLatency(g.key.net, g.key.st, g.key.level, cands)
-					r.Latency += rrLat
-					r.Stages = append(r.Stages, obs.Stage{Name: obs.StageRerankExact, Dur: rrLat})
-					r.Energy.Add(ds.rerankExactEnergy(g.key.net, g.key.st, g.key.level, cands))
-				}
-				if it.pending != nil {
-					copy(it.pending, final)
-					r.TopK = it.pending
-				} else {
-					r.TopK = final
-				}
-			}
-		}
-		ds.obs.Counter("core_shared_scans").Inc()
-		ds.obs.Counter("core_shared_scan_queries").Add(int64(len(g.members)))
 	}
 
 	// Pass 3 — re-rank hits (every pending entry is filled by now) and
 	// finish all queries in submission order.
-	ids := make([]QueryID, len(specs))
+	ids := make([]QueryID, len(items))
 	for i := range items {
 		it := &items[i]
 		r := it.result
 		if it.hit {
+			// Algorithm 1 line 13: re-rank the cached entry's features
+			// against the new query with the SCN.
+			n := int64(len(it.cached))
 			r.CacheHit = true
-			r.TopK = ds.rerank(it.net, it.st, it.spec.QFV, it.cached.Results, it.spec.K)
-			r.FeaturesScanned = int64(len(it.cached.Results))
-			rerankLat := ds.rerankLatency(it.net, it.level, int64(len(it.cached.Results)))
+			r.TopK = ds.rerank(it.net, it.st, it.spec.QFV, it.cached, it.spec.K)
+			r.FeaturesScanned = n
+			rerankLat := ds.rerankLatency(it.net, it.level, n)
 			r.Latency = it.lookupLat + rerankLat
 			r.Stages = []obs.Stage{
 				{Name: obs.StageQCacheLookup, Dur: it.lookupLat},
 				{Name: obs.StageRerank, Dur: rerankLat},
 			}
 			r.Energy = it.lookupEnergy
-			r.Energy.Add(ds.comparisonEnergy(it.net, it.level, int64(len(it.cached.Results))))
+			r.Energy.Add(ds.comparisonEnergy(it.net, it.level, n))
 		}
 		// History appends land in submission order, after the batch's cache
 		// decisions (pass 1). A mining refresh triggered mid-batch therefore
@@ -254,165 +166,77 @@ func (ds *DeepStore) QueryMulti(specs []QuerySpec) ([]QueryID, error) {
 		ids[i] = ds.record(r)
 		ds.emitQuerySpans(ids[i], t0, r)
 	}
-	ds.obs.Counter("core_multi_batches").Inc()
 	return ids, nil
 }
 
-// scoreRangeMulti is the shared functional sweep: one stripe walk over
-// [start, end) feeds per-(query, channel) top-K queues through
-// nn.BatchScorer.ScoreMulti, so the gather work and every layer's weight
-// traffic are paid once for the whole query batch. Stripe order and the
-// (score, featureID) total order of topk.Merge match scoreRange exactly,
-// making each query's merged top-K bit-identical to its independent scan
-// in every scan mode. With the pruning tier active the skip decision is
-// made per (query, segment) at segment entry — a segment is still gathered
-// and scored once if ANY member query survives it, but offers to queries
-// that skipped it are withheld, so every query's queue evolves exactly as
-// its independent pruned scan would and the returned stats match too.
-func (ds *DeepStore) scoreRangeMulti(net *nn.Network, st *dbState, qfvs [][]float32, start, end int64, ks []int) ([][]topk.Entry, []pruneStats) {
-	layout := st.meta.Layout
-	channels := layout.Geom.Channels
+// scanGroup runs one group's functional sweep — which also makes each
+// member's stripe-skip decisions — charges the event-driven scan for exactly
+// the features each member survived, and assembles the members' miss results.
+// Pruned members can survive different feature counts, so the device timeline
+// advances once per DISTINCT survivor count; with pruning off that is exactly
+// one scan per group. On a quantized engine in two-pass exact mode the sweep
+// collects K·margin candidates per member and the fp32 rerank restores each
+// exact top-K before the cache entry is filled.
+func (ds *DeepStore) scanGroup(items []batchItem, g scanGroup, scanStage string) error {
+	st, net, level := g.key.st, g.key.net, g.key.level
 	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
-	var qqs []nn.QuantQuery
-	if qt != nil {
-		qqs = make([]nn.QuantQuery, len(qfvs))
-		for q := range qfvs {
-			qqs[q] = nn.PrepareQuantQuery(qfvs[q])
+	exact := ds.quantFor(st) != nil && ds.opts.RerankMargin > 0
+	qfvs := make([][]float32, len(g.members))
+	ks := make([]int, len(g.members))
+	for j, qi := range g.members {
+		qfvs[j] = items[qi].spec.QFV
+		ks[j] = items[qi].spec.K
+		if exact {
+			ks[j] *= ds.opts.RerankMargin
 		}
 	}
-	nq := len(qfvs)
-	queues := make([][]*topk.Queue, channels)
-	chStats := make([][]pruneStats, channels)
-	workers := runtime.GOMAXPROCS(0)
-	if ds.scanMode() == ScanSerial {
-		workers = 1
-	}
-	if workers > channels {
-		workers = channels
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stride := int64(channels)
-	var nextShard atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := ds.pools.getMulti(net)
-			defer ds.pools.putMulti(net, ctx)
-			batch := len(ctx.ids)
-			scores := make([][]float32, nq)
-			for q := range scores {
-				scores[q] = make([]float32, batch)
+	tops, pss := ds.sweep(g.key, qfvs, ks, runtime.GOMAXPROCS(0))
+	scans := map[int64]accel.ScanResult{}
+	for j, qi := range g.members {
+		it := &items[qi]
+		r := it.result
+		ps := pss[j]
+		survivors := g.key.end - g.key.start - ps.FeaturesSkipped
+		scanOut, ok := scans[survivors]
+		if !ok {
+			var err error
+			if scanOut, err = ds.simulateScanCount(net, st, level, survivors); err != nil {
+				return err
 			}
-			// gather/drain pick the fp32 or int8 family of the pooled
-			// context; offer order is identical either way.
-			gather := func(i int64, n int) {
-				if qt != nil {
-					ctx.qdfvs[n] = qt.vecs[i]
-				} else {
-					ctx.dfvs[n] = st.vectors[i]
-				}
-				ctx.ids[n] = i
-				ctx.objs[n] = uint64(layout.Geom.Linear(layout.FeatureAddr(i)))
-			}
-			drain := func(qs []*topk.Queue, n int, active []bool) {
-				if qt != nil {
-					ctx.flushMultiQ(qs, scores, qqs, n, active)
-				} else {
-					ctx.flushMulti(qs, scores, qfvs, n, active)
-				}
-			}
-			var bnd *nn.BoundScorer
-			var active []bool
-			if tier != nil {
-				bnd = net.BoundScorer()
-				active = make([]bool, nq)
-			}
-			for {
-				ch := int(nextShard.Add(1) - 1)
-				if ch >= channels {
-					return
-				}
-				qs := make([]*topk.Queue, nq)
-				for q, k := range ks {
-					qs[q] = topk.New(k)
-				}
-				// Feature i lives on channel i mod Channels (§4.4
-				// striping), so the shard walks its stripe directly.
-				first := start + ((int64(ch)-start)%stride+stride)%stride
-				if tier == nil {
-					n := 0
-					for i := first; i < end; i += stride {
-						gather(i, n)
-						n++
-						if n == batch {
-							drain(qs, n, nil)
-							n = 0
-						}
-					}
-					drain(qs, n, nil)
-					queues[ch] = qs
-					continue
-				}
-				st8 := make([]pruneStats, nq)
-				sf := tier.stripeFeatures
-				for i := first; i < end; {
-					seg := (i / stride) / sf
-					segEnd := int64(ch) + stride*(seg+1)*sf
-					if segEnd > end {
-						segEnd = end
-					}
-					featCount := (segEnd - i + stride - 1) / stride
-					anyActive := false
-					for q := range qs {
-						if skipStripe(bnd, tier, qfvs[q], qs[q], ch, seg, &st8[q]) {
-							active[q] = false
-							st8[q].featuresSkipped += featCount
-						} else {
-							active[q] = true
-							anyActive = true
-						}
-					}
-					if !anyActive {
-						i = segEnd
-						continue
-					}
-					n := 0
-					for ; i < segEnd; i += stride {
-						gather(i, n)
-						n++
-						if n == batch {
-							drain(qs, n, active)
-							n = 0
-						}
-					}
-					// Segment boundary: drain so the next per-query skip
-					// decisions see every offer of this channel so far.
-					drain(qs, n, active)
-				}
-				queues[ch] = qs
-				chStats[ch] = st8
-			}
-		}()
-	}
-	wg.Wait()
-	out := make([][]topk.Entry, nq)
-	totals := make([]pruneStats, nq)
-	shards := make([]*topk.Queue, channels)
-	for q := range out {
-		for ch := range queues {
-			shards[ch] = queues[ch][q]
+			scans[survivors] = scanOut
 		}
-		out[q] = topk.Merge(ks[q], shards...).Results()
-	}
-	for ch := range chStats {
-		for q, s := range chStats[ch] {
-			totals[q].add(s)
+		r.FeaturesScanned = survivors
+		r.Prune = ps
+		addStage := func(name string, dur sim.Duration, e energy.Breakdown) {
+			r.Latency += dur
+			r.Stages = append(r.Stages, obs.Stage{Name: name, Dur: dur})
+			r.Energy.Add(e)
 		}
+		if ds.qc != nil {
+			addStage(obs.StageQCacheLookup, it.lookupLat, it.lookupEnergy)
+		}
+		if tier != nil {
+			addStage(obs.StageBoundCheck, ds.boundCheckLatency(net, level, tier, ps.StripesChecked),
+				ds.boundCheckEnergy(net, level, tier, ps.StripesChecked))
+			ds.recordPruneStats(ps)
+		}
+		addStage(scanStage, scanOut.Elapsed, ds.emodel.Energy(scanOut.Activity))
+		final := tops[j]
+		if exact {
+			cands := int64(len(final))
+			final = ds.rerank(net, st, it.spec.QFV, final, it.spec.K)
+			addStage(obs.StageRerankExact, ds.rerankExactLatency(net, st, level, cands),
+				ds.rerankExactEnergy(net, st, level, cands))
+		}
+		if it.pending != nil {
+			copy(it.pending, final)
+			final = it.pending
+		}
+		r.TopK = final
 	}
-	return out, totals
+	if scanStage == obs.StageSharedScan {
+		ds.obs.Counter("core_shared_scans").Inc()
+		ds.obs.Counter("core_shared_scan_queries").Add(int64(len(g.members)))
+	}
+	return nil
 }

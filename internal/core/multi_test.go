@@ -1,13 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/ftl"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -74,7 +77,7 @@ func newEqEngine(t *testing.T, opts Options, features int, useQC bool) (*DeepSto
 }
 
 // TestQueryMultiEquivalence is the lockdown suite for the shared
-// multi-query sweep: for every scan mode, with the query cache on and off,
+// multi-query sweep: for every sweep shape, with the query cache on and off,
 // with and without flash read faults, and across batch widths (including
 // widths beyond the cache capacity) and odd database sizes, QueryMulti's
 // results are compared against the sequential oracle — the same specs
@@ -88,15 +91,14 @@ func newEqEngine(t *testing.T, opts Options, features int, useQC bool) (*DeepSto
 // functional identity plus the stage-sum invariant on both paths.
 func TestQueryMultiEquivalence(t *testing.T) {
 	sizes := []int{7, 33, 101} // all odd, straddling the 32-channel stripe width
-	for _, mode := range []ScanMode{ScanBatched, ScanPerFeature, ScanSerial} {
+	for _, shape := range scanShapes {
 		for _, useQC := range []bool{false, true} {
 			for _, faults := range []bool{false, true} {
 				for qi, q := range []int{1, 2, 7, 64} {
 					features := sizes[qi%len(sizes)]
-					name := fmt.Sprintf("%s/qc=%v/faults=%v/Q=%d/db=%d", mode, useQC, faults, q, features)
+					name := fmt.Sprintf("%s/qc=%v/faults=%v/Q=%d/db=%d", shape.name, useQC, faults, q, features)
 					t.Run(name, func(t *testing.T) {
-						opts := DefaultOptions()
-						opts.Scan = mode
+						opts := shape.on(t, DefaultOptions())
 						if faults {
 							opts.Device.FlashFaults.ReadErrorRate = 0.02
 							opts.Device.FlashFaults.Seed = 99
@@ -173,6 +175,9 @@ func compareResults(t *testing.T, i int, want, got *QueryResult, exactTiming boo
 	}
 	if got.FeaturesScanned != want.FeaturesScanned {
 		t.Fatalf("query %d: scanned %d, want %d", i, got.FeaturesScanned, want.FeaturesScanned)
+	}
+	if got.Prune != want.Prune {
+		t.Fatalf("query %d: prune stats %+v, want %+v", i, got.Prune, want.Prune)
 	}
 	if sum := obs.SumStages(got.Stages); sum != got.Latency {
 		t.Fatalf("query %d: stage sum %v != latency %v (stages %v)", i, sum, got.Latency, got.Stages)
@@ -272,5 +277,63 @@ func TestQueryMultiValidation(t *testing.T) {
 	}
 	if len(ids) != 1 {
 		t.Fatalf("got %d ids", len(ids))
+	}
+}
+
+// TestQueryRejectsUnknownLevel: QuerySpec.Level arrives unchecked from the
+// wire protocol, so a level that names no accelerator placement must be an
+// error from validation — not a panic after the sweep already ran.
+func TestQueryRejectsUnknownLevel(t *testing.T) {
+	ds, model, db := newEqEngine(t, DefaultOptions(), 33, false)
+	bogus := accel.Level(98)
+	spec := QuerySpec{QFV: eqVectors(1, 5)[0], K: 3, Model: model, DB: db, Level: &bogus}
+	if _, err := ds.Query(spec); err == nil {
+		t.Fatal("Query accepted accelerator level 98")
+	}
+	if _, err := ds.QueryMulti([]QuerySpec{spec}); err == nil {
+		t.Fatal("QueryMulti accepted accelerator level 98")
+	}
+}
+
+// TestRefusedQueryChangesNothing: a query the scan will refuse (a
+// convolutional model at chip level) is refused by validation, before any
+// cache, clock, stats or history mutation — in particular it leaves no
+// zero-filled pending entry behind in the query cache.
+func TestRefusedQueryChangesNothing(t *testing.T) {
+	opts := DefaultOptions()
+	opts.History = true
+	ds, db, model, dbID := buildEngine(t, opts, "ReId", 8)
+	if err := ds.SetQC(perfectQCN(len(db.Vectors[0])), 1.0, 16, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		cacheLen     int
+		hits, misses uint64
+		stats        Stats
+		now          sim.Time
+		history      uint64
+	}
+	snapshot := func() state {
+		s := state{cacheLen: ds.qc.Len(), stats: ds.Stats(), now: ds.Now(), history: ds.HistoryStats().Records}
+		s.hits, s.misses = ds.CacheStats()
+		return s
+	}
+	before := snapshot()
+	chip := accel.LevelChip
+	ok := QuerySpec{QFV: db.Vectors[0], K: 3, Model: model, DB: dbID}
+	refused := ok
+	refused.Level = &chip
+	var unsupported *accel.ErrUnsupported
+	if _, err := ds.Query(refused); !errors.As(err, &unsupported) {
+		t.Fatalf("Query at chip level: %v, want accel.ErrUnsupported", err)
+	}
+	if got := snapshot(); got != before {
+		t.Fatalf("refused Query changed the engine:\n got %+v\nwant %+v", got, before)
+	}
+	if _, err := ds.QueryMulti([]QuerySpec{ok, refused}); !errors.As(err, &unsupported) {
+		t.Fatalf("QueryMulti with a chip-level member: %v, want accel.ErrUnsupported", err)
+	}
+	if got := snapshot(); got != before {
+		t.Fatalf("refused QueryMulti changed the engine:\n got %+v\nwant %+v", got, before)
 	}
 }

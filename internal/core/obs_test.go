@@ -10,16 +10,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TestStageSumsMatchLatency: for every scan mode, each query's recorded stage
+// TestStageSumsMatchLatency: for every sweep shape, each query's recorded stage
 // durations sum exactly (integer picoseconds) to its end-to-end latency — on
 // the miss path, on the cache-hit path, and after repeated GetResults calls
 // each of which appends a dma stage and extends the latency by the same
 // amount.
 func TestStageSumsMatchLatency(t *testing.T) {
-	for _, mode := range []ScanMode{ScanBatched, ScanPerFeature, ScanSerial} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Scan = mode
+	for _, shape := range scanShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			opts := shape.on(t, DefaultOptions())
 			ds, db, model, dbID := buildEngine(t, opts, "TextQA", 300)
 			if err := ds.SetQC(perfectQCN(len(db.Vectors[0])), 1.0, 16, 0.2); err != nil {
 				t.Fatal(err)

@@ -5,37 +5,18 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/topk"
 	"repro/internal/workload"
 )
 
-// TestScoreRangeParallelMatchesSerial: both parallel scans — the per-feature
-// worker pool and the batched GEMM path — return byte-identical top-K (IDs,
-// scores, ObjectIDs, order) to the serial reference across K values and
-// ranges that do not align with channel boundaries (the default geometry has
-// 32 channels; ranges below start and end mid-stripe).
+// TestScoreRangeParallelMatchesSerial: the sweep — at one worker and at more
+// workers than this machine may have cores — returns byte-identical top-K
+// (IDs, scores, ObjectIDs, order) to the serial brute-force reference across K
+// values and ranges that do not align with channel boundaries (the default
+// geometry has 32 channels; ranges below start and end mid-stripe).
 func TestScoreRangeParallelMatchesSerial(t *testing.T) {
 	const features = 2000
-	ds, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := workload.ByName("TextQA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.SCN.InitRandom(1)
-	db := workload.NewFeatureDB(app, features, 42)
-	dbID, err := ds.WriteDB(db.Vectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := ds.LoadModelNetwork(app.SCN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", features)
 	st := ds.dbs[dbID]
-	net := ds.models[model]
 	q := st.vectors[17] // a real vector: scores spread across the full range
 
 	cases := []struct {
@@ -51,67 +32,68 @@ func TestScoreRangeParallelMatchesSerial(t *testing.T) {
 	for _, k := range []int{1, 10, 100} {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("K=%d/%s", k, c.name), func(t *testing.T) {
-				serial, _ := ds.scoreRangeSerial(net, st, q, c.start, c.end, k)
-				perFeature, _ := ds.scoreRangePerFeature(net, st, q, c.start, c.end, k)
-				batched, _ := ds.scoreRangeBatched(net, st, q, c.start, c.end, k)
-				impls := map[string][]topk.Entry{
-					"per-feature": perFeature,
-					"batched":     batched,
-				}
-				for name, got := range impls {
-					if len(serial) != len(got) {
-						t.Fatalf("%s returned %d entries, serial %d", name, len(got), len(serial))
-					}
-					for i := range serial {
-						if serial[i] != got[i] {
-							t.Fatalf("%s entry %d differs: %+v != serial %+v", name, i, got[i], serial[i])
-						}
-					}
+				key := scanKey{st: st, net: ds.models[model], start: c.start, end: c.end}
+				want := referenceTopK(ds, key, q, k)
+				for _, workers := range []int{1, 4} {
+					got, _ := sweepOne(ds, key, q, k, workers)
+					assertSameTopK(t, fmt.Sprintf("workers=%d", workers), got, want)
 				}
 			})
 		}
 	}
 }
 
-// TestQuerySerialOptionMatchesParallel: the SerialScoring escape hatch and
-// the default pool return identical query results end to end.
-func TestQuerySerialOptionMatchesParallel(t *testing.T) {
-	run := func(serial bool) []topk.Entry {
-		opts := DefaultOptions()
-		opts.SerialScoring = serial
-		ds, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, _ := workload.ByName("TextQA")
-		app.SCN.InitRandom(1)
-		db := workload.NewFeatureDB(app, 500, 42)
-		dbID, err := ds.WriteDB(db.Vectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := ds.LoadModelNetwork(app.SCN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qid, err := ds.Query(QuerySpec{QFV: db.Vectors[3], K: 10, Model: model, DB: dbID})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ds.GetResults(qid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TopK
-	}
-	serial := run(true)
-	parallel := run(false)
-	if len(serial) != len(parallel) {
-		t.Fatalf("result sizes differ: %d vs %d", len(parallel), len(serial))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, parallel[i], serial[i])
+// TestSweepMatchesReference: on the small clustered device, where the pruning
+// tier and the int8 table do real work, the sweep's top-K still equals the
+// brute-force reference for every width, worker count and gather batch — and
+// with the tier active every member's accounting conserves the range
+// (scanned + skipped == range) and never skips more stripes than it checked.
+func TestSweepMatchesReference(t *testing.T) {
+	const features = 131
+	net := pruneTestNet()
+	vectors := clusteredVectors(features, 9)
+	for _, c := range []struct {
+		name         string
+		prune, quant bool
+	}{
+		{"dense", false, false},
+		{"prune", true, false},
+		{"int8", false, true},
+	} {
+		for _, batch := range []int{1, 7, 64} {
+			t.Run(fmt.Sprintf("%s/B=%d", c.name, batch), func(t *testing.T) {
+				opts := pruneTestOpts(c.prune)
+				opts.Quantized, opts.ScoreBatch = c.quant, batch
+				ds, model, dbID := buildPruneEngine(t, opts, net, vectors)
+				qfvs := make([][]float32, 7)
+				ks := make([]int, len(qfvs))
+				for i := range qfvs {
+					qfvs[i], ks[i] = vectors[(i*13)%features], 1+(i+2)%5
+				}
+				var skipped int64
+				for _, r := range [][2]int64{{0, features}, {3, 125}, {9, 12}, {130, 131}} {
+					key := scanKey{st: ds.dbs[dbID], net: ds.models[model], start: r[0], end: r[1]}
+					for _, nq := range []int{1, len(qfvs)} {
+						for _, workers := range []int{1, 4} {
+							label := fmt.Sprintf("[%d,%d) Q=%d workers=%d", r[0], r[1], nq, workers)
+							tops, pss := ds.sweep(key, qfvs[:nq], ks[:nq], workers)
+							for j := range tops {
+								assertSameTopK(t, fmt.Sprintf("%s member %d", label, j), tops[j], referenceTopK(ds, key, qfvs[j], ks[j]))
+								if pss[j].StripesSkipped > pss[j].StripesChecked || pss[j].FeaturesSkipped > r[1]-r[0] {
+									t.Fatalf("%s member %d: impossible accounting %+v", label, j, pss[j])
+								}
+								if !c.prune && pss[j] != (PruneStats{}) {
+									t.Fatalf("%s member %d: tierless sweep reported %+v", label, j, pss[j])
+								}
+								skipped += pss[j].FeaturesSkipped
+							}
+						}
+					}
+				}
+				if c.prune && skipped == 0 {
+					t.Fatal("pruned sweep never skipped a feature on the clustered database")
+				}
+			})
 		}
 	}
 }

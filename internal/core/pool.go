@@ -7,230 +7,120 @@ import (
 	"repro/internal/topk"
 )
 
-// batchCtx is one worker's batched-scoring context: a BatchScorer plus the
-// gather/scatter scratch the scan loop fills between GEMM calls — the
-// feature-vector slots, their feature IDs and object IDs, and the score
-// output. Everything is sized to the engine's score batch at construction,
-// so a worker that holds a batchCtx scores its whole stripe without
-// allocating. On a quantized engine the context additionally carries the
-// int8 scorer and quantized-vector slots (qbs/qdfvs); a scan uses one family
-// or the other, never both.
+// multiScoreRows is the scorer row capacity of a shared (Q > 1) sweep's
+// context: one ScoreMulti chunk packs up to this many (query, feature) pair
+// rows per GEMM pass, so shared sweeps get large matrix-matrix tiles even
+// when the gather batch is the single-query default. Scratch scales with it ×
+// the widest activation, which keeps per-worker memory in the low megabytes.
+const multiScoreRows = 512
+
+// batchCtx is one worker's scoring context: a BatchScorer plus the
+// gather/scatter scratch the sweep fills between GEMM calls — the
+// feature-vector slots, their feature IDs and object IDs, and one score row
+// per query. The gather slots are sized to the engine's score batch at
+// construction, so a worker that holds a batchCtx scores its whole stripe
+// without allocating. On a quantized engine the context additionally carries
+// the int8 scorer and quantized-vector slots (qbs/qdfvs); a sweep uses one
+// family or the other, never both.
 type batchCtx struct {
+	pool   *sync.Pool
 	bs     *nn.BatchScorer
 	dfvs   [][]float32
 	ids    []int64
 	objs   []uint64
-	scores []float32
+	scores [][]float32
 	qbs    *nn.QuantBatchScorer
 	qdfvs  []nn.QuantizedVector
 }
 
-// reset drops the feature-vector references so pooled contexts do not pin
-// database memory between queries.
-func (c *batchCtx) reset() {
-	for i := range c.dfvs {
-		c.dfvs[i] = nil
+// scoreRows returns nq score rows of one gather batch each, growing the
+// pooled set on a context's first sweep at that width.
+func (c *batchCtx) scoreRows(nq int) [][]float32 {
+	for len(c.scores) < nq {
+		c.scores = append(c.scores, make([]float32, len(c.ids)))
 	}
-	for i := range c.qdfvs {
-		c.qdfvs[i] = nn.QuantizedVector{}
-	}
+	return c.scores[:nq]
 }
 
-// flush scores the gathered batch against qfv and offers the entries in
+// offer presents the first n gathered features, scored in row, to q in
 // gather order.
-func (c *batchCtx) flushQ(q *topk.Queue, qq nn.QuantQuery, n int) {
-	if n == 0 {
-		return
-	}
-	c.qbs.ScoreBatch(c.scores[:n], qq, c.qdfvs[:n])
+func (c *batchCtx) offer(q *topk.Queue, row []float32, n int) {
 	for j := 0; j < n; j++ {
 		q.Offer(topk.Entry{
 			FeatureID: c.ids[j],
-			Score:     c.scores[j],
+			Score:     row[j],
 			ObjectID:  c.objs[j],
 		})
 	}
 }
 
-// multiScoreRows is the row capacity of the pooled multi-query BatchScorer:
-// one ScoreMulti chunk packs up to this many (query, feature) pair rows per
-// GEMM pass, so shared sweeps get large matrix-matrix tiles even when the
-// gather batch is the single-query default. Scratch scales with it × the
-// widest activation, which keeps per-worker memory in the low megabytes.
-const multiScoreRows = 512
-
-// multiCtx is one worker's shared-sweep context: a wide BatchScorer plus
-// the same gather scratch batchCtx carries. Per-query score rows are
-// allocated by the sweep (their count depends on the batch's Q).
-type multiCtx struct {
-	bs    *nn.BatchScorer
-	dfvs  [][]float32
-	ids   []int64
-	objs  []uint64
-	qbs   *nn.QuantBatchScorer
-	qdfvs []nn.QuantizedVector
-}
-
-func (c *multiCtx) reset() {
-	for i := range c.dfvs {
-		c.dfvs[i] = nil
-	}
-	for i := range c.qdfvs {
-		c.qdfvs[i] = nn.QuantizedVector{}
-	}
-}
-
-// flushMulti scores the gathered features against every query in one
-// ScoreMulti call and offers each query's entries in gather order. When the
-// pruning tier is active, active masks which queries this segment still
-// scans: inactive queries' offers are withheld so their queues evolve
-// exactly as their independent pruned scans would (nil = all active).
-func (c *multiCtx) flushMulti(qs []*topk.Queue, scores [][]float32, qfvs [][]float32, n int, active []bool) {
-	if n == 0 {
-		return
-	}
-	c.bs.ScoreMulti(scores, qfvs, c.dfvs[:n])
-	c.offerMulti(qs, scores, n, active)
-}
-
-// flushMultiQ is flushMulti's quantized counterpart: same offer discipline,
-// int8 scoring.
-func (c *multiCtx) flushMultiQ(qs []*topk.Queue, scores [][]float32, qqs []nn.QuantQuery, n int, active []bool) {
-	if n == 0 {
-		return
-	}
-	c.qbs.ScoreMulti(scores, qqs, c.qdfvs[:n])
-	c.offerMulti(qs, scores, n, active)
-}
-
-func (c *multiCtx) offerMulti(qs []*topk.Queue, scores [][]float32, n int, active []bool) {
-	for q := range qs {
-		if active != nil && !active[q] {
-			continue
-		}
-		row := scores[q]
-		for j := 0; j < n; j++ {
-			qs[q].Offer(topk.Entry{
-				FeatureID: c.ids[j],
-				Score:     row[j],
-				ObjectID:  c.objs[j],
-			})
-		}
-	}
-}
-
-// batchPools hands out per-worker batchCtxs, one sync.Pool per network (a
-// BatchScorer's scratch is shaped by its network, so contexts cannot be
-// shared across models). Get/put are called from scan workers without the
-// engine mutex; the map is guarded by its own mutex and the pools themselves
-// are concurrency-safe. On a quantized engine the pools also memoize one
+// batchPools hands out per-worker batchCtxs, one sync.Pool per (network,
+// scorer row capacity): a BatchScorer's scratch is shaped by its network, and
+// a single-query sweep must not pay for — or pin — the wide multi-query
+// scratch. get and release are called from scan workers without the engine
+// mutex; the map is guarded by its own mutex and the pools themselves are
+// concurrency-safe. On a quantized engine the pools also memoize one
 // QuantNetwork per network (the int8 weight images are immutable and shared;
 // per-worker scratch stays in the contexts).
 type batchPools struct {
 	mu        sync.Mutex
 	batch     int
 	quantized bool
-	pools     map[*nn.Network]*sync.Pool
-	multi     map[*nn.Network]*sync.Pool
+	pools     map[poolKey]*sync.Pool
 	qnets     map[*nn.Network]*nn.QuantNetwork
 }
 
-// quantNetLocked returns the memoized int8 image of net. Caller holds p.mu.
-func (p *batchPools) quantNetLocked(net *nn.Network) *nn.QuantNetwork {
-	if p.qnets == nil {
-		p.qnets = make(map[*nn.Network]*nn.QuantNetwork)
-	}
-	qn, ok := p.qnets[net]
-	if !ok {
-		qn = net.Quantize()
-		p.qnets[net] = qn
-	}
-	return qn
+type poolKey struct {
+	net  *nn.Network
+	rows int
 }
 
-// quant returns the memoized int8 image of net (for per-feature and serial
-// scan workers that build their own small scorers).
-func (p *batchPools) quant(net *nn.Network) *nn.QuantNetwork {
+// get returns a context for net whose scorers accept up to rows rows per
+// GEMM pass.
+func (p *batchPools) get(net *nn.Network, rows int) *batchCtx {
+	key := poolKey{net, rows}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.quantNetLocked(net)
-}
-
-func (p *batchPools) get(net *nn.Network) *batchCtx {
-	p.mu.Lock()
-	if p.pools == nil {
-		p.pools = make(map[*nn.Network]*sync.Pool)
-	}
-	pool, ok := p.pools[net]
+	pool, ok := p.pools[key]
 	if !ok {
 		b := p.batch
 		var qn *nn.QuantNetwork
 		if p.quantized {
-			qn = p.quantNetLocked(net)
+			if qn, ok = p.qnets[net]; !ok {
+				if p.qnets == nil {
+					p.qnets = make(map[*nn.Network]*nn.QuantNetwork)
+				}
+				qn = net.Quantize()
+				p.qnets[net] = qn
+			}
 		}
-		pool = &sync.Pool{New: func() any {
+		pool = new(sync.Pool)
+		pool.New = func() any {
 			c := &batchCtx{
-				bs:     net.BatchScorer(b),
-				dfvs:   make([][]float32, b),
-				ids:    make([]int64, b),
-				objs:   make([]uint64, b),
-				scores: make([]float32, b),
-			}
-			if qn != nil {
-				c.qbs = qn.BatchScorer(b)
-				c.qdfvs = make([]nn.QuantizedVector, b)
-			}
-			return c
-		}}
-		p.pools[net] = pool
-	}
-	p.mu.Unlock()
-	return pool.Get().(*batchCtx)
-}
-
-func (p *batchPools) put(net *nn.Network, c *batchCtx) {
-	c.reset()
-	p.mu.Lock()
-	pool := p.pools[net]
-	p.mu.Unlock()
-	pool.Put(c)
-}
-
-func (p *batchPools) getMulti(net *nn.Network) *multiCtx {
-	p.mu.Lock()
-	if p.multi == nil {
-		p.multi = make(map[*nn.Network]*sync.Pool)
-	}
-	pool, ok := p.multi[net]
-	if !ok {
-		b := p.batch
-		var qn *nn.QuantNetwork
-		if p.quantized {
-			qn = p.quantNetLocked(net)
-		}
-		pool = &sync.Pool{New: func() any {
-			c := &multiCtx{
-				bs:   net.BatchScorer(multiScoreRows),
+				pool: pool,
+				bs:   net.BatchScorer(rows),
 				dfvs: make([][]float32, b),
 				ids:  make([]int64, b),
 				objs: make([]uint64, b),
 			}
 			if qn != nil {
-				c.qbs = qn.BatchScorer(multiScoreRows)
+				c.qbs = qn.BatchScorer(rows)
 				c.qdfvs = make([]nn.QuantizedVector, b)
 			}
 			return c
-		}}
-		p.multi[net] = pool
+		}
+		if p.pools == nil {
+			p.pools = make(map[poolKey]*sync.Pool)
+		}
+		p.pools[key] = pool
 	}
 	p.mu.Unlock()
-	return pool.Get().(*multiCtx)
+	return pool.Get().(*batchCtx)
 }
 
-func (p *batchPools) putMulti(net *nn.Network, c *multiCtx) {
-	c.reset()
-	p.mu.Lock()
-	pool := p.multi[net]
-	p.mu.Unlock()
-	pool.Put(c)
+// release returns c to its pool, dropping the feature-vector references so
+// pooled contexts do not pin database memory between queries.
+func (c *batchCtx) release() {
+	clear(c.dfvs)
+	clear(c.qdfvs)
+	c.pool.Put(c)
 }

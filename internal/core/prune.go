@@ -15,8 +15,8 @@ import (
 // per-dimension float32 extrema plus a rounded-up max norm — built at
 // write/append/reorg time, persisted page-aligned through ftl.SetBoundTable /
 // ssd.ProgramBoundTable, and mirrored here in controller DRAM. At query time
-// every scan path evaluates nn.BoundScorer.UpperBound against the shard's
-// top-K floor at each stripe entry and skips stripes that cannot beat it.
+// the sweep evaluates nn.BoundScorer.UpperBound against the shard's top-K
+// floor at each stripe entry and skips stripes that cannot beat it.
 // Skipping is sound, not approximate: a stripe is skipped only when its
 // queue is full and bound <= floor, and a full queue rejects any offer with
 // score <= floor (scores tie-break by ascending FeatureID, which is exactly
@@ -44,8 +44,7 @@ func (ds *DeepStore) pruneStripeFeatures() int64 {
 }
 
 // pruneTier returns the database's bound tier when pruning is enabled and a
-// table exists, nil otherwise. With a nil tier every scan path runs its
-// dense walk unchanged.
+// table exists, nil otherwise. With a nil tier the sweep walks every stripe.
 func (ds *DeepStore) pruneTier(st *dbState) *boundTier {
 	if !ds.opts.Prune {
 		return nil
@@ -167,17 +166,6 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// pruneStats is the per-shard skip accounting summed into PruneStats.
-type pruneStats struct {
-	checked, skipped, featuresSkipped int64
-}
-
-func (p *pruneStats) add(o pruneStats) {
-	p.checked += o.checked
-	p.skipped += o.skipped
-	p.featuresSkipped += o.featuresSkipped
 }
 
 // boundCheckLatency models the bound_check stage: per evaluated stripe, the

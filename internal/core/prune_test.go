@@ -43,10 +43,9 @@ func pruneTestConfig() ssd.Config {
 	return cfg
 }
 
-func pruneTestOpts(prune bool, mode ScanMode) Options {
+func pruneTestOpts(prune bool) Options {
 	opts := DefaultOptions()
 	opts.Device = pruneTestConfig()
-	opts.Scan = mode
 	opts.Prune = prune
 	opts.PruneStripeFeatures = pruneTestSF
 	return opts
@@ -157,8 +156,8 @@ func hasStage(r *QueryResult, name string) bool {
 	return false
 }
 
-// TestPrunedMatchesDenseEverywhere is the main equivalence suite: every scan
-// mode × qcache on/off × odd database sizes, over a query mix with repeats
+// TestPrunedMatchesDenseEverywhere is the main equivalence suite: every sweep
+// shape × qcache on/off × odd database sizes, over a query mix with repeats
 // (cache-hit candidates). The pruned engine must return bit-identical top-K,
 // identical cache-hit decisions, exact stage sums, and the feature-count
 // conservation law FeaturesScanned + FeaturesSkipped == dense FeaturesScanned
@@ -174,12 +173,12 @@ func TestPrunedMatchesDenseEverywhere(t *testing.T) {
 			vectors[features-1],
 			vectors[features/2], // repeat
 		}
-		for _, mode := range []ScanMode{ScanSerial, ScanPerFeature, ScanBatched} {
+		for _, shape := range scanShapes {
 			for _, qcOn := range []bool{false, true} {
-				name := fmt.Sprintf("n=%d/%s/qc=%v", features, mode, qcOn)
+				name := fmt.Sprintf("n=%d/%s/qc=%v", features, shape.name, qcOn)
 				t.Run(name, func(t *testing.T) {
-					dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, mode), net, vectors)
-					pruned, pModel, pDB := buildPruneEngine(t, pruneTestOpts(true, mode), net, vectors)
+					dense, dModel, dDB := buildPruneEngine(t, shape.on(t, pruneTestOpts(false)), net, vectors)
+					pruned, pModel, pDB := buildPruneEngine(t, shape.on(t, pruneTestOpts(true)), net, vectors)
 					if qcOn {
 						qcn := pruneTestQCN()
 						if err := dense.SetQC(qcn, 1.0, 16, 0.05); err != nil {
@@ -249,68 +248,6 @@ func TestPrunedMatchesDenseEverywhere(t *testing.T) {
 	}
 }
 
-// TestPrunedCrossModeIdentical: with the tier active, every scan mode makes
-// the same skip decisions at the same points, so top-K, latency, energy,
-// scanned counts, and the skip accounting are all bit-identical across modes.
-func TestPrunedCrossModeIdentical(t *testing.T) {
-	const features = 131
-	net := pruneTestNet()
-	vectors := clusteredVectors(features, 9)
-	queries := [][]float32{vectors[0], vectors[70], vectors[130]}
-
-	type obsRes struct {
-		topK    []topk.Entry
-		latency int64
-		energy  [3]float64
-		scanned int64
-		prune   PruneStats
-	}
-	run := func(mode ScanMode) []obsRes {
-		ds, model, dbID := buildPruneEngine(t, pruneTestOpts(true, mode), net, vectors)
-		out := make([]obsRes, len(queries))
-		for i, q := range queries {
-			r := runQuery(t, ds, QuerySpec{QFV: q, K: pruneTestK, Model: model, DB: dbID})
-			out[i] = obsRes{
-				topK:    r.TopK,
-				latency: int64(r.Latency),
-				energy:  [3]float64{r.Energy.ComputeJ, r.Energy.MemoryJ, r.Energy.FlashJ},
-				scanned: r.FeaturesScanned,
-				prune:   r.Prune,
-			}
-		}
-		return out
-	}
-
-	want := run(ScanSerial)
-	for _, mode := range []ScanMode{ScanPerFeature, ScanBatched} {
-		got := run(mode)
-		for i := range want {
-			label := fmt.Sprintf("%s query %d", mode, i)
-			assertSameTopK(t, label, got[i].topK, want[i].topK)
-			if got[i].prune != want[i].prune {
-				t.Errorf("%s: prune stats %+v != serial %+v", label, got[i].prune, want[i].prune)
-			}
-			if got[i].scanned != want[i].scanned {
-				t.Errorf("%s: scanned %d != serial %d", label, got[i].scanned, want[i].scanned)
-			}
-			if got[i].latency != want[i].latency {
-				t.Errorf("%s: latency %d != serial %d", label, got[i].latency, want[i].latency)
-			}
-			if got[i].energy != want[i].energy {
-				t.Errorf("%s: energy %v != serial %v", label, got[i].energy, want[i].energy)
-			}
-		}
-	}
-	// Sanity: the shared reference actually pruned.
-	var skipped int64
-	for _, r := range want {
-		skipped += r.prune.FeaturesSkipped
-	}
-	if skipped == 0 {
-		t.Fatal("cross-mode suite never skipped a feature")
-	}
-}
-
 // TestPrunedSubRanges: sub-range queries whose start/end fall mid-stripe must
 // stay exact — partial stripes are covered by the full stripe's (superset)
 // envelope, so the bound is looser but never unsound.
@@ -318,8 +255,8 @@ func TestPrunedSubRanges(t *testing.T) {
 	const features = 67
 	net := pruneTestNet()
 	vectors := clusteredVectors(features, 4)
-	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, vectors)
-	pruned, pModel, pDB := buildPruneEngine(t, pruneTestOpts(true, ScanBatched), net, vectors)
+	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, vectors)
+	pruned, pModel, pDB := buildPruneEngine(t, pruneTestOpts(true), net, vectors)
 	q := vectors[0]
 	for _, c := range []struct {
 		name       string
@@ -358,7 +295,7 @@ func TestPrunedAppendRebuilds(t *testing.T) {
 	net := pruneTestNet()
 	vectors := clusteredVectors(features, 11)
 
-	appended, aModel, aDB := buildPruneEngine(t, pruneTestOpts(true, ScanBatched), net, vectors[:40])
+	appended, aModel, aDB := buildPruneEngine(t, pruneTestOpts(true), net, vectors[:40])
 	// Two unaligned appends: 40 → 47 dirties a partial stripe on some
 	// channels, 47 → 67 grows the stripe count per channel.
 	if err := appended.AppendDB(aDB, vectors[40:47]); err != nil {
@@ -367,8 +304,8 @@ func TestPrunedAppendRebuilds(t *testing.T) {
 	if err := appended.AppendDB(aDB, vectors[47:]); err != nil {
 		t.Fatal(err)
 	}
-	fresh, fModel, fDB := buildPruneEngine(t, pruneTestOpts(true, ScanBatched), net, vectors)
-	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, vectors)
+	fresh, fModel, fDB := buildPruneEngine(t, pruneTestOpts(true), net, vectors)
+	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, vectors)
 
 	var skipped int64
 	for qi, q := range [][]float32{vectors[0], vectors[45], vectors[66]} {
@@ -410,12 +347,12 @@ func TestPrunedReorgRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	moved, mModel, mDB := buildPruneEngine(t, pruneTestOpts(true, ScanBatched), net, vectors)
+	moved, mModel, mDB := buildPruneEngine(t, pruneTestOpts(true), net, vectors)
 	if err := moved.ReorgDB(mDB, order); err != nil {
 		t.Fatal(err)
 	}
-	fresh, fModel, fDB := buildPruneEngine(t, pruneTestOpts(true, ScanBatched), net, reordered)
-	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, reordered)
+	fresh, fModel, fDB := buildPruneEngine(t, pruneTestOpts(true), net, reordered)
+	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, reordered)
 
 	for qi, q := range [][]float32{vectors[0], vectors[33]} {
 		m := runQuery(t, moved, QuerySpec{QFV: q, K: pruneTestK, Model: mModel, DB: mDB})
@@ -440,9 +377,9 @@ func TestPrunedQueryMultiMatchesDense(t *testing.T) {
 	vectors := clusteredVectors(features, 17)
 	for _, nq := range []int{1, 2, 7, 64} {
 		t.Run(fmt.Sprintf("Q=%d", nq), func(t *testing.T) {
-			multi, mModel, mDB := buildPruneEngine(t, pruneTestOpts(true, ScanBatched), net, vectors)
-			seq, sModel, sDB := buildPruneEngine(t, pruneTestOpts(true, ScanBatched), net, vectors)
-			dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, vectors)
+			multi, mModel, mDB := buildPruneEngine(t, pruneTestOpts(true), net, vectors)
+			seq, sModel, sDB := buildPruneEngine(t, pruneTestOpts(true), net, vectors)
+			dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, vectors)
 
 			specs := make([]QuerySpec, nq)
 			for i := range specs {
@@ -502,7 +439,7 @@ func TestPrunedQueryMultiWithCache(t *testing.T) {
 	qcn := pruneTestQCN()
 	vectors := clusteredVectors(features, 23)
 	build := func(prune bool) (*DeepStore, ModelID, ftl.DBID) {
-		ds, model, dbID := buildPruneEngine(t, pruneTestOpts(prune, ScanBatched), net, vectors)
+		ds, model, dbID := buildPruneEngine(t, pruneTestOpts(prune), net, vectors)
 		if err := ds.SetQC(qcn, 1.0, 16, 0.05); err != nil {
 			t.Fatal(err)
 		}
@@ -561,7 +498,7 @@ func TestPrunedFaultsKeepResults(t *testing.T) {
 	net := pruneTestNet()
 	vectors := clusteredVectors(features, 29)
 	build := func(prune bool, rate float64) (*DeepStore, ModelID, ftl.DBID) {
-		opts := pruneTestOpts(prune, ScanBatched)
+		opts := pruneTestOpts(prune)
 		opts.Device.FlashFaults.ReadErrorRate = rate
 		opts.Device.FlashFaults.Seed = 21
 		return buildPruneEngine(t, opts, net, vectors)

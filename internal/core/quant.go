@@ -30,22 +30,13 @@ type quantState struct {
 }
 
 // quantFor returns the database's quant state when the quantized path is
-// enabled and a table exists, nil otherwise. With a nil state every scan
-// path runs its fp32 walk unchanged.
+// enabled and a table exists, nil otherwise. With a nil state the sweep
+// scores in fp32.
 func (ds *DeepStore) quantFor(st *dbState) *quantState {
 	if !ds.opts.Quantized {
 		return nil
 	}
 	return st.quant
-}
-
-// twoPass reports whether quantized scans run the exact two-pass mode and
-// the scan-phase candidate count for a final top-K of k.
-func (ds *DeepStore) twoPass(k int) (bool, int) {
-	if ds.opts.RerankMargin > 0 {
-		return true, k * ds.opts.RerankMargin
-	}
-	return false, k
 }
 
 // buildQuantState quantizes the database's vectors, allocates and programs

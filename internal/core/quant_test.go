@@ -18,8 +18,8 @@ import (
 
 const quantTestMargin = 4
 
-func quantTestOpts(mode ScanMode, margin int) Options {
-	opts := pruneTestOpts(false, mode)
+func quantTestOpts(margin int) Options {
+	opts := pruneTestOpts(false)
 	opts.Quantized = true
 	opts.RerankMargin = margin
 	return opts
@@ -34,7 +34,7 @@ func stageDur(r *QueryResult, name string) (sim.Duration, bool) {
 	return 0, false
 }
 
-// TestQuantTwoPassMatchesDense is the main exactness suite: every scan mode ×
+// TestQuantTwoPassMatchesDense is the main exactness suite: every sweep shape ×
 // qcache on/off × odd database sizes, with repeated queries as cache-hit
 // candidates. Two-pass exact mode (int8 scan for K·margin candidates, fp32
 // rerank) must return bit-identical top-K to the fp32 dense engine, make the
@@ -50,12 +50,12 @@ func TestQuantTwoPassMatchesDense(t *testing.T) {
 			vectors[0], // repeat: cache-hit candidate
 			vectors[features-1],
 		}
-		for _, mode := range []ScanMode{ScanSerial, ScanPerFeature, ScanBatched} {
+		for _, shape := range scanShapes {
 			for _, qcOn := range []bool{false, true} {
-				name := fmt.Sprintf("n=%d/%s/qc=%v", features, mode, qcOn)
+				name := fmt.Sprintf("n=%d/%s/qc=%v", features, shape.name, qcOn)
 				t.Run(name, func(t *testing.T) {
-					dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, mode), net, vectors)
-					quant, qModel, qDB := buildPruneEngine(t, quantTestOpts(mode, quantTestMargin), net, vectors)
+					dense, dModel, dDB := buildPruneEngine(t, shape.on(t, pruneTestOpts(false)), net, vectors)
+					quant, qModel, qDB := buildPruneEngine(t, shape.on(t, quantTestOpts(quantTestMargin)), net, vectors)
 					if qcOn {
 						qcn := pruneTestQCN()
 						if err := dense.SetQC(qcn, 1.0, 16, 0.05); err != nil {
@@ -113,9 +113,9 @@ func TestQuantTwoPassQueryMulti(t *testing.T) {
 	vectors := clusteredVectors(features, 17)
 	for _, nq := range []int{1, 7, 64} {
 		t.Run(fmt.Sprintf("Q=%d", nq), func(t *testing.T) {
-			multi, mModel, mDB := buildPruneEngine(t, quantTestOpts(ScanBatched, quantTestMargin), net, vectors)
-			seq, sModel, sDB := buildPruneEngine(t, quantTestOpts(ScanBatched, quantTestMargin), net, vectors)
-			dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, vectors)
+			multi, mModel, mDB := buildPruneEngine(t, quantTestOpts(quantTestMargin), net, vectors)
+			seq, sModel, sDB := buildPruneEngine(t, quantTestOpts(quantTestMargin), net, vectors)
+			dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, vectors)
 
 			specs := make([]QuerySpec, nq)
 			for i := range specs {
@@ -161,8 +161,8 @@ func TestQuantApproxSpeedsUpScan(t *testing.T) {
 	const features = 32768
 	net := pruneTestNet()
 	vectors := clusteredVectors(features, 31)
-	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, vectors)
-	quant, qModel, qDB := buildPruneEngine(t, quantTestOpts(ScanBatched, 0), net, vectors)
+	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, vectors)
+	quant, qModel, qDB := buildPruneEngine(t, quantTestOpts(0), net, vectors)
 	for qi, qv := range [][]float32{vectors[0], vectors[70]} {
 		d := runQuery(t, dense, QuerySpec{QFV: qv, K: pruneTestK, Model: dModel, DB: dDB})
 		q := runQuery(t, quant, QuerySpec{QFV: qv, K: pruneTestK, Model: qModel, DB: qDB})
@@ -191,7 +191,7 @@ func TestQuantApproxSpeedsUpScan(t *testing.T) {
 // TestQuantPruneGuard: stripe bounds are fp32 envelopes and do not bound int8
 // scan scores, so Prune+Quantized is only legal in two-pass mode.
 func TestQuantPruneGuard(t *testing.T) {
-	opts := quantTestOpts(ScanBatched, 0)
+	opts := quantTestOpts(0)
 	opts.Prune = true
 	opts.PruneStripeFeatures = pruneTestSF
 	if _, err := New(opts); !errors.Is(err, ErrQuantPruneApprox) {
@@ -201,7 +201,7 @@ func TestQuantPruneGuard(t *testing.T) {
 	if _, err := New(opts); err != nil {
 		t.Fatalf("Prune+Quantized with margin rejected: %v", err)
 	}
-	bad := quantTestOpts(ScanBatched, -1)
+	bad := quantTestOpts(-1)
 	if _, err := New(bad); err == nil {
 		t.Fatal("negative RerankMargin accepted")
 	}
@@ -215,11 +215,11 @@ func TestQuantPruneTwoPassExact(t *testing.T) {
 	const features = 131
 	net := pruneTestNet()
 	vectors := clusteredVectors(features, 7)
-	opts := quantTestOpts(ScanBatched, quantTestMargin)
+	opts := quantTestOpts(quantTestMargin)
 	opts.Prune = true
 	opts.PruneStripeFeatures = pruneTestSF
 	both, bModel, bDB := buildPruneEngine(t, opts, net, vectors)
-	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, vectors)
+	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, vectors)
 	var skipped int64
 	for qi, qv := range [][]float32{vectors[0], vectors[70], vectors[130]} {
 		b := runQuery(t, both, QuerySpec{QFV: qv, K: pruneTestK, Model: bModel, DB: bDB})
@@ -245,15 +245,15 @@ func TestQuantAppendRequantizes(t *testing.T) {
 	net := pruneTestNet()
 	vectors := clusteredVectors(features, 11)
 
-	appended, aModel, aDB := buildPruneEngine(t, quantTestOpts(ScanBatched, quantTestMargin), net, vectors[:40])
+	appended, aModel, aDB := buildPruneEngine(t, quantTestOpts(quantTestMargin), net, vectors[:40])
 	if err := appended.AppendDB(aDB, vectors[40:47]); err != nil {
 		t.Fatal(err)
 	}
 	if err := appended.AppendDB(aDB, vectors[47:]); err != nil {
 		t.Fatal(err)
 	}
-	fresh, fModel, fDB := buildPruneEngine(t, quantTestOpts(ScanBatched, quantTestMargin), net, vectors)
-	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, vectors)
+	fresh, fModel, fDB := buildPruneEngine(t, quantTestOpts(quantTestMargin), net, vectors)
+	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, vectors)
 
 	for qi, qv := range [][]float32{vectors[0], vectors[45], vectors[66]} {
 		a := runQuery(t, appended, QuerySpec{QFV: qv, K: pruneTestK, Model: aModel, DB: aDB})
@@ -284,12 +284,12 @@ func TestQuantReorgRequantizes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	moved, mModel, mDB := buildPruneEngine(t, quantTestOpts(ScanBatched, quantTestMargin), net, vectors)
+	moved, mModel, mDB := buildPruneEngine(t, quantTestOpts(quantTestMargin), net, vectors)
 	if err := moved.ReorgDB(mDB, order); err != nil {
 		t.Fatal(err)
 	}
-	fresh, fModel, fDB := buildPruneEngine(t, quantTestOpts(ScanBatched, quantTestMargin), net, reordered)
-	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false, ScanBatched), net, reordered)
+	fresh, fModel, fDB := buildPruneEngine(t, quantTestOpts(quantTestMargin), net, reordered)
+	dense, dModel, dDB := buildPruneEngine(t, pruneTestOpts(false), net, reordered)
 
 	for qi, qv := range [][]float32{vectors[0], vectors[33]} {
 		m := runQuery(t, moved, QuerySpec{QFV: qv, K: pruneTestK, Model: mModel, DB: mDB})
@@ -305,11 +305,11 @@ func TestQuantReorgRequantizes(t *testing.T) {
 // vectors to quantize, so a quantized engine charges them at fp32 and never
 // emits a rerank_exact stage.
 func TestQuantDeclaredDBFallsBack(t *testing.T) {
-	quant, err := New(quantTestOpts(ScanBatched, quantTestMargin))
+	quant, err := New(quantTestOpts(quantTestMargin))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := New(pruneTestOpts(false, ScanBatched))
+	dense, err := New(pruneTestOpts(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestQuantCheckpointRestoresTable(t *testing.T) {
 	const features = 67
 	net := pruneTestNet()
 	vectors := clusteredVectors(features, 19)
-	ds, _, dbID := buildPruneEngine(t, quantTestOpts(ScanBatched, quantTestMargin), net, vectors)
+	ds, _, dbID := buildPruneEngine(t, quantTestOpts(quantTestMargin), net, vectors)
 	img, err := ds.Checkpoint()
 	if err != nil {
 		t.Fatal(err)

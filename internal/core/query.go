@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -48,156 +49,72 @@ func specFor(ds *DeepStore, level accel.Level) accel.Spec {
 func (ds *DeepStore) Query(spec QuerySpec) (QueryID, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	return ds.queryLocked(spec)
+	key, err := ds.resolveSpec(spec)
+	if err != nil {
+		return 0, err
+	}
+	ids, err := ds.runBatch([]batchItem{{spec: spec, scanKey: key}}, obs.StageScan)
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+// scanKey is a resolved query target: queries with equal keys scan the same
+// database range with the same model on the same accelerator level, so they
+// can share one sweep.
+type scanKey struct {
+	st    *dbState
+	net   *nn.Network
+	level accel.Level
+	start int64
+	end   int64
 }
 
 // resolveSpec validates a query spec against the engine's tables and
 // resolves its defaults (full-DB range, engine-default accelerator level).
-// Callers hold ds.mu.
-func (ds *DeepStore) resolveSpec(spec QuerySpec) (st *dbState, net *nn.Network, level accel.Level, start, end int64, err error) {
-	st, err = ds.db(spec.DB)
+// It refuses everything the scan would refuse — an unknown level, a model the
+// level cannot run — so a query that passes mutates no cache, clock or
+// history state it cannot finish. Callers hold ds.mu.
+func (ds *DeepStore) resolveSpec(spec QuerySpec) (scanKey, error) {
+	st, err := ds.db(spec.DB)
 	if err != nil {
-		return
+		return scanKey{}, err
 	}
-	net, err = ds.model(spec.Model)
+	net, err := ds.model(spec.Model)
 	if err != nil {
-		return
+		return scanKey{}, err
 	}
 	if spec.K < 1 {
-		err = fmt.Errorf("core: top-K %d < 1", spec.K)
-		return
+		return scanKey{}, fmt.Errorf("core: top-K %d < 1", spec.K)
 	}
 	layout := st.meta.Layout
 	if int64(len(spec.QFV))*4 != layout.FeatureBytes {
-		err = fmt.Errorf("core: query feature has %d dims, database stores %d-byte features",
+		return scanKey{}, fmt.Errorf("core: query feature has %d dims, database stores %d-byte features",
 			len(spec.QFV), layout.FeatureBytes)
-		return
 	}
 	if net.FeatureBytes() != layout.FeatureBytes {
-		err = fmt.Errorf("core: model %q expects %d-byte features, database stores %d",
+		return scanKey{}, fmt.Errorf("core: model %q expects %d-byte features, database stores %d",
 			net.Name, net.FeatureBytes(), layout.FeatureBytes)
-		return
 	}
-	start, end = spec.DBStart, spec.DBEnd
-	if end == 0 {
-		end = layout.Features
+	key := scanKey{st: st, net: net, level: ds.opts.DefaultLevel, start: spec.DBStart, end: spec.DBEnd}
+	if key.end == 0 {
+		key.end = layout.Features
 	}
-	if start < 0 || end > layout.Features || start >= end {
-		err = fmt.Errorf("core: query range [%d, %d) invalid for %d features", start, end, layout.Features)
-		return
+	if key.start < 0 || key.end > layout.Features || key.start >= key.end {
+		return scanKey{}, fmt.Errorf("core: query range [%d, %d) invalid for %d features", key.start, key.end, layout.Features)
 	}
-	level = ds.opts.DefaultLevel
 	if spec.Level != nil {
-		level = *spec.Level
+		key.level = *spec.Level
 	}
-	return
-}
-
-func (ds *DeepStore) queryLocked(spec QuerySpec) (QueryID, error) {
-	st, net, level, start, end, err := ds.resolveSpec(spec)
-	if err != nil {
-		return 0, err
+	if !slices.Contains(accel.Levels(), key.level) {
+		return scanKey{}, fmt.Errorf("core: unknown accelerator level %d", int(key.level))
 	}
-
-	t0 := ds.engine.Now()
-	result := &QueryResult{}
-
-	// Query-cache lookup (Algorithm 1). The QCN comparisons execute on the
-	// channel-level accelerators; their latency AND energy are charged per
-	// entry (the comparisons run on real hardware either way — omitting
-	// their joules would overstate the cache's Fig. 13/14 energy win).
-	var lookupLatency sim.Duration
-	var lookupEnergy energy.Breakdown
-	if ds.qc != nil {
-		entries := ds.qc.Len()
-		cached, hit := ds.qc.Lookup(spec.QFV, ds.qcThreshold)
-		lookupLatency = ds.qcLookupLatency(entries)
-		lookupEnergy = ds.comparisonEnergy(ds.qcn, accel.LevelChannel, int64(entries))
-		if hit {
-			// Line 13: re-rank the cached entry's features against the
-			// new query with the SCN.
-			result.CacheHit = true
-			result.TopK = ds.rerank(net, st, spec.QFV, cached.Results, spec.K)
-			result.FeaturesScanned = int64(len(cached.Results))
-			rerankLat := ds.rerankLatency(net, level, int64(len(cached.Results)))
-			result.Latency = lookupLatency + rerankLat
-			result.Stages = []obs.Stage{
-				{Name: obs.StageQCacheLookup, Dur: lookupLatency},
-				{Name: obs.StageRerank, Dur: rerankLat},
-			}
-			result.Energy = lookupEnergy
-			result.Energy.Add(ds.comparisonEnergy(net, level, int64(len(cached.Results))))
-			ds.appendHistory(spec, result)
-			ds.finishQuery(result)
-			id := ds.record(result)
-			ds.emitQuerySpans(id, t0, result)
-			return id, nil
-		}
+	scanSpec, _ := ds.scanTarget(st, key.level)
+	if err := scanSpec.CheckSupport(net, ds.dev.Config); err != nil {
+		return scanKey{}, err
 	}
-
-	// Miss: scan of the requested range, mapped across accelerators. The
-	// functional scoring runs first — with the pruning tier active it also
-	// decides which stripes the hardware would skip — and the event-driven
-	// scan is then charged for exactly the surviving features. On a quantized
-	// engine in two-pass exact mode the scan phase collects K·margin
-	// candidates; the fp32 rerank below restores the exact top-K.
-	tier := ds.pruneTier(st)
-	exact, kScan := false, spec.K
-	if ds.quantFor(st) != nil {
-		exact, kScan = ds.twoPass(spec.K)
-	}
-	var ps pruneStats
-	result.TopK, ps = ds.scoreRange(net, st, spec.QFV, start, end, kScan)
-	survivors := end - start - ps.featuresSkipped
-	scanOut, err := ds.simulateScanCount(net, st, level, survivors)
-	if err != nil {
-		return 0, err
-	}
-	result.FeaturesScanned = survivors
-	result.Prune = PruneStats{
-		StripesChecked:  ps.checked,
-		StripesSkipped:  ps.skipped,
-		FeaturesSkipped: ps.featuresSkipped,
-	}
-	var boundLat sim.Duration
-	if tier != nil {
-		boundLat = ds.boundCheckLatency(net, level, tier, ps.checked)
-		ds.recordPruneStats(ps)
-	}
-	result.Latency = lookupLatency + boundLat + scanOut.Elapsed
-	if ds.qc != nil {
-		result.Stages = append(result.Stages, obs.Stage{Name: obs.StageQCacheLookup, Dur: lookupLatency})
-	}
-	if tier != nil {
-		result.Stages = append(result.Stages, obs.Stage{Name: obs.StageBoundCheck, Dur: boundLat})
-	}
-	result.Stages = append(result.Stages, obs.Stage{Name: obs.StageScan, Dur: scanOut.Elapsed})
-	result.Energy = lookupEnergy
-	if tier != nil {
-		result.Energy.Add(ds.boundCheckEnergy(net, level, tier, ps.checked))
-	}
-	result.Energy.Add(ds.emodel.Energy(scanOut.Activity))
-	if exact {
-		// Second pass: re-score the int8 candidate set at full precision.
-		// The fp32 rerank batches through the same pooled GEMM path, and
-		// topk's strict (score, featureID) total order makes the final top-K
-		// independent of candidate order.
-		cands := int64(len(result.TopK))
-		result.TopK = ds.rerank(net, st, spec.QFV, result.TopK, spec.K)
-		rrLat := ds.rerankExactLatency(net, st, level, cands)
-		result.Latency += rrLat
-		result.Stages = append(result.Stages, obs.Stage{Name: obs.StageRerankExact, Dur: rrLat})
-		result.Energy.Add(ds.rerankExactEnergy(net, st, level, cands))
-	}
-
-	if ds.qc != nil {
-		ds.qc.Insert(cloneVec(spec.QFV), result.TopK)
-	}
-	ds.appendHistory(spec, result)
-	ds.finishQuery(result)
-	id := ds.record(result)
-	ds.emitQuerySpans(id, t0, result)
-	return id, nil
+	return key, nil
 }
 
 // emitQuerySpans lays the query's stages out sequentially from t0 on the
@@ -213,10 +130,7 @@ func (ds *DeepStore) emitQuerySpans(id QueryID, t0 sim.Time, r *QueryResult) {
 	ds.tracer.Add(obs.Span{
 		Name: "query", Cat: "core", TID: int64(id),
 		Start: t0, Dur: r.Latency,
-		Args: map[string]string{
-			"cache_hit": strconv.FormatBool(r.CacheHit),
-			"scan_mode": ds.scanMode().String(),
-		},
+		Args: map[string]string{"cache_hit": strconv.FormatBool(r.CacheHit)},
 	})
 	cursor := t0
 	for _, s := range r.Stages {
@@ -310,29 +224,29 @@ func (ds *DeepStore) rerankLatency(net *nn.Network, level accel.Level, k int64) 
 	return sim.FromSeconds(secs)
 }
 
-// simulateScan runs the event-driven scan for the query's range.
-func (ds *DeepStore) simulateScan(net *nn.Network, st *dbState, level accel.Level, start, end int64) (accel.ScanResult, error) {
-	return ds.simulateScanCount(net, st, level, end-start)
-}
-
-// simulateScanCount runs the event-driven scan for `features` surviving
-// features. A sub-range (or pruned) scan is striped identically to a full
-// scan (§4.4), so a layout with the surviving feature count models it. A
-// fully-pruned scan does no device work at all. A quantized scan reads the
-// int8 table instead of the fp32 data — a quarter of the flash, NoC, and
-// DRAM bytes per feature — and runs the arrays at INT8.
-func (ds *DeepStore) simulateScanCount(net *nn.Network, st *dbState, level accel.Level, features int64) (accel.ScanResult, error) {
-	if features <= 0 {
-		return accel.ScanResult{}, nil
-	}
-	layout := st.meta.Layout
-	spec := specFor(ds, level)
+// scanTarget picks what the event-driven scan of st reads and how the arrays
+// run: the int8 table at INT8 on a quantized database — a quarter of the
+// flash, NoC, and DRAM bytes per feature — and the fp32 data otherwise.
+func (ds *DeepStore) scanTarget(st *dbState, level accel.Level) (accel.Spec, ftl.DBLayout) {
+	spec, layout := specFor(ds, level), st.meta.Layout
 	if ds.quantFor(st) != nil {
 		if ql, ok := st.meta.QuantTable(); ok {
 			layout = ql
 			spec.Array.Precision = systolic.INT8
 		}
 	}
+	return spec, layout
+}
+
+// simulateScanCount runs the event-driven scan for `features` surviving
+// features. A sub-range (or pruned) scan is striped identically to a full
+// scan (§4.4), so a layout with the surviving feature count models it. A
+// fully-pruned scan does no device work at all.
+func (ds *DeepStore) simulateScanCount(net *nn.Network, st *dbState, level accel.Level, features int64) (accel.ScanResult, error) {
+	if features <= 0 {
+		return accel.ScanResult{}, nil
+	}
+	spec, layout := ds.scanTarget(st, level)
 	layout.Features = features
 	return accel.Scan(accel.ScanRequest{
 		Device:                 ds.dev,
@@ -346,40 +260,160 @@ func (ds *DeepStore) simulateScanCount(net *nn.Network, st *dbState, level accel
 // recordPruneStats folds one scan's skip accounting into the engine
 // counters. Only called while the pruning tier is active, so dense engines
 // never grow the counters.
-func (ds *DeepStore) recordPruneStats(ps pruneStats) {
-	ds.obs.Counter("core_prune_stripes_checked").Add(ps.checked)
-	ds.obs.Counter("core_prune_stripes_skipped").Add(ps.skipped)
-	ds.obs.Counter("core_prune_features_skipped").Add(ps.featuresSkipped)
+func (ds *DeepStore) recordPruneStats(ps PruneStats) {
+	ds.obs.Counter("core_prune_stripes_checked").Add(ps.StripesChecked)
+	ds.obs.Counter("core_prune_stripes_skipped").Add(ps.StripesSkipped)
+	ds.obs.Counter("core_prune_features_skipped").Add(ps.FeaturesSkipped)
 }
 
-// scoreRange computes real SCN scores over the materialized vectors — the
-// functional map-reduce of §4.7.1. The feature range is sharded per channel
-// (each shard is one channel's stripe, exactly the share that channel's
-// accelerator scans), a GOMAXPROCS-bounded worker pool drains the shards,
-// and the engine reduces the per-shard queues with topk.Merge. All scan
-// modes produce identical top-K results: every shard sees the same
-// comparisons in the same stripe order, batched scores match per-feature
-// scores (see nn.BatchScorer), and the merge's (score, featureID) total
-// order is independent of shard completion order. Declared (spec-only)
-// databases return an empty top-K.
+// sweep is the functional scan — the map-reduce of §4.7.1 over the
+// materialized vectors, for nq >= 1 queries at once. The range [start, end) is
+// sharded per channel (each shard is one channel's stripe, exactly the share
+// that channel's accelerator scans), up to `workers` goroutines drain the
+// shards, every gather batch is scored against all queries in one ScoreMulti
+// call (so gather work and each layer's weight traffic are paid once for the
+// batch), and the per-(query, channel) queues are reduced with topk.Merge.
+// Three inputs shape the walk and nothing else does: the width nq, the
+// precision (int8 when the database has a quant table, fp32 otherwise — picked
+// once, below), and the bound tier. With a tier the walk goes stripe segment
+// by segment and each query decides at segment entry, against its own queue,
+// whether to skip it; a segment is gathered and scored once if ANY query
+// survives it, and offers to queries that skipped it are withheld, so every
+// query's queue evolves exactly as it would alone. Without a tier the single
+// segment runs to the end of the range.
 //
-// With the pruning tier active (ds.pruneTier(st) != nil) every mode makes
-// the same stripe-skip decisions at the same points — segment entry, with
-// the shard queue reflecting every earlier offer of that channel — so the
-// returned top-K stays bit-identical across modes AND against the dense
-// scan, and the skip accounting is mode-independent.
-func (ds *DeepStore) scoreRange(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
+// Results do not depend on workers, the gather batch, or nq: every shard sees
+// the same comparisons in the same stripe order, a score is the same bits in
+// any batch (see nn.BatchScorer), skip decisions happen only at segment
+// boundaries after the gather is drained, and the merge's (score, featureID)
+// total order is independent of shard completion order. Declared (spec-only)
+// databases return empty top-Ks.
+func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int) ([][]topk.Entry, []PruneStats) {
+	nq := len(qfvs)
+	tops := make([][]topk.Entry, nq)
+	totals := make([]PruneStats, nq)
+	st, net := key.st, key.net
 	if st.vectors == nil {
-		return nil, pruneStats{}
+		return tops, totals
 	}
-	switch ds.scanMode() {
-	case ScanSerial:
-		return ds.scoreRangeSerial(net, st, qfv, start, end, k)
-	case ScanPerFeature:
-		return ds.scoreRangePerFeature(net, st, qfv, start, end, k)
-	default:
-		return ds.scoreRangeBatched(net, st, qfv, start, end, k)
+	layout := st.meta.Layout
+	channels := layout.Geom.Channels
+	stride := int64(channels)
+	tier := ds.pruneTier(st)
+	qt := ds.quantFor(st)
+	var qqs []nn.QuantQuery
+	if qt != nil {
+		qqs = make([]nn.QuantQuery, nq)
+		for q := range qfvs {
+			qqs[q] = nn.PrepareQuantQuery(qfvs[q])
+		}
 	}
+	// A single query scores at most one gather batch per GEMM pass, so its
+	// context carries no more scorer scratch than that.
+	rows := ds.scoreBatch()
+	if nq > 1 {
+		rows = multiScoreRows
+	}
+	queues := make([]*topk.Queue, channels*nq) // [ch*nq+q]
+	stats := make([]PruneStats, channels*nq)
+	if workers > channels {
+		workers = channels
+	}
+	var nextShard atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := ds.pools.get(net, rows)
+			defer ctx.release()
+			batch := len(ctx.ids)
+			scores := ctx.scoreRows(nq)
+			gather := func(n int, i int64) { ctx.dfvs[n] = st.vectors[i] }
+			score := func(n int) { ctx.bs.ScoreMulti(scores, qfvs, ctx.dfvs[:n]) }
+			if qt != nil {
+				gather = func(n int, i int64) { ctx.qdfvs[n] = qt.vecs[i] }
+				score = func(n int) { ctx.qbs.ScoreMulti(scores, qqs, ctx.qdfvs[:n]) }
+			}
+			// active masks which queries the current segment still scans
+			// (nil = all, the tierless walk).
+			var bnd *nn.BoundScorer
+			var active []bool
+			if tier != nil {
+				bnd = net.BoundScorer()
+				active = make([]bool, nq)
+			}
+			drain := func(qs []*topk.Queue, n int) {
+				if n == 0 {
+					return
+				}
+				score(n)
+				for q := range qs {
+					if active == nil || active[q] {
+						ctx.offer(qs[q], scores[q], n)
+					}
+				}
+			}
+			for {
+				ch := int(nextShard.Add(1) - 1)
+				if ch >= channels {
+					return
+				}
+				qs := queues[ch*nq : (ch+1)*nq]
+				for q, k := range ks {
+					qs[q] = topk.New(k)
+				}
+				// Feature i lives on channel i mod Channels (§4.4 striping),
+				// so the shard walks its stripe directly.
+				for i := key.start + ((int64(ch)-key.start)%stride+stride)%stride; i < key.end; {
+					segEnd := key.end
+					if tier != nil {
+						seg := (i / stride) / tier.stripeFeatures
+						segEnd = min(int64(ch)+stride*(seg+1)*tier.stripeFeatures, key.end)
+						segFeatures := (segEnd - i + stride - 1) / stride
+						anyActive := false
+						for q := range qs {
+							ps := &stats[ch*nq+q]
+							active[q] = !skipStripe(bnd, tier, qfvs[q], qs[q], ch, seg, ps)
+							if active[q] {
+								anyActive = true
+							} else {
+								ps.FeaturesSkipped += segFeatures
+							}
+						}
+						if !anyActive {
+							i = segEnd
+							continue
+						}
+					}
+					n := 0
+					for ; i < segEnd; i += stride {
+						gather(n, i)
+						ctx.ids[n] = i
+						ctx.objs[n] = uint64(layout.Geom.Linear(layout.FeatureAddr(i)))
+						n++
+						if n == batch {
+							drain(qs, n)
+							n = 0
+						}
+					}
+					// Segment boundary: drain so the next skip decisions see
+					// every offer of this channel so far.
+					drain(qs, n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	shards := make([]*topk.Queue, channels)
+	for q := range tops {
+		for ch := range shards {
+			shards[ch] = queues[ch*nq+q]
+			totals[q].Add(stats[ch*nq+q])
+		}
+		tops[q] = topk.Merge(ks[q], shards...).Results()
+	}
+	return tops, totals
 }
 
 // skipStripe decides, at the entry of stripe seg of channel ch, whether the
@@ -390,327 +424,36 @@ func (ds *DeepStore) scoreRange(net *nn.Network, st *dbState, qfv []float32, sta
 // features in ascending FeatureID order. Partial stripes (sub-range start/
 // end mid-stripe) are covered by the full stripe's envelope, which is a
 // superset of any sub-range's — the bound is merely looser, never unsound.
-func skipStripe(bnd *nn.BoundScorer, tier *boundTier, qfv []float32, q *topk.Queue, ch int, seg int64, ps *pruneStats) bool {
+func skipStripe(bnd *nn.BoundScorer, tier *boundTier, qfv []float32, q *topk.Queue, ch int, seg int64, ps *PruneStats) bool {
 	floor, full := q.Min()
 	if !full {
 		return false
 	}
-	ps.checked++
+	ps.StripesChecked++
 	if bnd.UpperBound(qfv, &tier.envs[ch][seg]) <= floor {
-		ps.skipped++
+		ps.StripesSkipped++
 		return true
 	}
 	return false
 }
 
-// scoreRangeBatched is the default scan: each worker pulls channel stripes
-// and gathers stripe features into its pooled batchCtx, scoring a whole
-// batch per nn.BatchScorer call (cache-blocked GEMM) and offering the
-// entries to the shard queue in stripe order — so ordering, and therefore
-// the merged top-K, is identical to the per-feature walk. With the pruning
-// tier active the walk proceeds segment by segment, flushing the gather at
-// every segment boundary so the skip decision at the next segment's entry
-// sees the channel's complete queue state (the same state every other mode
-// sees there); batch composition does not affect scores, so the flush points
-// leave the top-K untouched.
-func (ds *DeepStore) scoreRangeBatched(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
-	layout := st.meta.Layout
-	channels := layout.Geom.Channels
-	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
-	var qq nn.QuantQuery
-	if qt != nil {
-		qq = nn.PrepareQuantQuery(qfv)
-	}
-	shards := make([]*topk.Queue, channels)
-	stats := make([]pruneStats, channels)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > channels {
-		workers = channels
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stride := int64(channels)
-	var nextShard atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := ds.pools.get(net)
-			defer ds.pools.put(net, ctx)
-			// gather/drain pick the fp32 or int8 family of the pooled
-			// context; both offer in the same gather order, so the merged
-			// top-K ordering properties are mode-independent.
-			batch := len(ctx.ids)
-			gather := func(i int64, n int) {
-				if qt != nil {
-					ctx.qdfvs[n] = qt.vecs[i]
-				} else {
-					ctx.dfvs[n] = st.vectors[i]
-				}
-				ctx.ids[n] = i
-				ctx.objs[n] = uint64(layout.Geom.Linear(layout.FeatureAddr(i)))
-			}
-			drain := func(q *topk.Queue, n int) {
-				if qt != nil {
-					ctx.flushQ(q, qq, n)
-				} else {
-					ctx.flush(q, qfv, n)
-				}
-			}
-			var bnd *nn.BoundScorer
-			if tier != nil {
-				bnd = net.BoundScorer()
-			}
-			for {
-				ch := int(nextShard.Add(1) - 1)
-				if ch >= channels {
-					return
-				}
-				q := topk.New(k)
-				// Feature i lives on channel i mod Channels (§4.4
-				// striping), so the shard walks its stripe directly.
-				first := start + ((int64(ch)-start)%stride+stride)%stride
-				if tier == nil {
-					n := 0
-					for i := first; i < end; i += stride {
-						gather(i, n)
-						n++
-						if n == batch {
-							drain(q, n)
-							n = 0
-						}
-					}
-					drain(q, n)
-					shards[ch] = q
-					continue
-				}
-				sf := tier.stripeFeatures
-				for i := first; i < end; {
-					seg := (i / stride) / sf
-					segEnd := int64(ch) + stride*(seg+1)*sf
-					if segEnd > end {
-						segEnd = end
-					}
-					if skipStripe(bnd, tier, qfv, q, ch, seg, &stats[ch]) {
-						stats[ch].featuresSkipped += (segEnd - i + stride - 1) / stride
-						i = segEnd
-						continue
-					}
-					n := 0
-					for ; i < segEnd; i += stride {
-						gather(i, n)
-						n++
-						if n == batch {
-							drain(q, n)
-							n = 0
-						}
-					}
-					// Segment boundary: drain so the next skip decision sees
-					// every offer of this channel so far.
-					drain(q, n)
-				}
-				shards[ch] = q
-			}
-		}()
-	}
-	wg.Wait()
-	var total pruneStats
-	for _, s := range stats {
-		total.add(s)
-	}
-	return topk.Merge(k, shards...).Results(), total
-}
-
-// flush scores the gathered features in one batched call and offers the
-// entries in gather order.
-func (c *batchCtx) flush(q *topk.Queue, qfv []float32, n int) {
-	if n == 0 {
-		return
-	}
-	c.bs.ScoreBatch(c.scores[:n], qfv, c.dfvs[:n])
-	for j := 0; j < n; j++ {
-		q.Offer(topk.Entry{
-			FeatureID: c.ids[j],
-			Score:     c.scores[j],
-			ObjectID:  c.objs[j],
-		})
-	}
-}
-
-// scoreRangePerFeature scores one feature per nn.Scorer call across the
-// worker pool — the pre-GEMM parallel path, kept as a benchmark baseline
-// and selectable via Options.Scan. Skip decisions happen at segment entry,
-// exactly where the batched walk makes them.
-func (ds *DeepStore) scoreRangePerFeature(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
-	layout := st.meta.Layout
-	channels := layout.Geom.Channels
-	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
-	var qq nn.QuantQuery
-	if qt != nil {
-		qq = nn.PrepareQuantQuery(qfv)
-	}
-	shards := make([]*topk.Queue, channels)
-	stats := make([]pruneStats, channels)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > channels {
-		workers = channels
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stride := int64(channels)
-	var nextShard atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scorer := net.Scorer()
-			var qsc *nn.QuantScorer
-			if qt != nil {
-				qsc = ds.pools.quant(net).Scorer()
-			}
-			score := func(i int64) float32 {
-				if qsc != nil {
-					return qsc.Score(qq, qt.vecs[i])
-				}
-				return scorer.Score(qfv, st.vectors[i])
-			}
-			var bnd *nn.BoundScorer
-			if tier != nil {
-				bnd = net.BoundScorer()
-			}
-			for {
-				ch := int(nextShard.Add(1) - 1)
-				if ch >= channels {
-					return
-				}
-				q := topk.New(k)
-				// Feature i lives on channel i mod Channels (§4.4
-				// striping), so the shard walks its stripe directly.
-				first := start + ((int64(ch)-start)%stride+stride)%stride
-				for i := first; i < end; {
-					if tier != nil {
-						seg := (i / stride) / tier.stripeFeatures
-						segEnd := int64(ch) + stride*(seg+1)*tier.stripeFeatures
-						if segEnd > end {
-							segEnd = end
-						}
-						if skipStripe(bnd, tier, qfv, q, ch, seg, &stats[ch]) {
-							stats[ch].featuresSkipped += (segEnd - i + stride - 1) / stride
-							i = segEnd
-							continue
-						}
-						for ; i < segEnd; i += stride {
-							q.Offer(topk.Entry{
-								FeatureID: i,
-								Score:     score(i),
-								ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
-							})
-						}
-						continue
-					}
-					q.Offer(topk.Entry{
-						FeatureID: i,
-						Score:     score(i),
-						ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
-					})
-					i += stride
-				}
-				shards[ch] = q
-			}
-		}()
-	}
-	wg.Wait()
-	var total pruneStats
-	for _, s := range stats {
-		total.add(s)
-	}
-	return topk.Merge(k, shards...).Results(), total
-}
-
-// scoreRangeSerial is the single-goroutine reference implementation (the
-// pre-pool scan), kept for equivalence tests and benchmark baselines and
-// selectable via Options.SerialScoring. The global walk visits each
-// channel's features in ascending slot order, so evaluating the skip
-// decision whenever a channel enters a new segment reproduces the parallel
-// walks' segment-entry decision points (and queue states) exactly.
-func (ds *DeepStore) scoreRangeSerial(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
-	if st.vectors == nil {
-		return nil, pruneStats{}
-	}
-	layout := st.meta.Layout
-	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
-	shards := make([]*topk.Queue, layout.Geom.Channels)
-	for i := range shards {
-		shards[i] = topk.New(k)
-	}
-	scorer := net.Scorer()
-	var qq nn.QuantQuery
-	var qsc *nn.QuantScorer
-	if qt != nil {
-		qq = nn.PrepareQuantQuery(qfv)
-		qsc = ds.pools.quant(net).Scorer()
-	}
-	score := func(i int64) float32 {
-		if qsc != nil {
-			return qsc.Score(qq, qt.vecs[i])
-		}
-		return scorer.Score(qfv, st.vectors[i])
-	}
-	var total pruneStats
-	var bnd *nn.BoundScorer
-	type chState struct {
-		seg  int64
-		skip bool
-	}
-	var state []chState
-	if tier != nil {
-		bnd = net.BoundScorer()
-		state = make([]chState, layout.Geom.Channels)
-		for i := range state {
-			state[i].seg = -1
-		}
-	}
-	stride := int64(layout.Geom.Channels)
-	for i := start; i < end; i++ {
-		ch := layout.FeatureChannel(i)
-		if tier != nil {
-			seg := (i / stride) / tier.stripeFeatures
-			if seg != state[ch].seg {
-				state[ch].seg = seg
-				state[ch].skip = skipStripe(bnd, tier, qfv, shards[ch], ch, seg, &total)
-			}
-			if state[ch].skip {
-				total.featuresSkipped++
-				continue
-			}
-		}
-		shards[ch].Offer(topk.Entry{
-			FeatureID: i,
-			Score:     score(i),
-			ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
-		})
-	}
-	return topk.Merge(k, shards...).Results(), total
-}
-
-// rerank re-scores cached top-K features against the new query, batching
-// the cached entries through the same pooled GEMM path the scan uses (a hit
-// re-scores tens of features — one or two batches).
+// rerank re-scores cached top-K features against the new query at full
+// precision, batching them through the same pooled GEMM contexts the sweep
+// uses (a hit re-scores tens of features — one or two batches).
 func (ds *DeepStore) rerank(net *nn.Network, st *dbState, qfv []float32, cached []topk.Entry, k int) []topk.Entry {
 	if st.vectors == nil {
 		return cached
 	}
 	q := topk.New(k)
-	ctx := ds.pools.get(net)
-	defer ds.pools.put(net, ctx)
+	ctx := ds.pools.get(net, ds.scoreBatch())
+	defer ctx.release()
+	row := ctx.scoreRows(1)[0]
 	n := 0
+	flush := func() {
+		ctx.bs.ScoreBatch(row, qfv, ctx.dfvs[:n])
+		ctx.offer(q, row, n)
+		n = 0
+	}
 	for _, e := range cached {
 		if e.FeatureID < 0 || e.FeatureID >= int64(len(st.vectors)) {
 			continue
@@ -719,12 +462,11 @@ func (ds *DeepStore) rerank(net *nn.Network, st *dbState, qfv []float32, cached 
 		ctx.ids[n] = e.FeatureID
 		ctx.objs[n] = e.ObjectID
 		n++
-		if n == len(ctx.dfvs) {
-			ctx.flush(q, qfv, n)
-			n = 0
+		if n == len(ctx.ids) {
+			flush()
 		}
 	}
-	ctx.flush(q, qfv, n)
+	flush()
 	return q.Results()
 }
 

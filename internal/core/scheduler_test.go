@@ -401,10 +401,15 @@ func TestSchedulerDeterminism(t *testing.T) {
 	do := func() run {
 		engine, model, db := newEqEngine(t, DefaultOptions(), 33, true)
 		var r run
+		// The worker stalls until every query is admitted: a batch that ran
+		// while later Submits were still stamping their submit time would
+		// put wall-clock order into the sched_queue stage.
+		admitted := make(chan struct{})
 		sched := NewScheduler(engine, SchedulerConfig{
 			QueueDepth: 64,
 			BatchSize:  4,
 			OnBatch: func(specs []QuerySpec) {
+				<-admitted
 				sig := make([]float32, len(specs))
 				for i, s := range specs {
 					sig[i] = s.QFV[0]
@@ -422,6 +427,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 			}
 			chans[i] = ch
 		}
+		close(admitted)
 		sched.Close()
 		for i, ch := range chans {
 			res := <-ch

@@ -171,6 +171,52 @@ func TestClientErrorsSurface(t *testing.T) {
 	}
 }
 
+// TestBadLevelFrameIsRefused: a query frame whose level word names no
+// accelerator level completes with StatusInvalidField instead of panicking
+// the connection goroutine, and the server keeps serving afterwards.
+func TestBadLevelFrameIsRefused(t *testing.T) {
+	ds, err := core.New(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := workload.ByName("TextQA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.SCN.InitRandom(3)
+	hostSide, devSide := net.Pipe()
+	t.Cleanup(func() { hostSide.Close() })
+	go func() {
+		defer devSide.Close()
+		_ = Serve(devSide, &Handler{DS: ds})
+	}()
+	stream := NewStream(hostSide)
+	client := NewClient(stream)
+	db := workload.NewFeatureDB(app, 64, 5)
+	dbID, err := client.WriteDB(db.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := client.LoadModelNetwork(app.SCN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpl, err := stream.Submit(badLevelQuery(uint64(dbID), uint64(model), db.Vectors[0]))
+	if err != nil {
+		t.Fatalf("bad-level frame broke the transport: %v", err)
+	}
+	if cpl.Status != StatusInvalidField {
+		t.Fatalf("bad-level frame completed with %v (%q), want %v", cpl.Status, cpl.Detail, StatusInvalidField)
+	}
+	qid, err := client.Query(db.Vectors[0], 5, model, dbID, 0, 0, nil)
+	if err != nil {
+		t.Fatalf("server stopped serving after the bad-level frame: %v", err)
+	}
+	if _, err := client.GetResults(qid); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClientMatchesDirectEngine(t *testing.T) {
 	// The protocol path must return the same top-K as calling the engine
 	// directly.

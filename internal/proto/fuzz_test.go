@@ -21,9 +21,21 @@ func addWireCorpus(f *testing.F, frame []byte) {
 	}
 }
 
+// badLevelQuery is a well-formed query command whose level word (Args[3],
+// level+1) names no accelerator level.
+func badLevelQuery(db, model uint64, qfv []float32) Command {
+	payload, _ := EncodeFeatures([][]float32{qfv})
+	return Command{
+		Op: OpQuery, CID: 7, DB: db, Model: model,
+		Args: [4]uint64{5, 0, 0, 99}, Payload: payload,
+	}
+}
+
 func FuzzUnmarshalCommand(f *testing.F) {
 	good, _ := MarshalCommand(Command{Op: OpQuery, CID: 1, Payload: []byte{1, 2, 3}})
 	f.Add(good)
+	badLevel, _ := MarshalCommand(badLevelQuery(1, 1, []float32{1, 2}))
+	f.Add(badLevel)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xD5}, 64))
 	f.Add(bytes.Repeat([]byte{0xFF}, 80))
