@@ -251,15 +251,6 @@ func experiments() []experiment {
 			return []report.Table{{Name: "throughput", Header: h, Rows: c}},
 				exp.FormatThroughput(rows), nil
 		}},
-		{name: "batch", run: func(int64) ([]report.Table, string, error) {
-			rows, err := exp.BatchReplay(exp.DefaultBatch())
-			if err != nil {
-				return nil, "", err
-			}
-			h, c := exp.CellsBatch(rows)
-			return []report.Table{{Name: "batch", Header: h, Rows: c}},
-				exp.FormatBatch(rows), nil
-		}},
 		{name: "mq", run: func(int64) ([]report.Table, string, error) {
 			rows, err := exp.MultiQueryBench(exp.DefaultMQ())
 			if err != nil {
@@ -384,7 +375,7 @@ func experiments() []experiment {
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiments to run (comma separated): table1,fig2,fig6,table3,fig8,fig9,fig10,fig11,fig12,fig13,fig14,interference,reorg,throughput,batch,mq,prune,quant,serve,rebalance,qhist,faults,breakdown,recall,ablations")
+	expFlag := flag.String("exp", "all", "experiments to run (comma separated): table1,fig2,fig6,table3,fig8,fig9,fig10,fig11,fig12,fig13,fig14,interference,reorg,throughput,mq,prune,quant,serve,rebalance,qhist,faults,breakdown,recall,ablations")
 	window := flag.Int64("window", exp.DefaultWindow, "features per accelerator simulated before extrapolation (0 = exact)")
 	formatFlag := flag.String("format", "text", "output format: text, csv, markdown, chart")
 	faultsJSON := flag.String("faultsjson", "", "write the fault sweep's rows as JSON to this file (e.g. BENCH_faults.json); implies running faults")

@@ -177,30 +177,6 @@ var LoadTrace = workload.LoadTrace
 // TraceReport summarizes a replayed query stream (System.ReplayTrace).
 type TraceReport = core.TraceReport
 
-// Scheduler is the asynchronous admission/batching layer in front of a
-// System: concurrent Submit calls coalesce into shared multi-query sweeps
-// (System.QueryMulti), amortizing each sweep's flash and weight-streaming
-// traffic across the batch while keeping every query's results bit-identical
-// to an independent Query call.
-type Scheduler = core.Scheduler
-
-// SchedulerConfig tunes the scheduler's queue depth, batch size, and
-// batching window.
-type SchedulerConfig = core.SchedulerConfig
-
-// NewScheduler starts a scheduling worker for the engine; Close it to flush
-// trailing submissions and release the worker.
-func NewScheduler(sys *System, cfg SchedulerConfig) *Scheduler {
-	return core.NewScheduler(sys, cfg)
-}
-
-// Scheduler sentinel errors: ErrQueueFull is Submit's backpressure signal,
-// ErrSchedulerClosed follows Close.
-var (
-	ErrQueueFull       = core.ErrQueueFull
-	ErrSchedulerClosed = core.ErrSchedulerClosed
-)
-
 // ShardedScan shards a database across n simulated SSDs and scans every
 // shard in parallel — the Fig. 10b scale-out deployment.
 func ShardedScan(n int, app *App, level Level, devCfg DeviceConfig, features, window int64) (cluster.Result, error) {
@@ -238,11 +214,13 @@ const (
 	SimSecond      = sim.Second
 )
 
-// Server is the multi-tenant SLO-aware serving tier in front of a System:
+// Server is the admission layer in front of a System: concurrent Submit
+// calls coalesce into shared multi-query sweeps (System.QueryMulti) behind
 // per-tenant weighted-fair queues (start-time fair queueing with optional
 // priority aging), per-tenant admission budgets shed with ErrQueueFull, and
-// deadline-aware batch cuts on the simulated clock. Results stay
-// bit-identical to direct Query calls.
+// deadline-aware batch cuts on the simulated clock. One weight-1 tenant with
+// no SLO is a plain FIFO batching queue. Results stay bit-identical to
+// direct Query calls.
 type Server = core.Server
 
 // ServerConfig configures the serving tier's tenants, batch size, deadline
@@ -260,8 +238,10 @@ func NewServer(sys *System, cfg ServerConfig) (*Server, error) {
 	return core.NewServer(sys, cfg)
 }
 
-// Serving-tier sentinel errors.
+// Serving-tier sentinel errors: ErrQueueFull is Submit's backpressure
+// signal, ErrServerClosed follows Close.
 var (
+	ErrQueueFull     = core.ErrQueueFull
 	ErrUnknownTenant = core.ErrUnknownTenant
 	ErrServerClosed  = core.ErrServerClosed
 )

@@ -36,8 +36,7 @@ var (
 // each holding replica groups over slices of one materialized feature
 // database. A query fans out along the current routing-table generation
 // (see routing.go) — every route contributes one range-limited sub-query —
-// and the per-route top-K queues reduce into a global answer. Batches drive
-// each engine's concurrent query path via core.DeepStore.Queries.
+// and the per-route top-K queues reduce into a global answer.
 type Engines struct {
 	// opts is the engine configuration every shard (including shards added
 	// by an online rebalance) is created with.
@@ -352,11 +351,9 @@ func (e *Engines) Query(qfv []float32, k int) (Answer, error) {
 }
 
 // Queries runs a batch of queries across all shards: each shard receives
-// the whole batch through its engine's Queries entry point (each engine
-// scores through its pooled batched-GEMM scan, so the fan-out keeps every
-// shard's BatchScorer pool busy), shards execute concurrently, and each
-// query's per-route top-Ks are reduced with topk.Merge after remapping
-// feature IDs into global coordinates.
+// the whole batch and runs it one Query at a time in spec order, shards
+// execute concurrently, and each query's per-route top-Ks are reduced with
+// topk.Merge after remapping feature IDs into global coordinates.
 //
 // Degraded operation (SetTolerance): shard errors no longer destroy the
 // query. Every failure is collected, and as long as one shard — or the
@@ -377,34 +374,6 @@ func (e *Engines) Queries(qfvs [][]float32, k int) ([]Answer, error) {
 // exactly as in Queries.
 func (e *Engines) QueriesShared(qfvs [][]float32, k int) ([]Answer, error) {
 	return e.run(qfvs, k, true)
-}
-
-// QueriesSharedAs is QueriesShared with the batch accounted to a tenant:
-// the cluster registry gains per-tenant served/degraded/failed counters, so
-// a multi-tenant serving tier fronting the cluster can attribute degraded
-// service to the tenants that absorbed it.
-func (e *Engines) QueriesSharedAs(tenant string, qfvs [][]float32, k int) ([]Answer, error) {
-	answers, err := e.run(qfvs, k, true)
-	if err != nil {
-		e.reg.Counter("cluster_tenant_" + tenant + "_failed").Add(int64(len(qfvs)))
-		return nil, err
-	}
-	e.reg.Counter("cluster_tenant_" + tenant + "_queries").Add(int64(len(qfvs)))
-	for _, a := range answers {
-		if a.Degraded {
-			e.reg.Counter("cluster_tenant_" + tenant + "_degraded").Inc()
-		}
-	}
-	return answers, nil
-}
-
-// QueryAs is Query accounted to a tenant (see QueriesSharedAs).
-func (e *Engines) QueryAs(tenant string, qfv []float32, k int) (Answer, error) {
-	answers, err := e.QueriesSharedAs(tenant, [][]float32{qfv}, k)
-	if err != nil {
-		return Answer{}, err
-	}
-	return answers[0], nil
 }
 
 // run is the shared fan-out/collect/merge engine behind Queries and
@@ -529,7 +498,12 @@ func (e *Engines) run(qfvs [][]float32, k int, shared bool) ([]Answer, error) {
 				if shared {
 					ids, err = eng.QueryMulti(shardSpecs[s])
 				} else {
-					ids, err = eng.Queries(shardSpecs[s])
+					ids = make([]core.QueryID, len(shardSpecs[s]))
+					for j, spec := range shardSpecs[s] {
+						if ids[j], err = eng.Query(spec); err != nil {
+							break
+						}
+					}
 				}
 				if err != nil {
 					// A real engine error is systematic (the same spec fails

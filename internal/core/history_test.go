@@ -496,7 +496,7 @@ func TestHistoryPrefetchAndReorg(t *testing.T) {
 }
 
 // TestHistoryConcurrentStress races every history producer and consumer:
-// sequential queries, shared sweeps, scheduler submissions, admission
+// sequential queries, shared sweeps, server submissions, admission
 // refreshes, history-driven reorg, and metric readers. Afterwards the store
 // must hold exactly one record per finished query with dense unique
 // sequence numbers, and every result must keep the stage-sum invariant.
@@ -562,13 +562,16 @@ func TestHistoryConcurrentStress(t *testing.T) {
 			}
 		}
 	}()
-	sched := NewScheduler(e.ds, SchedulerConfig{BatchSize: 4})
+	sched, err := NewServer(e.ds, ServerConfig{Tenants: []TenantConfig{{Name: "q", Weight: 1}}, BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	traffic.Add(1)
 	go func() {
 		defer traffic.Done()
 		var chans []<-chan *QueryResult
 		for _, qfv := range histTrace(t, scheduled, 77) {
-			ch, err := sched.Submit(QuerySpec{QFV: qfv, K: 4, Model: e.model, DB: ftlID(e.db)})
+			ch, err := sched.Submit("q", QuerySpec{QFV: qfv, K: 4, Model: e.model, DB: ftlID(e.db)})
 			if err != nil {
 				t.Error(err)
 				return

@@ -175,9 +175,9 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestBatchQueriesMatchSerial: Queries returns IDs in spec order with the
-// same per-query results and the same aggregate simulated time as serial
-// submission (no cache configured, so order cannot change outcomes).
+// TestBatchQueriesMatchSerial: submitting a whole batch before fetching any
+// result yields the same per-query results and the same aggregate simulated
+// time as interleaved Query/GetResults pairs.
 func TestBatchQueriesMatchSerial(t *testing.T) {
 	build := func() (*DeepStore, ModelID, []QuerySpec) {
 		ds, err := New(DefaultOptions())
@@ -216,12 +216,12 @@ func TestBatchQueriesMatchSerial(t *testing.T) {
 	}
 
 	dsBatch, _, specs2 := build()
-	ids, err := dsBatch.Queries(specs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(specs2) {
-		t.Fatalf("got %d ids, want %d", len(ids), len(specs2))
+	ids := make([]QueryID, len(specs2))
+	for i, spec := range specs2 {
+		var err error
+		if ids[i], err = dsBatch.Query(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, id := range ids {
 		res, err := dsBatch.GetResults(id)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -137,47 +136,6 @@ func (ds *DeepStore) emitQuerySpans(id QueryID, t0 sim.Time, r *QueryResult) {
 		ds.tracer.Add(obs.Span{Name: s.Name, Cat: "core", TID: int64(id), Start: cursor, Dur: s.Dur})
 		cursor += sim.Time(s.Dur)
 	}
-}
-
-// Queries submits a batch of queries and returns their IDs in spec order —
-// the multi-query entry point that keeps the scoring worker pool busy across
-// a trace. Queries execute concurrently; the engine mutex keeps every
-// query's simulated accounting atomic, so the batch's aggregate SimTime and
-// scanned-feature counts equal the serial replay's. With a query cache
-// configured, hit patterns may differ from serial submission order (as on
-// any concurrent server, LRU state depends on arrival interleaving).
-func (ds *DeepStore) Queries(specs []QuerySpec) ([]QueryID, error) {
-	ids := make([]QueryID, len(specs))
-	errs := make([]error, len(specs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1) - 1)
-				if j >= len(specs) {
-					return
-				}
-				ids[j], errs[j] = ds.Query(specs[j])
-			}
-		}()
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: batch query %d: %w", j, err)
-		}
-	}
-	return ids, nil
 }
 
 func cloneVec(v []float32) []float32 {
@@ -521,6 +479,15 @@ func (ds *DeepStore) GetResults(id QueryID) (*QueryResult, error) {
 	out := *st.result
 	out.Stages = append([]obs.Stage(nil), st.result.Stages...)
 	return &out, nil
+}
+
+// forgetResult drops a query's result-table entry once an admission-layer
+// delivery has fetched it: the submission channel is the result's only
+// reader, so keeping the entry would pin it for the engine's lifetime.
+func (ds *DeepStore) forgetResult(id QueryID) {
+	ds.mu.Lock()
+	delete(ds.queries, id)
+	ds.mu.Unlock()
 }
 
 // CacheStats exposes the query cache counters (zero stats when unset).

@@ -3,96 +3,137 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// TestSchedulerBatchesAndDelivers: submissions coalesce into BatchSize'd
-// shared sweeps, every submission channel delivers exactly one result, and
-// each result matches the sequential oracle functionally while carrying the
-// sched_queue stage (stage sum still equals latency).
+// A plain batching scheduler is a Server with one weight-1 tenant, no SLO
+// and no aging: FIFO admission, cuts when full, on Flush and on Close. The
+// TestScheduler* suite pins that configuration. Submissions use the empty
+// tenant name, which a one-tenant server resolves to its sole tenant.
+
+// newScheduler starts the one-tenant configuration (depth 0 = default).
+func newScheduler(t *testing.T, ds *DeepStore, depth int, cfg ServerConfig) *Server {
+	t.Helper()
+	cfg.Tenants = []TenantConfig{{Name: "q", Weight: 1, QueueDepth: depth}}
+	srv, err := NewServer(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// TestSchedulerBatchesAndDelivers: with the query cache on and batch widths
+// 1, 7 and 64, submissions coalesce FIFO into BatchSize'd shared sweeps,
+// every submission channel delivers exactly once, and each result equals the
+// QueryMulti oracle's once its sched_queue stage — whose duration is the
+// simulated time the earlier batches took — is removed.
 func TestSchedulerBatchesAndDelivers(t *testing.T) {
-	opts := DefaultOptions()
-	oracle, model, db := newEqEngine(t, opts, 33, false)
-	engine, _, _ := newEqEngine(t, opts, 33, false)
+	for _, q := range []int{1, 7, 64} {
+		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
+			opts := DefaultOptions()
+			oracle, model, db := newEqEngine(t, opts, 33, true)
+			engine, _, _ := newEqEngine(t, opts, 33, true)
 
-	qfvs := eqQueries(10, 42)
-	specs := make([]QuerySpec, len(qfvs))
-	want := make([]*QueryResult, len(qfvs))
-	for i, qfv := range qfvs {
-		specs[i] = QuerySpec{QFV: qfv, K: 4, Model: model, DB: db}
-		id, err := oracle.Query(specs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want[i], err = oracle.GetResults(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sched := NewScheduler(engine, SchedulerConfig{QueueDepth: 32, BatchSize: 4})
-	defer sched.Close()
-	chans := make([]<-chan *QueryResult, len(specs))
-	for i, spec := range specs {
-		ch, err := sched.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = ch
-	}
-	sched.Flush() // 10 = 4 + 4 + flushed tail of 2
-	for i, ch := range chans {
-		res, open := <-ch
-		if !open || res == nil {
-			t.Fatalf("query %d: no result delivered", i)
-		}
-		if _, again := <-ch; again {
-			t.Fatalf("query %d: second result delivered", i)
-		}
-		if len(res.TopK) != len(want[i].TopK) {
-			t.Fatalf("query %d: %d entries, want %d", i, len(res.TopK), len(want[i].TopK))
-		}
-		for j := range want[i].TopK {
-			if res.TopK[j] != want[i].TopK[j] {
-				t.Fatalf("query %d entry %d: %+v != %+v", i, j, res.TopK[j], want[i].TopK[j])
+			qfvs := eqQueries(2*q+3, 42) // full batches and a flushed partial tail
+			specs := make([]QuerySpec, len(qfvs))
+			for i, qfv := range qfvs {
+				specs[i] = QuerySpec{QFV: qfv, K: 4, Model: model, DB: db}
 			}
-		}
-		if res.Stages[0].Name != obs.StageSchedQueue {
-			t.Fatalf("query %d: first stage %q, want %q", i, res.Stages[0].Name, obs.StageSchedQueue)
-		}
-		if sum := obs.SumStages(res.Stages); sum != res.Latency {
-			t.Fatalf("query %d: stage sum %v != latency %v", i, sum, res.Latency)
-		}
-	}
-	snap := engine.MetricsSnapshot()
-	if n := snap.Counters["sched_batches"]; n != 3 {
-		t.Fatalf("sched_batches = %d, want 3", n)
-	}
-	if n := snap.Counters["sched_submitted"]; n != 10 {
-		t.Fatalf("sched_submitted = %d, want 10", n)
-	}
-	if n := snap.Counters["core_shared_scans"]; n != 3 {
-		t.Fatalf("core_shared_scans = %d, want 3", n)
+			want := make([]*QueryResult, 0, len(specs))
+			wantWait := make([]sim.Duration, 0, len(specs))
+			var wantCuts []int
+			t0 := oracle.Now()
+			for off := 0; off < len(specs); off += q {
+				started := oracle.Now()
+				ids, err := oracle.QueryMulti(specs[off:min(off+q, len(specs))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantCuts = append(wantCuts, len(ids))
+				for _, id := range ids {
+					res, err := oracle.GetResults(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, res)
+					wantWait = append(wantWait, sim.Duration(started-t0))
+				}
+			}
+
+			var dispatched []QuerySpec
+			var cuts []int
+			// ManualPump holds every admission until the Flush, so all
+			// queries arrive at t0 and batch b waits out batches 0..b-1.
+			sched := newScheduler(t, engine, len(specs), ServerConfig{
+				BatchSize: q, Sync: true, ManualPump: true,
+				OnBatch: func(batch []QuerySpec) {
+					dispatched = append(dispatched, batch...)
+					cuts = append(cuts, len(batch))
+				},
+			})
+			defer sched.Close()
+			chans := make([]<-chan *QueryResult, len(specs))
+			for i, spec := range specs {
+				ch, err := sched.Submit("", spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chans[i] = ch
+			}
+			sched.Flush()
+			if !reflect.DeepEqual(cuts, wantCuts) {
+				t.Fatalf("batch sizes %v, want %v", cuts, wantCuts)
+			}
+			if !reflect.DeepEqual(dispatched, specs) {
+				t.Fatal("dispatch order is not admission order")
+			}
+			for i, ch := range chans {
+				res, open := <-ch
+				if !open || res == nil {
+					t.Fatalf("query %d: no result delivered", i)
+				}
+				if _, again := <-ch; again {
+					t.Fatalf("query %d: second result delivered", i)
+				}
+				if sum := obs.SumStages(res.Stages); sum != res.Latency {
+					t.Fatalf("query %d: stage sum %v != latency %v", i, sum, res.Latency)
+				}
+				if head := (obs.Stage{Name: obs.StageSchedQueue, Dur: wantWait[i]}); res.Stages[0] != head {
+					t.Fatalf("query %d: first stage %+v, want %+v", i, res.Stages[0], head)
+				}
+				res.Latency -= wantWait[i]
+				res.Stages = res.Stages[1:]
+				if !reflect.DeepEqual(res, want[i]) {
+					t.Fatalf("query %d: %+v, oracle %+v", i, res, want[i])
+				}
+			}
+			snap := engine.MetricsSnapshot()
+			if n := snap.Counters["serve_batches"]; n != int64(len(wantCuts)) {
+				t.Fatalf("serve_batches = %d, want %d", n, len(wantCuts))
+			}
+			if n := snap.Counters["serve_submitted"]; n != int64(len(specs)) {
+				t.Fatalf("serve_submitted = %d, want %d", n, len(specs))
+			}
+		})
 	}
 }
 
 // TestSchedulerBackpressure: with the worker deterministically stalled
-// inside a dispatched batch, submissions beyond QueueDepth return the typed
-// ErrQueueFull immediately instead of blocking, and every accepted
-// submission is still served after the stall lifts.
+// inside a dispatched batch, submissions beyond the tenant's queue budget
+// return the typed ErrQueueFull immediately instead of blocking, and every
+// accepted submission is still served after the stall lifts.
 func TestSchedulerBackpressure(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	sched := NewScheduler(engine, SchedulerConfig{
-		QueueDepth: 2,
-		BatchSize:  1,
+	sched := newScheduler(t, engine, 2, ServerConfig{
+		BatchSize: 1,
 		OnBatch: func([]QuerySpec) {
 			once.Do(func() {
 				close(entered)
@@ -104,19 +145,19 @@ func TestSchedulerBackpressure(t *testing.T) {
 
 	spec := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
 	var chans []<-chan *QueryResult
-	ch, err := sched.Submit(spec)
+	ch, err := sched.Submit("", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chans = append(chans, ch)
 	<-entered // the worker holds submission 1; the queue is empty again
 	for i := 0; i < 2; i++ {
-		if ch, err = sched.Submit(spec); err != nil {
+		if ch, err = sched.Submit("", spec); err != nil {
 			t.Fatalf("submission %d: %v", i+2, err)
 		}
 		chans = append(chans, ch)
 	}
-	if _, err := sched.Submit(spec); !errors.Is(err, ErrQueueFull) {
+	if _, err := sched.Submit("", spec); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit returned %v, want ErrQueueFull", err)
 	}
 	close(release)
@@ -125,10 +166,10 @@ func TestSchedulerBackpressure(t *testing.T) {
 			t.Fatalf("accepted submission %d was dropped", i)
 		}
 	}
-	if n := engine.MetricsSnapshot().Counters["sched_rejected"]; n != 1 {
-		t.Fatalf("sched_rejected = %d, want 1", n)
+	if n := engine.MetricsSnapshot().Counters["serve_shed"]; n != 1 {
+		t.Fatalf("serve_shed = %d, want 1", n)
 	}
-	if _, err := sched.Submit(spec); err != nil {
+	if _, err := sched.Submit("", spec); err != nil {
 		t.Fatalf("post-backpressure submit: %v", err)
 	}
 	sched.Flush()
@@ -138,9 +179,9 @@ func TestSchedulerBackpressure(t *testing.T) {
 // Close flushes queued work first.
 func TestSchedulerClosed(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
-	sched := NewScheduler(engine, SchedulerConfig{BatchSize: 64})
+	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 64})
 	spec := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
-	ch, err := sched.Submit(spec)
+	ch, err := sched.Submit("", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,47 +189,11 @@ func TestSchedulerClosed(t *testing.T) {
 	if res := <-ch; res == nil {
 		t.Fatal("Close dropped a queued submission")
 	}
-	if _, err := sched.Submit(spec); !errors.Is(err, ErrSchedulerClosed) {
-		t.Fatalf("submit after close returned %v, want ErrSchedulerClosed", err)
+	if _, err := sched.Submit("", spec); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("submit after close returned %v, want ErrServerClosed", err)
 	}
 	sched.Close() // idempotent
-	sched.Flush() // no-op on closed scheduler
-}
-
-// TestSchedulerWindowDispatch: a partial batch dispatches when the batching
-// window fires. The window clock is injected, so the test drives it
-// deterministically.
-func TestSchedulerWindowDispatch(t *testing.T) {
-	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
-	timerCh := make(chan time.Time)
-	var armed atomic.Int64
-	sched := NewScheduler(engine, SchedulerConfig{
-		BatchSize:   8,
-		BatchWindow: time.Millisecond,
-		Timer: func(d time.Duration) <-chan time.Time {
-			armed.Add(1)
-			return timerCh
-		},
-	})
-	defer sched.Close()
-	spec := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
-	ch1, err := sched.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The unbuffered send rendezvouses only once the worker has dequeued
-	// the submission (arming the window) and is waiting on the timer — so
-	// a partial batch of one dispatches on the window, not on count.
-	timerCh <- time.Time{}
-	if res := <-ch1; res == nil {
-		t.Fatal("window dispatch dropped the submission")
-	}
-	if got := armed.Load(); got != 1 {
-		t.Fatalf("window timer armed %d times, want 1 (once per 0→1 pending edge)", got)
-	}
-	if n := engine.MetricsSnapshot().Counters["sched_batches"]; n != 1 {
-		t.Fatalf("sched_batches = %d, want 1", n)
-	}
+	sched.Flush() // no-op on a closed server
 }
 
 // TestSchedulerFallbackOnBadSpec: a batch containing an invalid spec falls
@@ -198,20 +203,20 @@ func TestSchedulerWindowDispatch(t *testing.T) {
 // record the event.
 func TestSchedulerFallbackOnBadSpec(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
-	sched := NewScheduler(engine, SchedulerConfig{BatchSize: 3})
+	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 3})
 	defer sched.Close()
 	good := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
 	bad := good
 	bad.K = 0
-	chG1, err := sched.Submit(good)
+	chG1, err := sched.Submit("", good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chB, err := sched.Submit(bad)
+	chB, err := sched.Submit("", bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chG2, err := sched.Submit(good)
+	chG2, err := sched.Submit("", good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +260,14 @@ func TestSchedulerFallbackOnBadSpec(t *testing.T) {
 // failed query.
 func TestSchedulerAllBadBatch(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
-	sched := NewScheduler(engine, SchedulerConfig{BatchSize: 2})
+	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 2})
 	defer sched.Close()
 	bad := QuerySpec{QFV: eqVectors(1, 3)[0], K: 0, Model: model, DB: db}
-	ch1, err := sched.Submit(bad)
+	ch1, err := sched.Submit("", bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := sched.Submit(bad)
+	ch2, err := sched.Submit("", bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,57 +287,74 @@ func TestSchedulerAllBadBatch(t *testing.T) {
 	if n := snap.Counters["sched_fallback"]; n != 1 {
 		t.Fatalf("sched_fallback = %d, want 1", n)
 	}
-	// The batch never executed a sweep: no shared scans, no batches beyond
-	// the dispatched one.
+	// The batch never executed a sweep.
 	if n := snap.Counters["core_shared_scans"]; n != 0 {
 		t.Fatalf("core_shared_scans = %d, want 0", n)
 	}
 }
 
-// TestSchedulerStress is the -race lockdown: submitters race each other,
-// WriteDB, SetQC, direct Query/GetResults, and Flush, and every accepted
-// submission must deliver exactly one result (no lost, no duplicated, no
-// deadlocked deliveries).
+// TestDeliveredResultsLeaveTable: a result delivered on a submission channel
+// has no other reader, so its entry leaves the engine's result table — on
+// the shared-sweep path and on the bad-spec fallback path alike — while a
+// direct Query's result stays re-fetchable.
+func TestDeliveredResultsLeaveTable(t *testing.T) {
+	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
+	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 3, Sync: true})
+	good := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
+	bad := good
+	bad.K = 0
+	// A clean batch of three, then a batch whose bad spec forces the fallback.
+	specs := []QuerySpec{good, good, good, good, bad, good}
+	chans := make([]<-chan *QueryResult, len(specs))
+	for i, spec := range specs {
+		var err error
+		if chans[i], err = sched.Submit("", spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched.Close()
+	for i, ch := range chans {
+		if res := <-ch; (res.Err != nil) != (specs[i].K == 0) {
+			t.Fatalf("submission %d delivered %+v", i, res)
+		}
+	}
+	if n := engine.MetricsSnapshot().Counters["sched_fallback"]; n != 1 {
+		t.Fatalf("sched_fallback = %d, want 1", n)
+	}
+	id, err := engine.Query(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fetch := 0; fetch < 2; fetch++ {
+		if _, err := engine.GetResults(id); err != nil {
+			t.Fatalf("direct query fetch %d: %v", fetch, err)
+		}
+	}
+	engine.mu.Lock()
+	n := len(engine.queries)
+	engine.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("result table holds %d entries after 5 deliveries and one direct query, want 1", n)
+	}
+}
+
+// TestSchedulerStress is the -race lockdown for the one-tenant
+// configuration: submitters race each other, WriteDB, SetQC, direct
+// Query/GetResults, and Flush, and every accepted submission must deliver
+// exactly one result (no lost, no duplicated, no deadlocked deliveries).
 func TestSchedulerStress(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 33, false)
-	sched := NewScheduler(engine, SchedulerConfig{QueueDepth: 16, BatchSize: 4})
+	sched := newScheduler(t, engine, 16, ServerConfig{BatchSize: 4})
 	const submitters = 6
 	const perSubmitter = 15
 
-	var accepted, delivered, rejected atomic.Int64
+	var storm stormCounts
 	var wg sync.WaitGroup
 	for s := 0; s < submitters; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			qfvs := eqVectors(perSubmitter, int64(100+s))
-			for _, qfv := range qfvs {
-				spec := QuerySpec{QFV: qfv, K: 3, Model: model, DB: db}
-				for {
-					ch, err := sched.Submit(spec)
-					if errors.Is(err, ErrQueueFull) {
-						rejected.Add(1)
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					if err != nil {
-						t.Errorf("submitter %d: %v", s, err)
-						return
-					}
-					accepted.Add(1)
-					n := 0
-					for res := range ch {
-						if res != nil {
-							n++
-						}
-					}
-					if n != 1 {
-						t.Errorf("submitter %d: %d results for one submission", s, n)
-					}
-					delivered.Add(int64(n))
-					break
-				}
-			}
+			submitStorm(t, sched, "", eqVectors(perSubmitter, int64(100+s)), model, db, true, &storm)
 		}(s)
 	}
 	// Racing mutators: new databases, cache reconfiguration, direct
@@ -372,25 +394,25 @@ func TestSchedulerStress(t *testing.T) {
 	raceWG.Wait()
 	sched.Close()
 
-	if got, want := accepted.Load(), int64(submitters*perSubmitter); got != want {
+	if got, want := storm.accepted.Load(), int64(submitters*perSubmitter); got != want {
 		t.Fatalf("accepted %d submissions, want %d", got, want)
 	}
-	if delivered.Load() != accepted.Load() {
-		t.Fatalf("delivered %d results for %d accepted submissions", delivered.Load(), accepted.Load())
+	if storm.delivered.Load() != storm.accepted.Load() {
+		t.Fatalf("delivered %d results for %d accepted submissions", storm.delivered.Load(), storm.accepted.Load())
 	}
 	snap := engine.MetricsSnapshot()
-	if snap.Counters["sched_rejected"] != rejected.Load() {
-		t.Fatalf("sched_rejected = %d, test observed %d", snap.Counters["sched_rejected"], rejected.Load())
+	if snap.Counters["serve_shed"] != storm.shed.Load() {
+		t.Fatalf("serve_shed = %d, test observed %d", snap.Counters["serve_shed"], storm.shed.Load())
 	}
 	if snap.Counters["sched_errors"] != 0 {
 		t.Fatalf("sched_errors = %d, want 0", snap.Counters["sched_errors"])
 	}
 }
 
-// TestSchedulerDeterminism: with no batching window (no wall clock in the
-// loop), the same submission order yields identical batch compositions,
-// identical simulated dispatch timestamps, and identical per-query
-// latencies and stages across two independent runs.
+// TestSchedulerDeterminism: no wall clock enters batch composition, so the
+// same submission order yields identical batch compositions, identical
+// simulated dispatch timestamps, and identical per-query latencies and
+// stages across two independent runs of the concurrent worker.
 func TestSchedulerDeterminism(t *testing.T) {
 	type run struct {
 		batches    [][]float32 // first QFV element of each spec, per batch
@@ -402,12 +424,11 @@ func TestSchedulerDeterminism(t *testing.T) {
 		engine, model, db := newEqEngine(t, DefaultOptions(), 33, true)
 		var r run
 		// The worker stalls until every query is admitted: a batch that ran
-		// while later Submits were still stamping their submit time would
+		// while later Submits were still stamping their arrival time would
 		// put wall-clock order into the sched_queue stage.
 		admitted := make(chan struct{})
-		sched := NewScheduler(engine, SchedulerConfig{
-			QueueDepth: 64,
-			BatchSize:  4,
+		sched := newScheduler(t, engine, 64, ServerConfig{
+			BatchSize: 4,
 			OnBatch: func(specs []QuerySpec) {
 				<-admitted
 				sig := make([]float32, len(specs))
@@ -421,7 +442,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 		qfvs := eqQueries(13, 77)
 		chans := make([]<-chan *QueryResult, len(qfvs))
 		for i, qfv := range qfvs {
-			ch, err := sched.Submit(QuerySpec{QFV: qfv, K: 3, Model: model, DB: db})
+			ch, err := sched.Submit("", QuerySpec{QFV: qfv, K: 3, Model: model, DB: db})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,33 +463,10 @@ func TestSchedulerDeterminism(t *testing.T) {
 		return r
 	}
 	a, b := do(), do()
-	if len(a.batches) != len(b.batches) {
-		t.Fatalf("run A cut %d batches, run B %d", len(a.batches), len(b.batches))
+	if len(a.batches) != 4 {
+		t.Fatalf("run A cut %d batches, want 4 (13 = 4+4+4+1)", len(a.batches))
 	}
-	for i := range a.batches {
-		if len(a.batches[i]) != len(b.batches[i]) {
-			t.Fatalf("batch %d: sizes %d vs %d", i, len(a.batches[i]), len(b.batches[i]))
-		}
-		for j := range a.batches[i] {
-			if a.batches[i][j] != b.batches[i][j] {
-				t.Fatalf("batch %d slot %d: composition differs", i, j)
-			}
-		}
-		if a.dispatches[i] != b.dispatches[i] {
-			t.Fatalf("batch %d: dispatch time %v vs %v", i, a.dispatches[i], b.dispatches[i])
-		}
-	}
-	for i := range a.latencies {
-		if a.latencies[i] != b.latencies[i] {
-			t.Fatalf("query %d: latency %v vs %v", i, a.latencies[i], b.latencies[i])
-		}
-	}
-	if len(a.stages) != len(b.stages) {
-		t.Fatalf("stage streams differ in length: %d vs %d", len(a.stages), len(b.stages))
-	}
-	for i := range a.stages {
-		if a.stages[i] != b.stages[i] {
-			t.Fatalf("stage %d: %q vs %q", i, a.stages[i], b.stages[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("runs differ:\nA %+v\nB %+v", a, b)
 	}
 }

@@ -11,6 +11,9 @@ import (
 
 // Serving-tier sentinel errors.
 var (
+	// ErrQueueFull is Submit's backpressure signal: the tenant's admission
+	// queue is at its budget. Callers shed or retry; Submit never blocks.
+	ErrQueueFull = errors.New("core: admission queue full")
 	// ErrUnknownTenant is returned by Submit for a tenant name that was not
 	// configured at NewServer time.
 	ErrUnknownTenant = errors.New("core: unknown tenant")
@@ -18,9 +21,15 @@ var (
 	ErrServerClosed = errors.New("core: server closed")
 )
 
-// DefaultTenantDepth bounds a tenant's admission queue when its
-// TenantConfig.QueueDepth is zero.
-const DefaultTenantDepth = 64
+// Serving-tier defaults.
+const (
+	// DefaultTenantDepth bounds a tenant's admission queue when its
+	// TenantConfig.QueueDepth is zero.
+	DefaultTenantDepth = 64
+	// DefaultBatchSize caps a shared sweep when ServerConfig.BatchSize is
+	// zero.
+	DefaultBatchSize = 16
+)
 
 // TenantConfig describes one tenant of a serving tier.
 type TenantConfig struct {
@@ -83,10 +92,13 @@ type ServerConfig struct {
 	OnBatch func(specs []QuerySpec)
 }
 
-// servItem is one admitted query in the serving tier.
+// servItem is one admitted query: its spec, the caller's result channel,
+// and the simulated arrival time (for the sched_queue stage).
 type servItem struct {
-	schedItem
-	tenant *tenantState
+	spec      QuerySpec
+	ch        chan *QueryResult
+	submitted sim.Time
+	tenant    *tenantState
 	// deadline is arrival + tenant SLO (valid only when hasDeadline).
 	deadline    sim.Time
 	hasDeadline bool
@@ -123,15 +135,18 @@ type TenantStats struct {
 	Served, Failed int64
 }
 
-// Server is the multi-tenant SLO-aware admission layer on top of the
-// scheduler's shared-sweep dispatch: per-tenant weighted-fair queues with
-// priority aging, per-tenant admission control (an over-budget tenant sheds
-// its own traffic and nobody else's), and deadline-aware batch cuts — a
-// batch dispatches early when the oldest pending query's SLO deadline
-// approaches on the simulated clock. Batches execute through the same
-// runSharedBatch engine as Scheduler, so every served result is
-// bit-identical to a direct Query call and carries the sched_queue stage
-// (stage durations still sum exactly to Latency).
+// Server is the engine's admission layer: concurrent Submit calls are
+// coalesced into shared multi-query sweeps (QueryMulti), amortizing each
+// sweep's flash and weight-streaming traffic across the batch, behind
+// per-tenant weighted-fair queues with priority aging, per-tenant admission
+// control (an over-budget tenant sheds its own traffic and nobody else's),
+// and deadline-aware batch cuts — a batch dispatches early when the oldest
+// pending query's SLO deadline approaches on the simulated clock. Every
+// served result is bit-identical to a direct Query call and carries the
+// sched_queue stage (stage durations still sum exactly to Latency). With one
+// weight-1 tenant, no SLO and no aging it is a plain FIFO batching queue
+// that cuts when full, on Flush and on Close; no wall clock ever enters
+// batch composition.
 //
 // Dispatch order is start-time fair queueing: item j of tenant i receives a
 // virtual start tag S = max(V, F_prev(i)) and finish tag F = S + 1/Weight_i,
@@ -222,7 +237,8 @@ func NewServer(ds *DeepStore, cfg ServerConfig) (*Server, error) {
 }
 
 // Submit admits one query for the tenant, arriving now on the simulated
-// clock. See SubmitAt.
+// clock. The empty tenant name addresses the sole tenant of a one-tenant
+// server. See SubmitAt.
 func (s *Server) Submit(tenant string, spec QuerySpec) (<-chan *QueryResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,9 +264,13 @@ func (s *Server) submitLocked(tenant string, spec QuerySpec, arrival sim.Time) (
 		return nil, ErrServerClosed
 	}
 	ts, ok := s.tenants[tenant]
+	if !ok && tenant == "" && len(s.order) == 1 {
+		ts, ok = s.order[0], true
+	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
+	tenant = ts.cfg.Name
 	if len(ts.queue) >= ts.depth {
 		ts.shed++
 		s.ds.obs.Counter("serve_shed_" + tenant).Inc()
@@ -258,7 +278,9 @@ func (s *Server) submitLocked(tenant string, spec QuerySpec, arrival sim.Time) (
 		return nil, fmt.Errorf("core: tenant %q over budget (%d queued): %w", tenant, len(ts.queue), ErrQueueFull)
 	}
 	item := servItem{
-		schedItem: schedItem{spec: spec, ch: make(chan *QueryResult, 1), submitted: arrival},
+		spec:      spec,
+		ch:        make(chan *QueryResult, 1),
+		submitted: arrival,
 		tenant:    ts,
 		seq:       s.seq,
 	}
@@ -278,14 +300,20 @@ func (s *Server) submitLocked(tenant string, spec QuerySpec, arrival sim.Time) (
 	ts.submitted++
 	s.ds.obs.Counter("serve_submitted_" + tenant).Inc()
 	s.ds.obs.Counter("serve_submitted").Inc()
+	if !s.cfg.ManualPump {
+		s.kickLocked()
+	}
+	return item.ch, nil
+}
+
+// kickLocked lets any due batch cut happen: inline in sync mode, by waking
+// the dispatch worker otherwise.
+func (s *Server) kickLocked() {
 	if s.cfg.Sync {
-		if !s.cfg.ManualPump {
-			s.pumpLocked(false)
-		}
+		s.pumpLocked()
 	} else {
 		s.cond.Broadcast()
 	}
-	return item.ch, nil
 }
 
 // agedKey is the item's dispatch priority: its SFQ finish tag minus the
@@ -405,10 +433,8 @@ func (s *Server) takeBatchLocked() []servItem {
 // in via settleLocked, so sync mode can execute while holding the lock and
 // async mode while it is released.
 func (s *Server) executeBatch(batch []servItem, cause cutCause) (sim.Time, []error) {
-	items := make([]schedItem, len(batch))
 	specs := make([]QuerySpec, len(batch))
 	for i, it := range batch {
-		items[i] = it.schedItem
 		specs[i] = it.spec
 	}
 	if fn := s.cfg.OnBatch; fn != nil {
@@ -419,7 +445,7 @@ func (s *Server) executeBatch(batch []servItem, cause cutCause) (sim.Time, []err
 		s.ds.obs.Counter("serve_deadline_cuts").Inc()
 	}
 	started := s.ds.Now()
-	errs := runSharedBatch(s.ds, items)
+	errs := runSharedBatch(s.ds, batch, specs)
 	for i, it := range batch {
 		wait := sim.Duration(started - it.submitted)
 		if wait < 0 {
@@ -454,17 +480,9 @@ func (s *Server) settleLocked(batch []servItem, errs []error, now sim.Time) {
 
 // pumpLocked dispatches every due batch inline (sync mode). The engine
 // clock advances inside each batch, which can arm further deadline cuts, so
-// the loop re-evaluates until no cut is due. force drains everything
-// (Flush/Close).
-func (s *Server) pumpLocked(force bool) {
-	for {
-		cause := s.cutReadyLocked()
-		if cause == cutNone {
-			if !force || s.pending == 0 {
-				return
-			}
-			cause = cutDrain
-		}
+// the loop re-evaluates until no cut is due.
+func (s *Server) pumpLocked() {
+	for cause := s.cutReadyLocked(); cause != cutNone; cause = s.cutReadyLocked() {
 		batch := s.takeBatchLocked()
 		now, errs := s.executeBatch(batch, cause)
 		s.settleLocked(batch, errs, now)
@@ -477,11 +495,7 @@ func (s *Server) pumpLocked(force bool) {
 func (s *Server) Pump() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Sync {
-		s.pumpLocked(false)
-	} else {
-		s.cond.Broadcast()
-	}
+	s.kickLocked()
 }
 
 // AdvanceTo moves the simulated clock forward to t (no-op if t has passed)
@@ -497,11 +511,7 @@ func (s *Server) AdvanceTo(t sim.Time) {
 	if now > s.simNow {
 		s.simNow = now
 	}
-	if s.cfg.Sync {
-		s.pumpLocked(false)
-	} else {
-		s.cond.Broadcast()
-	}
+	s.kickLocked()
 }
 
 // Flush dispatches everything admitted so far and returns once it has
@@ -512,12 +522,8 @@ func (s *Server) Flush() {
 	if s.closed {
 		return
 	}
-	if s.cfg.Sync {
-		s.pumpLocked(true)
-		return
-	}
 	s.flushers++
-	s.cond.Broadcast()
+	s.kickLocked()
 	for s.pending > 0 || s.executing {
 		s.cond.Wait()
 	}
@@ -528,23 +534,12 @@ func (s *Server) Flush() {
 // all results to be delivered. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		sync_ := s.cfg.Sync
-		s.mu.Unlock()
-		if !sync_ {
-			<-s.done
-		}
-		return
-	}
 	s.closed = true
-	if s.cfg.Sync {
-		s.pumpLocked(true)
-		s.mu.Unlock()
-		return
-	}
-	s.cond.Broadcast()
+	s.kickLocked()
 	s.mu.Unlock()
-	<-s.done
+	if !s.cfg.Sync {
+		<-s.done
+	}
 }
 
 // run is the concurrent-mode dispatch worker.
@@ -586,4 +581,69 @@ func (s *Server) TenantStats() map[string]TenantStats {
 		}
 	}
 	return out
+}
+
+// runSharedBatch executes one admitted batch as a shared multi-query sweep
+// and delivers every result. A batch-level validation error (all-or-nothing
+// QueryMulti) falls back to independent queries so one bad spec cannot sink
+// its batch-mates; the fallback is counted (sched_fallback) and a query that
+// still fails has its error delivered on its submission channel (never a
+// silent drop). The returned slice holds each item's delivery outcome (nil =
+// a real result was delivered) for the per-tenant failure accounts.
+func runSharedBatch(ds *DeepStore, batch []servItem, specs []QuerySpec) []error {
+	errs := make([]error, len(batch))
+	started := ds.Now()
+	ids, err := ds.QueryMulti(specs)
+	if err != nil {
+		ds.obs.Counter("sched_fallback").Inc()
+		for i, it := range batch {
+			started := ds.Now()
+			id, qerr := ds.Query(specs[i])
+			if qerr != nil {
+				failItem(ds, it, qerr)
+				errs[i] = qerr
+				continue
+			}
+			errs[i] = deliverItem(ds, it, id, started)
+		}
+		return errs
+	}
+	for i, it := range batch {
+		errs[i] = deliverItem(ds, it, ids[i], started)
+	}
+	return errs
+}
+
+// failItem completes a submission whose query failed: the channel delivers
+// a result carrying the typed error, then closes. Callers therefore always
+// receive exactly one value per accepted submission.
+func failItem(ds *DeepStore, it servItem, err error) {
+	ds.obs.Counter("sched_errors").Inc()
+	it.ch <- &QueryResult{Err: err}
+	close(it.ch)
+}
+
+// deliverItem fetches one query's result, prepends the sched_queue stage
+// (the simulated wait between arrival and batch dispatch, so stage durations
+// still sum to Latency), and completes the submission channel. The channel
+// is the result's only reader, so its entry leaves the engine's result table.
+// Returns the delivery error, nil on success.
+func deliverItem(ds *DeepStore, it servItem, id QueryID, started sim.Time) error {
+	res, err := ds.GetResults(id)
+	if err != nil {
+		failItem(ds, it, err)
+		return err
+	}
+	ds.forgetResult(id)
+	qwait := sim.Duration(started - it.submitted)
+	if qwait < 0 {
+		qwait = 0
+	}
+	res.Latency += qwait
+	res.Stages = append([]obs.Stage{{Name: obs.StageSchedQueue, Dur: qwait}}, res.Stages...)
+	ds.obs.Histogram("core_stage_"+obs.StageSchedQueue+"_ms", obs.LatencyBucketsMs()).
+		Observe(qwait.Seconds() * 1e3)
+	it.ch <- res
+	close(it.ch)
+	return nil
 }

@@ -7,8 +7,51 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ftl"
 	"repro/internal/sim"
 )
+
+// stormCounts tallies a submit storm across its submitter goroutines.
+type stormCounts struct{ accepted, delivered, shed atomic.Int64 }
+
+// submitStorm pushes one query per vector through the tenant, closed-loop:
+// each waits for its result (exactly one per accepted submission) before the
+// next is submitted. A shed is retried after a pause — the behaviour of a
+// client with its own retry budget — unless retryShed is false, in which
+// case it is a test failure.
+func submitStorm(t *testing.T, srv *Server, tenant string, qfvs [][]float32, model ModelID, db ftl.DBID, retryShed bool, c *stormCounts) {
+	for _, qfv := range qfvs {
+		spec := QuerySpec{QFV: qfv, K: 3, Model: model, DB: db}
+		for {
+			ch, err := srv.Submit(tenant, spec)
+			if errors.Is(err, ErrQueueFull) {
+				c.shed.Add(1)
+				if !retryShed {
+					t.Errorf("tenant %q shed with its own queue under budget", tenant)
+					return
+				}
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			if err != nil {
+				t.Errorf("tenant %q: %v", tenant, err)
+				return
+			}
+			c.accepted.Add(1)
+			got := 0
+			for res := range ch {
+				if res != nil {
+					got++
+				}
+			}
+			if got != 1 {
+				t.Errorf("tenant %q: %d results for one submission", tenant, got)
+			}
+			c.delivered.Add(int64(got))
+			break
+		}
+	}
+}
 
 // TestServerStress is the -race lockdown for the concurrent serving mode:
 // multi-tenant submit storms race each other, Flush, Pump, AdvanceTo, and
@@ -32,44 +75,12 @@ func TestServerStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var accepted, delivered, shed atomic.Int64
+	var storm stormCounts
+	accepted, delivered, shed := &storm.accepted, &storm.delivered, &storm.shed
 	var wg sync.WaitGroup
-	// submitLoop pushes n queries through one tenant, retrying sheds (the
-	// closed-loop behaviour of a client with its own retry budget).
 	submitLoop := func(tenant string, n, seed int, retryShed bool) {
 		defer wg.Done()
-		qfvs := eqVectors(n, int64(seed))
-		for _, qfv := range qfvs {
-			spec := QuerySpec{QFV: qfv, K: 3, Model: model, DB: db}
-			for {
-				ch, err := srv.Submit(tenant, spec)
-				if errors.Is(err, ErrQueueFull) {
-					shed.Add(1)
-					if !retryShed {
-						t.Errorf("tenant %s shed with its own queue under budget", tenant)
-						return
-					}
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				if err != nil {
-					t.Errorf("tenant %s: %v", tenant, err)
-					return
-				}
-				accepted.Add(1)
-				got := 0
-				for res := range ch {
-					if res != nil {
-						got++
-					}
-				}
-				if got != 1 {
-					t.Errorf("tenant %s: %d results for one submission", tenant, got)
-				}
-				delivered.Add(int64(got))
-				break
-			}
-		}
+		submitStorm(t, srv, tenant, eqVectors(n, int64(seed)), model, db, retryShed, &storm)
 	}
 	// Two heavy submitters share one tenant queue (their combined in-flight
 	// demand overruns the depth-4 budget), one mid-rate burst tenant, one

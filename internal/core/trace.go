@@ -99,44 +99,10 @@ type TraceReport struct {
 // via SetQC — and its results retrieved. This is the §5 methodology: traces
 // collected from applications are fed to the simulated query engine.
 func (ds *DeepStore) ReplayTrace(tr *workload.Trace, model ModelID, db ftl.DBID, k int) (TraceReport, error) {
-	if tr == nil || len(tr.Queries) == 0 {
-		return TraceReport{}, fmt.Errorf("core: empty trace")
-	}
-	ds.mu.Lock()
-	st, err := ds.db(db)
-	if err != nil {
-		ds.mu.Unlock()
-		return TraceReport{}, err
-	}
-	dims := int(st.meta.Layout.FeatureBytes / 4)
-	ds.mu.Unlock()
-	var report TraceReport
-	report.Service = make([]sim.Duration, 0, len(tr.Queries))
-	for _, q := range tr.Queries {
-		qfv := workload.QueryVector(q, dims, tr.Config.Seed)
-		qid, err := ds.Query(QuerySpec{QFV: qfv, K: k, Model: model, DB: db})
-		if err != nil {
-			return TraceReport{}, fmt.Errorf("core: trace query %d: %w", q.ID, err)
-		}
-		res, err := ds.GetResults(qid)
-		if err != nil {
-			return TraceReport{}, err
-		}
-		report.Queries++
-		if res.CacheHit {
-			report.CacheHits++
-		}
-		report.TotalLatency += res.Latency
-		report.EnergyJ += res.Energy.Total()
-		report.Service = append(report.Service, res.Latency)
-		report.Stages = obs.AccumulateStages(report.Stages, res.Stages)
-	}
-	report.MissRate = 1 - float64(report.CacheHits)/float64(report.Queries)
-	report.MeanLatency = report.TotalLatency / sim.Duration(report.Queries)
-	sorted := append([]sim.Duration(nil), report.Service...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	report.P99Latency = obs.QuantileDurations(sorted, 99)
-	return report, nil
+	return ds.replayTrace(tr, model, db, k, 1, func(specs []QuerySpec) ([]QueryID, error) {
+		id, err := ds.Query(specs[0])
+		return []QueryID{id}, err
+	})
 }
 
 // ReplayTraceMulti replays the trace in groups of batch consecutive queries
@@ -147,11 +113,18 @@ func (ds *DeepStore) ReplayTrace(tr *workload.Trace, model ModelID, db ftl.DBID,
 // — while the engine's device timeline advances once per group instead of
 // once per query.
 func (ds *DeepStore) ReplayTraceMulti(tr *workload.Trace, model ModelID, db ftl.DBID, k, batch int) (TraceReport, error) {
-	if tr == nil || len(tr.Queries) == 0 {
-		return TraceReport{}, fmt.Errorf("core: empty trace")
-	}
 	if batch < 1 {
 		return TraceReport{}, fmt.Errorf("core: batch %d invalid", batch)
+	}
+	return ds.replayTrace(tr, model, db, k, batch, ds.QueryMulti)
+}
+
+// replayTrace is the replay loop: consecutive groups of batch trace queries
+// go through submit, and every result is fetched and folded into the report.
+func (ds *DeepStore) replayTrace(tr *workload.Trace, model ModelID, db ftl.DBID, k, batch int,
+	submit func([]QuerySpec) ([]QueryID, error)) (TraceReport, error) {
+	if tr == nil || len(tr.Queries) == 0 {
+		return TraceReport{}, fmt.Errorf("core: empty trace")
 	}
 	ds.mu.Lock()
 	st, err := ds.db(db)
@@ -164,20 +137,17 @@ func (ds *DeepStore) ReplayTraceMulti(tr *workload.Trace, model ModelID, db ftl.
 	var report TraceReport
 	report.Service = make([]sim.Duration, 0, len(tr.Queries))
 	for off := 0; off < len(tr.Queries); off += batch {
-		end := off + batch
-		if end > len(tr.Queries) {
-			end = len(tr.Queries)
-		}
-		specs := make([]QuerySpec, end-off)
-		for i, q := range tr.Queries[off:end] {
+		group := tr.Queries[off:min(off+batch, len(tr.Queries))]
+		specs := make([]QuerySpec, len(group))
+		for i, q := range group {
 			specs[i] = QuerySpec{
 				QFV: workload.QueryVector(q, dims, tr.Config.Seed),
 				K:   k, Model: model, DB: db,
 			}
 		}
-		ids, err := ds.QueryMulti(specs)
+		ids, err := submit(specs)
 		if err != nil {
-			return TraceReport{}, fmt.Errorf("core: trace batch at %d: %w", off, err)
+			return TraceReport{}, fmt.Errorf("core: trace query %d: %w", group[0].ID, err)
 		}
 		for _, id := range ids {
 			res, err := ds.GetResults(id)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -175,5 +177,10 @@ func TestReplayTraceMultiValidation(t *testing.T) {
 	}
 	if _, err := ds.ReplayTraceMulti(tr, model, ftlID(dbID+99), 2, 2); err == nil {
 		t.Error("unknown db accepted")
+	}
+	// A failed group names its first trace query, as ReplayTrace does.
+	want := fmt.Sprintf("core: trace query %d:", tr.Queries[0].ID)
+	if _, err := ds.ReplayTraceMulti(tr, model+99, ftlID(dbID), 2, 2); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("unknown model: err = %v, want prefix %q", err, want)
 	}
 }

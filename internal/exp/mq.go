@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Multi-query throughput study. The scheduler coalesces concurrently
+// Multi-query throughput study. The admission layer (core.Server) coalesces
 // submitted queries into shared sweeps (core.QueryMulti): each batch pays
 // one simulated flash read stream and one weight-streaming pass, so the
 // device timeline advances once per batch instead of once per query.
@@ -48,12 +48,12 @@ type MQRow struct {
 	WallSec     float64 `json:"-"`
 }
 
-// MultiQueryBench sweeps scheduler batch width: for each Q it builds a
-// fresh engine, submits cfg.Queries distinct queries through a Scheduler
-// with BatchSize Q (window disabled, so batch composition is
-// deterministic), and reports simulated throughput. Every width scores the
-// same query set and returns identical top-K answers; what changes is how
-// many queries share each in-storage sweep.
+// MultiQueryBench sweeps batch width: for each Q it builds a fresh engine,
+// submits cfg.Queries distinct queries through a one-tenant Server with
+// BatchSize Q (sync mode, so batch composition is deterministic), and
+// reports simulated throughput. Every width scores the same query set and
+// returns identical top-K answers; what changes is how many queries share
+// each in-storage sweep.
 func MultiQueryBench(cfg MQConfig) ([]MQRow, error) {
 	if cfg.Features < 1 || cfg.Queries < 1 || cfg.K < 1 || len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("exp: mq config %+v invalid", cfg)
@@ -83,15 +83,19 @@ func MultiQueryBench(cfg MQConfig) ([]MQRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched := core.NewScheduler(ds, core.SchedulerConfig{
-			QueueDepth: cfg.Queries, BatchSize: q,
+		sched, err := core.NewServer(ds, core.ServerConfig{
+			Tenants:   []core.TenantConfig{{Name: "mq", Weight: 1, QueueDepth: cfg.Queries}},
+			BatchSize: q, Sync: true,
 		})
+		if err != nil {
+			return nil, err
+		}
 		wallStart := time.Now()
 		simStart := ds.Now()
 		chans := make([]<-chan *core.QueryResult, cfg.Queries)
 		for i := range chans {
 			spec := core.QuerySpec{QFV: queries.Vectors[i], K: cfg.K, Model: model, DB: dbID}
-			if chans[i], err = sched.Submit(spec); err != nil {
+			if chans[i], err = sched.Submit("mq", spec); err != nil {
 				sched.Close()
 				return nil, err
 			}
@@ -107,7 +111,7 @@ func MultiQueryBench(cfg MQConfig) ([]MQRow, error) {
 			Q:          q,
 			Queries:    cfg.Queries,
 			Features:   cfg.Features,
-			Batches:    ds.MetricsSnapshot().Counters["sched_batches"],
+			Batches:    ds.MetricsSnapshot().Counters["serve_batches"],
 			SimSec:     simSec,
 			QueriesSec: float64(cfg.Queries) / simSec,
 			NsFeature:  simSec * 1e9 / (float64(cfg.Queries) * float64(cfg.Features)),

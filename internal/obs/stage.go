@@ -17,8 +17,8 @@ const (
 	// StageScan, but its flash and weight traffic are paid once for the
 	// whole batch.
 	StageSharedScan = "shared_scan"
-	// StageSchedQueue is the time a query waited in the scheduler's
-	// admission queue before its batch dispatched (core.Scheduler).
+	// StageSchedQueue is the time a query waited in its tenant's admission
+	// queue before its batch dispatched (core.Server).
 	StageSchedQueue = "sched_queue"
 	// StageBoundCheck is the stripe-bound table consultation of the exact
 	// pruning tier: per full stripe-queue evaluation, one table-entry read

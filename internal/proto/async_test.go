@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ftl"
@@ -12,8 +13,9 @@ import (
 
 // asyncFixture builds one engine exposed through two clients: a plain
 // synchronous one (the oracle path) and one whose handler carries a
-// batching scheduler for queryAsync/await.
-func asyncFixture(t *testing.T, cfg core.SchedulerConfig) (async, oracle *Client, model core.ModelID, dbID ftl.DBID) {
+// batching server for queryAsync/await — one tenant of the given queue
+// depth unless cfg names its own.
+func asyncFixture(t *testing.T, depth int, cfg core.ServerConfig) (async, oracle *Client, model core.ModelID, dbID ftl.DBID) {
 	t.Helper()
 	ds, err := core.New(core.DefaultOptions())
 	if err != nil {
@@ -31,7 +33,13 @@ func asyncFixture(t *testing.T, cfg core.SchedulerConfig) (async, oracle *Client
 	if model, err = ds.LoadModelNetwork(app.SCN); err != nil {
 		t.Fatal(err)
 	}
-	sched := core.NewScheduler(ds, cfg)
+	if cfg.Tenants == nil {
+		cfg.Tenants = []core.TenantConfig{{Name: "host", Weight: 1, QueueDepth: depth}}
+	}
+	sched, err := core.NewServer(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(sched.Close)
 	async = NewClient(Loopback{Handler: &Handler{DS: ds, Sched: sched}})
 	oracle = NewClient(Loopback{Handler: &Handler{DS: ds}})
@@ -39,10 +47,10 @@ func asyncFixture(t *testing.T, cfg core.SchedulerConfig) (async, oracle *Client
 }
 
 // TestClientQueryAsyncMatchesQuery drives four queries through
-// queryAsync/await (coalesced into shared sweeps by the scheduler) and
+// queryAsync/await (coalesced into shared sweeps by the server) and
 // checks the answers against the synchronous query path on the same engine.
 func TestClientQueryAsyncMatchesQuery(t *testing.T) {
-	async, oracle, model, dbID := asyncFixture(t, core.SchedulerConfig{BatchSize: 2})
+	async, oracle, model, dbID := asyncFixture(t, 0, core.ServerConfig{BatchSize: 2})
 	app, _ := workload.ByName("TextQA")
 	qfvs := workload.NewFeatureDB(app, 4, 9).Vectors
 
@@ -87,9 +95,11 @@ func TestClientQueryAsyncMatchesQuery(t *testing.T) {
 
 // TestClientAsyncTicketSemantics: tickets are single-use, unknown tickets
 // complete with StatusNotFound, a failed query's ticket surfaces an error,
-// and a handler without a scheduler rejects queryAsync as unsupported.
+// a handler without a server rejects queryAsync as unsupported, and one whose
+// server has several tenants rejects it as an invalid field (the wire
+// carries no tenant).
 func TestClientAsyncTicketSemantics(t *testing.T) {
-	async, _, model, dbID := asyncFixture(t, core.SchedulerConfig{BatchSize: 1})
+	async, _, model, dbID := asyncFixture(t, 0, core.ServerConfig{BatchSize: 1})
 	app, _ := workload.ByName("TextQA")
 	q := workload.NewFeatureDB(app, 1, 9).Vectors[0]
 
@@ -116,27 +126,61 @@ func TestClientAsyncTicketSemantics(t *testing.T) {
 		t.Fatal("failed query's ticket redeemed successfully")
 	}
 
-	// No scheduler attached → unsupported.
+	// No server attached → unsupported.
 	ds, err := core.New(core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare := NewClient(Loopback{Handler: &Handler{DS: ds}})
 	if _, err := bare.QueryAsync(q, 3, 1, 1, 0, 0, nil); err == nil {
-		t.Fatal("queryAsync accepted without a scheduler")
+		t.Fatal("queryAsync accepted without a server")
+	}
+
+	multi, _, model, dbID := asyncFixture(t, 0, core.ServerConfig{
+		Tenants: []core.TenantConfig{{Name: "a", Weight: 1}, {Name: "b", Weight: 1}},
+	})
+	if _, err := multi.QueryAsync(q, 3, model, dbID, 0, 0, nil); err == nil {
+		t.Fatal("queryAsync accepted by a two-tenant server")
+	} else if !strings.Contains(err.Error(), StatusInvalidField.String()) {
+		t.Fatalf("err = %v, want %s", err, StatusInvalidField)
 	}
 }
 
-// TestClientAsyncBackpressure: a stalled scheduler with a depth-1 admission
-// queue makes queryAsync complete with StatusCapacity — the wire-level form
+// TestAwaitCutsPartialBatch: an await on a ticket whose batch is still
+// waiting for companions cuts the batch — the awaiting connection is blocked
+// and could never submit the batch-mate itself.
+func TestAwaitCutsPartialBatch(t *testing.T) {
+	async, _, model, dbID := asyncFixture(t, 0, core.ServerConfig{BatchSize: 2})
+	app, _ := workload.ByName("TextQA")
+	q := workload.NewFeatureDB(app, 1, 9).Vectors[0]
+	tk, err := async.QueryAsync(q, 3, model, dbID, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := async.Await(tk)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("await on a half-full batch still blocked after 3 s")
+	}
+}
+
+// TestClientAsyncBackpressure: a stalled server whose tenant has a depth-1
+// budget makes queryAsync complete with StatusCapacity — the wire-level form
 // of core.ErrQueueFull — instead of blocking the submitter.
 func TestClientAsyncBackpressure(t *testing.T) {
 	var once sync.Once
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	cfg := core.SchedulerConfig{
-		QueueDepth: 1,
-		BatchSize:  1,
+	cfg := core.ServerConfig{
+		BatchSize: 1,
 		OnBatch: func([]core.QuerySpec) {
 			once.Do(func() {
 				close(entered)
@@ -144,7 +188,7 @@ func TestClientAsyncBackpressure(t *testing.T) {
 			})
 		},
 	}
-	async, _, model, dbID := asyncFixture(t, cfg)
+	async, _, model, dbID := asyncFixture(t, 1, cfg)
 	app, _ := workload.ByName("TextQA")
 	q := workload.NewFeatureDB(app, 1, 9).Vectors[0]
 

@@ -376,7 +376,7 @@ func (c *Client) Query(qfv []float32, k int, model core.ModelID, db ftl.DBID,
 	return core.QueryID(cpl.Value), nil
 }
 
-// QueryAsync admits a query into the device's batching scheduler
+// QueryAsync admits a query into the device's batching server
 // (queryAsync) and returns a ticket redeemable once via Await. The device
 // coalesces admitted queries into shared multi-query sweeps; a full
 // admission queue surfaces as a StatusCapacity error here (never a silent

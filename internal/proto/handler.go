@@ -21,10 +21,10 @@ type Handler struct {
 	// completions; nil counts nothing.
 	Obs *obs.Registry
 	// Sched, when set, enables the queryAsync/await commands: queryAsync
-	// admits through the scheduler's batching queue instead of executing
-	// synchronously. Nil makes those opcodes complete with
-	// StatusUnsupported.
-	Sched *core.Scheduler
+	// admits through the server's batching queue instead of executing
+	// synchronously. The wire carries no tenant, so the server must have
+	// exactly one. Nil makes those opcodes complete with StatusUnsupported.
+	Sched *core.Server
 
 	// ticketMu guards the async ticket table.
 	ticketMu   sync.Mutex
@@ -156,23 +156,23 @@ func (h *Handler) query(cmd Command) Completion {
 	return ok(cmd, uint64(qid), nil)
 }
 
-// queryAsync admits a query through the batching scheduler and returns a
+// queryAsync admits a query through the batching server and returns a
 // ticket for await. Backpressure (a full admission queue) completes with
 // StatusCapacity so the host can shed or retry on its own terms.
 func (h *Handler) queryAsync(cmd Command) Completion {
 	if h.Sched == nil {
-		return fail(cmd, StatusUnsupported, "no scheduler attached")
+		return fail(cmd, StatusUnsupported, "no server attached")
 	}
 	spec, err := decodeSpec(cmd)
 	if err != nil {
 		return fail(cmd, StatusInvalidField, err.Error())
 	}
-	ch, err := h.Sched.Submit(spec)
+	ch, err := h.Sched.Submit("", spec)
 	if err != nil {
 		switch {
 		case errors.Is(err, core.ErrQueueFull):
 			return fail(cmd, StatusCapacity, err.Error())
-		case errors.Is(err, core.ErrSchedulerClosed):
+		case errors.Is(err, core.ErrServerClosed):
 			return fail(cmd, StatusInternal, err.Error())
 		}
 		return fail(cmd, StatusInvalidField, err.Error())
@@ -189,7 +189,10 @@ func (h *Handler) queryAsync(cmd Command) Completion {
 }
 
 // await blocks until the ticket's query has executed and returns its
-// results in the getResults encoding. Each ticket is redeemable once.
+// results in the getResults encoding. Each ticket is redeemable once. An
+// await on an undelivered ticket is the demand signal that cuts its partial
+// batch: the blocked connection cannot submit the batch-mates that would
+// fill it.
 func (h *Handler) await(cmd Command) Completion {
 	ticket := cmd.Args[0]
 	h.ticketMu.Lock()
@@ -199,9 +202,16 @@ func (h *Handler) await(cmd Command) Completion {
 	if !found {
 		return fail(cmd, StatusNotFound, fmt.Sprintf("unknown ticket %d", ticket))
 	}
-	res, okRes := <-ch
+	var res *core.QueryResult
+	var okRes bool
+	select {
+	case res, okRes = <-ch:
+	default:
+		h.Sched.Flush()
+		res, okRes = <-ch
+	}
 	if !okRes {
-		// Defensive: the scheduler delivers exactly one result per accepted
+		// Defensive: the server delivers exactly one result per accepted
 		// submission (failures arrive with QueryResult.Err set), so a closed
 		// empty channel would mean a dropped result.
 		return fail(cmd, StatusInternal, fmt.Sprintf("ticket %d: result dropped", ticket))

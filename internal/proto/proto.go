@@ -26,8 +26,8 @@ const (
 	OpQuery
 	OpGetResults
 	OpSetQC
-	// OpQueryAsync and OpAwait extend Table 2 with the scheduler path:
-	// queryAsync admits a query into the engine's batching scheduler and
+	// OpQueryAsync and OpAwait extend Table 2 with the admission path:
+	// queryAsync admits a query into the engine's batching server and
 	// returns a ticket immediately; await blocks until that ticket's query
 	// has executed (inside a shared multi-query sweep) and returns its
 	// results in the getResults encoding.
