@@ -7,6 +7,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/ftl"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -348,6 +349,72 @@ func TestGetResultsUnknown(t *testing.T) {
 	ds, _ := New(DefaultOptions())
 	if _, err := ds.GetResults(42); err == nil {
 		t.Error("unknown query id accepted")
+	}
+}
+
+// TestResultTableBounded: the result table forgets fetched results once
+// resultKeep newer ones have been fetched — the oldest id becomes unknown —
+// while an unfetched result is never dropped and the newest stay
+// re-fetchable with the same top-K and one more dma stage per fetch.
+func TestResultTableBounded(t *testing.T) {
+	ds, model, db := newEqEngine(t, DefaultOptions(), 7, false)
+	spec := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
+	query := func() QueryID {
+		t.Helper()
+		id, err := ds.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	unfetched := []QueryID{query(), query(), query()}
+	const extra = 5
+	var ids []QueryID
+	var last *QueryResult
+	for i := 0; i < resultKeep+extra; i++ {
+		id := query()
+		res, err := ds.GetResults(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, last = append(ids, id), res
+	}
+	tableLen := func() int {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
+		return len(ds.queries)
+	}
+	if n := tableLen(); n != resultKeep+len(unfetched) {
+		t.Fatalf("result table holds %d entries, want %d fetched + %d unfetched", n, resultKeep, len(unfetched))
+	}
+	for _, id := range ids[:extra] {
+		if _, err := ds.GetResults(id); err == nil {
+			t.Fatalf("query %d is still known after %d newer fetches", id, resultKeep)
+		}
+	}
+	again, err := ds.GetResults(ids[len(ids)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.TopK) != len(last.TopK) || len(again.Stages) != len(last.Stages)+1 ||
+		again.Stages[len(again.Stages)-1].Name != obs.StageDMA {
+		t.Fatalf("re-fetch returned %d entries, stages %v; first fetch %d entries, stages %v",
+			len(again.TopK), again.Stages, len(last.TopK), last.Stages)
+	}
+	for i := range last.TopK {
+		if again.TopK[i] != last.TopK[i] {
+			t.Fatalf("re-fetch top-K[%d] = %+v, first fetch %+v", i, again.TopK[i], last.TopK[i])
+		}
+	}
+	// A re-fetch is not a new fetch, and the first fetch of an old result
+	// evicts the oldest fetched one, never an unfetched one.
+	for _, id := range unfetched {
+		if _, err := ds.GetResults(id); err != nil {
+			t.Fatalf("unfetched query %d was dropped: %v", id, err)
+		}
+	}
+	if n := tableLen(); n != resultKeep {
+		t.Fatalf("result table holds %d entries after fetching everything, want %d", n, resultKeep)
 	}
 }
 

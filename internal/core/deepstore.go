@@ -172,7 +172,16 @@ type dbState struct {
 
 type queryState struct {
 	result *QueryResult
+	// fetched is set by the first GetResults; only fetched results are ever
+	// dropped from the table.
+	fetched bool
 }
+
+// resultKeep is how many fetched results stay re-fetchable. A fetched result
+// has been delivered, so the table keeps it only as a courtesy to callers
+// that read a result more than once; without a bound a long-lived engine
+// pins every top-K it ever returned.
+const resultKeep = 1024
 
 // QueryResult is what getResults returns, plus the simulated cost.
 type QueryResult struct {
@@ -253,8 +262,13 @@ type DeepStore struct {
 
 	dbs map[ftl.DBID]*dbState
 
+	// queries is the result table: every unfetched result, plus the newest
+	// resultKeep fetched ones, whose ids sit in the fetched ring (oldest at
+	// fetchedHead once full).
 	queries     map[QueryID]*queryState
 	nextQueryID QueryID
+	fetched     []QueryID
+	fetchedHead int
 
 	// Query cache (§4.6); nil until SetQC.
 	qc          *qcache.Cache[[]float32]

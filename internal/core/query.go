@@ -454,8 +454,17 @@ func (ds *DeepStore) record(r *QueryResult) QueryID {
 // GetResults retrieves a query's top-K results (getResults), charging the
 // DMA of the results to host memory on the external link. The transfer's
 // elapsed time is added to the query's latency and to the engine's SimTime
-// — result delivery is part of what the host observes.
+// — result delivery is part of what the host observes. A result stays
+// re-fetchable until resultKeep newer ones have been fetched; after that its
+// id is unknown.
 func (ds *DeepStore) GetResults(id QueryID) (*QueryResult, error) {
+	return ds.fetchResults(id, false)
+}
+
+// fetchResults is GetResults; with forget set the entry leaves the result
+// table in the same critical section (the admission layer's delivery, whose
+// submission channel is the result's only reader).
+func (ds *DeepStore) fetchResults(id QueryID, forget bool) (*QueryResult, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	st, ok := ds.queries[id]
@@ -473,21 +482,26 @@ func (ds *DeepStore) GetResults(id QueryID) (*QueryResult, error) {
 	ds.obs.Counter("core_get_results").Inc()
 	ds.obs.Histogram("core_stage_"+obs.StageDMA+"_ms", obs.LatencyBucketsMs()).Observe(dma.Seconds() * 1e3)
 	ds.tracer.Add(obs.Span{Name: obs.StageDMA, Cat: "core", TID: int64(id), Start: before, Dur: dma})
+	if forget {
+		delete(ds.queries, id)
+		return st.result, nil
+	}
+	if !st.fetched {
+		st.fetched = true
+		if len(ds.fetched) < resultKeep {
+			ds.fetched = append(ds.fetched, id)
+		} else {
+			delete(ds.queries, ds.fetched[ds.fetchedHead])
+			ds.fetched[ds.fetchedHead] = id
+			ds.fetchedHead = (ds.fetchedHead + 1) % resultKeep
+		}
+	}
 	// Return a snapshot so callers never observe a later GetResults call's
 	// DMA accounting mutating their result. Stages is deep-copied because
 	// later calls append to it.
 	out := *st.result
 	out.Stages = append([]obs.Stage(nil), st.result.Stages...)
 	return &out, nil
-}
-
-// forgetResult drops a query's result-table entry once an admission-layer
-// delivery has fetched it: the submission channel is the result's only
-// reader, so keeping the entry would pin it for the engine's lifetime.
-func (ds *DeepStore) forgetResult(id QueryID) {
-	ds.mu.Lock()
-	delete(ds.queries, id)
-	ds.mu.Unlock()
 }
 
 // CacheStats exposes the query cache counters (zero stats when unset).

@@ -629,12 +629,11 @@ func failItem(ds *DeepStore, it servItem, err error) {
 // is the result's only reader, so its entry leaves the engine's result table.
 // Returns the delivery error, nil on success.
 func deliverItem(ds *DeepStore, it servItem, id QueryID, started sim.Time) error {
-	res, err := ds.GetResults(id)
+	res, err := ds.fetchResults(id, true)
 	if err != nil {
 		failItem(ds, it, err)
 		return err
 	}
-	ds.forgetResult(id)
 	qwait := sim.Duration(started - it.submitted)
 	if qwait < 0 {
 		qwait = 0

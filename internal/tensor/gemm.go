@@ -3,38 +3,59 @@ package tensor
 import "fmt"
 
 // Batched matrix kernels. The SCN scan is GEMM-shaped work (§2–§3: FC and
-// CONV MACs over every database feature), but a per-feature Gemv streams the
-// whole weight matrix from memory once per comparison and carries a single
-// serial accumulator chain. Gemm amortizes weight traffic across a batch of
-// feature rows and breaks the dependency chain with a register-blocked
-// micro-kernel, while keeping every output's reduction order identical to
-// Gemv so batched scores stay bit-comparable to the serial reference.
+// CONV MACs over every database feature), and the paper's accelerator runs it
+// on an output-stationary systolic array: each PE owns one output and
+// accumulates its K products in order while operands are broadcast along
+// rows and columns. Gemm is the host-side counterpart, and every kernel
+// behind it keeps that dataflow — parallelism is always across output
+// elements, never across k.
 //
-// Blocking scheme (see DESIGN.md "Compute kernels"):
+// The arithmetic contract (see DESIGN.md "Compute kernels"): each C[i][j] is
 //
-//   - the K dimension is cut into gemmKC-element panels so one 2-row panel
-//     of A plus one 4-row panel of W (6·gemmKC·4 B = 12 KiB) stay
-//     L1-resident while the micro-kernel streams them;
-//   - the M dimension is cut into gemmMC-row blocks so the W panel is
-//     reused across many A rows before eviction;
-//   - the inner gemm2x4 micro-kernel holds a 2×4 tile of C in eight scalar
-//     accumulators, issuing 8 MACs per 6 loads with 8 independent
-//     dependency chains (the loop-unrolled inner product). 2×4 is the
-//     sweet spot for amd64's 16 XMM registers: 8 accumulators plus 6
-//     streamed operands fit without spilling, where a 4×4 tile's 16
-//     accumulators spill to the stack and run ~1.6× slower.
+//	((((0 + a₀w₀) + a₁w₁) + …) + b)
 //
-// Determinism: every output element accumulates its K products strictly in
-// increasing-k order into one accumulator (KC panels resume from the stored
-// partial sum), and the bias is added after the full reduction — exactly
-// Gemv's ((((0 + a₀w₀) + a₁w₁) + …) + b) association. Gemm is therefore
-// bit-identical to repeated Gemv for finite inputs.
+// in increasing-k order with one float32 rounding per multiply and one per
+// add, and the bias added after the full reduction. Gemv, Dot, Conv2D and
+// both kernels here implement exactly that, so they agree bit for bit on
+// finite inputs (and on which outputs are NaN). The Go kernels spell every
+// product float32(a*b): the spec lets a compiler fuse x*y+z into one
+// rounding unless the product is explicitly converted — gc does on arm64 and
+// may under GOAMD64=v3 — and a fused tail column beside an unfused SIMD
+// column would split one Gemm call across two roundings.
+//
+// Two kernels, one entry point:
+//
+//   - gemmSIMD (amd64 with AVX2, set at init from CPUID; nil elsewhere)
+//     puts 16 rows of A in the SIMD lanes. Each call packs a 16-row block of
+//     A into a k-major panel (ap[p*16+l] = A[i0+l][k0+p], zero rows past m;
+//     gemmKC·16 floats = 32 KiB of stack scratch), then for every group of
+//     4 W rows broadcasts W[j+r][p] and issues VMULPS then VADDPS into
+//     8 YMM accumulators — a 16×4 tile of C, 64 MACs per k step. No FMA:
+//     fusing drops the product's rounding and would break the contract.
+//     It covers the columns below n&^3; packing A costs m·k moves against
+//     m·n·k MACs, and W is read in Gemv's own layout, so nothing is cached
+//     or duplicated and callers that rewrite weights cannot go stale.
+//   - gemmPortable (pure Go, every platform) holds a 2×4 tile of C in eight
+//     scalar accumulators. It is the only path without AVX2, the path for
+//     n < 4 and the ragged n&3 tail columns beside the SIMD kernel, and the
+//     reference the tests compare against.
+//
+// Both cut K into gemmKC-element panels and resume each output from its
+// stored partial sum, which keeps the single-accumulator order.
 const (
-	gemmMR = 2   // A rows per micro-tile
-	gemmNR = 4   // W rows (C columns) per micro-tile
+	gemmMR = 2   // A rows per portable micro-tile
+	gemmNR = 4   // W rows (C columns) per micro-tile, both kernels
 	gemmKC = 512 // K panel (floats) kept hot in L1
-	gemmMC = 256 // M block over which one W panel is reused
+	gemmMC = 256 // M block over which the portable kernel reuses a W panel
 )
+
+// A simdKernel computes columns [0, j) of the un-biased product C = A·Wᵀ and
+// returns j (a multiple of gemmNR; 0 when it declines).
+type simdKernel func(c, a, w []float32, m, n, k int) (j int)
+
+// gemmSIMD is the platform's SIMD kernel, nil when it has none. Set once at
+// init.
+var gemmSIMD simdKernel
 
 // Gemm computes C = A·Wᵀ + bias: A is m×k row-major (one activation row per
 // batched feature), W is n×k row-major (one weight row per output, the same
@@ -56,12 +77,35 @@ func Gemm(c, a, w, bias []float32, m, n, k int) {
 	if bias != nil && len(bias) != n {
 		panic(fmt.Sprintf("tensor: gemm bias length %d != %d", len(bias), n))
 	}
+	gemm(c, a, w, bias, m, n, k, gemmSIMD)
+}
+
+// gemm is Gemm after validation, with the SIMD kernel as a parameter so the
+// tests can run the portable kernel alone (simd nil) on any machine.
+func gemm(c, a, w, bias []float32, m, n, k int, simd simdKernel) {
 	if k == 0 {
 		// No reduction: Gemv would write bias (or zero) directly.
 		for i := range c {
 			c[i] = 0
 		}
 	}
+	j0 := 0
+	if simd != nil {
+		j0 = simd(c, a, w, m, n, k)
+	}
+	gemmPortable(c, a, w, m, n, k, j0)
+	if bias != nil {
+		for i := 0; i < m; i++ {
+			row := c[i*n : (i+1)*n]
+			for j, b := range bias {
+				row[j] += b
+			}
+		}
+	}
+}
+
+// gemmPortable computes columns [j0, n) of the un-biased product.
+func gemmPortable(c, a, w []float32, m, n, k, j0 int) {
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		kb := k - k0
 		if kb > gemmKC {
@@ -78,7 +122,7 @@ func Gemm(c, a, w, bias []float32, m, n, k int) {
 				if ir > gemmMR {
 					ir = gemmMR
 				}
-				for j := 0; j < n; j += gemmNR {
+				for j := j0; j < n; j += gemmNR {
 					jr := n - j
 					if jr > gemmNR {
 						jr = gemmNR
@@ -92,20 +136,12 @@ func Gemm(c, a, w, bias []float32, m, n, k int) {
 			}
 		}
 	}
-	if bias != nil {
-		for i := 0; i < m; i++ {
-			row := c[i*n : (i+1)*n]
-			for j, b := range bias {
-				row[j] += b
-			}
-		}
-	}
 }
 
-// gemm2x4 is the register micro-kernel: a 2×4 tile of C accumulated over one
-// K panel. The eight accumulators live in registers across the k loop, so
-// each k step issues 8 MACs for 6 loads and the reduction chains stay
-// independent (vs Gemv's single serial chain).
+// gemm2x4 is the portable register micro-kernel: a 2×4 tile of C accumulated
+// over one K panel. The eight accumulators live in registers across the k
+// loop, so each k step issues 8 MACs for 6 loads and the reduction chains
+// stay independent (vs Gemv's single serial chain).
 func gemm2x4(c, a, w []float32, i, j, k0, kb, n, k int, first bool) {
 	a0 := a[i*k+k0 : i*k+k0+kb]
 	// Reslicing every operand to a0's length lets the compiler eliminate
@@ -127,14 +163,14 @@ func gemm2x4(c, a, w []float32, i, j, k0, kb, n, k int, first bool) {
 	for p := range a0 {
 		av0, av1 := a0[p], a1[p]
 		wv0, wv1, wv2, wv3 := w0[p], w1[p], w2[p], w3[p]
-		c00 += av0 * wv0
-		c01 += av0 * wv1
-		c02 += av0 * wv2
-		c03 += av0 * wv3
-		c10 += av1 * wv0
-		c11 += av1 * wv1
-		c12 += av1 * wv2
-		c13 += av1 * wv3
+		c00 += float32(av0 * wv0)
+		c01 += float32(av0 * wv1)
+		c02 += float32(av0 * wv2)
+		c03 += float32(av0 * wv3)
+		c10 += float32(av1 * wv0)
+		c11 += float32(av1 * wv1)
+		c12 += float32(av1 * wv2)
+		c13 += float32(av1 * wv3)
 	}
 	r0 := c[i*n+j:]
 	r1 := c[(i+1)*n+j:]
@@ -154,7 +190,7 @@ func gemmTail(c, a, w []float32, i, j, ir, jr, k0, kb, n, k int, first bool) {
 				s = c[(i+r)*n+j+cn]
 			}
 			for p := range arow {
-				s += arow[p] * wrow[p]
+				s += float32(arow[p] * wrow[p])
 			}
 			c[(i+r)*n+j+cn] = s
 		}

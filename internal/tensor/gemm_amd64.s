@@ -1,0 +1,156 @@
+#include "textflag.h"
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// TRANSPOSE4 transposes the 4×4 blocks of floats held in each 128-bit half of
+// (a, b, c, d), in place, using t0–t3. With a..d the accumulators of columns
+// 0..3 (lanes = rows 0–7) it leaves a = rows {0,4}, b = {1,5}, c = {2,6},
+// d = {3,7}, four columns each — and, being an involution, the reverse.
+#define TRANSPOSE4(a, b, c, d, t0, t1, t2, t3) \
+	VUNPCKLPS b, a, t0; \
+	VUNPCKHPS b, a, t1; \
+	VUNPCKLPS d, c, t2; \
+	VUNPCKHPS d, c, t3; \
+	VUNPCKLPD t2, t0, a; \
+	VUNPCKHPD t2, t0, b; \
+	VUNPCKLPD t3, t1, c; \
+	VUNPCKHPD t3, t1, d
+
+// MAC is one W row against both halves of the A panel row: multiply, round,
+// add, round. Never VFMADD: the contract is two roundings per MAC.
+#define MAC(wrow, lo, hi) \
+	VBROADCASTSS (wrow)(AX*4), Y10; \
+	VMULPS Y10, Y8, Y11; \
+	VMULPS Y10, Y9, Y12; \
+	VADDPS Y11, lo, lo; \
+	VADDPS Y12, hi, hi
+
+// func gemmKernelAVX2(c *float32, ldc int, ap *float32, w *float32, ldw, kb, mr int, first bool)
+//
+// Y0–Y3 accumulate columns 0–3 for tile rows 0–7, Y4–Y7 for rows 8–15.
+// The 256-byte frame is the tile in C's layout (16 rows × 4 floats): C is
+// only ever touched by copying mr rows between it and the frame.
+TEXT ·gemmKernelAVX2(SB), NOSPLIT, $256-57
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $2, R8 // row stride of C in bytes
+	MOVQ ap+16(FP), SI
+	MOVQ w+24(FP), R9
+	MOVQ ldw+32(FP), R10
+	MOVQ kb+40(FP), CX
+	MOVQ mr+48(FP), DX
+	LEAQ (R9)(R10*4), R11  // W row 1
+	LEAQ (R11)(R10*4), R12 // W row 2
+	LEAQ (R12)(R10*4), R13 // W row 3
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVBLZX first+56(FP), AX
+	TESTL AX, AX
+	JNZ accumulate
+
+	// Resume: zero the frame tile, copy in the mr live rows of C, and
+	// transpose it into the accumulators.
+	VMOVUPS Y0, 0(SP)
+	VMOVUPS Y0, 32(SP)
+	VMOVUPS Y0, 64(SP)
+	VMOVUPS Y0, 96(SP)
+	VMOVUPS Y0, 128(SP)
+	VMOVUPS Y0, 160(SP)
+	VMOVUPS Y0, 192(SP)
+	VMOVUPS Y0, 224(SP)
+	MOVQ DI, AX
+	MOVQ SP, BX
+	MOVQ DX, R10
+copyin:
+	VMOVUPS (AX), X8
+	VMOVUPS X8, (BX)
+	ADDQ R8, AX
+	ADDQ $16, BX
+	DECQ R10
+	JNZ copyin
+	VMOVUPS 0(SP), X0
+	VMOVUPS 16(SP), X1
+	VMOVUPS 32(SP), X2
+	VMOVUPS 48(SP), X3
+	VINSERTF128 $1, 64(SP), Y0, Y0
+	VINSERTF128 $1, 80(SP), Y1, Y1
+	VINSERTF128 $1, 96(SP), Y2, Y2
+	VINSERTF128 $1, 112(SP), Y3, Y3
+	VMOVUPS 128(SP), X4
+	VMOVUPS 144(SP), X5
+	VMOVUPS 160(SP), X6
+	VMOVUPS 176(SP), X7
+	VINSERTF128 $1, 192(SP), Y4, Y4
+	VINSERTF128 $1, 208(SP), Y5, Y5
+	VINSERTF128 $1, 224(SP), Y6, Y6
+	VINSERTF128 $1, 240(SP), Y7, Y7
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	TRANSPOSE4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+
+accumulate:
+	XORQ AX, AX // p
+loop:
+	VMOVUPS (SI), Y8   // panel row p, lanes 0–7
+	VMOVUPS 32(SI), Y9 // lanes 8–15
+	MAC(R9, Y0, Y4)
+	MAC(R11, Y1, Y5)
+	MAC(R12, Y2, Y6)
+	MAC(R13, Y3, Y7)
+	ADDQ $64, SI
+	INCQ AX
+	CMPQ AX, CX
+	JLT loop
+
+	// Transpose the accumulators into the frame tile and copy mr rows out.
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	TRANSPOSE4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VMOVUPS X0, 0(SP)
+	VMOVUPS X1, 16(SP)
+	VMOVUPS X2, 32(SP)
+	VMOVUPS X3, 48(SP)
+	VEXTRACTF128 $1, Y0, 64(SP)
+	VEXTRACTF128 $1, Y1, 80(SP)
+	VEXTRACTF128 $1, Y2, 96(SP)
+	VEXTRACTF128 $1, Y3, 112(SP)
+	VMOVUPS X4, 128(SP)
+	VMOVUPS X5, 144(SP)
+	VMOVUPS X6, 160(SP)
+	VMOVUPS X7, 176(SP)
+	VEXTRACTF128 $1, Y4, 192(SP)
+	VEXTRACTF128 $1, Y5, 208(SP)
+	VEXTRACTF128 $1, Y6, 224(SP)
+	VEXTRACTF128 $1, Y7, 240(SP)
+	MOVQ SP, BX
+copyout:
+	VMOVUPS (BX), X8
+	VMOVUPS X8, (DI)
+	ADDQ $16, BX
+	ADDQ R8, DI
+	DECQ DX
+	JNZ copyout
+	VZEROUPPER
+	RET

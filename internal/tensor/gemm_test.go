@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/racetest"
 )
 
 // ordered maps a float32 onto a monotone integer line where adjacent
@@ -60,15 +62,154 @@ func TestGemmMatchesGemv(t *testing.T) {
 				}
 				c := make([]float32, sh.m*sh.n)
 				Gemm(c, a, w, bias, sh.m, sh.n, sh.k)
-				ref := make([]float32, sh.n)
-				for i := 0; i < sh.m; i++ {
-					Gemv(ref, w, a[i*sh.k:(i+1)*sh.k], bias)
-					for j := range ref {
-						got, want := c[i*sh.n+j], ref[j]
-						if math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("C[%d,%d] = %x, Gemv gives %x (%v vs %v)",
-								i, j, math.Float32bits(got), math.Float32bits(want), got, want)
-						}
+				sameBits(t, "Gemm", c, gemvRows(a, w, bias, sh.m, sh.n, sh.k), sh.n)
+			})
+		}
+	}
+}
+
+// gemmKernels are the two ways a product can be computed: Gemm as dispatched
+// (the SIMD kernel plus portable tail columns where the machine has one) and
+// the portable kernel alone, which is every other platform's Gemm.
+var gemmKernels = []struct {
+	name string
+	run  func(c, a, w, bias []float32, m, n, k int)
+}{
+	{"dispatched", Gemm},
+	{"portable", func(c, a, w, bias []float32, m, n, k int) { gemm(c, a, w, bias, m, n, k, nil) }},
+}
+
+// gemvRows is the reference: one Gemv per row of A.
+func gemvRows(a, w, bias []float32, m, n, k int) []float32 {
+	ref := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		Gemv(ref[i*n:(i+1)*n], w, a[i*k:(i+1)*k], bias)
+	}
+	return ref
+}
+
+// sameBits fails unless got and want agree bit for bit wherever want is not
+// NaN and are both NaN elsewhere (NaN payloads are not part of the contract).
+// what names the case in the failure.
+func sameBits(t *testing.T, what string, got, want []float32, n int) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if w != w {
+			if g == g {
+				t.Fatalf("%s: C[%d,%d] = %v, Gemv gives NaN", what, i/n, i%n, g)
+			}
+			continue
+		}
+		if math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("%s: C[%d,%d] = %x, Gemv gives %x (%v vs %v)",
+				what, i/n, i%n, math.Float32bits(g), math.Float32bits(w), g, w)
+		}
+	}
+}
+
+// TestGemmKernelsMatchGemv: both kernels equal repeated Gemv bit for bit
+// across the tile edges of each — m around the 16-lane SIMD tile, n around
+// the 4-column tile and below it, k around the 512-float panel and across
+// three panels — with and without bias.
+func TestGemmKernelsMatchGemv(t *testing.T) {
+	t.Logf("SIMD kernel installed: %v", gemmSIMD != nil)
+	rng := rand.New(rand.NewSource(16))
+	for _, m := range []int{1, 7, 15, 16, 17, 64, 65} {
+		for _, n := range []int{1, 2, 3, 4, 5, 200, 256} {
+			for _, k := range []int{1, 5, 511, 512, 513, 1257} {
+				a := randSlice(rng, m*k)
+				w := randSlice(rng, n*k)
+				for _, bias := range [][]float32{nil, randSlice(rng, n)} {
+					ref := gemvRows(a, w, bias, m, n, k)
+					for _, kern := range gemmKernels {
+						c := make([]float32, m*n)
+						kern.run(c, a, w, bias, m, n, k)
+						sameBits(t, fmt.Sprintf("%s %dx%dx%d bias=%v", kern.name, m, n, k, bias != nil), c, ref, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmSpecialValues: signed zeros, denormals, infinities and NaNs go
+// through both kernels exactly as through Gemv — same NaN positions, same
+// bits everywhere else. The row counts leave SIMD lanes on zero padding,
+// where 0·Inf makes a NaN the kernel must keep to itself.
+func TestGemmSpecialValues(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), // largest denormal
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	rng := rand.New(rand.NewSource(17))
+	salted := func(n, every int) []float32 {
+		x := randSlice(rng, n)
+		for i := range x {
+			if rng.Intn(every) == 0 {
+				x[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return x
+	}
+	for _, sh := range []struct{ m, n, k int }{
+		{7, 9, 5}, {16, 4, 64}, {17, 8, 513}, {33, 13, 1257},
+	} {
+		// Dense specials poison nearly every output; sparse ones leave most
+		// finite, which is where a wrong bit would show.
+		for _, every := range []int{3, 400} {
+			a := salted(sh.m*sh.k, every)
+			w := salted(sh.n*sh.k, every)
+			bias := salted(sh.n, every)
+			ref := gemvRows(a, w, bias, sh.m, sh.n, sh.k)
+			for _, kern := range gemmKernels {
+				t.Run(fmt.Sprintf("%s/%dx%dx%d/every=%d", kern.name, sh.m, sh.n, sh.k, every), func(t *testing.T) {
+					c := make([]float32, sh.m*sh.n)
+					kern.run(c, a, w, bias, sh.m, sh.n, sh.k)
+					sameBits(t, kern.name, c, ref, sh.n)
+				})
+			}
+		}
+	}
+}
+
+// TestGemmWritesOnlyC: C, A and W are sub-slices that start 4, 8 and 12
+// bytes off their allocations (so never 16- or 32-byte aligned together),
+// and C sits between guard words. Both kernels must produce the reference
+// and leave every guard untouched — the SIMD tile is 16×4 but only m×n of
+// it may reach memory, including on the K-panel resume that reads C back.
+func TestGemmWritesOnlyC(t *testing.T) {
+	const guard = 32
+	sentinel := math.Float32frombits(0xdeadbeef)
+	rng := rand.New(rand.NewSource(18))
+	offset := func(src []float32, off int) []float32 {
+		buf := make([]float32, off+len(src))
+		copy(buf[off:], src)
+		return buf[off:]
+	}
+	for _, sh := range []struct{ m, n, k int }{
+		{1, 4, 3}, {5, 7, 600}, {16, 8, 512}, {19, 6, 1100}, {31, 203, 70},
+	} {
+		a := randSlice(rng, sh.m*sh.k)
+		w := randSlice(rng, sh.n*sh.k)
+		bias := randSlice(rng, sh.n)
+		ref := gemvRows(a, w, bias, sh.m, sh.n, sh.k)
+		for _, kern := range gemmKernels {
+			t.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, sh.m, sh.n, sh.k), func(t *testing.T) {
+				buf := make([]float32, guard+1+sh.m*sh.n+guard)
+				for i := range buf {
+					buf[i] = sentinel
+				}
+				c := buf[guard+1 : guard+1+sh.m*sh.n]
+				kern.run(c, offset(a, 2), offset(w, 3), bias, sh.m, sh.n, sh.k)
+				sameBits(t, kern.name, c, ref, sh.n)
+				for i, v := range buf {
+					if (i < guard+1 || i >= guard+1+sh.m*sh.n) && math.Float32bits(v) != 0xdeadbeef {
+						t.Fatalf("guard word %d (C is [%d,%d)) overwritten with %x",
+							i, guard+1, guard+1+sh.m*sh.n, math.Float32bits(v))
 					}
 				}
 			})
@@ -100,11 +241,11 @@ func TestConv2DIm2colMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct{ h, w, c, k, r, s, stride, pad int }{
 		{5, 5, 1, 1, 3, 3, 1, 0},
-		{8, 6, 3, 5, 3, 3, 1, 1},   // pad > 0
-		{9, 9, 4, 7, 3, 3, 2, 1},   // stride > 1 with pad
-		{7, 11, 2, 3, 1, 5, 2, 2},  // non-square kernel, wide pad
+		{8, 6, 3, 5, 3, 3, 1, 1},     // pad > 0
+		{9, 9, 4, 7, 3, 3, 2, 1},     // stride > 1 with pad
+		{7, 11, 2, 3, 1, 5, 2, 2},    // non-square kernel, wide pad
 		{32, 22, 16, 12, 3, 3, 1, 1}, // the ReId conv geometry
-		{6, 6, 5, 4, 5, 5, 3, 0},   // stride 3
+		{6, 6, 5, 4, 5, 5, 3, 0},     // stride 3
 	}
 	for _, cs := range cases {
 		t.Run(fmt.Sprintf("h%dw%dc%dk%dr%ds%d-st%d-pad%d",
@@ -130,6 +271,9 @@ func TestConv2DIm2colMatchesDirect(t *testing.T) {
 // TestGemmAllocFree: the kernel allocates nothing — scratch is caller-owned,
 // which is what lets the scan's steady state stay allocation-free.
 func TestGemmAllocFree(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	rng := rand.New(rand.NewSource(3))
 	a := randSlice(rng, 13*700)
 	w := randSlice(rng, 9*700)
@@ -151,28 +295,36 @@ func TestGemmAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkGemmVsGemv pits one 64-row batch through the blocked kernel
-// against 64 repeated Gemv calls on the TextQA fc1 geometry — the per-query
-// hot loop this kernel replaces.
-func BenchmarkGemmVsGemv(b *testing.B) {
-	const m, n, k = 64, 200, 200
-	rng := rand.New(rand.NewSource(1))
-	a := randSlice(rng, m*k)
-	w := randSlice(rng, n*k)
-	bias := randSlice(rng, n)
-	c := make([]float32, m*n)
-	b.Run("gemm", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Gemm(c, a, w, bias, m, n, k)
+// BenchmarkGemm runs the FC shapes of the Table 1 apps through both kernels
+// and reports ns per multiply-accumulate: TIR's 512-wide stack and its
+// 2-output head (below the SIMD kernel's 4-column tile, so both sides run the
+// portable code), TextQA at the scan batch and at a rerank-sized ragged one,
+// and ESTP's 8192-wide first layer (16 K panels per tile).
+func BenchmarkGemm(b *testing.B) {
+	for _, sh := range []struct{ m, n, k int }{
+		{64, 512, 512}, {64, 256, 512}, {64, 2, 256},
+		{64, 200, 200}, {8, 200, 200},
+		{64, 280, 8192},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		a := randSlice(rng, sh.m*sh.k)
+		w := randSlice(rng, sh.n*sh.k)
+		bias := randSlice(rng, sh.n)
+		c := make([]float32, sh.m*sh.n)
+		for _, kern := range []struct {
+			name string
+			simd simdKernel
+		}{{"simd", gemmSIMD}, {"portable", nil}} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.n, sh.k, kern.name), func(b *testing.B) {
+				if kern.name == "simd" && gemmSIMD == nil {
+					b.Skip("no SIMD kernel on this machine")
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					gemm(c, a, w, bias, sh.m, sh.n, sh.k, kern.simd)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.m*sh.n*sh.k), "ns/mac")
+			})
 		}
-	})
-	b.Run("gemv", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < m; r++ {
-				Gemv(c[r*n:(r+1)*n], w, a[r*k:(r+1)*k], bias)
-			}
-		}
-	})
+	}
 }

@@ -115,21 +115,27 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Dot returns the inner product of two equal-length vectors.
+// Dot returns the inner product of two equal-length vectors, accumulated in
+// index order under the package's arithmetic contract: one float32 rounding
+// per multiply and one per add (see gemm.go). The explicit float32(a*b)
+// conversions here, in Gemv and in Conv2D are what forbid the compiler from
+// fusing the pair into an FMA with a single rounding.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: dot of mismatched lengths %d, %d", len(a), len(b)))
 	}
 	var s float32
 	for i := range a {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }
 
 // Gemv computes y = W*x + b where W is out×in row-major, x has length in and
 // b (optional, may be nil) has length out. The result is written into y,
-// which must have length out.
+// which must have length out. Each output is ((((0 + w₀x₀) + w₁x₁) + …) + b),
+// every multiply and every add rounded to float32 — the reference order all
+// batched kernels reproduce bit for bit.
 func Gemv(y []float32, w []float32, x []float32, b []float32) {
 	out := len(y)
 	in := len(x)
@@ -143,7 +149,7 @@ func Gemv(y []float32, w []float32, x []float32, b []float32) {
 		row := w[o*in : (o+1)*in]
 		var s float32
 		for i := 0; i < in; i++ {
-			s += row[i] * x[i]
+			s += float32(row[i] * x[i])
 		}
 		if b != nil {
 			s += b[o]
@@ -190,7 +196,7 @@ func Conv2D(out, in, w, b []float32, h, wd, c, k, r, s, stride, pad int) {
 						inBase := (iy*wd + ix) * c
 						wBase := ((f*r+ry)*s + rx) * c
 						for ch := 0; ch < c; ch++ {
-							acc += in[inBase+ch] * w[wBase+ch]
+							acc += float32(in[inBase+ch] * w[wBase+ch])
 						}
 					}
 				}
