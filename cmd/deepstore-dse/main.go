@@ -25,7 +25,7 @@ func main() {
 	levelName := flag.String("level", "", "print full candidate list for one level (ssd, channel, chip)")
 	flag.Parse()
 
-	fmt.Println(exp.FormatFigure6(exp.Figure6()))
+	fmt.Println(exp.Figure6Table(exp.Figure6()).Text())
 
 	cfg := ssd.DefaultConfig()
 	levels := accel.Levels()

@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(exp.FormatFigure13(rows))
+		fmt.Print(exp.Figure13Table(rows).Text())
 		return
 	}
 

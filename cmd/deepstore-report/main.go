@@ -1,7 +1,6 @@
 // Command deepstore-report regenerates the complete evaluation and writes a
-// single self-contained Markdown report — every table and figure, the
-// ablations, and the extension studies, with the paper's reference values
-// inlined where they exist:
+// single self-contained Markdown report — every study of the exp registry,
+// with the paper's reference values inlined where they exist:
 //
 //	deepstore-report -out report.md
 //	deepstore-report            # writes to stdout
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/exp"
-	"repro/internal/report"
 )
 
 func main() {
@@ -42,15 +40,6 @@ func main() {
 	}
 }
 
-func section(w io.Writer, title string, t report.Table) error {
-	md, err := t.Markdown()
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "## %s\n\n%s\n", title, md)
-	return err
-}
-
 func write(w io.Writer, window int64) error {
 	fmt.Fprintln(w, "# DeepStore — regenerated evaluation")
 	fmt.Fprintln(w)
@@ -59,35 +48,33 @@ func write(w io.Writer, window int64) error {
 	fmt.Fprintln(w, "discussion and DESIGN.md for the modeling details.")
 	fmt.Fprintln(w)
 
-	h, c := exp.CellsTable1(exp.Table1())
-	if err := section(w, "Table 1 — application characteristics", report.Table{Name: "t1", Header: h, Rows: c}); err != nil {
-		return err
+	for _, s := range exp.Studies() {
+		res, err := s.Run(window)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.Name, err)
+		}
+		for _, t := range res.Tables {
+			title := s.Title
+			if t.Title != "" {
+				title = t.Title
+			}
+			md, err := t.Markdown()
+			if err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "## %s\n\n%s\n", title, md); err != nil {
+				return err
+			}
+		}
+		if s.Name == "fig8" {
+			paperTable4(w)
+		}
 	}
+	return nil
+}
 
-	h, c = exp.CellsFigure2(exp.Figure2())
-	if err := section(w, "Figure 2 — GPU+SSD baseline breakdown", report.Table{Name: "f2", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	h, c = exp.CellsFigure6(exp.Figure6())
-	if err := section(w, "Figure 6 — systolic array scaling", report.Table{Name: "f6", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	h, c = exp.CellsTable3(exp.Table3())
-	if err := section(w, "Table 3 — accelerator configurations", report.Table{Name: "t3", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	rows8, err := exp.Figure8(window)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsFigure8(rows8)
-	if err := section(w, "Figure 8 / Table 4 — speedup and energy efficiency", report.Table{Name: "f8", Header: h, Rows: c}); err != nil {
-		return err
-	}
-	// Paper comparison for the headline table.
+// paperTable4 inlines the paper's numbers under the headline table.
+func paperTable4(w io.Writer) {
 	fmt.Fprintln(w, "Paper Table 4 reference (speedup, energy efficiency):")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| App | SSD | Channel | Chip |")
@@ -105,114 +92,4 @@ func write(w io.Writer, window int64) error {
 			app, cell(accel.LevelSSD), cell(accel.LevelChannel), cell(accel.LevelChip))
 	}
 	fmt.Fprintln(w)
-
-	rows9, err := exp.Figure9(window)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsFigure9(rows9)
-	if err := section(w, "Figure 9 — flash latency sensitivity", report.Table{Name: "f9", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	a10, err := exp.Figure10a(window)
-	if err != nil {
-		return err
-	}
-	b10, err := exp.Figure10b(window)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsFigure10a(a10)
-	if err := section(w, "Figure 10a — internal bandwidth scaling (MIR)", report.Table{Name: "f10a", Header: h, Rows: c}); err != nil {
-		return err
-	}
-	h, c = exp.CellsFigure10b(b10)
-	if err := section(w, "Figure 10b — multi-SSD scaling (MIR)", report.Table{Name: "f10b", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	h, c = exp.CellsFigure11(exp.Figure11(rows8))
-	if err := section(w, "Figure 11 — perf/W vs Volta", report.Table{Name: "f11", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	rows12, err := exp.Figure12(window)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsFigure12(rows12)
-	if err := section(w, "Figure 12 — energy breakdown", report.Table{Name: "f12", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	qcCfg := exp.DefaultQCStudy()
-	rows13, err := exp.Figure13(window, qcCfg)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsFigure13(rows13)
-	if err := section(w, "Figure 13 — query cache speedups", report.Table{Name: "f13", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	h, c = exp.CellsFigure14(exp.Figure14(qcCfg))
-	if err := section(w, "Figure 14 — query cache size", report.Table{Name: "f14", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	df, err := exp.AblationDataflow(window)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsAblationDataflow(df)
-	if err := section(w, "Ablation — dataflow assignment (§4.5)", report.Table{Name: "abl-df", Header: h, Rows: c}); err != nil {
-		return err
-	}
-	pr, err := exp.AblationPrecision(window)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsAblationPrecision(pr)
-	if err := section(w, "Ablation — precision extension (§7)", report.Table{Name: "abl-prec", Header: h, Rows: c}); err != nil {
-		return err
-	}
-	l2, err := exp.AblationL2(window)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsAblationL2(l2)
-	if err := section(w, "Ablation — shared L2 scratchpad (§4.5)", report.Table{Name: "abl-l2", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	var irows []exp.InterferenceResult
-	for _, app := range []string{"MIR", "TIR", "TextQA"} {
-		r, err := exp.Interference(app, accel.LevelChannel, 64_000, 16_000)
-		if err != nil {
-			return err
-		}
-		irows = append(irows, r)
-	}
-	h, c = exp.CellsInterference(irows)
-	if err := section(w, "Extension — scan vs regular I/O interference (§4.5 claim)", report.Table{Name: "intf", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	rec, err := exp.QCRecall(exp.DefaultRecall())
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsRecall(rec)
-	if err := section(w, "Extension — query cache recall (§4.6 premise)", report.Table{Name: "recall", Header: h, Rows: c}); err != nil {
-		return err
-	}
-
-	tp, err := exp.Throughput(window, 0.4)
-	if err != nil {
-		return err
-	}
-	h, c = exp.CellsThroughput(tp)
-	return section(w, "Extension — sustained query throughput (M/D/1, 40% QC miss)",
-		report.Table{Name: "throughput", Header: h, Rows: c})
 }

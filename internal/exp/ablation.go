@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/accel"
+	"repro/internal/report"
 	"repro/internal/ssd"
 	"repro/internal/systolic"
 	"repro/internal/workload"
@@ -170,47 +171,38 @@ func AblationL2(window int64) ([]AblationL2Row, error) {
 	return rows, nil
 }
 
-// CellsAblationL2 returns the L2 ablation as header and rows.
-func CellsAblationL2(rows []AblationL2Row) ([]string, [][]string) {
+// ablationL2Table tabulates the L2 ablation.
+func ablationL2Table(rows []AblationL2Row) report.Table {
 	header := []string{"App", "With L2(s)", "Source", "No L2(s)", "Source", "Penalty x"}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{r.App, F(r.WithL2Sec), r.WithL2Source.String(),
 			F(r.NoL2Sec), r.NoL2Source.String(), F(r.Penalty)})
 	}
-	return header, out
+	return report.Table{Name: "ablation-l2", Title: "Ablation — shared L2 scratchpad (§4.5)",
+		Caption: "(c) shared second-level scratchpad (§4.5), channel level", Header: header, Rows: out}
 }
 
-// CellsAblationDataflow returns the dataflow ablation as header and rows.
-func CellsAblationDataflow(df []AblationDataflowRow) ([]string, [][]string) {
+// ablationDataflowTable tabulates the dataflow ablation.
+func ablationDataflowTable(df []AblationDataflowRow) report.Table {
 	header := []string{"App", "Level", "Chosen", "Chosen(s)", "Swapped(s)", "Penalty x"}
 	var out [][]string
 	for _, r := range df {
 		out = append(out, []string{r.App, r.Level.String(), r.Chosen.String(),
 			F(r.ChosenS), F(r.SwappedS), F(r.Penalty)})
 	}
-	return header, out
+	return report.Table{Name: "ablation-dataflow", Title: "Ablation — dataflow assignment (§4.5)",
+		Caption: "(a) dataflow assignment (§4.5)", Header: header, Rows: out}
 }
 
-// CellsAblationPrecision returns the precision ablation as header and rows.
-func CellsAblationPrecision(pr []AblationPrecisionRow) ([]string, [][]string) {
+// ablationPrecisionTable tabulates the precision ablation.
+func ablationPrecisionTable(pr []AblationPrecisionRow) report.Table {
 	header := []string{"App", "Precision", "Scan(s)", "vs FP32", "Energy(J)"}
 	var out [][]string
 	for _, r := range pr {
 		out = append(out, []string{r.App, r.Precision.String(), F(r.Seconds),
 			F(r.SpeedupVsFP32), F(r.EnergyJ)})
 	}
-	return header, out
-}
-
-// FormatAblations renders the ablations.
-func FormatAblations(df []AblationDataflowRow, pr []AblationPrecisionRow) string {
-	return "(a) dataflow assignment (§4.5)\n" + FormatTable(CellsAblationDataflow(df)) +
-		"\n(b) precision extension (§7), channel level\n" + FormatTable(CellsAblationPrecision(pr))
-}
-
-// FormatAblationL2 renders the shared-L2 ablation.
-func FormatAblationL2(rows []AblationL2Row) string {
-	return "(c) shared second-level scratchpad (§4.5), channel level\n" +
-		FormatTable(CellsAblationL2(rows))
+	return report.Table{Name: "ablation-precision", Title: "Ablation — precision extension (§7)",
+		Caption: "(b) precision extension (§7), channel level", Header: header, Rows: out}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/systolic"
@@ -106,7 +107,15 @@ func TestFormatAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := FormatAblations(df, pr); len(s) < 100 {
-		t.Errorf("format too short: %q", s)
+	l2, err := AblationL2(testWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tables(ablationDataflowTable(df), ablationPrecisionTable(pr), ablationL2Table(l2))
+	checkResult(t, res, nil)
+	for i, tb := range res.Tables {
+		if want := "(" + string(rune('a'+i)) + ") "; !strings.HasPrefix(tb.Caption, want) || tb.Title == "" {
+			t.Errorf("%s: caption %q, title %q", tb.Name, tb.Caption, tb.Title)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -66,15 +68,7 @@ func LatencyBreakdown(cfg BreakdownConfig) (BreakdownResult, error) {
 	app.SCN.InitRandom(cfg.Seed)
 	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+1)
 
-	ds, err := core.New(core.DefaultOptions())
-	if err != nil {
-		return BreakdownResult{}, err
-	}
-	dbid, err := ds.WriteDB(db.Vectors)
-	if err != nil {
-		return BreakdownResult{}, err
-	}
-	model, err := ds.LoadModelNetwork(app.SCN)
+	ds, model, dbid, err := newEngine(core.DefaultOptions(), db.Vectors, app.SCN)
 	if err != nil {
 		return BreakdownResult{}, err
 	}
@@ -111,9 +105,9 @@ func LatencyBreakdown(cfg BreakdownConfig) (BreakdownResult, error) {
 	return BreakdownResult{Report: report, Snapshot: ds.MetricsSnapshot(), Engine: ds}, nil
 }
 
-// CellsBreakdown returns the per-stage table as header and rows, with a
-// trailing total row equal to the end-to-end latency.
-func CellsBreakdown(r BreakdownResult) ([]string, [][]string) {
+// breakdownTable returns the per-stage table, captioned with the replay's
+// headline numbers, with a trailing total row equal to the end-to-end latency.
+func breakdownTable(r BreakdownResult) report.Table {
 	header := []string{"Stage", "Count", "Total (ms)", "Mean (ms)", "Share (%)"}
 	total := r.Report.TotalLatency.Seconds() * 1e3
 	var out [][]string
@@ -130,13 +124,26 @@ func CellsBreakdown(r BreakdownResult) ([]string, [][]string) {
 	out = append(out, []string{
 		"total", fmt.Sprint(r.Report.Queries), F(total), F(total / float64(r.Report.Queries)), "100",
 	})
-	return header, out
+	return report.Table{Name: "breakdown", Header: header, Rows: out,
+		Caption: fmt.Sprintf("queries=%d hits=%d miss-rate=%.2f mean=%.3fms p99=%.3fms",
+			r.Report.Queries, r.Report.CacheHits, r.Report.MissRate,
+			r.Report.MeanLatency.Seconds()*1e3, r.Report.P99Latency.Seconds()*1e3)}
 }
 
-// FormatBreakdown renders the stage table plus the replay's headline numbers.
-func FormatBreakdown(r BreakdownResult) string {
-	head := fmt.Sprintf("queries=%d hits=%d miss-rate=%.2f mean=%.3fms p99=%.3fms\n",
-		r.Report.Queries, r.Report.CacheHits, r.Report.MissRate,
-		r.Report.MeanLatency.Seconds()*1e3, r.Report.P99Latency.Seconds()*1e3)
-	return head + FormatTable(CellsBreakdown(r))
+// breakdownResult is the stage table plus the replay's two observability
+// artifacts: the metrics snapshot and the span trace in Chrome trace-event
+// format (load in chrome://tracing or Perfetto).
+func breakdownResult(r BreakdownResult) (Result, error) {
+	metrics, err := indentJSON(r.Snapshot)
+	if err != nil {
+		return Result{}, err
+	}
+	var trace bytes.Buffer
+	if err := r.Engine.WriteChromeTrace(&trace); err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Tables:    []report.Table{breakdownTable(r)},
+		Artifacts: []Artifact{{Name: "metrics", Data: metrics}, {Name: "trace", Data: trace.Bytes()}},
+	}, nil
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -35,16 +37,34 @@ func TestLatencyBreakdown(t *testing.T) {
 	if len(r.Snapshot.Counters) == 0 {
 		t.Error("empty metrics snapshot")
 	}
-	header, rows := CellsBreakdown(r)
-	if len(header) != 5 {
-		t.Errorf("header has %d columns, want 5", len(header))
+	res, err := breakdownResult(r)
+	checkResult(t, res, err)
+	tb := res.Tables[0]
+	if len(tb.Header) != 5 {
+		t.Errorf("header has %d columns, want 5", len(tb.Header))
 	}
 	// One row per stage plus the trailing total row.
-	if len(rows) != len(r.Report.Stages)+1 {
-		t.Errorf("%d rows for %d stages", len(rows), len(r.Report.Stages))
+	if len(tb.Rows) != len(r.Report.Stages)+1 {
+		t.Errorf("%d rows for %d stages", len(tb.Rows), len(r.Report.Stages))
 	}
-	if FormatBreakdown(r) == "" {
-		t.Error("empty rendering")
+	if !strings.HasPrefix(tb.Text(), "queries=24 hits=") {
+		t.Errorf("headline caption missing: %q", tb.Text())
+	}
+	// The two observability artifacts: the snapshot, and a Chrome trace
+	// that actually holds events (the container format is checked in
+	// internal/obs and internal/core).
+	if len(res.Artifacts) != 2 || res.Artifacts[0].Name != "metrics" || res.Artifacts[1].Name != "trace" {
+		t.Fatalf("artifacts %+v, want metrics and trace", res.Artifacts)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(res.Artifacts[0].Data, &snap); err != nil || len(snap.Counters) == 0 {
+		t.Errorf("metrics artifact: %v, %d counters", err, len(snap.Counters))
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(res.Artifacts[1].Data, &trace); err != nil || len(trace.TraceEvents) == 0 {
+		t.Errorf("trace artifact: %v, %d events", err, len(trace.TraceEvents))
 	}
 }
 

@@ -1,17 +1,22 @@
 // Package exp implements the paper's evaluation: one function per table and
-// figure, each returning structured rows that the deepstore-bench command
-// and the repository benchmarks print. EXPERIMENTS.md records these outputs
-// against the paper's reported values.
+// figure, each returning structured rows, and one Study per experiment in
+// the Studies registry (studies.go) that renders those rows as tables,
+// charts and JSON artifacts for the deepstore-bench and deepstore-report
+// commands. EXPERIMENTS.md records these outputs against the paper's
+// reported values.
 package exp
 
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/baseline"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/ftl"
+	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -115,47 +120,54 @@ func collectAllScans(window int64) []scanRecord {
 	return recs
 }
 
+// newEngine builds a fresh engine holding the vectors and the comparison
+// network: the preamble of every study on a materialized database.
+func newEngine(opts core.Options, vectors [][]float32, scn *nn.Network) (*core.DeepStore, core.ModelID, ftl.DBID, error) {
+	ds, err := core.New(opts)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	dbID, err := ds.WriteDB(vectors)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	model, err := ds.LoadModelNetwork(scn)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return ds, model, dbID, nil
+}
+
+// queryNow submits one query and collects its results.
+func queryNow(ds *core.DeepStore, spec core.QuerySpec) (*core.QueryResult, error) {
+	qid, err := ds.Query(spec)
+	if err != nil {
+		return nil, err
+	}
+	return ds.GetResults(qid)
+}
+
+// newCluster is newEngine for a sharded cluster of default engines.
+func newCluster(shards int, vectors [][]float32, scn *nn.Network) (*cluster.Engines, error) {
+	e, err := cluster.NewEngines(shards, core.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	if err := e.WriteDB(vectors); err != nil {
+		return nil, err
+	}
+	if err := e.LoadModel(scn); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // Ratio returns a/b, or NaN when b is zero.
 func Ratio(a, b float64) float64 {
 	if b == 0 {
 		return math.NaN()
 	}
 	return a / b
-}
-
-// FormatTable renders rows as an aligned text table.
-func FormatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return sb.String()
 }
 
 // F formats a float compactly for tables.

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/report"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -88,6 +90,14 @@ func TestFigure8ShapeBands(t *testing.T) {
 	if maxEff < 40 || maxEff > 120 {
 		t.Errorf("peak channel energy efficiency %.1f outside [40, 120] (paper: 78.6)", maxEff)
 	}
+	// Figure 11 is a projection of the same rows; both have bar charts.
+	rows11 := Figure11(rows)
+	checkResult(t, tables(figure8Table(rows), figure11Table(rows11)), nil)
+	for _, chart := range []string{figure8Chart(rows), figure11Chart(rows11)} {
+		if !strings.Contains(chart, "TextQA/Channel") {
+			t.Errorf("chart lost a bar: %q", chart)
+		}
+	}
 }
 
 func TestTable1RowsComplete(t *testing.T) {
@@ -103,9 +113,7 @@ func TestTable1RowsComplete(t *testing.T) {
 			t.Errorf("%s FLOPs off by %.0f%%", r.App, rel*100)
 		}
 	}
-	if FormatTable1(rows) == "" {
-		t.Error("empty format")
-	}
+	checkResult(t, tables(table1Table(rows)), nil)
 }
 
 func TestFigure2IOBand(t *testing.T) {
@@ -121,6 +129,7 @@ func TestFigure2IOBand(t *testing.T) {
 			t.Errorf("%s: breakdown does not sum", r.App)
 		}
 	}
+	checkResult(t, tables(figure2Table(rows)), nil)
 }
 
 func TestFigure9Insensitivity(t *testing.T) {
@@ -145,6 +154,7 @@ func TestFigure9Insensitivity(t *testing.T) {
 			}
 		}
 	}
+	checkResult(t, tables(figure9Table(rows)), nil)
 }
 
 func TestFigure10Scaling(t *testing.T) {
@@ -195,6 +205,7 @@ func TestFigure10Scaling(t *testing.T) {
 	if tradRatio >= 7 || tradRatio <= 1.5 {
 		t.Errorf("traditional scaled %.2fx across 8 SSDs, want sub-linear", tradRatio)
 	}
+	checkResult(t, tables(figure10aTable(a), figure10bTable(b)), nil)
 }
 
 func TestFigure12FractionsSum(t *testing.T) {
@@ -218,6 +229,7 @@ func TestFigure12FractionsSum(t *testing.T) {
 			}
 		}
 	}
+	checkResult(t, tables(figure12Table(rows)), nil)
 }
 
 func TestFigure13Trends(t *testing.T) {
@@ -257,6 +269,10 @@ func TestFigure13Trends(t *testing.T) {
 	if z.MissRate >= u.MissRate {
 		t.Error("zipfian miss rate not below uniform")
 	}
+	checkResult(t, Result{Tables: []report.Table{Figure13Table(rows)}, Chart: figure13Chart(rows)}, nil)
+	if !strings.Contains(figure13Chart(rows), "zipf-0.7") {
+		t.Error("chart lost a distribution's line")
+	}
 }
 
 func TestFigure14Trends(t *testing.T) {
@@ -282,6 +298,10 @@ func TestFigure14Trends(t *testing.T) {
 				u.Entries, u.MissRate, z7.MissRate, z8.MissRate)
 		}
 	}
+	checkResult(t, tables(figure14Table(rows)), nil)
+	if !strings.Contains(figure14Chart(rows), "zipf-0.8") {
+		t.Error("chart lost a distribution's line")
+	}
 }
 
 func TestTable3Configurations(t *testing.T) {
@@ -299,6 +319,21 @@ func TestTable3Configurations(t *testing.T) {
 		if dsePEs > 4*paperPEs || dsePEs < paperPEs/4 {
 			t.Errorf("%v: DSE chose %d PEs vs Table 3's %d", r.Level, dsePEs, paperPEs)
 		}
+	}
+	checkResult(t, tables(table3Table(rows)), nil)
+}
+
+// TestFigure6Rendering: the sweep's table carries the saturation note and
+// its chart draws both layer kinds.
+func TestFigure6Rendering(t *testing.T) {
+	points := Figure6()
+	tb := Figure6Table(points)
+	checkResult(t, tables(tb), nil)
+	if !strings.HasSuffix(tb.Text(), "(paper: 512 and 1024).\n") {
+		t.Errorf("saturation note missing: %q", tb.Text())
+	}
+	if c := figure6Chart(points); !strings.Contains(c, "Convolution") {
+		t.Errorf("chart: %q", c)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -93,14 +93,8 @@ func FaultSweep(cfg FaultsConfig) ([]FaultsRow, error) {
 
 	var rows []FaultsRow
 	for _, rate := range cfg.Rates {
-		e, err := cluster.NewEngines(cfg.Shards, core.DefaultOptions())
+		e, err := newCluster(cfg.Shards, db.Vectors, app.SCN)
 		if err != nil {
-			return nil, err
-		}
-		if err := e.WriteDB(db.Vectors); err != nil {
-			return nil, err
-		}
-		if err := e.LoadModel(app.SCN); err != nil {
 			return nil, err
 		}
 		if err := e.SetTolerance(cluster.Tolerance{FaultRate: rate, FaultSeed: cfg.Seed}); err != nil {
@@ -128,8 +122,8 @@ func FaultSweep(cfg FaultsConfig) ([]FaultsRow, error) {
 	return rows, nil
 }
 
-// CellsFaults returns the sweep as header and rows.
-func CellsFaults(rows []FaultsRow) ([]string, [][]string) {
+// faultsTable tabulates the sweep.
+func faultsTable(rows []FaultsRow) report.Table {
 	header := []string{"Fault rate", "Queries", "Degraded", "Shard failures", "Errors", "p50 (ms)", "p99 (ms)"}
 	var out [][]string
 	for _, r := range rows {
@@ -138,10 +132,5 @@ func CellsFaults(rows []FaultsRow) ([]string, [][]string) {
 			fmt.Sprint(r.ShardFailures), fmt.Sprint(r.Errors), F(r.P50Ms), F(r.P99Ms),
 		})
 	}
-	return header, out
-}
-
-// FormatFaults renders the sweep.
-func FormatFaults(rows []FaultsRow) string {
-	return FormatTable(CellsFaults(rows))
+	return report.Table{Name: "faults", Header: header, Rows: out}
 }

@@ -40,12 +40,10 @@ func TestFaultSweep(t *testing.T) {
 		}
 	}
 
-	header, cells := CellsFaults(rows)
-	if len(header) != 7 || len(cells) != len(rows) {
-		t.Errorf("cells shape: %d header cols, %d rows", len(header), len(cells))
-	}
-	if FormatFaults(rows) == "" {
-		t.Error("empty rendering")
+	res, err := withRows(faultsTable(rows), rows)
+	checkResult(t, res, err)
+	if tb := res.Tables[0]; len(tb.Header) != 7 || len(tb.Rows) != len(rows) {
+		t.Errorf("table shape: %d header cols, %d rows", len(tb.Header), len(tb.Rows))
 	}
 }
 

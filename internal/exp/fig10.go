@@ -6,6 +6,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/baseline"
 	"repro/internal/cluster"
+	"repro/internal/report"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -106,28 +107,24 @@ func Figure10b(window int64) ([]Fig10bRow, error) {
 	return rows, nil
 }
 
-// CellsFigure10a returns the channel sweep as header and rows.
-func CellsFigure10a(a []Fig10aRow) ([]string, [][]string) {
+// figure10aTable tabulates the channel sweep.
+func figure10aTable(a []Fig10aRow) report.Table {
 	header := []string{"System", "Channels", "Speedup"}
 	var out [][]string
 	for _, r := range a {
 		out = append(out, []string{r.System, fmt.Sprint(r.Channels), F(r.Speedup)})
 	}
-	return header, out
+	return report.Table{Name: "fig10a", Title: "Figure 10a — internal bandwidth scaling (MIR)",
+		Caption: "(a) internal bandwidth (channels), MIR", Header: header, Rows: out}
 }
 
-// CellsFigure10b returns the SSD sweep as header and rows.
-func CellsFigure10b(b []Fig10bRow) ([]string, [][]string) {
+// figure10bTable tabulates the SSD sweep.
+func figure10bTable(b []Fig10bRow) report.Table {
 	header := []string{"System", "SSDs", "Speedup"}
 	var out [][]string
 	for _, r := range b {
 		out = append(out, []string{r.System, fmt.Sprint(r.SSDs), F(r.Speedup)})
 	}
-	return header, out
-}
-
-// FormatFigure10 renders both sweeps.
-func FormatFigure10(a []Fig10aRow, b []Fig10bRow) string {
-	return "(a) internal bandwidth (channels), MIR\n" + FormatTable(CellsFigure10a(a)) +
-		"\n(b) external bandwidth (SSDs), MIR\n" + FormatTable(CellsFigure10b(b))
+	return report.Table{Name: "fig10b", Title: "Figure 10b — multi-SSD scaling (MIR)",
+		Caption: "(b) external bandwidth (SSDs), MIR", Header: header, Rows: out}
 }

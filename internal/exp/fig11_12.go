@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/accel"
+	"repro/internal/report"
+	"repro/internal/viz"
 )
 
 // Fig11Row is one energy-efficiency bar: a DeepStore design's perf/Watt
@@ -26,8 +29,8 @@ func Figure11(rows []Fig8Row) []Fig11Row {
 	return out
 }
 
-// CellsFigure11 returns the normalized perf/Watt table.
-func CellsFigure11(rows []Fig11Row) ([]string, [][]string) {
+// figure11Table returns the normalized perf/Watt table.
+func figure11Table(rows []Fig11Row) report.Table {
 	header := []string{"App", "SSD", "Channel", "Chip"}
 	byApp := map[string]map[accel.Level]float64{}
 	var order []string
@@ -43,12 +46,15 @@ func CellsFigure11(rows []Fig11Row) ([]string, [][]string) {
 		m := byApp[app]
 		out = append(out, []string{app, F(m[accel.LevelSSD]), F(m[accel.LevelChannel]), F(m[accel.LevelChip])})
 	}
-	return header, out
+	return report.Table{Name: "fig11", Header: header, Rows: out}
 }
 
-// FormatFigure11 renders the normalized perf/Watt table.
-func FormatFigure11(rows []Fig11Row) string {
-	return FormatTable(CellsFigure11(rows))
+func figure11Chart(rows []Fig11Row) string {
+	var bars []viz.Bar
+	for _, r := range rows {
+		bars = append(bars, viz.Bar{Label: fmt.Sprintf("%s/%s", r.App, r.Level), Value: r.PerfPerWatt})
+	}
+	return viz.BarChart("Fig 11: perf/W vs Volta GPU", bars, 48)
 }
 
 // Fig12Row is one energy-breakdown bar: the compute/memory/flash shares of
@@ -89,8 +95,8 @@ func figure12Scans(window int64) ([]Fig12Row, error) {
 	return rows, nil
 }
 
-// CellsFigure12 returns the percentage breakdown.
-func CellsFigure12(rows []Fig12Row) ([]string, [][]string) {
+// figure12Table returns the percentage breakdown.
+func figure12Table(rows []Fig12Row) report.Table {
 	header := []string{"App", "Level", "Compute %", "Memory %", "Flash %"}
 	var out [][]string
 	for _, r := range rows {
@@ -99,12 +105,7 @@ func CellsFigure12(rows []Fig12Row) ([]string, [][]string) {
 			pct(r.Compute), pct(r.Memory), pct(r.Flash),
 		})
 	}
-	return header, out
-}
-
-// FormatFigure12 renders the percentage breakdown.
-func FormatFigure12(rows []Fig12Row) string {
-	return FormatTable(CellsFigure12(rows))
+	return report.Table{Name: "fig12", Header: header, Rows: out}
 }
 
 func pct(v float64) string {

@@ -6,7 +6,9 @@ import (
 	"repro/internal/accel"
 	"repro/internal/baseline"
 	"repro/internal/qcache"
+	"repro/internal/report"
 	"repro/internal/ssd"
+	"repro/internal/viz"
 	"repro/internal/workload"
 )
 
@@ -187,8 +189,8 @@ func Figure13(window int64, cfg QCStudyConfig) ([]Fig13Row, error) {
 	return rows, nil
 }
 
-// CellsFigure13 returns the sweep as header and rows.
-func CellsFigure13(rows []Fig13Row) ([]string, [][]string) {
+// Figure13Table tabulates the sweep.
+func Figure13Table(rows []Fig13Row) report.Table {
 	header := []string{"Dist", "Threshold %", "Miss %", "Trad+QC x", "DeepStore x", "DeepStore+QC x"}
 	var out [][]string
 	for _, r := range rows {
@@ -197,12 +199,27 @@ func CellsFigure13(rows []Fig13Row) ([]string, [][]string) {
 			F(r.TraditionalQC), F(r.DeepStore), F(r.DeepStoreQC),
 		})
 	}
-	return header, out
+	return report.Table{Name: "fig13", Header: header, Rows: out}
 }
 
-// FormatFigure13 renders the sweep.
-func FormatFigure13(rows []Fig13Row) string {
-	return FormatTable(CellsFigure13(rows))
+// addPoint appends p to the series called name, adding the series on first
+// sight so chart lines keep the rows' order.
+func addPoint(series []viz.Series, name string, p viz.Point) []viz.Series {
+	for i := range series {
+		if series[i].Name == name {
+			series[i].Points = append(series[i].Points, p)
+			return series
+		}
+	}
+	return append(series, viz.Series{Name: name, Points: []viz.Point{p}})
+}
+
+func figure13Chart(rows []Fig13Row) string {
+	var series []viz.Series
+	for _, r := range rows {
+		series = addPoint(series, "DeepStore+QC "+r.Dist, viz.Point{X: float64(r.ThresholdPct), Y: r.DeepStoreQC})
+	}
+	return viz.LineChart("Fig 13: DeepStore+QC speedup vs error threshold (%)", series, 64, 14)
 }
 
 // Fig14Row is one cache-size point of Fig. 14.
@@ -239,17 +256,20 @@ func Figure14(cfg QCStudyConfig) []Fig14Row {
 	return rows
 }
 
-// CellsFigure14 returns the sweep as header and rows.
-func CellsFigure14(rows []Fig14Row) ([]string, [][]string) {
+// figure14Table tabulates the sweep.
+func figure14Table(rows []Fig14Row) report.Table {
 	header := []string{"Dist", "Entries", "Miss %"}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{r.Dist, fmt.Sprint(r.Entries), F(r.MissRate * 100)})
 	}
-	return header, out
+	return report.Table{Name: "fig14", Header: header, Rows: out}
 }
 
-// FormatFigure14 renders the sweep.
-func FormatFigure14(rows []Fig14Row) string {
-	return FormatTable(CellsFigure14(rows))
+func figure14Chart(rows []Fig14Row) string {
+	var series []viz.Series
+	for _, r := range rows {
+		series = addPoint(series, r.Dist, viz.Point{X: float64(r.Entries), Y: r.MissRate * 100})
+	}
+	return viz.LineChart("Fig 14: miss rate (%) vs cache entries", series, 64, 14)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/gpu"
+	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -48,8 +49,8 @@ func Figure2() []Fig2Row {
 	return rows
 }
 
-// CellsFigure2 returns the breakdown as header and rows for export.
-func CellsFigure2(rows []Fig2Row) ([]string, [][]string) {
+// figure2Table tabulates the breakdown.
+func figure2Table(rows []Fig2Row) report.Table {
 	header := []string{"App", "GPU", "Batch", "Read(ms)", "Memcpy(ms)", "Compute(ms)", "Total(ms)", "IO %"}
 	var out [][]string
 	for _, r := range rows {
@@ -59,10 +60,5 @@ func CellsFigure2(rows []Fig2Row) ([]string, [][]string) {
 			fmt.Sprintf("%.0f", r.IOFraction*100),
 		})
 	}
-	return header, out
-}
-
-// FormatFigure2 renders the breakdown.
-func FormatFigure2(rows []Fig2Row) string {
-	return FormatTable(CellsFigure2(rows))
+	return report.Table{Name: "fig2", Header: header, Rows: out}
 }

@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/accel"
 	"repro/internal/baseline"
+	"repro/internal/report"
 	"repro/internal/ssd"
+	"repro/internal/viz"
 	"repro/internal/workload"
 )
 
@@ -93,8 +96,8 @@ func DeepStoreEnergyJ(out ScanOutcome) float64 {
 	return out.Energy.Total() + out.Seconds*(ssdActivePowerW+accelStaticPowerW)
 }
 
-// CellsFigure8 returns the experiment as header and rows for export.
-func CellsFigure8(rows []Fig8Row) ([]string, [][]string) {
+// figure8Table tabulates the experiment.
+func figure8Table(rows []Fig8Row) report.Table {
 	header := []string{"App", "Base(s)", "Wimpy x", "SSD x", "Chan x", "Chip x", "SSD E", "Chan E", "Chip E"}
 	var out [][]string
 	for _, r := range rows {
@@ -110,10 +113,15 @@ func CellsFigure8(rows []Fig8Row) ([]string, [][]string) {
 			F(r.EnergyEff[accel.LevelChip]),
 		})
 	}
-	return header, out
+	return report.Table{Name: "fig8", Header: header, Rows: out}
 }
 
-// FormatFigure8 renders the experiment as text.
-func FormatFigure8(rows []Fig8Row) string {
-	return FormatTable(CellsFigure8(rows))
+func figure8Chart(rows []Fig8Row) string {
+	var bars []viz.Bar
+	for _, r := range rows {
+		for _, lv := range accel.Levels() {
+			bars = append(bars, viz.Bar{Label: fmt.Sprintf("%s/%s", r.App, lv), Value: r.Speedup[lv]})
+		}
+	}
+	return viz.BarChart("Fig 8: speedup over GPU+SSD", bars, 48)
 }

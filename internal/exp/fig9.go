@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/accel"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -76,8 +77,8 @@ func Figure9(window int64) ([]Fig9Row, error) {
 	return rows, nil
 }
 
-// CellsFigure9 returns one line per system/app with speedups across ratios.
-func CellsFigure9(rows []Fig9Row) ([]string, [][]string) {
+// figure9Table returns one line per system/app with speedups across ratios.
+func figure9Table(rows []Fig9Row) report.Table {
 	header := []string{"System", "App"}
 	for _, r := range fig9Ratios {
 		header = append(header, r.label)
@@ -101,10 +102,5 @@ func CellsFigure9(rows []Fig9Row) ([]string, [][]string) {
 		}
 		out = append(out, cells)
 	}
-	return header, out
-}
-
-// FormatFigure9 renders the sensitivity table as text.
-func FormatFigure9(rows []Fig9Row) string {
-	return FormatTable(CellsFigure9(rows))
+	return report.Table{Name: "fig9", Header: header, Rows: out}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -121,8 +122,8 @@ func Interference(appName string, level accel.Level, scanFeatures, streamFeature
 	return res, nil
 }
 
-// CellsInterference returns the study as header and rows.
-func CellsInterference(rows []InterferenceResult) ([]string, [][]string) {
+// interferenceTable tabulates the study.
+func interferenceTable(rows []InterferenceResult) report.Table {
 	header := []string{"App", "Level", "Scan alone(s)", "Scan shared(s)", "Scan slowdown",
 		"Stream alone(s)", "Stream shared(s)", "Stream slowdown"}
 	var out [][]string
@@ -133,10 +134,5 @@ func CellsInterference(rows []InterferenceResult) ([]string, [][]string) {
 			F(r.StreamAloneSec), F(r.StreamSharedSec), F(r.StreamSlowdown()),
 		})
 	}
-	return header, out
-}
-
-// FormatInterference renders the study.
-func FormatInterference(rows []InterferenceResult) string {
-	return FormatTable(CellsInterference(rows))
+	return report.Table{Name: "interference", Header: header, Rows: out}
 }

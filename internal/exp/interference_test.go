@@ -39,10 +39,7 @@ func TestInterferenceFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := FormatInterference([]InterferenceResult{res})
-	if len(s) < 50 {
-		t.Errorf("format too short: %q", s)
-	}
+	checkResult(t, tables(interferenceTable([]InterferenceResult{res})), nil)
 }
 
 func TestInterferenceUnknownApp(t *testing.T) {

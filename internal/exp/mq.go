@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -71,15 +72,7 @@ func MultiQueryBench(cfg MQConfig) ([]MQRow, error) {
 		if q < 1 {
 			return nil, fmt.Errorf("exp: batch width %d invalid", q)
 		}
-		ds, err := core.New(core.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		dbID, err := ds.WriteDB(db.Vectors)
-		if err != nil {
-			return nil, err
-		}
-		model, err := ds.LoadModelNetwork(app.SCN)
+		ds, model, dbID, err := newEngine(core.DefaultOptions(), db.Vectors, app.SCN)
 		if err != nil {
 			return nil, err
 		}
@@ -125,8 +118,8 @@ func MultiQueryBench(cfg MQConfig) ([]MQRow, error) {
 	return rows, nil
 }
 
-// CellsMQ returns the study as header and rows.
-func CellsMQ(rows []MQRow) ([]string, [][]string) {
+// mqTable tabulates the study.
+func mqTable(rows []MQRow) report.Table {
 	header := []string{"Q", "Queries", "Features", "Batches", "Sim (s)", "Queries/s", "ns/feature", "vs Q=1", "Wall (s)"}
 	var out [][]string
 	for _, r := range rows {
@@ -136,10 +129,5 @@ func CellsMQ(rows []MQRow) ([]string, [][]string) {
 			F(r.NsFeature), F(r.SpeedupVsQ1) + "x", F(r.WallSec),
 		})
 	}
-	return header, out
-}
-
-// FormatMQ renders the study.
-func FormatMQ(rows []MQRow) string {
-	return FormatTable(CellsMQ(rows))
+	return report.Table{Name: "mq", Header: header, Rows: out}
 }

@@ -35,10 +35,8 @@ func TestMultiQueryBenchSpeedup(t *testing.T) {
 	if rows[1].NsFeature >= rows[0].NsFeature {
 		t.Fatalf("ns/feature did not improve: %.1f vs %.1f", rows[1].NsFeature, rows[0].NsFeature)
 	}
-	// Table rendering smoke check.
-	if s := FormatMQ(rows); len(s) == 0 {
-		t.Fatal("empty table")
-	}
+	res, err := withRows(mqTable(rows), rows)
+	checkResult(t, res, err)
 }
 
 // TestMultiQueryBenchDeterministic: the JSON artifact (BENCH_mq.json's
@@ -67,7 +65,7 @@ func TestMultiQueryBenchDeterministic(t *testing.T) {
 func TestMultiQueryBenchValidation(t *testing.T) {
 	for _, cfg := range []MQConfig{
 		{},
-		{App: "TIR", Features: 10, Queries: 4, K: 1},           // no widths
+		{App: "TIR", Features: 10, Queries: 4, K: 1}, // no widths
 		{App: "TIR", Features: 10, Queries: 4, K: 1, Qs: []int{0}},
 		{App: "nope", Features: 10, Queries: 4, K: 1, Qs: []int{1}},
 	} {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -101,26 +102,14 @@ func PruneSweep(cfg PruneConfig) ([]PruneRow, error) {
 		opts := core.DefaultOptions()
 		opts.Prune = prune
 		opts.PruneStripeFeatures = cfg.StripeFeatures
-		ds, err := core.New(opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		dbID, err := ds.WriteDB(vectors)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		model, err := ds.LoadModelNetwork(app.SCN)
+		ds, model, dbID, err := newEngine(opts, vectors, app.SCN)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		wallStart := time.Now()
 		simStart := ds.Now()
 		for _, q := range qfvs {
-			qid, err := ds.Query(core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			res, err := ds.GetResults(qid)
+			res, err := queryNow(ds, core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -184,8 +173,8 @@ func PruneSweep(cfg PruneConfig) ([]PruneRow, error) {
 	return out, nil
 }
 
-// CellsPrune returns the study as header and rows.
-func CellsPrune(rows []PruneRow) ([]string, [][]string) {
+// pruneTable tabulates the study.
+func pruneTable(rows []PruneRow) report.Table {
 	header := []string{"Trace", "Mode", "Queries", "Features", "SF", "Checked", "Skipped",
 		"Feat skipped", "Skip rate", "Sim (s)", "Features/s", "vs dense", "Mismatch", "Wall (s)"}
 	var out [][]string
@@ -198,10 +187,5 @@ func CellsPrune(rows []PruneRow) ([]string, [][]string) {
 			F(r.SpeedupVsDense) + "x", fmt.Sprint(r.Mismatches), F(r.WallSec),
 		})
 	}
-	return header, out
-}
-
-// FormatPrune renders the study.
-func FormatPrune(rows []PruneRow) string {
-	return FormatTable(CellsPrune(rows))
+	return report.Table{Name: "prune", Header: header, Rows: out}
 }

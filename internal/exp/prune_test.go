@@ -60,4 +60,6 @@ func TestPruneSweep(t *testing.T) {
 	if z, u := byKey["zipfian/pruned"].SkipRate, byKey["uniform/pruned"].SkipRate; z < u {
 		t.Logf("note: zipfian skip rate %v below uniform %v", z, u)
 	}
+	res, err := withRows(pruneTable(rows), rows)
+	checkResult(t, res, err)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/workload"
@@ -112,15 +113,7 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 			opts.CacheAdmission = admission
 			opts.HistoryMineInterval = cfg.MineInterval
 		}
-		ds, err := core.New(opts)
-		if err != nil {
-			return runOut{}, err
-		}
-		dbID, err := ds.WriteDB(db.Vectors)
-		if err != nil {
-			return runOut{}, err
-		}
-		model, err := ds.LoadModelNetwork(app.SCN)
+		ds, model, dbID, err := newEngine(opts, db.Vectors, app.SCN)
 		if err != nil {
 			return runOut{}, err
 		}
@@ -133,11 +126,7 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 		wallStart := time.Now()
 		simStart := ds.Now()
 		for _, q := range qfvs {
-			qid, err := ds.Query(core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return runOut{}, err
-			}
-			res, err := ds.GetResults(qid)
+			res, err := queryNow(ds, core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
 			if err != nil {
 				return runOut{}, err
 			}
@@ -210,8 +199,8 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 	return out, nil
 }
 
-// CellsQHist returns the study as header and rows.
-func CellsQHist(rows []QHistRow) ([]string, [][]string) {
+// qhistTable tabulates the study.
+func qhistTable(rows []QHistRow) report.Table {
 	header := []string{"Trace", "Policy", "Queries", "Entries", "Universe", "Hits", "Misses",
 		"Hit rate", "Rejects", "Evictions", "Records", "Mines", "Groups", "Sim (s)", "Mismatch", "Wall (s)"}
 	var out [][]string
@@ -224,10 +213,5 @@ func CellsQHist(rows []QHistRow) ([]string, [][]string) {
 			F(r.SimSec), fmt.Sprint(r.MissMismatches), F(r.WallSec),
 		})
 	}
-	return header, out
-}
-
-// FormatQHist renders the study.
-func FormatQHist(rows []QHistRow) string {
-	return FormatTable(CellsQHist(rows))
+	return report.Table{Name: "qhist", Header: header, Rows: out}
 }

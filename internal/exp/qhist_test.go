@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -67,8 +68,9 @@ func TestQHistSweepValidation(t *testing.T) {
 
 func TestCellsQHistShape(t *testing.T) {
 	rows := []QHistRow{{Trace: "zipfian", Policy: "lru", Queries: 1}}
-	h, c := CellsQHist(rows)
-	if len(c) != 1 || len(c[0]) != len(h) {
-		t.Fatalf("cells %dx%d for header of %d", len(c), len(c[0]), len(h))
+	res, err := withRows(qhistTable(rows), rows)
+	checkResult(t, res, err)
+	if res.Artifacts[0].Name != "qhist" || strings.Contains(string(res.Artifacts[0].Data), "Wall") {
+		t.Errorf("artifact %q leaks wall-clock time: %s", res.Artifacts[0].Name, res.Artifacts[0].Data)
 	}
 }

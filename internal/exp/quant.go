@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nn"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/topk"
 	"repro/internal/workload"
@@ -61,48 +63,53 @@ type QuantRow struct {
 	WallSec    float64 `json:"-"`
 }
 
-// quantVectors builds the planted-intent database shared by every engine:
-// each intent owns a run of features sitting in a tight ball around its
-// query vector, over a random background — real retrieval corpora contain
-// items that actually match each intent, so recall against fp32 measures
-// quantization error rather than ranking noise.
-func quantVectors(cfg QuantConfig, app *workload.App, intents [][]float32) [][]float32 {
-	fe := app.SCN.FeatureElems()
-	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+1)
-	const relevantPerIntent = 15
-	planted := workload.NewFeatureDB(app, cfg.Intents*relevantPerIntent, cfg.Seed+500)
-	for i := 0; i < cfg.Intents; i++ {
-		for r := 0; r < relevantPerIntent; r++ {
-			idx := i*relevantPerIntent + r
-			if idx >= len(db.Vectors) {
-				break
-			}
-			for j := 0; j < fe; j++ {
-				db.Vectors[idx][j] = intents[i][j] + 0.15*planted.Vectors[idx][j]
-			}
-		}
-	}
-	return db.Vectors
+// quantFixture is what both quant sweeps share: the comparison network, the
+// planted-intent database (so recall against fp32 measures quantization error
+// rather than ranking noise) and the paraphrased query stream.
+type quantFixture struct {
+	cfg           QuantConfig
+	scn           *nn.Network
+	vectors, qfvs [][]float32
 }
 
-// quantQueryStream derives the Zipfian intent stream with paraphrase noise.
-func quantQueryStream(cfg QuantConfig, app *workload.App, intents [][]float32) [][]float32 {
-	fe := app.SCN.FeatureElems()
-	trace := workload.GenerateTrace(workload.TraceConfig{
-		Universe: int64(cfg.Intents), Length: cfg.Queries,
-		Dist: workload.Zipfian, Alpha: 0.7, Seed: cfg.Seed,
-	})
-	noise := workload.NewFeatureDB(app, cfg.Queries, cfg.Seed+999)
-	qfvs := make([][]float32, cfg.Queries)
-	for qi, q := range trace.Queries {
-		qfv := make([]float32, fe)
-		base := intents[q.SemanticID]
-		for j := range qfv {
-			qfv[j] = base[j] + cfg.Noise*noise.Vectors[qi][j]
-		}
-		qfvs[qi] = qfv
+func newQuantFixture(cfg QuantConfig, scnName string) (*quantFixture, error) {
+	app, err := workload.ByName("TextQA")
+	if err != nil {
+		return nil, err
 	}
-	return qfvs
+	scn, err := dotNet(scnName, app.SCN.FeatureElems())
+	if err != nil {
+		return nil, err
+	}
+	vectors, intents := plantedCorpus(app, cfg.Features, cfg.Intents, cfg.Seed)
+	return &quantFixture{cfg: cfg, scn: scn, vectors: vectors,
+		qfvs: paraphrasedStream(app, intents, cfg.Queries, cfg.Noise, cfg.Seed)}, nil
+}
+
+// run replays the stream on a fresh engine in the given mode.
+func (f *quantFixture) run(quantized bool, margin int) (tops [][]topk.Entry, simSec, wallSec float64, err error) {
+	opts := core.DefaultOptions()
+	opts.Quantized = quantized
+	opts.RerankMargin = margin
+	ds, model, dbID, err := newEngine(opts, f.vectors, f.scn)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	wallStart := time.Now()
+	// Sum per-query latency rather than differencing ds.Now(): the exact
+	// mode's rerank stage (like pruning's bound checks) is charged to the
+	// query's latency, not the engine event clock, and the study must see
+	// the two-pass tax.
+	var sum sim.Duration
+	for _, q := range f.qfvs {
+		res, err := queryNow(ds, core.QuerySpec{QFV: q, K: f.cfg.K, Model: model, DB: dbID})
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		sum += res.Latency
+		tops = append(tops, res.TopK)
+	}
+	return tops, sum.Seconds(), time.Since(wallStart).Seconds(), nil
 }
 
 // QuantSweep runs the study: the same query stream on an fp32 engine, an
@@ -112,60 +119,11 @@ func QuantSweep(cfg QuantConfig) ([]QuantRow, error) {
 	if cfg.Features < 1 || cfg.Intents < 1 || cfg.Queries < 1 || cfg.K < 1 || cfg.Margin < 1 {
 		return nil, fmt.Errorf("exp: quant config %+v invalid", cfg)
 	}
-	app, err := workload.ByName("TextQA")
+	f, err := newQuantFixture(cfg, "quant-scn")
 	if err != nil {
 		return nil, err
 	}
-	fe := app.SCN.FeatureElems()
-	scn, err := dotNet("quant-scn", fe)
-	if err != nil {
-		return nil, err
-	}
-	intents := make([][]float32, cfg.Intents)
-	for i := range intents {
-		intents[i] = workload.NewFeatureDB(app, 1, cfg.Seed+100+int64(i)).Vectors[0]
-	}
-	vectors := quantVectors(cfg, app, intents)
-	qfvs := quantQueryStream(cfg, app, intents)
-
-	run := func(quantized bool, margin int) (tops [][]topk.Entry, simSec, wallSec float64, err error) {
-		opts := core.DefaultOptions()
-		opts.Quantized = quantized
-		opts.RerankMargin = margin
-		ds, err := core.New(opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		dbID, err := ds.WriteDB(vectors)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		model, err := ds.LoadModelNetwork(scn)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		wallStart := time.Now()
-		// Sum per-query latency rather than differencing ds.Now(): the exact
-		// mode's rerank stage (like pruning's bound checks) is charged to the
-		// query's latency, not the engine event clock, and the study must see
-		// the two-pass tax.
-		var sum sim.Duration
-		for _, q := range qfvs {
-			qid, err := ds.Query(core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			res, err := ds.GetResults(qid)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			sum += res.Latency
-			tops = append(tops, res.TopK)
-		}
-		return tops, sum.Seconds(), time.Since(wallStart).Seconds(), nil
-	}
-
-	ref, refSim, refWall, err := run(false, 0)
+	ref, refSim, refWall, err := f.run(false, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +137,7 @@ func QuantSweep(cfg QuantConfig) ([]QuantRow, error) {
 		name   string
 		margin int
 	}{{"int8", 0}, {"int8-exact", cfg.Margin}} {
-		tops, simSec, wallSec, err := run(true, m.margin)
+		tops, simSec, wallSec, err := f.run(true, m.margin)
 		if err != nil {
 			return nil, err
 		}
@@ -239,54 +197,11 @@ func QuantMarginRecall(cfg QuantConfig, margins []int) ([]QuantMarginRow, error)
 	if len(margins) == 0 {
 		margins = []int{1, 2, 4, 8}
 	}
-	app, err := workload.ByName("TextQA")
+	f, err := newQuantFixture(cfg, "quant-margin-scn")
 	if err != nil {
 		return nil, err
 	}
-	fe := app.SCN.FeatureElems()
-	scn, err := dotNet("quant-margin-scn", fe)
-	if err != nil {
-		return nil, err
-	}
-	intents := make([][]float32, cfg.Intents)
-	for i := range intents {
-		intents[i] = workload.NewFeatureDB(app, 1, cfg.Seed+100+int64(i)).Vectors[0]
-	}
-	vectors := quantVectors(cfg, app, intents)
-	qfvs := quantQueryStream(cfg, app, intents)
-
-	run := func(quantized bool, margin int) ([][]topk.Entry, error) {
-		opts := core.DefaultOptions()
-		opts.Quantized = quantized
-		opts.RerankMargin = margin
-		ds, err := core.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		dbID, err := ds.WriteDB(vectors)
-		if err != nil {
-			return nil, err
-		}
-		model, err := ds.LoadModelNetwork(scn)
-		if err != nil {
-			return nil, err
-		}
-		var tops [][]topk.Entry
-		for _, q := range qfvs {
-			qid, err := ds.Query(core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return nil, err
-			}
-			res, err := ds.GetResults(qid)
-			if err != nil {
-				return nil, err
-			}
-			tops = append(tops, res.TopK)
-		}
-		return tops, nil
-	}
-
-	ref, err := run(false, 0)
+	ref, _, _, err := f.run(false, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +210,7 @@ func QuantMarginRecall(cfg QuantConfig, margins []int) ([]QuantMarginRow, error)
 		if m < 1 {
 			return nil, fmt.Errorf("exp: margin %d < 1", m)
 		}
-		tops, err := run(true, m)
+		tops, _, _, err := f.run(true, m)
 		if err != nil {
 			return nil, err
 		}
@@ -305,8 +220,8 @@ func QuantMarginRecall(cfg QuantConfig, margins []int) ([]QuantMarginRow, error)
 	return rows, nil
 }
 
-// CellsQuant returns the study as header and rows.
-func CellsQuant(rows []QuantRow) ([]string, [][]string) {
+// quantTable tabulates the study.
+func quantTable(rows []QuantRow) report.Table {
 	header := []string{"Mode", "Queries", "Features", "K", "Margin",
 		"Sim (s)", "Features/s", "vs fp32", "Recall@K", "Mismatch", "Wall (s)"}
 	var out [][]string
@@ -317,25 +232,15 @@ func CellsQuant(rows []QuantRow) ([]string, [][]string) {
 			F(r.SpeedupVsFP32) + "x", F(r.RecallAtK), fmt.Sprint(r.Mismatches), F(r.WallSec),
 		})
 	}
-	return header, out
+	return report.Table{Name: "quant", Header: header, Rows: out}
 }
 
-// FormatQuant renders the study.
-func FormatQuant(rows []QuantRow) string {
-	return FormatTable(CellsQuant(rows))
-}
-
-// CellsQuantMargin returns the margin sweep as header and rows.
-func CellsQuantMargin(rows []QuantMarginRow) ([]string, [][]string) {
+// quantMarginTable tabulates the margin sweep.
+func quantMarginTable(rows []QuantMarginRow) report.Table {
 	header := []string{"Margin", "Recall@K", "Mismatch"}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{fmt.Sprint(r.Margin), F(r.RecallAtK), fmt.Sprint(r.Mismatches)})
 	}
-	return header, out
-}
-
-// FormatQuantMargin renders the margin sweep.
-func FormatQuantMargin(rows []QuantMarginRow) string {
-	return FormatTable(CellsQuantMargin(rows))
+	return report.Table{Name: "quant-margin", Title: "Extension — int8 two-pass rerank margin", Header: header, Rows: out}
 }

@@ -56,17 +56,10 @@ func TestQuantSweep(t *testing.T) {
 		t.Errorf("int8-exact margin %d, want %d", exact.Margin, cfg.Margin)
 	}
 
-	header, cells := CellsQuant(rows)
-	if len(cells) != len(rows) {
-		t.Fatalf("CellsQuant: %d rows, want %d", len(cells), len(rows))
-	}
-	for _, row := range cells {
-		if len(row) != len(header) {
-			t.Fatalf("CellsQuant: row width %d != header %d", len(row), len(header))
-		}
-	}
-	if FormatQuant(rows) == "" {
-		t.Error("FormatQuant returned empty output")
+	res, err := withRows(quantTable(rows), rows)
+	checkResult(t, res, err)
+	if got := len(res.Tables[0].Rows); got != len(rows) {
+		t.Fatalf("quant table: %d rows, want %d", got, len(rows))
 	}
 }
 
@@ -111,16 +104,9 @@ func TestQuantMarginRecall(t *testing.T) {
 		t.Errorf("margin %d not exact: %+v", last.Margin, last)
 	}
 
-	header, cells := CellsQuantMargin(rows)
-	if len(cells) != len(rows) {
-		t.Fatalf("CellsQuantMargin: %d rows, want %d", len(cells), len(rows))
-	}
-	for _, row := range cells {
-		if len(row) != len(header) {
-			t.Fatalf("CellsQuantMargin: row width %d != header %d", len(row), len(header))
-		}
-	}
-	if FormatQuantMargin(rows) == "" {
-		t.Error("FormatQuantMargin returned empty output")
+	tb := quantMarginTable(rows)
+	checkResult(t, tables(tb), nil)
+	if len(tb.Rows) != len(rows) {
+		t.Fatalf("margin table: %d rows, want %d", len(tb.Rows), len(rows))
 	}
 }

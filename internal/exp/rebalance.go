@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -77,21 +77,6 @@ type RebalanceRow struct {
 	SrcReadMs     float64 `json:"src_read_ms"`
 	DstWriteMs    float64 `json:"dst_write_ms"`
 	WallSec       float64 `json:"-"`
-}
-
-// rebalanceCluster builds a cluster holding the study database and model.
-func rebalanceCluster(shards int, app *workload.App, db *workload.FeatureDB) (*cluster.Engines, error) {
-	e, err := cluster.NewEngines(shards, core.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	if err := e.WriteDB(db.Vectors); err != nil {
-		return nil, err
-	}
-	if err := e.LoadModel(app.SCN); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // drivePhase runs batches through the live cluster and the oracle,
@@ -175,11 +160,11 @@ func RebalanceBench(cfg RebalanceConfig) ([]RebalanceRow, error) {
 	dims := app.SCN.FeatureElems()
 	wallStart := time.Now()
 
-	live, err := rebalanceCluster(cfg.Shards, app, db)
+	live, err := newCluster(cfg.Shards, db.Vectors, app.SCN)
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := rebalanceCluster(1, app, db)
+	oracle, err := newCluster(1, db.Vectors, app.SCN)
 	if err != nil {
 		return nil, err
 	}
@@ -247,8 +232,8 @@ func RebalanceBench(cfg RebalanceConfig) ([]RebalanceRow, error) {
 	return rows, nil
 }
 
-// CellsRebalance returns the study as header and rows.
-func CellsRebalance(rows []RebalanceRow) ([]string, [][]string) {
+// rebalanceTable tabulates the study.
+func rebalanceTable(rows []RebalanceRow) report.Table {
 	header := []string{"Phase", "Shards", "Gen", "Queries", "p50 (ms)", "p99 (ms)", "p99 vs quiesced",
 		"Mismatch", "Moved", "Chunks", "Src read (ms)", "Dst write (ms)"}
 	var out [][]string
@@ -260,10 +245,5 @@ func CellsRebalance(rows []RebalanceRow) ([]string, [][]string) {
 			F(r.SrcReadMs), F(r.DstWriteMs),
 		})
 	}
-	return header, out
-}
-
-// FormatRebalance renders the study.
-func FormatRebalance(rows []RebalanceRow) string {
-	return FormatTable(CellsRebalance(rows))
+	return report.Table{Name: "rebalance", Header: header, Rows: out}
 }

@@ -76,6 +76,8 @@ func TestRebalanceBenchInvariants(t *testing.T) {
 	if during.P99VsQuiesced <= 0 || after.P99VsQuiesced <= 0 {
 		t.Errorf("p99 ratios during=%v after=%v, want > 0", during.P99VsQuiesced, after.P99VsQuiesced)
 	}
+	res, err := withRows(rebalanceTable(rows), rows)
+	checkResult(t, res, err)
 }
 
 // TestRebalanceBenchDeterministic: the JSON artifact is byte-identical

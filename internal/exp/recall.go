@@ -6,6 +6,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/report"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -73,6 +74,47 @@ func dotNet(name string, fe int) (*nn.Network, error) {
 	return net, nil
 }
 
+// plantedCorpus builds the database of the recall, reorg and quant studies:
+// random background features with relevance structure planted in — real
+// retrieval corpora contain items that actually match each query intent,
+// scored far above the background. The first intents×15 features are noisy
+// copies of their intent's query vector. It returns the database and the
+// intents' vectors.
+func plantedCorpus(app *workload.App, features, intents int, seed int64) (vectors, intentVecs [][]float32) {
+	intentVecs = make([][]float32, intents)
+	for i := range intentVecs {
+		intentVecs[i] = workload.NewFeatureDB(app, 1, seed+100+int64(i)).Vectors[0]
+	}
+	const relevantPerIntent = 15
+	vectors = workload.NewFeatureDB(app, features, seed+1).Vectors
+	planted := workload.NewFeatureDB(app, intents*relevantPerIntent, seed+500).Vectors
+	for idx := 0; idx < intents*relevantPerIntent && idx < len(vectors); idx++ {
+		for j, v := range intentVecs[idx/relevantPerIntent] {
+			vectors[idx][j] = v + 0.15*planted[idx][j]
+		}
+	}
+	return vectors, intentVecs
+}
+
+// paraphrasedStream derives a Zipfian(0.7) query stream over the intents,
+// each occurrence perturbed by its own paraphrase noise.
+func paraphrasedStream(app *workload.App, intentVecs [][]float32, queries int, noise float32, seed int64) [][]float32 {
+	trace := workload.GenerateTrace(workload.TraceConfig{
+		Universe: int64(len(intentVecs)), Length: queries,
+		Dist: workload.Zipfian, Alpha: 0.7, Seed: seed,
+	})
+	jitter := workload.NewFeatureDB(app, queries, seed+999).Vectors
+	qfvs := make([][]float32, queries)
+	for qi, q := range trace.Queries {
+		base := intentVecs[q.SemanticID]
+		qfvs[qi] = make([]float32, len(base))
+		for j, v := range base {
+			qfvs[qi][j] = v + noise*jitter[qi][j]
+		}
+	}
+	return qfvs
+}
+
 // QCRecall sweeps the error threshold and measures hit rate and recall of
 // cache-served answers against ground-truth full scans, on TextQA-shaped
 // features (the cheapest workload; the study is SCN-agnostic).
@@ -86,7 +128,6 @@ func QCRecall(cfg RecallConfig) ([]RecallRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+1)
 	host := baseline.HostScan{Net: scn}
 
 	qcn, err := dotNet("recall-qcn", fe)
@@ -94,48 +135,12 @@ func QCRecall(cfg RecallConfig) ([]RecallRow, error) {
 		return nil, err
 	}
 
-	// Query stream intents.
-	intents := make([][]float32, cfg.Intents)
-	for i := range intents {
-		intents[i] = workload.NewFeatureDB(app, 1, cfg.Seed+100+int64(i)).Vectors[0]
-	}
-
-	// Plant relevance structure: real retrieval corpora contain items that
-	// actually match each query intent, scored far above the background.
-	// The first Intents×relevantPerIntent features are noisy copies of
-	// their intent's vector; the rest stay random background.
-	const relevantPerIntent = 15
-	planted := workload.NewFeatureDB(app, cfg.Intents*relevantPerIntent, cfg.Seed+500)
-	for i := 0; i < cfg.Intents; i++ {
-		for r := 0; r < relevantPerIntent; r++ {
-			idx := i*relevantPerIntent + r
-			if idx >= len(db.Vectors) {
-				break
-			}
-			for j := 0; j < fe; j++ {
-				db.Vectors[idx][j] = intents[i][j] + 0.15*planted.Vectors[idx][j]
-			}
-		}
-	}
-
-	// Query stream: intents with per-occurrence paraphrase noise.
-	trace := workload.GenerateTrace(workload.TraceConfig{
-		Universe: int64(cfg.Intents), Length: cfg.Queries,
-		Dist: workload.Zipfian, Alpha: 0.7, Seed: cfg.Seed,
-	})
-	noise := workload.NewFeatureDB(app, cfg.Queries, cfg.Seed+999)
+	vectors, intents := plantedCorpus(app, cfg.Features, cfg.Intents, cfg.Seed)
+	qfvs := paraphrasedStream(app, intents, cfg.Queries, cfg.Noise, cfg.Seed)
 
 	var rows []RecallRow
 	for _, pct := range []int{5, 10, 20, 40} {
-		ds, err := core.New(core.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		dbID, err := ds.WriteDB(db.Vectors)
-		if err != nil {
-			return nil, err
-		}
-		model, err := ds.LoadModelNetwork(scn)
+		ds, model, dbID, err := newEngine(core.DefaultOptions(), vectors, scn)
 		if err != nil {
 			return nil, err
 		}
@@ -144,17 +149,8 @@ func QCRecall(cfg RecallConfig) ([]RecallRow, error) {
 		}
 		row := RecallRow{ThresholdPct: pct}
 		var recallSum float64
-		for qi, q := range trace.Queries {
-			qfv := make([]float32, fe)
-			base := intents[q.SemanticID]
-			for j := range qfv {
-				qfv[j] = base[j] + cfg.Noise*noise.Vectors[qi][j]
-			}
-			qid, err := ds.Query(core.QuerySpec{QFV: qfv, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return nil, err
-			}
-			res, err := ds.GetResults(qid)
+		for _, qfv := range qfvs {
+			res, err := queryNow(ds, core.QuerySpec{QFV: qfv, K: cfg.K, Model: model, DB: dbID})
 			if err != nil {
 				return nil, err
 			}
@@ -162,7 +158,7 @@ func QCRecall(cfg RecallConfig) ([]RecallRow, error) {
 				continue
 			}
 			row.Hits++
-			truth, err := host.TopK(qfv, db.Vectors, cfg.K)
+			truth, err := host.TopK(qfv, vectors, cfg.K)
 			if err != nil {
 				return nil, err
 			}
@@ -187,8 +183,8 @@ func QCRecall(cfg RecallConfig) ([]RecallRow, error) {
 	return rows, nil
 }
 
-// CellsRecall returns the study as header and rows.
-func CellsRecall(rows []RecallRow) ([]string, [][]string) {
+// recallTable tabulates the study.
+func recallTable(rows []RecallRow) report.Table {
 	header := []string{"Threshold %", "Hit rate", "Hits", "Mean recall@K"}
 	var out [][]string
 	for _, r := range rows {
@@ -196,10 +192,5 @@ func CellsRecall(rows []RecallRow) ([]string, [][]string) {
 			fmt.Sprint(r.ThresholdPct), F(r.HitRate), fmt.Sprint(r.Hits), F(r.MeanRecall),
 		})
 	}
-	return header, out
-}
-
-// FormatRecall renders the study.
-func FormatRecall(rows []RecallRow) string {
-	return FormatTable(CellsRecall(rows))
+	return report.Table{Name: "recall", Header: header, Rows: out}
 }

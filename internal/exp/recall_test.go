@@ -36,7 +36,5 @@ func TestQCRecallHighUnderLowNoise(t *testing.T) {
 	if !anyHits {
 		t.Error("no threshold produced cache hits")
 	}
-	if s := FormatRecall(rows); len(s) < 40 {
-		t.Errorf("format too short: %q", s)
-	}
+	checkResult(t, tables(recallTable(rows)), nil)
 }

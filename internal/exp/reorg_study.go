@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/reorg"
+	"repro/internal/report"
 	"repro/internal/topk"
 	"repro/internal/workload"
 )
@@ -50,27 +51,10 @@ func ReorgStudy(cfg ReorgConfig) ([]ReorgRow, error) {
 		return nil, err
 	}
 
-	// Corpus: intents with planted relevant items plus background.
 	const intents = 40
-	intentVecs := make([][]float32, intents)
-	for i := range intentVecs {
-		intentVecs[i] = workload.NewFeatureDB(app, 1, cfg.Seed+100+int64(i)).Vectors[0]
-	}
-	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+1)
-	planted := workload.NewFeatureDB(app, intents*15, cfg.Seed+500)
-	for i := 0; i < intents; i++ {
-		for r := 0; r < 15; r++ {
-			idx := i*15 + r
-			if idx >= len(db.Vectors) {
-				break
-			}
-			for j := 0; j < fe; j++ {
-				db.Vectors[idx][j] = intentVecs[i][j] + 0.15*planted.Vectors[idx][j]
-			}
-		}
-	}
+	vectors, intentVecs := plantedCorpus(app, cfg.Features, intents, cfg.Seed)
 
-	cl, err := reorg.KMeans(db.Vectors, cfg.Clusters, 15, cfg.Seed+2)
+	cl, err := reorg.KMeans(vectors, cfg.Clusters, 15, cfg.Seed+2)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +74,7 @@ func ReorgStudy(cfg ReorgConfig) ([]ReorgRow, error) {
 	// Ground truth per query.
 	truths := make([]map[int64]bool, cfg.Queries)
 	for qi, q := range queries {
-		full, err := host.TopK(q, db.Vectors, cfg.K)
+		full, err := host.TopK(q, vectors, cfg.K)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +99,7 @@ func ReorgStudy(cfg ReorgConfig) ([]ReorgRow, error) {
 			fracSum += frac
 			pruned := topk.New(cfg.K)
 			for _, i := range cand {
-				pruned.Offer(topk.Entry{FeatureID: int64(i), Score: scn.Score(q, db.Vectors[i])})
+				pruned.Offer(topk.Entry{FeatureID: int64(i), Score: scn.Score(q, vectors[i])})
 			}
 			overlap := 0
 			for _, e := range pruned.Results() {
@@ -136,8 +120,8 @@ func ReorgStudy(cfg ReorgConfig) ([]ReorgRow, error) {
 	return rows, nil
 }
 
-// CellsReorg returns the study as header and rows.
-func CellsReorg(rows []ReorgRow) ([]string, [][]string) {
+// reorgTable tabulates the study.
+func reorgTable(rows []ReorgRow) report.Table {
 	header := []string{"Clusters scanned", "DB fraction", "Scan speedup", "Recall@K"}
 	var out [][]string
 	for _, r := range rows {
@@ -145,10 +129,5 @@ func CellsReorg(rows []ReorgRow) ([]string, [][]string) {
 			fmt.Sprint(r.ClustersScanned), F(r.Fraction), F(r.Speedup), F(r.MeanRecall),
 		})
 	}
-	return header, out
-}
-
-// FormatReorg renders the study.
-func FormatReorg(rows []ReorgRow) string {
-	return FormatTable(CellsReorg(rows))
+	return report.Table{Name: "reorg", Header: header, Rows: out}
 }

@@ -40,4 +40,5 @@ func TestReorgStudyTradeoff(t *testing.T) {
 	if !found {
 		t.Errorf("no high-recall pruned point: %+v", rows)
 	}
+	checkResult(t, tables(reorgTable(rows)), nil)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -110,23 +111,6 @@ type ServeRow struct {
 	// oracle replay (the bit-identical guarantee: must be 0).
 	Mismatches int     `json:"mismatches"`
 	WallSec    float64 `json:"-"`
-}
-
-// serveEngine builds a fresh engine holding the study database and model.
-func serveEngine(app *workload.App, db *workload.FeatureDB) (*core.DeepStore, core.ModelID, ftl.DBID, error) {
-	ds, err := core.New(core.DefaultOptions())
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	dbID, err := ds.WriteDB(db.Vectors)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	model, err := ds.LoadModelNetwork(app.SCN)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return ds, model, dbID, nil
 }
 
 // waterfill grants capacity-1 to demands by weighted max-min fairness and
@@ -337,7 +321,7 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 
 	// Calibration: one full shared sweep on a scratch engine gives T_batch,
 	// hence capacity = BatchSize / T_batch queries per simulated second.
-	cal, calModel, calDB, err := serveEngine(app, db)
+	cal, calModel, calDB, err := newEngine(core.DefaultOptions(), db.Vectors, app.SCN)
 	if err != nil {
 		return nil, err
 	}
@@ -396,11 +380,11 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 	slack := sim.Duration(cfg.SlackBatches * float64(tBatch))
 
 	// Mixed overload run, with the oracle replay.
-	ds, model, dbID, err := serveEngine(app, db)
+	ds, model, dbID, err := newEngine(core.DefaultOptions(), db.Vectors, app.SCN)
 	if err != nil {
 		return nil, err
 	}
-	oracle, oracleModel, oracleDB, err := serveEngine(app, db)
+	oracle, oracleModel, oracleDB, err := newEngine(core.DefaultOptions(), db.Vectors, app.SCN)
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +399,7 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 	// on a fresh engine with the tier to itself.
 	alone := make(map[string]*serveOutcome, len(cfg.Tenants))
 	for i, t := range cfg.Tenants {
-		ads, amodel, adbID, err := serveEngine(app, db)
+		ads, amodel, adbID, err := newEngine(core.DefaultOptions(), db.Vectors, app.SCN)
 		if err != nil {
 			return nil, err
 		}
@@ -481,8 +465,8 @@ func quantiles(lat []sim.Duration) (p50, p99 sim.Duration) {
 	return obs.QuantileDurations(sorted, 50), obs.QuantileDurations(sorted, 99)
 }
 
-// CellsServe returns the study as header and rows.
-func CellsServe(rows []ServeRow) ([]string, [][]string) {
+// serveTable tabulates the study.
+func serveTable(rows []ServeRow) report.Table {
 	header := []string{"Tenant", "Weight", "Offered q/s", "Overload", "Arrivals", "Served", "Shed",
 		"SLO (ms)", "p50 (ms)", "p99 (ms)", "alone p99", "p99 ratio", "Goodput q/s", "In budget", "Mismatch"}
 	var out [][]string
@@ -494,10 +478,5 @@ func CellsServe(rows []ServeRow) ([]string, [][]string) {
 			F(r.GoodputQPS), fmt.Sprint(r.WithinBudget), fmt.Sprint(r.Mismatches),
 		})
 	}
-	return header, out
-}
-
-// FormatServe renders the study.
-func FormatServe(rows []ServeRow) string {
-	return FormatTable(CellsServe(rows))
+	return report.Table{Name: "serve", Header: header, Rows: out}
 }

@@ -75,6 +75,8 @@ func TestServeBenchInvariants(t *testing.T) {
 	if !within["gold"] || !within["silver"] || within["bronze"] {
 		t.Errorf("budget flags %v, want gold+silver within, bronze over", within)
 	}
+	res, err := withRows(serveTable(rows), rows)
+	checkResult(t, res, err)
 }
 
 // TestServeBenchDeterministic: the JSON artifact is byte-identical across

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -44,8 +45,8 @@ func Table1() []Table1Row {
 	return rows
 }
 
-// CellsTable1 returns the reproduction as header and rows for export.
-func CellsTable1(rows []Table1Row) ([]string, [][]string) {
+// table1Table tabulates the reproduction.
+func table1Table(rows []Table1Row) report.Table {
 	header := []string{"App", "Type", "Feature(KB)", "CONV", "FC", "EW", "FLOPs(M)", "Weights(MB)", "Paper FLOPs(M)", "Paper W(MB)", "Dataset"}
 	var out [][]string
 	for _, r := range rows {
@@ -57,10 +58,5 @@ func CellsTable1(rows []Table1Row) ([]string, [][]string) {
 			r.Dataset,
 		})
 	}
-	return header, out
-}
-
-// FormatTable1 renders the reproduction next to the paper's numbers.
-func FormatTable1(rows []Table1Row) string {
-	return FormatTable(CellsTable1(rows))
+	return report.Table{Name: "table1", Header: header, Rows: out}
 }

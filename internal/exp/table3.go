@@ -6,6 +6,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/dse"
 	"repro/internal/energy"
+	"repro/internal/report"
 	"repro/internal/ssd"
 	"repro/internal/systolic"
 )
@@ -50,8 +51,8 @@ func Table3() []Table3Row {
 	return rows
 }
 
-// CellsTable3 returns the configurations as header and rows for export.
-func CellsTable3(rows []Table3Row) ([]string, [][]string) {
+// table3Table tabulates the configurations.
+func table3Table(rows []Table3Row) report.Table {
 	header := []string{"Level", "Config (Table 3)", "Freq", "Scratchpad", "Budget(W)", "Area(mm2)", "DSE choice", "DSE peak(W)"}
 	var out [][]string
 	for _, r := range rows {
@@ -66,10 +67,5 @@ func CellsTable3(rows []Table3Row) ([]string, [][]string) {
 			F(r.DSE.PowerW),
 		})
 	}
-	return header, out
-}
-
-// FormatTable3 renders the configurations.
-func FormatTable3(rows []Table3Row) string {
-	return FormatTable(CellsTable3(rows))
+	return report.Table{Name: "table3", Header: header, Rows: out}
 }

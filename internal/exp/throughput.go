@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/baseline"
+	"repro/internal/report"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -83,8 +84,8 @@ func Throughput(window int64, qcMissRate float64) ([]ThroughputRow, error) {
 	return rows, nil
 }
 
-// CellsThroughput returns the study as header and rows.
-func CellsThroughput(rows []ThroughputRow) ([]string, [][]string) {
+// throughputTable tabulates the study.
+func throughputTable(rows []ThroughputRow) report.Table {
 	header := []string{"App", "System", "Service(s)", "Sat QPS", "Lat@50%", "Lat@80%", "Lat@95%"}
 	var out [][]string
 	for _, r := range rows {
@@ -93,10 +94,5 @@ func CellsThroughput(rows []ThroughputRow) ([]string, [][]string) {
 			F(r.LatencyAt[0.5]), F(r.LatencyAt[0.8]), F(r.LatencyAt[0.95]),
 		})
 	}
-	return header, out
-}
-
-// FormatThroughput renders the study.
-func FormatThroughput(rows []ThroughputRow) string {
-	return FormatTable(CellsThroughput(rows))
+	return report.Table{Name: "throughput", Header: header, Rows: out}
 }

@@ -36,6 +36,7 @@ func TestThroughputEnvelope(t *testing.T) {
 			t.Errorf("%s: QC did not raise throughput", app)
 		}
 	}
+	checkResult(t, tables(throughputTable(rows)), nil)
 }
 
 func TestThroughputValidation(t *testing.T) {

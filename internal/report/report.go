@@ -1,6 +1,6 @@
-// Package report renders experiment results in machine-friendly formats
-// (CSV, Markdown) alongside the plain-text tables, so regenerated figures
-// can feed plotting scripts directly.
+// Package report renders experiment results as aligned plain text and in
+// machine-friendly formats (CSV, Markdown), so regenerated figures can feed
+// plotting scripts directly.
 package report
 
 import (
@@ -11,9 +11,16 @@ import (
 
 // Table is a rendered experiment: a header row plus data rows.
 type Table struct {
-	Name   string
+	Name string
+	// Title heads the table in a document; a study with a single table
+	// leaves it empty and lends its own.
+	Title  string
 	Header []string
 	Rows   [][]string
+	// Caption and Note frame the plain-text rendering only: Caption is a
+	// line printed above the table, Note is appended verbatim below it.
+	Caption string
+	Note    string
 }
 
 // Validate reports structural problems (ragged rows).
@@ -28,6 +35,45 @@ func (t Table) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Text renders the table as aligned plain text between its caption and note.
+func (t Table) Text() string {
+	widths := make([]int, len(t.Header))
+	for i, h := range t.Header {
+		widths[i] = len(h)
+	}
+	for _, r := range t.Rows {
+		for i, c := range r {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	var sb strings.Builder
+	if t.Caption != "" {
+		sb.WriteString(t.Caption + "\n")
+	}
+	writeRow := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				sb.WriteString("  ")
+			}
+			fmt.Fprintf(&sb, "%-*s", widths[i], c)
+		}
+		sb.WriteString("\n")
+	}
+	writeRow(t.Header)
+	sep := make([]string, len(t.Header))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	writeRow(sep)
+	for _, r := range t.Rows {
+		writeRow(r)
+	}
+	sb.WriteString(t.Note)
+	return sb.String()
 }
 
 // CSV renders the table as RFC-4180 CSV.
@@ -77,11 +123,13 @@ func (t Table) Markdown() (string, error) {
 // Format selects an output rendering.
 type Format int
 
-// Supported formats.
+// Supported formats. FormatChart selects a study's terminal chart, which is
+// not a rendering of a Table: Render rejects it.
 const (
 	FormatText Format = iota
 	FormatCSV
 	FormatMarkdown
+	FormatChart
 )
 
 // ParseFormat maps a flag value to a Format.
@@ -93,22 +141,23 @@ func ParseFormat(s string) (Format, error) {
 		return FormatCSV, nil
 	case "md", "markdown":
 		return FormatMarkdown, nil
+	case "chart":
+		return FormatChart, nil
 	default:
-		return 0, fmt.Errorf("report: unknown format %q (text, csv, markdown)", s)
+		return 0, fmt.Errorf("report: unknown format %q (text, csv, markdown, chart)", s)
 	}
 }
 
-// Render produces the table in the chosen format; FormatText uses the
-// caller-supplied plain renderer (experiments already align their own text).
-func Render(t Table, f Format, text func() string) (string, error) {
+// Render produces the table in the chosen format.
+func Render(t Table, f Format) (string, error) {
 	switch f {
 	case FormatText:
-		return text(), nil
+		return t.Text(), nil
 	case FormatCSV:
 		return t.CSV()
 	case FormatMarkdown:
 		return t.Markdown()
 	default:
-		return "", fmt.Errorf("report: unknown format %d", int(f))
+		return "", fmt.Errorf("report: format %d does not render a table", int(f))
 	}
 }

@@ -13,6 +13,27 @@ func sample() Table {
 	}
 }
 
+// TestText: columns pad to their widest cell under a dashed rule; the caption
+// leads on its own line and the note follows verbatim.
+func TestText(t *testing.T) {
+	want := "App     Speedup\n" +
+		"------  -------\n" +
+		"MIR     8.25   \n" +
+		"TextQA  18.54  \n"
+	if got := sample().Text(); got != want {
+		t.Errorf("text = %q, want %q", got, want)
+	}
+	framed := sample()
+	framed.Caption, framed.Note = "(a) speedups", "\nnote.\n"
+	if got := framed.Text(); got != "(a) speedups\n"+want+"\nnote.\n" {
+		t.Errorf("framed text = %q", got)
+	}
+	// A header wider than every cell sets the column width; no rows is fine.
+	if got := (Table{Header: []string{"wide header"}}).Text(); got != "wide header\n-----------\n" {
+		t.Errorf("empty table text = %q", got)
+	}
+}
+
 func TestCSV(t *testing.T) {
 	s, err := sample().CSV()
 	if err != nil {
@@ -73,28 +94,27 @@ func TestValidateRaggedRows(t *testing.T) {
 }
 
 func TestParseFormat(t *testing.T) {
-	cases := map[string]Format{"": FormatText, "text": FormatText, "csv": FormatCSV, "md": FormatMarkdown, "markdown": FormatMarkdown}
+	cases := map[string]Format{"": FormatText, "text": FormatText, "csv": FormatCSV, "md": FormatMarkdown, "markdown": FormatMarkdown, "chart": FormatChart}
 	for s, want := range cases {
 		got, err := ParseFormat(s)
 		if err != nil || got != want {
 			t.Errorf("ParseFormat(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Error("unknown format accepted")
+	if _, err := ParseFormat("xml"); err == nil || !strings.Contains(err.Error(), "chart") {
+		t.Errorf("unknown format: %v, want an error listing every format", err)
 	}
 }
 
 func TestRender(t *testing.T) {
 	tb := sample()
-	text, err := Render(tb, FormatText, func() string { return "plain" })
-	if err != nil || text != "plain" {
+	if text, err := Render(tb, FormatText); err != nil || text != tb.Text() {
 		t.Errorf("text render = %q, %v", text, err)
 	}
-	if s, err := Render(tb, FormatCSV, nil); err != nil || !strings.HasPrefix(s, "App,") {
+	if s, err := Render(tb, FormatCSV); err != nil || !strings.HasPrefix(s, "App,") {
 		t.Errorf("csv render = %q, %v", s, err)
 	}
-	if s, err := Render(tb, FormatMarkdown, nil); err != nil || !strings.HasPrefix(s, "| App") {
+	if s, err := Render(tb, FormatMarkdown); err != nil || !strings.HasPrefix(s, "| App") {
 		t.Errorf("md render = %q, %v", s, err)
 	}
 }
@@ -118,14 +138,16 @@ func TestMarkdownRejectsInvalidTable(t *testing.T) {
 
 func TestRenderErrors(t *testing.T) {
 	tab := Table{Name: "t", Header: []string{"a"}, Rows: [][]string{{"1"}}}
-	if _, err := Render(tab, Format(99), func() string { return "" }); err == nil {
-		t.Error("unknown format accepted")
+	for _, f := range []Format{FormatChart, Format(99)} {
+		if _, err := Render(tab, f); err == nil {
+			t.Errorf("format %d rendered a table", int(f))
+		}
 	}
 	bad := Table{Name: "bad", Header: []string{"a"}, Rows: [][]string{{"1", "2"}}}
-	if _, err := Render(bad, FormatCSV, func() string { return "" }); err == nil {
+	if _, err := Render(bad, FormatCSV); err == nil {
 		t.Error("ragged table rendered as CSV")
 	}
-	if _, err := Render(bad, FormatMarkdown, func() string { return "" }); err == nil {
+	if _, err := Render(bad, FormatMarkdown); err == nil {
 		t.Error("ragged table rendered as Markdown")
 	}
 }
