@@ -51,7 +51,7 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	if ds.hist == nil {
 		return
 	}
-	payload := qhist.EncodePayload(spec.QFV, r.TopK)
+	payloadBytes := int64(qhist.PayloadBytes(len(spec.QFV), len(r.TopK)))
 	top := int64(-1)
 	if len(r.TopK) > 0 {
 		top = r.TopK[0].FeatureID
@@ -61,10 +61,10 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 		flags = qhist.FlagHit
 	}
 	before := ds.engine.Now()
-	ds.dev.DRAM.Transfer(qhist.RecordBytes+int64(len(payload)), nil)
+	ds.dev.DRAM.Transfer(qhist.RecordBytes+payloadBytes, nil)
 	ds.engine.Run()
 	dur := sim.Duration(ds.engine.Now() - before)
-	ds.hist.Append(qhist.Record{
+	ds.hist.AppendQuery(qhist.Record{
 		Time:       int64(ds.engine.Now()),
 		DB:         uint64(spec.DB),
 		Model:      uint64(spec.Model),
@@ -74,7 +74,7 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 		Latency:    int64(r.Latency),
 		TopFeature: top,
 		Digest:     qhist.Digest(r.TopK),
-	}, payload)
+	}, spec.QFV, r.TopK)
 	r.Latency += dur
 	r.Stages = append(r.Stages, obs.Stage{Name: obs.StageHistAppend, Dur: dur})
 	ds.obs.Counter("core_hist_appends").Inc()
@@ -86,12 +86,19 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	}
 }
 
-// refreshAdmissionLocked re-mines the history into the learned admission
-// model and returns the modeled mining cost: the hot records stream through
-// controller DRAM once, plus a few embedded-core cycles per record. Callers
-// hold ds.mu.
+// refreshAdmissionLocked brings the learned admission model up to date and
+// returns the modeled mining cost: the hot records stream through controller
+// DRAM once, plus a few embedded-core cycles per record. The host folds only
+// the records appended since the last pass into the existing map (identical
+// to a full qhist.MineGroups, whose fold is left-associative); the SIMULATED
+// charge stays that of a full pass over all n records. Callers hold ds.mu.
 func (ds *DeepStore) refreshAdmissionLocked() sim.Duration {
-	ds.histMined = qhist.MineGroups(ds.hist.Records())
+	if ds.histMined == nil {
+		ds.histMined = make(map[uint64]qhist.GroupStat, 16)
+		ds.histMinedUpTo = 0
+	}
+	qhist.MineInto(ds.histMined, ds.hist.Records(), ds.histMinedUpTo)
+	ds.histMinedUpTo = ds.hist.Len()
 	ds.histMines++
 	ds.histSinceMine = 0
 	ds.obs.Counter("core_hist_mines").Inc()
@@ -120,6 +127,10 @@ func (ds *DeepStore) RefreshAdmission() {
 // LRU — the bit-equivalence the equivalence suite pins down.
 type learnedPolicy struct{ ds *DeepStore }
 
+// Key is the query's history group, the fingerprint the mined statistics are
+// keyed by; the cache stores it with the entry.
+func (p *learnedPolicy) Key(q []float32) uint64 { return qhist.GroupOf(q) }
+
 func (p *learnedPolicy) groupScore(g uint64) float64 {
 	st, ok := p.ds.histMined[g]
 	if !ok {
@@ -128,33 +139,22 @@ func (p *learnedPolicy) groupScore(g uint64) float64 {
 	return st.AdmissionScore(p.ds.hist.NextSeq())
 }
 
-// weakest returns the index and score of the lowest-scoring resident entry,
-// breaking ties toward the higher index (the more LRU of the two).
-func (p *learnedPolicy) weakest(entries []qcache.Entry[[]float32]) (int, float64) {
-	idx, score := -1, 0.0
-	for i, e := range entries {
-		s := p.groupScore(qhist.GroupOf(e.Query))
-		if idx < 0 || s <= score {
-			idx, score = i, s
+// Victim finds the lowest-scoring resident entry from the stored keys — a
+// map lookup and an AdmissionScore each, no query vector is touched —
+// breaking ties toward the higher index (the more LRU of the two), and
+// admits the candidate when its own group scores at least as high.
+func (p *learnedPolicy) Victim(key uint64, entries []qcache.Entry[[]float32]) (int, bool) {
+	if len(p.ds.histMined) == 0 {
+		return -1, true
+	}
+	idx, weakest := -1, 0.0
+	for i := range entries {
+		s := p.groupScore(entries[i].Key)
+		if idx < 0 || s <= weakest {
+			idx, weakest = i, s
 		}
 	}
-	return idx, score
-}
-
-func (p *learnedPolicy) Admit(q []float32, entries []qcache.Entry[[]float32]) bool {
-	if len(p.ds.histMined) == 0 {
-		return true
-	}
-	_, weakest := p.weakest(entries)
-	return p.groupScore(qhist.GroupOf(q)) >= weakest
-}
-
-func (p *learnedPolicy) Evict(entries []qcache.Entry[[]float32]) int {
-	if len(p.ds.histMined) == 0 {
-		return -1
-	}
-	idx, _ := p.weakest(entries)
-	return idx
+	return idx, p.groupScore(key) >= weakest
 }
 
 // HistoryStats summarizes the history store's state.
@@ -231,11 +231,14 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 	if ds.hist == nil {
 		return fmt.Errorf("core: history disabled (Options.History)")
 	}
-	degrade := func() {
-		ds.hist = qhist.NewStore()
+	// Replacing the store voids the incremental model: histMined back to nil
+	// makes the next refresh a full re-mine of whatever store is installed.
+	replace := func(st *qhist.Store) {
+		ds.hist = st
 		ds.histMined = nil
 		ds.histSinceMine = 0
 	}
+	degrade := func() { replace(qhist.NewStore()) }
 	f, err := ftl.Restore(img)
 	if err != nil {
 		degrade()
@@ -254,9 +257,7 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 	// Charge staging the persisted image back through controller DRAM.
 	ds.dev.DRAM.Transfer(int64(len(data)), nil)
 	ds.engine.Run()
-	ds.hist = st
-	ds.histSinceMine = 0
-	ds.histMined = nil
+	replace(st)
 	if ds.opts.CacheAdmission == AdmissionLearned {
 		ds.refreshAdmissionLocked()
 	}

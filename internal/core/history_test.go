@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -700,4 +701,146 @@ func TestMetricsSnapshotRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// requireMinedMatchesFullMine pins the incremental-mining invariant: the
+// learned model always equals a from-scratch MineGroups over the records it
+// claims to cover, and right after a refresh it covers all of them.
+func requireMinedMatchesFullMine(t *testing.T, tag string, ds *DeepStore, refreshed bool) {
+	t.Helper()
+	if ds.histMined == nil {
+		if refreshed {
+			t.Fatalf("%s: no admission model after a refresh", tag)
+		}
+		return
+	}
+	if refreshed && ds.histMinedUpTo != ds.hist.Len() {
+		t.Fatalf("%s: refresh covered %d of %d records", tag, ds.histMinedUpTo, ds.hist.Len())
+	}
+	if want := qhist.MineGroups(ds.hist.Records()[:ds.histMinedUpTo]); !reflect.DeepEqual(ds.histMined, want) {
+		t.Fatalf("%s: incremental model over %d records differs from a full mine (%d vs %d groups)",
+			tag, ds.histMinedUpTo, len(ds.histMined), len(want))
+	}
+}
+
+// TestIncrementalMiningMatchesFullMine drives the model through every point
+// that folds or resets it — interval refreshes, RefreshAdmission,
+// RestoreHistory over a fresh and over an already-mined engine, a corrupt
+// restore, PrefetchHistory — and checks it against a full re-mine each time.
+func TestIncrementalMiningMatchesFullMine(t *testing.T) {
+	app, err := workload.ByName("TIR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.SCN.InitRandom(1)
+	vectors := workload.NewFeatureDB(app, 32, 2).Vectors
+	opts := DefaultOptions()
+	opts.History = true
+	opts.CacheAdmission = AdmissionLearned
+	opts.HistoryMineInterval = 4
+
+	run := func(tag string, e histTestEnv, n int, seed int64) {
+		for i, qfv := range histTrace(t, n, seed) {
+			mines := e.ds.histMines
+			e.query(t, qfv, 4)
+			requireMinedMatchesFullMine(t, fmt.Sprintf("%s query %d", tag, i), e.ds, e.ds.histMines > mines)
+		}
+	}
+
+	a := newHistEngine(t, opts, vectors, 3)
+	run("a", a, 30, 11)
+	if a.ds.histMines < 7 {
+		t.Fatalf("only %d interval refreshes in 30 queries", a.ds.histMines)
+	}
+	a.ds.RefreshAdmission()
+	requireMinedMatchesFullMine(t, "a explicit refresh", a.ds, true)
+	img, err := a.ds.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Restore into an engine that has already mined a DIFFERENT history: the
+	// model must be the restored store's alone, not a blend.
+	b := newHistEngine(t, opts, vectors, 3)
+	run("b before restore", b, 10, 99)
+	if err := b.ds.RestoreHistory(img); err != nil {
+		t.Fatal(err)
+	}
+	requireMinedMatchesFullMine(t, "b restored", b.ds, true)
+	if !reflect.DeepEqual(b.ds.histMined, a.ds.histMined) {
+		t.Fatal("restored engine's model differs from the checkpointed engine's")
+	}
+	run("b after restore", b, 10, 5)
+
+	if _, err := b.ds.PrefetchHistory(2); err != nil {
+		t.Fatal(err)
+	}
+	requireMinedMatchesFullMine(t, "b prefetched", b.ds, false)
+	run("b after prefetch", b, 10, 6)
+
+	// A corrupt restore degrades to an empty store and no model; the next
+	// refreshes mine only what arrives afterwards.
+	if err := b.ds.RestoreHistory(img[:len(img)/2]); !errors.Is(err, ErrHistoryCorrupt) {
+		t.Fatalf("truncated image: %v", err)
+	}
+	if b.ds.histMined != nil || b.ds.hist.Len() != 0 {
+		t.Fatalf("degraded engine kept %d groups over %d records", len(b.ds.histMined), b.ds.hist.Len())
+	}
+	b.ds.RefreshAdmission()
+	requireMinedMatchesFullMine(t, "b degraded refresh", b.ds, true)
+	run("b after degrade", b, 10, 7)
+}
+
+// BenchmarkInsertLearnedFull is one learned-admission insert into a full
+// cache of 1 024 resident 200-dim queries with a mined history: the cost a
+// cache miss pays on top of its scan. "rejected" offers a never-seen group
+// (the cache is untouched), "admitted" a group that outscores every resident.
+func BenchmarkInsertLearnedFull(b *testing.B) {
+	const entries, dims = 1024, 200
+	opts := DefaultOptions()
+	opts.History = true
+	opts.CacheAdmission = AdmissionLearned
+	ds, err := New(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ds.SetQC(scaledQCN(dims), 1.0, entries, 0.2); err != nil {
+		b.Fatal(err)
+	}
+	vec := func(i int) []float32 {
+		rng := rand.New(rand.NewSource(int64(i)))
+		v := make([]float32, dims)
+		for d := range v {
+			v[d] = rng.Float32()*2 - 1
+		}
+		return v
+	}
+	for i := 0; i < entries; i++ {
+		ds.qc.Insert(vec(i), nil)
+		ds.hist.Append(qhist.Record{Group: qhist.GroupOf(vec(i)), Flags: qhist.FlagHit}, nil)
+	}
+	hot, cold := vec(entries), vec(entries+1)
+	for i := 0; i < 8; i++ {
+		ds.hist.Append(qhist.Record{Group: qhist.GroupOf(hot), Flags: qhist.FlagHit}, nil)
+	}
+	ds.RefreshAdmission()
+	for _, c := range []struct {
+		name    string
+		q       []float32
+		rejects uint64
+	}{{"rejected", cold, 1}, {"admitted", hot, 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			before := ds.qc.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ds.qc.Insert(c.q, nil)
+			}
+			b.StopTimer()
+			after := ds.qc.Stats()
+			if got := after.AdmissionRejects - before.AdmissionRejects; got != c.rejects*uint64(b.N) {
+				b.Fatalf("%d of %d inserts rejected", got, b.N)
+			}
+		})
+	}
 }

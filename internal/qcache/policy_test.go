@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/topk"
@@ -13,11 +14,11 @@ type scriptedPolicy struct {
 	calls  int
 }
 
-func (p *scriptedPolicy) Admit(q int, entries []Entry[int]) bool {
+func (p *scriptedPolicy) Key(q int) uint64 { return uint64(q) }
+func (p *scriptedPolicy) Victim(key uint64, entries []Entry[int]) (int, bool) {
 	p.calls++
-	return p.admit
+	return p.victim, p.admit
 }
-func (p *scriptedPolicy) Evict(entries []Entry[int]) int { return p.victim }
 
 func fill(c *Cache[int], vals ...int) {
 	for _, v := range vals {
@@ -87,7 +88,7 @@ func TestPolicyVictimSelection(t *testing.T) {
 	}
 }
 
-// A policy answering (true, -1) — and out-of-range victims — must reproduce
+// A policy answering (-1, true) — and out-of-range victims — must reproduce
 // plain LRU bit-identically, stats included.
 func TestDeferringPolicyIsLRU(t *testing.T) {
 	for _, victim := range []int{-1, 99} {
@@ -119,5 +120,182 @@ func TestSetPolicyNilRestoresLRU(t *testing.T) {
 	fill(c, 1, 2, 3)
 	if !eq(order(c), []int{3, 2}) {
 		t.Fatalf("order %v", order(c))
+	}
+}
+
+// testKey is the fingerprint both the recording policy and the two-hook
+// reference use: several queries share a key, like queries share a group.
+func testKey(q int) uint64 { return uint64(q%5) + 100 }
+
+// recordingPolicy scores keys from a table the test mutates between inserts
+// (as mining mutates the learned model), picks the weakest resident entry
+// from the STORED keys, and counts who called what.
+type recordingPolicy struct {
+	score    map[uint64]int
+	keyCalls int
+	victims  int
+}
+
+func (p *recordingPolicy) Key(q int) uint64 {
+	p.keyCalls++
+	return testKey(q)
+}
+
+func (p *recordingPolicy) Victim(key uint64, entries []Entry[int]) (int, bool) {
+	p.victims++
+	idx, weakest := -1, 0
+	for i, e := range entries {
+		if s := p.score[e.Key]; idx < 0 || s <= weakest {
+			idx, weakest = i, s
+		}
+	}
+	return idx, p.score[key] >= weakest
+}
+
+// twoHookRef is the cache as it was before keyed entries: Admit and Evict
+// each re-derive every resident key from the query and walk the entries
+// separately. It is the oracle for LRU order and Stats.
+type twoHookRef struct {
+	capacity int
+	entries  []int // [0] is most recently used
+	score    map[uint64]int
+	stats    Stats
+}
+
+func (r *twoHookRef) weakest() (int, int) {
+	idx, weakest := -1, 0
+	for i, q := range r.entries {
+		if s := r.score[testKey(q)]; idx < 0 || s <= weakest {
+			idx, weakest = i, s
+		}
+	}
+	return idx, weakest
+}
+
+func (r *twoHookRef) lookup(q int) bool {
+	r.stats.Lookups++
+	r.stats.Comparisons += uint64(len(r.entries))
+	for i, e := range r.entries {
+		if e == q {
+			r.stats.Hits++
+			copy(r.entries[1:i+1], r.entries[:i])
+			r.entries[0] = q
+			return true
+		}
+	}
+	r.stats.Misses++
+	return false
+}
+
+func (r *twoHookRef) insert(q int) {
+	if len(r.entries) == r.capacity {
+		if _, w := r.weakest(); r.score[testKey(q)] < w { // Admit
+			r.stats.AdmissionRejects++
+			return
+		}
+		victim, _ := r.weakest() // Evict
+		r.entries = append(r.entries[:victim], r.entries[victim+1:]...)
+		r.stats.Evictions++
+	}
+	r.entries = append([]int{q}, r.entries...)
+	r.stats.Insertions++
+}
+
+// Property: over random insert/lookup/clear sequences with a drifting score
+// table, every resident Key is the policy's key of its query, Key runs
+// exactly once per Insert and never from Lookup or Victim, and LRU order and
+// Stats equal the two-hook reference's.
+func TestKeyedEntriesMatchTwoHookReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		score := map[uint64]int{}
+		pol := &recordingPolicy{score: score}
+		capacity := 1 + rng.Intn(6)
+		c := New[int](capacity, 1, intScorer)
+		c.SetPolicy(pol)
+		ref := &twoHookRef{capacity: capacity, score: score}
+		inserts := 0
+		for op := 0; op < 400; op++ {
+			q := rng.Intn(12)
+			before := pol.keyCalls
+			switch r := rng.Intn(20); {
+			case r == 0:
+				c.Clear()
+				ref.entries = ref.entries[:0]
+			case r < 4:
+				score[testKey(q)] = rng.Intn(4)
+			case r < 12:
+				_, hit := c.Lookup(q, 0.05)
+				if refHit := ref.lookup(q); hit != refHit {
+					t.Fatalf("seed %d op %d: lookup(%d) hit %v, reference %v", seed, op, q, hit, refHit)
+				}
+			default:
+				c.Insert(q, nil)
+				ref.insert(q)
+				inserts++
+				before++
+			}
+			if pol.keyCalls != before {
+				t.Fatalf("seed %d op %d: Key called %d times, want %d", seed, op, pol.keyCalls, before)
+			}
+			if !eq(order(c), ref.entries) {
+				t.Fatalf("seed %d op %d: order %v, reference %v", seed, op, order(c), ref.entries)
+			}
+			if c.Stats() != ref.stats {
+				t.Fatalf("seed %d op %d: stats %+v, reference %+v", seed, op, c.Stats(), ref.stats)
+			}
+			for i, e := range c.entries {
+				if e.Key != testKey(e.Query) {
+					t.Fatalf("seed %d op %d: entry %d (query %d) has key %d", seed, op, i, e.Query, e.Key)
+				}
+			}
+		}
+		if pol.keyCalls != inserts {
+			t.Fatalf("seed %d: %d Key calls for %d inserts", seed, pol.keyCalls, inserts)
+		}
+		if pol.victims == 0 {
+			t.Fatalf("seed %d: the policy never decided a full-cache insert", seed)
+		}
+	}
+}
+
+// A policy installed on a non-empty cache re-keys the residents, and removing
+// it zeroes the keys again.
+func TestSetPolicyRekeysResidents(t *testing.T) {
+	c := New[int](3, 1, intScorer)
+	fill(c, 1, 2, 3)
+	c.SetPolicy(&recordingPolicy{})
+	for _, e := range c.entries {
+		if e.Key != testKey(e.Query) {
+			t.Fatalf("query %d keyed %d after SetPolicy", e.Query, e.Key)
+		}
+	}
+	c.SetPolicy(nil)
+	for _, e := range c.entries {
+		if e.Key != 0 {
+			t.Fatalf("query %d keeps key %d without a policy", e.Query, e.Key)
+		}
+	}
+}
+
+// Clear and eviction must not leave dropped entries reachable through the
+// backing array: every slot past len is zero, and an evicted entry's results
+// appear in no slot.
+func TestClearedAndEvictedSlotsUnpinned(t *testing.T) {
+	c := New[int](3, 1, intScorer)
+	fill(c, 1, 2, 3, 4) // evicts 1
+	for _, e := range c.entries[:cap(c.entries)] {
+		if e.Query == 1 || (len(e.Results) == 1 && e.Results[0].FeatureID == 1) {
+			t.Fatalf("evicted entry still in the backing array: %+v", e)
+		}
+	}
+	c.Clear()
+	if c.Len() != 0 {
+		t.Fatalf("len %d after Clear", c.Len())
+	}
+	for i, e := range c.entries[:cap(c.entries)] {
+		if e.Query != 0 || e.Results != nil || e.Key != 0 {
+			t.Fatalf("slot %d still holds %+v after Clear", i, e)
+		}
 	}
 }

@@ -29,10 +29,13 @@ type Scorer[Q any] func(a, b Q) float64
 type BatchScorer[Q any] func(scores []float64, q Q, batch []Q)
 
 // Entry is one cached query with its top-K results (the TopKFV/ObjectID
-// fields of Fig. 7).
+// fields of Fig. 7). Key is the installed Policy's fingerprint of Query,
+// computed once when the entry is inserted (zero without a policy), so
+// victim selection never has to touch the query vectors again.
 type Entry[Q any] struct {
 	Query   Q
 	Results []topk.Entry
+	Key     uint64
 }
 
 // Stats counts cache behaviour.
@@ -62,12 +65,15 @@ func (s Stats) MissRate() float64 {
 // hooks run synchronously inside Insert under the caller's lock; they must
 // not call back into the cache. A nil policy is plain LRU.
 type Policy[Q any] interface {
-	// Admit reports whether the candidate query deserves to displace one of
-	// the resident entries. Returning false leaves the cache untouched.
-	Admit(q Q, entries []Entry[Q]) bool
-	// Evict returns the index of the entry to displace, or -1 to fall back
-	// to the LRU tail. Out-of-range indices also fall back to the tail.
-	Evict(entries []Entry[Q]) int
+	// Key fingerprints a query. Insert calls it exactly once per candidate
+	// and stores the answer in the entry, so it must be a pure function of q.
+	Key(q Q) uint64
+	// Victim decides a full-cache insert in one pass over the resident
+	// entries' stored keys: admit reports whether the candidate (identified
+	// by key) deserves to displace a resident entry — false leaves the cache
+	// untouched — and idx is the entry to displace, -1 (or any out-of-range
+	// index) falling back to the LRU tail.
+	Victim(key uint64, entries []Entry[Q]) (idx int, admit bool)
 }
 
 // Cache is the similarity-based query cache. Entries are kept in LRU order;
@@ -278,18 +284,31 @@ func (c *Cache[Q]) promote(i int) {
 	c.entries[0] = e
 }
 
-// SetPolicy installs (or, with nil, removes) the admission/eviction policy.
-// The policy only participates when the cache is full, so an installed
-// policy whose hooks return (true, -1) is bit-identical to plain LRU.
-func (c *Cache[Q]) SetPolicy(p Policy[Q]) { c.policy = p }
+// SetPolicy installs (or, with nil, removes) the admission/eviction policy,
+// re-keying the resident entries so every stored Key is the new policy's.
+// The policy only decides full-cache inserts, so an installed policy whose
+// Victim returns (-1, true) is bit-identical to plain LRU.
+func (c *Cache[Q]) SetPolicy(p Policy[Q]) {
+	c.policy = p
+	for i := range c.entries {
+		c.entries[i].Key = 0
+		if p != nil {
+			c.entries[i].Key = p.Key(c.entries[i].Query)
+		}
+	}
+}
 
 // Insert caches a query and its freshly computed results as the most
 // recently used entry. When full, the policy (if any) first decides whether
 // the candidate is admitted at all and which resident entry it displaces;
 // without a policy — or when the policy defers with -1 — the LRU entry is
-// evicted (line 16).
+// evicted (line 16). The victim's slot is overwritten by the shift that
+// makes room at the front, so an evicted entry is never left reachable.
 func (c *Cache[Q]) Insert(q Q, results []topk.Entry) {
 	e := Entry[Q]{Query: q, Results: results}
+	if c.policy != nil {
+		e.Key = c.policy.Key(q)
+	}
 	if len(c.entries) < c.capacity {
 		c.entries = append(c.entries, Entry[Q]{})
 		copy(c.entries[1:], c.entries[:len(c.entries)-1])
@@ -299,11 +318,12 @@ func (c *Cache[Q]) Insert(q Q, results []topk.Entry) {
 	}
 	victim := len(c.entries) - 1
 	if c.policy != nil {
-		if !c.policy.Admit(q, c.entries) {
+		v, admit := c.policy.Victim(e.Key, c.entries)
+		if !admit {
 			c.stats.AdmissionRejects++
 			return
 		}
-		if v := c.policy.Evict(c.entries); v >= 0 && v < len(c.entries) {
+		if v >= 0 && v < len(c.entries) {
 			victim = v
 		}
 	}
@@ -313,8 +333,13 @@ func (c *Cache[Q]) Insert(q Q, results []topk.Entry) {
 	c.stats.Insertions++
 }
 
-// Clear removes every entry, keeping statistics.
-func (c *Cache[Q]) Clear() { c.entries = c.entries[:0] }
+// Clear removes every entry, keeping statistics. The slots are zeroed before
+// the slice is truncated so the backing array stops pinning the cleared
+// query vectors and result lists.
+func (c *Cache[Q]) Clear() {
+	clear(c.entries)
+	c.entries = c.entries[:0]
+}
 
 // EntryBytes estimates one entry's DRAM footprint (§4.6): the query feature
 // vector plus K cached feature vectors and their 8-byte ObjectIDs.

@@ -86,26 +86,72 @@ func unmarshalRecord(b []byte) Record {
 	}
 }
 
-// Store holds the hot record array and the cold payload heap. It is not
+// chunkBytes is the cold arena's chunk size. Growing the arena allocates one
+// more chunk and never moves a byte already stored, so an Append copies only
+// its own payload however large the store has grown.
+const chunkBytes = 1 << 20
+
+// Store holds the hot record array and the cold payload arena. It is not
 // internally synchronized: the owning engine serializes access under its
 // own lock.
+//
+// The arena is a list of chunks. A payload never straddles two chunks — one
+// that does not fit the current chunk's tail opens a new chunk (sized to the
+// payload when it exceeds chunkBytes) — so every payload is one contiguous,
+// stable view. PayloadOff stays the LOGICAL offset, the payload's position in
+// the concatenation of all payloads: the unused chunk tails are an in-memory
+// detail that Snapshot bytes, ColdBytes and the records never see.
 type Store struct {
 	records []Record
-	payload []byte
+	chunks  [][]byte // len(chunk) is its used prefix
+	starts  []int64  // logical offset of each chunk's first byte
+	cold    int64    // logical arena size: the sum of all payload lengths
 }
 
 // NewStore returns an empty history store.
 func NewStore() *Store { return &Store{} }
 
+// alloc reserves n contiguous arena bytes at the logical end and returns
+// them for the caller to fill.
+func (s *Store) alloc(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last])+n > cap(s.chunks[last]) {
+		s.chunks = append(s.chunks, make([]byte, 0, max(n, chunkBytes)))
+		s.starts = append(s.starts, s.cold)
+		last++
+	}
+	c := s.chunks[last]
+	s.chunks[last] = c[:len(c)+n]
+	s.cold += int64(n)
+	return s.chunks[last][len(c):]
+}
+
+// push assigns r's Seq and the placement of the payloadLen bytes alloc just
+// reserved, and stores the record.
+func (s *Store) push(r Record, payloadLen int) Record {
+	r.Seq = uint64(len(s.records))
+	r.PayloadOff = s.cold - int64(payloadLen)
+	r.PayloadLen = int64(payloadLen)
+	s.records = append(s.records, r)
+	return r
+}
+
 // Append assigns the record's Seq and payload placement, stores it, and
 // returns the completed record.
 func (s *Store) Append(r Record, payload []byte) Record {
-	r.Seq = uint64(len(s.records))
-	r.PayloadOff = int64(len(s.payload))
-	r.PayloadLen = int64(len(payload))
-	s.payload = append(s.payload, payload...)
-	s.records = append(s.records, r)
-	return r
+	copy(s.alloc(len(payload)), payload)
+	return s.push(r, len(payload))
+}
+
+// AppendQuery is Append(r, EncodePayload(qfv, topK)) with the payload
+// encoded straight into the arena.
+func (s *Store) AppendQuery(r Record, qfv []float32, topK []topk.Entry) Record {
+	n := PayloadBytes(len(qfv), len(topK))
+	encodePayload(s.alloc(n), qfv, topK)
+	return s.push(r, n)
 }
 
 // Len returns the number of records.
@@ -121,15 +167,28 @@ func (s *Store) Records() []Record { return s.records }
 
 // HotBytes and ColdBytes report the two regions' sizes.
 func (s *Store) HotBytes() int64  { return int64(len(s.records)) * RecordBytes }
-func (s *Store) ColdBytes() int64 { return int64(len(s.payload)) }
+func (s *Store) ColdBytes() int64 { return s.cold }
 
-// Payload returns the cold payload bytes for r (a view into the heap).
+// Payload returns the cold payload bytes for r: a view into the arena that
+// stays valid and unchanged across later Appends (chunks never move). A
+// range outside the arena, or one that is not wholly inside one chunk (no
+// Append produces such a record), wraps ErrCorrupt.
 func (s *Store) Payload(r Record) ([]byte, error) {
-	if r.PayloadOff < 0 || r.PayloadLen < 0 || r.PayloadOff+r.PayloadLen > int64(len(s.payload)) {
+	if r.PayloadOff < 0 || r.PayloadLen < 0 || r.PayloadLen > s.cold-r.PayloadOff {
 		return nil, fmt.Errorf("%w: payload [%d,+%d) outside %d-byte heap",
-			ErrCorrupt, r.PayloadOff, r.PayloadLen, len(s.payload))
+			ErrCorrupt, r.PayloadOff, r.PayloadLen, s.cold)
 	}
-	return s.payload[r.PayloadOff : r.PayloadOff+r.PayloadLen], nil
+	if r.PayloadLen == 0 {
+		return nil, nil
+	}
+	// The last chunk starting at or before the offset holds its first byte.
+	ci := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > r.PayloadOff }) - 1
+	local := r.PayloadOff - s.starts[ci]
+	if c := s.chunks[ci]; r.PayloadLen <= int64(len(c))-local {
+		return c[local : local+r.PayloadLen : local+r.PayloadLen], nil
+	}
+	return nil, fmt.Errorf("%w: payload [%d,+%d) straddles an arena chunk",
+		ErrCorrupt, r.PayloadOff, r.PayloadLen)
 }
 
 const (
@@ -142,7 +201,7 @@ const (
 // encoding is fully deterministic for a given sequence of Appends.
 func (s *Store) Snapshot() []byte {
 	le := binary.LittleEndian
-	size := 4 + 4 + 8 + len(s.records)*RecordBytes + 8 + len(s.payload) + 8
+	size := 4 + 4 + 8 + len(s.records)*RecordBytes + 8 + int(s.cold) + 8
 	out := make([]byte, size)
 	copy(out, snapshotMagic)
 	le.PutUint32(out[4:], snapshotVersion)
@@ -152,10 +211,11 @@ func (s *Store) Snapshot() []byte {
 		s.records[i].marshal(out[off:])
 		off += RecordBytes
 	}
-	le.PutUint64(out[off:], uint64(len(s.payload)))
+	le.PutUint64(out[off:], uint64(s.cold))
 	off += 8
-	copy(out[off:], s.payload)
-	off += len(s.payload)
+	for _, c := range s.chunks {
+		off += copy(out[off:], c)
+	}
 	h := fnv.New64a()
 	h.Write(out[:off])
 	le.PutUint64(out[off:], h.Sum64())
@@ -164,7 +224,10 @@ func (s *Store) Snapshot() []byte {
 
 // Restore parses a Snapshot image. Any framing, bounds, or checksum failure
 // returns an error wrapping ErrCorrupt — never a panic — so callers can
-// degrade to an empty (cold-start) history.
+// degrade to an empty (cold-start) history. The payloads are re-placed into
+// the arena one record at a time, which needs them laid out the way Append
+// lays them: dense and in record order. An image whose ranges overlap, run
+// backwards, leave gaps or fall outside the cold region is corrupt.
 func Restore(data []byte) (*Store, error) {
 	le := binary.LittleEndian
 	if len(data) < 24 {
@@ -195,7 +258,7 @@ func Restore(data []byte) (*Store, error) {
 	if uint64(len(data)) < off+plen+8 {
 		return nil, fmt.Errorf("%w: truncated cold region", ErrCorrupt)
 	}
-	st.payload = append([]byte(nil), data[off:off+plen]...)
+	cold := data[off : off+plen]
 	off += plen
 	h := fnv.New64a()
 	h.Write(data[:off])
@@ -206,18 +269,35 @@ func Restore(data []byte) (*Store, error) {
 		if r.Seq != uint64(i) {
 			return nil, fmt.Errorf("%w: record %d has seq %d", ErrCorrupt, i, r.Seq)
 		}
-		if r.PayloadOff < 0 || r.PayloadLen < 0 || r.PayloadOff+r.PayloadLen > int64(plen) {
-			return nil, fmt.Errorf("%w: record %d payload out of bounds", ErrCorrupt, i)
+		// st.cold is where Append would have put this payload; comparing the
+		// length against the remainder cannot overflow, unlike off+len.
+		if r.PayloadOff != st.cold || r.PayloadLen < 0 || r.PayloadLen > int64(plen)-st.cold {
+			return nil, fmt.Errorf("%w: record %d payload [%d,+%d) not at cold offset %d of %d",
+				ErrCorrupt, i, r.PayloadOff, r.PayloadLen, st.cold, plen)
 		}
+		copy(st.alloc(int(r.PayloadLen)), cold[r.PayloadOff:])
+	}
+	if st.cold != int64(plen) {
+		return nil, fmt.Errorf("%w: %d cold bytes belong to no record", ErrCorrupt, int64(plen)-st.cold)
 	}
 	return st, nil
 }
 
+// PayloadBytes is the encoded size of a cold payload with the given query
+// dimensions and top-K length.
+func PayloadBytes(dims, k int) int { return 4 + 4*dims + 4 + 20*k }
+
 // EncodePayload serializes a query's cold payload: the full query feature
 // vector plus the top-K result list.
 func EncodePayload(qfv []float32, topK []topk.Entry) []byte {
+	out := make([]byte, PayloadBytes(len(qfv), len(topK)))
+	encodePayload(out, qfv, topK)
+	return out
+}
+
+// encodePayload writes the payload into out, which is PayloadBytes long.
+func encodePayload(out []byte, qfv []float32, topK []topk.Entry) {
 	le := binary.LittleEndian
-	out := make([]byte, 4+4*len(qfv)+4+20*len(topK))
 	le.PutUint32(out, uint32(len(qfv)))
 	off := 4
 	for _, v := range qfv {
@@ -232,7 +312,6 @@ func EncodePayload(qfv []float32, topK []topk.Entry) []byte {
 		le.PutUint64(out[off+12:], e.ObjectID)
 		off += 20
 	}
-	return out
 }
 
 // DecodePayload reverses EncodePayload; malformed input wraps ErrCorrupt.
@@ -339,17 +418,25 @@ func (g GroupStat) AdmissionScore(nowSeq uint64) float64 {
 // admission decisions.
 func MineGroups(records []Record) map[uint64]GroupStat {
 	out := make(map[uint64]GroupStat, 16)
-	for i, r := range records {
-		g := out[r.Group]
+	MineInto(out, records, 0)
+	return out
+}
+
+// MineInto folds records[from:] into mined. The fold is left-associative, so
+// a map that holds the statistics of records[:from] ends up exactly
+// MineGroups(records) — mining costs only the records appended since.
+func MineInto(mined map[uint64]GroupStat, records []Record, from int) {
+	for i := from; i < len(records); i++ {
+		r := records[i]
+		g := mined[r.Group]
 		g.Count++
 		if r.Hit() {
 			g.Hits++
 		}
 		g.LastSeq = r.Seq
 		g.LastRec = i
-		out[r.Group] = g
+		mined[r.Group] = g
 	}
-	return out
 }
 
 // RankGroups orders mined groups by descending admission score, breaking

@@ -2,8 +2,13 @@ package qhist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/topk"
@@ -225,5 +230,181 @@ func TestDigestDiscriminates(t *testing.T) {
 	}
 	if Digest(a) != Digest(append([]topk.Entry(nil), a...)) {
 		t.Fatal("digest not deterministic")
+	}
+}
+
+// The arena never lets a payload straddle a chunk, keeps PayloadOff logical,
+// and never moves a stored byte: Snapshot equals a concatenating reference,
+// Restore(Snapshot()) round-trips, and every Payload view taken early is
+// contiguous and unchanged after 10 000 further appends.
+func TestArenaChunking(t *testing.T) {
+	sizes := []int{0, 1, chunkBytes - 1, chunkBytes, chunkBytes + 1, 3*chunkBytes + 17, 0, 1, 5}
+	s := NewStore()
+	var ref []byte // the old single-heap layout
+	var recs []Record
+	var views [][]byte
+	for i, n := range sizes {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		r := s.Append(Record{Group: uint64(i)}, p)
+		if r.PayloadOff != int64(len(ref)) || r.PayloadLen != int64(n) {
+			t.Fatalf("payload %d placed at [%d,+%d), want [%d,+%d)", i, r.PayloadOff, r.PayloadLen, len(ref), n)
+		}
+		ref = append(ref, p...)
+		v, err := s.Payload(r)
+		if err != nil || !bytes.Equal(v, p) || cap(v) != len(v) {
+			t.Fatalf("payload %d: view of %d bytes (cap %d), err %v", i, len(v), cap(v), err)
+		}
+		recs, views = append(recs, r), append(views, v)
+	}
+	for i := 0; i < 10000; i++ {
+		s.Append(Record{}, []byte{byte(i), byte(i >> 8), 3})
+		ref = append(ref, byte(i), byte(i>>8), 3)
+	}
+	for i, r := range recs {
+		v, err := s.Payload(r)
+		want := ref[r.PayloadOff : r.PayloadOff+r.PayloadLen]
+		if err != nil || !bytes.Equal(v, want) || !bytes.Equal(views[i], want) {
+			t.Fatalf("payload %d changed after further appends (err %v)", i, err)
+		}
+		if len(v) > 0 && &v[0] != &views[i][0] {
+			t.Fatalf("payload %d moved", i)
+		}
+	}
+	if s.ColdBytes() != int64(len(ref)) {
+		t.Fatalf("ColdBytes %d, want %d", s.ColdBytes(), len(ref))
+	}
+	img := s.Snapshot()
+	hot := 16 + s.Len()*RecordBytes
+	if got := img[hot+8 : len(img)-8]; !bytes.Equal(got, ref) {
+		t.Fatal("snapshot cold region differs from the concatenated payloads")
+	}
+	back, err := Restore(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Snapshot(), img) {
+		t.Fatal("Restore(Snapshot()) does not round-trip")
+	}
+	for i, r := range recs {
+		if v, err := back.Payload(r); err != nil || !bytes.Equal(v, views[i]) {
+			t.Fatalf("restored payload %d differs (err %v)", i, err)
+		}
+	}
+	// A range that is in bounds but crosses the first chunk's end was never
+	// appended; it must come back typed, not as bytes from two payloads.
+	if _, err := s.Payload(Record{PayloadOff: 1, PayloadLen: chunkBytes}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("straddling range: %v", err)
+	}
+}
+
+// AppendQuery stores exactly what Append(EncodePayload(...)) stores.
+func TestAppendQueryMatchesAppend(t *testing.T) {
+	qfv := []float32{0.5, -1.25, 3}
+	tk := []topk.Entry{{FeatureID: 9, Score: 0.75, ObjectID: 42}}
+	a, b := NewStore(), NewStore()
+	for i := 0; i < 3; i++ {
+		ra := a.Append(Record{Group: 7}, EncodePayload(qfv, tk[:i%2]))
+		rb := b.AppendQuery(Record{Group: 7}, qfv, tk[:i%2])
+		if ra != rb {
+			t.Fatalf("append %d: records %+v vs %+v", i, ra, rb)
+		}
+	}
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		t.Fatal("AppendQuery and Append(EncodePayload) snapshots differ")
+	}
+}
+
+// rechecksum recomputes an image's trailing FNV checksum, so a test can hand
+// Restore an image whose only defect is the field it edited.
+func rechecksum(img []byte) {
+	h := fnv.New64a()
+	h.Write(img[:len(img)-8])
+	binary.LittleEndian.PutUint64(img[len(img)-8:], h.Sum64())
+}
+
+// Payload ranges that pass the checksum but are not the dense in-order layout
+// Append produces — an offset near MaxInt64 (off+len wraps negative), ranges
+// that overlap, run backwards or leave a gap — are ErrCorrupt from Restore,
+// and the same wrapped range is ErrCorrupt from Payload rather than a panic.
+func TestRestoreRejectsUnplaceablePayloadRanges(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 3; i++ {
+		s.Append(Record{Group: uint64(i)}, []byte{1, 2, 3, 4})
+	}
+	good := s.Snapshot()
+	const offField, lenField = 72, 80
+	edit := func(rec, field int, v int64) []byte {
+		img := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(img[16+rec*RecordBytes+field:], uint64(v))
+		rechecksum(img)
+		return img
+	}
+	for name, img := range map[string][]byte{
+		"offset MaxInt64":  edit(1, offField, math.MaxInt64),
+		"overlap":          edit(1, offField, 2),
+		"out of order":     edit(2, offField, 0),
+		"gap":              edit(1, lenField, 3),
+		"length MaxInt64":  edit(2, lenField, math.MaxInt64),
+		"negative length":  edit(0, lenField, -4),
+		"unowned tail":     edit(2, lenField, 1),
+		"offset past cold": edit(2, offField, 13),
+	} {
+		if st, err := Restore(img); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Restore returned %v (store %v), want ErrCorrupt", name, err, st != nil)
+		}
+	}
+	if _, err := Restore(good); err != nil {
+		t.Fatalf("re-checksummed control image: %v", err)
+	}
+	for _, r := range []Record{
+		{PayloadOff: math.MaxInt64, PayloadLen: 4},
+		{PayloadOff: 4, PayloadLen: math.MaxInt64},
+		{PayloadOff: -1, PayloadLen: 1},
+	} {
+		if _, err := s.Payload(r); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Payload [%d,+%d): %v, want ErrCorrupt", r.PayloadOff, r.PayloadLen, err)
+		}
+	}
+}
+
+// The incremental fold reaches the same map as one full pass, whatever the
+// split points.
+func TestMineIntoMatchesMineGroups(t *testing.T) {
+	recs := randStore(7, 200).Records()
+	for i := range recs {
+		recs[i].Group %= 9 // force shared groups
+	}
+	want := MineGroups(recs)
+	got := map[uint64]GroupStat{}
+	for from, step := 0, 1; from < len(recs); step += 3 {
+		to := min(from+step, len(recs))
+		MineInto(got, recs[:to], from)
+		from = to
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("incremental mining diverged from MineGroups")
+	}
+}
+
+// BenchmarkStoreAppend appends query-sized payloads to a store that already
+// holds `resident` records. With -benchmem, B/op must not grow with the store
+// size: the arena adds chunks and never re-copies what it holds.
+func BenchmarkStoreAppend(b *testing.B) {
+	payload := make([]byte, PayloadBytes(200, 10))
+	for _, resident := range []int{0, 32768} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			s := NewStore()
+			for i := 0; i < resident; i++ {
+				s.Append(Record{}, payload)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Append(Record{Group: uint64(i)}, payload)
+			}
+		})
 	}
 }
