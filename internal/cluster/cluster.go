@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/energy"
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -22,39 +21,18 @@ import (
 
 // Result aggregates a sharded scan.
 type Result struct {
-	// Makespan is the slowest healthy shard's scan time — the query latency.
+	// Makespan is the slowest shard's scan time — the query latency.
 	Makespan sim.Duration
-	// PerDevice holds each shard's scan result, indexed by shard; failed
-	// shards keep a zero entry (check FailedShards / ShardErrs).
+	// PerDevice holds each shard's scan result, indexed by shard.
 	PerDevice []accel.ScanResult
-	// Activity sums the healthy shards' energy-model activity.
+	// Activity sums the shards' energy-model activity.
 	Activity energy.Activity
-	// Features is the total comparisons across healthy shards.
+	// Features is the total comparisons across shards.
 	Features int64
-
-	// Degraded reports that at least one shard failed and the aggregate
-	// covers only the healthy subset.
-	Degraded bool
-	// FailedShards lists the failed shard indices in shard order.
-	FailedShards []int
-	// ShardErrs joins every failed shard's error (errors.Join); nil when
-	// the cluster is healthy.
-	ShardErrs error
 }
 
 // Seconds returns the makespan in seconds.
 func (r Result) Seconds() float64 { return r.Makespan.Seconds() }
-
-// ScanFaults configures deterministic whole-shard failures for a sharded
-// scan — the model of a device dropping out of the fan-out mid-query. The
-// zero value injects nothing.
-type ScanFaults struct {
-	// Seed roots the injection stream; shard s draws from Fork("shard<s>"),
-	// so the failed set is a pure function of (Seed, ShardFailRate, n).
-	Seed int64
-	// ShardFailRate is each shard's failure probability in [0, 1].
-	ShardFailRate float64
-}
 
 // ShardedScan shards `features` of the application's database across n
 // devices of the given configuration and scans every shard at the given
@@ -65,27 +43,11 @@ type ScanFaults struct {
 // the host and the aggregate is deterministic regardless of completion
 // order (results are reduced in shard order).
 func ShardedScan(n int, app *workload.App, level accel.Level, devCfg ssd.Config, features, window int64) (Result, error) {
-	return ShardedScanFaults(n, app, level, devCfg, features, window, ScanFaults{})
-}
-
-// ShardedScanFaults is ShardedScan with injected shard failures and graceful
-// degradation: every shard error is collected (errors.Join), and as long as
-// one shard survives the scan returns the healthy subset's aggregate marked
-// Degraded instead of throwing the whole query away. Only when every shard
-// fails (or the request itself is invalid) is an error returned.
-func ShardedScanFaults(n int, app *workload.App, level accel.Level, devCfg ssd.Config, features, window int64, faults ScanFaults) (Result, error) {
 	if n < 1 {
 		return Result{}, fmt.Errorf("cluster: %d devices invalid", n)
 	}
 	if features < int64(n) {
 		return Result{}, fmt.Errorf("cluster: %d features cannot shard across %d devices", features, n)
-	}
-	if faults.ShardFailRate < 0 || faults.ShardFailRate > 1 {
-		return Result{}, fmt.Errorf("cluster: shard fail rate %v outside [0, 1]", faults.ShardFailRate)
-	}
-	var inj *fault.Injector
-	if faults.ShardFailRate > 0 {
-		inj = fault.New(faults.Seed)
 	}
 	outs := make([]accel.ScanResult, n)
 	errs := make([]error, n)
@@ -98,12 +60,7 @@ func ShardedScanFaults(n int, app *workload.App, level accel.Level, devCfg ssd.C
 		wg.Add(1)
 		go func(dev int, share int64) {
 			defer wg.Done()
-			if inj != nil && inj.Forkf("shard%d", dev).Hit(faults.ShardFailRate) {
-				errs[dev] = fmt.Errorf("cluster: shard %d: %w", dev, fault.ErrInjected)
-				return
-			}
-			e := sim.NewEngine()
-			device, err := ssd.New(e, devCfg)
+			device, err := ssd.New(sim.NewEngine(), devCfg)
 			if err != nil {
 				errs[dev] = fmt.Errorf("cluster: shard %d: %w", dev, err)
 				return
@@ -113,7 +70,7 @@ func ShardedScanFaults(n int, app *workload.App, level accel.Level, devCfg ssd.C
 				errs[dev] = fmt.Errorf("cluster: shard %d: %w", dev, err)
 				return
 			}
-			out, err := accel.Scan(accel.ScanRequest{
+			outs[dev], err = accel.Scan(accel.ScanRequest{
 				Device:                 device,
 				Spec:                   accel.SpecForLevel(level, devCfg),
 				Net:                    app.SCN,
@@ -122,57 +79,33 @@ func ShardedScanFaults(n int, app *workload.App, level accel.Level, devCfg ssd.C
 			})
 			if err != nil {
 				errs[dev] = fmt.Errorf("cluster: shard %d: %w", dev, err)
-				return
 			}
-			outs[dev] = out
 		}(dev, share)
 	}
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return Result{}, err
+	}
 	res := Result{PerDevice: outs}
-	var failed []error
-	for dev := 0; dev < n; dev++ {
-		if errs[dev] != nil {
-			res.FailedShards = append(res.FailedShards, dev)
-			failed = append(failed, errs[dev])
-			continue
-		}
-		out := outs[dev]
+	for _, out := range outs {
 		res.Activity.Add(out.Activity)
 		res.Features += out.Features
 		if out.Elapsed > res.Makespan {
 			res.Makespan = out.Elapsed
 		}
 	}
-	if len(failed) == n {
-		return Result{}, errors.Join(failed...)
-	}
-	if len(failed) > 0 {
-		res.Degraded = true
-		res.ShardErrs = errors.Join(failed...)
-	}
 	return res, nil
 }
 
-// Imbalance reports the relative gap between the slowest and fastest
-// healthy shard (0 for a perfectly balanced cluster). Failed shards' zero
-// entries are excluded.
+// Imbalance reports the relative gap between the slowest and fastest shard
+// (0 for a perfectly balanced cluster).
 func (r Result) Imbalance() float64 {
-	min, max := sim.Duration(0), sim.Duration(0)
-	seen := false
-	for _, d := range r.PerDevice {
-		if d.Elapsed == 0 {
-			continue
-		}
-		if !seen || d.Elapsed < min {
-			min = d.Elapsed
-		}
-		if !seen || d.Elapsed > max {
-			max = d.Elapsed
-		}
-		seen = true
-	}
-	if max == 0 {
+	if r.Makespan == 0 {
 		return 0
 	}
-	return float64(max-min) / float64(max)
+	fastest := r.Makespan
+	for _, d := range r.PerDevice {
+		fastest = min(fastest, d.Elapsed)
+	}
+	return float64(r.Makespan-fastest) / float64(r.Makespan)
 }

@@ -5,10 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -352,133 +350,5 @@ func TestEnginesToleranceValidation(t *testing.T) {
 	}
 	if err := e.SetTolerance(Tolerance{Quorum: 2, FaultRate: 0.5}); err != nil {
 		t.Errorf("valid tolerance rejected: %v", err)
-	}
-}
-
-// expectedScanFaults mirrors ShardedScanFaults' injection schedule.
-func expectedScanFaults(f ScanFaults, n int) []int {
-	root := fault.New(f.Seed)
-	var failed []int
-	for dev := 0; dev < n; dev++ {
-		if root.Forkf("shard%d", dev).Hit(f.ShardFailRate) {
-			failed = append(failed, dev)
-		}
-	}
-	return failed
-}
-
-// TestShardedScanFaultsDegraded: injected shard failures degrade the scan to
-// the healthy subset with the failed shards reported, deterministically.
-func TestShardedScanFaultsDegraded(t *testing.T) {
-	app, err := workload.ByName("MIR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n, features = 4, 400_000
-	faults := ScanFaults{Seed: 9, ShardFailRate: 0.5}
-	want := expectedScanFaults(faults, n)
-	if len(want) == 0 || len(want) == n {
-		t.Fatalf("seed %d fails %v of %d shards; pick another seed", faults.Seed, want, n)
-	}
-	res, err := ShardedScanFaults(n, app, accel.LevelChannel, ssd.DefaultConfig(), features, 1000, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded {
-		t.Fatal("partial failure not marked Degraded")
-	}
-	if len(res.FailedShards) != len(want) {
-		t.Fatalf("failed shards %v, schedule predicts %v", res.FailedShards, want)
-	}
-	for i := range want {
-		if res.FailedShards[i] != want[i] {
-			t.Fatalf("failed shards %v, schedule predicts %v", res.FailedShards, want)
-		}
-	}
-	if !errors.Is(res.ShardErrs, fault.ErrInjected) {
-		t.Fatalf("ShardErrs %v does not wrap fault.ErrInjected", res.ShardErrs)
-	}
-	failedSet := make(map[int]bool)
-	for _, dev := range want {
-		failedSet[dev] = true
-	}
-	var healthyFeatures int64
-	for dev := 0; dev < n; dev++ {
-		share := int64(features) / n
-		if int64(dev) < int64(features)%n {
-			share++
-		}
-		if failedSet[dev] {
-			if res.PerDevice[dev].Elapsed != 0 {
-				t.Errorf("failed shard %d has non-zero scan result", dev)
-			}
-			continue
-		}
-		healthyFeatures += share
-		if res.PerDevice[dev].Elapsed == 0 {
-			t.Errorf("healthy shard %d has zero scan result", dev)
-		}
-	}
-	if res.Features != healthyFeatures {
-		t.Errorf("degraded Features = %d, healthy shares sum to %d", res.Features, healthyFeatures)
-	}
-	if res.Makespan <= 0 {
-		t.Error("degraded scan has non-positive makespan")
-	}
-
-	again, err := ShardedScanFaults(n, app, accel.LevelChannel, ssd.DefaultConfig(), features, 1000, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Makespan != res.Makespan || again.Features != res.Features ||
-		len(again.FailedShards) != len(res.FailedShards) {
-		t.Error("same seed gave a different degraded scan")
-	}
-}
-
-// TestShardedScanFaultsAllFail: every shard failing yields the joined error.
-func TestShardedScanFaultsAllFail(t *testing.T) {
-	app, _ := workload.ByName("MIR")
-	_, err := ShardedScanFaults(2, app, accel.LevelChannel, ssd.DefaultConfig(), 10_000, 500,
-		ScanFaults{Seed: 1, ShardFailRate: 1})
-	if err == nil {
-		t.Fatal("all-shards-failed scan succeeded")
-	}
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("error %v does not wrap fault.ErrInjected", err)
-	}
-}
-
-// TestShardedScanFaultsZeroIdentical: a zero-rate fault config is the plain
-// sharded scan, bit for bit.
-func TestShardedScanFaultsZeroIdentical(t *testing.T) {
-	app, _ := workload.ByName("TextQA")
-	const n, features = 3, 300_000
-	plain, err := ShardedScan(n, app, accel.LevelChannel, ssd.DefaultConfig(), features, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty, err := ShardedScanFaults(n, app, accel.LevelChannel, ssd.DefaultConfig(), features, 1000,
-		ScanFaults{Seed: 42, ShardFailRate: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faulty.Degraded || faulty.ShardErrs != nil || len(faulty.FailedShards) != 0 {
-		t.Fatalf("zero-rate scan degraded: %+v", faulty)
-	}
-	if plain.Makespan != faulty.Makespan || plain.Features != faulty.Features ||
-		plain.Activity != faulty.Activity {
-		t.Fatalf("zero-rate scan diverges: %+v vs %+v", plain, faulty)
-	}
-}
-
-// TestShardedScanFaultsValidation rejects malformed rates.
-func TestShardedScanFaultsValidation(t *testing.T) {
-	app, _ := workload.ByName("MIR")
-	for _, rate := range []float64{-0.5, 1.5} {
-		if _, err := ShardedScanFaults(2, app, accel.LevelChannel, ssd.DefaultConfig(), 10_000, 500,
-			ScanFaults{ShardFailRate: rate}); err == nil {
-			t.Errorf("rate %v accepted", rate)
-		}
 	}
 }

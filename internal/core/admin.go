@@ -50,11 +50,9 @@ func (ds *DeepStore) CompactFlash() int {
 // ReorgDB rewrites a database in a new feature order (an internal/reorg
 // clustering's Order, typically) — the §7 in-storage reorganization path.
 // The migration is charged in the device model: every data page is read,
-// staged through controller DRAM, and reprogrammed. With the pruning tier
-// enabled the stripe-bound table is rebuilt from scratch atomically with the
-// move (every stripe's membership changed); a rebuild failure drops the
-// table so queries fall back to the dense scan rather than pruning against
-// stale bounds.
+// staged through controller DRAM, and reprogrammed. The derived tables are
+// rebuilt from scratch atomically with the move (refreshTables: every
+// stripe's membership and every int8 slot changed).
 func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -86,18 +84,7 @@ func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 	}
 	ds.engine.Run()
 	st.vectors = moved
-	if ds.opts.Prune {
-		if err := ds.buildBoundTier(st); err != nil {
-			ds.dropBoundTier(st)
-		}
-	}
-	if ds.opts.Quantized {
-		// Every slot moved, so the whole int8 table is requantized with the
-		// same atomic-or-drop discipline.
-		if err := ds.buildQuantState(st); err != nil {
-			ds.dropQuantState(st)
-		}
-	}
+	ds.refreshTables(st, 0) // every slot moved
 	return nil
 }
 
@@ -110,9 +97,12 @@ func (ds *DeepStore) Checkpoint() ([]byte, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.hist != nil {
-		if err := ds.dev.ProgramHistory(ds.hist.Snapshot()); err != nil {
+		table, err := ds.dev.FTL.SetRegion(ftl.HistOwner, ds.dev.Config.Geometry,
+			ftl.Region{Kind: ftl.HistRegion, Payload: ds.hist.Snapshot()})
+		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint history: %w", err)
 		}
+		ds.dev.ProgramTable(table)
 	}
 	img, err := ds.dev.PersistMetadata()
 	if err != nil {

@@ -46,20 +46,7 @@ func (ds *DeepStore) WriteDB(features [][]float32) (ftl.DBID, error) {
 	}
 	st := &dbState{meta: meta, vectors: stored}
 	ds.dbs[meta.ID] = st
-	if ds.opts.Prune {
-		// A failed table build degrades to the dense scan; results are
-		// identical either way, so writeDB still succeeds.
-		if err := ds.buildBoundTier(st); err != nil {
-			ds.dropBoundTier(st)
-		}
-	}
-	if ds.opts.Quantized {
-		// Same degradation discipline: without an int8 table the database
-		// scans in fp32, so writeDB still succeeds.
-		if err := ds.buildQuantState(st); err != nil {
-			ds.dropQuantState(st)
-		}
-	}
+	ds.refreshTables(st, 0)
 	return meta.ID, nil
 }
 
@@ -126,21 +113,7 @@ func (ds *DeepStore) AppendDB(id ftl.DBID, features [][]float32) error {
 		copy(v, f)
 		st.vectors = append(st.vectors, v)
 	}
-	if ds.opts.Prune {
-		// The append invalidated every stripe containing a new slot; rebuild
-		// those atomically with the append (a failure drops the tier — a
-		// stale table would prune wrongly, no table merely scans densely).
-		if err := ds.rebuildBoundStripes(st, oldFeatures); err != nil {
-			ds.dropBoundTier(st)
-		}
-	}
-	if ds.opts.Quantized {
-		// Grow the int8 table with the append (per-vector scales keep the
-		// existing entries valid; only the new vectors are quantized).
-		if err := ds.rebuildQuantAppend(st, oldFeatures); err != nil {
-			ds.dropQuantState(st)
-		}
-	}
+	ds.refreshTables(st, oldFeatures)
 	return nil
 }
 

@@ -16,7 +16,7 @@ import (
 // on, every finished query appends one fixed-width hot record plus a cold
 // payload (full query vector + top-K) to the in-DRAM history store, charged
 // on the simulated clock as the hist_append stage. Checkpoint flushes the
-// store into its own flash block columns (persist v4), so history survives
+// store into its own flash block columns (an ftl.HistRegion), so history survives
 // restarts through RestoreHistory. With Options.CacheAdmission ==
 // AdmissionLearned, the store is periodically mined (hist_mine stage) into
 // per-group statistics that gate cache admission and pick eviction victims.
@@ -244,11 +244,12 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 		degrade()
 		return fmt.Errorf("%w: unreadable device image: %v", ErrHistoryCorrupt, err)
 	}
-	data, ok := f.History()
+	region, ok := f.Region(ftl.HistOwner, ftl.HistRegion)
 	if !ok {
 		degrade()
 		return nil
 	}
+	data := region.Payload
 	st, err := qhist.Restore(data)
 	if err != nil {
 		degrade()

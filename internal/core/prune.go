@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/accel"
 	"repro/internal/energy"
 	"repro/internal/ftl"
@@ -13,8 +11,8 @@ import (
 // The exact stripe-pruning tier (DESIGN.md "Exact scan pruning"). Each
 // materialized database carries a table of per-(channel, stripe) envelopes —
 // per-dimension float32 extrema plus a rounded-up max norm — built at
-// write/append/reorg time, persisted page-aligned through ftl.SetBoundTable /
-// ssd.ProgramBoundTable, and mirrored here in controller DRAM. At query time
+// write/append/reorg time, persisted page-aligned as an ftl.BoundRegion
+// through ssd.ProgramTable, and mirrored here in controller DRAM. At query time
 // the sweep evaluates nn.BoundScorer.UpperBound against the shard's top-K
 // floor at each stripe entry and skips stripes that cannot beat it.
 // Skipping is sound, not approximate: a stripe is skipped only when its
@@ -74,98 +72,60 @@ func stripeEnvelope(vectors [][]float32, layout ftl.DBLayout, dims int, ch int, 
 	return env
 }
 
-// buildBoundTier computes the database's full stripe-bound table, allocates
-// and programs its flash copy, and installs the DRAM mirror. On any failure
-// the database is left with no tier (dense fallback).
-func (ds *DeepStore) buildBoundTier(st *dbState) error {
-	if st.vectors == nil {
-		return fmt.Errorf("core: bound tier needs materialized vectors")
+// refreshTables brings the database's derived tables up to date after its
+// vectors changed: features [0, oldFeatures) sit where they did (an append),
+// or nothing does (oldFeatures 0: a fresh write, a reorg). Each table is
+// refreshed atomically with the admin op or dropped — a stale table would
+// prune or score wrongly, whereas no table merely scans densely / in fp32 with
+// identical results, so the op itself still succeeds. The bound table is
+// allocated before the int8 table: the order fixes their block addresses.
+func (ds *DeepStore) refreshTables(st *dbState, oldFeatures int64) {
+	if ds.opts.Prune {
+		ds.refreshBoundTier(st, oldFeatures)
 	}
-	layout := st.meta.Layout
-	sf := ds.pruneStripeFeatures()
-	dims := layout.FeatureBytes / 4
-	meta, err := ds.dev.FTL.SetBoundTable(st.meta.ID, sf, boundEntryBytes(dims))
-	if err != nil {
-		return err
+	if ds.opts.Quantized {
+		ds.refreshQuantState(st, oldFeatures)
 	}
-	st.meta = meta
-	envs := make([][]nn.Envelope, layout.Geom.Channels)
-	for ch := range envs {
-		stripes := layout.ChannelStripes(ch, sf)
-		envs[ch] = make([]nn.Envelope, stripes)
-		for seg := int64(0); seg < stripes; seg++ {
-			envs[ch][seg] = stripeEnvelope(st.vectors, layout, int(dims), ch, seg, sf)
-		}
-	}
-	if err := ds.dev.ProgramBoundTable(st.meta); err != nil {
-		ds.dropBoundTier(st)
-		return err
-	}
-	st.bounds = &boundTier{stripeFeatures: sf, entryBytes: boundEntryBytes(dims), envs: envs}
-	return nil
 }
 
-// rebuildBoundStripes refreshes the tier after an append that grew the
-// database from oldFeatures: only stripes at or past each channel's first
-// dirty slot are recomputed (the prefix is unchanged — appends never move
-// existing features). A database without a tier gets a full build. Any
-// failure drops the tier entirely: a stale table would under-estimate new
-// features' scores and prune wrongly, whereas no table is merely slow.
-func (ds *DeepStore) rebuildBoundStripes(st *dbState, oldFeatures int64) error {
-	if st.bounds == nil {
-		return ds.buildBoundTier(st)
+// refreshBoundTier reallocates the stripe-bound table for the database's
+// current layout, recomputes the stripes at or past each channel's first
+// dirty slot (the prefix is unchanged — appends never move existing
+// features; with no previous tier every stripe is dirty), programs the flash
+// copy and installs the DRAM mirror. On failure the database has no tier.
+func (ds *DeepStore) refreshBoundTier(st *dbState, oldFeatures int64) {
+	var old [][]nn.Envelope
+	if st.bounds != nil {
+		old = st.bounds.envs
+	} else {
+		oldFeatures = 0
 	}
-	old := st.bounds
-	layout := st.meta.Layout
-	sf := old.stripeFeatures
+	st.bounds = nil
+	layout, sf := st.meta.Layout, ds.pruneStripeFeatures()
 	dims := layout.FeatureBytes / 4
-	// Reallocate the flash table first (the stripe count grew).
-	meta, err := ds.dev.FTL.SetBoundTable(st.meta.ID, sf, old.entryBytes)
+	table, err := ds.dev.FTL.SetRegion(st.meta.ID, layout.Geom,
+		ftl.Region{Kind: ftl.BoundRegion, StripeFeatures: sf, EntryBytes: boundEntryBytes(dims)})
 	if err != nil {
-		ds.dropBoundTier(st)
-		return err
+		return
 	}
-	st.meta = meta
-	channels := int64(layout.Geom.Channels)
+	before := layout
+	before.Features = oldFeatures
 	envs := make([][]nn.Envelope, layout.Geom.Channels)
 	for ch := range envs {
 		stripes := layout.ChannelStripes(ch, sf)
 		envs[ch] = make([]nn.Envelope, stripes)
-		// The channel held oldChFeats slots before the append; every stripe
-		// strictly before the one containing the first new slot is intact.
-		oldChFeats := oldFeatures/channels + boolToI64(int64(ch) < oldFeatures%channels)
-		firstDirty := oldChFeats / sf
-		copy(envs[ch], old.envs[ch][:min64(firstDirty, int64(len(old.envs[ch])))])
+		// Every stripe strictly before the one containing the channel's
+		// first new slot is intact.
+		firstDirty := before.ChannelFeatures(ch) / sf
+		if firstDirty > 0 {
+			copy(envs[ch], old[ch][:min(firstDirty, int64(len(old[ch])))])
+		}
 		for seg := firstDirty; seg < stripes; seg++ {
 			envs[ch][seg] = stripeEnvelope(st.vectors, layout, int(dims), ch, seg, sf)
 		}
 	}
-	if err := ds.dev.ProgramBoundTable(st.meta); err != nil {
-		ds.dropBoundTier(st)
-		return err
-	}
-	st.bounds = &boundTier{stripeFeatures: sf, entryBytes: old.entryBytes, envs: envs}
-	return nil
-}
-
-// dropBoundTier removes the database's tier and frees its flash table.
-func (ds *DeepStore) dropBoundTier(st *dbState) {
-	st.bounds = nil
-	ds.dev.FTL.DropBoundTable(st.meta.ID)
-}
-
-func boolToI64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	ds.dev.ProgramTable(table)
+	st.bounds = &boundTier{stripeFeatures: sf, entryBytes: boundEntryBytes(dims), envs: envs}
 }
 
 // boundCheckLatency models the bound_check stage: per evaluated stripe, the

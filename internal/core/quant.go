@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/accel"
 	"repro/internal/energy"
+	"repro/internal/ftl"
 	"repro/internal/nn"
 	"repro/internal/sim"
 )
@@ -12,8 +11,8 @@ import (
 // The quantized scoring path (DESIGN.md §12 "Quantized scoring"). Each
 // materialized database on a quantized engine carries an int8 image of its
 // feature vectors — symmetric per-vector max-abs quantization, built once at
-// writeDB time, persisted page-aligned through ftl.SetQuantTable /
-// ssd.ProgramQuantTable (per-vector scales live in the page spare area), and
+// writeDB time, persisted page-aligned as an ftl.QuantRegion through
+// ssd.ProgramTable (per-vector scales live in the page spare area), and
 // mirrored here in controller DRAM. Quantized scans read the int8 table
 // instead of the fp32 data, so flash, NoC, and DRAM traffic are charged at 1
 // byte per element and the systolic arrays run at INT8 (4 MACs/PE, cheaper
@@ -39,60 +38,27 @@ func (ds *DeepStore) quantFor(st *dbState) *quantState {
 	return st.quant
 }
 
-// buildQuantState quantizes the database's vectors, allocates and programs
-// the flash copy of the int8 table, and installs the DRAM mirror. On any
-// failure the database is left with no quant state (fp32 fallback).
-func (ds *DeepStore) buildQuantState(st *dbState) error {
-	if st.vectors == nil {
-		return fmt.Errorf("core: quantized table needs materialized vectors")
+// refreshQuantState reallocates and reprograms the int8 table for the
+// database's current layout and quantizes the vectors from oldFeatures on
+// (per-vector scales make every existing entry independent of an append; with
+// no previous state all of them are new). On failure the database has no
+// quant state.
+func (ds *DeepStore) refreshQuantState(st *dbState, oldFeatures int64) {
+	vecs := make([]nn.QuantizedVector, 0, len(st.vectors))
+	if st.quant != nil {
+		vecs = append(vecs, st.quant.vecs[:oldFeatures]...)
 	}
-	meta, err := ds.dev.FTL.SetQuantTable(st.meta.ID, 1)
+	st.quant = nil
+	table, err := ds.dev.FTL.SetRegion(st.meta.ID, st.meta.Layout.Geom,
+		ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1})
 	if err != nil {
-		return err
+		return
 	}
-	st.meta = meta
-	if err := ds.dev.ProgramQuantTable(st.meta); err != nil {
-		ds.dropQuantState(st)
-		return err
-	}
-	st.quant = &quantState{vecs: nn.QuantizeDB(st.vectors)}
-	return nil
-}
-
-// rebuildQuantAppend refreshes the table after an append that grew the
-// database from oldFeatures: only the new vectors are quantized (per-vector
-// scales make every existing entry independent of the append), but the flash
-// table is reallocated and reprogrammed for the grown layout. A database
-// without a state gets a full build. Any failure drops the state entirely:
-// a stale table would score the new features against garbage, whereas no
-// table merely scans in fp32.
-func (ds *DeepStore) rebuildQuantAppend(st *dbState, oldFeatures int64) error {
-	if st.quant == nil {
-		return ds.buildQuantState(st)
-	}
-	meta, err := ds.dev.FTL.SetQuantTable(st.meta.ID, 1)
-	if err != nil {
-		ds.dropQuantState(st)
-		return err
-	}
-	st.meta = meta
-	if err := ds.dev.ProgramQuantTable(st.meta); err != nil {
-		ds.dropQuantState(st)
-		return err
-	}
-	vecs := st.quant.vecs[:oldFeatures]
-	for _, v := range st.vectors[oldFeatures:] {
+	ds.dev.ProgramTable(table)
+	for _, v := range st.vectors[len(vecs):] {
 		vecs = append(vecs, nn.QuantizeVector(v))
 	}
 	st.quant = &quantState{vecs: vecs}
-	return nil
-}
-
-// dropQuantState removes the database's quant state and frees its flash
-// table.
-func (ds *DeepStore) dropQuantState(st *dbState) {
-	st.quant = nil
-	ds.dev.FTL.DropQuantTable(st.meta.ID)
 }
 
 // rerankExactLatency models the rerank_exact stage: the K·margin candidate

@@ -341,7 +341,7 @@ func TestQuantDeclaredDBFallsBack(t *testing.T) {
 }
 
 // TestQuantCheckpointRestoresTable: the int8 table's layout survives a
-// metadata checkpoint/restore cycle (persist v3).
+// metadata checkpoint/restore cycle.
 func TestQuantCheckpointRestoresTable(t *testing.T) {
 	const features = 67
 	net := pruneTestNet()
@@ -359,8 +359,8 @@ func TestQuantCheckpointRestoresTable(t *testing.T) {
 	if !ok {
 		t.Fatalf("database %d missing after restore", dbID)
 	}
-	if meta.Quant == nil {
-		t.Fatal("quant table layout lost in checkpoint/restore")
+	if _, ok := restored.Region(dbID, ftl.QuantRegion); !ok {
+		t.Fatal("quant table record lost in checkpoint/restore")
 	}
 	if _, ok := meta.QuantTable(); !ok {
 		t.Fatal("restored meta has no derivable quant layout")

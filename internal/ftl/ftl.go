@@ -15,12 +15,9 @@ type DBMeta struct {
 	ID     DBID
 	Name   string
 	Layout DBLayout
-	// Bound describes the database's stripe-bound table when the exact
-	// pruning tier has built one (nil otherwise). See bound.go.
-	Bound *BoundLayout
-	// Quant describes the database's quantized (int8) feature table when
-	// the precision extension has built one (nil otherwise). See quant.go.
-	Quant *QuantLayout
+	// regions holds the database's derived tables by kind (nil = none). See
+	// region.go.
+	regions [numRegionKinds]*Region
 }
 
 // FTL is a block-granular flash translation layer. DeepStore uses a regular
@@ -40,10 +37,9 @@ type FTL struct {
 	// persists database metadata in a reserved flash block).
 	reservedBlocks int
 
-	// hist places the persisted query-history image (nil = none); histData
-	// is the raw image cached in controller DRAM. See hist.go.
-	hist     *HistLayout
-	histData []byte
+	// self owns the FTL's own regions (the persisted query-history image)
+	// under the HistOwner id; its Layout carries only their geometry.
+	self DBMeta
 }
 
 // NewFTL creates an FTL managing geomBlocks block columns (a block column is
@@ -59,6 +55,7 @@ func NewFTL(geomBlocks int) *FTL {
 		blockOwner:     make([]DBID, geomBlocks),
 		wear:           make([]uint64, geomBlocks),
 		reservedBlocks: 1,
+		self:           DBMeta{ID: HistOwner},
 	}
 	f.blockOwner[0] = ^DBID(0) // metadata block column, never allocatable
 	return f
@@ -117,10 +114,7 @@ func (f *FTL) CreateDB(name string, layout DBLayout) (*DBMeta, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	need := layout.BlocksPerPlane()
-	if need == 0 {
-		need = 1
-	}
+	need := max(layout.BlocksPerPlane(), 1)
 	start, err := f.allocate(need)
 	if err != nil {
 		return nil, err
@@ -162,14 +156,11 @@ func (f *FTL) AppendDB(id DBID, extra int64) (*DBMeta, error) {
 			owned++
 		}
 	}
-	// Block columns holding the stripe-bound and quantized tables are owned
-	// by this id but not available to feature data; counting them would let
-	// an append silently overflow into the tables.
-	if meta.Bound != nil {
-		owned -= meta.Bound.Blocks
-	}
-	if meta.Quant != nil {
-		owned -= meta.Quant.Blocks
+	// Block columns holding the database's derived tables are owned by this
+	// id but not available to feature data; counting them would let an
+	// append silently overflow into the tables.
+	for _, r := range meta.held() {
+		owned -= r.Blocks
 	}
 	if grown.BlocksPerPlane() > owned {
 		return nil, fmt.Errorf("ftl: append of %d features overflows the %d allocated block columns", extra, owned)

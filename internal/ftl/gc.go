@@ -1,7 +1,5 @@
 package ftl
 
-import "sort"
-
 // Garbage collection. Intelligent-query databases are written once and read
 // many times (§4.7.2), so the FTL's reclamation problem is not page-level
 // invalidation but *fragmentation*: create/delete cycles of block-column
@@ -49,11 +47,11 @@ func (f *FTL) freeRuns() (total, largest int) {
 // erased (its wear counter increments); destination columns are programmed
 // in place of the old data.
 func (f *FTL) Compact() int {
-	type region struct {
+	type run struct { // a maximal stretch of columns under one owner
 		id          DBID
 		start, size int
 	}
-	var regions []region
+	var runs []run
 	i := f.reservedBlocks
 	for i < len(f.blockOwner) {
 		id := f.blockOwner[i]
@@ -65,13 +63,12 @@ func (f *FTL) Compact() int {
 		for i < len(f.blockOwner) && f.blockOwner[i] == id {
 			i++
 		}
-		regions = append(regions, region{id: id, start: start, size: i - start})
+		runs = append(runs, run{id: id, start: start, size: i - start})
 	}
-	sort.Slice(regions, func(a, b int) bool { return regions[a].start < regions[b].start })
 
 	moved := 0
-	next := f.reservedBlocks // next column every region packs down to
-	for _, r := range regions {
+	next := f.reservedBlocks // next column every run packs down to
+	for _, r := range runs {
 		if r.start == next {
 			next += r.size
 			continue
@@ -88,26 +85,19 @@ func (f *FTL) Compact() int {
 			}
 			f.wear[col]++ // source erased after the move
 		}
-		// A database can own several disjoint regions (feature data, its
-		// stripe-bound table, its quantized table), so only retarget the
-		// start blocks that actually lived inside the region being moved.
-		if meta, ok := f.dbs[r.id]; ok {
-			delta := next - r.start
-			if meta.Layout.StartBlock >= r.start && meta.Layout.StartBlock < r.start+r.size {
-				meta.Layout.StartBlock += delta
+		// An owner can hold several disjoint runs (feature data and each
+		// derived table), so only retarget the start blocks that actually
+		// lived inside the run being moved.
+		if m := f.owner(r.id); m != nil {
+			retarget := func(start *int) {
+				if *start >= r.start && *start < r.start+r.size {
+					*start += next - r.start
+				}
 			}
-			if meta.Bound != nil && meta.Bound.StartBlock >= r.start && meta.Bound.StartBlock < r.start+r.size {
-				meta.Bound.StartBlock += delta
+			retarget(&m.Layout.StartBlock)
+			for _, reg := range m.held() {
+				retarget(&reg.StartBlock)
 			}
-			if meta.Quant != nil && meta.Quant.StartBlock >= r.start && meta.Quant.StartBlock < r.start+r.size {
-				meta.Quant.StartBlock += delta
-			}
-		}
-		// The query-history region is owned by a sentinel, not a database
-		// id, so its placement record needs its own retarget.
-		if r.id == HistOwner && f.hist != nil &&
-			f.hist.StartBlock >= r.start && f.hist.StartBlock < r.start+r.size {
-			f.hist.StartBlock += next - r.start
 		}
 		moved += r.size
 		next += r.size
@@ -128,11 +118,7 @@ func (f *FTL) CreateDBCompacting(name string, layout DBLayout) (*DBMeta, error) 
 	if verr := layout.Validate(); verr != nil {
 		return nil, verr
 	}
-	need := layout.BlocksPerPlane()
-	if need == 0 {
-		need = 1
-	}
-	if f.FreeBlocks() < need {
+	if f.FreeBlocks() < max(layout.BlocksPerPlane(), 1) {
 		return nil, err // genuinely out of space
 	}
 	f.Compact()

@@ -8,7 +8,8 @@ import (
 
 // checkInvariants asserts the FTL's structural invariants: the reserved
 // column is untouched, every registered database owns a disjoint,
-// correctly-sized region, and the ownership map contains no orphans.
+// correctly-sized data run plus exactly its regions' columns, and the
+// ownership map contains no orphans.
 func checkInvariants(t *testing.T, f *FTL) bool {
 	t.Helper()
 	if f.blockOwner[0] != ^DBID(0) {
@@ -21,19 +22,28 @@ func checkInvariants(t *testing.T, f *FTL) bool {
 		if id == 0 {
 			continue
 		}
-		if _, ok := f.dbs[id]; !ok {
+		if f.owner(id) == nil {
 			t.Logf("column %d owned by unregistered db %d", i, id)
 			return false
 		}
 		owned[id]++
 	}
-	for id, meta := range f.dbs {
-		need := meta.Layout.BlocksPerPlane()
-		if need == 0 {
-			need = 1
+	for _, meta := range append(f.DBs(), &f.self) {
+		id, need, tables := meta.ID, 0, 0
+		if id != HistOwner { // the FTL's own regions hang off no data
+			need = max(meta.Layout.BlocksPerPlane(), 1)
 		}
-		if owned[id] != need {
-			t.Logf("db %d owns %d columns, needs %d", id, owned[id], need)
+		for _, r := range meta.held() {
+			tables += r.Blocks
+			for c := r.StartBlock; c < r.StartBlock+r.Blocks; c++ {
+				if f.blockOwner[c] != id {
+					t.Logf("owner %d region kind %d broken at column %d", id, r.Kind, c)
+					return false
+				}
+			}
+		}
+		if owned[id] != need+tables {
+			t.Logf("owner %d owns %d columns, needs %d + %d in regions", id, owned[id], need, tables)
 			return false
 		}
 		// The region is contiguous starting at StartBlock.

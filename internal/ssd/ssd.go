@@ -349,16 +349,13 @@ func (d *Device) StreamRange(meta *ftl.DBMeta, start, end int64, done func(Strea
 	}
 }
 
-// ProgramBoundTable charges the flash programming of a database's stripe-
-// bound table (ftl.SetBoundTable must have allocated it first). The table is
-// computed inside the controller, so each page crosses controller DRAM and
-// is programmed — nothing crosses the external link. Runs the engine to
-// completion, like the writeDB path it extends.
-func (d *Device) ProgramBoundTable(meta *ftl.DBMeta) error {
-	table, ok := meta.BoundTable()
-	if !ok {
-		return fmt.Errorf("ssd: db %d has no bound table allocated", meta.ID)
-	}
+// ProgramTable charges the flash programming of a derived table — the
+// layout ftl.SetRegion returned for a stripe-bound table, an int8 table or
+// the query-history image. The contents are produced inside the controller,
+// so each page crosses controller DRAM and is programmed; nothing crosses the
+// external link. Runs the engine to completion, like the writeDB path it
+// extends.
+func (d *Device) ProgramTable(table ftl.DBLayout) {
 	for ch := 0; ch < table.Geom.Channels; ch++ {
 		pages := table.ChannelPages(ch)
 		for p := int64(0); p < pages; p++ {
@@ -369,56 +366,6 @@ func (d *Device) ProgramBoundTable(meta *ftl.DBMeta) error {
 		}
 	}
 	d.Engine.Run()
-	return nil
-}
-
-// ProgramHistory places (or replaces) the persisted query-history image in
-// its own block columns and charges programming it: each page of the image
-// crosses controller DRAM and is programmed in place, like the bound/quant
-// table paths. An empty image clears the region without touching flash.
-// Runs the engine to completion.
-func (d *Device) ProgramHistory(img []byte) error {
-	table, err := d.FTL.SetHistory(d.Config.Geometry, img)
-	if err != nil {
-		return err
-	}
-	if len(img) == 0 {
-		return nil
-	}
-	for ch := 0; ch < table.Geom.Channels; ch++ {
-		pages := table.ChannelPages(ch)
-		for p := int64(0); p < pages; p++ {
-			addr := table.ChannelPageAddr(ch, p)
-			d.DRAM.Transfer(table.Geom.PageBytes, func() {
-				d.Flash.ProgramPage(addr, nil)
-			})
-		}
-	}
-	d.Engine.Run()
-	return nil
-}
-
-// ProgramQuantTable charges the flash programming of a database's quantized
-// (int8) feature table (ftl.SetQuantTable must have allocated it first). The
-// conversion runs inside the controller, so each page crosses controller
-// DRAM and is programmed — nothing crosses the external link. Runs the
-// engine to completion, like the writeDB path it extends.
-func (d *Device) ProgramQuantTable(meta *ftl.DBMeta) error {
-	table, ok := meta.QuantTable()
-	if !ok {
-		return fmt.Errorf("ssd: db %d has no quantized table allocated", meta.ID)
-	}
-	for ch := 0; ch < table.Geom.Channels; ch++ {
-		pages := table.ChannelPages(ch)
-		for p := int64(0); p < pages; p++ {
-			addr := table.ChannelPageAddr(ch, p)
-			d.DRAM.Transfer(table.Geom.PageBytes, func() {
-				d.Flash.ProgramPage(addr, nil)
-			})
-		}
-	}
-	d.Engine.Run()
-	return nil
 }
 
 // InternalBandwidth returns the aggregate flash-channel bandwidth.
@@ -436,12 +383,12 @@ func (d *Device) PersistMetadata() ([]byte, error) {
 	// Program the image into block column 0 of channel 0: erase, then
 	// program ⌈len/page⌉ pages. Embedded query-history bytes do not count
 	// against the reserved block: they already live (and were charged) in
-	// the history's own block columns via ProgramHistory; the snapshot
-	// merely carries them as the restore channel.
+	// the history's own block columns via ProgramTable; the snapshot merely
+	// carries them as the restore channel.
 	geom := d.Config.Geometry
 	metaBytes := int64(len(img))
-	if lay, ok := d.FTL.HistLayoutInfo(); ok {
-		metaBytes -= lay.Bytes
+	if hist, ok := d.FTL.Region(ftl.HistOwner, ftl.HistRegion); ok {
+		metaBytes -= int64(len(hist.Payload))
 	}
 	pages := int((metaBytes + geom.PageBytes - 1) / geom.PageBytes)
 	if pages > geom.PagesPerBlock {
@@ -469,10 +416,16 @@ func Restore(e *sim.Engine, cfg Config, img []byte) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	var geoms []flash.Geometry // of every striped object in the image
 	for _, m := range restored.DBs() {
-		if m.Layout.Geom != cfg.Geometry {
-			return nil, fmt.Errorf("ssd: snapshot geometry %+v does not match device %+v",
-				m.Layout.Geom, cfg.Geometry)
+		geoms = append(geoms, m.Layout.Geom)
+	}
+	if hist, ok := restored.HistTable(); ok {
+		geoms = append(geoms, hist.Geom)
+	}
+	for _, g := range geoms {
+		if g != cfg.Geometry {
+			return nil, fmt.Errorf("ssd: snapshot geometry %+v does not match device %+v", g, cfg.Geometry)
 		}
 	}
 	d.FTL = restored

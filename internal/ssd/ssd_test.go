@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/flash"
+	"repro/internal/ftl"
 	"repro/internal/sim"
 )
 
@@ -196,23 +197,20 @@ func TestProgramQuantTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProgramQuantTable(meta); err == nil {
-		t.Fatal("programmed a table that was never allocated")
-	}
-	meta, err = d.FTL.SetQuantTable(meta.ID, 1)
+	table, err := d.FTL.SetRegion(meta.ID, meta.Layout.Geom, ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := e.Now()
-	if err := d.ProgramQuantTable(meta); err != nil {
-		t.Fatal(err)
-	}
+	start, programs := e.Now(), d.Flash.Stats().PagePrograms
+	d.ProgramTable(table)
 	if e.Now() == start {
 		t.Error("quant table programming advanced no simulated time")
 	}
-	table, ok := meta.QuantTable()
-	if !ok {
-		t.Fatal("QuantTable not derivable after Set")
+	if got, ok := meta.QuantTable(); !ok || got != table {
+		t.Fatalf("QuantTable %+v (%v) after Set, SetRegion returned %+v", got, ok, table)
+	}
+	if got := d.Flash.Stats().PagePrograms - programs; int64(got) != table.TotalPages() {
+		t.Errorf("programmed %d pages, table holds %d", got, table.TotalPages())
 	}
 	var dataPages, quantPages int64
 	for ch := 0; ch < meta.Layout.Geom.Channels; ch++ {
