@@ -197,46 +197,31 @@ func (ds *DeepStore) SetQC(qcn *nn.Network, qcnAccuracy float64, entries int, th
 	if qcnAccuracy <= 0 || qcnAccuracy > 1 {
 		return fmt.Errorf("core: QCN accuracy %v outside (0,1]", qcnAccuracy)
 	}
-	// The cache sweep shards across goroutines for large caches, so the
-	// scorer must be concurrency-safe: each call borrows a scratch-buffer
-	// Scorer from a pool instead of sharing one or allocating per call.
-	pool := &sync.Pool{New: func() any { return qcn.Scorer() }}
-	scorer := func(a, b []float32) float64 {
-		sc := pool.Get().(*nn.Scorer)
-		s := float64(sc.Score(a, b))
-		pool.Put(sc)
-		if s < 0 {
-			s = 0
-		}
-		if s > 1 {
-			s = 1
-		}
-		return s
-	}
-	ds.qc = qcache.New[[]float32](entries, qcnAccuracy, scorer)
-	// The sweep itself runs batched: gather a slab of cached queries and
-	// push them through one GEMM-backed ScoreBatch call instead of one QCN
-	// forward per entry. Scores (and the clamping) match the scalar scorer
-	// bit for bit, so the cache's hit decisions are unchanged.
+	// The cache sweep shards across goroutines for large caches, so scoring
+	// must be concurrency-safe: each call borrows a batched-QCN context from
+	// a pool instead of sharing one or allocating per call. The sweep gathers
+	// a slab of cached queries and pushes them through one GEMM-backed
+	// ScoreBatch call instead of one QCN forward per entry.
 	batch := ds.scoreBatch()
-	bpool := &sync.Pool{New: func() any {
+	pool := &sync.Pool{New: func() any {
 		return &qcSweepCtx{bs: qcn.BatchScorer(batch), scores: make([]float32, batch)}
 	}}
-	ds.qc.SetBatchScorer(func(dst []float64, q []float32, qs [][]float32) {
-		c := bpool.Get().(*qcSweepCtx)
+	sweep := func(dst []float64, q []float32, qs [][]float32) {
+		c := pool.Get().(*qcSweepCtx)
 		c.bs.ScoreBatch(c.scores[:len(qs)], q, qs)
 		for i := range qs {
-			s := float64(c.scores[i])
-			if s < 0 {
-				s = 0
-			}
-			if s > 1 {
-				s = 1
-			}
-			dst[i] = s
+			dst[i] = min(max(float64(c.scores[i]), 0), 1)
 		}
-		bpool.Put(c)
-	}, batch)
+		pool.Put(c)
+	}
+	// qcache's scalar compare is only its reference path while a batch scorer
+	// is installed; it is the sweep of one entry, so the two cannot disagree.
+	ds.qc = qcache.New[[]float32](entries, qcnAccuracy, func(a, b []float32) float64 {
+		var dst [1]float64
+		sweep(dst[:], a, [][]float32{b})
+		return dst[0]
+	})
+	ds.qc.SetBatchScorer(sweep, batch)
 	ds.qcn = qcn
 	ds.qcThreshold = threshold
 	if ds.opts.CacheAdmission == AdmissionLearned {

@@ -14,7 +14,8 @@ import (
 // the widest activation, which keeps per-worker memory in the low megabytes.
 const multiScoreRows = 512
 
-// batchCtx is one worker's scoring context: a BatchScorer plus the
+// batchCtx is one worker's scoring context — the whole of its nn state: a
+// BatchScorer and the stripe-bound scorer of a pruned sweep, plus the
 // gather/scatter scratch the sweep fills between GEMM calls — the
 // feature-vector slots, their feature IDs and object IDs, and one score row
 // per query. The gather slots are sized to the engine's score batch at
@@ -25,6 +26,7 @@ const multiScoreRows = 512
 type batchCtx struct {
 	pool   *sync.Pool
 	bs     *nn.BatchScorer
+	bnd    *nn.BoundScorer
 	dfvs   [][]float32
 	ids    []int64
 	objs   []uint64
@@ -98,6 +100,7 @@ func (p *batchPools) get(net *nn.Network, rows int) *batchCtx {
 			c := &batchCtx{
 				pool: pool,
 				bs:   net.BatchScorer(rows),
+				bnd:  net.BoundScorer(),
 				dfvs: make([][]float32, b),
 				ids:  make([]int64, b),
 				objs: make([]uint64, b),

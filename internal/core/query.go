@@ -295,10 +295,8 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 			}
 			// active masks which queries the current segment still scans
 			// (nil = all, the tierless walk).
-			var bnd *nn.BoundScorer
 			var active []bool
 			if tier != nil {
-				bnd = net.BoundScorer()
 				active = make([]bool, nq)
 			}
 			drain := func(qs []*topk.Queue, n int) {
@@ -332,7 +330,7 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 						anyActive := false
 						for q := range qs {
 							ps := &stats[ch*nq+q]
-							active[q] = !skipStripe(bnd, tier, qfvs[q], qs[q], ch, seg, ps)
+							active[q] = !skipStripe(ctx.bnd, tier, qfvs[q], qs[q], ch, seg, ps)
 							if active[q] {
 								anyActive = true
 							} else {

@@ -6,127 +6,172 @@ import (
 	"repro/internal/tensor"
 )
 
-// BatchScorer is the batched counterpart of Scorer: it packs up to MaxBatch
-// database feature vectors into one activation matrix (one row per feature)
-// and pushes the whole stack forward as matrix-matrix products, so every FC
-// layer runs as one cache-blocked tensor.Gemm instead of B memory-latency-
-// bound Gemv calls, amortizing the weight traffic — the dominant cost of the
-// §2–§3 scan — across the batch. Convolutions lower to im2col + Gemm per
-// row (a single sample's patch matrix is already matrix-shaped work).
+// executor is the one batched forward pass behind BatchScorer and
+// QuantBatchScorer: it packs up to max (query, feature) pairs into one
+// activation matrix (one row per pair) and pushes the whole stack forward as
+// matrix-matrix products, so every FC layer runs as one cache-blocked
+// tensor.Gemm instead of max memory-latency-bound Gemv calls, amortizing the
+// weight traffic — the dominant cost of the §2–§3 scan — across the batch.
+// Convolutions lower to im2col + Gemm per row (a single sample's patch matrix
+// is already matrix-shaped work). The two precisions differ only in who
+// fills the combined rows and in the FC step: where fcs holds an int8 image
+// of a layer, its rows are quantized (per-row max-abs activation scale) and
+// run as one tensor.GemmInt8 with widened int32 accumulators.
 //
-// All scratch (activation matrices, im2col buffer) is allocated once at
-// construction and reused, so steady-state ScoreBatch calls are
-// allocation-free. Like Scorer, a BatchScorer is NOT safe for concurrent
-// use — it is per-worker state; the Network stays immutable and shared.
+// All scratch is sized from the network's plan at construction and reused, so
+// steady-state scoring is allocation-free. An executor is NOT safe for
+// concurrent use — it is per-worker state; the Network (and the int8 images)
+// stay immutable and shared.
 //
 // Determinism: row b of every activation matrix goes through exactly the
-// arithmetic Scorer.Score applies to dfvs[b], in the same order (Gemm
+// arithmetic Scorer.Score applies to its pair, in the same order (Gemm
 // accumulates each output strictly in Gemv's order; im2col padding taps add
-// exact zeros). Scores are therefore bit-identical to the per-feature path
-// for FC/element-wise stacks, and equal up to the sign of a zero for padded
-// convolutions — see DESIGN.md "Compute kernels".
-type BatchScorer struct {
+// exact zeros). fp32 scores are therefore bit-identical to the per-feature
+// path for FC/element-wise stacks, and equal up to the sign of a zero for
+// padded convolutions — see DESIGN.md "Compute kernels". An int8 score
+// depends only on its own row (the activation scale is per row, GemmInt8's
+// integer accumulation and per-output epilogue are batch-composition
+// independent), so every quantized scan path agrees bit for bit as well.
+type executor struct {
 	net *Network
+	// fcs is nil for fp32; for int8 it is index-aligned with net.Layers and
+	// non-nil exactly at the FC layers.
+	fcs []*quantFC
 	max int
-	// comb is the combined activation matrix, max×combElems.
+	fe  int // the network's FeatureElems
+	// comb is the combined activation matrix, max×plan.combElems.
 	comb []float32
-	// bufs[i] receives Layers[i]'s output, max×outElems[i].
+	// bufs[i] receives Layers[i]'s output, max×plan.outElems[i].
 	bufs [][]float32
-	// inShapes[i]/inElems[i]/outElems[i] describe Layers[i]'s per-row IO.
-	inShapes []tensor.Shape
-	inElems  []int
-	outElems []int
 	// col is the im2col patch scratch, sized for the largest conv layer.
 	col []float32
+	// qin holds the per-row int8 activation image of the current FC layer's
+	// input (max × the widest FC input), rowScales its per-row scales and acc
+	// the int32 accumulators (max × the widest FC output). int8 only.
+	qin       []int8
+	rowScales []float32
+	acc       []int32
 }
 
-// batchedLayer is implemented by layers that can process a rows×inElems
-// activation matrix in one call. col is the caller's im2col scratch. All
-// built-in layers implement it; BatchScorer falls back to a row-at-a-time
-// Layer.Forward otherwise.
-type batchedLayer interface {
-	forwardRows(dst, in []float32, rows int, col []float32)
+func newExecutor(n *Network, fcs []*quantFC, maxBatch int) executor {
+	if maxBatch < 1 {
+		panic(fmt.Sprintf("nn: batch scorer for %q needs maxBatch >= 1, got %d", n.Name, maxBatch))
+	}
+	p := &n.plan
+	e := executor{
+		net: n, fcs: fcs, max: maxBatch, fe: n.FeatureElems(),
+		comb: make([]float32, maxBatch*p.combElems),
+		bufs: make([][]float32, len(n.Layers)),
+		col:  make([]float32, p.colLen),
+	}
+	for i, oe := range p.outElems {
+		e.bufs[i] = make([]float32, maxBatch*oe)
+	}
+	if fcs != nil {
+		e.qin = make([]int8, maxBatch*p.fcIn)
+		e.rowScales = make([]float32, maxBatch)
+		e.acc = make([]int32, maxBatch*p.fcOut)
+	}
+	return e
 }
+
+// Network returns the (float) network this scorer executes.
+func (e *executor) Network() *Network { return e.net }
+
+// MaxBatch returns the largest dfv count one ScoreBatch call accepts, which
+// is also the row count of one ScoreMulti chunk.
+func (e *executor) MaxBatch() int { return e.max }
+
+// checkLen panics unless operand i of the named kind has the network's
+// feature length.
+func (e *executor) checkLen(kind string, i, got int) {
+	if got != e.fe {
+		panic(fmt.Sprintf("nn: network %q wants %d-element features, %s %d has %d", e.net.Name, e.fe, kind, i, got))
+	}
+}
+
+// run scores an nq×nb pair grid into scores[q][b]. The grid is flattened
+// query-major and pushed through the scratch in max-row chunks, so a chunk's
+// rows span many (query, feature) pairs and each FC layer's weight panel is
+// streamed once per chunk instead of once per query — the multi-query
+// amortization of the shared scan. fill writes the combined rows of pairs
+// [base, base+rows) into comb; it runs once per chunk, not per row, which
+// keeps the indirect call off the per-row path.
+func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)) {
+	if len(scores) < nq {
+		panic(fmt.Sprintf("nn: %d score rows for %d queries", len(scores), nq))
+	}
+	for q := 0; q < nq; q++ {
+		if len(scores[q]) < nb {
+			panic(fmt.Sprintf("nn: %d scores for %d features (query %d)", len(scores[q]), nb, q))
+		}
+	}
+	total := nq * nb
+	for base := 0; base < total; base += e.max {
+		rows := min(total-base, e.max)
+		fill(base, rows)
+		out, oe := e.forward(rows)
+		for r := 0; r < rows; r++ {
+			f := base + r
+			scores[f/nb][f%nb] = out[r*oe]
+		}
+	}
+}
+
+// forward pushes the first rows rows of the combined matrix through the
+// layer stack, returning the final activation matrix and its per-row element
+// count. An FC layer with an int8 image quantizes each activation row and
+// runs GemmInt8; everything else takes the layer's float32 row kernel.
+func (e *executor) forward(rows int) ([]float32, int) {
+	p := &e.net.plan
+	in, inElems := e.comb, p.combElems
+	for li, l := range e.net.Layers {
+		out := e.bufs[li][:rows*p.outElems[li]]
+		if e.fcs != nil && e.fcs[li] != nil {
+			qfc := e.fcs[li]
+			for b := 0; b < rows; b++ {
+				e.rowScales[b] = quantizeInto(e.qin[b*inElems:(b+1)*inElems], in[b*inElems:(b+1)*inElems])
+			}
+			tensor.GemmInt8(out, e.acc[:rows*qfc.fc.Out], e.qin[:rows*inElems], qfc.w,
+				qfc.fc.B, rows, qfc.fc.Out, inElems, e.rowScales[:rows], qfc.scales)
+			qfc.fc.Act.apply(out)
+		} else {
+			l.forwardRows(out, in[:rows*inElems], rows, e.col)
+		}
+		in, inElems = out, p.outElems[li]
+	}
+	return in, inElems
+}
+
+// BatchScorer is the batched float32 counterpart of Scorer: the executor
+// with rows filled by the network's fp32 combine. Like Scorer it is
+// per-worker state, NOT safe for concurrent use.
+type BatchScorer struct{ executor }
 
 // BatchScorer returns a batched scorer processing up to maxBatch features
 // per call. Memory scales with maxBatch × the widest activation; 64 is a
 // good default (see DESIGN.md on batch-size selection).
 func (n *Network) BatchScorer(maxBatch int) *BatchScorer {
-	if maxBatch < 1 {
-		panic(fmt.Sprintf("nn: batch scorer for %q needs maxBatch >= 1, got %d", n.Name, maxBatch))
-	}
-	s := &BatchScorer{net: n, max: maxBatch}
-	shape := n.combinedShape()
-	s.comb = make([]float32, maxBatch*shape.Elems())
-	colLen := 0
-	for _, l := range n.Layers {
-		s.inShapes = append(s.inShapes, shape.Clone())
-		s.inElems = append(s.inElems, shape.Elems())
-		shape = l.OutputShape(shape)
-		s.outElems = append(s.outElems, shape.Elems())
-		s.bufs = append(s.bufs, make([]float32, maxBatch*shape.Elems()))
-		if cv, ok := l.(*Conv); ok {
-			rows, patch := tensor.Im2colLen(cv.H, cv.W, cv.R, cv.S, cv.C, cv.Stride, cv.Pad)
-			if rows*patch > colLen {
-				colLen = rows * patch
-			}
-		}
-	}
-	if colLen > 0 {
-		s.col = make([]float32, colLen)
-	}
-	return s
+	return &BatchScorer{newExecutor(n, nil, maxBatch)}
 }
 
-// Network returns the network this scorer executes.
-func (s *BatchScorer) Network() *Network { return s.net }
-
-// MaxBatch returns the largest dfv count one ScoreBatch call accepts.
-func (s *BatchScorer) MaxBatch() int { return s.max }
-
 // ScoreBatch scores qfv against every vector in dfvs, writing scores[i] =
-// Score(qfv, dfvs[i]). len(dfvs) must not exceed MaxBatch and scores must
-// have at least len(dfvs) elements. Partial batches use the leading rows of
-// the scratch matrices, so ragged tails (range ends, small caches) cost
-// only their own rows.
+// Score(qfv, dfvs[i]): the one-query case of ScoreMulti held to a single
+// chunk. len(dfvs) must not exceed MaxBatch and scores must have at least
+// len(dfvs) elements. Partial batches use the leading rows of the scratch
+// matrices, so ragged tails (range ends, small caches) cost only their own
+// rows.
 func (s *BatchScorer) ScoreBatch(scores []float32, qfv []float32, dfvs [][]float32) {
-	rows := len(dfvs)
-	if rows == 0 {
-		return
+	if len(dfvs) > s.max {
+		panic(fmt.Sprintf("nn: batch of %d exceeds scorer capacity %d", len(dfvs), s.max))
 	}
-	if rows > s.max {
-		panic(fmt.Sprintf("nn: batch of %d exceeds scorer capacity %d", rows, s.max))
-	}
-	if len(scores) < rows {
-		panic(fmt.Sprintf("nn: %d scores for batch of %d", len(scores), rows))
-	}
-	n := s.net
-	fe := n.FeatureElems()
-	if len(qfv) != fe {
-		panic(fmt.Sprintf("nn: network %q wants %d-element features, got %d", n.Name, fe, len(qfv)))
-	}
-	ce := s.combElems()
-	for b, dfv := range dfvs {
-		if len(dfv) != fe {
-			panic(fmt.Sprintf("nn: network %q wants %d-element features, dfv %d has %d",
-				n.Name, fe, b, len(dfv)))
-		}
-		s.fillRow(s.comb[b*ce:(b+1)*ce], qfv, dfv, fe)
-	}
-	out, oe := s.forward(rows, ce)
-	for b := 0; b < rows; b++ {
-		scores[b] = out[b*oe]
-	}
+	s.ScoreMulti([][]float32{scores}, [][]float32{qfv}, dfvs)
 }
 
 // ScoreMulti scores every query in qfvs against every feature in dfvs,
-// writing scores[q][b] = Score(qfvs[q], dfvs[b]). The Q×B pair grid is
-// flattened query-major and pushed through the scratch in MaxBatch-row
-// chunks, so a chunk's rows span many (query, feature) pairs and each FC
-// layer's weight panel is streamed once per chunk instead of once per query
-// — the multi-query amortization of the shared scan. Row arithmetic is
-// exactly ScoreBatch's, so every score is bit-identical to the per-query
-// paths (Scorer.Score, ScoreBatch).
+// writing scores[q][b] = Score(qfvs[q], dfvs[b]). Row arithmetic does not
+// depend on how the grid is chunked, so every score is bit-identical to the
+// per-query paths (Scorer.Score, ScoreBatch).
 //
 // scores needs at least len(qfvs) rows of at least len(dfvs) elements; Q
 // and B are otherwise unconstrained (chunking handles Q*B > MaxBatch).
@@ -135,132 +180,17 @@ func (s *BatchScorer) ScoreMulti(scores [][]float32, qfvs [][]float32, dfvs [][]
 	if nq == 0 || nb == 0 {
 		return
 	}
-	if len(scores) < nq {
-		panic(fmt.Sprintf("nn: %d score rows for %d queries", len(scores), nq))
-	}
-	n := s.net
-	fe := n.FeatureElems()
 	for q, qfv := range qfvs {
-		if len(qfv) != fe {
-			panic(fmt.Sprintf("nn: network %q wants %d-element features, qfv %d has %d",
-				n.Name, fe, q, len(qfv)))
-		}
-		if len(scores[q]) < nb {
-			panic(fmt.Sprintf("nn: %d scores for %d features (query %d)", len(scores[q]), nb, q))
-		}
+		s.checkLen("qfv", q, len(qfv))
 	}
 	for b, dfv := range dfvs {
-		if len(dfv) != fe {
-			panic(fmt.Sprintf("nn: network %q wants %d-element features, dfv %d has %d",
-				n.Name, fe, b, len(dfv)))
-		}
+		s.checkLen("dfv", b, len(dfv))
 	}
-	ce := s.combElems()
-	total := nq * nb
-	for base := 0; base < total; base += s.max {
-		rows := total - base
-		if rows > s.max {
-			rows = s.max
-		}
+	ce := s.net.plan.combElems
+	s.run(scores, nq, nb, func(base, rows int) {
 		for r := 0; r < rows; r++ {
 			f := base + r
-			s.fillRow(s.comb[r*ce:(r+1)*ce], qfvs[f/nb], dfvs[f%nb], fe)
+			s.net.combine(s.comb[r*ce:(r+1)*ce], qfvs[f/nb], dfvs[f%nb])
 		}
-		out, oe := s.forward(rows, ce)
-		for r := 0; r < rows; r++ {
-			f := base + r
-			scores[f/nb][f%nb] = out[r*oe]
-		}
-	}
-}
-
-// combElems is the per-row element count of the combined activation matrix.
-func (s *BatchScorer) combElems() int {
-	if s.net.Combine == CombineConcat {
-		return 2 * s.net.FeatureElems()
-	}
-	return s.net.FeatureElems()
-}
-
-// fillRow writes one combined-activation row for a (qfv, dfv) pair.
-func (s *BatchScorer) fillRow(row, qfv, dfv []float32, fe int) {
-	switch s.net.Combine {
-	case CombineHadamard:
-		for i := 0; i < fe; i++ {
-			row[i] = qfv[i] * dfv[i]
-		}
-	case CombineSubtract:
-		for i := 0; i < fe; i++ {
-			row[i] = qfv[i] - dfv[i]
-		}
-	case CombineConcat:
-		copy(row[:fe], qfv)
-		copy(row[fe:], dfv)
-	}
-}
-
-// forward pushes the first rows rows of the combined matrix through the
-// layer stack, returning the final activation matrix and its per-row
-// element count.
-func (s *BatchScorer) forward(rows, ce int) ([]float32, int) {
-	in, inElems := s.comb, ce
-	for li, l := range s.net.Layers {
-		out := s.bufs[li][:rows*s.outElems[li]]
-		if bl, ok := l.(batchedLayer); ok {
-			bl.forwardRows(out, in[:rows*inElems], rows, s.col)
-		} else {
-			// Fallback for layers outside the built-in families: run each
-			// row through the single-sample path.
-			for b := 0; b < rows; b++ {
-				t := tensor.FromSlice(in[b*inElems:(b+1)*inElems], s.inShapes[li]...)
-				copy(out[b*s.outElems[li]:(b+1)*s.outElems[li]], l.Forward(t).Data)
-			}
-		}
-		in, inElems = out, s.outElems[li]
-	}
-	return in, inElems
-}
-
-// forwardRows implements batchedLayer: one blocked GEMM over the whole
-// batch — the per-feature Gemv calls collapse into matrix-matrix compute
-// that reuses each weight row across every batched feature.
-func (l *FC) forwardRows(dst, in []float32, rows int, _ []float32) {
-	tensor.Gemm(dst, in, l.W, l.B, rows, l.Out, l.In)
-	l.Act.apply(dst)
-}
-
-// forwardRows implements batchedLayer. Each sample lowers to an im2col
-// patch matrix and one GEMM; the patch scratch is reused across rows.
-func (l *Conv) forwardRows(dst, in []float32, rows int, col []float32) {
-	inLen := l.H * l.W * l.C
-	pr, patch := tensor.Im2colLen(l.H, l.W, l.R, l.S, l.C, l.Stride, l.Pad)
-	outLen := pr * l.K
-	col = col[:pr*patch]
-	for b := 0; b < rows; b++ {
-		tensor.Conv2DIm2col(dst[b*outLen:(b+1)*outLen], in[b*inLen:(b+1)*inLen],
-			l.Wt, l.B, col, l.H, l.W, l.C, l.K, l.R, l.S, l.Stride, l.Pad)
-	}
-	l.Act.apply(dst)
-}
-
-// forwardRows implements batchedLayer: the operand vector repeats per row.
-func (l *Elementwise) forwardRows(dst, in []float32, rows int, _ []float32) {
-	for b := 0; b < rows; b++ {
-		drow := dst[b*l.N : (b+1)*l.N]
-		irow := in[b*l.N : (b+1)*l.N]
-		switch l.Op {
-		case EWAdd:
-			for i := range drow {
-				drow[i] = irow[i] + l.Operand[i]
-			}
-		case EWSub:
-			for i := range drow {
-				drow[i] = irow[i] - l.Operand[i]
-			}
-		case EWMul, EWScale:
-			for i := range drow {
-				drow[i] = irow[i] * l.Operand[i]
-			}
-		}
-	}
+	})
 }

@@ -94,14 +94,7 @@ type BoundScorer struct {
 
 // BoundScorer returns a fresh interval-propagation context for the network.
 func (n *Network) BoundScorer() *BoundScorer {
-	shape := n.combinedShape()
-	width := shape.Elems()
-	for _, l := range n.Layers {
-		shape = l.OutputShape(shape)
-		if e := shape.Elems(); e > width {
-			width = e
-		}
-	}
+	width := n.plan.widest
 	return &BoundScorer{
 		net: n,
 		lo:  make([]float64, width),

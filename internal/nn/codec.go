@@ -24,10 +24,13 @@ import (
 const (
 	codecMagic   = "DSNN"
 	codecVersion = 1
-	// maxLayerWeights bounds a single decoded layer's parameter count, so a
-	// corrupted or hostile model image cannot drive multi-gigabyte
-	// allocations before the payload length check catches it.
+	// maxLayerWeights bounds a single decoded layer's parameter count and a
+	// decoded network's widest activation, so a corrupted or hostile model
+	// image cannot describe a multi-gigabyte layer or scorer.
 	maxLayerWeights = 1 << 27 // 128M parameters = 512 MB of float32
+	// maxConvDim bounds each decoded conv dimension, which keeps every
+	// product of them the decoder or the shape walk forms inside an int64.
+	maxConvDim = 1 << 15
 )
 
 var byteOrder = binary.LittleEndian
@@ -124,13 +127,14 @@ func Read(r io.Reader) (*Network, error) {
 		return nil, err
 	}
 	shape := make(tensor.Shape, rank)
+	elems := int64(1)
 	for i := range shape {
 		d, err := readI32(br)
 		if err != nil {
 			return nil, err
 		}
-		if d <= 0 {
-			return nil, fmt.Errorf("nn: non-positive dimension %d", d)
+		if elems *= int64(d); d <= 0 || elems > maxLayerWeights {
+			return nil, fmt.Errorf("nn: feature dimension %d non-positive or too large", d)
 		}
 		shape[i] = int(d)
 	}
@@ -160,56 +164,49 @@ func Read(r io.Reader) (*Network, error) {
 		case KindFC:
 			in, err1 := readI32(br)
 			out, err2 := readI32(br)
-			ab, err3 := br.ReadByte()
+			act, err3 := readAct(br)
 			if err := firstErr(err1, err2, err3); err != nil {
 				return nil, err
 			}
 			if in <= 0 || out <= 0 || int64(in)*int64(out) > maxLayerWeights {
 				return nil, fmt.Errorf("nn: fc %q bad dims %dx%d", lname, in, out)
 			}
-			l := NewFC(lname, int(in), int(out), Activation(ab))
-			if err := readF32sInto(br, l.W); err != nil {
+			w, err1 := readF32s(br, int(in)*int(out))
+			b, err2 := readF32s(br, int(out))
+			if err := firstErr(err1, err2); err != nil {
 				return nil, err
 			}
-			if err := readF32sInto(br, l.B); err != nil {
-				return nil, err
-			}
-			layers = append(layers, l)
+			layers = append(layers, &FC{LayerName: lname, In: int(in), Out: int(out), W: w, B: b, Act: act})
 		case KindConv:
-			var dims [8]int32
-			weightElems := int64(1)
+			var dims [8]int
 			for j := range dims {
 				v, err := readI32(br)
 				if err != nil {
 					return nil, err
 				}
-				dims[j] = v
-				if j >= 2 && j <= 5 { // C, K, R, S
-					if v <= 0 {
-						return nil, fmt.Errorf("nn: conv %q bad dim %d", lname, v)
-					}
-					weightElems *= int64(v)
+				if v < 0 || v > maxConvDim {
+					return nil, fmt.Errorf("nn: conv %q dim %d outside [0, %d]", lname, v, maxConvDim)
 				}
+				dims[j] = int(v)
 			}
-			if weightElems > maxLayerWeights {
-				return nil, fmt.Errorf("nn: conv %q has %d weights, exceeding the %d cap",
-					lname, weightElems, maxLayerWeights)
-			}
-			ab, err := br.ReadByte()
+			act, err := readAct(br)
 			if err != nil {
 				return nil, err
 			}
-			var l *Conv
-			if err := catchPanic(func() {
-				l = NewConv(lname, int(dims[0]), int(dims[1]), int(dims[2]), int(dims[3]),
-					int(dims[4]), int(dims[5]), int(dims[6]), int(dims[7]), Activation(ab))
-			}); err != nil {
+			l := &Conv{LayerName: lname, H: dims[0], W: dims[1], C: dims[2], K: dims[3],
+				R: dims[4], S: dims[5], Stride: dims[6], Pad: dims[7], Act: act}
+			if err := l.checkGeometry(); err != nil {
 				return nil, err
 			}
-			if err := readF32sInto(br, l.Wt); err != nil {
-				return nil, err
+			weights := l.K * l.R * l.S * l.C
+			if weights > maxLayerWeights {
+				return nil, fmt.Errorf("nn: conv %q has %d weights, exceeding the %d cap",
+					lname, weights, maxLayerWeights)
 			}
-			if err := readF32sInto(br, l.B); err != nil {
+			var err1, err2 error
+			l.Wt, err1 = readF32s(br, weights)
+			l.B, err2 = readF32s(br, l.K)
+			if err := firstErr(err1, err2); err != nil {
 				return nil, err
 			}
 			layers = append(layers, l)
@@ -222,16 +219,27 @@ func Read(r io.Reader) (*Network, error) {
 			if w <= 0 || w > maxLayerWeights {
 				return nil, fmt.Errorf("nn: elementwise %q bad width %d", lname, w)
 			}
-			l := NewElementwise(lname, int(w), EWOp(ob))
-			if err := readF32sInto(br, l.Operand); err != nil {
+			if EWOp(ob) > EWScale {
+				return nil, fmt.Errorf("nn: elementwise %q unknown op %d", lname, ob)
+			}
+			operand, err := readF32s(br, int(w))
+			if err != nil {
 				return nil, err
 			}
-			layers = append(layers, l)
+			layers = append(layers, &Elementwise{LayerName: lname, N: int(w), Op: EWOp(ob), Operand: operand})
 		default:
 			return nil, fmt.Errorf("nn: unknown layer kind %d", kb)
 		}
 	}
-	return NewNetwork(name, shape, combine, layers...)
+	n, err := NewNetwork(name, shape, combine, layers...)
+	if err != nil {
+		return nil, err
+	}
+	if w := max(n.plan.widest, n.plan.colLen); w > maxLayerWeights {
+		return nil, fmt.Errorf("nn: network %q needs a %d-element activation, exceeding the %d cap",
+			name, w, maxLayerWeights)
+	}
+	return n, nil
 }
 
 func writeU16(w *bufio.Writer, v uint16) {
@@ -278,6 +286,17 @@ func readI32(r io.Reader) (int32, error) {
 	return int32(byteOrder.Uint32(b[:])), nil
 }
 
+// readAct reads an activation byte and rejects values outside the enum: model
+// images arrive from outside the process, and an unknown activation would
+// otherwise run silently as the identity.
+func readAct(br *bufio.Reader) (Activation, error) {
+	b, err := br.ReadByte()
+	if err == nil && Activation(b) > ActSigmoid {
+		err = fmt.Errorf("nn: unknown activation %d", b)
+	}
+	return Activation(b), err
+}
+
 func readString(r io.Reader) (string, error) {
 	n, err := readU16(r)
 	if err != nil {
@@ -290,15 +309,23 @@ func readString(r io.Reader) (string, error) {
 	return string(b), nil
 }
 
-func readF32sInto(r io.Reader, dst []float32) error {
-	b := make([]byte, 4*len(dst))
-	if _, err := io.ReadFull(r, b); err != nil {
-		return err
+// readF32s reads n float32s. The result grows as bytes actually arrive, one
+// chunk at a time, so a hostile length field costs no more memory than the
+// stream really holds.
+func readF32s(r io.Reader, n int) ([]float32, error) {
+	const chunk = 1 << 14
+	out := make([]float32, 0, min(n, chunk))
+	b := make([]byte, 4*min(n, chunk))
+	for len(out) < n {
+		b = b[:4*min(n-len(out), chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 4 {
+			out = append(out, math.Float32frombits(byteOrder.Uint32(b[i:])))
+		}
 	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(byteOrder.Uint32(b[4*i:]))
-	}
-	return nil
+	return out, nil
 }
 
 func firstErr(errs ...error) error {
@@ -307,15 +334,5 @@ func firstErr(errs ...error) error {
 			return err
 		}
 	}
-	return nil
-}
-
-func catchPanic(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("nn: %v", r)
-		}
-	}()
-	fn()
 	return nil
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -96,6 +97,85 @@ func TestCodecRejectsUnknownCombine(t *testing.T) {
 	if _, err := Unmarshal(data); err == nil {
 		t.Error("unknown combine op accepted")
 	}
+}
+
+// TestCodecRejectsUnknownEnums: an activation or element-wise op byte outside
+// the enum is a decode error — it used to decode, the activation running as
+// identity and the op never writing its output.
+func TestCodecRejectsUnknownEnums(t *testing.T) {
+	n := MustNetwork("x", tensor.Shape{4}, CombineHadamard,
+		NewElementwise("ew", 4, EWScale), NewFC("fc", 4, 1, ActSigmoid))
+	data, err := Marshal(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Layers start after the header up to combine(1) + count(2); the EW record
+	// is kind(1) + name(2+2) + width(4) + op(1) + operand(16), and the FC
+	// record's activation follows kind(1) + name(2+2) + in(4) + out(4).
+	ewOp := 4 + 2 + 2 + len(n.Name) + 1 + 4 + 1 + 2 + 1 + 4 + 4
+	fcAct := ewOp + 1 + 16 + 1 + 4 + 4 + 4
+	for name, off := range map[string]int{"ew op": ewOp, "activation": fcAct} {
+		bad := append([]byte(nil), data...)
+		if bad[off] != byte(EWScale) && bad[off] != byte(ActSigmoid) {
+			t.Fatalf("%s: offset %d holds %d, not the enum byte", name, off, bad[off])
+		}
+		bad[off] = 9
+		if _, err := Unmarshal(bad); err == nil {
+			t.Errorf("unknown %s accepted", name)
+		}
+	}
+}
+
+// FuzzUnmarshal: arbitrary bytes never panic or allocate out of proportion
+// to their length, and anything that decodes re-encodes to the bytes it was
+// decoded from and scores without panicking.
+func FuzzUnmarshal(f *testing.F) {
+	for _, n := range []*Network{
+		MustNetwork("fc", tensor.Shape{6}, CombineConcat, NewFC("fc1", 12, 3, ActReLU), NewFC("fc2", 3, 1, ActSigmoid)),
+		MustNetwork("conv", tensor.Shape{4, 3, 2}, CombineSubtract, NewConv("cv", 4, 3, 2, 2, 3, 3, 1, 1, ActReLU)),
+		MustNetwork("ew", tensor.Shape{5}, CombineHadamard, NewElementwise("ew", 5, EWSub), NewFC("fc", 5, 1, ActNone)),
+	} {
+		n.InitRandom(5)
+		data, err := Marshal(n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := Unmarshal(data)
+		runtime.ReadMemStats(&after)
+		// A decode may hold the layer table (1 MB at the u16 count's maximum),
+		// its read buffers and a few copies of what the stream really held.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20+16*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		re, err := Marshal(n)
+		if err != nil {
+			t.Fatalf("decoded network does not re-encode: %v", err)
+		}
+		if !bytes.HasPrefix(data, re) {
+			t.Fatal("decoded network re-encodes to different bytes")
+		}
+		// The decoder caps widths at what a device could hold, not at what a
+		// fuzz worker should allocate per input.
+		if n.plan.widest > 1<<12 || n.plan.colLen > 1<<16 {
+			return
+		}
+		v := make([]float32, n.FeatureElems())
+		var got [1]float32
+		n.Score(v, v)
+		n.BatchScorer(1).ScoreBatch(got[:], v, [][]float32{v})
+		n.Quantize().BatchScorer(1).ScoreBatch(got[:], PrepareQuantQuery(v), QuantizeDB([][]float32{v}))
+		env := NewEnvelope(len(v))
+		env.Absorb(v)
+		n.BoundScorer().UpperBound(v, &env)
+	})
 }
 
 func TestWriteReadStream(t *testing.T) {

@@ -75,7 +75,10 @@ func (a Activation) String() string {
 	}
 }
 
-// Layer is one stage of a sequential similarity-comparison network.
+// Layer is one stage of a sequential similarity-comparison network. The
+// interface is sealed by its two unexported kernels: the families are the
+// three of Table 1 (FC, Conv, Elementwise), which the codec, LayerPlan, the
+// timing model and BoundScorer all enumerate.
 type Layer interface {
 	// Name returns a short diagnostic name, e.g. "fc1".
 	Name() string
@@ -88,10 +91,16 @@ type Layer interface {
 	FLOPs(in tensor.Shape) int64
 	// WeightCount returns the number of learned parameters.
 	WeightCount() int64
-	// Forward computes the layer on in, returning a fresh output tensor.
-	Forward(in *tensor.Tensor) *tensor.Tensor
 	// InitRandom fills parameters from rng with small centered values.
 	InitRandom(rng *rand.Rand)
+	// forwardInto is the per-sample kernel Scorer runs: it computes the layer
+	// on one input vector, overwriting dst fully.
+	forwardInto(dst, in []float32)
+	// forwardRows is the batched kernel: it computes the layer on every row
+	// of a rows×inElems activation matrix, overwriting dst fully. col is the
+	// caller's im2col scratch. Row b gets exactly forwardInto's arithmetic
+	// (up to the sign of a zero for padded convolutions).
+	forwardRows(dst, in []float32, rows int, col []float32)
 }
 
 // FC is a fully connected (dense) layer: y = act(Wx + b).
@@ -134,15 +143,19 @@ func (l *FC) FLOPs(in tensor.Shape) int64 { return 2 * int64(l.In) * int64(l.Out
 // WeightCount implements Layer.
 func (l *FC) WeightCount() int64 { return int64(l.In)*int64(l.Out) + int64(l.Out) }
 
-// Forward implements Layer. It is the allocating wrapper over the pooled
-// forwardInto path Scorer uses; both run identical arithmetic.
-func (l *FC) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Elems() != l.In {
-		panic(fmt.Sprintf("nn: fc %q expects %d inputs, got %d", l.LayerName, l.In, in.Elems()))
-	}
-	out := tensor.New(l.Out)
-	l.forwardInto(out, in)
-	return out
+// forwardInto implements Layer. Gemv overwrites dst fully, so a reused buffer
+// needs no clearing.
+func (l *FC) forwardInto(dst, in []float32) {
+	tensor.Gemv(dst, l.W, in, l.B)
+	l.Act.apply(dst)
+}
+
+// forwardRows implements Layer: one blocked GEMM over the whole batch — the
+// per-feature Gemv calls collapse into matrix-matrix compute that reuses each
+// weight row across every batched feature.
+func (l *FC) forwardRows(dst, in []float32, rows int, _ []float32) {
+	tensor.Gemm(dst, in, l.W, l.B, rows, l.Out, l.In)
+	l.Act.apply(dst)
 }
 
 // InitRandom implements Layer with Xavier-style scaling.
@@ -171,16 +184,24 @@ type Conv struct {
 
 // NewConv allocates a convolutional layer with zero weights.
 func NewConv(name string, h, w, c, k, r, s, stride, pad int, act Activation) *Conv {
-	if h <= 0 || w <= 0 || c <= 0 || k <= 0 || r <= 0 || s <= 0 || stride <= 0 || pad < 0 {
-		panic(fmt.Sprintf("nn: conv %q has invalid geometry", name))
+	l := &Conv{LayerName: name, H: h, W: w, C: c, K: k, R: r, S: s, Stride: stride, Pad: pad, Act: act}
+	if err := l.checkGeometry(); err != nil {
+		panic(err)
 	}
-	if tensor.ConvOutput(h, r, stride, pad) <= 0 || tensor.ConvOutput(w, s, stride, pad) <= 0 {
-		panic(fmt.Sprintf("nn: conv %q produces empty output", name))
+	l.Wt, l.B = make([]float32, k*r*s*c), make([]float32, k)
+	return l
+}
+
+// checkGeometry rejects dimensions no convolution can run with; the model
+// decoder calls it on untrusted dimensions before it reads any weights.
+func (l *Conv) checkGeometry() error {
+	if l.H <= 0 || l.W <= 0 || l.C <= 0 || l.K <= 0 || l.R <= 0 || l.S <= 0 || l.Stride <= 0 || l.Pad < 0 {
+		return fmt.Errorf("nn: conv %q has invalid geometry", l.LayerName)
 	}
-	return &Conv{
-		LayerName: name, H: h, W: w, C: c, K: k, R: r, S: s, Stride: stride, Pad: pad,
-		Wt: make([]float32, k*r*s*c), B: make([]float32, k), Act: act,
+	if tensor.ConvOutput(l.H, l.R, l.Stride, l.Pad) <= 0 || tensor.ConvOutput(l.W, l.S, l.Stride, l.Pad) <= 0 {
+		return fmt.Errorf("nn: conv %q produces empty output", l.LayerName)
 	}
+	return nil
 }
 
 // Name implements Layer.
@@ -212,13 +233,25 @@ func (l *Conv) WeightCount() int64 {
 	return int64(l.K)*int64(l.R)*int64(l.S)*int64(l.C) + int64(l.K)
 }
 
-// Forward implements Layer. It is the allocating wrapper over the pooled
-// forwardInto path Scorer uses; both run identical arithmetic.
-func (l *Conv) Forward(in *tensor.Tensor) *tensor.Tensor {
-	shape := l.OutputShape(in.Shape)
-	out := tensor.New(shape...)
-	l.forwardInto(out, in)
-	return out
+// forwardInto implements Layer with the direct convolution, which overwrites
+// dst fully.
+func (l *Conv) forwardInto(dst, in []float32) {
+	tensor.Conv2D(dst, in, l.Wt, l.B, l.H, l.W, l.C, l.K, l.R, l.S, l.Stride, l.Pad)
+	l.Act.apply(dst)
+}
+
+// forwardRows implements Layer. Each sample lowers to an im2col patch matrix
+// and one GEMM; the patch scratch is reused across rows.
+func (l *Conv) forwardRows(dst, in []float32, rows int, col []float32) {
+	inLen := l.H * l.W * l.C
+	pr, patch := tensor.Im2colLen(l.H, l.W, l.R, l.S, l.C, l.Stride, l.Pad)
+	outLen := pr * l.K
+	col = col[:pr*patch]
+	for b := 0; b < rows; b++ {
+		tensor.Conv2DIm2col(dst[b*outLen:(b+1)*outLen], in[b*inLen:(b+1)*inLen],
+			l.Wt, l.B, col, l.H, l.W, l.C, l.K, l.R, l.S, l.Stride, l.Pad)
+	}
+	l.Act.apply(dst)
 }
 
 // InitRandom implements Layer.
@@ -304,15 +337,29 @@ func (l *Elementwise) WeightCount() int64 {
 	return 0
 }
 
-// Forward implements Layer. It is the allocating wrapper over the pooled
-// forwardInto path Scorer uses; both run identical arithmetic.
-func (l *Elementwise) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Elems() != l.N {
-		panic(fmt.Sprintf("nn: elementwise %q expects %d inputs, got %d", l.LayerName, l.N, in.Elems()))
+// forwardInto implements Layer: the batched kernel with one row.
+func (l *Elementwise) forwardInto(dst, in []float32) { l.forwardRows(dst, in, 1, nil) }
+
+// forwardRows implements Layer: the operand vector repeats per row.
+func (l *Elementwise) forwardRows(dst, in []float32, rows int, _ []float32) {
+	for b := 0; b < rows; b++ {
+		drow := dst[b*l.N : (b+1)*l.N]
+		irow := in[b*l.N : (b+1)*l.N]
+		switch l.Op {
+		case EWAdd:
+			for i := range drow {
+				drow[i] = irow[i] + l.Operand[i]
+			}
+		case EWSub:
+			for i := range drow {
+				drow[i] = irow[i] - l.Operand[i]
+			}
+		case EWMul, EWScale:
+			for i := range drow {
+				drow[i] = irow[i] * l.Operand[i]
+			}
+		}
 	}
-	out := tensor.New(l.N)
-	l.forwardInto(out, in)
-	return out
 }
 
 // InitRandom implements Layer.

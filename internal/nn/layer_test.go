@@ -8,11 +8,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// forward runs l's per-sample kernel on in, returning a fresh output tensor.
+func forward(l Layer, in *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(l.OutputShape(in.Shape)...)
+	l.forwardInto(out.Data, in.Data)
+	return out
+}
+
 func TestFCForwardAndCounts(t *testing.T) {
 	l := NewFC("fc", 3, 2, ActNone)
 	copy(l.W, []float32{1, 2, 3, 4, 5, 6})
 	copy(l.B, []float32{1, -1})
-	out := l.Forward(tensor.FromSlice([]float32{1, 1, 1}, 3))
+	out := forward(l, tensor.FromSlice([]float32{1, 1, 1}, 3))
 	if out.Data[0] != 7 || out.Data[1] != 14 {
 		t.Errorf("fc forward = %v, want [7 14]", out.Data)
 	}
@@ -30,7 +37,7 @@ func TestFCForwardAndCounts(t *testing.T) {
 func TestFCReLU(t *testing.T) {
 	l := NewFC("fc", 1, 2, ActReLU)
 	copy(l.W, []float32{1, -1})
-	out := l.Forward(tensor.FromSlice([]float32{5}, 1))
+	out := forward(l, tensor.FromSlice([]float32{5}, 1))
 	if out.Data[0] != 5 || out.Data[1] != 0 {
 		t.Errorf("relu fc = %v, want [5 0]", out.Data)
 	}
@@ -40,7 +47,7 @@ func TestFCFlattensInput(t *testing.T) {
 	l := NewFC("fc", 6, 1, ActNone)
 	in := tensor.New(2, 3)
 	// Should not panic: FC accepts any shape with matching element count.
-	l.Forward(in)
+	forward(l, in)
 	if !l.OutputShape(tensor.Shape{2, 3}).Equal(tensor.Shape{1}) {
 		t.Error("fc did not flatten input shape")
 	}
@@ -77,7 +84,7 @@ func TestConvForwardMatchesTensorOp(t *testing.T) {
 		l.Wt[i] = 1
 	}
 	in := tensor.FromSlice([]float32{1, 1, 1, 1, 1, 1, 1, 1, 1}, 3, 3, 1)
-	out := l.Forward(in)
+	out := forward(l, in)
 	if out.At(1, 1, 0) != 9 {
 		t.Errorf("conv center = %v, want 9", out.At(1, 1, 0))
 	}
@@ -106,7 +113,7 @@ func TestElementwiseOps(t *testing.T) {
 	for _, c := range cases {
 		l := NewElementwise("ew", 3, c.op)
 		copy(l.Operand, []float32{2, 2, 2})
-		out := l.Forward(in)
+		out := forward(l, in)
 		for i := range c.want {
 			if out.Data[i] != c.want[i] {
 				t.Errorf("%v forward = %v, want %v", c.op, out.Data, c.want)

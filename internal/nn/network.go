@@ -52,6 +52,19 @@ type Network struct {
 	FeatureShape tensor.Shape
 	Combine      CombineOp
 	Layers       []Layer
+	plan         plan
+}
+
+// plan is what every executor needs to know about a network's shapes to size
+// its scratch, computed once by NewNetwork's validating walk: Scorer, the
+// batched executor and BoundScorer read it instead of re-walking OutputShape.
+type plan struct {
+	combElems int   // row width of the combined (QFV, DFV) activation
+	outElems  []int // outElems[i] is the row width Layers[i] produces
+	widest    int   // widest activation, the combined row included
+	colLen    int   // largest conv im2col scratch; 0 without a conv
+	fcIn      int   // widest FC input and output: the int8 executor's
+	fcOut     int   // activation-image and accumulator row widths
 }
 
 // NewNetwork builds a network and validates that the layer stack is
@@ -71,8 +84,19 @@ func NewNetwork(name string, featureShape tensor.Shape, combine CombineOp, layer
 			}
 		}()
 		shape := n.combinedShape()
+		p := &n.plan
+		p.combElems, p.widest = shape.Elems(), shape.Elems()
 		for _, l := range layers {
 			shape = l.OutputShape(shape)
+			p.outElems = append(p.outElems, shape.Elems())
+			p.widest = max(p.widest, shape.Elems())
+			switch l := l.(type) {
+			case *FC:
+				p.fcIn, p.fcOut = max(p.fcIn, l.In), max(p.fcOut, l.Out)
+			case *Conv:
+				rows, patch := tensor.Im2colLen(l.H, l.W, l.R, l.S, l.C, l.Stride, l.Pad)
+				p.colLen = max(p.colLen, rows*patch)
+			}
 		}
 	}()
 	if err != nil {

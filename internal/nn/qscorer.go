@@ -1,27 +1,21 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // Quantized scoring — the execution half of the §7 precision extension.
 // A QuantNetwork holds an int8 image of every FC layer's weights (per-output-
 // row max-abs scales); QuantBatchScorer is BatchScorer's int8 counterpart:
 // the combined activation matrix is built in the dequantized domain, each
 // row is quantized once per FC layer (per-row max-abs activation scale), and
-// the layer runs as one tensor.GemmInt8 with widened int32 accumulators.
-// Non-FC layers (conv, element-wise) fall back to the float32 row path, so
-// arbitrary networks still execute; the FC families that dominate the Table 1
-// SCNs get the int8 arithmetic.
+// the layer runs as one tensor.GemmInt8 with widened int32 accumulators (the
+// executor's int8 FC step, batch.go). Conv and element-wise layers keep their
+// float32 row kernels, so arbitrary networks still execute; the FC families
+// that dominate the Table 1 SCNs get the int8 arithmetic.
 //
-// Determinism across scan paths: every score depends only on its own row —
-// the activation scale is per row and GemmInt8's integer accumulation plus
-// per-output epilogue are batch-composition independent — so batched,
-// per-feature, serial, and multi-query quantized scans produce bit-identical
-// scores for the same (query, feature) pair, the property the core engine's
-// equivalence suite locks down.
+// Determinism across scan paths: every score depends only on its own row, so
+// batched, per-feature, serial, and multi-query quantized scans produce
+// bit-identical scores for the same (query, feature) pair, the property the
+// core engine's equivalence suite locks down.
 
 // quantFC is the int8 image of one FC layer.
 type quantFC struct {
@@ -39,8 +33,8 @@ type QuantNetwork struct {
 }
 
 // Quantize builds the int8 weight images for every FC layer. The float
-// network is retained (and referenced, not copied) for the fallback row path
-// and for shape metadata; it must not be mutated afterwards.
+// network is retained (and referenced, not copied) for its conv and
+// element-wise layers and its plan; it must not be mutated afterwards.
 func (n *Network) Quantize() *QuantNetwork {
 	qn := &QuantNetwork{net: n, fcs: make([]*quantFC, len(n.Layers))}
 	for i, l := range n.Layers {
@@ -74,210 +68,72 @@ func PrepareQuantQuery(qfv []float32) QuantQuery {
 	return QuantQuery{Q: q, Deq: q.Dequantize()}
 }
 
-// QuantBatchScorer is the int8 BatchScorer: same batching discipline and
-// scratch-reuse contract (allocation-free steady state, NOT safe for
-// concurrent use — per-worker state over a shared immutable QuantNetwork).
-type QuantBatchScorer struct {
-	qn  *QuantNetwork
-	max int
-	// comb is the combined activation matrix in the dequantized domain.
-	comb []float32
-	// qin holds the per-row int8 activation image for the current FC layer,
-	// sized max × the widest FC input; rowScales its per-row scales.
-	qin       []int8
-	rowScales []float32
-	// acc is the int32 accumulator scratch, max × the widest FC output.
-	acc  []int32
-	bufs [][]float32
-	// inShapes/inElems/outElems describe Layers[i]'s per-row IO.
-	inShapes []tensor.Shape
-	inElems  []int
-	outElems []int
-	col      []float32
-}
+// QuantBatchScorer is the int8 BatchScorer: the same executor (batching
+// discipline, allocation-free steady state, NOT safe for concurrent use —
+// per-worker state over a shared immutable QuantNetwork) running the int8 FC
+// step, with rows filled from int8 operands in the dequantized domain.
+type QuantBatchScorer struct{ executor }
 
 // BatchScorer returns a quantized batched scorer processing up to maxBatch
 // features per call.
 func (qn *QuantNetwork) BatchScorer(maxBatch int) *QuantBatchScorer {
-	n := qn.net
-	if maxBatch < 1 {
-		panic(fmt.Sprintf("nn: quant batch scorer for %q needs maxBatch >= 1, got %d", n.Name, maxBatch))
-	}
-	s := &QuantBatchScorer{qn: qn, max: maxBatch}
-	shape := n.combinedShape()
-	s.comb = make([]float32, maxBatch*shape.Elems())
-	colLen, maxIn, maxOut := 0, 0, 0
-	for li, l := range n.Layers {
-		s.inShapes = append(s.inShapes, shape.Clone())
-		s.inElems = append(s.inElems, shape.Elems())
-		shape = l.OutputShape(shape)
-		s.outElems = append(s.outElems, shape.Elems())
-		s.bufs = append(s.bufs, make([]float32, maxBatch*shape.Elems()))
-		if cv, ok := l.(*Conv); ok {
-			rows, patch := tensor.Im2colLen(cv.H, cv.W, cv.R, cv.S, cv.C, cv.Stride, cv.Pad)
-			if rows*patch > colLen {
-				colLen = rows * patch
-			}
-		}
-		if qn.fcs[li] != nil {
-			if in := qn.fcs[li].fc.In; in > maxIn {
-				maxIn = in
-			}
-			if out := qn.fcs[li].fc.Out; out > maxOut {
-				maxOut = out
-			}
-		}
-	}
-	if colLen > 0 {
-		s.col = make([]float32, colLen)
-	}
-	if maxIn > 0 {
-		s.qin = make([]int8, maxBatch*maxIn)
-		s.rowScales = make([]float32, maxBatch)
-		s.acc = make([]int32, maxBatch*maxOut)
-	}
-	return s
+	return &QuantBatchScorer{newExecutor(qn.net, qn.fcs, maxBatch)}
 }
-
-// Network returns the float network this scorer executes.
-func (s *QuantBatchScorer) Network() *Network { return s.qn.net }
-
-// MaxBatch returns the largest dfv count one ScoreBatch call accepts.
-func (s *QuantBatchScorer) MaxBatch() int { return s.max }
 
 // ScoreBatch scores a prepared query against quantized feature vectors,
 // writing scores[i] for dfvs[i]. Mirrors BatchScorer.ScoreBatch.
 func (s *QuantBatchScorer) ScoreBatch(scores []float32, q QuantQuery, dfvs []QuantizedVector) {
-	rows := len(dfvs)
-	if rows == 0 {
-		return
+	if len(dfvs) > s.max {
+		panic(fmt.Sprintf("nn: quant batch of %d exceeds scorer capacity %d", len(dfvs), s.max))
 	}
-	if rows > s.max {
-		panic(fmt.Sprintf("nn: quant batch of %d exceeds scorer capacity %d", rows, s.max))
-	}
-	if len(scores) < rows {
-		panic(fmt.Sprintf("nn: %d scores for quant batch of %d", len(scores), rows))
-	}
-	n := s.qn.net
-	fe := n.FeatureElems()
-	if len(q.Deq) != fe {
-		panic(fmt.Sprintf("nn: network %q wants %d-element features, query has %d", n.Name, fe, len(q.Deq)))
-	}
-	ce := s.combElems()
-	for b, dfv := range dfvs {
-		if len(dfv.Data) != fe {
-			panic(fmt.Sprintf("nn: network %q wants %d-element features, dfv %d has %d",
-				n.Name, fe, b, len(dfv.Data)))
-		}
-		s.fillRow(s.comb[b*ce:(b+1)*ce], q, dfv, fe)
-	}
-	out, oe := s.forward(rows, ce)
-	for b := 0; b < rows; b++ {
-		scores[b] = out[b*oe]
-	}
+	s.ScoreMulti([][]float32{scores}, []QuantQuery{q}, dfvs)
 }
 
 // ScoreMulti scores every prepared query against every quantized feature,
-// writing scores[q][b]. Mirrors BatchScorer.ScoreMulti: the Q×B grid is
-// flattened query-major and chunked through the scratch; per-row arithmetic
-// is exactly ScoreBatch's, so every score is bit-identical to the per-query
-// quantized paths.
+// writing scores[q][b]. Mirrors BatchScorer.ScoreMulti.
 func (s *QuantBatchScorer) ScoreMulti(scores [][]float32, qs []QuantQuery, dfvs []QuantizedVector) {
 	nq, nb := len(qs), len(dfvs)
 	if nq == 0 || nb == 0 {
 		return
 	}
-	if len(scores) < nq {
-		panic(fmt.Sprintf("nn: %d score rows for %d queries", len(scores), nq))
-	}
-	n := s.qn.net
-	fe := n.FeatureElems()
 	for q := range qs {
-		if len(qs[q].Deq) != fe {
-			panic(fmt.Sprintf("nn: network %q wants %d-element features, qfv %d has %d",
-				n.Name, fe, q, len(qs[q].Deq)))
-		}
-		if len(scores[q]) < nb {
-			panic(fmt.Sprintf("nn: %d scores for %d features (query %d)", len(scores[q]), nb, q))
-		}
+		s.checkLen("qfv", q, len(qs[q].Deq))
 	}
 	for b := range dfvs {
-		if len(dfvs[b].Data) != fe {
-			panic(fmt.Sprintf("nn: network %q wants %d-element features, dfv %d has %d",
-				n.Name, fe, b, len(dfvs[b].Data)))
-		}
+		s.checkLen("dfv", b, len(dfvs[b].Data))
 	}
-	ce := s.combElems()
-	total := nq * nb
-	for base := 0; base < total; base += s.max {
-		rows := total - base
-		if rows > s.max {
-			rows = s.max
-		}
+	ce := s.net.plan.combElems
+	s.run(scores, nq, nb, func(base, rows int) {
 		for r := 0; r < rows; r++ {
 			f := base + r
-			s.fillRow(s.comb[r*ce:(r+1)*ce], qs[f/nb], dfvs[f%nb], fe)
+			s.fillRow(s.comb[r*ce:(r+1)*ce], qs[f/nb].Deq, dfvs[f%nb])
 		}
-		out, oe := s.forward(rows, ce)
-		for r := 0; r < rows; r++ {
-			f := base + r
-			scores[f/nb][f%nb] = out[r*oe]
-		}
-	}
-}
-
-func (s *QuantBatchScorer) combElems() int {
-	if s.qn.net.Combine == CombineConcat {
-		return 2 * s.qn.net.FeatureElems()
-	}
-	return s.qn.net.FeatureElems()
+	})
 }
 
 // fillRow writes one combined-activation row in the dequantized domain: both
 // operands are the int8 reconstructions, so the combine arithmetic matches
-// what a float scorer would compute over dequantized vectors.
-func (s *QuantBatchScorer) fillRow(row []float32, q QuantQuery, d QuantizedVector, fe int) {
-	switch s.qn.net.Combine {
+// what a float scorer would compute over dequantized vectors. Every product
+// is wrapped in float32() so it rounds before the next operation: without it
+// gc may fuse the subtract's multiply into an FMA on arm64 / GOAMD64=v3 and
+// the int8 scan paths would stop agreeing across builds.
+func (s *QuantBatchScorer) fillRow(row, deq []float32, d QuantizedVector) {
+	fe := len(deq)
+	switch s.net.Combine {
 	case CombineHadamard:
 		for i := 0; i < fe; i++ {
-			row[i] = q.Deq[i] * float32(d.Data[i]) * d.Scale
+			row[i] = deq[i] * float32(d.Data[i]) * d.Scale
 		}
 	case CombineSubtract:
 		for i := 0; i < fe; i++ {
-			row[i] = q.Deq[i] - float32(d.Data[i])*d.Scale
+			row[i] = deq[i] - float32(float32(d.Data[i])*d.Scale)
 		}
 	case CombineConcat:
-		copy(row[:fe], q.Deq)
+		copy(row[:fe], deq)
 		for i := 0; i < fe; i++ {
 			row[fe+i] = float32(d.Data[i]) * d.Scale
 		}
 	}
-}
-
-// forward pushes rows rows through the layer stack: FC layers quantize each
-// activation row and run GemmInt8; everything else takes the float path.
-func (s *QuantBatchScorer) forward(rows, ce int) ([]float32, int) {
-	in, inElems := s.comb, ce
-	for li, l := range s.qn.net.Layers {
-		out := s.bufs[li][:rows*s.outElems[li]]
-		if qfc := s.qn.fcs[li]; qfc != nil {
-			for b := 0; b < rows; b++ {
-				s.rowScales[b] = quantizeInto(s.qin[b*inElems:(b+1)*inElems], in[b*inElems:(b+1)*inElems])
-			}
-			tensor.GemmInt8(out, s.acc[:rows*qfc.fc.Out], s.qin[:rows*inElems], qfc.w,
-				qfc.fc.B, rows, qfc.fc.Out, inElems, s.rowScales[:rows], qfc.scales)
-			qfc.fc.Act.apply(out)
-		} else if bl, ok := l.(batchedLayer); ok {
-			bl.forwardRows(out, in[:rows*inElems], rows, s.col)
-		} else {
-			for b := 0; b < rows; b++ {
-				t := tensor.FromSlice(in[b*inElems:(b+1)*inElems], s.inShapes[li]...)
-				copy(out[b*s.outElems[li]:(b+1)*s.outElems[li]], l.Forward(t).Data)
-			}
-		}
-		in, inElems = out, s.outElems[li]
-	}
-	return in, inElems
 }
 
 // QuantScorer is the per-feature quantized scorer: a 1-row QuantBatchScorer,

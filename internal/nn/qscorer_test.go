@@ -25,72 +25,6 @@ func quantTestNet(t *testing.T, combine CombineOp, fe int, seed int64) *Network 
 	return net
 }
 
-// TestQuantScorerBatchIdentity: the quantized score of a (query, feature)
-// pair must be bit-identical regardless of batch composition — per-feature
-// scorer, full batch, ragged batch, and multi-query grid.
-func TestQuantScorerBatchIdentity(t *testing.T) {
-	for _, combine := range []CombineOp{CombineHadamard, CombineSubtract, CombineConcat} {
-		const fe = 24
-		net := quantTestNet(t, combine, fe, 3)
-		qn := net.Quantize()
-		rng := rand.New(rand.NewSource(9))
-		const nd, nq = 37, 3
-		dfvs := make([]QuantizedVector, nd)
-		for i := range dfvs {
-			dfvs[i] = QuantizeVector(randVec(rng, fe))
-		}
-		qs := make([]QuantQuery, nq)
-		for i := range qs {
-			qs[i] = PrepareQuantQuery(randVec(rng, fe))
-		}
-
-		// Reference: per-feature scorer.
-		ref := make([][]float32, nq)
-		sc := qn.Scorer()
-		for qi := range qs {
-			ref[qi] = make([]float32, nd)
-			for di := range dfvs {
-				ref[qi][di] = sc.Score(qs[qi], dfvs[di])
-			}
-		}
-
-		// Batched, with a capacity that forces ragged tails.
-		bs := qn.BatchScorer(8)
-		scores := make([]float32, 8)
-		for qi := range qs {
-			for base := 0; base < nd; base += 5 {
-				end := base + 5
-				if end > nd {
-					end = nd
-				}
-				bs.ScoreBatch(scores[:end-base], qs[qi], dfvs[base:end])
-				for i, s := range scores[:end-base] {
-					if s != ref[qi][base+i] {
-						t.Fatalf("%v: batch score[%d][%d] = %v, per-feature %v",
-							combine, qi, base+i, s, ref[qi][base+i])
-					}
-				}
-			}
-		}
-
-		// Multi-query grid through a third capacity.
-		ms := qn.BatchScorer(11)
-		grid := make([][]float32, nq)
-		for i := range grid {
-			grid[i] = make([]float32, nd)
-		}
-		ms.ScoreMulti(grid, qs, dfvs)
-		for qi := range qs {
-			for di := range dfvs {
-				if grid[qi][di] != ref[qi][di] {
-					t.Fatalf("%v: multi score[%d][%d] = %v, per-feature %v",
-						combine, qi, di, grid[qi][di], ref[qi][di])
-				}
-			}
-		}
-	}
-}
-
 // TestQuantScorerTracksFloat: quantized scores should approximate the float
 // scorer's to within a few percent for well-conditioned random inputs — the
 // recall guarantee of the approximate mode rides on this.

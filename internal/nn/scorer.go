@@ -1,15 +1,15 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // Scorer is a reusable forward-pass context for one network: the combine
-// output and every layer's output tensor are allocated once and reused
+// output and every layer's output vector are allocated once and reused
 // across Score calls, eliminating the per-comparison allocations that
-// dominate the functional scan's hot loop.
+// dominate the functional scan's hot loop. It walks the stack one feature at
+// a time through the per-sample kernels — Gemv and the direct Conv2D, not the
+// batched executor's Gemm and im2col — which is why it stays a separate walk:
+// it is the oracle every agreement test and the benchmark's top-K check
+// compare the executor against.
 //
 // A Scorer is NOT safe for concurrent use — it is per-worker state. The
 // parallel query engine creates one Scorer per worker goroutine (the
@@ -17,19 +17,17 @@ import (
 // itself stays immutable and may be shared by any number of Scorers.
 type Scorer struct {
 	net  *Network
-	comb *tensor.Tensor
+	comb []float32
 	// outs[i] receives Layers[i]'s output.
-	outs []*tensor.Tensor
+	outs [][]float32
 }
 
 // Scorer returns a fresh scratch-buffer scorer for the network. Buffers are
-// sized from the validated layer plan, so Score never allocates.
+// sized from the validated plan, so Score never allocates.
 func (n *Network) Scorer() *Scorer {
-	s := &Scorer{net: n, comb: tensor.New(n.combinedShape()...)}
-	shape := n.combinedShape()
-	for _, l := range n.Layers {
-		shape = l.OutputShape(shape)
-		s.outs = append(s.outs, tensor.New(shape...))
+	s := &Scorer{net: n, comb: make([]float32, n.plan.combElems), outs: make([][]float32, len(n.Layers))}
+	for i, oe := range n.plan.outElems {
+		s.outs[i] = make([]float32, oe)
 	}
 	return s
 }
@@ -37,75 +35,42 @@ func (n *Network) Scorer() *Scorer {
 // Network returns the network this scorer executes.
 func (s *Scorer) Network() *Network { return s.net }
 
-// bufferedLayer is implemented by layers that can write their output into a
-// caller-owned tensor instead of allocating a fresh one. All built-in layers
-// implement it; Scorer falls back to Layer.Forward otherwise.
-type bufferedLayer interface {
-	forwardInto(dst, in *tensor.Tensor)
-}
-
 // Score runs one comparison through the reused buffers and returns the
-// similarity score. Results are bit-identical to Network.Score: the same
-// arithmetic runs in the same order, only the destination storage differs.
+// similarity score: the first element of the final layer's output.
 func (s *Scorer) Score(qfv, dfv []float32) float32 {
 	n := s.net
-	fe := n.FeatureElems()
-	if len(qfv) != fe || len(dfv) != fe {
+	if fe := n.FeatureElems(); len(qfv) != fe || len(dfv) != fe {
 		panic(fmt.Sprintf("nn: network %q wants %d-element features, got %d and %d",
 			n.Name, fe, len(qfv), len(dfv)))
 	}
 	x := s.comb
+	n.combine(x, qfv, dfv)
+	for i, l := range n.Layers {
+		l.forwardInto(s.outs[i], x)
+		x = s.outs[i]
+	}
+	return x[0]
+}
+
+// combine writes the combined-activation row of one (qfv, dfv) pair — the
+// fp32 front end of the per-feature and the batched walk alike.
+func (n *Network) combine(row, qfv, dfv []float32) {
+	// Callers have checked the operands equally long; saying so lets the
+	// compiler bounds-check only row per element, which the QCN-sized cache
+	// sweep (a row is 200 multiplies and one neuron) is short enough to feel.
+	fe := len(qfv)
+	dfv = dfv[:fe]
 	switch n.Combine {
 	case CombineHadamard:
 		for i := 0; i < fe; i++ {
-			x.Data[i] = qfv[i] * dfv[i]
+			row[i] = qfv[i] * dfv[i]
 		}
 	case CombineSubtract:
 		for i := 0; i < fe; i++ {
-			x.Data[i] = qfv[i] - dfv[i]
+			row[i] = qfv[i] - dfv[i]
 		}
 	case CombineConcat:
-		copy(x.Data[:fe], qfv)
-		copy(x.Data[fe:], dfv)
-	}
-	for i, l := range n.Layers {
-		if bl, ok := l.(bufferedLayer); ok {
-			bl.forwardInto(s.outs[i], x)
-			x = s.outs[i]
-		} else {
-			x = l.Forward(x)
-		}
-	}
-	return x.Data[0]
-}
-
-// forwardInto implements bufferedLayer. Gemv overwrites dst fully, so the
-// reused buffer needs no clearing.
-func (l *FC) forwardInto(dst, in *tensor.Tensor) {
-	tensor.Gemv(dst.Data, l.W, in.Data, l.B)
-	l.Act.apply(dst.Data)
-}
-
-// forwardInto implements bufferedLayer. Conv2D overwrites dst fully.
-func (l *Conv) forwardInto(dst, in *tensor.Tensor) {
-	tensor.Conv2D(dst.Data, in.Data, l.Wt, l.B, l.H, l.W, l.C, l.K, l.R, l.S, l.Stride, l.Pad)
-	l.Act.apply(dst.Data)
-}
-
-// forwardInto implements bufferedLayer.
-func (l *Elementwise) forwardInto(dst, in *tensor.Tensor) {
-	switch l.Op {
-	case EWAdd:
-		for i := range dst.Data {
-			dst.Data[i] = in.Data[i] + l.Operand[i]
-		}
-	case EWSub:
-		for i := range dst.Data {
-			dst.Data[i] = in.Data[i] - l.Operand[i]
-		}
-	case EWMul, EWScale:
-		for i := range dst.Data {
-			dst.Data[i] = in.Data[i] * l.Operand[i]
-		}
+		copy(row[:fe], qfv)
+		copy(row[fe:], dfv)
 	}
 }
