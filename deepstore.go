@@ -322,8 +322,9 @@ const (
 	AdmissionLearned = core.AdmissionLearned
 )
 
-// HistoryStats summarizes the persistent query-history store: record and
-// byte counts, mined group count, mining passes, and prefetched entries.
+// HistoryStats summarizes the persistent query-history store: retained,
+// appended and retired record counts, retained bytes, mined group count,
+// mining passes, and prefetched entries.
 type HistoryStats = core.HistoryStats
 
 // DefaultMineInterval is the records-between-minings default used when

@@ -40,8 +40,8 @@ func TestHistorySummaryAggregates(t *testing.T) {
 		}
 	}
 	hs := e.HistorySummary()
-	if hs.Records != queries*shards {
-		t.Fatalf("cluster history holds %d records, want %d", hs.Records, queries*shards)
+	if hs.Records != queries*shards || hs.Appended != queries*shards || hs.Retired != 0 {
+		t.Fatalf("cluster history %+v, want %d records appended and retained", hs, queries*shards)
 	}
 	if hs.HotBytes == 0 || hs.ColdBytes == 0 {
 		t.Fatalf("empty history regions: %+v", hs)

@@ -277,15 +277,17 @@ type DeepStore struct {
 	qcnCycles   int64
 
 	// Query-history store (DESIGN.md §15); nil unless Options.History.
-	// histMined is the learned admission model (per-group statistics of
-	// records [0, histMinedUpTo), folded forward by each mining pass; nil
-	// until the first pass and whenever hist is replaced, which forces a
-	// full re-mine), histSinceMine counts appends since the last pass, and
-	// histPrefetched counts cache entries re-warmed by PrefetchHistory.
-	// All guarded by mu, like the cache whose policy reads them.
+	// histMined is the learned admission model: the per-group statistics of
+	// the retained records with Seq below histMinedUpTo — folded forward by
+	// each mining pass, un-folded as records retire, so right after a pass it
+	// is exactly MineGroups(hist.Records()); nil until the first pass and
+	// whenever hist is replaced, which forces a full re-mine. histSinceMine
+	// counts appends since the last pass, and histPrefetched counts cache
+	// entries re-warmed by PrefetchHistory. All guarded by mu, like the cache
+	// whose policy reads them.
 	hist           *qhist.Store
 	histMined      map[uint64]qhist.GroupStat
-	histMinedUpTo  int
+	histMinedUpTo  uint64
 	histSinceMine  int
 	histMines      uint64
 	histPrefetched uint64

@@ -15,8 +15,11 @@ import (
 // Query history and learned admission (DESIGN.md §15). With Options.History
 // on, every finished query appends one fixed-width hot record plus a cold
 // payload (full query vector + top-K) to the in-DRAM history store, charged
-// on the simulated clock as the hist_append stage. Checkpoint flushes the
-// store into its own flash block columns (an ftl.HistRegion), so history survives
+// on the simulated clock as the hist_append stage. The store retains a fixed
+// window of the most recent records, so everything derived from it below —
+// the mined model, the mining charge, heat, the checkpointed image — is
+// bounded by that window and by nothing else. Checkpoint flushes the store
+// into its own flash block columns (an ftl.HistRegion), so history survives
 // restarts through RestoreHistory. With Options.CacheAdmission ==
 // AdmissionLearned, the store is periodically mined (hist_mine stage) into
 // per-group statistics that gate cache admission and pick eviction victims.
@@ -64,6 +67,12 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	ds.dev.DRAM.Transfer(qhist.RecordBytes+payloadBytes, nil)
 	ds.engine.Run()
 	dur := sim.Duration(ds.engine.Now() - before)
+	// A full window retires its oldest record on this append; the admission
+	// model forgets it in the same step (it may not have been mined yet).
+	var oldest qhist.Record
+	if recs := ds.hist.Records(); len(recs) > 0 {
+		oldest = recs[0]
+	}
 	ds.hist.AppendQuery(qhist.Record{
 		Time:       int64(ds.engine.Now()),
 		DB:         uint64(spec.DB),
@@ -78,6 +87,13 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	r.Latency += dur
 	r.Stages = append(r.Stages, obs.Stage{Name: obs.StageHistAppend, Dur: dur})
 	ds.obs.Counter("core_hist_appends").Inc()
+	if ds.hist.First() > oldest.Seq {
+		if ds.histMined != nil && oldest.Seq < ds.histMinedUpTo {
+			qhist.Unmine(ds.histMined, oldest)
+		}
+		ds.obs.Counter("core_hist_retired").Inc()
+	}
+	ds.gaugeHistory()
 	ds.histSinceMine++
 	if ds.opts.CacheAdmission == AdmissionLearned && ds.histSinceMine >= ds.mineInterval() {
 		mineDur := ds.refreshAdmissionLocked()
@@ -86,19 +102,27 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	}
 }
 
+// gaugeHistory publishes what the store retains; called wherever that changes.
+func (ds *DeepStore) gaugeHistory() {
+	ds.obs.Gauge("core_hist_retained_records").Set(float64(ds.hist.Len()))
+	ds.obs.Gauge("core_hist_retained_bytes").Set(float64(ds.hist.HotBytes() + ds.hist.ColdBytes()))
+}
+
 // refreshAdmissionLocked brings the learned admission model up to date and
-// returns the modeled mining cost: the hot records stream through controller
-// DRAM once, plus a few embedded-core cycles per record. The host folds only
-// the records appended since the last pass into the existing map (identical
-// to a full qhist.MineGroups, whose fold is left-associative); the SIMULATED
-// charge stays that of a full pass over all n records. Callers hold ds.mu.
+// returns the modeled mining cost: the retained hot records stream through
+// controller DRAM once, plus a few embedded-core cycles per record. The host
+// folds only the records appended since the last pass into the existing map
+// (identical to a full qhist.MineGroups, whose fold is left-associative, as
+// retired records have already been un-folded); the SIMULATED charge stays
+// that of a full pass over the window. Callers hold ds.mu.
 func (ds *DeepStore) refreshAdmissionLocked() sim.Duration {
 	if ds.histMined == nil {
 		ds.histMined = make(map[uint64]qhist.GroupStat, 16)
 		ds.histMinedUpTo = 0
 	}
-	qhist.MineInto(ds.histMined, ds.hist.Records(), ds.histMinedUpTo)
-	ds.histMinedUpTo = ds.hist.Len()
+	first := ds.hist.First()
+	qhist.MineInto(ds.histMined, ds.hist.Records(), int(max(ds.histMinedUpTo, first)-first))
+	ds.histMinedUpTo = ds.hist.NextSeq()
 	ds.histMines++
 	ds.histSinceMine = 0
 	ds.obs.Counter("core_hist_mines").Inc()
@@ -159,7 +183,9 @@ func (p *learnedPolicy) Victim(key uint64, entries []qcache.Entry[[]float32]) (i
 
 // HistoryStats summarizes the history store's state.
 type HistoryStats struct {
-	Records    uint64 // appended query records
+	Records    uint64 // retained query records (at most the retention window)
+	Appended   uint64 // records ever appended to this store
+	Retired    uint64 // of those, aged out of the window
 	HotBytes   int64  // fixed-width record region
 	ColdBytes  int64  // payload region
 	Groups     int    // distinct mined query groups (last mining pass)
@@ -170,6 +196,8 @@ type HistoryStats struct {
 // Add accumulates other into s (cluster aggregation).
 func (s *HistoryStats) Add(other HistoryStats) {
 	s.Records += other.Records
+	s.Appended += other.Appended
+	s.Retired += other.Retired
 	s.HotBytes += other.HotBytes
 	s.ColdBytes += other.ColdBytes
 	s.Groups += other.Groups
@@ -186,6 +214,8 @@ func (ds *DeepStore) HistoryStats() HistoryStats {
 	}
 	return HistoryStats{
 		Records:    uint64(ds.hist.Len()),
+		Appended:   ds.hist.NextSeq(),
+		Retired:    ds.hist.First(),
 		HotBytes:   ds.hist.HotBytes(),
 		ColdBytes:  ds.hist.ColdBytes(),
 		Groups:     len(ds.histMined),
@@ -206,8 +236,8 @@ func (ds *DeepStore) HistorySnapshot() ([]byte, error) {
 	return ds.hist.Snapshot(), nil
 }
 
-// HistoryRecords returns a copy of the hot history records (tests and
-// offline analysis).
+// HistoryRecords returns a copy of the retained hot history records, oldest
+// first (tests and offline analysis).
 func (ds *DeepStore) HistoryRecords() []qhist.Record {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -237,6 +267,7 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 		ds.hist = st
 		ds.histMined = nil
 		ds.histSinceMine = 0
+		ds.gaugeHistory()
 	}
 	degrade := func() { replace(qhist.NewStore()) }
 	f, err := ftl.Restore(img)
@@ -287,10 +318,10 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	if len(ranked) > max {
 		ranked = ranked[:max]
 	}
-	records := ds.hist.Records()
+	records, first := ds.hist.Records(), ds.hist.First()
 	inserted := 0
 	for _, g := range ranked {
-		rec := records[mined[g].LastRec]
+		rec := records[mined[g].LastSeq-first]
 		payload, err := ds.hist.Payload(rec)
 		if err != nil {
 			return inserted, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -236,10 +237,13 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 	}
 }
 
-// TestHistoryPersistenceRoundTrip drives random Zipfian streams through a
+// TestHistoryPersistenceRoundTrip drives a Zipfian trace through a
 // learned-admission engine, checkpoints, and restores into a fresh engine:
 // the history snapshot must survive byte-identically, the re-mined admission
-// model must be identical, and subsequent admission decisions must agree.
+// model must be identical, and subsequent admission decisions must agree —
+// on three short histories, and on one whose window has wrapped, where the
+// follow-up traffic also retires records on both sides and must leave the
+// same next snapshot.
 func TestHistoryPersistenceRoundTrip(t *testing.T) {
 	app, err := workload.ByName("TIR")
 	if err != nil {
@@ -247,17 +251,33 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 	}
 	app.SCN.InitRandom(1)
 	vectors := workload.NewFeatureDB(app, 32, 2).Vectors
-	opts := DefaultOptions()
-	opts.History = true
-	opts.CacheAdmission = AdmissionLearned
-	opts.HistoryMineInterval = 4
+	opts := windowOptions(AdmissionLearned)
+	tir := func() histTestEnv { return newHistEngine(t, opts, vectors, 3) }
+	tirQCN := func() *nn.Network { return scaledQCN(app.SCN.FeatureElems()) }
+	tirTrace := func(n int, seed int64) [][]float32 { return histTrace(t, n, seed) }
 
-	for _, seed := range []int64{11, 22, 33} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			a := newHistEngine(t, opts, vectors, 3)
-			qfvs := histTrace(t, 24, seed)
-			for _, qfv := range qfvs {
+	for _, c := range []struct {
+		name        string
+		newEngine   func() histTestEnv
+		qcn         func() *nn.Network
+		entries     int
+		trace       func(n int, seed int64) [][]float32
+		seed        int64
+		warm, probe int
+	}{
+		{"seed11", tir, tirQCN, 3, tirTrace, 11, 24, 16},
+		{"seed22", tir, tirQCN, 3, tirTrace, 22, 24, 16},
+		{"seed33", tir, tirQCN, 3, tirTrace, 33, 24, 16},
+		{"wrapped", func() histTestEnv { return newWindowEngine(t, opts) },
+			func() *nn.Network { return perfectQCN(16) }, 8, windowTrace, 44, histWindow + 300, 256},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := c.newEngine()
+			for _, qfv := range c.trace(c.warm, c.seed) {
 				a.query(t, qfv, 4)
+			}
+			if hs := a.ds.HistoryStats(); hs.Retired != uint64(max(c.warm-histWindow, 0)) {
+				t.Fatalf("%d records retired by %d queries", hs.Retired, c.warm)
 			}
 			snapA, err := a.ds.HistorySnapshot()
 			if err != nil {
@@ -268,7 +288,7 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			b := newHistEngine(t, opts, vectors, 3)
+			b := c.newEngine()
 			if err := b.ds.RestoreHistory(img); err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +296,7 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(snapA, snapB) {
+			if !bytes.Equal(snapA, snapB) {
 				t.Fatal("restored history snapshot differs from the checkpointed one")
 			}
 			a.ds.RefreshAdmission() // sync A past any partial mine interval
@@ -286,15 +306,13 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 
 			// Fresh caches on both sides, then identical follow-up traffic
 			// must produce identical admission decisions and hit patterns.
-			fe := app.SCN.FeatureElems()
-			if err := a.ds.SetQC(scaledQCN(fe), 1.0, 3, 0.2); err != nil {
+			if err := a.ds.SetQC(c.qcn(), 1.0, c.entries, 0.2); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.ds.SetQC(scaledQCN(fe), 1.0, 3, 0.2); err != nil {
+			if err := b.ds.SetQC(c.qcn(), 1.0, c.entries, 0.2); err != nil {
 				t.Fatal(err)
 			}
-			probe := histTrace(t, 16, seed+7)
-			for i, qfv := range probe {
+			for i, qfv := range c.trace(c.probe, c.seed+7) {
 				ra := a.query(t, qfv, 4)
 				rb := b.query(t, qfv, 4)
 				if ra.CacheHit != rb.CacheHit {
@@ -304,11 +322,16 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 					t.Fatalf("probe %d: topK diverged after restore", i)
 				}
 			}
-			sa := a.ds.MetricsSnapshot().Counters["qcache_admission_rejects"]
-			sb := b.ds.MetricsSnapshot().Counters["qcache_admission_rejects"]
-			if sa != sb {
-				t.Fatalf("admission rejects diverged: %d on original, %d on restored", sa, sb)
+			ma, mb := a.ds.MetricsSnapshot().Counters, b.ds.MetricsSnapshot().Counters
+			for _, name := range []string{"qcache_admission_rejects", "qcache_evictions", "qcache_hits"} {
+				if ma[name] != mb[name] {
+					t.Fatalf("%s diverged: %d on original, %d on restored", name, ma[name], mb[name])
+				}
 			}
+			if !reflect.DeepEqual(a.ds.histMined, b.ds.histMined) {
+				t.Fatal("admission models diverged over the follow-up traffic")
+			}
+			sameHistoryModuloClock(t, a.ds, b.ds, uint64(c.warm))
 		})
 	}
 }
@@ -349,6 +372,22 @@ func TestRestoreHistoryCorruption(t *testing.T) {
 		bad := append([]byte(nil), img...)
 		bad[len(bad)-i*7] ^= 0x40
 		damaged[fmt.Sprintf("bitflip%d", i)] = bad
+	}
+	// The same for the image of a window that has wrapped, flipped through
+	// the middle, where the retained records and payloads are.
+	w := newWindowEngine(t, opts)
+	for _, qfv := range windowTrace(histWindow+50, 5) {
+		w.query(t, qfv, 4)
+	}
+	wrapped, err := w.ds.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged["wrapped-truncated"] = wrapped[:len(wrapped)-len(wrapped)/3]
+	for i := 1; i <= 3; i++ {
+		bad := append([]byte(nil), wrapped...)
+		bad[i*len(bad)/4] ^= 0x01
+		damaged[fmt.Sprintf("wrapped-bitflip%d", i)] = bad
 	}
 
 	for name, bad := range damaged {
@@ -714,19 +753,22 @@ func requireMinedMatchesFullMine(t *testing.T, tag string, ds *DeepStore, refres
 		}
 		return
 	}
-	if refreshed && ds.histMinedUpTo != ds.hist.Len() {
-		t.Fatalf("%s: refresh covered %d of %d records", tag, ds.histMinedUpTo, ds.hist.Len())
+	if refreshed && ds.histMinedUpTo != ds.hist.NextSeq() {
+		t.Fatalf("%s: refresh covered up to seq %d of %d", tag, ds.histMinedUpTo, ds.hist.NextSeq())
 	}
-	if want := qhist.MineGroups(ds.hist.Records()[:ds.histMinedUpTo]); !reflect.DeepEqual(ds.histMined, want) {
+	covered := ds.hist.Records()[:max(ds.histMinedUpTo, ds.hist.First())-ds.hist.First()]
+	if want := qhist.MineGroups(covered); !reflect.DeepEqual(ds.histMined, want) {
 		t.Fatalf("%s: incremental model over %d records differs from a full mine (%d vs %d groups)",
 			tag, ds.histMinedUpTo, len(ds.histMined), len(want))
 	}
 }
 
 // TestIncrementalMiningMatchesFullMine drives the model through every point
-// that folds or resets it — interval refreshes, RefreshAdmission,
-// RestoreHistory over a fresh and over an already-mined engine, a corrupt
-// restore, PrefetchHistory — and checks it against a full re-mine each time.
+// that folds, un-folds or resets it — interval refreshes, RefreshAdmission,
+// Checkpoint, RestoreHistory over a fresh and over an already-mined engine, a
+// corrupt restore, PrefetchHistory — and checks it against a full re-mine each
+// time: once on a short history, and once on the toy engine with the
+// retention window wrapping under every one of those steps.
 func TestIncrementalMiningMatchesFullMine(t *testing.T) {
 	app, err := workload.ByName("TIR")
 	if err != nil {
@@ -734,61 +776,81 @@ func TestIncrementalMiningMatchesFullMine(t *testing.T) {
 	}
 	app.SCN.InitRandom(1)
 	vectors := workload.NewFeatureDB(app, 32, 2).Vectors
-	opts := DefaultOptions()
-	opts.History = true
-	opts.CacheAdmission = AdmissionLearned
-	opts.HistoryMineInterval = 4
+	opts := windowOptions(AdmissionLearned)
 
-	run := func(tag string, e histTestEnv, n int, seed int64) {
-		for i, qfv := range histTrace(t, n, seed) {
-			mines := e.ds.histMines
-			e.query(t, qfv, 4)
-			requireMinedMatchesFullMine(t, fmt.Sprintf("%s query %d", tag, i), e.ds, e.ds.histMines > mines)
-		}
-	}
+	for _, c := range []struct {
+		name      string
+		newEngine func() histTestEnv
+		trace     func(n int, seed int64) [][]float32
+		warm      int // queries before the first checkpoint
+	}{
+		{"short", func() histTestEnv { return newHistEngine(t, opts, vectors, 3) },
+			func(n int, seed int64) [][]float32 { return histTrace(t, n, seed) }, 30},
+		{"wrapped", func() histTestEnv { return newWindowEngine(t, opts) }, windowTrace, histWindow + 100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Each check re-mines the whole store, so the long warm-up checks
+			// every 64th query until the store is within 200 records of its
+			// window; everything else checks after every query.
+			run := func(tag string, e histTestEnv, n int, seed int64) {
+				for i, qfv := range c.trace(n, seed) {
+					mines := e.ds.histMines
+					e.query(t, qfv, 4)
+					if n <= 64 || i%64 == 0 || e.ds.hist.Len() >= histWindow-200 {
+						requireMinedMatchesFullMine(t, fmt.Sprintf("%s query %d", tag, i), e.ds, e.ds.histMines > mines)
+					}
+				}
+			}
 
-	a := newHistEngine(t, opts, vectors, 3)
-	run("a", a, 30, 11)
-	if a.ds.histMines < 7 {
-		t.Fatalf("only %d interval refreshes in 30 queries", a.ds.histMines)
-	}
-	a.ds.RefreshAdmission()
-	requireMinedMatchesFullMine(t, "a explicit refresh", a.ds, true)
-	img, err := a.ds.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+			a := c.newEngine()
+			run("a", a, c.warm, 11)
+			if a.ds.histMines < 7 {
+				t.Fatalf("only %d interval refreshes in %d queries", a.ds.histMines, c.warm)
+			}
+			if wrapped := a.ds.hist.First() > 0; wrapped != (c.warm > histWindow) {
+				t.Fatalf("oldest retained seq %d after %d queries", a.ds.hist.First(), c.warm)
+			}
+			a.ds.RefreshAdmission()
+			requireMinedMatchesFullMine(t, "a explicit refresh", a.ds, true)
+			img, err := a.ds.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireMinedMatchesFullMine(t, "a checkpointed", a.ds, true)
 
-	// Restore into an engine that has already mined a DIFFERENT history: the
-	// model must be the restored store's alone, not a blend.
-	b := newHistEngine(t, opts, vectors, 3)
-	run("b before restore", b, 10, 99)
-	if err := b.ds.RestoreHistory(img); err != nil {
-		t.Fatal(err)
-	}
-	requireMinedMatchesFullMine(t, "b restored", b.ds, true)
-	if !reflect.DeepEqual(b.ds.histMined, a.ds.histMined) {
-		t.Fatal("restored engine's model differs from the checkpointed engine's")
-	}
-	run("b after restore", b, 10, 5)
+			// Restore into an engine that has already mined a DIFFERENT
+			// history: the model must be the restored store's alone, not a
+			// blend.
+			b := c.newEngine()
+			run("b before restore", b, 10, 99)
+			if err := b.ds.RestoreHistory(img); err != nil {
+				t.Fatal(err)
+			}
+			requireMinedMatchesFullMine(t, "b restored", b.ds, true)
+			if !reflect.DeepEqual(b.ds.histMined, a.ds.histMined) {
+				t.Fatal("restored engine's model differs from the checkpointed engine's")
+			}
+			run("b after restore", b, 10, 5)
 
-	if _, err := b.ds.PrefetchHistory(2); err != nil {
-		t.Fatal(err)
-	}
-	requireMinedMatchesFullMine(t, "b prefetched", b.ds, false)
-	run("b after prefetch", b, 10, 6)
+			if _, err := b.ds.PrefetchHistory(2); err != nil {
+				t.Fatal(err)
+			}
+			requireMinedMatchesFullMine(t, "b prefetched", b.ds, false)
+			run("b after prefetch", b, 10, 6)
 
-	// A corrupt restore degrades to an empty store and no model; the next
-	// refreshes mine only what arrives afterwards.
-	if err := b.ds.RestoreHistory(img[:len(img)/2]); !errors.Is(err, ErrHistoryCorrupt) {
-		t.Fatalf("truncated image: %v", err)
+			// A corrupt restore degrades to an empty store and no model; the
+			// next refreshes mine only what arrives afterwards.
+			if err := b.ds.RestoreHistory(img[:len(img)/2]); !errors.Is(err, ErrHistoryCorrupt) {
+				t.Fatalf("truncated image: %v", err)
+			}
+			if b.ds.histMined != nil || b.ds.hist.Len() != 0 {
+				t.Fatalf("degraded engine kept %d groups over %d records", len(b.ds.histMined), b.ds.hist.Len())
+			}
+			b.ds.RefreshAdmission()
+			requireMinedMatchesFullMine(t, "b degraded refresh", b.ds, true)
+			run("b after degrade", b, 10, 7)
+		})
 	}
-	if b.ds.histMined != nil || b.ds.hist.Len() != 0 {
-		t.Fatalf("degraded engine kept %d groups over %d records", len(b.ds.histMined), b.ds.hist.Len())
-	}
-	b.ds.RefreshAdmission()
-	requireMinedMatchesFullMine(t, "b degraded refresh", b.ds, true)
-	run("b after degrade", b, 10, 7)
 }
 
 // BenchmarkInsertLearnedFull is one learned-admission insert into a full

@@ -2,6 +2,8 @@ package qcache
 
 import (
 	"testing"
+
+	"repro/internal/racetest"
 )
 
 // batchedFrom wraps a scalar scorer as a BatchScorer, so the batched sweep
@@ -78,6 +80,9 @@ func TestBatchedLookupHitAndRevert(t *testing.T) {
 // TestBatchedSweepAllocFree: steady-state batched sweeps reuse pooled
 // scratch instead of allocating gather buffers per lookup.
 func TestBatchedSweepAllocFree(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race build's sync.Pool drops puts, so the scratch is re-allocated")
+	}
 	const n = 100 // below parallelSweepMin: single-goroutine sweep
 	score := func(a, b int) float64 { return 0.1 }
 	c := buildSweepCache(n, score)

@@ -2,10 +2,13 @@
 // engine answers is recorded in a hot/cold layout: a compact fixed-width
 // metadata record (hot, always resident, cheap to mine) plus a variable-
 // length payload holding the full query vector and top-K result (cold,
-// touched only on prefetch or audit). The store serializes to a single
-// checksummed image that rides inside the FTL metadata snapshot, so history
-// survives engine restarts; mining the records yields the statistics that
-// drive learned cache admission, prefetch, and heat-directed placement.
+// touched only on prefetch or audit). The store retains a fixed window of
+// the most recent records and retires the oldest as new ones arrive, so its
+// memory, its mining cost and its image are bounded however long the engine
+// runs. It serializes to a single checksummed image that rides inside the
+// FTL metadata snapshot, so history survives engine restarts; mining the
+// records yields the statistics that drive learned cache admission,
+// prefetch, and heat-directed placement.
 package qhist
 
 import (
@@ -34,7 +37,7 @@ const FlagHit uint32 = 1 << 0
 // so a []Record mines with zero pointer chasing; the payload lives in the
 // cold region addressed by PayloadOff/PayloadLen.
 type Record struct {
-	Seq        uint64 // dense append sequence number, assigned by Append
+	Seq        uint64 // append sequence number, assigned by Append; consecutive, never reused
 	Time       int64  // simulated completion timestamp, picoseconds
 	DB         uint64 // database the query scanned
 	Model      uint64 // SCN model used
@@ -86,30 +89,50 @@ func unmarshalRecord(b []byte) Record {
 	}
 }
 
-// chunkBytes is the cold arena's chunk size. Growing the arena allocates one
+// chunkBytes is the cold arena's chunk size. Growing the arena takes one
 // more chunk and never moves a byte already stored, so an Append copies only
-// its own payload however large the store has grown.
+// its own payload however much the store holds.
 const chunkBytes = 1 << 20
 
-// Store holds the hot record array and the cold payload arena. It is not
+// retainRecords is the retention window: the store keeps the most recent
+// retainRecords records and retires the oldest on every append past that. A
+// record that old weighs 2^-32 of a fresh one in AdmissionScore.
+const retainRecords = 32 * DefaultHalfLifeRecords
+
+// Store holds the hot record window and the cold payload arena. It is not
 // internally synchronized: the owning engine serializes access under its
 // own lock.
 //
-// The arena is a list of chunks. A payload never straddles two chunks — one
-// that does not fit the current chunk's tail opens a new chunk (sized to the
-// payload when it exceeds chunkBytes) — so every payload is one contiguous,
-// stable view. PayloadOff stays the LOGICAL offset, the payload's position in
-// the concatenation of all payloads: the unused chunk tails are an in-memory
-// detail that Snapshot bytes, ColdBytes and the records never see.
+// The hot records are the suffix buf[head:] of one backing array of at most
+// twice the window: retiring advances head, and when the array is full the
+// live window slides back to its front, so Records is always one contiguous
+// slice and an append copies one record amortized.
+//
+// The arena is a queue of chunks, oldest first. A payload never straddles two
+// chunks — one that does not fit the current chunk's tail opens a new chunk
+// (sized to the payload when it exceeds chunkBytes) — so every payload is one
+// contiguous, stable view. A chunk whose last payload has retired goes to the
+// free list and is the next one opened, so past the window the arena is a
+// ring of reused buffers. PayloadOff stays the LOGICAL offset, the payload's
+// position in the concatenation of every payload ever appended: the unused
+// chunk tails are an in-memory detail that Snapshot bytes, ColdBytes and the
+// records never see.
 type Store struct {
-	records []Record
-	chunks  [][]byte // len(chunk) is its used prefix
-	starts  []int64  // logical offset of each chunk's first byte
-	cold    int64    // logical arena size: the sum of all payload lengths
+	window int      // retained-record bound, retainRecords outside tests
+	buf    []Record // backing array of the hot window
+	head   int      // buf[head:] are the retained records
+	first  uint64   // Seq of buf[head], which is also the count of retired records
+	chunks [][]byte // live chunks, oldest first; len(chunk) is its used prefix
+	starts []int64  // logical offset of each live chunk's first byte
+	free   [][]byte // retired chunkBytes buffers awaiting reuse
+	base   int64    // logical offset of the oldest retained payload byte
+	cold   int64    // logical arena end: the sum of all payload lengths ever appended
 }
 
 // NewStore returns an empty history store.
-func NewStore() *Store { return &Store{} }
+func NewStore() *Store { return newStore(retainRecords) }
+
+func newStore(window int) *Store { return &Store{window: window} }
 
 // alloc reserves n contiguous arena bytes at the logical end and returns
 // them for the caller to fill.
@@ -119,7 +142,13 @@ func (s *Store) alloc(n int) []byte {
 	}
 	last := len(s.chunks) - 1
 	if last < 0 || len(s.chunks[last])+n > cap(s.chunks[last]) {
-		s.chunks = append(s.chunks, make([]byte, 0, max(n, chunkBytes)))
+		var c []byte
+		if f := len(s.free) - 1; f >= 0 && n <= chunkBytes {
+			c, s.free = s.free[f], s.free[:f]
+		} else {
+			c = make([]byte, 0, max(n, chunkBytes))
+		}
+		s.chunks = append(s.chunks, c)
 		s.starts = append(s.starts, s.cold)
 		last++
 	}
@@ -129,13 +158,47 @@ func (s *Store) alloc(n int) []byte {
 	return s.chunks[last][len(c):]
 }
 
+// retire drops the oldest record and recycles every chunk that now holds
+// only retired payloads. The newest chunk is the one being filled and stays.
+func (s *Store) retire() {
+	r := s.buf[s.head]
+	s.head++
+	s.first++
+	s.base = r.PayloadOff + r.PayloadLen
+	for len(s.chunks) > 1 && s.starts[1] <= s.base {
+		if c := s.chunks[0]; cap(c) == chunkBytes {
+			s.free = append(s.free, c[:0])
+		}
+		// Shift down rather than reslice, so the two tables keep their
+		// backing arrays and a steady-state append allocates nothing.
+		s.chunks = s.chunks[:copy(s.chunks, s.chunks[1:])]
+		s.starts = s.starts[:copy(s.starts, s.starts[1:])]
+	}
+}
+
 // push assigns r's Seq and the placement of the payloadLen bytes alloc just
-// reserved, and stores the record.
+// reserved, and stores the record, retiring the oldest one when the window
+// is full.
 func (s *Store) push(r Record, payloadLen int) Record {
-	r.Seq = uint64(len(s.records))
+	r.Seq = s.NextSeq()
 	r.PayloadOff = s.cold - int64(payloadLen)
 	r.PayloadLen = int64(payloadLen)
-	s.records = append(s.records, r)
+	if s.Len() == s.window {
+		s.retire()
+	}
+	if len(s.buf) == cap(s.buf) {
+		if c := cap(s.buf); c < 2*s.window {
+			grown := make([]Record, s.Len(), min(max(2*c, 64), 2*s.window))
+			copy(grown, s.buf[s.head:])
+			s.buf, s.head = grown, 0
+		} else {
+			// A full double-width array holds at least a window of retired
+			// records in front: slide the live ones back over them.
+			s.buf = s.buf[:copy(s.buf, s.buf[s.head:])]
+			s.head = 0
+		}
+	}
+	s.buf = append(s.buf, r)
 	return r
 }
 
@@ -154,29 +217,38 @@ func (s *Store) AppendQuery(r Record, qfv []float32, topK []topk.Entry) Record {
 	return s.push(r, n)
 }
 
-// Len returns the number of records.
-func (s *Store) Len() int { return len(s.records) }
+// Len returns the number of retained records.
+func (s *Store) Len() int { return len(s.buf) - s.head }
 
-// NextSeq returns the sequence number the next Append will receive; mining
-// uses it as the current logical "now" for recency decay.
-func (s *Store) NextSeq() uint64 { return uint64(len(s.records)) }
+// First returns the Seq of the oldest retained record — equally, how many
+// records have retired. Records()[i].Seq is First() + i.
+func (s *Store) First() uint64 { return s.first }
 
-// Records returns the live hot-record slice. Callers must not mutate it and
-// must not retain it across Appends.
-func (s *Store) Records() []Record { return s.records }
+// NextSeq returns the sequence number the next Append will receive — the
+// count of records ever appended; mining uses it as the current logical
+// "now" for recency decay.
+func (s *Store) NextSeq() uint64 { return s.first + uint64(s.Len()) }
 
-// HotBytes and ColdBytes report the two regions' sizes.
-func (s *Store) HotBytes() int64  { return int64(len(s.records)) * RecordBytes }
-func (s *Store) ColdBytes() int64 { return s.cold }
+// Records returns the retained hot records, oldest first. Callers must not
+// mutate the slice and must not retain it across Appends.
+func (s *Store) Records() []Record { return s.buf[s.head:] }
+
+// HotBytes and ColdBytes report the retained sizes of the two regions.
+func (s *Store) HotBytes() int64  { return int64(s.Len()) * RecordBytes }
+func (s *Store) ColdBytes() int64 { return s.cold - s.base }
 
 // Payload returns the cold payload bytes for r: a view into the arena that
-// stays valid and unchanged across later Appends (chunks never move). A
-// range outside the arena, or one that is not wholly inside one chunk (no
-// Append produces such a record), wraps ErrCorrupt.
+// stays valid and unchanged until r retires (live chunks never move). A
+// retired record, a range outside the retained arena, or one that is not
+// wholly inside one chunk (no Append produces such a record) wraps
+// ErrCorrupt.
 func (s *Store) Payload(r Record) ([]byte, error) {
-	if r.PayloadOff < 0 || r.PayloadLen < 0 || r.PayloadLen > s.cold-r.PayloadOff {
-		return nil, fmt.Errorf("%w: payload [%d,+%d) outside %d-byte heap",
-			ErrCorrupt, r.PayloadOff, r.PayloadLen, s.cold)
+	if r.Seq < s.first {
+		return nil, fmt.Errorf("%w: record %d retired (oldest retained is %d)", ErrCorrupt, r.Seq, s.first)
+	}
+	if r.PayloadOff < s.base || r.PayloadLen < 0 || r.PayloadLen > s.cold-r.PayloadOff {
+		return nil, fmt.Errorf("%w: payload [%d,+%d) outside retained heap [%d,%d)",
+			ErrCorrupt, r.PayloadOff, r.PayloadLen, s.base, s.cold)
 	}
 	if r.PayloadLen == 0 {
 		return nil, nil
@@ -193,27 +265,33 @@ func (s *Store) Payload(r Record) ([]byte, error) {
 
 const (
 	snapshotMagic   = "DSQH"
-	snapshotVersion = 1
+	snapshotVersion = 2
+	headerBytes     = 4 + 4 + 8 + 8 // magic, version, first retained Seq, record count
 )
 
-// Snapshot serializes the store: magic, version, the hot region, the cold
-// region, and a trailing FNV-1a checksum over everything before it. The
-// encoding is fully deterministic for a given sequence of Appends.
+// Snapshot serializes the retained window: magic, version, the first
+// retained Seq, the hot region, the cold region, and a trailing FNV-1a
+// checksum over everything before it. The encoding is fully deterministic
+// for a given sequence of Appends.
 func (s *Store) Snapshot() []byte {
 	le := binary.LittleEndian
-	size := 4 + 4 + 8 + len(s.records)*RecordBytes + 8 + int(s.cold) + 8
-	out := make([]byte, size)
+	records := s.Records()
+	out := make([]byte, headerBytes+len(records)*RecordBytes+8+int(s.ColdBytes())+8)
 	copy(out, snapshotMagic)
 	le.PutUint32(out[4:], snapshotVersion)
-	le.PutUint64(out[8:], uint64(len(s.records)))
-	off := 16
-	for i := range s.records {
-		s.records[i].marshal(out[off:])
+	le.PutUint64(out[8:], s.first)
+	le.PutUint64(out[16:], uint64(len(records)))
+	off := headerBytes
+	for i := range records {
+		records[i].marshal(out[off:])
 		off += RecordBytes
 	}
-	le.PutUint64(out[off:], uint64(s.cold))
+	le.PutUint64(out[off:], uint64(s.ColdBytes()))
 	off += 8
-	for _, c := range s.chunks {
+	for i, c := range s.chunks {
+		if i == 0 {
+			c = c[s.base-s.starts[0]:] // the oldest chunk may lead with retired payloads
+		}
 		off += copy(out[off:], c)
 	}
 	h := fnv.New64a()
@@ -224,13 +302,17 @@ func (s *Store) Snapshot() []byte {
 
 // Restore parses a Snapshot image. Any framing, bounds, or checksum failure
 // returns an error wrapping ErrCorrupt — never a panic — so callers can
-// degrade to an empty (cold-start) history. The payloads are re-placed into
-// the arena one record at a time, which needs them laid out the way Append
-// lays them: dense and in record order. An image whose ranges overlap, run
-// backwards, leave gaps or fall outside the cold region is corrupt.
-func Restore(data []byte) (*Store, error) {
+// degrade to an empty (cold-start) history. The image must be a window
+// Append could have left: no more records than the window holds, Seq
+// consecutive from the header's first retained Seq, and payloads dense and
+// in record order from the first record's offset (they are re-placed into
+// the arena one record at a time). Ranges that overlap, run backwards, leave
+// gaps or fall outside the cold region are corrupt.
+func Restore(data []byte) (*Store, error) { return restore(data, retainRecords) }
+
+func restore(data []byte, window int) (*Store, error) {
 	le := binary.LittleEndian
-	if len(data) < 24 {
+	if len(data) < headerBytes+8+8 {
 		return nil, fmt.Errorf("%w: %d-byte image too short", ErrCorrupt, len(data))
 	}
 	if string(data[:4]) != snapshotMagic {
@@ -239,24 +321,31 @@ func Restore(data []byte) (*Store, error) {
 	if v := le.Uint32(data[4:]); v != snapshotVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	count := le.Uint64(data[8:])
-	if count > uint64(len(data))/RecordBytes {
-		return nil, fmt.Errorf("%w: %d records cannot fit %d bytes", ErrCorrupt, count, len(data))
+	first, count := le.Uint64(data[8:]), le.Uint64(data[16:])
+	if count > uint64(window) {
+		return nil, fmt.Errorf("%w: %d records exceed the %d-record window", ErrCorrupt, count, window)
 	}
-	off := uint64(16)
-	need := off + count*RecordBytes + 8
-	if uint64(len(data)) < need {
+	if first > math.MaxUint64-count {
+		return nil, fmt.Errorf("%w: first seq %d + %d records overflows", ErrCorrupt, first, count)
+	}
+	off := uint64(headerBytes)
+	if uint64(len(data)) < off+count*RecordBytes+8 {
 		return nil, fmt.Errorf("%w: truncated hot region", ErrCorrupt)
 	}
-	st := &Store{records: make([]Record, count)}
-	for i := uint64(0); i < count; i++ {
-		st.records[i] = unmarshalRecord(data[off:])
+	st := newStore(window)
+	st.first = first
+	st.buf = make([]Record, count)
+	for i := range st.buf {
+		st.buf[i] = unmarshalRecord(data[off:])
+		if le.Uint64(data[off+RecordBytes-8:]) != 0 {
+			return nil, fmt.Errorf("%w: record %d reserved word set", ErrCorrupt, i)
+		}
 		off += RecordBytes
 	}
 	plen := le.Uint64(data[off:])
 	off += 8
-	if uint64(len(data)) < off+plen+8 {
-		return nil, fmt.Errorf("%w: truncated cold region", ErrCorrupt)
+	if rest := uint64(len(data)) - off; rest < 8 || rest-8 != plen {
+		return nil, fmt.Errorf("%w: %d bytes after the hot region for a %d-byte cold region", ErrCorrupt, rest, plen)
 	}
 	cold := data[off : off+plen]
 	off += plen
@@ -265,20 +354,32 @@ func Restore(data []byte) (*Store, error) {
 	if got, want := le.Uint64(data[off:]), h.Sum64(); got != want {
 		return nil, fmt.Errorf("%w: checksum %#x != %#x", ErrCorrupt, got, want)
 	}
-	for i, r := range st.records {
-		if r.Seq != uint64(i) {
-			return nil, fmt.Errorf("%w: record %d has seq %d", ErrCorrupt, i, r.Seq)
+	if count > 0 {
+		// The window's payloads start where its oldest record says; an empty
+		// window has no such record and starts at zero, as a new store does.
+		st.base = st.buf[0].PayloadOff
+		if st.base < 0 || st.base > math.MaxInt64-int64(plen) {
+			return nil, fmt.Errorf("%w: cold region [%d,+%d) outside the offset space", ErrCorrupt, st.base, plen)
+		}
+	} else if first != 0 {
+		return nil, fmt.Errorf("%w: empty window starting at seq %d", ErrCorrupt, first)
+	}
+	st.cold = st.base
+	end := st.base + int64(plen)
+	for i, r := range st.buf {
+		if r.Seq != first+uint64(i) {
+			return nil, fmt.Errorf("%w: record %d has seq %d, want %d", ErrCorrupt, i, r.Seq, first+uint64(i))
 		}
 		// st.cold is where Append would have put this payload; comparing the
 		// length against the remainder cannot overflow, unlike off+len.
-		if r.PayloadOff != st.cold || r.PayloadLen < 0 || r.PayloadLen > int64(plen)-st.cold {
-			return nil, fmt.Errorf("%w: record %d payload [%d,+%d) not at cold offset %d of %d",
-				ErrCorrupt, i, r.PayloadOff, r.PayloadLen, st.cold, plen)
+		if r.PayloadOff != st.cold || r.PayloadLen < 0 || r.PayloadLen > end-st.cold {
+			return nil, fmt.Errorf("%w: record %d payload [%d,+%d) not at cold offset %d of [%d,%d)",
+				ErrCorrupt, i, r.PayloadOff, r.PayloadLen, st.cold, st.base, end)
 		}
-		copy(st.alloc(int(r.PayloadLen)), cold[r.PayloadOff:])
+		copy(st.alloc(int(r.PayloadLen)), cold[r.PayloadOff-st.base:])
 	}
-	if st.cold != int64(plen) {
-		return nil, fmt.Errorf("%w: %d cold bytes belong to no record", ErrCorrupt, int64(plen)-st.cold)
+	if st.cold != end {
+		return nil, fmt.Errorf("%w: %d cold bytes belong to no record", ErrCorrupt, end-st.cold)
 	}
 	return st, nil
 }
@@ -387,7 +488,6 @@ type GroupStat struct {
 	Count   int64  // total queries observed in the group
 	Hits    int64  // of those, cache hits
 	LastSeq uint64 // most recent record's sequence number
-	LastRec int    // index of the most recent record (for payload lookup)
 }
 
 // DefaultHalfLifeRecords is the recency half-life used by AdmissionScore,
@@ -426,17 +526,32 @@ func MineGroups(records []Record) map[uint64]GroupStat {
 // a map that holds the statistics of records[:from] ends up exactly
 // MineGroups(records) — mining costs only the records appended since.
 func MineInto(mined map[uint64]GroupStat, records []Record, from int) {
-	for i := from; i < len(records); i++ {
-		r := records[i]
+	for _, r := range records[from:] {
 		g := mined[r.Group]
 		g.Count++
 		if r.Hit() {
 			g.Hits++
 		}
 		g.LastSeq = r.Seq
-		g.LastRec = i
 		mined[r.Group] = g
 	}
+}
+
+// Unmine removes r, the oldest record folded into mined, from its group: the
+// inverse of MineInto for a record leaving the front of the slice. A group's
+// newest record is the last of its records to leave, so LastSeq stands until
+// the count reaches zero and the group goes with it.
+func Unmine(mined map[uint64]GroupStat, r Record) {
+	g := mined[r.Group]
+	if g.Count <= 1 {
+		delete(mined, r.Group)
+		return
+	}
+	g.Count--
+	if r.Hit() {
+		g.Hits--
+	}
+	mined[r.Group] = g
 }
 
 // RankGroups orders mined groups by descending admission score, breaking

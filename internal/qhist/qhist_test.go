@@ -9,8 +9,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/racetest"
 	"repro/internal/topk"
 )
 
@@ -39,6 +41,16 @@ func randStore(seed int64, n int) *Store {
 			Group: GroupOf(qfv), K: uint32(len(tk)), Flags: flags,
 			Latency: rng.Int63n(1e9), TopFeature: top, Digest: Digest(tk),
 		}, EncodePayload(qfv, tk))
+	}
+	return s
+}
+
+// wrappedStore appends n records with short distinct payloads to a store
+// retaining window of them.
+func wrappedStore(window, n int) *Store {
+	s := newStore(window)
+	for i := 0; i < n; i++ {
+		s.Append(Record{Group: uint64(i % 3), Flags: uint32(i & 1)}, bytes.Repeat([]byte{byte(i)}, 1+i%4))
 	}
 	return s
 }
@@ -95,7 +107,9 @@ func TestRestoreEmptyStore(t *testing.T) {
 }
 
 // Every corruption — bit flips anywhere, truncation to any length — must
-// come back as ErrCorrupt, never a panic or a silently wrong store.
+// come back as ErrCorrupt, never a panic or a silently wrong store; on a
+// small image of a window that has wrapped, every single bit and every length
+// is tried.
 func TestRestoreCorruptionTyped(t *testing.T) {
 	img := randStore(3, 12).Snapshot()
 	for off := 0; off < len(img); off += 7 {
@@ -116,6 +130,25 @@ func TestRestoreCorruptionTyped(t *testing.T) {
 	}
 	if _, err := Restore(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("nil image: %v", err)
+	}
+
+	const window = 5
+	wrapped := wrappedStore(window, 3*window+2).Snapshot()
+	if _, err := restore(wrapped, window); err != nil {
+		t.Fatalf("wrapped control image: %v", err)
+	}
+	bad := make([]byte, len(wrapped))
+	for bit := 0; bit < 8*len(wrapped); bit++ {
+		copy(bad, wrapped)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, err := restore(bad, window); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("wrapped image, bit %d flipped: %v", bit, err)
+		}
+	}
+	for cut := 0; cut < len(wrapped); cut++ {
+		if _, err := restore(wrapped[:cut], window); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("wrapped image truncated to %d: %v", cut, err)
+		}
 	}
 }
 
@@ -171,7 +204,7 @@ func TestMineGroupsAndScore(t *testing.T) {
 	if ga.Count != 6 || ga.Hits != 3 || gb.Count != 1 || gb.Hits != 0 {
 		t.Fatalf("mined %+v %+v", ga, gb)
 	}
-	if ga.LastSeq != 5 || gb.LastRec != 6 {
+	if ga.LastSeq != 5 || gb.LastSeq != 6 {
 		t.Fatalf("recency %+v %+v", ga, gb)
 	}
 	now := s.NextSeq()
@@ -236,7 +269,8 @@ func TestDigestDiscriminates(t *testing.T) {
 // The arena never lets a payload straddle a chunk, keeps PayloadOff logical,
 // and never moves a stored byte: Snapshot equals a concatenating reference,
 // Restore(Snapshot()) round-trips, and every Payload view taken early is
-// contiguous and unchanged after 10 000 further appends.
+// contiguous and unchanged after 5 000 further appends (all inside the
+// retention window; TestWindowEqualsSuffixOfEverythingAppended goes past it).
 func TestArenaChunking(t *testing.T) {
 	sizes := []int{0, 1, chunkBytes - 1, chunkBytes, chunkBytes + 1, 3*chunkBytes + 17, 0, 1, 5}
 	s := NewStore()
@@ -259,7 +293,7 @@ func TestArenaChunking(t *testing.T) {
 		}
 		recs, views = append(recs, r), append(views, v)
 	}
-	for i := 0; i < 10000; i++ {
+	for i := 0; i < 5000; i++ {
 		s.Append(Record{}, []byte{byte(i), byte(i >> 8), 3})
 		ref = append(ref, byte(i), byte(i>>8), 3)
 	}
@@ -277,7 +311,7 @@ func TestArenaChunking(t *testing.T) {
 		t.Fatalf("ColdBytes %d, want %d", s.ColdBytes(), len(ref))
 	}
 	img := s.Snapshot()
-	hot := 16 + s.Len()*RecordBytes
+	hot := headerBytes + s.Len()*RecordBytes
 	if got := img[hot+8 : len(img)-8]; !bytes.Equal(got, ref) {
 		t.Fatal("snapshot cold region differs from the concatenated payloads")
 	}
@@ -325,48 +359,73 @@ func rechecksum(img []byte) {
 	binary.LittleEndian.PutUint64(img[len(img)-8:], h.Sum64())
 }
 
-// Payload ranges that pass the checksum but are not the dense in-order layout
-// Append produces — an offset near MaxInt64 (off+len wraps negative), ranges
-// that overlap, run backwards or leave a gap — are ErrCorrupt from Restore,
-// and the same wrapped range is ErrCorrupt from Payload rather than a panic.
+// Images that pass the checksum but are not a window Append could have left —
+// an offset near MaxInt64 (off+len wraps negative), ranges that overlap, run
+// backwards or leave a gap, a Seq out of step, a header that disagrees with
+// the records — are ErrCorrupt from Restore, for a window that has wrapped as
+// for one that has not, and the same wrapped range is ErrCorrupt from Payload
+// rather than a panic.
 func TestRestoreRejectsUnplaceablePayloadRanges(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 3; i++ {
-		s.Append(Record{Group: uint64(i)}, []byte{1, 2, 3, 4})
-	}
-	good := s.Snapshot()
-	const offField, lenField = 72, 80
-	edit := func(rec, field int, v int64) []byte {
-		img := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint64(img[16+rec*RecordBytes+field:], uint64(v))
-		rechecksum(img)
-		return img
-	}
-	for name, img := range map[string][]byte{
-		"offset MaxInt64":  edit(1, offField, math.MaxInt64),
-		"overlap":          edit(1, offField, 2),
-		"out of order":     edit(2, offField, 0),
-		"gap":              edit(1, lenField, 3),
-		"length MaxInt64":  edit(2, lenField, math.MaxInt64),
-		"negative length":  edit(0, lenField, -4),
-		"unowned tail":     edit(2, lenField, 1),
-		"offset past cold": edit(2, offField, 13),
-	} {
-		if st, err := Restore(img); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Restore returned %v (store %v), want ErrCorrupt", name, err, st != nil)
+	const seqField, offField, lenField = 0, 72, 80
+	const window = 3
+	for _, appended := range []int{window, 3*window + 1} {
+		s := newStore(window)
+		for i := 0; i < appended; i++ {
+			s.Append(Record{Group: uint64(i)}, []byte{1, 2, 3, 4})
+		}
+		good := s.Snapshot()
+		first, base := int64(s.First()), s.Records()[0].PayloadOff
+		edit := func(at int, v int64) []byte {
+			img := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint64(img[at:], uint64(v))
+			rechecksum(img)
+			return img
+		}
+		field := func(rec, field int, v int64) []byte { return edit(headerBytes+rec*RecordBytes+field, v) }
+		for name, img := range map[string][]byte{
+			"offset MaxInt64":       field(1, offField, math.MaxInt64),
+			"overlap":               field(1, offField, base+2),
+			"out of order":          field(2, offField, base),
+			"gap":                   field(1, lenField, 3),
+			"length MaxInt64":       field(2, lenField, math.MaxInt64),
+			"negative length":       field(0, lenField, -4),
+			"unowned tail":          field(2, lenField, 1),
+			"offset past cold":      field(2, offField, base+13),
+			"base MaxInt64":         field(0, offField, math.MaxInt64),
+			"negative base":         field(0, offField, -4),
+			"seq repeated":          field(1, seqField, first),
+			"seq skipped":           field(2, seqField, first+3),
+			"first seq ahead":       edit(8, first+1),
+			"first seq overflows":   edit(8, -1),
+			"more than the window":  edit(16, window+1),
+			"count past the image":  edit(16, math.MaxInt64),
+			"fewer than the image":  edit(16, window-1),
+			"cold length too short": edit(headerBytes+window*RecordBytes, 11),
+		} {
+			if st, err := restore(img, window); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%d appended, %s: Restore returned %v (store %v), want ErrCorrupt", appended, name, err, st != nil)
+			}
+		}
+		if _, err := restore(edit(8, first), window); err != nil {
+			t.Fatalf("%d appended: re-checksummed control image: %v", appended, err)
+		}
+		for _, r := range []Record{
+			{Seq: s.First(), PayloadOff: math.MaxInt64, PayloadLen: 4},
+			{Seq: s.First(), PayloadOff: base + 4, PayloadLen: math.MaxInt64},
+			{Seq: s.First(), PayloadOff: -1, PayloadLen: 1},
+			{Seq: s.First(), PayloadOff: base - 4, PayloadLen: 4},
+		} {
+			if _, err := s.Payload(r); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%d appended: Payload [%d,+%d): %v, want ErrCorrupt", appended, r.PayloadOff, r.PayloadLen, err)
+			}
 		}
 	}
-	if _, err := Restore(good); err != nil {
-		t.Fatalf("re-checksummed control image: %v", err)
-	}
-	for _, r := range []Record{
-		{PayloadOff: math.MaxInt64, PayloadLen: 4},
-		{PayloadOff: 4, PayloadLen: math.MaxInt64},
-		{PayloadOff: -1, PayloadLen: 1},
-	} {
-		if _, err := s.Payload(r); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("Payload [%d,+%d): %v, want ErrCorrupt", r.PayloadOff, r.PayloadLen, err)
-		}
+	// An empty window is the new store's; it cannot start anywhere else.
+	empty := NewStore().Snapshot()
+	binary.LittleEndian.PutUint64(empty[8:], 7)
+	rechecksum(empty)
+	if _, err := Restore(empty); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("empty window at seq 7: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -389,15 +448,17 @@ func TestMineIntoMatchesMineGroups(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreAppend appends query-sized payloads to a store that already
-// holds `resident` records. With -benchmem, B/op must not grow with the store
-// size: the arena adds chunks and never re-copies what it holds.
+// BenchmarkStoreAppend appends query-sized payloads to a store that has
+// already taken `appended` records. With -benchmem, B/op must not grow with
+// that count while the window fills (the arena adds chunks and never re-copies
+// what it holds) and is zero once it has wrapped (records and chunks are
+// reused in place).
 func BenchmarkStoreAppend(b *testing.B) {
 	payload := make([]byte, PayloadBytes(200, 10))
-	for _, resident := range []int{0, 32768} {
-		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+	for _, appended := range []int{0, retainRecords / 2, 3 * retainRecords} {
+		b.Run(fmt.Sprintf("appended=%d", appended), func(b *testing.B) {
 			s := NewStore()
-			for i := 0; i < resident; i++ {
+			for i := 0; i < appended; i++ {
 				s.Append(Record{}, payload)
 			}
 			b.ReportAllocs()
@@ -407,4 +468,213 @@ func BenchmarkStoreAppend(b *testing.B) {
 			}
 		})
 	}
+}
+
+// requireSuffix checks the store against the reference — a plain slice of
+// everything ever appended, of which the store must be the last `window`
+// entries — through every accessor, and its image through a restore.
+func requireSuffix(t *testing.T, tag string, s *Store, window int, all []Record, payloads [][]byte) {
+	t.Helper()
+	first := max(len(all)-window, 0)
+	if s.Len() != len(all)-first || s.First() != uint64(first) || s.NextSeq() != uint64(len(all)) {
+		t.Fatalf("%s: Len %d First %d NextSeq %d, want %d %d %d",
+			tag, s.Len(), s.First(), s.NextSeq(), len(all)-first, first, len(all))
+	}
+	if !reflect.DeepEqual(s.Records(), all[first:]) && s.Len() > 0 {
+		t.Fatalf("%s: Records() is not the last %d records appended", tag, len(all)-first)
+	}
+	var cold int64
+	for i, r := range all {
+		p, err := s.Payload(r)
+		if i < first {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: payload of retired record %d: %v, want ErrCorrupt", tag, i, err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(p, payloads[i]) {
+			t.Fatalf("%s: payload of record %d: %d bytes (err %v), want %d", tag, i, len(p), err, len(payloads[i]))
+		}
+		cold += int64(len(p))
+	}
+	if s.HotBytes() != int64(s.Len())*RecordBytes || s.ColdBytes() != cold {
+		t.Fatalf("%s: HotBytes %d ColdBytes %d, want %d %d", tag, s.HotBytes(), s.ColdBytes(), s.Len()*RecordBytes, cold)
+	}
+	img := s.Snapshot()
+	if want := headerBytes + s.Len()*RecordBytes + 8 + int(cold) + 8; len(img) != want {
+		t.Fatalf("%s: %d-byte image, want %d", tag, len(img), want)
+	}
+	back, err := restore(img, window)
+	if err != nil {
+		t.Fatalf("%s: restore: %v", tag, err)
+	}
+	if !bytes.Equal(back.Snapshot(), img) {
+		t.Fatalf("%s: snapshot → restore → snapshot changed the image", tag)
+	}
+	if back.First() != s.First() || back.NextSeq() != s.NextSeq() || back.ColdBytes() != s.ColdBytes() {
+		t.Fatalf("%s: restored store First %d NextSeq %d ColdBytes %d", tag, back.First(), back.NextSeq(), back.ColdBytes())
+	}
+}
+
+// The store equals the suffix of everything appended, after every append,
+// from empty through several wraps of the window and of the arena: payloads a
+// third of a chunk long rotate the chunk ring every few records, zero-length
+// ones sit on chunk boundaries, and one larger than a chunk takes (and later
+// gives back to the collector) a chunk of its own. A restored store carries
+// on exactly as the original does.
+func TestWindowEqualsSuffixOfEverythingAppended(t *testing.T) {
+	const window = 7
+	rng := rand.New(rand.NewSource(5))
+	s := newStore(window)
+	var all []Record
+	var payloads [][]byte
+	var off int64
+	appendOne := func(st *Store, i, n int) {
+		p := make([]byte, n)
+		rng.Read(p)
+		r := Record{Time: int64(i), Group: uint64(i % 5), Flags: uint32(i & 1)}
+		got := st.Append(r, p)
+		r.Seq, r.PayloadOff, r.PayloadLen = uint64(len(all)), off, int64(n)
+		if got != r {
+			t.Fatalf("append %d returned %+v, want %+v", i, got, r)
+		}
+		all, payloads, off = append(all, r), append(payloads, p), off+int64(n)
+	}
+	requireSuffix(t, "empty", s, window, all, payloads)
+	peak := 0
+	for i := 0; i < 6*window; i++ {
+		n := chunkBytes/3 + rng.Intn(1000)
+		switch {
+		case i%5 == 3:
+			n = 0
+		case i == 2*window+1:
+			n = chunkBytes + chunkBytes/2
+		}
+		appendOne(s, i, n)
+		requireSuffix(t, fmt.Sprintf("append %d", i), s, window, all, payloads)
+		if i >= 3*window {
+			// Live plus spare chunks stop growing once the window has
+			// wrapped and the oversized chunk has gone.
+			if live := len(s.chunks) + len(s.free); peak == 0 {
+				peak = live
+			} else if live > peak {
+				t.Fatalf("append %d: %d arena chunks, %d after the third wrap", i, live, peak)
+			}
+		}
+	}
+	if len(s.buf) > 2*window || cap(s.buf) > 2*window {
+		t.Fatalf("hot array holds %d of %d slots for a %d-record window", len(s.buf), cap(s.buf), window)
+	}
+
+	back, err := restore(s.Snapshot(), window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*window; i++ {
+		p := make([]byte, 100+i)
+		rng.Read(p)
+		if ra, rb := s.Append(Record{Group: 9}, p), back.Append(Record{Group: 9}, p); ra != rb {
+			t.Fatalf("append %d after restore: %+v on the original, %+v on the restored store", i, ra, rb)
+		}
+		if !bytes.Equal(s.Snapshot(), back.Snapshot()) {
+			t.Fatalf("append %d after restore: snapshots diverged", i)
+		}
+	}
+}
+
+// Past the window the store is bounded and steady: three windows of appends
+// leave one window of records, an arena that has stopped growing, an image no
+// longer than the window's records and payloads plus the header, and an
+// AppendQuery that allocates nothing.
+func TestStoreBoundedPastWindow(t *testing.T) {
+	qfv := make([]float32, 200)
+	tk := make([]topk.Entry, 10)
+	payload := PayloadBytes(len(qfv), len(tk))
+	s := NewStore()
+	chunksAt := func() int { return len(s.chunks) + len(s.free) }
+	var atTwo int
+	for i := 0; i < 3*retainRecords; i++ {
+		s.AppendQuery(Record{Group: uint64(i % 97)}, qfv, tk)
+		if i == 2*retainRecords {
+			atTwo = chunksAt()
+		}
+	}
+	if s.Len() != retainRecords || s.First() != 2*retainRecords || s.NextSeq() != 3*retainRecords {
+		t.Fatalf("Len %d First %d NextSeq %d after %d appends", s.Len(), s.First(), s.NextSeq(), 3*retainRecords)
+	}
+	if got := chunksAt(); got != atTwo {
+		t.Fatalf("%d arena chunks after three windows, %d after two", got, atTwo)
+	}
+	if got, limit := len(s.Snapshot()), headerBytes+retainRecords*(RecordBytes+payload)+16; got > limit {
+		t.Fatalf("%d-byte image, want at most %d", got, limit)
+	}
+	if s.HotBytes()+s.ColdBytes() != int64(retainRecords*(RecordBytes+payload)) {
+		t.Fatalf("store reports %d bytes retained", s.HotBytes()+s.ColdBytes())
+	}
+	if racetest.Enabled {
+		return // the detector's instrumentation allocates on its own
+	}
+	// Two more windows cross a slide of the hot array and every chunk swap.
+	// Counted in total, not through testing.AllocsPerRun, whose integer
+	// average would round one allocation per chunk down to zero.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 2*retainRecords; i++ {
+		s.AppendQuery(Record{Group: 1}, qfv, tk)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations in %d AppendQuery calls past the window, want 0", n, 2*retainRecords)
+	}
+}
+
+// FuzzRestore: arbitrary bytes never panic or allocate beyond the window, and
+// anything that restores is a store like any other — it re-snapshots to the
+// same bytes, mines, hands out every payload, and takes further appends.
+func FuzzRestore(f *testing.F) {
+	const window = 5
+	f.Add(wrappedStore(window, window-2).Snapshot())
+	f.Add(wrappedStore(window, 3*window+2).Snapshot())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, img := range [][]byte{data, resealed(data)} {
+			st, err := restore(img, window)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("untyped error %v", err)
+				}
+				continue
+			}
+			if st.Len() > window {
+				t.Fatalf("restored %d records into a %d-record window", st.Len(), window)
+			}
+			if !bytes.Equal(st.Snapshot(), img) {
+				t.Fatal("restore → snapshot changed the image")
+			}
+			mined := MineGroups(st.Records())
+			RankGroups(mined, st.NextSeq())
+			for _, r := range st.Records() {
+				if _, err := st.Payload(r); err != nil {
+					t.Fatalf("payload of restored record %d: %v", r.Seq, err)
+				}
+			}
+			for i := 0; i <= window; i++ {
+				st.Append(Record{Group: 1}, []byte{1, 2})
+			}
+			if _, err := restore(st.Snapshot(), window); err != nil {
+				t.Fatalf("image after %d further appends: %v", window+1, err)
+			}
+		}
+	})
+}
+
+// resealed returns a copy of img with its trailing checksum recomputed, so
+// mutations reach the structural checks behind it.
+func resealed(img []byte) []byte {
+	if len(img) < 8 {
+		return img
+	}
+	out := append([]byte(nil), img...)
+	rechecksum(out)
+	return out
 }

@@ -176,6 +176,62 @@ func TestGemmSpecialValues(t *testing.T) {
 	}
 }
 
+// TestReLUSpecialValues: ReLU tests the bits, not the float, so the edges of
+// its range are pinned bit for bit against the float comparison it replaces:
+// v < 0 becomes +0 (down to the smallest denormal and up to -Inf), and -0,
+// +0, every positive value and NaNs of either sign come through untouched.
+func TestReLUSpecialValues(t *testing.T) {
+	const posZero, negZero = 0x00000000, 0x80000000
+	table := []struct {
+		name     string
+		in, want uint32
+	}{
+		{"+0", posZero, posZero},
+		{"-0", negZero, negZero},
+		{"smallest denormal", 0x00000001, 0x00000001},
+		{"-smallest denormal", 0x80000001, posZero},
+		{"-largest denormal", 0x807fffff, posZero},
+		{"-smallest normal", 0x80800000, posZero},
+		{"-1", 0xbf800000, posZero},
+		{"-MaxFloat32", 0xff7fffff, posZero},
+		{"-Inf", 0xff800000, posZero},
+		{"-signalling NaN", 0xff800001, 0xff800001},
+		{"-quiet NaN", 0xffc00000, 0xffc00000},
+		{"-NaN, all ones", 0xffffffff, 0xffffffff},
+		{"MaxFloat32", 0x7f7fffff, 0x7f7fffff},
+		{"+Inf", 0x7f800000, 0x7f800000},
+		{"signalling NaN", 0x7f800001, 0x7f800001},
+		{"quiet NaN", 0x7fc00000, 0x7fc00000},
+	}
+	x := make([]float32, len(table))
+	for i, c := range table {
+		x[i] = math.Float32frombits(c.in)
+	}
+	ReLU(x)
+	for i, c := range table {
+		if got := math.Float32bits(x[i]); got != c.want {
+			t.Errorf("ReLU(%s = %#08x) = %#08x, want %#08x", c.name, c.in, got, c.want)
+		}
+	}
+	// And against the comparison itself, over bit patterns from all over.
+	rng := rand.New(rand.NewSource(23))
+	in := make([]float32, 1<<16)
+	for i := range in {
+		in[i] = math.Float32frombits(rng.Uint32())
+	}
+	out := append([]float32(nil), in...)
+	ReLU(out)
+	for i, v := range in {
+		want := math.Float32bits(v)
+		if v < 0 {
+			want = posZero
+		}
+		if got := math.Float32bits(out[i]); got != want {
+			t.Fatalf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(v), got, want)
+		}
+	}
+}
+
 // TestGemmWritesOnlyC: C, A and W are sub-slices that start 4, 8 and 12
 // bytes off their allocations (so never 16- or 32-byte aligned together),
 // and C sits between guard words. Both kernels must produce the reference

@@ -209,12 +209,19 @@ func Conv2D(out, in, w, b []float32, h, wd, c, k, r, s, stride, pad int) {
 	}
 }
 
-// ReLU applies max(0, x) in place.
+// ReLU applies max(0, x) in place: every v < 0 becomes +0 and everything
+// else — -0 and NaNs of either sign included — keeps its bits. The test is
+// made on the bits, where v < 0 is one unsigned range, (0x80000000,
+// 0xFF800000] = (-0, -Inf], which compiles to a conditional move: a float
+// compare-and-branch mispredicts on every other element of a sign-random
+// activation vector.
 func ReLU(x []float32) {
 	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
+		b := math.Float32bits(v)
+		if b-0x80000001 <= 0xFF800000-0x80000001 {
+			b = 0
 		}
+		x[i] = math.Float32frombits(b)
 	}
 }
 
