@@ -9,10 +9,23 @@ import (
 	"repro/internal/tensor"
 )
 
+// qcnNeuronNet is the cache workload's QCN shape: a Hadamard front end and
+// one sigmoid neuron over 200 dimensions — a GEMM of one column.
+func qcnNeuronNet() *Network {
+	return MustNetwork("qcn-neuron", tensor.Shape{200}, CombineHadamard, NewFC("sum", 200, 1, ActSigmoid))
+}
+
+// textQANet is TextQA's SCN (workload.newTextQA): the widest final FC of the
+// Table 1 apps, 200 outputs of which the score is one.
+func textQANet() *Network {
+	return MustNetwork("TextQA", tensor.Shape{200}, CombineHadamard, NewFC("fc1", 200, 200, ActSigmoid))
+}
+
 // batchTestNets mirrors the Table 1 layer mix: a Hadamard FC net with
 // sigmoid (TextQA-shaped), a concat FC stack (MIR-shaped), a subtract
-// conv net with padding (ReId-shaped, exercising the im2col path), and an
-// element-wise layer mid-stack.
+// conv net with padding (ReId-shaped, exercising the im2col path), an
+// element-wise layer mid-stack, and the two nets the fp32 executor's
+// live-output slice matters most to.
 func batchTestNets() []*Network {
 	fcSig := MustNetwork("fc-sigmoid", tensor.Shape{96}, CombineHadamard,
 		NewFC("fc1", 96, 96, ActSigmoid),
@@ -32,7 +45,7 @@ func batchTestNets() []*Network {
 		NewElementwise("scale", 32, EWScale),
 		NewFC("fc", 32, 4, ActSigmoid),
 	)
-	nets := []*Network{fcSig, concat, conv, ew}
+	nets := []*Network{fcSig, concat, conv, ew, qcnNeuronNet(), textQANet()}
 	for i, n := range nets {
 		n.InitRandom(int64(i + 1))
 	}

@@ -121,24 +121,32 @@ func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)
 // forward pushes the first rows rows of the combined matrix through the
 // layer stack, returning the final activation matrix and its per-row element
 // count. An FC layer with an int8 image quantizes each activation row and
-// runs GemmInt8; everything else takes the layer's float32 row kernel.
+// runs GemmInt8; everything else takes the layer's float32 row kernel — the
+// final FC for its live outputs only, since run reads nothing but the score
+// (the int8 image still computes the whole layer; DESIGN.md "Live outputs").
 func (e *executor) forward(rows int) ([]float32, int) {
 	p := &e.net.plan
 	in, inElems := e.comb, p.combElems
+	last := len(e.net.Layers) - 1
 	for li, l := range e.net.Layers {
-		out := e.bufs[li][:rows*p.outElems[li]]
-		if e.fcs != nil && e.fcs[li] != nil {
+		oe := p.outElems[li]
+		switch {
+		case e.fcs != nil && e.fcs[li] != nil:
 			qfc := e.fcs[li]
 			for b := 0; b < rows; b++ {
 				e.rowScales[b] = quantizeInto(e.qin[b*inElems:(b+1)*inElems], in[b*inElems:(b+1)*inElems])
 			}
+			out := e.bufs[li][:rows*oe]
 			tensor.GemmInt8(out, e.acc[:rows*qfc.fc.Out], e.qin[:rows*inElems], qfc.w,
 				qfc.fc.B, rows, qfc.fc.Out, inElems, e.rowScales[:rows], qfc.scales)
 			qfc.fc.Act.apply(out)
-		} else {
-			l.forwardRows(out, in[:rows*inElems], rows, e.col)
+		case li == last && p.liveOut > 0:
+			oe = p.liveOut
+			l.(*FC).forwardLive(e.bufs[li][:rows*oe], in[:rows*inElems], rows, oe)
+		default:
+			l.forwardRows(e.bufs[li][:rows*oe], in[:rows*inElems], rows, e.col)
 		}
-		in, inElems = out, p.outElems[li]
+		in, inElems = e.bufs[li][:rows*oe], oe
 	}
 	return in, inElems
 }

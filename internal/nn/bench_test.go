@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/tensor"
@@ -91,3 +92,32 @@ func BenchmarkModelUnmarshal(b *testing.B) {
 		}
 	}
 }
+
+// benchScoreChunks scores q against pool in 64-row ScoreBatch chunks, the way
+// the cache sweep and the scan gather do.
+func benchScoreChunks(b *testing.B, n *Network, entries int) {
+	n.InitRandom(1)
+	rng := rand.New(rand.NewSource(1))
+	q := randVec(rng, n.FeatureElems())
+	pool := randVecs(rng, entries, n.FeatureElems())
+	bs := n.BatchScorer(64)
+	scores := make([]float32, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < entries; lo += 64 {
+			hi := min(lo+64, entries)
+			bs.ScoreBatch(scores[:hi-lo], q, pool[lo:hi])
+		}
+	}
+}
+
+// BenchmarkQCNSweep is one query-cache lookup's QCN work: 1 024 cached
+// 200-dimension queries through a one-neuron QCN — the narrow (n = 1) GEMM
+// and the vectorised Hadamard fill. ns/op is per sweep.
+func BenchmarkQCNSweep(b *testing.B) { benchScoreChunks(b, qcnNeuronNet(), 1024) }
+
+// BenchmarkScoreBatchTextQA is one miss scan of the cache workload: 256
+// features through TextQA's SCN, whose 200×200 final FC the executor runs for
+// its score column alone.
+func BenchmarkScoreBatchTextQA(b *testing.B) { benchScoreChunks(b, textQANet(), 256) }

@@ -154,7 +154,15 @@ func (l *FC) forwardInto(dst, in []float32) {
 // per-feature Gemv calls collapse into matrix-matrix compute that reuses each
 // weight row across every batched feature.
 func (l *FC) forwardRows(dst, in []float32, rows int, _ []float32) {
-	tensor.Gemm(dst, in, l.W, l.B, rows, l.Out, l.In)
+	l.forwardLive(dst, in, rows, l.Out)
+}
+
+// forwardLive is forwardRows for the first n outputs alone: dst is rows×n.
+// W[:n·In] and B[:n] are taken as views at every call, never copied, so
+// weights rewritten after the scorer was built (InitRandom) are the weights
+// it runs.
+func (l *FC) forwardLive(dst, in []float32, rows, n int) {
+	tensor.Gemm(dst, in, l.W[:n*l.In], l.B[:n], rows, n, l.In)
 	l.Act.apply(dst)
 }
 

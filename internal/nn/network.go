@@ -65,6 +65,10 @@ type plan struct {
 	colLen    int   // largest conv im2col scratch; 0 without a conv
 	fcIn      int   // widest FC input and output: the int8 executor's
 	fcOut     int   // activation-image and accumulator row widths
+	// liveOut is how many leading outputs of a final FC anything reads: 1,
+	// the score element (0 when the stack does not end in an FC). The fp32
+	// executor computes only those; see DESIGN.md "Live outputs".
+	liveOut int
 }
 
 // NewNetwork builds a network and validates that the layer stack is
@@ -86,13 +90,16 @@ func NewNetwork(name string, featureShape tensor.Shape, combine CombineOp, layer
 		shape := n.combinedShape()
 		p := &n.plan
 		p.combElems, p.widest = shape.Elems(), shape.Elems()
-		for _, l := range layers {
+		for i, l := range layers {
 			shape = l.OutputShape(shape)
 			p.outElems = append(p.outElems, shape.Elems())
 			p.widest = max(p.widest, shape.Elems())
 			switch l := l.(type) {
 			case *FC:
 				p.fcIn, p.fcOut = max(p.fcIn, l.In), max(p.fcOut, l.Out)
+				if i == len(layers)-1 {
+					p.liveOut = 1
+				}
 			case *Conv:
 				rows, patch := tensor.Im2colLen(l.H, l.W, l.R, l.S, l.C, l.Stride, l.Pad)
 				p.colLen = max(p.colLen, rows*patch)

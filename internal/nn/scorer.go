@@ -1,6 +1,10 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // Scorer is a reusable forward-pass context for one network: the combine
 // output and every layer's output vector are allocated once and reused
@@ -55,20 +59,12 @@ func (s *Scorer) Score(qfv, dfv []float32) float32 {
 // combine writes the combined-activation row of one (qfv, dfv) pair — the
 // fp32 front end of the per-feature and the batched walk alike.
 func (n *Network) combine(row, qfv, dfv []float32) {
-	// Callers have checked the operands equally long; saying so lets the
-	// compiler bounds-check only row per element, which the QCN-sized cache
-	// sweep (a row is 200 multiplies and one neuron) is short enough to feel.
 	fe := len(qfv)
-	dfv = dfv[:fe]
 	switch n.Combine {
 	case CombineHadamard:
-		for i := 0; i < fe; i++ {
-			row[i] = qfv[i] * dfv[i]
-		}
+		tensor.Mul(row, qfv, dfv)
 	case CombineSubtract:
-		for i := 0; i < fe; i++ {
-			row[i] = qfv[i] - dfv[i]
-		}
+		tensor.Sub(row, qfv, dfv)
 	case CombineConcat:
 		copy(row[:fe], qfv)
 		copy(row[fe:], dfv)

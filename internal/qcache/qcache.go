@@ -94,6 +94,16 @@ type Cache[Q any] struct {
 	entries []Entry[Q]
 	stats   Stats
 	policy  Policy[Q]
+	// shards[w] is shard w's best entry of the sweep in flight, shardWG what
+	// waits for the spawned shards.
+	shards  [maxSweepShards]shardBest
+	shardWG sync.WaitGroup
+}
+
+// shardBest is one sweep shard's first-seen maximum (idx -1: none above zero).
+type shardBest struct {
+	idx   int
+	score float64
 }
 
 // sweepScratch is one sweep shard's gather/score buffers, pooled so
@@ -150,6 +160,10 @@ func (c *Cache[Q]) Stats() Stats { return c.stats }
 // across goroutines. Below it, goroutine startup outweighs the comparisons.
 const parallelSweepMin = 256
 
+// maxSweepShards bounds the sharded sweep's fan-out whatever GOMAXPROCS is:
+// at parallelSweepMin entries a shard of more would be under eight entries.
+const maxSweepShards = 32
+
 // Lookup runs Algorithm 1: score the query against every cached entry,
 // take the entry with the maximum confidence-weighted score, and hit when
 // the score's complement is within the threshold. On a hit the entry is
@@ -157,11 +171,12 @@ const parallelSweepMin = 256
 // the new query with the SCN (line 13 of Algorithm 1).
 //
 // For caches of parallelSweepMin entries or more the sweep is sharded
-// across a GOMAXPROCS-bounded set of goroutines — the software analogue of
-// the per-channel accelerators executing the QCN comparisons (§4.6). The
-// selected entry is identical to the serial sweep's: shards keep their
-// first-seen maximum, and the reduction breaks score ties toward the lower
-// index, which is exactly the serial first-strictly-greater rule.
+// GOMAXPROCS ways (at most maxSweepShards), the caller taking the first
+// shard — the software analogue of the per-channel accelerators executing
+// the QCN comparisons (§4.6). The selected entry is identical to the serial
+// sweep's: shards keep their first-seen maximum, and the reduction breaks
+// score ties toward the lower index, which is exactly the serial
+// first-strictly-greater rule.
 func (c *Cache[Q]) Lookup(q Q, threshold float64) (Entry[Q], bool) {
 	if threshold < 0 || threshold > 1 {
 		panic(fmt.Sprintf("qcache: threshold %v outside [0,1]", threshold))
@@ -186,47 +201,41 @@ func (c *Cache[Q]) sweep(q Q) (int, float64) {
 }
 
 // sweepWith is sweep with an explicit worker count, so the sharded path is
-// exercisable regardless of the host's core count.
+// exercisable regardless of the host's core count. Shard 0 runs on the
+// calling goroutine, so w workers cost w-1 goroutine hand-offs, and the
+// shard results live in the cache (a Lookup is single-caller: it moves
+// entries) — a local array the goroutines write to would be moved to the
+// heap on every lookup.
 func (c *Cache[Q]) sweepWith(q Q, workers int) (int, float64) {
 	n := len(c.entries)
 	if n < parallelSweepMin || workers < 2 {
 		return c.sweepRange(q, 0, n)
 	}
-	if workers > n {
-		workers = n
-	}
-	type best struct {
-		idx   int
-		score float64
-	}
-	results := make([]best, workers)
+	workers = min(workers, n, maxSweepShards)
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			idx, score := c.sweepRange(q, lo, hi)
-			results[w] = best{idx: idx, score: score}
-		}(w, lo, hi)
+	for w := 1; w < workers; w++ {
+		c.shardWG.Add(1)
+		go c.sweepShard(q, w, w*chunk, min((w+1)*chunk, n))
 	}
-	wg.Wait()
+	c.shards[0].idx, c.shards[0].score = c.sweepRange(q, 0, chunk)
+	c.shardWG.Wait()
 	// Chunks are reduced in index order with a strictly-greater rule, so a
 	// cross-chunk score tie keeps the earlier (lower-index) entry — the
 	// same winner the serial first-strictly-greater sweep picks.
 	maxIndex, maxScore := -1, 0.0
-	for _, r := range results {
+	for _, r := range c.shards[:workers] {
 		if r.idx >= 0 && r.score > maxScore {
 			maxScore = r.score
 			maxIndex = r.idx
 		}
 	}
 	return maxIndex, maxScore
+}
+
+// sweepShard is one spawned shard of sweepWith.
+func (c *Cache[Q]) sweepShard(q Q, w, lo, hi int) {
+	defer c.shardWG.Done()
+	c.shards[w].idx, c.shards[w].score = c.sweepRange(q, lo, hi)
 }
 
 // sweepRange is the serial sweep over entries[lo:hi]: the first entry with a

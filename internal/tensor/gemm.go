@@ -23,22 +23,30 @@ import "fmt"
 // may under GOAMD64=v3 — and a fused tail column beside an unfused SIMD
 // column would split one Gemm call across two roundings.
 //
-// Two kernels, one entry point:
+// Two kernels, one entry point — a machine runs one or the other, never a
+// mix, so no Gemm call is split between them:
 //
 //   - gemmSIMD (amd64 with AVX2, set at init from CPUID; nil elsewhere)
 //     puts 16 rows of A in the SIMD lanes. Each call packs a 16-row block of
 //     A into a k-major panel (ap[p*16+l] = A[i0+l][k0+p], zero rows past m;
-//     gemmKC·16 floats = 32 KiB of stack scratch), then for every group of
-//     4 W rows broadcasts W[j+r][p] and issues VMULPS then VADDPS into
-//     8 YMM accumulators — a 16×4 tile of C, 64 MACs per k step. No FMA:
-//     fusing drops the product's rounding and would break the contract.
-//     It covers the columns below n&^3; packing A costs m·k moves against
+//     gemmKC·16 floats = 32 KiB of stack scratch; full blocks are transposed
+//     in registers, four columns of sixteen rows at a time), then for every
+//     group of 4 W rows broadcasts W[j+r][p] and issues VMULPS then VADDPS
+//     into 8 YMM accumulators — a 16×4 tile of C, 64 MACs per k step. No
+//     FMA: fusing drops the product's rounding and would break the contract.
+//     The last n&3 columns — all of them when n < 4: a one-neuron QCN, a
+//     final FC cut down to its score (nn's live outputs) — are one more tile
+//     whose missing W rows are a shared row of zeros and whose C is a 16×4
+//     staging tile on the stack; the tile holds the partial sums across K
+//     panels and only its live rows and columns are copied out. The lanes
+//     are still output rows, so a narrow product costs a pack and a partly
+//     idle tile instead of a scalar loop. Packing A costs m·k moves against
 //     m·n·k MACs, and W is read in Gemv's own layout, so nothing is cached
 //     or duplicated and callers that rewrite weights cannot go stale.
 //   - gemmPortable (pure Go, every platform) holds a 2×4 tile of C in eight
-//     scalar accumulators. It is the only path without AVX2, the path for
-//     n < 4 and the ragged n&3 tail columns beside the SIMD kernel, and the
-//     reference the tests compare against.
+//     scalar accumulators, with a scalar loop for ragged tile edges. It is
+//     Gemm where there is no AVX2, and the reference the tests compare
+//     against.
 //
 // Both cut K into gemmKC-element panels and resume each output from its
 // stored partial sum, which keeps the single-accumulator order.
@@ -49,9 +57,8 @@ const (
 	gemmMC = 256 // M block over which the portable kernel reuses a W panel
 )
 
-// A simdKernel computes columns [0, j) of the un-biased product C = A·Wᵀ and
-// returns j (a multiple of gemmNR; 0 when it declines).
-type simdKernel func(c, a, w []float32, m, n, k int) (j int)
+// A simdKernel computes the un-biased product C = A·Wᵀ. m, n, k ≥ 1.
+type simdKernel func(c, a, w []float32, m, n, k int)
 
 // gemmSIMD is the platform's SIMD kernel, nil when it has none. Set once at
 // init.
@@ -83,17 +90,17 @@ func Gemm(c, a, w, bias []float32, m, n, k int) {
 // gemm is Gemm after validation, with the SIMD kernel as a parameter so the
 // tests can run the portable kernel alone (simd nil) on any machine.
 func gemm(c, a, w, bias []float32, m, n, k int, simd simdKernel) {
-	if k == 0 {
+	switch {
+	case k == 0:
 		// No reduction: Gemv would write bias (or zero) directly.
-		for i := range c {
-			c[i] = 0
-		}
+		clear(c)
+	case m == 0 || n == 0:
+		// No outputs.
+	case simd != nil:
+		simd(c, a, w, m, n, k)
+	default:
+		gemmPortable(c, a, w, m, n, k)
 	}
-	j0 := 0
-	if simd != nil {
-		j0 = simd(c, a, w, m, n, k)
-	}
-	gemmPortable(c, a, w, m, n, k, j0)
 	if bias != nil {
 		for i := 0; i < m; i++ {
 			row := c[i*n : (i+1)*n]
@@ -104,8 +111,8 @@ func gemm(c, a, w, bias []float32, m, n, k int, simd simdKernel) {
 	}
 }
 
-// gemmPortable computes columns [j0, n) of the un-biased product.
-func gemmPortable(c, a, w []float32, m, n, k, j0 int) {
+// gemmPortable computes the un-biased product.
+func gemmPortable(c, a, w []float32, m, n, k int) {
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		kb := k - k0
 		if kb > gemmKC {
@@ -122,7 +129,7 @@ func gemmPortable(c, a, w []float32, m, n, k, j0 int) {
 				if ir > gemmMR {
 					ir = gemmMR
 				}
-				for j := j0; j < n; j += gemmNR {
+				for j := 0; j < n; j += gemmNR {
 					jr := n - j
 					if jr > gemmNR {
 						jr = gemmNR

@@ -9,7 +9,7 @@ const gemmLanes = 16 // A rows per SIMD tile: two 8-float YMM registers
 
 func init() {
 	if hasAVX2() {
-		gemmSIMD = gemmAVX2
+		gemmSIMD, mulSIMD, subSIMD = gemmAVX2, mulAVX, subAVX
 	}
 }
 
@@ -40,39 +40,82 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // gemmKernelAVX2 accumulates one 16×4 tile of C over a K panel: for lane l
-// (row i0+l) and r in [0,4), acc[r][l] += ap[p*16+l] * w[r*ldw+p] for p in
-// [0, kb) in order, multiply and add rounded separately. The accumulators
-// start at zero when first is set, else from the tile's current contents.
-// Only rows [0, mr) of the tile are read from or written to c (row stride
-// ldc floats); lanes past mr compute on the panel's zero padding and are
-// dropped. kb ≥ 1, 1 ≤ mr ≤ 16.
+// (row i0+l) and r in [0,4), acc[r][l] += ap[p*16+l] * wr[p] for p in [0, kb)
+// in order, multiply and add rounded separately; w0–w3 are the tile's four W
+// rows at the panel's first column. The accumulators start at zero when first
+// is set, else from the tile's current contents. Only rows [0, mr) of the
+// tile are read from or written to c (row stride ldc floats); lanes past mr
+// compute on the panel's zero padding and are dropped. kb ≥ 1, 1 ≤ mr ≤ 16.
 //
 //go:noescape
-func gemmKernelAVX2(c *float32, ldc int, ap *float32, w *float32, ldw, kb, mr int, first bool)
+func gemmKernelAVX2(c *float32, ldc int, ap, w0, w1, w2, w3 *float32, kb, mr int, first bool)
 
-// gemmAVX2 is the gemmSIMD of AVX2 machines: all of columns [0, n&^3).
-func gemmAVX2(c, a, w []float32, m, n, k int) int {
+// packA16AVX2 writes the k-major panel of 16 full rows of a (row stride lda
+// floats) for kb columns, kb a positive multiple of 4: ap[p*16+l] = a[l*lda+p].
+// Four columns of all sixteen rows go through two in-register 4×4 transposes
+// per 128-bit half, so the panel is written in whole 32-byte runs.
+//
+//go:noescape
+func packA16AVX2(ap, a *float32, lda, kb int)
+
+// gemmZeroRow stands in for the W rows a tile does not have. Never written.
+var gemmZeroRow [gemmKC]float32
+
+// gemmAVX2 is the gemmSIMD of AVX2 machines: every column. The last n&3
+// columns — all of them when n < 4, which is a one-neuron QCN and every
+// final FC cut down to its score — run through the same 16×4 kernel with
+// gemmZeroRow as the missing W rows, into the staging tile ct: the tile
+// carries the partial sums from one K panel to the next, and only its live
+// rows and columns are ever copied to C. The padded columns compute on zeros
+// (0·Inf is a NaN the tile keeps to itself).
+func gemmAVX2(c, a, w []float32, m, n, k int) {
 	n4 := n &^ (gemmNR - 1)
-	if n4 == 0 || m == 0 || k == 0 {
-		return 0
-	}
+	jr := n - n4
 	var ap [gemmLanes * gemmKC]float32
+	var ct [gemmLanes * gemmNR]float32
 	for i0 := 0; i0 < m; i0 += gemmLanes {
 		mr := min(m-i0, gemmLanes)
 		for k0 := 0; k0 < k; k0 += gemmKC {
 			kb := min(k-k0, gemmKC)
 			packA(ap[:kb*gemmLanes], a[i0*k+k0:], mr, k)
 			for j := 0; j < n4; j += gemmNR {
-				gemmKernelAVX2(&c[i0*n+j], n, &ap[0], &w[j*k+k0], k, kb, mr, k0 == 0)
+				wj := w[j*k+k0:]
+				gemmKernelAVX2(&c[i0*n+j], n, &ap[0], &wj[0], &wj[k], &wj[2*k], &wj[3*k], kb, mr, k0 == 0)
+			}
+			if jr > 0 {
+				wr := [gemmNR]*float32{&gemmZeroRow[0], &gemmZeroRow[0], &gemmZeroRow[0], &gemmZeroRow[0]}
+				for r := 0; r < jr; r++ {
+					wr[r] = &w[(n4+r)*k+k0]
+				}
+				gemmKernelAVX2(&ct[0], gemmNR, &ap[0], wr[0], wr[1], wr[2], wr[3], kb, mr, k0 == 0)
+			}
+		}
+		if jr > 0 {
+			for l := 0; l < mr; l++ {
+				copy(c[(i0+l)*n+n4:][:jr], ct[l*gemmNR:])
 			}
 		}
 	}
-	return n4
 }
 
 // packA writes the k-major panel of mr rows of a (row stride k floats,
-// len(ap)/16 columns each): ap[p*16+l] = a[l*k+p], and zero for l ≥ mr.
+// len(ap)/16 columns each): ap[p*16+l] = a[l*k+p], and zero for l ≥ mr. Full
+// 16-row blocks take the assembly transposition for their columns below
+// kb&^3; ragged blocks and the last kb&3 columns take the Go loops.
 func packA(ap, a []float32, mr, k int) {
+	p0 := 0
+	if kb := len(ap) / gemmLanes; mr == gemmLanes && kb >= 4 {
+		p0 = kb &^ 3
+		packA16AVX2(&ap[0], &a[0], k, p0)
+		if p0 == kb {
+			return
+		}
+	}
+	packARows(ap[p0*gemmLanes:], a[p0:], mr, k)
+}
+
+// packARows is packA in Go, for any mr.
+func packARows(ap, a []float32, mr, k int) {
 	kb := len(ap) / gemmLanes
 	if mr < gemmLanes {
 		clear(ap)

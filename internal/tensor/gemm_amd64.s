@@ -42,23 +42,22 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VADDPS Y11, lo, lo; \
 	VADDPS Y12, hi, hi
 
-// func gemmKernelAVX2(c *float32, ldc int, ap *float32, w *float32, ldw, kb, mr int, first bool)
+// func gemmKernelAVX2(c *float32, ldc int, ap, w0, w1, w2, w3 *float32, kb, mr int, first bool)
 //
 // Y0–Y3 accumulate columns 0–3 for tile rows 0–7, Y4–Y7 for rows 8–15.
 // The 256-byte frame is the tile in C's layout (16 rows × 4 floats): C is
 // only ever touched by copying mr rows between it and the frame.
-TEXT ·gemmKernelAVX2(SB), NOSPLIT, $256-57
+TEXT ·gemmKernelAVX2(SB), NOSPLIT, $256-73
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	SHLQ $2, R8 // row stride of C in bytes
 	MOVQ ap+16(FP), SI
-	MOVQ w+24(FP), R9
-	MOVQ ldw+32(FP), R10
-	MOVQ kb+40(FP), CX
-	MOVQ mr+48(FP), DX
-	LEAQ (R9)(R10*4), R11  // W row 1
-	LEAQ (R11)(R10*4), R12 // W row 2
-	LEAQ (R12)(R10*4), R13 // W row 3
+	MOVQ w0+24(FP), R9
+	MOVQ w1+32(FP), R11
+	MOVQ w2+40(FP), R12
+	MOVQ w3+48(FP), R13
+	MOVQ kb+56(FP), CX
+	MOVQ mr+64(FP), DX
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -68,7 +67,7 @@ TEXT ·gemmKernelAVX2(SB), NOSPLIT, $256-57
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	MOVBLZX first+56(FP), AX
+	MOVBLZX first+72(FP), AX
 	TESTL AX, AX
 	JNZ accumulate
 
@@ -152,5 +151,58 @@ copyout:
 	ADDQ R8, DI
 	DECQ DX
 	JNZ copyout
+	VZEROUPPER
+	RET
+
+// func packA16AVX2(ap, a *float32, lda, kb int)
+//
+// Each iteration moves four columns of all sixteen rows: Y0–Y3 take rows
+// 0–3 in their low halves and 4–7 in their high halves, Y4–Y7 rows 8–11 and
+// 12–15, and TRANSPOSE4 turns each group into four panel half-rows.
+TEXT ·packA16AVX2(SB), NOSPLIT, $0-32
+	MOVQ ap+0(FP), DI
+	MOVQ a+8(FP), SI // row 0
+	MOVQ lda+16(FP), R8
+	SHLQ $2, R8 // row stride of A in bytes
+	MOVQ kb+24(FP), CX
+	SHRQ $2, CX
+	LEAQ (R8)(R8*2), R9   // three rows
+	LEAQ (SI)(R8*4), R10  // row 4
+	LEAQ (R10)(R8*4), R11 // row 8
+	LEAQ (R11)(R8*4), R12 // row 12
+pack:
+	VMOVUPS (SI), X0
+	VMOVUPS (SI)(R8*1), X1
+	VMOVUPS (SI)(R8*2), X2
+	VMOVUPS (SI)(R9*1), X3
+	VINSERTF128 $1, (R10), Y0, Y0
+	VINSERTF128 $1, (R10)(R8*1), Y1, Y1
+	VINSERTF128 $1, (R10)(R8*2), Y2, Y2
+	VINSERTF128 $1, (R10)(R9*1), Y3, Y3
+	VMOVUPS (R11), X4
+	VMOVUPS (R11)(R8*1), X5
+	VMOVUPS (R11)(R8*2), X6
+	VMOVUPS (R11)(R9*1), X7
+	VINSERTF128 $1, (R12), Y4, Y4
+	VINSERTF128 $1, (R12)(R8*1), Y5, Y5
+	VINSERTF128 $1, (R12)(R8*2), Y6, Y6
+	VINSERTF128 $1, (R12)(R9*1), Y7, Y7
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	TRANSPOSE4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y4, 32(DI)
+	VMOVUPS Y1, 64(DI)
+	VMOVUPS Y5, 96(DI)
+	VMOVUPS Y2, 128(DI)
+	VMOVUPS Y6, 160(DI)
+	VMOVUPS Y3, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $16, SI
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $16, R12
+	ADDQ $256, DI
+	DECQ CX
+	JNZ pack
 	VZEROUPPER
 	RET

@@ -69,8 +69,8 @@ func TestGemmMatchesGemv(t *testing.T) {
 }
 
 // gemmKernels are the two ways a product can be computed: Gemm as dispatched
-// (the SIMD kernel plus portable tail columns where the machine has one) and
-// the portable kernel alone, which is every other platform's Gemm.
+// (the SIMD kernel where the machine has one) and the portable kernel alone,
+// which is every other platform's Gemm.
 var gemmKernels = []struct {
 	name string
 	run  func(c, a, w, bias []float32, m, n, k int)
@@ -108,24 +108,32 @@ func sameBits(t *testing.T, what string, got, want []float32, n int) {
 	}
 }
 
-// TestGemmKernelsMatchGemv: both kernels equal repeated Gemv bit for bit
-// across the tile edges of each — m around the 16-lane SIMD tile, n around
-// the 4-column tile and below it, k around the 512-float panel and across
-// three panels — with and without bias.
+// TestGemmKernelsMatchGemv: both kernels — and so each other — equal repeated
+// Gemv bit for bit across the tile edges of each, with and without bias. The
+// first grid has m around the 16-lane SIMD tile, n around the 4-column tile
+// and below it, k around the 512-float panel and across three panels; the
+// second is the staging-tile path alone (n below the column tile) at the
+// shapes it serves — k = 200, one to four full row tiles and their ragged
+// neighbours, and K panels the staging tile has to carry partial sums across.
 func TestGemmKernelsMatchGemv(t *testing.T) {
 	t.Logf("SIMD kernel installed: %v", gemmSIMD != nil)
 	rng := rand.New(rand.NewSource(16))
-	for _, m := range []int{1, 7, 15, 16, 17, 64, 65} {
-		for _, n := range []int{1, 2, 3, 4, 5, 200, 256} {
-			for _, k := range []int{1, 5, 511, 512, 513, 1257} {
-				a := randSlice(rng, m*k)
-				w := randSlice(rng, n*k)
-				for _, bias := range [][]float32{nil, randSlice(rng, n)} {
-					ref := gemvRows(a, w, bias, m, n, k)
-					for _, kern := range gemmKernels {
-						c := make([]float32, m*n)
-						kern.run(c, a, w, bias, m, n, k)
-						sameBits(t, fmt.Sprintf("%s %dx%dx%d bias=%v", kern.name, m, n, k, bias != nil), c, ref, n)
+	for _, grid := range []struct{ ms, ns, ks []int }{
+		{[]int{1, 7, 15, 16, 17, 64, 65}, []int{1, 2, 3, 4, 5, 200, 256}, []int{1, 5, 511, 512, 513, 1257}},
+		{[]int{1, 15, 16, 17, 63, 64, 65}, []int{1, 2, 3}, []int{1, 200, 511, 512, 513, 1025}},
+	} {
+		for _, m := range grid.ms {
+			for _, n := range grid.ns {
+				for _, k := range grid.ks {
+					a := randSlice(rng, m*k)
+					w := randSlice(rng, n*k)
+					for _, bias := range [][]float32{nil, randSlice(rng, n)} {
+						ref := gemvRows(a, w, bias, m, n, k)
+						for _, kern := range gemmKernels {
+							c := make([]float32, m*n)
+							kern.run(c, a, w, bias, m, n, k)
+							sameBits(t, fmt.Sprintf("%s %dx%dx%d bias=%v", kern.name, m, n, k, bias != nil), c, ref, n)
+						}
 					}
 				}
 			}
@@ -157,6 +165,8 @@ func TestGemmSpecialValues(t *testing.T) {
 	}
 	for _, sh := range []struct{ m, n, k int }{
 		{7, 9, 5}, {16, 4, 64}, {17, 8, 513}, {33, 13, 1257},
+		// Below the column tile the padded columns multiply A by zero too.
+		{16, 1, 200}, {7, 3, 5}, {17, 1, 513}, {33, 2, 1257},
 	} {
 		// Dense specials poison nearly every output; sparse ones leave most
 		// finite, which is where a wrong bit would show.
@@ -236,7 +246,9 @@ func TestReLUSpecialValues(t *testing.T) {
 // bytes off their allocations (so never 16- or 32-byte aligned together),
 // and C sits between guard words. Both kernels must produce the reference
 // and leave every guard untouched — the SIMD tile is 16×4 but only m×n of
-// it may reach memory, including on the K-panel resume that reads C back.
+// it may reach memory, including on the K-panel resume that reads C back;
+// below four columns the tile is staged on the stack and only its live rows
+// and columns are copied out.
 func TestGemmWritesOnlyC(t *testing.T) {
 	const guard = 32
 	sentinel := math.Float32frombits(0xdeadbeef)
@@ -248,6 +260,7 @@ func TestGemmWritesOnlyC(t *testing.T) {
 	}
 	for _, sh := range []struct{ m, n, k int }{
 		{1, 4, 3}, {5, 7, 600}, {16, 8, 512}, {19, 6, 1100}, {31, 203, 70},
+		{1, 1, 3}, {17, 1, 200}, {5, 3, 600}, {19, 2, 1100},
 	} {
 		a := randSlice(rng, sh.m*sh.k)
 		w := randSlice(rng, sh.n*sh.k)
@@ -338,6 +351,9 @@ func TestGemmAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { Gemm(c, a, w, bias, 13, 9, 700) }); n != 0 {
 		t.Fatalf("Gemm allocates %v times per call", n)
 	}
+	if n := testing.AllocsPerRun(10, func() { Gemm(c[:13*2], a, w[:2*700], bias[:2], 13, 2, 700) }); n != 0 {
+		t.Fatalf("Gemm below the column tile allocates %v times per call", n)
+	}
 	in := randSlice(rng, 8*6*3)
 	cw := randSlice(rng, 5*3*3*3)
 	cb := randSlice(rng, 5)
@@ -353,14 +369,16 @@ func TestGemmAllocFree(t *testing.T) {
 
 // BenchmarkGemm runs the FC shapes of the Table 1 apps through both kernels
 // and reports ns per multiply-accumulate: TIR's 512-wide stack and its
-// 2-output head (below the SIMD kernel's 4-column tile, so both sides run the
-// portable code), TextQA at the scan batch and at a rerank-sized ragged one,
-// and ESTP's 8192-wide first layer (16 K panels per tile).
+// 2-output head (below the 4-column tile: the SIMD side stages it), TextQA at
+// the scan batch and at a rerank-sized ragged one, ESTP's 8192-wide first
+// layer (16 K panels per tile), and a one-neuron QCN over 200 dimensions —
+// which is also TextQA's final FC cut to its score.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range []struct{ m, n, k int }{
 		{64, 512, 512}, {64, 256, 512}, {64, 2, 256},
 		{64, 200, 200}, {8, 200, 200},
 		{64, 280, 8192},
+		{64, 1, 200},
 	} {
 		rng := rand.New(rand.NewSource(1))
 		a := randSlice(rng, sh.m*sh.k)
