@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/energy"
+	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/nn"
 	"repro/internal/sim"
@@ -173,9 +174,9 @@ type unit struct {
 	pages    int64 // pages to read (windowed)
 	features float64
 	group    *barrier
-	// read issues page j of the unit's share; the page's arrival at the
-	// accelerator must call pageArrived.
-	read func(j int64)
+	// read issues the next page of the unit's share; the page's arrival at
+	// the accelerator must call pageArrived.
+	read func()
 	// window is the outstanding-read limit; the SSD-level accelerator
 	// prefetches across every channel at once and needs a proportionally
 	// larger window to hide the array-read latency.
@@ -225,10 +226,9 @@ func newUnit(run *scanRun, pages int64, group *barrier, window int64) *unit {
 
 func (u *unit) prefetch() {
 	for u.inflight < u.window && u.issued < u.pages {
-		j := u.issued
 		u.issued++
 		u.inflight++
-		u.read(j)
+		u.read()
 	}
 }
 
@@ -364,14 +364,25 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		}
 		u := newUnit(run, win, group(1, dev.DRAM), int64(8*geom.Channels))
 		toDRAM := func() { dev.DRAM.Transfer(geom.PageBytes, u.pageArrived) }
-		u.read = func(j int64) {
-			ch := int(j % int64(geom.Channels))
-			within := j / int64(geom.Channels)
-			// Clamp into the channel's share (shares differ by ±1 page).
-			if within >= perChannel[ch] {
-				within = perChannel[ch] - 1
+		// Page j of the device share is page j / Channels of channel
+		// j mod Channels: the reads rotate across the channels' cursors.
+		cursors := make([]ftl.PageCursor, geom.Channels)
+		for ch := range cursors {
+			cursors[ch] = layout.PageCursor(ch, 0, 1)
+		}
+		ch := 0
+		u.read = func() {
+			var addr flash.PageAddr
+			if c := &cursors[ch]; !c.Done() {
+				addr = c.Next()
+			} else {
+				// Clamp into the channel's share (shares differ by ±1 page).
+				addr = layout.ChannelPageAddr(ch, perChannel[ch]-1)
 			}
-			dev.Flash.ReadPage(layout.ChannelPageAddr(ch, within), toDRAM)
+			if ch++; ch == geom.Channels {
+				ch = 0
+			}
+			dev.Flash.ReadPage(addr, toDRAM)
 		}
 		units = append(units, u)
 
@@ -393,9 +404,8 @@ func Scan(req ScanRequest) (ScanResult, error) {
 				continue
 			}
 			u := newUnit(run, win, g, defaultWindow)
-			u.read = func(j int64) {
-				dev.Flash.ReadPage(layout.ChannelPageAddr(ch, j), u.pageArrived)
-			}
+			cur := layout.PageCursor(ch, 0, 1)
+			u.read = func() { dev.Flash.ReadPage(cur.Next(), u.pageArrived) }
 			units = append(units, u)
 		}
 
@@ -418,10 +428,9 @@ func Scan(req ScanRequest) (ScanResult, error) {
 					continue
 				}
 				u := newUnit(run, win, g, defaultWindow)
-				u.read = func(k int64) {
-					j := k*int64(geom.ChipsPerChannel) + int64(chip)
-					dev.Flash.ReadPageToBuffer(layout.ChannelPageAddr(ch, j), u.pageArrived)
-				}
+				// The chip's pages are every ChipsPerChannel-th of the channel's.
+				cur := layout.PageCursor(ch, int64(chip), geom.ChipsPerChannel)
+				u.read = func() { dev.Flash.ReadPageToBuffer(cur.Next(), u.pageArrived) }
 				units = append(units, u)
 			}
 		}

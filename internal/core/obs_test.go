@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/accel"
@@ -106,6 +108,9 @@ func TestReplayStageTotals(t *testing.T) {
 	}
 }
 
+// chromeTraceSHA256 is the SHA-256 of TestEngineObservability's Chrome trace.
+const chromeTraceSHA256 = "7eeab4f74b97fcba2e623fb9a16bf22db765e80132c0715e291134d1c1b91fbb"
+
 // TestEngineObservability: the engine's metrics snapshot counts what the run
 // did, and the span trace exports as valid Chrome trace-event JSON whose
 // per-query stage spans tile the enclosing query span.
@@ -142,6 +147,11 @@ func TestEngineObservability(t *testing.T) {
 	var buf bytes.Buffer
 	if err := ds.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
+	}
+	// The export is simulated-clock only, so its bytes are fixed: a change to
+	// how the tracer stores spans must not move them.
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != chromeTraceSHA256 {
+		t.Errorf("Chrome trace of the fixed scenario hashes to %s, want %s", got, chromeTraceSHA256)
 	}
 	var doc struct {
 		TraceEvents []struct {
@@ -195,7 +205,8 @@ func TestEngineObservability(t *testing.T) {
 // snapshot, 0 while the trace is whole, and moves by exactly the tracer's own
 // drop count once a paper-scale run overflows DefaultTraceCap — ESTP declared
 // at 25 GiB records more page-read spans over the three levels than one
-// tracer retains.
+// tracer retains. The drop count is pinned: page reads are simulated, so it
+// moves only when the event model or the tracer's cap accounting does.
 func TestTracerDropsSurfaceInMetrics(t *testing.T) {
 	small, db, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", 150)
 	qid, err := small.Query(QuerySpec{QFV: db.Vectors[0], K: 3, Model: model, DB: dbID})
@@ -236,8 +247,8 @@ func TestTracerDropsSurfaceInMetrics(t *testing.T) {
 		}
 	}
 	dropped := ds.Tracer().Dropped()
-	if dropped == 0 || ds.Tracer().Len() != obs.DefaultTraceCap {
-		t.Fatalf("paper-scale ESTP kept %d spans and dropped %d: the cap was not hit", ds.Tracer().Len(), dropped)
+	if dropped != 33798 || ds.Tracer().Len() != obs.DefaultTraceCap {
+		t.Fatalf("paper-scale ESTP kept %d spans and dropped %d, want the cap and 33 798", ds.Tracer().Len(), dropped)
 	}
 	if got := ds.MetricsSnapshot().Counters["obs_tracer_dropped_spans"]; got != dropped {
 		t.Errorf("obs_tracer_dropped_spans = %d, tracer dropped %d", got, dropped)

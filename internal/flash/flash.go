@@ -67,13 +67,13 @@ type PageAddr struct {
 	Channel, Chip, Plane, Block, Page int
 }
 
-// Valid reports whether the address is inside the geometry.
+// Valid reports whether the address is inside the geometry, which must pass
+// Validate. A negative field converts to a huge uint, so one unsigned compare
+// checks both ends.
 func (g Geometry) Valid(a PageAddr) bool {
-	return a.Channel >= 0 && a.Channel < g.Channels &&
-		a.Chip >= 0 && a.Chip < g.ChipsPerChannel &&
-		a.Plane >= 0 && a.Plane < g.PlanesPerChip &&
-		a.Block >= 0 && a.Block < g.BlocksPerPlane &&
-		a.Page >= 0 && a.Page < g.PagesPerBlock
+	return uint(a.Channel) < uint(g.Channels) && uint(a.Chip) < uint(g.ChipsPerChannel) &&
+		uint(a.Plane) < uint(g.PlanesPerChip) && uint(a.Block) < uint(g.BlocksPerPlane) &&
+		uint(a.Page) < uint(g.PagesPerBlock)
 }
 
 // Linear converts a page address to a dense index. The striping order is
@@ -218,11 +218,10 @@ type Array struct {
 	geom   Geometry
 	timing Timing
 
-	// planes[ch][chip][plane]: one server per plane (its page buffer).
-	planes [][][]*sim.Resource
-	// chipBus[ch][chip]: the chip's interface to the channel; a chip can
-	// transfer only one page at a time even with multi-plane reads.
-	buses []*sim.Link // one per channel
+	// planes holds one server per plane (its page buffer), flat in
+	// (channel, chip, plane) order.
+	planes []*sim.Resource
+	buses  []*sim.Link // one per channel
 
 	faults ReadFaults
 	stats  Stats
@@ -246,16 +245,14 @@ func NewArray(e *sim.Engine, geom Geometry, timing Timing) (*Array, error) {
 		return nil, err
 	}
 	a := &Array{e: e, geom: geom, timing: timing}
-	a.planes = make([][][]*sim.Resource, geom.Channels)
+	a.planes = make([]*sim.Resource, 0, geom.Channels*geom.ChipsPerChannel*geom.PlanesPerChip)
 	a.buses = make([]*sim.Link, geom.Channels)
 	for ch := 0; ch < geom.Channels; ch++ {
 		a.buses[ch] = sim.NewLink(e, fmt.Sprintf("chan%d-bus", ch), timing.ChannelBandwidth)
-		a.planes[ch] = make([][]*sim.Resource, geom.ChipsPerChannel)
 		for cp := 0; cp < geom.ChipsPerChannel; cp++ {
-			a.planes[ch][cp] = make([]*sim.Resource, geom.PlanesPerChip)
 			for pl := 0; pl < geom.PlanesPerChip; pl++ {
-				a.planes[ch][cp][pl] = sim.NewResource(e,
-					fmt.Sprintf("ch%d-chip%d-plane%d", ch, cp, pl), 1)
+				a.planes = append(a.planes, sim.NewResource(e,
+					fmt.Sprintf("ch%d-chip%d-plane%d", ch, cp, pl), 1))
 			}
 		}
 	}
@@ -378,10 +375,11 @@ func (r *pageRead) finish() {
 func (a *Array) Bus(channel int) *sim.Link { return a.buses[channel] }
 
 func (a *Array) plane(addr PageAddr) *sim.Resource {
-	if !a.geom.Valid(addr) {
+	g := &a.geom
+	if !g.Valid(addr) {
 		panic(fmt.Sprintf("flash: address %+v outside geometry", addr))
 	}
-	return a.planes[addr.Channel][addr.Chip][addr.Plane]
+	return a.planes[(addr.Channel*g.ChipsPerChannel+addr.Chip)*g.PlanesPerChip+addr.Plane]
 }
 
 // ReadPage reads one page: the plane is busy for the array-read latency

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,68 @@ func TestLinearOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	g.FromLinear(g.TotalPages())
+}
+
+// TestPlaneTableIndexesEveryPlane: the flat plane table hands every
+// (channel, chip, plane) its own resource, whatever the block and page.
+func TestPlaneTableIndexesEveryPlane(t *testing.T) {
+	g := Geometry{Channels: 3, ChipsPerChannel: 5, PlanesPerChip: 2,
+		BlocksPerPlane: 4, PagesPerBlock: 8, PageBytes: 4096}
+	a, err := NewArray(sim.NewEngine(), g, DefaultTiming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ch := 0; ch < g.Channels; ch++ {
+		for cp := 0; cp < g.ChipsPerChannel; cp++ {
+			for pl := 0; pl < g.PlanesPerChip; pl++ {
+				want := fmt.Sprintf("ch%d-chip%d-plane%d", ch, cp, pl)
+				addr := PageAddr{Channel: ch, Chip: cp, Plane: pl, Block: (ch + cp) % 4, Page: pl * 7}
+				if got := a.plane(addr).Name(); got != want {
+					t.Errorf("%+v: plane %s, want %s", addr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOutOfRangeAddressPanics: every field of a PageAddr is bounds-checked,
+// below zero and at the geometry's limit, by every operation.
+func TestOutOfRangeAddressPanics(t *testing.T) {
+	g := smallGeometry()
+	fields := []struct {
+		name string
+		set  func(*PageAddr, int)
+		lim  int
+	}{
+		{"Channel", func(a *PageAddr, v int) { a.Channel = v }, g.Channels},
+		{"Chip", func(a *PageAddr, v int) { a.Chip = v }, g.ChipsPerChannel},
+		{"Plane", func(a *PageAddr, v int) { a.Plane = v }, g.PlanesPerChip},
+		{"Block", func(a *PageAddr, v int) { a.Block = v }, g.BlocksPerPlane},
+		{"Page", func(a *PageAddr, v int) { a.Page = v }, g.PagesPerBlock},
+	}
+	ops := map[string]func(*Array, PageAddr){
+		"ReadPage":         func(a *Array, addr PageAddr) { a.ReadPage(addr, nil) },
+		"ReadPageToBuffer": func(a *Array, addr PageAddr) { a.ReadPageToBuffer(addr, nil) },
+		"ProgramPage":      func(a *Array, addr PageAddr) { a.ProgramPage(addr, nil); a.e.Run() },
+		"EraseBlock":       func(a *Array, addr PageAddr) { a.EraseBlock(addr, nil) },
+	}
+	for _, f := range fields {
+		for _, v := range []int{-1, f.lim, f.lim + 1<<20} {
+			for name, op := range ops {
+				addr := PageAddr{Channel: 1, Chip: 1, Plane: 1, Block: 1, Page: 1}
+				f.set(&addr, v)
+				a, _ := NewArray(sim.NewEngine(), g, DefaultTiming())
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s with %s = %d did not panic", name, f.name, v)
+						}
+					}()
+					op(a, addr)
+				}()
+			}
+		}
+	}
 }
 
 func TestReadPageTiming(t *testing.T) {

@@ -147,6 +147,72 @@ func (l DBLayout) ChannelPageAddr(ch int, j int64) flash.PageAddr {
 	return addr
 }
 
+// PageCursor yields the addresses ChannelPageAddr gives for within-channel
+// pages j, j+stride, j+2·stride, … of one channel, carrying from chip to
+// plane to page to block instead of dividing. A scan reads its share in that
+// order, so one cursor per reader replaces a handful of divisions per page.
+type PageCursor struct {
+	addr   flash.PageAddr // address of page j
+	j, end int64          // next within-channel page; the channel's share
+	stride int
+
+	chips, planes, pagesPerBlock, blocks int // the geometry's digits
+}
+
+// PageCursor returns a cursor at within-channel page j of channel ch that
+// advances stride pages per Next: 1 walks the channel's share, and
+// ChipsPerChannel walks one chip's pages of it. stride must lie in
+// [1, ChipsPerChannel] and j in [0, ChannelPages(ch)]; a cursor at the end of
+// the share is Done.
+func (l DBLayout) PageCursor(ch int, j int64, stride int) PageCursor {
+	end := l.ChannelPages(ch) // panics on a channel outside the geometry
+	if stride < 1 || stride > l.Geom.ChipsPerChannel {
+		panic(fmt.Sprintf("ftl: cursor stride %d outside [1, %d]", stride, l.Geom.ChipsPerChannel))
+	}
+	if j < 0 || j > end {
+		panic(fmt.Sprintf("ftl: cursor start %d outside channel %d share of %d pages", j, ch, end))
+	}
+	chips, planes := int64(l.Geom.ChipsPerChannel), int64(l.Geom.PlanesPerChip)
+	ppb := int64(l.Geom.PagesPerBlock)
+	seq := j / (chips * planes)
+	return PageCursor{
+		addr: flash.PageAddr{Channel: ch, Chip: int(j % chips), Plane: int((j / chips) % planes),
+			Block: l.StartBlock + int(seq/ppb), Page: int(seq % ppb)},
+		j: j, end: end, stride: stride,
+		chips: l.Geom.ChipsPerChannel, planes: l.Geom.PlanesPerChip,
+		pagesPerBlock: l.Geom.PagesPerBlock, blocks: l.Geom.BlocksPerPlane,
+	}
+}
+
+// Done reports whether the cursor has passed the end of the channel's share.
+func (c *PageCursor) Done() bool { return c.j >= c.end }
+
+// Next returns the address of the cursor's page and advances the cursor by
+// its stride. Like ChannelPageAddr, it panics on a page past the channel's
+// share or beyond the geometry.
+func (c *PageCursor) Next() flash.PageAddr {
+	if c.j >= c.end {
+		panic(fmt.Sprintf("ftl: channel page %d outside channel %d share", c.j, c.addr.Channel))
+	}
+	if uint(c.addr.Block) >= uint(c.blocks) {
+		panic(fmt.Sprintf("ftl: layout overflow at %+v", c.addr))
+	}
+	a := c.addr
+	c.j += int64(c.stride)
+	// stride ≤ chips, so the chip digit carries at most once.
+	if c.addr.Chip += c.stride; c.addr.Chip >= c.chips {
+		c.addr.Chip -= c.chips
+		if c.addr.Plane++; c.addr.Plane == c.planes {
+			c.addr.Plane = 0
+			if c.addr.Page++; c.addr.Page == c.pagesPerBlock {
+				c.addr.Page = 0
+				c.addr.Block++
+			}
+		}
+	}
+	return a
+}
+
 // ChannelRangePages returns the within-channel page span [first, last)
 // holding the channel's share of features [start, end) — the pages a
 // migration read-out of that feature range must sense on this channel.

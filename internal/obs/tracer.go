@@ -16,7 +16,7 @@ import (
 // rather than silent.
 const DefaultTraceCap = 1 << 17
 
-// traceChunk is the number of spans per storage chunk (64 KB of spans).
+// traceChunk is the number of records per storage chunk (32 KB of records).
 const traceChunk = 1 << 10
 
 // Span is one interval on the simulated clock: a query stage, a flash page
@@ -41,17 +41,35 @@ type Span struct {
 // Tracer collects spans up to a capacity. Safe for concurrent use; a nil
 // Tracer is a no-op, so instrumented layers call it unconditionally.
 //
-// Spans live in fixed-size chunks: a full chunk is never copied or cleared
-// again, so the always-on tracer costs one chunk allocation per traceChunk
-// spans and only as much memory as it has spans.
+// A span is stored as a pointer-free record in a fixed-size chunk, so the
+// collector never scans the chunks, and a full chunk is never copied or
+// cleared again: the always-on tracer costs one chunk allocation per
+// traceChunk spans and only as much memory as it has spans. A record's
+// strings and args sit in a side table entry shared by consecutive spans
+// that have the same name, category and no args, as every flash read does.
 type Tracer struct {
 	mu      sync.Mutex
 	cap     int
-	chunks  [][]Span // every chunk but the last is full
-	n       int      // retained spans
+	chunks  [][]record // every chunk but the last is full
+	metas   []spanMeta
+	n       int // retained spans
 	dropped int64
 	// onDrop, when set, is told of every dropped span.
 	onDrop *Counter
+}
+
+// record is a retained span without its pointers.
+type record struct {
+	tid   int64
+	start sim.Time
+	dur   sim.Duration
+	meta  int // index into Tracer.metas
+}
+
+// spanMeta is the pointer-holding part of one or more consecutive spans.
+type spanMeta struct {
+	name, cat string
+	args      map[string]string
 }
 
 // NewTracer returns a tracer retaining up to capacity spans
@@ -69,19 +87,25 @@ func (t *Tracer) Add(s Span) {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.n >= t.cap {
 		t.dropped++
 		t.onDrop.Inc()
+		t.mu.Unlock()
 		return
+	}
+	m := len(t.metas) - 1
+	if s.Args != nil || m < 0 || t.metas[m].args != nil || t.metas[m].name != s.Name || t.metas[m].cat != s.Cat {
+		t.metas = append(t.metas, spanMeta{name: s.Name, cat: s.Cat, args: s.Args})
+		m++
 	}
 	last := len(t.chunks) - 1
 	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
-		t.chunks = append(t.chunks, make([]Span, 0, min(traceChunk, t.cap-t.n)))
+		t.chunks = append(t.chunks, make([]record, 0, min(traceChunk, t.cap-t.n)))
 		last++
 	}
-	t.chunks[last] = append(t.chunks[last], s)
+	t.chunks[last] = append(t.chunks[last], record{tid: s.TID, start: s.Start, dur: s.Dur, meta: m})
 	t.n++
+	t.mu.Unlock()
 }
 
 // CountDrops makes the tracer add every span it drops from now on to c, so
@@ -128,7 +152,10 @@ func (t *Tracer) Spans() []Span {
 	}
 	out := make([]Span, 0, t.n)
 	for _, c := range t.chunks {
-		out = append(out, c...)
+		for _, r := range c {
+			m := &t.metas[r.meta]
+			out = append(out, Span{Name: m.name, Cat: m.cat, TID: r.tid, Start: r.start, Dur: r.dur, Args: m.args})
+		}
 	}
 	return out
 }
@@ -142,6 +169,8 @@ func (t *Tracer) Reset() {
 	defer t.mu.Unlock()
 	clear(t.chunks)
 	t.chunks = t.chunks[:0]
+	clear(t.metas)
+	t.metas = t.metas[:0]
 	t.n = 0
 	t.dropped = 0
 }

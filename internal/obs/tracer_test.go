@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/racetest"
@@ -137,13 +139,69 @@ func TestTracerAddIsAmortisedAllocationFree(t *testing.T) {
 	}
 
 	tr.Reset()
-	tr.Add(Span{Name: "first"})
+	tr.Add(Span{Name: "first", TID: 42})
 	first := &tr.chunks[0][0]
 	for i := 0; i < 10*traceChunk; i++ {
 		tr.Add(Span{Name: "later"})
 	}
-	if &tr.chunks[0][0] != first || first.Name != "first" {
+	if &tr.chunks[0][0] != first || first.tid != 42 || tr.metas[first.meta].name != "first" {
 		t.Error("a retained span was copied when the tracer grew")
+	}
+}
+
+// TestTracerSpansRoundTrip: Spans() rebuilds exactly the spans that were
+// added — names and categories that change from span to span or hold for a
+// run of spans, args (the same map, not a copy) — up to the cap and again
+// after Reset, while a run of spans that share a name and a category and have
+// no args shares one side-table entry.
+func TestTracerSpansRoundTrip(t *testing.T) {
+	const capacity = traceChunk + 3
+	tr := NewTracer(capacity)
+	shared := map[string]string{"mode": "batched"}
+	for round := 0; round < 2; round++ {
+		var want []Span
+		for i := 0; i < capacity+9; i++ {
+			s := Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i % 7), Start: sim.Time(3 * i), Dur: sim.Duration(i + round)}
+			switch (i / 3) % 6 { // runs of three
+			case 1:
+				s.Name = "scan"
+			case 2:
+				s.Cat = "core"
+			case 3:
+				s.Args = shared
+			case 4:
+				s.Args = map[string]string{"i": strconv.Itoa(i)}
+			case 5:
+				s.Name, s.Cat = "", ""
+			}
+			tr.Add(s)
+			if i < capacity {
+				want = append(want, s)
+			}
+		}
+		got := tr.Spans()
+		if len(got) != len(want) || tr.Dropped() != 9 {
+			t.Fatalf("round %d: %d spans, %d dropped; want %d and 9", round, len(got), tr.Dropped(), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("round %d: span %d = %+v, want %+v", round, i, got[i], want[i])
+			}
+			if want[i].Args != nil && reflect.ValueOf(got[i].Args).Pointer() != reflect.ValueOf(want[i].Args).Pointer() {
+				t.Fatalf("round %d: span %d: args were copied", round, i)
+			}
+		}
+		tr.Reset()
+		if tr.Spans() != nil || len(tr.metas) != 0 {
+			t.Fatalf("round %d: Reset left %d spans and %d side-table entries", round, len(tr.Spans()), len(tr.metas))
+		}
+	}
+
+	for i := 0; i < 1000; i++ {
+		tr.Add(Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i)})
+	}
+	if len(tr.metas) != 1 {
+		t.Errorf("1 000 flash reads use %d side-table entries, want 1", len(tr.metas))
 	}
 }
 
@@ -168,5 +226,19 @@ func TestTracerCountsDropsInRegistry(t *testing.T) {
 	tr.Reset()
 	if got := reg.Counter("obs_tracer_dropped_spans").Value(); got != 2 {
 		t.Errorf("after Reset: dropped counter = %d, want 2", got)
+	}
+}
+
+// BenchmarkTracerAdd records flash-read spans, the always-on tracer's hottest
+// call, resetting at the cap so that every Add stores a record.
+func BenchmarkTracerAdd(b *testing.B) {
+	tr := NewTracer(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%DefaultTraceCap == 0 {
+			tr.Reset()
+		}
+		tr.Add(Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i & 31), Start: sim.Time(i), Dur: 53 * sim.Microsecond})
 	}
 }

@@ -43,6 +43,33 @@ func TestEngineSchedulesWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestLanesScheduleWithoutAllocating: the flash shape (a deep calendar over
+// a few fixed delays) runs entirely through the lanes, never touching the
+// heap, and allocates nothing once the lane rings have grown.
+func TestLanesScheduleWithoutAllocating(t *testing.T) {
+	e := NewEngine()
+	delays := [...]Duration{53 * Microsecond, 20 * Microsecond, 3 * Microsecond, 0}
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n%4 != 0 {
+			e.After(delays[n%4], tick)
+		}
+	}
+	got := allocsPerRun(t, func() {
+		for i := 0; i < 2048; i++ {
+			e.After(delays[i%4], tick)
+		}
+		e.Run()
+	})
+	if got != 0 {
+		t.Errorf("fixed-delay steady state: %v allocs per 2K-event run, want 0", got)
+	}
+	if cap(e.heap) != 0 {
+		t.Errorf("the heap grew to %d: four fixed delays must all fit in lanes", cap(e.heap))
+	}
+}
+
 func TestQueueHandsOffWithoutAllocating(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int](e, "guard", 4)

@@ -20,9 +20,9 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkDeepCalendar keeps 2 048 events pending, the shape of a chip-level
-// scan (128 accelerators × 16 reads in flight): every event pays a full sift,
-// which is the bound on how fast the device model simulates.
+// BenchmarkDeepCalendar keeps 2 048 events pending at as many distinct
+// delays, so nearly every event misses the lanes and pays a full heap sift:
+// the floor for delays the lanes do not cover.
 func BenchmarkDeepCalendar(b *testing.B) {
 	const depth = 2048
 	e := NewEngine()
@@ -36,6 +36,30 @@ func BenchmarkDeepCalendar(b *testing.B) {
 	}
 	for i := 0; i < depth && i < b.N; i++ {
 		e.After(Duration(1+i)*Nanosecond, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkFixedDelayCalendar keeps 2 048 events pending over four fixed
+// delays, the shape of a chip-level scan (128 accelerators × 16 reads in
+// flight, each a sense, a transfer, a compute batch and hand-offs): every
+// event goes through a lane, none through the heap.
+func BenchmarkFixedDelayCalendar(b *testing.B) {
+	const depth = 2048
+	delays := [...]Duration{53 * Microsecond, 20 * Microsecond, 3 * Microsecond, 0}
+	e := NewEngine()
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n+depth <= b.N {
+			e.After(delays[n%len(delays)], tick)
+		}
+	}
+	for i := 0; i < depth && i < b.N; i++ {
+		e.After(delays[i%len(delays)], tick)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

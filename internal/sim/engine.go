@@ -14,7 +14,10 @@
 // accumulation error.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a virtual timestamp in picoseconds since the start of the
 // simulation.
@@ -83,21 +86,46 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
+// laneCount is the number of fixed-delay lanes beside the heap. A device
+// model schedules from a handful of delays (zero for hand-offs, the flash
+// sense, one page transfer per link, one compute batch), so a few lanes take
+// nearly every event and the heap keeps the rest.
+const laneCount = 8
+
+// lane is a FIFO of events scheduled with one delay. The clock never moves
+// backwards, so successive pushes have non-decreasing now + delay and rising
+// seq: the FIFO is in (at, seq) order by construction.
+type lane struct {
+	delay Duration // the key; lane 0 is always 0, an empty lane may be re-keyed
+	tail  Time     // at of the newest event, for the order check
+	q     ring[event]
+}
+
+func (l *lane) push(ev event) {
+	if l.q.len() > 0 && ev.at < l.tail {
+		panic(fmt.Sprintf("sim: event at %d queued behind %d in the delay-%d lane", ev.at, l.tail, l.delay))
+	}
+	l.tail = ev.at
+	l.q.push(ev)
+}
+
 // Engine is a discrete-event simulation engine. The zero value is ready to
 // use. An Engine is not safe for concurrent use; simulations are
 // single-threaded by design so results are deterministic.
 //
-// The calendar is two structures merged on pop: a binary min-heap of event
-// values for the future, and a FIFO for events scheduled at the current
-// instant (every resource hand-off and queue wake-up), which are already in
-// (at, seq) order by construction and so never pay for a sift. Neither
-// allocates per event: scheduling costs what the callback's own closure
-// costs, nothing if the caller bound it once.
+// The calendar is a binary min-heap of event values plus laneCount
+// fixed-delay FIFOs, merged on pop by (at, seq). Lane 0 holds the events
+// scheduled at the current instant (every resource hand-off and queue
+// wake-up); the others are keyed by whatever delays are in use, so a flash
+// sense or a page transfer never pays for a sift. Nothing allocates per
+// event: scheduling costs what the callback's own closure costs, nothing if
+// the caller bound it once.
 type Engine struct {
 	now     Time
 	seq     uint64
 	heap    []event
-	instant ring[event] // events sharing one timestamp, in seq order
+	lanes   [laneCount]lane
+	busy    uint // bit i is set while lane i holds events
 	stopped bool
 
 	// Executed counts events run so far; useful for debugging runaway
@@ -124,15 +152,34 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	e.seq++
 	ev := event{at: t, seq: e.seq, fn: fn}
-	// The instant FIFO stays sorted only while everything in it shares one
-	// timestamp, so an event joins it when it is due now and the FIFO is
-	// empty or already holds this instant.
-	if t == e.now && (e.instant.len() == 0 || e.instant.peek().at == t) {
-		e.instant.push(ev)
+	if i := e.laneFor(Duration(t - e.now)); i >= 0 {
+		e.lanes[i].push(ev)
+		e.busy |= 1 << i
 		return
 	}
 	e.heap = append(e.heap, ev)
 	e.siftUp(len(e.heap) - 1)
+}
+
+// laneFor returns the index of the lane keyed by delay d, re-keying an empty
+// lane when no lane has that key; -1 sends the event to the heap.
+func (e *Engine) laneFor(d Duration) int {
+	if d == 0 {
+		return 0
+	}
+	free := -1
+	for i := 1; i < laneCount; i++ {
+		if e.lanes[i].delay == d {
+			return i
+		}
+		if free < 0 && e.busy&(1<<i) == 0 {
+			free = i
+		}
+	}
+	if free >= 0 {
+		e.lanes[free].delay = d
+	}
+	return free
 }
 
 // After schedules fn to run d picoseconds from now. Negative delays panic.
@@ -144,7 +191,13 @@ func (e *Engine) After(d Duration, fn func()) {
 }
 
 // Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) + e.instant.len() }
+func (e *Engine) Pending() int {
+	n := len(e.heap)
+	for i := range e.lanes {
+		n += e.lanes[i].q.len()
+	}
+	return n
+}
 
 // Stop aborts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
@@ -160,12 +213,14 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline (if the simulation had not already passed it) and
-// returns. Events scheduled beyond the deadline remain queued.
+// returns. Events scheduled beyond the deadline remain queued. When Stop ends
+// the loop with events still due by the deadline, the clock stays at the
+// last event run, so the clock never has to move backwards to run them.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped && e.step(deadline) {
 	}
-	if e.now < deadline {
+	if _, next := e.next(); e.now < deadline && (next == nil || next.at > deadline) {
 		e.now = deadline
 	}
 	return e.now
@@ -173,23 +228,35 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 const maxTime = Time(1<<63 - 1)
 
+// next returns the (at, seq)-least pending event and where it sits: a lane
+// index, or laneCount for the heap top. It returns a nil event when the
+// calendar is empty.
+func (e *Engine) next() (int, *event) {
+	src, best := laneCount, (*event)(nil)
+	if len(e.heap) > 0 {
+		best = &e.heap[0]
+	}
+	for m := e.busy; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros(m)
+		if h := e.lanes[i].q.peek(); best == nil || h.before(best) {
+			src, best = i, h
+		}
+	}
+	return src, best
+}
+
 // step runs the earliest event if it is due by deadline and reports whether
 // it ran one.
 func (e *Engine) step(deadline Time) bool {
-	var ev event
-	switch {
-	case e.instant.len() > 0 && (len(e.heap) == 0 || e.instant.peek().before(&e.heap[0])):
-		if e.instant.peek().at > deadline {
-			return false
-		}
-		ev = e.instant.pop()
-	case len(e.heap) > 0:
-		if e.heap[0].at > deadline {
-			return false
-		}
-		ev = e.popHeap()
-	default:
+	src, head := e.next()
+	if head == nil || head.at > deadline {
 		return false
+	}
+	var ev event
+	if src == laneCount {
+		ev = e.popHeap()
+	} else {
+		ev = e.popLane(src)
 	}
 	e.now = ev.at
 	e.Executed++
@@ -198,6 +265,17 @@ func (e *Engine) step(deadline Time) bool {
 	}
 	ev.fn()
 	return true
+}
+
+// popLane removes and returns the head of lane i; the lane must be
+// non-empty.
+func (e *Engine) popLane(i int) event {
+	q := &e.lanes[i].q
+	ev := q.pop()
+	if q.len() == 0 {
+		e.busy &^= 1 << i
+	}
+	return ev
 }
 
 func (e *Engine) siftUp(i int) {

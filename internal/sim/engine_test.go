@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -183,19 +184,104 @@ func TestWatchdogTripsOnRunawayLoop(t *testing.T) {
 }
 
 // TestPendingCountsSameInstantEvents: events scheduled for the current
-// instant sit in their own FIFO and are pending all the same.
+// instant sit in lane 0, other fixed delays in the keyed lanes and the rest
+// in the heap; all of them are pending all the same.
 func TestPendingCountsSameInstantEvents(t *testing.T) {
 	e := NewEngine()
-	e.After(0, func() {})
-	e.At(e.Now(), func() {})
-	e.After(Nanosecond, func() {})
-	if got := e.Pending(); got != 3 {
-		t.Errorf("pending = %d, want 3", got)
+	nop := func() {}
+	e.After(0, nop)
+	e.At(e.Now(), nop)
+	for i := 0; i < 2*laneCount; i++ { // more delays than lanes
+		e.After(Duration(1+i)*Nanosecond, nop)
+	}
+	e.After(Nanosecond, nop)
+	want := 3 + 2*laneCount
+	if len(e.heap) == 0 || e.lanes[0].q.len() != 2 || e.lanes[1].q.len() != 2 {
+		t.Fatalf("heap %d, lane 0 %d, lane 1 %d: want events in the heap and two in each of lanes 0 and 1",
+			len(e.heap), e.lanes[0].q.len(), e.lanes[1].q.len())
+	}
+	if got := e.Pending(); got != want {
+		t.Errorf("pending = %d, want %d", got, want)
 	}
 	e.RunUntil(0)
-	if got := e.Pending(); got != 1 {
-		t.Errorf("pending after the instant drained = %d, want 1", got)
+	if got := e.Pending(); got != want-2 {
+		t.Errorf("pending after the instant drained = %d, want %d", got, want-2)
 	}
+	e.RunUntil(Time(Nanosecond))
+	if got := e.Pending(); got != want-4 {
+		t.Errorf("pending after the 1 ns lane drained = %d, want %d", got, want-4)
+	}
+}
+
+// TestRunUntilStopKeepsClockMonotone: a Stop inside RunUntil that leaves
+// events due by the deadline must not advance the clock past them, or the
+// next Run would move Now() backwards (and Resource.account would integrate
+// a negative interval).
+func TestRunUntilStopKeepsClockMonotone(t *testing.T) {
+	e := NewEngine()
+	var at []Time
+	e.After(1, e.Stop)
+	e.After(2, func() { at = append(at, e.Now()) })
+	if end := e.RunUntil(10); end != 1 {
+		t.Errorf("RunUntil(10) stopped with an event due at 2 returned %d, want 1", end)
+	}
+	e.Run()
+	if len(at) != 1 || at[0] != 2 || e.Now() != 2 {
+		t.Errorf("ran at %v, now %d: want one event at 2", at, e.Now())
+	}
+	// With nothing due, RunUntil still advances to its deadline.
+	e.After(20, func() {})
+	if end := e.RunUntil(10); end != 10 {
+		t.Errorf("RunUntil(10) with only an event at 22 returned %d, want 10", end)
+	}
+}
+
+// TestLanesRekeyAfterDrain: with every keyed lane taken, a new delay goes to
+// the heap; once the lanes drain, new delays take them over, and a lane still
+// holding events keeps its key.
+func TestLanesRekeyAfterDrain(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	rec := func() { got = append(got, e.Now()) }
+	for d := Duration(1); d < laneCount; d++ {
+		e.After(d, rec)
+	}
+	e.After(laneCount, rec)
+	if len(e.heap) != 1 {
+		t.Fatalf("heap holds %d events, want the one delay beyond the lanes", len(e.heap))
+	}
+	e.After(100, rec) // the heap again: lane keys 1..7 still hold events
+	e.RunUntil(3)     // drains lanes 1..3
+	e.After(50, rec)  // re-keys lane 1
+	e.After(4, rec)   // joins lane 4, which still holds its event at 4
+	if e.lanes[1].delay != 50 || e.lanes[4].delay != 4 || e.lanes[4].q.len() != 2 {
+		t.Errorf("lane keys %d and %d (lane 4 holds %d): want 50 and 4 (2 events)",
+			e.lanes[1].delay, e.lanes[4].delay, e.lanes[4].q.len())
+	}
+	if len(e.heap) != 2 {
+		t.Errorf("heap holds %d events, want 2", len(e.heap))
+	}
+	e.Run()
+	want := []Time{1, 2, 3, 4, 5, 6, 7, 7, 8, 53, 100}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ran at %v, want %v", got, want)
+	}
+}
+
+// TestLaneOrderViolationPanics: lanes are sorted only because the clock is
+// monotone; should it ever move back, the push that breaks a lane's order
+// panics rather than running events out of (at, seq) order.
+func TestLaneOrderViolationPanics(t *testing.T) {
+	e := NewEngine()
+	e.now = 10
+	e.After(5, func() {})
+	e.now = 0 // a clock bug
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "queued behind") {
+			t.Errorf("panic = %q, want a lane-order violation", msg)
+		}
+	}()
+	e.After(5, func() {})
 }
 
 func TestWatchdogAllowsNormalRuns(t *testing.T) {

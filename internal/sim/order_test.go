@@ -9,13 +9,28 @@ import (
 // The order oracle: random schedules run on the Engine and on a reference
 // that keeps its calendar as a plain list and picks the (at, seq) minimum by
 // scanning it. Execution order, Now() at each event, Executed and Pending()
-// must match exactly — the heap, the same-instant FIFO and the merge between
-// them are invisible.
+// must match exactly — the heap, the fixed-delay lanes and the merge between
+// them are invisible — and the clock never moves backwards.
 
 // child is one scheduling call an event's handler makes.
 type child struct {
 	atNow bool // At(Now()) rather than After(delay)
+	// align is At(t) for t = Now()+delay rounded up to a multiple of 4: an
+	// absolute time that other delays, scheduled from other instants, also
+	// land on.
+	align bool
 	delay Duration
+}
+
+// at is the timestamp the call asks for when made at now.
+func (c child) at(now Time) Time {
+	switch {
+	case c.atNow:
+		return now
+	case c.align:
+		return (now + Time(c.delay) + 3) &^ 3
+	}
+	return now + Time(c.delay)
 }
 
 // plan is what the handler of event id does when it runs. It depends only on
@@ -36,16 +51,30 @@ func (m *mix) Intn(n int) int {
 	return int((z ^ (z >> 31)) % uint64(n))
 }
 
+// Handler delays. Both palettes are small, so timestamps collide constantly,
+// and weighted to zero, which is what chains hand-offs inside handlers. The
+// narrow one fits in the lanes; the wide one has more distinct delays than
+// there are lanes, so some events go to the heap and drained lanes are
+// re-keyed.
+var (
+	narrowDelays = []Duration{0, 0, 0, 1, 1, 2, 3, 5, 8}
+	wideDelays   = []Duration{0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13}
+)
+
 func planFor(seed int64, id int) plan {
 	rng := mix(seed<<20 + int64(id))
 	var p plan
-	// Few distinct delays, so timestamps collide constantly; a third of the
-	// calls are zero-delay, which is what chains hand-offs inside handlers.
-	delays := []Duration{0, 0, 0, 1, 1, 2, 3, 5, 8}
+	delays := narrowDelays
+	if seed%2 == 0 {
+		delays = wideDelays
+	}
 	for n := rng.Intn(4); n > 0; n-- {
 		c := child{delay: delays[rng.Intn(len(delays))]}
-		if rng.Intn(6) == 0 {
+		switch rng.Intn(6) {
+		case 0:
 			c = child{atNow: true}
+		case 1:
+			c.align = true
 		}
 		p.children = append(p.children, c)
 	}
@@ -96,8 +125,8 @@ func (s *engineSide) schedule(c child) {
 			s.Stop()
 		}
 	}
-	if c.atNow {
-		s.At(s.Engine.Now(), fn)
+	if c.atNow || c.align {
+		s.At(c.at(s.Engine.Now()), fn)
 	} else {
 		s.After(c.delay, fn)
 	}
@@ -132,12 +161,8 @@ func (s *refSide) schedule(c child) {
 	if s.nextID >= orderBudget {
 		return
 	}
-	at := s.now + Time(c.delay)
-	if c.atNow {
-		at = s.now
-	}
 	s.seq++
-	s.cal = append(s.cal, refEvent{at: at, seq: s.seq, id: s.nextID})
+	s.cal = append(s.cal, refEvent{at: c.at(s.now), seq: s.seq, id: s.nextID})
 	s.nextID++
 }
 
@@ -178,6 +203,11 @@ func (s *refSide) RunUntil(deadline Time) Time {
 	s.stopped = false
 	for !s.stopped && s.step(deadline) {
 	}
+	for _, ev := range s.cal {
+		if ev.at <= deadline { // stopped with events due: the clock stays
+			return s.now
+		}
+	}
 	if s.now < deadline {
 		s.now = deadline
 	}
@@ -187,17 +217,28 @@ func (s *refSide) RunUntil(deadline Time) Time {
 // drive replays one seeded schedule: rounds of top-level scheduling followed
 // by Run or by RunUntil with a deadline that lands on, between or short of
 // the queued timestamps (leaving events queued past it). Handlers Stop the
-// loop now and then; the next round resumes it.
-func drive(seed int64, s scheduler) []string {
+// loop now and then, inside RunUntil too; the next round resumes it. It fails
+// t if the clock ever moves backwards, and also returns how many RunUntil
+// calls a Stop cut short of their deadline.
+func drive(t testing.TB, seed int64, s scheduler) (states []string, cut int) {
 	rng := rand.New(rand.NewSource(seed))
-	var states []string
+	var last Time
+	monotone := func(where string) {
+		t.Helper()
+		if s.Now() < last {
+			t.Fatalf("seed %d: %s: clock went back from %d to %d", seed, where, last, s.Now())
+		}
+		last = s.Now()
+	}
 	for round := 0; round < 40; round++ {
 		for n := 1 + rng.Intn(5); n > 0; n-- {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				s.schedule(child{atNow: true})
 			case 1:
 				s.schedule(child{delay: 0})
+			case 2:
+				s.schedule(child{align: true, delay: Duration(rng.Intn(12))})
 			default:
 				s.schedule(child{delay: Duration(rng.Intn(12))})
 			}
@@ -206,8 +247,12 @@ func drive(seed int64, s scheduler) []string {
 		if rng.Intn(3) == 0 {
 			end = s.Run()
 		} else {
-			end = s.RunUntil(s.Now() + Time(rng.Intn(7)))
+			deadline := s.Now() + Time(rng.Intn(7))
+			if end = s.RunUntil(deadline); end < deadline {
+				cut++
+			}
 		}
+		monotone(fmt.Sprintf("round %d", round))
 		states = append(states, fmt.Sprintf("round %d: end %d now %d executed %d pending %d",
 			round, end, s.Now(), s.executed(), s.Pending()))
 	}
@@ -215,33 +260,60 @@ func drive(seed int64, s scheduler) []string {
 	for s.Pending() > 0 { // a handler stopped the drain
 		s.Run()
 	}
-	return append(states, fmt.Sprintf("drained: now %d executed %d", s.Now(), s.executed()))
+	monotone("drain")
+	for i, r := range s.log() {
+		if i > 0 && r.now < s.log()[i-1].now {
+			t.Fatalf("seed %d: event %d ran at %d, after an event at %d", seed, i, r.now, s.log()[i-1].now)
+		}
+	}
+	return append(states, fmt.Sprintf("drained: now %d executed %d", s.Now(), s.executed())), cut
+}
+
+// checkOrder runs seed's schedule on both sides and fails t on the first
+// difference. It returns the events run and the RunUntil calls cut short.
+func checkOrder(t testing.TB, seed int64) (events, cut int) {
+	t.Helper()
+	eng := &engineSide{Engine: NewEngine(), seed: seed}
+	ref := &refSide{seed: seed}
+	got, cut := drive(t, seed, eng)
+	want, _ := drive(t, seed, ref)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: engine %q, reference %q", seed, got[i], want[i])
+		}
+	}
+	gl, wl := eng.log(), ref.log()
+	if len(gl) != len(wl) {
+		t.Fatalf("seed %d: engine ran %d events, reference %d", seed, len(gl), len(wl))
+	}
+	for i := range wl {
+		if gl[i] != wl[i] {
+			t.Fatalf("seed %d: event %d: engine ran id %d at %d, reference id %d at %d",
+				seed, i, gl[i].id, gl[i].now, wl[i].id, wl[i].now)
+		}
+	}
+	return len(wl), cut
 }
 
 func TestOrderMatchesReference(t *testing.T) {
-	var total int
+	var total, cut int
 	for seed := int64(1); seed <= 200; seed++ {
-		eng := &engineSide{Engine: NewEngine(), seed: seed}
-		ref := &refSide{seed: seed}
-		got, want := drive(seed, eng), drive(seed, ref)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: engine %q, reference %q", seed, got[i], want[i])
-			}
-		}
-		gl, wl := eng.log(), ref.log()
-		if len(gl) != len(wl) {
-			t.Fatalf("seed %d: engine ran %d events, reference %d", seed, len(gl), len(wl))
-		}
-		for i := range wl {
-			if gl[i] != wl[i] {
-				t.Fatalf("seed %d: event %d: engine ran id %d at %d, reference id %d at %d",
-					seed, i, gl[i].id, gl[i].now, wl[i].id, wl[i].now)
-			}
-		}
-		total += len(wl)
+		n, c := checkOrder(t, seed)
+		total += n
+		cut += c
 	}
 	if total < 200*100 {
 		t.Errorf("schedules too small to mean anything: %d events over 200 seeds", total)
 	}
+	if cut == 0 {
+		t.Error("no Stop ever cut a RunUntil short: the monotone-clock case went untested")
+	}
+}
+
+// FuzzOrderMatchesReference widens the oracle past the fixed seeds.
+func FuzzOrderMatchesReference(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 3, -7, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { checkOrder(t, seed) })
 }
