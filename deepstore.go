@@ -115,6 +115,10 @@ var (
 // with RerankMargin > 0 — see DESIGN.md §12).
 var ErrQuantPruneApprox = core.ErrQuantPruneApprox
 
+// ErrQCNWidth refuses a query whose feature vector is not as wide as the
+// query cache's QCN compares, before it touches the cache or the clock.
+var ErrQCNWidth = core.ErrQCNWidth
+
 // Layer constructors and combine ops for building networks.
 var (
 	NewFC          = nn.NewFC

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"repro/internal/ftl"
 	"repro/internal/nn"
@@ -173,10 +174,25 @@ func (ds *DeepStore) LoadModelNetwork(net *nn.Network) (ModelID, error) {
 	return id, nil
 }
 
-// qcSweepCtx is one cache-sweep call's batched-QCN scratch.
-type qcSweepCtx struct {
-	bs     *nn.BatchScorer
-	scores []float32
+// ErrQCNWidth rejects a query whose feature vector is not as wide as the
+// query cache's QCN compares: with a cache configured, every query is
+// compared against the cached ones, so such a query is refused before it
+// touches the cache, the clock or the history.
+var ErrQCNWidth = errors.New("core: query width differs from the query cache's QCN")
+
+// qcResident is the query cache's qcache.Resident: the QCN's nn.Resident,
+// its scores clamped to the [0, 1] Algorithm 1 weighs.
+type qcResident struct {
+	*nn.Resident
+	raw []float32
+}
+
+func (r *qcResident) ScoreAll(scores []float64, qfv []float32) {
+	r.raw = slices.Grow(r.raw[:0], len(scores))[:len(scores)]
+	r.Resident.ScoreAll(r.raw, qfv)
+	for i, s := range r.raw {
+		scores[i] = min(max(float64(s), 0), 1)
+	}
 }
 
 // SetQC configures the similarity-based query cache (setQC): the QCN model,
@@ -197,31 +213,10 @@ func (ds *DeepStore) SetQC(qcn *nn.Network, qcnAccuracy float64, entries int, th
 	if qcnAccuracy <= 0 || qcnAccuracy > 1 {
 		return fmt.Errorf("core: QCN accuracy %v outside (0,1]", qcnAccuracy)
 	}
-	// The cache sweep shards across goroutines for large caches, so scoring
-	// must be concurrency-safe: each call borrows a batched-QCN context from
-	// a pool instead of sharing one or allocating per call. The sweep gathers
-	// a slab of cached queries and pushes them through one GEMM-backed
-	// ScoreBatch call instead of one QCN forward per entry.
-	batch := ds.scoreBatch()
-	pool := &sync.Pool{New: func() any {
-		return &qcSweepCtx{bs: qcn.BatchScorer(batch), scores: make([]float32, batch)}
-	}}
-	sweep := func(dst []float64, q []float32, qs [][]float32) {
-		c := pool.Get().(*qcSweepCtx)
-		c.bs.ScoreBatch(c.scores[:len(qs)], q, qs)
-		for i := range qs {
-			dst[i] = min(max(float64(c.scores[i]), 0), 1)
-		}
-		pool.Put(c)
-	}
-	// qcache's scalar compare is only its reference path while a batch scorer
-	// is installed; it is the sweep of one entry, so the two cannot disagree.
-	ds.qc = qcache.New[[]float32](entries, qcnAccuracy, func(a, b []float32) float64 {
-		var dst [1]float64
-		sweep(dst[:], a, [][]float32{b})
-		return dst[0]
-	})
-	ds.qc.SetBatchScorer(sweep, batch)
+	// The cached queries stay resident in the QCN's operand layout, written
+	// once per insert (§4.6 keeps the entries in SSD DRAM for the channel
+	// accelerators), and a lookup scores them all in one pass.
+	ds.qc = qcache.NewResident[[]float32](entries, qcnAccuracy, &qcResident{Resident: qcn.Resident(entries)})
 	ds.qcn = qcn
 	ds.qcThreshold = threshold
 	if ds.opts.CacheAdmission == AdmissionLearned {

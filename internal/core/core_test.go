@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -281,6 +282,47 @@ func TestQueryCacheWithPerfectQCN(t *testing.T) {
 	}
 	if r2.FeaturesScanned != 3 {
 		t.Errorf("hit scanned %d features, want 3 (the cached top-K)", r2.FeaturesScanned)
+	}
+}
+
+// TestQueryOfAnotherWidthThanTheQCN: with a 200-dimension QCN over a
+// 512-dimension TIR database every query is refused with ErrQCNWidth — the
+// first, which finds the cache empty and used to be inserted, and the second,
+// which used to panic comparing against it while holding the engine lock —
+// through Query and QueryMulti alike, before it touches the cache, the clock
+// or the result table. A QCN of the right width then serves as usual.
+func TestQueryOfAnotherWidthThanTheQCN(t *testing.T) {
+	ds, app, model, dbID := newEngine(t, 50)
+	if err := ds.SetQC(perfectQCN(200), 1, 16, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	spec := QuerySpec{QFV: workload.NewFeatureDB(app, 1, 42).Vectors[0], K: 3, Model: model, DB: ftlID(dbID)}
+	before := ds.Stats()
+	for i := 0; i < 2; i++ {
+		if _, err := ds.Query(spec); !errors.Is(err, ErrQCNWidth) {
+			t.Fatalf("query %d: err %v, want ErrQCNWidth", i, err)
+		}
+		if _, err := ds.QueryMulti([]QuerySpec{spec, spec}); !errors.Is(err, ErrQCNWidth) {
+			t.Fatalf("multi query %d: err %v, want ErrQCNWidth", i, err)
+		}
+	}
+	if after := ds.Stats(); after.Queries != before.Queries || after.SimTime != before.SimTime {
+		t.Fatalf("refused queries moved the engine: %+v, then %+v", before, after)
+	}
+	if hits, misses := ds.CacheStats(); ds.qc.Len() != 0 || hits+misses != 0 {
+		t.Fatalf("refused queries reached the cache: %d entries, %d lookups", ds.qc.Len(), hits+misses)
+	}
+	if err := ds.SetQC(perfectQCN(app.SCN.FeatureElems()), 1, 16, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		qid, err := ds.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, _ := ds.GetResults(qid); res.CacheHit != (i == 1) {
+			t.Fatalf("query %d: cache hit %v", i, res.CacheHit)
+		}
 	}
 }
 

@@ -246,9 +246,9 @@ type Stats struct {
 // model and database tables, the query table, the query cache, and the
 // aggregate stats — serializing simulated-time accounting exactly as the
 // paper's single-dispatcher query engine does (§4.7.1). Parallelism lives
-// inside a query (the sharded functional scan and the query-cache sweep),
-// not across the simulated timeline, which keeps simulated time
-// deterministic under concurrent callers.
+// inside a query (the sharded functional scan), not across the simulated
+// timeline, which keeps simulated time deterministic under concurrent
+// callers.
 type DeepStore struct {
 	opts   Options
 	engine *sim.Engine

@@ -299,8 +299,10 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 
 // PrefetchHistory re-warms the query cache from history: the top max query
 // groups by admission score have their most recent payload decoded (charged
-// as a DRAM read of the cold bytes) and re-inserted. Returns how many
-// entries were inserted. Requires history and a configured cache.
+// as a DRAM read of the cold bytes) and re-inserted, except a query of
+// another width than the QCN compares, which is skipped and counted in
+// core_hist_prefetch_skipped. Returns how many entries were inserted.
+// Requires history and a configured cache.
 func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -332,6 +334,12 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 		}
 		ds.dev.DRAM.Transfer(int64(len(payload)), nil)
 		ds.engine.Run()
+		if len(qfv) != ds.qcn.FeatureElems() {
+			// A query of another width than the QCN compares — one the cache
+			// could never have held (ErrQCNWidth): read, counted, skipped.
+			ds.obs.Counter("core_hist_prefetch_skipped").Inc()
+			continue
+		}
 		ds.qc.Insert(qfv, append([]topk.Entry(nil), tk...))
 		inserted++
 	}

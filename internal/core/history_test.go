@@ -434,6 +434,70 @@ func TestRestoreHistoryCorruption(t *testing.T) {
 	}
 }
 
+// TestPrefetchSkipsOtherWidths: a history holding queries against a
+// 512-dimension TIR database and a 200-dimension TextQA one re-warms a cache
+// whose QCN compares 200 dimensions with the TextQA queries alone. Each TIR
+// payload is read, counted in core_hist_prefetch_skipped and left out —
+// inserted, it would panic the next lookup — and afterwards a TextQA query
+// hits while a TIR query is refused with ErrQCNWidth.
+func TestPrefetchSkipsOtherWidths(t *testing.T) {
+	opts := DefaultOptions()
+	opts.History = true
+	e := newHistEngine(t, opts, workload.NewFeatureDB(mustApp(t, "TIR"), 32, 2).Vectors, 0)
+	textQA := mustApp(t, "TextQA")
+	textQA.SCN.InitRandom(1)
+	qaDB, err := e.ds.WriteDB(workload.NewFeatureDB(textQA, 32, 3).Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qaModel, err := e.ds.LoadModelNetwork(textQA.SCN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[int]map[uint64]bool{512: {}, 200: {}}
+	var qaQuery []float32
+	for i := 0; i < 6; i++ {
+		tir := workload.QueryVector(workload.Query{SemanticID: int64(i)}, 512, 7)
+		e.query(t, tir, 2)
+		qaQuery = workload.QueryVector(workload.Query{SemanticID: int64(i)}, 200, 7)
+		if _, err := e.ds.Query(QuerySpec{QFV: qaQuery, K: 2, Model: qaModel, DB: qaDB}); err != nil {
+			t.Fatal(err)
+		}
+		groups[512][qhist.GroupOf(tir)], groups[200][qhist.GroupOf(qaQuery)] = true, true
+	}
+	if err := e.ds.SetQC(scaledQCN(200), 1.0, 16, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	n, err := e.ds.PrefetchHistory(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := e.ds.MetricsSnapshot().Counters["core_hist_prefetch_skipped"]
+	if n != len(groups[200]) || skipped != int64(len(groups[512])) {
+		t.Fatalf("prefetched %d and skipped %d, want %d and %d", n, skipped, len(groups[200]), len(groups[512]))
+	}
+	qid, err := e.ds.Query(QuerySpec{QFV: qaQuery, K: 2, Model: qaModel, DB: qaDB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := e.ds.GetResults(qid); !res.CacheHit {
+		t.Error("prefetched TextQA query missed")
+	}
+	tir := workload.QueryVector(workload.Query{SemanticID: 0}, 512, 7)
+	if _, err := e.ds.Query(QuerySpec{QFV: tir, K: 2, Model: e.model, DB: ftlID(e.db)}); !errors.Is(err, ErrQCNWidth) {
+		t.Fatalf("TIR query after prefetch: err %v, want ErrQCNWidth", err)
+	}
+}
+
+func mustApp(t *testing.T, name string) *workload.App {
+	t.Helper()
+	app, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
 // TestHistoryPrefetchAndReorg covers the two history consumers: prefetch
 // re-warms the cache so a recurring intent hits without a scan, and
 // ReorgByHistory applies a valid hottest-first permutation while honoring

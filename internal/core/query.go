@@ -72,9 +72,10 @@ type scanKey struct {
 
 // resolveSpec validates a query spec against the engine's tables and
 // resolves its defaults (full-DB range, engine-default accelerator level).
-// It refuses everything the scan would refuse — an unknown level, a model the
-// level cannot run — so a query that passes mutates no cache, clock or
-// history state it cannot finish. Callers hold ds.mu.
+// It refuses everything the scan or the cache would refuse — an unknown
+// level, a model the level cannot run, a query the cache's QCN cannot
+// compare — so a query that passes mutates no cache, clock or history state
+// it cannot finish. Callers hold ds.mu.
 func (ds *DeepStore) resolveSpec(spec QuerySpec) (scanKey, error) {
 	st, err := ds.db(spec.DB)
 	if err != nil {
@@ -95,6 +96,10 @@ func (ds *DeepStore) resolveSpec(spec QuerySpec) (scanKey, error) {
 	if net.FeatureBytes() != layout.FeatureBytes {
 		return scanKey{}, fmt.Errorf("core: model %q expects %d-byte features, database stores %d",
 			net.Name, net.FeatureBytes(), layout.FeatureBytes)
+	}
+	if ds.qc != nil && len(spec.QFV) != ds.qcn.FeatureElems() {
+		return scanKey{}, fmt.Errorf("%w: query has %d dims, QCN %q compares %d",
+			ErrQCNWidth, len(spec.QFV), ds.qcn.Name, ds.qcn.FeatureElems())
 	}
 	key := scanKey{st: st, net: net, level: ds.opts.DefaultLevel, start: spec.DBStart, end: spec.DBEnd}
 	if key.end == 0 {

@@ -269,8 +269,9 @@ func TestScoreBatchValidation(t *testing.T) { checkMisuse(t, false) }
 func TestScoreMultiValidation(t *testing.T) { checkMisuse(t, true) }
 
 // TestScoreBatchAllocFree: steady-state ScoreBatch and ScoreMulti calls
-// allocate nothing in either precision — the property that keeps the scan's
-// hot loop off the garbage collector.
+// allocate nothing in either precision, nor does a Resident's ScoreAll or a
+// Put into a slot it has room for — the property that keeps the scan's and
+// the cache sweep's hot loops off the garbage collector.
 func TestScoreBatchAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, net := range batchTestNets() {
@@ -279,12 +280,16 @@ func TestScoreBatchAllocFree(t *testing.T) {
 		qqs := []QuantQuery{PrepareQuantQuery(qfvs[0]), PrepareQuantQuery(qfvs[1]), PrepareQuantQuery(qfvs[2])}
 		qpool := QuantizeDB(pool)
 		bs, qbs := net.BatchScorer(32), net.Quantize().BatchScorer(32)
+		res := net.Resident(100)
 		grid := [][]float32{make([]float32, 32), make([]float32, 32), make([]float32, 32)}
+		all := make([]float32, 100)
 		for name, call := range map[string]func(){
-			"ScoreBatch":      func() { bs.ScoreBatch(grid[0], qfvs[0], pool) },
-			"ScoreMulti":      func() { bs.ScoreMulti(grid, qfvs, pool) },
-			"int8 ScoreBatch": func() { qbs.ScoreBatch(grid[0], qqs[0], qpool) },
-			"int8 ScoreMulti": func() { qbs.ScoreMulti(grid, qqs, qpool) },
+			"ScoreBatch":        func() { bs.ScoreBatch(grid[0], qfvs[0], pool) },
+			"ScoreMulti":        func() { bs.ScoreMulti(grid, qfvs, pool) },
+			"int8 ScoreBatch":   func() { qbs.ScoreBatch(grid[0], qqs[0], qpool) },
+			"int8 ScoreMulti":   func() { qbs.ScoreMulti(grid, qqs, qpool) },
+			"Resident.Put":      func() { res.Put(99, pool[0]) },
+			"Resident.ScoreAll": func() { res.ScoreAll(all, qfvs[0]) },
 		} {
 			call() // warm up
 			if n := testing.AllocsPerRun(10, call); n != 0 {

@@ -107,10 +107,11 @@ func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)
 		}
 	}
 	total := nq * nb
+	ce := e.net.plan.combElems
 	for base := 0; base < total; base += e.max {
 		rows := min(total-base, e.max)
 		fill(base, rows)
-		out, oe := e.forward(rows)
+		out, oe := e.forward(0, e.comb, ce, rows)
 		for r := 0; r < rows; r++ {
 			f := base + r
 			scores[f/nb][f%nb] = out[r*oe]
@@ -118,17 +119,19 @@ func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)
 	}
 }
 
-// forward pushes the first rows rows of the combined matrix through the
-// layer stack, returning the final activation matrix and its per-row element
-// count. An FC layer with an int8 image quantizes each activation row and
-// runs GemmInt8; everything else takes the layer's float32 row kernel — the
-// final FC for its live outputs only, since run reads nothing but the score
-// (the int8 image still computes the whole layer; DESIGN.md "Live outputs").
-func (e *executor) forward(rows int) ([]float32, int) {
+// forward pushes the first rows rows of in — the input of Layers[first],
+// inElems wide: the combined matrix when first is 0 — through the rest of
+// the layer stack, returning the final activation matrix and its per-row
+// element count. An FC layer with an int8 image quantizes each activation
+// row and runs GemmInt8; everything else takes the layer's float32 row
+// kernel — the final FC for its live outputs only, since callers read
+// nothing but the score (the int8 image still computes the whole layer;
+// DESIGN.md "Live outputs").
+func (e *executor) forward(first int, in []float32, inElems, rows int) ([]float32, int) {
 	p := &e.net.plan
-	in, inElems := e.comb, p.combElems
 	last := len(e.net.Layers) - 1
-	for li, l := range e.net.Layers {
+	for li := first; li <= last; li++ {
+		l := e.net.Layers[li]
 		oe := p.outElems[li]
 		switch {
 		case e.fcs != nil && e.fcs[li] != nil:

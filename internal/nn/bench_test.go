@@ -117,6 +117,27 @@ func benchScoreChunks(b *testing.B, n *Network, entries int) {
 // and the vectorised Hadamard fill. ns/op is per sweep.
 func BenchmarkQCNSweep(b *testing.B) { benchScoreChunks(b, qcnNeuronNet(), 1024) }
 
+// BenchmarkResidentSweep is BenchmarkQCNSweep's sweep as the query cache runs
+// it: the 1 024 queries resident in a Resident, scored by one ScoreAll — the
+// fused combine-and-dot lanes kernel, no gather and no pack. ns/op is per
+// sweep.
+func BenchmarkResidentSweep(b *testing.B) {
+	n := qcnNeuronNet()
+	n.InitRandom(1)
+	rng := rand.New(rand.NewSource(1))
+	q := randVec(rng, n.FeatureElems())
+	r := n.Resident(1024)
+	for s, v := range randVecs(rng, 1024, n.FeatureElems()) {
+		r.Put(s, v)
+	}
+	scores := make([]float32, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ScoreAll(scores, q)
+	}
+}
+
 // BenchmarkScoreBatchTextQA is one miss scan of the cache workload: 256
 // features through TextQA's SCN, whose 200×200 final FC the executor runs for
 // its score column alone.

@@ -76,10 +76,12 @@ func TestDeadOutputsUnread(t *testing.T) {
 	}
 }
 
-// TestExecutorSeesRewrittenWeights: a BatchScorer built before InitRandom
-// scores with the weights of the latest InitRandom — the live-output slice is
-// a view of W and B taken at each call, not a copy made at construction
-// (every workload builds its scorers' network first and seeds it afterwards).
+// TestExecutorSeesRewrittenWeights: a BatchScorer or Resident built before
+// InitRandom scores with the weights of the latest InitRandom — the
+// live-output slice and the lanes kernel's first layer are views of W and B
+// taken at each call, not copies made at construction (every workload builds
+// its scorers' network first and seeds it afterwards). What a Resident keeps
+// is its vectors, stored before either seeding.
 func TestExecutorSeesRewrittenWeights(t *testing.T) {
 	for _, mk := range []func() *Network{qcnNeuronNet, textQANet} {
 		net := mk()
@@ -88,6 +90,10 @@ func TestExecutorSeesRewrittenWeights(t *testing.T) {
 			qfvs := randVecs(rng, 2, net.FeatureElems())
 			pool := randVecs(rng, 65, net.FeatureElems())
 			bs := net.BatchScorer(64)
+			res := net.Resident(len(pool))
+			for s, dfv := range pool {
+				res.Put(s, dfv)
+			}
 			for _, seed := range []int64{5, 6} {
 				net.InitRandom(seed)
 				fresh := mk()
@@ -102,6 +108,11 @@ func TestExecutorSeesRewrittenWeights(t *testing.T) {
 				multi, batch := scoreGrid(bs, qfvs, pool)
 				sameScoreBits(t, "ScoreMulti", multi, want)
 				sameScoreBits(t, "ScoreBatch", batch, want)
+				all := make([]float32, len(pool))
+				for q, qfv := range qfvs {
+					res.ScoreAll(all, qfv)
+					sameScoreBits(t, "Resident.ScoreAll", all, want[q*len(pool):(q+1)*len(pool)])
+				}
 			}
 		})
 	}

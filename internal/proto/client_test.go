@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -214,6 +215,53 @@ func TestBadLevelFrameIsRefused(t *testing.T) {
 	}
 	if _, err := client.GetResults(qid); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueryOfAnotherWidthThanTheQCNIsRefused: with a 512-dimension QCN set
+// over the wire in front of a 200-dimension database, every query — the
+// second one used to panic the connection goroutine while it held the engine
+// lock — completes with an invalid-field error frame naming the width
+// mismatch, and the server keeps serving: with a QCN of the right width the
+// same query is answered, once through an empty cache and once against the
+// entry it left.
+func TestQueryOfAnotherWidthThanTheQCNIsRefused(t *testing.T) {
+	client, app := newEngineClient(t, true)
+	db := workload.NewFeatureDB(app, 64, 5)
+	dbID, err := client.WriteDB(db.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := client.LoadModelNetwork(app.SCN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tir, err := workload.ByName("TIR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.SetQC(tir.QCN(), 0.95, 16, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	q := db.Vectors[3]
+	for i := 0; i < 2; i++ {
+		_, err := client.Query(q, 5, model, dbID, 0, 0, nil)
+		if err == nil || !strings.Contains(err.Error(), StatusInvalidField.String()) ||
+			!strings.Contains(err.Error(), core.ErrQCNWidth.Error()) {
+			t.Fatalf("query %d: err %v, want an invalid-field frame carrying %q", i, err, core.ErrQCNWidth)
+		}
+	}
+	if err := client.SetQC(app.QCN(), 1, 16, 0.2); err != nil {
+		t.Fatalf("server stopped serving after the refused queries: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		qid, err := client.Query(q, 5, model, dbID, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.GetResults(qid); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

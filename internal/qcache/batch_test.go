@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/racetest"
@@ -16,79 +17,125 @@ func batchedFrom(score Scorer[int]) BatchScorer[int] {
 	}
 }
 
-// TestBatchedSweepMatchesScalar: with a batch scorer installed the sweep
-// picks exactly the entry the scalar first-strictly-greater sweep picks —
-// across batch sizes that divide the cache evenly, leave ragged tails, or
-// exceed it, across worker counts (batched chunks inside sharded chunks),
-// and across the tie/peak/zero landscapes of the parallel-sweep test.
-func TestBatchedSweepMatchesScalar(t *testing.T) {
-	const n = parallelSweepMin + 37
-	scorers := map[string]Scorer[int]{
-		"peak": func(a, b int) float64 {
-			if b == 123 {
-				return 0.99
-			}
-			return 0.2
-		},
-		"all-tied": func(a, b int) float64 { return 0.5 },
-		"hashed": func(a, b int) float64 {
-			return float64((b*2654435761)%97) / 100
-		},
-		"all-zero": func(a, b int) float64 { return 0 },
+// tableResident is a Resident over ints, as a caller brings one to
+// NewResident: its own copy of every slot's query, scored by a scalar
+// scorer — what a QCN's resident store does with feature vectors. puts
+// counts Put calls.
+type tableResident struct {
+	qs    []int
+	score Scorer[int]
+	puts  int
+}
+
+func (r *tableResident) Put(slot int, q int) {
+	for len(r.qs) <= slot {
+		r.qs = append(r.qs, 0)
 	}
-	for name, score := range scorers {
+	r.qs[slot] = q
+	r.puts++
+}
+
+func (r *tableResident) ScoreAll(scores []float64, q int) {
+	for s := range scores {
+		scores[s] = r.score(q, r.qs[s])
+	}
+}
+
+// TestBatchedSweepMatchesScalar: with a batch scorer installed — at batch
+// sizes that divide the cache, leave ragged tails or exceed it — and through
+// a cache's own Resident, the sweep picks exactly the entry and score the
+// scalar index-order reference picks, on churned caches and across the
+// landscapes of TestSweepParallelMatchesSerial.
+func TestBatchedSweepMatchesScalar(t *testing.T) {
+	for _, name := range []string{"peak", "all-tied", "hashed", "all-zero"} {
 		t.Run(name, func(t *testing.T) {
-			ref := buildSweepCache(n, score)
-			wantIdx, wantScore := ref.sweepRange(0, 0, n)
-			for _, batch := range []int{1, 7, 64, n, n + 100} {
-				c := buildSweepCache(n, score)
-				c.SetBatchScorer(batchedFrom(score), batch)
-				for _, workers := range []int{1, 2, 8} {
-					gotIdx, gotScore := c.sweepWith(0, workers)
-					if gotIdx != wantIdx || gotScore != wantScore {
-						t.Errorf("batch=%d workers=%d: sweep = (%d, %v), scalar = (%d, %v)",
-							batch, workers, gotIdx, gotScore, wantIdx, wantScore)
+			for _, n := range sweepSizes {
+				check := func(c *Cache[int], sw *switchable, how string) {
+					for _, q := range []int{0, 3, 2 * n} {
+						wantIdx, wantScore := refSweep(c, sw.s, q)
+						if gotIdx, gotScore := c.sweep(q); gotIdx != wantIdx || gotScore != wantScore {
+							t.Errorf("n=%d %s q=%d: sweep = (%d, %v), reference = (%d, %v)", n, how, q, gotIdx, gotScore, wantIdx, wantScore)
+						}
 					}
 				}
+				sw := &switchable{}
+				c := churnedCache(t, n, sw, sweepModes[0])
+				sw.s = landscapes(c.entries[n/2].Query)[name]
+				for _, batch := range []int{1, 7, 64, n, n + 100} {
+					c.SetBatchScorer(batchedFrom(sw.score), batch)
+					check(c, sw, fmt.Sprintf("batch=%d", batch))
+				}
+				sw = &switchable{}
+				c = churnedCache(t, n, sw, sweepModes[2])
+				sw.s = landscapes(c.entries[n/2].Query)[name]
+				check(c, sw, "resident")
 			}
 		})
 	}
 }
 
-// TestBatchedLookupHitAndRevert: end-to-end hits behave identically with the
-// batch scorer installed, and SetBatchScorer(nil, 0) reverts to the scalar
-// sweep.
+// TestBatchedLookupHitAndRevert: end-to-end hits behave identically through
+// the batch scorer, through the scalar Scorer SetBatchScorer(nil, 0) reverts
+// to, and through a cache's own Resident, which receives every insert at its
+// slot, once; a cache with its own Resident refuses a batch scorer.
 func TestBatchedLookupHitAndRevert(t *testing.T) {
-	const n = parallelSweepMin + 4
-	c := buildSweepCache(n, intScorer)
-	c.SetBatchScorer(batchedFrom(intScorer), 16)
-	if _, hit := c.Lookup(0, 0.05); !hit {
+	const n = 300
+	sw := &switchable{}
+	c := churnedCache(t, n, sw, sweepModes[0])
+	c.SetBatchScorer(batchedFrom(sw.score), 16)
+	hits := c.Stats().Hits
+	tail := c.entries[n-1].Query
+	if _, hit := c.Lookup(tail, 0.05); !hit {
 		t.Fatal("exact match missed through batched sweep")
 	}
 	c.SetBatchScorer(nil, 0)
-	if c.batchScore != nil {
-		t.Fatal("nil batch scorer did not revert to scalar sweep")
+	if c.resident.(*table[int]).batch != nil {
+		t.Fatal("a nil batch scorer did not revert to the scalar Scorer")
 	}
-	if _, hit := c.Lookup(0, 0.05); !hit {
-		t.Fatal("promoted entry missed after reverting to scalar sweep")
+	c.Insert(2*n+1, nil)
+	for _, q := range []int{c.entries[n-1].Query, 2*n + 1} {
+		if _, hit := c.Lookup(q, 0.05); !hit {
+			t.Fatalf("query %d missed after reverting to scalar sweep", q)
+		}
 	}
-	if s := c.Stats(); s.Hits != 2 {
-		t.Errorf("stats = %+v", s)
+	if s := c.Stats(); s.Hits-hits != 3 {
+		t.Errorf("%d hits, want 3: stats %+v", s.Hits-hits, s)
 	}
+
+	r := &tableResident{score: intScorer}
+	c = NewResident[int](n, 1, r)
+	for q := 0; q < n; q++ {
+		c.Insert(q, nil)
+	}
+	c.Insert(n, nil) // evicts 0 and reuses its slot
+	if r.puts != n+1 || r.qs[c.entries[0].slot] != n {
+		t.Fatalf("insert not put into its slot: %d puts, slot holds %d", r.puts, r.qs[c.entries[0].slot])
+	}
+	for _, q := range []int{c.entries[n-1].Query, n} {
+		if _, hit := c.Lookup(q, 0.05); !hit {
+			t.Fatalf("query %d missed through the resident", q)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetBatchScorer on a cache with its own Resident did not panic")
+		}
+	}()
+	c.SetBatchScorer(batchedFrom(intScorer), 16)
 }
 
-// TestBatchedSweepAllocFree: steady-state batched sweeps reuse pooled
-// scratch instead of allocating gather buffers per lookup.
+// TestBatchedSweepAllocFree: steady-state lookups through the batch adapter
+// and through a Resident allocate nothing.
 func TestBatchedSweepAllocFree(t *testing.T) {
 	if racetest.Enabled {
-		t.Skip("the race build's sync.Pool drops puts, so the scratch is re-allocated")
+		t.Skip("the race detector's instrumentation allocates")
 	}
-	const n = 100 // below parallelSweepMin: single-goroutine sweep
-	score := func(a, b int) float64 { return 0.1 }
-	c := buildSweepCache(n, score)
-	c.SetBatchScorer(batchedFrom(score), 16)
-	c.sweepWith(0, 1) // warm the scratch pool
-	if got := testing.AllocsPerRun(10, func() { c.sweepWith(0, 1) }); got != 0 {
-		t.Errorf("batched sweep allocates %v times per call", got)
+	for _, mode := range sweepModes {
+		sw := &switchable{}
+		c := churnedCache(t, 100, sw, mode)
+		c.Lookup(0, 0.05) // size the score buffer
+		if got := testing.AllocsPerRun(10, func() { c.Lookup(0, 0.05) }); got != 0 {
+			t.Errorf("%s: lookup allocates %v times per call", mode.name, got)
+		}
 	}
 }

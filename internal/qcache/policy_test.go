@@ -279,14 +279,21 @@ func TestSetPolicyRekeysResidents(t *testing.T) {
 }
 
 // Clear and eviction must not leave dropped entries reachable through the
-// backing array: every slot past len is zero, and an evicted entry's results
-// appear in no slot.
+// backing arrays — the entries' or the slot table New's Resident adapter
+// scores: every place past len is zero, an evicted entry's query and results
+// appear nowhere, and after Clear the next insert takes slot 0.
 func TestClearedAndEvictedSlotsUnpinned(t *testing.T) {
 	c := New[int](3, 1, intScorer)
+	tab := c.resident.(*table[int])
 	fill(c, 1, 2, 3, 4) // evicts 1
 	for _, e := range c.entries[:cap(c.entries)] {
 		if e.Query == 1 || (len(e.Results) == 1 && e.Results[0].FeatureID == 1) {
 			t.Fatalf("evicted entry still in the backing array: %+v", e)
+		}
+	}
+	for s, q := range tab.slots[:cap(tab.slots)] {
+		if q == 1 {
+			t.Fatalf("evicted query still in slot %d", s)
 		}
 	}
 	c.Clear()
@@ -295,7 +302,16 @@ func TestClearedAndEvictedSlotsUnpinned(t *testing.T) {
 	}
 	for i, e := range c.entries[:cap(c.entries)] {
 		if e.Query != 0 || e.Results != nil || e.Key != 0 {
-			t.Fatalf("slot %d still holds %+v after Clear", i, e)
+			t.Fatalf("entry %d still holds %+v after Clear", i, e)
 		}
+	}
+	for s, q := range tab.slots[:cap(tab.slots)] {
+		if q != 0 {
+			t.Fatalf("slot %d still holds query %d after Clear", s, q)
+		}
+	}
+	fill(c, 5)
+	if c.entries[0].slot != 0 || tab.slots[0] != 5 {
+		t.Fatalf("first insert after Clear took slot %d holding %d", c.entries[0].slot, tab.slots[0])
 	}
 }

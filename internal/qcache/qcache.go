@@ -8,25 +8,32 @@ package qcache
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 
 	"repro/internal/topk"
 )
 
-// Scorer computes the QCN similarity of two queries in [0, 1]. Lookups over
-// large caches shard the sweep across goroutines, so a Scorer must be safe
-// for concurrent calls (stateless, or backed by per-call scratch state such
-// as a sync.Pool of nn Scorers).
+// Scorer computes the QCN similarity of two queries in [0, 1].
 type Scorer[Q any] func(a, b Q) float64
 
 // BatchScorer scores q against a batch of cached queries in one call,
 // writing scores[i] ∈ [0, 1] for batch[i] — installed via SetBatchScorer so
 // the sweep runs as batched GEMM instead of one QCN forward per entry. Each
 // score must equal what the scalar Scorer returns for the same pair (the
-// sweep's selection rule assumes they are interchangeable). Like Scorer, it
-// must be safe for concurrent calls.
+// sweep's selection rule assumes they are interchangeable).
 type BatchScorer[Q any] func(scores []float64, q Q, batch []Q)
+
+// Resident is how a cache scores: it keeps its own copy of every cached
+// query, by slot, in whatever form it scores fastest — for the engine, the
+// QCN's operand layout in SSD DRAM — and scores a query against all of them
+// in one pass. NewResident takes one; New builds one over a Scorer.
+type Resident[Q any] interface {
+	// Put makes q the query of slot, replacing what the slot held.
+	Put(slot int, q Q)
+	// ScoreAll writes scores[s] ∈ [0, 1], the similarity of q to slot s's
+	// query, for every slot s in [0, len(scores)).
+	ScoreAll(scores []float64, q Q)
+}
 
 // Entry is one cached query with its top-K results (the TopKFV/ObjectID
 // fields of Fig. 7). Key is the installed Policy's fingerprint of Query,
@@ -36,6 +43,9 @@ type Entry[Q any] struct {
 	Query   Q
 	Results []topk.Entry
 	Key     uint64
+	// slot is where the entry's query is scored: fixed from insertion to
+	// eviction, whatever LRU index the entry moves to.
+	slot int
 }
 
 // Stats counts cache behaviour.
@@ -79,72 +89,95 @@ type Policy[Q any] interface {
 // Cache is the similarity-based query cache. Entries are kept in LRU order;
 // hits promote, inserts evict the least recently used entry — unless a
 // Policy overrides full-cache admission and victim selection.
+//
+// Every entry also owns a slot, the place its query is scored: an insert
+// takes the next free slot, or the slot of the entry it evicts, and keeps it
+// however the LRU order moves, so the slots in use are always [0, Len()). A
+// lookup scores every slot in one pass and then walks the entries in LRU
+// order. A Cache is not safe for concurrent use.
 type Cache[Q any] struct {
 	capacity int
 	// qcnAcc is the QCN's accuracy; Algorithm 1 weights every similarity
 	// score by it before thresholding.
 	qcnAcc float64
-	score  Scorer[Q]
-	// batchScore, when set, replaces per-entry score calls in the sweep;
-	// batch/scratch size its per-call gather buffers.
-	batchScore BatchScorer[Q]
-	batch      int
-	scratch    sync.Pool
+	// resident scores every slot; scores[s] receives slot s's score.
+	resident Resident[Q]
+	scores   []float64
 	// entries[0] is most recently used.
 	entries []Entry[Q]
 	stats   Stats
 	policy  Policy[Q]
-	// shards[w] is shard w's best entry of the sweep in flight, shardWG what
-	// waits for the spawned shards.
-	shards  [maxSweepShards]shardBest
-	shardWG sync.WaitGroup
 }
 
-// shardBest is one sweep shard's first-seen maximum (idx -1: none above zero).
-type shardBest struct {
-	idx   int
-	score float64
-}
-
-// sweepScratch is one sweep shard's gather/score buffers, pooled so
-// steady-state lookups allocate nothing.
-type sweepScratch[Q any] struct {
-	qs     []Q
-	scores []float64
-}
-
-// New creates a cache of the given capacity. qcnAcc must be in (0, 1].
+// New creates a cache of the given capacity that scores with score, one
+// pair at a time until SetBatchScorer installs a batch scorer. qcnAcc must
+// be in (0, 1].
 func New[Q any](capacity int, qcnAcc float64, score Scorer[Q]) *Cache[Q] {
+	if score == nil {
+		panic("qcache: nil scorer")
+	}
+	return NewResident[Q](capacity, qcnAcc, &table[Q]{score: score})
+}
+
+// NewResident creates a cache of the given capacity that scores through r
+// alone, handing it every inserted query at its slot. qcnAcc must be in
+// (0, 1].
+func NewResident[Q any](capacity int, qcnAcc float64, r Resident[Q]) *Cache[Q] {
 	if capacity < 1 {
 		panic(fmt.Sprintf("qcache: capacity %d < 1", capacity))
 	}
 	if qcnAcc <= 0 || qcnAcc > 1 {
 		panic(fmt.Sprintf("qcache: QCN accuracy %v outside (0,1]", qcnAcc))
 	}
-	if score == nil {
-		panic("qcache: nil scorer")
+	if r == nil {
+		panic("qcache: nil resident")
 	}
-	return &Cache[Q]{capacity: capacity, qcnAcc: qcnAcc, score: score}
+	return &Cache[Q]{capacity: capacity, qcnAcc: qcnAcc, resident: r}
 }
 
-// SetBatchScorer installs a batched sweep scorer: lookups gather up to
-// batch cached queries per bs call instead of calling the scalar Scorer per
-// entry. The selected entry is unchanged — batches are walked in index
-// order and the per-batch maximum keeps the serial first-strictly-greater
-// rule. Pass a nil bs to revert to the scalar sweep.
+// SetBatchScorer makes a cache built by New score its queries batch at a
+// time through bs instead of calling the Scorer per entry; a nil bs reverts
+// to the Scorer. It panics on a cache built by NewResident.
 func (c *Cache[Q]) SetBatchScorer(bs BatchScorer[Q], batch int) {
-	if bs == nil {
-		c.batchScore = nil
-		return
+	t, ok := c.resident.(*table[Q])
+	if !ok {
+		panic("qcache: batch scorer for a cache that scores through its own Resident")
 	}
-	if batch < 1 {
+	if bs != nil && batch < 1 {
 		panic(fmt.Sprintf("qcache: batch %d < 1", batch))
 	}
-	c.batchScore = bs
-	c.batch = batch
-	c.scratch = sync.Pool{New: func() any {
-		return &sweepScratch[Q]{qs: make([]Q, batch), scores: make([]float64, batch)}
-	}}
+	t.batch, t.chunk = bs, batch
+}
+
+// table is the Resident of a cache built by New: the cached queries
+// themselves by slot, scored by the Scorer or, when batch is set, chunk at
+// a time by the BatchScorer.
+type table[Q any] struct {
+	slots []Q
+	score Scorer[Q]
+	batch BatchScorer[Q]
+	chunk int
+}
+
+func (t *table[Q]) Put(slot int, q Q) {
+	if slot >= len(t.slots) {
+		t.slots = slices.Grow(t.slots, slot+1-len(t.slots))[:slot+1]
+	}
+	t.slots[slot] = q
+}
+
+func (t *table[Q]) ScoreAll(scores []float64, q Q) {
+	slots := t.slots[:len(scores)]
+	if t.batch == nil {
+		for s, cached := range slots {
+			scores[s] = t.score(q, cached)
+		}
+		return
+	}
+	for lo := 0; lo < len(slots); lo += t.chunk {
+		hi := min(lo+t.chunk, len(slots))
+		t.batch(scores[lo:hi], q, slots[lo:hi])
+	}
 }
 
 // Len returns the number of cached entries.
@@ -156,27 +189,11 @@ func (c *Cache[Q]) Capacity() int { return c.capacity }
 // Stats returns a snapshot of the counters.
 func (c *Cache[Q]) Stats() Stats { return c.stats }
 
-// parallelSweepMin is the cache size at which Lookup shards the QCN sweep
-// across goroutines. Below it, goroutine startup outweighs the comparisons.
-const parallelSweepMin = 256
-
-// maxSweepShards bounds the sharded sweep's fan-out whatever GOMAXPROCS is:
-// at parallelSweepMin entries a shard of more would be under eight entries.
-const maxSweepShards = 32
-
 // Lookup runs Algorithm 1: score the query against every cached entry,
 // take the entry with the maximum confidence-weighted score, and hit when
 // the score's complement is within the threshold. On a hit the entry is
 // promoted (LRU) and its results returned; the caller re-ranks them against
 // the new query with the SCN (line 13 of Algorithm 1).
-//
-// For caches of parallelSweepMin entries or more the sweep is sharded
-// GOMAXPROCS ways (at most maxSweepShards), the caller taking the first
-// shard — the software analogue of the per-channel accelerators executing
-// the QCN comparisons (§4.6). The selected entry is identical to the serial
-// sweep's: shards keep their first-seen maximum, and the reduction breaks
-// score ties toward the lower index, which is exactly the serial
-// first-strictly-greater rule.
 func (c *Cache[Q]) Lookup(q Q, threshold float64) (Entry[Q], bool) {
 	if threshold < 0 || threshold > 1 {
 		panic(fmt.Sprintf("qcache: threshold %v outside [0,1]", threshold))
@@ -194,96 +211,22 @@ func (c *Cache[Q]) Lookup(q Q, threshold float64) (Entry[Q], bool) {
 	return Entry[Q]{}, false
 }
 
-// sweep returns the index and confidence-weighted score of the best-matching
-// entry (-1 when the cache is empty or no entry scores above zero).
+// sweep returns the LRU index and confidence-weighted score of the
+// best-matching entry (-1 when the cache is empty or no entry scores above
+// zero). Every slot is scored in one pass; the entries are then walked in
+// LRU index order and the first strictly greater weighted score wins —
+// Algorithm 1's first-match winner, whatever order the slots are in.
 func (c *Cache[Q]) sweep(q Q) (int, float64) {
-	return c.sweepWith(q, runtime.GOMAXPROCS(0))
-}
-
-// sweepWith is sweep with an explicit worker count, so the sharded path is
-// exercisable regardless of the host's core count. Shard 0 runs on the
-// calling goroutine, so w workers cost w-1 goroutine hand-offs, and the
-// shard results live in the cache (a Lookup is single-caller: it moves
-// entries) — a local array the goroutines write to would be moved to the
-// heap on every lookup.
-func (c *Cache[Q]) sweepWith(q Q, workers int) (int, float64) {
 	n := len(c.entries)
-	if n < parallelSweepMin || workers < 2 {
-		return c.sweepRange(q, 0, n)
-	}
-	workers = min(workers, n, maxSweepShards)
-	chunk := (n + workers - 1) / workers
-	for w := 1; w < workers; w++ {
-		c.shardWG.Add(1)
-		go c.sweepShard(q, w, w*chunk, min((w+1)*chunk, n))
-	}
-	c.shards[0].idx, c.shards[0].score = c.sweepRange(q, 0, chunk)
-	c.shardWG.Wait()
-	// Chunks are reduced in index order with a strictly-greater rule, so a
-	// cross-chunk score tie keeps the earlier (lower-index) entry — the
-	// same winner the serial first-strictly-greater sweep picks.
+	c.scores = slices.Grow(c.scores[:0], n)[:n]
+	c.resident.ScoreAll(c.scores, q)
 	maxIndex, maxScore := -1, 0.0
-	for _, r := range c.shards[:workers] {
-		if r.idx >= 0 && r.score > maxScore {
-			maxScore = r.score
-			maxIndex = r.idx
-		}
-	}
-	return maxIndex, maxScore
-}
-
-// sweepShard is one spawned shard of sweepWith.
-func (c *Cache[Q]) sweepShard(q Q, w, lo, hi int) {
-	defer c.shardWG.Done()
-	c.shards[w].idx, c.shards[w].score = c.sweepRange(q, lo, hi)
-}
-
-// sweepRange is the serial sweep over entries[lo:hi]: the first entry with a
-// strictly greater weighted score wins. With a batch scorer installed the
-// range is scored batch-at-a-time in index order, which preserves the same
-// first-strictly-greater winner.
-func (c *Cache[Q]) sweepRange(q Q, lo, hi int) (int, float64) {
-	if c.batchScore != nil && hi > lo {
-		return c.sweepRangeBatched(q, lo, hi)
-	}
-	maxIndex, maxScore := -1, 0.0
-	for i := lo; i < hi; i++ {
-		s := c.score(q, c.entries[i].Query) * c.qcnAcc
-		if s > maxScore {
+	for i := range c.entries {
+		if s := c.scores[c.entries[i].slot] * c.qcnAcc; s > maxScore {
 			maxScore = s
 			maxIndex = i
 		}
 	}
-	return maxIndex, maxScore
-}
-
-func (c *Cache[Q]) sweepRangeBatched(q Q, lo, hi int) (int, float64) {
-	sc := c.scratch.Get().(*sweepScratch[Q])
-	maxIndex, maxScore := -1, 0.0
-	for i := lo; i < hi; {
-		n := hi - i
-		if n > c.batch {
-			n = c.batch
-		}
-		for j := 0; j < n; j++ {
-			sc.qs[j] = c.entries[i+j].Query
-		}
-		c.batchScore(sc.scores[:n], q, sc.qs[:n])
-		for j := 0; j < n; j++ {
-			if s := sc.scores[j] * c.qcnAcc; s > maxScore {
-				maxScore = s
-				maxIndex = i + j
-			}
-		}
-		i += n
-	}
-	// Drop query references before pooling so the scratch does not pin
-	// evicted entries.
-	var zero Q
-	for j := range sc.qs {
-		sc.qs[j] = zero
-	}
-	c.scratch.Put(sc)
 	return maxIndex, maxScore
 }
 
@@ -311,43 +254,54 @@ func (c *Cache[Q]) SetPolicy(p Policy[Q]) {
 // recently used entry. When full, the policy (if any) first decides whether
 // the candidate is admitted at all and which resident entry it displaces;
 // without a policy — or when the policy defers with -1 — the LRU entry is
-// evicted (line 16). The victim's slot is overwritten by the shift that
-// makes room at the front, so an evicted entry is never left reachable.
+// evicted (line 16). The newcomer takes the victim's slot and the victim's
+// place is overwritten by the shift that makes room at the front, so an
+// evicted entry is never left reachable.
 func (c *Cache[Q]) Insert(q Q, results []topk.Entry) {
-	e := Entry[Q]{Query: q, Results: results}
+	e := Entry[Q]{Query: q, Results: results, slot: len(c.entries)}
 	if c.policy != nil {
 		e.Key = c.policy.Key(q)
 	}
-	if len(c.entries) < c.capacity {
+	victim := -1
+	if len(c.entries) == c.capacity {
+		victim = len(c.entries) - 1
+		if c.policy != nil {
+			v, admit := c.policy.Victim(e.Key, c.entries)
+			if !admit {
+				c.stats.AdmissionRejects++
+				return
+			}
+			if v >= 0 && v < len(c.entries) {
+				victim = v
+			}
+		}
+		e.slot = c.entries[victim].slot
+	}
+	// The resident takes q before any entry moves, so one that refuses it
+	// leaves the cache as it was.
+	c.resident.Put(e.slot, q)
+	if victim < 0 {
 		c.entries = append(c.entries, Entry[Q]{})
-		copy(c.entries[1:], c.entries[:len(c.entries)-1])
-		c.entries[0] = e
-		c.stats.Insertions++
-		return
+		victim = len(c.entries) - 1
+	} else {
+		c.stats.Evictions++
 	}
-	victim := len(c.entries) - 1
-	if c.policy != nil {
-		v, admit := c.policy.Victim(e.Key, c.entries)
-		if !admit {
-			c.stats.AdmissionRejects++
-			return
-		}
-		if v >= 0 && v < len(c.entries) {
-			victim = v
-		}
-	}
-	c.stats.Evictions++
 	copy(c.entries[1:victim+1], c.entries[:victim])
 	c.entries[0] = e
 	c.stats.Insertions++
 }
 
-// Clear removes every entry, keeping statistics. The slots are zeroed before
-// the slice is truncated so the backing array stops pinning the cleared
-// query vectors and result lists.
+// Clear removes every entry, keeping statistics; the next insert takes slot
+// 0 again. Entries — and a New cache's slot table — are zeroed before they
+// are truncated so the backing arrays stop pinning the cleared query vectors
+// and result lists.
 func (c *Cache[Q]) Clear() {
 	clear(c.entries)
 	c.entries = c.entries[:0]
+	if t, ok := c.resident.(*table[Q]); ok {
+		clear(t.slots)
+		t.slots = t.slots[:0]
+	}
 }
 
 // EntryBytes estimates one entry's DRAM footprint (§4.6): the query feature

@@ -151,6 +151,8 @@ func TestConstructorPanics(t *testing.T) {
 		func() { New[int](1, 0, intScorer) },
 		func() { New[int](1, 1.5, intScorer) },
 		func() { New[int](1, 1, nil) },
+		func() { NewResident[int](1, 1, nil) },
+		func() { NewResident[int](0, 1, &tableResident{score: intScorer}) },
 	}
 	for i, fn := range cases {
 		func() {

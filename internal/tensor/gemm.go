@@ -101,12 +101,19 @@ func gemm(c, a, w, bias []float32, m, n, k int, simd simdKernel) {
 	default:
 		gemmPortable(c, a, w, m, n, k)
 	}
-	if bias != nil {
-		for i := 0; i < m; i++ {
-			row := c[i*n : (i+1)*n]
-			for j, b := range bias {
-				row[j] += b
-			}
+	addBias(c, bias, m, n)
+}
+
+// addBias adds bias (nil: nothing) to every row of the m×n product c, after
+// the full reduction as the contract requires.
+func addBias(c, bias []float32, m, n int) {
+	if bias == nil {
+		return
+	}
+	for i := 0; i < m; i++ {
+		row := c[i*n : (i+1)*n]
+		for j, b := range bias {
+			row[j] += b
 		}
 	}
 }

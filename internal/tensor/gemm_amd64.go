@@ -5,11 +5,11 @@ package tensor
 // kernel is installed only when CPUID says the CPU has AVX2 and the OS
 // saves the YMM state.
 
-const gemmLanes = 16 // A rows per SIMD tile: two 8-float YMM registers
+const gemmLanes = LaneRows // A rows per SIMD tile: two 8-float YMM registers
 
 func init() {
 	if hasAVX2() {
-		gemmSIMD, mulSIMD, subSIMD = gemmAVX2, mulAVX, subAVX
+		gemmSIMD, mulSIMD, subSIMD, gemmLanesSIMD = gemmAVX2, mulAVX, subAVX, gemmLanesAVX2
 	}
 }
 

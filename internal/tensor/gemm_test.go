@@ -354,6 +354,14 @@ func TestGemmAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { Gemm(c[:13*2], a, w[:2*700], bias[:2], 13, 2, 700) }); n != 0 {
 		t.Fatalf("Gemm below the column tile allocates %v times per call", n)
 	}
+	lanes := randSlice(rng, LanesLen(13, 700))
+	for _, n := range []int{1, 9} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			GemmLanes(c[:13*n], a[:700], lanes, w[:n*700], bias[:n], 13, n, 700, LaneSub)
+		}); allocs != 0 {
+			t.Fatalf("GemmLanes with %d columns allocates %v times per call", n, allocs)
+		}
+	}
 	in := randSlice(rng, 8*6*3)
 	cw := randSlice(rng, 5*3*3*3)
 	cb := randSlice(rng, 5)
