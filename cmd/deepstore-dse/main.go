@@ -13,12 +13,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/accel"
-	"repro/internal/dse"
-	"repro/internal/energy"
 	"repro/internal/exp"
-	"repro/internal/ssd"
-	"repro/internal/systolic"
 )
 
 func main() {
@@ -27,36 +22,15 @@ func main() {
 
 	fmt.Println(exp.Figure6Table(exp.Figure6()).Text())
 
-	cfg := ssd.DefaultConfig()
-	levels := accel.Levels()
-	if *levelName != "" {
-		switch strings.ToLower(*levelName) {
-		case "ssd":
-			levels = []accel.Level{accel.LevelSSD}
-		case "channel":
-			levels = []accel.Level{accel.LevelChannel}
-		case "chip":
-			levels = []accel.Level{accel.LevelChip}
-		default:
-			log.Fatalf("unknown level %q", *levelName)
+	matched := false
+	for _, r := range exp.Table3() {
+		if *levelName != "" && !strings.EqualFold(*levelName, r.Level.String()) {
+			continue
 		}
-	}
-
-	for _, level := range levels {
-		spec := accel.SpecForLevel(level, cfg)
-		cons := dse.Constraints{
-			PowerBudgetW:          spec.PowerBudgetW,
-			DRAMBandwidth:         cfg.DRAMBandwidth,
-			FlashChannelBandwidth: cfg.Timing.ChannelBandwidth,
-			SRAMKind:              spec.SRAMKind,
-			ScratchpadBytes:       spec.Array.ScratchpadBytes,
-		}
-		if level == accel.LevelSSD {
-			cons.SRAMKind = energy.ITRSHP
-		}
-		best, all := dse.Explore(spec.Array.FreqHz, spec.Array.Dataflow, cons)
-		fmt.Printf("=== %s level (budget %.2f W, %s dataflow) ===\n", level, spec.PowerBudgetW, spec.Array.Dataflow)
-		fmt.Printf("Table 3 design: %dx%d; DSE choice: %v\n", spec.Array.Rows, spec.Array.Cols, best)
+		matched = true
+		all := r.Candidates
+		fmt.Printf("=== %s level (budget %.2f W, %s dataflow) ===\n", r.Level, r.PaperPower, r.Paper.Dataflow)
+		fmt.Printf("Table 3 design: %dx%d; DSE choice: %v\n", r.Paper.Rows, r.Paper.Cols, r.DSE)
 		if *levelName != "" {
 			sort.Slice(all, func(i, j int) bool { return all[i].MeanCycles < all[j].MeanCycles })
 			limit := 20
@@ -74,5 +48,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	_ = systolic.OutputStationary
+	if !matched {
+		log.Fatalf("unknown level %q", *levelName)
+	}
 }

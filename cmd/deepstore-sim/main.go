@@ -38,15 +38,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var level accel.Level
-	switch strings.ToLower(*levelName) {
-	case "ssd":
-		level = accel.LevelSSD
-	case "channel":
-		level = accel.LevelChannel
-	case "chip":
-		level = accel.LevelChip
-	default:
+	level := accel.Level(-1)
+	for _, l := range accel.Levels() {
+		if strings.EqualFold(*levelName, l.String()) {
+			level = l
+		}
+	}
+	if level < 0 {
 		log.Fatalf("unknown level %q (ssd, channel, chip)", *levelName)
 	}
 
@@ -62,7 +60,7 @@ func main() {
 	if *quantized {
 		scanSpec.Array.Precision = systolic.INT8
 	}
-	out, err := exp.RunScanCustom(app, scanSpec, cfg, features, *window)
+	out, err := exp.RunScan(app, scanSpec, cfg, features, *window)
 	if err != nil {
 		log.Fatal(err)
 	}

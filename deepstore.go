@@ -8,11 +8,14 @@
 //
 //   - System is the in-storage query engine (the paper's contribution),
 //     offering WriteDB/ReadDB/AppendDB/LoadModel/Query/GetResults/SetQC;
-//   - the nn sub-package types (re-exported here) build similarity
-//     comparison networks from FC, conv, and element-wise layers;
+//   - NewNetwork and NewFC build similarity comparison networks;
 //   - Apps returns the five Table 1 applications as ready-made workloads;
-//   - the experiment entry points regenerate every table and figure of the
-//     paper's evaluation (see EXPERIMENTS.md).
+//   - ClusterEngines, Server and the remote client scale a System out,
+//     share it between tenants and drive it over the command protocol.
+//
+// It re-exports only what the commands, examples, benchmark, tests and docs
+// use (docs_test.go holds it to that); the paper's evaluation runs through
+// cmd/deepstore-bench (see EXPERIMENTS.md).
 //
 // Quick start:
 //
@@ -49,13 +52,6 @@ type QuerySpec = core.QuerySpec
 // QueryResult carries a query's top-K results and simulated cost.
 type QueryResult = core.QueryResult
 
-// PruneStats is the exact-pruning skip accounting carried by a QueryResult
-// (all zeros unless Options.Prune is enabled — see DESIGN.md §11).
-type PruneStats = core.PruneStats
-
-// ModelID identifies a loaded similarity comparison network.
-type ModelID = core.ModelID
-
 // QueryID identifies a submitted query.
 type QueryID = core.QueryID
 
@@ -91,15 +87,9 @@ func DefaultDeviceConfig() DeviceConfig { return ssd.DefaultConfig() }
 // Network is a two-branch similarity comparison network (SCN/QCN).
 type Network = nn.Network
 
-// Layer types, for callers that set or inspect parameters directly.
-type (
-	FC          = nn.FC
-	Conv        = nn.Conv
-	Elementwise = nn.Elementwise
-)
-
-// Quantization utilities for the §7 precision extension.
-type QuantizedVector = nn.QuantizedVector
+// FC is the fully connected layer type, for callers that set or inspect
+// its parameters directly.
+type FC = nn.FC
 
 // Quantization helpers: int8 feature conversion and its accuracy cost.
 var (
@@ -115,26 +105,16 @@ var (
 // with RerankMargin > 0 — see DESIGN.md §12).
 var ErrQuantPruneApprox = core.ErrQuantPruneApprox
 
-// ErrQCNWidth refuses a query whose feature vector is not as wide as the
-// query cache's QCN compares, before it touches the cache or the clock.
-var ErrQCNWidth = core.ErrQCNWidth
-
-// Layer constructors and combine ops for building networks.
+// Network construction and the model codec (the loadModel format).
 var (
-	NewFC          = nn.NewFC
-	NewConv        = nn.NewConv
-	NewElementwise = nn.NewElementwise
-	NewNetwork     = nn.NewNetwork
-	MarshalModel   = nn.Marshal
-	UnmarshalModel = nn.Unmarshal
+	NewFC        = nn.NewFC
+	NewNetwork   = nn.NewNetwork
+	MarshalModel = nn.Marshal
 )
 
-// Combine ops for the two-branch front end.
-const (
-	CombineHadamard = nn.CombineHadamard
-	CombineSubtract = nn.CombineSubtract
-	CombineConcat   = nn.CombineConcat
-)
+// CombineHadamard is the element-wise product front end of a two-branch
+// network.
+const CombineHadamard = nn.CombineHadamard
 
 // Activations.
 const (
@@ -166,11 +146,9 @@ type Trace = workload.Trace
 // TraceConfig parameterizes trace generation.
 type TraceConfig = workload.TraceConfig
 
-// Query distributions for traces.
-const (
-	Uniform = workload.Uniform
-	Zipfian = workload.Zipfian
-)
+// Zipfian selects a skewed trace distribution (the zero TraceConfig.Dist
+// is uniform).
+const Zipfian = workload.Zipfian
 
 // GenerateTrace builds a deterministic query trace.
 func GenerateTrace(cfg TraceConfig) *Trace { return workload.GenerateTrace(cfg) }
@@ -178,44 +156,30 @@ func GenerateTrace(cfg TraceConfig) *Trace { return workload.GenerateTrace(cfg) 
 // LoadTrace reads a trace written by Trace.Save.
 var LoadTrace = workload.LoadTrace
 
-// TraceReport summarizes a replayed query stream (System.ReplayTrace).
-type TraceReport = core.TraceReport
-
 // ShardedScan shards a database across n simulated SSDs and scans every
 // shard in parallel — the Fig. 10b scale-out deployment.
 func ShardedScan(n int, app *App, level Level, devCfg DeviceConfig, features, window int64) (cluster.Result, error) {
 	return cluster.ShardedScan(n, app, level, devCfg, features, window)
 }
 
-// ClusterResult aggregates a sharded scan.
-type ClusterResult = cluster.Result
-
 // ClusterEngines is a functional scale-out deployment: full DeepStore
 // engines each holding a contiguous shard of one materialized database,
 // with single- and batch-query fan-out and global top-K merging.
 type ClusterEngines = cluster.Engines
-
-// ClusterAnswer is one query's cluster-wide merged result.
-type ClusterAnswer = cluster.Answer
 
 // NewClusterEngines creates n DeepStore engines with identical options.
 func NewClusterEngines(n int, opts Options) (*ClusterEngines, error) {
 	return cluster.NewEngines(n, opts)
 }
 
-// SimTime is an absolute simulated timestamp (picoseconds); SimDuration a
-// simulated span. QueryResult latencies, tenant SLOs, and open-loop horizons
-// are all expressed in these units.
-type (
-	SimTime     = sim.Time
-	SimDuration = sim.Duration
-)
+// SimDuration is a simulated span (picoseconds): QueryResult latencies and
+// tenant SLOs are expressed in it.
+type SimDuration = sim.Duration
 
 // Simulated time units.
 const (
 	SimMicrosecond = sim.Microsecond
 	SimMillisecond = sim.Millisecond
-	SimSecond      = sim.Second
 )
 
 // Server is the admission layer in front of a System: concurrent Submit
@@ -234,54 +198,14 @@ type ServerConfig = core.ServerConfig
 // TenantConfig is one tenant's weight, queue budget, and latency SLO.
 type TenantConfig = core.TenantConfig
 
-// TenantStats is one tenant's admission and service accounting.
-type TenantStats = core.TenantStats
-
 // NewServer builds a serving tier over an engine; Close it to drain.
 func NewServer(sys *System, cfg ServerConfig) (*Server, error) {
 	return core.NewServer(sys, cfg)
 }
 
-// Serving-tier sentinel errors: ErrQueueFull is Submit's backpressure
-// signal, ErrServerClosed follows Close.
-var (
-	ErrQueueFull     = core.ErrQueueFull
-	ErrUnknownTenant = core.ErrUnknownTenant
-	ErrServerClosed  = core.ErrServerClosed
-)
-
-// NewTrace builds a deterministic query trace, rejecting degenerate
-// configurations with the workload package's typed validation errors
-// (GenerateTrace panics instead).
-func NewTrace(cfg TraceConfig) (*Trace, error) { return workload.NewTrace(cfg) }
-
-// TenantLoad describes one tenant's open-loop Poisson arrival stream.
-type TenantLoad = workload.TenantLoad
-
-// Arrival is one open-loop arrival: a trace query landing at a simulated
-// timestamp.
-type Arrival = workload.Arrival
-
-// OpenLoop merges per-tenant Poisson arrival streams over a simulated
-// horizon into one deterministic time-ordered schedule — the overload
-// driver for the serving tier.
-func OpenLoop(loads []TenantLoad, horizon SimDuration, seed int64) ([]Arrival, error) {
-	return workload.OpenLoop(loads, horizon, seed)
-}
-
-// NewReplicatedClusterEngines creates a shards×replicas cluster: every
-// shard's data is written to each of its replicas, reads rotate across
-// replicas, and injected faults fail over to a healthy sibling before
-// degrading the answer.
-func NewReplicatedClusterEngines(shards, replicas int, opts Options) (*ClusterEngines, error) {
-	return cluster.NewReplicatedEngines(shards, replicas, opts)
-}
-
-// RouteInfo is one entry of the cluster's immutable routing table: the
-// global feature range a shard serves and the database backing it. The
-// table is republished atomically (generation-tagged) on every topology
-// change, so a query sees exactly one authoritative owner per feature.
-type RouteInfo = cluster.RouteInfo
+// ErrQueueFull is Submit's backpressure signal: the tenant's queue budget
+// is spent.
+var ErrQueueFull = core.ErrQueueFull
 
 // MoveSpec names a contiguous global feature range to migrate from one
 // shard to another. Dest AddShard grows the cluster by one shard.
@@ -315,25 +239,15 @@ var (
 	ErrRebalanceActive = cluster.ErrRebalanceActive
 )
 
-// CacheAdmission selects the query cache's admission/eviction policy
-// (Options.CacheAdmission — see DESIGN.md §15).
-type CacheAdmission = core.CacheAdmission
-
-// Admission policies: plain LRU (default) or history-learned admission
-// (requires Options.History).
-const (
-	AdmissionLRU     = core.AdmissionLRU
-	AdmissionLearned = core.AdmissionLearned
-)
+// AdmissionLearned, as Options.CacheAdmission, replaces the query cache's
+// plain LRU with history-learned admission (requires Options.History — see
+// DESIGN.md §15).
+const AdmissionLearned = core.AdmissionLearned
 
 // HistoryStats summarizes the persistent query-history store: retained,
 // appended and retired record counts, retained bytes, mined group count,
 // mining passes, and prefetched entries.
 type HistoryStats = core.HistoryStats
-
-// DefaultMineInterval is the records-between-minings default used when
-// Options.HistoryMineInterval is zero.
-const DefaultMineInterval = core.DefaultMineInterval
 
 // ErrHistoryCorrupt reports a corrupted or truncated on-flash query-history
 // image; RestoreHistory wraps it and degrades to a cold-start (empty

@@ -1,0 +1,234 @@
+package deepstore
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// Drift guards for the present-tense docs and the facade, built on the
+// standard library's Go parser alone. README.md and DESIGN.md name code as
+// `pkg.Name`, and TestDocsNamesResolve fails when such a name is no longer
+// declared. The facade re-exports only what some caller uses, and
+// TestFacadeExportsHaveCallers fails on an export nobody uses.
+
+// parseModule parses every Go file of the module, tests included, keyed by
+// slash-separated path.
+func parseModule(t *testing.T) map[string]*ast.File {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		files[filepath.ToSlash(path)] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// declNames returns the names a file declares at top level, methods included.
+func declNames(f *ast.File) []string {
+	var names []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name.Name)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+var (
+	fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
+	codeSpan    = regexp.MustCompile("`[^`]+`")
+	// pkgName matches pkg.Name, or pkg.Prefix* for a family of names. A
+	// match inside a path (dir/file.go) or a longer chain (a.b.c) is none.
+	pkgName = regexp.MustCompile(`(^|[^\w./-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(\*?)`)
+	fileExt = map[string]bool{"go": true, "json": true, "jsonl": true, "md": true, "mod": true, "s": true, "sh": true, "yml": true}
+)
+
+func TestDocsNamesResolve(t *testing.T) {
+	decls := map[string]map[string]bool{} // package name → names declared in it
+	for _, f := range parseModule(t) {
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		for _, n := range declNames(f) {
+			decls[pkg][n] = true
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prose := fencedBlock.ReplaceAllString(string(text), "")
+		for _, span := range codeSpan.FindAllString(prose, -1) {
+			for _, m := range pkgName.FindAllStringSubmatch(span, -1) {
+				pkg, name, family := m[2], m[3], m[4] == "*"
+				names, ok := decls[pkg]
+				if !ok || fileExt[name] {
+					continue // a variable or a file name, not a package of the module
+				}
+				found := names[name]
+				for n := range names {
+					found = found || family && strings.HasPrefix(n, name)
+				}
+				if !found {
+					t.Errorf("%s: %s names %s.%s, which package %s does not declare", doc, span, pkg, name, pkg)
+				}
+			}
+		}
+	}
+}
+
+// facadeUser reports whether path is a file whose uses of the facade count:
+// a command, an example, the benchmark, or a root-package test.
+func facadeUser(path string) bool {
+	for _, dir := range []string{"cmd/", "examples/", "benchmark/"} {
+		if strings.HasPrefix(path, dir) {
+			return true
+		}
+	}
+	return !strings.Contains(path, "/") && strings.HasSuffix(path, "_test.go")
+}
+
+// facadeRefs adds to used every name f takes from the facade: selectors on
+// the imported root package, and, in the root package itself, every
+// identifier that is neither a selected member nor a composite-literal key.
+func facadeRefs(f *ast.File, used map[string]bool) {
+	if f.Name.Name == "deepstore" {
+		skip := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				skip[n.Sel] = true
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							skip[key] = true
+						}
+					}
+				}
+			case *ast.Ident:
+				used[n.Name] = used[n.Name] || !skip[n]
+			}
+			return true
+		})
+		return
+	}
+	local := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"repro"` {
+			local = "deepstore"
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+		}
+	}
+	if local == "" {
+		return
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+				used[sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+}
+
+var (
+	qualifiedName = regexp.MustCompile(`\bdeepstore\.(\w+)`)
+	spanName      = regexp.MustCompile("`(\\w+)`")
+)
+
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	files := parseModule(t)
+	used := map[string]bool{}
+	for path, f := range files {
+		if facadeUser(path) {
+			facadeRefs(f, used)
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, re := range []*regexp.Regexp{qualifiedName, spanName} {
+			for _, m := range re.FindAllStringSubmatch(string(text), -1) {
+				used[m[1]] = true
+			}
+		}
+	}
+	// A kept function keeps every facade type its signature names.
+	funcs := map[string]*ast.FuncType{}
+	var exports []string
+	for _, path := range []string{"deepstore.go", "remote.go"} {
+		for _, d := range files[path].Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs[fn.Name.Name] = fn.Type
+			}
+		}
+		for _, n := range declNames(files[path]) {
+			if ast.IsExported(n) {
+				exports = append(exports, n)
+			}
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for name, sig := range funcs {
+			if !used[name] {
+				continue
+			}
+			ast.Inspect(sig, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !used[id.Name] {
+					used[id.Name], grew = true, true
+				}
+				_, qualified := n.(*ast.SelectorExpr) // names another package's type
+				return !qualified
+			})
+		}
+	}
+	sort.Strings(exports)
+	for _, n := range exports {
+		if !used[n] {
+			t.Errorf("facade exports %s, but no command, example, benchmark, root test or doc uses it", n)
+		}
+	}
+}

@@ -36,8 +36,9 @@ func TestMiniPaperPipeline(t *testing.T) {
 	features := int64(256_000)
 	baseSec, _ := base.ScanTime(mir, features, mir.DefaultBatch)
 	secs := map[Level]float64{}
+	dev := DefaultDeviceConfig()
 	for _, level := range []Level{LevelSSD, LevelChannel, LevelChip} {
-		out, err := exp.RunScanFeatures(mir, level, DefaultDeviceConfig(), features, 500)
+		out, err := exp.RunScan(mir, accel.SpecForLevel(level, dev), dev, features, 500)
 		if err != nil {
 			t.Fatal(err)
 		}

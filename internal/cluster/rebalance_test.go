@@ -77,14 +77,16 @@ func TestQueriesRacingMigration(t *testing.T) {
 			o.RerankMargin = 4
 		}},
 	}
+	// The shapes mirror core's scanShapes. The gather width is core's own
+	// business (its golden table proves results do not depend on it), so
+	// "per-feature" runs at the default width here, like "batched".
 	for _, shape := range []struct {
-		name              string
-		scoreBatch, procs int
-	}{{name: "batched"}, {name: "per-feature", scoreBatch: 1}, {name: "serial", procs: 1}} {
+		name  string
+		procs int
+	}{{name: "batched"}, {name: "per-feature"}, {name: "serial", procs: 1}} {
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("%s/%s", shape.name, v.name), func(t *testing.T) {
 				opts := core.DefaultOptions()
-				opts.ScoreBatch = shape.scoreBatch
 				if shape.procs > 0 {
 					// The scan runs one worker per GOMAXPROCS.
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shape.procs))

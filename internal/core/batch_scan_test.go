@@ -19,7 +19,7 @@ import (
 // batches, one feature per scorer call, or by a single worker.
 type scanShape struct {
 	name       string
-	scoreBatch int // Options.ScoreBatch
+	scoreBatch int // Options.scoreBatch
 	procs      int // GOMAXPROCS — the sweep's worker count — while the test runs; 0 leaves it
 }
 
@@ -32,7 +32,7 @@ var scanShapes = []scanShape{
 // on returns opts with the shape applied, pinning GOMAXPROCS for the rest of
 // the test when the shape asks for it.
 func (s scanShape) on(t *testing.T, opts Options) Options {
-	opts.ScoreBatch = s.scoreBatch
+	opts.scoreBatch = s.scoreBatch
 	if s.procs > 0 {
 		prev := runtime.GOMAXPROCS(s.procs)
 		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })

@@ -34,10 +34,9 @@ type ModelID uint64
 // QueryID identifies a submitted query (query/getResults, Table 2).
 type QueryID uint64
 
-// DefaultScoreBatch is the features-per-batch the scan gathers when
-// Options.ScoreBatch is zero. 64 rows are enough to amortize each weight
-// panel's memory traffic while keeping per-worker scratch small (see
-// DESIGN.md on batch-size selection).
+// DefaultScoreBatch is the features-per-batch the scan gathers. 64 rows are
+// enough to amortize each weight panel's memory traffic while keeping
+// per-worker scratch small (see DESIGN.md on batch-size selection).
 const DefaultScoreBatch = 64
 
 // DefaultPruneStripe is the features-per-stripe of the exact-pruning bound
@@ -57,9 +56,6 @@ type Options struct {
 	// TimingWindow bounds the per-accelerator features simulated in the
 	// event-driven model per query (0 = exact simulation).
 	TimingWindow int64
-	// ScoreBatch is the feature count the scan gathers per GEMM batch
-	// (0 = DefaultScoreBatch). Results do not depend on it.
-	ScoreBatch int
 	// Prune enables the exact stripe-pruning tier: WriteDB/AppendDB/ReorgDB
 	// build per-channel-stripe bound tables (persisted page-aligned next to
 	// the data), and the scan skips stripes whose score upper bound cannot
@@ -100,6 +96,11 @@ type Options struct {
 	// HistoryMineInterval is how many appended records pass between mining
 	// refreshes of the learned admission model (0 = DefaultMineInterval).
 	HistoryMineInterval int
+
+	// scoreBatch overrides DefaultScoreBatch as the scan's gather width (0 =
+	// the default). Only this package's tests set it, to prove that results
+	// do not depend on it.
+	scoreBatch int
 }
 
 // CacheAdmission selects how the query cache admits and evicts under
@@ -355,8 +356,8 @@ func New(opts Options) (*DeepStore, error) {
 
 // scoreBatch resolves the effective features-per-batch of the scan's gather.
 func (ds *DeepStore) scoreBatch() int {
-	if ds.opts.ScoreBatch > 0 {
-		return ds.opts.ScoreBatch
+	if ds.opts.scoreBatch > 0 {
+		return ds.opts.scoreBatch
 	}
 	return DefaultScoreBatch
 }

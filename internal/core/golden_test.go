@@ -107,7 +107,7 @@ func goldenRun(t *testing.T, c goldenConfig, scoreBatch, nq int, r goldenRange) 
 	opts.PruneStripeFeatures = c.stripeFeatures
 	opts.Quantized = c.quant
 	opts.RerankMargin = c.margin
-	opts.ScoreBatch = scoreBatch
+	opts.scoreBatch = scoreBatch
 	net := pruneTestNet()
 	vectors := clusteredVectors(c.features, 17)
 	if c.app != "" {
@@ -252,7 +252,7 @@ func TestScanGolden(t *testing.T) {
 							got := goldenDigest(name, goldenRun(t, c, batch, nq, r))
 							runtime.GOMAXPROCS(prev)
 							if got != w {
-								t.Fatalf("workers=%d ScoreBatch=%d:\n got %+v\nwant %+v", workers, batch, got, w)
+								t.Fatalf("workers=%d scoreBatch=%d:\n got %+v\nwant %+v", workers, batch, got, w)
 							}
 						}
 					}

@@ -63,7 +63,7 @@ func TestSweepMatchesReference(t *testing.T) {
 		for _, batch := range []int{1, 7, 64} {
 			t.Run(fmt.Sprintf("%s/B=%d", c.name, batch), func(t *testing.T) {
 				opts := pruneTestOpts(c.prune)
-				opts.Quantized, opts.ScoreBatch = c.quant, batch
+				opts.Quantized, opts.scoreBatch = c.quant, batch
 				ds, model, dbID := buildPruneEngine(t, opts, net, vectors)
 				qfvs := make([][]float32, 7)
 				ks := make([]int, len(qfvs))

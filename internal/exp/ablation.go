@@ -37,47 +37,36 @@ type AblationDataflowRow struct {
 func AblationDataflow(window int64) ([]AblationDataflowRow, error) {
 	devCfg := ssd.DefaultConfig()
 	var rows []AblationDataflowRow
+	spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
+	swappedSpec := spec
+	if spec.Array.Dataflow == systolic.OutputStationary {
+		swappedSpec.Array.Dataflow = systolic.WeightStationary
+	} else {
+		swappedSpec.Array.Dataflow = systolic.OutputStationary
+	}
 	for _, app := range workload.Apps() {
-		for _, level := range []accel.Level{accel.LevelChannel} {
-			spec := accel.SpecForLevel(level, devCfg)
-			chosen, err := runScanSpec(app, spec, devCfg, window)
-			if err != nil {
-				return nil, err
-			}
-			swappedSpec := spec
-			if spec.Array.Dataflow == systolic.OutputStationary {
-				swappedSpec.Array.Dataflow = systolic.WeightStationary
-			} else {
-				swappedSpec.Array.Dataflow = systolic.OutputStationary
-			}
-			swapped, err := runScanSpec(app, swappedSpec, devCfg, window)
-			if err != nil {
-				return nil, err
-			}
-			row := AblationDataflowRow{
-				App: app.Name, Level: level, Chosen: spec.Array.Dataflow,
-			}
-			if chosen.Unsupported || swapped.Unsupported {
-				row.ChosenS, row.SwappedS, row.Penalty = math.NaN(), math.NaN(), math.NaN()
-			} else {
-				row.ChosenS = chosen.Seconds
-				row.SwappedS = swapped.Seconds
-				row.Penalty = swapped.Seconds / chosen.Seconds
-			}
-			rows = append(rows, row)
+		features := workload.PaperSpec(app).Features
+		chosen, err := RunScan(app, spec, devCfg, features, window)
+		if err != nil {
+			return nil, err
 		}
+		swapped, err := RunScan(app, swappedSpec, devCfg, features, window)
+		if err != nil {
+			return nil, err
+		}
+		row := AblationDataflowRow{
+			App: app.Name, Level: spec.Level, Chosen: spec.Array.Dataflow,
+		}
+		if chosen.Unsupported || swapped.Unsupported {
+			row.ChosenS, row.SwappedS, row.Penalty = math.NaN(), math.NaN(), math.NaN()
+		} else {
+			row.ChosenS = chosen.Seconds
+			row.SwappedS = swapped.Seconds
+			row.Penalty = swapped.Seconds / chosen.Seconds
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// runScanSpec is RunScan with an explicit accelerator spec.
-func runScanSpec(app *workload.App, spec accel.Spec, devCfg ssd.Config, window int64) (ScanOutcome, error) {
-	return runScanSpecFeatures(app, spec, devCfg, workload.PaperSpec(app).Features, window)
-}
-
-func runScanSpecFeatures(app *workload.App, spec accel.Spec, devCfg ssd.Config, features, window int64) (ScanOutcome, error) {
-	out, err := RunScanCustom(app, spec, devCfg, features, window)
-	return out, err
 }
 
 // AblationPrecisionRow reports the precision extension's effect at the
@@ -103,8 +92,7 @@ func AblationPrecision(window int64) ([]AblationPrecisionRow, error) {
 			spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
 			spec.Array.Precision = p
 			// Quantized databases store quantized features.
-			features := workload.PaperSpec(app).Features
-			out, err := RunScanCustom(app, spec, devCfg, features, window)
+			out, err := RunScan(app, spec, devCfg, workload.PaperSpec(app).Features, window)
 			if err != nil {
 				return nil, err
 			}
@@ -151,11 +139,11 @@ func AblationL2(window int64) ([]AblationL2Row, error) {
 	var rows []AblationL2Row
 	for _, app := range workload.Apps() {
 		features := workload.PaperSpec(app).Features
-		with, err := RunScanFeatures(app, accel.LevelChannel, withCfg, features, window)
+		with, err := RunScan(app, accel.SpecForLevel(accel.LevelChannel, withCfg), withCfg, features, window)
 		if err != nil {
 			return nil, err
 		}
-		without, err := RunScanFeatures(app, accel.LevelChannel, noCfg, features, window)
+		without, err := RunScan(app, accel.SpecForLevel(accel.LevelChannel, noCfg), noCfg, features, window)
 		if err != nil {
 			return nil, err
 		}

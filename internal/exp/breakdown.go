@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -77,15 +75,9 @@ func LatencyBreakdown(cfg BreakdownConfig) (BreakdownResult, error) {
 		// Hadamard front end): repeated intents score near 1 and unrelated
 		// ones near 0.5, so the Zipfian trace produces real hits and the
 		// rerank stage appears in the table.
-		fe := app.SCN.FeatureElems()
-		qcn, err := nn.NewNetwork("breakdown-qcn", tensor.Shape{fe}, nn.CombineHadamard,
-			nn.NewFC("sum", fe, 1, nn.ActSigmoid))
+		qcn, err := dotNet("breakdown-qcn", app.SCN.FeatureElems(), 0.5)
 		if err != nil {
 			return BreakdownResult{}, err
-		}
-		fc := qcn.Layers[0].(*nn.FC)
-		for i := range fc.W {
-			fc.W[i] = 0.5
 		}
 		if err := ds.SetQC(qcn, 0.95, cfg.QCEntries, cfg.QCThreshold); err != nil {
 			return BreakdownResult{}, err

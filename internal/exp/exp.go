@@ -7,11 +7,12 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/accel"
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/ssd"
+	"repro/internal/topk"
 	"repro/internal/workload"
 )
 
@@ -36,21 +38,13 @@ type ScanOutcome struct {
 	Unsupported bool
 }
 
-// RunScan executes one windowed scan of the application's §6.1 database
-// (25 GiB of features) on a fresh simulated device.
-func RunScan(app *workload.App, level accel.Level, devCfg ssd.Config, window int64) (ScanOutcome, error) {
-	return RunScanFeatures(app, level, devCfg, workload.PaperSpec(app).Features, window)
-}
-
-// RunScanFeatures is RunScan with an explicit database size.
-func RunScanFeatures(app *workload.App, level accel.Level, devCfg ssd.Config, features, window int64) (ScanOutcome, error) {
-	return RunScanCustom(app, accel.SpecForLevel(level, devCfg), devCfg, features, window)
-}
-
-// RunScanCustom runs a scan with an explicit accelerator spec (used by the
-// ablation studies to swap dataflow or precision). The database layout
-// follows the spec's precision: quantized features are stored quantized.
-func RunScanCustom(app *workload.App, spec accel.Spec, devCfg ssd.Config, features, window int64) (ScanOutcome, error) {
+// RunScan executes one windowed scan of a features-long database of the
+// application on a fresh simulated device with the given accelerators
+// (accel.SpecForLevel(level, devCfg) for a Table 3 design; the ablations
+// swap its dataflow or precision). The database layout follows the spec's
+// precision: quantized features are stored quantized. A level the network
+// cannot run on comes back as an Unsupported outcome, not an error.
+func RunScan(app *workload.App, spec accel.Spec, devCfg ssd.Config, features, window int64) (ScanOutcome, error) {
 	e := sim.NewEngine()
 	dev, err := ssd.New(e, devCfg)
 	if err != nil {
@@ -66,8 +60,7 @@ func RunScanCustom(app *workload.App, spec accel.Spec, devCfg ssd.Config, featur
 		WindowFeaturesPerAccel: window,
 	})
 	if err != nil {
-		var unsup *accel.ErrUnsupported
-		if ok := asUnsupported(err, &unsup); ok {
+		if errors.As(err, new(*accel.ErrUnsupported)) {
 			return ScanOutcome{Level: spec.Level, Unsupported: true}, nil
 		}
 		return ScanOutcome{}, err
@@ -80,44 +73,6 @@ func RunScanCustom(app *workload.App, spec accel.Spec, devCfg ssd.Config, featur
 		Energy:  model.Energy(res.Activity),
 		Result:  res,
 	}, nil
-}
-
-func asUnsupported(err error, target **accel.ErrUnsupported) bool {
-	u, ok := err.(*accel.ErrUnsupported)
-	if ok {
-		*target = u
-	}
-	return ok
-}
-
-// BaselineScan returns the GPU+SSD baseline's scan time and energy for the
-// application's §6.1 database at its §6.2 batch size.
-func BaselineScan(app *workload.App, cfg baseline.Config, features int64) (seconds float64, energyJ float64) {
-	t, _ := cfg.ScanTime(app, features, app.DefaultBatch)
-	return t, cfg.EnergyJ(t)
-}
-
-// scanRecord couples one (app, level) scan with its outcome for experiments
-// that iterate the full matrix.
-type scanRecord struct {
-	app   string
-	level accel.Level
-	out   ScanOutcome
-	err   error
-}
-
-// collectAllScans runs every application at every accelerator level on the
-// default device.
-func collectAllScans(window int64) []scanRecord {
-	devCfg := ssd.DefaultConfig()
-	var recs []scanRecord
-	for _, app := range workload.Apps() {
-		for _, level := range accel.Levels() {
-			out, err := RunScan(app, level, devCfg, window)
-			recs = append(recs, scanRecord{app: app.Name, level: level, out: out, err: err})
-		}
-	}
-	return recs
 }
 
 // newEngine builds a fresh engine holding the vectors and the comparison
@@ -145,6 +100,84 @@ func queryNow(ds *core.DeepStore, spec core.QuerySpec) (*core.QueryResult, error
 		return nil, err
 	}
 	return ds.GetResults(qid)
+}
+
+// replay is one query stream run through a fresh engine.
+type replay struct {
+	ds      *core.DeepStore
+	results []*core.QueryResult
+	// clock is how far the engine clock advanced over the stream; latency
+	// sums the queries' own latencies, which also count the stages charged
+	// to a query but not to the engine clock (bound checks, rerank).
+	clock, latency sim.Duration
+	wallSec        float64
+}
+
+// replayStream builds a fresh engine over vectors and scn, lets setup
+// (when non-nil) configure it, and runs qfvs through it one query at a time.
+func replayStream(opts core.Options, vectors [][]float32, scn *nn.Network, setup func(*core.DeepStore) error, qfvs [][]float32, k int) (replay, error) {
+	ds, model, dbID, err := newEngine(opts, vectors, scn)
+	if err == nil && setup != nil {
+		err = setup(ds)
+	}
+	if err != nil {
+		return replay{}, err
+	}
+	r := replay{ds: ds}
+	wallStart := time.Now()
+	simStart := ds.Now()
+	for _, q := range qfvs {
+		res, err := queryNow(ds, core.QuerySpec{QFV: q, K: k, Model: model, DB: dbID})
+		if err != nil {
+			return replay{}, err
+		}
+		r.results = append(r.results, res)
+		r.latency += res.Latency
+	}
+	r.clock = sim.Duration(ds.Now() - simStart)
+	r.wallSec = time.Since(wallStart).Seconds()
+	return r, nil
+}
+
+// queryVectors generates the trace and returns its queries as vectors of
+// dims elements.
+func queryVectors(tc workload.TraceConfig, dims int, seed int64) [][]float32 {
+	trace := workload.GenerateTrace(tc)
+	qfvs := make([][]float32, len(trace.Queries))
+	for i, q := range trace.Queries {
+		qfvs[i] = workload.QueryVector(q, dims, seed)
+	}
+	return qfvs
+}
+
+// mismatches counts the entries of got that differ from ref in any field
+// (FeatureID, Score, ObjectID); a top-K of the wrong length misses all of ref.
+func mismatches(ref, got []topk.Entry) int {
+	if len(got) != len(ref) {
+		return len(ref)
+	}
+	n := 0
+	for j := range ref {
+		if got[j] != ref[j] {
+			n++
+		}
+	}
+	return n
+}
+
+// overlap counts the entries of got whose FeatureID is also in truth: the
+// numerator of recall@K.
+func overlap(truth, got []topk.Entry) int {
+	n := 0
+	for _, g := range got {
+		for _, e := range truth {
+			if e.FeatureID == g.FeatureID {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // newCluster is newEngine for a sharded cluster of default engines.

@@ -11,8 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-func defaultDev() ssd.Config { return ssd.DefaultConfig() }
-
 // testWindow keeps experiment tests fast; shapes are stable well below the
 // default window.
 const testWindow = 1000
@@ -92,7 +90,8 @@ func TestFigure8ShapeBands(t *testing.T) {
 	}
 	// Figure 11 is a projection of the same rows; both have bar charts.
 	rows11 := Figure11(rows)
-	checkResult(t, tables(figure8Table(rows), figure11Table(rows11)), nil)
+	checkResult(t, Result{Tables: []report.Table{figure8Table(rows)}, Chart: figure8Chart(rows)}, nil)
+	checkResult(t, Result{Tables: []report.Table{figure11Table(rows11)}, Chart: figure11Chart(rows11)}, nil)
 	for _, chart := range []string{figure8Chart(rows), figure11Chart(rows11)} {
 		if !strings.Contains(chart, "TextQA/Channel") {
 			t.Errorf("chart lost a bar: %q", chart)
@@ -298,7 +297,7 @@ func TestFigure14Trends(t *testing.T) {
 				u.Entries, u.MissRate, z7.MissRate, z8.MissRate)
 		}
 	}
-	checkResult(t, tables(figure14Table(rows)), nil)
+	checkResult(t, Result{Tables: []report.Table{figure14Table(rows)}, Chart: figure14Chart(rows)}, nil)
 	if !strings.Contains(figure14Chart(rows), "zipf-0.8") {
 		t.Error("chart lost a distribution's line")
 	}
@@ -328,7 +327,7 @@ func TestTable3Configurations(t *testing.T) {
 func TestFigure6Rendering(t *testing.T) {
 	points := Figure6()
 	tb := Figure6Table(points)
-	checkResult(t, tables(tb), nil)
+	checkResult(t, Result{Tables: []report.Table{tb}, Chart: figure6Chart(points)}, nil)
 	if !strings.HasSuffix(tb.Text(), "(paper: 512 and 1024).\n") {
 		t.Errorf("saturation note missing: %q", tb.Text())
 	}
@@ -339,7 +338,8 @@ func TestFigure6Rendering(t *testing.T) {
 
 func TestRunScanUnsupportedReported(t *testing.T) {
 	reid, _ := workload.ByName("ReId")
-	out, err := RunScan(reid, accel.LevelChip, defaultDev(), testWindow)
+	dev := ssd.DefaultConfig()
+	out, err := RunScan(reid, accel.SpecForLevel(accel.LevelChip, dev), dev, workload.PaperSpec(reid).Features, testWindow)
 	if err != nil {
 		t.Fatal(err)
 	}

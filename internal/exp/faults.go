@@ -53,20 +53,10 @@ type FaultsRow struct {
 	// Errors counts queries with no healthy shard at all (possible only at
 	// extreme rates; such queries contribute no latency sample).
 	Errors int
-	// P50Ms/P99Ms are simulated makespan percentiles in milliseconds over
-	// the answered queries.
+	// P50Ms/P99Ms are nearest-rank (obs.Quantile) simulated makespan
+	// percentiles in milliseconds over the answered queries (0 when none was).
 	P50Ms float64
 	P99Ms float64
-}
-
-// percentileMs returns the nearest-rank percentile (p in [0,100]) of the
-// sorted sample of seconds, in milliseconds. Thin wrapper over obs.Quantile
-// (the shared definition; the previous local copy sat one rank high).
-func percentileMs(sorted []float64, p int) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return obs.Quantile(sorted, float64(p)) * 1000
 }
 
 // FaultSweep replays one trace against a fresh sharded cluster per rate.
@@ -82,14 +72,9 @@ func FaultSweep(cfg FaultsConfig) ([]FaultsRow, error) {
 	}
 	app.SCN.InitRandom(cfg.Seed)
 	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+1)
-	trace := workload.GenerateTrace(workload.TraceConfig{
+	qfvs := queryVectors(workload.TraceConfig{
 		Universe: 64, Length: cfg.Queries, Dist: workload.Zipfian, Alpha: 0.7, Seed: cfg.Seed,
-	})
-	dims := app.SCN.FeatureElems()
-	qfvs := make([][]float32, len(trace.Queries))
-	for i, q := range trace.Queries {
-		qfvs[i] = workload.QueryVector(q, dims, cfg.Seed)
-	}
+	}, app.SCN.FeatureElems(), cfg.Seed)
 
 	var rows []FaultsRow
 	for _, rate := range cfg.Rates {
@@ -114,9 +99,10 @@ func FaultSweep(cfg FaultsConfig) ([]FaultsRow, error) {
 				row.ShardFailures += len(ans.FailedShards)
 			}
 		}
-		sort.Float64s(lat)
-		row.P50Ms = percentileMs(lat, 50)
-		row.P99Ms = percentileMs(lat, 99)
+		if len(lat) > 0 { // a rate that failed every query leaves no sample
+			sort.Float64s(lat)
+			row.P50Ms, row.P99Ms = obs.Quantile(lat, 50)*1000, obs.Quantile(lat, 99)*1000
+		}
 		rows = append(rows, row)
 	}
 	return rows, nil

@@ -1,6 +1,10 @@
 package exp
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
 
 // TestFaultSweep: the zero rate stays clean, rising rates degrade queries,
 // and the sweep is deterministic under its fixed seed.
@@ -56,21 +60,23 @@ func TestFaultSweepValidation(t *testing.T) {
 	}
 }
 
+// TestPercentileMs: the sweep's p50/p99 are obs.Quantile's nearest rank in
+// milliseconds, and a rate that answers nothing reports zeros (not NaN,
+// which the JSON artifact could not encode).
 func TestPercentileMs(t *testing.T) {
-	if got := percentileMs(nil, 50); got != 0 {
-		t.Errorf("empty sample p50 = %v", got)
-	}
 	// Nearest-rank: p50 of 4 samples is rank ⌈0.5·4⌉ = 2 — the 2nd order
-	// statistic. (The pre-obs.Quantile copy sat one rank high and returned
-	// the 3rd.)
+	// statistic, not the 3rd.
 	sorted := []float64{0.001, 0.002, 0.003, 0.004}
-	if got := percentileMs(sorted, 50); got != 2 {
-		t.Errorf("p50 = %v ms, want 2", got)
+	for _, c := range []struct{ p, want float64 }{{50, 2}, {99, 4}, {100, 4}} {
+		if got := obs.Quantile(sorted, c.p) * 1000; got != c.want {
+			t.Errorf("p%v = %v ms, want %v", c.p, got, c.want)
+		}
 	}
-	if got := percentileMs(sorted, 99); got != 4 {
-		t.Errorf("p99 = %v ms, want 4", got)
+	rows, err := FaultSweep(FaultsConfig{Shards: 2, Features: 64, Queries: 3, K: 2, Seed: 7, Rates: []float64{1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := percentileMs(sorted, 100); got != 4 {
-		t.Errorf("p100 = %v ms, want 4", got)
+	if r := rows[0]; r.Errors != r.Queries || r.P50Ms != 0 || r.P99Ms != 0 {
+		t.Errorf("all-failing rate: %+v, want every query an error and zero percentiles", r)
 	}
 }

@@ -47,7 +47,7 @@ func Figure10a(window int64) ([]Fig10aRow, error) {
 		rows = append(rows, Fig10aRow{System: "Traditional", Channels: channels, Speedup: refSec / tSec})
 
 		for _, level := range accel.Levels() {
-			out, err := RunScan(app, level, devCfg, window)
+			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, features, window)
 			if err != nil {
 				return nil, err
 			}

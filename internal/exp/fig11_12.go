@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/report"
+	"repro/internal/ssd"
 	"repro/internal/viz"
+	"repro/internal/workload"
 )
 
 // Fig11Row is one energy-efficiency bar: a DeepStore design's perf/Watt
@@ -70,27 +72,20 @@ type Fig12Row struct {
 // Figure12 computes the Fig. 12 power-consumption breakdown by re-running
 // the level scans and decomposing their activity energy.
 func Figure12(window int64) ([]Fig12Row, error) {
-	rows8, err := figure12Scans(window)
-	if err != nil {
-		return nil, err
-	}
-	return rows8, nil
-}
-
-func figure12Scans(window int64) ([]Fig12Row, error) {
+	devCfg := ssd.DefaultConfig()
 	var rows []Fig12Row
-	for _, outcome := range collectAllScans(window) {
-		if outcome.err != nil {
-			return nil, outcome.err
+	for _, app := range workload.Apps() {
+		for _, level := range accel.Levels() {
+			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, workload.PaperSpec(app).Features, window)
+			if err != nil {
+				return nil, err
+			}
+			row := Fig12Row{App: app.Name, Level: level, Compute: math.NaN(), Memory: math.NaN(), Flash: math.NaN()}
+			if !out.Unsupported {
+				row.Compute, row.Memory, row.Flash = out.Energy.Fractions()
+			}
+			rows = append(rows, row)
 		}
-		if outcome.out.Unsupported {
-			rows = append(rows, Fig12Row{App: outcome.app, Level: outcome.level,
-				Compute: math.NaN(), Memory: math.NaN(), Flash: math.NaN()})
-			continue
-		}
-		c, m, f := outcome.out.Energy.Fractions()
-		rows = append(rows, Fig12Row{App: outcome.app, Level: outcome.level,
-			Compute: c, Memory: m, Flash: f})
 	}
 	return rows, nil
 }

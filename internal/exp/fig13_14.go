@@ -91,19 +91,29 @@ func SimulateQCTrace(cfg QCStudyConfig, dist workload.Distribution, alpha, thres
 // Fig13Row is one Fig. 13 x-axis point: speedups over the plain traditional
 // system and the cache miss rate, at one error threshold.
 type Fig13Row struct {
-	Dist          string
-	ThresholdPct  int
-	MissRate      float64
+	Dist         string
+	ThresholdPct int
+	MissRate     float64
+	QCSpeedupRow
+}
+
+// QCSpeedupRow holds the three Fig. 13 speedups for one miss rate.
+type QCSpeedupRow struct {
 	TraditionalQC float64 // Traditional + QCache over Traditional
 	DeepStore     float64 // DeepStore (no QC) over Traditional
 	DeepStoreQC   float64 // DeepStore + QCache over Traditional
 }
 
-// QCSpeedupRow holds the three Fig. 13 speedups for one miss rate.
-type QCSpeedupRow struct {
-	TraditionalQC float64
-	DeepStore     float64
-	DeepStoreQC   float64
+// qcDists are the §6.5 query streams: Fig. 13 sweeps the first two, Fig. 14
+// all three.
+var qcDists = []struct {
+	d     workload.Distribution
+	alpha float64
+	name  string
+}{
+	{workload.Uniform, 0, "uniform"},
+	{workload.Zipfian, 0.7, "zipf-0.7"},
+	{workload.Zipfian, 0.8, "zipf-0.8"},
 }
 
 // qcCosts precomputes the §6.5 system latencies: one full-database scan on
@@ -122,12 +132,13 @@ func computeQCCosts(window int64, cfg QCStudyConfig) (qcCosts, error) {
 	}
 	baseCfg := baseline.DefaultConfig()
 	baseSec, _ := baseCfg.ScanTime(app, cfg.Features, app.DefaultBatch)
-	out, err := RunScanFeatures(app, accel.LevelChannel, ssd.DefaultConfig(), cfg.Features, window)
+	devCfg := ssd.DefaultConfig()
+	spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
+	out, err := RunScan(app, spec, devCfg, cfg.Features, window)
 	if err != nil {
 		return qcCosts{}, err
 	}
 	qcn := app.QCN()
-	spec := accel.SpecForLevel(accel.LevelChannel, ssd.DefaultConfig())
 	perQCN := float64(spec.Array.NetworkCost(qcn.LayerPlan()).Cycles) / spec.Array.FreqHz
 	return qcCosts{
 		baseSec:    baseSec,
@@ -164,26 +175,10 @@ func Figure13(window int64, cfg QCStudyConfig) ([]Fig13Row, error) {
 	}
 
 	var rows []Fig13Row
-	dists := []struct {
-		d     workload.Distribution
-		alpha float64
-		name  string
-	}{
-		{workload.Uniform, 0, "uniform"},
-		{workload.Zipfian, 0.7, "zipf-0.7"},
-	}
-	for _, d := range dists {
+	for _, d := range qcDists[:2] {
 		for _, pct := range []int{0, 2, 5, 8, 10, 12, 15, 18, 20} {
 			miss := SimulateQCTrace(cfg, d.d, d.alpha, float64(pct)/100)
-			s := costs.speedups(miss)
-			rows = append(rows, Fig13Row{
-				Dist:          d.name,
-				ThresholdPct:  pct,
-				MissRate:      miss,
-				TraditionalQC: s.TraditionalQC,
-				DeepStore:     s.DeepStore,
-				DeepStoreQC:   s.DeepStoreQC,
-			})
+			rows = append(rows, Fig13Row{Dist: d.name, ThresholdPct: pct, MissRate: miss, QCSpeedupRow: costs.speedups(miss)})
 		}
 	}
 	return rows, nil
@@ -232,17 +227,8 @@ type Fig14Row struct {
 // Figure14 sweeps the cache size 100–1000 entries at a 10% threshold for
 // uniform, Zipfian(0.7), and Zipfian(0.8) streams (§6.5, Fig. 14).
 func Figure14(cfg QCStudyConfig) []Fig14Row {
-	dists := []struct {
-		d     workload.Distribution
-		alpha float64
-		name  string
-	}{
-		{workload.Uniform, 0, "uniform"},
-		{workload.Zipfian, 0.7, "zipf-0.7"},
-		{workload.Zipfian, 0.8, "zipf-0.8"},
-	}
 	var rows []Fig14Row
-	for _, d := range dists {
+	for _, d := range qcDists {
 		for entries := 100; entries <= 1000; entries += 100 {
 			c := cfg
 			c.CacheEntries = entries

@@ -49,7 +49,8 @@ func Figure8(window int64) ([]Fig8Row, error) {
 	var rows []Fig8Row
 	for _, app := range workload.Apps() {
 		features := workload.PaperSpec(app).Features
-		baseSec, baseJ := BaselineScan(app, baseCfg, features)
+		baseSec, _ := baseCfg.ScanTime(app, features, app.DefaultBatch)
+		baseJ := baseCfg.EnergyJ(baseSec)
 		row := Fig8Row{
 			App:         app.Name,
 			BaselineSec: baseSec,
@@ -60,7 +61,7 @@ func Figure8(window int64) ([]Fig8Row, error) {
 		}
 		row.WimpySpeedup = baseSec / row.WimpySec
 		for _, level := range accel.Levels() {
-			out, err := RunScan(app, level, devCfg, window)
+			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, features, window)
 			if err != nil {
 				return nil, err
 			}

@@ -48,7 +48,7 @@ func Figure9(window int64) ([]Fig9Row, error) {
 			for _, r := range fig9Ratios {
 				cfg := ssd.DefaultConfig()
 				cfg.Timing.ReadLatency = sim.Duration(float64(53*sim.Microsecond) * r.factor)
-				out, err := RunScan(app, level, cfg, window)
+				out, err := RunScan(app, accel.SpecForLevel(level, cfg), cfg, workload.PaperSpec(app).Features, window)
 				if err != nil {
 					return nil, err
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
+	"repro/internal/ftl"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -43,83 +44,55 @@ func Interference(appName string, level accel.Level, scanFeatures, streamFeature
 	if err != nil {
 		return InterferenceResult{}, err
 	}
-	res := InterferenceResult{App: appName, Level: level}
-
-	build := func() (*ssd.Device, *sim.Engine, error) {
+	// run puts a scan database and a stream database of the given sizes (0 =
+	// none) on one fresh device, starts the stream, then runs the scan on the
+	// same engine, so when both exist they contend for planes and channel
+	// buses.
+	run := func(scanFeatures, streamFeatures int64) (scanSec, streamSec float64, err error) {
 		e := sim.NewEngine()
 		dev, err := ssd.New(e, ssd.DefaultConfig())
-		return dev, e, err
-	}
-
-	// Isolated scan.
-	{
-		dev, _, err := build()
 		if err != nil {
-			return res, err
+			return 0, 0, err
 		}
-		meta, err := dev.CreateDB("scan", app.FeatureBytes(), scanFeatures)
-		if err != nil {
-			return res, err
+		var scanDB *ftl.DBMeta
+		if scanFeatures > 0 {
+			if scanDB, err = dev.CreateDB("scan", app.FeatureBytes(), scanFeatures); err != nil {
+				return 0, 0, err
+			}
 		}
-		out, err := accel.Scan(accel.ScanRequest{
-			Device: dev, Spec: accel.SpecForLevel(level, dev.Config),
-			Net: app.SCN, Layout: meta.Layout,
-		})
-		if err != nil {
-			return res, err
+		done := streamFeatures == 0
+		if !done {
+			streamDB, err := dev.CreateDB("stream", app.FeatureBytes(), streamFeatures)
+			if err != nil {
+				return 0, 0, err
+			}
+			dev.StreamToHost(streamDB, 0, func(s ssd.StreamStats) { streamSec, done = s.Duration().Seconds(), true })
 		}
-		res.ScanAloneSec = out.Elapsed.Seconds()
-	}
-
-	// Isolated stream.
-	{
-		dev, e, err := build()
-		if err != nil {
-			return res, err
-		}
-		meta, err := dev.CreateDB("stream", app.FeatureBytes(), streamFeatures)
-		if err != nil {
-			return res, err
-		}
-		var stats ssd.StreamStats
-		dev.StreamToHost(meta, 0, func(s ssd.StreamStats) { stats = s })
-		e.Run()
-		res.StreamAloneSec = stats.Duration().Seconds()
-	}
-
-	// Shared device: the stream starts, then the scan runs on the same
-	// engine; both contend for planes and channel buses.
-	{
-		dev, e, err := build()
-		if err != nil {
-			return res, err
-		}
-		scanMeta, err := dev.CreateDB("scan", app.FeatureBytes(), scanFeatures)
-		if err != nil {
-			return res, err
-		}
-		streamMeta, err := dev.CreateDB("stream", app.FeatureBytes(), streamFeatures)
-		if err != nil {
-			return res, err
-		}
-		var stats ssd.StreamStats
-		done := false
-		dev.StreamToHost(streamMeta, 0, func(s ssd.StreamStats) { stats = s; done = true })
-		out, err := accel.Scan(accel.ScanRequest{
-			Device: dev, Spec: accel.SpecForLevel(level, dev.Config),
-			Net: app.SCN, Layout: scanMeta.Layout,
-		})
-		if err != nil {
-			return res, err
+		if scanDB != nil {
+			out, err := accel.Scan(accel.ScanRequest{
+				Device: dev, Spec: accel.SpecForLevel(level, dev.Config),
+				Net: app.SCN, Layout: scanDB.Layout,
+			})
+			if err != nil {
+				return 0, 0, err
+			}
+			scanSec = out.Elapsed.Seconds()
 		}
 		e.Run() // drain the stream if it outlives the scan
 		if !done {
-			return res, fmt.Errorf("exp: interference stream never completed")
+			return 0, 0, fmt.Errorf("exp: interference stream never completed")
 		}
-		res.ScanSharedSec = out.Elapsed.Seconds()
-		res.StreamSharedSec = stats.Duration().Seconds()
+		return scanSec, streamSec, nil
 	}
-	return res, nil
+	res := InterferenceResult{App: appName, Level: level}
+	if res.ScanAloneSec, _, err = run(scanFeatures, 0); err != nil {
+		return res, err
+	}
+	if _, res.StreamAloneSec, err = run(0, streamFeatures); err != nil {
+		return res, err
+	}
+	res.ScanSharedSec, res.StreamSharedSec, err = run(scanFeatures, streamFeatures)
+	return res, err
 }
 
 // interferenceTable tabulates the study.

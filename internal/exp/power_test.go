@@ -13,10 +13,11 @@ import (
 // scan time) must stay within the device's electrical envelope — above the
 // 28.5 W static floor, below the 75 W PCIe slot cap (§4.5).
 func TestDeepStorePowerPlausible(t *testing.T) {
+	dev := ssd.DefaultConfig()
 	for _, appName := range workload.AppNames() {
 		app, _ := workload.ByName(appName)
 		for _, level := range accel.Levels() {
-			out, err := RunScan(app, level, ssd.DefaultConfig(), testWindow)
+			out, err := RunScan(app, accel.SpecForLevel(level, dev), dev, workload.PaperSpec(app).Features, testWindow)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -98,66 +96,41 @@ func PruneSweep(cfg PruneConfig) ([]PruneRow, error) {
 		}
 	}
 
-	run := func(prune bool, qfvs [][]float32) (rows []*core.QueryResult, simSec, wallSec float64, err error) {
+	run := func(prune bool, qfvs [][]float32) (replay, error) {
 		opts := core.DefaultOptions()
 		opts.Prune = prune
 		opts.PruneStripeFeatures = cfg.StripeFeatures
-		ds, model, dbID, err := newEngine(opts, vectors, app.SCN)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		wallStart := time.Now()
-		simStart := ds.Now()
-		for _, q := range qfvs {
-			res, err := queryNow(ds, core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			rows = append(rows, res)
-		}
-		return rows, sim.Duration(ds.Now() - simStart).Seconds(), time.Since(wallStart).Seconds(), nil
+		return replayStream(opts, vectors, app.SCN, nil, qfvs, cfg.K)
 	}
 
 	var out []PruneRow
 	for _, dist := range []workload.Distribution{workload.Zipfian, workload.Uniform} {
-		trace := workload.GenerateTrace(workload.TraceConfig{
+		qfvs := queryVectors(workload.TraceConfig{
 			Universe: int64(blocks), Length: cfg.Queries, Dist: dist,
 			Alpha: cfg.Alpha, MaxJitter: cfg.Noise, Seed: cfg.Seed + 3,
-		})
-		qfvs := make([][]float32, cfg.Queries)
-		for i, q := range trace.Queries {
-			qfvs[i] = workload.QueryVector(q, dims, cfg.Seed+1)
-		}
-
-		dense, denseSim, denseWall, err := run(false, qfvs)
+		}, dims, cfg.Seed+1)
+		dense, err := run(false, qfvs)
 		if err != nil {
 			return nil, err
 		}
-		pruned, prunedSim, prunedWall, err := run(true, qfvs)
+		pruned, err := run(true, qfvs)
 		if err != nil {
 			return nil, err
 		}
 		var ps core.PruneStats
-		mismatches := 0
-		for i := range qfvs {
-			ps.Add(pruned[i].Prune)
-			if len(pruned[i].TopK) != len(dense[i].TopK) {
-				mismatches += len(dense[i].TopK)
-				continue
-			}
-			for j := range dense[i].TopK {
-				if pruned[i].TopK[j] != dense[i].TopK[j] {
-					mismatches++
-				}
-			}
+		mismatched := 0
+		for i, r := range pruned.results {
+			ps.Add(r.Prune)
+			mismatched += mismatches(dense.results[i].TopK, r.TopK)
 		}
+		denseSim, prunedSim := dense.clock.Seconds(), pruned.clock.Seconds()
 		denseFeatures := float64(cfg.Features) * float64(cfg.Queries)
 		out = append(out,
 			PruneRow{
 				Trace: dist.String(), Mode: "dense",
 				Queries: cfg.Queries, Features: cfg.Features, StripeFeatures: cfg.StripeFeatures,
 				SimSec: denseSim, FeaturesSec: denseFeatures / denseSim,
-				SpeedupVsDense: 1, WallSec: denseWall,
+				SpeedupVsDense: 1, WallSec: dense.wallSec,
 			},
 			PruneRow{
 				Trace: dist.String(), Mode: "pruned",
@@ -167,7 +140,7 @@ func PruneSweep(cfg PruneConfig) ([]PruneRow, error) {
 				SkipRate:        float64(ps.FeaturesSkipped) / denseFeatures,
 				SimSec:          prunedSim, FeaturesSec: denseFeatures / prunedSim,
 				SpeedupVsDense: denseSim / prunedSim,
-				Mismatches:     mismatches, WallSec: prunedWall,
+				Mismatches:     mismatched, WallSec: pruned.wallSec,
 			})
 	}
 	return out, nil

@@ -2,13 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/report"
-	"repro/internal/sim"
-	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -67,22 +63,6 @@ type QHistRow struct {
 	WallSec          float64 `json:"-"`
 }
 
-// qhistQCN is a scaled-dot-product Hadamard QCN. Trace query vectors are
-// uniform on [-1,1], so an exact repeat's self-dot concentrates near fe/3
-// while unrelated pairs concentrate near 0 (std ~ sqrt(fe/3)); the 8/fe
-// weight puts the sigmoid at ~0.93 for repeats and needs a ~5-sigma
-// coincidence for a false hit — so cache hits deterministically track exact
-// intent repeats.
-func qhistQCN(fe int) *nn.Network {
-	qcn := nn.MustNetwork("qhist-qcn", tensor.Shape{fe}, nn.CombineHadamard,
-		nn.NewFC("sum", fe, 1, nn.ActSigmoid))
-	fc := qcn.Layers[0].(*nn.FC)
-	for i := range fc.W {
-		fc.W[i] = 8 / float32(fe)
-	}
-	return qcn
-}
-
 // QHistSweep runs the study: per distribution, a cache-off oracle engine
 // establishes the exact per-query answers, then an LRU engine and a
 // learned-admission engine (identical except Options.CacheAdmission) replay
@@ -99,66 +79,38 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 	app.SCN.InitRandom(cfg.Seed)
 	dims := app.SCN.FeatureElems()
 	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+2)
-
-	type runOut struct {
-		results []*core.QueryResult
-		ds      *core.DeepStore
-		simSec  float64
-		wallSec float64
+	// Trace query vectors are uniform on [-1,1], so an exact repeat's
+	// self-dot concentrates near dims/3 while unrelated pairs concentrate
+	// near 0 (std ~ sqrt(dims/3)); the 8/dims weight puts the sigmoid at
+	// ~0.93 for repeats and needs a ~5-sigma coincidence for a false hit — so
+	// cache hits deterministically track exact intent repeats.
+	qcn, err := dotNet("qhist-qcn", dims, 8/float32(dims))
+	if err != nil {
+		return nil, err
 	}
-	run := func(admission core.CacheAdmission, withCache bool, qfvs [][]float32) (runOut, error) {
-		opts := core.DefaultOptions()
-		if withCache {
-			opts.History = true
-			opts.CacheAdmission = admission
-			opts.HistoryMineInterval = cfg.MineInterval
-		}
-		ds, model, dbID, err := newEngine(opts, db.Vectors, app.SCN)
-		if err != nil {
-			return runOut{}, err
-		}
-		if withCache {
-			if err := ds.SetQC(qhistQCN(dims), 1.0, cfg.Entries, cfg.Threshold); err != nil {
-				return runOut{}, err
-			}
-		}
-		out := runOut{ds: ds}
-		wallStart := time.Now()
-		simStart := ds.Now()
-		for _, q := range qfvs {
-			res, err := queryNow(ds, core.QuerySpec{QFV: q, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return runOut{}, err
-			}
-			out.results = append(out.results, res)
-		}
-		out.simSec = sim.Duration(ds.Now() - simStart).Seconds()
-		out.wallSec = time.Since(wallStart).Seconds()
-		return out, nil
-	}
+	cached := func(ds *core.DeepStore) error { return ds.SetQC(qcn, 1.0, cfg.Entries, cfg.Threshold) }
 
 	var out []QHistRow
 	for _, dist := range []workload.Distribution{workload.Zipfian, workload.Uniform} {
-		trace := workload.GenerateTrace(workload.TraceConfig{
+		qfvs := queryVectors(workload.TraceConfig{
 			Universe: cfg.Universe, Length: cfg.Queries, Dist: dist,
 			Alpha: cfg.Alpha, Seed: cfg.Seed + 3,
-		})
-		qfvs := make([][]float32, cfg.Queries)
-		for i, q := range trace.Queries {
-			qfvs[i] = workload.QueryVector(q, dims, cfg.Seed+1)
-		}
-
-		oracle, err := run(core.AdmissionLRU, false, qfvs)
+		}, dims, cfg.Seed+1)
+		oracle, err := replayStream(core.DefaultOptions(), db.Vectors, app.SCN, nil, qfvs, cfg.K)
 		if err != nil {
 			return nil, err
 		}
 		for _, admission := range []core.CacheAdmission{core.AdmissionLRU, core.AdmissionLearned} {
-			got, err := run(admission, true, qfvs)
+			opts := core.DefaultOptions()
+			opts.History = true
+			opts.CacheAdmission = admission
+			opts.HistoryMineInterval = cfg.MineInterval
+			got, err := replayStream(opts, db.Vectors, app.SCN, cached, qfvs, cfg.K)
 			if err != nil {
 				return nil, err
 			}
 			var hits, misses uint64
-			mismatches := 0
+			mismatched := 0
 			for i, r := range got.results {
 				if r.CacheHit {
 					hits++
@@ -168,15 +120,7 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 				// Miss-path answers must be bit-identical to the cache-off
 				// oracle: the cache can only change WHICH queries scan, not
 				// what a scan returns.
-				if len(r.TopK) != len(oracle.results[i].TopK) {
-					mismatches += len(oracle.results[i].TopK)
-					continue
-				}
-				for j := range r.TopK {
-					if r.TopK[j] != oracle.results[i].TopK[j] {
-						mismatches++
-					}
-				}
+				mismatched += mismatches(oracle.results[i].TopK, r.TopK)
 			}
 			snap := got.ds.MetricsSnapshot()
 			hs := got.ds.HistoryStats()
@@ -190,8 +134,8 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 				Records:          hs.Records,
 				Mines:            hs.Mines,
 				Groups:           hs.Groups,
-				SimSec:           got.simSec,
-				MissMismatches:   mismatches,
+				SimSec:           got.clock.Seconds(),
+				MissMismatches:   mismatched,
 				WallSec:          got.wallSec,
 			})
 		}

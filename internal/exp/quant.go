@@ -2,13 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/report"
-	"repro/internal/sim"
-	"repro/internal/topk"
 	"repro/internal/workload"
 )
 
@@ -77,7 +74,7 @@ func newQuantFixture(cfg QuantConfig, scnName string) (*quantFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	scn, err := dotNet(scnName, app.SCN.FeatureElems())
+	scn, err := dotNet(scnName, app.SCN.FeatureElems(), 0.05)
 	if err != nil {
 		return nil, err
 	}
@@ -86,30 +83,16 @@ func newQuantFixture(cfg QuantConfig, scnName string) (*quantFixture, error) {
 		qfvs: paraphrasedStream(app, intents, cfg.Queries, cfg.Noise, cfg.Seed)}, nil
 }
 
-// run replays the stream on a fresh engine in the given mode.
-func (f *quantFixture) run(quantized bool, margin int) (tops [][]topk.Entry, simSec, wallSec float64, err error) {
+// run replays the stream on a fresh engine in the given mode. The study
+// reads the replay's summed latency rather than its engine-clock delta: the
+// exact mode's rerank stage (like pruning's bound checks) is charged to the
+// query's latency, not the engine event clock, and the study must see the
+// two-pass tax.
+func (f *quantFixture) run(quantized bool, margin int) (replay, error) {
 	opts := core.DefaultOptions()
 	opts.Quantized = quantized
 	opts.RerankMargin = margin
-	ds, model, dbID, err := newEngine(opts, f.vectors, f.scn)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	wallStart := time.Now()
-	// Sum per-query latency rather than differencing ds.Now(): the exact
-	// mode's rerank stage (like pruning's bound checks) is charged to the
-	// query's latency, not the engine event clock, and the study must see
-	// the two-pass tax.
-	var sum sim.Duration
-	for _, q := range f.qfvs {
-		res, err := queryNow(ds, core.QuerySpec{QFV: q, K: f.cfg.K, Model: model, DB: dbID})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		sum += res.Latency
-		tops = append(tops, res.TopK)
-	}
-	return tops, sum.Seconds(), time.Since(wallStart).Seconds(), nil
+	return replayStream(opts, f.vectors, f.scn, nil, f.qfvs, f.cfg.K)
 }
 
 // QuantSweep runs the study: the same query stream on an fp32 engine, an
@@ -123,30 +106,32 @@ func QuantSweep(cfg QuantConfig) ([]QuantRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, refSim, refWall, err := f.run(false, 0)
+	ref, err := f.run(false, 0)
 	if err != nil {
 		return nil, err
 	}
+	refSim := ref.latency.Seconds()
 	corpus := float64(cfg.Features) * float64(cfg.Queries)
 	rows := []QuantRow{{
 		Mode: "fp32", Queries: cfg.Queries, Features: cfg.Features, K: cfg.K,
 		SimSec: refSim, FeaturesSec: corpus / refSim,
-		SpeedupVsFP32: 1, RecallAtK: 1, WallSec: refWall,
+		SpeedupVsFP32: 1, RecallAtK: 1, WallSec: ref.wallSec,
 	}}
 	for _, m := range []struct {
 		name   string
 		margin int
 	}{{"int8", 0}, {"int8-exact", cfg.Margin}} {
-		tops, simSec, wallSec, err := f.run(true, m.margin)
+		got, err := f.run(true, m.margin)
 		if err != nil {
 			return nil, err
 		}
-		recall, mismatches := scoreAgainstRef(ref, tops, cfg.K)
+		recall, mismatched := scoreAgainstRef(ref, got, cfg.K)
+		simSec := got.latency.Seconds()
 		rows = append(rows, QuantRow{
 			Mode: m.name, Queries: cfg.Queries, Features: cfg.Features, K: cfg.K,
 			Margin: m.margin, SimSec: simSec, FeaturesSec: corpus / simSec,
 			SpeedupVsFP32: refSim / simSec,
-			RecallAtK:     recall, Mismatches: mismatches, WallSec: wallSec,
+			RecallAtK:     recall, Mismatches: mismatched, WallSec: got.wallSec,
 		})
 	}
 	return rows, nil
@@ -154,30 +139,12 @@ func QuantSweep(cfg QuantConfig) ([]QuantRow, error) {
 
 // scoreAgainstRef computes the stream's mean recall@K (feature-ID overlap)
 // and the entry-exact mismatch count against the fp32 reference answers.
-func scoreAgainstRef(ref, got [][]topk.Entry, k int) (recall float64, mismatches int) {
-	for i := range ref {
-		truth := map[int64]bool{}
-		for _, e := range ref[i] {
-			truth[e.FeatureID] = true
-		}
-		overlap := 0
-		for _, e := range got[i] {
-			if truth[e.FeatureID] {
-				overlap++
-			}
-		}
-		recall += float64(overlap) / float64(k)
-		if len(got[i]) != len(ref[i]) {
-			mismatches += len(ref[i])
-			continue
-		}
-		for j := range ref[i] {
-			if got[i][j] != ref[i][j] {
-				mismatches++
-			}
-		}
+func scoreAgainstRef(ref, got replay, k int) (recall float64, mismatched int) {
+	for i, r := range ref.results {
+		recall += float64(overlap(r.TopK, got.results[i].TopK)) / float64(k)
+		mismatched += mismatches(r.TopK, got.results[i].TopK)
 	}
-	return recall / float64(len(ref)), mismatches
+	return recall / float64(len(ref.results)), mismatched
 }
 
 // QuantMarginRow is one point of the margin sweep.
@@ -201,7 +168,7 @@ func QuantMarginRecall(cfg QuantConfig, margins []int) ([]QuantMarginRow, error)
 	if err != nil {
 		return nil, err
 	}
-	ref, _, _, err := f.run(false, 0)
+	ref, err := f.run(false, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -210,12 +177,12 @@ func QuantMarginRecall(cfg QuantConfig, margins []int) ([]QuantMarginRow, error)
 		if m < 1 {
 			return nil, fmt.Errorf("exp: margin %d < 1", m)
 		}
-		tops, _, _, err := f.run(true, m)
+		got, err := f.run(true, m)
 		if err != nil {
 			return nil, err
 		}
-		recall, mismatches := scoreAgainstRef(ref, tops, cfg.K)
-		rows = append(rows, QuantMarginRow{Margin: m, RecallAtK: recall, Mismatches: mismatches})
+		recall, mismatched := scoreAgainstRef(ref, got, cfg.K)
+		rows = append(rows, QuantMarginRow{Margin: m, RecallAtK: recall, Mismatches: mismatched})
 	}
 	return rows, nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/report"
@@ -52,9 +51,7 @@ func DefaultRebalance() RebalanceConfig {
 	}
 }
 
-// RebalanceRow is one phase's measured service. Wall-clock time is excluded
-// from the JSON artifact so BENCH_rebalance.json is byte-identical across
-// runs.
+// RebalanceRow is one phase's measured service.
 type RebalanceRow struct {
 	// Phase is "before" (quiesced, pre-move), "during" (migration chunks
 	// interleaved with query batches), or "after" (move complete).
@@ -76,7 +73,6 @@ type RebalanceRow struct {
 	Chunks        int     `json:"chunks"`
 	SrcReadMs     float64 `json:"src_read_ms"`
 	DstWriteMs    float64 `json:"dst_write_ms"`
-	WallSec       float64 `json:"-"`
 }
 
 // drivePhase runs batches through the live cluster and the oracle,
@@ -158,7 +154,6 @@ func RebalanceBench(cfg RebalanceConfig) ([]RebalanceRow, error) {
 	app.SCN.InitRandom(cfg.Seed)
 	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+1)
 	dims := app.SCN.FeatureElems()
-	wallStart := time.Now()
 
 	live, err := newCluster(cfg.Shards, db.Vectors, app.SCN)
 	if err != nil {
@@ -224,12 +219,7 @@ func RebalanceBench(cfg RebalanceConfig) ([]RebalanceRow, error) {
 		duringRow.P99VsQuiesced = duringP99.Seconds() / beforeP99.Seconds()
 		afterRow.P99VsQuiesced = afterP99.Seconds() / beforeP99.Seconds()
 	}
-	wallSec := time.Since(wallStart).Seconds()
-	rows := []RebalanceRow{beforeRow, duringRow, afterRow}
-	for i := range rows {
-		rows[i].WallSec = wallSec
-	}
-	return rows, nil
+	return []RebalanceRow{beforeRow, duringRow, afterRow}, nil
 }
 
 // rebalanceTable tabulates the study.

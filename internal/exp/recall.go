@@ -50,26 +50,24 @@ func DefaultRecall() RecallConfig {
 }
 
 // dotNet builds a similarity-faithful comparison network: a Hadamard front
-// end summed by an FC with uniform positive weights — score ∝ q·d. Trained
-// SCNs approximate exactly this kind of monotone similarity; an untrained
-// random network has a near-degenerate score landscape where tiny paraphrase
-// noise reshuffles rankings arbitrarily, which would measure noise rather
-// than the cache design.
-func dotNet(name string, fe int) (*nn.Network, error) {
+// end summed by an FC whose weights are all w — score = sigmoid(w·q·d).
+// Trained SCNs approximate exactly this kind of monotone similarity; an
+// untrained random network has a near-degenerate score landscape where tiny
+// paraphrase noise reshuffles rankings arbitrarily, which would measure
+// noise rather than the cache design. The weight scale matters: on the
+// planted corpus same-intent dot products are ≈ fe/3 and cross-intent ones
+// ≈ ±√(fe)/3, and w = 0.05 puts same-intent pairs at sigmoid ≈ 0.96 and
+// cross-intent pairs near 0.5, so the sigmoid neither saturates into
+// degenerate ties nor lets unrelated intents score as similar.
+func dotNet(name string, fe int, w float32) (*nn.Network, error) {
 	net, err := nn.NewNetwork(name, tensor.Shape{fe}, nn.CombineHadamard,
 		nn.NewFC("sum", fe, 1, nn.ActSigmoid))
 	if err != nil {
 		return nil, err
 	}
-	// Weight scale matters: same-intent dot products are ≈ fe/3 and
-	// cross-intent ones ≈ ±√(fe)/3. The 0.05 scale puts same-intent pairs
-	// at sigmoid ≈ 0.96 and cross-intent pairs near 0.5, so the sigmoid
-	// neither saturates into degenerate ties nor lets unrelated intents
-	// score as similar.
-	if fc, ok := net.Layers[0].(*nn.FC); ok {
-		for i := range fc.W {
-			fc.W[i] = 0.05
-		}
+	fc := net.Layers[0].(*nn.FC)
+	for i := range fc.W {
+		fc.W[i] = w
 	}
 	return net, nil
 }
@@ -124,13 +122,13 @@ func QCRecall(cfg RecallConfig) ([]RecallRow, error) {
 		return nil, err
 	}
 	fe := app.SCN.FeatureElems()
-	scn, err := dotNet("recall-scn", fe)
+	scn, err := dotNet("recall-scn", fe, 0.05)
 	if err != nil {
 		return nil, err
 	}
 	host := baseline.HostScan{Net: scn}
 
-	qcn, err := dotNet("recall-qcn", fe)
+	qcn, err := dotNet("recall-qcn", fe, 0.05)
 	if err != nil {
 		return nil, err
 	}
@@ -140,39 +138,25 @@ func QCRecall(cfg RecallConfig) ([]RecallRow, error) {
 
 	var rows []RecallRow
 	for _, pct := range []int{5, 10, 20, 40} {
-		ds, model, dbID, err := newEngine(core.DefaultOptions(), vectors, scn)
+		threshold := float64(pct) / 100
+		got, err := replayStream(core.DefaultOptions(), vectors, scn, func(ds *core.DeepStore) error {
+			return ds.SetQC(qcn, 1.0, cfg.Entries, threshold)
+		}, qfvs, cfg.K)
 		if err != nil {
-			return nil, err
-		}
-		if err := ds.SetQC(qcn, 1.0, cfg.Entries, float64(pct)/100); err != nil {
 			return nil, err
 		}
 		row := RecallRow{ThresholdPct: pct}
 		var recallSum float64
-		for _, qfv := range qfvs {
-			res, err := queryNow(ds, core.QuerySpec{QFV: qfv, K: cfg.K, Model: model, DB: dbID})
-			if err != nil {
-				return nil, err
-			}
+		for i, res := range got.results {
 			if !res.CacheHit {
 				continue
 			}
 			row.Hits++
-			truth, err := host.TopK(qfv, vectors, cfg.K)
+			truth, err := host.TopK(qfvs[i], vectors, cfg.K)
 			if err != nil {
 				return nil, err
 			}
-			truthSet := map[int64]bool{}
-			for _, e := range truth {
-				truthSet[e.FeatureID] = true
-			}
-			overlap := 0
-			for _, e := range res.TopK {
-				if truthSet[e.FeatureID] {
-					overlap++
-				}
-			}
-			recallSum += float64(overlap) / float64(cfg.K)
+			recallSum += float64(overlap(truth, res.TopK)) / float64(cfg.K)
 		}
 		row.HitRate = float64(row.Hits) / float64(cfg.Queries)
 		if row.Hits > 0 {

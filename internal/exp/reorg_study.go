@@ -46,7 +46,7 @@ func ReorgStudy(cfg ReorgConfig) ([]ReorgRow, error) {
 		return nil, err
 	}
 	fe := app.SCN.FeatureElems()
-	scn, err := dotNet("reorg-scn", fe)
+	scn, err := dotNet("reorg-scn", fe, 0.05)
 	if err != nil {
 		return nil, err
 	}
@@ -72,17 +72,11 @@ func ReorgStudy(cfg ReorgConfig) ([]ReorgRow, error) {
 	}
 
 	// Ground truth per query.
-	truths := make([]map[int64]bool, cfg.Queries)
+	truths := make([][]topk.Entry, cfg.Queries)
 	for qi, q := range queries {
-		full, err := host.TopK(q, vectors, cfg.K)
-		if err != nil {
+		if truths[qi], err = host.TopK(q, vectors, cfg.K); err != nil {
 			return nil, err
 		}
-		set := map[int64]bool{}
-		for _, e := range full {
-			set[e.FeatureID] = true
-		}
-		truths[qi] = set
 	}
 
 	var rows []ReorgRow
@@ -101,13 +95,7 @@ func ReorgStudy(cfg ReorgConfig) ([]ReorgRow, error) {
 			for _, i := range cand {
 				pruned.Offer(topk.Entry{FeatureID: int64(i), Score: scn.Score(q, vectors[i])})
 			}
-			overlap := 0
-			for _, e := range pruned.Results() {
-				if truths[qi][e.FeatureID] {
-					overlap++
-				}
-			}
-			recallSum += float64(overlap) / float64(cfg.K)
+			recallSum += float64(overlap(truths[qi], pruned.Results())) / float64(cfg.K)
 		}
 		frac := fracSum / float64(cfg.Queries)
 		rows = append(rows, ReorgRow{

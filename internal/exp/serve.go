@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ftl"
@@ -81,8 +80,6 @@ func DefaultServe() ServeConfig {
 }
 
 // ServeRow is one tenant's measured service under the overloaded mix.
-// Wall-clock time is excluded from the JSON artifact so BENCH_serve.json is
-// byte-identical across runs.
 type ServeRow struct {
 	Tenant     string  `json:"tenant"`
 	Weight     float64 `json:"weight"`
@@ -109,8 +106,7 @@ type ServeRow struct {
 	WithinBudget bool `json:"within_budget"`
 	// Mismatches counts served results that differ from a direct-Query
 	// oracle replay (the bit-identical guarantee: must be 0).
-	Mismatches int     `json:"mismatches"`
-	WallSec    float64 `json:"-"`
+	Mismatches int `json:"mismatches"`
 }
 
 // waterfill grants capacity-1 to demands by weighted max-min fairness and
@@ -173,7 +169,7 @@ func driveServe(
 	arrivals []workload.Arrival, vec func(workload.Arrival) []float32, k int,
 	slos map[string]sim.Duration,
 	oracle *core.DeepStore, oracleModel core.ModelID, oracleDB ftl.DBID,
-	mismatches map[string]int,
+	mismatched map[string]int,
 ) (map[string]*serveOutcome, error) {
 	srv, err := core.NewServer(ds, core.ServerConfig{
 		Tenants:       tenants,
@@ -274,25 +270,12 @@ func driveServe(
 		if oracle != nil {
 			ospec := p.spec
 			ospec.Model, ospec.DB = oracleModel, oracleDB
-			qid, err := oracle.Query(ospec)
+			ref, err := queryNow(oracle, ospec)
 			if err != nil {
 				return nil, fmt.Errorf("exp: serve oracle query: %w", err)
 			}
-			ref, err := oracle.GetResults(qid)
-			if err != nil {
-				return nil, fmt.Errorf("exp: serve oracle results: %w", err)
-			}
-			same := len(ref.TopK) == len(res.TopK)
-			if same {
-				for i := range ref.TopK {
-					if ref.TopK[i] != res.TopK[i] {
-						same = false
-						break
-					}
-				}
-			}
-			if !same {
-				mismatches[p.arr.Tenant]++
+			if mismatches(ref.TopK, res.TopK) > 0 {
+				mismatched[p.arr.Tenant]++
 			}
 		}
 	}
@@ -317,7 +300,6 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 	app.SCN.InitRandom(cfg.Seed)
 	db := workload.NewFeatureDB(app, cfg.Features, cfg.Seed+1)
 	dims := app.SCN.FeatureElems()
-	wallStart := time.Now()
 
 	// Calibration: one full shared sweep on a scratch engine gives T_batch,
 	// hence capacity = BatchSize / T_batch queries per simulated second.
@@ -388,17 +370,18 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	mismatches := make(map[string]int, len(cfg.Tenants))
+	mismatched := make(map[string]int, len(cfg.Tenants))
 	mixed, err := driveServe(ds, model, dbID, tcs, cfg.BatchSize, slack, cfg.AgingRate,
-		arrivals, vec, cfg.K, slos, oracle, oracleModel, oracleDB, mismatches)
+		arrivals, vec, cfg.K, slos, oracle, oracleModel, oracleDB, mismatched)
 	if err != nil {
 		return nil, err
 	}
 
-	// Alone baselines: each tenant replays ITS slice of the same schedule
-	// on a fresh engine with the tier to itself.
-	alone := make(map[string]*serveOutcome, len(cfg.Tenants))
+	within := waterfill(cfg.Tenants)
+	rows := make([]ServeRow, len(cfg.Tenants))
 	for i, t := range cfg.Tenants {
+		// Alone baseline: the tenant replays ITS slice of the same schedule
+		// on a fresh engine with the tier to itself.
 		ads, amodel, adbID, err := newEngine(core.DefaultOptions(), db.Vectors, app.SCN)
 		if err != nil {
 			return nil, err
@@ -409,25 +392,12 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 				mine = append(mine, a)
 			}
 		}
-		res, err := driveServe(ads, amodel, adbID, tcs[i:i+1], cfg.BatchSize, slack, cfg.AgingRate,
+		alone, err := driveServe(ads, amodel, adbID, tcs[i:i+1], cfg.BatchSize, slack, cfg.AgingRate,
 			mine, vec, cfg.K, slos, nil, 0, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		alone[t.Name] = res[t.Name]
-	}
-
-	within := waterfill(cfg.Tenants)
-	wallSec := time.Since(wallStart).Seconds()
-	rows := make([]ServeRow, len(cfg.Tenants))
-	for i, t := range cfg.Tenants {
 		m, a := mixed[t.Name], alone[t.Name]
-		count := 0
-		for _, arr := range arrivals {
-			if arr.Tenant == t.Name {
-				count++
-			}
-		}
 		p50, p99 := quantiles(m.latencies)
 		_, aloneP99 := quantiles(a.latencies)
 		row := ServeRow{
@@ -435,7 +405,7 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 			Weight:       t.Weight,
 			OfferedQPS:   t.LoadFrac * capacity,
 			OverloadX:    overload,
-			Arrivals:     count,
+			Arrivals:     len(mine),
 			Served:       m.served,
 			Shed:         m.shed,
 			SLOms:        slos[t.Name].Milliseconds(),
@@ -444,8 +414,7 @@ func ServeBench(cfg ServeConfig) ([]ServeRow, error) {
 			AloneP99ms:   aloneP99.Milliseconds(),
 			GoodputQPS:   float64(m.withinSLO) / horizon.Seconds(),
 			WithinBudget: within[t.Name],
-			Mismatches:   mismatches[t.Name],
-			WallSec:      wallSec,
+			Mismatches:   mismatched[t.Name],
 		}
 		if aloneP99 > 0 {
 			row.P99VsAlone = p99.Seconds() / aloneP99.Seconds()

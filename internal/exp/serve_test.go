@@ -80,7 +80,7 @@ func TestServeBenchInvariants(t *testing.T) {
 }
 
 // TestServeBenchDeterministic: the JSON artifact is byte-identical across
-// runs (wall-clock is excluded from serialization).
+// runs.
 func TestServeBenchDeterministic(t *testing.T) {
 	cfg := serveTestConfig()
 	a, err := ServeBench(cfg)

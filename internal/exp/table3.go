@@ -20,6 +20,7 @@ type Table3Row struct {
 	PaperPower float64
 	PaperArea  float64
 	DSE        dse.Candidate
+	Candidates []dse.Candidate // every design the exploration scored
 }
 
 // Table3 reports the Table 3 configurations and re-derives them with the
@@ -39,13 +40,14 @@ func Table3() []Table3Row {
 		if level == accel.LevelSSD {
 			cons.SRAMKind = energy.ITRSHP
 		}
-		best, _ := dse.Explore(spec.Array.FreqHz, spec.Array.Dataflow, cons)
+		best, all := dse.Explore(spec.Array.FreqHz, spec.Array.Dataflow, cons)
 		rows = append(rows, Table3Row{
 			Level:      level,
 			Paper:      spec.Array,
 			PaperPower: spec.PowerBudgetW,
 			PaperArea:  spec.AreaMM2,
 			DSE:        best,
+			Candidates: all,
 		})
 	}
 	return rows

@@ -46,6 +46,7 @@ func Throughput(window int64, qcMissRate float64) ([]ThroughputRow, error) {
 		return nil, fmt.Errorf("exp: miss rate %v outside [0,1]", qcMissRate)
 	}
 	baseCfg := baseline.DefaultConfig()
+	devCfg := ssd.DefaultConfig()
 	utils := []float64{0.5, 0.8, 0.95}
 	var rows []ThroughputRow
 
@@ -67,7 +68,8 @@ func Throughput(window int64, qcMissRate float64) ([]ThroughputRow, error) {
 		baseSec, _ := baseCfg.ScanTime(app, features, app.DefaultBatch)
 		addRow(app.Name, "Traditional", baseSec)
 
-		out, err := RunScan(app, accel.LevelChannel, ssd.DefaultConfig(), window)
+		spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
+		out, err := RunScan(app, spec, devCfg, features, window)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +77,6 @@ func Throughput(window int64, qcMissRate float64) ([]ThroughputRow, error) {
 
 		// With the query cache: service = miss*scan + lookup (the lookup
 		// runs on every query; hits skip the scan).
-		spec := accel.SpecForLevel(accel.LevelChannel, ssd.DefaultConfig())
 		qcn := app.QCN()
 		perQCN := float64(spec.Array.NetworkCost(qcn.LayerPlan()).Cycles) / spec.Array.FreqHz
 		lookup := perQCN * float64((1000+spec.Count-1)/spec.Count)

@@ -241,17 +241,6 @@ func (l DBLayout) ChannelRangePages(ch int, start, end int64) (int64, int64) {
 	return firstSlot * ppf, (lastSlot + 1) * ppf
 }
 
-// RangePages returns the total physical pages holding features [start, end)
-// across all channels — the flash read footprint of migrating that range.
-func (l DBLayout) RangePages(start, end int64) int64 {
-	var total int64
-	for ch := 0; ch < l.Geom.Channels; ch++ {
-		p0, p1 := l.ChannelRangePages(ch, start, end)
-		total += p1 - p0
-	}
-	return total
-}
-
 // FeatureChannel returns the channel owning feature i.
 func (l DBLayout) FeatureChannel(i int64) int {
 	if i < 0 || i >= l.Features {

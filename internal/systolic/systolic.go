@@ -280,15 +280,6 @@ func (c Config) NetworkCost(plan []nn.LayerDims) NetworkCost {
 	return nc
 }
 
-// AmortizedCycles returns the per-feature latency when batch features stream
-// through each pinned weight tile, amortizing the WS weight-load cost.
-func (n NetworkCost) AmortizedCycles(batch int64) int64 {
-	if batch <= 1 {
-		return n.Cycles
-	}
-	return n.Cycles - n.WeightLoadCycles + ceilDiv(n.WeightLoadCycles, batch)
-}
-
 // WeightsResident reports whether the model's weights fit in the scratchpad
 // alongside a working buffer for activations (one quarter reserved).
 func (c Config) WeightsResident(weightBytes int64) bool {
