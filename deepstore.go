@@ -182,17 +182,18 @@ const (
 	SimMillisecond = sim.Millisecond
 )
 
-// Server is the admission layer in front of a System: concurrent Submit
-// calls coalesce into shared multi-query sweeps (System.QueryMulti) behind
-// per-tenant weighted-fair queues (start-time fair queueing with optional
-// priority aging), per-tenant admission budgets shed with ErrQueueFull, and
-// deadline-aware batch cuts on the simulated clock. One weight-1 tenant with
-// no SLO is a plain FIFO batching queue. Results stay bit-identical to
-// direct Query calls.
+// Server is the admission layer in front of a System: submissions coalesce
+// into shared multi-query sweeps (System.QueryMulti) behind per-tenant
+// weighted-fair queues (start-time fair queueing with optional priority
+// aging), per-tenant admission budgets shed with ErrQueueFull, and
+// deadline-aware batch cuts on the simulated clock. Submit only admits;
+// batches run on the caller's goroutine in Pump, AdvanceTo, Flush and Close.
+// One weight-1 tenant with no SLO is a plain FIFO batching queue. Results
+// stay bit-identical to direct Query calls.
 type Server = core.Server
 
 // ServerConfig configures the serving tier's tenants, batch size, deadline
-// slack, aging rate, and dispatch mode.
+// slack and aging rate.
 type ServerConfig = core.ServerConfig
 
 // TenantConfig is one tenant's weight, queue budget, and latency SLO.

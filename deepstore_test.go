@@ -1,7 +1,10 @@
 package deepstore
 
 import (
+	"os"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestFacadeEndToEnd drives the public API exactly as a downstream user
@@ -43,6 +46,72 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if res.Latency <= 0 {
 		t.Error("no latency")
+	}
+}
+
+// TestFacadeServeDelivers runs README's serving snippet through the facade —
+// one Submit to a partial batch, Flush, receive — and holds README to that
+// order: a receive before any Flush waits forever, because Submit only
+// admits and nothing else runs the partial batch.
+func TestFacadeServeDelivers(t *testing.T) {
+	sys, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := AppByName("TIR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.SCN.InitRandom(1)
+	db := NewFeatureDB(app, 200, 2)
+	dbID, err := sys.WriteDB(db.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := sys.LoadModelNetwork(app.SCN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(sys, ServerConfig{
+		Tenants: []TenantConfig{
+			{Name: "gold", Weight: 8, SLO: 2 * SimMillisecond},
+			{Name: "bulk", Weight: 1, QueueDepth: 16},
+		},
+		BatchSize: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ch, err := srv.Submit("gold", QuerySpec{QFV: db.Vectors[3], K: 5, Model: model, DB: dbID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	select {
+	case res := <-ch:
+		if res == nil || res.Err != nil || len(res.TopK) != 5 {
+			t.Fatalf("bad result %+v", res)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no result 10 s after Flush")
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snippet string
+	for _, block := range fencedBlock.FindAllString(string(readme), -1) {
+		if strings.Contains(block, "deepstore.NewServer(") {
+			snippet = block
+		}
+	}
+	submit := strings.Index(snippet, "srv.Submit(")
+	flush := strings.Index(snippet, "srv.Flush()")
+	receive := strings.Index(snippet, "<-ch")
+	if submit < 0 || receive < 0 || flush < submit || flush > receive {
+		t.Fatalf("README's serving snippet must Submit, then srv.Flush(), then receive; it reads:\n%s", snippet)
 	}
 }
 

@@ -351,38 +351,26 @@ func (e *Engines) Query(qfv []float32, k int) (Answer, error) {
 }
 
 // Queries runs a batch of queries across all shards: each shard receives
-// the whole batch and runs it one Query at a time in spec order, shards
-// execute concurrently, and each query's per-route top-Ks are reduced with
-// topk.Merge after remapping feature IDs into global coordinates.
+// the whole batch and executes it as one core.DeepStore.QueryMulti, so every
+// shard pays ONE simulated flash/weight-streaming scan per routed range for
+// the batch instead of one per query. Shards execute concurrently, and each
+// query's per-route top-Ks are reduced with topk.Merge after remapping
+// feature IDs into global coordinates. QueryMulti's equivalence guarantee
+// holds range by range, so every Answer is identical to running the queries
+// one at a time; what the batch changes is each shard's device timeline,
+// which advances once per batch.
 //
 // Degraded operation (SetTolerance): shard errors no longer destroy the
 // query. Every failure is collected, and as long as one shard — or the
 // configured quorum — answers, the batch returns the healthy shards' merge
 // with Degraded set and the failures joined in ShardErrs. Only a cluster
 // with no healthy answer (or a missed quorum) returns an error.
-func (e *Engines) Queries(qfvs [][]float32, k int) ([]Answer, error) {
-	return e.run(qfvs, k, false)
-}
-
-// QueriesShared is Queries with per-shard shared sweeps: each shard
-// executes the whole batch through core.DeepStore.QueryMulti, so every
-// shard pays ONE simulated flash/weight-streaming scan per routed range for
-// the batch instead of one per query. Answers are identical to Queries
-// (QueryMulti's equivalence guarantee holds range by range, and the merge
-// is unchanged); what changes is each shard's device timeline, which
-// advances once per batch. Degraded operation (SetTolerance) applies
-// exactly as in Queries.
-func (e *Engines) QueriesShared(qfvs [][]float32, k int) ([]Answer, error) {
-	return e.run(qfvs, k, true)
-}
-
-// run is the shared fan-out/collect/merge engine behind Queries and
-// QueriesShared; shared selects each shard's execution path. It snapshots
-// exactly one routing-table generation for the whole call: the fan-out, the
+//
+// The call snapshots exactly one routing-table generation: the fan-out, the
 // feature-ID remap, and the merge all use that snapshot, so a concurrent
 // WriteDB/LoadModel/rebalance flip is either entirely before or entirely
 // after this batch.
-func (e *Engines) run(qfvs [][]float32, k int, shared bool) ([]Answer, error) {
+func (e *Engines) Queries(qfvs [][]float32, k int) ([]Answer, error) {
 	st := e.state.Load()
 	if len(st.routes) == 0 {
 		return nil, fmt.Errorf("cluster: engines need WriteDB and LoadModel before queries")
@@ -493,18 +481,7 @@ func (e *Engines) run(qfvs [][]float32, k int, shared bool) ([]Answer, error) {
 					continue
 				}
 				eng := st.groups[s][at.rep]
-				var ids []core.QueryID
-				var err error
-				if shared {
-					ids, err = eng.QueryMulti(shardSpecs[s])
-				} else {
-					ids = make([]core.QueryID, len(shardSpecs[s]))
-					for j, spec := range shardSpecs[s] {
-						if ids[j], err = eng.Query(spec); err != nil {
-							break
-						}
-					}
-				}
+				ids, err := eng.QueryMulti(shardSpecs[s])
 				if err != nil {
 					// A real engine error is systematic (the same spec fails
 					// on every replica): no failover, fail the shard.
@@ -621,9 +598,6 @@ drain:
 
 	e.reg.Counter("cluster_batches").Inc()
 	e.reg.Counter("cluster_queries").Add(int64(len(qfvs)))
-	if shared {
-		e.reg.Counter("cluster_shared_batches").Inc()
-	}
 	if timedOut {
 		e.reg.Counter("cluster_timeouts").Inc()
 	}

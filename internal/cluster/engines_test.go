@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -170,61 +171,62 @@ func TestEnginesValidation(t *testing.T) {
 	}
 }
 
-// TestEnginesSharedMatchesQueries: QueriesShared answers — top-K entries,
-// per-query makespan, and energy — match the per-query fan-out on an
-// identically built cluster, while each shard issues one simulated scan per
-// batch instead of one per query.
-func TestEnginesSharedMatchesQueries(t *testing.T) {
-	const features, k = 600, 5
-	perQuery, db := enginesFixture(t, 3, features)
-	sharedC, _ := enginesFixture(t, 3, features)
-	qfvs := [][]float32{db.Vectors[0], db.Vectors[101], db.Vectors[599], db.Vectors[7]}
+// queryEach answers qfvs one Query at a time: the oracle for the batch path.
+func queryEach(t *testing.T, e *Engines, qfvs [][]float32, k int) []Answer {
+	t.Helper()
+	out := make([]Answer, len(qfvs))
+	for i, q := range qfvs {
+		a, err := e.Query(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = a
+	}
+	return out
+}
 
-	want, err := perQuery.Queries(qfvs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sharedC.QueriesShared(qfvs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+// assertSameAnswers fails unless every batch answer equals the one-at-a-time
+// oracle's on the merged top-K and every simulated figure: makespan, energy,
+// scanned features and prune accounting.
+func assertSameAnswers(t *testing.T, got, want []Answer) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d answers, want %d", len(got), len(want))
 	}
-	for i := range want {
-		if len(got[i].TopK) != len(want[i].TopK) {
-			t.Fatalf("query %d: shared %d entries, per-query %d", i, len(got[i].TopK), len(want[i].TopK))
-		}
-		for j := range want[i].TopK {
-			if got[i].TopK[j] != want[i].TopK[j] {
-				t.Fatalf("query %d entry %d: shared %+v != per-query %+v", i, j, got[i].TopK[j], want[i].TopK[j])
-			}
-		}
-		if got[i].Makespan != want[i].Makespan {
-			t.Fatalf("query %d: makespan %v != %v", i, got[i].Makespan, want[i].Makespan)
-		}
-		if got[i].EnergyJ != want[i].EnergyJ {
-			t.Fatalf("query %d: energy %v != %v", i, got[i].EnergyJ, want[i].EnergyJ)
-		}
-		if got[i].Degraded {
-			t.Fatalf("query %d: unexpectedly degraded", i)
+	for i, w := range want {
+		g := got[i]
+		if !reflect.DeepEqual(g.TopK, w.TopK) || g.Makespan != w.Makespan || g.EnergyJ != w.EnergyJ ||
+			g.FeaturesScanned != w.FeaturesScanned || g.Prune != w.Prune || g.Degraded || w.Degraded {
+			t.Fatalf("query %d: batch %+v, one at a time %+v", i, g, w)
 		}
 	}
-	if n := sharedC.MetricsSnapshot().Counters["cluster_shared_batches"]; n != 1 {
-		t.Fatalf("cluster_shared_batches = %d, want 1", n)
+}
+
+// TestEnginesSharedMatchesQueries: Queries answers a batch exactly like a
+// loop of Query on an identically built cluster, while each shard issues one
+// simulated scan per batch instead of one per query.
+func TestEnginesSharedMatchesQueries(t *testing.T) {
+	const features, k = 600, 5
+	each, db := enginesFixture(t, 3, features)
+	batched, _ := enginesFixture(t, 3, features)
+	qfvs := [][]float32{db.Vectors[0], db.Vectors[101], db.Vectors[599], db.Vectors[7]}
+
+	want := queryEach(t, each, qfvs, k)
+	got, err := batched.Queries(qfvs, k)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Each shard's engine ran one shared scan for the whole batch; the
-	// per-query cluster paid one scan per query.
-	for s := 0; s < sharedC.Shards(); s++ {
-		snap := sharedC.Engine(s).MetricsSnapshot()
+	assertSameAnswers(t, got, want)
+	for s := 0; s < batched.Shards(); s++ {
+		snap := batched.Engine(s).MetricsSnapshot()
 		if n := snap.Counters["core_shared_scans"]; n != 1 {
 			t.Fatalf("shard %d: core_shared_scans = %d, want 1", s, n)
 		}
-		sharedReads := snap.Counters["flash_page_reads"]
-		perReads := perQuery.Engine(s).MetricsSnapshot().Counters["flash_page_reads"]
-		if sharedReads >= perReads {
-			t.Fatalf("shard %d: shared sweep read %d flash pages, per-query %d — no amortization",
-				s, sharedReads, perReads)
+		batchReads := snap.Counters["flash_page_reads"]
+		eachReads := each.Engine(s).MetricsSnapshot().Counters["flash_page_reads"]
+		if batchReads >= eachReads {
+			t.Fatalf("shard %d: the batch read %d flash pages, one at a time %d — no amortization",
+				s, batchReads, eachReads)
 		}
 	}
 }

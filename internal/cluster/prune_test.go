@@ -55,8 +55,8 @@ func pruneClusterVectors(features int, seed int64) [][]float32 {
 
 // TestEnginesPruneAggregates: a pruned cluster answers bit-identically to a
 // dense cluster of the same deployment, the Answer carries the summed shard
-// skip accounting, and the shared-sweep path agrees with the per-query path
-// under pruning.
+// skip accounting, and a batch agrees with one-at-a-time queries under
+// pruning.
 func TestEnginesPruneAggregates(t *testing.T) {
 	const features, k = 262, 3
 	net := nn.MustNetwork("cluster-prune-scn", tensor.Shape{8}, nn.CombineHadamard,
@@ -90,11 +90,7 @@ func TestEnginesPruneAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedPruned := build(true)
-	sAns, err := sharedPruned.QueriesShared(qfvs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertSameAnswers(t, pAns, queryEach(t, build(true), qfvs, k))
 	var skipped int64
 	for i := range qfvs {
 		if len(pAns[i].TopK) != len(dAns[i].TopK) {
@@ -104,18 +100,12 @@ func TestEnginesPruneAggregates(t *testing.T) {
 			if pAns[i].TopK[j] != dAns[i].TopK[j] {
 				t.Fatalf("query %d entry %d: pruned %+v != dense %+v", i, j, pAns[i].TopK[j], dAns[i].TopK[j])
 			}
-			if sAns[i].TopK[j] != dAns[i].TopK[j] {
-				t.Fatalf("query %d entry %d: shared pruned %+v != dense %+v", i, j, sAns[i].TopK[j], dAns[i].TopK[j])
-			}
 		}
 		if dAns[i].Prune != (core.PruneStats{}) {
 			t.Fatalf("query %d: dense cluster reported prune stats %+v", i, dAns[i].Prune)
 		}
 		if pAns[i].Prune.StripesChecked == 0 {
 			t.Fatalf("query %d: pruned cluster checked no stripes", i)
-		}
-		if sAns[i].Prune != pAns[i].Prune {
-			t.Fatalf("query %d: shared sweep pruned %+v, per-query %+v", i, sAns[i].Prune, pAns[i].Prune)
 		}
 		skipped += pAns[i].Prune.FeaturesSkipped
 	}

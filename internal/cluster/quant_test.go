@@ -18,8 +18,8 @@ func quantClusterOpts(quantized bool, margin int) core.Options {
 }
 
 // TestEnginesQuantTwoPassAggregates: a quantized two-pass cluster answers
-// bit-identically to an fp32 cluster of the same deployment, for both the
-// per-query and shared-sweep fan-out paths — each shard runs its own int8
+// bit-identically to an fp32 cluster of the same deployment, and a batch
+// agrees with one-at-a-time queries — each shard runs its own int8
 // candidate scan and fp32 rerank, and the global merge sees exact scores.
 func TestEnginesQuantTwoPassAggregates(t *testing.T) {
 	const features, k = 262, 3
@@ -44,7 +44,6 @@ func TestEnginesQuantTwoPassAggregates(t *testing.T) {
 	}
 	quant := build(true)
 	dense := build(false)
-	sharedQuant := build(true)
 
 	qfvs := [][]float32{vectors[0], vectors[130], vectors[261]}
 	qAns, err := quant.Queries(qfvs, k)
@@ -55,10 +54,7 @@ func TestEnginesQuantTwoPassAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sAns, err := sharedQuant.QueriesShared(qfvs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertSameAnswers(t, qAns, queryEach(t, build(true), qfvs, k))
 	for i := range qfvs {
 		if len(qAns[i].TopK) != len(dAns[i].TopK) {
 			t.Fatalf("query %d: quant %d entries, dense %d", i, len(qAns[i].TopK), len(dAns[i].TopK))
@@ -66,9 +62,6 @@ func TestEnginesQuantTwoPassAggregates(t *testing.T) {
 		for j := range dAns[i].TopK {
 			if qAns[i].TopK[j] != dAns[i].TopK[j] {
 				t.Fatalf("query %d entry %d: quant %+v != dense %+v", i, j, qAns[i].TopK[j], dAns[i].TopK[j])
-			}
-			if sAns[i].TopK[j] != dAns[i].TopK[j] {
-				t.Fatalf("query %d entry %d: shared quant %+v != dense %+v", i, j, sAns[i].TopK[j], dAns[i].TopK[j])
 			}
 		}
 	}

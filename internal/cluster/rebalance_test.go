@@ -121,14 +121,11 @@ func TestQueriesRacingMigration(t *testing.T) {
 						qfvs[i] = db.Vectors[(qi*37)%features]
 						qi++
 					}
-					la, err := live.QueriesShared(qfvs, k)
+					la, err := live.Queries(qfvs, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					oa, err := oracle.QueriesShared(qfvs, k)
-					if err != nil {
-						t.Fatal(err)
-					}
+					oa := queryEach(t, oracle, qfvs, k)
 					for i := range la {
 						assertSameTopK(t, fmt.Sprintf("Q=%d query %d", q, i), la[i], oa[i])
 						if got := la[i].FeaturesScanned + la[i].Prune.FeaturesSkipped; got != int64(features) {

@@ -205,7 +205,7 @@ type QueryResult struct {
 	// Prune reports what the exact-pruning tier did for this query (all
 	// zeros when the tier is inactive or the query hit the cache).
 	Prune PruneStats
-	// Err carries a per-query failure through the asynchronous delivery path
+	// Err carries a per-query failure through the channel delivery path
 	// (Server): when a query in a dispatched batch fails, its
 	// submission channel delivers a result with Err set (and no TopK)
 	// instead of silently closing, so callers can distinguish "my query

@@ -67,11 +67,11 @@ func TestSchedulerBatchesAndDelivers(t *testing.T) {
 
 			var dispatched []QuerySpec
 			var cuts []int
-			// ManualPump holds every admission until the Flush, so all
-			// queries arrive at t0 and batch b waits out batches 0..b-1.
+			// Submit only admits, so all queries arrive at t0 and batch b
+			// waits out batches 0..b-1 inside the Flush.
 			sched := newScheduler(t, engine, len(specs), ServerConfig{
-				BatchSize: q, Sync: true, ManualPump: true,
-				OnBatch: func(batch []QuerySpec) {
+				BatchSize: q,
+				onBatch: func(batch []QuerySpec) {
 					dispatched = append(dispatched, batch...)
 					cuts = append(cuts, len(batch))
 				},
@@ -123,44 +123,27 @@ func TestSchedulerBatchesAndDelivers(t *testing.T) {
 	}
 }
 
-// TestSchedulerBackpressure: with the worker deterministically stalled
-// inside a dispatched batch, submissions beyond the tenant's queue budget
-// return the typed ErrQueueFull immediately instead of blocking, and every
-// accepted submission is still served after the stall lifts.
+// TestSchedulerBackpressure: submissions beyond the tenant's queue budget
+// return the typed ErrQueueFull immediately instead of waiting for room,
+// and every accepted submission is served once the caller pumps.
 func TestSchedulerBackpressure(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	sched := newScheduler(t, engine, 2, ServerConfig{
-		BatchSize: 1,
-		OnBatch: func([]QuerySpec) {
-			once.Do(func() {
-				close(entered)
-				<-release
-			})
-		},
-	})
+	sched := newScheduler(t, engine, 2, ServerConfig{BatchSize: 1})
 	defer sched.Close()
 
 	spec := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
 	var chans []<-chan *QueryResult
-	ch, err := sched.Submit("", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chans = append(chans, ch)
-	<-entered // the worker holds submission 1; the queue is empty again
 	for i := 0; i < 2; i++ {
-		if ch, err = sched.Submit("", spec); err != nil {
-			t.Fatalf("submission %d: %v", i+2, err)
+		ch, err := sched.Submit("", spec)
+		if err != nil {
+			t.Fatalf("submission %d: %v", i+1, err)
 		}
 		chans = append(chans, ch)
 	}
 	if _, err := sched.Submit("", spec); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit returned %v, want ErrQueueFull", err)
 	}
-	close(release)
+	sched.Pump()
 	for i, ch := range chans {
 		if res := <-ch; res == nil {
 			t.Fatalf("accepted submission %d was dropped", i)
@@ -220,6 +203,7 @@ func TestSchedulerFallbackOnBadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched.Pump() // a full batch of three
 	for i, ch := range []<-chan *QueryResult{chG1, chG2} {
 		res := <-ch
 		if res == nil {
@@ -271,6 +255,7 @@ func TestSchedulerAllBadBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched.Pump()
 	for i, ch := range []<-chan *QueryResult{ch1, ch2} {
 		res, open := <-ch
 		if !open || res == nil {
@@ -299,7 +284,7 @@ func TestSchedulerAllBadBatch(t *testing.T) {
 // direct Query's result stays re-fetchable.
 func TestDeliveredResultsLeaveTable(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
-	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 3, Sync: true})
+	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 3})
 	good := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
 	bad := good
 	bad.K = 0
@@ -340,8 +325,9 @@ func TestDeliveredResultsLeaveTable(t *testing.T) {
 
 // TestSchedulerStress is the -race lockdown for the one-tenant
 // configuration: submitters race each other, WriteDB, SetQC, direct
-// Query/GetResults, and Flush, and every accepted submission must deliver
-// exactly one result (no lost, no duplicated, no deadlocked deliveries).
+// Query/GetResults, and the Pump, AdvanceTo and Flush calls, and
+// every accepted submission must deliver exactly one result (no lost, no
+// duplicated, no deadlocked deliveries).
 func TestSchedulerStress(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 33, false)
 	sched := newScheduler(t, engine, 16, ServerConfig{BatchSize: 4})
@@ -386,6 +372,8 @@ func TestSchedulerStress(t *testing.T) {
 			} else if _, err := engine.GetResults(id); err != nil {
 				t.Errorf("GetResults: %v", err)
 			}
+			sched.Pump()
+			sched.AdvanceTo(engine.Now() + sim.Time(10*sim.Microsecond))
 			sched.Flush()
 		}
 	}()
@@ -393,6 +381,9 @@ func TestSchedulerStress(t *testing.T) {
 	close(stop)
 	raceWG.Wait()
 	sched.Close()
+	if _, err := sched.Submit("", QuerySpec{QFV: eqVectors(1, 9)[0], K: 2, Model: model, DB: db}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("submit after close returned %v, want ErrServerClosed", err)
+	}
 
 	if got, want := storm.accepted.Load(), int64(submitters*perSubmitter); got != want {
 		t.Fatalf("accepted %d submissions, want %d", got, want)
@@ -412,7 +403,7 @@ func TestSchedulerStress(t *testing.T) {
 // TestSchedulerDeterminism: no wall clock enters batch composition, so the
 // same submission order yields identical batch compositions, identical
 // simulated dispatch timestamps, and identical per-query latencies and
-// stages across two independent runs of the concurrent worker.
+// stages across two independent runs.
 func TestSchedulerDeterminism(t *testing.T) {
 	type run struct {
 		batches    [][]float32 // first QFV element of each spec, per batch
@@ -423,14 +414,9 @@ func TestSchedulerDeterminism(t *testing.T) {
 	do := func() run {
 		engine, model, db := newEqEngine(t, DefaultOptions(), 33, true)
 		var r run
-		// The worker stalls until every query is admitted: a batch that ran
-		// while later Submits were still stamping their arrival time would
-		// put wall-clock order into the sched_queue stage.
-		admitted := make(chan struct{})
 		sched := newScheduler(t, engine, 64, ServerConfig{
 			BatchSize: 4,
-			OnBatch: func(specs []QuerySpec) {
-				<-admitted
+			onBatch: func(specs []QuerySpec) {
 				sig := make([]float32, len(specs))
 				for i, s := range specs {
 					sig[i] = s.QFV[0]
@@ -448,7 +434,6 @@ func TestSchedulerDeterminism(t *testing.T) {
 			}
 			chans[i] = ch
 		}
-		close(admitted)
 		sched.Close()
 		for i, ch := range chans {
 			res := <-ch

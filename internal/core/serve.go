@@ -70,26 +70,9 @@ type ServerConfig struct {
 	// even when the weights disfavor them. Zero disables aging (pure
 	// start-time fair queueing).
 	AgingRate float64
-	// Sync selects the deterministic single-threaded mode: no worker
-	// goroutine runs, and batch cuts execute inline inside Submit / Pump /
-	// Flush / Close on the caller's goroutine. With submissions issued from
-	// one goroutine (the open-loop bench driver), batch composition and
-	// every simulated timestamp are a pure function of the submission
-	// sequence. The zero value starts a background dispatch worker, the
-	// concurrent-server mode.
-	Sync bool
-	// ManualPump (Sync mode only) stops Submit/SubmitAt from cutting batches
-	// inline: admissions only enqueue (and shed), and batches dispatch when
-	// the driver calls Pump, AdvanceTo, Flush, or Close. Open-loop drivers
-	// need this to model device-paced serving — every arrival that lands
-	// while the device is busy must be admitted (and count against its
-	// tenant's queue budget) before the next cut is composed; otherwise a
-	// backlogged clock makes each submission instantly due and the tier
-	// degenerates to singleton batches.
-	ManualPump bool
-	// OnBatch, when set, observes each dispatched batch's specs just before
-	// execution — a test hook for composition assertions.
-	OnBatch func(specs []QuerySpec)
+	// onBatch, when set, observes each dispatched batch's specs just before
+	// execution — a package test hook for composition assertions.
+	onBatch func(specs []QuerySpec)
 }
 
 // servItem is one admitted query: its spec, the caller's result channel,
@@ -112,7 +95,6 @@ type servItem struct {
 // tenantState is one tenant's queue and accounting.
 type tenantState struct {
 	cfg   TenantConfig
-	idx   int
 	depth int
 	queue []servItem
 	// lastFinish is the finish tag of the tenant's most recently admitted
@@ -135,18 +117,25 @@ type TenantStats struct {
 	Served, Failed int64
 }
 
-// Server is the engine's admission layer: concurrent Submit calls are
-// coalesced into shared multi-query sweeps (QueryMulti), amortizing each
-// sweep's flash and weight-streaming traffic across the batch, behind
-// per-tenant weighted-fair queues with priority aging, per-tenant admission
-// control (an over-budget tenant sheds its own traffic and nobody else's),
-// and deadline-aware batch cuts — a batch dispatches early when the oldest
+// Server is the engine's admission layer: submitted queries are coalesced
+// into shared multi-query sweeps (QueryMulti), amortizing each sweep's flash
+// and weight-streaming traffic across the batch, behind per-tenant
+// weighted-fair queues with priority aging, per-tenant admission control (an
+// over-budget tenant sheds its own traffic and nobody else's), and
+// deadline-aware batch cuts — a batch dispatches early when the oldest
 // pending query's SLO deadline approaches on the simulated clock. Every
 // served result is bit-identical to a direct Query call and carries the
 // sched_queue stage (stage durations still sum exactly to Latency). With one
-// weight-1 tenant, no SLO and no aging it is a plain FIFO batching queue
-// that cuts when full, on Flush and on Close; no wall clock ever enters
-// batch composition.
+// weight-1 tenant, no SLO and no aging it is a plain FIFO batching queue.
+//
+// The caller drives it, as the one dispatcher of §4.7.1 advances one device
+// timeline: Submit and SubmitAt only admit or shed, and batches run on the
+// caller's goroutine inside Pump (due cuts), AdvanceTo (due cuts after the
+// clock moves), Flush and Close (everything queued). Batch composition and
+// every simulated timestamp are therefore a pure function of the call
+// sequence; no goroutine and no wall clock enter it. A result channel
+// delivers once its batch has run, so a caller that waits on one must have
+// a Flush, Close or due cut run first.
 //
 // Dispatch order is start-time fair queueing: item j of tenant i receives a
 // virtual start tag S = max(V, F_prev(i)) and finish tag F = S + 1/Weight_i,
@@ -161,28 +150,20 @@ type Server struct {
 	ds  *DeepStore
 	cfg ServerConfig
 
+	// mu guards the queues and accounts below and is held while a batch
+	// runs, so batches never overlap and a Submit racing one waits it out.
 	mu      sync.Mutex
-	cond    *sync.Cond
 	tenants map[string]*tenantState
 	order   []*tenantState
 
 	vtime   float64
 	pending int
 	seq     uint64
-	// simNow caches the engine clock so admission-path tag and deadline
-	// arithmetic never contends on the engine mutex mid-batch. It is
-	// refreshed after every dispatched batch and by AdvanceTo.
-	simNow sim.Time
-
-	executing bool
-	flushers  int
-	closed    bool
-	done      chan struct{}
+	closed  bool
 }
 
-// NewServer validates the tenant set and starts the serving tier. Callers
-// must Close it to flush trailing submissions (and, in the default
-// concurrent mode, release the dispatch worker).
+// NewServer validates the tenant set and builds the serving tier. Callers
+// must Close it to run trailing submissions.
 func NewServer(ds *DeepStore, cfg ServerConfig) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("core: server needs at least one tenant")
@@ -199,16 +180,11 @@ func NewServer(ds *DeepStore, cfg ServerConfig) (*Server, error) {
 	if cfg.AgingRate < 0 {
 		return nil, fmt.Errorf("core: negative aging rate %v", cfg.AgingRate)
 	}
-	if cfg.ManualPump && !cfg.Sync {
-		return nil, fmt.Errorf("core: ManualPump requires Sync mode (the async worker pumps on its own)")
-	}
 	s := &Server{
 		ds:      ds,
 		cfg:     cfg,
 		tenants: make(map[string]*tenantState, len(cfg.Tenants)),
-		done:    make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	for i, tc := range cfg.Tenants {
 		if tc.Name == "" {
 			return nil, fmt.Errorf("core: tenant %d has no name", i)
@@ -222,37 +198,34 @@ func NewServer(ds *DeepStore, cfg ServerConfig) (*Server, error) {
 		if tc.QueueDepth < 0 || tc.SLO < 0 {
 			return nil, fmt.Errorf("core: tenant %q has negative queue depth or SLO", tc.Name)
 		}
-		ts := &tenantState{cfg: tc, idx: i, depth: tc.QueueDepth}
+		ts := &tenantState{cfg: tc, depth: tc.QueueDepth}
 		if ts.depth == 0 {
 			ts.depth = DefaultTenantDepth
 		}
 		s.tenants[tc.Name] = ts
 		s.order = append(s.order, ts)
 	}
-	s.simNow = ds.Now()
-	if !cfg.Sync {
-		go s.run()
-	}
 	return s, nil
 }
 
-// Submit admits one query for the tenant, arriving now on the simulated
-// clock. The empty tenant name addresses the sole tenant of a one-tenant
-// server. See SubmitAt.
+// Submit admits one query for the tenant, arriving now on the engine's
+// simulated clock. The empty tenant name addresses the sole tenant of a
+// one-tenant server. See SubmitAt.
 func (s *Server) Submit(tenant string, spec QuerySpec) (<-chan *QueryResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.submitLocked(tenant, spec, s.simNow)
+	return s.submitLocked(tenant, spec, s.ds.Now())
 }
 
 // SubmitAt admits one query with an explicit arrival timestamp — the
 // open-loop entry point: a query that arrived at T while the device was busy
 // is charged queueing delay from T, not from whenever the driver got around
 // to submitting it. The returned channel delivers exactly one result (then
-// closes); a query that fails after admission delivers a result carrying
-// QueryResult.Err. Submit never blocks: a tenant at its queue budget is shed
-// with ErrQueueFull (scoped to that tenant alone), an unknown tenant returns
-// ErrUnknownTenant, a closed server ErrServerClosed.
+// closes) once the query's batch has run; a query that fails after admission
+// delivers a result carrying QueryResult.Err. Submit never waits for queue
+// space: a tenant at its queue budget is shed with ErrQueueFull (scoped to
+// that tenant alone), an unknown tenant returns ErrUnknownTenant, a closed
+// server ErrServerClosed.
 func (s *Server) SubmitAt(tenant string, spec QuerySpec, arrival sim.Time) (<-chan *QueryResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,28 +273,15 @@ func (s *Server) submitLocked(tenant string, spec QuerySpec, arrival sim.Time) (
 	ts.submitted++
 	s.ds.obs.Counter("serve_submitted_" + tenant).Inc()
 	s.ds.obs.Counter("serve_submitted").Inc()
-	if !s.cfg.ManualPump {
-		s.kickLocked()
-	}
 	return item.ch, nil
 }
 
-// kickLocked lets any due batch cut happen: inline in sync mode, by waking
-// the dispatch worker otherwise.
-func (s *Server) kickLocked() {
-	if s.cfg.Sync {
-		s.pumpLocked()
-	} else {
-		s.cond.Broadcast()
-	}
-}
-
-// agedKey is the item's dispatch priority: its SFQ finish tag minus the
-// aging credit its simulated wait has earned. Smaller is sooner.
-func (s *Server) agedKey(it *servItem) float64 {
+// agedKey is the item's dispatch priority at simulated time now: its SFQ
+// finish tag minus the aging credit its wait has earned. Smaller is sooner.
+func (s *Server) agedKey(it *servItem, now sim.Time) float64 {
 	key := it.finish
 	if s.cfg.AgingRate > 0 {
-		if wait := sim.Duration(s.simNow - it.submitted); wait > 0 {
+		if wait := sim.Duration(now - it.submitted); wait > 0 {
 			key -= s.cfg.AgingRate * wait.Seconds()
 		}
 	}
@@ -338,18 +298,19 @@ const (
 	cutDrain
 )
 
-// cutReadyLocked decides whether a batch should dispatch right now.
-func (s *Server) cutReadyLocked() cutCause {
+// cutReadyLocked decides whether a batch should dispatch at simulated time
+// now; drain (Flush, Close) also cuts a partial batch.
+func (s *Server) cutReadyLocked(now sim.Time, drain bool) cutCause {
 	if s.pending == 0 {
 		return cutNone
 	}
 	if s.pending >= s.cfg.BatchSize {
 		return cutFull
 	}
-	if s.closed || s.flushers > 0 {
+	if drain {
 		return cutDrain
 	}
-	if dl, ok := s.oldestDeadlineLocked(); ok && dl-sim.Time(s.cfg.DeadlineSlack) <= s.simNow {
+	if dl, ok := s.oldestDeadlineLocked(); ok && dl-sim.Time(s.cfg.DeadlineSlack) <= now {
 		return cutDeadline
 	}
 	return cutNone
@@ -393,12 +354,12 @@ func (s *Server) Pending() int {
 	return s.pending
 }
 
-// takeBatchLocked pops up to BatchSize items in weighted-fair order:
-// repeatedly the queue head with the smallest aged finish tag (ties break
-// toward the earlier admission). The global virtual time advances to the
-// largest start tag dispatched, so a tenant returning from idle re-enters
-// at the current virtual time instead of a stale past.
-func (s *Server) takeBatchLocked() []servItem {
+// takeBatchLocked pops up to BatchSize items in weighted-fair order at
+// simulated time now: repeatedly the queue head with the smallest aged
+// finish tag (ties break toward the earlier admission). The global virtual
+// time advances to the largest start tag dispatched, so a tenant returning
+// from idle re-enters at the current virtual time instead of a stale past.
+func (s *Server) takeBatchLocked(now sim.Time) []servItem {
 	n := s.pending
 	if n > s.cfg.BatchSize {
 		n = s.cfg.BatchSize
@@ -411,7 +372,7 @@ func (s *Server) takeBatchLocked() []servItem {
 			if len(ts.queue) == 0 {
 				continue
 			}
-			key := s.agedKey(&ts.queue[0])
+			key := s.agedKey(&ts.queue[0], now)
 			if best == nil || key < bestKey || (key == bestKey && ts.queue[0].seq < best.queue[0].seq) {
 				best, bestKey = ts, key
 			}
@@ -427,25 +388,21 @@ func (s *Server) takeBatchLocked() []servItem {
 	return batch
 }
 
-// executeBatch runs one dispatched batch through the shared-sweep engine.
-// It never touches s.mu or the tenant accounts (obs metrics are internally
-// synchronized) — callers fold the returned clock and per-item outcomes back
-// in via settleLocked, so sync mode can execute while holding the lock and
-// async mode while it is released.
-func (s *Server) executeBatch(batch []servItem, cause cutCause) (sim.Time, []error) {
+// runBatchLocked runs one dispatched batch through the shared-sweep engine,
+// delivers every result and settles the per-tenant accounts.
+func (s *Server) runBatchLocked(batch []servItem, cause cutCause, started sim.Time) {
 	specs := make([]QuerySpec, len(batch))
 	for i, it := range batch {
 		specs[i] = it.spec
 	}
-	if fn := s.cfg.OnBatch; fn != nil {
+	if fn := s.cfg.onBatch; fn != nil {
 		fn(specs)
 	}
 	s.ds.obs.Counter("serve_batches").Inc()
 	if cause == cutDeadline {
 		s.ds.obs.Counter("serve_deadline_cuts").Inc()
 	}
-	started := s.ds.Now()
-	errs := runSharedBatch(s.ds, batch, specs)
+	errs := runSharedBatch(s.ds, batch, specs, started)
 	for i, it := range batch {
 		wait := sim.Duration(started - it.submitted)
 		if wait < 0 {
@@ -456,115 +413,66 @@ func (s *Server) executeBatch(batch []servItem, cause cutCause) (sim.Time, []err
 			Observe(wait.Seconds() * 1e3)
 		if errs[i] != nil {
 			s.ds.obs.Counter("serve_failed_" + name).Inc()
-		} else {
-			s.ds.obs.Counter("serve_served_" + name).Inc()
-		}
-	}
-	return s.ds.Now(), errs
-}
-
-// settleLocked folds one executed batch's outcome into the clock cache and
-// the per-tenant accounts.
-func (s *Server) settleLocked(batch []servItem, errs []error, now sim.Time) {
-	if now > s.simNow {
-		s.simNow = now
-	}
-	for i, it := range batch {
-		if errs[i] != nil {
 			it.tenant.failed++
 		} else {
+			s.ds.obs.Counter("serve_served_" + name).Inc()
 			it.tenant.served++
 		}
 	}
 }
 
-// pumpLocked dispatches every due batch inline (sync mode). The engine
-// clock advances inside each batch, which can arm further deadline cuts, so
-// the loop re-evaluates until no cut is due.
-func (s *Server) pumpLocked() {
-	for cause := s.cutReadyLocked(); cause != cutNone; cause = s.cutReadyLocked() {
-		batch := s.takeBatchLocked()
-		now, errs := s.executeBatch(batch, cause)
-		s.settleLocked(batch, errs, now)
+// pumpLocked runs every due batch on the caller's goroutine; drain also
+// cuts partial batches until the queues are empty. The engine clock
+// advances inside each batch, which can arm further deadline cuts, so the
+// loop re-evaluates until no cut is due.
+func (s *Server) pumpLocked(drain bool) {
+	for {
+		now := s.ds.Now()
+		cause := s.cutReadyLocked(now, drain)
+		if cause == cutNone {
+			return
+		}
+		s.runBatchLocked(s.takeBatchLocked(now), cause, now)
 	}
 }
 
-// Pump runs any due batch cuts on the caller's goroutine — the sync-mode
-// companion to AdvanceTo (a clock advance can make a deadline cut due). A
-// no-op when nothing is due. In async mode it just wakes the worker.
+// Pump runs every due batch cut — a full batch, or a deadline within its
+// slack of the clock — on the caller's goroutine. A no-op when nothing is
+// due.
 func (s *Server) Pump() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.kickLocked()
+	s.pumpLocked(false)
 }
 
 // AdvanceTo moves the simulated clock forward to t (no-op if t has passed)
-// and runs any deadline cuts that became due. Open-loop drivers call it
-// between arrivals so idle time passes and SLO deadlines can fire without
-// wall-clock timers — the serving tier's determinism hinges on the clock
-// only ever advancing through the device model or through this method.
+// and runs any cuts that became due. Open-loop callers use it between
+// arrivals so idle time passes and SLO deadlines can fire without wall-clock
+// timers — the serving tier's determinism hinges on the clock only ever
+// advancing through the device model or through this method.
 func (s *Server) AdvanceTo(t sim.Time) {
-	s.ds.AdvanceTo(t)
-	now := s.ds.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if now > s.simNow {
-		s.simNow = now
-	}
-	s.kickLocked()
+	s.ds.AdvanceTo(t)
+	s.pumpLocked(false)
 }
 
-// Flush dispatches everything admitted so far and returns once it has
-// executed. A no-op on a closed (or empty) server.
+// Flush runs everything admitted so far, partial batches included, and
+// returns once every result is delivered. A no-op on an empty (or closed)
+// server.
 func (s *Server) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.flushers++
-	s.kickLocked()
-	for s.pending > 0 || s.executing {
-		s.cond.Wait()
-	}
-	s.flushers--
+	s.pumpLocked(true)
 }
 
-// Close stops admission, dispatches every remaining query, and waits for
-// all results to be delivered. Safe to call more than once.
+// Close stops admission and runs every remaining query, returning once all
+// results are delivered. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	s.kickLocked()
-	s.mu.Unlock()
-	if !s.cfg.Sync {
-		<-s.done
-	}
-}
-
-// run is the concurrent-mode dispatch worker.
-func (s *Server) run() {
-	s.mu.Lock()
-	for {
-		cause := s.cutReadyLocked()
-		if cause == cutNone {
-			if s.closed {
-				break
-			}
-			s.cond.Wait()
-			continue
-		}
-		batch := s.takeBatchLocked()
-		s.executing = true
-		s.mu.Unlock()
-		now, errs := s.executeBatch(batch, cause)
-		s.mu.Lock()
-		s.settleLocked(batch, errs, now)
-		s.executing = false
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-	close(s.done)
+	s.pumpLocked(true)
 }
 
 // TenantStats snapshots every tenant's admission and delivery accounting.
@@ -590,9 +498,8 @@ func (s *Server) TenantStats() map[string]TenantStats {
 // still fails has its error delivered on its submission channel (never a
 // silent drop). The returned slice holds each item's delivery outcome (nil =
 // a real result was delivered) for the per-tenant failure accounts.
-func runSharedBatch(ds *DeepStore, batch []servItem, specs []QuerySpec) []error {
+func runSharedBatch(ds *DeepStore, batch []servItem, specs []QuerySpec, started sim.Time) []error {
 	errs := make([]error, len(batch))
-	started := ds.Now()
 	ids, err := ds.QueryMulti(specs)
 	if err != nil {
 		ds.obs.Counter("sched_fallback").Inc()

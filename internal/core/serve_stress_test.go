@@ -15,15 +15,23 @@ import (
 type stormCounts struct{ accepted, delivered, shed atomic.Int64 }
 
 // submitStorm pushes one query per vector through the tenant, closed-loop:
-// each waits for its result (exactly one per accepted submission) before the
-// next is submitted. A shed is retried after a pause — the behaviour of a
-// client with its own retry budget — unless retryShed is false, in which
-// case it is a test failure.
+// each waits for its result (exactly one per accepted submission, delivered
+// by whichever racing Pump, Flush or AdvanceTo runs its batch) before the
+// next is submitted. Every other query enters through SubmitAt with the engine's
+// current clock. A shed is retried after a pause — the behaviour of a client
+// with its own retry budget — unless retryShed is false, in which case it is
+// a test failure.
 func submitStorm(t *testing.T, srv *Server, tenant string, qfvs [][]float32, model ModelID, db ftl.DBID, retryShed bool, c *stormCounts) {
-	for _, qfv := range qfvs {
+	for i, qfv := range qfvs {
 		spec := QuerySpec{QFV: qfv, K: 3, Model: model, DB: db}
 		for {
-			ch, err := srv.Submit(tenant, spec)
+			var ch <-chan *QueryResult
+			var err error
+			if i%2 == 0 {
+				ch, err = srv.Submit(tenant, spec)
+			} else {
+				ch, err = srv.SubmitAt(tenant, spec, srv.ds.Now())
+			}
 			if errors.Is(err, ErrQueueFull) {
 				c.shed.Add(1)
 				if !retryShed {
@@ -53,7 +61,7 @@ func submitStorm(t *testing.T, srv *Server, tenant string, qfvs [][]float32, mod
 	}
 }
 
-// TestServerStress is the -race lockdown for the concurrent serving mode:
+// TestServerStress is the -race lockdown for the driven server:
 // multi-tenant submit storms race each other, Flush, Pump, AdvanceTo, and
 // TenantStats snapshots at roughly 2× the heavy tenant's queue budget.
 // Every accepted submission must deliver exactly one result (no lost, no
@@ -116,6 +124,9 @@ func TestServerStress(t *testing.T) {
 	close(stop)
 	raceWG.Wait()
 	srv.Close()
+	if _, err := srv.Submit("light", QuerySpec{QFV: eqVectors(1, 9)[0], K: 3, Model: model, DB: db}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("submit after close returned %v, want ErrServerClosed", err)
+	}
 
 	if delivered.Load() != accepted.Load() {
 		t.Fatalf("delivered %d results for %d accepted submissions", delivered.Load(), accepted.Load())
@@ -149,9 +160,10 @@ func TestServerStress(t *testing.T) {
 	}
 }
 
-// TestServerStressCloseRace: Close racing in-flight submitters must drain
-// every accepted submission (exactly one result each) and reject the rest
-// with the typed ErrServerClosed — never a hang, never a dropped channel.
+// TestServerStressCloseRace: Close racing in-flight submitters and the
+// other batch-running calls must drain every accepted submission (exactly one
+// result each) and reject the rest with the typed ErrServerClosed — never a
+// hang, never a dropped channel.
 func TestServerStressCloseRace(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 17, false)
 	srv, err := NewServer(engine, ServerConfig{
@@ -164,8 +176,11 @@ func TestServerStressCloseRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
 	var accepted, delivered, rejected atomic.Int64
+	// Close fires once the storm is under way: after the fourth acceptance.
+	underway := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -174,21 +189,26 @@ func TestServerStressCloseRace(t *testing.T) {
 			if g%2 == 1 {
 				tenant = "b"
 			}
-			qfvs := eqVectors(10, int64(500+g))
-			for _, qfv := range qfvs {
-				ch, err := srv.Submit(tenant, QuerySpec{QFV: qfv, K: 2, Model: model, DB: db})
+			for i, qfv := range eqVectors(10, int64(500+g)) {
+				spec := QuerySpec{QFV: qfv, K: 2, Model: model, DB: db}
+				var ch <-chan *QueryResult
+				var err error
+				if i%2 == 0 {
+					ch, err = srv.Submit(tenant, spec)
+				} else {
+					ch, err = srv.SubmitAt(tenant, spec, engine.Now())
+				}
 				if errors.Is(err, ErrServerClosed) {
 					rejected.Add(1)
-					continue
-				}
-				if errors.Is(err, ErrQueueFull) {
 					continue
 				}
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
-				accepted.Add(1)
+				if accepted.Add(1) == 4 {
+					once.Do(func() { close(underway) })
+				}
 				got := 0
 				for res := range ch {
 					if res != nil {
@@ -202,10 +222,27 @@ func TestServerStressCloseRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Close from a racing goroutine partway through the storm.
+	// Pumps, clock advances and flushes race the storm, before and after Close.
+	stop := make(chan struct{})
+	var driveWG sync.WaitGroup
+	driveWG.Add(1)
+	go func() {
+		defer driveWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			srv.Pump()
+			srv.AdvanceTo(engine.Now() + sim.Time(10*sim.Microsecond))
+			srv.Flush()
+		}
+	}()
+	<-underway
 	var closeWG sync.WaitGroup
-	closeWG.Add(2)
 	for c := 0; c < 2; c++ {
+		closeWG.Add(1)
 		go func() {
 			defer closeWG.Done()
 			srv.Close() // concurrent Closes must both return
@@ -213,10 +250,22 @@ func TestServerStressCloseRace(t *testing.T) {
 	}
 	closeWG.Wait()
 	wg.Wait()
+	close(stop)
+	driveWG.Wait()
 	if delivered.Load() != accepted.Load() {
 		t.Fatalf("delivered %d results for %d accepted submissions", delivered.Load(), accepted.Load())
 	}
-	if accepted.Load()+rejected.Load() == 0 {
-		t.Fatal("storm neither accepted nor rejected anything")
+	if got := accepted.Load() + rejected.Load(); got != 40 {
+		t.Fatalf("%d submissions accepted or rejected, want all 40", got)
+	}
+	if _, err := srv.Submit("a", QuerySpec{QFV: eqVectors(1, 9)[0], K: 2, Model: model, DB: db}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("submit after close returned %v, want ErrServerClosed", err)
+	}
+	var served int64
+	for _, st := range srv.TenantStats() {
+		served += st.Served
+	}
+	if served != accepted.Load() {
+		t.Fatalf("tenant stats served %d, want %d", served, accepted.Load())
 	}
 }

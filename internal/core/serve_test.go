@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/ftl"
@@ -10,7 +11,7 @@ import (
 )
 
 // tenantSpec builds a valid query spec whose QFV[0] carries a signature the
-// composition tests can read back from OnBatch.
+// composition tests can read back from onBatch.
 func tenantSpec(sig float32, model ModelID, db ftl.DBID) QuerySpec {
 	qfv := eqVectors(1, 991)[0]
 	qfv = append([]float32(nil), qfv...)
@@ -32,8 +33,7 @@ func TestServerWFQComposition(t *testing.T) {
 			{Name: "bronze", Weight: 1},
 		},
 		BatchSize: 16, // larger than the backlog: composition set by Flush alone
-		Sync:      true,
-		OnBatch: func(specs []QuerySpec) {
+		onBatch: func(specs []QuerySpec) {
 			for _, s := range specs {
 				order = append(order, s.QFV[0])
 			}
@@ -114,8 +114,7 @@ func TestServerAging(t *testing.T) {
 				},
 				BatchSize: 16,
 				AgingRate: tc.agingRate,
-				Sync:      true,
-				OnBatch: func(specs []QuerySpec) {
+				onBatch: func(specs []QuerySpec) {
 					if first < 0 {
 						first = specs[0].QFV[0]
 					}
@@ -155,7 +154,6 @@ func TestServerDeadlineCut(t *testing.T) {
 		Tenants:       []TenantConfig{{Name: "t", Weight: 1, SLO: slo}},
 		BatchSize:     8,
 		DeadlineSlack: slack,
-		Sync:          true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,6 @@ func TestServerPerTenantShedding(t *testing.T) {
 			{Name: "b", Weight: 1, QueueDepth: 2},
 		},
 		BatchSize: 64, // no cut during the test: queues only drain on Flush
-		Sync:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +284,6 @@ func TestServerOracleEquivalence(t *testing.T) {
 			{Name: "y", Weight: 1},
 		},
 		BatchSize: 4,
-		Sync:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +344,6 @@ func TestServerErrors(t *testing.T) {
 		{Tenants: []TenantConfig{{Name: "a", Weight: 1}}, BatchSize: -1},
 		{Tenants: []TenantConfig{{Name: "a", Weight: 1}}, DeadlineSlack: -1},
 		{Tenants: []TenantConfig{{Name: "a", Weight: 1}}, AgingRate: -1},
-		{Tenants: []TenantConfig{{Name: "a", Weight: 1}}, ManualPump: true}, // requires Sync
 	} {
 		if _, err := NewServer(engine, bad); err == nil {
 			t.Fatalf("config %+v accepted, want error", bad)
@@ -357,7 +352,6 @@ func TestServerErrors(t *testing.T) {
 
 	srv, err := NewServer(engine, ServerConfig{
 		Tenants: []TenantConfig{{Name: "a", Weight: 1}},
-		Sync:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +386,6 @@ func TestServerFailedQueryAccounting(t *testing.T) {
 			{Name: "b", Weight: 1},
 		},
 		BatchSize: 16,
-		Sync:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +433,6 @@ func TestServerSubmitAt(t *testing.T) {
 	srv, err := NewServer(engine, ServerConfig{
 		Tenants:   []TenantConfig{{Name: "t", Weight: 1}},
 		BatchSize: 8,
-		Sync:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,8 +480,7 @@ func TestServerDeterminism(t *testing.T) {
 			BatchSize:     4,
 			DeadlineSlack: 200 * sim.Microsecond,
 			AgingRate:     0.5,
-			Sync:          true,
-			OnBatch: func(specs []QuerySpec) {
+			onBatch: func(specs []QuerySpec) {
 				sig := make([]float32, len(specs))
 				for i, s := range specs {
 					sig[i] = s.QFV[0]
@@ -548,32 +539,38 @@ func TestServerDeterminism(t *testing.T) {
 	}
 }
 
-// TestServerManualPump: with ManualPump set, submissions only enqueue — a
-// full batch sits in the queues (and admission budgets keep binding) until
-// the driver pumps, which then cuts every ready batch.
+// TestServerManualPump: submissions only enqueue, even from racing
+// goroutines — a full batch sits in the queues (and admission budgets keep
+// binding) until the caller pumps, which then cuts every ready batch.
 func TestServerManualPump(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
 	srv, err := NewServer(engine, ServerConfig{
-		Tenants:    []TenantConfig{{Name: "a", Weight: 1, QueueDepth: 3}},
-		BatchSize:  2,
-		Sync:       true,
-		ManualPump: true,
+		Tenants:   []TenantConfig{{Name: "a", Weight: 1, QueueDepth: 3}},
+		BatchSize: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chans []<-chan *QueryResult
-	for i := 0; i < 3; i++ {
-		ch, err := srv.Submit("a", tenantSpec(float32(i+1), model, db))
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
+	chans := make([]<-chan *QueryResult, 3)
+	var wg sync.WaitGroup
+	for i := range chans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ch, err := srv.Submit("a", tenantSpec(float32(i+1), model, db))
+			if err != nil {
+				t.Error(err)
+			}
+			chans[i] = ch
+		}(i)
 	}
-	// Three queued over a batch size of 2: an auto-pumping server would have
-	// cut already; the manual server holds everything.
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	// Three queued over a batch size of 2: nothing runs until the caller asks.
 	if got := srv.Pending(); got != 3 {
-		t.Fatalf("Pending() = %d before the pump, want 3 (no inline cut)", got)
+		t.Fatalf("Pending() = %d before the pump, want 3 (no cut inside Submit)", got)
 	}
 	if got := engine.MetricsSnapshot().Counters["serve_batches"]; got != 0 {
 		t.Fatalf("%d batches cut before the pump, want 0", got)
@@ -599,4 +596,33 @@ func TestServerManualPump(t *testing.T) {
 		}
 	}
 	srv.Close()
+}
+
+// TestServerSubmitAfterDirectQuery: a submission that follows engine work
+// done outside the server (a direct Query) arrives at the engine's current
+// clock, so none of that work is charged to it as queue wait.
+func TestServerSubmitAfterDirectQuery(t *testing.T) {
+	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
+	srv := newScheduler(t, engine, 0, ServerConfig{BatchSize: 1})
+	defer srv.Close()
+	spec := tenantSpec(1, model, db)
+	id, err := engine.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.GetResults(id); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := srv.Submit("", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Pump()
+	res := <-ch
+	if res == nil || res.Err != nil {
+		t.Fatalf("bad result %+v", res)
+	}
+	if head := (obs.Stage{Name: obs.StageSchedQueue}); res.Stages[0] != head {
+		t.Fatalf("first stage %+v, want %+v: the direct query was charged as queue wait", res.Stages[0], head)
+	}
 }

@@ -10,66 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// OpenLoopReport summarizes an open-loop replay: queries arrive at a fixed
-// rate regardless of completions, so sojourn time includes queueing delay
-// behind earlier queries — the latency a deployed service would observe.
-type OpenLoopReport struct {
-	TraceReport
-	// ArrivalQPS is the offered load.
-	ArrivalQPS float64
-	// MeanSojourn and P99Sojourn include queueing delay; Utilization is
-	// busy time over the arrival horizon.
-	MeanSojourn sim.Duration
-	P99Sojourn  sim.Duration
-	Utilization float64
-}
-
-// ReplayTraceOpenLoop replays the trace with deterministic arrivals at
-// qps queries per second. The engine serves queries one at a time (the
-// §4.7.1 query engine is a single dispatcher on the embedded cores), so a
-// query's sojourn is its wait behind the previous completion plus its own
-// in-storage service time.
-func (ds *DeepStore) ReplayTraceOpenLoop(tr *workload.Trace, model ModelID, db ftl.DBID, k int, qps float64) (OpenLoopReport, error) {
-	if qps <= 0 {
-		return OpenLoopReport{}, fmt.Errorf("core: arrival rate %v invalid", qps)
-	}
-	base, err := ds.ReplayTrace(tr, model, db, k)
-	if err != nil {
-		return OpenLoopReport{}, err
-	}
-	interval := 1.0 / qps
-	report := OpenLoopReport{TraceReport: base, ArrivalQPS: qps}
-	// Re-run the replay's own per-query service times (recorded in trace
-	// order in base.Service) through a single-server queue. Using the
-	// report's times — not engine state — keeps concurrent replays on one
-	// engine independent.
-	services := base.Service
-	sojourns := make([]float64, len(services))
-	var busy, clock float64
-	for i, s := range services {
-		arrive := float64(i) * interval
-		if clock < arrive {
-			clock = arrive
-		}
-		svc := s.Seconds()
-		clock += svc
-		busy += svc
-		sojourns[i] = clock - arrive
-	}
-	horizon := float64(len(services)-1)*interval + services[len(services)-1].Seconds()
-	if horizon > 0 {
-		report.Utilization = busy / horizon
-	}
-	var sum float64
-	for _, s := range sojourns {
-		sum += s
-	}
-	report.MeanSojourn = sim.FromSeconds(sum / float64(len(sojourns)))
-	sort.Float64s(sojourns)
-	report.P99Sojourn = sim.FromSeconds(obs.Quantile(sojourns, 99))
-	return report, nil
-}
-
 // TraceReport summarizes a replayed query stream.
 type TraceReport struct {
 	Queries   int
@@ -83,8 +23,7 @@ type TraceReport struct {
 	P99Latency   sim.Duration
 	// EnergyJ is the summed modeled energy.
 	EnergyJ float64
-	// Service holds the per-query service times in trace order, for
-	// open-loop queueing analysis.
+	// Service holds the per-query service times in trace order.
 	Service []sim.Duration
 	// Stages is the per-stage latency breakdown across the replay, in
 	// pipeline order; every query's stage durations sum exactly to its

@@ -57,56 +57,6 @@ func TestReplayTraceWithoutCache(t *testing.T) {
 	}
 }
 
-func TestReplayTraceOpenLoop(t *testing.T) {
-	ds, _, model, dbID := newEngine(t, 80)
-	tr := workload.GenerateTrace(workload.TraceConfig{
-		Universe: 6, Length: 40, Dist: workload.Uniform, Seed: 3,
-	})
-	// First establish the mean service time, then offer load at 50% and
-	// 95% of saturation: sojourn must grow with load.
-	base, err := ds.ReplayTrace(tr, model, ftlID(uint64(dbID)), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	satQPS := 1 / base.MeanLatency.Seconds()
-	low, err := ds.ReplayTraceOpenLoop(tr, model, ftlID(uint64(dbID)), 2, 0.5*satQPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	over, err := ds.ReplayTraceOpenLoop(tr, model, ftlID(uint64(dbID)), 2, 1.5*satQPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Below saturation with near-deterministic service, arrivals never
-	// queue (the D/D/1 property): sojourn ≈ service time.
-	if low.MeanSojourn < base.MeanLatency {
-		t.Errorf("open-loop sojourn %v below service time %v", low.MeanSojourn, base.MeanLatency)
-	}
-	if float64(low.MeanSojourn) > 1.3*float64(base.MeanLatency) {
-		t.Errorf("sub-saturation sojourn %v far above service %v", low.MeanSojourn, base.MeanLatency)
-	}
-	// Above saturation the queue builds: sojourn must grow well past the
-	// service time.
-	if float64(over.MeanSojourn) < 2*float64(base.MeanLatency) {
-		t.Errorf("overload sojourn %v did not build a queue (service %v)",
-			over.MeanSojourn, base.MeanLatency)
-	}
-	if low.Utilization <= 0.3 || low.Utilization > 1.0 {
-		t.Errorf("utilization at half load = %v", low.Utilization)
-	}
-	if over.P99Sojourn < over.MeanSojourn {
-		t.Error("p99 below mean")
-	}
-}
-
-func TestReplayTraceOpenLoopValidation(t *testing.T) {
-	ds, _, model, dbID := newEngine(t, 20)
-	tr := workload.GenerateTrace(workload.TraceConfig{Universe: 2, Length: 3, Seed: 1})
-	if _, err := ds.ReplayTraceOpenLoop(tr, model, ftlID(uint64(dbID)), 1, 0); err == nil {
-		t.Error("zero rate accepted")
-	}
-}
-
 func TestReplayTraceValidation(t *testing.T) {
 	ds, _, model, dbID := newEngine(t, 20)
 	if _, err := ds.ReplayTrace(nil, model, ftlID(uint64(dbID)), 1); err == nil {

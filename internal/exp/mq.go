@@ -51,8 +51,8 @@ type MQRow struct {
 
 // MultiQueryBench sweeps batch width: for each Q it builds a fresh engine,
 // submits cfg.Queries distinct queries through a one-tenant Server with
-// BatchSize Q (sync mode, so batch composition is deterministic), and
-// reports simulated throughput. Every width scores the same query set and
+// BatchSize Q (Close cuts every batch in submission order, so composition is
+// deterministic), and reports simulated throughput. Every width scores the same query set and
 // returns identical top-K answers; what changes is how many queries share
 // each in-storage sweep.
 func MultiQueryBench(cfg MQConfig) ([]MQRow, error) {
@@ -78,7 +78,7 @@ func MultiQueryBench(cfg MQConfig) ([]MQRow, error) {
 		}
 		sched, err := core.NewServer(ds, core.ServerConfig{
 			Tenants:   []core.TenantConfig{{Name: "mq", Weight: 1, QueueDepth: cfg.Queries}},
-			BatchSize: q, Sync: true,
+			BatchSize: q,
 		})
 		if err != nil {
 			return nil, err

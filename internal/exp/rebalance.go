@@ -89,11 +89,11 @@ func drivePhase(
 			qfvs[i] = vec(*next)
 			*next++
 		}
-		la, err := live.QueriesShared(qfvs, k)
+		la, err := live.Queries(qfvs, k)
 		if err != nil {
 			return nil, 0, fmt.Errorf("exp: rebalance live batch: %w", err)
 		}
-		oa, err := oracle.QueriesShared(qfvs, k)
+		oa, err := oracle.Queries(qfvs, k)
 		if err != nil {
 			return nil, 0, fmt.Errorf("exp: rebalance oracle batch: %w", err)
 		}

@@ -154,12 +154,12 @@ type serveOutcome struct {
 	withinSLO int64
 }
 
-// driveServe replays an open-loop arrival schedule through a sync-mode
-// serving tier as a device-paced event loop: every arrival that lands while
-// the device is busy is admitted (and counted against its tenant's queue
-// budget) before the next batch is cut, and cuts fire when the device is
-// free and either a full batch is queued or the oldest deadline is due. All
-// timestamps are simulated, so the run is a pure function of the schedule.
+// driveServe replays an open-loop arrival schedule through the serving tier
+// as a device-paced event loop: every arrival that lands while the device is
+// busy is admitted (and counted against its tenant's queue budget) before
+// the next batch is cut, and cuts fire when the device is free and either a
+// full batch is queued or the oldest deadline is due. All timestamps are
+// simulated, so the run is a pure function of the schedule.
 // When oracle is non-nil, every served result is compared against a direct
 // Query of the same spec on the oracle engine and mismatches are counted
 // per tenant.
@@ -176,8 +176,6 @@ func driveServe(
 		BatchSize:     batchSize,
 		DeadlineSlack: slack,
 		AgingRate:     aging,
-		Sync:          true,
-		ManualPump:    true,
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -31,7 +32,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if got.Name != n.Name {
 			t.Errorf("name = %q, want %q", got.Name, n.Name)
 		}
-		if !got.FeatureShape.Equal(n.FeatureShape) {
+		if !slices.Equal(got.FeatureShape, n.FeatureShape) {
 			t.Errorf("shape = %v, want %v", got.FeatureShape, n.FeatureShape)
 		}
 		if got.Combine != n.Combine {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -29,7 +30,7 @@ func TestFCForwardAndCounts(t *testing.T) {
 	if got := l.WeightCount(); got != 8 {
 		t.Errorf("fc weights = %d, want 8", got)
 	}
-	if !l.OutputShape(tensor.Shape{3}).Equal(tensor.Shape{2}) {
+	if !slices.Equal(l.OutputShape(tensor.Shape{3}), tensor.Shape{2}) {
 		t.Error("fc output shape wrong")
 	}
 }
@@ -48,7 +49,7 @@ func TestFCFlattensInput(t *testing.T) {
 	in := tensor.New(2, 3)
 	// Should not panic: FC accepts any shape with matching element count.
 	forward(l, in)
-	if !l.OutputShape(tensor.Shape{2, 3}).Equal(tensor.Shape{1}) {
+	if !slices.Equal(l.OutputShape(tensor.Shape{2, 3}), tensor.Shape{1}) {
 		t.Error("fc did not flatten input shape")
 	}
 }
@@ -66,7 +67,7 @@ func TestConvCharacteristics(t *testing.T) {
 	// ReId-style conv: 32x22x16 input, 16 3x3 filters, stride 1, pad 1.
 	l := NewConv("conv1", 32, 22, 16, 16, 3, 3, 1, 1, ActReLU)
 	shape := tensor.Shape{32, 22, 16}
-	if !l.OutputShape(shape).Equal(tensor.Shape{32, 22, 16}) {
+	if !slices.Equal(l.OutputShape(shape), tensor.Shape{32, 22, 16}) {
 		t.Errorf("conv output shape = %v", l.OutputShape(shape))
 	}
 	wantFLOPs := int64(2 * 32 * 22 * 16 * 3 * 3 * 16)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,10 +110,10 @@ func TestNetworkLayerPlan(t *testing.T) {
 	if plan[0].Kind != KindElementwise || plan[0].FLOPs != 512 {
 		t.Errorf("plan[0] = %+v, want EW combine of 512", plan[0])
 	}
-	if plan[1].Kind != KindFC || !plan[1].In.Equal(tensor.Shape{512}) || !plan[1].Out.Equal(tensor.Shape{512}) {
+	if plan[1].Kind != KindFC || !slices.Equal(plan[1].In, tensor.Shape{512}) || !slices.Equal(plan[1].Out, tensor.Shape{512}) {
 		t.Errorf("plan[1] = %+v", plan[1])
 	}
-	if !plan[3].Out.Equal(tensor.Shape{2}) {
+	if !slices.Equal(plan[3].Out, tensor.Shape{2}) {
 		t.Errorf("plan[3].Out = %v, want [2]", plan[3].Out)
 	}
 	var total int64
@@ -130,7 +131,7 @@ func TestNetworkLayerPlanConcatInput(t *testing.T) {
 	if len(plan) != 1 {
 		t.Fatalf("plan has %d entries, want 1", len(plan))
 	}
-	if !plan[0].In.Equal(tensor.Shape{8}) {
+	if !slices.Equal(plan[0].In, tensor.Shape{8}) {
 		t.Errorf("plan input shape = %v, want [8]", plan[0].In)
 	}
 }

@@ -376,42 +376,6 @@ func (c *Client) Query(qfv []float32, k int, model core.ModelID, db ftl.DBID,
 	return core.QueryID(cpl.Value), nil
 }
 
-// QueryAsync admits a query into the device's batching server
-// (queryAsync) and returns a ticket redeemable once via Await. The device
-// coalesces admitted queries into shared multi-query sweeps; a full
-// admission queue surfaces as a StatusCapacity error here (never a silent
-// block). Not retried: a lost completion would leak an admitted query.
-func (c *Client) QueryAsync(qfv []float32, k int, model core.ModelID, db ftl.DBID,
-	start, end int64, level *accel.Level) (uint64, error) {
-	payload, err := EncodeFeatures([][]float32{qfv})
-	if err != nil {
-		return 0, err
-	}
-	var lv uint64
-	if level != nil {
-		lv = uint64(*level) + 1
-	}
-	cpl, err := c.submit(Command{
-		Op: OpQueryAsync, DB: uint64(db), Model: uint64(model),
-		Args:    [4]uint64{uint64(k), uint64(start), uint64(end), lv},
-		Payload: payload,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return cpl.Value, nil
-}
-
-// Await blocks until a QueryAsync ticket's query has executed and returns
-// its results (await). Tickets are single-use.
-func (c *Client) Await(ticket uint64) (Results, error) {
-	cpl, err := c.submit(Command{Op: OpAwait, Args: [4]uint64{ticket}})
-	if err != nil {
-		return Results{}, err
-	}
-	return decodeResultsCompletion(cpl)
-}
-
 // Results is the host-side view of a completed query.
 type Results struct {
 	IDs      []int64
@@ -427,12 +391,6 @@ func (c *Client) GetResults(q core.QueryID) (Results, error) {
 	if err != nil {
 		return Results{}, err
 	}
-	return decodeResultsCompletion(cpl)
-}
-
-// decodeResultsCompletion unpacks the shared getResults/await completion
-// encoding.
-func decodeResultsCompletion(cpl Completion) (Results, error) {
 	ids, scores, objects, err := DecodeResults(cpl.Payload)
 	if err != nil {
 		return Results{}, err

@@ -218,6 +218,48 @@ func TestBadLevelFrameIsRefused(t *testing.T) {
 	}
 }
 
+// TestUnassignedOpcodesUnsupported: the Table 2 commands keep their wire
+// numbers 0x81..0x87, the numbers after them (0x88, 0x89) name no command,
+// so frames carrying them complete with StatusUnsupported, and the server
+// keeps serving afterwards.
+func TestUnassignedOpcodesUnsupported(t *testing.T) {
+	if OpWriteDB != 0x81 || OpQuery != 0x85 || OpGetResults != 0x86 || OpSetQC != 0x87 {
+		t.Fatalf("Table 2 opcodes moved: writeDB 0x%02x, query 0x%02x, getResults 0x%02x, setQC 0x%02x",
+			uint8(OpWriteDB), uint8(OpQuery), uint8(OpGetResults), uint8(OpSetQC))
+	}
+	client, app := newEngineClient(t, true)
+	db := workload.NewFeatureDB(app, 64, 5)
+	dbID, err := client.WriteDB(db.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := client.LoadModelNetwork(app.SCN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := EncodeFeatures([][]float32{db.Vectors[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Opcode{0x88, 0x89} {
+		cpl, err := client.T.Submit(Command{Op: op, CID: uint16(op), DB: uint64(dbID), Model: uint64(model),
+			Args: [4]uint64{5, 1}, Payload: payload})
+		if err != nil {
+			t.Fatalf("opcode 0x%02x broke the transport: %v", uint8(op), err)
+		}
+		if cpl.Status != StatusUnsupported || cpl.CID != uint16(op) {
+			t.Fatalf("opcode 0x%02x completed with %v (%q) CID %d, want %v", uint8(op), cpl.Status, cpl.Detail, cpl.CID, StatusUnsupported)
+		}
+	}
+	qid, err := client.Query(db.Vectors[0], 5, model, dbID, 0, 0, nil)
+	if err != nil {
+		t.Fatalf("server stopped serving after an unassigned opcode: %v", err)
+	}
+	if _, err := client.GetResults(qid); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQueryOfAnotherWidthThanTheQCNIsRefused: with a 512-dimension QCN set
 // over the wire in front of a 200-dimension database, every query — the
 // second one used to panic the connection goroutine while it held the engine

@@ -1,9 +1,7 @@
 package proto
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/core"
@@ -20,16 +18,6 @@ type Handler struct {
 	// Obs, when set, counts executed commands per opcode plus non-success
 	// completions; nil counts nothing.
 	Obs *obs.Registry
-	// Sched, when set, enables the queryAsync/await commands: queryAsync
-	// admits through the server's batching queue instead of executing
-	// synchronously. The wire carries no tenant, so the server must have
-	// exactly one. Nil makes those opcodes complete with StatusUnsupported.
-	Sched *core.Server
-
-	// ticketMu guards the async ticket table.
-	ticketMu   sync.Mutex
-	nextTicket uint64
-	tickets    map[uint64]<-chan *core.QueryResult
 }
 
 // Execute runs one command to completion.
@@ -61,10 +49,6 @@ func (h *Handler) execute(cmd Command) Completion {
 		return h.getResults(cmd)
 	case OpSetQC:
 		return h.setQC(cmd)
-	case OpQueryAsync:
-		return h.queryAsync(cmd)
-	case OpAwait:
-		return h.await(cmd)
 	default:
 		return fail(cmd, StatusUnsupported, fmt.Sprintf("opcode %s", cmd.Op))
 	}
@@ -122,12 +106,10 @@ func (h *Handler) loadModel(cmd Command) Completion {
 	return ok(cmd, uint64(id), nil)
 }
 
-// decodeSpec unpacks the shared query/queryAsync command layout into an
-// engine query spec.
-func decodeSpec(cmd Command) (core.QuerySpec, error) {
+func (h *Handler) query(cmd Command) Completion {
 	qfv, err := decodeQFV(cmd.Payload)
 	if err != nil {
-		return core.QuerySpec{}, err
+		return fail(cmd, StatusInvalidField, err.Error())
 	}
 	spec := core.QuerySpec{
 		QFV:     qfv,
@@ -141,14 +123,6 @@ func decodeSpec(cmd Command) (core.QuerySpec, error) {
 		level := accel.Level(lv - 1)
 		spec.Level = &level
 	}
-	return spec, nil
-}
-
-func (h *Handler) query(cmd Command) Completion {
-	spec, err := decodeSpec(cmd)
-	if err != nil {
-		return fail(cmd, StatusInvalidField, err.Error())
-	}
 	qid, err := h.DS.Query(spec)
 	if err != nil {
 		return fail(cmd, StatusInvalidField, err.Error())
@@ -156,85 +130,11 @@ func (h *Handler) query(cmd Command) Completion {
 	return ok(cmd, uint64(qid), nil)
 }
 
-// queryAsync admits a query through the batching server and returns a
-// ticket for await. Backpressure (a full admission queue) completes with
-// StatusCapacity so the host can shed or retry on its own terms.
-func (h *Handler) queryAsync(cmd Command) Completion {
-	if h.Sched == nil {
-		return fail(cmd, StatusUnsupported, "no server attached")
-	}
-	spec, err := decodeSpec(cmd)
-	if err != nil {
-		return fail(cmd, StatusInvalidField, err.Error())
-	}
-	ch, err := h.Sched.Submit("", spec)
-	if err != nil {
-		switch {
-		case errors.Is(err, core.ErrQueueFull):
-			return fail(cmd, StatusCapacity, err.Error())
-		case errors.Is(err, core.ErrServerClosed):
-			return fail(cmd, StatusInternal, err.Error())
-		}
-		return fail(cmd, StatusInvalidField, err.Error())
-	}
-	h.ticketMu.Lock()
-	h.nextTicket++
-	ticket := h.nextTicket
-	if h.tickets == nil {
-		h.tickets = make(map[uint64]<-chan *core.QueryResult)
-	}
-	h.tickets[ticket] = ch
-	h.ticketMu.Unlock()
-	return ok(cmd, ticket, nil)
-}
-
-// await blocks until the ticket's query has executed and returns its
-// results in the getResults encoding. Each ticket is redeemable once. An
-// await on an undelivered ticket is the demand signal that cuts its partial
-// batch: the blocked connection cannot submit the batch-mates that would
-// fill it.
-func (h *Handler) await(cmd Command) Completion {
-	ticket := cmd.Args[0]
-	h.ticketMu.Lock()
-	ch, found := h.tickets[ticket]
-	delete(h.tickets, ticket)
-	h.ticketMu.Unlock()
-	if !found {
-		return fail(cmd, StatusNotFound, fmt.Sprintf("unknown ticket %d", ticket))
-	}
-	var res *core.QueryResult
-	var okRes bool
-	select {
-	case res, okRes = <-ch:
-	default:
-		h.Sched.Flush()
-		res, okRes = <-ch
-	}
-	if !okRes {
-		// Defensive: the server delivers exactly one result per accepted
-		// submission (failures arrive with QueryResult.Err set), so a closed
-		// empty channel would mean a dropped result.
-		return fail(cmd, StatusInternal, fmt.Sprintf("ticket %d: result dropped", ticket))
-	}
-	if res.Err != nil {
-		// The query itself failed inside its batch (its batch-mates are
-		// unaffected); surface the typed per-query error.
-		return fail(cmd, StatusInvalidField, fmt.Sprintf("ticket %d: %v", ticket, res.Err))
-	}
-	return h.resultCompletion(cmd, res)
-}
-
 func (h *Handler) getResults(cmd Command) Completion {
 	res, err := h.DS.GetResults(core.QueryID(cmd.Args[0]))
 	if err != nil {
 		return fail(cmd, StatusNotFound, err.Error())
 	}
-	return h.resultCompletion(cmd, res)
-}
-
-// resultCompletion packs a query result into the shared getResults/await
-// completion encoding.
-func (h *Handler) resultCompletion(cmd Command, res *core.QueryResult) Completion {
 	ids := make([]int64, len(res.TopK))
 	scores := make([]float32, len(res.TopK))
 	objects := make([]uint64, len(res.TopK))

@@ -26,13 +26,6 @@ const (
 	OpQuery
 	OpGetResults
 	OpSetQC
-	// OpQueryAsync and OpAwait extend Table 2 with the admission path:
-	// queryAsync admits a query into the engine's batching server and
-	// returns a ticket immediately; await blocks until that ticket's query
-	// has executed (inside a shared multi-query sweep) and returns its
-	// results in the getResults encoding.
-	OpQueryAsync
-	OpAwait
 )
 
 // String names the opcode as in Table 2.
@@ -52,10 +45,6 @@ func (o Opcode) String() string {
 		return "getResults"
 	case OpSetQC:
 		return "setQC"
-	case OpQueryAsync:
-		return "queryAsync"
-	case OpAwait:
-		return "await"
 	default:
 		return fmt.Sprintf("Opcode(0x%02x)", uint8(o))
 	}
@@ -110,8 +99,6 @@ type Command struct {
 	//   query:      [k, start, end, level+1 (0 = engine default)]
 	//   getResults: [queryID]
 	//   setQC:      [entries, threshold(millis), accuracy(millis)]
-	//   queryAsync: [k, start, end, level+1 (0 = engine default)]
-	//   await:      [ticket]
 	Args [4]uint64
 	// Payload carries feature data, the model blob, or the QFV.
 	Payload []byte

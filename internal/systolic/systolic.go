@@ -254,11 +254,6 @@ type NetworkCost struct {
 	WeightLoadCycles int64
 }
 
-// PerFeatureSeconds converts the comparison latency to seconds.
-func (n NetworkCost) PerFeatureSeconds(c Config) float64 {
-	return float64(n.Cycles) / c.FreqHz
-}
-
 // Utilization is the aggregate PE utilization across the network.
 func (n NetworkCost) Utilization(c Config) float64 {
 	return util(n.MACs, n.Cycles, int64(c.PEs()))

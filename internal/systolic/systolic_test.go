@@ -135,9 +135,6 @@ func TestNetworkCostAggregates(t *testing.T) {
 	if nc.WeightBytes != tir.SCN.WeightBytes() {
 		t.Errorf("weight bytes = %d, want %d", nc.WeightBytes, tir.SCN.WeightBytes())
 	}
-	if s := nc.PerFeatureSeconds(cfg); s <= 0 || s > 1e-3 {
-		t.Errorf("per-feature time = %v s, implausible", s)
-	}
 }
 
 func TestAspects(t *testing.T) {

@@ -25,19 +25,6 @@ func (s Shape) Elems() int {
 	return n
 }
 
-// Equal reports whether two shapes are identical.
-func (s Shape) Equal(o Shape) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of the shape.
 func (s Shape) Clone() Shape {
 	c := make(Shape, len(s))
@@ -81,15 +68,6 @@ func (t *Tensor) Elems() int { return len(t.Data) }
 
 // Bytes returns the size of the tensor payload in bytes (float32).
 func (t *Tensor) Bytes() int64 { return int64(len(t.Data)) * 4 }
-
-// Reshape returns a view of the same data with a new shape of equal size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	s := Shape(shape).Clone()
-	if s.Elems() != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d) to %v (%d)", t.Shape, len(t.Data), s, s.Elems()))
-	}
-	return &Tensor{Shape: s, Data: t.Data}
-}
 
 // At returns the element at the given indices (row-major).
 func (t *Tensor) At(idx ...int) float32 {
@@ -229,28 +207,6 @@ func ReLU(x []float32) {
 func Sigmoid(x []float32) {
 	for i, v := range x {
 		x[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-}
-
-// Softmax writes the softmax of x into x.
-func Softmax(x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	max := x[0]
-	for _, v := range x[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	var sum float64
-	for i, v := range x {
-		e := math.Exp(float64(v - max))
-		x[i] = float32(e)
-		sum += e
-	}
-	for i := range x {
-		x[i] = float32(float64(x[i]) / sum)
 	}
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -27,15 +28,12 @@ func TestShapeElems(t *testing.T) {
 func TestShapeEqualClone(t *testing.T) {
 	s := Shape{3, 4}
 	c := s.Clone()
-	if !s.Equal(c) {
+	if !slices.Equal(s, c) {
 		t.Error("clone not equal")
 	}
 	c[0] = 9
 	if s[0] != 3 {
 		t.Error("clone aliases original")
-	}
-	if s.Equal(Shape{3}) || s.Equal(Shape{3, 5}) {
-		t.Error("unequal shapes reported equal")
 	}
 }
 
@@ -48,24 +46,6 @@ func TestTensorAtSet(t *testing.T) {
 	if x.Data[5] != 7 {
 		t.Error("row-major layout violated")
 	}
-}
-
-func TestTensorReshape(t *testing.T) {
-	x := New(2, 6)
-	y := x.Reshape(3, 4)
-	y.Set(5, 2, 3)
-	if x.At(1, 5) != 5 {
-		t.Error("reshape does not share data")
-	}
-}
-
-func TestTensorReshapeBadSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad reshape did not panic")
-		}
-	}()
-	New(2, 3).Reshape(7)
 }
 
 func TestFromSliceValidates(t *testing.T) {
@@ -204,24 +184,6 @@ func TestSigmoidRange(t *testing.T) {
 	}
 	if x[0] > 0.001 || x[2] < 0.999 {
 		t.Errorf("sigmoid tails = %v", x)
-	}
-}
-
-func TestSoftmaxSumsToOne(t *testing.T) {
-	f := func(a, b, c int8) bool {
-		x := []float32{float32(a) / 8, float32(b) / 8, float32(c) / 8}
-		Softmax(x)
-		var sum float32
-		for _, v := range x {
-			if v < 0 || v > 1 {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(float64(sum)-1) < 1e-5
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
