@@ -15,9 +15,9 @@ import (
 
 // Drift guards for the present-tense docs and the facade, built on the
 // standard library's Go parser alone. README.md and DESIGN.md name code as
-// `pkg.Name`, and TestDocsNamesResolve fails when such a name is no longer
-// declared. The facade re-exports only what some caller uses, and
-// TestFacadeExportsHaveCallers fails on an export nobody uses.
+// `pkg.Name` and `Type.Member`, and TestDocsNamesResolve fails when such a
+// name is no longer declared. The facade re-exports only what some caller
+// uses, and TestFacadeExportsHaveCallers fails on an export nobody uses.
 
 // parseModule parses every Go file of the module, tests included, keyed by
 // slash-separated path.
@@ -68,18 +68,91 @@ func declNames(f *ast.File) []string {
 	return names
 }
 
+// typeMembers returns every type the module declares, keyed "pkg.Type", with
+// the names of its fields (embedded ones by type name), interface methods
+// and methods. Members promoted through embedding are not followed.
+func typeMembers(files map[string]*ast.File) map[string]map[string]bool {
+	out := map[string]map[string]bool{}
+	add := func(key, member string) {
+		if out[key] == nil {
+			out[key] = map[string]bool{}
+		}
+		if member != "" {
+			out[key][member] = true
+		}
+	}
+	// baseName strips pointers, type arguments and a package qualifier.
+	baseName := func(x ast.Expr) string {
+		for {
+			switch t := x.(type) {
+			case *ast.StarExpr:
+				x = t.X
+			case *ast.IndexExpr:
+				x = t.X
+			case *ast.IndexListExpr:
+				x = t.X
+			case *ast.SelectorExpr:
+				x = t.Sel
+			case *ast.Ident:
+				return t.Name
+			default:
+				return ""
+			}
+		}
+	}
+	for _, f := range files {
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					add(pkg+"."+baseName(d.Recv.List[0].Type), d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					key := pkg + "." + ts.Name.Name
+					add(key, "")
+					var fields []*ast.Field
+					switch t := ts.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields.List
+					case *ast.InterfaceType:
+						fields = t.Methods.List
+					}
+					for _, fl := range fields {
+						for _, n := range fl.Names {
+							add(key, n.Name)
+						}
+						if len(fl.Names) == 0 {
+							add(key, baseName(fl.Type))
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 var (
 	fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
 	codeSpan    = regexp.MustCompile("`[^`]+`")
 	// pkgName matches pkg.Name, or pkg.Prefix* for a family of names. A
 	// match inside a path (dir/file.go) or a longer chain (a.b.c) is none.
 	pkgName = regexp.MustCompile(`(^|[^\w./-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(\*?)`)
-	fileExt = map[string]bool{"go": true, "json": true, "jsonl": true, "md": true, "mod": true, "s": true, "sh": true, "yml": true}
+	// typeMember matches Type.Member, optionally package-qualified.
+	typeMember = regexp.MustCompile(`(^|[^\w./-])(?:([a-z][a-z0-9]*)\.)?([A-Z]\w*)\.([A-Za-z_]\w*)`)
+	fileExt    = map[string]bool{"go": true, "json": true, "jsonl": true, "md": true, "mod": true, "s": true, "sh": true, "yml": true}
 )
 
 func TestDocsNamesResolve(t *testing.T) {
+	files := parseModule(t)
 	decls := map[string]map[string]bool{} // package name → names declared in it
-	for _, f := range parseModule(t) {
+	for _, f := range files {
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
 		if decls[pkg] == nil {
 			decls[pkg] = map[string]bool{}
@@ -88,6 +161,7 @@ func TestDocsNamesResolve(t *testing.T) {
 			decls[pkg][n] = true
 		}
 	}
+	types := typeMembers(files)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -107,6 +181,25 @@ func TestDocsNamesResolve(t *testing.T) {
 				}
 				if !found {
 					t.Errorf("%s: %s names %s.%s, which package %s does not declare", doc, span, pkg, name, pkg)
+				}
+			}
+			for _, m := range typeMember.FindAllStringSubmatch(span, -1) {
+				pkg, typ, member := m[2], m[3], m[4]
+				if fileExt[member] || pkg != "" && decls[pkg] == nil {
+					continue // a file name, or a type outside the module
+				}
+				declared, found := false, false
+				for key, members := range types {
+					if strings.HasSuffix(key, "."+typ) && (pkg == "" || key == pkg+"."+typ) {
+						declared = true
+						found = found || members[member]
+					}
+				}
+				switch {
+				case !declared:
+					t.Errorf("%s: %s names %s.%s, but the module declares no type %s", doc, span, typ, member, typ)
+				case !found:
+					t.Errorf("%s: %s names %s.%s, but type %s has no field or method %s", doc, span, typ, member, typ, member)
 				}
 			}
 		}

@@ -1,64 +1,12 @@
 package cluster
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/core"
-)
-
-// Cluster-wide admin operations over replica groups. The correctness
-// obligation is atomic-per-group application: a non-idempotent op
-// (AppendDB, ReorgShard, a rebalance write) either lands on every replica
-// that will keep serving, or the group's serving state is left untouched.
-// The failure mode this closes is the half-updated replica: before, an op
-// that failed on replica 1 of 2 left the group divergent, and failover
-// reads returned answers from whichever replica routing happened to pick.
-//
-// Policy on a mixed outcome: replicas the op failed on are QUARANTINED —
-// removed from the group, never routed to again — and the op reports
-// success, because every replica still serving has applied it. Only an op
-// that failed on ALL replicas returns an error, and in that case no replica
-// mutated (core's admin ops validate before they mutate), so the group is
-// still coherent at the old state.
-
-// applyGroupLocked applies op to every replica of shard s with the
-// quarantine discipline above. Callers hold e.admin and must publish a new
-// generation afterwards if the op (or a quarantine) changed serving state.
-// Returns the surviving replicas' error (nil on success) and whether any
-// replica was quarantined.
-func (e *Engines) applyGroupLocked(s int, opName string, op func(*core.DeepStore) error) (err error, quarantined bool) {
-	group := e.groups[s]
-	var kept []*core.DeepStore
-	var errs []error
-	for r, ds := range group {
-		if opErr := op(ds); opErr != nil {
-			errs = append(errs, fmt.Errorf("shard %d replica %d: %s: %w", s, r, opName, opErr))
-		} else {
-			kept = append(kept, ds)
-		}
-	}
-	if len(kept) == 0 {
-		// Total failure: nothing mutated (core admin ops fail before they
-		// mutate), so the group keeps serving its old state.
-		return fmt.Errorf("cluster: %s failed on every replica of shard %d: %w",
-			opName, s, errors.Join(errs...)), false
-	}
-	if len(errs) > 0 {
-		// Mixed outcome: the failed replicas are now stale — quarantine them
-		// so no failover read can ever observe the divergence.
-		e.groups[s] = kept
-		e.reg.Counter("cluster_replicas_quarantined").Add(int64(len(group) - len(kept)))
-		return nil, true
-	}
-	return nil, false
-}
+import "fmt"
 
 // AppendDB appends features to the tail of the global feature space: they
-// land on the shard owning the last route, every replica of that group
-// applies the append (or is quarantined, see above), and the routing table
-// extends the tail route by len(features) in one published generation —
-// concurrent queries see the database grow atomically.
+// land on the shard owning the last route, and the routing table extends the
+// tail route by len(features) in one published generation — concurrent
+// queries see the database grow atomically. Core's admin ops validate before
+// they mutate, so a failed append returns its error with nothing changed.
 func (e *Engines) AppendDB(features [][]float32) error {
 	e.admin.Lock()
 	defer e.admin.Unlock()
@@ -79,7 +27,8 @@ func (e *Engines) AppendDB(features [][]float32) error {
 	// elsewhere re-points the tail route at a fresh destination database
 	// whose end is the route's end, so this holds across moves; verify
 	// rather than assume.
-	n, err := e.groups[tail.shard][0].DBFeatures(tail.db)
+	ds := e.engines[tail.shard]
+	n, err := ds.DBFeatures(tail.db)
 	if err != nil {
 		return err
 	}
@@ -87,13 +36,8 @@ func (e *Engines) AppendDB(features [][]float32) error {
 		return fmt.Errorf("cluster: tail route ends at local %d of database with %d features; appendDB needs the route to own the database tail",
 			tail.local+tail.count, n)
 	}
-	// A total failure returns here with nothing mutated; a mixed outcome
-	// returns nil with the failed replicas quarantined (the publish below
-	// removes them from routing along with extending the route).
-	if err, _ := e.applyGroupLocked(tail.shard, "appendDB", func(ds *core.DeepStore) error {
-		return ds.AppendDB(tail.db, features)
-	}); err != nil {
-		return err
+	if err := ds.AppendDB(tail.db, features); err != nil {
+		return fmt.Errorf("cluster: appendDB on shard %d: %w", tail.shard, err)
 	}
 	grown := int64(len(features))
 	e.routes[len(e.routes)-1].count += grown
@@ -106,8 +50,8 @@ func (e *Engines) AppendDB(features [][]float32) error {
 }
 
 // ReorgShard rewrites shard s's slice in a new feature order (an
-// internal/reorg clustering's Order over the shard's local indices), with
-// the same all-or-quarantine discipline as AppendDB. It requires the shard
+// internal/reorg clustering's Order over the shard's local indices); like
+// AppendDB, a failure changes nothing. It requires the shard
 // to be routed as one whole database — after a rebalance split the shard's
 // range, local reorder would silently permute features that other routes
 // still address, so the op refuses.
@@ -117,7 +61,7 @@ func (e *Engines) ReorgShard(s int, order []int) error {
 	if e.rebalancing {
 		return ErrRebalanceActive
 	}
-	if s < 0 || s >= len(e.groups) {
+	if s < 0 || s >= len(e.engines) {
 		return fmt.Errorf("cluster: shard %d out of range", s)
 	}
 	var owned []route
@@ -130,7 +74,8 @@ func (e *Engines) ReorgShard(s int, order []int) error {
 		return fmt.Errorf("cluster: shard %d is routed as %d ranges; reorg needs exactly one", s, len(owned))
 	}
 	rt := owned[0]
-	n, err := e.groups[s][0].DBFeatures(rt.db)
+	ds := e.engines[s]
+	n, err := ds.DBFeatures(rt.db)
 	if err != nil {
 		return err
 	}
@@ -138,12 +83,8 @@ func (e *Engines) ReorgShard(s int, order []int) error {
 		return fmt.Errorf("cluster: shard %d's route covers [%d, %d) of a %d-feature database; reorg needs the whole database",
 			s, rt.local, rt.local+rt.count, n)
 	}
-	// Success (including a mixed outcome that quarantined stale replicas)
-	// publishes; a total failure left every replica at the old order.
-	if err, _ := e.applyGroupLocked(s, "reorgDB", func(ds *core.DeepStore) error {
-		return ds.ReorgDB(rt.db, order)
-	}); err != nil {
-		return err
+	if err := ds.ReorgDB(rt.db, order); err != nil {
+		return fmt.Errorf("cluster: reorgDB on shard %d: %w", s, err)
 	}
 	e.publishLocked()
 	return nil

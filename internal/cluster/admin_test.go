@@ -2,124 +2,30 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
-// Satellite regression for replica divergence on non-idempotent admin ops:
-// an AppendDB that failed on one replica of a group used to leave that
-// replica stale but still serving, so failover reads returned pre-append
-// answers. The fix applies group ops atomically: a replica the op fails on
-// is quarantined out of routing; only an op that failed on every replica
-// (mutating nothing) reports an error.
-
-// quarantineFixture builds a shards×replicas cluster and a 1-shard oracle.
-func quarantineFixture(t *testing.T, shards, replicas, features int) (*Engines, *Engines, *workload.FeatureDB) {
-	t.Helper()
-	app, err := workload.ByName("TextQA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.SCN.InitRandom(1)
-	db := workload.NewFeatureDB(app, features, 11)
-	build := func(s, r int) *Engines {
-		e, err := NewReplicatedEngines(s, r, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.WriteDB(db.Vectors); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.LoadModel(app.SCN); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	return build(shards, replicas), build(1, 1), db
-}
-
-// TestAppendQuarantinesDivergedReplica: an append that fails on one of two
-// replicas (divergence injected via the migration interlock on that replica
-// alone) succeeds, quarantines the stale replica, and every subsequent
-// query — across many calls, so replica rotation would have hit the stale
-// copy — stays bit-identical to an oracle that took the same append.
-func TestAppendQuarantinesDivergedReplica(t *testing.T) {
+// TestAppendFailsAtomically: an append the tail shard's engine rejects
+// (its database is interlocked by a migration) reports the error and
+// mutates nothing — the generation, the routing table and the answers are
+// unchanged.
+func TestAppendFailsAtomically(t *testing.T) {
 	const features, k = 120, 5
-	live, oracle, db := quarantineFixture(t, 2, 2, features)
-	// Shard 1 owns the tail route; interlock its db on replica 1 ONLY, so
-	// the cluster append succeeds on replica 0 and fails on replica 1 —
-	// exactly the mixed outcome that used to leave a stale serving replica.
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
+	oracle, _ := enginesFixture(t, 1, features, core.DefaultOptions())
 	tailDB := live.Routes()[len(live.Routes())-1].DB
-	diverged := live.Replica(1, 1)
-	if err := diverged.BeginMigration(tailDB); err != nil {
+	if err := live.Engine(1).BeginMigration(tailDB); err != nil {
 		t.Fatal(err)
-	}
-	extra := db.Vectors[:7]
-	if err := live.AppendDB(extra); err != nil {
-		t.Fatalf("mixed-outcome append failed outright: %v", err)
-	}
-	if err := oracle.AppendDB(extra); err != nil {
-		t.Fatal(err)
-	}
-	if got := live.Replicas(1); got != 1 {
-		t.Fatalf("shard 1 has %d replicas, want 1 (stale replica quarantined)", got)
-	}
-	if got := live.Replicas(0); got != 2 {
-		t.Fatalf("shard 0 has %d replicas, want 2 (untouched)", got)
-	}
-	if n := live.MetricsSnapshot().Counters["cluster_replicas_quarantined"]; n != 1 {
-		t.Fatalf("quarantine counter %d, want 1", n)
-	}
-	assertPartition(t, live, features+7)
-	// Appended features live on shard 1: self-querying one must surface its
-	// global index identically to the oracle. Repeat across calls so the
-	// old rotation schedule would have routed to the quarantined replica.
-	for call := 0; call < 6; call++ {
-		for _, probe := range [][]float32{extra[2], db.Vectors[30], db.Vectors[100]} {
-			la, err := live.Query(probe, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oa, err := oracle.Query(probe, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameTopK(t, fmt.Sprintf("call %d", call), la, oa)
-			if la.Degraded {
-				t.Fatalf("call %d degraded with no faults injected", call)
-			}
-		}
-	}
-}
-
-// TestAppendAllReplicasFailAtomically: an append that fails on EVERY
-// replica reports the error and mutates nothing — replica counts, routing,
-// and answers are unchanged.
-func TestAppendAllReplicasFailAtomically(t *testing.T) {
-	const features, k = 120, 5
-	live, oracle, db := quarantineFixture(t, 2, 2, features)
-	tailDB := live.Routes()[len(live.Routes())-1].DB
-	for r := 0; r < 2; r++ {
-		if err := live.Replica(1, r).BeginMigration(tailDB); err != nil {
-			t.Fatal(err)
-		}
 	}
 	genBefore := live.Gen()
 	err := live.AppendDB(db.Vectors[:7])
 	if !errors.Is(err, core.ErrMigrating) {
-		t.Fatalf("all-replica failure: %v, want core.ErrMigrating", err)
-	}
-	if live.Replicas(1) != 2 {
-		t.Fatalf("shard 1 has %d replicas, want 2 (nothing quarantined)", live.Replicas(1))
+		t.Fatalf("append to an interlocked tail: %v, want core.ErrMigrating", err)
 	}
 	if live.Gen() != genBefore {
 		t.Fatalf("failed append published generation %d (was %d)", live.Gen(), genBefore)
-	}
-	if n := live.MetricsSnapshot().Counters["cluster_replicas_quarantined"]; n != 0 {
-		t.Fatalf("quarantine counter %d, want 0", n)
 	}
 	assertPartition(t, live, features)
 	la, err := live.Query(db.Vectors[40], k)
@@ -133,58 +39,12 @@ func TestAppendAllReplicasFailAtomically(t *testing.T) {
 	assertSameTopK(t, "post-failure", la, oa)
 }
 
-// TestQuarantinedReplicaSurvivesFailover: after a quarantine shrinks shard
-// 1 to one replica, fault-injected failover keeps serving bit-identical
-// post-append answers — the stale replica can no longer absorb failovers,
-// so no degraded-or-not answer ever reflects pre-append state.
-func TestQuarantinedReplicaSurvivesFailover(t *testing.T) {
+// TestReorgShard: a shard-level reorg rewrites the shard's local order and
+// the cluster's scores stay bit-identical to the oracle across calls.
+func TestReorgShard(t *testing.T) {
 	const features, k = 120, 5
-	live, oracle, db := quarantineFixture(t, 2, 2, features)
-	tailDB := live.Routes()[len(live.Routes())-1].DB
-	if err := live.Replica(1, 1).BeginMigration(tailDB); err != nil {
-		t.Fatal(err)
-	}
-	extra := db.Vectors[:7]
-	if err := live.AppendDB(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.AppendDB(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.SetTolerance(Tolerance{FaultRate: 0.3, FaultSeed: 42, Quorum: 1}); err != nil {
-		t.Fatal(err)
-	}
-	oa, err := oracle.Query(extra[2], k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, degraded := 0, 0
-	for call := 0; call < 20; call++ {
-		la, err := live.Query(extra[2], k)
-		if err != nil {
-			// Quorum 1 unmet this call: every shard drew a fault. Legal.
-			continue
-		}
-		served++
-		if la.Degraded {
-			degraded++
-			continue
-		}
-		assertSameTopK(t, fmt.Sprintf("call %d", call), la, oa)
-	}
-	if served == 0 {
-		t.Fatal("no call served at 0.3 fault rate")
-	}
-	if degraded == 0 {
-		t.Fatal("no degraded answers at 0.3 fault rate on a 1-replica shard: injection never engaged")
-	}
-}
-
-// TestReorgShardReplicated: a shard-level reorg applies to every replica
-// and answers stay bit-identical to the oracle across rotated calls.
-func TestReorgShardReplicated(t *testing.T) {
-	const features, k = 120, 5
-	live, oracle, db := quarantineFixture(t, 2, 2, features)
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
+	oracle, _ := enginesFixture(t, 1, features, core.DefaultOptions())
 	// Reverse shard 0's local order (features 0..59).
 	n := int(live.Routes()[0].Count)
 	order := make([]int, n)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -11,20 +10,16 @@ import (
 )
 
 // expectedEngineFaults mirrors the injection schedule of Engines.Queries:
-// call c, shard s draws Fork("call<c>-shard<s>") and tests FaultRate then
-// DelayRate, so tests can predict the failure pattern from the seed alone.
-func expectedEngineFaults(tol Tolerance, call uint64, shards int) (failed []int, delayed []int) {
+// call c, shard s draws Fork("call<c>-shard<s>") against FaultRate, so tests
+// can predict the failure pattern from the seed alone.
+func expectedEngineFaults(tol Tolerance, call uint64, shards int) (failed []int) {
 	root := fault.New(tol.FaultSeed)
 	for s := 0; s < shards; s++ {
-		inj := root.Forkf("call%d-shard%d", call, s)
-		if inj.Hit(tol.FaultRate) {
+		if root.Forkf("call%d-shard%d", call, s).Hit(tol.FaultRate) {
 			failed = append(failed, s)
 		}
-		if inj.Hit(tol.DelayRate) {
-			delayed = append(delayed, s)
-		}
 	}
-	return failed, delayed
+	return failed
 }
 
 // shardSlices reproduces Engines.WriteDB's contiguous balanced split.
@@ -53,7 +48,7 @@ func TestEnginesDegradedDeterministic(t *testing.T) {
 
 	run := func() ([][]int, [][]int64, [][]float32) {
 		t.Helper()
-		e, db := enginesFixture(t, shards, features)
+		e, db := enginesFixture(t, shards, features, core.DefaultOptions())
 		if err := e.SetTolerance(tol); err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +92,7 @@ func TestEnginesDegradedDeterministic(t *testing.T) {
 	degraded, clean := 0, 0
 	for c := 0; c < calls; c++ {
 		// The failure schedule must match the documented injection contract.
-		want, _ := expectedEngineFaults(tol, uint64(c), shards)
+		want := expectedEngineFaults(tol, uint64(c), shards)
 		if len(want) != len(failedA[c]) {
 			t.Fatalf("call %d: failed shards %v, schedule predicts %v", c, failedA[c], want)
 		}
@@ -193,9 +188,9 @@ func TestEnginesDegradedDeterministic(t *testing.T) {
 // the cluster's answers bit-identical to an untouched cluster.
 func TestEnginesZeroRateBitIdentical(t *testing.T) {
 	const shards, features, k = 3, 300, 5
-	plain, db := enginesFixture(t, shards, features)
-	tuned, _ := enginesFixture(t, shards, features)
-	if err := tuned.SetTolerance(Tolerance{FaultRate: 0, DelayRate: 0, FaultSeed: 99}); err != nil {
+	plain, db := enginesFixture(t, shards, features, core.DefaultOptions())
+	tuned, _ := enginesFixture(t, shards, features, core.DefaultOptions())
+	if err := tuned.SetTolerance(Tolerance{FaultRate: 0, FaultSeed: 99}); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []int{0, 150, 299} {
@@ -224,7 +219,7 @@ func TestEnginesZeroRateBitIdentical(t *testing.T) {
 // TestEnginesAllShardsFail: rate 1 kills every shard; the batch returns a
 // joined error rather than an empty degraded answer.
 func TestEnginesAllShardsFail(t *testing.T) {
-	e, db := enginesFixture(t, 2, 100)
+	e, db := enginesFixture(t, 2, 100, core.DefaultOptions())
 	if err := e.SetTolerance(Tolerance{FaultRate: 1, FaultSeed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,118 +232,18 @@ func TestEnginesAllShardsFail(t *testing.T) {
 	}
 }
 
-// TestEnginesShardTimeout: every shard stalled past the timeout makes the
-// query fail with ErrShardTimeout for each shard.
-func TestEnginesShardTimeout(t *testing.T) {
-	e, db := enginesFixture(t, 2, 100)
-	err := e.SetTolerance(Tolerance{
-		DelayRate:    1,
-		Delay:        400 * time.Millisecond,
-		ShardTimeout: 50 * time.Millisecond,
-		FaultSeed:    5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, qerr := e.Query(db.Vectors[0], 3)
-	if qerr == nil {
-		t.Fatal("fully timed-out query succeeded")
-	}
-	if !errors.Is(qerr, ErrShardTimeout) {
-		t.Fatalf("error %v does not wrap ErrShardTimeout", qerr)
-	}
-}
-
-// TestEnginesQuorumSkipsDelayedShards: with some shards deterministically
-// stalled and a quorum equal to the fast-shard count, the cluster answers
-// from the fast shards and reports the stalled ones as skipped.
-func TestEnginesQuorumSkipsDelayedShards(t *testing.T) {
-	const shards, features = 4, 400
-	tol := Tolerance{
-		DelayRate: 0.5,
-		Delay:     2 * time.Second,
-		FaultSeed: 12,
-	}
-	_, delayed := expectedEngineFaults(tol, 0, shards)
-	if len(delayed) == 0 || len(delayed) == shards {
-		t.Fatalf("seed %d delays %v of %d shards; pick another seed", tol.FaultSeed, delayed, shards)
-	}
-	tol.Quorum = shards - len(delayed)
-	e, db := enginesFixture(t, shards, features)
-	if err := e.SetTolerance(tol); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	ans, err := e.Query(db.Vectors[1], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el >= tol.Delay {
-		t.Errorf("quorum answer took %v, at least one stalled shard was awaited", el)
-	}
-	if !ans.Degraded {
-		t.Fatal("quorum answer not marked Degraded")
-	}
-	if len(ans.FailedShards) != len(delayed) {
-		t.Fatalf("failed shards %v, expected the delayed set %v", ans.FailedShards, delayed)
-	}
-	for i := range delayed {
-		if ans.FailedShards[i] != delayed[i] {
-			t.Fatalf("failed shards %v, expected the delayed set %v", ans.FailedShards, delayed)
-		}
-	}
-	if !errors.Is(ans.ShardErrs, ErrShardSkipped) {
-		t.Fatalf("ShardErrs %v does not wrap ErrShardSkipped", ans.ShardErrs)
-	}
-	if len(ans.TopK) == 0 {
-		t.Fatal("quorum answer empty")
-	}
-}
-
-// TestEnginesQuorumNotMet: when injected failures leave fewer healthy
-// shards than the quorum demands, the query fails with the joined report.
-func TestEnginesQuorumNotMet(t *testing.T) {
-	const shards, features = 4, 400
-	tol := Tolerance{FaultRate: 0.4, FaultSeed: 15}
-	failed, _ := expectedEngineFaults(tol, 0, shards)
-	if len(failed) == 0 || len(failed) == shards {
-		t.Fatalf("seed %d fails %v of %d shards; pick another seed", tol.FaultSeed, failed, shards)
-	}
-	tol.Quorum = shards - len(failed) + 1
-	e, db := enginesFixture(t, shards, features)
-	if err := e.SetTolerance(tol); err != nil {
-		t.Fatal(err)
-	}
-	_, err := e.Query(db.Vectors[1], 5)
-	if err == nil {
-		t.Fatal("under-quorum query succeeded")
-	}
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("error %v does not wrap fault.ErrInjected", err)
-	}
-}
-
 // TestEnginesToleranceValidation rejects malformed policies.
 func TestEnginesToleranceValidation(t *testing.T) {
 	e, err := NewEngines(2, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []Tolerance{
-		{FaultRate: -0.1},
-		{FaultRate: 1.1},
-		{DelayRate: 2},
-		{Quorum: -1},
-		{Quorum: 3},
-		{ShardTimeout: -time.Second},
-		{Delay: -time.Second},
-	}
-	for _, tol := range bad {
-		if err := e.SetTolerance(tol); err == nil {
-			t.Errorf("tolerance %+v accepted", tol)
+	for _, rate := range []float64{-0.1, 1.1} {
+		if err := e.SetTolerance(Tolerance{FaultRate: rate}); err == nil {
+			t.Errorf("fault rate %v accepted", rate)
 		}
 	}
-	if err := e.SetTolerance(Tolerance{Quorum: 2, FaultRate: 0.5}); err != nil {
+	if err := e.SetTolerance(Tolerance{FaultRate: 0.5}); err != nil {
 		t.Errorf("valid tolerance rejected: %v", err)
 	}
 }

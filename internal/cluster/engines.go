@@ -6,37 +6,25 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ftl"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topk"
 )
 
-// Sentinel errors distinguishing why a shard is missing from an answer.
-var (
-	// ErrShardTimeout marks a shard that had not reported when the
-	// Tolerance.ShardTimeout expired.
-	ErrShardTimeout = errors.New("cluster: shard timed out")
-	// ErrShardSkipped marks a straggler whose answer was not awaited
-	// because the quorum had already been reached.
-	ErrShardSkipped = errors.New("cluster: shard skipped after quorum")
-	// ErrRebalanceActive rejects admin operations (WriteDB, LoadModel,
-	// AppendDB, ReorgShard) while an online rebalance is mid-move; queries
-	// are unaffected.
-	ErrRebalanceActive = errors.New("cluster: rebalance in progress")
-)
+// ErrRebalanceActive rejects admin operations (WriteDB, LoadModel, AppendDB,
+// ReorgShard) while an online rebalance is mid-move; queries are unaffected.
+var ErrRebalanceActive = errors.New("cluster: rebalance in progress")
 
 // Engines is the functional counterpart of ShardedScan: a Fig. 10b
 // scale-out deployment of full DeepStore engines, one per simulated SSD,
-// each holding replica groups over slices of one materialized feature
-// database. A query fans out along the current routing-table generation
-// (see routing.go) — every route contributes one range-limited sub-query —
-// and the per-route top-K queues reduce into a global answer.
+// each holding a slice of one materialized feature database. A query fans
+// out along the current routing-table generation (see routing.go) — every
+// route contributes one range-limited sub-query — and the per-route top-K
+// queues reduce into a global answer.
 type Engines struct {
 	// opts is the engine configuration every shard (including shards added
 	// by an online rebalance) is created with.
@@ -45,11 +33,8 @@ type Engines struct {
 	// admin serializes admin operations and guards the construction state
 	// below. Queries never take it: they read the published state pointer.
 	admin sync.Mutex
-	// groups[s] lists shard s's read replicas (primary first). Every
-	// replica holds the same slice of the database and the same model, so a
-	// query can route to any of them; routing rotates across calls and
-	// fails over when the routed replica draws an injected fault.
-	groups [][]*core.DeepStore
+	// engines[s] is shard s's engine.
+	engines []*core.DeepStore
 	// models[s] is shard s's registered model (0 until LoadModel).
 	models []core.ModelID
 	// net is the last loaded network, reloaded onto shards an online
@@ -58,14 +43,14 @@ type Engines struct {
 	// routes is the admin-side routing table (models resolved at publish).
 	routes []route
 	total  int64
+	// tol is the admin-side fault policy, published with the routes.
+	tol Tolerance
 	// rebalancing interlocks admin ops while a Rebalancer is mid-move.
 	rebalancing bool
 
 	// state is the published generation queries snapshot (routing.go).
 	state atomic.Pointer[clusterState]
 
-	tol   Tolerance
-	inj   *fault.Injector
 	calls atomic.Uint64 // Queries invocations, for per-call fault streams
 
 	// reg and tracer are the cluster's own observability sinks (each shard
@@ -85,8 +70,8 @@ type Engines struct {
 	heat []int64
 }
 
-// Metrics returns the cluster-level metrics registry (fan-out, degraded
-// answers, quorum/timeout events; per-shard engine metrics live on each
+// Metrics returns the cluster-level metrics registry (fan-out, injected
+// faults, degraded answers; per-shard engine metrics live on each
 // shard's own registry, see Engine(s).Metrics()).
 func (e *Engines) Metrics() *obs.Registry { return e.reg }
 
@@ -97,27 +82,10 @@ func (e *Engines) Tracer() *obs.Tracer { return e.tracer }
 // MetricsSnapshot exports the cluster registry.
 func (e *Engines) MetricsSnapshot() obs.Snapshot { return e.reg.Snapshot() }
 
-// Tolerance configures the cluster's degraded-operation policy and its
-// deterministic fault injection. The zero value waits for every shard and
-// injects nothing — today's behavior, bit for bit.
+// Tolerance configures the cluster's deterministic fault injection. The
+// zero value injects nothing. Every query waits for every shard; a faulted
+// shard drops out of the merge (see Queries).
 type Tolerance struct {
-	// ShardTimeout caps the wait for shard answers (0 = wait forever).
-	// Shards that miss it are reported as ErrShardTimeout and the query
-	// degrades to the shards that did answer. The shard engines advance
-	// SIMULATED time while executing, so this bound is meaningful only for
-	// real goroutine stalls — the wall-clock delays DelayRate injects — or
-	// with a Timer injected below; it cannot observe simulated latencies.
-	ShardTimeout time.Duration
-	// Timer overrides the timeout clock (nil = time.NewTimer). Tests inject
-	// a manual trigger so timeout classification is deterministic: answers
-	// already delivered are always collected before a fired timer is
-	// honored, so "who timed out" is a pure function of which shards had
-	// answered when the injected timer fired.
-	Timer func(d time.Duration) <-chan time.Time
-	// Quorum answers as soon as this many shards have reported healthy
-	// results (0 = all shards). Stragglers are reported as ErrShardSkipped.
-	// A query that cannot reach quorum fails outright.
-	Quorum int
 	// FaultRate is each shard's injected whole-shard failure probability
 	// per Queries call, drawn deterministically from FaultSeed.
 	FaultRate float64
@@ -125,31 +93,18 @@ type Tolerance struct {
 	// Fork("call<c>-shard<s>"), so the failure schedule is a pure function
 	// of the seed and the call sequence.
 	FaultSeed int64
-	// DelayRate/Delay stall a shard's fan-out goroutine (wall clock) before
-	// it executes, modeling a slow device; drawn from the same stream.
-	DelayRate float64
-	Delay     time.Duration
 }
 
-// SetTolerance installs the degraded-operation policy.
+// SetTolerance installs the fault policy. It publishes a new generation, so
+// a query runs wholly under the policy it snapshotted.
 func (e *Engines) SetTolerance(t Tolerance) error {
 	e.admin.Lock()
 	defer e.admin.Unlock()
-	if t.FaultRate < 0 || t.FaultRate > 1 || t.DelayRate < 0 || t.DelayRate > 1 {
-		return fmt.Errorf("cluster: rate outside [0, 1] in %+v", t)
-	}
-	if t.Quorum < 0 || t.Quorum > len(e.groups) {
-		return fmt.Errorf("cluster: quorum %d invalid for %d shards", t.Quorum, len(e.groups))
-	}
-	if t.ShardTimeout < 0 || t.Delay < 0 {
-		return fmt.Errorf("cluster: negative duration in %+v", t)
+	if t.FaultRate < 0 || t.FaultRate > 1 {
+		return fmt.Errorf("cluster: fault rate %v outside [0, 1]", t.FaultRate)
 	}
 	e.tol = t
-	if t.FaultRate > 0 || t.DelayRate > 0 {
-		e.inj = fault.New(t.FaultSeed)
-	} else {
-		e.inj = nil
-	}
+	e.publishLocked()
 	return nil
 }
 
@@ -172,8 +127,7 @@ type Answer struct {
 	// (all zeros when shards run with Options.Prune off).
 	Prune core.PruneStats
 
-	// Degraded reports that the answer covers only a subset of the shards
-	// (failures, timeouts, or quorum-skipped stragglers).
+	// Degraded reports that the answer covers only a subset of the shards.
 	Degraded bool
 	// FailedShards lists the non-contributing shard indices in shard order.
 	FailedShards []int
@@ -182,100 +136,59 @@ type Answer struct {
 	ShardErrs error
 }
 
-// NewEngines creates n single-replica DeepStore engines with identical
+// NewEngines creates n DeepStore engines, one per shard, with identical
 // options.
 func NewEngines(n int, opts core.Options) (*Engines, error) {
-	return NewReplicatedEngines(n, 1, opts)
-}
-
-// NewReplicatedEngines creates a shards×replicas cluster: every shard's
-// slice of the database is held by `replicas` identical engines, and each
-// query routes to one replica per shard (rotating across calls, failing
-// over past replicas that draw injected faults). Replication multiplies
-// simulated devices, not data: a degraded shard stays answerable as long as
-// one of its replicas survives.
-//
-// Admin operations apply to every replica of a group or fail atomically:
-// an op that fails on every replica leaves the serving state untouched, and
-// a mixed outcome quarantines the replicas the op failed on (removing them
-// from routing and failover rotation), so a half-updated replica can never
-// serve a failover read.
-func NewReplicatedEngines(shards, replicas int, opts core.Options) (*Engines, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("cluster: %d shards invalid", shards)
-	}
-	if replicas < 1 {
-		return nil, fmt.Errorf("cluster: %d replicas invalid", replicas)
+	if n < 1 {
+		return nil, fmt.Errorf("cluster: %d shards invalid", n)
 	}
 	e := &Engines{opts: opts, reg: obs.NewRegistry(), tracer: obs.NewTracer(0)}
 	e.tracer.CountDrops(e.reg.Counter("obs_tracer_dropped_spans"))
-	for s := 0; s < shards; s++ {
-		group := make([]*core.DeepStore, replicas)
-		for r := range group {
-			ds, err := core.New(opts)
-			if err != nil {
-				return nil, err
-			}
-			group[r] = ds
+	for s := 0; s < n; s++ {
+		ds, err := core.New(opts)
+		if err != nil {
+			return nil, err
 		}
-		e.groups = append(e.groups, group)
+		e.engines = append(e.engines, ds)
 	}
-	e.models = make([]core.ModelID, shards)
+	e.models = make([]core.ModelID, n)
 	e.publishLocked()
 	return e, nil
 }
 
 // Shards returns the number of shards (a live rebalance can grow it).
-func (e *Engines) Shards() int { return len(e.state.Load().groups) }
+func (e *Engines) Shards() int { return len(e.state.Load().engines) }
 
-// Replicas returns shard s's replica count (quarantine can shrink it).
-func (e *Engines) Replicas(s int) int { return len(e.state.Load().groups[s]) }
-
-// Engine exposes shard s's primary engine (for inspection and stats).
-func (e *Engines) Engine(s int) *core.DeepStore { return e.state.Load().groups[s][0] }
-
-// Replica exposes shard s's replica r (replica 0 is the primary).
-func (e *Engines) Replica(s, r int) *core.DeepStore { return e.state.Load().groups[s][r] }
+// Engine exposes shard s's engine (for inspection and stats).
+func (e *Engines) Engine(s int) *core.DeepStore { return e.state.Load().engines[s] }
 
 // WriteDB splits the features contiguously across the shards (balanced to
-// within one feature) and writes each slice to every replica of its shard.
-// The new routing table is published only after every write succeeded, so
-// concurrent queries see either the previous generation or the new one in
-// full — never a mix.
+// within one feature) and writes each slice to its shard. The new routing
+// table is published only after every write succeeded, so concurrent
+// queries see either the previous generation or the new one in full —
+// never a mix.
 func (e *Engines) WriteDB(features [][]float32) error {
 	e.admin.Lock()
 	defer e.admin.Unlock()
 	if e.rebalancing {
 		return ErrRebalanceActive
 	}
-	n := int64(len(e.groups))
+	n := int64(len(e.engines))
 	if int64(len(features)) < n {
 		return fmt.Errorf("cluster: %d features cannot shard across %d engines", len(features), n)
 	}
 	newRoutes := make([]route, 0, n)
 	var off int64
-	for s := int64(0); s < n; s++ {
+	for s, ds := range e.engines {
 		share := int64(len(features)) / n
-		if s < int64(len(features))%n {
+		if int64(s) < int64(len(features))%n {
 			share++
 		}
-		// Every replica of the shard receives the identical slice; fresh
-		// identical engines assign identical IDs, so one DBID per shard
-		// covers the whole replica group (verified, not assumed).
-		var id ftl.DBID
-		for r, ds := range e.groups[s] {
-			got, err := ds.WriteDB(features[off : off+share])
-			if err != nil {
-				return err
-			}
-			if r == 0 {
-				id = got
-			} else if got != id {
-				return fmt.Errorf("cluster: shard %d replica %d assigned DB %d, primary %d",
-					s, r, got, id)
-			}
+		id, err := ds.WriteDB(features[off : off+share])
+		if err != nil {
+			return err
 		}
-		newRoutes = append(newRoutes, route{shard: int(s), db: id, global: off, count: share})
+		newRoutes = append(newRoutes, route{shard: s, db: id, global: off, count: share})
 		off += share
 	}
 	e.routes = newRoutes
@@ -287,28 +200,21 @@ func (e *Engines) WriteDB(features [][]float32) error {
 	return nil
 }
 
-// LoadModel registers the SCN with every replica of every shard; the model
-// goes live for queries in one generation once every replica has it.
+// LoadModel registers the SCN with every shard; the model goes live for
+// queries in one generation once every shard has it.
 func (e *Engines) LoadModel(net *nn.Network) error {
 	e.admin.Lock()
 	defer e.admin.Unlock()
 	if e.rebalancing {
 		return ErrRebalanceActive
 	}
-	models := make([]core.ModelID, len(e.groups))
-	for s, group := range e.groups {
-		for r, ds := range group {
-			id, err := ds.LoadModelNetwork(net)
-			if err != nil {
-				return err
-			}
-			if r == 0 {
-				models[s] = id
-			} else if id != models[s] {
-				return fmt.Errorf("cluster: shard %d replica %d assigned model %d, primary %d",
-					s, r, id, models[s])
-			}
+	models := make([]core.ModelID, len(e.engines))
+	for s, ds := range e.engines {
+		id, err := ds.LoadModelNetwork(net)
+		if err != nil {
+			return err
 		}
+		models[s] = id
 	}
 	e.models = models
 	e.net = net
@@ -316,18 +222,14 @@ func (e *Engines) LoadModel(net *nn.Network) error {
 	return nil
 }
 
-// HistorySummary aggregates the query-history stores across every replica
-// of every shard (engines with Options.History off contribute zeros) — the
-// cluster-wide view of how much history has accumulated, how many query
-// groups it mines into, and how much re-warming prefetch has done.
+// HistorySummary aggregates the query-history stores across every shard
+// (engines with Options.History off contribute zeros) — the cluster-wide
+// view of how much history has accumulated, how many query groups it mines
+// into, and how much re-warming prefetch has done.
 func (e *Engines) HistorySummary() core.HistoryStats {
-	st := e.state.Load()
 	var out core.HistoryStats
-	for _, group := range st.groups {
-		for _, ds := range group {
-			hs := ds.HistoryStats()
-			out.Add(hs)
-		}
+	for _, ds := range e.state.Load().engines {
+		out.Add(ds.HistoryStats())
 	}
 	return out
 }
@@ -360,16 +262,16 @@ func (e *Engines) Query(qfv []float32, k int) (Answer, error) {
 // one at a time; what the batch changes is each shard's device timeline,
 // which advances once per batch.
 //
-// Degraded operation (SetTolerance): shard errors no longer destroy the
-// query. Every failure is collected, and as long as one shard — or the
-// configured quorum — answers, the batch returns the healthy shards' merge
-// with Degraded set and the failures joined in ShardErrs. Only a cluster
-// with no healthy answer (or a missed quorum) returns an error.
+// Degraded operation: the batch waits for every shard and collects every
+// failure, injected (SetTolerance) or real. As long as one shard answers,
+// the batch returns the healthy shards' merge with Degraded set and the
+// failures joined in ShardErrs. Only a cluster with no healthy answer
+// returns an error.
 //
-// The call snapshots exactly one routing-table generation: the fan-out, the
-// feature-ID remap, and the merge all use that snapshot, so a concurrent
-// WriteDB/LoadModel/rebalance flip is either entirely before or entirely
-// after this batch.
+// The call snapshots exactly one generation: the fan-out, the fault policy,
+// the feature-ID remap, and the merge all use that snapshot, so a
+// concurrent WriteDB/LoadModel/SetTolerance/rebalance flip is either
+// entirely before or entirely after this batch.
 func (e *Engines) Queries(qfvs [][]float32, k int) ([]Answer, error) {
 	st := e.state.Load()
 	if len(st.routes) == 0 {
@@ -379,7 +281,7 @@ func (e *Engines) Queries(qfvs [][]float32, k int) ([]Answer, error) {
 		return nil, fmt.Errorf("cluster: empty batch")
 	}
 	call := e.calls.Add(1) - 1
-	nshards := len(st.groups)
+	nshards := len(st.engines)
 	// Build every shard's spec list up front: the fan-out goroutines only
 	// read their slice, keeping spec construction off the scoring path.
 	// A shard executes one range-limited sub-query per (owned route ×
@@ -407,200 +309,62 @@ func (e *Engines) Queries(qfvs [][]float32, k int) ([]Answer, error) {
 		shardSpecs[s] = specs
 	}
 	type shardOut struct {
-		s       int
 		results []*core.QueryResult
 		err     error
 	}
-	// Buffered so stragglers skipped by quorum or timeout can still finish
-	// and send without leaking a goroutine.
-	ch := make(chan shardOut, participants)
-	// attempt is one routed replica try: which replica, and the fault/delay
-	// it drew.
-	type attempt struct {
-		rep      int
-		injected error
-		delay    time.Duration
+	var root *fault.Injector
+	if st.tol.FaultRate > 0 {
+		root = fault.New(st.tol.FaultSeed)
 	}
-	for s := 0; s < nshards; s++ {
-		if shardSpecs[s] == nil {
+	outs := make([]shardOut, nshards)
+	var wg sync.WaitGroup
+	for s, specs := range shardSpecs {
+		if specs == nil {
 			continue
 		}
-		// Fault draws happen on the caller, in shard order then attempt
-		// order, so the routing and failure schedule is deterministic
-		// regardless of goroutine interleaving. Routing rotates the first
-		// replica with the call counter; each faulted attempt fails over to
-		// the next replica in rotation order. Replica 0 keeps the legacy
-		// "call<c>-shard<s>" stream so single-replica clusters are
-		// bit-identical to the pre-replication schedule.
-		nrep := len(st.groups[s])
-		rot := 0
-		if nrep > 1 {
-			rot = int(call % uint64(nrep))
+		// Fault draws happen on the caller, in shard order, so the failure
+		// schedule does not depend on goroutine interleaving.
+		if root != nil && root.Forkf("call%d-shard%d", call, s).Hit(st.tol.FaultRate) {
+			e.reg.Counter("cluster_injected_faults").Inc()
+			outs[s].err = fmt.Errorf("cluster: shard %d: %w", s, fault.ErrInjected)
+			continue
 		}
-		plan := make([]attempt, 0, nrep)
-		for a := 0; a < nrep; a++ {
-			at := attempt{rep: (rot + a) % nrep}
-			if e.inj != nil {
-				var inj *fault.Injector
-				if at.rep == 0 {
-					inj = e.inj.Forkf("call%d-shard%d", call, s)
-				} else {
-					inj = e.inj.Forkf("call%d-shard%d-rep%d", call, s, at.rep)
-				}
-				if inj.Hit(e.tol.FaultRate) {
-					at.injected = fmt.Errorf("cluster: shard %d replica %d: %w", s, at.rep, fault.ErrInjected)
-					e.reg.Counter("cluster_injected_faults").Inc()
-				}
-				if inj.Hit(e.tol.DelayRate) {
-					at.delay = e.tol.Delay
-					if at.delay <= 0 {
-						at.delay = time.Millisecond
-					}
-					e.reg.Counter("cluster_injected_delays").Inc()
-				}
-			}
-			plan = append(plan, at)
-			if at.injected == nil {
-				// Healthy replica reached: later replicas stay undrawn, so
-				// the draw count (and thus the schedule) is itself a pure
-				// function of the seed and call sequence.
-				break
-			}
-		}
-		go func(s int, plan []attempt) {
-			var errs []error
-			for i, at := range plan {
-				if at.delay > 0 {
-					time.Sleep(at.delay)
-				}
-				if at.injected != nil {
-					errs = append(errs, at.injected)
-					if i < len(plan)-1 {
-						e.reg.Counter("cluster_failovers").Inc()
-					}
-					continue
-				}
-				eng := st.groups[s][at.rep]
-				ids, err := eng.QueryMulti(shardSpecs[s])
-				if err != nil {
-					// A real engine error is systematic (the same spec fails
-					// on every replica): no failover, fail the shard.
-					ch <- shardOut{s: s, err: fmt.Errorf("cluster: shard %d: %w", s, err)}
-					return
-				}
-				results := make([]*core.QueryResult, len(ids))
-				for i, id := range ids {
-					res, err := eng.GetResults(id)
-					if err != nil {
-						ch <- shardOut{s: s, err: fmt.Errorf("cluster: shard %d: %w", s, err)}
-						return
-					}
-					results[i] = res
-				}
-				ch <- shardOut{s: s, results: results}
+		wg.Add(1)
+		go func(s int, eng *core.DeepStore) {
+			defer wg.Done()
+			ids, err := eng.QueryMulti(specs)
+			if err != nil {
+				outs[s].err = fmt.Errorf("cluster: shard %d: %w", s, err)
 				return
 			}
-			ch <- shardOut{s: s, err: errors.Join(errs...)}
-		}(s, plan)
-	}
-
-	// Collect until every shard reports, the quorum of healthy answers is
-	// reached, or the shard timeout expires.
-	outs := make([]*shardOut, nshards)
-	quorum := participants
-	if e.tol.Quorum > 0 && e.tol.Quorum < quorum {
-		quorum = e.tol.Quorum
-	}
-	var timeout <-chan time.Time
-	if e.tol.ShardTimeout > 0 {
-		if e.tol.Timer != nil {
-			timeout = e.tol.Timer(e.tol.ShardTimeout)
-		} else {
-			timer := time.NewTimer(e.tol.ShardTimeout)
-			defer timer.Stop()
-			timeout = timer.C
-		}
-	}
-	reported, healthy := 0, 0
-	timedOut := false
-collect:
-	for reported < participants && healthy < quorum {
-		// Answers already delivered win over a concurrently (or pre-) fired
-		// timeout: a shard that has answered is never classified as timed
-		// out, which keeps timeout tests with injected timers deterministic.
-		select {
-		case o := <-ch:
-			outs[o.s] = &o
-			reported++
-			if o.err == nil {
-				healthy++
+			results := make([]*core.QueryResult, len(ids))
+			for i, id := range ids {
+				if results[i], err = eng.GetResults(id); err != nil {
+					outs[s].err = fmt.Errorf("cluster: shard %d: %w", s, err)
+					return
+				}
 			}
-			continue
-		default:
-		}
-		select {
-		case o := <-ch:
-			outs[o.s] = &o
-			reported++
-			if o.err == nil {
-				healthy++
-			}
-		case <-timeout:
-			timedOut = true
-			break collect
-		}
+			outs[s].results = results
+		}(s, st.engines[s])
 	}
-	// Scoop shards that finished concurrently with the quorum/timeout
-	// decision; their answers are free.
-drain:
-	for reported < participants {
-		select {
-		case o := <-ch:
-			outs[o.s] = &o
-			reported++
-			if o.err == nil {
-				healthy++
-			}
-		default:
-			break drain
-		}
-	}
+	wg.Wait()
 
 	var failed []int
 	var shardErrs []error
-	for s := 0; s < nshards; s++ {
-		if shardSpecs[s] == nil {
-			continue
-		}
-		switch {
-		case outs[s] == nil && timedOut:
+	for s, o := range outs {
+		if o.err != nil {
 			failed = append(failed, s)
-			shardErrs = append(shardErrs, fmt.Errorf("shard %d: %w after %v", s, ErrShardTimeout, e.tol.ShardTimeout))
-			e.reg.Counter("cluster_shard_timeouts").Inc()
-		case outs[s] == nil:
-			failed = append(failed, s)
-			shardErrs = append(shardErrs, fmt.Errorf("shard %d: %w", s, ErrShardSkipped))
-			e.reg.Counter("cluster_shard_skipped").Inc()
-		case outs[s].err != nil:
-			failed = append(failed, s)
-			shardErrs = append(shardErrs, outs[s].err)
+			shardErrs = append(shardErrs, o.err)
 			e.reg.Counter("cluster_shard_errors").Inc()
 		}
 	}
 	joined := errors.Join(shardErrs...)
-	if healthy == 0 {
+	if len(failed) == participants {
 		return nil, fmt.Errorf("cluster: no healthy shard answered: %w", joined)
-	}
-	if e.tol.Quorum > 0 && healthy < e.tol.Quorum {
-		return nil, fmt.Errorf("cluster: quorum not met (%d healthy of %d required): %w",
-			healthy, e.tol.Quorum, joined)
 	}
 
 	e.reg.Counter("cluster_batches").Inc()
 	e.reg.Counter("cluster_queries").Add(int64(len(qfvs)))
-	if timedOut {
-		e.reg.Counter("cluster_timeouts").Inc()
-	}
 	if len(failed) > 0 {
 		e.reg.Counter("cluster_degraded_answers").Add(int64(len(qfvs)))
 	}
@@ -608,10 +372,9 @@ drain:
 	answers := make([]Answer, len(qfvs))
 	for i := range qfvs {
 		var queues []*topk.Queue
-		for s := 0; s < nshards; s++ {
-			o := outs[s]
-			if o == nil || o.err != nil {
-				continue
+		for s, o := range outs {
+			if o.results == nil {
+				continue // failed, or owns no route
 			}
 			for j, rt := range shardRoutes[s] {
 				res := o.results[j*len(qfvs)+i]
@@ -652,9 +415,8 @@ drain:
 	e.obsMu.Lock()
 	batchStart := e.obsClock
 	var batchMakespan sim.Duration
-	for s := 0; s < nshards; s++ {
-		o := outs[s]
-		if o == nil || o.err != nil {
+	for s, o := range outs {
+		if o.results == nil {
 			continue
 		}
 		var total sim.Duration

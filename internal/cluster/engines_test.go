@@ -8,7 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
-func enginesFixture(t *testing.T, shards, features int) (*Engines, *workload.FeatureDB) {
+// enginesFixture builds a shards-way cluster over a TextQA feature database.
+// A 1-shard fixture over the same features is the unsplit oracle.
+func enginesFixture(t *testing.T, shards, features int, opts core.Options) (*Engines, *workload.FeatureDB) {
 	t.Helper()
 	app, err := workload.ByName("TextQA")
 	if err != nil {
@@ -16,7 +18,7 @@ func enginesFixture(t *testing.T, shards, features int) (*Engines, *workload.Fea
 	}
 	app.SCN.InitRandom(1)
 	db := workload.NewFeatureDB(app, features, 11)
-	e, err := NewEngines(shards, core.DefaultOptions())
+	e, err := NewEngines(shards, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func enginesFixture(t *testing.T, shards, features int) (*Engines, *workload.Fea
 // across deployments, so they are excluded from the comparison.
 func TestEnginesMatchSingleEngine(t *testing.T) {
 	const features, k = 900, 10
-	e, db := enginesFixture(t, 3, features)
+	e, db := enginesFixture(t, 3, features, core.DefaultOptions())
 
 	app, _ := workload.ByName("TextQA")
 	app.SCN.InitRandom(1)
@@ -85,7 +87,7 @@ func TestEnginesMatchSingleEngine(t *testing.T) {
 // one-at-a-time submission.
 func TestEnginesBatchMatchesSingleQueries(t *testing.T) {
 	const features, k = 600, 5
-	e, db := enginesFixture(t, 2, features)
+	e, db := enginesFixture(t, 2, features, core.DefaultOptions())
 	qfvs := [][]float32{db.Vectors[0], db.Vectors[101], db.Vectors[599]}
 	batch, err := e.Queries(qfvs, k)
 	if err != nil {
@@ -115,7 +117,7 @@ func TestEnginesBatchMatchesSingleQueries(t *testing.T) {
 // vector that lives in the last shard must surface its own global index).
 func TestEnginesSelfQueryFindsGlobalIndex(t *testing.T) {
 	const features = 301
-	e, db := enginesFixture(t, 3, features)
+	e, db := enginesFixture(t, 3, features, core.DefaultOptions())
 	// Feature 300 lives in the last shard; with a trained-free random SCN the
 	// self-comparison is not guaranteed to be rank 1, but the global index
 	// must appear with the same score as a single engine gives it.
@@ -207,8 +209,8 @@ func assertSameAnswers(t *testing.T, got, want []Answer) {
 // simulated scan per batch instead of one per query.
 func TestEnginesSharedMatchesQueries(t *testing.T) {
 	const features, k = 600, 5
-	each, db := enginesFixture(t, 3, features)
-	batched, _ := enginesFixture(t, 3, features)
+	each, db := enginesFixture(t, 3, features, core.DefaultOptions())
+	batched, _ := enginesFixture(t, 3, features, core.DefaultOptions())
 	qfvs := [][]float32{db.Vectors[0], db.Vectors[101], db.Vectors[599], db.Vectors[7]}
 
 	want := queryEach(t, each, qfvs, k)

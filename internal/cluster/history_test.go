@@ -7,7 +7,7 @@ import (
 	"repro/internal/workload"
 )
 
-// HistorySummary aggregates per-replica history stores: every fanned-out
+// HistorySummary aggregates per-shard history stores: every fanned-out
 // query appends one record on each shard it touches.
 func TestHistorySummaryAggregates(t *testing.T) {
 	app, err := workload.ByName("TextQA")
@@ -50,7 +50,7 @@ func TestHistorySummaryAggregates(t *testing.T) {
 
 // A history-off cluster aggregates to zeros.
 func TestHistorySummaryDisabled(t *testing.T) {
-	e, db := enginesFixture(t, 2, 60)
+	e, db := enginesFixture(t, 2, 60, core.DefaultOptions())
 	if _, err := e.Query(db.Vectors[0], 3); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -198,7 +200,8 @@ func TestLoadModelRacingQueries(t *testing.T) {
 // unsplit oracle's, whatever generation it snapshotted.
 func TestQueriesRacingRebalanceSteps(t *testing.T) {
 	const features, k, readers, reads = 120, 5, 4, 15
-	live, oracle, db := rebalanceFixture(t, 2, features, core.DefaultOptions())
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
+	oracle, _ := enginesFixture(t, 1, features, core.DefaultOptions())
 	probes := []int{0, 15, 45, 90}
 	want := make([]string, len(probes))
 	for i, p := range probes {
@@ -258,5 +261,53 @@ func TestQueriesRacingRebalanceSteps(t *testing.T) {
 	assertPartition(t, live, features)
 	if n := live.MetricsSnapshot().Counters["cluster_stage_sum_mismatch"]; n != 0 {
 		t.Fatalf("stage-sum invariant broke %d times", n)
+	}
+}
+
+// TestSetToleranceRacingQueries races fault-policy swaps against queries.
+// The policy is part of the published generation, so every call runs under
+// exactly one policy: rate 0 answers in full, rate 1 fails every shard, and
+// no answer merges shards that drew under different policies.
+func TestSetToleranceRacingQueries(t *testing.T) {
+	const features, k, swaps, readers, reads = 60, 5, 40, 4, 25
+	e, db := enginesFixture(t, 2, features, core.DefaultOptions())
+	probe := db.Vectors[7]
+	clean, err := e.Query(probe, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answerKey(clean)
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				ans, err := e.Query(probe, k)
+				switch {
+				case err != nil && !errors.Is(err, fault.ErrInjected):
+					errs <- err
+					return
+				case err == nil && (ans.Degraded || answerKey(ans) != want):
+					errs <- fmt.Errorf("read %d ran under two fault policies: failed shards %v", i, ans.FailedShards)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < swaps; w++ {
+		tol := Tolerance{}
+		if w%2 == 0 {
+			tol = Tolerance{FaultRate: 1, FaultSeed: int64(w)}
+		}
+		if err := e.SetTolerance(tol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/ftl"
 	"repro/internal/obs"
 	"repro/internal/reorg"
 	"repro/internal/sim"
@@ -23,8 +22,8 @@ import (
 // one authoritative owner at every generation, so merged answers stay
 // bit-identical to an unsplit cluster throughout the move.
 
-// AddShard as MoveSpec.Dest grows the cluster by one shard (same options
-// and replica count as the source) and migrates into it.
+// AddShard as MoveSpec.Dest grows the cluster by one shard (same options as
+// the others) and migrates into it.
 const AddShard = -1
 
 // MoveSpec describes one contiguous range migration.
@@ -52,8 +51,8 @@ type MoveReport struct {
 	Chunks int
 	// Dest is the resolved destination shard (useful with AddShard).
 	Dest int
-	// SrcRead is simulated device time the source primary spent on
-	// migration reads; DstWrite the destination primary's program time.
+	// SrcRead is simulated device time the source shard spent on migration
+	// reads; DstWrite the destination shard's program time.
 	SrcRead, DstWrite sim.Duration
 }
 
@@ -120,30 +119,19 @@ func NewRebalancer(e *Engines, spec MoveSpec) (*Rebalancer, error) {
 		if e.net == nil {
 			return nil, fmt.Errorf("cluster: cannot add a shard before LoadModel")
 		}
-		replicas := len(e.groups[src.shard])
-		group := make([]*core.DeepStore, replicas)
-		var model core.ModelID
-		for r := range group {
-			ds, err := core.New(e.opts)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: adding shard: %w", err)
-			}
-			id, err := ds.LoadModelNetwork(e.net)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: adding shard: %w", err)
-			}
-			if r == 0 {
-				model = id
-			} else if id != model {
-				return nil, fmt.Errorf("cluster: added replica %d assigned model %d, primary %d", r, id, model)
-			}
-			group[r] = ds
+		ds, err := core.New(e.opts)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: adding shard: %w", err)
 		}
-		e.groups = append(e.groups, group)
+		model, err := ds.LoadModelNetwork(e.net)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: adding shard: %w", err)
+		}
+		e.engines = append(e.engines, ds)
 		e.models = append(e.models, model)
-		dest = len(e.groups) - 1
+		dest = len(e.engines) - 1
 		destAdded = true
-	case dest >= 0 && dest < len(e.groups):
+	case dest >= 0 && dest < len(e.engines):
 		if dest == spec.Source {
 			return nil, fmt.Errorf("cluster: destination shard %d is the source", dest)
 		}
@@ -153,21 +141,14 @@ func NewRebalancer(e *Engines, spec MoveSpec) (*Rebalancer, error) {
 	default:
 		return nil, fmt.Errorf("cluster: destination shard %d out of range", dest)
 	}
-	// Interlock every source replica's database: a concurrent
-	// AppendDB/ReorgDB/DeleteDB would invalidate the snapshot below.
-	var begun []*core.DeepStore
-	for _, ds := range e.groups[src.shard] {
-		if err := ds.BeginMigration(src.db); err != nil {
-			for _, b := range begun {
-				b.EndMigration(src.db)
-			}
-			if destAdded {
-				e.groups = e.groups[:len(e.groups)-1]
-				e.models = e.models[:len(e.models)-1]
-			}
-			return nil, fmt.Errorf("cluster: interlocking source shard %d: %w", src.shard, err)
+	// Interlock the source database: a concurrent AppendDB/ReorgDB/DeleteDB
+	// would invalidate the snapshot below.
+	if err := e.engines[src.shard].BeginMigration(src.db); err != nil {
+		if destAdded {
+			e.engines = e.engines[:len(e.engines)-1]
+			e.models = e.models[:len(e.models)-1]
 		}
-		begun = append(begun, ds)
+		return nil, fmt.Errorf("cluster: interlocking source shard %d: %w", src.shard, err)
 	}
 	e.rebalancing = true
 	if destAdded {
@@ -179,12 +160,11 @@ func NewRebalancer(e *Engines, spec MoveSpec) (*Rebalancer, error) {
 }
 
 // Step migrates the next chunk: a device-time-charged range read on the
-// source primary, a WriteDB on every destination replica (programs charged,
-// bound/quant tables built by the destination engine), an ID verification,
-// and one atomic routing flip. Returns done=true once the whole range has
-// moved (the interlocks are then already released). On error nothing was
-// flipped — queries still route to the source — and the caller should
-// Abort.
+// source shard, a WriteDB on the destination shard (programs charged,
+// bound/quant tables built by the destination engine), and one atomic
+// routing flip. Returns done=true once the whole range has moved (the
+// interlock is then already released). On error nothing was flipped —
+// queries still route to the source — and the caller should Abort.
 func (rb *Rebalancer) Step() (done bool, err error) {
 	if rb.done || rb.aborted {
 		return rb.done, fmt.Errorf("cluster: rebalancer is finished")
@@ -197,49 +177,28 @@ func (rb *Rebalancer) Step() (done bool, err error) {
 	globalStart := rb.spec.Start + rb.moved
 	localStart := rb.src.local + (globalStart - rb.src.global)
 
-	// Read the chunk off the source primary, charged as migration traffic
-	// on its simulated device (the other replicas keep their full slice and
-	// pay nothing; routing sub-ranges exclude the moved features on every
-	// replica identically).
-	srcPrimary := e.state.Load().groups[rb.src.shard][0]
-	t0 := srcPrimary.Now()
-	vecs, err := srcPrimary.ReadRangeForMigration(rb.src.db, localStart, chunk)
+	// Read the chunk off the source, charged as migration traffic on its
+	// simulated device.
+	st := e.state.Load()
+	src := st.engines[rb.src.shard]
+	t0 := src.Now()
+	vecs, err := src.ReadRangeForMigration(rb.src.db, localStart, chunk)
 	if err != nil {
 		return false, fmt.Errorf("cluster: migration read: %w", err)
 	}
-	rb.srcRead += sim.Duration(srcPrimary.Now() - t0)
+	rb.srcRead += sim.Duration(src.Now() - t0)
 
-	// Write the chunk as a fresh database on every destination replica.
-	// WriteDB charges the programs and rebuilds the prune envelope and int8
-	// tables for the chunk, so the destination serves it with the same
-	// machinery as any other database.
-	destGroup := e.state.Load().groups[rb.dest]
-	var destID ftl.DBID
-	var dstT0 sim.Time
-	for r, ds := range destGroup {
-		if r == 0 {
-			dstT0 = ds.Now()
-		}
-		id, werr := ds.WriteDB(vecs)
-		if werr != nil {
-			// Nothing flipped: scrub the orphan chunk databases (best
-			// effort) and leave routing untouched.
-			for rr := 0; rr < r; rr++ {
-				destGroup[rr].DeleteDB(destID)
-			}
-			return false, fmt.Errorf("cluster: migration write to shard %d replica %d: %w", rb.dest, r, werr)
-		}
-		if r == 0 {
-			destID = id
-			rb.dstWrite += sim.Duration(ds.Now() - dstT0)
-		} else if id != destID {
-			for rr := 0; rr <= r; rr++ {
-				destGroup[rr].DeleteDB(destID)
-			}
-			return false, fmt.Errorf("cluster: migration write: shard %d replica %d assigned DB %d, primary %d",
-				rb.dest, r, id, destID)
-		}
+	// Write the chunk as a fresh database on the destination. WriteDB
+	// charges the programs and rebuilds the prune envelope and int8 tables
+	// for the chunk, so the destination serves it with the same machinery as
+	// any other database.
+	dst := st.engines[rb.dest]
+	t0 = dst.Now()
+	destID, err := dst.WriteDB(vecs)
+	if err != nil {
+		return false, fmt.Errorf("cluster: migration write to shard %d: %w", rb.dest, err)
 	}
+	rb.dstWrite += sim.Duration(dst.Now() - t0)
 
 	// Flip the sub-range to the destination in one published generation.
 	e.admin.Lock()
@@ -275,19 +234,17 @@ func (rb *Rebalancer) Step() (done bool, err error) {
 	return false, nil
 }
 
-// finish releases the interlocks after the last flip.
+// finish releases the interlock after the last flip.
 func (rb *Rebalancer) finish() {
 	e := rb.e
 	e.admin.Lock()
 	defer e.admin.Unlock()
-	for _, ds := range e.groups[rb.src.shard] {
-		ds.EndMigration(rb.src.db)
-	}
+	e.engines[rb.src.shard].EndMigration(rb.src.db)
 	e.rebalancing = false
 	rb.done = true
 }
 
-// Abort stops the migration, releasing the interlocks. Chunks already
+// Abort stops the migration, releasing the interlock. Chunks already
 // flipped stay with the destination (they are served correctly there;
 // flipping back would re-copy for nothing); the unmoved remainder stays
 // with the source. A destination shard added by AddShard that received
@@ -299,11 +256,9 @@ func (rb *Rebalancer) Abort() {
 	e := rb.e
 	e.admin.Lock()
 	defer e.admin.Unlock()
-	for _, ds := range e.groups[rb.src.shard] {
-		ds.EndMigration(rb.src.db)
-	}
-	if rb.destAdded && rb.moved == 0 && rb.dest == len(e.groups)-1 {
-		e.groups = e.groups[:len(e.groups)-1]
+	e.engines[rb.src.shard].EndMigration(rb.src.db)
+	if rb.destAdded && rb.moved == 0 && rb.dest == len(e.engines)-1 {
+		e.engines = e.engines[:len(e.engines)-1]
 		e.models = e.models[:len(e.models)-1]
 	}
 	e.rebalancing = false

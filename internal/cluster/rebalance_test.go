@@ -10,32 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// rebalanceFixture builds a live sharded cluster and a 1-shard oracle over
-// the same database with the same options.
-func rebalanceFixture(t *testing.T, shards, features int, opts core.Options) (*Engines, *Engines, *workload.FeatureDB) {
-	t.Helper()
-	app, err := workload.ByName("TextQA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.SCN.InitRandom(1)
-	db := workload.NewFeatureDB(app, features, 11)
-	build := func(n int) *Engines {
-		e, err := NewEngines(n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.WriteDB(db.Vectors); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.LoadModel(app.SCN); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	return build(shards), build(1), db
-}
-
 // assertSameTopK compares two answers' rankings. ObjectIDs are physical
 // flash addresses and legitimately differ between placements, so the
 // bit-identical guarantee covers (FeatureID, Score).
@@ -92,7 +66,8 @@ func TestQueriesRacingMigration(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shape.procs))
 				}
 				v.mut(&opts)
-				live, oracle, db := rebalanceFixture(t, 2, features, opts)
+				live, db := enginesFixture(t, 2, features, opts)
+				oracle, _ := enginesFixture(t, 1, features, opts)
 
 				// Move a mid-range window out of shard 0 in 3 chunks,
 				// stepping between query batches so the batches observe
@@ -197,7 +172,8 @@ func assertPartition(t *testing.T, e *Engines, total int64) {
 // shards (no topology growth) and checks answers and accounting.
 func TestRebalanceToExistingShard(t *testing.T) {
 	const features, k = 240, 5
-	live, oracle, db := rebalanceFixture(t, 2, features, core.DefaultOptions())
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
+	oracle, _ := enginesFixture(t, 1, features, core.DefaultOptions())
 	rep, err := live.Rebalance(MoveSpec{Source: 0, Dest: 1, Start: 0, Count: 60, ChunkFeatures: 25})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +191,7 @@ func TestRebalanceToExistingShard(t *testing.T) {
 		t.Fatalf("%d shards, want 2 (moved to an existing shard)", live.Shards())
 	}
 	assertPartition(t, live, features)
-	// The source primary charged migration reads; the destination's engine
+	// The source engine charged migration reads; the destination's engine
 	// holds the chunk databases.
 	src := live.Engine(0).MetricsSnapshot().Counters
 	if src["core_migrate_reads"] != 3 || src["core_migrate_features_out"] != 60 {
@@ -244,7 +220,7 @@ func TestRebalanceToExistingShard(t *testing.T) {
 // move completes.
 func TestRebalanceInterlocks(t *testing.T) {
 	const features = 200
-	live, _, db := rebalanceFixture(t, 2, features, core.DefaultOptions())
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
 	rb, err := NewRebalancer(live, MoveSpec{Source: 0, Dest: AddShard, Start: 10, Count: 40, ChunkFeatures: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +241,7 @@ func TestRebalanceInterlocks(t *testing.T) {
 	if _, err := NewRebalancer(live, MoveSpec{Source: 1, Dest: AddShard, Start: 120, Count: 10}); !errors.Is(err, ErrRebalanceActive) {
 		t.Fatalf("second Rebalancer: %v, want ErrRebalanceActive", err)
 	}
-	// The source database itself is interlocked on every replica.
+	// The source database itself is interlocked.
 	srcDB := live.Routes()[0].DB
 	if err := live.Engine(0).AppendDB(srcDB, db.Vectors[:1]); !errors.Is(err, core.ErrMigrating) {
 		t.Fatalf("source AppendDB during migration: %v, want core.ErrMigrating", err)
@@ -291,7 +267,8 @@ func TestRebalanceInterlocks(t *testing.T) {
 // interlock; aborting before any chunk removes a freshly added shard again.
 func TestRebalanceAbort(t *testing.T) {
 	const features, k = 240, 5
-	live, oracle, db := rebalanceFixture(t, 2, features, core.DefaultOptions())
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
+	oracle, _ := enginesFixture(t, 1, features, core.DefaultOptions())
 
 	rb, err := NewRebalancer(live, MoveSpec{Source: 0, Dest: AddShard, Start: 20, Count: 90, ChunkFeatures: 30})
 	if err != nil {
@@ -339,7 +316,7 @@ func TestRebalanceAbort(t *testing.T) {
 // TestRebalanceValidation: malformed specs are rejected up front.
 func TestRebalanceValidation(t *testing.T) {
 	const features = 200
-	live, _, _ := rebalanceFixture(t, 2, features, core.DefaultOptions())
+	live, _ := enginesFixture(t, 2, features, core.DefaultOptions())
 	bad := []MoveSpec{
 		{Source: 0, Dest: AddShard, Start: 0, Count: 0},                     // empty
 		{Source: 0, Dest: AddShard, Start: 0, Count: -1},                    // negative
@@ -368,7 +345,7 @@ func TestRebalanceValidation(t *testing.T) {
 // planner propose moving exactly that region's window.
 func TestPlanRebalance(t *testing.T) {
 	const features, k = 240, 5
-	live, _, db := rebalanceFixture(t, 2, features, core.DefaultOptions())
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
 	if _, err := live.PlanRebalance(10, 2); err == nil {
 		t.Fatal("plan with no accumulated demand accepted")
 	}
@@ -410,7 +387,8 @@ func TestPlanRebalance(t *testing.T) {
 // appends.
 func TestAppendAfterSplit(t *testing.T) {
 	const features, k = 200, 5
-	live, oracle, db := rebalanceFixture(t, 2, features, core.DefaultOptions())
+	live, db := enginesFixture(t, 2, features, core.DefaultOptions())
+	oracle, _ := enginesFixture(t, 1, features, core.DefaultOptions())
 	// Move shard 1's tail range to a new shard: the global tail is now the
 	// moved chunk's fresh database, which appends must extend.
 	if _, err := live.Rebalance(MoveSpec{Source: 1, Dest: AddShard, Start: 160, Count: 40}); err != nil {

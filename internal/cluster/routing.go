@@ -8,9 +8,10 @@ import (
 )
 
 // The split-aware routing table. A cluster generation is an immutable
-// snapshot of the whole serving topology: the replica groups and an ordered
-// list of routes partitioning the global feature space [0, total). Admin
-// operations (WriteDB, LoadModel, AppendDB, ReorgShard, rebalance flips)
+// snapshot of the whole serving topology: the shard engines, an ordered list
+// of routes partitioning the global feature space [0, total), and the fault
+// policy. Admin operations (WriteDB, LoadModel, AppendDB, ReorgShard,
+// SetTolerance, rebalance flips)
 // build the next generation under the admin mutex and publish it atomically;
 // a query snapshots exactly one generation for its entire fan-out/merge, so
 // it can never see shard i updated and shard i+1 stale, and during a live
@@ -18,7 +19,7 @@ import (
 
 // route maps a contiguous global feature range to the shard database slice
 // that owns it: global feature g ∈ [global, global+count) lives at local
-// index g−global+local of database db on every replica of shard.
+// index g−global+local of database db on shard.
 type route struct {
 	shard  int
 	db     ftl.DBID
@@ -33,10 +34,11 @@ type route struct {
 // and LoadModel have completed, and is always sorted by global, covering
 // [0, total) without gap or overlap.
 type clusterState struct {
-	gen    uint64
-	groups [][]*core.DeepStore
-	routes []route
-	total  int64
+	gen     uint64
+	engines []*core.DeepStore
+	routes  []route
+	total   int64
+	tol     Tolerance
 }
 
 // RouteInfo is the exported description of one routing-table entry
@@ -51,7 +53,8 @@ type RouteInfo struct {
 }
 
 // Gen returns the current routing-table generation. Every published change
-// — data, model, topology, or a rebalance flip — bumps it by one.
+// — data, model, topology, fault policy, or a rebalance flip — bumps it by
+// one.
 func (e *Engines) Gen() uint64 { return e.state.Load().gen }
 
 // Routes returns the current routing table in global order (empty until
@@ -74,13 +77,9 @@ func (e *Engines) Features() int64 { return e.state.Load().total }
 // error rather than seeing a half-initialized table. Callers hold e.admin.
 func (e *Engines) publishLocked() {
 	prev := e.state.Load()
-	st := &clusterState{total: e.total}
+	st := &clusterState{total: e.total, tol: e.tol, engines: append([]*core.DeepStore(nil), e.engines...)}
 	if prev != nil {
 		st.gen = prev.gen + 1
-	}
-	st.groups = make([][]*core.DeepStore, len(e.groups))
-	for s, g := range e.groups {
-		st.groups[s] = append([]*core.DeepStore(nil), g...)
 	}
 	ready := len(e.routes) > 0
 	for _, rt := range e.routes {
