@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/energy"
 	"repro/internal/flash"
@@ -141,6 +142,7 @@ type scanRun struct {
 	pending           int // units still scanning
 	simulatedFeatures float64
 	scanEnd           sim.Time
+	weightRounds      int64
 
 	// Progress tracking for marginal-rate extrapolation. The steady-state
 	// rate is measured between the 10% and 50% progress marks: before 10%
@@ -175,8 +177,14 @@ type unit struct {
 	features float64
 	group    *barrier
 	// read issues the next page of the unit's share; the page's arrival at
-	// the accelerator must call pageArrived.
-	read func()
+	// the accelerator must call pageArrived. Channel- and chip-level units
+	// read through readCursor: cur's next page, into the page buffer when
+	// toBuffer is set.
+	read       func()
+	readCursor func()
+	flash      *flash.Array
+	cur        ftl.PageCursor
+	toBuffer   bool
 	// window is the outstanding-read limit; the SSD-level accelerator
 	// prefetches across every channel at once and needs a proportionally
 	// larger window to hide the array-read latency.
@@ -184,7 +192,8 @@ type unit struct {
 	// q is the FLASH_DFV queue. It buffers a handful of pages (Fig. 5) —
 	// enough to decouple array reads from compute without unphysical
 	// staging. The timing model moves no data, so an entry is a page token.
-	q *sim.Queue[struct{}]
+	q  *sim.Queue[struct{}]
+	qe *sim.Engine // q's engine
 
 	issued, inflight int64 // prefetcher
 	consumed         int64 // compute process: pages of finished batches
@@ -195,11 +204,51 @@ type unit struct {
 	pageTaken                                    func(struct{})
 }
 
-func newUnit(run *scanRun, pages int64, group *barrier, window int64) *unit {
-	u := &unit{
+// scanScratch is the host side of a scan that outlives it: the run its
+// units share and every unit built so far, each with its stage callbacks
+// bound once and its FLASH_DFV queue. Scan takes one from scanScratches and
+// returns it after a scan that completed (every queue drained, nothing left
+// on the calendar), so repeated scans of a device build their units once.
+type scanScratch struct {
+	run   scanRun
+	built []*unit
+	units []*unit // this scan's units, a prefix of built
+}
+
+var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// newUnit adds the scan's next unit: the next built one, reset, when its
+// queue is on run's engine, else a new one.
+func (sc *scanScratch) newUnit(run *scanRun, pages int64, group *barrier, window int64) *unit {
+	i := len(sc.units)
+	if i == len(sc.built) {
+		sc.built = append(sc.built, bindUnit())
+	}
+	u := sc.built[i]
+	if u.qe != run.e {
+		u.q, u.qe = sim.NewQueue[struct{}](run.e, "flash-dfv", 4), run.e
+	}
+	*u = unit{
 		run: run, pages: pages, features: float64(pages) * run.featPerPage,
-		group: group, window: window,
-		q: sim.NewQueue[struct{}](run.e, "flash-dfv", 4),
+		group: group, window: window, q: u.q, qe: u.qe,
+		readCursor:  u.readCursor,
+		pageArrived: u.pageArrived, pageAccepted: u.pageAccepted,
+		compute: u.compute, computed: u.computed, pageTaken: u.pageTaken,
+	}
+	sc.units = append(sc.units, u)
+	return u
+}
+
+// bindUnit makes a unit with its stage callbacks bound; newUnit fills in
+// the rest.
+func bindUnit() *unit {
+	u := &unit{}
+	u.readCursor = func() {
+		if addr := u.cur.Next(); u.toBuffer {
+			u.flash.ReadPageToBuffer(addr, u.pageArrived)
+		} else {
+			u.flash.ReadPage(addr, u.pageArrived)
+		}
 	}
 	// The prefetch slot frees only when the FLASH_DFV queue accepts the
 	// page — backpressure from a slow consumer stalls prefetching, as the
@@ -214,11 +263,11 @@ func newUnit(run *scanRun, pages int64, group *barrier, window int64) *unit {
 		u.collect()
 	}
 	u.compute = func() {
-		d := sim.Duration(float64(run.perFeatCycles)*u.feats*run.cyclePs + 0.5)
-		run.e.After(d, u.computed)
+		d := sim.Duration(float64(u.run.perFeatCycles)*u.feats*u.run.cyclePs + 0.5)
+		u.run.e.After(d, u.computed)
 	}
 	u.computed = func() {
-		run.noteProgress(u.feats)
+		u.run.noteProgress(u.feats)
 		u.nextBatch()
 	}
 	return u
@@ -313,7 +362,10 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	if pagesPerBatch < 1 {
 		pagesPerBatch = 1
 	}
-	run := &scanRun{
+	sc := scanScratches.Get().(*scanScratch)
+	sc.units = sc.units[:0]
+	run := &sc.run
+	*run = scanRun{
 		e: e, streaming: src != SourceL1,
 		featPerPage: featPerPage, pagesPerBatch: pagesPerBatch,
 		perFeatCycles: perFeatCycles, cyclePs: cyclePs,
@@ -321,13 +373,11 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	}
 
 	// Build the accelerator units and their lockstep groups.
-	var weightRounds int64
-	var units []*unit
 	group := func(members int, link *sim.Link) *barrier {
 		if !run.streaming {
 			link = nil
 		}
-		return newBarrier(members, link, weightBytes, &weightRounds)
+		return newBarrier(members, link, weightBytes, &run.weightRounds)
 	}
 
 	windowPages := func(share int64) int64 {
@@ -362,7 +412,7 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		if req.WindowFeaturesPerAccel > 0 {
 			win = windowPages(total)
 		}
-		u := newUnit(run, win, group(1, dev.DRAM), int64(8*geom.Channels))
+		u := sc.newUnit(run, win, group(1, dev.DRAM), int64(8*geom.Channels))
 		toDRAM := func() { dev.DRAM.Transfer(geom.PageBytes, u.pageArrived) }
 		// Page j of the device share is page j / Channels of channel
 		// j mod Channels: the reads rotate across the channels' cursors.
@@ -384,7 +434,6 @@ func Scan(req ScanRequest) (ScanResult, error) {
 			}
 			dev.Flash.ReadPage(addr, toDRAM)
 		}
-		units = append(units, u)
 
 	case LevelChannel:
 		// One accelerator per channel; weights broadcast from L2 or DRAM
@@ -403,10 +452,9 @@ func Scan(req ScanRequest) (ScanResult, error) {
 				g.leave()
 				continue
 			}
-			u := newUnit(run, win, g, defaultWindow)
-			cur := layout.PageCursor(ch, 0, 1)
-			u.read = func() { dev.Flash.ReadPage(cur.Next(), u.pageArrived) }
-			units = append(units, u)
+			u := sc.newUnit(run, win, g, defaultWindow)
+			u.flash, u.cur = dev.Flash, layout.PageCursor(ch, 0, 1)
+			u.read = u.readCursor
 		}
 
 	case LevelChip:
@@ -427,16 +475,17 @@ func Scan(req ScanRequest) (ScanResult, error) {
 					g.leave()
 					continue
 				}
-				u := newUnit(run, win, g, defaultWindow)
+				u := sc.newUnit(run, win, g, defaultWindow)
 				// The chip's pages are every ChipsPerChannel-th of the channel's.
-				cur := layout.PageCursor(ch, int64(chip), geom.ChipsPerChannel)
-				u.read = func() { dev.Flash.ReadPageToBuffer(cur.Next(), u.pageArrived) }
-				units = append(units, u)
+				u.flash, u.toBuffer = dev.Flash, true
+				u.cur = layout.PageCursor(ch, int64(chip), geom.ChipsPerChannel)
+				u.read = u.readCursor
 			}
 		}
 	default:
 		return ScanResult{}, fmt.Errorf("accel: unknown level %v", req.Spec.Level)
 	}
+	units := sc.units
 
 	run.pending = len(units)
 	for _, u := range units {
@@ -451,12 +500,22 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	if run.pending != 0 {
 		return ScanResult{}, fmt.Errorf("accel: scan deadlocked with %d units pending", run.pending)
 	}
-	simulatedFeatures := run.simulatedFeatures
+	simulatedFeatures, weightRounds := run.simulatedFeatures, run.weightRounds
+	f10, f50, t10, t50 := run.f10, run.f50, run.t10, run.t50
+	scanEnd, accels := run.scanEnd, len(units)
+	// The scan completed, so the scratch's queues are drained and nothing
+	// on the calendar refers to its units: the next scan may reuse them.
+	// What would pin this device's flash state while pooled is dropped.
+	for _, u := range units {
+		u.read, u.group, u.flash, u.run = nil, nil, nil, nil
+	}
+	sc.run = scanRun{}
+	scanScratches.Put(sc)
 
 	// scanEnd was stamped when the last unit finished; other processes
 	// sharing the engine (e.g. concurrent host I/O in the interference
 	// study) may keep running past it.
-	elapsed := sim.Duration(run.scanEnd - start)
+	elapsed := sim.Duration(scanEnd - start)
 	endFlash := dev.Flash.Stats()
 
 	res := ScanResult{
@@ -464,7 +523,7 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		PerFeatureCycles:  perFeatCycles,
 		WeightSource:      src,
 		WeightRounds:      weightRounds,
-		Accels:            len(units),
+		Accels:            accels,
 		Features:          layout.Features,
 	}
 
@@ -512,8 +571,8 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	res.Elapsed = sim.Duration(float64(elapsed) * scale)
 	// Refine with the measured steady-state marginal rate: work beyond the
 	// window extends the simulated time at the 10–50% progress rate.
-	if scale > 1 && run.f10 > 0 && run.f50 > run.f10 {
-		rate := float64(run.t50-run.t10) / (run.f50 - run.f10) // ps per feature (global)
+	if scale > 1 && f10 > 0 && f50 > f10 {
+		rate := float64(t50-t10) / (f50 - f10) // ps per feature (global)
 		extra := (float64(res.Features) - simulatedFeatures) * rate
 		res.Elapsed = elapsed + sim.Duration(extra+0.5)
 	}

@@ -180,19 +180,26 @@ func (ds *DeepStore) LoadModelNetwork(net *nn.Network) (ModelID, error) {
 // touches the cache, the clock or the history.
 var ErrQCNWidth = errors.New("core: query width differs from the query cache's QCN")
 
-// qcResident is the query cache's qcache.Resident: the QCN's nn.Resident,
-// its scores clamped to the [0, 1] Algorithm 1 weighs.
+// qcResident is the query cache's qcache.Resident: the QCN's nn.Resident.
+// A key is the QCN's logit, and Score is the QCN's activation of it clamped
+// to the [0, 1] Algorithm 1 weighs: both non-decreasing, so the cache
+// activates only the logits that can win.
 type qcResident struct {
 	*nn.Resident
+	qcn *nn.Network
 	raw []float32
 }
 
-func (r *qcResident) ScoreAll(scores []float64, qfv []float32) {
-	r.raw = slices.Grow(r.raw[:0], len(scores))[:len(scores)]
-	r.Resident.ScoreAll(r.raw, qfv)
-	for i, s := range r.raw {
-		scores[i] = min(max(float64(s), 0), 1)
+func (r *qcResident) Keys(keys []float64, qfv []float32) {
+	r.raw = slices.Grow(r.raw[:0], len(keys))[:len(keys)]
+	r.Logits(r.raw, qfv)
+	for i, l := range r.raw {
+		keys[i] = float64(l)
 	}
+}
+
+func (r *qcResident) Score(key float64) float64 {
+	return min(max(float64(r.qcn.Activate(float32(key))), 0), 1)
 }
 
 // SetQC configures the similarity-based query cache (setQC): the QCN model,
@@ -215,8 +222,8 @@ func (ds *DeepStore) SetQC(qcn *nn.Network, qcnAccuracy float64, entries int, th
 	}
 	// The cached queries stay resident in the QCN's operand layout, written
 	// once per insert (§4.6 keeps the entries in SSD DRAM for the channel
-	// accelerators), and a lookup scores them all in one pass.
-	ds.qc = qcache.NewResident[[]float32](entries, qcnAccuracy, &qcResident{Resident: qcn.Resident(entries)})
+	// accelerators), and a lookup compares them all in one pass.
+	ds.qc = qcache.NewResident[[]float32](entries, qcnAccuracy, &qcResident{Resident: qcn.Resident(entries), qcn: qcn})
 	ds.qcn = qcn
 	ds.qcThreshold = threshold
 	if ds.opts.CacheAdmission == AdmissionLearned {

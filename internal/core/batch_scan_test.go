@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -240,5 +241,100 @@ func TestScoreRangeBatchedAllocSteady(t *testing.T) {
 	// from the scheduler but nothing proportional to the feature count.
 	if large-small > 8 {
 		t.Errorf("allocs grew with range: %v for 200 features vs %v for 2000", small, large)
+	}
+}
+
+// TestDenseWalkGroupsChannels: a dense sweep whose range has fewer features
+// per channel than the gather batch claims runs of channels and gathers
+// across them, and still gives every query the per-channel walk's top-K (a
+// gather batch of one, which claims one channel at a time) and the
+// brute-force reference's, FeatureID, Score and ObjectID bit for bit. The
+// ranges start and end mid-stripe, the widths span one feature per channel
+// to two batches' worth, and each runs on one worker and on one per run.
+// core_scan_batches counts the GEMM batches: the grouped walk fills each
+// batch up to its run's rows, the per-channel walk issues one per feature.
+func TestDenseWalkGroupsChannels(t *testing.T) {
+	const channels = 16
+	cfg := pruneTestConfig()
+	cfg.Geometry.Channels = channels
+	opts := DefaultOptions()
+	opts.Device = cfg
+	net := pruneTestNet()
+	for _, perChannel := range []int64{1, 3, 8, 63, 64, 65, 130} {
+		vectors := clusteredVectors(int(perChannel+1)*channels, 11)
+		start, end := int64(5), 5+perChannel*channels-3
+		if perChannel == 1 {
+			end = 5 + channels - 3
+		}
+		grouped, model, db := buildPruneEngine(t, opts, net, vectors)
+		perFeature := opts
+		perFeature.scoreBatch = 1
+		single, _, _ := buildPruneEngine(t, perFeature, net, vectors)
+		key := func(ds *DeepStore) scanKey {
+			return scanKey{st: ds.dbs[db], net: ds.models[model], start: start, end: end}
+		}
+		for _, nq := range []int{1, 2, 7, 64} {
+			if racetest.Enabled && nq > 7 {
+				continue
+			}
+			qfvs := make([][]float32, nq)
+			ks := make([]int, nq)
+			for q := range qfvs {
+				qfvs[q], ks[q] = vectors[(q*29+3)%len(vectors)], 1+q%5
+			}
+			var wants [][]topk.Entry
+			for q := range qfvs {
+				wants = append(wants, referenceTopK(grouped, key(grouped), qfvs[q], ks[q]))
+			}
+			// Per-channel walk: a batch of one, so one batch per feature.
+			before := single.obs.Counter("core_scan_batches").Value()
+			perChannelTops, _ := single.sweep(key(single), qfvs, ks, channels)
+			if got := single.obs.Counter("core_scan_batches").Value() - before; got != end-start {
+				t.Errorf("perChannel=%d q=%d: the per-feature walk issued %d batches for %d features", perChannel, nq, got, end-start)
+			}
+			group := max(1, DefaultScoreBatch/int((end-start+channels-1)/channels))
+			for _, workers := range []int{1, (channels + group - 1) / group} {
+				name := fmt.Sprintf("perChannel=%d/q=%d/workers=%d", perChannel, nq, workers)
+				before := grouped.obs.Counter("core_scan_batches").Value()
+				tops, _ := grouped.sweep(key(grouped), qfvs, ks, workers)
+				if got, want := grouped.obs.Counter("core_scan_batches").Value()-before, groupedBatches(start, end, channels, group); got != want {
+					t.Errorf("%s: %d batches, want %d", name, got, want)
+				}
+				for q := range qfvs {
+					sameEntryBits(t, name+" vs per-channel", tops[q], perChannelTops[q])
+					sameEntryBits(t, name+" vs reference", tops[q], wants[q])
+				}
+			}
+		}
+	}
+}
+
+// groupedBatches is the number of GEMM batches a dense sweep of [start, end)
+// issues over runs of group channels: each run's rows, DefaultScoreBatch at a
+// time.
+func groupedBatches(start, end int64, channels, group int) int64 {
+	rows := make([]int64, (channels+group-1)/group)
+	for i := start; i < end; i++ {
+		rows[int(i%int64(channels))/group]++
+	}
+	var batches int64
+	for _, r := range rows {
+		batches += (r + DefaultScoreBatch - 1) / DefaultScoreBatch
+	}
+	return batches
+}
+
+// sameEntryBits fails unless got and want hold the same entries, scores
+// compared by their bits.
+func sameEntryBits(t *testing.T, label string, got, want []topk.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.FeatureID != w.FeatureID || g.ObjectID != w.ObjectID || math.Float32bits(g.Score) != math.Float32bits(w.Score) {
+			t.Fatalf("%s: entry %d differs: %+v != %+v", label, i, g, w)
+		}
 	}
 }

@@ -285,6 +285,46 @@ func TestQueryCacheWithPerfectQCN(t *testing.T) {
 	}
 }
 
+// TestQCacheActivatesRecordsOnly: a lookup activates the QCN only for the
+// logits that beat every logit before them in LRU order, so over a filling
+// cache qcache_activations grows far slower than qcache_comparisons — at
+// least once per lookup that finds an entry, never more than once per entry
+// compared — and the score of every key is, bit for bit, the clamped
+// ScoreAll score of its slot.
+func TestQCacheActivatesRecordsOnly(t *testing.T) {
+	ds, app, model, dbID := newEngine(t, 20)
+	qcn := app.QCN()
+	qcn.InitRandom(3)
+	const entries = 64
+	if err := ds.SetQC(qcn, 1, entries, 0); err != nil {
+		t.Fatal(err)
+	}
+	qs := workload.NewFeatureDB(app, 2*entries+1, 7).Vectors
+	for _, q := range qs[:2*entries] {
+		if _, err := ds.Query(QuerySpec{QFV: q, K: 3, Model: model, DB: ftlID(dbID)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := ds.MetricsSnapshot().Counters
+	lookups, act, cmp := c["qcache_lookups"], c["qcache_activations"], c["qcache_comparisons"]
+	if lookups != 2*entries || act < lookups-1 || 4*act > cmp {
+		t.Errorf("%d lookups activated %d times for %d comparisons", lookups, act, cmp)
+	}
+
+	r := &qcResident{Resident: qcn.Resident(entries), qcn: qcn}
+	for s, q := range qs[:entries] {
+		r.Put(s, q)
+	}
+	keys, want := make([]float64, entries), make([]float32, entries)
+	r.Keys(keys, qs[2*entries])
+	r.ScoreAll(want, qs[2*entries])
+	for s, k := range keys {
+		if got, w := r.Score(k), min(max(float64(want[s]), 0), 1); math.Float64bits(got) != math.Float64bits(w) {
+			t.Errorf("slot %d: Score(%v) = %v, clamped ScoreAll = %v", s, k, got, w)
+		}
+	}
+}
+
 // TestQueryOfAnotherWidthThanTheQCN: with a 200-dimension QCN over a
 // 512-dimension TIR database every query is refused with ErrQCNWidth — the
 // first, which finds the cache empty and used to be inserted, and the second,

@@ -25,6 +25,7 @@ import (
 	"repro/internal/qhist"
 	"repro/internal/sim"
 	"repro/internal/ssd"
+	"repro/internal/systolic"
 	"repro/internal/topk"
 )
 
@@ -297,6 +298,9 @@ type DeepStore struct {
 	// network, safe for concurrent use without holding mu.
 	pools batchPools
 
+	// costs memoises networkCost; guarded by mu.
+	costs map[costKey]systolic.NetworkCost
+
 	emodel energy.Model
 	stats  Stats
 
@@ -340,6 +344,7 @@ func New(opts Options) (*DeepStore, error) {
 		dbs:         make(map[ftl.DBID]*dbState),
 		queries:     make(map[QueryID]*queryState),
 		nextQueryID: 1,
+		costs:       make(map[costKey]systolic.NetworkCost),
 		emodel:      energy.DefaultModel(),
 		obs:         obs.NewRegistry(),
 		tracer:      obs.NewTracer(0),
@@ -418,6 +423,7 @@ func (ds *DeepStore) MetricsSnapshot() obs.Snapshot {
 		snap.Counters["qcache_evictions"] = int64(qs.Evictions)
 		snap.Counters["qcache_comparisons"] = int64(qs.Comparisons)
 		snap.Counters["qcache_admission_rejects"] = int64(qs.AdmissionRejects)
+		snap.Counters["qcache_activations"] = int64(qs.Activations)
 	}
 	if ds.hist != nil {
 		snap.Counters["hist_records"] = int64(ds.hist.Len())

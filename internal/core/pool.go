@@ -17,10 +17,10 @@ const multiScoreRows = 512
 // batchCtx is one worker's scoring context — the whole of its nn state: a
 // BatchScorer and the stripe-bound scorer of a pruned sweep, plus the
 // gather/scatter scratch the sweep fills between GEMM calls — the
-// feature-vector slots, their feature IDs and object IDs, and one score row
-// per query. The gather slots are sized to the engine's score batch at
-// construction, so a worker that holds a batchCtx scores its whole stripe
-// without allocating. On a quantized engine the context additionally carries
+// feature-vector slots, their feature IDs, object IDs and channels, and one
+// score row per query. The gather slots are sized to the engine's score
+// batch at construction, so a worker that holds a batchCtx scores its whole
+// stripe without allocating. On a quantized engine the context additionally carries
 // the int8 scorer and quantized-vector slots (qbs/qdfvs); a sweep uses one
 // family or the other, never both.
 type batchCtx struct {
@@ -30,6 +30,7 @@ type batchCtx struct {
 	dfvs   [][]float32
 	ids    []int64
 	objs   []uint64
+	chs    []int
 	scores [][]float32
 	qbs    *nn.QuantBatchScorer
 	qdfvs  []nn.QuantizedVector
@@ -44,11 +45,12 @@ func (c *batchCtx) scoreRows(nq int) [][]float32 {
 	return c.scores[:nq]
 }
 
-// offer presents the first n gathered features, scored in row, to q in
-// gather order.
-func (c *batchCtx) offer(q *topk.Queue, row []float32, n int) {
+// offer presents the first n gathered features, scored in row, to query q's
+// queue of each feature's channel (queues is indexed [ch*nq+q]), in gather
+// order.
+func (c *batchCtx) offer(queues []*topk.Queue, nq, q int, row []float32, n int) {
 	for j := 0; j < n; j++ {
-		q.Offer(topk.Entry{
+		queues[c.chs[j]*nq+q].Offer(topk.Entry{
 			FeatureID: c.ids[j],
 			Score:     row[j],
 			ObjectID:  c.objs[j],
@@ -104,6 +106,7 @@ func (p *batchPools) get(net *nn.Network, rows int) *batchCtx {
 				dfvs: make([][]float32, b),
 				ids:  make([]int64, b),
 				objs: make([]uint64, b),
+				chs:  make([]int, b),
 			}
 			if qn != nil {
 				c.qbs = qn.BatchScorer(rows)

@@ -139,7 +139,7 @@ func (ds *DeepStore) boundCheckLatency(net *nn.Network, level accel.Level, tier 
 	}
 	spec := specFor(ds, level)
 	perAccel := (checked + int64(spec.Count) - 1) / int64(spec.Count)
-	cost := spec.Array.NetworkCost(net.LayerPlan())
+	cost := ds.networkCost(net, level)
 	secs := float64(perAccel*2*cost.Cycles)/spec.Array.FreqHz +
 		float64(perAccel*tier.entryBytes)/ds.dev.Config.Timing.ChannelBandwidth
 	return sim.FromSeconds(secs)

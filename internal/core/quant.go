@@ -70,7 +70,7 @@ func (ds *DeepStore) rerankExactLatency(net *nn.Network, st *dbState, level acce
 	}
 	spec := specFor(ds, level)
 	perAccel := (cands + int64(spec.Count) - 1) / int64(spec.Count)
-	cost := spec.Array.NetworkCost(net.LayerPlan())
+	cost := ds.networkCost(net, level)
 	fb := st.meta.Layout.FeatureBytes
 	secs := float64(perAccel*cost.Cycles)/spec.Array.FreqHz +
 		float64(perAccel*fb)/ds.dev.Config.Timing.ChannelBandwidth

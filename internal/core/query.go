@@ -149,6 +149,25 @@ func cloneVec(v []float32) []float32 {
 	return c
 }
 
+// costKey names one network on one accelerator level.
+type costKey struct {
+	net   *nn.Network
+	level accel.Level
+}
+
+// networkCost is the systolic cost of one comparison by net on level's
+// array. A network's shapes never change, so the engine memoises it per
+// (network, level). Callers hold ds.mu.
+func (ds *DeepStore) networkCost(net *nn.Network, level accel.Level) systolic.NetworkCost {
+	key := costKey{net, level}
+	cost, ok := ds.costs[key]
+	if !ok {
+		cost = specFor(ds, level).Array.NetworkCost(net.LayerPlan())
+		ds.costs[key] = cost
+	}
+	return cost
+}
+
 // qcLookupLatency models scanning the query cache with the QCN on the
 // channel-level accelerators (§6.5: ~0.3 ms for 1000 entries).
 func (ds *DeepStore) qcLookupLatency(entries int) sim.Duration {
@@ -170,7 +189,7 @@ func (ds *DeepStore) comparisonEnergy(net *nn.Network, level accel.Level, n int6
 		return energy.Breakdown{}
 	}
 	spec := specFor(ds, level)
-	cost := spec.Array.NetworkCost(net.LayerPlan())
+	cost := ds.networkCost(net, level)
 	return ds.emodel.Energy(energy.Activity{
 		MACs:      cost.MACs * n,
 		SRAMBytes: (cost.SRAMReadBytes + cost.SRAMWriteBytes) * n,
@@ -182,7 +201,7 @@ func (ds *DeepStore) comparisonEnergy(net *nn.Network, level accel.Level, n int6
 // rerankLatency models re-scoring the K cached features with the SCN.
 func (ds *DeepStore) rerankLatency(net *nn.Network, level accel.Level, k int64) sim.Duration {
 	spec := specFor(ds, level)
-	cost := spec.Array.NetworkCost(net.LayerPlan())
+	cost := ds.networkCost(net, level)
 	secs := float64(k*cost.Cycles) / spec.Array.FreqHz
 	return sim.FromSeconds(secs)
 }
@@ -236,6 +255,10 @@ func (ds *DeepStore) recordPruneStats(ps PruneStats) {
 // shards, every gather batch is scored against all queries in one ScoreMulti
 // call (so gather work and each layer's weight traffic are paid once for the
 // batch), and the per-(query, channel) queues are reduced with topk.Merge.
+// A worker claims a run of consecutive channels — as many as fit their
+// features into one gather batch, one under a tier — and gathers across the
+// run; each row records its channel, and a drain offers it to that channel's
+// queues, so every queue sees the offers a one-channel walk would make.
 // Three inputs shape the walk and nothing else does: the width nq, the
 // precision (int8 when the database has a quant table, fp32 otherwise — picked
 // once, below), and the bound tier. With a tier the walk goes stripe segment
@@ -245,11 +268,11 @@ func (ds *DeepStore) recordPruneStats(ps PruneStats) {
 // query's queue evolves exactly as it would alone. Without a tier the single
 // segment runs to the end of the range.
 //
-// Results do not depend on workers, the gather batch, or nq: every shard sees
-// the same comparisons in the same stripe order, a score is the same bits in
-// any batch (see nn.BatchScorer), skip decisions happen only at segment
-// boundaries after the gather is drained, and the merge's (score, featureID)
-// total order is independent of shard completion order. Declared (spec-only)
+// Results do not depend on workers, the gather batch, the run length or nq:
+// every shard sees the same comparisons in the same stripe order, a score is
+// the same bits in any batch (see nn.BatchScorer), skip decisions happen only
+// at segment boundaries after the gather is drained, and the merge's (score,
+// featureID) total order is independent of shard completion order. Declared (spec-only)
 // databases return empty top-Ks.
 func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int) ([][]topk.Entry, []PruneStats) {
 	nq := len(qfvs)
@@ -273,16 +296,24 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 	}
 	// A single query scores at most one gather batch per GEMM pass, so its
 	// context carries no more scorer scratch than that.
-	rows := ds.scoreBatch()
+	batch := ds.scoreBatch()
+	rows := batch
 	if nq > 1 {
 		rows = multiScoreRows
 	}
+	// Runs of group channels fill a batch when a channel holds fewer
+	// features; a tier decides skips per channel segment, so it keeps one.
+	group := 1
+	if perChannel := (key.end - key.start + stride - 1) / stride; tier == nil && perChannel > 0 {
+		group = max(1, batch/int(perChannel))
+	}
+	runs := (channels + group - 1) / group
 	queues := make([]*topk.Queue, channels*nq) // [ch*nq+q]
 	stats := make([]PruneStats, channels*nq)
-	if workers > channels {
-		workers = channels
+	if workers > runs {
+		workers = runs
 	}
-	var nextShard atomic.Int64
+	var nextRun, batches atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -290,7 +321,6 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 			defer wg.Done()
 			ctx := ds.pools.get(net, rows)
 			defer ctx.release()
-			batch := len(ctx.ids)
 			scores := ctx.scoreRows(nq)
 			gather := func(n int, i int64) { ctx.dfvs[n] = st.vectors[i] }
 			score := func(n int) { ctx.bs.ScoreMulti(scores, qfvs, ctx.dfvs[:n]) }
@@ -304,68 +334,79 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 			if tier != nil {
 				active = make([]bool, nq)
 			}
-			drain := func(qs []*topk.Queue, n int) {
+			drained := int64(0)
+			drain := func(n int) {
 				if n == 0 {
 					return
 				}
 				score(n)
-				for q := range qs {
+				drained++
+				for q := range nq {
 					if active == nil || active[q] {
-						ctx.offer(qs[q], scores[q], n)
+						ctx.offer(queues, nq, q, scores[q], n)
 					}
 				}
 			}
+			defer func() { batches.Add(drained) }()
 			for {
-				ch := int(nextShard.Add(1) - 1)
-				if ch >= channels {
+				first := int(nextRun.Add(1)-1) * group
+				if first >= channels {
 					return
 				}
-				qs := queues[ch*nq : (ch+1)*nq]
-				for q, k := range ks {
-					qs[q] = topk.New(k)
-				}
-				// Feature i lives on channel i mod Channels (§4.4 striping),
-				// so the shard walks its stripe directly.
-				for i := key.start + ((int64(ch)-key.start)%stride+stride)%stride; i < key.end; {
-					segEnd := key.end
-					if tier != nil {
-						seg := (i / stride) / tier.stripeFeatures
-						segEnd = min(int64(ch)+stride*(seg+1)*tier.stripeFeatures, key.end)
-						segFeatures := (segEnd - i + stride - 1) / stride
-						anyActive := false
-						for q := range qs {
-							ps := &stats[ch*nq+q]
-							active[q] = !skipStripe(ctx.bnd, tier, qfvs[q], qs[q], ch, seg, ps)
-							if active[q] {
-								anyActive = true
-							} else {
-								ps.FeaturesSkipped += segFeatures
+				n := 0
+				for ch := first; ch < min(first+group, channels); ch++ {
+					qs := queues[ch*nq : (ch+1)*nq]
+					for q, k := range ks {
+						qs[q] = topk.New(k)
+					}
+					// Feature i lives on channel i mod Channels (§4.4
+					// striping), so the walk visits the stripe directly.
+					for i := key.start + ((int64(ch)-key.start)%stride+stride)%stride; i < key.end; {
+						segEnd := key.end
+						if tier != nil {
+							seg := (i / stride) / tier.stripeFeatures
+							segEnd = min(int64(ch)+stride*(seg+1)*tier.stripeFeatures, key.end)
+							segFeatures := (segEnd - i + stride - 1) / stride
+							anyActive := false
+							for q := range qs {
+								ps := &stats[ch*nq+q]
+								active[q] = !skipStripe(ctx.bnd, tier, qfvs[q], qs[q], ch, seg, ps)
+								if active[q] {
+									anyActive = true
+								} else {
+									ps.FeaturesSkipped += segFeatures
+								}
+							}
+							if !anyActive {
+								i = segEnd
+								continue
 							}
 						}
-						if !anyActive {
-							i = segEnd
-							continue
+						for ; i < segEnd; i += stride {
+							gather(n, i)
+							ctx.ids[n] = i
+							ctx.objs[n] = uint64(layout.Geom.Linear(layout.FeatureAddr(i)))
+							ctx.chs[n] = ch
+							n++
+							if n == batch {
+								drain(n)
+								n = 0
+							}
 						}
-					}
-					n := 0
-					for ; i < segEnd; i += stride {
-						gather(n, i)
-						ctx.ids[n] = i
-						ctx.objs[n] = uint64(layout.Geom.Linear(layout.FeatureAddr(i)))
-						n++
-						if n == batch {
-							drain(qs, n)
+						if tier != nil {
+							// Segment boundary: drain so the next skip
+							// decisions see every offer of this channel so far.
+							drain(n)
 							n = 0
 						}
 					}
-					// Segment boundary: drain so the next skip decisions see
-					// every offer of this channel so far.
-					drain(qs, n)
 				}
+				drain(n)
 			}
 		}()
 	}
 	wg.Wait()
+	ds.obs.Counter("core_scan_batches").Add(batches.Load())
 	shards := make([]*topk.Queue, channels)
 	for q := range tops {
 		for ch := range shards {
@@ -405,14 +446,14 @@ func (ds *DeepStore) rerank(net *nn.Network, st *dbState, qfv []float32, cached 
 	if st.vectors == nil {
 		return cached
 	}
-	q := topk.New(k)
+	q := []*topk.Queue{topk.New(k)}
 	ctx := ds.pools.get(net, ds.scoreBatch())
 	defer ctx.release()
 	row := ctx.scoreRows(1)[0]
 	n := 0
 	flush := func() {
 		ctx.bs.ScoreBatch(row, qfv, ctx.dfvs[:n])
-		ctx.offer(q, row, n)
+		ctx.offer(q, 1, 0, row, n)
 		n = 0
 	}
 	for _, e := range cached {
@@ -422,13 +463,39 @@ func (ds *DeepStore) rerank(net *nn.Network, st *dbState, qfv []float32, cached 
 		ctx.dfvs[n] = st.vectors[e.FeatureID]
 		ctx.ids[n] = e.FeatureID
 		ctx.objs[n] = e.ObjectID
+		ctx.chs[n] = 0
 		n++
 		if n == len(ctx.ids) {
 			flush()
 		}
 	}
 	flush()
-	return q.Results()
+	return q[0].Results()
+}
+
+// latencyBucketsMs is the ladder of every latency histogram the engine
+// observes into, built once (a histogram copies it when first created).
+var latencyBucketsMs = obs.LatencyBucketsMs()
+
+// stageMetrics names the latency histogram of each stage a query reports,
+// "core_stage_<stage>_ms", built once so an observation concatenates nothing.
+var stageMetrics = func() map[string]string {
+	m := make(map[string]string)
+	for _, s := range []string{obs.StageQCacheLookup, obs.StageScan, obs.StageSharedScan,
+		obs.StageSchedQueue, obs.StageBoundCheck, obs.StageRerank, obs.StageRerankExact,
+		obs.StageDMA, obs.StageHistAppend, obs.StageHistMine} {
+		m[s] = "core_stage_" + s + "_ms"
+	}
+	return m
+}()
+
+// observeStage records one stage duration in the stage's latency histogram.
+func (ds *DeepStore) observeStage(stage string, d sim.Duration) {
+	name, ok := stageMetrics[stage]
+	if !ok {
+		name = "core_stage_" + stage + "_ms"
+	}
+	ds.obs.Histogram(name, latencyBucketsMs).Observe(d.Seconds() * 1e3)
 }
 
 func (ds *DeepStore) finishQuery(r *QueryResult) {
@@ -441,9 +508,9 @@ func (ds *DeepStore) finishQuery(r *QueryResult) {
 	ds.stats.TotalJ += r.Energy.Total()
 	ds.obs.Counter("core_queries").Inc()
 	ds.obs.Counter("core_features_scanned").Add(r.FeaturesScanned)
-	ds.obs.Histogram("core_query_latency_ms", obs.LatencyBucketsMs()).Observe(r.Latency.Seconds() * 1e3)
+	ds.obs.Histogram("core_query_latency_ms", latencyBucketsMs).Observe(r.Latency.Seconds() * 1e3)
 	for _, s := range r.Stages {
-		ds.obs.Histogram("core_stage_"+s.Name+"_ms", obs.LatencyBucketsMs()).Observe(s.Dur.Seconds() * 1e3)
+		ds.observeStage(s.Name, s.Dur)
 	}
 }
 
@@ -483,7 +550,7 @@ func (ds *DeepStore) fetchResults(id QueryID, forget bool) (*QueryResult, error)
 	st.result.Stages = append(st.result.Stages, obs.Stage{Name: obs.StageDMA, Dur: dma})
 	ds.stats.SimTime += dma
 	ds.obs.Counter("core_get_results").Inc()
-	ds.obs.Histogram("core_stage_"+obs.StageDMA+"_ms", obs.LatencyBucketsMs()).Observe(dma.Seconds() * 1e3)
+	ds.observeStage(obs.StageDMA, dma)
 	ds.tracer.Add(obs.Span{Name: obs.StageDMA, Cat: "core", TID: int64(id), Start: before, Dur: dma})
 	if forget {
 		delete(ds.queries, id)

@@ -409,8 +409,7 @@ func (s *Server) runBatchLocked(batch []servItem, cause cutCause, started sim.Ti
 			wait = 0
 		}
 		name := it.tenant.cfg.Name
-		s.ds.obs.Histogram("serve_wait_"+name+"_ms", obs.LatencyBucketsMs()).
-			Observe(wait.Seconds() * 1e3)
+		s.ds.obs.Histogram("serve_wait_"+name+"_ms", latencyBucketsMs).Observe(wait.Seconds() * 1e3)
 		if errs[i] != nil {
 			s.ds.obs.Counter("serve_failed_" + name).Inc()
 			it.tenant.failed++
@@ -547,8 +546,7 @@ func deliverItem(ds *DeepStore, it servItem, id QueryID, started sim.Time) error
 	}
 	res.Latency += qwait
 	res.Stages = append([]obs.Stage{{Name: obs.StageSchedQueue, Dur: qwait}}, res.Stages...)
-	ds.obs.Histogram("core_stage_"+obs.StageSchedQueue+"_ms", obs.LatencyBucketsMs()).
-		Observe(qwait.Seconds() * 1e3)
+	ds.observeStage(obs.StageSchedQueue, qwait)
 	it.ch <- res
 	close(it.ch)
 	return nil

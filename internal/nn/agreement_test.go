@@ -269,9 +269,10 @@ func TestScoreBatchValidation(t *testing.T) { checkMisuse(t, false) }
 func TestScoreMultiValidation(t *testing.T) { checkMisuse(t, true) }
 
 // TestScoreBatchAllocFree: steady-state ScoreBatch and ScoreMulti calls
-// allocate nothing in either precision, nor does a Resident's ScoreAll or a
-// Put into a slot it has room for — the property that keeps the scan's and
-// the cache sweep's hot loops off the garbage collector.
+// allocate nothing in either precision, nor does a Resident's ScoreAll,
+// Logits or a Put into a slot it has room for, nor Network.Activate — the
+// property that keeps the scan's and the cache sweep's hot loops off the
+// garbage collector.
 func TestScoreBatchAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, net := range batchTestNets() {
@@ -290,6 +291,8 @@ func TestScoreBatchAllocFree(t *testing.T) {
 			"int8 ScoreMulti":   func() { qbs.ScoreMulti(grid, qqs, qpool) },
 			"Resident.Put":      func() { res.Put(99, pool[0]) },
 			"Resident.ScoreAll": func() { res.ScoreAll(all, qfvs[0]) },
+			"Resident.Logits":   func() { res.Logits(all, qfvs[0]) },
+			"Network.Activate":  func() { all[0] = net.Activate(all[1]) },
 		} {
 			call() // warm up
 			if n := testing.AllocsPerRun(10, call); n != 0 {

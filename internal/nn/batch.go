@@ -112,6 +112,7 @@ func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)
 		rows := min(total-base, e.max)
 		fill(base, rows)
 		out, oe := e.forward(0, e.comb, ce, rows)
+		e.net.scoreAct().apply(out)
 		for r := 0; r < rows; r++ {
 			f := base + r
 			scores[f/nb][f%nb] = out[r*oe]
@@ -121,12 +122,12 @@ func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)
 
 // forward pushes the first rows rows of in — the input of Layers[first],
 // inElems wide: the combined matrix when first is 0 — through the rest of
-// the layer stack, returning the final activation matrix and its per-row
-// element count. An FC layer with an int8 image quantizes each activation
-// row and runs GemmInt8; everything else takes the layer's float32 row
-// kernel — the final FC for its live outputs only, since callers read
-// nothing but the score (the int8 image still computes the whole layer;
-// DESIGN.md "Live outputs").
+// the layer stack, returning the final layer's output before its activation
+// (the logits; the caller applies scoreAct) and its per-row element count.
+// An FC layer with an int8 image quantizes each activation row and runs
+// GemmInt8; everything else takes the layer's float32 row kernel — the final
+// FC for its live outputs only, since callers read nothing but the score
+// (the int8 image still computes the whole layer; DESIGN.md "Live outputs").
 func (e *executor) forward(first int, in []float32, inElems, rows int) ([]float32, int) {
 	p := &e.net.plan
 	last := len(e.net.Layers) - 1
@@ -142,7 +143,6 @@ func (e *executor) forward(first int, in []float32, inElems, rows int) ([]float3
 			out := e.bufs[li][:rows*oe]
 			tensor.GemmInt8(out, e.acc[:rows*qfc.fc.Out], e.qin[:rows*inElems], qfc.w,
 				qfc.fc.B, rows, qfc.fc.Out, inElems, e.rowScales[:rows], qfc.scales)
-			qfc.fc.Act.apply(out)
 		case li == last && p.liveOut > 0:
 			oe = p.liveOut
 			l.(*FC).forwardLive(e.bufs[li][:rows*oe], in[:rows*inElems], rows, oe)
@@ -150,6 +150,9 @@ func (e *executor) forward(first int, in []float32, inElems, rows int) ([]float3
 			l.forwardRows(e.bufs[li][:rows*oe], in[:rows*inElems], rows, e.col)
 		}
 		in, inElems = e.bufs[li][:rows*oe], oe
+		if li < last {
+			l.activation().apply(in)
+		}
 	}
 	return in, inElems
 }

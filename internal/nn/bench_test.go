@@ -117,11 +117,18 @@ func benchScoreChunks(b *testing.B, n *Network, entries int) {
 // and the vectorised Hadamard fill. ns/op is per sweep.
 func BenchmarkQCNSweep(b *testing.B) { benchScoreChunks(b, qcnNeuronNet(), 1024) }
 
-// BenchmarkResidentSweep is BenchmarkQCNSweep's sweep as the query cache runs
-// it: the 1 024 queries resident in a Resident, scored by one ScoreAll — the
-// fused combine-and-dot lanes kernel, no gather and no pack. ns/op is per
-// sweep.
-func BenchmarkResidentSweep(b *testing.B) {
+// BenchmarkResidentSweep is BenchmarkQCNSweep's sweep through a Resident:
+// the 1 024 queries resident in the lanes layout, scored by one ScoreAll —
+// the fused combine-and-dot lanes kernel, no gather and no pack, then the
+// sigmoid on every score. ns/op is per sweep.
+func BenchmarkResidentSweep(b *testing.B) { benchResident(b, (*Resident).ScoreAll) }
+
+// BenchmarkResidentLogits is the sweep as the query cache runs it: one
+// Logits, BenchmarkResidentSweep without the 1 024 sigmoids, which the cache
+// applies only to the logits that can win. ns/op is per sweep.
+func BenchmarkResidentLogits(b *testing.B) { benchResident(b, (*Resident).Logits) }
+
+func benchResident(b *testing.B, sweep func(r *Resident, dst, qfv []float32)) {
 	n := qcnNeuronNet()
 	n.InitRandom(1)
 	rng := rand.New(rand.NewSource(1))
@@ -130,11 +137,11 @@ func BenchmarkResidentSweep(b *testing.B) {
 	for s, v := range randVecs(rng, 1024, n.FeatureElems()) {
 		r.Put(s, v)
 	}
-	scores := make([]float32, 1024)
+	dst := make([]float32, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.ScoreAll(scores, q)
+		sweep(r, dst, q)
 	}
 }
 

@@ -61,6 +61,14 @@ func (a Activation) apply(x []float32) {
 	}
 }
 
+// of is apply on one value, through the same kernel, so a scalar activation
+// and a batch one cannot disagree.
+func (a Activation) of(x float32) float32 {
+	v := [1]float32{x}
+	a.apply(v[:])
+	return v[0]
+}
+
 // String names the activation.
 func (a Activation) String() string {
 	switch a {
@@ -93,13 +101,18 @@ type Layer interface {
 	WeightCount() int64
 	// InitRandom fills parameters from rng with small centered values.
 	InitRandom(rng *rand.Rand)
+	// activation is the nonlinearity that follows the layer's kernels
+	// (ActNone for an element-wise layer); the walk applies it, so a final
+	// layer's pre-activation output, its logits, is there to be read.
+	activation() Activation
 	// forwardInto is the per-sample kernel Scorer runs: it computes the layer
-	// on one input vector, overwriting dst fully.
+	// before its activation on one input vector, overwriting dst fully.
 	forwardInto(dst, in []float32)
-	// forwardRows is the batched kernel: it computes the layer on every row
-	// of a rows×inElems activation matrix, overwriting dst fully. col is the
-	// caller's im2col scratch. Row b gets exactly forwardInto's arithmetic
-	// (up to the sign of a zero for padded convolutions).
+	// forwardRows is the batched kernel: it computes the layer before its
+	// activation on every row of a rows×inElems activation matrix,
+	// overwriting dst fully. col is the caller's im2col scratch. Row b gets
+	// exactly forwardInto's arithmetic (up to the sign of a zero for padded
+	// convolutions).
 	forwardRows(dst, in []float32, rows int, col []float32)
 }
 
@@ -143,12 +156,12 @@ func (l *FC) FLOPs(in tensor.Shape) int64 { return 2 * int64(l.In) * int64(l.Out
 // WeightCount implements Layer.
 func (l *FC) WeightCount() int64 { return int64(l.In)*int64(l.Out) + int64(l.Out) }
 
+// activation implements Layer.
+func (l *FC) activation() Activation { return l.Act }
+
 // forwardInto implements Layer. Gemv overwrites dst fully, so a reused buffer
 // needs no clearing.
-func (l *FC) forwardInto(dst, in []float32) {
-	tensor.Gemv(dst, l.W, in, l.B)
-	l.Act.apply(dst)
-}
+func (l *FC) forwardInto(dst, in []float32) { tensor.Gemv(dst, l.W, in, l.B) }
 
 // forwardRows implements Layer: one blocked GEMM over the whole batch — the
 // per-feature Gemv calls collapse into matrix-matrix compute that reuses each
@@ -163,7 +176,6 @@ func (l *FC) forwardRows(dst, in []float32, rows int, _ []float32) {
 // it runs.
 func (l *FC) forwardLive(dst, in []float32, rows, n int) {
 	tensor.Gemm(dst, in, l.W[:n*l.In], l.B[:n], rows, n, l.In)
-	l.Act.apply(dst)
 }
 
 // InitRandom implements Layer with Xavier-style scaling.
@@ -241,11 +253,13 @@ func (l *Conv) WeightCount() int64 {
 	return int64(l.K)*int64(l.R)*int64(l.S)*int64(l.C) + int64(l.K)
 }
 
+// activation implements Layer.
+func (l *Conv) activation() Activation { return l.Act }
+
 // forwardInto implements Layer with the direct convolution, which overwrites
 // dst fully.
 func (l *Conv) forwardInto(dst, in []float32) {
 	tensor.Conv2D(dst, in, l.Wt, l.B, l.H, l.W, l.C, l.K, l.R, l.S, l.Stride, l.Pad)
-	l.Act.apply(dst)
 }
 
 // forwardRows implements Layer. Each sample lowers to an im2col patch matrix
@@ -259,7 +273,6 @@ func (l *Conv) forwardRows(dst, in []float32, rows int, col []float32) {
 		tensor.Conv2DIm2col(dst[b*outLen:(b+1)*outLen], in[b*inLen:(b+1)*inLen],
 			l.Wt, l.B, col, l.H, l.W, l.C, l.K, l.R, l.S, l.Stride, l.Pad)
 	}
-	l.Act.apply(dst)
 }
 
 // InitRandom implements Layer.
@@ -344,6 +357,9 @@ func (l *Elementwise) WeightCount() int64 {
 	}
 	return 0
 }
+
+// activation implements Layer: an element-wise layer has none.
+func (l *Elementwise) activation() Activation { return ActNone }
 
 // forwardInto implements Layer: the batched kernel with one row.
 func (l *Elementwise) forwardInto(dst, in []float32) { l.forwardRows(dst, in, 1, nil) }

@@ -9,10 +9,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// forward runs l's per-sample kernel on in, returning a fresh output tensor.
+// forward runs l's per-sample kernel and its activation on in, returning a
+// fresh output tensor.
 func forward(l Layer, in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(l.OutputShape(in.Shape)...)
 	l.forwardInto(out.Data, in.Data)
+	l.activation().apply(out.Data)
 	return out
 }
 

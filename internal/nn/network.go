@@ -53,7 +53,23 @@ type Network struct {
 	Combine      CombineOp
 	Layers       []Layer
 	plan         plan
+	layerPlan    []LayerDims
 }
+
+// scoreAct is the last layer's activation (ActNone without layers): a score
+// is scoreAct of the logit the rest of the stack computes.
+func (n *Network) scoreAct() Activation {
+	if len(n.Layers) == 0 {
+		return ActNone
+	}
+	return n.Layers[len(n.Layers)-1].activation()
+}
+
+// Activate maps a logit, a Resident.Logits output, to the network's score:
+// the last layer's activation as a scalar function. Every Activation is
+// non-decreasing and maps only NaN to NaN, so no logit scores above a larger
+// one.
+func (n *Network) Activate(logit float32) float32 { return n.scoreAct().of(logit) }
 
 // plan is what every executor needs to know about a network's shapes to size
 // its scratch, computed once by NewNetwork's validating walk: Scorer, the
@@ -90,8 +106,29 @@ func NewNetwork(name string, featureShape tensor.Shape, combine CombineOp, layer
 		shape := n.combinedShape()
 		p := &n.plan
 		p.combElems, p.widest = shape.Elems(), shape.Elems()
+		if combine.IsElementwise() {
+			n.layerPlan = append(n.layerPlan, LayerDims{
+				Name:  "combine-" + combine.String(),
+				Kind:  KindElementwise,
+				In:    shape.Clone(),
+				Out:   shape.Clone(),
+				FLOPs: int64(shape.Elems()),
+			})
+		}
 		for i, l := range layers {
-			shape = l.OutputShape(shape)
+			d := LayerDims{
+				Name:    l.Name(),
+				Kind:    l.Kind(),
+				In:      shape.Clone(),
+				Out:     l.OutputShape(shape),
+				FLOPs:   l.FLOPs(shape),
+				Weights: l.WeightCount(),
+			}
+			if cv, ok := l.(*Conv); ok {
+				d.K, d.R, d.S, d.C, d.Stride = cv.K, cv.R, cv.S, cv.C, cv.Stride
+			}
+			n.layerPlan = append(n.layerPlan, d)
+			shape = d.Out
 			p.outElems = append(p.outElems, shape.Elems())
 			p.widest = max(p.widest, shape.Elems())
 			switch l := l.(type) {
@@ -205,38 +242,9 @@ type LayerDims struct {
 
 // LayerPlan returns per-layer dimensions, including a synthetic entry for an
 // element-wise combine stage, in execution order. The timing model maps each
-// entry onto the systolic array.
-func (n *Network) LayerPlan() []LayerDims {
-	var plan []LayerDims
-	shape := n.FeatureShape.Clone()
-	if n.Combine.IsElementwise() {
-		plan = append(plan, LayerDims{
-			Name:  "combine-" + n.Combine.String(),
-			Kind:  KindElementwise,
-			In:    shape.Clone(),
-			Out:   shape.Clone(),
-			FLOPs: int64(shape.Elems()),
-		})
-	} else {
-		shape = n.combinedShape()
-	}
-	for _, l := range n.Layers {
-		d := LayerDims{
-			Name:    l.Name(),
-			Kind:    l.Kind(),
-			In:      shape.Clone(),
-			Out:     l.OutputShape(shape),
-			FLOPs:   l.FLOPs(shape),
-			Weights: l.WeightCount(),
-		}
-		if cv, ok := l.(*Conv); ok {
-			d.K, d.R, d.S, d.C, d.Stride = cv.K, cv.R, cv.S, cv.C, cv.Stride
-		}
-		plan = append(plan, d)
-		shape = d.Out
-	}
-	return plan
-}
+// entry onto the systolic array. NewNetwork's shape walk fills it once; the
+// slice is shared, so callers must not modify it.
+func (n *Network) LayerPlan() []LayerDims { return n.layerPlan }
 
 // InitRandom initializes every layer's parameters deterministically from
 // seed, so simulations and examples are reproducible.

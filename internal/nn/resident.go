@@ -21,7 +21,7 @@ const residentLanesCols = 4
 // cache's resident queries (§4.6), which the paper keeps in SSD DRAM for the
 // channel accelerators to stream. Put writes a vector once, into the layout
 // tensor.GemmLanes reads (blocks of 16 slots, each block k-major), so
-// ScoreAll compares a query against every slot with no gather, no combined
+// Logits compares a query against every slot with no gather, no combined
 // rows and no pack. Only the stored vectors are resident: the weights are
 // read in place on every call, so a network rewritten after its Resident was
 // built is the network the Resident runs.
@@ -95,13 +95,23 @@ func (r *Resident) Put(slot int, dfv []float32) {
 }
 
 // ScoreAll writes scores[s], the network's score of (qfv, slot s's vector),
-// for every slot s in [0, len(scores)); a slot never Put holds the zero
-// vector. It panics unless qfv has the feature length and len(scores) is at
-// most the capacity. Steady-state calls allocate nothing.
+// for every slot s in [0, len(scores)): Logits, then the network's Activate
+// in place. It panics as Logits does.
 func (r *Resident) ScoreAll(scores, qfv []float32) {
-	m := len(scores)
+	r.Logits(scores, qfv)
+	r.exec.net.scoreAct().apply(scores)
+}
+
+// Logits writes logits[s], the network's output for (qfv, slot s's vector)
+// before the last layer's activation, for every slot s in [0, len(logits));
+// a slot never Put holds the zero vector. The network's Activate maps a
+// logit to its score and never decreases, so the largest logit has the
+// largest score. It panics unless qfv has the feature length and
+// len(logits) is at most the capacity. Steady-state calls allocate nothing.
+func (r *Resident) Logits(logits, qfv []float32) {
+	m := len(logits)
 	if m > r.capacity {
-		panic(fmt.Sprintf("nn: %d scores for a resident capacity of %d", m, r.capacity))
+		panic(fmt.Sprintf("nn: %d logits for a resident capacity of %d", m, r.capacity))
 	}
 	if m == 0 {
 		return
@@ -117,7 +127,9 @@ func (r *Resident) ScoreAll(scores, qfv []float32) {
 			in, inElems, next = e.bufs[0][:rows*r.n], r.n, 1
 			tensor.GemmLanes(in, qfv, r.lanes[g0*fe:][:tensor.LanesLen(rows, fe)],
 				fc.W[:r.n*fc.In], fc.B[:r.n], rows, r.n, fe, r.op)
-			fc.Act.apply(in)
+			if len(e.net.Layers) > 1 {
+				fc.Act.apply(in)
+			}
 		} else {
 			for i := 0; i < rows; i++ {
 				lane := r.lane(g0 + i)
@@ -129,7 +141,7 @@ func (r *Resident) ScoreAll(scores, qfv []float32) {
 		}
 		out, oe := e.forward(next, in, inElems, rows)
 		for i := 0; i < rows; i++ {
-			scores[g0+i] = out[i*oe]
+			logits[g0+i] = out[i*oe]
 		}
 	}
 }

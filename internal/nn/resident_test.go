@@ -62,8 +62,9 @@ func residentFuzzNet(seed int64) *Network {
 // element-wise layer, a convolution, any concat network), one to three
 // layers deep — and random
 // sequences of Put that fill, overwrite and skip slots, ScoreAll over any
-// prefix of the slots is bit-identical to ScoreBatch over the same vectors in
-// slot order, slots never Put being zero vectors.
+// prefix of the slots — and Activate of every Logits output — is
+// bit-identical to ScoreBatch over the same vectors in slot order, slots
+// never Put being zero vectors.
 func FuzzResidentMatchesScoreBatch(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, []byte{0, 1, 2, 3, 64, 65, 7, 0, 129, 200, 17, 16, 15, 66})
@@ -86,7 +87,13 @@ func FuzzResidentMatchesScoreBatch(f *testing.F) {
 			q := randVec(rng, fe)
 			bs.ScoreBatch(want, q, slots[:m])
 			r.ScoreAll(got, q)
-			sameScoreBits(t, fmt.Sprintf("%s, %d of %d slots", net, m, capacity), got, want)
+			what := fmt.Sprintf("%s, %d of %d slots", net, m, capacity)
+			sameScoreBits(t, what, got, want)
+			r.Logits(got, q)
+			for i, l := range got {
+				got[i] = net.Activate(l)
+			}
+			sameScoreBits(t, what+", Activate∘Logits", got, want)
 		}
 		if len(puts) > 300 {
 			puts = puts[:300]
@@ -116,6 +123,7 @@ func TestResidentMisuse(t *testing.T) {
 		"slot past cap":   func() { net.Resident(4).Put(4, good) },
 		"short qfv":       func() { net.Resident(4).ScoreAll(make([]float32, 1), good[1:]) },
 		"scores past cap": func() { net.Resident(4).ScoreAll(make([]float32, 5), good) },
+		"logits past cap": func() { net.Resident(4).Logits(make([]float32, 5), good) },
 	} {
 		func() {
 			defer func() {

@@ -51,6 +51,7 @@ func (s *Scorer) Score(qfv, dfv []float32) float32 {
 	n.combine(x, qfv, dfv)
 	for i, l := range n.Layers {
 		l.forwardInto(s.outs[i], x)
+		l.activation().apply(s.outs[i])
 		x = s.outs[i]
 	}
 	return x[0]

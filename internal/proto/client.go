@@ -39,18 +39,22 @@ func (l Loopback) Submit(c Command) (Completion, error) {
 // net.Pipe, …): commands and completions travel in their NVMe-like wire
 // encoding, one request in flight at a time.
 //
-// A Stream is NOT safe for concurrent Submit calls — the shared bufio.Writer
-// and the in-order completion read assume strict request-response use. The
+// Both directions are buffered: a command leaves in one Write, and a
+// completion's header, detail and payload are decoded from one buffered
+// read of the stream rather than one read each.
+//
+// A Stream is NOT safe for concurrent Submit calls — the shared buffers and
+// the in-order completion read assume strict request-response use. The
 // Client's mutex provides that serialization; drive a shared Stream through
 // one Client (or add external locking).
 type Stream struct {
-	rw io.ReadWriter
+	br *bufio.Reader
 	bw *bufio.Writer
 }
 
 // NewStream wraps a duplex stream.
 func NewStream(rw io.ReadWriter) *Stream {
-	return &Stream{rw: rw, bw: bufio.NewWriter(rw)}
+	return &Stream{br: bufio.NewReader(rw), bw: bufio.NewWriter(rw)}
 }
 
 // Submit implements Transport.
@@ -65,15 +69,17 @@ func (s *Stream) Submit(c Command) (Completion, error) {
 	if err := s.bw.Flush(); err != nil {
 		return Completion{}, err
 	}
-	return UnmarshalCompletion(s.rw)
+	return UnmarshalCompletion(s.br)
 }
 
 // Serve runs the device side of a Stream transport until the stream closes:
 // it decodes commands, executes them on the handler, and writes completions.
+// Reads go through a buffer, so a frame costs one read of the stream however
+// many fields it has.
 func Serve(rw io.ReadWriter, h *Handler) error {
-	bw := bufio.NewWriter(rw)
+	br, bw := bufio.NewReader(rw), bufio.NewWriter(rw)
 	for {
-		cmd, err := UnmarshalCommand(rw)
+		cmd, err := UnmarshalCommand(br)
 		if err != nil {
 			if err == io.EOF {
 				return nil

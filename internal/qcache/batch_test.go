@@ -35,18 +35,23 @@ func (r *tableResident) Put(slot int, q int) {
 	r.puts++
 }
 
-func (r *tableResident) ScoreAll(scores []float64, q int) {
-	for s := range scores {
-		scores[s] = r.score(q, r.qs[s])
+func (r *tableResident) Keys(keys []float64, q int) {
+	for s := range keys {
+		keys[s] = r.score(q, r.qs[s])
 	}
 }
+
+func (r *tableResident) Score(key float64) float64 { return key }
 
 // TestBatchedSweepMatchesScalar: with a batch scorer installed — at batch
 // sizes that divide the cache, leave ragged tails or exceed it — and through
 // a cache's own Resident, the sweep picks exactly the entry and score the
 // scalar index-order reference picks, on churned caches and across the
-// landscapes of TestSweepParallelMatchesSerial.
+// landscapes of TestSweepParallelMatchesSerial; and on adversarial keys
+// (saturated ties, NaN, ±Inf, ±0, all zero, one entry) the sweep, which
+// scores only the keys that can win, picks what scoring every entry picks.
 func TestBatchedSweepMatchesScalar(t *testing.T) {
+	t.Run("adversarial", adversarialSweeps)
 	for _, name := range []string{"peak", "all-tied", "hashed", "all-zero"} {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range sweepSizes {

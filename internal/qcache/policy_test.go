@@ -175,8 +175,14 @@ func (r *twoHookRef) weakest() (int, int) {
 func (r *twoHookRef) lookup(q int) bool {
 	r.stats.Lookups++
 	r.stats.Comparisons += uint64(len(r.entries))
+	if len(r.entries) > 0 {
+		r.stats.Activations++ // the first entry's score, 0.1 or 1
+	}
 	for i, e := range r.entries {
 		if e == q {
+			if i > 0 {
+				r.stats.Activations++ // the first 1 after the 0.1s
+			}
 			r.stats.Hits++
 			copy(r.entries[1:i+1], r.entries[:i])
 			r.entries[0] = q

@@ -25,14 +25,22 @@ type BatchScorer[Q any] func(scores []float64, q Q, batch []Q)
 
 // Resident is how a cache scores: it keeps its own copy of every cached
 // query, by slot, in whatever form it scores fastest — for the engine, the
-// QCN's operand layout in SSD DRAM — and scores a query against all of them
-// in one pass. NewResident takes one; New builds one over a Scorer.
+// QCN's operand layout in SSD DRAM — and compares a query against all of
+// them in one pass. A comparison yields a key, and Score maps a key to the
+// similarity: for the engine the key is the QCN's logit and Score its
+// activation, so a lookup activates only the keys that can win. NewResident
+// takes one; New builds one over a Scorer.
 type Resident[Q any] interface {
 	// Put makes q the query of slot, replacing what the slot held.
 	Put(slot int, q Q)
-	// ScoreAll writes scores[s] ∈ [0, 1], the similarity of q to slot s's
-	// query, for every slot s in [0, len(scores)).
-	ScoreAll(scores []float64, q Q)
+	// Keys writes keys[s], the key of q against slot s's query, for every
+	// slot s in [0, len(keys)).
+	Keys(keys []float64, q Q)
+	// Score returns the similarity ∈ [0, 1] of a key. It must be
+	// non-decreasing — no key scores above a larger one — so a key no
+	// greater than one already scored cannot win and is never scored; a NaN
+	// key is never scored and never wins.
+	Score(key float64) float64
 }
 
 // Entry is one cached query with its top-K results (the TopKFV/ObjectID
@@ -61,6 +69,10 @@ type Stats struct {
 	// AdmissionRejects counts inserts a Policy declined while the cache was
 	// full (the candidate never displaced a resident entry).
 	AdmissionRejects uint64
+	// Activations counts Resident.Score calls: host work only, one per key
+	// that beat every key before it in LRU order. The simulated QCN still
+	// runs every comparison.
+	Activations uint64
 }
 
 // MissRate returns misses/lookups (0 when no lookups yet).
@@ -93,16 +105,16 @@ type Policy[Q any] interface {
 // Every entry also owns a slot, the place its query is scored: an insert
 // takes the next free slot, or the slot of the entry it evicts, and keeps it
 // however the LRU order moves, so the slots in use are always [0, Len()). A
-// lookup scores every slot in one pass and then walks the entries in LRU
+// lookup keys every slot in one pass and then walks the entries in LRU
 // order. A Cache is not safe for concurrent use.
 type Cache[Q any] struct {
 	capacity int
 	// qcnAcc is the QCN's accuracy; Algorithm 1 weights every similarity
 	// score by it before thresholding.
 	qcnAcc float64
-	// resident scores every slot; scores[s] receives slot s's score.
+	// resident keys every slot; keys[s] receives slot s's key.
 	resident Resident[Q]
-	scores   []float64
+	keys     []float64
 	// entries[0] is most recently used.
 	entries []Entry[Q]
 	stats   Stats
@@ -151,7 +163,8 @@ func (c *Cache[Q]) SetBatchScorer(bs BatchScorer[Q], batch int) {
 
 // table is the Resident of a cache built by New: the cached queries
 // themselves by slot, scored by the Scorer or, when batch is set, chunk at
-// a time by the BatchScorer.
+// a time by the BatchScorer. A key is the score itself, so Score is the
+// identity.
 type table[Q any] struct {
 	slots []Q
 	score Scorer[Q]
@@ -166,19 +179,21 @@ func (t *table[Q]) Put(slot int, q Q) {
 	t.slots[slot] = q
 }
 
-func (t *table[Q]) ScoreAll(scores []float64, q Q) {
-	slots := t.slots[:len(scores)]
+func (t *table[Q]) Keys(keys []float64, q Q) {
+	slots := t.slots[:len(keys)]
 	if t.batch == nil {
 		for s, cached := range slots {
-			scores[s] = t.score(q, cached)
+			keys[s] = t.score(q, cached)
 		}
 		return
 	}
 	for lo := 0; lo < len(slots); lo += t.chunk {
 		hi := min(lo+t.chunk, len(slots))
-		t.batch(scores[lo:hi], q, slots[lo:hi])
+		t.batch(keys[lo:hi], q, slots[lo:hi])
 	}
 }
+
+func (t *table[Q]) Score(key float64) float64 { return key }
 
 // Len returns the number of cached entries.
 func (c *Cache[Q]) Len() int { return len(c.entries) }
@@ -189,7 +204,7 @@ func (c *Cache[Q]) Capacity() int { return c.capacity }
 // Stats returns a snapshot of the counters.
 func (c *Cache[Q]) Stats() Stats { return c.stats }
 
-// Lookup runs Algorithm 1: score the query against every cached entry,
+// Lookup runs Algorithm 1: compare the query with every cached entry,
 // take the entry with the maximum confidence-weighted score, and hit when
 // the score's complement is within the threshold. On a hit the entry is
 // promoted (LRU) and its results returned; the caller re-ranks them against
@@ -213,18 +228,30 @@ func (c *Cache[Q]) Lookup(q Q, threshold float64) (Entry[Q], bool) {
 
 // sweep returns the LRU index and confidence-weighted score of the
 // best-matching entry (-1 when the cache is empty or no entry scores above
-// zero). Every slot is scored in one pass; the entries are then walked in
+// zero). Every slot is keyed in one pass; the entries are then walked in
 // LRU index order and the first strictly greater weighted score wins —
 // Algorithm 1's first-match winner, whatever order the slots are in.
+//
+// Only a key above every key before it is scored. Score never decreases, so
+// any other key scores no higher than the mark, the highest key scored so
+// far, and the mark's weighted score is already at most maxScore: the
+// skipped entry could not be strictly greater. The first non-NaN key is
+// scored whatever its value, −Inf included.
 func (c *Cache[Q]) sweep(q Q) (int, float64) {
 	n := len(c.entries)
-	c.scores = slices.Grow(c.scores[:0], n)[:n]
-	c.resident.ScoreAll(c.scores, q)
+	c.keys = slices.Grow(c.keys[:0], n)[:n]
+	c.resident.Keys(c.keys, q)
 	maxIndex, maxScore := -1, 0.0
+	mark, marked := 0.0, false
 	for i := range c.entries {
-		if s := c.scores[c.entries[i].slot] * c.qcnAcc; s > maxScore {
-			maxScore = s
-			maxIndex = i
+		k := c.keys[c.entries[i].slot]
+		if k > mark || !marked && k == k {
+			mark, marked = k, true
+			c.stats.Activations++
+			if s := c.resident.Score(k) * c.qcnAcc; s > maxScore {
+				maxScore = s
+				maxIndex = i
+			}
 		}
 	}
 	return maxIndex, maxScore

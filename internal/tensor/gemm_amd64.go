@@ -58,6 +58,14 @@ func gemmKernelAVX2(c *float32, ldc int, ap, w0, w1, w2, w3 *float32, kb, mr int
 //go:noescape
 func packA16AVX2(ap, a *float32, lda, kb int)
 
+// gemmPanels keeps gemmAVX2's packed A panels between calls: a call takes
+// one (or makes one when none is free) and gives it back, so no more panels
+// exist than calls ever ran at once, and at most 64 are kept. A channel
+// rather than a sync.Pool, which may drop what it is given — under the race
+// detector at random — while the scorers' allocation tests hold Gemm to
+// none with the detector on.
+var gemmPanels = make(chan *[gemmLanes * gemmKC]float32, 64)
+
 // gemmZeroRow stands in for the W rows a tile does not have. Never written.
 var gemmZeroRow [gemmKC]float32
 
@@ -68,10 +76,27 @@ var gemmZeroRow [gemmKC]float32
 // carries the partial sums from one K panel to the next, and only its live
 // rows and columns are ever copied to C. The padded columns compute on zeros
 // (0·Inf is a NaN the tile keeps to itself).
+//
+// The 32 KiB A panel comes from gemmPanels: on the stack it would be
+// zeroed on every call and grown onto every fresh sweep worker's stack, and
+// packA writes every element a tile reads, so a reused panel needs no
+// clearing.
 func gemmAVX2(c, a, w []float32, m, n, k int) {
 	n4 := n &^ (gemmNR - 1)
 	jr := n - n4
-	var ap [gemmLanes * gemmKC]float32
+	var panel *[gemmLanes * gemmKC]float32
+	select {
+	case panel = <-gemmPanels:
+	default:
+		panel = new([gemmLanes * gemmKC]float32)
+	}
+	defer func() {
+		select {
+		case gemmPanels <- panel:
+		default:
+		}
+	}()
+	ap := panel[:]
 	var ct [gemmLanes * gemmNR]float32
 	for i0 := 0; i0 < m; i0 += gemmLanes {
 		mr := min(m-i0, gemmLanes)

@@ -141,6 +141,49 @@ func TestGemmKernelsMatchGemv(t *testing.T) {
 	}
 }
 
+// TestGemmFreshGoroutines: 64 goroutines, each new and each starting from a
+// ragged or a full row tile, run Gemm at once, so pooled A panels are handed
+// between goroutines and reused at other shapes; every product is the
+// portable kernel's bit for bit. A panel two goroutines share shows up here
+// as a wrong product (under -race as a data race).
+func TestGemmFreshGoroutines(t *testing.T) {
+	type shape struct{ m, n, k int }
+	shapes := []shape{{1, 1, 200}, {7, 3, 700}, {16, 4, 512}, {17, 9, 513}, {64, 2, 64}, {33, 5, 1030}}
+	rng := rand.New(rand.NewSource(32))
+	type product struct {
+		a, w, want []float32
+		shape
+	}
+	products := make([]product, len(shapes))
+	for i, s := range shapes {
+		p := product{a: randSlice(rng, s.m*s.k), w: randSlice(rng, s.n*s.k), want: make([]float32, s.m*s.n), shape: s}
+		gemm(p.want, p.a, p.w, nil, s.m, s.n, s.k, nil)
+		products[i] = p
+	}
+	errs := make(chan error, 64)
+	for g := 0; g < 64; g++ {
+		go func() {
+			for i := range products {
+				p := products[(g+i)%len(products)]
+				c := make([]float32, p.m*p.n)
+				Gemm(c, p.a, p.w, nil, p.m, p.n, p.k)
+				for j := range c {
+					if math.Float32bits(c[j]) != math.Float32bits(p.want[j]) {
+						errs <- fmt.Errorf("goroutine %d, %dx%dx%d: C[%d] = %v, portable %v", g, p.m, p.n, p.k, j, c[j], p.want[j])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 64; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestGemmSpecialValues: signed zeros, denormals, infinities and NaNs go
 // through both kernels exactly as through Gemv — same NaN positions, same
 // bits everywhere else. The row counts leave SIMD lanes on zero padding,
