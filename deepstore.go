@@ -246,8 +246,8 @@ var (
 const AdmissionLearned = core.AdmissionLearned
 
 // HistoryStats summarizes the persistent query-history store: retained,
-// appended and retired record counts, retained bytes, mined group count,
-// mining passes, and prefetched entries.
+// appended and retired record counts, retained bytes, the learned model's
+// group count, and prefetched entries.
 type HistoryStats = core.HistoryStats
 
 // ErrHistoryCorrupt reports a corrupted or truncated on-flash query-history

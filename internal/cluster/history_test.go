@@ -20,7 +20,6 @@ func TestHistorySummaryAggregates(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.History = true
 	opts.CacheAdmission = core.AdmissionLearned
-	opts.HistoryMineInterval = 2
 	const shards = 3
 	e, err := NewEngines(shards, opts)
 	if err != nil {

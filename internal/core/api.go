@@ -228,8 +228,8 @@ func (ds *DeepStore) SetQC(qcn *nn.Network, qcnAccuracy float64, entries int, th
 	ds.qcThreshold = threshold
 	if ds.opts.CacheAdmission == AdmissionLearned {
 		// Learned admission: the policy reads the mined history under ds.mu
-		// (Insert only ever runs with the engine lock held). Until the first
-		// mining pass it defers to LRU bit-identically.
+		// (Insert only ever runs with the engine lock held). While the model
+		// is empty it defers to LRU bit-identically.
 		ds.qc.SetPolicy(&learnedPolicy{ds: ds})
 	}
 	// QCN executions are offloaded to the channel-level accelerators

@@ -94,9 +94,6 @@ type Options struct {
 	// ever mined — learned admission behaves bit-identically to LRU (the
 	// equivalence the core test suite locks down).
 	CacheAdmission CacheAdmission
-	// HistoryMineInterval is how many appended records pass between mining
-	// refreshes of the learned admission model (0 = DefaultMineInterval).
-	HistoryMineInterval int
 
 	// scoreBatch overrides DefaultScoreBatch as the scan's gather width (0 =
 	// the default). Only this package's tests set it, to prove that results
@@ -279,19 +276,14 @@ type DeepStore struct {
 	qcnCycles   int64
 
 	// Query-history store (DESIGN.md §15); nil unless Options.History.
-	// histMined is the learned admission model: the per-group statistics of
-	// the retained records with Seq below histMinedUpTo — folded forward by
-	// each mining pass, un-folded as records retire, so right after a pass it
-	// is exactly MineGroups(hist.Records()); nil until the first pass and
-	// whenever hist is replaced, which forces a full re-mine. histSinceMine
-	// counts appends since the last pass, and histPrefetched counts cache
-	// entries re-warmed by PrefetchHistory. All guarded by mu, like the cache
-	// whose policy reads them.
+	// histMined is the learned admission model, always exactly
+	// qhist.MineGroups(hist.Records()): every append folds its record in and
+	// the record it retires out. It is nil unless History and
+	// AdmissionLearned are both on. histPrefetched counts cache entries
+	// re-warmed by PrefetchHistory. All guarded by mu, like the cache whose
+	// policy reads them.
 	hist           *qhist.Store
 	histMined      map[uint64]qhist.GroupStat
-	histMinedUpTo  uint64
-	histSinceMine  int
-	histMines      uint64
 	histPrefetched uint64
 
 	// pools hands out per-worker batched-scoring contexts; keyed by
@@ -327,9 +319,6 @@ func New(opts Options) (*DeepStore, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown CacheAdmission %d", int(opts.CacheAdmission))
 	}
-	if opts.HistoryMineInterval < 0 {
-		return nil, fmt.Errorf("core: negative HistoryMineInterval %d", opts.HistoryMineInterval)
-	}
 	e := sim.NewEngine()
 	dev, err := ssd.New(e, opts.Device)
 	if err != nil {
@@ -355,6 +344,9 @@ func New(opts Options) (*DeepStore, error) {
 	ds.pools.quantized = opts.Quantized
 	if opts.History {
 		ds.hist = qhist.NewStore()
+		if opts.CacheAdmission == AdmissionLearned {
+			ds.histMined = make(map[uint64]qhist.GroupStat, 16)
+		}
 	}
 	return ds, nil
 }
@@ -429,7 +421,6 @@ func (ds *DeepStore) MetricsSnapshot() obs.Snapshot {
 		snap.Counters["hist_records"] = int64(ds.hist.Len())
 		snap.Counters["hist_hot_bytes"] = ds.hist.HotBytes()
 		snap.Counters["hist_cold_bytes"] = ds.hist.ColdBytes()
-		snap.Counters["hist_mines"] = int64(ds.histMines)
 	}
 	snap.Gauges["sim_time_ms"] = ds.stats.SimTime.Seconds() * 1e3
 	snap.Gauges["energy_j"] = ds.stats.TotalJ

@@ -17,16 +17,12 @@ import (
 // payload (full query vector + top-K) to the in-DRAM history store, charged
 // on the simulated clock as the hist_append stage. The store retains a fixed
 // window of the most recent records, so everything derived from it below —
-// the mined model, the mining charge, heat, the checkpointed image — is
-// bounded by that window and by nothing else. Checkpoint flushes the store
-// into its own flash block columns (an ftl.HistRegion), so history survives
-// restarts through RestoreHistory. With Options.CacheAdmission ==
-// AdmissionLearned, the store is periodically mined (hist_mine stage) into
-// per-group statistics that gate cache admission and pick eviction victims.
-
-// DefaultMineInterval is the records-between-minings used when
-// Options.HistoryMineInterval is zero.
-const DefaultMineInterval = 64
+// the mined model, heat, the checkpointed image — is bounded by that window
+// and by nothing else. Checkpoint flushes the store into its own flash block
+// columns (an ftl.HistRegion), so history survives restarts through
+// RestoreHistory. With Options.CacheAdmission == AdmissionLearned, the
+// engine keeps the window's per-group statistics, updated by every append,
+// and they gate cache admission and pick eviction victims.
 
 // ErrHistoryCorrupt is returned (wrapped) by RestoreHistory when a persisted
 // history image fails validation; the engine has already degraded to an
@@ -34,22 +30,16 @@ const DefaultMineInterval = 64
 var ErrHistoryCorrupt = qhist.ErrCorrupt
 
 // histMineCyclesPerRecord is the embedded-core cost of folding one hot
-// record into the mined group statistics (hash + accumulate).
+// record into, or out of, the mined group statistics (hash + accumulate).
 const histMineCyclesPerRecord = 8
-
-func (ds *DeepStore) mineInterval() int {
-	if ds.opts.HistoryMineInterval > 0 {
-		return ds.opts.HistoryMineInterval
-	}
-	return DefaultMineInterval
-}
 
 // appendHistory records one finished query, charging the hot-record and
 // cold-payload DRAM write on the simulated clock and folding the cost into
 // the result as the hist_append stage (so the stage-sum == latency invariant
-// holds). Every mineInterval appends in learned mode, the admission model is
-// re-mined and charged as hist_mine. Callers hold ds.mu and must call this
-// BEFORE finishQuery, on hit and miss paths alike.
+// holds). In learned mode the same stage also pays for keeping the admission
+// model equal to MineGroups of the window: the new record is folded in and
+// the one it retires is read back and folded out. Callers hold ds.mu and must
+// call this BEFORE finishQuery, on hit and miss paths alike.
 func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	if ds.hist == nil {
 		return
@@ -67,13 +57,12 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	ds.dev.DRAM.Transfer(qhist.RecordBytes+payloadBytes, nil)
 	ds.engine.Run()
 	dur := sim.Duration(ds.engine.Now() - before)
-	// A full window retires its oldest record on this append; the admission
-	// model forgets it in the same step (it may not have been mined yet).
+	// A full window retires its oldest record on this append.
 	var oldest qhist.Record
 	if recs := ds.hist.Records(); len(recs) > 0 {
 		oldest = recs[0]
 	}
-	ds.hist.AppendQuery(qhist.Record{
+	rec := ds.hist.AppendQuery(qhist.Record{
 		Time:       int64(ds.engine.Now()),
 		DB:         uint64(spec.DB),
 		Model:      uint64(spec.Model),
@@ -84,22 +73,25 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 		TopFeature: top,
 		Digest:     qhist.Digest(r.TopK),
 	}, spec.QFV, r.TopK)
+	retired := ds.hist.First() > oldest.Seq
+	if ds.histMined != nil {
+		qhist.Mine(ds.histMined, rec)
+		cycles, readBytes := int64(histMineCyclesPerRecord), int64(0)
+		if retired {
+			qhist.Unmine(ds.histMined, oldest)
+			cycles += histMineCyclesPerRecord
+			readBytes = qhist.RecordBytes
+		}
+		dur += sim.FromSeconds(float64(readBytes)/ds.dev.Config.DRAMBandwidth +
+			float64(cycles)/ds.dev.Config.CoreFreqHz)
+	}
 	r.Latency += dur
 	r.Stages = append(r.Stages, obs.Stage{Name: obs.StageHistAppend, Dur: dur})
 	ds.obs.Counter("core_hist_appends").Inc()
-	if ds.hist.First() > oldest.Seq {
-		if ds.histMined != nil && oldest.Seq < ds.histMinedUpTo {
-			qhist.Unmine(ds.histMined, oldest)
-		}
+	if retired {
 		ds.obs.Counter("core_hist_retired").Inc()
 	}
 	ds.gaugeHistory()
-	ds.histSinceMine++
-	if ds.opts.CacheAdmission == AdmissionLearned && ds.histSinceMine >= ds.mineInterval() {
-		mineDur := ds.refreshAdmissionLocked()
-		r.Latency += mineDur
-		r.Stages = append(r.Stages, obs.Stage{Name: obs.StageHistMine, Dur: mineDur})
-	}
 }
 
 // gaugeHistory publishes what the store retains; called wherever that changes.
@@ -108,47 +100,11 @@ func (ds *DeepStore) gaugeHistory() {
 	ds.obs.Gauge("core_hist_retained_bytes").Set(float64(ds.hist.HotBytes() + ds.hist.ColdBytes()))
 }
 
-// refreshAdmissionLocked brings the learned admission model up to date and
-// returns the modeled mining cost: the retained hot records stream through
-// controller DRAM once, plus a few embedded-core cycles per record. The host
-// folds only the records appended since the last pass into the existing map
-// (identical to a full qhist.MineGroups, whose fold is left-associative, as
-// retired records have already been un-folded); the SIMULATED charge stays
-// that of a full pass over the window. Callers hold ds.mu.
-func (ds *DeepStore) refreshAdmissionLocked() sim.Duration {
-	if ds.histMined == nil {
-		ds.histMined = make(map[uint64]qhist.GroupStat, 16)
-		ds.histMinedUpTo = 0
-	}
-	first := ds.hist.First()
-	qhist.MineInto(ds.histMined, ds.hist.Records(), int(max(ds.histMinedUpTo, first)-first))
-	ds.histMinedUpTo = ds.hist.NextSeq()
-	ds.histMines++
-	ds.histSinceMine = 0
-	ds.obs.Counter("core_hist_mines").Inc()
-	n := ds.hist.Len()
-	secs := float64(int64(n)*qhist.RecordBytes)/ds.dev.Config.DRAMBandwidth +
-		float64(int64(n)*histMineCyclesPerRecord)/ds.dev.Config.CoreFreqHz
-	return sim.FromSeconds(secs)
-}
-
-// RefreshAdmission re-mines the history into the learned admission model
-// immediately (an admin operation: not charged to any query). A no-op when
-// history is disabled.
-func (ds *DeepStore) RefreshAdmission() {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.hist == nil {
-		return
-	}
-	ds.refreshAdmissionLocked()
-}
-
 // learnedPolicy adapts the mined history to qcache.Policy. Its hooks run
 // inside qc.Insert, which the engine only ever calls under ds.mu, so reading
-// ds.histMined here is lock-safe. With no mined statistics yet (cold start,
-// or history still inside the first mine interval) it defers entirely to
-// LRU — the bit-equivalence the equivalence suite pins down.
+// ds.histMined here is lock-safe. With no mined statistics (history disabled,
+// or an empty window) it defers entirely to LRU — the bit-equivalence the
+// equivalence suite pins down.
 type learnedPolicy struct{ ds *DeepStore }
 
 // Key is the query's history group, the fingerprint the mined statistics are
@@ -188,8 +144,7 @@ type HistoryStats struct {
 	Retired    uint64 // of those, aged out of the window
 	HotBytes   int64  // fixed-width record region
 	ColdBytes  int64  // payload region
-	Groups     int    // distinct mined query groups (last mining pass)
-	Mines      uint64 // mining passes run
+	Groups     int    // distinct query groups in the learned admission model
 	Prefetched uint64 // cache entries re-warmed by PrefetchHistory
 }
 
@@ -201,7 +156,6 @@ func (s *HistoryStats) Add(other HistoryStats) {
 	s.HotBytes += other.HotBytes
 	s.ColdBytes += other.ColdBytes
 	s.Groups += other.Groups
-	s.Mines += other.Mines
 	s.Prefetched += other.Prefetched
 }
 
@@ -219,7 +173,6 @@ func (ds *DeepStore) HistoryStats() HistoryStats {
 		HotBytes:   ds.hist.HotBytes(),
 		ColdBytes:  ds.hist.ColdBytes(),
 		Groups:     len(ds.histMined),
-		Mines:      ds.histMines,
 		Prefetched: ds.histPrefetched,
 	}
 }
@@ -249,24 +202,24 @@ func (ds *DeepStore) HistoryRecords() []qhist.Record {
 
 // RestoreHistory replaces the engine's history store with the one persisted
 // in a Checkpoint image, charging the image's trip through controller DRAM,
-// and — in learned mode — re-mines the admission model so post-restart
-// decisions match the pre-restart engine. An image with no history section
-// simply cold-starts. A corrupted or truncated image degrades to an empty
-// cold-start history (plain-LRU-equivalent admission) and returns an error
-// wrapping ErrHistoryCorrupt; it never panics and never leaves stale mined
-// state behind.
+// and — in learned mode — mines the restored window into the admission model
+// so post-restart decisions match the pre-restart engine. An image with no
+// history section simply cold-starts. A corrupted or truncated image degrades
+// to an empty cold-start history and an empty model (plain-LRU-equivalent
+// admission) and returns an error wrapping ErrHistoryCorrupt; it never panics
+// and never leaves stale mined state behind.
 func (ds *DeepStore) RestoreHistory(img []byte) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.hist == nil {
 		return fmt.Errorf("core: history disabled (Options.History)")
 	}
-	// Replacing the store voids the incremental model: histMined back to nil
-	// makes the next refresh a full re-mine of whatever store is installed.
+	// The learned model is rebuilt from whatever store is installed.
 	replace := func(st *qhist.Store) {
 		ds.hist = st
-		ds.histMined = nil
-		ds.histSinceMine = 0
+		if ds.histMined != nil {
+			ds.histMined = qhist.MineGroups(st.Records())
+		}
 		ds.gaugeHistory()
 	}
 	degrade := func() { replace(qhist.NewStore()) }
@@ -290,9 +243,6 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 	ds.dev.DRAM.Transfer(int64(len(data)), nil)
 	ds.engine.Run()
 	replace(st)
-	if ds.opts.CacheAdmission == AdmissionLearned {
-		ds.refreshAdmissionLocked()
-	}
 	ds.obs.Counter("core_hist_restores").Inc()
 	return nil
 }

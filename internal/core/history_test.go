@@ -48,25 +48,41 @@ type histTestEnv struct {
 // a scaledQCN cache of `entries` slots.
 func newHistEngine(t *testing.T, opts Options, vectors [][]float32, entries int) histTestEnv {
 	t.Helper()
+	app := mustApp(t, "TIR")
+	app.SCN.InitRandom(1)
+	return newSCNEngine(t, opts, app.SCN, vectors, entries)
+}
+
+// toyTIR is a 2-layer SCN over TIR's 512-dimension features and queries, at
+// about 1 % of TIR's MACs per feature. The cache's hits, admissions and
+// evictions depend on the QCN and the query stream alone, so an engine
+// scoring with it takes the same cache decisions as one scoring with TIR.
+func toyTIR() *nn.Network {
+	scn := nn.MustNetwork("toy-tir", tensor.Shape{512}, nn.CombineHadamard,
+		nn.NewFC("fc1", 512, 8, nn.ActReLU),
+		nn.NewFC("fc2", 8, 2, nn.ActNone),
+	)
+	scn.InitRandom(1)
+	return scn
+}
+
+// newSCNEngine is newHistEngine scoring with scn.
+func newSCNEngine(t *testing.T, opts Options, scn *nn.Network, vectors [][]float32, entries int) histTestEnv {
+	t.Helper()
 	ds, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := workload.ByName("TIR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.SCN.InitRandom(1)
 	dbID, err := ds.WriteDB(vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := ds.LoadModelNetwork(app.SCN)
+	model, err := ds.LoadModelNetwork(scn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if entries > 0 {
-		if err := ds.SetQC(scaledQCN(app.SCN.FeatureElems()), 1.0, entries, 0.2); err != nil {
+		if err := ds.SetQC(scaledQCN(scn.FeatureElems()), 1.0, entries, 0.2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,14 +167,10 @@ func requireSameResult(t *testing.T, tag string, i int, got, want *QueryResult) 
 // to plain LRU — top-K, latency, energy, cache hits, stages — across every
 // sweep shape, the pruning tier, two-pass exact quantized mode, and stream
 // lengths 1, 7, and 64. Every learned-engine miss must also match the
-// cache-off oracle bit-for-bit on top-K.
+// cache-off oracle bit-for-bit on top-K. The engines score TIR's database
+// and queries with toyTIR, which leaves every cache decision as it is.
 func TestLearnedAdmissionEquivalence(t *testing.T) {
-	app, err := workload.ByName("TIR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.SCN.InitRandom(1)
-	vectors := workload.NewFeatureDB(app, 48, 2).Vectors
+	vectors := workload.NewFeatureDB(mustApp(t, "TIR"), 48, 2).Vectors
 
 	variants := []struct {
 		name  string
@@ -194,9 +206,9 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 					learnedOpts.CacheAdmission = AdmissionLearned // History stays false
 
 					qfvs := histTrace(t, q, int64(100+q))
-					lru := newHistEngine(t, lruOpts, vectors, entries)
-					learned := newHistEngine(t, learnedOpts, vectors, entries)
-					oracle := newHistEngine(t, opts, vectors, 0)
+					lru := newSCNEngine(t, lruOpts, toyTIR(), vectors, entries)
+					learned := newSCNEngine(t, learnedOpts, toyTIR(), vectors, entries)
+					oracle := newSCNEngine(t, opts, toyTIR(), vectors, 0)
 					for i, qfv := range qfvs {
 						lr := lru.query(t, qfv, k)
 						le := learned.query(t, qfv, k)
@@ -220,8 +232,8 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 
 					// The shared-sweep path must satisfy the same equivalence.
 					if q > 1 {
-						lruM := newHistEngine(t, lruOpts, vectors, entries)
-						learnedM := newHistEngine(t, learnedOpts, vectors, entries)
+						lruM := newSCNEngine(t, lruOpts, toyTIR(), vectors, entries)
+						learnedM := newSCNEngine(t, learnedOpts, toyTIR(), vectors, entries)
 						lres := lruM.queryMulti(t, qfvs, k)
 						mres := learnedM.queryMulti(t, qfvs, k)
 						for i := range mres {
@@ -299,7 +311,6 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 			if !bytes.Equal(snapA, snapB) {
 				t.Fatal("restored history snapshot differs from the checkpointed one")
 			}
-			a.ds.RefreshAdmission() // sync A past any partial mine interval
 			if !reflect.DeepEqual(a.ds.histMined, b.ds.histMined) {
 				t.Fatal("restored engine mined a different admission model")
 			}
@@ -350,7 +361,6 @@ func TestRestoreHistoryCorruption(t *testing.T) {
 	opts := DefaultOptions()
 	opts.History = true
 	opts.CacheAdmission = AdmissionLearned
-	opts.HistoryMineInterval = 4
 
 	a := newHistEngine(t, opts, vectors, 3)
 	for _, qfv := range histTrace(t, 12, 5) {
@@ -512,7 +522,6 @@ func TestHistoryPrefetchAndReorg(t *testing.T) {
 	opts := DefaultOptions()
 	opts.History = true
 	opts.CacheAdmission = AdmissionLearned
-	opts.HistoryMineInterval = 4
 
 	e := newHistEngine(t, opts, vectors, 4)
 	qfvs := histTrace(t, 20, 3)
@@ -600,8 +609,8 @@ func TestHistoryPrefetchAndReorg(t *testing.T) {
 }
 
 // TestHistoryConcurrentStress races every history producer and consumer:
-// sequential queries, shared sweeps, server submissions, admission
-// refreshes, history-driven reorg, and metric readers. Afterwards the store
+// sequential queries, shared sweeps, server submissions, cache prefetches,
+// history-driven reorg, and metric readers. Afterwards the store
 // must hold exactly one record per finished query with dense unique
 // sequence numbers, and every result must keep the stage-sum invariant.
 // Run with -race in CI.
@@ -615,7 +624,6 @@ func TestHistoryConcurrentStress(t *testing.T) {
 	opts := DefaultOptions()
 	opts.History = true
 	opts.CacheAdmission = AdmissionLearned
-	opts.HistoryMineInterval = 4
 
 	e := newHistEngine(t, opts, vectors, 4)
 	const (
@@ -694,7 +702,7 @@ func TestHistoryConcurrentStress(t *testing.T) {
 	}()
 	stop := make(chan struct{})
 	bg.Add(1)
-	go func() { // admission refreshes and reorg racing the traffic
+	go func() { // prefetches and reorg racing the traffic
 		defer bg.Done()
 		for i := 0; ; i++ {
 			select {
@@ -702,7 +710,10 @@ func TestHistoryConcurrentStress(t *testing.T) {
 				return
 			default:
 			}
-			e.ds.RefreshAdmission()
+			if _, err := e.ds.PrefetchHistory(2); err != nil {
+				t.Error(err)
+				return
+			}
 			if i%3 == 0 {
 				if _, err := e.ds.ReorgByHistory(ftlID(e.db)); err != nil &&
 					!errors.Is(err, ErrMigrating) {
@@ -723,7 +734,7 @@ func TestHistoryConcurrentStress(t *testing.T) {
 			}
 			e.ds.MetricsSnapshot()
 			e.ds.HistoryStats()
-			e.ds.CacheStats()
+			cacheCounts(e.ds)
 		}
 	}()
 
@@ -757,9 +768,9 @@ func TestHistoryConcurrentStress(t *testing.T) {
 }
 
 // TestMetricsSnapshotRace is the lock-discipline regression for the cache
-// hit-path statistics: MetricsSnapshot, CacheStats, and HistoryStats must
-// read the qcache and history state only under the engine lock, so racing
-// them against live query traffic is clean under -race.
+// hit-path statistics: MetricsSnapshot and HistoryStats must read the qcache
+// and history state only under the engine lock, so racing them against live
+// query traffic is clean under -race.
 func TestMetricsSnapshotRace(t *testing.T) {
 	app, err := workload.ByName("TIR")
 	if err != nil {
@@ -770,7 +781,6 @@ func TestMetricsSnapshotRace(t *testing.T) {
 	opts := DefaultOptions()
 	opts.History = true
 	opts.CacheAdmission = AdmissionLearned
-	opts.HistoryMineInterval = 2
 
 	e := newHistEngine(t, opts, vectors, 3)
 	stop := make(chan struct{})
@@ -786,11 +796,11 @@ func TestMetricsSnapshotRace(t *testing.T) {
 				default:
 				}
 				snap := e.ds.MetricsSnapshot()
-				hits, _ := e.ds.CacheStats()
-				// CacheStats runs after the snapshot, so its hit count can
-				// only have grown; shrinking would mean one of the reads
+				hits, _ := cacheCounts(e.ds)
+				// The second snapshot runs after the first, so its hit count
+				// can only have grown; shrinking would mean one of the reads
 				// tore the qcache state outside the engine lock.
-				if hits < uint64(snap.Counters["qcache_hits"]) {
+				if hits < snap.Counters["qcache_hits"] {
 					t.Error("cache hit counter ran backwards")
 					return
 				}
@@ -806,33 +816,21 @@ func TestMetricsSnapshotRace(t *testing.T) {
 	wg.Wait()
 }
 
-// requireMinedMatchesFullMine pins the incremental-mining invariant: the
-// learned model always equals a from-scratch MineGroups over the records it
-// claims to cover, and right after a refresh it covers all of them.
-func requireMinedMatchesFullMine(t *testing.T, tag string, ds *DeepStore, refreshed bool) {
+// requireModelIsWindow pins the learned admission model to its definition:
+// exactly MineGroups of the records the window retains.
+func requireModelIsWindow(t *testing.T, tag string, ds *DeepStore) {
 	t.Helper()
-	if ds.histMined == nil {
-		if refreshed {
-			t.Fatalf("%s: no admission model after a refresh", tag)
-		}
-		return
-	}
-	if refreshed && ds.histMinedUpTo != ds.hist.NextSeq() {
-		t.Fatalf("%s: refresh covered up to seq %d of %d", tag, ds.histMinedUpTo, ds.hist.NextSeq())
-	}
-	covered := ds.hist.Records()[:max(ds.histMinedUpTo, ds.hist.First())-ds.hist.First()]
-	if want := qhist.MineGroups(covered); !reflect.DeepEqual(ds.histMined, want) {
-		t.Fatalf("%s: incremental model over %d records differs from a full mine (%d vs %d groups)",
-			tag, ds.histMinedUpTo, len(ds.histMined), len(want))
+	if want := qhist.MineGroups(ds.hist.Records()); !reflect.DeepEqual(ds.histMined, want) {
+		t.Fatalf("%s: the model holds %d groups, MineGroups of the %d-record window %d",
+			tag, len(ds.histMined), ds.hist.Len(), len(want))
 	}
 }
 
-// TestIncrementalMiningMatchesFullMine drives the model through every point
-// that folds, un-folds or resets it — interval refreshes, RefreshAdmission,
-// Checkpoint, RestoreHistory over a fresh and over an already-mined engine, a
-// corrupt restore, PrefetchHistory — and checks it against a full re-mine each
-// time: once on a short history, and once on the toy engine with the
-// retention window wrapping under every one of those steps.
+// TestIncrementalMiningMatchesFullMine checks the model against a full
+// MineGroups after every query and at every point that replaces or reads it
+// — Checkpoint, RestoreHistory over a fresh and over an already-modelled
+// engine, a truncated restore, PrefetchHistory: once on a short history, and
+// once on the toy engine with the retention window wrapping.
 func TestIncrementalMiningMatchesFullMine(t *testing.T) {
 	app, err := workload.ByName("TIR")
 	if err != nil {
@@ -846,43 +844,39 @@ func TestIncrementalMiningMatchesFullMine(t *testing.T) {
 		name      string
 		newEngine func() histTestEnv
 		trace     func(n int, seed int64) [][]float32
-		warm      int // queries before the first checkpoint
+		warm      int // queries before the checkpoint
 	}{
 		{"short", func() histTestEnv { return newHistEngine(t, opts, vectors, 3) },
 			func(n int, seed int64) [][]float32 { return histTrace(t, n, seed) }, 30},
 		{"wrapped", func() histTestEnv { return newWindowEngine(t, opts) }, windowTrace, histWindow + 100},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			// Each check re-mines the whole store, so the long warm-up checks
-			// every 64th query until the store is within 200 records of its
-			// window; everything else checks after every query.
 			run := func(tag string, e histTestEnv, n int, seed int64) {
 				for i, qfv := range c.trace(n, seed) {
-					mines := e.ds.histMines
 					e.query(t, qfv, 4)
-					if n <= 64 || i%64 == 0 || e.ds.hist.Len() >= histWindow-200 {
-						requireMinedMatchesFullMine(t, fmt.Sprintf("%s query %d", tag, i), e.ds, e.ds.histMines > mines)
-					}
+					requireModelIsWindow(t, fmt.Sprintf("%s query %d", tag, i), e.ds)
 				}
 			}
 
 			a := c.newEngine()
+			requireModelIsWindow(t, "a new", a.ds)
 			run("a", a, c.warm, 11)
-			if a.ds.histMines < 7 {
-				t.Fatalf("only %d interval refreshes in %d queries", a.ds.histMines, c.warm)
-			}
 			if wrapped := a.ds.hist.First() > 0; wrapped != (c.warm > histWindow) {
 				t.Fatalf("oldest retained seq %d after %d queries", a.ds.hist.First(), c.warm)
 			}
-			a.ds.RefreshAdmission()
-			requireMinedMatchesFullMine(t, "a explicit refresh", a.ds, true)
 			img, err := a.ds.Checkpoint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireMinedMatchesFullMine(t, "a checkpointed", a.ds, true)
+			requireModelIsWindow(t, "a checkpointed", a.ds)
 
-			// Restore into an engine that has already mined a DIFFERENT
+			fresh := c.newEngine()
+			if err := fresh.ds.RestoreHistory(img); err != nil {
+				t.Fatal(err)
+			}
+			requireModelIsWindow(t, "fresh restored", fresh.ds)
+
+			// Restore into an engine that already models a DIFFERENT
 			// history: the model must be the restored store's alone, not a
 			// blend.
 			b := c.newEngine()
@@ -890,7 +884,7 @@ func TestIncrementalMiningMatchesFullMine(t *testing.T) {
 			if err := b.ds.RestoreHistory(img); err != nil {
 				t.Fatal(err)
 			}
-			requireMinedMatchesFullMine(t, "b restored", b.ds, true)
+			requireModelIsWindow(t, "b restored", b.ds)
 			if !reflect.DeepEqual(b.ds.histMined, a.ds.histMined) {
 				t.Fatal("restored engine's model differs from the checkpointed engine's")
 			}
@@ -899,19 +893,18 @@ func TestIncrementalMiningMatchesFullMine(t *testing.T) {
 			if _, err := b.ds.PrefetchHistory(2); err != nil {
 				t.Fatal(err)
 			}
-			requireMinedMatchesFullMine(t, "b prefetched", b.ds, false)
+			requireModelIsWindow(t, "b prefetched", b.ds)
 			run("b after prefetch", b, 10, 6)
 
-			// A corrupt restore degrades to an empty store and no model; the
-			// next refreshes mine only what arrives afterwards.
+			// A truncated restore degrades to an empty store and an empty
+			// model, which then holds only what arrives afterwards.
 			if err := b.ds.RestoreHistory(img[:len(img)/2]); !errors.Is(err, ErrHistoryCorrupt) {
 				t.Fatalf("truncated image: %v", err)
 			}
-			if b.ds.histMined != nil || b.ds.hist.Len() != 0 {
+			if len(b.ds.histMined) != 0 || b.ds.hist.Len() != 0 {
 				t.Fatalf("degraded engine kept %d groups over %d records", len(b.ds.histMined), b.ds.hist.Len())
 			}
-			b.ds.RefreshAdmission()
-			requireMinedMatchesFullMine(t, "b degraded refresh", b.ds, true)
+			requireModelIsWindow(t, "b degraded", b.ds)
 			run("b after degrade", b, 10, 7)
 		})
 	}
@@ -949,7 +942,7 @@ func BenchmarkInsertLearnedFull(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		ds.hist.Append(qhist.Record{Group: qhist.GroupOf(hot), Flags: qhist.FlagHit}, nil)
 	}
-	ds.RefreshAdmission()
+	ds.histMined = qhist.MineGroups(ds.hist.Records()) // what appendHistory would have kept
 	for _, c := range []struct {
 		name    string
 		q       []float32

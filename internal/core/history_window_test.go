@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -49,20 +48,20 @@ func windowOptions(admission CacheAdmission) Options {
 	opts := DefaultOptions()
 	opts.History = true
 	opts.CacheAdmission = admission
-	opts.HistoryMineInterval = 4
 	return opts
 }
 
 // TestHistoryWindowBounded runs three windows of queries through one engine:
 // the store wraps at exactly the window and stays there, what it reports,
-// snapshots and checkpoints stops growing, the simulated hist_mine charge
-// grows with the store while it fills and is one constant afterwards, and the
-// window's counter and gauges follow.
+// snapshots and checkpoints stops growing, the simulated hist_append charge
+// is one constant while the store fills and one larger constant — the
+// retiring record's read and un-fold — once it has wrapped, and the window's
+// counter and gauges follow.
 func TestHistoryWindowBounded(t *testing.T) {
 	e := newWindowEngine(t, windowOptions(AdmissionLearned))
 	const k = 4
 	perRecord := int64(qhist.RecordBytes + qhist.PayloadBytes(16, k))
-	var mineFilling, mineFull []minePass
+	var filling, full []appendCharge
 	for i, qfv := range windowTrace(3*histWindow, 3) {
 		r := e.query(t, qfv, k)
 		if got, want := e.ds.hist.Len(), min(i+1, histWindow); got != want {
@@ -75,30 +74,29 @@ func TestHistoryWindowBounded(t *testing.T) {
 			t.Fatalf("query %d: stages sum to %v, latency %v", i, sum, r.Latency)
 		}
 		for _, st := range r.Stages {
-			if st.Name != obs.StageHistMine {
+			if st.Name != obs.StageHistAppend {
 				continue
 			}
 			if i < histWindow {
-				mineFilling = append(mineFilling, minePass{i, st.Dur})
+				filling = append(filling, appendCharge{i, st.Dur})
 			} else {
-				mineFull = append(mineFull, minePass{i, st.Dur})
+				full = append(full, appendCharge{i, st.Dur})
 			}
 		}
 	}
-	for j := 1; j < len(mineFilling); j++ {
-		if mineFilling[j].dur <= mineFilling[j-1].dur {
-			t.Fatalf("hist_mine at query %d costs %v, no more than %v at query %d while the window fills",
-				mineFilling[j].query, mineFilling[j].dur, mineFilling[j-1].dur, mineFilling[j-1].query)
+	if len(filling) != histWindow || len(full) != 2*histWindow {
+		t.Fatalf("%d hist_append stages while the window fills, %d after", len(filling), len(full))
+	}
+	for _, phase := range [][]appendCharge{filling, full} {
+		for _, c := range phase {
+			if c.dur != phase[0].dur {
+				t.Fatalf("hist_append at query %d costs %v, %v at query %d: not constant",
+					c.query, c.dur, phase[0].dur, phase[0].query)
+			}
 		}
 	}
-	if len(mineFull) < histWindow/4 {
-		t.Fatalf("only %d mining passes past the window", len(mineFull))
-	}
-	for _, m := range mineFull {
-		if m.dur != mineFull[0].dur {
-			t.Fatalf("hist_mine at query %d costs %v, %v at query %d: not constant on a full window",
-				m.query, m.dur, mineFull[0].dur, mineFull[0].query)
-		}
+	if full[0].dur <= filling[0].dur {
+		t.Fatalf("hist_append costs %v on a full window, no more than %v while it fills", full[0].dur, filling[0].dur)
 	}
 
 	hs := e.ds.HistoryStats()
@@ -142,39 +140,40 @@ func TestHistoryWindowBounded(t *testing.T) {
 	}
 }
 
-// minePass is one hist_mine stage, and the query it was charged to.
-type minePass struct {
+// appendCharge is one hist_append stage, and the query it was charged to.
+type appendCharge struct {
 	query int
 	dur   sim.Duration
 }
 
-// TestHistoryWindowModelFollowsWindow: the admission model is MineGroups of
-// the retained records at every mining pass, however the records left — mined
-// and then retired (learned mode), or retired without ever having been mined
-// (an LRU engine refreshed by hand on either side of a wrap).
+// TestHistoryWindowModelFollowsWindow: a learned engine's admission model is
+// MineGroups of the retained records after every query, before and after the
+// window wraps; an LRU engine keeps no model at all and its hist_append
+// charge is the DRAM write alone, the learned engine's plus the fold.
 func TestHistoryWindowModelFollowsWindow(t *testing.T) {
 	for _, admission := range []CacheAdmission{AdmissionLearned, AdmissionLRU} {
 		t.Run(admission.String(), func(t *testing.T) {
 			e := newWindowEngine(t, windowOptions(admission))
 			trace := windowTrace(histWindow+600, 9)
-			for _, qfv := range trace[:10] {
-				e.query(t, qfv, 4)
-			}
-			e.ds.RefreshAdmission()
-			requireMinedMatchesFullMine(t, "first refresh", e.ds, true)
-			for i, qfv := range trace[10:] {
-				mines := e.ds.histMines
-				e.query(t, qfv, 4)
-				// Every query near the wrap, every 64th elsewhere: the check
-				// re-mines the whole store.
-				if n := i + 10; n >= histWindow-300 || n%64 == 0 {
-					requireMinedMatchesFullMine(t, fmt.Sprintf("query %d", n), e.ds, e.ds.histMines > mines)
+			write := e.ds.dev.DRAM.TransferTime(qhist.RecordBytes + int64(qhist.PayloadBytes(16, 4)))
+			for i, qfv := range trace {
+				var charge obs.Stage
+				for _, st := range e.query(t, qfv, 4).Stages {
+					if st.Name == obs.StageHistAppend {
+						charge = st
+					}
 				}
-			}
-			e.ds.RefreshAdmission()
-			requireMinedMatchesFullMine(t, "last refresh", e.ds, true)
-			if want := qhist.MineGroups(e.ds.HistoryRecords()); !reflect.DeepEqual(e.ds.histMined, want) {
-				t.Fatal("refreshed model is not MineGroups(HistoryRecords())")
+				if admission == AdmissionLRU {
+					if e.ds.histMined != nil || charge.Dur != write {
+						t.Fatalf("query %d: LRU engine holds a %d-group model, hist_append %v, the write alone %v",
+							i, len(e.ds.histMined), charge.Dur, write)
+					}
+					continue
+				}
+				if charge.Dur <= write {
+					t.Fatalf("query %d: hist_append %v charges no fold over the %v write", i, charge.Dur, write)
+				}
+				requireModelIsWindow(t, fmt.Sprintf("query %d", i), e.ds)
 			}
 			if hs := e.ds.HistoryStats(); hs.Retired != 600 || hs.Groups != len(e.ds.histMined) {
 				t.Fatalf("stats %+v after %d queries", hs, len(trace))
@@ -225,7 +224,6 @@ func TestHistoryWindowPrefetchAndReorg(t *testing.T) {
 			t.Fatalf("record %d of the early intent outlived the window", r.Seq)
 		}
 	}
-	e.ds.RefreshAdmission()
 	if _, ok := e.ds.histMined[earlyGroup]; ok {
 		t.Fatal("the admission model still scores a group with no retained record")
 	}

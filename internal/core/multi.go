@@ -156,11 +156,10 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 			r.Energy.Add(ds.comparisonEnergy(it.net, it.level, n))
 		}
 		// History appends land in submission order, after the batch's cache
-		// decisions (pass 1). A mining refresh triggered mid-batch therefore
-		// applies from the NEXT batch on, whereas sequential Query calls
-		// would apply it to the very next query — top-K answers are
-		// unaffected, but admission decisions can differ across a mine
-		// boundary inside a batch.
+		// decisions (pass 1), so the batch's admission decisions all see the
+		// model as it stood before the batch, whereas sequential Query calls
+		// would each see their predecessors' records — top-K answers are
+		// unaffected, but admission decisions can differ.
 		ds.appendHistory(it.spec, r)
 		ds.finishQuery(r)
 		ids[i] = ds.record(r)

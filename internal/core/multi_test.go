@@ -141,8 +141,8 @@ func TestQueryMultiEquivalence(t *testing.T) {
 						}
 
 						if useQC {
-							oh, om := oracle.CacheStats()
-							sh, sm := shared.CacheStats()
+							oh, om := cacheCounts(oracle)
+							sh, sm := cacheCounts(shared)
 							if oh != sh || om != sm {
 								t.Fatalf("cache stats diverge: oracle %d/%d, shared %d/%d", oh, om, sh, sm)
 							}
@@ -308,14 +308,14 @@ func TestRefusedQueryChangesNothing(t *testing.T) {
 	}
 	type state struct {
 		cacheLen     int
-		hits, misses uint64
+		hits, misses int64
 		stats        Stats
 		now          sim.Time
 		history      uint64
 	}
 	snapshot := func() state {
 		s := state{cacheLen: ds.qc.Len(), stats: ds.Stats(), now: ds.Now(), history: ds.HistoryStats().Records}
-		s.hits, s.misses = ds.CacheStats()
+		s.hits, s.misses = cacheCounts(ds)
 		return s
 	}
 	before := snapshot()

@@ -144,7 +144,7 @@ func TestConcurrentQueries(t *testing.T) {
 					return
 				}
 				ds.Stats()
-				ds.CacheStats()
+				cacheCounts(ds)
 			}
 		}(w)
 	}

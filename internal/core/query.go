@@ -483,7 +483,7 @@ var stageMetrics = func() map[string]string {
 	m := make(map[string]string)
 	for _, s := range []string{obs.StageQCacheLookup, obs.StageScan, obs.StageSharedScan,
 		obs.StageSchedQueue, obs.StageBoundCheck, obs.StageRerank, obs.StageRerankExact,
-		obs.StageDMA, obs.StageHistAppend, obs.StageHistMine} {
+		obs.StageDMA, obs.StageHistAppend} {
 		m[s] = "core_stage_" + s + "_ms"
 	}
 	return m
@@ -572,15 +572,4 @@ func (ds *DeepStore) fetchResults(id QueryID, forget bool) (*QueryResult, error)
 	out := *st.result
 	out.Stages = append([]obs.Stage(nil), st.result.Stages...)
 	return &out, nil
-}
-
-// CacheStats exposes the query cache counters (zero stats when unset).
-func (ds *DeepStore) CacheStats() (hits, misses uint64) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.qc == nil {
-		return 0, 0
-	}
-	s := ds.qc.Stats()
-	return s.Hits, s.Misses
 }

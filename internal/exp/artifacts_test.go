@@ -191,7 +191,8 @@ func TestCheckedInArtifacts(t *testing.T) {
 		}},
 		// Learned admission beats plain LRU hit-rate on the Zipfian trace,
 		// every engine appends one history record per query, the learned
-		// engines mined, and no miss-path answer diverged from the oracle.
+		// engines hold a model, and no miss-path answer diverged from the
+		// oracle.
 		{"qhist", func(t *testing.T) {
 			by := map[string]QHistRow{}
 			for _, r := range loadArtifact[QHistRow](t, "qhist") {
@@ -201,8 +202,8 @@ func TestCheckedInArtifacts(t *testing.T) {
 				if r.MissMismatches != 0 {
 					t.Errorf("miss-path answers diverged from oracle: %+v", r)
 				}
-				if r.Policy == "learned" && r.Mines == 0 {
-					t.Errorf("admission never mined: %+v", r)
+				if r.Policy == "learned" && r.Groups == 0 {
+					t.Errorf("empty admission model: %+v", r)
 				}
 				by[r.Trace+"/"+r.Policy] = r
 			}

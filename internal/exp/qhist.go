@@ -20,16 +20,15 @@ import (
 
 // QHistConfig sizes the query-history study.
 type QHistConfig struct {
-	App          string  // workload application
-	Features     int     // materialized database size
-	Queries      int     // trace length per distribution
-	K            int     // top-K
-	Entries      int     // cache capacity (much smaller than the hot set)
-	Universe     int64   // distinct semantic queries in the trace
-	Alpha        float64 // Zipfian skew
-	Threshold    float64 // cache hit threshold
-	MineInterval int     // records between admission minings
-	Seed         int64   // database + trace seed
+	App       string  // workload application
+	Features  int     // materialized database size
+	Queries   int     // trace length per distribution
+	K         int     // top-K
+	Entries   int     // cache capacity (much smaller than the hot set)
+	Universe  int64   // distinct semantic queries in the trace
+	Alpha     float64 // Zipfian skew
+	Threshold float64 // cache hit threshold
+	Seed      int64   // database + trace seed
 }
 
 // DefaultQHist returns a CI-scale configuration: a 64-intent universe
@@ -37,8 +36,7 @@ type QHistConfig struct {
 // the hit-rate.
 func DefaultQHist() QHistConfig {
 	return QHistConfig{App: "TextQA", Features: 256, Queries: 96, K: 4,
-		Entries: 8, Universe: 64, Alpha: 1.1, Threshold: 0.2,
-		MineInterval: 8, Seed: 7}
+		Entries: 8, Universe: 64, Alpha: 1.1, Threshold: 0.2, Seed: 7}
 }
 
 // QHistRow is one (trace, policy) cell of the study. Wall-clock time is
@@ -56,7 +54,6 @@ type QHistRow struct {
 	AdmissionRejects uint64  `json:"admission_rejects"`
 	Evictions        uint64  `json:"evictions"`
 	Records          uint64  `json:"hist_records"`
-	Mines            uint64  `json:"hist_mines"`
 	Groups           int     `json:"hist_groups"`
 	SimSec           float64 `json:"sim_sec"`
 	MissMismatches   int     `json:"miss_mismatches"` // miss-path top-K entries differing from the cache-off oracle
@@ -69,7 +66,7 @@ type QHistRow struct {
 // the same trace with history enabled.
 func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 	if cfg.Features < 1 || cfg.Queries < 1 || cfg.K < 1 || cfg.Entries < 1 ||
-		cfg.Universe < 1 || cfg.MineInterval < 1 {
+		cfg.Universe < 1 {
 		return nil, fmt.Errorf("exp: qhist config %+v invalid", cfg)
 	}
 	app, err := workload.ByName(cfg.App)
@@ -104,7 +101,6 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 			opts := core.DefaultOptions()
 			opts.History = true
 			opts.CacheAdmission = admission
-			opts.HistoryMineInterval = cfg.MineInterval
 			got, err := replayStream(opts, db.Vectors, app.SCN, cached, qfvs, cfg.K)
 			if err != nil {
 				return nil, err
@@ -132,7 +128,6 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 				AdmissionRejects: uint64(snap.Counters["qcache_admission_rejects"]),
 				Evictions:        uint64(snap.Counters["qcache_evictions"]),
 				Records:          hs.Records,
-				Mines:            hs.Mines,
 				Groups:           hs.Groups,
 				SimSec:           got.clock.Seconds(),
 				MissMismatches:   mismatched,
@@ -146,14 +141,14 @@ func QHistSweep(cfg QHistConfig) ([]QHistRow, error) {
 // qhistTable tabulates the study.
 func qhistTable(rows []QHistRow) report.Table {
 	header := []string{"Trace", "Policy", "Queries", "Entries", "Universe", "Hits", "Misses",
-		"Hit rate", "Rejects", "Evictions", "Records", "Mines", "Groups", "Sim (s)", "Mismatch", "Wall (s)"}
+		"Hit rate", "Rejects", "Evictions", "Records", "Groups", "Sim (s)", "Mismatch", "Wall (s)"}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
 			r.Trace, r.Policy, fmt.Sprint(r.Queries), fmt.Sprint(r.Entries),
 			fmt.Sprint(r.Universe), fmt.Sprint(r.Hits), fmt.Sprint(r.Misses),
 			F(r.HitRate), fmt.Sprint(r.AdmissionRejects), fmt.Sprint(r.Evictions),
-			fmt.Sprint(r.Records), fmt.Sprint(r.Mines), fmt.Sprint(r.Groups),
+			fmt.Sprint(r.Records), fmt.Sprint(r.Groups),
 			F(r.SimSec), fmt.Sprint(r.MissMismatches), F(r.WallSec),
 		})
 	}

@@ -48,8 +48,8 @@ func TestQHistSweepDeterministicAndLearnedWins(t *testing.T) {
 			t.Errorf("%s/%s: %d history records for %d queries",
 				r.Trace, r.Policy, r.Records, r.Queries)
 		}
-		if r.Policy == "learned" && r.Mines == 0 {
-			t.Errorf("%s/learned: admission model never mined", r.Trace)
+		if r.Policy == "learned" && r.Groups == 0 {
+			t.Errorf("%s/learned: empty admission model", r.Trace)
 		}
 	}
 	if byCell["zipfian/learned"].HitRate <= byCell["zipfian/lru"].HitRate {

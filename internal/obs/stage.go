@@ -32,11 +32,9 @@ const (
 	// StageDMA is the getResults transfer of the top-K to the host.
 	StageDMA = "dma"
 	// StageHistAppend is the query-history append: the fixed-width hot
-	// record plus the cold payload crossing controller DRAM (DESIGN.md §15).
+	// record plus the cold payload crossing controller DRAM, and in learned
+	// admission mode the fold that keeps the model current (DESIGN.md §15).
 	StageHistAppend = "hist_append"
-	// StageHistMine is the periodic mining pass over the hot history records
-	// that refreshes the learned admission model.
-	StageHistMine = "hist_mine"
 	// SpanFlashRead is one page read (array sense + channel bus transfer).
 	SpanFlashRead = "flash_read"
 	// SpanStream is one StreamToHost sweep (the baseline read-out path).

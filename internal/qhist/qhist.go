@@ -518,27 +518,26 @@ func (g GroupStat) AdmissionScore(nowSeq uint64) float64 {
 // admission decisions.
 func MineGroups(records []Record) map[uint64]GroupStat {
 	out := make(map[uint64]GroupStat, 16)
-	MineInto(out, records, 0)
+	for _, r := range records {
+		Mine(out, r)
+	}
 	return out
 }
 
-// MineInto folds records[from:] into mined. The fold is left-associative, so
-// a map that holds the statistics of records[:from] ends up exactly
-// MineGroups(records) — mining costs only the records appended since.
-func MineInto(mined map[uint64]GroupStat, records []Record, from int) {
-	for _, r := range records[from:] {
-		g := mined[r.Group]
-		g.Count++
-		if r.Hit() {
-			g.Hits++
-		}
-		g.LastSeq = r.Seq
-		mined[r.Group] = g
+// Mine folds r, the newest record, into mined: a map holding MineGroups of
+// the records before r ends up holding MineGroups of them and r.
+func Mine(mined map[uint64]GroupStat, r Record) {
+	g := mined[r.Group]
+	g.Count++
+	if r.Hit() {
+		g.Hits++
 	}
+	g.LastSeq = r.Seq
+	mined[r.Group] = g
 }
 
 // Unmine removes r, the oldest record folded into mined, from its group: the
-// inverse of MineInto for a record leaving the front of the slice. A group's
+// inverse of Mine for a record leaving the front of the window. A group's
 // newest record is the last of its records to leave, so LastSeq stands until
 // the count reaches zero and the group goes with it.
 func Unmine(mined map[uint64]GroupStat, r Record) {

@@ -429,22 +429,31 @@ func TestRestoreRejectsUnplaceablePayloadRanges(t *testing.T) {
 	}
 }
 
-// The incremental fold reaches the same map as one full pass, whatever the
-// split points.
-func TestMineIntoMatchesMineGroups(t *testing.T) {
+// Sliding a window over the records with Mine at the back and Unmine at the
+// front holds MineGroups of exactly the window at every step, and un-folding
+// every record leaves an empty map.
+func TestMineUnmineRoundTrip(t *testing.T) {
 	recs := randStore(7, 200).Records()
 	for i := range recs {
 		recs[i].Group %= 9 // force shared groups
 	}
-	want := MineGroups(recs)
-	got := map[uint64]GroupStat{}
-	for from, step := 0, 1; from < len(recs); step += 3 {
-		to := min(from+step, len(recs))
-		MineInto(got, recs[:to], from)
-		from = to
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("incremental mining diverged from MineGroups")
+	for _, window := range []int{1, 5, 64, len(recs)} {
+		got := map[uint64]GroupStat{}
+		for i, r := range recs {
+			Mine(got, r)
+			if i >= window {
+				Unmine(got, recs[i-window])
+			}
+			if want := MineGroups(recs[max(i+1-window, 0) : i+1]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("window %d, record %d: sliding fold diverged from MineGroups", window, i)
+			}
+		}
+		for _, r := range recs[max(len(recs)-window, 0):] {
+			Unmine(got, r)
+		}
+		if len(got) != 0 {
+			t.Fatalf("window %d: %d groups left after un-folding every record", window, len(got))
+		}
 	}
 }
 
