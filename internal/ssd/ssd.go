@@ -200,142 +200,93 @@ func (s StreamStats) Duration() sim.Duration {
 	return sim.Duration(s.Finished - s.Started)
 }
 
-// StreamToHost reads the first `pages` within-channel pages of every channel
-// of the database and DMAs them to the host, modeling the baseline's
-// SSD-to-host read path: plane read → channel bus → DRAM → external link.
-// The per-channel prefetch window is 8 outstanding pages, enough to cover
-// the array-read latency. done receives the stream statistics.
+// StreamToHost DMAs the first maxPagesPerChannel pages of every channel of
+// the database (every page when it is 0) to the host — the baseline's
+// SSD-to-host read path — and records them under ssd_stream_pages/bytes and a
+// stream_to_host span. done receives the stream statistics.
 //
 // The external link is the roofline: 32 channels deliver 25.6 GB/s
 // internally but the PCIe interface caps delivery at 3.2 GB/s (§2.2).
 func (d *Device) StreamToHost(meta *ftl.DBMeta, maxPagesPerChannel int64, done func(StreamStats)) {
 	layout := meta.Layout
-	stats := &StreamStats{Started: d.Engine.Now()}
-	remainingChannels := 0
-
-	inner := done
-	done = func(s StreamStats) {
-		d.reg.Counter("ssd_stream_pages").Add(s.Pages)
-		d.reg.Counter("ssd_stream_bytes").Add(s.Bytes)
-		d.tracer.Add(obs.Span{
-			Name: obs.SpanStream, Cat: "ssd",
-			Start: s.Started, Dur: s.Duration(),
-			Args: map[string]string{"pages": strconv.FormatInt(s.Pages, 10)},
-		})
-		inner(s)
-	}
-
-	for ch := 0; ch < layout.Geom.Channels; ch++ {
+	d.stream(layout, "ssd_stream", obs.SpanStream, done, func(ch int) (int64, int64) {
 		pages := layout.ChannelPages(ch)
-		if maxPagesPerChannel > 0 && pages > maxPagesPerChannel {
-			pages = maxPagesPerChannel
+		if maxPagesPerChannel > 0 {
+			pages = min(pages, maxPagesPerChannel)
 		}
-		if pages == 0 {
-			continue
-		}
-		remainingChannels++
-		stats.Pages += pages
-		stats.Bytes += pages * layout.Geom.PageBytes
-
-		ch := ch
-		var issued, completed int64
-		var issue func()
-		const window = 8
-		var inflight int64
-		issue = func() {
-			for inflight < window && issued < pages {
-				addr := layout.ChannelPageAddr(ch, issued)
-				issued++
-				inflight++
-				d.Flash.ReadPage(addr, func() {
-					// Page is in the controller: cross DRAM, then PCIe.
-					d.DRAM.Transfer(layout.Geom.PageBytes, func() {
-						d.External.Transfer(layout.Geom.PageBytes, func() {
-							inflight--
-							completed++
-							if completed == pages {
-								remainingChannels--
-								if remainingChannels == 0 {
-									stats.Finished = d.Engine.Now()
-									done(*stats)
-								}
-								return
-							}
-							issue()
-						})
-					})
-				})
-			}
-		}
-		issue()
-	}
-	if remainingChannels == 0 {
-		stats.Finished = d.Engine.Now()
-		done(*stats)
-	}
+		return 0, pages
+	})
 }
 
-// StreamRange reads the physical pages holding features [start, end) of the
-// database and DMAs them to the host — the migration read-out path of an
-// online shard rebalance. Traffic follows the same plane read → channel bus
-// → DRAM → external link pipeline as StreamToHost, with the same per-channel
-// prefetch window, so migration time is charged to the simulated clock
-// exactly like any other flash activity (holistic device timing, after
-// SimpleSSD). done receives the stream statistics; the sweep is also
-// recorded as a migrate_out span with ssd_migrate_* counters.
+// StreamRange DMAs the physical pages holding features [start, end) of the
+// database to the host — the migration read-out of an online shard
+// rebalance, charged to the simulated clock like any other flash activity
+// (holistic device timing, after SimpleSSD) — and records them under
+// ssd_migrate_pages/bytes and a migrate_out span. done (nil: none) receives
+// the stream statistics.
 func (d *Device) StreamRange(meta *ftl.DBMeta, start, end int64, done func(StreamStats)) {
 	layout := meta.Layout
-	stats := &StreamStats{Started: d.Engine.Now()}
-	remainingChannels := 0
+	d.stream(layout, "ssd_migrate", obs.SpanMigrateOut, done, func(ch int) (int64, int64) {
+		return layout.ChannelRangePages(ch, start, end)
+	})
+}
 
-	inner := done
-	done = func(s StreamStats) {
-		d.reg.Counter("ssd_migrate_pages").Add(s.Pages)
-		d.reg.Counter("ssd_migrate_bytes").Add(s.Bytes)
+// streamWindow is the pages a stream keeps in flight per channel, enough to
+// cover the array-read latency.
+const streamWindow = 8
+
+// stream moves within-channel pages [p0, p1) of every channel, as pageRange
+// gives them, through plane read → channel bus → DRAM → external link, with
+// up to streamWindow pages in flight per channel. When the last page lands
+// it adds the totals to the prefix_pages and prefix_bytes counters, records
+// a span named span and calls done (nil: none).
+func (d *Device) stream(layout ftl.DBLayout, prefix, span string, done func(StreamStats), pageRange func(ch int) (p0, p1 int64)) {
+	stats := StreamStats{Started: d.Engine.Now()}
+	finish := func() {
+		stats.Finished = d.Engine.Now()
+		d.reg.Counter(prefix + "_pages").Add(stats.Pages)
+		d.reg.Counter(prefix + "_bytes").Add(stats.Bytes)
 		d.tracer.Add(obs.Span{
-			Name: obs.SpanMigrateOut, Cat: "ssd",
-			Start: s.Started, Dur: s.Duration(),
-			Args: map[string]string{"pages": strconv.FormatInt(s.Pages, 10)},
+			Name: span, Cat: "ssd",
+			Start: stats.Started, Dur: stats.Duration(),
+			Args: map[string]string{"pages": strconv.FormatInt(stats.Pages, 10)},
 		})
-		if inner != nil {
-			inner(s)
+		if done != nil {
+			done(stats)
 		}
 	}
-
+	pageBytes := layout.Geom.PageBytes
+	remainingChannels := 0
 	for ch := 0; ch < layout.Geom.Channels; ch++ {
-		p0, p1 := layout.ChannelRangePages(ch, start, end)
+		p0, p1 := pageRange(ch)
 		pages := p1 - p0
 		if pages == 0 {
 			continue
 		}
 		remainingChannels++
 		stats.Pages += pages
-		stats.Bytes += pages * layout.Geom.PageBytes
+		stats.Bytes += pages * pageBytes
 
-		ch, p0 := ch, p0
-		var issued, completed int64
+		var issued, inflight, completed int64
 		var issue func()
-		const window = 8
-		var inflight int64
 		issue = func() {
-			for inflight < window && issued < pages {
+			for inflight < streamWindow && issued < pages {
 				addr := layout.ChannelPageAddr(ch, p0+issued)
 				issued++
 				inflight++
 				d.Flash.ReadPage(addr, func() {
-					d.DRAM.Transfer(layout.Geom.PageBytes, func() {
-						d.External.Transfer(layout.Geom.PageBytes, func() {
+					d.DRAM.Transfer(pageBytes, func() {
+						d.External.Transfer(pageBytes, func() {
 							inflight--
 							completed++
-							if completed == pages {
-								remainingChannels--
-								if remainingChannels == 0 {
-									stats.Finished = d.Engine.Now()
-									done(*stats)
-								}
+							if completed < pages {
+								issue()
 								return
 							}
-							issue()
+							remainingChannels--
+							if remainingChannels == 0 {
+								finish()
+							}
 						})
 					})
 				})
@@ -344,8 +295,7 @@ func (d *Device) StreamRange(meta *ftl.DBMeta, start, end int64, done func(Strea
 		issue()
 	}
 	if remainingChannels == 0 {
-		stats.Finished = d.Engine.Now()
-		done(*stats)
+		finish()
 	}
 }
 

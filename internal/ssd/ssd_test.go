@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/flash"
 	"repro/internal/ftl"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -185,6 +186,58 @@ func TestStreamRespectsFlashGeometry(t *testing.T) {
 	}
 	if reads := d.Flash.Stats().PageReads; reads != 64 {
 		t.Errorf("flash reads = %d, want 64", reads)
+	}
+}
+
+// TestStreamRangeOverWholeDB: a range covering every feature moves the same
+// pages on the same clock as a full StreamToHost, and each records its pages
+// and bytes under its own counters and its own span.
+func TestStreamRangeOverWholeDB(t *testing.T) {
+	run := func(read func(d *Device, meta *ftl.DBMeta, done func(StreamStats))) (StreamStats, obs.Snapshot, []obs.Span) {
+		e := sim.NewEngine()
+		d, _ := New(e, DefaultConfig())
+		reg, tr := obs.NewRegistry(), obs.NewTracer(1<<12)
+		d.AttachObs(reg, tr)
+		// 1 000 features of 6 KB: two per 16 KB page, a ragged last page.
+		meta, err := d.CreateDB("x", 6<<10, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got StreamStats
+		read(d, meta, func(s StreamStats) { got = s })
+		e.Run()
+		var spans []obs.Span // the device's own, not the flash array's
+		for _, sp := range tr.Spans() {
+			if sp.Cat == "ssd" {
+				spans = append(spans, sp)
+			}
+		}
+		return got, reg.Snapshot(), spans
+	}
+	full, fullReg, fullSpans := run(func(d *Device, meta *ftl.DBMeta, done func(StreamStats)) {
+		d.StreamToHost(meta, 0, done)
+	})
+	rng, rngReg, rngSpans := run(func(d *Device, meta *ftl.DBMeta, done func(StreamStats)) {
+		d.StreamRange(meta, 0, meta.Layout.Features, done)
+	})
+	if full.Pages == 0 || rng != full {
+		t.Fatalf("StreamRange over the whole DB = %+v, StreamToHost = %+v", rng, full)
+	}
+	for _, c := range []struct {
+		reg    obs.Snapshot
+		spans  []obs.Span
+		prefix string
+		span   string
+	}{
+		{fullReg, fullSpans, "ssd_stream", obs.SpanStream},
+		{rngReg, rngSpans, "ssd_migrate", obs.SpanMigrateOut},
+	} {
+		if p, b := c.reg.Counters[c.prefix+"_pages"], c.reg.Counters[c.prefix+"_bytes"]; p != full.Pages || b != full.Bytes {
+			t.Errorf("%s_pages/bytes = %d/%d, want %d/%d", c.prefix, p, b, full.Pages, full.Bytes)
+		}
+		if len(c.spans) != 1 || c.spans[0].Name != c.span || c.spans[0].Dur != full.Duration() {
+			t.Errorf("spans %+v, want one %s of %v", c.spans, c.span, full.Duration())
+		}
 	}
 }
 

@@ -45,8 +45,8 @@ import "fmt"
 //     or duplicated and callers that rewrite weights cannot go stale.
 //   - gemmPortable (pure Go, every platform) holds a 2×4 tile of C in eight
 //     scalar accumulators, with a scalar loop for ragged tile edges. It is
-//     Gemm where there is no AVX2, and the reference the tests compare
-//     against.
+//     Gemm where there is no AVX2, the reference the tests compare
+//     against, and — at int8 operands and int32 sums — GemmInt8's kernel.
 //
 // Both cut K into gemmKC-element panels and resume each output from its
 // stored partial sum, which keeps the single-accumulator order.
@@ -118,29 +118,26 @@ func addBias(c, bias []float32, m, n int) {
 	}
 }
 
-// gemmPortable computes the un-biased product.
-func gemmPortable(c, a, w []float32, m, n, k int) {
+// A gemmOperand is an element type the portable kernel multiplies and a
+// gemmAccum one it sums into. The kernel runs at two pairs only: (float32,
+// float32) for Gemm and (int8, int32) for GemmInt8.
+type (
+	gemmOperand interface{ float32 | int8 }
+	gemmAccum   interface{ float32 | int32 }
+)
+
+// gemmPortable computes the un-biased product c = a·wᵀ: K panels of gemmKC,
+// M blocks of gemmMC, 2×4 tiles of C and a scalar loop for ragged tile edges.
+func gemmPortable[E gemmOperand, S gemmAccum](c []S, a, w []E, m, n, k int) {
 	for k0 := 0; k0 < k; k0 += gemmKC {
-		kb := k - k0
-		if kb > gemmKC {
-			kb = gemmKC
-		}
+		kb := min(k-k0, gemmKC)
 		first := k0 == 0
 		for i0 := 0; i0 < m; i0 += gemmMC {
-			mb := m - i0
-			if mb > gemmMC {
-				mb = gemmMC
-			}
+			mb := min(m-i0, gemmMC)
 			for i := i0; i < i0+mb; i += gemmMR {
-				ir := i0 + mb - i
-				if ir > gemmMR {
-					ir = gemmMR
-				}
+				ir := min(i0+mb-i, gemmMR)
 				for j := 0; j < n; j += gemmNR {
-					jr := n - j
-					if jr > gemmNR {
-						jr = gemmNR
-					}
+					jr := min(n-j, gemmNR)
 					if ir == gemmMR && jr == gemmNR {
 						gemm2x4(c, a, w, i, j, k0, kb, n, k, first)
 					} else {
@@ -155,8 +152,10 @@ func gemmPortable(c, a, w []float32, m, n, k int) {
 // gemm2x4 is the portable register micro-kernel: a 2×4 tile of C accumulated
 // over one K panel. The eight accumulators live in registers across the k
 // loop, so each k step issues 8 MACs for 6 loads and the reduction chains
-// stay independent (vs Gemv's single serial chain).
-func gemm2x4(c, a, w []float32, i, j, k0, kb, n, k int, first bool) {
+// stay independent (vs Gemv's single serial chain). Each product is
+// converted to the accumulator type, which is what keeps a compiler from
+// fusing it into the add; integer sums are exact either way.
+func gemm2x4[E gemmOperand, S gemmAccum](c []S, a, w []E, i, j, k0, kb, n, k int, first bool) {
 	a0 := a[i*k+k0 : i*k+k0+kb]
 	// Reslicing every operand to a0's length lets the compiler eliminate
 	// the bounds checks inside the hot loop (p ranges over a0, and each
@@ -166,8 +165,8 @@ func gemm2x4(c, a, w []float32, i, j, k0, kb, n, k int, first bool) {
 	w1 := w[(j+1)*k+k0:][:len(a0)]
 	w2 := w[(j+2)*k+k0:][:len(a0)]
 	w3 := w[(j+3)*k+k0:][:len(a0)]
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
+	var c00, c01, c02, c03 S
+	var c10, c11, c12, c13 S
 	if !first {
 		r0 := c[i*n+j:]
 		r1 := c[(i+1)*n+j:]
@@ -175,16 +174,16 @@ func gemm2x4(c, a, w []float32, i, j, k0, kb, n, k int, first bool) {
 		c10, c11, c12, c13 = r1[0], r1[1], r1[2], r1[3]
 	}
 	for p := range a0 {
-		av0, av1 := a0[p], a1[p]
-		wv0, wv1, wv2, wv3 := w0[p], w1[p], w2[p], w3[p]
-		c00 += float32(av0 * wv0)
-		c01 += float32(av0 * wv1)
-		c02 += float32(av0 * wv2)
-		c03 += float32(av0 * wv3)
-		c10 += float32(av1 * wv0)
-		c11 += float32(av1 * wv1)
-		c12 += float32(av1 * wv2)
-		c13 += float32(av1 * wv3)
+		av0, av1 := S(a0[p]), S(a1[p])
+		wv0, wv1, wv2, wv3 := S(w0[p]), S(w1[p]), S(w2[p]), S(w3[p])
+		c00 += S(av0 * wv0)
+		c01 += S(av0 * wv1)
+		c02 += S(av0 * wv2)
+		c03 += S(av0 * wv3)
+		c10 += S(av1 * wv0)
+		c11 += S(av1 * wv1)
+		c12 += S(av1 * wv2)
+		c13 += S(av1 * wv3)
 	}
 	r0 := c[i*n+j:]
 	r1 := c[(i+1)*n+j:]
@@ -194,17 +193,17 @@ func gemm2x4(c, a, w []float32, i, j, k0, kb, n, k int, first bool) {
 
 // gemmTail handles the ragged edges of non-multiple-of-4 tiles with the same
 // sequential per-output accumulation order as the micro-kernel.
-func gemmTail(c, a, w []float32, i, j, ir, jr, k0, kb, n, k int, first bool) {
+func gemmTail[E gemmOperand, S gemmAccum](c []S, a, w []E, i, j, ir, jr, k0, kb, n, k int, first bool) {
 	for r := 0; r < ir; r++ {
 		arow := a[(i+r)*k+k0 : (i+r)*k+k0+kb]
 		for cn := 0; cn < jr; cn++ {
 			wrow := w[(j+cn)*k+k0:][:len(arow)]
-			var s float32
+			var s S
 			if !first {
 				s = c[(i+r)*n+j+cn]
 			}
 			for p := range arow {
-				s += float32(arow[p] * wrow[p])
+				s += S(S(arow[p]) * S(wrow[p]))
 			}
 			c[(i+r)*n+j+cn] = s
 		}

@@ -2,24 +2,17 @@ package tensor
 
 import "fmt"
 
-// Int8 batched matrix kernels for the §7 precision extension. GemmInt8 keeps
-// Gemm's KC/MC blocking scheme and 2×4 micro-kernel structure but takes int8
-// A and W operands and accumulates into widened int32 scalars: the integer
-// dot products are exact (127·127·k fits int32 for any k the engine uses, up
-// to 2^17 elements), so the only rounding happens once per output in the
-// epilogue, where the per-row activation scale and per-output weight scale
-// convert the integer sum back to float32:
+// GemmInt8 is the portable Gemm kernel at (int8, int32) plus an epilogue.
+// The integer sum of each output is exact (127·127·k fits int32 for any k
+// the engine uses, up to 2^17 elements), so the only rounding is one per
+// output, where the per-row activation scale and the per-output weight scale
+// convert it back to float32:
 //
 //	c[i*n+j] = float32(acc[i*n+j]) * aScales[i] * wScales[j]   (+ bias[j])
 //
 // evaluated strictly left to right in float32, the same expression GemvInt8
 // uses — so GemmInt8 is bit-identical to the per-row reference regardless of
 // batch composition, the property the quantized scan paths rely on.
-//
-// The int32 accumulator matrix is caller-owned scratch (acc): it plays C's
-// role in the KC-panel resume scheme (panels after the first resume from the
-// stored partial sums, which are exact in int32), and passing it in keeps the
-// kernel allocation-free in steady state.
 
 // GemmInt8 computes C = dequant(A·Wᵀ) + bias: A is m×k row-major int8 with
 // per-row scales aScales (length m), W is n×k row-major int8 with per-row
@@ -52,40 +45,9 @@ func GemmInt8(c []float32, acc []int32, a, w []int8, bias []float32, m, n, k int
 		panic(fmt.Sprintf("tensor: gemmint8 bias length %d != %d", len(bias), n))
 	}
 	if k == 0 {
-		for i := range acc {
-			acc[i] = 0
-		}
+		clear(acc)
 	}
-	for k0 := 0; k0 < k; k0 += gemmKC {
-		kb := k - k0
-		if kb > gemmKC {
-			kb = gemmKC
-		}
-		first := k0 == 0
-		for i0 := 0; i0 < m; i0 += gemmMC {
-			mb := m - i0
-			if mb > gemmMC {
-				mb = gemmMC
-			}
-			for i := i0; i < i0+mb; i += gemmMR {
-				ir := i0 + mb - i
-				if ir > gemmMR {
-					ir = gemmMR
-				}
-				for j := 0; j < n; j += gemmNR {
-					jr := n - j
-					if jr > gemmNR {
-						jr = gemmNR
-					}
-					if ir == gemmMR && jr == gemmNR {
-						gemmInt82x4(acc, a, w, i, j, k0, kb, n, k, first)
-					} else {
-						gemmInt8Tail(acc, a, w, i, j, ir, jr, k0, kb, n, k, first)
-					}
-				}
-			}
-		}
-	}
+	gemmPortable(acc, a, w, m, n, k)
 	// Epilogue: one rounding per output, same expression as GemvInt8.
 	for i := 0; i < m; i++ {
 		as := aScales[i]
@@ -95,69 +57,7 @@ func GemmInt8(c []float32, acc []int32, a, w []int8, bias []float32, m, n, k int
 			crow[j] = float32(arow[j]) * as * wScales[j]
 		}
 	}
-	if bias != nil {
-		for i := 0; i < m; i++ {
-			row := c[i*n : (i+1)*n]
-			for j, b := range bias {
-				row[j] += b
-			}
-		}
-	}
-}
-
-// gemmInt82x4 is the int8 register micro-kernel: a 2×4 tile of int32 partial
-// sums accumulated over one K panel, same structure and reslicing idiom as
-// gemm2x4. Integer adds associate, so only the epilogue's float conversion
-// order matters for bit-equality with the reference.
-func gemmInt82x4(acc []int32, a, w []int8, i, j, k0, kb, n, k int, first bool) {
-	a0 := a[i*k+k0 : i*k+k0+kb]
-	a1 := a[(i+1)*k+k0:][:len(a0)]
-	w0 := w[j*k+k0:][:len(a0)]
-	w1 := w[(j+1)*k+k0:][:len(a0)]
-	w2 := w[(j+2)*k+k0:][:len(a0)]
-	w3 := w[(j+3)*k+k0:][:len(a0)]
-	var c00, c01, c02, c03 int32
-	var c10, c11, c12, c13 int32
-	if !first {
-		r0 := acc[i*n+j:]
-		r1 := acc[(i+1)*n+j:]
-		c00, c01, c02, c03 = r0[0], r0[1], r0[2], r0[3]
-		c10, c11, c12, c13 = r1[0], r1[1], r1[2], r1[3]
-	}
-	for p := range a0 {
-		av0, av1 := int32(a0[p]), int32(a1[p])
-		wv0, wv1, wv2, wv3 := int32(w0[p]), int32(w1[p]), int32(w2[p]), int32(w3[p])
-		c00 += av0 * wv0
-		c01 += av0 * wv1
-		c02 += av0 * wv2
-		c03 += av0 * wv3
-		c10 += av1 * wv0
-		c11 += av1 * wv1
-		c12 += av1 * wv2
-		c13 += av1 * wv3
-	}
-	r0 := acc[i*n+j:]
-	r1 := acc[(i+1)*n+j:]
-	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
-	r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
-}
-
-// gemmInt8Tail handles the ragged edges of non-multiple tiles.
-func gemmInt8Tail(acc []int32, a, w []int8, i, j, ir, jr, k0, kb, n, k int, first bool) {
-	for r := 0; r < ir; r++ {
-		arow := a[(i+r)*k+k0 : (i+r)*k+k0+kb]
-		for cn := 0; cn < jr; cn++ {
-			wrow := w[(j+cn)*k+k0:][:len(arow)]
-			var s int32
-			if !first {
-				s = acc[(i+r)*n+j+cn]
-			}
-			for p := range arow {
-				s += int32(arow[p]) * int32(wrow[p])
-			}
-			acc[(i+r)*n+j+cn] = s
-		}
-	}
+	addBias(c, bias, m, n)
 }
 
 // GemvInt8 is the per-row int8 reference: out[j] = dequant(in·W[j]) + bias[j]
@@ -181,7 +81,8 @@ func GemvInt8(out []float32, w []int8, in []int8, bias []float32, inScale float3
 		for p, av := range in {
 			s += int32(av) * int32(wrow[p])
 		}
-		v := float32(s) * inScale * wScales[j]
+		// Converted, so no compiler fuses the bias add into the product.
+		v := float32(float32(s) * inScale * wScales[j])
 		if bias != nil {
 			v += bias[j]
 		}

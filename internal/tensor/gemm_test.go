@@ -114,13 +114,16 @@ func sameBits(t *testing.T, what string, got, want []float32, n int) {
 // and below it, k around the 512-float panel and across three panels; the
 // second is the staging-tile path alone (n below the column tile) at the
 // shapes it serves — k = 200, one to four full row tiles and their ragged
-// neighbours, and K panels the staging tile has to carry partial sums across.
+// neighbours, and K panels the staging tile has to carry partial sums across;
+// the third puts m across the portable kernel's 256-row M block, once and
+// twice (a multi-query sweep runs m = 512).
 func TestGemmKernelsMatchGemv(t *testing.T) {
 	t.Logf("SIMD kernel installed: %v", gemmSIMD != nil)
 	rng := rand.New(rand.NewSource(16))
 	for _, grid := range []struct{ ms, ns, ks []int }{
 		{[]int{1, 7, 15, 16, 17, 64, 65}, []int{1, 2, 3, 4, 5, 200, 256}, []int{1, 5, 511, 512, 513, 1257}},
 		{[]int{1, 15, 16, 17, 63, 64, 65}, []int{1, 2, 3}, []int{1, 200, 511, 512, 513, 1025}},
+		{[]int{255, 256, 257, 513}, []int{3, 4, 5}, []int{1, 33}},
 	} {
 		for _, m := range grid.ms {
 			for _, n := range grid.ns {

@@ -52,7 +52,10 @@ func LoadTrace(r io.Reader) (*Trace, error) {
 	if hdr.Queries < 0 {
 		return nil, fmt.Errorf("workload: negative query count %d", hdr.Queries)
 	}
-	tr := &Trace{Config: hdr.Config, Queries: make([]Query, 0, hdr.Queries)}
+	// The slice grows as queries decode: the header's count is only what the
+	// file claims, and pre-sizing from it would let one header line ask for
+	// any amount of memory.
+	tr := &Trace{Config: hdr.Config}
 	for i := 0; i < hdr.Queries; i++ {
 		var q Query
 		if err := dec.Decode(&q); err != nil {

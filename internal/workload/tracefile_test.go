@@ -41,6 +41,11 @@ func TestLoadTraceRejectsGarbage(t *testing.T) {
 	if _, err := LoadTrace(strings.NewReader(`{"version":1,"config":{},"queries":5}`)); err == nil {
 		t.Error("truncated trace accepted")
 	}
+	// A header claiming more queries than any memory holds is an error, not
+	// an allocation.
+	if _, err := LoadTrace(strings.NewReader(`{"version":1,"config":{},"queries":4611686018427387904}`)); err == nil {
+		t.Error("oversized query count accepted")
+	}
 }
 
 func TestTraceSaveIsLineDelimited(t *testing.T) {
