@@ -232,9 +232,5 @@ func (ds *DeepStore) SetQC(qcn *nn.Network, qcnAccuracy float64, entries int, th
 		// is empty it defers to LRU bit-identically.
 		ds.qc.SetPolicy(&learnedPolicy{ds: ds})
 	}
-	// QCN executions are offloaded to the channel-level accelerators
-	// (§4.6); pre-compute their per-comparison cost.
-	spec := specFor(ds, ds.opts.DefaultLevel)
-	ds.qcnCycles = spec.Array.NetworkCost(qcn.LayerPlan()).Cycles
 	return nil
 }

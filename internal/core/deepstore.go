@@ -212,6 +212,14 @@ type QueryResult struct {
 	Err error
 }
 
+// charge appends one stage to r, adding its duration to Latency and its
+// energy to Energy, so the stages keep summing to Latency.
+func (r *QueryResult) charge(stage string, d sim.Duration, e energy.Breakdown) {
+	r.Latency += d
+	r.Stages = append(r.Stages, obs.Stage{Name: stage, Dur: d})
+	r.Energy.Add(e)
+}
+
 // PruneStats counts the exact-pruning tier's work on one scan: how many
 // stripe bounds were evaluated against the top-K floor, how many stripes
 // were skipped, and how many feature comparisons those skips avoided.
@@ -273,7 +281,6 @@ type DeepStore struct {
 	qc          *qcache.Cache[[]float32]
 	qcn         *nn.Network
 	qcThreshold float64
-	qcnCycles   int64
 
 	// Query-history store (DESIGN.md §15); nil unless Options.History.
 	// histMined is the learned admission model, always exactly
@@ -293,8 +300,7 @@ type DeepStore struct {
 	// costs memoises networkCost; guarded by mu.
 	costs map[costKey]systolic.NetworkCost
 
-	emodel energy.Model
-	stats  Stats
+	stats Stats
 
 	// obs and tracer are the engine's observability sinks: counters and
 	// latency histograms land in obs, per-query stage spans and flash page
@@ -334,7 +340,6 @@ func New(opts Options) (*DeepStore, error) {
 		queries:     make(map[QueryID]*queryState),
 		nextQueryID: 1,
 		costs:       make(map[costKey]systolic.NetworkCost),
-		emodel:      energy.DefaultModel(),
 		obs:         obs.NewRegistry(),
 		tracer:      obs.NewTracer(0),
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/energy"
 	"repro/internal/ftl"
 	"repro/internal/obs"
 	"repro/internal/qcache"
@@ -85,8 +86,7 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 		dur += sim.FromSeconds(float64(readBytes)/ds.dev.Config.DRAMBandwidth +
 			float64(cycles)/ds.dev.Config.CoreFreqHz)
 	}
-	r.Latency += dur
-	r.Stages = append(r.Stages, obs.Stage{Name: obs.StageHistAppend, Dur: dur})
+	r.charge(obs.StageHistAppend, dur, energy.Breakdown{})
 	ds.obs.Counter("core_hist_appends").Inc()
 	if retired {
 		ds.obs.Counter("core_hist_retired").Inc()

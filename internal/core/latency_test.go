@@ -4,8 +4,20 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// qcLookup is the qcache_lookup stage's latency for a cache of the given
+// size: the engine's QCN compared once per entry on the channel-level
+// accelerators.
+func qcLookup(ds *DeepStore, entries int64) sim.Duration {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	lat, _ := ds.comparisons(ds.qcn, accel.LevelChannel, entries, 1, 0, true)
+	return lat
+}
 
 // TestQCLookupLatencyBand anchors the query-cache lookup cost to §6.5: "the
 // cost of searching the entire query cache of 1K entries for this
@@ -21,7 +33,7 @@ func TestQCLookupLatencyBand(t *testing.T) {
 	if err := ds.SetQC(qcn, 0.95, 1000, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	lat := ds.qcLookupLatency(1000)
+	lat := qcLookup(ds, 1000)
 	us := lat.Microseconds()
 	if us < 10 || us > 1000 {
 		t.Errorf("1K-entry QC lookup = %.1f us, want within [10, 1000] around the paper's 300 us", us)
@@ -35,14 +47,67 @@ func TestQCLookupScalesWithEntries(t *testing.T) {
 	if err := ds.SetQC(app.QCN(), 0.95, 1000, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	small := ds.qcLookupLatency(64)
-	big := ds.qcLookupLatency(640)
+	small := qcLookup(ds, 64)
+	big := qcLookup(ds, 640)
 	ratio := float64(big) / float64(small)
 	if ratio < 5 || ratio > 15 {
 		t.Errorf("lookup cost scaled %.1fx for 10x entries", ratio)
 	}
-	if ds.qcLookupLatency(0) != 0 {
+	if qcLookup(ds, 0) != 0 {
 		t.Error("empty cache lookup has cost")
+	}
+}
+
+// TestQCLookupIgnoresDefaultLevel: the QCN always runs on the channel-level
+// accelerators (§4.6), so a query's qcache_lookup stage does not depend on
+// which level DefaultLevel names.
+func TestQCLookupIgnoresDefaultLevel(t *testing.T) {
+	app, _ := workload.ByName("TIR")
+	vecs := workload.NewFeatureDB(app, 64, 2).Vectors
+	qs := workload.NewFeatureDB(app, 9, 5).Vectors
+	channel := accel.LevelChannel
+	var want sim.Duration
+	for i, level := range accel.Levels() {
+		opts := DefaultOptions()
+		opts.DefaultLevel = level
+		ds, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := ds.WriteDB(vecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := ds.LoadModelNetwork(app.SCN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.SetQC(app.QCN(), 1, 16, 1); err != nil {
+			t.Fatal(err)
+		}
+		// The last query compares against every earlier one.
+		var res *QueryResult
+		for _, q := range qs {
+			id, err := ds.Query(QuerySpec{QFV: q, K: 3, Model: model, DB: db, Level: &channel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err = ds.GetResults(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res.Stages[0].Name != obs.StageQCacheLookup {
+			t.Fatalf("first stage %q, want %q", res.Stages[0].Name, obs.StageQCacheLookup)
+		}
+		got := res.Stages[0].Dur
+		if got == 0 {
+			t.Fatalf("DefaultLevel %v: a %d-entry lookup took no time", level, len(qs)-1)
+		}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("qcache_lookup took %v with DefaultLevel %v, %v with %v", got, level, want, accel.Levels()[0])
+		}
 	}
 }
 

@@ -94,7 +94,9 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 	var groups []scanGroup
 	for i := range items {
 		it := &items[i]
-		it.result = &QueryResult{}
+		// Room for the usual four stages: lookup, scan or rerank,
+		// hist_append and dma.
+		it.result = &QueryResult{Stages: make([]obs.Stage, 0, 4)}
 		if ds.qc != nil {
 			// The QCN comparisons execute on the channel-level accelerators;
 			// their latency AND energy are charged per entry (the comparisons
@@ -102,8 +104,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 			// overstate the cache's Fig. 13/14 energy win).
 			entries := ds.qc.Len()
 			cached, hit := ds.qc.Lookup(it.spec.QFV, ds.qcThreshold)
-			it.lookupLat = ds.qcLookupLatency(entries)
-			it.lookupEnergy = ds.comparisonEnergy(ds.qcn, accel.LevelChannel, int64(entries))
+			it.lookupLat, it.lookupEnergy = ds.comparisons(ds.qcn, accel.LevelChannel, int64(entries), 1, 0, true)
 			if hit {
 				it.hit, it.cached = true, cached.Results
 				continue
@@ -146,14 +147,9 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 			r.CacheHit = true
 			r.TopK = ds.rerank(it.net, it.st, it.spec.QFV, it.cached, it.spec.K)
 			r.FeaturesScanned = n
-			rerankLat := ds.rerankLatency(it.net, it.level, n)
-			r.Latency = it.lookupLat + rerankLat
-			r.Stages = []obs.Stage{
-				{Name: obs.StageQCacheLookup, Dur: it.lookupLat},
-				{Name: obs.StageRerank, Dur: rerankLat},
-			}
-			r.Energy = it.lookupEnergy
-			r.Energy.Add(ds.comparisonEnergy(it.net, it.level, n))
+			r.charge(obs.StageQCacheLookup, it.lookupLat, it.lookupEnergy)
+			lat, e := ds.comparisons(it.net, it.level, n, 1, 0, false)
+			r.charge(obs.StageRerank, lat, e)
 		}
 		// History appends land in submission order, after the batch's cache
 		// decisions (pass 1), so the batch's admission decisions all see the
@@ -206,26 +202,24 @@ func (ds *DeepStore) scanGroup(items []batchItem, g scanGroup, scanStage string)
 		}
 		r.FeaturesScanned = survivors
 		r.Prune = ps
-		addStage := func(name string, dur sim.Duration, e energy.Breakdown) {
-			r.Latency += dur
-			r.Stages = append(r.Stages, obs.Stage{Name: name, Dur: dur})
-			r.Energy.Add(e)
-		}
 		if ds.qc != nil {
-			addStage(obs.StageQCacheLookup, it.lookupLat, it.lookupEnergy)
+			r.charge(obs.StageQCacheLookup, it.lookupLat, it.lookupEnergy)
 		}
 		if tier != nil {
-			addStage(obs.StageBoundCheck, ds.boundCheckLatency(net, level, tier, ps.StripesChecked),
-				ds.boundCheckEnergy(net, level, tier, ps.StripesChecked))
+			// Per evaluated stripe the accelerator reads one bound-table
+			// entry and propagates the interval's lo and hi halves.
+			lat, e := ds.comparisons(net, level, ps.StripesChecked, 2, tier.entryBytes, true)
+			r.charge(obs.StageBoundCheck, lat, e)
 			ds.recordPruneStats(ps)
 		}
-		addStage(scanStage, scanOut.Elapsed, ds.emodel.Energy(scanOut.Activity))
+		r.charge(scanStage, scanOut.Elapsed, energy.Energy(scanOut.Activity))
 		final := tops[j]
 		if exact {
-			cands := int64(len(final))
+			// Each K·margin candidate's fp32 vector is re-read from the data
+			// layout and re-scored at full precision.
+			lat, e := ds.comparisons(net, level, int64(len(final)), 1, st.meta.Layout.FeatureBytes, true)
 			final = ds.rerank(net, st, it.spec.QFV, final, it.spec.K)
-			addStage(obs.StageRerankExact, ds.rerankExactLatency(net, st, level, cands),
-				ds.rerankExactEnergy(net, st, level, cands))
+			r.charge(obs.StageRerankExact, lat, e)
 		}
 		if it.pending != nil {
 			copy(it.pending, final)

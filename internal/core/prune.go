@@ -1,11 +1,8 @@
 package core
 
 import (
-	"repro/internal/accel"
-	"repro/internal/energy"
 	"repro/internal/ftl"
 	"repro/internal/nn"
-	"repro/internal/sim"
 )
 
 // The exact stripe-pruning tier (DESIGN.md "Exact scan pruning"). Each
@@ -126,36 +123,4 @@ func (ds *DeepStore) refreshBoundTier(st *dbState, oldFeatures int64) {
 	}
 	ds.dev.ProgramTable(table)
 	st.bounds = &boundTier{stripeFeatures: sf, entryBytes: boundEntryBytes(dims), envs: envs}
-}
-
-// boundCheckLatency models the bound_check stage: per evaluated stripe, the
-// accelerator reads one table entry over its flash channel and runs the
-// interval compare (we charge two network-forward-equivalents — the lo and
-// hi propagation halves). Checks spread across the level's accelerators
-// like the scan itself.
-func (ds *DeepStore) boundCheckLatency(net *nn.Network, level accel.Level, tier *boundTier, checked int64) sim.Duration {
-	if checked == 0 {
-		return 0
-	}
-	spec := specFor(ds, level)
-	perAccel := (checked + int64(spec.Count) - 1) / int64(spec.Count)
-	cost := ds.networkCost(net, level)
-	secs := float64(perAccel*2*cost.Cycles)/spec.Array.FreqHz +
-		float64(perAccel*tier.entryBytes)/ds.dev.Config.Timing.ChannelBandwidth
-	return sim.FromSeconds(secs)
-}
-
-// boundCheckEnergy models the stage's energy: two forward-equivalents of
-// systolic compute per check plus the table-entry flash read and its NoC
-// crossing.
-func (ds *DeepStore) boundCheckEnergy(net *nn.Network, level accel.Level, tier *boundTier, checked int64) energy.Breakdown {
-	if checked == 0 {
-		return energy.Breakdown{}
-	}
-	b := ds.comparisonEnergy(net, level, 2*checked)
-	b.Add(ds.emodel.Energy(energy.Activity{
-		FlashBytes: checked * tier.entryBytes,
-		NoCBytes:   checked * tier.entryBytes,
-	}))
-	return b
 }

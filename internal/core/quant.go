@@ -1,11 +1,8 @@
 package core
 
 import (
-	"repro/internal/accel"
-	"repro/internal/energy"
 	"repro/internal/ftl"
 	"repro/internal/nn"
-	"repro/internal/sim"
 )
 
 // The quantized scoring path (DESIGN.md §12 "Quantized scoring"). Each
@@ -59,35 +56,4 @@ func (ds *DeepStore) refreshQuantState(st *dbState, oldFeatures int64) {
 		vecs = append(vecs, nn.QuantizeVector(v))
 	}
 	st.quant = &quantState{vecs: vecs}
-}
-
-// rerankExactLatency models the rerank_exact stage: the K·margin candidate
-// fp32 vectors are re-read from the data layout and re-scored at full
-// precision, spread across the level's accelerators like the scan itself.
-func (ds *DeepStore) rerankExactLatency(net *nn.Network, st *dbState, level accel.Level, cands int64) sim.Duration {
-	if cands == 0 {
-		return 0
-	}
-	spec := specFor(ds, level)
-	perAccel := (cands + int64(spec.Count) - 1) / int64(spec.Count)
-	cost := ds.networkCost(net, level)
-	fb := st.meta.Layout.FeatureBytes
-	secs := float64(perAccel*cost.Cycles)/spec.Array.FreqHz +
-		float64(perAccel*fb)/ds.dev.Config.Timing.ChannelBandwidth
-	return sim.FromSeconds(secs)
-}
-
-// rerankExactEnergy models the stage's energy: one fp32 forward per
-// candidate plus the candidate vector's flash read and NoC crossing.
-func (ds *DeepStore) rerankExactEnergy(net *nn.Network, st *dbState, level accel.Level, cands int64) energy.Breakdown {
-	if cands == 0 {
-		return energy.Breakdown{}
-	}
-	b := ds.comparisonEnergy(net, level, cands)
-	fb := st.meta.Layout.FeatureBytes
-	b.Add(ds.emodel.Energy(energy.Activity{
-		FlashBytes: cands * fb,
-		NoCBytes:   cands * fb,
-	}))
-	return b
 }

@@ -168,42 +168,33 @@ func (ds *DeepStore) networkCost(net *nn.Network, level accel.Level) systolic.Ne
 	return cost
 }
 
-// qcLookupLatency models scanning the query cache with the QCN on the
-// channel-level accelerators (§6.5: ~0.3 ms for 1000 entries).
-func (ds *DeepStore) qcLookupLatency(entries int) sim.Duration {
-	if entries == 0 {
-		return 0
-	}
-	spec := specFor(ds, accel.LevelChannel)
-	perAccel := (int64(entries) + int64(spec.Count) - 1) / int64(spec.Count)
-	secs := float64(perAccel*ds.qcnCycles) / spec.Array.FreqHz
-	return sim.FromSeconds(secs)
-}
-
-// comparisonEnergy models the energy of n network comparisons on the given
-// accelerator level: the systolic MACs plus scratchpad traffic of n forward
-// passes, converted through the engine's energy model. Used for the QCN
-// cache sweep and the SCN re-rank, which bypass the event-driven scan path.
-func (ds *DeepStore) comparisonEnergy(net *nn.Network, level accel.Level, n int64) energy.Breakdown {
-	if net == nil || n == 0 {
-		return energy.Breakdown{}
+// comparisons prices an analytic stage (DESIGN.md §4, "Analytic stages"):
+// n items, each run through passes forward passes of net on level's array
+// and reading bytes over its flash channel. With spread the items divide
+// over the level's accelerators like the scan itself; without it one array
+// runs them all. It returns the stage's latency and its energy: the systolic
+// MACs and scratchpad traffic of every pass, then the items' flash reads and
+// their NoC crossing. Callers hold ds.mu.
+func (ds *DeepStore) comparisons(net *nn.Network, level accel.Level, n, passes, bytes int64, spread bool) (sim.Duration, energy.Breakdown) {
+	if n == 0 {
+		return 0, energy.Breakdown{}
 	}
 	spec := specFor(ds, level)
 	cost := ds.networkCost(net, level)
-	return ds.emodel.Energy(energy.Activity{
-		MACs:      cost.MACs * n,
-		SRAMBytes: (cost.SRAMReadBytes + cost.SRAMWriteBytes) * n,
+	per := n
+	if spread {
+		per = (n + int64(spec.Count) - 1) / int64(spec.Count)
+	}
+	secs := float64(per*passes*cost.Cycles)/spec.Array.FreqHz +
+		float64(per*bytes)/ds.dev.Config.Timing.ChannelBandwidth
+	e := energy.Energy(energy.Activity{
+		MACs:      cost.MACs * passes * n,
+		SRAMBytes: (cost.SRAMReadBytes + cost.SRAMWriteBytes) * passes * n,
 		SRAMSize:  spec.Array.ScratchpadBytes,
 		SRAMKind:  spec.SRAMKind,
 	})
-}
-
-// rerankLatency models re-scoring the K cached features with the SCN.
-func (ds *DeepStore) rerankLatency(net *nn.Network, level accel.Level, k int64) sim.Duration {
-	spec := specFor(ds, level)
-	cost := ds.networkCost(net, level)
-	secs := float64(k*cost.Cycles) / spec.Array.FreqHz
-	return sim.FromSeconds(secs)
+	e.Add(energy.Energy(energy.Activity{FlashBytes: n * bytes, NoCBytes: n * bytes}))
+	return sim.FromSeconds(secs), e
 }
 
 // scanTarget picks what the event-driven scan of st reads and how the arrays
@@ -546,8 +537,7 @@ func (ds *DeepStore) fetchResults(id QueryID, forget bool) (*QueryResult, error)
 	ds.dev.External.Transfer(int64(len(st.result.TopK))*16, nil)
 	ds.engine.Run()
 	dma := sim.Duration(ds.engine.Now() - before)
-	st.result.Latency += dma
-	st.result.Stages = append(st.result.Stages, obs.Stage{Name: obs.StageDMA, Dur: dma})
+	st.result.charge(obs.StageDMA, dma, energy.Breakdown{})
 	ds.stats.SimTime += dma
 	ds.obs.Counter("core_get_results").Inc()
 	ds.observeStage(obs.StageDMA, dma)

@@ -531,9 +531,10 @@ func failItem(ds *DeepStore, it servItem, err error) {
 
 // deliverItem fetches one query's result, prepends the sched_queue stage
 // (the simulated wait between arrival and batch dispatch, so stage durations
-// still sum to Latency), and completes the submission channel. The channel
-// is the result's only reader, so its entry leaves the engine's result table.
-// Returns the delivery error, nil on success.
+// still sum to Latency) and its span on the query's track, ending where the
+// query's other spans begin, and completes the submission channel. The
+// channel is the result's only reader, so its entry leaves the engine's
+// result table. Returns the delivery error, nil on success.
 func deliverItem(ds *DeepStore, it servItem, id QueryID, started sim.Time) error {
 	res, err := ds.fetchResults(id, true)
 	if err != nil {
@@ -547,6 +548,7 @@ func deliverItem(ds *DeepStore, it servItem, id QueryID, started sim.Time) error
 	res.Latency += qwait
 	res.Stages = append([]obs.Stage{{Name: obs.StageSchedQueue, Dur: qwait}}, res.Stages...)
 	ds.observeStage(obs.StageSchedQueue, qwait)
+	ds.tracer.Add(obs.Span{Name: obs.StageSchedQueue, Cat: "core", TID: int64(id), Start: started - sim.Time(qwait), Dur: qwait})
 	it.ch <- res
 	close(it.ch)
 	return nil

@@ -204,6 +204,68 @@ func TestServerDeadlineCut(t *testing.T) {
 	}
 }
 
+// TestServedQueryTracesQueueWait: a served query's track starts at its
+// arrival. The sched_queue span covers the wait from submission to
+// dispatch and ends where the query's own span begins.
+func TestServedQueryTracesQueueWait(t *testing.T) {
+	engine, model, db := newEqEngine(t, DefaultOptions(), 17, false)
+	slo := 1000 * sim.Microsecond
+	srv, err := NewServer(engine, ServerConfig{
+		Tenants:   []TenantConfig{{Name: "t", Weight: 1, SLO: slo}},
+		BatchSize: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	t0 := engine.Now()
+	var chs []<-chan *QueryResult
+	for sig := float32(1); sig <= 2; sig++ {
+		ch, err := srv.Submit("t", tenantSpec(sig, model, db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chs = append(chs, ch)
+	}
+	cut, ok := srv.NextDeadlineCut()
+	if !ok {
+		t.Fatal("no deadline cut armed for an SLO tenant")
+	}
+	srv.AdvanceTo(cut)
+	for i, ch := range chs {
+		res := <-ch
+		if res == nil || res.Err != nil {
+			t.Fatalf("query %d: bad result %+v", i, res)
+		}
+		if s := res.Stages[0]; s.Name != obs.StageSchedQueue || s.Dur != sim.Duration(cut-t0) {
+			t.Fatalf("query %d: first stage %+v, want %s of %v", i, s, obs.StageSchedQueue, cut-t0)
+		}
+	}
+	queued, started := map[int64]obs.Span{}, map[int64]obs.Span{}
+	for _, s := range engine.Tracer().Spans() {
+		switch {
+		case s.Cat == "core" && s.Name == obs.StageSchedQueue:
+			queued[s.TID] = s
+		case s.Cat == "core" && s.Name == "query":
+			started[s.TID] = s
+		}
+	}
+	if len(started) != len(chs) {
+		t.Fatalf("%d query spans, want %d", len(started), len(chs))
+	}
+	for id, q := range started {
+		w, ok := queued[id]
+		if !ok {
+			t.Errorf("query %d: no %s span", id, obs.StageSchedQueue)
+			continue
+		}
+		if w.Start != t0 || w.Start+sim.Time(w.Dur) != q.Start {
+			t.Errorf("query %d: %s span [%v, %v), want [%v, %v)", id, obs.StageSchedQueue,
+				w.Start, w.Start+sim.Time(w.Dur), t0, q.Start)
+		}
+	}
+}
+
 // TestServerPerTenantShedding: a tenant at its queue budget sheds its own
 // submissions with the typed ErrQueueFull while every other tenant keeps
 // admitting — per-tenant, not global, admission control.

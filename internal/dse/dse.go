@@ -44,7 +44,7 @@ type Candidate struct {
 // PowerEstimate returns the average dynamic power of an accelerator
 // executing the network continuously: per-feature energy (MACs + scratchpad
 // traffic) divided by per-feature time.
-func PowerEstimate(cfg systolic.Config, plan []nn.LayerDims, kind energy.SRAMKind, m energy.Model) float64 {
+func PowerEstimate(cfg systolic.Config, plan []nn.LayerDims, kind energy.SRAMKind) float64 {
 	cost := cfg.NetworkCost(plan)
 	if cost.Cycles == 0 {
 		return 0
@@ -55,7 +55,7 @@ func PowerEstimate(cfg systolic.Config, plan []nn.LayerDims, kind energy.SRAMKin
 		SRAMSize:  maxI64(cfg.ScratchpadBytes, 64<<10),
 		SRAMKind:  kind,
 	}
-	joules := m.Energy(act).Total()
+	joules := energy.Energy(act).Total()
 	seconds := float64(cost.Cycles) / cfg.FreqHz
 	return joules / seconds
 }
@@ -71,9 +71,9 @@ func maxI64(a, b int64) int64 {
 // actually caps: every PE issuing a MAC per cycle (mult/add stages
 // interleave, hence the 0.5 activity factor) plus the scratchpad edge
 // streams feeding the array.
-func PeakPowerW(cfg systolic.Config, kind energy.SRAMKind, m energy.Model) float64 {
+func PeakPowerW(cfg systolic.Config, kind energy.SRAMKind) float64 {
 	pes := float64(cfg.PEs())
-	array := pes * cfg.FreqHz * m.MACJoules * 0.5
+	array := pes * cfg.FreqHz * energy.MACJoules * 0.5
 	edgeBytesPerCyc := float64(cfg.Rows+cfg.Cols) * 4
 	sram := edgeBytesPerCyc * cfg.FreqHz * energy.SRAMJoulesPerByte(maxI64(cfg.ScratchpadBytes, 64<<10), kind)
 	return array + sram
@@ -85,7 +85,6 @@ func PeakPowerW(cfg systolic.Config, kind energy.SRAMKind, m energy.Model) float
 // mean latency, breaking ties toward fewer PEs (energy).
 func Explore(freqHz float64, df systolic.Dataflow, cons Constraints) (best Candidate, all []Candidate) {
 	apps := workload.Apps()
-	model := energy.DefaultModel()
 
 	for pes := 32; pes <= 32768; pes *= 2 {
 		for _, a := range systolic.Aspects(pes) {
@@ -101,7 +100,7 @@ func Explore(freqHz float64, df systolic.Dataflow, cons Constraints) (best Candi
 				cost := cfg.NetworkCost(app.SCN.LayerPlan())
 				logSum += math.Log(float64(cost.Cycles))
 			}
-			power := PeakPowerW(cfg, cons.SRAMKind, model)
+			power := PeakPowerW(cfg, cons.SRAMKind)
 			c := Candidate{
 				Config:     cfg,
 				MeanCycles: math.Exp(logSum / float64(len(apps))),

@@ -69,14 +69,13 @@ func TestExploreChipLevelSmall(t *testing.T) {
 
 func TestPowerMonotonicInPEs(t *testing.T) {
 	cons := channelConstraints()
-	m := energy.DefaultModel()
 	prev := -1.0
 	for pes := 128; pes <= 8192; pes *= 4 {
 		cfg := systolic.Config{Rows: 16, Cols: pes / 16, FreqHz: 800e6,
 			Dataflow: systolic.OutputStationary, ScratchpadBytes: cons.ScratchpadBytes, LayerOverhead: 64}
 		var p float64
 		for _, plan := range plansForTest() {
-			if pp := PowerEstimate(cfg, plan, cons.SRAMKind, m); pp > p {
+			if pp := PowerEstimate(cfg, plan, cons.SRAMKind); pp > p {
 				p = pp
 			}
 		}

@@ -54,44 +54,23 @@ func SRAMJoulesPerByte(sizeBytes int64, kind SRAMKind) float64 {
 	return jb
 }
 
-// Model holds the per-event energy constants.
-type Model struct {
-	// MACJoules is one 32-bit floating-point multiply-accumulate at 32 nm.
-	MACJoules float64
+// The per-event energy constants.
+const (
+	// MACJoules is one 32-bit floating-point multiply-accumulate at 32 nm:
+	// Horowitz (ISSCC'14) 45 nm FP32 mul+add ≈ 4.6 pJ, scaled to 32 nm.
+	MACJoules = 3.2e-12
 	// DRAMJoulesPerByte is controller-DRAM access energy (20 pJ/bit, §6.1).
-	DRAMJoulesPerByte float64
-	// FlashJoulesPerByte is the NAND page-access energy per byte, derived
-	// from the P4500's read power at its measured bandwidth.
-	FlashJoulesPerByte float64
+	DRAMJoulesPerByte = 20e-12 * 8
+	// FlashJoulesPerByte is the NAND page-access energy per byte. The P4500
+	// draws ~11 W read-active at 3.2 GB/s end to end; the NAND array +
+	// channel interface share (excluding controller, DRAM, and PCIe PHY,
+	// which the accelerators bypass) is ~0.7 nJ/B.
+	FlashJoulesPerByte = 0.7e-9
 	// NoCJoulesPerByte is on-/off-chip interconnect energy per byte moved
 	// between a flash channel and an accelerator, extrapolated from wire
-	// length and area as in §6.1.
-	NoCJoulesPerByte float64
-}
-
-// DefaultModel returns the evaluation constants.
-func DefaultModel() Model {
-	return Model{
-		// Horowitz (ISSCC'14) 45 nm FP32 mul+add ≈ 4.6 pJ, scaled to 32 nm.
-		MACJoules: 3.2e-12,
-		// 20 pJ/bit (§6.1).
-		DRAMJoulesPerByte: 20e-12 * 8,
-		// P4500: ~11 W read-active at 3.2 GB/s end to end; the NAND array
-		// + channel interface share (excluding controller, DRAM, and PCIe
-		// PHY, which the accelerators bypass) is ~0.7 nJ/B.
-		FlashJoulesPerByte: 0.7e-9,
-		// ~0.1 pJ/bit/mm over ~10 mm.
-		NoCJoulesPerByte: 8e-12,
-	}
-}
-
-// Validate reports model errors.
-func (m Model) Validate() error {
-	if m.MACJoules <= 0 || m.DRAMJoulesPerByte <= 0 || m.FlashJoulesPerByte <= 0 || m.NoCJoulesPerByte < 0 {
-		return fmt.Errorf("energy: non-positive constant in %+v", m)
-	}
-	return nil
-}
+	// length and area as in §6.1: ~0.1 pJ/bit/mm over ~10 mm.
+	NoCJoulesPerByte = 8e-12
+)
 
 // Activity aggregates the countable work of a simulation run.
 type Activity struct {
@@ -178,12 +157,9 @@ func (b Breakdown) Fractions() (compute, memory, flash float64) {
 }
 
 // Energy converts an activity record to a Fig. 12 breakdown.
-func (m Model) Energy(a Activity) Breakdown {
-	if err := m.Validate(); err != nil {
-		panic(err)
-	}
+func Energy(a Activity) Breakdown {
 	var b Breakdown
-	b.ComputeJ = float64(a.MACs) * m.MACJoules
+	b.ComputeJ = float64(a.MACs) * MACJoules
 	if a.MACScale > 0 {
 		b.ComputeJ *= a.MACScale
 	}
@@ -197,7 +173,7 @@ func (m Model) Energy(a Activity) Breakdown {
 		}
 		b.MemoryJ += float64(a.L2Bytes) * SRAMJoulesPerByte(size, ITRSHP)
 	}
-	b.MemoryJ += float64(a.DRAMBytes) * m.DRAMJoulesPerByte
-	b.FlashJ = float64(a.FlashBytes)*m.FlashJoulesPerByte + float64(a.NoCBytes)*m.NoCJoulesPerByte
+	b.MemoryJ += float64(a.DRAMBytes) * DRAMJoulesPerByte
+	b.FlashJ = float64(a.FlashBytes)*FlashJoulesPerByte + float64(a.NoCBytes)*NoCJoulesPerByte
 	return b
 }

@@ -40,18 +40,13 @@ func TestSRAMBadSizePanics(t *testing.T) {
 }
 
 func TestDefaultModelConstants(t *testing.T) {
-	m := DefaultModel()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// DRAM is 20 pJ/bit = 160 pJ/B per §6.1.
-	if m.DRAMJoulesPerByte != 160e-12 {
-		t.Errorf("DRAM energy = %v, want 160 pJ/B", m.DRAMJoulesPerByte)
+	if DRAMJoulesPerByte != 160e-12 {
+		t.Errorf("DRAM energy = %v, want 160 pJ/B", DRAMJoulesPerByte)
 	}
 }
 
 func TestEnergyBreakdown(t *testing.T) {
-	m := DefaultModel()
 	a := Activity{
 		MACs:       1e9,
 		SRAMBytes:  1 << 30,
@@ -61,11 +56,11 @@ func TestEnergyBreakdown(t *testing.T) {
 		FlashBytes: 1 << 30,
 		NoCBytes:   1 << 30,
 	}
-	b := m.Energy(a)
+	b := Energy(a)
 	if b.ComputeJ <= 0 || b.MemoryJ <= 0 || b.FlashJ <= 0 {
 		t.Errorf("breakdown has non-positive component: %+v", b)
 	}
-	wantCompute := 1e9 * m.MACJoules
+	wantCompute := 1e9 * MACJoules
 	if math.Abs(b.ComputeJ-wantCompute) > 1e-9 {
 		t.Errorf("compute = %v, want %v", b.ComputeJ, wantCompute)
 	}
@@ -76,7 +71,7 @@ func TestEnergyBreakdown(t *testing.T) {
 }
 
 func TestEnergyZeroActivity(t *testing.T) {
-	b := DefaultModel().Energy(Activity{})
+	b := Energy(Activity{})
 	if b.Total() != 0 {
 		t.Errorf("zero activity has energy %v", b.Total())
 	}
@@ -88,13 +83,12 @@ func TestEnergyZeroActivity(t *testing.T) {
 
 // Property: energy is additive — E(a+b) == E(a) + E(b) (same SRAM config).
 func TestEnergyAdditivityProperty(t *testing.T) {
-	m := DefaultModel()
 	f := func(m1, m2 uint32, s1, s2 uint32) bool {
 		a := Activity{MACs: int64(m1), SRAMBytes: int64(s1), SRAMSize: 512 << 10}
 		b := Activity{MACs: int64(m2), SRAMBytes: int64(s2), SRAMSize: 512 << 10}
 		sum := a
 		sum.Add(b)
-		ea, eb, es := m.Energy(a), m.Energy(b), m.Energy(sum)
+		ea, eb, es := Energy(a), Energy(b), Energy(sum)
 		tol := 1e-12 + 1e-9*es.Total()
 		return math.Abs(ea.Total()+eb.Total()-es.Total()) < tol
 	}

@@ -65,12 +65,10 @@ func RunScan(app *workload.App, spec accel.Spec, devCfg ssd.Config, features, wi
 		}
 		return ScanOutcome{}, err
 	}
-	model := energy.DefaultModel()
-	model.MACJoules *= spec.Array.Precision.MACEnergyScale()
 	return ScanOutcome{
 		Level:   spec.Level,
 		Seconds: res.Elapsed.Seconds(),
-		Energy:  model.Energy(res.Activity),
+		Energy:  energy.Energy(res.Activity),
 		Result:  res,
 	}, nil
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/energy"
 	"repro/internal/report"
 	"repro/internal/ssd"
+	"repro/internal/systolic"
 	"repro/internal/workload"
 )
 
@@ -345,5 +347,24 @@ func TestRunScanUnsupportedReported(t *testing.T) {
 	}
 	if !out.Unsupported {
 		t.Error("chip-level ReId not reported unsupported")
+	}
+}
+
+// TestRunScanScalesMACEnergyOnce: a reduced-precision scan's compute energy
+// is its MACs at the FP32 constant times the precision's scale, applied once
+// (accel.Scan records the scale in the activity; energy.Energy applies it).
+func TestRunScanScalesMACEnergyOnce(t *testing.T) {
+	app, _ := workload.ByName("TIR")
+	dev := ssd.DefaultConfig()
+	spec := accel.SpecForLevel(accel.LevelChannel, dev)
+	spec.Array.Precision = systolic.INT8
+	out, err := RunScan(app, spec, dev, 100_000, testWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(out.Result.Activity.MACs) * energy.MACJoules * 0.12
+	if want == 0 || math.Abs(out.Energy.ComputeJ-want) > 1e-12*want {
+		t.Errorf("INT8 compute energy %v J, want %d MACs × %v J × 0.12 = %v J",
+			out.Energy.ComputeJ, out.Result.Activity.MACs, energy.MACJoules, want)
 	}
 }
