@@ -3,6 +3,8 @@ package baseline
 import (
 	"fmt"
 
+	"repro/internal/flash"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -30,7 +32,6 @@ func (w Wimpy) WimpyScanDES(app *workload.App, devCfg ssd.Config, features, wind
 		return 0, err
 	}
 	layout := meta.Layout
-	geom := layout.Geom
 
 	// Per-page compute time: the features a page carries, at the cores'
 	// effective FLOP rate.
@@ -47,49 +48,21 @@ func (w Wimpy) WimpyScanDES(app *workload.App, devCfg ssd.Config, features, wind
 	// The cores are one shared compute resource; pages stream from every
 	// channel through DRAM into a work queue.
 	cores := sim.NewResource(e, "embedded-cores", 1)
-	var totalPages, simPages int64
-	pending := 0
-	for ch := 0; ch < geom.Channels; ch++ {
-		share := layout.ChannelPages(ch)
-		totalPages += share
-		win := share
-		if windowPages > 0 && win > windowPages {
-			win = windowPages
+	compute := func(_ flash.PageAddr, next func()) { cores.Hold(perPage, next) }
+	var stats ssd.StreamStats
+	finished := false
+	dev.Walk(ssd.Walk{Layout: layout, Pages: func(ch int) (int64, int64) {
+		if windowPages > 0 {
+			return 0, min(layout.ChannelPages(ch), windowPages)
 		}
-		if win == 0 {
-			continue
-		}
-		simPages += win
-		pending++
-		ch := ch
-		var issued, inflight, done int64
-		var issue func()
-		issue = func() {
-			for inflight < 8 && issued < win {
-				j := issued
-				issued++
-				inflight++
-				dev.Flash.ReadPage(layout.ChannelPageAddr(ch, j), func() {
-					dev.DRAM.Transfer(geom.PageBytes, func() {
-						cores.Hold(perPage, func() {
-							inflight--
-							done++
-							if done == win {
-								pending--
-								return
-							}
-							issue()
-						})
-					})
-				})
-			}
-		}
-		issue()
-	}
+		return layout.ChannelSpan(ch)
+	}, Hops: []ssd.Hop{dev.HopFlashRead, dev.HopDRAM, compute}, Depth: ssd.StreamWindow,
+		Prefix: "wimpy", Span: obs.StageScan}, func(s ssd.StreamStats) { stats, finished = s, true })
 	end := e.Run()
-	if pending != 0 {
+	if !finished {
 		return 0, fmt.Errorf("baseline: wimpy scan deadlocked")
 	}
+	totalPages, simPages := layout.TotalPages(), stats.Pages
 	elapsed := sim.Duration(end)
 	if simPages > 0 && totalPages > simPages {
 		elapsed = sim.Duration(float64(elapsed) * float64(totalPages) / float64(simPages))

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/ftl"
+	"repro/internal/obs"
 	"repro/internal/reorg"
+	"repro/internal/ssd"
 )
 
 // Administrative operations beyond the Table 2 query API: database deletion
@@ -70,18 +72,9 @@ func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 	if err != nil {
 		return err
 	}
-	layout := st.meta.Layout
-	for ch := 0; ch < layout.Geom.Channels; ch++ {
-		pages := layout.ChannelPages(ch)
-		for j := int64(0); j < pages; j++ {
-			addr := layout.ChannelPageAddr(ch, j)
-			ds.dev.Flash.ReadPage(addr, func() {
-				ds.dev.DRAM.Transfer(layout.Geom.PageBytes, func() {
-					ds.dev.Flash.ProgramPage(addr, nil)
-				})
-			})
-		}
-	}
+	ds.dev.Walk(ssd.Walk{Layout: st.meta.Layout, Pages: st.meta.Layout.ChannelSpan,
+		Hops:  []ssd.Hop{ds.dev.HopFlashRead, ds.dev.HopDRAM, ds.dev.HopProgram},
+		Depth: ssd.IssueAll, Prefix: "ssd_reorg", Span: obs.SpanReorg}, nil)
 	ds.engine.Run()
 	st.vectors = moved
 	ds.refreshTables(st, 0) // every slot moved
@@ -97,12 +90,13 @@ func (ds *DeepStore) Checkpoint() ([]byte, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.hist != nil {
-		table, err := ds.dev.FTL.SetRegion(ftl.HistOwner, ds.dev.Config.Geometry,
+		ds.dev.FTL.DropRegion(ftl.HistOwner, ftl.HistRegion) // rewritten whole
+		table, _, err := ds.dev.FTL.SetRegion(ftl.HistOwner, ds.dev.Config.Geometry,
 			ftl.Region{Kind: ftl.HistRegion, Payload: ds.hist.Snapshot()})
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint history: %w", err)
 		}
-		ds.dev.ProgramTable(table)
+		ds.dev.ProgramTable(table, table.ChannelSpan)
 	}
 	img, err := ds.dev.PersistMetadata()
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/ftl"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/qcache"
+	"repro/internal/ssd"
 )
 
 // The Table 2 programming API. The host-side argument conventions (raw
@@ -38,14 +40,8 @@ func (ds *DeepStore) WriteDB(features [][]float32) (ftl.DBID, error) {
 	if err != nil {
 		return 0, err
 	}
-	ds.programDB(meta)
-	stored := make([][]float32, len(features))
-	for i, f := range features {
-		v := make([]float32, dims)
-		copy(v, f)
-		stored[i] = v
-	}
-	st := &dbState{meta: meta, vectors: stored}
+	ds.programRange(meta, 0, "ssd_write", obs.SpanWriteDB)
+	st := &dbState{meta: meta, vectors: appendClones(make([][]float32, 0, len(features)), features)}
 	ds.dbs[meta.ID] = st
 	ds.refreshTables(st, 0)
 	return meta.ID, nil
@@ -66,24 +62,20 @@ func (ds *DeepStore) DeclareDB(featureBytes, features int64) (ftl.DBID, error) {
 	return meta.ID, nil
 }
 
-// programDB executes the page programs of a freshly written database in the
-// device model (writes stream over the external link and program the striped
-// pages; intelligent-query workloads do this once, §4.7.2).
-func (ds *DeepStore) programDB(meta *ftl.DBMeta) {
-	layout := meta.Layout
-	for ch := 0; ch < layout.Geom.Channels; ch++ {
-		pages := layout.ChannelPages(ch)
-		for j := int64(0); j < pages; j++ {
-			addr := layout.ChannelPageAddr(ch, j)
-			ds.dev.External.Transfer(layout.Geom.PageBytes, nil)
-			ds.dev.Flash.ProgramPage(addr, nil)
-		}
-	}
+// programRange charges writing features [start, Features) of the database:
+// the pages holding them (each channel's partly filled first page included)
+// cross the external link, and each programs once its transfer has landed.
+func (ds *DeepStore) programRange(meta *ftl.DBMeta, start int64, prefix, span string) {
+	l := meta.Layout
+	ds.dev.Walk(ssd.Walk{Layout: l, Pages: func(ch int) (int64, int64) { return l.ChannelRangePages(ch, start, l.Features) },
+		Hops: []ssd.Hop{ds.dev.HopExternal, ds.dev.HopProgram}, Depth: ssd.IssueAll, Prefix: prefix, Span: span}, nil)
 	ds.engine.Run()
 }
 
 // AppendDB appends features to an existing database (appendDB). Appended
-// features must match the database dimensionality.
+// features must match the database dimensionality. Only the pages holding
+// the new features are programmed, and only the derived-table pages they
+// dirty.
 func (ds *DeepStore) AppendDB(id ftl.DBID, features [][]float32) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -109,17 +101,15 @@ func (ds *DeepStore) AppendDB(id ftl.DBID, features [][]float32) error {
 	}
 	oldFeatures := int64(len(st.vectors))
 	st.meta = meta
-	for _, f := range features {
-		v := make([]float32, dims)
-		copy(v, f)
-		st.vectors = append(st.vectors, v)
-	}
+	ds.programRange(meta, oldFeatures, "ssd_append", obs.SpanAppendDB)
+	st.vectors = appendClones(st.vectors, features)
 	ds.refreshTables(st, oldFeatures)
 	return nil
 }
 
-// ReadDB reads num features starting at start (readDB). Data crosses the
-// external interface in the device model.
+// ReadDB reads num features starting at start (readDB). The pages holding
+// them are read, staged through controller DRAM and cross the external
+// interface in the device model.
 func (ds *DeepStore) ReadDB(id ftl.DBID, start, num int64) ([][]float32, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -134,15 +124,17 @@ func (ds *DeepStore) ReadDB(id ftl.DBID, start, num int64) ([][]float32, error) 
 		return nil, fmt.Errorf("core: readDB range [%d, %d) outside database of %d features",
 			start, start+num, len(st.vectors))
 	}
-	ds.dev.External.Transfer(num*st.meta.Layout.FeatureBytes, nil)
+	ds.dev.StreamRange(st.meta, start, start+num, "ssd_read", obs.SpanReadDB, nil)
 	ds.engine.Run()
-	out := make([][]float32, num)
-	for i := int64(0); i < num; i++ {
-		v := make([]float32, len(st.vectors[start+i]))
-		copy(v, st.vectors[start+i])
-		out[i] = v
+	return appendClones(make([][]float32, 0, num), st.vectors[start:start+num]), nil
+}
+
+// appendClones appends deep copies of vs to dst.
+func appendClones(dst, vs [][]float32) [][]float32 {
+	for _, v := range vs {
+		dst = append(dst, cloneVec(v))
 	}
-	return out, nil
+	return dst
 }
 
 // LoadModel registers an SCN computation graph serialized in the binary

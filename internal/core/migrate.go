@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/ftl"
+	"repro/internal/obs"
 	"repro/internal/ssd"
 )
 
@@ -76,11 +77,10 @@ func (ds *DeepStore) DBFeatures(id ftl.DBID) (int64, error) {
 // ReadRangeForMigration reads features [start, start+num) for an online
 // move, charging the device model for the physical pages holding the range:
 // plane reads on the owning channels, controller DRAM staging, and the
-// external-link transfer to the mover (ssd.Device.StreamRange). Unlike
-// ReadDB's logical-bytes transfer, the charge covers the page-aligned
-// physical footprint — packed neighbors ride along, as they do on real
-// flash. Returns deep copies, so the mover's buffer survives concurrent
-// appends to the source.
+// external-link transfer to the mover (ssd.Device.StreamRange, the walk
+// ReadDB makes): packed neighbors ride along, as they do on real flash.
+// Returns deep copies, so the mover's buffer survives concurrent appends to
+// the source.
 func (ds *DeepStore) ReadRangeForMigration(id ftl.DBID, start, num int64) ([][]float32, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -96,16 +96,10 @@ func (ds *DeepStore) ReadRangeForMigration(id ftl.DBID, start, num int64) ([][]f
 			start, start+num, len(st.vectors))
 	}
 	var stats ssd.StreamStats
-	ds.dev.StreamRange(st.meta, start, start+num, func(s ssd.StreamStats) { stats = s })
+	ds.dev.StreamRange(st.meta, start, start+num, "ssd_migrate", obs.SpanMigrateOut, func(s ssd.StreamStats) { stats = s })
 	ds.engine.Run()
 	ds.obs.Counter("core_migrate_reads").Inc()
 	ds.obs.Counter("core_migrate_features_out").Add(num)
 	ds.obs.Counter("core_migrate_pages_out").Add(stats.Pages)
-	out := make([][]float32, num)
-	for i := int64(0); i < num; i++ {
-		v := make([]float32, len(st.vectors[start+i]))
-		copy(v, st.vectors[start+i])
-		out[i] = v
-	}
-	return out, nil
+	return appendClones(make([][]float32, 0, num), st.vectors[start:start+num]), nil
 }

@@ -109,7 +109,7 @@ func TestReplayStageTotals(t *testing.T) {
 }
 
 // chromeTraceSHA256 is the SHA-256 of TestEngineObservability's Chrome trace.
-const chromeTraceSHA256 = "7eeab4f74b97fcba2e623fb9a16bf22db765e80132c0715e291134d1c1b91fbb"
+const chromeTraceSHA256 = "31a41bc09127c7ebd04b0592bcb9e0106526c868ecb35a92901bd0e886fd8fb0"
 
 // TestEngineObservability: the engine's metrics snapshot counts what the run
 // did, and the span trace exports as valid Chrome trace-event JSON whose

@@ -85,42 +85,47 @@ func (ds *DeepStore) refreshTables(st *dbState, oldFeatures int64) {
 	}
 }
 
-// refreshBoundTier reallocates the stripe-bound table for the database's
-// current layout, recomputes the stripes at or past each channel's first
-// dirty slot (the prefix is unchanged — appends never move existing
-// features; with no previous tier every stripe is dirty), programs the flash
-// copy and installs the DRAM mirror. On failure the database has no tier.
+// refreshBoundTier brings the stripe-bound table up to the database's
+// current layout: it recomputes the stripes holding each channel's new slots
+// (appends never move existing features; with oldFeatures 0 or no previous
+// tier every stripe is new and the table is re-placed), programs their pages
+// (every page when the region is fresh) and grows the DRAM mirror in place.
+// On failure the database has no tier.
 func (ds *DeepStore) refreshBoundTier(st *dbState, oldFeatures int64) {
-	var old [][]nn.Envelope
-	if st.bounds != nil {
-		old = st.bounds.envs
-	} else {
-		oldFeatures = 0
-	}
+	bt := st.bounds
 	st.bounds = nil
 	layout, sf := st.meta.Layout, ds.pruneStripeFeatures()
 	dims := layout.FeatureBytes / 4
-	table, err := ds.dev.FTL.SetRegion(st.meta.ID, layout.Geom,
+	if bt == nil || oldFeatures == 0 {
+		oldFeatures = 0
+		bt = &boundTier{stripeFeatures: sf, entryBytes: boundEntryBytes(dims), envs: make([][]nn.Envelope, layout.Geom.Channels)}
+		ds.dev.FTL.DropRegion(st.meta.ID, ftl.BoundRegion)
+	}
+	table, fresh, err := ds.dev.FTL.SetRegion(st.meta.ID, layout.Geom,
 		ftl.Region{Kind: ftl.BoundRegion, StripeFeatures: sf, EntryBytes: boundEntryBytes(dims)})
 	if err != nil {
 		return
 	}
 	before := layout
 	before.Features = oldFeatures
-	envs := make([][]nn.Envelope, layout.Geom.Channels)
-	for ch := range envs {
-		stripes := layout.ChannelStripes(ch, sf)
-		envs[ch] = make([]nn.Envelope, stripes)
-		// Every stripe strictly before the one containing the channel's
-		// first new slot is intact.
-		firstDirty := before.ChannelFeatures(ch) / sf
-		if firstDirty > 0 {
-			copy(envs[ch], old[ch][:min(firstDirty, int64(len(old[ch])))])
+	// dirty is channel ch's stripe span [first, stripes) holding new slots.
+	dirty := func(ch int) (int64, int64) {
+		s0, stripes := before.ChannelFeatures(ch), layout.ChannelStripes(ch, sf)
+		if s0 == layout.ChannelFeatures(ch) {
+			return stripes, stripes
 		}
-		for seg := firstDirty; seg < stripes; seg++ {
-			envs[ch][seg] = stripeEnvelope(st.vectors, layout, int(dims), ch, seg, sf)
+		return s0 / sf, stripes
+	}
+	for ch := range bt.envs {
+		first, stripes := dirty(ch)
+		for seg := first; seg < stripes; seg++ {
+			bt.envs[ch] = append(bt.envs[ch][:seg], stripeEnvelope(st.vectors, layout, int(dims), ch, seg, sf))
 		}
 	}
-	ds.dev.ProgramTable(table)
-	st.bounds = &boundTier{stripeFeatures: sf, entryBytes: boundEntryBytes(dims), envs: envs}
+	pages := table.ChannelSpan
+	if !fresh {
+		pages = func(ch int) (int64, int64) { return table.SlotPages(dirty(ch)) }
+	}
+	ds.dev.ProgramTable(table, pages)
+	st.bounds = bt
 }

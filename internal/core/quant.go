@@ -35,25 +35,33 @@ func (ds *DeepStore) quantFor(st *dbState) *quantState {
 	return st.quant
 }
 
-// refreshQuantState reallocates and reprograms the int8 table for the
-// database's current layout and quantizes the vectors from oldFeatures on
-// (per-vector scales make every existing entry independent of an append; with
-// no previous state all of them are new). On failure the database has no
-// quant state.
+// refreshQuantState brings the int8 table up to the database's current
+// layout: it quantizes the vectors from oldFeatures on into the DRAM mirror,
+// grown in place (per-vector scales make every existing entry independent of
+// an append; with oldFeatures 0 or no previous state all of them are new and
+// the table is re-placed), and programs the pages holding them (every page
+// when the region is fresh). On failure the database has no quant state.
 func (ds *DeepStore) refreshQuantState(st *dbState, oldFeatures int64) {
-	vecs := make([]nn.QuantizedVector, 0, len(st.vectors))
-	if st.quant != nil {
-		vecs = append(vecs, st.quant.vecs[:oldFeatures]...)
-	}
+	qs := st.quant
 	st.quant = nil
-	table, err := ds.dev.FTL.SetRegion(st.meta.ID, st.meta.Layout.Geom,
+	if qs == nil || oldFeatures == 0 {
+		oldFeatures = 0
+		qs = &quantState{vecs: make([]nn.QuantizedVector, 0, len(st.vectors))}
+		ds.dev.FTL.DropRegion(st.meta.ID, ftl.QuantRegion)
+	}
+	table, fresh, err := ds.dev.FTL.SetRegion(st.meta.ID, st.meta.Layout.Geom,
 		ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1})
 	if err != nil {
 		return
 	}
-	ds.dev.ProgramTable(table)
-	for _, v := range st.vectors[len(vecs):] {
-		vecs = append(vecs, nn.QuantizeVector(v))
+	pages := table.ChannelSpan
+	if !fresh {
+		pages = func(ch int) (int64, int64) { return table.ChannelRangePages(ch, oldFeatures, table.Features) }
 	}
-	st.quant = &quantState{vecs: vecs}
+	ds.dev.ProgramTable(table, pages)
+	qs.vecs = qs.vecs[:oldFeatures]
+	for _, v := range st.vectors[oldFeatures:] {
+		qs.vecs = append(qs.vecs, nn.QuantizeVector(v))
+	}
+	st.quant = qs
 }

@@ -233,13 +233,25 @@ func (l DBLayout) ChannelRangePages(ch int, start, end int64) (int64, int64) {
 		return 0, 0
 	}
 	last := end - 1 - ((end-1-int64(ch))%c+c)%c
-	firstSlot, lastSlot := first/c, last/c
-	if fp := l.FeaturesPerPage(); fp > 0 {
-		return firstSlot / int64(fp), lastSlot/int64(fp) + 1
+	return l.SlotPages(first/c, last/c+1)
+}
+
+// SlotPages returns the within-channel page span holding within-channel
+// feature slots [s0, s1) of any channel; empty when s0 >= s1.
+func (l DBLayout) SlotPages(s0, s1 int64) (int64, int64) {
+	if s0 >= s1 {
+		return 0, 0
+	}
+	if fp := int64(l.FeaturesPerPage()); fp > 0 {
+		return s0 / fp, (s1-1)/fp + 1
 	}
 	ppf := int64(l.PagesPerFeature())
-	return firstSlot * ppf, (lastSlot + 1) * ppf
+	return s0 * ppf, s1 * ppf
 }
+
+// ChannelSpan returns the whole within-channel page span [0, ChannelPages)
+// of channel ch.
+func (l DBLayout) ChannelSpan(ch int) (int64, int64) { return 0, l.ChannelPages(ch) }
 
 // FeatureChannel returns the channel owning feature i.
 func (l DBLayout) FeatureChannel(i int64) int {

@@ -133,11 +133,11 @@ func fourRegionImage(t testing.TB) []byte {
 	must(err)
 	_, err = f.CreateDB("beta", smallLayout(1))
 	must(err)
-	_, err = f.SetRegion(a.ID, a.Layout.Geom, boundKind.small)
+	_, _, err = f.SetRegion(a.ID, a.Layout.Geom, boundKind.small)
 	must(err)
-	_, err = f.SetRegion(a.ID, a.Layout.Geom, quantKind.small)
+	_, _, err = f.SetRegion(a.ID, a.Layout.Geom, quantKind.small)
 	must(err)
-	_, err = f.SetRegion(HistOwner, histGeom, histKind.large)
+	_, _, err = f.SetRegion(HistOwner, histGeom, histKind.large)
 	must(err)
 	must(f.DeleteDB(hole.ID))
 	f.Compact()

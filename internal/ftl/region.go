@@ -143,40 +143,49 @@ func (m *DBMeta) QuantTable() (DBLayout, bool) { return m.derived(QuantRegion) }
 // (ok=false when none is persisted).
 func (f *FTL) HistTable() (DBLayout, bool) { return f.self.derived(HistRegion) }
 
-// SetRegion allocates (or reallocates) id's region of r.Kind, sized for the
-// owner's CURRENT data layout, and returns the derived table to program.
-// Database ids hold Bound/Quant regions striped over their own geometry;
-// HistOwner holds the HistRegion, striped over geom. Any previous region of
-// the kind is freed first, and on any failure the owner is left without one:
-// a missing table is safe (dense scan, fp32 scan, cold start), a stale one
-// is not.
-func (f *FTL) SetRegion(id DBID, geom flash.Geometry, r Region) (DBLayout, error) {
+// SetRegion places id's region of r.Kind, sized for the owner's CURRENT data
+// layout, and returns the derived table to program. Database ids hold
+// Bound/Quant regions striped over their own geometry; HistOwner holds the
+// HistRegion, striped over geom. A region of the same shape whose columns
+// still hold the grown table stays in place (fresh false: program only what
+// changed; a caller rewriting a table whole drops it first). Otherwise the
+// old region is freed and a new one allocated (fresh true: program the whole
+// table). On any failure the owner is left without one: a missing table is
+// safe (dense scan, fp32 scan, cold start), a stale one is not.
+func (f *FTL) SetRegion(id DBID, geom flash.Geometry, r Region) (table DBLayout, fresh bool, err error) {
 	m := f.owner(id)
 	if m == nil || r.Kind >= numRegionKinds || (r.Kind == HistRegion) != (id == HistOwner) {
-		return DBLayout{}, fmt.Errorf("ftl: region kind %d not placeable under owner %d", r.Kind, id)
+		return DBLayout{}, false, fmt.Errorf("ftl: region kind %d not placeable under owner %d", r.Kind, id)
 	}
-	f.DropRegion(id, r.Kind)
 	if id == HistOwner {
 		m.Layout.Geom = geom
 	} else if geom != m.Layout.Geom {
-		return DBLayout{}, fmt.Errorf("ftl: region geometry %+v differs from db %d's", geom, id)
+		f.DropRegion(id, r.Kind)
+		return DBLayout{}, false, fmt.Errorf("ftl: region geometry %+v differs from db %d's", geom, id)
 	}
+	r.Payload = append([]byte(nil), r.Payload...)
+	if old := m.regions[r.Kind]; old != nil && old.EntryBytes == r.EntryBytes && old.StripeFeatures == r.StripeFeatures {
+		r.StartBlock, r.Blocks = old.StartBlock, old.Blocks
+		if table, err := r.table(m.Layout); err == nil && table.BlocksPerPlane() <= r.Blocks {
+			m.regions[r.Kind] = &r
+			return table, false, nil
+		}
+	}
+	f.DropRegion(id, r.Kind)
 	r.StartBlock = f.reservedBlocks // placeholder for validation
-	table, err := r.table(m.Layout)
-	if err != nil {
-		return DBLayout{}, err
+	if table, err = r.table(m.Layout); err != nil {
+		return DBLayout{}, false, err
 	}
 	r.Blocks = max(table.BlocksPerPlane(), 1)
 	if r.StartBlock, err = f.allocate(r.Blocks); err != nil {
-		return DBLayout{}, fmt.Errorf("ftl: allocating region kind %d for owner %d: %w", r.Kind, id, err)
+		return DBLayout{}, false, fmt.Errorf("ftl: allocating region kind %d for owner %d: %w", r.Kind, id, err)
 	}
 	for i := r.StartBlock; i < r.StartBlock+r.Blocks; i++ {
 		f.blockOwner[i] = id
 	}
-	r.Payload = append([]byte(nil), r.Payload...)
 	m.regions[r.Kind] = &r
 	table.StartBlock = r.StartBlock
-	return table, nil
+	return table, true, nil
 }
 
 // DropRegion frees id's region of the given kind — its columns are erased,

@@ -101,7 +101,7 @@ var (
 // mustSet sets the region and returns its record.
 func mustSet(t *testing.T, f *FTL, id DBID, geom flash.Geometry, r Region) (Region, DBLayout) {
 	t.Helper()
-	table, err := f.SetRegion(id, geom, r)
+	table, _, err := f.SetRegion(id, geom, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +179,40 @@ func regionSetDrop(t *testing.T, k kindCase) {
 func TestSetAndDropBoundTable(t *testing.T)            { regionSetDrop(t, boundKind) }
 func TestSetQuantTable(t *testing.T)                   { regionSetDrop(t, quantKind) }
 func TestSetHistoryAllocatesAndReadsBack(t *testing.T) { regionSetDrop(t, histKind) }
+
+// TestSetRegionGrowsInPlace: a region of the same shape whose columns still
+// hold the grown table stays where it is (fresh false, nothing erased, the
+// new payload recorded); one that outgrows them is re-placed (fresh true, the
+// old columns erased).
+func TestSetRegionGrowsInPlace(t *testing.T) {
+	f := newTestFTL()
+	set := func(n int) (Region, bool) {
+		t.Helper()
+		r := Region{Kind: HistRegion, Payload: bytes.Repeat([]byte{byte(n)}, n)}
+		_, fresh, err := f.SetRegion(HistOwner, histGeom, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := f.Region(HistOwner, HistRegion)
+		if !bytes.Equal(got.Payload, r.Payload) {
+			t.Errorf("%d-byte payload did not read back", n)
+		}
+		return got, fresh
+	}
+	first, fresh := set(69) // two 64-byte pages: one per channel, one column
+	if !fresh {
+		t.Error("a new region is not fresh")
+	}
+	wear, free := f.Wear(first.StartBlock), f.FreeBlocks()
+	if grown, fresh := set(4 * 64); fresh || grown.StartBlock != first.StartBlock || grown.Blocks != first.Blocks ||
+		f.Wear(first.StartBlock) != wear || f.FreeBlocks() != free {
+		t.Errorf("a table that still fits moved or erased: %+v → %+v (fresh %v), wear %d → %d",
+			first, grown, fresh, wear, f.Wear(first.StartBlock))
+	}
+	if moved, fresh := set(1000); !fresh || moved.Blocks != 4 || f.Wear(first.StartBlock) != wear+1 {
+		t.Errorf("an outgrown table was not re-placed: %+v (fresh %v), old column wear %d", moved, fresh, f.Wear(first.StartBlock))
+	}
+}
 
 // regionCompact: with a hole below the owner's data and another between the
 // data and the region, Compact moves the two runs by different distances and
@@ -370,7 +404,7 @@ func TestStripeCountsMatchDerivedLayout(t *testing.T) {
 // rejects asserts SetRegion refuses r and leaves the owner without the kind.
 func rejects(t *testing.T, f *FTL, id DBID, geom flash.Geometry, r Region, why string) {
 	t.Helper()
-	if _, err := f.SetRegion(id, geom, r); err == nil {
+	if _, _, err := f.SetRegion(id, geom, r); err == nil {
 		t.Errorf("%s accepted", why)
 	}
 	if _, ok := f.Region(id, r.Kind); ok && r.Kind < numRegionKinds {

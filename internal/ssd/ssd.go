@@ -6,6 +6,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/fault"
@@ -175,29 +176,124 @@ func New(e *sim.Engine, cfg Config) (*Device, error) {
 }
 
 // CreateDB allocates and registers a feature database striped across the
-// device (the writeDB path). Write timing is not simulated page-by-page —
-// intelligent-query workloads write once and query many times (§4.7.2) — but
-// the capacity accounting is real.
+// device. It only places the database: the caller charges the pages it
+// writes with a Walk.
 func (d *Device) CreateDB(name string, featureBytes, features int64) (*ftl.DBMeta, error) {
-	layout := ftl.DBLayout{
-		Geom:         d.Config.Geometry,
-		FeatureBytes: featureBytes,
-		Features:     features,
-	}
-	return d.FTL.CreateDB(name, layout)
+	return d.FTL.CreateDB(name, ftl.DBLayout{Geom: d.Config.Geometry, FeatureBytes: featureBytes, Features: features})
 }
 
-// StreamStats reports what an external streaming read did.
+// StreamStats reports what a Walk moved.
 type StreamStats struct {
-	Pages    int64
-	Bytes    int64
-	Started  sim.Time
-	Finished sim.Time
+	Pages, Bytes      int64
+	Started, Finished sim.Time
 }
 
-// Duration returns the stream's elapsed virtual time.
-func (s StreamStats) Duration() sim.Duration {
-	return sim.Duration(s.Finished - s.Started)
+// Duration returns the walk's elapsed virtual time.
+func (s StreamStats) Duration() sim.Duration { return sim.Duration(s.Finished - s.Started) }
+
+// A Hop is one leg of a page's trip through the device: it moves the page at
+// addr and calls next once the page is across. The device's own hops are a
+// plane read with its channel-bus transfer, a controller-DRAM crossing, an
+// external-link crossing, and a channel-bus transfer with its plane program.
+type Hop func(addr flash.PageAddr, next func())
+
+func (d *Device) HopFlashRead(a flash.PageAddr, next func()) { d.Flash.ReadPage(a, next) }
+func (d *Device) HopDRAM(_ flash.PageAddr, next func()) {
+	d.DRAM.Transfer(d.Config.Geometry.PageBytes, next)
+}
+func (d *Device) HopExternal(_ flash.PageAddr, next func()) {
+	d.External.Transfer(d.Config.Geometry.PageBytes, next)
+}
+func (d *Device) HopProgram(a flash.PageAddr, next func()) { d.Flash.ProgramPage(a, next) }
+
+// The in-flight depths of a Walk: a read keeps StreamWindow pages per
+// channel in flight, enough to cover the array-read latency; a write issues
+// every page at once and queues on the device's links and planes.
+const (
+	StreamWindow = 8
+	IssueAll     = math.MaxInt64
+)
+
+// A Walk is one pass of pages through the device: for every channel of
+// Layout, the within-channel pages [p0, p1) that Pages gives, each crossing
+// Hops in order (a page enters a hop only when it has left the one before),
+// with at most Depth pages per channel in flight. Every page the device
+// moves, reads and programs alike, moves in a Walk.
+type Walk struct {
+	Layout ftl.DBLayout
+	Pages  func(ch int) (p0, p1 int64)
+	Hops   []Hop
+	Depth  int64
+	// Prefix names the counters <Prefix>_pages and <Prefix>_bytes the walk
+	// adds its totals to, and Span the span it records.
+	Prefix, Span string
+}
+
+// Walk issues the walk. When its last page leaves the last hop it adds the
+// totals to the counters, records the span and calls done (nil: none); the
+// caller runs the engine.
+func (d *Device) Walk(w Walk, done func(StreamStats)) {
+	stats := StreamStats{Started: d.Engine.Now()}
+	finish := func() {
+		stats.Finished = d.Engine.Now()
+		d.reg.Counter(w.Prefix + "_pages").Add(stats.Pages)
+		d.reg.Counter(w.Prefix + "_bytes").Add(stats.Bytes)
+		d.tracer.Add(obs.Span{Name: w.Span, Cat: "ssd", Start: stats.Started, Dur: stats.Duration(),
+			Args: map[string]string{"pages": strconv.FormatInt(stats.Pages, 10)}})
+		if done != nil {
+			done(stats)
+		}
+	}
+	remainingChannels := 0
+	for ch := 0; ch < w.Layout.Geom.Channels; ch++ {
+		p0, p1 := w.Pages(ch)
+		pages := p1 - p0
+		if pages <= 0 {
+			continue
+		}
+		remainingChannels++
+		stats.Pages += pages
+		stats.Bytes += pages * w.Layout.Geom.PageBytes
+
+		var issued, inflight, completed int64
+		var issue func()
+		landed := func() {
+			if inflight, completed = inflight-1, completed+1; completed < pages {
+				issue()
+			} else if remainingChannels--; remainingChannels == 0 {
+				finish()
+			}
+		}
+		issue = func() {
+			for inflight < w.Depth && issued < pages {
+				addr := w.Layout.ChannelPageAddr(ch, p0+issued)
+				issued++
+				inflight++
+				cross(w.Hops, addr, landed)
+			}
+		}
+		issue()
+	}
+	if remainingChannels == 0 {
+		finish()
+	}
+}
+
+// cross moves the page at addr over hops in order and calls done after the
+// last.
+func cross(hops []Hop, addr flash.PageAddr, done func()) {
+	if len(hops) == 0 {
+		done()
+		return
+	}
+	hops[0](addr, func() { cross(hops[1:], addr, done) })
+}
+
+// hostRead is the read walk to the host: plane read → channel bus → DRAM →
+// external link, StreamWindow pages in flight per channel.
+func (d *Device) hostRead(layout ftl.DBLayout, pages func(ch int) (int64, int64), prefix, span string) Walk {
+	return Walk{Layout: layout, Pages: pages, Hops: []Hop{d.HopFlashRead, d.HopDRAM, d.HopExternal},
+		Depth: StreamWindow, Prefix: prefix, Span: span}
 }
 
 // StreamToHost DMAs the first maxPagesPerChannel pages of every channel of
@@ -209,112 +305,36 @@ func (s StreamStats) Duration() sim.Duration {
 // internally but the PCIe interface caps delivery at 3.2 GB/s (§2.2).
 func (d *Device) StreamToHost(meta *ftl.DBMeta, maxPagesPerChannel int64, done func(StreamStats)) {
 	layout := meta.Layout
-	d.stream(layout, "ssd_stream", obs.SpanStream, done, func(ch int) (int64, int64) {
+	d.Walk(d.hostRead(layout, func(ch int) (int64, int64) {
 		pages := layout.ChannelPages(ch)
 		if maxPagesPerChannel > 0 {
 			pages = min(pages, maxPagesPerChannel)
 		}
 		return 0, pages
-	})
+	}, "ssd_stream", obs.SpanStream), done)
 }
 
 // StreamRange DMAs the physical pages holding features [start, end) of the
-// database to the host — the migration read-out of an online shard
-// rebalance, charged to the simulated clock like any other flash activity
-// (holistic device timing, after SimpleSSD) — and records them under
-// ssd_migrate_pages/bytes and a migrate_out span. done (nil: none) receives
-// the stream statistics.
-func (d *Device) StreamRange(meta *ftl.DBMeta, start, end int64, done func(StreamStats)) {
+// database to the host — readDB, and the migration read-out of an online
+// shard rebalance — and records them under prefix_pages/bytes and a span
+// named span. done (nil: none) receives the stream statistics.
+func (d *Device) StreamRange(meta *ftl.DBMeta, start, end int64, prefix, span string, done func(StreamStats)) {
 	layout := meta.Layout
-	d.stream(layout, "ssd_migrate", obs.SpanMigrateOut, done, func(ch int) (int64, int64) {
+	d.Walk(d.hostRead(layout, func(ch int) (int64, int64) {
 		return layout.ChannelRangePages(ch, start, end)
-	})
+	}, prefix, span), done)
 }
 
-// streamWindow is the pages a stream keeps in flight per channel, enough to
-// cover the array-read latency.
-const streamWindow = 8
-
-// stream moves within-channel pages [p0, p1) of every channel, as pageRange
-// gives them, through plane read → channel bus → DRAM → external link, with
-// up to streamWindow pages in flight per channel. When the last page lands
-// it adds the totals to the prefix_pages and prefix_bytes counters, records
-// a span named span and calls done (nil: none).
-func (d *Device) stream(layout ftl.DBLayout, prefix, span string, done func(StreamStats), pageRange func(ch int) (p0, p1 int64)) {
-	stats := StreamStats{Started: d.Engine.Now()}
-	finish := func() {
-		stats.Finished = d.Engine.Now()
-		d.reg.Counter(prefix + "_pages").Add(stats.Pages)
-		d.reg.Counter(prefix + "_bytes").Add(stats.Bytes)
-		d.tracer.Add(obs.Span{
-			Name: span, Cat: "ssd",
-			Start: stats.Started, Dur: stats.Duration(),
-			Args: map[string]string{"pages": strconv.FormatInt(stats.Pages, 10)},
-		})
-		if done != nil {
-			done(stats)
-		}
-	}
-	pageBytes := layout.Geom.PageBytes
-	remainingChannels := 0
-	for ch := 0; ch < layout.Geom.Channels; ch++ {
-		p0, p1 := pageRange(ch)
-		pages := p1 - p0
-		if pages == 0 {
-			continue
-		}
-		remainingChannels++
-		stats.Pages += pages
-		stats.Bytes += pages * pageBytes
-
-		var issued, inflight, completed int64
-		var issue func()
-		issue = func() {
-			for inflight < streamWindow && issued < pages {
-				addr := layout.ChannelPageAddr(ch, p0+issued)
-				issued++
-				inflight++
-				d.Flash.ReadPage(addr, func() {
-					d.DRAM.Transfer(pageBytes, func() {
-						d.External.Transfer(pageBytes, func() {
-							inflight--
-							completed++
-							if completed < pages {
-								issue()
-								return
-							}
-							remainingChannels--
-							if remainingChannels == 0 {
-								finish()
-							}
-						})
-					})
-				})
-			}
-		}
-		issue()
-	}
-	if remainingChannels == 0 {
-		finish()
-	}
-}
-
-// ProgramTable charges the flash programming of a derived table — the
-// layout ftl.SetRegion returned for a stripe-bound table, an int8 table or
-// the query-history image. The contents are produced inside the controller,
-// so each page crosses controller DRAM and is programmed; nothing crosses the
-// external link. Runs the engine to completion, like the writeDB path it
-// extends.
-func (d *Device) ProgramTable(table ftl.DBLayout) {
-	for ch := 0; ch < table.Geom.Channels; ch++ {
-		pages := table.ChannelPages(ch)
-		for p := int64(0); p < pages; p++ {
-			addr := table.ChannelPageAddr(ch, p)
-			d.DRAM.Transfer(table.Geom.PageBytes, func() {
-				d.Flash.ProgramPage(addr, nil)
-			})
-		}
-	}
+// ProgramTable charges the flash programming of the within-channel pages
+// [p0, p1) that pages gives of a derived table — the layout ftl.SetRegion
+// returned for a stripe-bound table, an int8 table or the query-history
+// image. The contents are produced inside the controller, so each page
+// crosses controller DRAM and is then programmed; nothing crosses the
+// external link. Records ssd_table_pages/bytes and a program_table span, and
+// runs the engine to completion.
+func (d *Device) ProgramTable(table ftl.DBLayout, pages func(ch int) (p0, p1 int64)) {
+	d.Walk(Walk{Layout: table, Pages: pages, Hops: []Hop{d.HopDRAM, d.HopProgram},
+		Depth: IssueAll, Prefix: "ssd_table", Span: obs.SpanProgramTable}, nil)
 	d.Engine.Run()
 }
 
@@ -330,27 +350,25 @@ func (d *Device) PersistMetadata() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Program the image into block column 0 of channel 0: erase, then
-	// program ⌈len/page⌉ pages. Embedded query-history bytes do not count
-	// against the reserved block: they already live (and were charged) in
-	// the history's own block columns via ProgramTable; the snapshot merely
-	// carries them as the restore channel.
+	// Erase the reserved block of plane (0, 0, 0), then program the image
+	// into it through DRAM, ⌈len/page⌉ pages: a one-plane layout of one-byte
+	// entries. Embedded query-history bytes do not count against the
+	// reserved block: they already live (and were charged) in the history's
+	// own block columns via ProgramTable; the snapshot merely carries them as
+	// the restore channel.
 	geom := d.Config.Geometry
-	metaBytes := int64(len(img))
+	block := ftl.DBLayout{Geom: geom, FeatureBytes: 1, Features: int64(len(img))}
+	block.Geom.Channels, block.Geom.ChipsPerChannel, block.Geom.PlanesPerChip = 1, 1, 1
 	if hist, ok := d.FTL.Region(ftl.HistOwner, ftl.HistRegion); ok {
-		metaBytes -= int64(len(hist.Payload))
+		block.Features -= int64(len(hist.Payload))
 	}
-	pages := int((metaBytes + geom.PageBytes - 1) / geom.PageBytes)
-	if pages > geom.PagesPerBlock {
+	if block.ChannelPages(0) > int64(geom.PagesPerBlock) {
 		return nil, fmt.Errorf("ssd: metadata image %d bytes exceeds the reserved block", len(img))
 	}
-	addr := flash.PageAddr{Channel: 0, Chip: 0, Plane: 0, Block: 0}
-	d.Flash.EraseBlock(addr, nil)
-	for p := 0; p < pages; p++ {
-		a := addr
-		a.Page = p
-		d.Flash.ProgramPage(a, nil)
-	}
+	d.Flash.EraseBlock(flash.PageAddr{}, func() {
+		d.Walk(Walk{Layout: block, Pages: block.ChannelSpan, Hops: []Hop{d.HopDRAM, d.HopProgram},
+			Depth: IssueAll, Prefix: "ssd_meta", Span: obs.SpanPersistMeta}, nil)
+	})
 	d.Engine.Run()
 	return img, nil
 }

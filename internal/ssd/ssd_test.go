@@ -218,7 +218,7 @@ func TestStreamRangeOverWholeDB(t *testing.T) {
 		d.StreamToHost(meta, 0, done)
 	})
 	rng, rngReg, rngSpans := run(func(d *Device, meta *ftl.DBMeta, done func(StreamStats)) {
-		d.StreamRange(meta, 0, meta.Layout.Features, done)
+		d.StreamRange(meta, 0, meta.Layout.Features, "ssd_migrate", obs.SpanMigrateOut, done)
 	})
 	if full.Pages == 0 || rng != full {
 		t.Fatalf("StreamRange over the whole DB = %+v, StreamToHost = %+v", rng, full)
@@ -250,12 +250,12 @@ func TestProgramQuantTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := d.FTL.SetRegion(meta.ID, meta.Layout.Geom, ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1})
+	table, _, err := d.FTL.SetRegion(meta.ID, meta.Layout.Geom, ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	start, programs := e.Now(), d.Flash.Stats().PagePrograms
-	d.ProgramTable(table)
+	d.ProgramTable(table, table.ChannelSpan)
 	if e.Now() == start {
 		t.Error("quant table programming advanced no simulated time")
 	}

@@ -1,0 +1,110 @@
+package ssd
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/flash"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// TestWalkChainsHops: every page enters a hop only once it has left the one
+// before, no channel has more than Depth pages in flight, and the walk
+// reports its pages under its own counters and span.
+func TestWalkChainsHops(t *testing.T) {
+	for _, depth := range []int64{1, StreamWindow, IssueAll} {
+		e := sim.NewEngine()
+		d, _ := New(e, DefaultConfig())
+		reg, tr := obs.NewRegistry(), obs.NewTracer(1<<12)
+		d.AttachObs(reg, tr)
+		meta, err := d.CreateDB("w", 6<<10, 1000) // two per page, a ragged last page
+		if err != nil {
+			t.Fatal(err)
+		}
+		left := map[flash.PageAddr]sim.Time{}
+		inflight := make([]int64, meta.Layout.Geom.Channels)
+		var landed int64
+		first := func(a flash.PageAddr, next func()) {
+			if inflight[a.Channel]++; inflight[a.Channel] > depth {
+				t.Fatalf("depth %d: channel %d has %d pages in flight", depth, a.Channel, inflight[a.Channel])
+			}
+			d.HopExternal(a, func() { left[a] = e.Now(); next() })
+		}
+		second := func(a flash.PageAddr, next func()) {
+			if at, ok := left[a]; !ok || at > e.Now() {
+				t.Fatalf("depth %d: page %+v programs before its transfer lands", depth, a)
+			}
+			d.HopProgram(a, func() { inflight[a.Channel]--; landed++; next() })
+		}
+		var got StreamStats
+		d.Walk(Walk{Layout: meta.Layout, Pages: meta.Layout.ChannelSpan, Hops: []Hop{first, second},
+			Depth: depth, Prefix: "test_walk", Span: "test_walk"}, func(s StreamStats) { got = s })
+		e.Run()
+		pages := meta.Layout.TotalPages()
+		if got.Pages != pages || landed != pages || got.Bytes != pages*meta.Layout.Geom.PageBytes {
+			t.Errorf("depth %d: walk reported %+v with %d pages landed, want %d", depth, got, landed, pages)
+		}
+		if c := reg.Snapshot().Counters; c["test_walk_pages"] != pages || c["test_walk_bytes"] != got.Bytes {
+			t.Errorf("depth %d: counters %v", depth, c)
+		}
+		if sp := tr.Spans(); len(sp) != 1 || sp[0].Name != "test_walk" || sp[0].Dur != got.Duration() {
+			t.Errorf("depth %d: spans %+v", depth, sp)
+		}
+	}
+}
+
+// TestOneWalker: the engine and the baselines move pages only through
+// Device.Walk. A direct page read or program — the per-page loop the walker
+// replaced — or an external-link transfer inside a loop fails the test.
+func TestOneWalker(t *testing.T) {
+	perPage := map[string]bool{"ReadPage": true, "ReadPageToBuffer": true, "ProgramPage": true}
+	for _, dir := range []string{"../core", "../baseline"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		fset := token.NewFileSet()
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := parser.ParseFile(fset, name, src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var loops []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					return true
+				}
+				for len(loops) > 0 && n.Pos() >= loops[len(loops)-1].End() {
+					loops = loops[:len(loops)-1]
+				}
+				switch n := n.(type) {
+				case *ast.ForStmt, *ast.RangeStmt:
+					loops = append(loops, n)
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						break
+					}
+					x, _ := sel.X.(*ast.SelectorExpr)
+					if perPage[sel.Sel.Name] || (sel.Sel.Name == "Transfer" && x != nil && x.Sel.Name == "External" && len(loops) > 0) {
+						t.Errorf("%s: %s moves a page outside ssd.Device.Walk", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
