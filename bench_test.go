@@ -12,10 +12,6 @@ import (
 	"repro/internal/exp"
 )
 
-// benchWindow trades a little extrapolation precision for benchmark speed;
-// the shape checks in internal/exp use the same window.
-const benchWindow = 1000
-
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := exp.Table1()
@@ -54,7 +50,7 @@ func BenchmarkTable3(b *testing.B) {
 
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure8(benchWindow)
+		rows, err := exp.Figure8(accel.DefaultWindow)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +62,7 @@ func BenchmarkFigure8(b *testing.B) {
 
 func BenchmarkFigure9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure9(benchWindow)
+		rows, err := exp.Figure9()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,11 +74,11 @@ func BenchmarkFigure9(b *testing.B) {
 
 func BenchmarkFigure10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := exp.Figure10a(benchWindow)
+		a, err := exp.Figure10a()
 		if err != nil {
 			b.Fatal(err)
 		}
-		bb, err := exp.Figure10b(benchWindow)
+		bb, err := exp.Figure10b()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +90,7 @@ func BenchmarkFigure10(b *testing.B) {
 
 func BenchmarkFigure11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure8(benchWindow)
+		rows, err := exp.Figure8(accel.DefaultWindow)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +102,7 @@ func BenchmarkFigure11(b *testing.B) {
 
 func BenchmarkFigure12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure12(benchWindow)
+		rows, err := exp.Figure12()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +117,7 @@ func BenchmarkFigure13(b *testing.B) {
 	cfg.TraceLen = 6000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure13(benchWindow, cfg)
+		rows, err := exp.Figure13(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +176,7 @@ func BenchmarkReorgStudy(b *testing.B) {
 
 func BenchmarkThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Throughput(benchWindow, 0.4); err != nil {
+		if _, err := exp.Throughput(0.4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +187,7 @@ func BenchmarkThroughput(b *testing.B) {
 
 func BenchmarkAblationDataflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.AblationDataflow(benchWindow)
+		rows, err := exp.AblationDataflow()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +199,7 @@ func BenchmarkAblationDataflow(b *testing.B) {
 
 func BenchmarkAblationPrecision(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.AblationPrecision(benchWindow)
+		rows, err := exp.AblationPrecision()
 		if err != nil {
 			b.Fatal(err)
 		}

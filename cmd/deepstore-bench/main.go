@@ -4,7 +4,6 @@
 // machine-readable artifacts in one directory:
 //
 //	deepstore-bench -exp table1,fig8
-//	deepstore-bench -exp fig8 -window 5000
 //	deepstore-bench -exp fig13 -format csv
 //	deepstore-bench -exp mq,serve,breakdown -json .   # ./BENCH_<name>.json
 package main
@@ -72,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("deepstore-bench", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	expFlag := fs.String("exp", "all", "experiments to run (comma separated): "+names(studies))
-	window := fs.Int64("window", exp.DefaultWindow, "features per accelerator simulated before extrapolation (0 = exact)")
 	formatFlag := fs.String("format", "text", "output format: text, csv, markdown, chart")
 	jsonDir := fs.String("json", "", "write the selected experiments' artifacts to `DIR`/BENCH_<name>.json; an error if none of them has one")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -121,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	charts, written := 0, 0
 	for _, s := range selected {
-		res, err := s.Run(*window)
+		res, err := s.Run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.Name, err)
 		}

@@ -22,7 +22,6 @@ func main() {
 	threshold := flag.Float64("threshold", 0.10, "error threshold (0..1)")
 	queries := flag.Int("queries", 20000, "trace length")
 	universe := flag.Int64("universe", 2000, "distinct query intents")
-	window := flag.Int64("window", exp.DefaultWindow, "scan simulation window")
 	sweep := flag.Bool("sweep", false, "sweep the error threshold 0-20% (Fig. 13 style) instead of one point")
 	flag.Parse()
 
@@ -42,7 +41,7 @@ func main() {
 	cfg.CacheEntries = *entries
 
 	if *sweep {
-		rows, err := exp.Figure13(*window, cfg)
+		rows, err := exp.Figure13(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +57,7 @@ func main() {
 	fmt.Printf("), cache %d entries, threshold %.0f%%\n", cfg.CacheEntries, *threshold*100)
 	fmt.Printf("steady-state miss rate: %.1f%%\n", miss*100)
 
-	speeds, err := exp.QCSpeedups(*window, cfg, miss)
+	speeds, err := exp.QCSpeedups(cfg, miss)
 	if err != nil {
 		log.Fatal(err)
 	}

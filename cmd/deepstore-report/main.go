@@ -20,7 +20,6 @@ import (
 
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
-	window := flag.Int64("window", exp.DefaultWindow, "scan simulation window")
 	flag.Parse()
 
 	w := io.Writer(os.Stdout)
@@ -32,7 +31,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := write(w, *window); err != nil {
+	if err := write(w); err != nil {
 		log.Fatal(err)
 	}
 	if *out != "" {
@@ -40,7 +39,7 @@ func main() {
 	}
 }
 
-func write(w io.Writer, window int64) error {
+func write(w io.Writer) error {
 	fmt.Fprintln(w, "# DeepStore — regenerated evaluation")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Every table and figure of the MICRO'19 paper's evaluation, regenerated")
@@ -49,7 +48,7 @@ func write(w io.Writer, window int64) error {
 	fmt.Fprintln(w)
 
 	for _, s := range exp.Studies() {
-		res, err := s.Run(window)
+		res, err := s.Run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.Name, err)
 		}

@@ -3,7 +3,7 @@
 //
 //	deepstore-sim -app MIR -level channel
 //	deepstore-sim -app TextQA -level chip -channels 16 -latency 106us
-//	deepstore-sim -app TIR -level ssd -db-gb 5 -window 0
+//	deepstore-sim -app TIR -level ssd -db-gb 5
 //	deepstore-sim -app TextQA -quantized
 package main
 
@@ -30,7 +30,6 @@ func main() {
 	chips := flag.Int("chips", 4, "chips per channel")
 	latency := flag.Duration("latency", 53*time.Microsecond, "flash array read latency")
 	dbGB := flag.Float64("db-gb", 25, "database size in GiB of dense features")
-	window := flag.Int64("window", exp.DefaultWindow, "features per accelerator simulated (0 = exact)")
 	quantized := flag.Bool("quantized", false, "scan an int8-quantized feature table (DESIGN.md §12)")
 	flag.Parse()
 
@@ -60,7 +59,7 @@ func main() {
 	if *quantized {
 		scanSpec.Array.Precision = systolic.INT8
 	}
-	out, err := exp.RunScan(app, scanSpec, cfg, features, *window)
+	out, err := exp.RunScan(app, scanSpec, cfg, features)
 	if err != nil {
 		log.Fatal(err)
 	}

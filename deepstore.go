@@ -158,8 +158,8 @@ var LoadTrace = workload.LoadTrace
 
 // ShardedScan shards a database across n simulated SSDs and scans every
 // shard in parallel — the Fig. 10b scale-out deployment.
-func ShardedScan(n int, app *App, level Level, devCfg DeviceConfig, features, window int64) (cluster.Result, error) {
-	return cluster.ShardedScan(n, app, level, devCfg, features, window)
+func ShardedScan(n int, app *App, level Level, devCfg DeviceConfig, features int64) (cluster.Result, error) {
+	return cluster.ShardedScan(n, app, level, devCfg, features)
 }
 
 // ClusterEngines is a functional scale-out deployment: full DeepStore

@@ -25,7 +25,7 @@ func main() {
 	var oneSSD float64
 	for _, n := range []int{1, 2, 4, 8} {
 		res, err := deepstore.ShardedScan(n, app, deepstore.LevelChannel,
-			deepstore.DefaultDeviceConfig(), features, 1500)
+			deepstore.DefaultDeviceConfig(), features)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 // TestFacadeShardedScan exercises the multi-SSD path through the facade.
 func TestFacadeShardedScan(t *testing.T) {
 	app, _ := AppByName("MIR")
-	res, err := ShardedScan(2, app, LevelChannel, DefaultDeviceConfig(), 128_000, 500)
+	res, err := ShardedScan(2, app, LevelChannel, DefaultDeviceConfig(), 128_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestMiniPaperPipeline(t *testing.T) {
 	secs := map[Level]float64{}
 	dev := DefaultDeviceConfig()
 	for _, level := range []Level{LevelSSD, LevelChannel, LevelChip} {
-		out, err := exp.RunScan(mir, accel.SpecForLevel(level, dev), dev, features, 500)
+		out, err := exp.RunScan(mir, accel.SpecForLevel(level, dev), dev, features)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,20 +163,56 @@ func TestScanLevelsOrdering(t *testing.T) {
 	}
 }
 
+// TestScanWindowExtrapolation: a windowed scan skips whole batch periods and
+// lands on the exact scan's time, activity and weight rounds to the unit, for
+// every app × precision × level at an odd database size.
 func TestScanWindowExtrapolation(t *testing.T) {
-	exact := scanApp(t, "TextQA", LevelChannel, 256_000, 0)
-	windowed := scanApp(t, "TextQA", LevelChannel, 256_000, 1000)
-	if windowed.SimulatedFeatures >= exact.SimulatedFeatures {
-		t.Errorf("window did not reduce simulated features: %d vs %d",
-			windowed.SimulatedFeatures, exact.SimulatedFeatures)
+	const features = 64_001
+	scan := func(app *workload.App, level Level, p systolic.Precision, window int64) (ScanResult, error) {
+		e := sim.NewEngine()
+		dev, err := ssd.New(e, ssd.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := SpecForLevel(level, dev.Config)
+		spec.Array.Precision = p
+		meta, err := dev.CreateDB(app.Name, int64(app.SCN.FeatureElems())*p.ElementBytes(), features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Scan(ScanRequest{Device: dev, Spec: spec, Net: app.SCN, Layout: meta.Layout, WindowFeaturesPerAccel: window})
 	}
-	ratio := float64(windowed.Elapsed) / float64(exact.Elapsed)
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("extrapolated time off by %.2fx (windowed %v vs exact %v)",
-			ratio, windowed.Elapsed, exact.Elapsed)
+	cells, skipped := 0, 0
+	for _, app := range workload.Apps() {
+		for _, p := range []systolic.Precision{systolic.FP32, systolic.FP16, systolic.INT8} {
+			for _, level := range Levels() {
+				exact, err := scan(app, level, p, 0)
+				if errors.As(err, new(*ErrUnsupported)) {
+					continue
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				for _, window := range []int64{16, 256, 1000} {
+					got, err := scan(app, level, p, window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cells++
+					if got.SimulatedFeatures < got.Features {
+						skipped++
+					}
+					if got.Elapsed != exact.Elapsed || got.Activity != exact.Activity || got.WeightRounds != exact.WeightRounds {
+						t.Errorf("%s %v %v window %d (simulated %d of %d): got %v %+v %d rounds, exact %v %+v %d rounds",
+							app.Name, p, level, window, got.SimulatedFeatures, got.Features,
+							got.Elapsed, got.Activity, got.WeightRounds, exact.Elapsed, exact.Activity, exact.WeightRounds)
+					}
+				}
+			}
+		}
 	}
-	if windowed.Features != exact.Features {
-		t.Error("windowed scan reports different feature count")
+	t.Logf("%d of %d cells skipped batches", skipped, cells)
+	if cells != 126 || 3*skipped < 2*cells {
+		t.Errorf("%d of %d cells skipped batches; want 126 cells, two thirds skipping", skipped, cells)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkScanPaperScale times one scan of the sim_paper sweep: a declared
-// 25 GiB database at a 1 024-feature window on a fresh traced device. ESTP at
+// 25 GiB database at DefaultWindow on a fresh traced device. ESTP at
 // chip level is the deepest calendar (128 accelerators, 131 072 page reads
 // into page buffers); ReId at channel level reads 98 304 pages across the
 // channel buses. Device set-up is outside the timer.
@@ -41,7 +41,7 @@ func BenchmarkScanPaperScale(b *testing.B) {
 				if _, err := Scan(ScanRequest{
 					Device: dev, Spec: SpecForLevel(c.level, dev.Config),
 					Net: app.SCN, Layout: meta.Layout,
-					WindowFeaturesPerAccel: 1024,
+					WindowFeaturesPerAccel: DefaultWindow,
 				}); err != nil {
 					b.Fatal(err)
 				}

@@ -31,27 +31,27 @@ type goldenCell struct {
 	failures     uint64
 }
 
-// goldenScans pins the 5 apps × 3 levels at WindowFeaturesPerAccel 1024 on a
-// declared 25 GiB layout (the sim_paper sweep), plus a faults-on cell on each
+// goldenScans pins the 5 apps × 3 levels at DefaultWindow on a declared
+// 25 GiB layout (the sim_paper sweep), plus a faults-on cell on each
 // read path (ReadPageToBuffer at chip level, ReadPage at SSD level).
 // ReId at chip level is the typed refusal, not a row.
 var goldenScans = []goldenCell{
-	{app: "ReId", level: LevelSSD, elapsed: 29943612039813, weightRounds: 6982, pageReads: 3072, busBytes: 50331648, executed: 18583},
-	{app: "ReId", level: LevelChannel, elapsed: 2731922479156, weightRounds: 3727, pageReads: 98304, busBytes: 1610612736, executed: 393933},
-	{app: "MIR", level: LevelSSD, elapsed: 66376929280000, weightRounds: 0, pageReads: 128, busBytes: 2097152, executed: 864},
-	{app: "MIR", level: LevelChannel, elapsed: 1549531497000, weightRounds: 3200, pageReads: 4096, busBytes: 67108864, executed: 16936},
-	{app: "MIR", level: LevelChip, elapsed: 14536811491443, weightRounds: 25600, pageReads: 16384, busBytes: 0, executed: 43520},
+	{app: "ReId", level: LevelSSD, elapsed: 29943475623400, weightRounds: 6407, pageReads: 3138, busBytes: 51412992, executed: 18969},
+	{app: "ReId", level: LevelChannel, elapsed: 2729094845200, weightRounds: 3724, pageReads: 98703, busBytes: 1617149952, executed: 395530},
+	{app: "MIR", level: LevelSSD, elapsed: 64094491195200, weightRounds: 0, pageReads: 512, busBytes: 8388608, executed: 3297},
+	{app: "MIR", level: LevelChannel, elapsed: 1646096280000, weightRounds: 3200, pageReads: 4096, busBytes: 67108864, executed: 16936},
+	{app: "MIR", level: LevelChip, elapsed: 15473138000000, weightRounds: 25600, pageReads: 16384, busBytes: 0, executed: 43520},
 	{app: "ESTP", level: LevelSSD, elapsed: 39922222958400, weightRounds: 6400, pageReads: 1024, busBytes: 16777216, executed: 6312},
-	{app: "ESTP", level: LevelChannel, elapsed: 2519412608123, weightRounds: 3200, pageReads: 32768, busBytes: 536870912, executed: 131680},
-	{app: "ESTP", level: LevelChip, elapsed: 16884654253382, weightRounds: 25600, pageReads: 131072, busBytes: 0, executed: 339200},
-	{app: "TIR", level: LevelSSD, elapsed: 62969057280000, weightRounds: 0, pageReads: 128, busBytes: 2097152, executed: 864},
-	{app: "TIR", level: LevelChannel, elapsed: 1436663040529, weightRounds: 3200, pageReads: 4096, busBytes: 67108864, executed: 16936},
-	{app: "TIR", level: LevelChip, elapsed: 11650829056235, weightRounds: 25600, pageReads: 16384, busBytes: 0, executed: 43520},
-	{app: "TextQA", level: LevelSSD, elapsed: 50343856651027, weightRounds: 0, pageReads: 52, busBytes: 851968, executed: 332},
-	{app: "TextQA", level: LevelChannel, elapsed: 881611149179, weightRounds: 0, pageReads: 1664, busBytes: 27262976, executed: 7360},
-	{app: "TextQA", level: LevelChip, elapsed: 2778336811282, weightRounds: 0, pageReads: 6656, busBytes: 0, executed: 18816},
-	{app: "TIR", level: LevelChip, errorRate: 0.25, elapsed: 11650935056235, weightRounds: 25600, pageReads: 16384, busBytes: 0, executed: 48657, retries: 5388, failures: 63},
-	{app: "TextQA", level: LevelSSD, errorRate: 0.25, elapsed: 52442299206104, weightRounds: 0, pageReads: 52, busBytes: 851968, executed: 335, retries: 14, failures: 0},
+	{app: "ESTP", level: LevelChannel, elapsed: 2578015240000, weightRounds: 3200, pageReads: 32768, busBytes: 536870912, executed: 131680},
+	{app: "ESTP", level: LevelChip, elapsed: 17252882000000, weightRounds: 25600, pageReads: 131072, busBytes: 0, executed: 339200},
+	{app: "TIR", level: LevelSSD, elapsed: 60686619195200, weightRounds: 0, pageReads: 512, busBytes: 8388608, executed: 3297},
+	{app: "TIR", level: LevelChannel, elapsed: 1526192280000, weightRounds: 3200, pageReads: 4096, busBytes: 67108864, executed: 16936},
+	{app: "TIR", level: LevelChip, elapsed: 12401266000000, weightRounds: 25600, pageReads: 16384, busBytes: 0, executed: 43520},
+	{app: "TextQA", level: LevelSSD, elapsed: 47083514142400, weightRounds: 0, pageReads: 577, busBytes: 9453568, executed: 3665},
+	{app: "TextQA", level: LevelChannel, elapsed: 1074146990000, weightRounds: 0, pageReads: 1664, busBytes: 27262976, executed: 7360},
+	{app: "TextQA", level: LevelChip, elapsed: 3383333800000, weightRounds: 0, pageReads: 8736, busBytes: 0, executed: 24064},
+	{app: "TIR", level: LevelChip, errorRate: 0.25, elapsed: 12401372000000, weightRounds: 25600, pageReads: 16384, busBytes: 0, executed: 48657, retries: 5388, failures: 63},
+	{app: "TextQA", level: LevelSSD, errorRate: 0.25, elapsed: 47083514142400, weightRounds: 0, pageReads: 577, busBytes: 9453568, executed: 3815, retries: 186, failures: 1},
 }
 
 func runGoldenCell(t *testing.T, c goldenCell) (goldenCell, error) {
@@ -78,7 +78,7 @@ func runGoldenCell(t *testing.T, c goldenCell) (goldenCell, error) {
 	res, err := Scan(ScanRequest{
 		Device: dev, Spec: SpecForLevel(c.level, dev.Config),
 		Net: app.SCN, Layout: meta.Layout,
-		WindowFeaturesPerAccel: 1024,
+		WindowFeaturesPerAccel: DefaultWindow,
 	})
 	if err != nil {
 		return goldenCell{}, err

@@ -12,6 +12,11 @@ import (
 	"repro/internal/ssd"
 )
 
+// DefaultWindow is the WindowFeaturesPerAccel of every scan the engine and
+// the evaluation run. The extrapolation is exact, so it sets only how much
+// of a scan the event model runs.
+const DefaultWindow = 1024
+
 // ScanRequest describes one full similarity scan of a feature database by
 // in-storage accelerators: the §4.2 execution of a query that missed the
 // query cache.
@@ -20,31 +25,31 @@ type ScanRequest struct {
 	Spec   Spec
 	Net    *nn.Network
 	Layout ftl.DBLayout
-	// WindowFeaturesPerAccel, when positive, simulates only that many
-	// features per accelerator in the event-driven model and extrapolates
-	// linearly — valid because a scan is a homogeneous steady-state
-	// pipeline. Zero simulates the scan exactly.
+	// WindowFeaturesPerAccel is the fewest features per accelerator the
+	// event-driven model simulates before it extrapolates by whole batch
+	// periods; zero simulates the scan exactly. Without read faults the
+	// extrapolation is exact, so the window changes only the host cost.
 	WindowFeaturesPerAccel int64
 }
 
 // ScanResult reports a scan's timing and activity.
 type ScanResult struct {
-	// Elapsed is the (extrapolated) wall-clock time of the scan.
+	// Elapsed is the wall-clock time of the scan.
 	Elapsed sim.Duration
 	// Features is the number of comparisons performed (the database size).
 	Features int64
-	// SimulatedFeatures is how many comparisons ran inside the
-	// event-driven window.
+	// SimulatedFeatures is how many comparisons the event-driven model
+	// ran; the skipped whole batches make up the rest.
 	SimulatedFeatures int64
 	// PerFeatureCycles is the amortized systolic latency per comparison.
 	PerFeatureCycles int64
 	// WeightSource is the tier the SCN weights streamed from.
 	WeightSource WeightSource
-	// WeightRounds counts lockstep weight-streaming rounds (extrapolated).
+	// WeightRounds counts lockstep weight-streaming rounds.
 	WeightRounds int64
 	// Accels is the number of accelerator instances used.
 	Accels int
-	// Activity is the (extrapolated) energy-model activity.
+	// Activity is the energy-model activity of the whole scan.
 	Activity energy.Activity
 }
 
@@ -139,29 +144,12 @@ type scanRun struct {
 	perFeatCycles int64
 	cyclePs       float64
 
-	pending           int // units still scanning
-	simulatedFeatures float64
-	scanEnd           sim.Time
-	weightRounds      int64
-
-	// Progress tracking for marginal-rate extrapolation. The steady-state
-	// rate is measured between the 10% and 50% progress marks: before 10%
-	// the pipeline is still filling (first flash reads), and near the end
-	// the prefetch buffers drain faster than the true bottleneck.
-	windowedTotal    float64
-	progressFeatures float64
-	f10, f50         float64
-	t10, t50         sim.Time
-}
-
-func (s *scanRun) noteProgress(feats float64) {
-	s.progressFeatures += feats
-	if s.f10 < 0 && s.progressFeatures >= s.windowedTotal*0.1 {
-		s.f10, s.t10 = s.progressFeatures, s.e.Now()
-	}
-	if s.f50 < 0 && s.progressFeatures >= s.windowedTotal*0.5 {
-		s.f50, s.t50 = s.progressFeatures, s.e.Now()
-	}
+	pending int // units still scanning
+	// features and simulatedFeatures sum the finished units' shares and
+	// the part of them the model ran, in the order the units finish.
+	features, simulatedFeatures float64
+	scanEnd                     sim.Time
+	weightRounds                int64
 }
 
 // unit is one accelerator instance: its work assignment and the two
@@ -172,10 +160,10 @@ func (s *scanRun) noteProgress(feats float64) {
 // so a scan schedules its events without building a closure per page or per
 // batch.
 type unit struct {
-	run      *scanRun
-	pages    int64 // pages to read (windowed)
-	features float64
-	group    *barrier
+	run   *scanRun
+	share int64 // pages of the unit's share of the database
+	pages int64 // pages to read: the share less the skipped batches
+	group *barrier
 	// read issues the next page of the unit's share; the page's arrival at
 	// the accelerator must call pageArrived. Channel- and chip-level units
 	// read through readCursor: cur's next page, into the page buffer when
@@ -199,6 +187,10 @@ type unit struct {
 	consumed         int64 // compute process: pages of finished batches
 	take, got        int64 // pages the current batch needs and has
 	feats            float64
+	// full counts the finished full batches; first and last are when the
+	// first and the latest of them finished.
+	full        int64
+	first, last sim.Time
 
 	pageArrived, pageAccepted, compute, computed func()
 	pageTaken                                    func(struct{})
@@ -219,7 +211,7 @@ var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // newUnit adds the scan's next unit: the next built one, reset, when its
 // queue is on run's engine, else a new one.
-func (sc *scanScratch) newUnit(run *scanRun, pages int64, group *barrier, window int64) *unit {
+func (sc *scanScratch) newUnit(run *scanRun, share int64, group *barrier, window int64) *unit {
 	i := len(sc.units)
 	if i == len(sc.built) {
 		sc.built = append(sc.built, bindUnit())
@@ -229,7 +221,7 @@ func (sc *scanScratch) newUnit(run *scanRun, pages int64, group *barrier, window
 		u.q, u.qe = sim.NewQueue[struct{}](run.e, "flash-dfv", 4), run.e
 	}
 	*u = unit{
-		run: run, pages: pages, features: float64(pages) * run.featPerPage,
+		run: run, share: share, pages: share,
 		group: group, window: window, q: u.q, qe: u.qe,
 		readCursor:  u.readCursor,
 		pageArrived: u.pageArrived, pageAccepted: u.pageAccepted,
@@ -267,7 +259,13 @@ func bindUnit() *unit {
 		u.run.e.After(d, u.computed)
 	}
 	u.computed = func() {
-		u.run.noteProgress(u.feats)
+		if u.take == u.run.pagesPerBatch {
+			if u.full == 0 {
+				u.first = u.run.e.Now()
+			}
+			u.last = u.run.e.Now()
+			u.full++
+		}
 		u.nextBatch()
 	}
 	return u
@@ -286,7 +284,8 @@ func (u *unit) prefetch() {
 func (u *unit) nextBatch() {
 	run := u.run
 	if u.consumed >= u.pages {
-		run.simulatedFeatures += u.features
+		run.features += float64(u.share) * run.featPerPage
+		run.simulatedFeatures += float64(u.pages) * run.featPerPage
 		u.group.leave()
 		run.pending--
 		if run.pending == 0 {
@@ -369,7 +368,6 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		e: e, streaming: src != SourceL1,
 		featPerPage: featPerPage, pagesPerBatch: pagesPerBatch,
 		perFeatCycles: perFeatCycles, cyclePs: cyclePs,
-		f10: -1, f50: -1,
 	}
 
 	// Build the accelerator units and their lockstep groups.
@@ -380,23 +378,9 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		return newBarrier(members, link, weightBytes, &run.weightRounds)
 	}
 
-	windowPages := func(share int64) int64 {
-		if req.WindowFeaturesPerAccel <= 0 {
-			return share
-		}
-		w := int64(float64(req.WindowFeaturesPerAccel)/featPerPage + 0.999)
-		if w < 1 {
-			w = 1
-		}
-		if w > share {
-			w = share
-		}
-		return w
-	}
-
-	// defaultWindow is the outstanding-read limit of a channel- or
+	// readDepth is the outstanding-read limit of a channel- or
 	// chip-level accelerator.
-	const defaultWindow = 16
+	const readDepth = 16
 
 	switch req.Spec.Level {
 	case LevelSSD:
@@ -407,12 +391,7 @@ func Scan(req ScanRequest) (ScanResult, error) {
 			perChannel[ch] = layout.ChannelPages(ch)
 			total += perChannel[ch]
 		}
-		// Window: scale the whole-device share.
-		win := total
-		if req.WindowFeaturesPerAccel > 0 {
-			win = windowPages(total)
-		}
-		u := sc.newUnit(run, win, group(1, dev.DRAM), int64(8*geom.Channels))
+		u := sc.newUnit(run, total, group(1, dev.DRAM), int64(8*geom.Channels))
 		toDRAM := func() { dev.DRAM.Transfer(geom.PageBytes, u.pageArrived) }
 		// Page j of the device share is page j / Channels of channel
 		// j mod Channels: the reads rotate across the channels' cursors.
@@ -447,12 +426,12 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		g := group(geom.Channels, link)
 		for ch := 0; ch < geom.Channels; ch++ {
 			ch := ch
-			win := windowPages(layout.ChannelPages(ch))
-			if win == 0 {
+			share := layout.ChannelPages(ch)
+			if share == 0 {
 				g.leave()
 				continue
 			}
-			u := sc.newUnit(run, win, g, defaultWindow)
+			u := sc.newUnit(run, share, g, readDepth)
 			u.flash, u.cur = dev.Flash, layout.PageCursor(ch, 0, 1)
 			u.read = u.readCursor
 		}
@@ -470,12 +449,11 @@ func Scan(req ScanRequest) (ScanResult, error) {
 				if int64(chip) < chPages%int64(geom.ChipsPerChannel) {
 					share++
 				}
-				win := windowPages(share)
-				if win == 0 {
+				if share == 0 {
 					g.leave()
 					continue
 				}
-				u := sc.newUnit(run, win, g, defaultWindow)
+				u := sc.newUnit(run, share, g, readDepth)
 				// The chip's pages are every ChipsPerChannel-th of the channel's.
 				u.flash, u.toBuffer = dev.Flash, true
 				u.cur = layout.PageCursor(ch, int64(chip), geom.ChipsPerChannel)
@@ -487,10 +465,29 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	}
 	units := sc.units
 
-	run.pending = len(units)
-	for _, u := range units {
-		run.windowedTotal += u.features
+	// Every unit leaves skip of its full batches unsimulated and keeps its
+	// partial tail batch. From the first full batch on, the units finish
+	// one full batch per period P, so the skipped batches add exactly
+	// skip·P to the simulated time. A unit keeps at least two full batches
+	// to measure P, and at least the window.
+	var skip int64
+	if w := req.WindowFeaturesPerAccel; w > 0 && len(units) > 0 {
+		windowPages := int64(float64(w)/featPerPage + 0.999)
+		skip = units[0].share / pagesPerBatch
+		for _, u := range units {
+			skip = min(skip, u.share/pagesPerBatch-2, (u.share-windowPages)/pagesPerBatch)
+		}
+		skip = max(skip, 0)
 	}
+	groups := 0
+	for i, u := range units {
+		u.pages -= skip * pagesPerBatch
+		if i == 0 || u.group != units[i-1].group {
+			groups++
+		}
+	}
+
+	run.pending = len(units)
 	for _, u := range units {
 		u.prefetch()
 		u.nextBatch()
@@ -500,8 +497,13 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	if run.pending != 0 {
 		return ScanResult{}, fmt.Errorf("accel: scan deadlocked with %d units pending", run.pending)
 	}
-	simulatedFeatures, weightRounds := run.simulatedFeatures, run.weightRounds
-	f10, f50, t10, t50 := run.f10, run.f50, run.t10, run.t50
+	var period sim.Duration
+	for _, u := range units {
+		if u.full > 1 {
+			period = max(period, sim.Duration(u.last-u.first)/sim.Duration(u.full-1))
+		}
+	}
+	features, simulatedFeatures, weightRounds := run.features, run.simulatedFeatures, run.weightRounds
 	scanEnd, accels := run.scanEnd, len(units)
 	// The scan completed, so the scratch's queues are drained and nothing
 	// on the calendar refers to its units: the next scan may reuse them.
@@ -512,13 +514,17 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	sc.run = scanRun{}
 	scanScratches.Put(sc)
 
-	// scanEnd was stamped when the last unit finished; other processes
-	// sharing the engine (e.g. concurrent host I/O in the interference
-	// study) may keep running past it.
-	elapsed := sim.Duration(scanEnd - start)
-	endFlash := dev.Flash.Stats()
-
+	// The skipped batches count as read and streamed: skip batches of
+	// pages per unit and skip weight rounds per lockstep group. scanEnd was
+	// stamped when the last unit finished; other processes sharing the
+	// engine (e.g. concurrent host I/O in the interference study) may keep
+	// running past it.
+	if src != SourceL1 {
+		weightRounds += skip * int64(groups)
+	}
+	pageReads := int64(dev.Flash.Stats().PageReads-startFlash.PageReads) + skip*pagesPerBatch*int64(accels)
 	res := ScanResult{
+		Elapsed:           sim.Duration(scanEnd-start) + sim.Duration(skip)*period,
 		SimulatedFeatures: int64(simulatedFeatures + 0.5),
 		PerFeatureCycles:  perFeatCycles,
 		WeightSource:      src,
@@ -526,12 +532,9 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		Accels:            accels,
 		Features:          layout.Features,
 	}
-
-	// Collect window activity, then extrapolate to the full database.
-	pageReads := int64(endFlash.PageReads - startFlash.PageReads)
 	act := energy.Activity{
-		MACs:       int64(float64(cost.MACs) * simulatedFeatures),
-		SRAMBytes:  int64(float64(cost.SRAMReadBytes+cost.SRAMWriteBytes) * simulatedFeatures),
+		MACs:       int64(float64(cost.MACs) * features),
+		SRAMBytes:  int64(float64(cost.SRAMReadBytes+cost.SRAMWriteBytes) * features),
 		SRAMSize:   req.Spec.Array.ScratchpadBytes,
 		SRAMKind:   req.Spec.SRAMKind,
 		FlashBytes: pageReads * geom.PageBytes,
@@ -563,20 +566,6 @@ func Scan(req ScanRequest) (ScanResult, error) {
 		// One initial DRAM load per scan, negligible but counted.
 		act.DRAMBytes += weightBytes
 	}
-
-	scale := 1.0
-	if simulatedFeatures > 0 && float64(res.Features) > simulatedFeatures {
-		scale = float64(res.Features) / simulatedFeatures
-	}
-	res.Elapsed = sim.Duration(float64(elapsed) * scale)
-	// Refine with the measured steady-state marginal rate: work beyond the
-	// window extends the simulated time at the 10–50% progress rate.
-	if scale > 1 && f10 > 0 && f50 > f10 {
-		rate := float64(t50-t10) / (f50 - f10) // ps per feature (global)
-		extra := (float64(res.Features) - simulatedFeatures) * rate
-		res.Elapsed = elapsed + sim.Duration(extra+0.5)
-	}
-	res.Activity = act.Scale(scale)
-	res.WeightRounds = int64(float64(weightRounds)*scale + 0.5)
+	res.Activity = act
 	return res, nil
 }

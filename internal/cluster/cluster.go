@@ -42,7 +42,7 @@ func (r Result) Seconds() float64 { return r.Makespan.Seconds() }
 // discrete-event engine, so the per-shard simulations run concurrently on
 // the host and the aggregate is deterministic regardless of completion
 // order (results are reduced in shard order).
-func ShardedScan(n int, app *workload.App, level accel.Level, devCfg ssd.Config, features, window int64) (Result, error) {
+func ShardedScan(n int, app *workload.App, level accel.Level, devCfg ssd.Config, features int64) (Result, error) {
 	if n < 1 {
 		return Result{}, fmt.Errorf("cluster: %d devices invalid", n)
 	}
@@ -75,7 +75,7 @@ func ShardedScan(n int, app *workload.App, level accel.Level, devCfg ssd.Config,
 				Spec:                   accel.SpecForLevel(level, devCfg),
 				Net:                    app.SCN,
 				Layout:                 meta.Layout,
-				WindowFeaturesPerAccel: window,
+				WindowFeaturesPerAccel: accel.DefaultWindow,
 			})
 			if err != nil {
 				errs[dev] = fmt.Errorf("cluster: shard %d: %w", dev, err)

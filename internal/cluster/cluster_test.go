@@ -15,11 +15,11 @@ func TestShardedScanLinearScaling(t *testing.T) {
 	}
 	const features = 512_000
 	cfg := ssd.DefaultConfig()
-	one, err := ShardedScan(1, app, accel.LevelChannel, cfg, features, 1000)
+	one, err := ShardedScan(1, app, accel.LevelChannel, cfg, features)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := ShardedScan(4, app, accel.LevelChannel, cfg, features, 1000)
+	four, err := ShardedScan(4, app, accel.LevelChannel, cfg, features)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestShardedScanLinearScaling(t *testing.T) {
 
 func TestShardedScanBalanced(t *testing.T) {
 	app, _ := workload.ByName("TextQA")
-	res, err := ShardedScan(3, app, accel.LevelChannel, ssd.DefaultConfig(), 300_001, 1000)
+	res, err := ShardedScan(3, app, accel.LevelChannel, ssd.DefaultConfig(), 300_001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestShardedScanBalanced(t *testing.T) {
 
 func TestShardedScanActivityAggregates(t *testing.T) {
 	app, _ := workload.ByName("TIR")
-	res, err := ShardedScan(2, app, accel.LevelChannel, ssd.DefaultConfig(), 200_000, 1000)
+	res, err := ShardedScan(2, app, accel.LevelChannel, ssd.DefaultConfig(), 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +70,17 @@ func TestShardedScanActivityAggregates(t *testing.T) {
 
 func TestShardedScanValidation(t *testing.T) {
 	app, _ := workload.ByName("MIR")
-	if _, err := ShardedScan(0, app, accel.LevelChannel, ssd.DefaultConfig(), 1000, 0); err == nil {
+	if _, err := ShardedScan(0, app, accel.LevelChannel, ssd.DefaultConfig(), 1000); err == nil {
 		t.Error("zero devices accepted")
 	}
-	if _, err := ShardedScan(10, app, accel.LevelChannel, ssd.DefaultConfig(), 5, 0); err == nil {
+	if _, err := ShardedScan(10, app, accel.LevelChannel, ssd.DefaultConfig(), 5); err == nil {
 		t.Error("more devices than features accepted")
 	}
 }
 
 func TestShardedScanUnsupportedPropagates(t *testing.T) {
 	reid, _ := workload.ByName("ReId")
-	if _, err := ShardedScan(2, reid, accel.LevelChip, ssd.DefaultConfig(), 10_000, 500); err == nil {
+	if _, err := ShardedScan(2, reid, accel.LevelChip, ssd.DefaultConfig(), 10_000); err == nil {
 		t.Error("chip-level ReId sharded scan succeeded")
 	}
 }

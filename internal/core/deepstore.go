@@ -54,8 +54,9 @@ type Options struct {
 	// DefaultLevel selects the accelerator level used when a query does
 	// not specify one. The §6 recommendation is channel level.
 	DefaultLevel accel.Level
-	// TimingWindow bounds the per-accelerator features simulated in the
-	// event-driven model per query (0 = exact simulation).
+	// TimingWindow is the fewest features per accelerator a query's scan
+	// simulates before whole-period extrapolation (0 = exact); see
+	// accel.ScanRequest.WindowFeaturesPerAccel.
 	TimingWindow int64
 	// Prune enables the exact stripe-pruning tier: WriteDB/AppendDB/ReorgDB
 	// build per-channel-stripe bound tables (persisted page-aligned next to
@@ -143,7 +144,7 @@ func DefaultOptions() Options {
 	return Options{
 		Device:       ssd.DefaultConfig(),
 		DefaultLevel: accel.LevelChannel,
-		TimingWindow: 512,
+		TimingWindow: accel.DefaultWindow,
 	}
 }
 

@@ -224,9 +224,7 @@ func TestTracerDropsSurfaceInMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.TimingWindow = 1024
-	ds, err := New(opts)
+	ds, err := New(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

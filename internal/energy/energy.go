@@ -116,7 +116,7 @@ func (a *Activity) Add(b Activity) {
 	}
 }
 
-// Scale multiplies all counts by f (for window extrapolation).
+// Scale multiplies all counts by f.
 func (a Activity) Scale(f float64) Activity {
 	s := a
 	s.MACs = int64(float64(a.MACs) * f)

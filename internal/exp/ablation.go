@@ -34,7 +34,7 @@ type AblationDataflowRow struct {
 // lockstep round model already enforces for either dataflow, so a pure
 // compute-model swap there would not exercise the quantity that decided
 // the design.
-func AblationDataflow(window int64) ([]AblationDataflowRow, error) {
+func AblationDataflow() ([]AblationDataflowRow, error) {
 	devCfg := ssd.DefaultConfig()
 	var rows []AblationDataflowRow
 	spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
@@ -46,11 +46,11 @@ func AblationDataflow(window int64) ([]AblationDataflowRow, error) {
 	}
 	for _, app := range workload.Apps() {
 		features := workload.PaperSpec(app).Features
-		chosen, err := RunScan(app, spec, devCfg, features, window)
+		chosen, err := RunScan(app, spec, devCfg, features)
 		if err != nil {
 			return nil, err
 		}
-		swapped, err := RunScan(app, swappedSpec, devCfg, features, window)
+		swapped, err := RunScan(app, swappedSpec, devCfg, features)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +83,12 @@ type AblationPrecisionRow struct {
 // AblationPrecision runs every application at FP32/FP16/INT8 on the
 // channel-level design (the §7 quantization extension; accuracy effects are
 // out of scope — the paper notes the optimization is orthogonal).
-func AblationPrecision(window int64) ([]AblationPrecisionRow, error) {
+func AblationPrecision() ([]AblationPrecisionRow, error) {
+	return ablationPrecision(accel.DefaultWindow)
+}
+
+// ablationPrecision is AblationPrecision at a given accel.ScanRequest window.
+func ablationPrecision(window int64) ([]AblationPrecisionRow, error) {
 	devCfg := ssd.DefaultConfig()
 	var rows []AblationPrecisionRow
 	for _, app := range workload.Apps() {
@@ -92,7 +97,7 @@ func AblationPrecision(window int64) ([]AblationPrecisionRow, error) {
 			spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
 			spec.Array.Precision = p
 			// Quantized databases store quantized features.
-			out, err := RunScan(app, spec, devCfg, workload.PaperSpec(app).Features, window)
+			out, err := runScan(app, spec, devCfg, workload.PaperSpec(app).Features, window)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +136,7 @@ type AblationL2Row struct {
 
 // AblationL2 disables the shared scratchpad (shrinks it below any model) and
 // measures the channel-level scan penalty per application.
-func AblationL2(window int64) ([]AblationL2Row, error) {
+func AblationL2() ([]AblationL2Row, error) {
 	withCfg := ssd.DefaultConfig()
 	noCfg := ssd.DefaultConfig()
 	// Too small to hold any studied model: L2 candidates fall to DRAM.
@@ -139,11 +144,11 @@ func AblationL2(window int64) ([]AblationL2Row, error) {
 	var rows []AblationL2Row
 	for _, app := range workload.Apps() {
 		features := workload.PaperSpec(app).Features
-		with, err := RunScan(app, accel.SpecForLevel(accel.LevelChannel, withCfg), withCfg, features, window)
+		with, err := RunScan(app, accel.SpecForLevel(accel.LevelChannel, withCfg), withCfg, features)
 		if err != nil {
 			return nil, err
 		}
-		without, err := RunScan(app, accel.SpecForLevel(accel.LevelChannel, noCfg), noCfg, features, window)
+		without, err := RunScan(app, accel.SpecForLevel(accel.LevelChannel, noCfg), noCfg, features)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,7 @@ import (
 // dataflow at the channel level must win against weight-stationary for
 // every application.
 func TestAblationDataflowValidatesOS(t *testing.T) {
-	rows, err := AblationDataflow(testWindow)
+	rows, err := AblationDataflow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,28 @@ func TestAblationDataflowValidatesOS(t *testing.T) {
 }
 
 // TestAblationPrecisionMonotone: narrower precision never slows a scan and
-// never costs more energy — and helps compute-bound apps (ReId) the most.
+// never costs more energy — and helps compute-bound apps (ReId) the most —
+// at every scan window. Element width bounds both the bytes read and the
+// MAC throughput, so no precision beats fp32 by more than (4 / element
+// bytes)².
 func TestAblationPrecisionMonotone(t *testing.T) {
-	rows, err := AblationPrecision(testWindow)
-	if err != nil {
-		t.Fatal(err)
+	for _, window := range []int64{256, 1000, 3000} {
+		rows, err := ablationPrecision(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if bound := math.Pow(4/float64(r.Precision.ElementBytes()), 2); r.SpeedupVsFP32 > bound {
+				t.Errorf("window %d: %s %v speedup over fp32 %.2fx, above the physical %.0fx",
+					window, r.App, r.Precision, r.SpeedupVsFP32, bound)
+			}
+		}
+		checkPrecisionMonotone(t, rows)
 	}
+}
+
+func checkPrecisionMonotone(t *testing.T, rows []AblationPrecisionRow) {
+	t.Helper()
 	byApp := map[string][]AblationPrecisionRow{}
 	for _, r := range rows {
 		byApp[r.App] = append(byApp[r.App], r)
@@ -72,7 +88,7 @@ func TestAblationPrecisionMonotone(t *testing.T) {
 // TestAblationL2ValidatesSharing: removing the shared L2 must never speed a
 // scan up, and must demote the L2-served models (TIR, MIR) to DRAM.
 func TestAblationL2ValidatesSharing(t *testing.T) {
-	rows, err := AblationL2(testWindow)
+	rows, err := AblationL2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +115,15 @@ func TestAblationL2ValidatesSharing(t *testing.T) {
 }
 
 func TestFormatAblations(t *testing.T) {
-	df, err := AblationDataflow(testWindow)
+	df, err := AblationDataflow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := AblationPrecision(testWindow)
+	pr, err := AblationPrecision()
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := AblationL2(testWindow)
+	l2, err := AblationL2()
 	if err != nil {
 		t.Fatal(err)
 	}

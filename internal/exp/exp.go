@@ -24,11 +24,6 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultWindow is the per-accelerator feature window used by the
-// event-driven scans. Scans are homogeneous steady-state pipelines, so the
-// extrapolation error is small (see accel.Scan); tests validate it.
-const DefaultWindow = 3000
-
 // ScanOutcome is one DeepStore scan measurement.
 type ScanOutcome struct {
 	Level       accel.Level
@@ -38,13 +33,19 @@ type ScanOutcome struct {
 	Unsupported bool
 }
 
-// RunScan executes one windowed scan of a features-long database of the
-// application on a fresh simulated device with the given accelerators
+// RunScan executes one scan of a features-long database of the application
+// on a fresh simulated device with the given accelerators
 // (accel.SpecForLevel(level, devCfg) for a Table 3 design; the ablations
 // swap its dataflow or precision). The database layout follows the spec's
 // precision: quantized features are stored quantized. A level the network
 // cannot run on comes back as an Unsupported outcome, not an error.
-func RunScan(app *workload.App, spec accel.Spec, devCfg ssd.Config, features, window int64) (ScanOutcome, error) {
+func RunScan(app *workload.App, spec accel.Spec, devCfg ssd.Config, features int64) (ScanOutcome, error) {
+	return runScan(app, spec, devCfg, features, accel.DefaultWindow)
+}
+
+// runScan is RunScan at a given accel.ScanRequest window: the same outcome
+// at every window, which the tests check.
+func runScan(app *workload.App, spec accel.Spec, devCfg ssd.Config, features, window int64) (ScanOutcome, error) {
 	e := sim.NewEngine()
 	dev, err := ssd.New(e, devCfg)
 	if err != nil {

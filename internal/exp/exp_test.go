@@ -13,15 +13,11 @@ import (
 	"repro/internal/workload"
 )
 
-// testWindow keeps experiment tests fast; shapes are stable well below the
-// default window.
-const testWindow = 1000
-
 // TestFigure8ShapeBands is the headline reproduction check: for every
 // application the system ordering and rough factors of Figure 8 / Table 4
 // hold.
 func TestFigure8ShapeBands(t *testing.T) {
-	rows, err := Figure8(testWindow)
+	rows, err := Figure8(accel.DefaultWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +130,7 @@ func TestFigure2IOBand(t *testing.T) {
 }
 
 func TestFigure9Insensitivity(t *testing.T) {
-	rows, err := Figure9(testWindow)
+	rows, err := Figure9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +155,7 @@ func TestFigure9Insensitivity(t *testing.T) {
 }
 
 func TestFigure10Scaling(t *testing.T) {
-	a, err := Figure10a(testWindow)
+	a, err := Figure10a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +181,7 @@ func TestFigure10Scaling(t *testing.T) {
 		t.Errorf("SSD level scaled %.2fx with channels, want flat", r)
 	}
 
-	b, err := Figure10b(testWindow)
+	b, err := Figure10b()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +206,7 @@ func TestFigure10Scaling(t *testing.T) {
 }
 
 func TestFigure12FractionsSum(t *testing.T) {
-	rows, err := Figure12(testWindow)
+	rows, err := Figure12()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +232,7 @@ func TestFigure12FractionsSum(t *testing.T) {
 func TestFigure13Trends(t *testing.T) {
 	cfg := DefaultQCStudy()
 	cfg.TraceLen = 6000
-	rows, err := Figure13(testWindow, cfg)
+	rows, err := Figure13(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +337,7 @@ func TestFigure6Rendering(t *testing.T) {
 func TestRunScanUnsupportedReported(t *testing.T) {
 	reid, _ := workload.ByName("ReId")
 	dev := ssd.DefaultConfig()
-	out, err := RunScan(reid, accel.SpecForLevel(accel.LevelChip, dev), dev, workload.PaperSpec(reid).Features, testWindow)
+	out, err := RunScan(reid, accel.SpecForLevel(accel.LevelChip, dev), dev, workload.PaperSpec(reid).Features)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +354,7 @@ func TestRunScanScalesMACEnergyOnce(t *testing.T) {
 	dev := ssd.DefaultConfig()
 	spec := accel.SpecForLevel(accel.LevelChannel, dev)
 	spec.Array.Precision = systolic.INT8
-	out, err := RunScan(app, spec, dev, 100_000, testWindow)
+	out, err := RunScan(app, spec, dev, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ type Fig10aRow struct {
 
 // Figure10a varies the internal SSD bandwidth via the channel count
 // (4 → 64) and measures MIR on every system (§6.3, Fig. 10a).
-func Figure10a(window int64) ([]Fig10aRow, error) {
+func Figure10a() ([]Fig10aRow, error) {
 	app, err := workload.ByName("MIR")
 	if err != nil {
 		return nil, err
@@ -47,7 +47,7 @@ func Figure10a(window int64) ([]Fig10aRow, error) {
 		rows = append(rows, Fig10aRow{System: "Traditional", Channels: channels, Speedup: refSec / tSec})
 
 		for _, level := range accel.Levels() {
-			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, features, window)
+			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, features)
 			if err != nil {
 				return nil, err
 			}
@@ -73,7 +73,7 @@ type Fig10bRow struct {
 // aggregates read bandwidth but keeps one GPU, so it scales sub-linearly;
 // every DeepStore design replicates its accelerators with the devices and
 // scales linearly (§6.3, Fig. 10b).
-func Figure10b(window int64) ([]Fig10bRow, error) {
+func Figure10b() ([]Fig10bRow, error) {
 	app, err := workload.ByName("MIR")
 	if err != nil {
 		return nil, err
@@ -93,7 +93,7 @@ func Figure10b(window int64) ([]Fig10bRow, error) {
 			// The database shards across devices; each device scans its
 			// share with its own accelerators, in parallel (the cluster
 			// model), and the engine merges the per-shard top-K.
-			res, err := cluster.ShardedScan(n, app, level, devCfg, features, window)
+			res, err := cluster.ShardedScan(n, app, level, devCfg, features)
 			if err != nil {
 				return nil, err
 			}

@@ -71,12 +71,12 @@ type Fig12Row struct {
 
 // Figure12 computes the Fig. 12 power-consumption breakdown by re-running
 // the level scans and decomposing their activity energy.
-func Figure12(window int64) ([]Fig12Row, error) {
+func Figure12() ([]Fig12Row, error) {
 	devCfg := ssd.DefaultConfig()
 	var rows []Fig12Row
 	for _, app := range workload.Apps() {
 		for _, level := range accel.Levels() {
-			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, workload.PaperSpec(app).Features, window)
+			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, workload.PaperSpec(app).Features)
 			if err != nil {
 				return nil, err
 			}

@@ -125,7 +125,7 @@ type qcCosts struct {
 	hostLookup, dsLookup float64
 }
 
-func computeQCCosts(window int64, cfg QCStudyConfig) (qcCosts, error) {
+func computeQCCosts(cfg QCStudyConfig) (qcCosts, error) {
 	app, err := workload.ByName("TIR")
 	if err != nil {
 		return qcCosts{}, err
@@ -134,7 +134,7 @@ func computeQCCosts(window int64, cfg QCStudyConfig) (qcCosts, error) {
 	baseSec, _ := baseCfg.ScanTime(app, cfg.Features, app.DefaultBatch)
 	devCfg := ssd.DefaultConfig()
 	spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
-	out, err := RunScan(app, spec, devCfg, cfg.Features, window)
+	out, err := RunScan(app, spec, devCfg, cfg.Features)
 	if err != nil {
 		return qcCosts{}, err
 	}
@@ -157,8 +157,8 @@ func (c qcCosts) speedups(miss float64) QCSpeedupRow {
 }
 
 // QCSpeedups composes a measured miss rate with the §6.5 system latencies.
-func QCSpeedups(window int64, cfg QCStudyConfig, missRate float64) (QCSpeedupRow, error) {
-	costs, err := computeQCCosts(window, cfg)
+func QCSpeedups(cfg QCStudyConfig, missRate float64) (QCSpeedupRow, error) {
+	costs, err := computeQCCosts(cfg)
 	if err != nil {
 		return QCSpeedupRow{}, err
 	}
@@ -168,8 +168,8 @@ func QCSpeedups(window int64, cfg QCStudyConfig, missRate float64) (QCSpeedupRow
 // Figure13 sweeps the error threshold 0–20% for uniform and Zipfian(0.7)
 // query streams (§6.5, Fig. 13), composing the measured miss rates with the
 // scan and lookup latencies of each system.
-func Figure13(window int64, cfg QCStudyConfig) ([]Fig13Row, error) {
-	costs, err := computeQCCosts(window, cfg)
+func Figure13(cfg QCStudyConfig) ([]Fig13Row, error) {
+	costs, err := computeQCCosts(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,9 @@ var PaperTable4 = map[string]map[accel.Level][2]float64{ // [speedup, energy eff
 
 // Figure8 runs the Figure 8 / Table 4 experiment: every application on the
 // wimpy-core baseline and all three accelerator levels, against the GPU+SSD
-// system, on the §6.1 databases.
+// system, on the §6.1 databases. The scans run at the given
+// accel.ScanRequest window, which changes only how much of them the event
+// model simulates, not the rows.
 func Figure8(window int64) ([]Fig8Row, error) {
 	devCfg := ssd.DefaultConfig()
 	baseCfg := baseline.DefaultConfig()
@@ -61,7 +63,7 @@ func Figure8(window int64) ([]Fig8Row, error) {
 		}
 		row.WimpySpeedup = baseSec / row.WimpySec
 		for _, level := range accel.Levels() {
-			out, err := RunScan(app, accel.SpecForLevel(level, devCfg), devCfg, features, window)
+			out, err := runScan(app, accel.SpecForLevel(level, devCfg), devCfg, features, window)
 			if err != nil {
 				return nil, err
 			}

@@ -32,7 +32,7 @@ var fig9Ratios = []struct {
 // Figure9 sweeps the flash array read latency from ~7 µs to 212 µs for the
 // three DeepStore levels. The traditional system is external-bandwidth
 // bound, so its speedup is 1.0 at every point by construction (§6.3).
-func Figure9(window int64) ([]Fig9Row, error) {
+func Figure9() ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for _, app := range workload.Apps() {
 		// Traditional: flash latency does not appear in its envelope.
@@ -48,7 +48,7 @@ func Figure9(window int64) ([]Fig9Row, error) {
 			for _, r := range fig9Ratios {
 				cfg := ssd.DefaultConfig()
 				cfg.Timing.ReadLatency = sim.Duration(float64(53*sim.Microsecond) * r.factor)
-				out, err := RunScan(app, accel.SpecForLevel(level, cfg), cfg, workload.PaperSpec(app).Features, window)
+				out, err := RunScan(app, accel.SpecForLevel(level, cfg), cfg, workload.PaperSpec(app).Features)
 				if err != nil {
 					return nil, err
 				}

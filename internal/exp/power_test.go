@@ -17,7 +17,7 @@ func TestDeepStorePowerPlausible(t *testing.T) {
 	for _, appName := range workload.AppNames() {
 		app, _ := workload.ByName(appName)
 		for _, level := range accel.Levels() {
-			out, err := RunScan(app, accel.SpecForLevel(level, dev), dev, workload.PaperSpec(app).Features, testWindow)
+			out, err := RunScan(app, accel.SpecForLevel(level, dev), dev, workload.PaperSpec(app).Features)
 			if err != nil {
 				t.Fatal(err)
 			}

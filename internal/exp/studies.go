@@ -23,13 +23,11 @@ type Result struct {
 	Artifacts []Artifact
 }
 
-// Study is one experiment of the evaluation. Run regenerates it; window is
-// the per-accelerator feature window of the event-driven scans (0 = exact),
-// which the studies on materialized databases ignore.
+// Study is one experiment of the evaluation. Run regenerates it.
 type Study struct {
 	Name  string // the id -exp selects
 	Title string // heading of the study's section in the regenerated report
-	Run   func(window int64) (Result, error)
+	Run   func() (Result, error)
 }
 
 // tables is the Result of a study that only tabulates.
@@ -77,63 +75,63 @@ func archived[R any](table func(R) report.Table) func(R, error) (Result, error) 
 // over it.
 func Studies() []Study {
 	return []Study{
-		{"table1", "Table 1 — application characteristics", func(int64) (Result, error) {
+		{"table1", "Table 1 — application characteristics", func() (Result, error) {
 			return tables(table1Table(Table1())), nil
 		}},
-		{"fig2", "Figure 2 — GPU+SSD baseline breakdown", func(int64) (Result, error) {
+		{"fig2", "Figure 2 — GPU+SSD baseline breakdown", func() (Result, error) {
 			return tables(figure2Table(Figure2())), nil
 		}},
-		{"fig6", "Figure 6 — systolic array scaling", func(int64) (Result, error) {
+		{"fig6", "Figure 6 — systolic array scaling", func() (Result, error) {
 			points := Figure6()
 			return Result{Tables: []report.Table{Figure6Table(points)}, Chart: figure6Chart(points)}, nil
 		}},
-		{"table3", "Table 3 — accelerator configurations", func(int64) (Result, error) {
+		{"table3", "Table 3 — accelerator configurations", func() (Result, error) {
 			return tables(table3Table(Table3())), nil
 		}},
-		{"fig8", "Figure 8 / Table 4 — speedup and energy efficiency", func(w int64) (Result, error) {
-			rows, err := Figure8(w)
+		{"fig8", "Figure 8 / Table 4 — speedup and energy efficiency", func() (Result, error) {
+			rows, err := Figure8(accel.DefaultWindow)
 			if err != nil {
 				return Result{}, err
 			}
 			return Result{Tables: []report.Table{figure8Table(rows)}, Chart: figure8Chart(rows)}, nil
 		}},
-		{"fig9", "Figure 9 — flash latency sensitivity", func(w int64) (Result, error) {
-			return tabulated(figure9Table)(Figure9(w))
+		{"fig9", "Figure 9 — flash latency sensitivity", func() (Result, error) {
+			return tabulated(figure9Table)(Figure9())
 		}},
-		{"fig10", "Figure 10 — bandwidth scaling (MIR)", func(w int64) (Result, error) {
-			a, err := Figure10a(w)
+		{"fig10", "Figure 10 — bandwidth scaling (MIR)", func() (Result, error) {
+			a, err := Figure10a()
 			if err != nil {
 				return Result{}, err
 			}
-			b, err := Figure10b(w)
+			b, err := Figure10b()
 			if err != nil {
 				return Result{}, err
 			}
 			return tables(figure10aTable(a), figure10bTable(b)), nil
 		}},
-		{"fig11", "Figure 11 — perf/W vs Volta", func(w int64) (Result, error) {
-			rows8, err := Figure8(w)
+		{"fig11", "Figure 11 — perf/W vs Volta", func() (Result, error) {
+			rows8, err := Figure8(accel.DefaultWindow)
 			if err != nil {
 				return Result{}, err
 			}
 			rows := Figure11(rows8)
 			return Result{Tables: []report.Table{figure11Table(rows)}, Chart: figure11Chart(rows)}, nil
 		}},
-		{"fig12", "Figure 12 — energy breakdown", func(w int64) (Result, error) {
-			return tabulated(figure12Table)(Figure12(w))
+		{"fig12", "Figure 12 — energy breakdown", func() (Result, error) {
+			return tabulated(figure12Table)(Figure12())
 		}},
-		{"fig13", "Figure 13 — query cache speedups", func(w int64) (Result, error) {
-			rows, err := Figure13(w, DefaultQCStudy())
+		{"fig13", "Figure 13 — query cache speedups", func() (Result, error) {
+			rows, err := Figure13(DefaultQCStudy())
 			if err != nil {
 				return Result{}, err
 			}
 			return Result{Tables: []report.Table{Figure13Table(rows)}, Chart: figure13Chart(rows)}, nil
 		}},
-		{"fig14", "Figure 14 — query cache size", func(int64) (Result, error) {
+		{"fig14", "Figure 14 — query cache size", func() (Result, error) {
 			rows := Figure14(DefaultQCStudy())
 			return Result{Tables: []report.Table{figure14Table(rows)}, Chart: figure14Chart(rows)}, nil
 		}},
-		{"interference", "Extension — scan vs regular I/O interference (§4.5 claim)", func(int64) (Result, error) {
+		{"interference", "Extension — scan vs regular I/O interference (§4.5 claim)", func() (Result, error) {
 			var rows []InterferenceResult
 			for _, app := range []string{"MIR", "TIR", "TextQA"} {
 				r, err := Interference(app, accel.LevelChannel, 64_000, 16_000)
@@ -144,19 +142,19 @@ func Studies() []Study {
 			}
 			return tables(interferenceTable(rows)), nil
 		}},
-		{"reorg", "Extension — feature reorganization (§7 pointer)", func(int64) (Result, error) {
+		{"reorg", "Extension — feature reorganization (§7 pointer)", func() (Result, error) {
 			return tabulated(reorgTable)(ReorgStudy(DefaultReorg()))
 		}},
-		{"throughput", "Extension — sustained query throughput (M/D/1, 40% QC miss)", func(w int64) (Result, error) {
-			return tabulated(throughputTable)(Throughput(w, 0.4))
+		{"throughput", "Extension — sustained query throughput (M/D/1, 40% QC miss)", func() (Result, error) {
+			return tabulated(throughputTable)(Throughput(0.4))
 		}},
-		{"mq", "Extension — multi-query shared sweeps", func(int64) (Result, error) {
+		{"mq", "Extension — multi-query shared sweeps", func() (Result, error) {
 			return archived(mqTable)(MultiQueryBench(DefaultMQ()))
 		}},
-		{"prune", "Extension — exact scan pruning", func(int64) (Result, error) {
+		{"prune", "Extension — exact scan pruning", func() (Result, error) {
 			return archived(pruneTable)(PruneSweep(DefaultPrune()))
 		}},
-		{"quant", "Extension — int8 quantized scoring", func(int64) (Result, error) {
+		{"quant", "Extension — int8 quantized scoring", func() (Result, error) {
 			rows, err := QuantSweep(DefaultQuant())
 			if err != nil {
 				return Result{}, err
@@ -169,38 +167,38 @@ func Studies() []Study {
 			res.Tables = append(res.Tables, quantMarginTable(margins))
 			return res, err
 		}},
-		{"serve", "Extension — multi-tenant serving under overload", func(int64) (Result, error) {
+		{"serve", "Extension — multi-tenant serving under overload", func() (Result, error) {
 			return archived(serveTable)(ServeBench(DefaultServe()))
 		}},
-		{"rebalance", "Extension — online rebalance under load", func(int64) (Result, error) {
+		{"rebalance", "Extension — online rebalance under load", func() (Result, error) {
 			return archived(rebalanceTable)(RebalanceBench(DefaultRebalance()))
 		}},
-		{"qhist", "Extension — query-history cache admission", func(int64) (Result, error) {
+		{"qhist", "Extension — query-history cache admission", func() (Result, error) {
 			return archived(qhistTable)(QHistSweep(DefaultQHist()))
 		}},
-		{"faults", "Extension — fault sweep (degraded operation)", func(int64) (Result, error) {
+		{"faults", "Extension — fault sweep (degraded operation)", func() (Result, error) {
 			return archived(faultsTable)(FaultSweep(DefaultFaults()))
 		}},
-		{"breakdown", "Extension — per-stage latency breakdown", func(int64) (Result, error) {
+		{"breakdown", "Extension — per-stage latency breakdown", func() (Result, error) {
 			r, err := LatencyBreakdown(DefaultBreakdown())
 			if err != nil {
 				return Result{}, err
 			}
 			return breakdownResult(r)
 		}},
-		{"recall", "Extension — query cache recall (§4.6 premise)", func(int64) (Result, error) {
+		{"recall", "Extension — query cache recall (§4.6 premise)", func() (Result, error) {
 			return tabulated(recallTable)(QCRecall(DefaultRecall()))
 		}},
-		{"ablations", "Ablations — dataflow, precision, shared L2", func(w int64) (Result, error) {
-			df, err := AblationDataflow(w)
+		{"ablations", "Ablations — dataflow, precision, shared L2", func() (Result, error) {
+			df, err := AblationDataflow()
 			if err != nil {
 				return Result{}, err
 			}
-			pr, err := AblationPrecision(w)
+			pr, err := AblationPrecision()
 			if err != nil {
 				return Result{}, err
 			}
-			l2, err := AblationL2(w)
+			l2, err := AblationL2()
 			if err != nil {
 				return Result{}, err
 			}

@@ -41,7 +41,7 @@ func mD1Sojourn(s, rho float64) float64 {
 // Throughput computes the envelope for the GPU+SSD baseline and the
 // channel-level DeepStore design, with and without the query cache (at the
 // given steady-state miss rate).
-func Throughput(window int64, qcMissRate float64) ([]ThroughputRow, error) {
+func Throughput(qcMissRate float64) ([]ThroughputRow, error) {
 	if qcMissRate < 0 || qcMissRate > 1 {
 		return nil, fmt.Errorf("exp: miss rate %v outside [0,1]", qcMissRate)
 	}
@@ -69,7 +69,7 @@ func Throughput(window int64, qcMissRate float64) ([]ThroughputRow, error) {
 		addRow(app.Name, "Traditional", baseSec)
 
 		spec := accel.SpecForLevel(accel.LevelChannel, devCfg)
-		out, err := RunScan(app, spec, devCfg, features, window)
+		out, err := RunScan(app, spec, devCfg, features)
 		if err != nil {
 			return nil, err
 		}

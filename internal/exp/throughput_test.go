@@ -6,7 +6,7 @@ import (
 )
 
 func TestThroughputEnvelope(t *testing.T) {
-	rows, err := Throughput(testWindow, 0.4)
+	rows, err := Throughput(0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestThroughputEnvelope(t *testing.T) {
 }
 
 func TestThroughputValidation(t *testing.T) {
-	if _, err := Throughput(testWindow, 1.5); err == nil {
+	if _, err := Throughput(1.5); err == nil {
 		t.Error("bad miss rate accepted")
 	}
 }
