@@ -116,18 +116,6 @@ func (a *Activity) Add(b Activity) {
 	}
 }
 
-// Scale multiplies all counts by f.
-func (a Activity) Scale(f float64) Activity {
-	s := a
-	s.MACs = int64(float64(a.MACs) * f)
-	s.SRAMBytes = int64(float64(a.SRAMBytes) * f)
-	s.L2Bytes = int64(float64(a.L2Bytes) * f)
-	s.DRAMBytes = int64(float64(a.DRAMBytes) * f)
-	s.FlashBytes = int64(float64(a.FlashBytes) * f)
-	s.NoCBytes = int64(float64(a.NoCBytes) * f)
-	return s
-}
-
 // Breakdown is the Fig. 12 decomposition of energy into compute, memory
 // (SRAM + DRAM), and flash, in Joules.
 type Breakdown struct {

@@ -97,14 +97,6 @@ func TestEnergyAdditivityProperty(t *testing.T) {
 	}
 }
 
-func TestActivityScale(t *testing.T) {
-	a := Activity{MACs: 100, SRAMBytes: 200, DRAMBytes: 300, FlashBytes: 400, NoCBytes: 500, L2Bytes: 600}
-	s := a.Scale(2.5)
-	if s.MACs != 250 || s.SRAMBytes != 500 || s.DRAMBytes != 750 || s.FlashBytes != 1000 || s.NoCBytes != 1250 || s.L2Bytes != 1500 {
-		t.Errorf("scaled = %+v", s)
-	}
-}
-
 func TestBreakdownAdd(t *testing.T) {
 	a := Breakdown{ComputeJ: 1, MemoryJ: 2, FlashJ: 3}
 	a.Add(Breakdown{ComputeJ: 10, MemoryJ: 20, FlashJ: 30})

@@ -10,7 +10,7 @@ func TestFeatureAddrMatchesFirstPage(t *testing.T) {
 		name string
 		l    DBLayout
 	}{
-		{"packed", layoutFor(800, 5000)},      // 20 features per page
+		{"packed", layoutFor(800, 5000)},       // 20 features per page
 		{"page-exact", layoutFor(16<<10, 300)}, // exactly one page each
 		{"spanning", layoutFor(44<<10, 200)},   // 3 pages per feature
 	}

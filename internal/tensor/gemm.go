@@ -16,49 +16,59 @@ import "fmt"
 //
 // in increasing-k order with one float32 rounding per multiply and one per
 // add, and the bias added after the full reduction. Gemv, Dot, Conv2D and
-// both kernels here implement exactly that, so they agree bit for bit on
+// every kernel here implement exactly that, so they agree bit for bit on
 // finite inputs (and on which outputs are NaN). The Go kernels spell every
 // product float32(a*b): the spec lets a compiler fuse x*y+z into one
 // rounding unless the product is explicitly converted — gc does on arm64 and
 // may under GOAMD64=v3 — and a fused tail column beside an unfused SIMD
 // column would split one Gemm call across two roundings.
 //
-// Two kernels, one entry point — a machine runs one or the other, never a
-// mix, so no Gemm call is split between them:
+// Three kernels, one entry point, and every Gemm call runs on exactly one of
+// them — the machine's SIMD kernel (on AVX-512 machines, picked by the
+// product's width) or, where it has none, the portable one:
 //
 //   - gemmSIMD (amd64 with AVX2, set at init from CPUID; nil elsewhere)
 //     puts 16 rows of A in the SIMD lanes. Each call packs a 16-row block of
 //     A into a k-major panel (ap[p*16+l] = A[i0+l][k0+p], zero rows past m;
-//     gemmKC·16 floats = 32 KiB of stack scratch; full blocks are transposed
-//     in registers, four columns of sixteen rows at a time), then for every
-//     group of 4 W rows broadcasts W[j+r][p] and issues VMULPS then VADDPS
-//     into 8 YMM accumulators — a 16×4 tile of C, 64 MACs per k step. No
-//     FMA: fusing drops the product's rounding and would break the contract.
-//     The last n&3 columns — all of them when n < 4: a one-neuron QCN, a
-//     final FC cut down to its score (nn's live outputs) — are one more tile
-//     whose missing W rows are a shared row of zeros and whose C is a 16×4
+//     gemmKC·16 floats = 32 KiB of scratch; full blocks are transposed in
+//     registers, four columns of sixteen rows at a time).
+//     On AVX2 (gemmAVX2), for every group of 4 W rows it broadcasts
+//     W[j+r][p] and issues VMULPS then VADDPS into 8 YMM accumulators — a
+//     16×4 tile of C, 64 MACs per k step. No FMA: fusing drops the
+//     product's rounding and would break the contract. The last n&3
+//     columns — all of them when n < 4: a one-neuron QCN, a final FC cut
+//     down to its score (nn's live outputs) — are one more tile whose
+//     missing W rows are a shared row of zeros and whose C is a 16×4
 //     staging tile on the stack; the tile holds the partial sums across K
 //     panels and only its live rows and columns are copied out. The lanes
 //     are still output rows, so a narrow product costs a pack and a partly
-//     idle tile instead of a scalar loop. Packing A costs m·k moves against
-//     m·n·k MACs, and W is read in Gemv's own layout, so nothing is cached
-//     or duplicated and callers that rewrite weights cannot go stale.
+//     idle tile instead of a scalar loop.
+//     On AVX-512F (gemmAVX512, when the OS also saves the ZMM state) a
+//     product with n ≥ 8 loads each panel row into one ZMM and issues, per
+//     column of a 16×8 tile, VMULPS with the W element broadcast from
+//     memory then VADDPS — 128 MACs per k step — with the same staged tile
+//     for the last n&7 columns and the bias added in the tile after the
+//     last panel. A product with n < 8 is gemmAVX2's, which ran those
+//     pack-bound shapes faster than the wider tile.
+//     Packing A costs m·k moves against m·n·k MACs, and W is read in Gemv's
+//     own layout, so nothing is cached or duplicated and callers that
+//     rewrite weights cannot go stale.
 //   - gemmPortable (pure Go, every platform) holds a 2×4 tile of C in eight
 //     scalar accumulators, with a scalar loop for ragged tile edges. It is
 //     Gemm where there is no AVX2, the reference the tests compare
 //     against, and — at int8 operands and int32 sums — GemmInt8's kernel.
 //
-// Both cut K into gemmKC-element panels and resume each output from its
+// All cut K into gemmKC-element panels and resume each output from its
 // stored partial sum, which keeps the single-accumulator order.
 const (
 	gemmMR = 2   // A rows per portable micro-tile
-	gemmNR = 4   // W rows (C columns) per micro-tile, both kernels
+	gemmNR = 4   // W rows (C columns) per portable and AVX2 micro-tile
 	gemmKC = 512 // K panel (floats) kept hot in L1
 	gemmMC = 256 // M block over which the portable kernel reuses a W panel
 )
 
-// A simdKernel computes the un-biased product C = A·Wᵀ. m, n, k ≥ 1.
-type simdKernel func(c, a, w []float32, m, n, k int)
+// A simdKernel computes C = A·Wᵀ + bias (bias may be nil). m, n, k ≥ 1.
+type simdKernel func(c, a, w, bias []float32, m, n, k int)
 
 // gemmSIMD is the platform's SIMD kernel, nil when it has none. Set once at
 // init.
@@ -95,9 +105,10 @@ func gemm(c, a, w, bias []float32, m, n, k int, simd simdKernel) {
 		// No reduction: Gemv would write bias (or zero) directly.
 		clear(c)
 	case m == 0 || n == 0:
-		// No outputs.
+		return // no outputs
 	case simd != nil:
-		simd(c, a, w, m, n, k)
+		simd(c, a, w, bias, m, n, k)
+		return
 	default:
 		gemmPortable(c, a, w, m, n, k)
 	}

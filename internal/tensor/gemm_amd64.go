@@ -1,15 +1,22 @@
 package tensor
 
-// The AVX2 side of Gemm (see the header of gemm.go for the design). This
-// file and gemm_amd64.s are compiled on amd64 only, by filename suffix; the
-// kernel is installed only when CPUID says the CPU has AVX2 and the OS
-// saves the YMM state.
+// The AVX2 and AVX-512 sides of Gemm (see the header of gemm.go for the
+// design). This file and gemm_amd64.s are compiled on amd64 only, by
+// filename suffix; each kernel is installed only when CPUID says the CPU has
+// its instructions and the OS saves its register state.
 
-const gemmLanes = LaneRows // A rows per SIMD tile: two 8-float YMM registers
+const (
+	gemmLanes = LaneRows // A rows per SIMD tile: two YMM or one ZMM register
+	gemmNRZ   = 8        // W rows (C columns) per AVX-512 tile
+)
 
 func init() {
 	if hasAVX2() {
 		gemmSIMD, mulSIMD, subSIMD, gemmLanesSIMD = gemmAVX2, mulAVX, subAVX, gemmLanesAVX2
+		reluSIMD = true
+	}
+	if hasAVX512() {
+		gemmSIMD = gemmAVX512
 	}
 }
 
@@ -33,6 +40,22 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// hasAVX512 reports whether the AVX-512 kernel may run: AVX2 may (the
+// kernel hands narrow products to it), the CPU advertises AVX512F, and XCR0
+// also has bits 5, 6 and 7 set (opmask, upper halves of Z0–Z15, Z16–Z31).
+func hasAVX512() bool {
+	if !hasAVX2() {
+		return false
+	}
+	const avx512f = 1 << 16
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx512f == 0 {
+		return false
+	}
+	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	xcr0, _ := xgetbv()
+	return xcr0&zmmState == zmmState
+}
+
 // cpuid executes CPUID with the given leaf (EAX) and sub-leaf (ECX).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -50,6 +73,16 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func gemmKernelAVX2(c *float32, ldc int, ap, w0, w1, w2, w3 *float32, kb, mr int, first bool)
 
+// gemmKernelAVX512 is gemmKernelAVX2 for a 16×8 tile: for lane l and r in
+// [0,8), acc[r][l] += ap[p*16+l] * w[r][p] for p in [0, kb) in order, one
+// rounding for the multiply and one for the add, with w the tile's eight W
+// rows at the panel's first column. A non-nil bias (eight floats) is added
+// to each column after the panel's reduction, so the caller passes it on the
+// last K panel only. Rows, first and mr are as for gemmKernelAVX2.
+//
+//go:noescape
+func gemmKernelAVX512(c *float32, ldc int, ap *float32, w *[gemmNRZ]*float32, bias *float32, kb, mr int, first bool)
+
 // packA16AVX2 writes the k-major panel of 16 full rows of a (row stride lda
 // floats) for kb columns, kb a positive multiple of 4: ap[p*16+l] = a[l*lda+p].
 // Four columns of all sixteen rows go through two in-register 4×4 transposes
@@ -58,13 +91,33 @@ func gemmKernelAVX2(c *float32, ldc int, ap, w0, w1, w2, w3 *float32, kb, mr int
 //go:noescape
 func packA16AVX2(ap, a *float32, lda, kb int)
 
-// gemmPanels keeps gemmAVX2's packed A panels between calls: a call takes
-// one (or makes one when none is free) and gives it back, so no more panels
-// exist than calls ever ran at once, and at most 64 are kept. A channel
-// rather than a sync.Pool, which may drop what it is given — under the race
-// detector at random — while the scorers' allocation tests hold Gemm to
-// none with the detector on.
+// gemmPanels keeps the SIMD kernels' packed A panels between calls: a call
+// takes one (or makes one when none is free) and gives it back, so no more
+// panels exist than calls ever ran at once, and at most 64 are kept. A
+// channel rather than a sync.Pool, which may drop what it is given — under
+// the race detector at random — while the scorers' allocation tests hold
+// Gemm to none with the detector on.
+//
+// The 32 KiB panel is not on the stack: there it would be zeroed on every
+// call and grown onto every fresh sweep worker's stack, and packA writes
+// every element a tile reads, so a reused panel needs no clearing.
 var gemmPanels = make(chan *[gemmLanes * gemmKC]float32, 64)
+
+func takePanel() *[gemmLanes * gemmKC]float32 {
+	select {
+	case panel := <-gemmPanels:
+		return panel
+	default:
+		return new([gemmLanes * gemmKC]float32)
+	}
+}
+
+func givePanel(panel *[gemmLanes * gemmKC]float32) {
+	select {
+	case gemmPanels <- panel:
+	default:
+	}
+}
 
 // gemmZeroRow stands in for the W rows a tile does not have. Never written.
 var gemmZeroRow [gemmKC]float32
@@ -75,27 +128,13 @@ var gemmZeroRow [gemmKC]float32
 // gemmZeroRow as the missing W rows, into the staging tile ct: the tile
 // carries the partial sums from one K panel to the next, and only its live
 // rows and columns are ever copied to C. The padded columns compute on zeros
-// (0·Inf is a NaN the tile keeps to itself).
-//
-// The 32 KiB A panel comes from gemmPanels: on the stack it would be
-// zeroed on every call and grown onto every fresh sweep worker's stack, and
-// packA writes every element a tile reads, so a reused panel needs no
-// clearing.
-func gemmAVX2(c, a, w []float32, m, n, k int) {
+// (0·Inf is a NaN the tile keeps to itself). The bias is added to C after
+// the last panel.
+func gemmAVX2(c, a, w, bias []float32, m, n, k int) {
 	n4 := n &^ (gemmNR - 1)
 	jr := n - n4
-	var panel *[gemmLanes * gemmKC]float32
-	select {
-	case panel = <-gemmPanels:
-	default:
-		panel = new([gemmLanes * gemmKC]float32)
-	}
-	defer func() {
-		select {
-		case gemmPanels <- panel:
-		default:
-		}
-	}()
+	panel := takePanel()
+	defer givePanel(panel)
 	ap := panel[:]
 	var ct [gemmLanes * gemmNR]float32
 	for i0 := 0; i0 < m; i0 += gemmLanes {
@@ -118,6 +157,71 @@ func gemmAVX2(c, a, w []float32, m, n, k int) {
 		if jr > 0 {
 			for l := 0; l < mr; l++ {
 				copy(c[(i0+l)*n+n4:][:jr], ct[l*gemmNR:])
+			}
+		}
+	}
+	addBias(c, bias, m, n)
+}
+
+// gemmAVX512 is the gemmSIMD of AVX-512 machines. A product with n ≥ 8
+// runs every column through the 16×8 ZMM tile, the last n&7 through a
+// staging tile with gemmZeroRow as the missing W rows, exactly as gemmAVX2
+// stages its last n&3; the bias is added in the tile on the last K panel.
+// A product with n < 8 is gemmAVX2's whole: those are pack-bound, and the
+// wider tile only pads more of them with zeros and ran them slower (DESIGN.md
+// "Compute kernels" has the figures). So no product is split between the
+// two kernels.
+func gemmAVX512(c, a, w, bias []float32, m, n, k int) {
+	if n < gemmNRZ {
+		gemmAVX2(c, a, w, bias, m, n, k)
+		return
+	}
+	n8 := n &^ (gemmNRZ - 1)
+	jr := n - n8
+	panel := takePanel()
+	defer givePanel(panel)
+	ap := panel[:]
+	var (
+		ct [gemmLanes * gemmNRZ]float32 // the last jr columns' tile
+		bt [gemmNRZ]float32             // their bias, zero past jr
+		wr [gemmNRZ]*float32
+	)
+	if bias != nil {
+		copy(bt[:], bias[n8:])
+	}
+	for i0 := 0; i0 < m; i0 += gemmLanes {
+		mr := min(m-i0, gemmLanes)
+		for k0 := 0; k0 < k; k0 += gemmKC {
+			kb := min(k-k0, gemmKC)
+			withBias := bias != nil && k0+kb == k
+			packA(ap[:kb*gemmLanes], a[i0*k+k0:], mr, k)
+			for j := 0; j < n8; j += gemmNRZ {
+				for r := range wr {
+					wr[r] = &w[(j+r)*k+k0]
+				}
+				var bj *float32
+				if withBias {
+					bj = &bias[j]
+				}
+				gemmKernelAVX512(&c[i0*n+j], n, &ap[0], &wr, bj, kb, mr, k0 == 0)
+			}
+			if jr > 0 {
+				for r := range wr {
+					wr[r] = &gemmZeroRow[0]
+					if r < jr {
+						wr[r] = &w[(n8+r)*k+k0]
+					}
+				}
+				var bj *float32
+				if withBias {
+					bj = &bt[0]
+				}
+				gemmKernelAVX512(&ct[0], gemmNRZ, &ap[0], &wr, bj, kb, mr, k0 == 0)
+			}
+		}
+		if jr > 0 {
+			for l := 0; l < mr; l++ {
+				copy(c[(i0+l)*n+n8:][:jr], ct[l*gemmNRZ:])
 			}
 		}
 	}

@@ -154,6 +154,150 @@ copyout:
 	VZEROUPPER
 	RET
 
+// ZMAC is one W column of the 16×8 tile: the W element broadcast from
+// memory into every lane, multiplied by the panel row, rounded, then added
+// to the column's accumulator and rounded. Never VFMADD.
+#define ZMAC(wrow, t, acc) \
+	VMULPS.BCST (wrow)(AX*4), Z8, t; \
+	VADDPS t, acc, acc
+
+// LOADT and STORET move one transposed accumulator z (x is its low 128
+// bits) between the register and the frame tile, whose rows are 32 bytes
+// apart: 128-bit lane q of Zs is row 4q+s, columns 0–3 (off = 32s), and
+// lane q of Z(4+s) the same row's columns 4–7 (off = 32s+16), s in [0, 4).
+#define LOADT(z, x, off) \
+	VMOVUPS off(SP), x; \
+	VINSERTF32X4 $1, off+128(SP), z, z; \
+	VINSERTF32X4 $2, off+256(SP), z, z; \
+	VINSERTF32X4 $3, off+384(SP), z, z
+
+#define STORET(z, x, off) \
+	VMOVUPS x, off(SP); \
+	VEXTRACTF32X4 $1, z, off+128(SP); \
+	VEXTRACTF32X4 $2, z, off+256(SP); \
+	VEXTRACTF32X4 $3, z, off+384(SP)
+
+// func gemmKernelAVX512(c *float32, ldc int, ap *float32, w *[8]*float32, bias *float32, kb, mr int, first bool)
+//
+// Z0–Z7 accumulate columns 0–7, one lane per tile row; Z8 holds the panel
+// row and Z16–Z23 the products. The 512-byte frame is the tile in C's
+// layout (16 rows × 8 floats): C is only ever touched by copying mr rows
+// between it and the frame. In the frame's transposed view a 4×4 transpose
+// of each 128-bit lane of Z0–Z3 (and of Z4–Z7) turns columns into rows.
+TEXT ·gemmKernelAVX512(SB), NOSPLIT, $512-57
+	VXORPS Y0, Y0, Y0 // VEX zeroes the upper half of Z0 as well
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVBLZX first+56(FP), AX
+	TESTL AX, AX
+	JNZ accumulate
+
+	// Resume: zero the frame tile, copy in the mr live rows of C, and
+	// transpose it into the accumulators.
+	VMOVUPS Z0, 0(SP)
+	VMOVUPS Z0, 64(SP)
+	VMOVUPS Z0, 128(SP)
+	VMOVUPS Z0, 192(SP)
+	VMOVUPS Z0, 256(SP)
+	VMOVUPS Z0, 320(SP)
+	VMOVUPS Z0, 384(SP)
+	VMOVUPS Z0, 448(SP)
+	MOVQ c+0(FP), AX
+	MOVQ ldc+8(FP), R8
+	SHLQ $2, R8 // row stride of C in bytes
+	MOVQ mr+48(FP), DX
+	MOVQ SP, BX
+zcopyin:
+	VMOVUPS (AX), Y8
+	VMOVUPS Y8, (BX)
+	ADDQ R8, AX
+	ADDQ $32, BX
+	DECQ DX
+	JNZ zcopyin
+	LOADT(Z0, X0, 0)
+	LOADT(Z1, X1, 32)
+	LOADT(Z2, X2, 64)
+	LOADT(Z3, X3, 96)
+	LOADT(Z4, X4, 16)
+	LOADT(Z5, X5, 48)
+	LOADT(Z6, X6, 80)
+	LOADT(Z7, X7, 112)
+	TRANSPOSE4(Z0, Z1, Z2, Z3, Z8, Z9, Z10, Z11)
+	TRANSPOSE4(Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
+
+accumulate:
+	MOVQ ap+16(FP), SI
+	MOVQ w+24(FP), AX
+	MOVQ 0(AX), BX
+	MOVQ 8(AX), DX
+	MOVQ 16(AX), DI
+	MOVQ 24(AX), R8
+	MOVQ 32(AX), R9
+	MOVQ 40(AX), R10
+	MOVQ 48(AX), R11
+	MOVQ 56(AX), R12
+	MOVQ kb+40(FP), CX
+	XORQ AX, AX // p
+zloop:
+	VMOVUPS (SI), Z8 // panel row p, all sixteen lanes
+	ZMAC(BX, Z16, Z0)
+	ZMAC(DX, Z17, Z1)
+	ZMAC(DI, Z18, Z2)
+	ZMAC(R8, Z19, Z3)
+	ZMAC(R9, Z20, Z4)
+	ZMAC(R10, Z21, Z5)
+	ZMAC(R11, Z22, Z6)
+	ZMAC(R12, Z23, Z7)
+	ADDQ $64, SI
+	INCQ AX
+	CMPQ AX, CX
+	JLT zloop
+
+	// The bias, on the last K panel only: after the whole reduction.
+	MOVQ bias+32(FP), AX
+	TESTQ AX, AX
+	JZ zstore
+	VADDPS.BCST 0(AX), Z0, Z0
+	VADDPS.BCST 4(AX), Z1, Z1
+	VADDPS.BCST 8(AX), Z2, Z2
+	VADDPS.BCST 12(AX), Z3, Z3
+	VADDPS.BCST 16(AX), Z4, Z4
+	VADDPS.BCST 20(AX), Z5, Z5
+	VADDPS.BCST 24(AX), Z6, Z6
+	VADDPS.BCST 28(AX), Z7, Z7
+
+zstore:
+	// Transpose the accumulators into the frame tile and copy mr rows out.
+	TRANSPOSE4(Z0, Z1, Z2, Z3, Z8, Z9, Z10, Z11)
+	TRANSPOSE4(Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
+	STORET(Z0, X0, 0)
+	STORET(Z1, X1, 32)
+	STORET(Z2, X2, 64)
+	STORET(Z3, X3, 96)
+	STORET(Z4, X4, 16)
+	STORET(Z5, X5, 48)
+	STORET(Z6, X6, 80)
+	STORET(Z7, X7, 112)
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $2, R8
+	MOVQ mr+48(FP), DX
+	MOVQ SP, BX
+zcopyout:
+	VMOVUPS (BX), Y8
+	VMOVUPS Y8, (DI)
+	ADDQ $32, BX
+	ADDQ R8, DI
+	DECQ DX
+	JNZ zcopyout
+	VZEROUPPER
+	RET
+
 // func packA16AVX2(ap, a *float32, lda, kb int)
 //
 // Each iteration moves four columns of all sixteen rows: Y0–Y3 take rows

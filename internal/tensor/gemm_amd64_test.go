@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// The amd64 kernels join the test lists by name; one the host lacks is
+// listed with the reason and logged, never run.
+func init() {
+	gemmKernels = append(gemmKernels,
+		simdGemmKernel("avx2", gemmAVX2, hasAVX2(), "no AVX2 on this machine"),
+		simdGemmKernel("avx512", gemmAVX512, hasAVX512(), "no AVX-512F (or no ZMM state saved) on this machine"))
+	switch {
+	case hasAVX512():
+		gemmDispatched = "avx512 (avx2 below 8 columns)"
+	case hasAVX2():
+		gemmDispatched = "avx2"
+	}
+	avx := reluKernel{name: "avx", simd: true}
+	if !hasAVX2() {
+		avx.missing = "no AVX2 on this machine"
+	}
+	reluKernels = append(reluKernels, avx)
+}
+
 // TestPackAMatchesGo: packA — the assembly transposition where it applies,
 // the Go loops for the rest — writes exactly the panel packARows writes, for
 // every row count of a tile, panel widths around the four columns one

@@ -68,15 +68,48 @@ func TestGemmMatchesGemv(t *testing.T) {
 	}
 }
 
-// gemmKernels are the two ways a product can be computed: Gemm as dispatched
-// (the SIMD kernel where the machine has one) and the portable kernel alone,
-// which is every other platform's Gemm.
-var gemmKernels = []struct {
-	name string
-	run  func(c, a, w, bias []float32, m, n, k int)
-}{
-	{"dispatched", Gemm},
-	{"portable", func(c, a, w, bias []float32, m, n, k int) { gemm(c, a, w, bias, m, n, k, nil) }},
+// A gemmKernel is one way to compute a product. missing says why this
+// machine cannot run it, empty when it can.
+type gemmKernel struct {
+	name    string
+	run     func(c, a, w, bias []float32, m, n, k int)
+	missing string
+}
+
+// simdGemmKernel is the gemmKernel that runs simd alone, missing (with the
+// reason given) unless has.
+func simdGemmKernel(name string, simd simdKernel, has bool, reason string) gemmKernel {
+	kern := gemmKernel{name: name, run: func(c, a, w, bias []float32, m, n, k int) { gemm(c, a, w, bias, m, n, k, simd) }}
+	if !has {
+		kern.missing = reason
+	}
+	return kern
+}
+
+// gemmKernels are the ways a product can be computed: Gemm as dispatched,
+// the portable kernel alone (every other platform's Gemm) and, on amd64,
+// each SIMD kernel alone (gemm_amd64_test.go adds them), so a kernel that
+// is not the one dispatched here is still proven wherever it can run.
+var gemmKernels = []gemmKernel{
+	{name: "dispatched", run: Gemm},
+	simdGemmKernel("portable", nil, true, ""),
+}
+
+// gemmDispatched names the kernel behind Gemm on this machine.
+var gemmDispatched = "portable"
+
+// hostGemmKernels returns the gemmKernels this machine can run and logs the
+// ones it cannot.
+func hostGemmKernels(t testing.TB) []gemmKernel {
+	var kerns []gemmKernel
+	for _, kern := range gemmKernels {
+		if kern.missing != "" {
+			t.Logf("kernel %s not run: %s", kern.name, kern.missing)
+			continue
+		}
+		kerns = append(kerns, kern)
+	}
+	return kerns
 }
 
 // gemvRows is the reference: one Gemv per row of A.
@@ -108,22 +141,27 @@ func sameBits(t *testing.T, what string, got, want []float32, n int) {
 	}
 }
 
-// TestGemmKernelsMatchGemv: both kernels — and so each other — equal repeated
-// Gemv bit for bit across the tile edges of each, with and without bias. The
-// first grid has m around the 16-lane SIMD tile, n around the 4-column tile
-// and below it, k around the 512-float panel and across three panels; the
-// second is the staging-tile path alone (n below the column tile) at the
-// shapes it serves — k = 200, one to four full row tiles and their ragged
-// neighbours, and K panels the staging tile has to carry partial sums across;
-// the third puts m across the portable kernel's 256-row M block, once and
-// twice (a multi-query sweep runs m = 512).
+// TestGemmKernelsMatchGemv: every kernel the machine can run — and so each
+// other — equals repeated Gemv bit for bit across the tile edges of each,
+// with and without bias. The first grid has m around the 16-lane SIMD tile,
+// n around the 4- and 8-column tiles and below them, k around the 512-float
+// panel and across three panels; the second is the staging-tile path alone
+// (n below the column tile) at the shapes it serves — k = 200, one to four
+// full row tiles and their ragged neighbours, and K panels the staging tile
+// has to carry partial sums across; the third puts m across the portable
+// kernel's 256-row M block, once and twice (a multi-query sweep runs
+// m = 512); the fourth is the 8-column tile's edges — n around one and two
+// tiles and a wide product, ragged row blocks, and K past one panel so C
+// and the staged tile are resumed.
 func TestGemmKernelsMatchGemv(t *testing.T) {
-	t.Logf("SIMD kernel installed: %v", gemmSIMD != nil)
+	t.Logf("Gemm dispatches to: %s", gemmDispatched)
+	kerns := hostGemmKernels(t)
 	rng := rand.New(rand.NewSource(16))
 	for _, grid := range []struct{ ms, ns, ks []int }{
 		{[]int{1, 7, 15, 16, 17, 64, 65}, []int{1, 2, 3, 4, 5, 200, 256}, []int{1, 5, 511, 512, 513, 1257}},
 		{[]int{1, 15, 16, 17, 63, 64, 65}, []int{1, 2, 3}, []int{1, 200, 511, 512, 513, 1025}},
 		{[]int{255, 256, 257, 513}, []int{3, 4, 5}, []int{1, 33}},
+		{[]int{1, 9, 15, 16, 33}, []int{7, 8, 9, 15, 16, 17, 300}, []int{3, 513, 1257}},
 	} {
 		for _, m := range grid.ms {
 			for _, n := range grid.ns {
@@ -132,7 +170,7 @@ func TestGemmKernelsMatchGemv(t *testing.T) {
 					w := randSlice(rng, n*k)
 					for _, bias := range [][]float32{nil, randSlice(rng, n)} {
 						ref := gemvRows(a, w, bias, m, n, k)
-						for _, kern := range gemmKernels {
+						for _, kern := range kerns {
 							c := make([]float32, m*n)
 							kern.run(c, a, w, bias, m, n, k)
 							sameBits(t, fmt.Sprintf("%s %dx%dx%d bias=%v", kern.name, m, n, k, bias != nil), c, ref, n)
@@ -144,14 +182,14 @@ func TestGemmKernelsMatchGemv(t *testing.T) {
 	}
 }
 
-// TestGemmFreshGoroutines: 64 goroutines, each new and each starting from a
-// ragged or a full row tile, run Gemm at once, so pooled A panels are handed
-// between goroutines and reused at other shapes; every product is the
-// portable kernel's bit for bit. A panel two goroutines share shows up here
-// as a wrong product (under -race as a data race).
+// TestGemmFreshGoroutines: for each kernel, 64 goroutines, each new and
+// each starting from a ragged or a full row tile, run it at once, so pooled
+// A panels are handed between goroutines and reused at other shapes; every
+// product is the portable kernel's bit for bit. A panel two goroutines share
+// shows up here as a wrong product (under -race as a data race).
 func TestGemmFreshGoroutines(t *testing.T) {
 	type shape struct{ m, n, k int }
-	shapes := []shape{{1, 1, 200}, {7, 3, 700}, {16, 4, 512}, {17, 9, 513}, {64, 2, 64}, {33, 5, 1030}}
+	shapes := []shape{{1, 1, 200}, {7, 3, 700}, {16, 4, 512}, {17, 9, 513}, {64, 2, 64}, {33, 5, 1030}, {16, 8, 512}, {33, 17, 600}}
 	rng := rand.New(rand.NewSource(32))
 	type product struct {
 		a, w, want []float32
@@ -163,32 +201,36 @@ func TestGemmFreshGoroutines(t *testing.T) {
 		gemm(p.want, p.a, p.w, nil, s.m, s.n, s.k, nil)
 		products[i] = p
 	}
-	errs := make(chan error, 64)
-	for g := 0; g < 64; g++ {
-		go func() {
-			for i := range products {
-				p := products[(g+i)%len(products)]
-				c := make([]float32, p.m*p.n)
-				Gemm(c, p.a, p.w, nil, p.m, p.n, p.k)
-				for j := range c {
-					if math.Float32bits(c[j]) != math.Float32bits(p.want[j]) {
-						errs <- fmt.Errorf("goroutine %d, %dx%dx%d: C[%d] = %v, portable %v", g, p.m, p.n, p.k, j, c[j], p.want[j])
-						return
+	for _, kern := range hostGemmKernels(t) {
+		t.Run(kern.name, func(t *testing.T) {
+			errs := make(chan error, 64)
+			for g := 0; g < 64; g++ {
+				go func() {
+					for i := range products {
+						p := products[(g+i)%len(products)]
+						c := make([]float32, p.m*p.n)
+						kern.run(c, p.a, p.w, nil, p.m, p.n, p.k)
+						for j := range c {
+							if math.Float32bits(c[j]) != math.Float32bits(p.want[j]) {
+								errs <- fmt.Errorf("goroutine %d, %dx%dx%d: C[%d] = %v, portable %v", g, p.m, p.n, p.k, j, c[j], p.want[j])
+								return
+							}
+						}
 					}
+					errs <- nil
+				}()
+			}
+			for g := 0; g < 64; g++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
 				}
 			}
-			errs <- nil
-		}()
-	}
-	for g := 0; g < 64; g++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
-		}
+		})
 	}
 }
 
 // TestGemmSpecialValues: signed zeros, denormals, infinities and NaNs go
-// through both kernels exactly as through Gemv — same NaN positions, same
+// through every kernel exactly as through Gemv — same NaN positions, same
 // bits everywhere else. The row counts leave SIMD lanes on zero padding,
 // where 0·Inf makes a NaN the kernel must keep to itself.
 func TestGemmSpecialValues(t *testing.T) {
@@ -209,8 +251,9 @@ func TestGemmSpecialValues(t *testing.T) {
 		}
 		return x
 	}
+	kerns := hostGemmKernels(t)
 	for _, sh := range []struct{ m, n, k int }{
-		{7, 9, 5}, {16, 4, 64}, {17, 8, 513}, {33, 13, 1257},
+		{7, 9, 5}, {16, 4, 64}, {17, 8, 513}, {33, 13, 1257}, {9, 16, 600},
 		// Below the column tile the padded columns multiply A by zero too.
 		{16, 1, 200}, {7, 3, 5}, {17, 1, 513}, {33, 2, 1257},
 	} {
@@ -221,7 +264,7 @@ func TestGemmSpecialValues(t *testing.T) {
 			w := salted(sh.n*sh.k, every)
 			bias := salted(sh.n, every)
 			ref := gemvRows(a, w, bias, sh.m, sh.n, sh.k)
-			for _, kern := range gemmKernels {
+			for _, kern := range kerns {
 				t.Run(fmt.Sprintf("%s/%dx%dx%d/every=%d", kern.name, sh.m, sh.n, sh.k, every), func(t *testing.T) {
 					c := make([]float32, sh.m*sh.n)
 					kern.run(c, a, w, bias, sh.m, sh.n, sh.k)
@@ -232,10 +275,22 @@ func TestGemmSpecialValues(t *testing.T) {
 	}
 }
 
+// reluKernels are ReLU in Go alone and, on amd64, each SIMD kernel alone
+// (gemm_amd64_test.go adds them), under gemmKernel's naming.
+var reluKernels = []reluKernel{{name: "go"}}
+
+type reluKernel struct {
+	name    string
+	simd    bool
+	missing string
+}
+
 // TestReLUSpecialValues: ReLU tests the bits, not the float, so the edges of
 // its range are pinned bit for bit against the float comparison it replaces:
 // v < 0 becomes +0 (down to the smallest denormal and up to -Inf), and -0,
 // +0, every positive value and NaNs of either sign come through untouched.
+// Every kernel the machine can run is held to the rule, the table at every
+// offset of an 8-float vector so each entry meets every lane and the tail.
 func TestReLUSpecialValues(t *testing.T) {
 	const posZero, negZero = 0x00000000, 0x80000000
 	table := []struct {
@@ -259,42 +314,60 @@ func TestReLUSpecialValues(t *testing.T) {
 		{"signalling NaN", 0x7f800001, 0x7f800001},
 		{"quiet NaN", 0x7fc00000, 0x7fc00000},
 	}
-	x := make([]float32, len(table))
-	for i, c := range table {
-		x[i] = math.Float32frombits(c.in)
+	for _, kern := range reluKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			if kern.missing != "" {
+				t.Skip(kern.missing)
+			}
+			for off := 0; off < 8; off++ {
+				x := make([]float32, off+len(table))
+				for i, c := range table {
+					x[off+i] = math.Float32frombits(c.in)
+				}
+				relu(x, kern.simd)
+				for i, c := range table {
+					if got := math.Float32bits(x[off+i]); got != c.want {
+						t.Errorf("ReLU(%s = %#08x) at %d = %#08x, want %#08x", c.name, c.in, off+i, got, c.want)
+					}
+				}
+			}
+			// And against the comparison itself, over bit patterns from all
+			// over.
+			rng := rand.New(rand.NewSource(23))
+			in := make([]float32, 1<<16+5)
+			for i := range in {
+				in[i] = math.Float32frombits(rng.Uint32())
+			}
+			out := append([]float32(nil), in...)
+			relu(out, kern.simd)
+			for i, v := range in {
+				want := math.Float32bits(v)
+				if v < 0 {
+					want = posZero
+				}
+				if got := math.Float32bits(out[i]); got != want {
+					t.Fatalf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(v), got, want)
+				}
+			}
+		})
 	}
-	ReLU(x)
-	for i, c := range table {
-		if got := math.Float32bits(x[i]); got != c.want {
-			t.Errorf("ReLU(%s = %#08x) = %#08x, want %#08x", c.name, c.in, got, c.want)
+	t.Run("dispatched", func(t *testing.T) {
+		// ReLU itself: whichever kernel init installed, on a short row.
+		x := []float32{-1, 2, float32(math.Copysign(0, -1))}
+		ReLU(x)
+		if x[0] != 0 || x[1] != 2 || math.Float32bits(x[2]) != negZero {
+			t.Fatalf("ReLU gives %v", x)
 		}
-	}
-	// And against the comparison itself, over bit patterns from all over.
-	rng := rand.New(rand.NewSource(23))
-	in := make([]float32, 1<<16)
-	for i := range in {
-		in[i] = math.Float32frombits(rng.Uint32())
-	}
-	out := append([]float32(nil), in...)
-	ReLU(out)
-	for i, v := range in {
-		want := math.Float32bits(v)
-		if v < 0 {
-			want = posZero
-		}
-		if got := math.Float32bits(out[i]); got != want {
-			t.Fatalf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(v), got, want)
-		}
-	}
+	})
 }
 
 // TestGemmWritesOnlyC: C, A and W are sub-slices that start 4, 8 and 12
 // bytes off their allocations (so never 16- or 32-byte aligned together),
-// and C sits between guard words. Both kernels must produce the reference
-// and leave every guard untouched — the SIMD tile is 16×4 but only m×n of
-// it may reach memory, including on the K-panel resume that reads C back;
-// below four columns the tile is staged on the stack and only its live rows
-// and columns are copied out.
+// and C sits between guard words. Every kernel must produce the reference
+// and leave every guard untouched — the SIMD tile is 16×4 or 16×8 but only
+// m×n of it may reach memory, including on the K-panel resume that reads C
+// back; past the last whole tile the columns are staged on the stack and
+// only their live rows and columns are copied out.
 func TestGemmWritesOnlyC(t *testing.T) {
 	const guard = 32
 	sentinel := math.Float32frombits(0xdeadbeef)
@@ -307,12 +380,13 @@ func TestGemmWritesOnlyC(t *testing.T) {
 	for _, sh := range []struct{ m, n, k int }{
 		{1, 4, 3}, {5, 7, 600}, {16, 8, 512}, {19, 6, 1100}, {31, 203, 70},
 		{1, 1, 3}, {17, 1, 200}, {5, 3, 600}, {19, 2, 1100},
+		{1, 9, 3}, {15, 17, 1100},
 	} {
 		a := randSlice(rng, sh.m*sh.k)
 		w := randSlice(rng, sh.n*sh.k)
 		bias := randSlice(rng, sh.n)
 		ref := gemvRows(a, w, bias, sh.m, sh.n, sh.k)
-		for _, kern := range gemmKernels {
+		for _, kern := range hostGemmKernels(t) {
 			t.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, sh.m, sh.n, sh.k), func(t *testing.T) {
 				buf := make([]float32, guard+1+sh.m*sh.n+guard)
 				for i := range buf {
@@ -421,13 +495,15 @@ func TestGemmAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkGemm runs the FC shapes of the Table 1 apps through both kernels
-// and reports ns per multiply-accumulate: TIR's 512-wide stack and its
-// 2-output head (below the 4-column tile: the SIMD side stages it), TextQA at
-// the scan batch and at a rerank-sized ragged one, ESTP's 8192-wide first
-// layer (16 K panels per tile), and a one-neuron QCN over 200 dimensions —
-// which is also TextQA's final FC cut to its score.
+// BenchmarkGemm runs the FC shapes of the Table 1 apps through every kernel
+// the machine can run, by name, and reports ns per multiply-accumulate:
+// TIR's 512-wide stack and its 2-output head (below the 4-column tile: the
+// SIMD kernels stage it), TextQA at the scan batch and at a rerank-sized
+// ragged one, ESTP's 8192-wide first layer (16 K panels per tile), and a
+// one-neuron QCN over 200 dimensions — which is also TextQA's final FC cut
+// to its score.
 func BenchmarkGemm(b *testing.B) {
+	kerns := hostGemmKernels(b)
 	for _, sh := range []struct{ m, n, k int }{
 		{64, 512, 512}, {64, 256, 512}, {64, 2, 256},
 		{64, 200, 200}, {8, 200, 200},
@@ -439,17 +515,14 @@ func BenchmarkGemm(b *testing.B) {
 		w := randSlice(rng, sh.n*sh.k)
 		bias := randSlice(rng, sh.n)
 		c := make([]float32, sh.m*sh.n)
-		for _, kern := range []struct {
-			name string
-			simd simdKernel
-		}{{"simd", gemmSIMD}, {"portable", nil}} {
+		for _, kern := range kerns {
+			if kern.name == "dispatched" {
+				continue // one of the named kernels
+			}
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.n, sh.k, kern.name), func(b *testing.B) {
-				if kern.name == "simd" && gemmSIMD == nil {
-					b.Skip("no SIMD kernel on this machine")
-				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					gemm(c, a, w, bias, sh.m, sh.n, sh.k, kern.simd)
+					kern.run(c, a, w, bias, sh.m, sh.n, sh.k)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.m*sh.n*sh.k), "ns/mac")
 			})

@@ -192,8 +192,25 @@ func Conv2D(out, in, w, b []float32, h, wd, c, k, r, s, stride, pad int) {
 // made on the bits, where v < 0 is one unsigned range, (0x80000000,
 // 0xFF800000] = (-0, -Inf], which compiles to a conditional move: a float
 // compare-and-branch mispredicts on every other element of a sign-random
-// activation vector.
+// activation vector. Where AVX is installed, reluAVX applies the same rule
+// eight elements at a time.
 func ReLU(x []float32) {
+	relu(x, reluSIMD)
+}
+
+// reluSIMD is set once at init where reluAVX may run. A flag and a direct
+// call rather than a func value like mulSIMD's: through a func value x
+// would escape, and Activation.of hands ReLU a one-element array on its
+// stack that must stay there.
+var reluSIMD bool
+
+// relu is ReLU with the kernel choice as a parameter so the tests can run
+// the Go loop alone (simd false) on any machine.
+func relu(x []float32, simd bool) {
+	if simd && len(x) > 0 {
+		reluAVX(&x[0], len(x))
+		return
+	}
 	for i, v := range x {
 		b := math.Float32bits(v)
 		if b-0x80000001 <= 0xFF800000-0x80000001 {
