@@ -1,19 +1,24 @@
 package accel
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/ftl"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
-// BenchmarkScanPaperScale times one scan of the sim_paper sweep: a declared
-// 25 GiB database at DefaultWindow on a fresh traced device. ESTP at
-// chip level is the deepest calendar (128 accelerators, 131 072 page reads
-// into page buffers); ReId at channel level reads 98 304 pages across the
-// channel buses. Device set-up is outside the timer.
+// BenchmarkScanPaperScale times scans of the sim_paper sweep: declared
+// 25 GiB databases at DefaultWindow on fresh traced devices. ESTP at chip
+// level is the deepest calendar (128 accelerators, 131 072 page reads into
+// page buffers) and ReId at channel level reads 98 304 pages across the
+// channel buses; both rows time the scan alone. Sweep is the whole sweep:
+// one device per application, built inside the timer as a sim_paper op
+// builds it, scanned at every level the application runs at (14 scans).
+// Every row also reports the events it ran and the host time per event.
 func BenchmarkScanPaperScale(b *testing.B) {
 	for _, c := range []struct {
 		app   string
@@ -24,28 +29,68 @@ func BenchmarkScanPaperScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fb := app.FeatureBytes()
 			b.ReportAllocs()
+			var events uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				dev, err := ssd.New(sim.NewEngine(), ssd.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				dev.AttachObs(obs.NewRegistry(), obs.NewTracer(0))
-				meta, err := dev.CreateDB(c.app, fb, (25<<30)/fb)
-				if err != nil {
-					b.Fatal(err)
-				}
+				dev, layout := paperDevice(b, app)
 				b.StartTimer()
-				if _, err := Scan(ScanRequest{
-					Device: dev, Spec: SpecForLevel(c.level, dev.Config),
-					Net: app.SCN, Layout: meta.Layout,
-					WindowFeaturesPerAccel: DefaultWindow,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				scanPaperCell(b, dev, app, c.level, layout)
+				events += dev.Engine.Executed
 			}
+			reportEvents(b, events)
 		})
 	}
+	b.Run("Sweep", func(b *testing.B) {
+		apps := workload.Apps()
+		b.ReportAllocs()
+		var events uint64
+		for i := 0; i < b.N; i++ {
+			for _, app := range apps {
+				dev, layout := paperDevice(b, app)
+				for _, level := range []Level{LevelSSD, LevelChannel, LevelChip} {
+					scanPaperCell(b, dev, app, level, layout)
+				}
+				events += dev.Engine.Executed
+			}
+		}
+		reportEvents(b, events)
+	})
+}
+
+// paperDevice builds a fresh traced device and declares a 25 GiB database
+// of app's features on it.
+func paperDevice(b *testing.B, app *workload.App) (*ssd.Device, ftl.DBLayout) {
+	b.Helper()
+	dev, err := ssd.New(sim.NewEngine(), ssd.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev.AttachObs(obs.NewRegistry(), obs.NewTracer(0))
+	fb := app.FeatureBytes()
+	meta, err := dev.CreateDB(app.Name, fb, (25<<30)/fb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dev, meta.Layout
+}
+
+// scanPaperCell scans the declared database at level. A level the
+// application cannot run at is skipped, as the sweep skips it.
+func scanPaperCell(b *testing.B, dev *ssd.Device, app *workload.App, level Level, layout ftl.DBLayout) {
+	b.Helper()
+	_, err := Scan(ScanRequest{
+		Device: dev, Spec: SpecForLevel(level, dev.Config),
+		Net: app.SCN, Layout: layout,
+		WindowFeaturesPerAccel: DefaultWindow,
+	})
+	var unsup *ErrUnsupported
+	if err != nil && !errors.As(err, &unsup) {
+		b.Fatal(err)
+	}
+}
+
+func reportEvents(b *testing.B, events uint64) {
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(events, 1)), "ns/event")
 }

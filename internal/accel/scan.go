@@ -29,6 +29,8 @@ type ScanRequest struct {
 	// event-driven model simulates before it extrapolates by whole batch
 	// periods; zero simulates the scan exactly. Without read faults the
 	// extrapolation is exact, so the window changes only the host cost.
+	// With them the skipped reads draw their faults into the flash stats,
+	// and their retry time reaches Elapsed through the measured period.
 	WindowFeaturesPerAccel int64
 }
 
@@ -179,8 +181,8 @@ type unit struct {
 	window int64
 	// q is the FLASH_DFV queue. It buffers a handful of pages (Fig. 5) —
 	// enough to decouple array reads from compute without unphysical
-	// staging. The timing model moves no data, so an entry is a page token.
-	q  *sim.Queue[struct{}]
+	// staging.
+	q  *sim.Queue
 	qe *sim.Engine // q's engine
 
 	issued, inflight int64 // prefetcher
@@ -192,8 +194,7 @@ type unit struct {
 	full        int64
 	first, last sim.Time
 
-	pageArrived, pageAccepted, compute, computed func()
-	pageTaken                                    func(struct{})
+	pageArrived, pageAccepted, pageTaken, compute, computed func()
 }
 
 // scanScratch is the host side of a scan that outlives it: the run its
@@ -218,7 +219,7 @@ func (sc *scanScratch) newUnit(run *scanRun, share int64, group *barrier, window
 	}
 	u := sc.built[i]
 	if u.qe != run.e {
-		u.q, u.qe = sim.NewQueue[struct{}](run.e, "flash-dfv", 4), run.e
+		u.q, u.qe = sim.NewQueue(run.e, "flash-dfv", 4), run.e
 	}
 	*u = unit{
 		run: run, share: share, pages: share,
@@ -245,12 +246,12 @@ func bindUnit() *unit {
 	// The prefetch slot frees only when the FLASH_DFV queue accepts the
 	// page — backpressure from a slow consumer stalls prefetching, as the
 	// bounded queue in Fig. 5 does.
-	u.pageArrived = func() { u.q.Put(struct{}{}, u.pageAccepted) }
+	u.pageArrived = func() { u.q.Put(u.pageAccepted) }
 	u.pageAccepted = func() {
 		u.inflight--
 		u.prefetch()
 	}
-	u.pageTaken = func(struct{}) {
+	u.pageTaken = func() {
 		u.got++
 		u.collect()
 	}
@@ -304,9 +305,11 @@ func (u *unit) nextBatch() {
 // collect takes pages from the FLASH_DFV queue until the batch is complete,
 // then computes it (after the group's weight round, when streaming).
 func (u *unit) collect() {
-	if u.got < u.take {
-		u.q.Get(u.pageTaken)
-		return
+	for ; u.got < u.take; u.got++ {
+		if !u.q.TryGet() {
+			u.q.Get(u.pageTaken)
+			return
+		}
 	}
 	u.consumed += u.take
 	u.feats = float64(u.take) * u.run.featPerPage
@@ -494,6 +497,7 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	}
 
 	e.Run()
+	dev.Flash.FlushSpans()
 	if run.pending != 0 {
 		return ScanResult{}, fmt.Errorf("accel: scan deadlocked with %d units pending", run.pending)
 	}
@@ -515,14 +519,17 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	scanScratches.Put(sc)
 
 	// The skipped batches count as read and streamed: skip batches of
-	// pages per unit and skip weight rounds per lockstep group. scanEnd was
+	// pages per unit, each drawing its read faults, and skip weight rounds
+	// per lockstep group. scanEnd was
 	// stamped when the last unit finished; other processes sharing the
 	// engine (e.g. concurrent host I/O in the interference study) may keep
 	// running past it.
 	if src != SourceL1 {
 		weightRounds += skip * int64(groups)
 	}
-	pageReads := int64(dev.Flash.Stats().PageReads-startFlash.PageReads) + skip*pagesPerBatch*int64(accels)
+	skipped := skip * pagesPerBatch * int64(accels)
+	dev.Flash.DrawReadFaults(skipped)
+	pageReads := int64(dev.Flash.Stats().PageReads-startFlash.PageReads) + skipped
 	res := ScanResult{
 		Elapsed:           sim.Duration(scanEnd-start) + sim.Duration(skip)*period,
 		SimulatedFeatures: int64(simulatedFeatures + 0.5),

@@ -7,6 +7,7 @@ package flash
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -227,8 +228,11 @@ type Array struct {
 	stats  Stats
 
 	// tracer receives one span per page read (issue → last byte delivered),
-	// on the channel's track. nil (the default) traces nothing.
-	tracer *obs.Tracer
+	// on the channel's track; nil (the default) traces nothing. The spans
+	// wait in staged, bound for stagedTo, until FlushSpans.
+	tracer   *obs.Tracer
+	staged   []obs.Interval
+	stagedTo *obs.Tracer
 
 	// freeReads recycles per-read records: a scan keeps at most a prefetch
 	// window of reads in flight per accelerator, so after the first window
@@ -248,11 +252,13 @@ func NewArray(e *sim.Engine, geom Geometry, timing Timing) (*Array, error) {
 	a.planes = make([]*sim.Resource, 0, geom.Channels*geom.ChipsPerChannel*geom.PlanesPerChip)
 	a.buses = make([]*sim.Link, geom.Channels)
 	for ch := 0; ch < geom.Channels; ch++ {
-		a.buses[ch] = sim.NewLink(e, fmt.Sprintf("chan%d-bus", ch), timing.ChannelBandwidth)
+		// Concatenated, not formatted: a device names a thousand planes.
+		chName := strconv.Itoa(ch)
+		a.buses[ch] = sim.NewLink(e, "chan"+chName+"-bus", timing.ChannelBandwidth)
 		for cp := 0; cp < geom.ChipsPerChannel; cp++ {
+			chipName := "ch" + chName + "-chip" + strconv.Itoa(cp) + "-plane"
 			for pl := 0; pl < geom.PlanesPerChip; pl++ {
-				a.planes = append(a.planes, sim.NewResource(e,
-					fmt.Sprintf("ch%d-chip%d-plane%d", ch, cp, pl), 1))
+				a.planes = append(a.planes, sim.NewResource(e, chipName+strconv.Itoa(pl), 1))
 			}
 		}
 	}
@@ -279,9 +285,48 @@ func (a *Array) SetReadFaults(f ReadFaults) error {
 	return nil
 }
 
-// SetTracer installs the span sink for page reads. The engine serializes
-// flash events, so no locking is needed beyond the tracer's own.
-func (a *Array) SetTracer(tr *obs.Tracer) { a.tracer = tr }
+// senseFails draws whether a sense after try retries fails and counts a
+// retry, reporting true, or past the budget a failure: the read completes
+// anyway (recovery via ECC/parity is outside the timing model).
+func (a *Array) senseFails(try int) bool {
+	if !a.faults.Inj.Hit(a.faults.ErrorRate) {
+		return false
+	}
+	if try < a.faults.maxRetries() {
+		a.stats.ReadRetries++
+		return true
+	}
+	a.stats.ReadFailures++
+	return false
+}
+
+// DrawReadFaults draws the read faults of n page reads that were not
+// simulated (a windowed scan's skipped batches) as simulated reads draw
+// them, without scheduling anything; without a fault model it draws nothing.
+func (a *Array) DrawReadFaults(n int64) {
+	for ; n > 0 && a.faults.active(); n-- {
+		for try := 0; a.senseFails(try); try++ {
+		}
+	}
+}
+
+// SetTracer flushes the staged spans and installs the span sink for page
+// reads.
+func (a *Array) SetTracer(tr *obs.Tracer) {
+	a.FlushSpans()
+	a.tracer = tr
+}
+
+// spanBatch is how many page-read spans the array stages at most.
+const spanBatch = 512
+
+// FlushSpans hands the staged page-read spans to their tracer in finishing
+// order. A walk calls it before adding its own span, a scan before it
+// returns.
+func (a *Array) FlushSpans() {
+	a.stagedTo.AddIntervals(obs.SpanFlashRead, "flash", a.staged)
+	a.staged = a.staged[:0]
+}
 
 // pageRead is one page read from issue to completion: queueing for the
 // plane, the sense (including read-retry rounds), and the bus transfer when
@@ -327,17 +372,10 @@ func (r *pageRead) onGranted() { r.a.e.After(r.a.timing.ReadLatency, r.sensed) }
 // read-retry rounds to the simulated clock when the fault model is enabled.
 func (r *pageRead) onSensed() {
 	a := r.a
-	if a.faults.active() && a.faults.Inj.Hit(a.faults.ErrorRate) {
-		if r.try < a.faults.maxRetries() {
-			a.stats.ReadRetries++
-			r.try++
-			a.e.After(a.faults.retryLatency(a.timing), r.sensed)
-			return
-		}
-		// Retry budget exhausted: the read completes anyway — recovery via
-		// ECC/parity is outside the timing model — but the failure is
-		// counted.
-		a.stats.ReadFailures++
+	if a.faults.active() && a.senseFails(r.try) {
+		r.try++
+		a.e.After(a.faults.retryLatency(a.timing), r.sensed)
+		return
 	}
 	// The page buffer is free for the next array read as soon as the data
 	// is handed to the channel transfer; SSDs overlap array reads with bus
@@ -351,17 +389,15 @@ func (r *pageRead) onSensed() {
 	r.bus.Transfer(a.geom.PageBytes, r.finished)
 }
 
-// finish records the read's span, recycles the record and calls done.
+// finish stages the read's span, recycles the record and calls done.
 func (r *pageRead) finish() {
 	a, done := r.a, r.done
 	if r.tracer != nil {
-		r.tracer.Add(obs.Span{
-			Name:  obs.SpanFlashRead,
-			Cat:   "flash",
-			TID:   int64(r.channel),
-			Start: r.start,
-			Dur:   sim.Duration(a.e.Now() - r.start),
-		})
+		if r.tracer != a.stagedTo || len(a.staged) == spanBatch {
+			a.FlushSpans()
+			a.stagedTo = r.tracer
+		}
+		a.staged = append(a.staged, obs.Interval{TID: int64(r.channel), Start: r.start, Dur: sim.Duration(a.e.Now() - r.start)})
 	}
 	r.done, r.tracer = nil, nil
 	a.freeReads = append(a.freeReads, r)

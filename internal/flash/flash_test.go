@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/racetest"
 	"repro/internal/sim"
 )
@@ -402,5 +403,109 @@ func TestWarmedReadsDoNotAllocate(t *testing.T) {
 	}
 	if want := uint64(12 * reads); a.Stats().PageReads != want {
 		t.Errorf("page reads = %d, want %d", a.Stats().PageReads, want)
+	}
+}
+
+// TestDrawReadFaultsMatchesSerialReads: the reads a windowed scan skips
+// draw their faults as reads issued one after another would, from the same
+// injector stream, and without touching the calendar or the read count.
+func TestDrawReadFaultsMatchesSerialReads(t *testing.T) {
+	const reads = 500
+	faults := func(a *Array) {
+		if err := a.SetReadFaults(ReadFaults{ErrorRate: 0.4, MaxRetries: 2, Inj: fault.New(11)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := sim.NewEngine()
+	g := smallGeometry()
+	serial, _ := NewArray(e, g, DefaultTiming())
+	faults(serial)
+	n := 0
+	var next func()
+	next = func() {
+		if n++; n <= reads {
+			serial.ReadPage(g.FromLinear(int64(n)%g.TotalPages()), next)
+		}
+	}
+	next()
+	e.Run()
+
+	e2 := sim.NewEngine()
+	drawn, _ := NewArray(e2, g, DefaultTiming())
+	faults(drawn)
+	drawn.DrawReadFaults(reads)
+	want, got := serial.Stats(), drawn.Stats()
+	if got.ReadRetries != want.ReadRetries || got.ReadFailures != want.ReadFailures {
+		t.Errorf("drawn: %d retries, %d failures; %d serial reads: %d, %d",
+			got.ReadRetries, got.ReadFailures, reads, want.ReadRetries, want.ReadFailures)
+	}
+	if want.ReadFailures == 0 || want.ReadRetries <= want.ReadFailures {
+		t.Errorf("%d retries and %d failures: the draw loop's two exits went untested", want.ReadRetries, want.ReadFailures)
+	}
+	if got.PageReads != 0 || got.BusBytes != 0 || e2.Pending() != 0 || e2.Executed != 0 {
+		t.Errorf("drawing faults simulated something: %+v, %d pending, %d run", got, e2.Pending(), e2.Executed)
+	}
+
+	clean, _ := NewArray(sim.NewEngine(), g, DefaultTiming())
+	clean.DrawReadFaults(reads)
+	if clean.Stats() != (Stats{}) {
+		t.Errorf("without a fault model: %+v, want nothing counted", clean.Stats())
+	}
+}
+
+// TestPageReadSpansReachTracerInOrder: page-read spans are staged and reach
+// the tracer in the order the reads finished, on a flush, when a batch
+// fills, or when the tracer changes; a read's span goes to the tracer in
+// force when it was issued.
+func TestPageReadSpansReachTracerInOrder(t *testing.T) {
+	e := sim.NewEngine()
+	g := smallGeometry()
+	a, _ := NewArray(e, g, DefaultTiming())
+	first, second := obs.NewTracer(0), obs.NewTracer(0)
+	a.SetTracer(first)
+	var finished []obs.Interval
+	read := func(i int64) {
+		addr := g.FromLinear(i % g.TotalPages())
+		start := e.Now()
+		a.ReadPage(addr, func() {
+			finished = append(finished, obs.Interval{TID: int64(addr.Channel), Start: start, Dur: sim.Duration(e.Now() - start)})
+		})
+	}
+	const reads = spanBatch + 37
+	for i := int64(0); i < reads; i++ {
+		read(i)
+	}
+	e.Run()
+	if got := first.Len(); got != spanBatch {
+		t.Fatalf("before a flush the tracer holds %d spans, want the one full batch of %d", got, spanBatch)
+	}
+	a.FlushSpans()
+	check := func(tr *obs.Tracer, want []obs.Interval) {
+		t.Helper()
+		spans := tr.Spans()
+		if len(spans) != len(want) {
+			t.Fatalf("%d spans, want %d", len(spans), len(want))
+		}
+		for i, s := range spans {
+			if s.Name != obs.SpanFlashRead || s.Cat != "flash" || (obs.Interval{TID: s.TID, Start: s.Start, Dur: s.Dur}) != want[i] {
+				t.Fatalf("span %d = %+v, want %+v", i, s, want[i])
+			}
+		}
+	}
+	check(first, finished)
+
+	// Reads issued under first finish after the switch to second: their
+	// spans still go to first, and SetTracer handed over what was staged.
+	finished = finished[:0]
+	read(0)
+	read(1)
+	e.RunUntil(e.Now() + sim.Time(sim.Microsecond))
+	a.SetTracer(second)
+	read(2)
+	e.Run()
+	a.FlushSpans()
+	check(second, finished[2:])
+	if first.Len() != reads+2 {
+		t.Errorf("first holds %d spans, want %d", first.Len(), reads+2)
 	}
 }

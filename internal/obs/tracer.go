@@ -81,31 +81,59 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{cap: capacity}
 }
 
+// Interval is a span's track, start and duration, for AddIntervals.
+type Interval struct {
+	TID   int64
+	Start sim.Time
+	Dur   sim.Duration
+}
+
 // Add records one span, dropping it (and counting the drop) past capacity.
 func (t *Tracer) Add(s Span) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.n >= t.cap {
-		t.dropped++
-		t.onDrop.Inc()
-		t.mu.Unlock()
+	t.add(s.Name, s.Cat, s.Args, []Interval{{TID: s.TID, Start: s.Start, Dur: s.Dur}})
+	t.mu.Unlock()
+}
+
+// AddIntervals records one span named name in category cat, with no args,
+// per interval: what as many Add calls would keep and drop, under one lock.
+func (t *Tracer) AddIntervals(name, cat string, iv []Interval) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.add(name, cat, nil, iv)
+	t.mu.Unlock()
+}
+
+// add stores the spans that fit under the cap and drops the rest; t.mu must
+// be held.
+func (t *Tracer) add(name, cat string, args map[string]string, iv []Interval) {
+	keep := min(len(iv), t.cap-t.n)
+	if drop := len(iv) - keep; drop > 0 {
+		t.dropped += int64(drop)
+		t.onDrop.Add(int64(drop))
+	}
+	if keep == 0 {
 		return
 	}
 	m := len(t.metas) - 1
-	if s.Args != nil || m < 0 || t.metas[m].args != nil || t.metas[m].name != s.Name || t.metas[m].cat != s.Cat {
-		t.metas = append(t.metas, spanMeta{name: s.Name, cat: s.Cat, args: s.Args})
+	if args != nil || m < 0 || t.metas[m].args != nil || t.metas[m].name != name || t.metas[m].cat != cat {
+		t.metas = append(t.metas, spanMeta{name: name, cat: cat, args: args})
 		m++
 	}
-	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
-		t.chunks = append(t.chunks, make([]record, 0, min(traceChunk, t.cap-t.n)))
-		last++
+	for _, v := range iv[:keep] {
+		last := len(t.chunks) - 1
+		if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+			t.chunks = append(t.chunks, make([]record, 0, min(traceChunk, t.cap-t.n)))
+			last++
+		}
+		t.chunks[last] = append(t.chunks[last], record{tid: v.TID, start: v.Start, dur: v.Dur, meta: m})
+		t.n++
 	}
-	t.chunks[last] = append(t.chunks[last], record{tid: s.TID, start: s.Start, dur: s.Dur, meta: m})
-	t.n++
-	t.mu.Unlock()
 }
 
 // CountDrops makes the tracer add every span it drops from now on to c, so

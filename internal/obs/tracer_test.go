@@ -205,6 +205,38 @@ func TestTracerSpansRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAddIntervalsIsRepeatedAdd: a batch of intervals records and drops
+// exactly what one Add per interval would, across chunks, the cap and the
+// side table, and counts its drops in the registry the same way.
+func TestAddIntervalsIsRepeatedAdd(t *testing.T) {
+	const capacity = traceChunk + 40
+	one, batched := NewTracer(capacity), NewTracer(capacity)
+	c1, c2 := NewRegistry().Counter("d"), NewRegistry().Counter("d")
+	one.CountDrops(c1)
+	batched.CountDrops(c2)
+	var iv []Interval
+	for i := 0; i < 3*traceChunk; i++ {
+		iv = append(iv, Interval{TID: int64(i % 5), Start: sim.Time(i), Dur: sim.Duration(2*i + 1)})
+	}
+	for i, n := range []int{0, 7, traceChunk - 3, 1, 90, traceChunk} { // batch sizes
+		one.Add(Span{Name: "stage", Cat: "core", TID: int64(i)})
+		batched.Add(Span{Name: "stage", Cat: "core", TID: int64(i)})
+		for _, v := range iv[:n] {
+			one.Add(Span{Name: SpanFlashRead, Cat: "flash", TID: v.TID, Start: v.Start, Dur: v.Dur})
+		}
+		batched.AddIntervals(SpanFlashRead, "flash", iv[:n])
+		iv = iv[n:]
+	}
+	if !reflect.DeepEqual(one.Spans(), batched.Spans()) || one.Dropped() != batched.Dropped() ||
+		len(one.metas) != len(batched.metas) || c1.Value() != c2.Value() || c1.Value() != one.Dropped() {
+		t.Errorf("batched: %d spans, %d dropped (counter %d), %d side-table entries; one by one: %d, %d (%d), %d",
+			batched.Len(), batched.Dropped(), c2.Value(), len(batched.metas), one.Len(), one.Dropped(), c1.Value(), len(one.metas))
+	}
+	if one.Dropped() == 0 {
+		t.Error("the batches never crossed the cap")
+	}
+}
+
 // TestTracerCountsDropsInRegistry: the drop counter is 0 until the cap is
 // hit, then moves with every dropped span, and survives Reset (counters are
 // monotonic; Dropped() is per trace).

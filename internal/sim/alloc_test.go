@@ -72,14 +72,14 @@ func TestLanesScheduleWithoutAllocating(t *testing.T) {
 
 func TestQueueHandsOffWithoutAllocating(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, "guard", 4)
+	q := NewQueue(e, "guard", 4)
 	accepted := func() {}
-	taken := func(int) {}
+	taken := func() {}
 	got := allocsPerRun(t, func() {
 		q.Get(taken) // a consumer waiting: Put hands off directly
-		q.Put(1, accepted)
+		q.Put(accepted)
 		for i := 0; i < 12; i++ { // past capacity: producers block
-			q.Put(i, accepted)
+			q.Put(accepted)
 		}
 		for i := 0; i < 12; i++ {
 			q.Get(taken)

@@ -79,12 +79,12 @@ func BenchmarkResourceHold(b *testing.B) {
 
 func BenchmarkQueuePutGet(b *testing.B) {
 	e := NewEngine()
-	q := NewQueue[int](e, "bench", 64)
-	taken := func(int) {}
+	q := NewQueue(e, "bench", 64)
+	taken := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Put(i, nil)
+		q.Put(nil)
 		q.Get(taken)
 		if i%1024 == 0 {
 			e.Run()

@@ -87,16 +87,16 @@ func (a *event) before(b *event) bool {
 }
 
 // laneCount is the number of fixed-delay lanes beside the heap. A device
-// model schedules from a handful of delays (zero for hand-offs, the flash
-// sense, one page transfer per link, one compute batch), so a few lanes take
-// nearly every event and the heap keeps the rest.
+// model schedules from a handful of positive delays (the flash sense, one
+// page transfer per link, one compute batch), so a few lanes take nearly
+// every delayed event and the heap keeps the rest.
 const laneCount = 8
 
 // lane is a FIFO of events scheduled with one delay. The clock never moves
 // backwards, so successive pushes have non-decreasing now + delay and rising
 // seq: the FIFO is in (at, seq) order by construction.
 type lane struct {
-	delay Duration // the key; lane 0 is always 0, an empty lane may be re-keyed
+	delay Duration // the key; an empty lane may be re-keyed
 	tail  Time     // at of the newest event, for the order check
 	q     ring[event]
 }
@@ -113,20 +113,21 @@ func (l *lane) push(ev event) {
 // use. An Engine is not safe for concurrent use; simulations are
 // single-threaded by design so results are deterministic.
 //
-// The calendar is a binary min-heap of event values plus laneCount
-// fixed-delay FIFOs, merged on pop by (at, seq). Lane 0 holds the events
-// scheduled at the current instant (every resource hand-off and queue
-// wake-up); the others are keyed by whatever delays are in use, so a flash
-// sense or a page transfer never pays for a sift. Nothing allocates per
-// event: scheduling costs what the callback's own closure costs, nothing if
-// the caller bound it once.
+// An event for a later instant takes a sequence number and goes to a binary
+// min-heap or to one of laneCount fixed-delay FIFOs, merged by (at, seq); a
+// callback for Now() (a hand-off or a wake-up) goes to the instant FIFO. A
+// heap or lane event due at Now() was scheduled earlier, so it runs first.
+// Nothing allocates per event once the caller's callbacks are bound.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []event
-	lanes   [laneCount]lane
-	busy    uint // bit i is set while lane i holds events
-	stopped bool
+	now      Time
+	seq      uint64
+	heap     []event
+	lanes    [laneCount]lane
+	busy     uint // bit i is set while lane i holds events
+	hint     int  // the lane laneFor returned last
+	instant  ring[func()]
+	draining bool // instant holds callbacks and nothing else is due at Now()
+	stopped  bool
 
 	// Executed counts events run so far; useful for debugging runaway
 	// simulations.
@@ -147,8 +148,12 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a modeling bug.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+	if t <= e.now {
+		if t < e.now {
+			panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+		}
+		e.instant.push(fn)
+		return
 	}
 	e.seq++
 	ev := event{at: t, seq: e.seq, fn: fn}
@@ -161,15 +166,16 @@ func (e *Engine) At(t Time, fn func()) {
 	e.siftUp(len(e.heap) - 1)
 }
 
-// laneFor returns the index of the lane keyed by delay d, re-keying an empty
-// lane when no lane has that key; -1 sends the event to the heap.
+// laneFor returns the index of the lane keyed by delay d > 0, re-keying an
+// empty lane when no lane has that key; -1 sends the event to the heap.
 func (e *Engine) laneFor(d Duration) int {
-	if d == 0 {
-		return 0
+	if e.lanes[e.hint].delay == d {
+		return e.hint
 	}
 	free := -1
-	for i := 1; i < laneCount; i++ {
+	for i := range e.lanes {
 		if e.lanes[i].delay == d {
+			e.hint = i
 			return i
 		}
 		if free < 0 && e.busy&(1<<i) == 0 {
@@ -178,6 +184,7 @@ func (e *Engine) laneFor(d Duration) int {
 	}
 	if free >= 0 {
 		e.lanes[free].delay = d
+		e.hint = free
 	}
 	return free
 }
@@ -192,7 +199,7 @@ func (e *Engine) After(d Duration, fn func()) {
 
 // Pending reports the number of events currently scheduled.
 func (e *Engine) Pending() int {
-	n := len(e.heap)
+	n := len(e.heap) + e.instant.len()
 	for i := range e.lanes {
 		n += e.lanes[i].q.len()
 	}
@@ -220,7 +227,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped && e.step(deadline) {
 	}
-	if _, next := e.next(); e.now < deadline && (next == nil || next.at > deadline) {
+	if _, next := e.next(); e.now < deadline && e.instant.len() == 0 && (next == nil || next.at > deadline) {
 		e.now = deadline
 	}
 	return e.now
@@ -228,9 +235,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 const maxTime = Time(1<<63 - 1)
 
-// next returns the (at, seq)-least pending event and where it sits: a lane
-// index, or laneCount for the heap top. It returns a nil event when the
-// calendar is empty.
+// next returns the (at, seq)-least pending heap or lane event and where it
+// sits: a lane index, or laneCount for the heap top. It returns a nil event
+// when the heap and the lanes are empty.
 func (e *Engine) next() (int, *event) {
 	src, best := laneCount, (*event)(nil)
 	if len(e.heap) > 0 {
@@ -248,22 +255,34 @@ func (e *Engine) next() (int, *event) {
 // step runs the earliest event if it is due by deadline and reports whether
 // it ran one.
 func (e *Engine) step(deadline Time) bool {
-	src, head := e.next()
-	if head == nil || head.at > deadline {
-		return false
+	var fn func()
+	if !e.draining {
+		src, head := e.next()
+		if e.draining = e.instant.len() > 0 && (head == nil || head.at > e.now); !e.draining {
+			if head == nil || head.at > deadline {
+				return false
+			}
+			var ev event
+			if src == laneCount {
+				ev = e.popHeap()
+			} else {
+				ev = e.popLane(src)
+			}
+			e.now, fn = ev.at, ev.fn
+		}
 	}
-	var ev event
-	if src == laneCount {
-		ev = e.popHeap()
-	} else {
-		ev = e.popLane(src)
+	if e.draining {
+		if e.now > deadline {
+			return false
+		}
+		fn = e.instant.pop()
+		e.draining = e.instant.len() > 0
 	}
-	e.now = ev.at
 	e.Executed++
 	if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
 		panic(fmt.Sprintf("sim: watchdog tripped after %d events at t=%d", e.Executed, e.now))
 	}
-	ev.fn()
+	fn()
 	return true
 }
 

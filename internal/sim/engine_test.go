@@ -183,40 +183,51 @@ func TestWatchdogTripsOnRunawayLoop(t *testing.T) {
 	}
 }
 
-// TestPendingCountsSameInstantEvents: events scheduled for the current
-// instant sit in lane 0, other fixed delays in the keyed lanes and the rest
-// in the heap; all of them are pending all the same.
+// TestPendingCountsSameInstantEvents: callbacks scheduled for the current
+// instant, events in the lanes and events in the heap are all pending. The
+// instant's callbacks run in call order, and at a later instant the events
+// scheduled for it beforehand run before the callbacks it schedules itself.
 func TestPendingCountsSameInstantEvents(t *testing.T) {
 	e := NewEngine()
-	nop := func() {}
-	e.After(0, nop)
-	e.At(e.Now(), nop)
-	for i := 0; i < 2*laneCount; i++ { // more delays than lanes
-		e.After(Duration(1+i)*Nanosecond, nop)
+	var order []string
+	rec := func(name string) func() { return func() { order = append(order, name) } }
+	e.After(0, func() {
+		order = append(order, "0:a")
+		e.After(Nanosecond, rec("1ns:c"))
+	})
+	e.At(e.Now(), rec("0:b"))
+	e.After(Nanosecond, func() {
+		order = append(order, "1ns:a")
+		e.After(0, rec("1ns:instant"))
+	})
+	for i := 1; i < 2*laneCount; i++ { // more delays than lanes
+		e.After(Duration(1+i)*Nanosecond, rec(fmt.Sprint(1+i, "ns")))
 	}
-	e.After(Nanosecond, nop)
+	e.After(Nanosecond, rec("1ns:b"))
 	want := 3 + 2*laneCount
-	if len(e.heap) == 0 || e.lanes[0].q.len() != 2 || e.lanes[1].q.len() != 2 {
-		t.Fatalf("heap %d, lane 0 %d, lane 1 %d: want events in the heap and two in each of lanes 0 and 1",
-			len(e.heap), e.lanes[0].q.len(), e.lanes[1].q.len())
-	}
 	if got := e.Pending(); got != want {
 		t.Errorf("pending = %d, want %d", got, want)
 	}
 	e.RunUntil(0)
-	if got := e.Pending(); got != want-2 {
-		t.Errorf("pending after the instant drained = %d, want %d", got, want-2)
+	if got := e.Pending(); got != want-1 { // two ran, 0:a scheduled 1ns:c
+		t.Errorf("pending after the instant drained = %d, want %d", got, want-1)
 	}
 	e.RunUntil(Time(Nanosecond))
 	if got := e.Pending(); got != want-4 {
-		t.Errorf("pending after the 1 ns lane drained = %d, want %d", got, want-4)
+		t.Errorf("pending after 1 ns drained = %d, want %d", got, want-4)
+	}
+	if got, want := fmt.Sprint(order), "[0:a 0:b 1ns:a 1ns:b 1ns:c 1ns:instant]"; got != want {
+		t.Errorf("ran %s, want %s", got, want)
+	}
+	e.Run()
+	if e.Pending() != 0 || e.Executed != uint64(want+2) {
+		t.Errorf("after Run: pending %d, executed %d; want 0, %d", e.Pending(), e.Executed, want+2)
 	}
 }
 
 // TestRunUntilStopKeepsClockMonotone: a Stop inside RunUntil that leaves
 // events due by the deadline must not advance the clock past them, or the
-// next Run would move Now() backwards (and Resource.account would integrate
-// a negative interval).
+// next Run would move Now() backwards.
 func TestRunUntilStopKeepsClockMonotone(t *testing.T) {
 	e := NewEngine()
 	var at []Time
@@ -236,33 +247,33 @@ func TestRunUntilStopKeepsClockMonotone(t *testing.T) {
 	}
 }
 
-// TestLanesRekeyAfterDrain: with every keyed lane taken, a new delay goes to
-// the heap; once the lanes drain, new delays take them over, and a lane still
+// TestLanesRekeyAfterDrain: with every lane taken, a new delay goes to the
+// heap; once the lanes drain, new delays take them over, and a lane still
 // holding events keeps its key.
 func TestLanesRekeyAfterDrain(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	for d := Duration(1); d < laneCount; d++ {
+	for d := Duration(1); d <= laneCount; d++ {
 		e.After(d, rec)
 	}
-	e.After(laneCount, rec)
+	e.After(laneCount+1, rec)
 	if len(e.heap) != 1 {
 		t.Fatalf("heap holds %d events, want the one delay beyond the lanes", len(e.heap))
 	}
-	e.After(100, rec) // the heap again: lane keys 1..7 still hold events
-	e.RunUntil(3)     // drains lanes 1..3
-	e.After(50, rec)  // re-keys lane 1
-	e.After(4, rec)   // joins lane 4, which still holds its event at 4
-	if e.lanes[1].delay != 50 || e.lanes[4].delay != 4 || e.lanes[4].q.len() != 2 {
-		t.Errorf("lane keys %d and %d (lane 4 holds %d): want 50 and 4 (2 events)",
-			e.lanes[1].delay, e.lanes[4].delay, e.lanes[4].q.len())
+	e.After(100, rec) // the heap again: lane keys 1..8 still hold events
+	e.RunUntil(3)     // drains the lanes keyed 1..3
+	e.After(50, rec)  // re-keys lane 0
+	e.After(4, rec)   // joins lane 3, which still holds its event at 4
+	if e.lanes[0].delay != 50 || e.lanes[3].delay != 4 || e.lanes[3].q.len() != 2 {
+		t.Errorf("lane keys %d and %d (lane 3 holds %d): want 50 and 4 (2 events)",
+			e.lanes[0].delay, e.lanes[3].delay, e.lanes[3].q.len())
 	}
 	if len(e.heap) != 2 {
 		t.Errorf("heap holds %d events, want 2", len(e.heap))
 	}
 	e.Run()
-	want := []Time{1, 2, 3, 4, 5, 6, 7, 7, 8, 53, 100}
+	want := []Time{1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 53, 100}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("ran at %v, want %v", got, want)
 	}

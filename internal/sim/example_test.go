@@ -10,25 +10,23 @@ import (
 // queue drained by a 25 µs consumer — the consumer's service time dominates.
 func Example() {
 	e := sim.NewEngine()
-	q := sim.NewQueue[int](e, "stage", 2)
+	q := sim.NewQueue(e, "stage", 2)
 
 	// Producer: three items, 10 µs apart.
 	for i := 0; i < 3; i++ {
-		i := i
 		e.After(sim.Duration(i*10)*sim.Microsecond, func() {
-			q.Put(i, nil)
+			q.Put(nil)
 		})
 	}
-	// Consumer: 25 µs of service per item.
+	// Consumer: 25 µs of service per item, in arrival order.
 	server := sim.NewResource(e, "server", 1)
 	var consume func()
 	consumed := 0
 	consume = func() {
-		q.Get(func(item int) {
+		q.Get(func() {
 			server.Hold(25*sim.Microsecond, func() {
-				consumed++
-				fmt.Printf("item %d done at %v\n", item, sim.Duration(e.Now()))
-				if consumed < 3 {
+				fmt.Printf("item %d done at %v\n", consumed, sim.Duration(e.Now()))
+				if consumed++; consumed < 3 {
 					consume()
 				}
 			})

@@ -217,7 +217,9 @@ func (s *refSide) RunUntil(deadline Time) Time {
 // drive replays one seeded schedule: rounds of top-level scheduling followed
 // by Run or by RunUntil with a deadline that lands on, between or short of
 // the queued timestamps (leaving events queued past it). Handlers Stop the
-// loop now and then, inside RunUntil too; the next round resumes it. It fails
+// loop now and then, inside RunUntil too; the next round resumes it. After
+// half the rounds the driver schedules again from outside the run and runs
+// the current instant (or the next). It fails
 // t if the clock ever moves backwards, and also returns how many RunUntil
 // calls a Stop cut short of their deadline.
 func drive(t testing.TB, seed int64, s scheduler) (states []string, cut int) {
@@ -255,6 +257,27 @@ func drive(t testing.TB, seed int64, s scheduler) (states []string, cut int) {
 		monotone(fmt.Sprintf("round %d", round))
 		states = append(states, fmt.Sprintf("round %d: end %d now %d executed %d pending %d",
 			round, end, s.Now(), s.executed(), s.Pending()))
+		// Schedule from outside a run at the instant the loop left the
+		// clock on: a Stop can leave events due at it in the lanes or the
+		// heap, and a RunUntil can leave the clock one step short of the
+		// lane heads that the delayed calls here then land beside. The
+		// instant's callbacks must still run after what was due first.
+		if rng.Intn(2) == 0 {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				switch rng.Intn(3) {
+				case 0:
+					s.schedule(child{atNow: true})
+				case 1:
+					s.schedule(child{delay: 0})
+				default:
+					s.schedule(child{delay: Duration(1 + rng.Intn(3))})
+				}
+			}
+			end = s.RunUntil(s.Now() + Time(rng.Intn(2)))
+			monotone(fmt.Sprintf("round %d, outside", round))
+			states = append(states, fmt.Sprintf("round %d outside: end %d now %d executed %d pending %d",
+				round, end, s.Now(), s.executed(), s.Pending()))
+		}
 	}
 	s.Run()
 	for s.Pending() > 0 { // a handler stopped the drain

@@ -1,54 +1,57 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// TestQueueFIFO: tokens go to the waiting consumers in the order they
+// asked, one each.
 func TestQueueFIFO(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, "q", 4)
-	for i := 0; i < 3; i++ {
-		q.Put(i, nil)
-	}
+	q := NewQueue(e, "q", 4)
 	var got []int
 	for i := 0; i < 3; i++ {
-		q.Get(func(v int) { got = append(got, v) })
+		i := i
+		q.Get(func() { got = append(got, i) })
+	}
+	for i := 0; i < 3; i++ {
+		q.Put(nil)
 	}
 	e.Run()
-	for i := 0; i < 3; i++ {
-		if got[i] != i {
-			t.Fatalf("got %v, want [0 1 2]", got)
-		}
+	if fmt.Sprint(got) != "[0 1 2]" || q.Len() != 0 {
+		t.Fatalf("served %v with %d left, want [0 1 2] and none", got, q.Len())
 	}
 }
 
 func TestQueueGetBeforePut(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[string](e, "q", 1)
-	var got string
-	var gotAt Time
-	q.Get(func(v string) { got = v; gotAt = e.Now() })
-	e.After(5*Nanosecond, func() { q.Put("hello", nil) })
+	q := NewQueue(e, "q", 1)
+	var gotAt Time = -1
+	q.Get(func() { gotAt = e.Now() })
+	e.After(5*Nanosecond, func() { q.Put(nil) })
 	e.Run()
-	if got != "hello" {
-		t.Errorf("got %q, want hello", got)
-	}
 	if gotAt != Time(5*Nanosecond) {
 		t.Errorf("delivered at %v, want 5ns", gotAt)
+	}
+	if q.Len() != 0 {
+		t.Errorf("a handed-over token stayed in the queue: len %d", q.Len())
 	}
 }
 
 func TestQueueBackpressure(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, "q", 2)
+	q := NewQueue(e, "q", 2)
 	var accepted []Time
 	// Three puts into a capacity-2 queue: third must wait for a get.
 	for i := 0; i < 3; i++ {
-		q.Put(i, func() { accepted = append(accepted, e.Now()) })
+		q.Put(func() { accepted = append(accepted, e.Now()) })
 	}
 	e.After(10*Nanosecond, func() {
-		q.Get(func(int) {})
+		q.Get(func() {})
 	})
 	e.Run()
 	if len(accepted) != 3 {
@@ -59,71 +62,48 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-func TestQueueHighWater(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q", 8)
-	for i := 0; i < 5; i++ {
-		q.Put(i, nil)
-	}
-	q.Get(func(int) {})
-	e.Run()
-	if q.HighWater() != 5 {
-		t.Errorf("high water = %d, want 5", q.HighWater())
-	}
-}
-
-func TestQueueCountsPutsGets(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "q", 4)
-	for i := 0; i < 4; i++ {
-		q.Put(i, nil)
-	}
-	for i := 0; i < 2; i++ {
-		q.Get(func(int) {})
-	}
-	e.Run()
-	if q.Puts() != 4 || q.Gets() != 2 {
-		t.Errorf("puts=%d gets=%d, want 4, 2", q.Puts(), q.Gets())
-	}
-	if q.Len() != 2 {
-		t.Errorf("len = %d, want 2", q.Len())
-	}
-}
-
 func TestQueueZeroCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("capacity 0 did not panic")
 		}
 	}()
-	NewQueue[int](NewEngine(), "bad", 0)
+	NewQueue(NewEngine(), "bad", 0)
 }
 
-// Property: every value put is delivered exactly once and in order,
-// regardless of the interleaving of puts and gets.
+// Property: whatever the interleaving of puts and gets and the capacity,
+// every get is served exactly once and every put is accepted, in the order
+// the puts were made, without the queue ever holding more than capacity.
 func TestQueueDeliveryProperty(t *testing.T) {
-	f := func(nPuts uint8, capacity uint8) bool {
+	f := func(nPuts uint8, capacity uint8, seed int64) bool {
 		n := int(nPuts%32) + 1
 		cap := int(capacity%8) + 1
+		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		q := NewQueue[int](e, "p", cap)
-		var got []int
+		q := NewQueue(e, "p", cap)
+		var puts, gets, accepted, served []int
+		over := false
 		for i := 0; i < n; i++ {
 			i := i
-			// Interleave: puts at even ns, gets at odd ns.
-			e.After(Duration(2*i)*Nanosecond, func() { q.Put(i, nil) })
-			e.After(Duration(2*i+1)*Nanosecond, func() { q.Get(func(v int) { got = append(got, v) }) })
+			e.After(Duration(rng.Intn(2*n))*Nanosecond, func() {
+				puts = append(puts, i)
+				q.Put(func() { accepted = append(accepted, i) })
+				over = over || q.Len() > cap
+			})
+			e.After(Duration(rng.Intn(2*n))*Nanosecond, func() {
+				gets = append(gets, i)
+				q.Get(func() { served = append(served, i) })
+			})
 		}
 		e.Run()
-		if len(got) != n {
+		// A consumer handed a token runs as an event, so a get made at the
+		// same instant may be served before it: served is a permutation.
+		sort.Ints(served)
+		sort.Ints(gets)
+		if fmt.Sprint(served) != fmt.Sprint(gets) || fmt.Sprint(accepted) != fmt.Sprint(puts) {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			if got[i] != i {
-				return false
-			}
-		}
-		return true
+		return len(served) == n && q.Len() == 0 && !over
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

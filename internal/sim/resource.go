@@ -5,8 +5,6 @@ import "fmt"
 // Resource models a hardware unit with a fixed number of identical servers
 // (e.g. a flash plane with one page buffer, a channel bus with one lane, a
 // DMA engine with N contexts). Acquire requests are granted FIFO.
-//
-// Resource also integrates busy time so callers can report utilization.
 type Resource struct {
 	e        *Engine
 	name     string
@@ -16,11 +14,7 @@ type Resource struct {
 	// freeHolds recycles the per-Hold records, so a steady stream of holds
 	// allocates nothing once the peak number in flight has been reached.
 	freeHolds []*hold
-
-	// utilization accounting
-	busyIntegral float64 // server-picoseconds of busy time
-	lastChange   Time
-	grants       uint64
+	grants    uint64
 }
 
 // hold is the state of one Hold call from request to release. Its two stage
@@ -44,30 +38,14 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the number of servers.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of currently busy servers.
-func (r *Resource) InUse() int { return r.busy }
-
-// QueueLen returns the number of acquire requests waiting for a server.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
-
 // Grants returns the total number of acquisitions granted so far.
 func (r *Resource) Grants() uint64 { return r.grants }
-
-func (r *Resource) account() {
-	now := r.e.Now()
-	r.busyIntegral += float64(r.busy) * float64(now-r.lastChange)
-	r.lastChange = now
-}
 
 // Acquire requests one server. fn runs (possibly immediately, possibly at a
 // later virtual time) once a server is granted. The holder must call Release
 // exactly once when done.
 func (r *Resource) Acquire(fn func()) {
 	if r.busy < r.capacity {
-		r.account()
 		r.busy++
 		r.grants++
 		fn()
@@ -91,7 +69,6 @@ func (r *Resource) Release() {
 		r.e.After(0, r.waiters.pop())
 		return
 	}
-	r.account()
 	r.busy--
 }
 
@@ -122,23 +99,11 @@ func (h *hold) expire() {
 	}
 }
 
-// Utilization returns the fraction of server-time spent busy between
-// simulation start and now (0..1).
-func (r *Resource) Utilization() float64 {
-	r.account()
-	total := float64(r.e.Now()) * float64(r.capacity)
-	if total == 0 {
-		return 0
-	}
-	return r.busyIntegral / total
-}
-
 // Link models a bandwidth-limited, FIFO-serialized transfer medium such as a
 // flash channel bus, a DRAM interface, or a PCIe link. A transfer of n bytes
 // occupies the link for n/bandwidth seconds.
 type Link struct {
 	res          *Resource
-	bytesPerSec  float64
 	transferred  uint64
 	perByteDelay float64 // picoseconds per byte
 }
@@ -150,13 +115,9 @@ func NewLink(e *Engine, name string, bytesPerSec float64) *Link {
 	}
 	return &Link{
 		res:          NewResource(e, name, 1),
-		bytesPerSec:  bytesPerSec,
 		perByteDelay: float64(Second) / bytesPerSec,
 	}
 }
-
-// Bandwidth returns the link bandwidth in bytes per second.
-func (l *Link) Bandwidth() float64 { return l.bytesPerSec }
 
 // TransferTime returns how long moving n bytes takes with an idle link.
 func (l *Link) TransferTime(n int64) Duration {
@@ -175,9 +136,3 @@ func (l *Link) Transfer(n int64, done func()) {
 
 // Transferred returns total bytes moved (including queued/in-flight).
 func (l *Link) Transferred() uint64 { return l.transferred }
-
-// Utilization returns the busy fraction of the link.
-func (l *Link) Utilization() float64 { return l.res.Utilization() }
-
-// QueueLen returns the number of transfers waiting behind the in-flight one.
-func (l *Link) QueueLen() int { return l.res.QueueLen() }

@@ -62,19 +62,6 @@ func TestResourceZeroCapacityPanics(t *testing.T) {
 	NewResource(NewEngine(), "bad", 0)
 }
 
-func TestResourceUtilization(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "u", 1)
-	r.Hold(10*Nanosecond, nil)
-	// Pad the simulation to 20ns total.
-	e.After(20*Nanosecond, func() {})
-	e.Run()
-	got := r.Utilization()
-	if got < 0.49 || got > 0.51 {
-		t.Errorf("utilization = %v, want ~0.5", got)
-	}
-}
-
 func TestResourceGrantsCount(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "g", 1)

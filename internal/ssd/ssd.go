@@ -238,6 +238,7 @@ func (d *Device) Walk(w Walk, done func(StreamStats)) {
 		stats.Finished = d.Engine.Now()
 		d.reg.Counter(w.Prefix + "_pages").Add(stats.Pages)
 		d.reg.Counter(w.Prefix + "_bytes").Add(stats.Bytes)
+		d.Flash.FlushSpans() // the walk's page reads precede its span
 		d.tracer.Add(obs.Span{Name: w.Span, Cat: "ssd", Start: stats.Started, Dur: stats.Duration(),
 			Args: map[string]string{"pages": strconv.FormatInt(stats.Pages, 10)}})
 		if done != nil {
