@@ -50,7 +50,7 @@ func BenchmarkTable3(b *testing.B) {
 
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure8(accel.DefaultWindow)
+		rows, err := exp.Figure8(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func BenchmarkFigure10(b *testing.B) {
 
 func BenchmarkFigure11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure8(accel.DefaultWindow)
+		rows, err := exp.Figure8(1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,8 +2,12 @@ package accel
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/flash"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/systolic"
@@ -163,14 +167,24 @@ func TestScanLevelsOrdering(t *testing.T) {
 	}
 }
 
-// TestScanWindowExtrapolation: a windowed scan skips whole batch periods and
-// lands on the exact scan's time, activity and weight rounds to the unit, for
-// every app × precision × level at an odd database size.
+// TestScanWindowExtrapolation: a scan cut once its batch cycle is proven
+// lands on the exact scan's time, activity and weight rounds to the unit,
+// for every app × precision × level at an odd database size, under flash
+// read latencies from 1/8 to 4 times the default and channel bandwidths
+// from 1/2 to 2 times, at windows 1, 16 and 1 000 (any positive window
+// means the same thing). Slow flash is where the batch periods alternate
+// rather than repeat one by one.
 func TestScanWindowExtrapolation(t *testing.T) {
 	const features = 64_001
-	scan := func(app *workload.App, level Level, p systolic.Precision, window int64) (ScanResult, error) {
-		e := sim.NewEngine()
-		dev, err := ssd.New(e, ssd.DefaultConfig())
+	type timing struct{ readNum, readDen, bwNum, bwDen int64 }
+	var timings []timing
+	for _, r := range [][2]int64{{1, 8}, {1, 2}, {1, 1}, {2, 1}, {4, 1}} {
+		for _, bw := range [][2]int64{{1, 2}, {1, 1}, {2, 1}} {
+			timings = append(timings, timing{r[0], r[1], bw[0], bw[1]})
+		}
+	}
+	scan := func(cfg ssd.Config, app *workload.App, level Level, p systolic.Precision, window int64) (ScanResult, error) {
+		dev, err := ssd.New(sim.NewEngine(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,37 +196,73 @@ func TestScanWindowExtrapolation(t *testing.T) {
 		}
 		return Scan(ScanRequest{Device: dev, Spec: spec, Net: app.SCN, Layout: meta.Layout, WindowFeaturesPerAccel: window})
 	}
+	var mu sync.Mutex
 	cells, skipped := 0, 0
-	for _, app := range workload.Apps() {
-		for _, p := range []systolic.Precision{systolic.FP32, systolic.FP16, systolic.INT8} {
-			for _, level := range Levels() {
-				exact, err := scan(app, level, p, 0)
-				if errors.As(err, new(*ErrUnsupported)) {
-					continue
-				} else if err != nil {
-					t.Fatal(err)
+	t.Run("timing", func(t *testing.T) {
+		for _, tm := range timings {
+			t.Run(fmt.Sprintf("read%d/%d-bus%d/%d", tm.readNum, tm.readDen, tm.bwNum, tm.bwDen), func(t *testing.T) {
+				t.Parallel()
+				cfg := ssd.DefaultConfig()
+				cfg.Timing.ReadLatency = cfg.Timing.ReadLatency * sim.Duration(tm.readNum) / sim.Duration(tm.readDen)
+				cfg.Timing.ChannelBandwidth = cfg.Timing.ChannelBandwidth * float64(tm.bwNum) / float64(tm.bwDen)
+				for _, app := range workload.Apps() {
+					for _, p := range []systolic.Precision{systolic.FP32, systolic.FP16, systolic.INT8} {
+						for _, level := range Levels() {
+							exact, err := scan(cfg, app, level, p, 0)
+							if errors.As(err, new(*ErrUnsupported)) {
+								continue
+							} else if err != nil {
+								t.Fatal(err)
+							}
+							for _, window := range []int64{1, 16, 1000} {
+								got, err := scan(cfg, app, level, p, window)
+								if err != nil {
+									t.Fatal(err)
+								}
+								mu.Lock()
+								cells++
+								if got.SimulatedFeatures < got.Features {
+									skipped++
+								}
+								mu.Unlock()
+								if got.Elapsed != exact.Elapsed || got.Activity != exact.Activity || got.WeightRounds != exact.WeightRounds {
+									t.Errorf("%s %v %v window %d (simulated %d of %d): got %v %+v %d rounds, exact %v %+v %d rounds",
+										app.Name, p, level, window, got.SimulatedFeatures, got.Features,
+										got.Elapsed, got.Activity, got.WeightRounds, exact.Elapsed, exact.Activity, exact.WeightRounds)
+								}
+							}
+						}
+					}
 				}
-				for _, window := range []int64{16, 256, 1000} {
-					got, err := scan(app, level, p, window)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cells++
-					if got.SimulatedFeatures < got.Features {
-						skipped++
-					}
-					if got.Elapsed != exact.Elapsed || got.Activity != exact.Activity || got.WeightRounds != exact.WeightRounds {
-						t.Errorf("%s %v %v window %d (simulated %d of %d): got %v %+v %d rounds, exact %v %+v %d rounds",
-							app.Name, p, level, window, got.SimulatedFeatures, got.Features,
-							got.Elapsed, got.Activity, got.WeightRounds, exact.Elapsed, exact.Activity, exact.WeightRounds)
-					}
-				}
-			}
+			})
 		}
-	}
+	})
 	t.Logf("%d of %d cells skipped batches", skipped, cells)
-	if cells != 126 || 3*skipped < 2*cells {
-		t.Errorf("%d of %d cells skipped batches; want 126 cells, two thirds skipping", skipped, cells)
+	if want := 126 * len(timings); cells != want || 2*skipped < cells {
+		t.Errorf("%d of %d cells skipped batches; want %d cells, half skipping", skipped, cells, want)
+	}
+
+	// Under read faults no cycle is proven: the scan runs every batch.
+	app, _ := workload.ByName("TIR")
+	cfg := ssd.DefaultConfig()
+	dev, err := ssd.New(sim.NewEngine(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Flash.SetReadFaults(flash.ReadFaults{ErrorRate: 0.25, Inj: fault.New(7)}); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := dev.CreateDB(app.Name, app.FeatureBytes(), features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Scan(ScanRequest{Device: dev, Spec: SpecForLevel(LevelChannel, cfg), Net: app.SCN, Layout: meta.Layout, WindowFeaturesPerAccel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimulatedFeatures != res.Features || dev.Flash.Stats().ReadRetries == 0 {
+		t.Errorf("faulty scan simulated %d of %d features with %d retries; want all, with retries",
+			res.SimulatedFeatures, res.Features, dev.Flash.Stats().ReadRetries)
 	}
 }
 

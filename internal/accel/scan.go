@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/energy"
@@ -12,11 +13,6 @@ import (
 	"repro/internal/ssd"
 )
 
-// DefaultWindow is the WindowFeaturesPerAccel of every scan the engine and
-// the evaluation run. The extrapolation is exact, so it sets only how much
-// of a scan the event model runs.
-const DefaultWindow = 1024
-
 // ScanRequest describes one full similarity scan of a feature database by
 // in-storage accelerators: the §4.2 execution of a query that missed the
 // query cache.
@@ -25,12 +21,11 @@ type ScanRequest struct {
 	Spec   Spec
 	Net    *nn.Network
 	Layout ftl.DBLayout
-	// WindowFeaturesPerAccel is the fewest features per accelerator the
-	// event-driven model simulates before it extrapolates by whole batch
-	// periods; zero simulates the scan exactly. Without read faults the
-	// extrapolation is exact, so the window changes only the host cost.
-	// With them the skipped reads draw their faults into the flash stats,
-	// and their retry time reaches Elapsed through the measured period.
+	// WindowFeaturesPerAccel switches the cycle cut on: any positive value
+	// lets the event-driven model stop simulating once every unit's batch
+	// cycle is proven and add the skipped cycles' time (see Scan); zero
+	// simulates every batch. The value itself steers nothing. A scan under
+	// read faults never proves a cycle and runs every batch either way.
 	WindowFeaturesPerAccel int64
 }
 
@@ -41,7 +36,8 @@ type ScanResult struct {
 	// Features is the number of comparisons performed (the database size).
 	Features int64
 	// SimulatedFeatures is how many comparisons the event-driven model
-	// ran; the skipped whole batches make up the rest.
+	// ran; the skipped whole batches make up the rest. It equals Features
+	// when nothing was skipped.
 	SimulatedFeatures int64
 	// PerFeatureCycles is the amortized systolic latency per comparison.
 	PerFeatureCycles int64
@@ -146,12 +142,43 @@ type scanRun struct {
 	perFeatCycles int64
 	cyclePs       float64
 
+	units   []*unit
 	pending int // units still scanning
-	// features and simulatedFeatures sum the finished units' shares and
-	// the part of them the model ran, in the order the units finish.
-	features, simulatedFeatures float64
-	scanEnd                     sim.Time
-	weightRounds                int64
+	// proving is set while the scan may still be cut; proven counts the
+	// units still scanning that hold a proven batch cycle.
+	proving bool
+	proven  int
+	// The cut left skippedPages page reads and skippedRounds weight rounds
+	// unsimulated, and skippedTime of simulated time.
+	skippedPages, skippedRounds int64
+	skippedTime                 sim.Duration
+	// features sums the finished units' shares, in the order the units
+	// finish.
+	features     float64
+	scanEnd      sim.Time
+	weightRounds int64
+}
+
+// A unit proves a batch cycle of m ≤ maxCycle full batches when its latest
+// cycleReps·m batch periods are cycleReps repetitions of one m-period
+// pattern; it remembers the cycleMarks full-batch completions that takes.
+const (
+	maxCycle   = 4
+	cycleReps  = 3
+	cycleMarks = maxCycle*cycleReps + 1
+)
+
+// mark is one full-batch completion of a unit: when it happened and the
+// unit's pipeline occupancy at that moment.
+type mark struct {
+	at  sim.Time
+	occ occupancy
+}
+
+type occupancy struct {
+	ahead    int64 // pages issued but not yet taken into a batch
+	inflight int64 // page reads not yet accepted by the FLASH_DFV queue
+	queued   int   // pages waiting in the FLASH_DFV queue
 }
 
 // unit is one accelerator instance: its work assignment and the two
@@ -189,10 +216,15 @@ type unit struct {
 	consumed         int64 // compute process: pages of finished batches
 	take, got        int64 // pages the current batch needs and has
 	feats            float64
-	// full counts the finished full batches; first and last are when the
-	// first and the latest of them finished.
-	full        int64
-	first, last sim.Time
+	retired          bool
+	// full counts the full batches marked since the unit's proof last
+	// restarted; marks holds the latest of them (mark j at j mod
+	// cycleMarks). cycle is the proven cycle's length in batches, 0 when
+	// none is proven, and cycleTime its length in simulated time.
+	full      int64
+	marks     [cycleMarks]mark
+	cycle     int64
+	cycleTime sim.Duration
 
 	pageArrived, pageAccepted, pageTaken, compute, computed func()
 }
@@ -260,12 +292,8 @@ func bindUnit() *unit {
 		u.run.e.After(d, u.computed)
 	}
 	u.computed = func() {
-		if u.take == u.run.pagesPerBatch {
-			if u.full == 0 {
-				u.first = u.run.e.Now()
-			}
-			u.last = u.run.e.Now()
-			u.full++
+		if u.run.proving && u.take == u.run.pagesPerBatch {
+			u.record()
 		}
 		u.nextBatch()
 	}
@@ -280,18 +308,117 @@ func (u *unit) prefetch() {
 	}
 }
 
+// record notes a full-batch completion and updates the unit's proof,
+// trying the cut when the unit newly proves a cycle.
+func (u *unit) record() {
+	run := u.run
+	u.marks[u.full%cycleMarks] = mark{
+		at:  run.e.Now(),
+		occ: occupancy{ahead: u.issued - u.consumed, inflight: u.inflight, queued: u.q.Len()},
+	}
+	u.full++
+	m, c := u.findCycle()
+	if m == u.cycle && c == u.cycleTime {
+		return
+	}
+	if u.cycle != 0 {
+		run.proven--
+	}
+	if u.cycle, u.cycleTime = m, c; m != 0 {
+		run.proven++
+		run.tryCut()
+	}
+}
+
+// findCycle returns the shortest cycle m the unit's marks prove and its
+// length in time, or 0, 0. The latest cycleReps·m periods must repeat with
+// period m to the picosecond, and so must the occupancy at their ends.
+func (u *unit) findCycle() (int64, sim.Duration) {
+	n := u.full
+	at := func(j int64) *mark { return &u.marks[j%cycleMarks] }
+	for m := int64(1); m <= maxCycle && n > cycleReps*m; m++ {
+		proven := true
+		for j := n - 1; proven && j >= n-(cycleReps-1)*m; j-- {
+			a, b := at(j), at(j-m)
+			proven = a.occ == b.occ && a.at-at(j-1).at == b.at-at(j-m-1).at
+		}
+		if proven {
+			return m, sim.Duration(at(n-1).at - at(n-1-m).at)
+		}
+	}
+	return 0, 0
+}
+
+// tryCut cuts the scan once every unit still scanning has proven the same
+// cycle of m batches taking C. The cut removes skip full batches from every
+// such unit's pages: the largest multiple of m that leaves each unit every
+// page it has issued plus one more cycle. From here on the scan repeats
+// itself every C until the first unit runs out of pages to issue, so the
+// skipped batches take (skip/m)·C, and each lockstep group skips skip
+// weight rounds.
+func (run *scanRun) tryCut() {
+	if run.proven < run.pending {
+		return
+	}
+	var m int64
+	var c sim.Duration
+	skip := int64(math.MaxInt64)
+	for _, u := range run.units {
+		if u.retired {
+			continue
+		}
+		if m == 0 {
+			m, c = u.cycle, u.cycleTime
+		} else if u.cycle != m || u.cycleTime != c {
+			return
+		}
+		skip = min(skip, (u.pages-u.issued)/run.pagesPerBatch)
+	}
+	if skip -= m; skip < m {
+		return
+	}
+	skip -= skip % m
+	run.proving = false
+	var group *barrier
+	for _, u := range run.units {
+		if u.retired {
+			continue
+		}
+		u.pages -= skip * run.pagesPerBatch
+		run.skippedPages += skip * run.pagesPerBatch
+		if run.streaming && u.group != group {
+			group = u.group
+			run.skippedRounds += skip
+		}
+	}
+	run.skippedTime = sim.Duration(skip/m) * c
+}
+
+// retire drops the unit from the scan. A unit leaving changes what the
+// others do (a lockstep group shrinks, shared links free up), so every
+// proof so far restarts.
+func (u *unit) retire() {
+	run := u.run
+	run.features += float64(u.share) * run.featPerPage
+	u.retired = true
+	u.group.leave()
+	if run.pending--; run.pending == 0 {
+		run.scanEnd = run.e.Now()
+	}
+	if run.proving {
+		for _, v := range run.units {
+			v.full, v.cycle, v.cycleTime = 0, 0, 0
+		}
+		run.proven = 0
+	}
+}
+
 // nextBatch starts collecting the unit's next batch of pages, or retires the
 // unit when its share is done.
 func (u *unit) nextBatch() {
 	run := u.run
 	if u.consumed >= u.pages {
-		run.features += float64(u.share) * run.featPerPage
-		run.simulatedFeatures += float64(u.pages) * run.featPerPage
-		u.group.leave()
-		run.pending--
-		if run.pending == 0 {
-			run.scanEnd = run.e.Now()
-		}
+		u.retire()
 		return
 	}
 	u.take = run.pagesPerBatch
@@ -468,29 +595,9 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	}
 	units := sc.units
 
-	// Every unit leaves skip of its full batches unsimulated and keeps its
-	// partial tail batch. From the first full batch on, the units finish
-	// one full batch per period P, so the skipped batches add exactly
-	// skip·P to the simulated time. A unit keeps at least two full batches
-	// to measure P, and at least the window.
-	var skip int64
-	if w := req.WindowFeaturesPerAccel; w > 0 && len(units) > 0 {
-		windowPages := int64(float64(w)/featPerPage + 0.999)
-		skip = units[0].share / pagesPerBatch
-		for _, u := range units {
-			skip = min(skip, u.share/pagesPerBatch-2, (u.share-windowPages)/pagesPerBatch)
-		}
-		skip = max(skip, 0)
-	}
-	groups := 0
-	for i, u := range units {
-		u.pages -= skip * pagesPerBatch
-		if i == 0 || u.group != units[i-1].group {
-			groups++
-		}
-	}
-
-	run.pending = len(units)
+	// Read retries are random draws, so a faulty scan has no cycle to prove.
+	run.units, run.pending = units, len(units)
+	run.proving = req.WindowFeaturesPerAccel > 0 && !dev.Flash.ReadFaultsActive()
 	for _, u := range units {
 		u.prefetch()
 		u.nextBatch()
@@ -501,14 +608,10 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	if run.pending != 0 {
 		return ScanResult{}, fmt.Errorf("accel: scan deadlocked with %d units pending", run.pending)
 	}
-	var period sim.Duration
-	for _, u := range units {
-		if u.full > 1 {
-			period = max(period, sim.Duration(u.last-u.first)/sim.Duration(u.full-1))
-		}
-	}
-	features, simulatedFeatures, weightRounds := run.features, run.simulatedFeatures, run.weightRounds
-	scanEnd, accels := run.scanEnd, len(units)
+	features := run.features
+	weightRounds := run.weightRounds + run.skippedRounds
+	elapsed := sim.Duration(run.scanEnd-start) + run.skippedTime
+	skipped, accels := run.skippedPages, len(units)
 	// The scan completed, so the scratch's queues are drained and nothing
 	// on the calendar refers to its units: the next scan may reuse them.
 	// What would pin this device's flash state while pooled is dropped.
@@ -518,21 +621,14 @@ func Scan(req ScanRequest) (ScanResult, error) {
 	sc.run = scanRun{}
 	scanScratches.Put(sc)
 
-	// The skipped batches count as read and streamed: skip batches of
-	// pages per unit, each drawing its read faults, and skip weight rounds
-	// per lockstep group. scanEnd was
-	// stamped when the last unit finished; other processes sharing the
-	// engine (e.g. concurrent host I/O in the interference study) may keep
+	// The skipped batches count as read and streamed. scanEnd was stamped
+	// when the last unit finished; other processes sharing the engine
+	// (e.g. concurrent host I/O in the interference study) may keep
 	// running past it.
-	if src != SourceL1 {
-		weightRounds += skip * int64(groups)
-	}
-	skipped := skip * pagesPerBatch * int64(accels)
-	dev.Flash.DrawReadFaults(skipped)
 	pageReads := int64(dev.Flash.Stats().PageReads-startFlash.PageReads) + skipped
 	res := ScanResult{
-		Elapsed:           sim.Duration(scanEnd-start) + sim.Duration(skip)*period,
-		SimulatedFeatures: int64(simulatedFeatures + 0.5),
+		Elapsed:           elapsed,
+		SimulatedFeatures: layout.Features - int64(float64(skipped)*featPerPage+0.5),
 		PerFeatureCycles:  perFeatCycles,
 		WeightSource:      src,
 		WeightRounds:      weightRounds,

@@ -1,79 +1,122 @@
 package accel
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/flash"
+	"repro/internal/ftl"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/systolic"
 	"repro/internal/workload"
 )
 
+// geometryScan is one scan of a random small geometry, app, level and
+// database size, exact (window 0) or cut at its proven cycle (window 1).
+type geometryScan struct {
+	res    ScanResult
+	err    error
+	layout ftl.DBLayout
+	reads  uint64 // page reads the flash array simulated
+}
+
+// scanRandomGeometry runs the scan the selectors pick; ok is false when the
+// database does not fit the geometry.
+func scanRandomGeometry(chSel, chipSel, appSel, levelSel uint8, sizeSel uint16, window int64) (s geometryScan, ok bool) {
+	apps := workload.Apps()
+	channels := []int{1, 2, 4, 8}[chSel%4]
+	chips := []int{1, 2, 4}[chipSel%3]
+	app := apps[int(appSel)%len(apps)]
+	level := Levels()[int(levelSel)%3]
+
+	cfg := ssd.DefaultConfig()
+	cfg.Geometry = flash.Geometry{
+		Channels: channels, ChipsPerChannel: chips, PlanesPerChip: 2,
+		BlocksPerPlane: 64, PagesPerBlock: 32, PageBytes: 16 << 10,
+	}
+	dev, err := ssd.New(sim.NewEngine(), cfg)
+	if err != nil {
+		panic(err)
+	}
+	features := int64(channels*chips) * (40 + int64(sizeSel%2048))
+	meta, err := dev.CreateDB("p", app.FeatureBytes(), features)
+	if err != nil {
+		// Tiny geometries may not fit ReId; acceptable.
+		return s, false
+	}
+	s.layout = meta.Layout
+	s.res, s.err = Scan(ScanRequest{
+		Device: dev, Spec: SpecForLevel(level, cfg),
+		Net: app.SCN, Layout: meta.Layout,
+		WindowFeaturesPerAccel: window,
+	})
+	s.reads = dev.Flash.Stats().PageReads
+	return s, true
+}
+
 // TestScanNoDeadlockAcrossGeometries: the event-driven scan must terminate
 // and account every feature for arbitrary (small) geometries, apps, and
-// levels — the failure-injection net for the prefetcher/barrier plumbing.
+// levels, exact and cut — the failure-injection net for the
+// prefetcher/barrier plumbing and for a cut that leaves a unit waiting for
+// pages it never issued.
 func TestScanNoDeadlockAcrossGeometries(t *testing.T) {
-	apps := workload.Apps()
-	f := func(chSel, chipSel, appSel, levelSel uint8, window uint8) bool {
-		channels := []int{1, 2, 4, 8}[chSel%4]
-		chips := []int{1, 2, 4}[chipSel%3]
-		app := apps[int(appSel)%len(apps)]
-		level := Levels()[int(levelSel)%3]
-
-		cfg := ssd.DefaultConfig()
-		cfg.Geometry = flash.Geometry{
-			Channels: channels, ChipsPerChannel: chips, PlanesPerChip: 2,
-			BlocksPerPlane: 64, PagesPerBlock: 32, PageBytes: 16 << 10,
+	f := func(chSel, chipSel, appSel, levelSel uint8, sizeSel uint16, cut bool) bool {
+		window := int64(0)
+		if cut {
+			window = 1
 		}
-		e := sim.NewEngine()
-		dev, err := ssd.New(e, cfg)
-		if err != nil {
-			return false
-		}
-		features := int64(channels*chips) * 40
-		meta, err := dev.CreateDB("p", app.FeatureBytes(), features)
-		if err != nil {
-			// Tiny geometries may not fit ReId; acceptable.
+		s, ok := scanRandomGeometry(chSel, chipSel, appSel, levelSel, sizeSel, window)
+		if !ok {
 			return true
 		}
-		res, err := Scan(ScanRequest{
-			Device: dev, Spec: SpecForLevel(level, cfg),
-			Net: app.SCN, Layout: meta.Layout,
-			WindowFeaturesPerAccel: int64(window%32) * 8, // 0..248, incl. exact mode
-		})
-		if err != nil {
-			_, unsupported := err.(*ErrUnsupported)
+		if s.err != nil {
+			_, unsupported := s.err.(*ErrUnsupported)
 			return unsupported
 		}
-		return res.Features == features && res.Elapsed > 0 && res.SimulatedFeatures > 0
+		return s.res.Features == s.layout.Features && s.res.Elapsed > 0 && s.res.SimulatedFeatures > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestScanPageAccounting: an exact scan reads exactly the database's page
-// footprint from flash.
+// TestScanPageAccounting: the pages a scan simulates plus the pages its cut
+// skipped are the database's page footprint, exact or cut, over random
+// geometries; an exact scan simulates every one of them.
 func TestScanPageAccounting(t *testing.T) {
-	app, _ := workload.ByName("MIR")
-	e := sim.NewEngine()
-	dev, _ := ssd.New(e, ssd.DefaultConfig())
-	meta, err := dev.CreateDB("m", app.FeatureBytes(), 32_000)
-	if err != nil {
-		t.Fatal(err)
+	cuts := 0
+	f := func(chSel, chipSel, appSel, levelSel uint8, sizeSel uint16, cut bool) bool {
+		window := int64(0)
+		if cut {
+			window = 1
+		}
+		s, ok := scanRandomGeometry(chSel, chipSel, appSel, levelSel, sizeSel, window)
+		if !ok || errors.As(s.err, new(*ErrUnsupported)) {
+			return true
+		}
+		if s.err != nil {
+			t.Log(s.err)
+			return false
+		}
+		pages := s.layout.TotalPages()
+		read := s.res.Activity.FlashBytes / s.layout.Geom.PageBytes
+		if s.res.SimulatedFeatures < s.res.Features {
+			cuts++
+		}
+		if read != pages || s.reads > uint64(pages) || (!cut && s.reads != uint64(pages)) {
+			t.Logf("window %d: %d pages simulated, %d counted; the database has %d", window, s.reads, read, pages)
+			return false
+		}
+		return true
 	}
-	_, err = Scan(ScanRequest{
-		Device: dev, Spec: SpecForLevel(LevelChannel, dev.Config),
-		Net: app.SCN, Layout: meta.Layout,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
-	wantPages := uint64(meta.Layout.TotalPages())
-	if got := dev.Flash.Stats().PageReads; got != wantPages {
-		t.Errorf("flash reads = %d, want %d", got, wantPages)
+	t.Logf("%d scans cut", cuts)
+	if cuts == 0 {
+		t.Error("no scan was cut: the accounting of skipped pages went untested")
 	}
 }
 

@@ -9,28 +9,28 @@ import (
 	"repro/internal/obs"
 )
 
-// TestScanSpanStream pins the page-read spans of two windowed paper-scale
-// scans where they are produced: the ordered (name, tid, start, dur) of
-// every retained span and the drop count. TextQA at chip level reads into
-// page buffers and keeps every span; ReId at channel level crosses the
-// channel buses and overruns the tracer's cap part-way through, so the
-// hash also covers which spans the cap keeps. A reordered, lost or
+// TestScanSpanStream pins the page-read spans of two paper-scale scans cut
+// at their proven cycle, where they are produced: the ordered (name, tid,
+// start, dur) of every retained span and the drop count. TextQA at chip
+// level reads into page buffers and keeps every span; ReId at channel
+// level crosses the channel buses and overruns a small tracer cap
+// part-way through, so the hash also covers which spans the cap keeps. A reordered, lost or
 // duplicated span changes the hash; so does a drop decision made on the
 // wrong count.
 func TestScanSpanStream(t *testing.T) {
-	const capacity = 1 << 16
 	for _, c := range []struct {
-		cell    goldenCell
-		spans   int
-		dropped int64
-		sha256  string
+		cell     goldenCell
+		capacity int
+		spans    int
+		dropped  int64
+		sha256   string
 	}{
-		{goldenCell{app: "TextQA", level: LevelChip}, 8736, 0,
-			"7b592505d23f9734be517fec62f910b6722abfc2844bb98dcd5d1b9fd0644aee"},
-		{goldenCell{app: "ReId", level: LevelChannel}, capacity, 98703 - capacity,
-			"55c8abaf8714df36ef6d0d01cb2d22597aac7644478d5fea90d210918cc20424"},
+		{goldenCell{app: "TextQA", level: LevelChip}, 1 << 16, 15264, 0,
+			"7a65a5c947e1c50abc8075a1af557964a8f549be2ac7129bd953d28ea8c5288a"},
+		{goldenCell{app: "ReId", level: LevelChannel}, 2048, 2048, 3183 - 2048,
+			"88fb4d01c04fc7fd1059f7b286d662e0dc75efd144f563766d361c3a6d4bd0e1"},
 	} {
-		tr := obs.NewTracer(capacity)
+		tr := obs.NewTracer(c.capacity)
 		if _, err := runGoldenCell(t, c.cell, tr); err != nil {
 			t.Fatalf("%s at %v: %v", c.cell.app, c.cell.level, err)
 		}

@@ -17,7 +17,7 @@ import (
 // subsystem the accelerators use — the §6.2 "wimpy cores" bar of Fig. 8.
 //
 // windowPages bounds the simulated pages per channel (0 = exact); the result
-// extrapolates linearly like accel.Scan.
+// extrapolates linearly from them.
 func (w Wimpy) WimpyScanDES(app *workload.App, devCfg ssd.Config, features, windowPages int64) (sim.Duration, error) {
 	if w.Cores <= 0 || w.FreqHz <= 0 || w.FLOPsPerCyc <= 0 || w.Efficiency <= 0 {
 		return 0, fmt.Errorf("baseline: invalid wimpy config %+v", w)

@@ -75,7 +75,7 @@ func ShardedScan(n int, app *workload.App, level accel.Level, devCfg ssd.Config,
 				Spec:                   accel.SpecForLevel(level, devCfg),
 				Net:                    app.SCN,
 				Layout:                 meta.Layout,
-				WindowFeaturesPerAccel: accel.DefaultWindow,
+				WindowFeaturesPerAccel: 1,
 			})
 			if err != nil {
 				errs[dev] = fmt.Errorf("cluster: shard %d: %w", dev, err)

@@ -54,9 +54,9 @@ type Options struct {
 	// DefaultLevel selects the accelerator level used when a query does
 	// not specify one. The §6 recommendation is channel level.
 	DefaultLevel accel.Level
-	// TimingWindow is the fewest features per accelerator a query's scan
-	// simulates before whole-period extrapolation (0 = exact); see
-	// accel.ScanRequest.WindowFeaturesPerAccel.
+	// TimingWindow, when positive, lets a query's scan stop simulating
+	// once its batch cycle is proven; 0 simulates every batch. The value
+	// itself steers nothing; see accel.ScanRequest.WindowFeaturesPerAccel.
 	TimingWindow int64
 	// Prune enables the exact stripe-pruning tier: WriteDB/AppendDB/ReorgDB
 	// build per-channel-stripe bound tables (persisted page-aligned next to
@@ -144,7 +144,7 @@ func DefaultOptions() Options {
 	return Options{
 		Device:       ssd.DefaultConfig(),
 		DefaultLevel: accel.LevelChannel,
-		TimingWindow: accel.DefaultWindow,
+		TimingWindow: 1,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/accel"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -203,8 +202,8 @@ func TestEngineObservability(t *testing.T) {
 
 // TestTracerDropsSurfaceInMetrics: obs_tracer_dropped_spans is in every
 // snapshot, 0 while the trace is whole, and moves by exactly the tracer's own
-// drop count once a paper-scale run overflows DefaultTraceCap — ESTP declared
-// at 25 GiB records more page-read spans over the three levels than one
+// drop count once a run overflows DefaultTraceCap — an exact (TimingWindow 0)
+// scan of ESTP declared at 4 GiB records more page-read spans than one
 // tracer retains. The drop count is pinned: page reads are simulated, so it
 // moves only when the event model or the tracer's cap accounting does.
 func TestTracerDropsSurfaceInMetrics(t *testing.T) {
@@ -224,12 +223,16 @@ func TestTracerDropsSurfaceInMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := New(DefaultOptions())
+	// An exact scan traces every page read: 4 GiB of ESTP features at
+	// channel level read 262 144 pages, twice the cap.
+	opts := DefaultOptions()
+	opts.TimingWindow = 0
+	ds, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fb := app.FeatureBytes()
-	declared, err := ds.DeclareDB(fb, (25<<30)/fb)
+	declared, err := ds.DeclareDB(fb, (4<<30)/fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +241,12 @@ func TestTracerDropsSurfaceInMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	qfv := make([]float32, app.SCN.FeatureElems())
-	for _, level := range accel.Levels() {
-		level := level
-		if _, err := ds.Query(QuerySpec{QFV: qfv, K: 3, Model: paper, DB: declared, Level: &level}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := ds.Query(QuerySpec{QFV: qfv, K: 3, Model: paper, DB: declared}); err != nil {
+		t.Fatal(err)
 	}
 	dropped := ds.Tracer().Dropped()
-	if dropped != 33798 || ds.Tracer().Len() != obs.DefaultTraceCap {
-		t.Fatalf("paper-scale ESTP kept %d spans and dropped %d, want the cap and 33 798", ds.Tracer().Len(), dropped)
+	if dropped != 131074 || ds.Tracer().Len() != obs.DefaultTraceCap {
+		t.Fatalf("ESTP exact scan kept %d spans and dropped %d, want the cap and 131 074", ds.Tracer().Len(), dropped)
 	}
 	if got := ds.MetricsSnapshot().Counters["obs_tracer_dropped_spans"]; got != dropped {
 		t.Errorf("obs_tracer_dropped_spans = %d, tracer dropped %d", got, dropped)

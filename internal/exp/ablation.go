@@ -84,7 +84,7 @@ type AblationPrecisionRow struct {
 // channel-level design (the §7 quantization extension; accuracy effects are
 // out of scope — the paper notes the optimization is orthogonal).
 func AblationPrecision() ([]AblationPrecisionRow, error) {
-	return ablationPrecision(accel.DefaultWindow)
+	return ablationPrecision(1)
 }
 
 // ablationPrecision is AblationPrecision at a given accel.ScanRequest window.

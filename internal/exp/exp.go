@@ -40,7 +40,7 @@ type ScanOutcome struct {
 // precision: quantized features are stored quantized. A level the network
 // cannot run on comes back as an Unsupported outcome, not an error.
 func RunScan(app *workload.App, spec accel.Spec, devCfg ssd.Config, features int64) (ScanOutcome, error) {
-	return runScan(app, spec, devCfg, features, accel.DefaultWindow)
+	return runScan(app, spec, devCfg, features, 1)
 }
 
 // runScan is RunScan at a given accel.ScanRequest window: the same outcome

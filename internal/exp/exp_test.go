@@ -17,7 +17,7 @@ import (
 // application the system ordering and rough factors of Figure 8 / Table 4
 // hold.
 func TestFigure8ShapeBands(t *testing.T) {
-	rows, err := Figure8(accel.DefaultWindow)
+	rows, err := Figure8(1)
 	if err != nil {
 		t.Fatal(err)
 	}

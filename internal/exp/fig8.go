@@ -41,8 +41,8 @@ var PaperTable4 = map[string]map[accel.Level][2]float64{ // [speedup, energy eff
 // Figure8 runs the Figure 8 / Table 4 experiment: every application on the
 // wimpy-core baseline and all three accelerator levels, against the GPU+SSD
 // system, on the §6.1 databases. The scans run at the given
-// accel.ScanRequest window, which changes only how much of them the event
-// model simulates, not the rows.
+// accel.ScanRequest window: 0 simulates every batch, a positive window
+// stops at the proven batch cycle; the rows are the same.
 func Figure8(window int64) ([]Fig8Row, error) {
 	devCfg := ssd.DefaultConfig()
 	baseCfg := baseline.DefaultConfig()

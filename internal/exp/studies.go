@@ -89,7 +89,7 @@ func Studies() []Study {
 			return tables(table3Table(Table3())), nil
 		}},
 		{"fig8", "Figure 8 / Table 4 — speedup and energy efficiency", func() (Result, error) {
-			rows, err := Figure8(accel.DefaultWindow)
+			rows, err := Figure8(1)
 			if err != nil {
 				return Result{}, err
 			}
@@ -110,7 +110,7 @@ func Studies() []Study {
 			return tables(figure10aTable(a), figure10bTable(b)), nil
 		}},
 		{"fig11", "Figure 11 — perf/W vs Volta", func() (Result, error) {
-			rows8, err := Figure8(accel.DefaultWindow)
+			rows8, err := Figure8(1)
 			if err != nil {
 				return Result{}, err
 			}

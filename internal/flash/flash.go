@@ -220,8 +220,8 @@ type Array struct {
 	timing Timing
 
 	// planes holds one server per plane (its page buffer), flat in
-	// (channel, chip, plane) order.
-	planes []*sim.Resource
+	// (channel, chip, plane) order, in one slab.
+	planes []sim.Resource
 	buses  []*sim.Link // one per channel
 
 	faults ReadFaults
@@ -234,11 +234,14 @@ type Array struct {
 	staged   []obs.Interval
 	stagedTo *obs.Tracer
 
-	// freeReads recycles per-read records: a scan keeps at most a prefetch
-	// window of reads in flight per accelerator, so after the first window
-	// a page read allocates nothing.
+	// freeReads recycles per-read records, which are allocated readSlab at
+	// a time: a scan keeps at most a prefetch window of reads in flight per
+	// accelerator, so after the first window a page read allocates nothing.
 	freeReads []*pageRead
 }
+
+// readSlab is how many read records the array allocates at once.
+const readSlab = 64
 
 // NewArray builds a flash array on the given engine.
 func NewArray(e *sim.Engine, geom Geometry, timing Timing) (*Array, error) {
@@ -249,19 +252,32 @@ func NewArray(e *sim.Engine, geom Geometry, timing Timing) (*Array, error) {
 		return nil, err
 	}
 	a := &Array{e: e, geom: geom, timing: timing}
-	a.planes = make([]*sim.Resource, 0, geom.Channels*geom.ChipsPerChannel*geom.PlanesPerChip)
 	a.buses = make([]*sim.Link, geom.Channels)
+	for ch := range a.buses {
+		a.buses[ch] = sim.NewLink(e, "chan"+strconv.Itoa(ch)+"-bus", timing.ChannelBandwidth)
+	}
+	// A device names a thousand planes: the names are cut from one string.
+	n := geom.Channels * geom.ChipsPerChannel * geom.PlanesPerChip
+	ends := make([]int, 0, n)
+	var buf []byte
 	for ch := 0; ch < geom.Channels; ch++ {
-		// Concatenated, not formatted: a device names a thousand planes.
-		chName := strconv.Itoa(ch)
-		a.buses[ch] = sim.NewLink(e, "chan"+chName+"-bus", timing.ChannelBandwidth)
 		for cp := 0; cp < geom.ChipsPerChannel; cp++ {
-			chipName := "ch" + chName + "-chip" + strconv.Itoa(cp) + "-plane"
 			for pl := 0; pl < geom.PlanesPerChip; pl++ {
-				a.planes = append(a.planes, sim.NewResource(e, chipName+strconv.Itoa(pl), 1))
+				buf = append(buf, "ch"...)
+				buf = strconv.AppendInt(buf, int64(ch), 10)
+				buf = append(buf, "-chip"...)
+				buf = strconv.AppendInt(buf, int64(cp), 10)
+				buf = append(buf, "-plane"...)
+				buf = strconv.AppendInt(buf, int64(pl), 10)
+				ends = append(ends, len(buf))
 			}
 		}
 	}
+	all, names, start := string(buf), make([]string, n), 0
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	a.planes = sim.NewResources(e, 1, names...)
 	return a, nil
 }
 
@@ -300,15 +316,8 @@ func (a *Array) senseFails(try int) bool {
 	return false
 }
 
-// DrawReadFaults draws the read faults of n page reads that were not
-// simulated (a windowed scan's skipped batches) as simulated reads draw
-// them, without scheduling anything; without a fault model it draws nothing.
-func (a *Array) DrawReadFaults(n int64) {
-	for ; n > 0 && a.faults.active(); n-- {
-		for try := 0; a.senseFails(try); try++ {
-		}
-	}
-}
+// ReadFaultsActive reports whether the read-fault model is drawing faults.
+func (a *Array) ReadFaultsActive() bool { return a.faults.active() }
 
 // SetTracer flushes the staged spans and installs the span sink for page
 // reads.
@@ -330,9 +339,9 @@ func (a *Array) FlushSpans() {
 
 // pageRead is one page read from issue to completion: queueing for the
 // plane, the sense (including read-retry rounds), and the bus transfer when
-// there is one. The stage callbacks are bound to the record when it is first
-// allocated and reused with it, so the chain schedules its events without
-// building a closure per stage.
+// there is one. The record's one callback, step, is bound when the record
+// is first used and reused with it; stage says what the next call does. So
+// the chain schedules its events without building a closure per stage.
 type pageRead struct {
 	a     *Array
 	plane *sim.Resource
@@ -342,39 +351,62 @@ type pageRead struct {
 	channel int
 	start   sim.Time
 	try     int
+	stage   readStage
 	// tracer is the span sink in force when the read was issued.
 	tracer *obs.Tracer
 	done   func()
-
-	granted, sensed, finished func()
+	step   func()
 }
+
+// readStage is what a read's step does next.
+type readStage uint8
+
+const (
+	awaitPlane readStage = iota // the plane is granted: start the sense
+	awaitSense                  // a sense completed
+	awaitBus                    // the last byte left the bus
+)
 
 func (a *Array) startRead(addr PageAddr, bus *sim.Link, done func()) {
 	a.stats.PageReads++
-	var r *pageRead
-	if n := len(a.freeReads); n > 0 {
-		r = a.freeReads[n-1]
-		a.freeReads = a.freeReads[:n-1]
-	} else {
-		r = &pageRead{a: a}
-		r.granted, r.sensed, r.finished = r.onGranted, r.onSensed, r.finish
+	if len(a.freeReads) == 0 {
+		slab := make([]pageRead, readSlab)
+		for i := range slab {
+			a.freeReads = append(a.freeReads, &slab[i])
+		}
 	}
-	r.plane, r.bus, r.channel = a.plane(addr), bus, addr.Channel
+	r := a.freeReads[len(a.freeReads)-1]
+	a.freeReads = a.freeReads[:len(a.freeReads)-1]
+	if r.step == nil {
+		r.a, r.step = a, r.advance
+	}
+	r.plane, r.bus, r.channel, r.stage = a.plane(addr), bus, addr.Channel, awaitPlane
 	r.start, r.try, r.tracer, r.done = a.e.Now(), 0, a.tracer, done
-	r.plane.Acquire(r.granted)
+	r.plane.Acquire(r.step)
 }
 
-// onGranted starts the array read (cell → page buffer) on the plane just
-// acquired.
-func (r *pageRead) onGranted() { r.a.e.After(r.a.timing.ReadLatency, r.sensed) }
+// advance runs the read's next stage.
+func (r *pageRead) advance() {
+	switch r.stage {
+	case awaitPlane:
+		// Start the array read (cell → page buffer) on the plane just
+		// acquired.
+		r.stage = awaitSense
+		r.a.e.After(r.a.timing.ReadLatency, r.step)
+	case awaitSense:
+		r.sensed()
+	default:
+		r.finish()
+	}
+}
 
-// onSensed runs when a sense completes with the plane still held, charging
+// sensed runs when a sense completes with the plane still held, charging
 // read-retry rounds to the simulated clock when the fault model is enabled.
-func (r *pageRead) onSensed() {
+func (r *pageRead) sensed() {
 	a := r.a
 	if a.faults.active() && a.senseFails(r.try) {
 		r.try++
-		a.e.After(a.faults.retryLatency(a.timing), r.sensed)
+		a.e.After(a.faults.retryLatency(a.timing), r.step)
 		return
 	}
 	// The page buffer is free for the next array read as soon as the data
@@ -386,7 +418,8 @@ func (r *pageRead) onSensed() {
 		return
 	}
 	a.stats.BusBytes += uint64(a.geom.PageBytes)
-	r.bus.Transfer(a.geom.PageBytes, r.finished)
+	r.stage = awaitBus
+	r.bus.Transfer(a.geom.PageBytes, r.step)
 }
 
 // finish stages the read's span, recycles the record and calls done.
@@ -415,7 +448,7 @@ func (a *Array) plane(addr PageAddr) *sim.Resource {
 	if !g.Valid(addr) {
 		panic(fmt.Sprintf("flash: address %+v outside geometry", addr))
 	}
-	return a.planes[(addr.Channel*g.ChipsPerChannel+addr.Chip)*g.PlanesPerChip+addr.Plane]
+	return &a.planes[(addr.Channel*g.ChipsPerChannel+addr.Chip)*g.PlanesPerChip+addr.Plane]
 }
 
 // ReadPage reads one page: the plane is busy for the array-read latency

@@ -406,53 +406,6 @@ func TestWarmedReadsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestDrawReadFaultsMatchesSerialReads: the reads a windowed scan skips
-// draw their faults as reads issued one after another would, from the same
-// injector stream, and without touching the calendar or the read count.
-func TestDrawReadFaultsMatchesSerialReads(t *testing.T) {
-	const reads = 500
-	faults := func(a *Array) {
-		if err := a.SetReadFaults(ReadFaults{ErrorRate: 0.4, MaxRetries: 2, Inj: fault.New(11)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := sim.NewEngine()
-	g := smallGeometry()
-	serial, _ := NewArray(e, g, DefaultTiming())
-	faults(serial)
-	n := 0
-	var next func()
-	next = func() {
-		if n++; n <= reads {
-			serial.ReadPage(g.FromLinear(int64(n)%g.TotalPages()), next)
-		}
-	}
-	next()
-	e.Run()
-
-	e2 := sim.NewEngine()
-	drawn, _ := NewArray(e2, g, DefaultTiming())
-	faults(drawn)
-	drawn.DrawReadFaults(reads)
-	want, got := serial.Stats(), drawn.Stats()
-	if got.ReadRetries != want.ReadRetries || got.ReadFailures != want.ReadFailures {
-		t.Errorf("drawn: %d retries, %d failures; %d serial reads: %d, %d",
-			got.ReadRetries, got.ReadFailures, reads, want.ReadRetries, want.ReadFailures)
-	}
-	if want.ReadFailures == 0 || want.ReadRetries <= want.ReadFailures {
-		t.Errorf("%d retries and %d failures: the draw loop's two exits went untested", want.ReadRetries, want.ReadFailures)
-	}
-	if got.PageReads != 0 || got.BusBytes != 0 || e2.Pending() != 0 || e2.Executed != 0 {
-		t.Errorf("drawing faults simulated something: %+v, %d pending, %d run", got, e2.Pending(), e2.Executed)
-	}
-
-	clean, _ := NewArray(sim.NewEngine(), g, DefaultTiming())
-	clean.DrawReadFaults(reads)
-	if clean.Stats() != (Stats{}) {
-		t.Errorf("without a fault model: %+v, want nothing counted", clean.Stats())
-	}
-}
-
 // TestPageReadSpansReachTracerInOrder: page-read spans are staged and reach
 // the tracer in the order the reads finished, on a flush, when a batch
 // fills, or when the tracer changes; a read's span goes to the tracer in

@@ -17,22 +17,34 @@ type Resource struct {
 	grants    uint64
 }
 
-// hold is the state of one Hold call from request to release. Its two stage
-// callbacks are bound when the record is first allocated and reused with it.
+// hold is the state of one Hold call from request to release. Its one
+// callback, step, is bound when the record is first allocated and reused
+// with it: the first call after a grant starts the hold, the second ends it.
 type hold struct {
 	r       *Resource
 	d       Duration
 	done    func()
-	granted func()
-	expired func()
+	running bool
+	step    func()
 }
 
 // NewResource creates a resource with the given server count (capacity >= 1).
 func NewResource(e *Engine, name string, capacity int) *Resource {
+	return &NewResources(e, capacity, name)[0]
+}
+
+// NewResources creates one resource per name, each with the given server
+// count, in a single slab: a model of thousands of identical units (the
+// planes of a flash array) builds them with one allocation.
+func NewResources(e *Engine, capacity int, names ...string) []Resource {
 	if capacity < 1 {
-		panic(fmt.Sprintf("sim: resource %q capacity %d < 1", name, capacity))
+		panic(fmt.Sprintf("sim: resource capacity %d < 1", capacity))
 	}
-	return &Resource{e: e, name: name, capacity: capacity}
+	rs := make([]Resource, len(names))
+	for i, name := range names {
+		rs[i] = Resource{e: e, name: name, capacity: capacity}
+	}
+	return rs
 }
 
 // Name returns the resource's diagnostic name.
@@ -81,17 +93,20 @@ func (r *Resource) Hold(d Duration, done func()) {
 		r.freeHolds = r.freeHolds[:n-1]
 	} else {
 		h = &hold{r: r}
-		h.granted, h.expired = h.grant, h.expire
+		h.step = h.advance
 	}
 	h.d, h.done = d, done
-	r.Acquire(h.granted)
+	r.Acquire(h.step)
 }
 
-func (h *hold) grant() { h.r.e.After(h.d, h.expired) }
-
-func (h *hold) expire() {
+func (h *hold) advance() {
+	if !h.running {
+		h.running = true
+		h.r.e.After(h.d, h.step)
+		return
+	}
 	r, done := h.r, h.done
-	h.done = nil
+	h.done, h.running = nil, false
 	r.freeHolds = append(r.freeHolds, h)
 	r.Release()
 	if done != nil {
