@@ -338,3 +338,66 @@ func sameEntryBits(t *testing.T, label string, got, want []topk.Entry) {
 		}
 	}
 }
+
+// TestSweepObjectIDs: every entry a sweep returns carries its feature's
+// object id, Geom.Linear(FeatureAddr(FeatureID)), though the walk looks one
+// up per flash page — on pages holding three or 128 features and with
+// features spanning two pages, over ranges that start and end mid-page,
+// with grouped channel runs (a channel's walk may end mid-page and the next
+// channel's start there) and under a bound tier whose skipped segments
+// jump the walk past pages. A top-K as wide as the range returns every
+// feature of it.
+func TestSweepObjectIDs(t *testing.T) {
+	const channels = 16
+	net := pruneTestNet()
+	vectors := clusteredVectors(channels*40+7, 5)
+	n := int64(len(vectors))
+	for _, pageBytes := range []int64{20, 96, 4 << 10} {
+		for _, prune := range []bool{false, true} {
+			opts := pruneTestOpts(prune)
+			opts.Device.Geometry.Channels = channels
+			opts.Device.Geometry.PageBytes = pageBytes
+			ds, model, db := buildPruneEngine(t, opts, net, vectors)
+			layout := ds.dbs[db].meta.Layout
+			if got, want := layout.FeaturesPerPage(), map[int64]int{20: 0, 96: 3, 4 << 10: 128}[pageBytes]; got != want {
+				t.Fatalf("page %d B: %d features per page, want %d", pageBytes, got, want)
+			}
+			skipped := int64(0)
+			for _, r := range [][2]int64{{0, n}, {5, n - 3}, {17, 301}, {40, 41}} {
+				key := scanKey{st: ds.dbs[db], net: ds.models[model], start: r[0], end: r[1]}
+				qfvs := make([][]float32, 32)
+				ks := make([]int, len(qfvs))
+				for q := range qfvs {
+					qfvs[q], ks[q] = vectors[(q*97+11)%len(vectors)], 1+q%12
+				}
+				ks[0] = int(r[1] - r[0])
+				if top, _ := sweepOne(ds, key, qfvs[0], ks[0], 1); len(top) != ks[0] {
+					t.Fatalf("[%d, %d): %d entries for a top-%d over the range", r[0], r[1], len(top), ks[0])
+				}
+				// All queries in one sweep, and each alone: a segment is
+				// jumped only when every query of the sweep skips it.
+				for _, workers := range []int{1, 3} {
+					name := fmt.Sprintf("page %d B/prune %v/[%d, %d)/workers %d", pageBytes, prune, r[0], r[1], workers)
+					check := func(q0, q1 int) {
+						tops, stats := ds.sweep(key, qfvs[q0:q1], ks[q0:q1], workers)
+						for q, top := range tops {
+							skipped += stats[q].FeaturesSkipped
+							for _, e := range top {
+								if want := uint64(layout.Geom.Linear(layout.FeatureAddr(e.FeatureID))); e.ObjectID != want {
+									t.Fatalf("%s: query %d: feature %d has object id %d, want %d", name, q0+q, e.FeatureID, e.ObjectID, want)
+								}
+							}
+						}
+					}
+					check(0, len(qfvs))
+					for q := range qfvs {
+						check(q, q+1)
+					}
+				}
+			}
+			if prune && skipped == 0 {
+				t.Errorf("page %d B: the bound tier skipped nothing, so no segment jump was walked", pageBytes)
+			}
+		}
+	}
+}

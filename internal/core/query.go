@@ -276,6 +276,9 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 	layout := st.meta.Layout
 	channels := layout.Geom.Channels
 	stride := int64(channels)
+	// A flash page holds perPage features of one channel (0: a feature
+	// spans pages), so a walk looks up one object id per page.
+	perPage := int64(layout.FeaturesPerPage())
 	tier := ds.pruneTier(st)
 	qt := ds.quantFor(st)
 	var qqs []nn.QuantQuery
@@ -350,6 +353,11 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 					for q, k := range ks {
 						qs[q] = topk.New(k)
 					}
+					// obj is the object id of the page feature i is on
+					// while onPage > 0, the features left on that page
+					// counting i; a jump past skipped features zeroes it.
+					var obj uint64
+					onPage := int64(0)
 					// Feature i lives on channel i mod Channels (§4.4
 					// striping), so the walk visits the stripe directly.
 					for i := key.start + ((int64(ch)-key.start)%stride+stride)%stride; i < key.end; {
@@ -369,14 +377,21 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 								}
 							}
 							if !anyActive {
-								i = segEnd
+								i, onPage = segEnd, 0
 								continue
 							}
 						}
 						for ; i < segEnd; i += stride {
 							gather(n, i)
 							ctx.ids[n] = i
-							ctx.objs[n] = uint64(layout.Geom.Linear(layout.FeatureAddr(i)))
+							if onPage == 0 {
+								obj, onPage = uint64(layout.Geom.Linear(layout.FeatureAddr(i))), 1
+								if perPage > 0 {
+									onPage = perPage - i/stride%perPage
+								}
+							}
+							onPage--
+							ctx.objs[n] = obj
 							ctx.chs[n] = ch
 							n++
 							if n == batch {

@@ -25,7 +25,9 @@ func textQANet() *Network {
 // sigmoid (TextQA-shaped), a concat FC stack (MIR-shaped), a subtract
 // conv net with padding (ReId-shaped, exercising the im2col path), an
 // element-wise layer mid-stack, and the two nets the fp32 executor's
-// live-output slice matters most to.
+// live-output slice matters most to, and a narrow two-layer subtract net.
+// fc-sigmoid, the QCN, TextQA and narrow-subtract are narrow: their fp32
+// batches take the lanes path.
 func batchTestNets() []*Network {
 	fcSig := MustNetwork("fc-sigmoid", tensor.Shape{96}, CombineHadamard,
 		NewFC("fc1", 96, 96, ActSigmoid),
@@ -45,7 +47,11 @@ func batchTestNets() []*Network {
 		NewElementwise("scale", 32, EWScale),
 		NewFC("fc", 32, 4, ActSigmoid),
 	)
-	nets := []*Network{fcSig, concat, conv, ew, qcnNeuronNet(), textQANet()}
+	narrow := MustNetwork("narrow-subtract", tensor.Shape{48}, CombineSubtract,
+		NewFC("fc1", 48, 3, ActReLU),
+		NewFC("fc2", 3, 1, ActSigmoid),
+	)
+	nets := []*Network{fcSig, concat, conv, ew, qcnNeuronNet(), textQANet(), narrow}
 	for i, n := range nets {
 		n.InitRandom(int64(i + 1))
 	}
@@ -269,13 +275,17 @@ func TestScoreBatchValidation(t *testing.T) { checkMisuse(t, false) }
 func TestScoreMultiValidation(t *testing.T) { checkMisuse(t, true) }
 
 // TestScoreBatchAllocFree: steady-state ScoreBatch and ScoreMulti calls
-// allocate nothing in either precision, nor does a Resident's ScoreAll,
-// Logits or a Put into a slot it has room for, nor Network.Activate — the
-// property that keeps the scan's and the cache sweep's hot loops off the
-// garbage collector.
+// allocate nothing in either precision, on the narrow lanes path as on the
+// combine path, nor does a Resident's ScoreAll, Logits or a Put into a slot
+// it has room for, nor Network.Activate — the property that keeps the
+// scan's and the cache sweep's hot loops off the garbage collector.
 func TestScoreBatchAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	narrow := 0
 	for _, net := range batchTestNets() {
+		if net.plan.lanesOut > 0 {
+			narrow++
+		}
 		qfvs := randVecs(rng, 3, net.FeatureElems())
 		pool := randVecs(rng, 32, net.FeatureElems())
 		qqs := []QuantQuery{PrepareQuantQuery(qfvs[0]), PrepareQuantQuery(qfvs[1]), PrepareQuantQuery(qfvs[2])}
@@ -299,5 +309,8 @@ func TestScoreBatchAllocFree(t *testing.T) {
 				t.Errorf("%s: %s allocates %v times per call", net.Name, name, n)
 			}
 		}
+	}
+	if narrow == 0 || narrow == len(batchTestNets()) {
+		t.Fatalf("%d of the test nets are narrow: both paths must be covered", narrow)
 	}
 }

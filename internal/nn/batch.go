@@ -39,7 +39,9 @@ type executor struct {
 	fcs []*quantFC
 	max int
 	fe  int // the network's FeatureElems
-	// comb is the combined activation matrix, max×plan.combElems.
+	// comb is the combined activation matrix, max×plan.combElems; for a
+	// narrow network it holds the raw feature rows as a max×fe lanes operand
+	// instead (DESIGN.md "Narrow first layers").
 	comb []float32
 	// bufs[i] receives Layers[i]'s output, max×plan.outElems[i].
 	bufs [][]float32
@@ -58,9 +60,13 @@ func newExecutor(n *Network, fcs []*quantFC, maxBatch int) executor {
 		panic(fmt.Sprintf("nn: batch scorer for %q needs maxBatch >= 1, got %d", n.Name, maxBatch))
 	}
 	p := &n.plan
+	combLen := maxBatch * p.combElems
+	if p.lanesOut > 0 {
+		combLen = tensor.LanesLen(maxBatch, p.combElems)
+	}
 	e := executor{
 		net: n, fcs: fcs, max: maxBatch, fe: n.FeatureElems(),
-		comb: make([]float32, maxBatch*p.combElems),
+		comb: make([]float32, combLen),
 		bufs: make([][]float32, len(n.Layers)),
 		col:  make([]float32, p.colLen),
 	}
@@ -98,14 +104,7 @@ func (e *executor) checkLen(kind string, i, got int) {
 // [base, base+rows) into comb; it runs once per chunk, not per row, which
 // keeps the indirect call off the per-row path.
 func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)) {
-	if len(scores) < nq {
-		panic(fmt.Sprintf("nn: %d score rows for %d queries", len(scores), nq))
-	}
-	for q := 0; q < nq; q++ {
-		if len(scores[q]) < nb {
-			panic(fmt.Sprintf("nn: %d scores for %d features (query %d)", len(scores[q]), nb, q))
-		}
-	}
+	checkScores(scores, nq, nb)
 	total := nq * nb
 	ce := e.net.plan.combElems
 	for base := 0; base < total; base += e.max {
@@ -116,6 +115,18 @@ func (e *executor) run(scores [][]float32, nq, nb int, fill func(base, rows int)
 		for r := 0; r < rows; r++ {
 			f := base + r
 			scores[f/nb][f%nb] = out[r*oe]
+		}
+	}
+}
+
+// checkScores panics unless scores has room for an nq×nb grid.
+func checkScores(scores [][]float32, nq, nb int) {
+	if len(scores) < nq {
+		panic(fmt.Sprintf("nn: %d score rows for %d queries", len(scores), nq))
+	}
+	for q := 0; q < nq; q++ {
+		if len(scores[q]) < nb {
+			panic(fmt.Sprintf("nn: %d scores for %d features (query %d)", len(scores[q]), nb, q))
 		}
 	}
 }
@@ -157,9 +168,26 @@ func (e *executor) forward(first int, in []float32, inElems, rows int) ([]float3
 	return in, inElems
 }
 
+// forwardLanes is forward for a narrow network from its lanes operand:
+// Layers[0] through tensor.GemmLanes over qfv and the first rows rows of
+// lanes, its plan.lanesOut computed outputs alone, then the rest of the
+// stack. Row for row it is the combine and forward(0) bit for bit, the
+// combine's rounding taken in the kernel.
+func (e *executor) forwardLanes(qfv, lanes []float32, rows int) ([]float32, int) {
+	p := &e.net.plan
+	fc, n := e.net.Layers[0].(*FC), p.lanesOut
+	out := e.bufs[0][:rows*n]
+	tensor.GemmLanes(out, qfv, lanes[:tensor.LanesLen(rows, e.fe)], fc.W[:n*fc.In], fc.B[:n], rows, n, e.fe, p.lanesOp)
+	if len(e.net.Layers) > 1 {
+		fc.Act.apply(out)
+	}
+	return e.forward(1, out, n, rows)
+}
+
 // BatchScorer is the batched float32 counterpart of Scorer: the executor
-// with rows filled by the network's fp32 combine. Like Scorer it is
-// per-worker state, NOT safe for concurrent use.
+// with rows filled by the network's fp32 combine or, for a narrow network,
+// with the raw feature rows packed for GemmLanes (runLanes). Like Scorer it
+// is per-worker state, NOT safe for concurrent use.
 type BatchScorer struct{ executor }
 
 // BatchScorer returns a batched scorer processing up to maxBatch features
@@ -200,6 +228,10 @@ func (s *BatchScorer) ScoreMulti(scores [][]float32, qfvs [][]float32, dfvs [][]
 	for b, dfv := range dfvs {
 		s.checkLen("dfv", b, len(dfv))
 	}
+	if s.net.plan.lanesOut > 0 {
+		s.runLanes(scores, qfvs, dfvs)
+		return
+	}
 	ce := s.net.plan.combElems
 	s.run(scores, nq, nb, func(base, rows int) {
 		for r := 0; r < rows; r++ {
@@ -207,4 +239,27 @@ func (s *BatchScorer) ScoreMulti(scores [][]float32, qfvs [][]float32, dfvs [][]
 			s.net.combine(s.comb[r*ce:(r+1)*ce], qfvs[f/nb], dfvs[f%nb])
 		}
 	})
+}
+
+// runLanes is ScoreMulti for a narrow network: per chunk of up to MaxBatch
+// features it packs the raw rows into comb once, as a lanes operand, and
+// runs forwardLanes once per query over them — no combined rows and no
+// zero-padded columns, and the pack is shared by every query.
+func (s *BatchScorer) runLanes(scores, qfvs, dfvs [][]float32) {
+	nb := len(dfvs)
+	checkScores(scores, len(qfvs), nb)
+	act := s.net.scoreAct()
+	for b0 := 0; b0 < nb; b0 += s.max {
+		rows := min(nb-b0, s.max)
+		lanes := s.comb[:tensor.LanesLen(rows, s.fe)]
+		tensor.PackLanes(lanes, dfvs[b0:b0+rows], s.fe)
+		for q, qfv := range qfvs {
+			out, oe := s.forwardLanes(qfv, lanes, rows)
+			act.apply(out)
+			dst := scores[q][b0 : b0+rows]
+			for r := range dst {
+				dst[r] = out[r*oe]
+			}
+		}
+	}
 }

@@ -85,7 +85,21 @@ type plan struct {
 	// the score element (0 when the stack does not end in an FC). The fp32
 	// executor computes only those; see DESIGN.md "Live outputs".
 	liveOut int
+	// lanesOut is how many outputs of Layers[0] the fp32 executors compute
+	// through tensor.GemmLanes, the combine and the dot products in one
+	// pass, with lanesOp as the combine: 0 unless the network is narrow —
+	// a Hadamard or Subtract combine into an FC with fewer than
+	// narrowCols computed outputs (only the live ones when it is also the
+	// last layer). See DESIGN.md "Narrow first layers".
+	lanesOut int
+	lanesOp  tensor.LaneOp
 }
+
+// narrowCols bounds the first-layer outputs a narrow network computes
+// through GemmLanes. The lanes kernel redoes the combine for every output
+// column, which pays for a one-neuron QCN or a first FC cut to its score; a
+// wider first layer runs the combine once and Gemm's 16×4 tile.
+const narrowCols = 4
 
 // NewNetwork builds a network and validates that the layer stack is
 // shape-consistent with the combined input.
@@ -146,7 +160,30 @@ func NewNetwork(name string, featureShape tensor.Shape, combine CombineOp, layer
 	if err != nil {
 		return nil, err
 	}
+	n.planLanes()
 	return n, nil
+}
+
+// planLanes sets plan.lanesOut and plan.lanesOp when the network is narrow.
+func (n *Network) planLanes() {
+	if len(n.Layers) == 0 || !n.Combine.IsElementwise() {
+		return
+	}
+	fc, ok := n.Layers[0].(*FC)
+	if !ok {
+		return
+	}
+	out := fc.Out
+	if len(n.Layers) == 1 {
+		out = n.plan.liveOut
+	}
+	if out >= narrowCols {
+		return
+	}
+	n.plan.lanesOut, n.plan.lanesOp = out, tensor.LaneMul
+	if n.Combine == CombineSubtract {
+		n.plan.lanesOp = tensor.LaneSub
+	}
 }
 
 // MustNetwork is NewNetwork that panics on error; for static model zoo

@@ -11,12 +11,6 @@ import (
 // the four 16-slot blocks of one fused lanes-kernel call.
 const residentGroup = 4 * tensor.LaneRows
 
-// residentLanesCols bounds the first-layer outputs a Resident computes
-// through GemmLanes. The lanes kernel redoes the combine for every output
-// column, which pays for the one-neuron QCN the benchmarks measure; a wider
-// first layer unpacks and runs through Gemm's 16×4 tile, as ScoreBatch does.
-const residentLanesCols = 4
-
 // Resident is a network's store of feature vectors by slot: the query
 // cache's resident queries (§4.6), which the paper keeps in SSD DRAM for the
 // channel accelerators to stream. Put writes a vector once, into the layout
@@ -26,13 +20,12 @@ const residentLanesCols = 4
 // read in place on every call, so a network rewritten after its Resident was
 // built is the network the Resident runs.
 //
-// A Hadamard or Subtract network whose first layer is an FC with fewer than
-// four outputs — counting only the score output when the FC is also the last
-// layer — runs that layer through GemmLanes: the combine and the dot
-// products in one pass. Any other network unpacks each slot into a combined
-// row. Either way the rest of the stack is
-// the batched executor's forward pass, 64 slots at a time, so every score is
-// bit-identical to BatchScorer.ScoreBatch over the same vectors.
+// A narrow network (DESIGN.md "Narrow first layers") runs its first layer
+// through GemmLanes straight from the store, as BatchScorer does from its
+// packed chunk: the combine and the dot products in one pass. Any other
+// network unpacks each slot into a combined row. Either way the rest of the
+// stack is the batched executor's forward pass, 64 slots at a time, so every
+// score is bit-identical to BatchScorer.ScoreBatch over the same vectors.
 //
 // The store grows with the highest slot used, 64 slots at a time, up to its
 // capacity. A Resident is NOT safe for concurrent use.
@@ -41,12 +34,7 @@ type Resident struct {
 	capacity int
 	// lanes holds slot s's element p at lane(s)[p·16].
 	lanes []float32
-	// first is the network's first layer when it runs through GemmLanes (nil
-	// otherwise), n the outputs computed there and op the combine.
-	first *FC
-	n     int
-	op    tensor.LaneOp
-	// dfv is one unpacked vector, for the networks that unpack.
+	// dfv is one unpacked vector, for the networks that are not narrow.
 	dfv []float32
 }
 
@@ -56,25 +44,7 @@ func (n *Network) Resident(capacity int) *Resident {
 		panic(fmt.Sprintf("nn: resident store for %q needs capacity >= 1, got %d", n.Name, capacity))
 	}
 	r := &Resident{exec: newExecutor(n, nil, residentGroup), capacity: capacity}
-	var fc *FC
-	out := 0
-	if len(n.Layers) > 0 {
-		fc, _ = n.Layers[0].(*FC)
-	}
-	if fc != nil {
-		out = fc.Out
-		if len(n.Layers) == 1 && n.plan.liveOut > 0 {
-			out = n.plan.liveOut
-		}
-	}
-	switch {
-	case out == 0 || out >= residentLanesCols:
-	case n.Combine == CombineHadamard:
-		r.first, r.n, r.op = fc, out, tensor.LaneMul
-	case n.Combine == CombineSubtract:
-		r.first, r.n, r.op = fc, out, tensor.LaneSub
-	}
-	if r.first == nil {
+	if n.plan.lanesOut == 0 {
 		r.dfv = make([]float32, n.FeatureElems())
 	}
 	return r
@@ -122,14 +92,10 @@ func (r *Resident) Logits(logits, qfv []float32) {
 	fe, ce := e.fe, e.net.plan.combElems
 	for g0 := 0; g0 < m; g0 += residentGroup {
 		rows := min(m-g0, residentGroup)
-		in, inElems, next := e.comb, ce, 0
-		if fc := r.first; fc != nil {
-			in, inElems, next = e.bufs[0][:rows*r.n], r.n, 1
-			tensor.GemmLanes(in, qfv, r.lanes[g0*fe:][:tensor.LanesLen(rows, fe)],
-				fc.W[:r.n*fc.In], fc.B[:r.n], rows, r.n, fe, r.op)
-			if len(e.net.Layers) > 1 {
-				fc.Act.apply(in)
-			}
+		var out []float32
+		var oe int
+		if e.net.plan.lanesOut > 0 {
+			out, oe = e.forwardLanes(qfv, r.lanes[g0*fe:], rows)
 		} else {
 			for i := 0; i < rows; i++ {
 				lane := r.lane(g0 + i)
@@ -138,8 +104,8 @@ func (r *Resident) Logits(logits, qfv []float32) {
 				}
 				e.net.combine(e.comb[i*ce:(i+1)*ce], qfv, r.dfv)
 			}
+			out, oe = e.forward(0, e.comb, ce, rows)
 		}
-		out, oe := e.forward(next, in, inElems, rows)
 		for i := 0; i < rows; i++ {
 			logits[g0+i] = out[i*oe]
 		}

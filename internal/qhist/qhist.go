@@ -465,22 +465,40 @@ func Digest(topK []topk.Entry) uint64 {
 
 // groupBin quantizes one vector element into a coarse bin (width 0.25) so
 // that small jitter usually lands repeats of the same semantic query in the
-// same group.
+// same group. NaN and bins outside int32 are MinInt32: Go leaves that
+// conversion to the platform, and a group key is persisted in history
+// records and checkpoint images, so it must not depend on the machine.
+// MinInt32 is what amd64 has always given them.
 func groupBin(v float32) int32 {
-	return int32(math.Round(float64(v) * 4))
+	r := math.Round(float64(v) * 4)
+	if !(r >= math.MinInt32 && r <= math.MaxInt32) {
+		return math.MinInt32
+	}
+	return int32(r)
 }
 
+// FNV-1a's 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // GroupOf fingerprints a query vector into its history group: FNV-1a over
-// the coarsely quantized dimensions. Deterministic; identical vectors always
-// share a group.
+// the coarsely quantized dimensions, each bin's four little-endian bytes.
+// Deterministic; identical vectors always share a group. The hash is
+// computed inline: hash/fnv gives the same value through one interface
+// Write per dimension.
 func GroupOf(qfv []float32) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
+	h := uint64(fnvOffset64)
 	for _, v := range qfv {
-		binary.LittleEndian.PutUint32(b[:], uint32(groupBin(v)))
-		h.Write(b[:])
+		b := uint32(groupBin(v))
+		for range 4 {
+			h ^= uint64(b & 0xff)
+			h *= fnvPrime64
+			b >>= 8
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // GroupStat aggregates one query group's history.
@@ -504,13 +522,33 @@ func (g GroupStat) AdmissionScore(nowSeq uint64) float64 {
 	if g.Count <= 0 {
 		return 0
 	}
-	age := float64(0)
+	age := uint64(0)
 	if nowSeq > g.LastSeq {
-		age = float64(nowSeq - g.LastSeq - 1)
+		age = nowSeq - g.LastSeq - 1
 	}
-	decay := math.Exp2(-age / DefaultHalfLifeRecords)
+	decay := decayOf(age)
 	accuracy := float64(g.Hits+1) / float64(g.Count+2)
 	return float64(g.Count) * decay * accuracy
+}
+
+// decayTable holds AdmissionScore's recency decay for every age a retained
+// record can have, built with the very expression decayOf falls back to,
+// so a read is bit-identical to computing it.
+var decayTable = func() *[retainRecords]float64 {
+	var t [retainRecords]float64
+	for age := range t {
+		t[age] = math.Exp2(-float64(age) / DefaultHalfLifeRecords)
+	}
+	return &t
+}()
+
+// decayOf is 2^(-age/DefaultHalfLifeRecords): a table read inside the
+// retention window, math.Exp2 past it.
+func decayOf(age uint64) float64 {
+	if age < retainRecords {
+		return decayTable[age]
+	}
+	return math.Exp2(-float64(age) / DefaultHalfLifeRecords)
 }
 
 // MineGroups folds the hot records into per-group statistics. Pure function

@@ -187,6 +187,98 @@ func TestGroupOfStability(t *testing.T) {
 	}
 }
 
+// TestGroupBinPortable pins the bins Go leaves to the platform — NaN and
+// values whose bin falls outside int32 — to MinInt32, amd64's value, so a
+// persisted group key does not depend on the machine; the largest float32
+// below the 2³¹/4 edge and everything down to −2³¹/4 bin as usual.
+func TestGroupBinPortable(t *testing.T) {
+	edge := float32(1 << 29) // 4·edge = 2³¹, one past MaxInt32
+	below := math.Nextafter32(edge, 0)
+	for _, c := range []struct {
+		v    float32
+		want int32
+	}{
+		{float32(math.NaN()), math.MinInt32},
+		{float32(math.Inf(1)), math.MinInt32},
+		{float32(math.Inf(-1)), math.MinInt32},
+		{1e10, math.MinInt32},
+		{-1e10, math.MinInt32},
+		{math.MaxFloat32, math.MinInt32},
+		{edge, math.MinInt32},
+		{below, int32(4 * float64(below))},
+		{-edge, math.MinInt32},
+		{-below, -int32(4 * float64(below))},
+		{math.Nextafter32(-edge, float32(math.Inf(-1))), math.MinInt32},
+		{0.125, 1},
+		{-0.125, -1},
+		{0.1, 0},
+		{float32(math.Copysign(0, -1)), 0},
+	} {
+		if got := groupBin(c.v); got != c.want {
+			t.Errorf("groupBin(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
+// TestGroupOfMatchesFNV: the inline hash is hash/fnv's 64-bit FNV-1a over
+// each bin's four little-endian bytes, on random vectors with specials
+// mixed in and on the empty vector.
+func TestGroupOfMatchesFNV(t *testing.T) {
+	ref := func(qfv []float32) uint64 {
+		h := fnv.New64a()
+		var b [4]byte
+		for _, v := range qfv {
+			binary.LittleEndian.PutUint32(b[:], uint32(groupBin(v)))
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	rng := rand.New(rand.NewSource(5))
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e10, -3e9, 0}
+	for i := 0; i < 500; i++ {
+		v := make([]float32, rng.Intn(260))
+		for d := range v {
+			v[d] = (rng.Float32()*2 - 1) * float32(math.Pow(10, float64(rng.Intn(6))))
+			if rng.Intn(20) == 0 {
+				v[d] = specials[rng.Intn(len(specials))]
+			}
+		}
+		if got, want := GroupOf(v), ref(v); got != want {
+			t.Fatalf("vector %d (%d dims): GroupOf = %x, hash/fnv gives %x", i, len(v), got, want)
+		}
+	}
+}
+
+// TestAdmissionScoreDecayTable: the tabled decay gives AdmissionScore the
+// bits of the math.Exp2 formula at every age from 0 to past the table's
+// edge, and at ages far beyond it, where the table falls back to Exp2.
+func TestAdmissionScoreDecayTable(t *testing.T) {
+	formula := func(g GroupStat, now uint64) float64 {
+		age := float64(0)
+		if now > g.LastSeq {
+			age = float64(now - g.LastSeq - 1)
+		}
+		return float64(g.Count) * math.Exp2(-age/DefaultHalfLifeRecords) * (float64(g.Hits+1) / float64(g.Count+2))
+	}
+	g := GroupStat{Count: 7, Hits: 3, LastSeq: 1000}
+	check := func(now uint64) {
+		t.Helper()
+		if got, want := g.AdmissionScore(now), formula(g, now); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("now %d (LastSeq %d): AdmissionScore = %v, formula gives %v", now, g.LastSeq, got, want)
+		}
+	}
+	for now := uint64(0); now <= g.LastSeq+retainRecords+64; now++ {
+		check(now)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 2000; i++ {
+		check(g.LastSeq + retainRecords + uint64(rng.Int63n(1<<40)))
+	}
+	for _, now := range []uint64{g.LastSeq + retainRecords, g.LastSeq + retainRecords + 1, math.MaxUint64} {
+		check(now)
+	}
+}
+
 func TestMineGroupsAndScore(t *testing.T) {
 	s := NewStore()
 	qa := []float32{1, 0}

@@ -36,8 +36,8 @@ import "fmt"
 //     W[j+r][p] and issues VMULPS then VADDPS into 8 YMM accumulators — a
 //     16×4 tile of C, 64 MACs per k step. No FMA: fusing drops the
 //     product's rounding and would break the contract. The last n&3
-//     columns — all of them when n < 4: a one-neuron QCN, a final FC cut
-//     down to its score (nn's live outputs) — are one more tile whose
+//     columns — all of them when n < 4: a final FC cut down to its score
+//     behind other layers (nn's live outputs) — are one more tile whose
 //     missing W rows are a shared row of zeros and whose C is a 16×4
 //     staging tile on the stack; the tile holds the partial sums across K
 //     panels and only its live rows and columns are copied out. The lanes

@@ -13,7 +13,7 @@ const (
 func init() {
 	if hasAVX2() {
 		gemmSIMD, mulSIMD, subSIMD, gemmLanesSIMD = gemmAVX2, mulAVX, subAVX, gemmLanesAVX2
-		reluSIMD = true
+		reluSIMD, packLanesSIMD = true, true
 	}
 	if hasAVX512() {
 		gemmSIMD = gemmAVX512
@@ -91,6 +91,15 @@ func gemmKernelAVX512(c *float32, ldc int, ap *float32, w *[gemmNRZ]*float32, bi
 //go:noescape
 func packA16AVX2(ap, a *float32, lda, kb int)
 
+// packLanes8AVX2 writes eight rows of a lanes block for kb columns, kb a
+// positive multiple of 4: ap[p*16+l] = rows[l][p] for l < 8, the other eight
+// lanes of each panel row untouched. Four columns of the eight rows go
+// through one in-register 4×4 transpose per 128-bit half, as in
+// packA16AVX2.
+//
+//go:noescape
+func packLanes8AVX2(ap *float32, rows *[8]*float32, kb int)
+
 // gemmPanels keeps the SIMD kernels' packed A panels between calls: a call
 // takes one (or makes one when none is free) and gives it back, so no more
 // panels exist than calls ever ran at once, and at most 64 are kept. A
@@ -123,8 +132,8 @@ func givePanel(panel *[gemmLanes * gemmKC]float32) {
 var gemmZeroRow [gemmKC]float32
 
 // gemmAVX2 is the gemmSIMD of AVX2 machines: every column. The last n&3
-// columns — all of them when n < 4, which is a one-neuron QCN and every
-// final FC cut down to its score — run through the same 16×4 kernel with
+// columns — all of them when n < 4, which is a final FC cut down to its
+// score behind other layers — run through the same 16×4 kernel with
 // gemmZeroRow as the missing W rows, into the staging tile ct: the tile
 // carries the partial sums from one K panel to the next, and only its live
 // rows and columns are ever copied to C. The padded columns compute on zeros

@@ -350,3 +350,44 @@ pack:
 	JNZ pack
 	VZEROUPPER
 	RET
+
+// func packLanes8AVX2(ap *float32, rows *[8]*float32, kb int)
+//
+// packA16AVX2's inner step for eight rows that are separate vectors: each
+// iteration loads four columns of every row, rows 0–3 into the low halves
+// of Y0–Y3 and rows 4–7 into the high halves, and TRANSPOSE4 turns them into
+// four 8-lane half-rows of the panel, 64 bytes apart.
+TEXT ·packLanes8AVX2(SB), NOSPLIT, $0-24
+	MOVQ ap+0(FP), DI
+	MOVQ rows+8(FP), AX
+	MOVQ kb+16(FP), CX
+	SHRQ $2, CX
+	MOVQ 0(AX), SI
+	MOVQ 8(AX), BX
+	MOVQ 16(AX), DX
+	MOVQ 24(AX), R8
+	MOVQ 32(AX), R9
+	MOVQ 40(AX), R10
+	MOVQ 48(AX), R11
+	MOVQ 56(AX), R12
+	XORQ AX, AX // byte offset of the current column in every row
+lanespack:
+	VMOVUPS (SI)(AX*1), X0
+	VMOVUPS (BX)(AX*1), X1
+	VMOVUPS (DX)(AX*1), X2
+	VMOVUPS (R8)(AX*1), X3
+	VINSERTF128 $1, (R9)(AX*1), Y0, Y0
+	VINSERTF128 $1, (R10)(AX*1), Y1, Y1
+	VINSERTF128 $1, (R11)(AX*1), Y2, Y2
+	VINSERTF128 $1, (R12)(AX*1), Y3, Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 64(DI)
+	VMOVUPS Y2, 128(DI)
+	VMOVUPS Y3, 192(DI)
+	ADDQ $16, AX
+	ADDQ $256, DI
+	DECQ CX
+	JNZ lanespack
+	VZEROUPPER
+	RET

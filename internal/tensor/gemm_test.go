@@ -482,6 +482,13 @@ func TestGemmAllocFree(t *testing.T) {
 			t.Fatalf("GemmLanes with %d columns allocates %v times per call", n, allocs)
 		}
 	}
+	packed := make([][]float32, 13)
+	for i := range packed {
+		packed[i] = a[i*700:][:700]
+	}
+	if n := testing.AllocsPerRun(10, func() { PackLanes(lanes, packed, 700) }); n != 0 {
+		t.Fatalf("PackLanes allocates %v times per call", n)
+	}
 	in := randSlice(rng, 8*6*3)
 	cw := randSlice(rng, 5*3*3*3)
 	cb := randSlice(rng, 5)

@@ -24,9 +24,9 @@ func lanesSubAVX2(out, q, w, b0, b1, b2, b3 *float32, k int)
 // once per column over 64-row groups. A group that runs past A's last block
 // reads that block again in place of the missing ones, and only the live
 // rows are copied to C, the bias added on the way. It is built for the
-// narrow products of a query cache — a one-neuron QCN, or a first FC cut to
-// its score — and redoes the combine for every column, so wider products
-// are left to Gemm (nn.Resident sends them there).
+// narrow first layers — a one-neuron QCN, or a first FC cut to its score —
+// and redoes the combine for every column, so wider products are left to
+// Gemm (nn's narrow-layer rule sends them there).
 func gemmLanesAVX2(c, q, a, w, bias []float32, m, n, k int, op LaneOp) {
 	blk := LaneRows * k
 	last := len(a)/blk - 1

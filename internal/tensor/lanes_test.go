@@ -152,3 +152,68 @@ func TestGemmLanesValidation(t *testing.T) {
 	GemmLanes(nil, q, nil, w, nil, 0, 2, 3, LaneMul)
 	GemmLanes(nil, q, a, nil, nil, 5, 0, 3, LaneMul)
 }
+
+// TestPackLanes: PackLanes, with the SIMD kernel where the machine has one
+// and with the Go loops alone, puts every element of every row — specials
+// included — where toLanes puts it, at every ragged row count and column
+// count around the kernel's 8-row and 4-column steps, and leaves the
+// padding lanes of the last block as they were.
+func TestPackLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)),
+		float32(math.Inf(-1)), float32(math.NaN()), math.Float32frombits(1)}
+	sentinel := math.Float32frombits(0x7fa5a5a5)
+	kernels := []bool{false}
+	if packLanesSIMD {
+		kernels = append(kernels, true)
+	}
+	for _, m := range []int{0, 1, 7, 8, 9, 15, 16, 17, 24, 31, 33, 64, 65, 130} {
+		for _, k := range []int{0, 1, 3, 4, 5, 8, 11, 200, 203} {
+			flat := randSlice(rng, m*k)
+			for i := range flat {
+				if rng.Intn(7) == 0 {
+					flat[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			rows := make([][]float32, m)
+			for i := range rows {
+				rows[i] = flat[i*k : (i+1)*k : (i+1)*k]
+			}
+			want := toLanes(flat, m, k, sentinel)
+			for _, simd := range kernels {
+				got := make([]float32, LanesLen(m, k))
+				for i := range got {
+					got[i] = sentinel
+				}
+				packLanes(got, rows, k, simd)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("m=%d k=%d simd=%v: element %d = %x, want %x",
+							m, k, simd, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackLanesValidation: a wrong operand length, a row of the wrong
+// length and a negative k panic.
+func TestPackLanesValidation(t *testing.T) {
+	rows := [][]float32{make([]float32, 3), make([]float32, 3)}
+	a := make([]float32, LanesLen(2, 3))
+	for name, call := range map[string]func(){
+		"a":        func() { PackLanes(a[:5], rows, 3) },
+		"row":      func() { PackLanes(a, [][]float32{rows[0], rows[1][:2]}, 3) },
+		"negative": func() { PackLanes(a, nil, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
