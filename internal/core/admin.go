@@ -27,26 +27,28 @@ func (ds *DeepStore) DeleteDB(id ftl.DBID) error {
 	if st.migrating {
 		return fmt.Errorf("%w: deleteDB of database %d", ErrMigrating, id)
 	}
-	if err := ds.dev.FTL.DeleteDB(id); err != nil {
+	if err := ds.dev.DeleteDB(id); err != nil {
 		return err
 	}
 	delete(ds.dbs, id)
 	return nil
 }
 
-// CompactFlash runs the FTL's garbage collection, relocating databases to
-// coalesce free block columns. Returns the number of columns moved.
+// CompactFlash runs on demand the garbage collection an allocation runs when
+// no free run fits, charged alike. Returns the number of columns moved.
 func (ds *DeepStore) CompactFlash() int {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	moved := ds.dev.FTL.Compact()
-	// Relocation changed physical addresses; refresh cached metadata.
-	for id, st := range ds.dbs {
-		if meta, ok := ds.dev.FTL.Lookup(id); ok {
-			st.meta = meta
-		}
+	return ds.dev.Compact()
+}
+
+// clearCache empties the query cache (core_qcache_clears): after a relocation
+// or a reorg its answers name stale ObjectIDs or FeatureIDs.
+func (ds *DeepStore) clearCache() {
+	if ds.qc != nil {
+		ds.qc.Clear()
+		ds.obs.Counter("core_qcache_clears").Inc()
 	}
-	return moved
 }
 
 // ReorgDB rewrites a database in a new feature order (an internal/reorg
@@ -54,7 +56,8 @@ func (ds *DeepStore) CompactFlash() int {
 // The migration is charged in the device model: every data page is read,
 // staged through controller DRAM, and reprogrammed. The derived tables are
 // rebuilt from scratch atomically with the move (refreshTables: every
-// stripe's membership and every int8 slot changed).
+// stripe's membership and every int8 slot changed), and the query cache is
+// cleared: its answers name the old feature order.
 func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -77,6 +80,7 @@ func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 		Depth: ssd.IssueAll, Prefix: "ssd_reorg", Span: obs.SpanReorg}, nil)
 	ds.engine.Run()
 	st.vectors = moved
+	ds.clearCache()
 	ds.refreshTables(st, 0) // every slot moved
 	return nil
 }
@@ -91,12 +95,9 @@ func (ds *DeepStore) Checkpoint() ([]byte, error) {
 	defer ds.mu.Unlock()
 	if ds.hist != nil {
 		ds.dev.FTL.DropRegion(ftl.HistOwner, ftl.HistRegion) // rewritten whole
-		table, _, err := ds.dev.FTL.SetRegion(ftl.HistOwner, ds.dev.Config.Geometry,
-			ftl.Region{Kind: ftl.HistRegion, Payload: ds.hist.Snapshot()})
-		if err != nil {
+		if err := ds.dev.PlaceRegion(ftl.HistOwner, ftl.Region{Kind: ftl.HistRegion, Payload: ds.hist.Snapshot()}, nil); err != nil {
 			return nil, fmt.Errorf("core: checkpoint history: %w", err)
 		}
-		ds.dev.ProgramTable(table, table.ChannelSpan)
 	}
 	img, err := ds.dev.PersistMetadata()
 	if err != nil {

@@ -346,6 +346,7 @@ func New(opts Options) (*DeepStore, error) {
 	}
 	ds.tracer.CountDrops(ds.obs.Counter("obs_tracer_dropped_spans"))
 	dev.AttachObs(ds.obs, ds.tracer)
+	dev.OnRelocate = ds.clearCache
 	ds.pools.batch = ds.scoreBatch()
 	ds.pools.quantized = opts.Quantized
 	if opts.History {

@@ -581,10 +581,10 @@ func TestHistoryPrefetchAndReorg(t *testing.T) {
 		}
 		seen[src] = true
 	}
-	if err := e.ds.SetQC(scaledQCN(fe), 1.0, 4, 0.2); err != nil { // drop stale cache entries
-		t.Fatal(err)
+	after := e.query(t, qfvs[0], 4) // ReorgDB cleared the cache: a fresh scan
+	if after.CacheHit {
+		t.Fatal("the query after a reorg hit the cache")
 	}
-	after := e.query(t, qfvs[0], 4)
 	var sb, sa []float32
 	for i := range before.TopK {
 		sb = append(sb, before.TopK[i].Score)

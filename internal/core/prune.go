@@ -9,7 +9,7 @@ import (
 // materialized database carries a table of per-(channel, stripe) envelopes —
 // per-dimension float32 extrema plus a rounded-up max norm — built at
 // write/append/reorg time, persisted page-aligned as an ftl.BoundRegion
-// through ssd.ProgramTable, and mirrored here in controller DRAM. At query time
+// through ssd.PlaceRegion, and mirrored here in controller DRAM. At query time
 // the sweep evaluates nn.BoundScorer.UpperBound against the shard's top-K
 // floor at each stripe entry and skips stripes that cannot beat it.
 // Skipping is sound, not approximate: a stripe is skipped only when its
@@ -101,11 +101,6 @@ func (ds *DeepStore) refreshBoundTier(st *dbState, oldFeatures int64) {
 		bt = &boundTier{stripeFeatures: sf, entryBytes: boundEntryBytes(dims), envs: make([][]nn.Envelope, layout.Geom.Channels)}
 		ds.dev.FTL.DropRegion(st.meta.ID, ftl.BoundRegion)
 	}
-	table, fresh, err := ds.dev.FTL.SetRegion(st.meta.ID, layout.Geom,
-		ftl.Region{Kind: ftl.BoundRegion, StripeFeatures: sf, EntryBytes: boundEntryBytes(dims)})
-	if err != nil {
-		return
-	}
 	before := layout
 	before.Features = oldFeatures
 	// dirty is channel ch's stripe span [first, stripes) holding new slots.
@@ -116,16 +111,16 @@ func (ds *DeepStore) refreshBoundTier(st *dbState, oldFeatures int64) {
 		}
 		return s0 / sf, stripes
 	}
+	if err := ds.dev.PlaceRegion(st.meta.ID, ftl.Region{Kind: ftl.BoundRegion, StripeFeatures: sf, EntryBytes: boundEntryBytes(dims)},
+		func(table ftl.DBLayout, ch int) (int64, int64) { return table.SlotPages(dirty(ch)) }); err != nil {
+		ds.obs.Counter("core_table_place_failures").Inc() // the device is full
+		return
+	}
 	for ch := range bt.envs {
 		first, stripes := dirty(ch)
 		for seg := first; seg < stripes; seg++ {
 			bt.envs[ch] = append(bt.envs[ch][:seg], stripeEnvelope(st.vectors, layout, int(dims), ch, seg, sf))
 		}
 	}
-	pages := table.ChannelSpan
-	if !fresh {
-		pages = func(ch int) (int64, int64) { return table.SlotPages(dirty(ch)) }
-	}
-	ds.dev.ProgramTable(table, pages)
 	st.bounds = bt
 }

@@ -9,7 +9,7 @@ import (
 // materialized database on a quantized engine carries an int8 image of its
 // feature vectors — symmetric per-vector max-abs quantization, built once at
 // writeDB time, persisted page-aligned as an ftl.QuantRegion through
-// ssd.ProgramTable (per-vector scales live in the page spare area), and
+// ssd.PlaceRegion (per-vector scales live in the page spare area), and
 // mirrored here in controller DRAM. Quantized scans read the int8 table
 // instead of the fp32 data, so flash, NoC, and DRAM traffic are charged at 1
 // byte per element and the systolic arrays run at INT8 (4 MACs/PE, cheaper
@@ -49,16 +49,12 @@ func (ds *DeepStore) refreshQuantState(st *dbState, oldFeatures int64) {
 		qs = &quantState{vecs: make([]nn.QuantizedVector, 0, len(st.vectors))}
 		ds.dev.FTL.DropRegion(st.meta.ID, ftl.QuantRegion)
 	}
-	table, fresh, err := ds.dev.FTL.SetRegion(st.meta.ID, st.meta.Layout.Geom,
-		ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1})
-	if err != nil {
+	if err := ds.dev.PlaceRegion(st.meta.ID, ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1}, func(table ftl.DBLayout, ch int) (int64, int64) {
+		return table.ChannelRangePages(ch, oldFeatures, table.Features)
+	}); err != nil {
+		ds.obs.Counter("core_table_place_failures").Inc() // the device is full
 		return
 	}
-	pages := table.ChannelSpan
-	if !fresh {
-		pages = func(ch int) (int64, int64) { return table.ChannelRangePages(ch, oldFeatures, table.Features) }
-	}
-	ds.dev.ProgramTable(table, pages)
 	qs.vecs = qs.vecs[:oldFeatures]
 	for _, v := range st.vectors[oldFeatures:] {
 		qs.vecs = append(qs.vecs, nn.QuantizeVector(v))

@@ -40,6 +40,9 @@ type FTL struct {
 	// self owns the FTL's own regions (the persisted query-history image)
 	// under the HistOwner id; its Layout carries only their geometry.
 	self DBMeta
+
+	// moved holds the extents Compact relocated since the last TakeMoves.
+	moved []Move
 }
 
 // NewFTL creates an FTL managing geomBlocks block columns (a block column is
@@ -73,37 +76,38 @@ func (f *FTL) FreeBlocks() int {
 }
 
 // allocate finds a contiguous run of n free block columns, preferring the
-// least-worn region (wear leveling across database lifetimes).
+// least-worn region (wear leveling across database lifetimes). When no run
+// fits but n columns are free it compacts — the garbage collection a real
+// device runs transparently — and retries; the moves await TakeMoves.
 func (f *FTL) allocate(n int) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("ftl: allocation of %d blocks", n)
 	}
-	type run struct {
-		start int
-		wear  uint64
-	}
-	var best *run
-	for start := 0; start+n <= len(f.blockOwner); start++ {
-		ok := true
-		var w uint64
-		for i := start; i < start+n; i++ {
-			if f.blockOwner[i] != 0 {
-				ok = false
-				start = i // skip past the conflict
-				break
+	for compacted := false; ; compacted = true {
+		best, bestWear := -1, uint64(0)
+		for start := 0; start+n <= len(f.blockOwner); start++ {
+			ok := true
+			var w uint64
+			for i := start; i < start+n; i++ {
+				if f.blockOwner[i] != 0 {
+					ok = false
+					start = i // skip past the conflict
+					break
+				}
+				w += f.wear[i]
 			}
-			w += f.wear[i]
-		}
-		if ok {
-			if best == nil || w < best.wear {
-				best = &run{start: start, wear: w}
+			if ok && (best < 0 || w < bestWear) {
+				best, bestWear = start, w
 			}
 		}
+		if best >= 0 {
+			return best, nil
+		}
+		if compacted || f.FreeBlocks() < n {
+			return 0, fmt.Errorf("ftl: no run of %d free block columns (%d free total)", n, f.FreeBlocks())
+		}
+		f.Compact()
 	}
-	if best == nil {
-		return 0, fmt.Errorf("ftl: no contiguous run of %d free block columns (%d free total)", n, f.FreeBlocks())
-	}
-	return best.start, nil
 }
 
 // CreateDB allocates flash for a database described by the layout template

@@ -6,7 +6,7 @@ package ftl
 // allocations leave free runs too short for a new database even when total
 // free space suffices. Compact relocates databases to coalesce free columns,
 // charging an erase (wear) per vacated column — the block-level analogue of
-// SSD garbage collection.
+// SSD garbage collection, run by allocate whenever no free run fits.
 
 // Fragmentation reports how broken-up the free space is: 0 when the largest
 // free run equals all free space (or nothing is free), approaching 1 as free
@@ -41,11 +41,25 @@ func (f *FTL) freeRuns() (total, largest int) {
 	return total, largest
 }
 
+// A Move is one extent Compact relocated: a data layout or derived table,
+// now at Table.StartBlock, that was at block column From.
+type Move struct {
+	Table DBLayout
+	From  int
+}
+
+// TakeMoves returns and forgets the extents Compact moved since its last call.
+func (f *FTL) TakeMoves() []Move {
+	moves := f.moved
+	f.moved = nil
+	return moves
+}
+
 // Compact slides databases toward the lowest free columns until the free
 // space is one contiguous run, updating each database's start block. It
-// returns the number of block columns relocated. Every vacated column is
-// erased (its wear counter increments); destination columns are programmed
-// in place of the old data.
+// returns the number of block columns relocated, keeping each moved extent
+// for TakeMoves. Every vacated column is erased (its wear counter
+// increments); destination columns are programmed in place of the old data.
 func (f *FTL) Compact() int {
 	type run struct { // a maximal stretch of columns under one owner
 		id          DBID
@@ -86,41 +100,25 @@ func (f *FTL) Compact() int {
 			f.wear[col]++ // source erased after the move
 		}
 		// An owner can hold several disjoint runs (feature data and each
-		// derived table), so only retarget the start blocks that actually
-		// lived inside the run being moved.
+		// derived table), so only retarget the extents that actually lived
+		// inside the run being moved.
 		if m := f.owner(r.id); m != nil {
-			retarget := func(start *int) {
-				if *start >= r.start && *start < r.start+r.size {
-					*start += next - r.start
-				}
+			shift := next - r.start
+			inRun := func(start int) bool { return start >= r.start && start < r.start+r.size }
+			if inRun(m.Layout.StartBlock) {
+				m.Layout.StartBlock += shift
+				f.moved = append(f.moved, Move{Table: m.Layout, From: m.Layout.StartBlock - shift})
 			}
-			retarget(&m.Layout.StartBlock)
 			for _, reg := range m.held() {
-				retarget(&reg.StartBlock)
+				if inRun(reg.StartBlock) {
+					reg.StartBlock += shift
+					table, _ := reg.table(m.Layout) // placed, so valid
+					f.moved = append(f.moved, Move{Table: table, From: reg.StartBlock - shift})
+				}
 			}
 		}
 		moved += r.size
 		next += r.size
 	}
 	return moved
-}
-
-// CreateDBCompacting is CreateDB with automatic garbage collection: when no
-// contiguous run fits the database but total free space would, the FTL
-// compacts and retries — the behaviour a real device's GC provides
-// transparently.
-func (f *FTL) CreateDBCompacting(name string, layout DBLayout) (*DBMeta, error) {
-	meta, err := f.CreateDB(name, layout)
-	if err == nil {
-		return meta, nil
-	}
-	layout.StartBlock = f.reservedBlocks
-	if verr := layout.Validate(); verr != nil {
-		return nil, verr
-	}
-	if f.FreeBlocks() < max(layout.BlocksPerPlane(), 1) {
-		return nil, err // genuinely out of space
-	}
-	f.Compact()
-	return f.CreateDB(name, layout)
 }

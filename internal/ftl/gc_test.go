@@ -111,26 +111,55 @@ func TestCompactIdempotent(t *testing.T) {
 	}
 }
 
+// TestCreateDBCompacting: free space is 8 columns in 2-column holes, so no
+// run fits a 4-column database; CreateDB compacts and places it, and reports
+// every extent it moved with its old and new start.
 func TestCreateDBCompacting(t *testing.T) {
-	f, _ := fragment(t)
-	// Free space is 8 columns in 2-column holes: a 4-column DB fails the
-	// plain allocator but succeeds with GC.
-	if _, err := f.CreateDB("big", smallLayout(4)); err == nil {
-		t.Fatal("fragmented allocation unexpectedly succeeded; test setup wrong")
+	f, kept := fragment(t)
+	if f.LargestFreeRun() >= 4 {
+		t.Fatal("test setup left a 4-column run")
 	}
-	m, err := f.CreateDBCompacting("big", smallLayout(4))
+	before := map[DBID]int{}
+	for _, m := range kept {
+		before[m.ID] = m.Layout.StartBlock
+	}
+	m, err := f.CreateDB("big", smallLayout(4))
 	if err != nil {
 		t.Fatalf("compacting create failed: %v", err)
 	}
 	if m.Layout.BlocksPerPlane() != 4 {
 		t.Errorf("created db spans %d columns", m.Layout.BlocksPerPlane())
 	}
+	moves := f.TakeMoves()
+	if len(moves) == 0 {
+		t.Fatal("compaction reported no moves")
+	}
+	for _, mv := range moves {
+		var owner *DBMeta
+		for _, k := range kept {
+			if k.Layout.StartBlock == mv.Table.StartBlock {
+				owner = k
+			}
+		}
+		if owner == nil || before[owner.ID] != mv.From || owner.Layout != mv.Table {
+			t.Errorf("move %+v names no relocated database", mv)
+		}
+	}
+	if again := f.TakeMoves(); len(again) != 0 {
+		t.Errorf("moves reported twice: %+v", again)
+	}
+	if !checkInvariants(t, f) {
+		t.Error("invariants broken after a compacting create")
+	}
 }
 
 func TestCreateDBCompactingGenuinelyFull(t *testing.T) {
 	f, _ := fragment(t)
-	// 9 columns exceed the 8 free ones even after GC.
-	if _, err := f.CreateDBCompacting("huge", smallLayout(9)); err == nil {
+	// 9 columns exceed the 8 free ones even after GC, and nothing moves.
+	if _, err := f.CreateDB("huge", smallLayout(9)); err == nil {
 		t.Error("over-capacity create succeeded")
+	}
+	if moves := f.TakeMoves(); len(moves) != 0 {
+		t.Errorf("a refused create moved %d extents", len(moves))
 	}
 }

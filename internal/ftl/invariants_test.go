@@ -68,7 +68,7 @@ func TestFTLInvariantsUnderRandomWorkload(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0, 1: // create (50%)
 				cols := 1 + rng.Intn(3)
-				m, err := ftl.CreateDBCompacting("db", smallLayout(cols))
+				m, err := ftl.CreateDB("db", smallLayout(cols))
 				if err == nil {
 					live = append(live, m.ID)
 				}
@@ -102,7 +102,7 @@ func TestSnapshotSurvivesRandomWorkload(t *testing.T) {
 	var live []DBID
 	for op := 0; op < 30; op++ {
 		if rng.Intn(3) != 0 || len(live) == 0 {
-			if m, err := f.CreateDBCompacting("db", smallLayout(1+rng.Intn(2))); err == nil {
+			if m, err := f.CreateDB("db", smallLayout(1+rng.Intn(2))); err == nil {
 				live = append(live, m.ID)
 			}
 		} else {

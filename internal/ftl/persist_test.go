@@ -270,7 +270,7 @@ func exercise(f *FTL) {
 		f.AppendDB(m.ID, 1)
 	}
 	f.Compact()
-	f.CreateDBCompacting("x", smallLayout(1))
+	f.CreateDB("x", smallLayout(1))
 	for _, m := range f.DBs() {
 		f.DeleteDB(m.ID)
 	}

@@ -41,7 +41,8 @@ type executor struct {
 	fe  int // the network's FeatureElems
 	// comb is the combined activation matrix, max×plan.combElems; for a
 	// narrow network it holds the raw feature rows as a max×fe lanes operand
-	// instead (DESIGN.md "Narrow first layers").
+	// instead (DESIGN.md "Narrow first layers"), and a narrow network's
+	// Resident, which reads its own store, has none.
 	comb []float32
 	// bufs[i] receives Layers[i]'s output, max×plan.outElems[i].
 	bufs [][]float32
@@ -55,13 +56,15 @@ type executor struct {
 	acc       []int32
 }
 
-func newExecutor(n *Network, fcs []*quantFC, maxBatch int) executor {
+func newExecutor(n *Network, fcs []*quantFC, maxBatch int, comb bool) executor {
 	if maxBatch < 1 {
 		panic(fmt.Sprintf("nn: batch scorer for %q needs maxBatch >= 1, got %d", n.Name, maxBatch))
 	}
 	p := &n.plan
 	combLen := maxBatch * p.combElems
-	if p.lanesOut > 0 {
+	if !comb {
+		combLen = 0
+	} else if p.lanesOut > 0 {
 		combLen = tensor.LanesLen(maxBatch, p.combElems)
 	}
 	e := executor{
@@ -194,7 +197,7 @@ type BatchScorer struct{ executor }
 // per call. Memory scales with maxBatch × the widest activation; 64 is a
 // good default (see DESIGN.md on batch-size selection).
 func (n *Network) BatchScorer(maxBatch int) *BatchScorer {
-	return &BatchScorer{newExecutor(n, nil, maxBatch)}
+	return &BatchScorer{newExecutor(n, nil, maxBatch, true)}
 }
 
 // ScoreBatch scores qfv against every vector in dfvs, writing scores[i] =

@@ -77,7 +77,7 @@ type QuantBatchScorer struct{ executor }
 // BatchScorer returns a quantized batched scorer processing up to maxBatch
 // features per call.
 func (qn *QuantNetwork) BatchScorer(maxBatch int) *QuantBatchScorer {
-	return &QuantBatchScorer{newExecutor(qn.net, qn.fcs, maxBatch)}
+	return &QuantBatchScorer{newExecutor(qn.net, qn.fcs, maxBatch, true)}
 }
 
 // ScoreBatch scores a prepared query against quantized feature vectors,

@@ -43,8 +43,9 @@ func (n *Network) Resident(capacity int) *Resident {
 	if capacity < 1 {
 		panic(fmt.Sprintf("nn: resident store for %q needs capacity >= 1, got %d", n.Name, capacity))
 	}
-	r := &Resident{exec: newExecutor(n, nil, residentGroup), capacity: capacity}
-	if n.plan.lanesOut == 0 {
+	narrow := n.plan.lanesOut > 0
+	r := &Resident{exec: newExecutor(n, nil, residentGroup, !narrow), capacity: capacity}
+	if !narrow {
 		r.dfv = make([]float32, n.FeatureElems())
 	}
 	return r

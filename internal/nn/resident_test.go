@@ -136,3 +136,24 @@ func TestResidentMisuse(t *testing.T) {
 	}
 	net.Resident(4).ScoreAll(nil, nil)
 }
+
+// TestResidentNarrowHasNoComb: a narrow network's Resident runs its first
+// layer from its own store, so its executor keeps no combined-row scratch;
+// any other network's keeps one group of combined rows.
+func TestResidentNarrowHasNoComb(t *testing.T) {
+	narrow := qcnNeuronNet()
+	if narrow.plan.lanesOut == 0 {
+		t.Fatal("the one-neuron QCN is not narrow")
+	}
+	if r := narrow.Resident(1024); cap(r.exec.comb) != 0 {
+		t.Errorf("narrow resident holds a %d-element comb", cap(r.exec.comb))
+	}
+	wide := residentFuzzNet(2) // Concat into a one-output FC: not narrow
+	if wide.plan.lanesOut != 0 {
+		t.Fatal("a Concat network is narrow")
+	}
+	if r := wide.Resident(8); len(r.exec.comb) != residentGroup*wide.plan.combElems {
+		t.Errorf("resident of a wide network holds a %d-element comb, want %d",
+			len(r.exec.comb), residentGroup*wide.plan.combElems)
+	}
+}

@@ -42,9 +42,11 @@ const (
 	// The device's other page walks (ssd.Walk), one span per call:
 	// writeDB's and appendDB's external → program passes, readDB's read-out,
 	// the reorg's read → DRAM → program pass, a derived table's and the
-	// metadata image's DRAM → program passes.
+	// metadata image's DRAM → program passes, and one read → DRAM → program
+	// pass per extent a compaction relocates.
 	SpanWriteDB, SpanAppendDB, SpanReadDB        = "write_db", "append_db", "read_db"
 	SpanReorg, SpanProgramTable, SpanPersistMeta = "reorg", "program_table", "persist_meta"
+	SpanGC                                       = "gc"
 	// SpanShard is one shard's slice of a cluster fan-out.
 	SpanShard = "shard"
 	// SpanMigrateOut is one migration read-out of a contiguous feature range

@@ -133,6 +133,10 @@ type Device struct {
 	// owns the device (AttachObs); both are nil-safe no-ops until attached.
 	reg    *obs.Registry
 	tracer *obs.Tracer
+
+	// OnRelocate (nil: none) runs after the device moved extents to make
+	// room: ObjectIDs derived from their old addresses are stale.
+	OnRelocate func()
 }
 
 // AttachObs installs the metrics registry and span tracer on the device and
@@ -176,10 +180,64 @@ func New(e *sim.Engine, cfg Config) (*Device, error) {
 }
 
 // CreateDB allocates and registers a feature database striped across the
-// device. It only places the database: the caller charges the pages it
-// writes with a Walk.
+// device, charging any relocation that made room (settle). The caller charges
+// the pages it writes with a Walk.
 func (d *Device) CreateDB(name string, featureBytes, features int64) (*ftl.DBMeta, error) {
+	defer d.settle()
 	return d.FTL.CreateDB(name, ftl.DBLayout{Geom: d.Config.Geometry, FeatureBytes: featureBytes, Features: features})
+}
+
+// PlaceRegion places owner id's derived table (ftl.SetRegion: a stripe-bound
+// table, an int8 table or the query-history image), charges any relocation
+// that made room, and programs every page of it — or, when the region stayed
+// in place and dirty is not nil, the within-channel pages [p0, p1) that dirty
+// gives. The contents are produced inside the controller, so each page
+// crosses controller DRAM and is then programmed (ssd_table_pages/bytes, a
+// program_table span); the engine runs to completion.
+func (d *Device) PlaceRegion(id ftl.DBID, r ftl.Region, dirty func(table ftl.DBLayout, ch int) (p0, p1 int64)) error {
+	table, fresh, err := d.FTL.SetRegion(id, d.Config.Geometry, r)
+	d.settle()
+	if err != nil {
+		return err
+	}
+	pages := table.ChannelSpan
+	if !fresh && dirty != nil {
+		pages = func(ch int) (int64, int64) { return dirty(table, ch) }
+	}
+	d.Walk(Walk{Layout: table, Pages: pages, Hops: []Hop{d.HopDRAM, d.HopProgram},
+		Depth: IssueAll, Prefix: "ssd_table", Span: obs.SpanProgramTable}, nil)
+	d.Engine.Run()
+	return nil
+}
+
+// DeleteDB erases and frees a database's block columns.
+func (d *Device) DeleteDB(id ftl.DBID) error { defer d.settle(); return d.FTL.DeleteDB(id) }
+
+// Compact compacts on demand, charged like an allocation's compaction, and
+// returns the block columns moved.
+func (d *Device) Compact() int { defer d.settle(); return d.FTL.Compact() }
+
+// settle charges the extents the FTL's last op moved, each one walk from its
+// old columns through controller DRAM to its new ones (ssd_gc_pages/bytes, a
+// gc span) that the op needing the space waits for, calls OnRelocate, and
+// refreshes the free-space gauges.
+func (d *Device) settle() {
+	moves := d.FTL.TakeMoves()
+	for _, m := range moves {
+		shift := m.From - m.Table.StartBlock
+		read := func(a flash.PageAddr, next func()) { a.Block += shift; d.HopFlashRead(a, next) }
+		d.Walk(Walk{Layout: m.Table, Pages: m.Table.ChannelSpan, Hops: []Hop{read, d.HopDRAM, d.HopProgram},
+			Depth: IssueAll, Prefix: "ssd_gc", Span: obs.SpanGC}, nil)
+	}
+	if len(moves) > 0 {
+		d.Engine.Run()
+		if d.OnRelocate != nil {
+			d.OnRelocate()
+		}
+	}
+	d.reg.Gauge("ssd_fragmentation").Set(d.FTL.Fragmentation())
+	d.reg.Gauge("ssd_largest_free_run").Set(float64(d.FTL.LargestFreeRun()))
+	d.reg.Gauge("ssd_wear_skew").Set(float64(d.FTL.MaxWearSkew()))
 }
 
 // StreamStats reports what a Walk moved.
@@ -326,19 +384,6 @@ func (d *Device) StreamRange(meta *ftl.DBMeta, start, end int64, prefix, span st
 	}, prefix, span), done)
 }
 
-// ProgramTable charges the flash programming of the within-channel pages
-// [p0, p1) that pages gives of a derived table — the layout ftl.SetRegion
-// returned for a stripe-bound table, an int8 table or the query-history
-// image. The contents are produced inside the controller, so each page
-// crosses controller DRAM and is then programmed; nothing crosses the
-// external link. Records ssd_table_pages/bytes and a program_table span, and
-// runs the engine to completion.
-func (d *Device) ProgramTable(table ftl.DBLayout, pages func(ch int) (p0, p1 int64)) {
-	d.Walk(Walk{Layout: table, Pages: pages, Hops: []Hop{d.HopDRAM, d.HopProgram},
-		Depth: IssueAll, Prefix: "ssd_table", Span: obs.SpanProgramTable}, nil)
-	d.Engine.Run()
-}
-
 // InternalBandwidth returns the aggregate flash-channel bandwidth.
 func (d *Device) InternalBandwidth() float64 { return d.Flash.InternalBandwidth() }
 
@@ -355,7 +400,7 @@ func (d *Device) PersistMetadata() ([]byte, error) {
 	// into it through DRAM, ⌈len/page⌉ pages: a one-plane layout of one-byte
 	// entries. Embedded query-history bytes do not count against the
 	// reserved block: they already live (and were charged) in the history's
-	// own block columns via ProgramTable; the snapshot merely carries them as
+	// own block columns via PlaceRegion; the snapshot merely carries them as
 	// the restore channel.
 	geom := d.Config.Geometry
 	block := ftl.DBLayout{Geom: geom, FeatureBytes: 1, Features: int64(len(img))}

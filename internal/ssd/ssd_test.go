@@ -250,17 +250,16 @@ func TestProgramQuantTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, _, err := d.FTL.SetRegion(meta.ID, meta.Layout.Geom, ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1})
-	if err != nil {
+	start, programs := e.Now(), d.Flash.Stats().PagePrograms
+	if err := d.PlaceRegion(meta.ID, ftl.Region{Kind: ftl.QuantRegion, EntryBytes: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	start, programs := e.Now(), d.Flash.Stats().PagePrograms
-	d.ProgramTable(table, table.ChannelSpan)
 	if e.Now() == start {
 		t.Error("quant table programming advanced no simulated time")
 	}
-	if got, ok := meta.QuantTable(); !ok || got != table {
-		t.Fatalf("QuantTable %+v (%v) after Set, SetRegion returned %+v", got, ok, table)
+	table, ok := meta.QuantTable()
+	if !ok {
+		t.Fatal("no QuantTable after PlaceRegion")
 	}
 	if got := d.Flash.Stats().PagePrograms - programs; int64(got) != table.TotalPages() {
 		t.Errorf("programmed %d pages, table holds %d", got, table.TotalPages())

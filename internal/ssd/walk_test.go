@@ -108,3 +108,68 @@ func TestOneWalker(t *testing.T) {
 		}
 	}
 }
+
+// TestOnePlacer: outside internal/ftl and internal/ssd, nothing places or
+// moves flash behind the device's back. Device.CreateDB, PlaceRegion and
+// Compact compact when they must and charge every move; a direct
+// FTL.CreateDB or FTL.Compact (reached through a Device's FTL field), or any
+// SetRegion call, in a non-test file — which would do neither — fails the
+// test. Package-qualified calls (slices.Compact) are not the FTL's.
+func TestOnePlacer(t *testing.T) {
+	root := filepath.Join("..", "..")
+	skip := map[string]bool{filepath.Join(root, "internal", "ftl"): true, filepath.Join(root, "internal", "ssd"): true}
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skip[path] || d.Name() == "testdata" || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		imported := map[string]bool{}
+		for _, imp := range f.Imports {
+			name := strings.Trim(imp.Path.Value, `"`)
+			name = name[strings.LastIndex(name, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = true
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && imported[id.Name] {
+				return true
+			}
+			x, _ := sel.X.(*ast.SelectorExpr)
+			viaFTL := x != nil && x.Sel.Name == "FTL"
+			switch name := sel.Sel.Name; {
+			case name == "SetRegion", (name == "CreateDB" || name == "Compact") && viaFTL:
+				t.Errorf("%s: %s places flash outside ssd.Device", fset.Position(call.Pos()), name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil || files < 100 {
+		t.Fatalf("walked %d files: %v", files, err)
+	}
+}
