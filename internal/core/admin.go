@@ -42,22 +42,13 @@ func (ds *DeepStore) CompactFlash() int {
 	return ds.dev.Compact()
 }
 
-// clearCache empties the query cache (core_qcache_clears): after a relocation
-// or a reorg its answers name stale ObjectIDs or FeatureIDs.
-func (ds *DeepStore) clearCache() {
-	if ds.qc != nil {
-		ds.qc.Clear()
-		ds.obs.Counter("core_qcache_clears").Inc()
-	}
-}
-
 // ReorgDB rewrites a database in a new feature order (an internal/reorg
 // clustering's Order, typically) — the §7 in-storage reorganization path.
 // The migration is charged in the device model: every data page is read,
 // staged through controller DRAM, and reprogrammed. The derived tables are
 // rebuilt from scratch atomically with the move (refreshTables: every
 // stripe's membership and every int8 slot changed), and the query cache is
-// cleared: its answers name the old feature order.
+// cleared (core_qcache_clears): its answers name the old feature order.
 func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -80,7 +71,10 @@ func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 		Depth: ssd.IssueAll, Prefix: "ssd_reorg", Span: obs.SpanReorg}, nil)
 	ds.engine.Run()
 	st.vectors = moved
-	ds.clearCache()
+	if ds.qc != nil {
+		ds.qc.Clear()
+		ds.obs.Counter("core_qcache_clears").Inc()
+	}
 	ds.refreshTables(st, 0) // every slot moved
 	return nil
 }

@@ -49,7 +49,6 @@ func (s scanShape) on(t *testing.T, opts Options) Options {
 // database with a quant table it scores in int8, as the sweep does.
 func referenceTopK(ds *DeepStore, key scanKey, qfv []float32, k int) []topk.Entry {
 	st := key.st
-	layout := st.meta.Layout
 	scorer := key.net.Scorer()
 	score := func(i int64) float32 { return scorer.Score(qfv, st.vectors[i]) }
 	if qt := ds.quantFor(st); qt != nil {
@@ -61,15 +60,25 @@ func referenceTopK(ds *DeepStore, key scanKey, qfv []float32, k int) []topk.Entr
 		q.Offer(topk.Entry{
 			FeatureID: i,
 			Score:     score(i),
-			ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
+			ObjectID:  st.meta.Layout.ObjectID(i),
 		})
 	}
 	return q.Results()
 }
 
+// sweepAnswers runs the sweep and stamps each top-K's ObjectIDs as runBatch
+// does, so a sweep's output compares to an answer field for field.
+func sweepAnswers(ds *DeepStore, key scanKey, qfvs [][]float32, ks []int, workers int) ([][]topk.Entry, []PruneStats) {
+	tops, pss := ds.sweep(key, qfvs, ks, workers)
+	for _, top := range tops {
+		stampObjectIDs(key.st.meta.Layout, top)
+	}
+	return tops, pss
+}
+
 // sweepOne runs the sweep for a single query.
 func sweepOne(ds *DeepStore, key scanKey, qfv []float32, k, workers int) ([]topk.Entry, PruneStats) {
-	tops, pss := ds.sweep(key, [][]float32{qfv}, []int{k}, workers)
+	tops, pss := sweepAnswers(ds, key, [][]float32{qfv}, []int{k}, workers)
 	return tops[0], pss[0]
 }
 
@@ -212,6 +221,7 @@ func TestRerankBatchedMatchesScalar(t *testing.T) {
 	}
 	wantRes := want.Results()
 	got := ds.rerank(net, st, qfv, cached, 10)
+	stampObjectIDs(st.meta.Layout, got)
 	if len(got) != len(wantRes) {
 		t.Fatalf("rerank returned %d entries, want %d", len(got), len(wantRes))
 	}
@@ -288,7 +298,7 @@ func TestDenseWalkGroupsChannels(t *testing.T) {
 			}
 			// Per-channel walk: a batch of one, so one batch per feature.
 			before := single.obs.Counter("core_scan_batches").Value()
-			perChannelTops, _ := single.sweep(key(single), qfvs, ks, channels)
+			perChannelTops, _ := sweepAnswers(single, key(single), qfvs, ks, channels)
 			if got := single.obs.Counter("core_scan_batches").Value() - before; got != end-start {
 				t.Errorf("perChannel=%d q=%d: the per-feature walk issued %d batches for %d features", perChannel, nq, got, end-start)
 			}
@@ -296,7 +306,7 @@ func TestDenseWalkGroupsChannels(t *testing.T) {
 			for _, workers := range []int{1, (channels + group - 1) / group} {
 				name := fmt.Sprintf("perChannel=%d/q=%d/workers=%d", perChannel, nq, workers)
 				before := grouped.obs.Counter("core_scan_batches").Value()
-				tops, _ := grouped.sweep(key(grouped), qfvs, ks, workers)
+				tops, _ := sweepAnswers(grouped, key(grouped), qfvs, ks, workers)
 				if got, want := grouped.obs.Counter("core_scan_batches").Value()-before, groupedBatches(start, end, channels, group); got != want {
 					t.Errorf("%s: %d batches, want %d", name, got, want)
 				}
@@ -339,64 +349,125 @@ func sameEntryBits(t *testing.T, label string, got, want []topk.Entry) {
 	}
 }
 
-// TestSweepObjectIDs: every entry a sweep returns carries its feature's
-// object id, Geom.Linear(FeatureAddr(FeatureID)), though the walk looks one
-// up per flash page — on pages holding three or 128 features and with
-// features spanning two pages, over ranges that start and end mid-page,
-// with grouped channel runs (a channel's walk may end mid-page and the next
-// channel's start there) and under a bound tier whose skipped segments
-// jump the walk past pages. A top-K as wide as the range returns every
-// feature of it.
+// TestSweepObjectIDs: every answer carries its features' ObjectIDs under the
+// database's current layout, DBLayout.ObjectID(FeatureID), whatever produced
+// it — a miss's sweep, a hit's rerank, a shared sweep, a hit on a batch-mate
+// not yet swept, the two-pass int8 rerank — on pages holding three or 128
+// features and with features spanning two pages, over ranges that start and
+// end mid-page. After CompactFlash moves the database the cache keeps its
+// entries and a hit names the new pages; after the cache is reconfigured,
+// PrefetchHistory re-warms it from payloads recorded before the move, and
+// their hit names the new pages too. The queries are 2·e_j: the QCN scores a
+// repeat sigmoid(16) and any other pair 0.5, so exactly the repeats hit.
 func TestSweepObjectIDs(t *testing.T) {
 	const channels = 16
 	net := pruneTestNet()
 	vectors := clusteredVectors(channels*40+7, 5)
 	n := int64(len(vectors))
+	qs := make([][]float32, pruneTestDims)
+	for j := range qs {
+		qs[j] = make([]float32, pruneTestDims)
+		qs[j][j] = 2
+	}
 	for _, pageBytes := range []int64{20, 96, 4 << 10} {
-		for _, prune := range []bool{false, true} {
-			opts := pruneTestOpts(prune)
+		for _, c := range []struct {
+			name         string
+			prune, quant bool
+		}{{"dense", false, false}, {"prune", true, false}, {"int8+rerank", false, true}} {
+			name := fmt.Sprintf("page %d B/%s", pageBytes, c.name)
+			opts := pruneTestOpts(c.prune)
 			opts.Device.Geometry.Channels = channels
 			opts.Device.Geometry.PageBytes = pageBytes
-			ds, model, db := buildPruneEngine(t, opts, net, vectors)
-			layout := ds.dbs[db].meta.Layout
-			if got, want := layout.FeaturesPerPage(), map[int64]int{20: 0, 96: 3, 4 << 10: 128}[pageBytes]; got != want {
-				t.Fatalf("page %d B: %d features per page, want %d", pageBytes, got, want)
+			opts.History = true
+			if c.quant {
+				opts.Quantized, opts.RerankMargin = true, quantTestMargin
 			}
-			skipped := int64(0)
-			for _, r := range [][2]int64{{0, n}, {5, n - 3}, {17, 301}, {40, 41}} {
-				key := scanKey{st: ds.dbs[db], net: ds.models[model], start: r[0], end: r[1]}
-				qfvs := make([][]float32, 32)
-				ks := make([]int, len(qfvs))
-				for q := range qfvs {
-					qfvs[q], ks[q] = vectors[(q*97+11)%len(vectors)], 1+q%12
-				}
-				ks[0] = int(r[1] - r[0])
-				if top, _ := sweepOne(ds, key, qfvs[0], ks[0], 1); len(top) != ks[0] {
-					t.Fatalf("[%d, %d): %d entries for a top-%d over the range", r[0], r[1], len(top), ks[0])
-				}
-				// All queries in one sweep, and each alone: a segment is
-				// jumped only when every query of the sweep skips it.
-				for _, workers := range []int{1, 3} {
-					name := fmt.Sprintf("page %d B/prune %v/[%d, %d)/workers %d", pageBytes, prune, r[0], r[1], workers)
-					check := func(q0, q1 int) {
-						tops, stats := ds.sweep(key, qfvs[q0:q1], ks[q0:q1], workers)
-						for q, top := range tops {
-							skipped += stats[q].FeaturesSkipped
-							for _, e := range top {
-								if want := uint64(layout.Geom.Linear(layout.FeatureAddr(e.FeatureID))); e.ObjectID != want {
-									t.Fatalf("%s: query %d: feature %d has object id %d, want %d", name, q0+q, e.FeatureID, e.ObjectID, want)
-								}
-							}
+			ds, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hole, err := ds.WriteDB(clusteredVectors(int(n), 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := ds.WriteDB(vectors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, err := ds.LoadModelNetwork(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ds.dbs[db].meta.Layout.FeaturesPerPage(), map[int64]int{20: 0, 96: 3, 4 << 10: 128}[pageBytes]; got != want {
+				t.Fatalf("%s: %d features per page, want %d", name, got, want)
+			}
+			if err := ds.SetQC(pruneTestQCN(), 1, 64, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			// check holds every answer to the current layout and its hit
+			// flag to want; it returns how many entries name a page other
+			// than the one they had under old.
+			check := func(label string, ids []QueryID, wantHits []bool, old ftl.DBLayout) int {
+				t.Helper()
+				layout, moved := ds.dbs[db].meta.Layout, 0
+				for i, id := range ids {
+					r, err := ds.GetResults(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r.CacheHit != wantHits[i] || len(r.TopK) == 0 {
+						t.Fatalf("%s: %s: answer %d hit %v with %d entries, want hit %v", name, label, i, r.CacheHit, len(r.TopK), wantHits[i])
+					}
+					for _, e := range r.TopK {
+						if want := layout.ObjectID(e.FeatureID); e.ObjectID != want {
+							t.Fatalf("%s: %s: answer %d: feature %d has ObjectID %d, want %d", name, label, i, e.FeatureID, e.ObjectID, want)
+						}
+						if e.ObjectID != old.ObjectID(e.FeatureID) {
+							moved++
 						}
 					}
-					check(0, len(qfvs))
-					for q := range qfvs {
-						check(q, q+1)
-					}
 				}
+				return moved
 			}
-			if prune && skipped == 0 {
-				t.Errorf("page %d B: the bound tier skipped nothing, so no segment jump was walked", pageBytes)
+			query := func(specs ...QuerySpec) []QueryID {
+				t.Helper()
+				ids, err := ds.QueryMulti(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ids
+			}
+			spec := func(q []float32, r [2]int64) QuerySpec {
+				return QuerySpec{QFV: q, K: 5, Model: model, DB: db, DBStart: r[0], DBEnd: r[1]}
+			}
+			before := ds.dbs[db].meta.Layout
+			// The whole database last, so q0's newest record is unranged.
+			ranges := [][2]int64{{5, n - 3}, {17, 301}, {0, 0}}
+			for _, r := range ranges {
+				check(fmt.Sprintf("[%d, %d) miss, hit", r[0], r[1]), append(query(spec(qs[0], r)), query(spec(qs[0], r))...), []bool{false, true}, before)
+				// One shared sweep for three misses; the repeat hits its
+				// batch-mate's entry before the sweep has filled it.
+				check(fmt.Sprintf("[%d, %d) shared", r[0], r[1]), query(spec(qs[1], r), spec(qs[2], r), spec(qs[3], r), spec(qs[1], r)),
+					[]bool{false, false, false, true}, before)
+			}
+			if err := ds.DeleteDB(hole); err != nil {
+				t.Fatal(err)
+			}
+			if ds.CompactFlash() == 0 {
+				t.Fatalf("%s: compaction moved nothing", name)
+			}
+			whole := spec(qs[0], [2]int64{})
+			if check("hit after the move", query(whole), []bool{true}, before) == 0 {
+				t.Fatalf("%s: no answer entry changed page in the move", name)
+			}
+			if err := ds.SetQC(pruneTestQCN(), 1, 64, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ds.PrefetchHistory(len(qs)); err != nil || got == 0 {
+				t.Fatalf("%s: prefetched %d entries (%v)", name, got, err)
+			}
+			if check("hit on a prefetched entry", query(whole), []bool{true}, before) == 0 {
+				t.Fatalf("%s: no prefetched entry changed page in the move", name)
 			}
 		}
 	}

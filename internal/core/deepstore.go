@@ -279,7 +279,7 @@ type DeepStore struct {
 	fetchedHead int
 
 	// Query cache (§4.6); nil until SetQC.
-	qc          *qcache.Cache[[]float32]
+	qc          *qcache.Cache[cacheQuery]
 	qcn         *nn.Network
 	qcThreshold float64
 
@@ -346,7 +346,6 @@ func New(opts Options) (*DeepStore, error) {
 	}
 	ds.tracer.CountDrops(ds.obs.Counter("obs_tracer_dropped_spans"))
 	dev.AttachObs(ds.obs, ds.tracer)
-	dev.OnRelocate = ds.clearCache
 	ds.pools.batch = ds.scoreBatch()
 	ds.pools.quantized = opts.Quantized
 	if opts.History {

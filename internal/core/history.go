@@ -54,6 +54,9 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	if r.CacheHit {
 		flags = qhist.FlagHit
 	}
+	if spec.DBStart != 0 || spec.DBEnd != 0 {
+		flags |= qhist.FlagRanged
+	}
 	before := ds.engine.Now()
 	ds.dev.DRAM.Transfer(qhist.RecordBytes+payloadBytes, nil)
 	ds.engine.Run()
@@ -109,7 +112,7 @@ type learnedPolicy struct{ ds *DeepStore }
 
 // Key is the query's history group, the fingerprint the mined statistics are
 // keyed by; the cache stores it with the entry.
-func (p *learnedPolicy) Key(q []float32) uint64 { return qhist.GroupOf(q) }
+func (p *learnedPolicy) Key(q cacheQuery) uint64 { return qhist.GroupOf(q.qfv) }
 
 func (p *learnedPolicy) groupScore(g uint64) float64 {
 	st, ok := p.ds.histMined[g]
@@ -123,7 +126,7 @@ func (p *learnedPolicy) groupScore(g uint64) float64 {
 // map lookup and an AdmissionScore each, no query vector is touched —
 // breaking ties toward the higher index (the more LRU of the two), and
 // admits the candidate when its own group scores at least as high.
-func (p *learnedPolicy) Victim(key uint64, entries []qcache.Entry[[]float32]) (int, bool) {
+func (p *learnedPolicy) Victim(key uint64, entries []qcache.Entry[cacheQuery]) (int, bool) {
 	if len(p.ds.histMined) == 0 {
 		return -1, true
 	}
@@ -249,10 +252,12 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 
 // PrefetchHistory re-warms the query cache from history: the top max query
 // groups by admission score have their most recent payload decoded (charged
-// as a DRAM read of the cold bytes) and re-inserted, except a query of
-// another width than the QCN compares, which is skipped and counted in
-// core_hist_prefetch_skipped. Returns how many entries were inserted.
-// Requires history and a configured cache.
+// as a DRAM read of the cold bytes) and re-inserted in the record's
+// whole-database scope. Two records are skipped and counted in
+// core_hist_prefetch_skipped: a ranged one (qhist.FlagRanged), whose range
+// the record does not keep, before its payload is read, and a query of
+// another width than the QCN compares. Returns how many entries were
+// inserted. Requires history and a configured cache.
 func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -274,6 +279,10 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	inserted := 0
 	for _, g := range ranked {
 		rec := records[mined[g].LastSeq-first]
+		if rec.Flags&qhist.FlagRanged != 0 {
+			ds.obs.Counter("core_hist_prefetch_skipped").Inc()
+			continue
+		}
 		payload, err := ds.hist.Payload(rec)
 		if err != nil {
 			return inserted, err
@@ -290,7 +299,8 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 			ds.obs.Counter("core_hist_prefetch_skipped").Inc()
 			continue
 		}
-		ds.qc.Insert(qfv, append([]topk.Entry(nil), tk...))
+		scope := cacheScope{db: ftl.DBID(rec.DB), model: ModelID(rec.Model)}
+		ds.qc.Insert(cacheQuery{scope: scope, qfv: qfv}, append([]topk.Entry(nil), tk...))
 		inserted++
 	}
 	ds.histPrefetched += uint64(inserted)

@@ -87,7 +87,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 	t0 := ds.engine.Now()
 
 	// Pass 1 — cache decisions in submission order. Lookup outcomes, LRU
-	// promotion, and insertion order depend only on the query vectors, so
+	// promotion, and insertion order depend only on the queries and scopes, so
 	// running them up front is indistinguishable from the sequential
 	// interleaving; hits on not-yet-swept batch-mates receive a pending
 	// entry whose backing array the sweep fills before pass 3 reads it.
@@ -103,7 +103,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 			// run on real hardware either way — omitting their joules would
 			// overstate the cache's Fig. 13/14 energy win).
 			entries := ds.qc.Len()
-			cached, hit := ds.qc.Lookup(it.spec.QFV, ds.qcThreshold)
+			cached, hit := ds.qc.Lookup(cacheQuery{scope: scopeOf(it.spec), qfv: it.spec.QFV}, ds.qcThreshold)
 			it.lookupLat, it.lookupEnergy = ds.comparisons(ds.qcn, accel.LevelChannel, int64(entries), 1, 0, true)
 			if hit {
 				it.hit, it.cached = true, cached.Results
@@ -122,7 +122,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 			if it.st.vectors != nil {
 				it.pending = make([]topk.Entry, min(int64(it.spec.K), it.end-it.start))
 			}
-			ds.qc.Insert(cloneVec(it.spec.QFV), it.pending)
+			ds.qc.Insert(cacheQuery{scope: scopeOf(it.spec), qfv: cloneVec(it.spec.QFV)}, it.pending)
 		}
 	}
 
@@ -151,11 +151,13 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 			lat, e := ds.comparisons(it.net, it.level, n, 1, 0, false)
 			r.charge(obs.StageRerank, lat, e)
 		}
-		// History appends land in submission order, after the batch's cache
-		// decisions (pass 1), so the batch's admission decisions all see the
-		// model as it stood before the batch, whereas sequential Query calls
-		// would each see their predecessors' records — top-K answers are
-		// unaffected, but admission decisions can differ.
+		// The answer's ObjectIDs come from the current layout, before the
+		// history records them. History appends land in submission order,
+		// after the batch's cache decisions (pass 1), so the batch's admission
+		// decisions all see the model as it stood before the batch, whereas
+		// sequential Query calls would each see their predecessors' records —
+		// top-K answers are unaffected, but admission decisions can differ.
+		stampObjectIDs(it.st.meta.Layout, r.TopK)
 		ds.appendHistory(it.spec, r)
 		ds.finishQuery(r)
 		ids[i] = ds.record(r)

@@ -76,7 +76,7 @@ func TestSweepMatchesReference(t *testing.T) {
 					for _, nq := range []int{1, len(qfvs)} {
 						for _, workers := range []int{1, 4} {
 							label := fmt.Sprintf("[%d,%d) Q=%d workers=%d", r[0], r[1], nq, workers)
-							tops, pss := ds.sweep(key, qfvs[:nq], ks[:nq], workers)
+							tops, pss := sweepAnswers(ds, key, qfvs[:nq], ks[:nq], workers)
 							for j := range tops {
 								assertSameTopK(t, fmt.Sprintf("%s member %d", label, j), tops[j], referenceTopK(ds, key, qfvs[j], ks[j]))
 								if pss[j].StripesSkipped > pss[j].StripesChecked || pss[j].FeaturesSkipped > r[1]-r[0] {

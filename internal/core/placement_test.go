@@ -41,7 +41,7 @@ func bruteTopK(ds *DeepStore, id ftl.DBID, net *nn.Network, vectors [][]float32,
 	q := topk.New(k)
 	for i, v := range vectors {
 		q.Offer(topk.Entry{FeatureID: int64(i), Score: sc.Score(qfv, v),
-			ObjectID: uint64(layout.Geom.Linear(layout.FeatureAddr(int64(i))))})
+			ObjectID: layout.ObjectID(int64(i))})
 	}
 	return q.Results()
 }
@@ -259,11 +259,11 @@ func TestRelocatingWriteDBChargesTheMove(t *testing.T) {
 	}
 }
 
-// TestRelocationClearsCache: a cached answer names its features' ObjectIDs,
-// and a relocation changes them; the cache is cleared (core_qcache_clears),
-// so every answer after the move — the miss that rescans and the hit that
-// follows — names the features' current pages.
-func TestRelocationClearsCache(t *testing.T) {
+// TestRelocationKeepsCache: a cached answer names features, and a move of
+// their pages changes no FeatureID, so a compaction keeps the query cache
+// (core_qcache_clears stays 0): the repeated query still hits, with the
+// features it was cached with, and names their pages after the move.
+func TestRelocationKeepsCache(t *testing.T) {
 	ds, err := New(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,8 @@ func TestRelocationClearsCache(t *testing.T) {
 	q := workload.NewFeatureDB(app, 1, 99).Vectors[0]
 	spec := QuerySpec{QFV: q, K: 3, Model: model, DB: id}
 	runQuery(t, ds, spec)
-	if r := runQuery(t, ds, spec); !r.CacheHit {
+	before := runQuery(t, ds, spec)
+	if !before.CacheHit {
 		t.Fatal("repeat query missed; test setup wrong")
 	}
 	if err := ds.DeleteDB(hole); err != nil {
@@ -297,19 +298,17 @@ func TestRelocationClearsCache(t *testing.T) {
 	if moved := ds.CompactFlash(); moved == 0 {
 		t.Fatal("compaction moved nothing")
 	}
-	if n := ds.MetricsSnapshot().Counters["core_qcache_clears"]; n != 1 {
-		t.Errorf("core_qcache_clears = %d, want 1", n)
+	if n := ds.MetricsSnapshot().Counters["core_qcache_clears"]; n != 0 {
+		t.Errorf("core_qcache_clears = %d, want 0", n)
 	}
 	layout := ds.dbs[id].meta.Layout
-	for i, wantHit := range []bool{false, true} {
-		r := runQuery(t, ds, spec)
-		if r.CacheHit != wantHit {
-			t.Errorf("query %d after the move: hit %v, want %v", i, r.CacheHit, wantHit)
-		}
-		for _, e := range r.TopK {
-			if want := uint64(layout.Geom.Linear(layout.FeatureAddr(e.FeatureID))); e.ObjectID != want {
-				t.Errorf("query %d: feature %d has ObjectID %d, its page is %d", i, e.FeatureID, e.ObjectID, want)
-			}
+	r := runQuery(t, ds, spec)
+	if !r.CacheHit || len(r.TopK) != len(before.TopK) {
+		t.Fatalf("query after the move: hit %v with %d entries, want a hit with %d", r.CacheHit, len(r.TopK), len(before.TopK))
+	}
+	for i, e := range r.TopK {
+		if e.FeatureID != before.TopK[i].FeatureID || e.ObjectID != layout.ObjectID(e.FeatureID) || e.ObjectID == before.TopK[i].ObjectID {
+			t.Errorf("entry %d after the move: %+v; before it %+v, feature's page now %d", i, e, before.TopK[i], layout.ObjectID(e.FeatureID))
 		}
 	}
 }

@@ -17,10 +17,10 @@ const multiScoreRows = 512
 // batchCtx is one worker's scoring context — the whole of its nn state: a
 // BatchScorer and the stripe-bound scorer of a pruned sweep, plus the
 // gather/scatter scratch the sweep fills between GEMM calls — the
-// feature-vector slots, their feature IDs, object IDs and channels, and one
-// score row per query. The gather slots are sized to the engine's score
-// batch at construction, so a worker that holds a batchCtx scores its whole
-// stripe without allocating. On a quantized engine the context additionally carries
+// feature-vector slots, their feature IDs and channels, and one score row per
+// query. The gather slots are sized to the engine's score batch at
+// construction, so a worker that holds a batchCtx scores its whole stripe
+// without allocating. On a quantized engine the context additionally carries
 // the int8 scorer and quantized-vector slots (qbs/qdfvs); a sweep uses one
 // family or the other, never both.
 type batchCtx struct {
@@ -29,7 +29,6 @@ type batchCtx struct {
 	bnd    *nn.BoundScorer
 	dfvs   [][]float32
 	ids    []int64
-	objs   []uint64
 	chs    []int
 	scores [][]float32
 	qbs    *nn.QuantBatchScorer
@@ -53,7 +52,6 @@ func (c *batchCtx) offer(queues []*topk.Queue, nq, q int, row []float32, n int) 
 		queues[c.chs[j]*nq+q].Offer(topk.Entry{
 			FeatureID: c.ids[j],
 			Score:     row[j],
-			ObjectID:  c.objs[j],
 		})
 	}
 }
@@ -105,7 +103,6 @@ func (p *batchPools) get(net *nn.Network, rows int) *batchCtx {
 				bnd:  net.BoundScorer(),
 				dfvs: make([][]float32, b),
 				ids:  make([]int64, b),
-				objs: make([]uint64, b),
 				chs:  make([]int, b),
 			}
 			if qn != nil {

@@ -261,9 +261,14 @@ func (l DBLayout) FeatureChannel(i int64) int {
 	return int(i % int64(l.Geom.Channels))
 }
 
-// FeatureAddr returns the first physical page of feature i — the feature's
-// ObjectID address (§4.2) — without allocating the full page list. The scan
-// hot loop uses this; FeaturePages(i)[0] is always equal to it.
+// ObjectID returns feature i's ObjectID (§4.2): the linear index of its
+// first physical page under this layout. It is the only feature → address
+// rule; an answer is stamped with it from the database's current layout, so a
+// move of the data changes the ObjectIDs answers carry and nothing else.
+func (l DBLayout) ObjectID(i int64) uint64 { return uint64(l.Geom.Linear(l.FeatureAddr(i))) }
+
+// FeatureAddr returns the first physical page of feature i without
+// allocating the full page list; FeaturePages(i)[0] is always equal to it.
 func (l DBLayout) FeatureAddr(i int64) flash.PageAddr {
 	ch := l.FeatureChannel(i)
 	slot := i / int64(l.Geom.Channels)

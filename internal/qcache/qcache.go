@@ -34,7 +34,7 @@ type Resident[Q any] interface {
 	// Put makes q the query of slot, replacing what the slot held.
 	Put(slot int, q Q)
 	// Keys writes keys[s], the key of q against slot s's query, for every
-	// slot s in [0, len(keys)).
+	// slot s in [0, len(keys)); a NaN key leaves slot s out of the lookup.
 	Keys(keys []float64, q Q)
 	// Score returns the similarity ∈ [0, 1] of a key. It must be
 	// non-decreasing — no key scores above a larger one — so a key no

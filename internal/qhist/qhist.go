@@ -33,6 +33,10 @@ const RecordBytes = 96
 // FlagHit marks a query answered from the query cache.
 const FlagHit uint32 = 1 << 0
 
+// FlagRanged marks a query submitted with a database sub-range, which the
+// record does not keep.
+const FlagRanged uint32 = 1 << 1
+
 // Record is one fixed-width hot history entry. All fields are plain values
 // so a []Record mines with zero pointer chasing; the payload lives in the
 // cold region addressed by PayloadOff/PayloadLen.

@@ -133,10 +133,6 @@ type Device struct {
 	// owns the device (AttachObs); both are nil-safe no-ops until attached.
 	reg    *obs.Registry
 	tracer *obs.Tracer
-
-	// OnRelocate (nil: none) runs after the device moved extents to make
-	// room: ObjectIDs derived from their old addresses are stale.
-	OnRelocate func()
 }
 
 // AttachObs installs the metrics registry and span tracer on the device and
@@ -219,8 +215,8 @@ func (d *Device) Compact() int { defer d.settle(); return d.FTL.Compact() }
 
 // settle charges the extents the FTL's last op moved, each one walk from its
 // old columns through controller DRAM to its new ones (ssd_gc_pages/bytes, a
-// gc span) that the op needing the space waits for, calls OnRelocate, and
-// refreshes the free-space gauges.
+// gc span) that the op needing the space waits for, and refreshes the
+// free-space gauges.
 func (d *Device) settle() {
 	moves := d.FTL.TakeMoves()
 	for _, m := range moves {
@@ -231,9 +227,6 @@ func (d *Device) settle() {
 	}
 	if len(moves) > 0 {
 		d.Engine.Run()
-		if d.OnRelocate != nil {
-			d.OnRelocate()
-		}
 	}
 	d.reg.Gauge("ssd_fragmentation").Set(d.FTL.Fragmentation())
 	d.reg.Gauge("ssd_largest_free_run").Set(float64(d.FTL.LargestFreeRun()))
