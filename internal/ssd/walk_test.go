@@ -116,8 +116,39 @@ func TestOneWalker(t *testing.T) {
 // SetRegion call, in a non-test file — which would do neither — fails the
 // test. Package-qualified calls (slices.Compact) are not the FTL's.
 func TestOnePlacer(t *testing.T) {
+	eachMethodCall(t, []string{"ftl", "ssd"}, func(pos token.Position, sel *ast.SelectorExpr) {
+		x, _ := sel.X.(*ast.SelectorExpr)
+		viaFTL := x != nil && x.Sel.Name == "FTL"
+		switch name := sel.Sel.Name; {
+		case name == "SetRegion", (name == "CreateDB" || name == "Compact") && viaFTL:
+			t.Errorf("%s: %s places flash outside ssd.Device", pos, name)
+		}
+	})
+}
+
+// TestOneObjectIDRule: ftl.DBLayout.ObjectID is the only feature → address
+// rule. Outside internal/ftl and internal/flash, a non-test file that calls
+// FeatureAddr or Geometry.Linear — deriving an address a layout change would
+// leave stale — fails the test.
+func TestOneObjectIDRule(t *testing.T) {
+	eachMethodCall(t, []string{"ftl", "flash"}, func(pos token.Position, sel *ast.SelectorExpr) {
+		if name := sel.Sel.Name; name == "FeatureAddr" || name == "Linear" {
+			t.Errorf("%s: %s derives an address; use DBLayout.ObjectID", pos, name)
+		}
+	})
+}
+
+// eachMethodCall parses every non-test Go file of the repository, except
+// those under the exempt internal packages, testdata and hidden directories,
+// and hands check each call through a selector that is not a package
+// qualifier (slices.Compact is not a method call).
+func eachMethodCall(t *testing.T, exempt []string, check func(pos token.Position, sel *ast.SelectorExpr)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	skip := map[string]bool{filepath.Join(root, "internal", "ftl"): true, filepath.Join(root, "internal", "ssd"): true}
+	skip := map[string]bool{}
+	for _, pkg := range exempt {
+		skip[filepath.Join(root, "internal", pkg)] = true
+	}
 	fset := token.NewFileSet()
 	files := 0
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -133,7 +164,7 @@ func TestOnePlacer(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -156,14 +187,8 @@ func TestOnePlacer(t *testing.T) {
 			if !ok {
 				return true
 			}
-			if id, ok := sel.X.(*ast.Ident); ok && imported[id.Name] {
-				return true
-			}
-			x, _ := sel.X.(*ast.SelectorExpr)
-			viaFTL := x != nil && x.Sel.Name == "FTL"
-			switch name := sel.Sel.Name; {
-			case name == "SetRegion", (name == "CreateDB" || name == "Compact") && viaFTL:
-				t.Errorf("%s: %s places flash outside ssd.Device", fset.Position(call.Pos()), name)
+			if id, ok := sel.X.(*ast.Ident); !ok || !imported[id.Name] {
+				check(fset.Position(call.Pos()), sel)
 			}
 			return true
 		})
