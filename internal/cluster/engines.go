@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -253,14 +254,15 @@ func (e *Engines) Query(qfv []float32, k int) (Answer, error) {
 }
 
 // Queries runs a batch of queries across all shards: each shard receives
-// the whole batch and executes it as one core.DeepStore.QueryMulti, so every
+// the whole batch and executes it as one core.DeepStore.Do, so every
 // shard pays ONE simulated flash/weight-streaming scan per routed range for
 // the batch instead of one per query. Shards execute concurrently, and each
 // query's per-route top-Ks are reduced with topk.Merge after remapping
-// feature IDs into global coordinates. QueryMulti's equivalence guarantee
-// holds range by range, so every Answer is identical to running the queries
-// one at a time; what the batch changes is each shard's device timeline,
-// which advances once per batch.
+// feature IDs into global coordinates. The shared sweep's equivalence
+// guarantee holds range by range, so every Answer is identical to running
+// the queries one at a time; what the batch changes is each shard's device
+// timeline, which advances once per batch. A shard that refuses any of its
+// specs fails as a whole.
 //
 // Degraded operation: the batch waits for every shard and collects every
 // failure, injected (SetTolerance) or real. As long as one shard answers,
@@ -332,17 +334,13 @@ func (e *Engines) Queries(qfvs [][]float32, k int) ([]Answer, error) {
 		wg.Add(1)
 		go func(s int, eng *core.DeepStore) {
 			defer wg.Done()
-			ids, err := eng.QueryMulti(specs)
+			results, err := eng.Do(specs)
+			for _, r := range results {
+				err = cmp.Or(err, r.Err)
+			}
 			if err != nil {
 				outs[s].err = fmt.Errorf("cluster: shard %d: %w", s, err)
 				return
-			}
-			results := make([]*core.QueryResult, len(ids))
-			for i, id := range ids {
-				if results[i], err = eng.GetResults(id); err != nil {
-					outs[s].err = fmt.Errorf("cluster: shard %d: %w", s, err)
-					return
-				}
 			}
 			outs[s].results = results
 		}(s, st.engines[s])

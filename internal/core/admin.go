@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ftl"
 	"repro/internal/obs"
@@ -15,8 +16,8 @@ import (
 // block columns to the FTL and compaction coalesces the resulting holes.
 
 // DeleteDB removes a database: its flash block columns are erased and freed
-// (wear accounted), its materialized vectors released, and subsequent
-// queries against the id fail.
+// (wear accounted), its materialized vectors released, its cached answers
+// dropped (dropCachedAnswers), and subsequent queries against the id fail.
 func (ds *DeepStore) DeleteDB(id ftl.DBID) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -31,7 +32,18 @@ func (ds *DeepStore) DeleteDB(id ftl.DBID) error {
 		return err
 	}
 	delete(ds.dbs, id)
+	ds.dropCachedAnswers(id)
 	return nil
+}
+
+// dropCachedAnswers clears the query cache (core_qcache_clears) when it holds
+// an answer of database id, whose features an admin op renumbers or removes:
+// qcache keeps no per-entry removal, so its slots stay dense.
+func (ds *DeepStore) dropCachedAnswers(id ftl.DBID) {
+	if ds.qc != nil && slices.ContainsFunc(ds.qcr.scopes[:ds.qc.Len()], func(s cacheScope) bool { return s.db == id }) {
+		ds.qc.Clear()
+		ds.obs.Counter("core_qcache_clears").Inc()
+	}
 }
 
 // CompactFlash runs on demand the garbage collection an allocation runs when
@@ -47,8 +59,9 @@ func (ds *DeepStore) CompactFlash() int {
 // The migration is charged in the device model: every data page is read,
 // staged through controller DRAM, and reprogrammed. The derived tables are
 // rebuilt from scratch atomically with the move (refreshTables: every
-// stripe's membership and every int8 slot changed), and the query cache is
-// cleared (core_qcache_clears): its answers name the old feature order.
+// stripe's membership and every int8 slot changed), its cached answers are
+// dropped (dropCachedAnswers), and the history records so far are marked as
+// naming the old feature order (dbState.reorgSeq).
 func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -71,10 +84,10 @@ func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 		Depth: ssd.IssueAll, Prefix: "ssd_reorg", Span: obs.SpanReorg}, nil)
 	ds.engine.Run()
 	st.vectors = moved
-	if ds.qc != nil {
-		ds.qc.Clear()
-		ds.obs.Counter("core_qcache_clears").Inc()
+	if ds.hist != nil {
+		st.reorgSeq = ds.hist.NextSeq()
 	}
+	ds.dropCachedAnswers(id)
 	ds.refreshTables(st, 0) // every slot moved
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -75,5 +76,43 @@ func TestCheckpoint(t *testing.T) {
 	}
 	if len(img) == 0 {
 		t.Error("empty checkpoint image")
+	}
+}
+
+// TestDeleteDBDropsItsCachedAnswers: a deleted database's cached answers can
+// never hit again, so DeleteDB drops them (core_qcache_clears) rather than
+// leave them to be charged on every later lookup: after 8 queries on one
+// database fill the 4-entry cache and the database is deleted, a query on
+// another database compares no entries.
+func TestDeleteDBDropsItsCachedAnswers(t *testing.T) {
+	ds, app, model, dbID := newEngine(t, 40)
+	other, err := ds.WriteDB(workload.NewFeatureDB(app, 40, 7).Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SetQC(perfectQCN(app.SCN.FeatureElems()), 1, 4, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	qs := workload.NewFeatureDB(app, 9, 11).Vectors
+	for _, q := range qs[:8] {
+		runQuery(t, ds, QuerySpec{QFV: q, K: 3, Model: model, DB: ftlID(dbID)})
+	}
+	if n := ds.qc.Len(); n != 4 {
+		t.Fatalf("cache holds %d entries before the delete, want 4", n)
+	}
+	if err := ds.DeleteDB(ftlID(dbID)); err != nil {
+		t.Fatal(err)
+	}
+	before := ds.MetricsSnapshot().Counters
+	r := runQuery(t, ds, QuerySpec{QFV: qs[8], K: 3, Model: model, DB: other})
+	after := ds.MetricsSnapshot().Counters
+	if n := after["qcache_comparisons"] - before["qcache_comparisons"]; n != 0 {
+		t.Errorf("the lookup compared %d entries of the deleted database, want 0", n)
+	}
+	if lat, _ := stageDur(r, obs.StageQCacheLookup); lat != 0 {
+		t.Errorf("qcache_lookup charged %v for an empty cache", lat)
+	}
+	if n := after["core_qcache_clears"]; n != 1 {
+		t.Errorf("core_qcache_clears = %d, want 1", n)
 	}
 }

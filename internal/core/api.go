@@ -112,6 +112,13 @@ func (ds *DeepStore) AppendDB(id ftl.DBID, features [][]float32) error {
 // them are read, staged through controller DRAM and cross the external
 // interface in the device model.
 func (ds *DeepStore) ReadDB(id ftl.DBID, start, num int64) ([][]float32, error) {
+	return ds.readRange(id, start, num, 0, "readDB", "ssd_read", obs.SpanReadDB, nil)
+}
+
+// readRange is ReadDB's and ReadRangeForMigration's one body: op names its
+// refusals, minNum is the shortest range it reads, and prefix, span and done
+// go to the page walk (ssd.Device.StreamRange).
+func (ds *DeepStore) readRange(id ftl.DBID, start, num, minNum int64, op, prefix, span string, done func(ssd.StreamStats)) ([][]float32, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	st, err := ds.db(id)
@@ -119,13 +126,13 @@ func (ds *DeepStore) ReadDB(id ftl.DBID, start, num int64) ([][]float32, error) 
 		return nil, err
 	}
 	if st.vectors == nil {
-		return nil, fmt.Errorf("core: readDB of a declared (spec-only) database")
+		return nil, fmt.Errorf("core: %s of a declared (spec-only) database", op)
 	}
-	if start < 0 || num < 0 || start+num > int64(len(st.vectors)) {
-		return nil, fmt.Errorf("core: readDB range [%d, %d) outside database of %d features",
-			start, start+num, len(st.vectors))
+	if start < 0 || num < minNum || start+num > int64(len(st.vectors)) {
+		return nil, fmt.Errorf("core: %s range [%d, %d) outside database of %d features",
+			op, start, start+num, len(st.vectors))
 	}
-	ds.dev.StreamRange(st.meta, start, start+num, "ssd_read", obs.SpanReadDB, nil)
+	ds.dev.StreamRange(st.meta, start, start+num, prefix, span, done)
 	ds.engine.Run()
 	return appendClones(make([][]float32, 0, num), st.vectors[start:start+num]), nil
 }
@@ -251,8 +258,8 @@ func (ds *DeepStore) SetQC(qcn *nn.Network, qcnAccuracy float64, entries int, th
 	// The cached queries stay resident in the QCN's operand layout, written
 	// once per insert (§4.6 keeps the entries in SSD DRAM for the channel
 	// accelerators), and a lookup compares them all in one pass.
-	ds.qc = qcache.NewResident[cacheQuery](entries, qcnAccuracy,
-		&qcResident{Resident: qcn.Resident(entries), qcn: qcn})
+	ds.qcr = &qcResident{Resident: qcn.Resident(entries), qcn: qcn}
+	ds.qc = qcache.NewResident[cacheQuery](entries, qcnAccuracy, ds.qcr)
 	ds.qcn = qcn
 	ds.qcThreshold = threshold
 	if ds.opts.CacheAdmission == AdmissionLearned {

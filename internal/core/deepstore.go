@@ -168,6 +168,9 @@ type dbState struct {
 	// the move is routed around, not locked out. WriteDB always creates a
 	// fresh database, so it needs no interlock.
 	migrating bool
+	// reorgSeq is the history's next sequence number at the last ReorgDB:
+	// older records name a feature order that no longer exists.
+	reorgSeq uint64
 }
 
 type queryState struct {
@@ -185,6 +188,8 @@ const resultKeep = 1024
 
 // QueryResult is what getResults returns, plus the simulated cost.
 type QueryResult struct {
+	// ID is the query's id, also on Do's results, which no table keeps.
+	ID   QueryID
 	TopK []topk.Entry
 	// CacheHit reports whether the query cache served the query.
 	CacheHit bool
@@ -198,18 +203,17 @@ type QueryResult struct {
 	// Stages is the per-stage latency breakdown, in execution order
 	// (qcache_lookup, then bound_check when the pruning tier is active,
 	// then scan or rerank, then rerank_exact in two-pass quantized mode,
-	// then one dma stage per GetResults call). Stage durations always sum
-	// exactly to Latency.
+	// then one dma stage per delivery: one from Do, one per GetResults
+	// call). Stage durations always sum exactly to Latency.
 	Stages []obs.Stage
 	// Prune reports what the exact-pruning tier did for this query (all
 	// zeros when the tier is inactive or the query hit the cache).
 	Prune PruneStats
-	// Err carries a per-query failure through the channel delivery path
-	// (Server): when a query in a dispatched batch fails, its
-	// submission channel delivers a result with Err set (and no TopK)
-	// instead of silently closing, so callers can distinguish "my query
-	// failed, and here is why" from "the result was dropped". Always nil on
-	// the synchronous Query/GetResults path, which reports errors directly.
+	// Err is a per-query failure inside a batch: Do returns a refused spec's
+	// result with Err set (and no TopK) while its batch-mates run, and the
+	// Server delivers such a result on the submission channel rather than
+	// closing it silently. Always nil from Query, QueryMulti and GetResults,
+	// which report errors directly.
 	Err error
 }
 
@@ -278,8 +282,9 @@ type DeepStore struct {
 	fetched     []QueryID
 	fetchedHead int
 
-	// Query cache (§4.6); nil until SetQC.
+	// Query cache (§4.6) and its resident (slot scopes); nil until SetQC.
 	qc          *qcache.Cache[cacheQuery]
+	qcr         *qcResident
 	qcn         *nn.Network
 	qcThreshold float64
 

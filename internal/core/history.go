@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/energy"
 	"repro/internal/ftl"
@@ -253,11 +254,12 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 // PrefetchHistory re-warms the query cache from history: the top max query
 // groups by admission score have their most recent payload decoded (charged
 // as a DRAM read of the cold bytes) and re-inserted in the record's
-// whole-database scope. Two records are skipped and counted in
-// core_hist_prefetch_skipped: a ranged one (qhist.FlagRanged), whose range
-// the record does not keep, before its payload is read, and a query of
-// another width than the QCN compares. Returns how many entries were
-// inserted. Requires history and a configured cache.
+// whole-database scope. Records it cannot re-warm are skipped and counted in
+// core_hist_prefetch_skipped: before their payload is read, a ranged one
+// (qhist.FlagRanged, its range not kept), one of a deleted database, and one
+// older than its database's last ReorgDB (its answer names the old order);
+// after it, a query of another width than the QCN compares. Returns how many
+// entries were inserted. Requires history and a configured cache.
 func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -279,7 +281,8 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	inserted := 0
 	for _, g := range ranked {
 		rec := records[mined[g].LastSeq-first]
-		if rec.Flags&qhist.FlagRanged != 0 {
+		st, ok := ds.dbs[ftl.DBID(rec.DB)]
+		if !ok || rec.Seq < st.reorgSeq || rec.Flags&qhist.FlagRanged != 0 {
 			ds.obs.Counter("core_hist_prefetch_skipped").Inc()
 			continue
 		}
@@ -313,10 +316,9 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 // stripes of one feature per channel), so recurring queries' winning
 // features land in the earliest — lowest-latency — pages of every channel
 // stripe. The move runs through ReorgDB, which honors the ErrMigrating
-// interlock and rebuilds the prune/quantized tables. Returns the applied
-// permutation. Note that past TopFeature records keep their pre-reorg
-// positions: heat mined across a reorg mixes coordinate systems, so callers
-// wanting iterative placement should re-accumulate history between moves.
+// interlock and rebuilds the prune/quantized tables. Heat counts only the
+// records since the database's last reorg, the ones that name its current
+// feature order. Returns the applied permutation.
 func (ds *DeepStore) ReorgByHistory(id ftl.DBID) ([]int, error) {
 	ds.mu.Lock()
 	if ds.hist == nil {
@@ -334,7 +336,9 @@ func (ds *DeepStore) ReorgByHistory(id ftl.DBID) ([]int, error) {
 	}
 	n := len(st.vectors)
 	stripe := ds.dev.Config.Geometry.Channels
-	heat := qhist.FeatureHeat(ds.hist.Records(), uint64(id), int64(n))
+	records := ds.hist.Records()
+	since := sort.Search(len(records), func(i int) bool { return records[i].Seq >= st.reorgSeq })
+	heat := qhist.FeatureHeat(records[since:], uint64(id), int64(n))
 	ds.mu.Unlock()
 
 	rows, err := reorg.StripeHeat(heat, stripe)

@@ -650,6 +650,70 @@ func TestPrefetchOntoDeclaredDB(t *testing.T) {
 	}
 }
 
+// TestHistoryAfterReorg: history records older than a database's last
+// ReorgDB name features in the old order. On TIR's 150 features reversed by
+// ReorgDB, ReorgByHistory finds no heat (its permutation is the identity)
+// and PrefetchHistory skips the old record (core_hist_prefetch_skipped), so
+// the repeat query scans for the exact answer over the new order instead of
+// hitting one that names the old order's features.
+func TestHistoryAfterReorg(t *testing.T) {
+	app := mustApp(t, "TIR")
+	app.SCN.InitRandom(1)
+	opts := DefaultOptions()
+	opts.History = true
+	vectors := workload.NewFeatureDB(app, 150, 2).Vectors
+	e := newSCNEngine(t, opts, app.SCN, vectors, 0)
+	id := ftlID(e.db)
+	if err := e.ds.SetQC(perfectQCN(app.SCN.FeatureElems()), 1, 16, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	q := workload.NewFeatureDB(app, 1, 99).Vectors[0]
+	spec := QuerySpec{QFV: q, K: 3, Model: e.model, DB: id}
+	if old := featureIDs(runQuery(t, e.ds, spec).TopK); !slices.Equal(old, []int64{132, 94, 2}) {
+		t.Fatalf("answer before the reorg names features %v, want 132 94 2", old)
+	}
+	reversed := make([]int, len(vectors))
+	for i := range reversed {
+		reversed[i] = len(vectors) - 1 - i
+	}
+	if err := e.ds.ReorgDB(id, reversed); err != nil {
+		t.Fatal(err)
+	}
+	order, err := e.ds.ReorgByHistory(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range order {
+		if src != i {
+			t.Fatalf("ReorgByHistory moved feature %d to %d from heat of a record older than the reorg", src, i)
+		}
+	}
+	n, err := e.ds.PrefetchHistory(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped := e.ds.MetricsSnapshot().Counters["core_hist_prefetch_skipped"]; n != 0 || skipped != 1 {
+		t.Fatalf("prefetched %d and skipped %d, want 0 and 1", n, skipped)
+	}
+	r := runQuery(t, e.ds, spec)
+	if r.CacheHit {
+		t.Errorf("the repeat query hit the pre-reorg answer %+v", r.TopK)
+	}
+	slices.Reverse(vectors)
+	assertSameTopK(t, "after reorg", r.TopK, bruteTopK(e.ds, id, app.SCN, vectors, q, 3))
+	if got := featureIDs(r.TopK); !slices.Equal(got, []int64{17, 55, 147}) {
+		t.Errorf("answer after the reorg names features %v, want 17 55 147", got)
+	}
+}
+
+func featureIDs(top []topk.Entry) []int64 {
+	ids := make([]int64, len(top))
+	for i, e := range top {
+		ids[i] = e.FeatureID
+	}
+	return ids
+}
+
 func mustApp(t *testing.T, name string) *workload.App {
 	t.Helper()
 	app, err := workload.ByName(name)

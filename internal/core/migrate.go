@@ -80,26 +80,11 @@ func (ds *DeepStore) DBFeatures(id ftl.DBID) (int64, error) {
 // external-link transfer to the mover (ssd.Device.StreamRange, the walk
 // ReadDB makes): packed neighbors ride along, as they do on real flash.
 // Returns deep copies, so the mover's buffer survives concurrent appends to
-// the source.
+// the source (readRange, the body ReadDB shares).
 func (ds *DeepStore) ReadRangeForMigration(id ftl.DBID, start, num int64) ([][]float32, error) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	st, err := ds.db(id)
-	if err != nil {
-		return nil, err
-	}
-	if st.vectors == nil {
-		return nil, fmt.Errorf("core: migration read of a declared (spec-only) database")
-	}
-	if start < 0 || num < 1 || start+num > int64(len(st.vectors)) {
-		return nil, fmt.Errorf("core: migration range [%d, %d) outside database of %d features",
-			start, start+num, len(st.vectors))
-	}
-	var stats ssd.StreamStats
-	ds.dev.StreamRange(st.meta, start, start+num, "ssd_migrate", obs.SpanMigrateOut, func(s ssd.StreamStats) { stats = s })
-	ds.engine.Run()
-	ds.obs.Counter("core_migrate_reads").Inc()
-	ds.obs.Counter("core_migrate_features_out").Add(num)
-	ds.obs.Counter("core_migrate_pages_out").Add(stats.Pages)
-	return appendClones(make([][]float32, 0, num), st.vectors[start:start+num]), nil
+	return ds.readRange(id, start, num, 1, "migration read", "ssd_migrate", obs.SpanMigrateOut, func(s ssd.StreamStats) {
+		ds.obs.Counter("core_migrate_reads").Inc()
+		ds.obs.Counter("core_migrate_features_out").Add(num)
+		ds.obs.Counter("core_migrate_pages_out").Add(s.Pages)
+	})
 }

@@ -59,31 +59,81 @@ type scanGroup struct {
 // Validation is all-or-nothing: if any spec is invalid, no query executes
 // and no engine state changes.
 func (ds *DeepStore) QueryMulti(specs []QuerySpec) ([]QueryID, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("core: empty multi-query batch")
-	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	items := make([]batchItem, len(specs))
-	for i, spec := range specs {
-		key, err := ds.resolveSpec(spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: multi query %d: %w", i, err)
-		}
-		items[i] = batchItem{spec: spec, scanKey: key}
-	}
-	ids, err := ds.runBatch(items, obs.StageSharedScan)
+	results, err := ds.runSpecs(specs, true)
 	if err != nil {
 		return nil, err
 	}
-	ds.obs.Counter("core_multi_batches").Inc()
+	ids := make([]QueryID, len(results))
+	for i, r := range results {
+		ids[i] = ds.record(r)
+	}
 	return ids, nil
 }
 
+// Do runs a batch of queries and delivers their results in one critical
+// section. A refused spec comes back with QueryResult.Err set and changes no
+// cache, clock or history state; the rest run as one shared batch exactly as
+// QueryMulti runs them and are delivered in spec order exactly as GetResults
+// delivers. Results keep their query id in QueryResult.ID but never enter the
+// result table. The error is non-nil only for an empty batch or a failed scan.
+func (ds *DeepStore) Do(specs []QuerySpec) ([]*QueryResult, error) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	results, err := ds.runSpecs(specs, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range results {
+		if r.Err == nil {
+			ds.deliver(r)
+		}
+	}
+	return results, nil
+}
+
+// runSpecs resolves each spec on its own and runs the resolved ones as one
+// shared batch, returning one result per spec (a refused one carries only
+// Err); with allOrNothing a refusal runs nothing. Callers hold ds.mu.
+func (ds *DeepStore) runSpecs(specs []QuerySpec, allOrNothing bool) ([]*QueryResult, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("core: empty multi-query batch")
+	}
+	out := make([]*QueryResult, len(specs))
+	var items []batchItem
+	for i, spec := range specs {
+		key, err := ds.resolveSpec(spec)
+		if err != nil {
+			err = fmt.Errorf("core: multi query %d: %w", i, err)
+			if allOrNothing {
+				return nil, err
+			}
+			out[i] = &QueryResult{Err: err}
+			continue
+		}
+		items = append(items, batchItem{spec: spec, scanKey: key})
+	}
+	if len(items) == 0 {
+		return out, nil
+	}
+	results, err := ds.runBatch(items, obs.StageSharedScan)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		if out[i] == nil {
+			out[i], results = results[0], results[1:]
+		}
+	}
+	return out, nil
+}
+
 // runBatch executes resolved queries as one batch — the single miss path
-// behind Query (one item, scanStage "scan") and QueryMulti ("shared_scan").
-// Callers hold ds.mu.
-func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, error) {
+// behind Query (one item, scanStage "scan"), QueryMulti and Do
+// ("shared_scan", counted in core_multi_batches) — and returns their
+// results, each under a fresh query id. Callers hold ds.mu.
+func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]*QueryResult, error) {
 	t0 := ds.engine.Now()
 
 	// Pass 1 — cache decisions in submission order. Lookup outcomes, LRU
@@ -136,7 +186,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 
 	// Pass 3 — re-rank hits (every pending entry is filled by now) and
 	// finish all queries in submission order.
-	ids := make([]QueryID, len(items))
+	results := make([]*QueryResult, len(items))
 	for i := range items {
 		it := &items[i]
 		r := it.result
@@ -160,10 +210,15 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]QueryID, e
 		stampObjectIDs(it.st.meta.Layout, r.TopK)
 		ds.appendHistory(it.spec, r)
 		ds.finishQuery(r)
-		ids[i] = ds.record(r)
-		ds.emitQuerySpans(ids[i], t0, r)
+		r.ID = ds.nextQueryID
+		ds.nextQueryID++
+		ds.emitQuerySpans(t0, r)
+		results[i] = r
 	}
-	return ids, nil
+	if scanStage == obs.StageSharedScan {
+		ds.obs.Counter("core_multi_batches").Inc()
+	}
+	return results, nil
 }
 
 // scanGroup runs one group's functional sweep — which also makes each

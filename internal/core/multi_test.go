@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/accel"
@@ -154,6 +155,144 @@ func TestQueryMultiEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDoMatchesQueryMulti: Do is QueryMulti followed by one GetResults per
+// id, in one critical section. On twin engines, one driven by Do and one by
+// QueryMulti + GetResults, every result is bit-identical — top-K with
+// ObjectIDs, cache hit, latency, energy, stages, prune stats and query id —
+// and so are the engine clocks, stats and metrics, for Q ∈ {1, 2, 7, 64}, the
+// cache on and off, and dense and prune + two-pass int8 engines. Do's results
+// never enter the result table.
+func TestDoMatchesQueryMulti(t *testing.T) {
+	configs := []struct {
+		name    string
+		build   func(t *testing.T, useQC bool) (*DeepStore, ModelID, ftl.DBID)
+		queries func(q int) [][]float32
+	}{
+		{
+			name: "dense",
+			build: func(t *testing.T, useQC bool) (*DeepStore, ModelID, ftl.DBID) {
+				return newEqEngine(t, DefaultOptions(), 101, useQC)
+			},
+			queries: func(q int) [][]float32 { return eqQueries(q, int64(2000+q)) },
+		},
+		{
+			name: "prune+int8",
+			build: func(t *testing.T, useQC bool) (*DeepStore, ModelID, ftl.DBID) {
+				opts := quantTestOpts(quantTestMargin)
+				opts.Prune = true
+				ds, model, db := buildPruneEngine(t, opts, pruneTestNet(), clusteredVectors(131, 17))
+				if useQC {
+					if err := ds.SetQC(pruneTestQCN(), 1.0, 8, 0.2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return ds, model, db
+			},
+			queries: func(q int) [][]float32 {
+				qfvs := clusteredVectors(q, int64(3000+q))
+				for i := 3; i < q; i += 3 {
+					qfvs[i] = qfvs[i-3]
+				}
+				return qfvs
+			},
+		},
+	}
+	for _, c := range configs {
+		for _, useQC := range []bool{false, true} {
+			for _, q := range []int{1, 2, 7, 64} {
+				t.Run(fmt.Sprintf("%s/qc=%v/Q=%d", c.name, useQC, q), func(t *testing.T) {
+					do, model, db := c.build(t, useQC)
+					multi, _, _ := c.build(t, useQC)
+					specs := make([]QuerySpec, q)
+					for i, qfv := range c.queries(q) {
+						specs[i] = QuerySpec{QFV: qfv, K: 4, Model: model, DB: db}
+					}
+					got, err := do.Do(specs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := queryMultiResults(t, multi, specs)
+					var hits, checked int64
+					for i := range want {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("query %d: Do %+v, QueryMulti+GetResults %+v", i, got[i], want[i])
+						}
+						if want[i].CacheHit {
+							hits++
+						}
+						checked += want[i].Prune.StripesChecked
+					}
+					if useQC && q >= 7 && hits == 0 {
+						t.Fatal("no query hit the cache")
+					}
+					if c.name == "prune+int8" && (checked == 0 || !hasStage(want[0], obs.StageRerankExact)) {
+						t.Fatalf("prune+int8 checked %d stripes, first stages %v", checked, want[0].Stages)
+					}
+					sameEngineState(t, do, multi)
+					if n := len(do.queries); n != 0 {
+						t.Fatalf("Do left %d results in the result table", n)
+					}
+				})
+			}
+		}
+	}
+
+	// One refused spec among four: it returns its Err, and the other three
+	// run as one shared sweep, exactly as QueryMulti runs them alone.
+	do, model, db := newEqEngine(t, DefaultOptions(), 101, false)
+	multi, _, _ := newEqEngine(t, DefaultOptions(), 101, false)
+	specs := make([]QuerySpec, 4)
+	for i, qfv := range eqVectors(4, 77) {
+		specs[i] = QuerySpec{QFV: qfv, K: 4, Model: model, DB: db}
+	}
+	specs[2].K = 0
+	got, err := do.Do(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got[2]; r.Err == nil || r.TopK != nil || r.Latency != 0 {
+		t.Fatalf("refused spec returned %+v, want only an error", r)
+	}
+	want := queryMultiResults(t, multi, []QuerySpec{specs[0], specs[1], specs[3]})
+	for i, w := range want {
+		if g := got[[]int{0, 1, 3}[i]]; !reflect.DeepEqual(g, w) {
+			t.Fatalf("good spec %d: Do %+v, QueryMulti+GetResults %+v", i, g, w)
+		}
+	}
+	sameEngineState(t, do, multi)
+	if c := do.MetricsSnapshot().Counters; c["core_shared_scans"] != 1 || c["core_shared_scan_queries"] != 3 {
+		t.Fatalf("core_shared_scans = %d over %d queries, want 1 over 3", c["core_shared_scans"], c["core_shared_scan_queries"])
+	}
+}
+
+// queryMultiResults runs specs through QueryMulti and fetches every result.
+func queryMultiResults(t *testing.T, ds *DeepStore, specs []QuerySpec) []*QueryResult {
+	t.Helper()
+	ids, err := ds.QueryMulti(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*QueryResult, len(ids))
+	for i, id := range ids {
+		if out[i], err = ds.GetResults(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// sameEngineState fails unless two engines agree on the clock, the stats and
+// every counter, gauge and histogram of their metrics.
+func sameEngineState(t *testing.T, a, b *DeepStore) {
+	t.Helper()
+	if a.Now() != b.Now() || a.Stats() != b.Stats() {
+		t.Fatalf("engines diverge: clock %v vs %v, stats %+v vs %+v", a.Now(), b.Now(), a.Stats(), b.Stats())
+	}
+	if sa, sb := a.MetricsSnapshot(), b.MetricsSnapshot(); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("metrics diverge:\n%+v\n%+v", sa, sb)
 	}
 }
 

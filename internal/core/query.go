@@ -52,11 +52,11 @@ func (ds *DeepStore) Query(spec QuerySpec) (QueryID, error) {
 	if err != nil {
 		return 0, err
 	}
-	ids, err := ds.runBatch([]batchItem{{spec: spec, scanKey: key}}, obs.StageScan)
+	results, err := ds.runBatch([]batchItem{{spec: spec, scanKey: key}}, obs.StageScan)
 	if err != nil {
 		return 0, err
 	}
-	return ids[0], nil
+	return ds.record(results[0]), nil
 }
 
 // scanKey is a resolved query target: queries with equal keys scan the same
@@ -127,18 +127,18 @@ func (ds *DeepStore) resolveSpec(spec QuerySpec) (scanKey, error) {
 // the track is the canonical sequential decomposition of Result.Latency
 // rather than a replay of engine events; the "flash" category carries the
 // event-level page-read detail.
-func (ds *DeepStore) emitQuerySpans(id QueryID, t0 sim.Time, r *QueryResult) {
+func (ds *DeepStore) emitQuerySpans(t0 sim.Time, r *QueryResult) {
 	if ds.tracer == nil {
 		return
 	}
 	ds.tracer.Add(obs.Span{
-		Name: "query", Cat: "core", TID: int64(id),
+		Name: "query", Cat: "core", TID: int64(r.ID),
 		Start: t0, Dur: r.Latency,
 		Args: map[string]string{"cache_hit": strconv.FormatBool(r.CacheHit)},
 	})
 	cursor := t0
 	for _, s := range r.Stages {
-		ds.tracer.Add(obs.Span{Name: s.Name, Cat: "core", TID: int64(id), Start: cursor, Dur: s.Dur})
+		ds.tracer.Add(obs.Span{Name: s.Name, Cat: "core", TID: int64(r.ID), Start: cursor, Dur: s.Dur})
 		cursor += sim.Time(s.Dur)
 	}
 }
@@ -521,47 +521,24 @@ func (ds *DeepStore) finishQuery(r *QueryResult) {
 	}
 }
 
+// record files r in the result table under its id, for GetResults.
 func (ds *DeepStore) record(r *QueryResult) QueryID {
-	id := ds.nextQueryID
-	ds.nextQueryID++
-	ds.queries[id] = &queryState{result: r}
-	return id
+	ds.queries[r.ID] = &queryState{result: r}
+	return r.ID
 }
 
 // GetResults retrieves a query's top-K results (getResults), charging the
-// DMA of the results to host memory on the external link. The transfer's
-// elapsed time is added to the query's latency and to the engine's SimTime
-// — result delivery is part of what the host observes. A result stays
-// re-fetchable until resultKeep newer ones have been fetched; after that its
-// id is unknown.
+// DMA of the results to host memory on the external link (deliver). A result
+// stays re-fetchable until resultKeep newer ones have been fetched; after
+// that its id is unknown.
 func (ds *DeepStore) GetResults(id QueryID) (*QueryResult, error) {
-	return ds.fetchResults(id, false)
-}
-
-// fetchResults is GetResults; with forget set the entry leaves the result
-// table in the same critical section (the admission layer's delivery, whose
-// submission channel is the result's only reader).
-func (ds *DeepStore) fetchResults(id QueryID, forget bool) (*QueryResult, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	st, ok := ds.queries[id]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown query %d", id)
 	}
-	// Each result row carries the feature vector address and score.
-	before := ds.engine.Now()
-	ds.dev.External.Transfer(int64(len(st.result.TopK))*16, nil)
-	ds.engine.Run()
-	dma := sim.Duration(ds.engine.Now() - before)
-	st.result.charge(obs.StageDMA, dma, energy.Breakdown{})
-	ds.stats.SimTime += dma
-	ds.obs.Counter("core_get_results").Inc()
-	ds.observeStage(obs.StageDMA, dma)
-	ds.tracer.Add(obs.Span{Name: obs.StageDMA, Cat: "core", TID: int64(id), Start: before, Dur: dma})
-	if forget {
-		delete(ds.queries, id)
-		return st.result, nil
-	}
+	ds.deliver(st.result)
 	if !st.fetched {
 		st.fetched = true
 		if len(ds.fetched) < resultKeep {
@@ -578,4 +555,19 @@ func (ds *DeepStore) fetchResults(id QueryID, forget bool) (*QueryResult, error)
 	out := *st.result
 	out.Stages = append([]obs.Stage(nil), st.result.Stages...)
 	return &out, nil
+}
+
+// deliver charges the DMA of r's rows (address and score each) to host
+// memory on the external link, adding it to the query's latency and the
+// engine's SimTime: the host observes delivery. Callers hold ds.mu.
+func (ds *DeepStore) deliver(r *QueryResult) {
+	before := ds.engine.Now()
+	ds.dev.External.Transfer(int64(len(r.TopK))*16, nil)
+	ds.engine.Run()
+	dma := sim.Duration(ds.engine.Now() - before)
+	r.charge(obs.StageDMA, dma, energy.Breakdown{})
+	ds.stats.SimTime += dma
+	ds.obs.Counter("core_get_results").Inc()
+	ds.observeStage(obs.StageDMA, dma)
+	ds.tracer.Add(obs.Span{Name: obs.StageDMA, Cat: "core", TID: int64(r.ID), Start: before, Dur: dma})
 }

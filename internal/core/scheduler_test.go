@@ -179,11 +179,10 @@ func TestSchedulerClosed(t *testing.T) {
 	sched.Flush() // no-op on a closed server
 }
 
-// TestSchedulerFallbackOnBadSpec: a batch containing an invalid spec falls
-// back to independent queries — the good specs still complete without an
-// error, the bad one delivers exactly one result carrying the typed error
-// (never a silently closed channel), and the fallback and error counters
-// record the event.
+// TestSchedulerFallbackOnBadSpec: a batch containing an invalid spec runs
+// its good specs as one shared sweep — they complete without an error — and
+// the bad one delivers exactly one result carrying the typed error (never a
+// silently closed channel), counted in sched_errors.
 func TestSchedulerFallbackOnBadSpec(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
 	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 3})
@@ -207,7 +206,7 @@ func TestSchedulerFallbackOnBadSpec(t *testing.T) {
 	for i, ch := range []<-chan *QueryResult{chG1, chG2} {
 		res := <-ch
 		if res == nil {
-			t.Fatalf("good query %d dropped by fallback", i+1)
+			t.Fatalf("good query %d dropped beside a bad one", i+1)
 		}
 		if res.Err != nil {
 			t.Fatalf("good query %d delivered error %v", i+1, res.Err)
@@ -233,15 +232,14 @@ func TestSchedulerFallbackOnBadSpec(t *testing.T) {
 	if n := snap.Counters["sched_errors"]; n != 1 {
 		t.Fatalf("sched_errors = %d, want 1", n)
 	}
-	if n := snap.Counters["sched_fallback"]; n != 1 {
-		t.Fatalf("sched_fallback = %d, want 1", n)
+	if n, m := snap.Counters["core_shared_scans"], snap.Counters["core_shared_scan_queries"]; n != 1 || m != 2 {
+		t.Fatalf("core_shared_scans = %d over %d queries, want 1 over the 2 good ones", n, m)
 	}
 }
 
-// TestSchedulerAllBadBatch covers the fallback path when every spec in the
-// batch is invalid: each submission delivers its own typed error, the
-// fallback is counted once per batch, and the error counter counts each
-// failed query.
+// TestSchedulerAllBadBatch: when every spec in the batch is invalid, each
+// submission delivers its own typed error, the error counter counts each
+// failed query, and no shared batch runs.
 func TestSchedulerAllBadBatch(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
 	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 2})
@@ -269,8 +267,8 @@ func TestSchedulerAllBadBatch(t *testing.T) {
 	if n := snap.Counters["sched_errors"]; n != 2 {
 		t.Fatalf("sched_errors = %d, want 2", n)
 	}
-	if n := snap.Counters["sched_fallback"]; n != 1 {
-		t.Fatalf("sched_fallback = %d, want 1", n)
+	if n := snap.Counters["core_multi_batches"]; n != 0 {
+		t.Fatalf("core_multi_batches = %d, want 0", n)
 	}
 	// The batch never executed a sweep.
 	if n := snap.Counters["core_shared_scans"]; n != 0 {
@@ -279,16 +277,16 @@ func TestSchedulerAllBadBatch(t *testing.T) {
 }
 
 // TestDeliveredResultsLeaveTable: a result delivered on a submission channel
-// has no other reader, so its entry leaves the engine's result table — on
-// the shared-sweep path and on the bad-spec fallback path alike — while a
-// direct Query's result stays re-fetchable.
+// has no other reader, so it never stays in the engine's result table — in
+// a clean batch and in one holding a bad spec alike, each one shared sweep —
+// while a direct Query's result stays re-fetchable.
 func TestDeliveredResultsLeaveTable(t *testing.T) {
 	engine, model, db := newEqEngine(t, DefaultOptions(), 7, false)
 	sched := newScheduler(t, engine, 0, ServerConfig{BatchSize: 3})
 	good := QuerySpec{QFV: eqVectors(1, 3)[0], K: 2, Model: model, DB: db}
 	bad := good
 	bad.K = 0
-	// A clean batch of three, then a batch whose bad spec forces the fallback.
+	// A clean batch of three, then a batch holding a bad spec.
 	specs := []QuerySpec{good, good, good, good, bad, good}
 	chans := make([]<-chan *QueryResult, len(specs))
 	for i, spec := range specs {
@@ -303,8 +301,8 @@ func TestDeliveredResultsLeaveTable(t *testing.T) {
 			t.Fatalf("submission %d delivered %+v", i, res)
 		}
 	}
-	if n := engine.MetricsSnapshot().Counters["sched_fallback"]; n != 1 {
-		t.Fatalf("sched_fallback = %d, want 1", n)
+	if n := engine.MetricsSnapshot().Counters["core_shared_scans"]; n != 2 {
+		t.Fatalf("core_shared_scans = %d, want 2 (one per batch)", n)
 	}
 	id, err := engine.Query(good)
 	if err != nil {

@@ -100,11 +100,7 @@ type tenantState struct {
 	// lastFinish is the finish tag of the tenant's most recently admitted
 	// item; the next item starts no earlier (per-tenant FIFO in tag space).
 	lastFinish float64
-
-	submitted int64
-	shed      int64
-	served    int64
-	failed    int64
+	stats      TenantStats
 }
 
 // TenantStats is one tenant's serving-tier accounting snapshot.
@@ -118,7 +114,7 @@ type TenantStats struct {
 }
 
 // Server is the engine's admission layer: submitted queries are coalesced
-// into shared multi-query sweeps (QueryMulti), amortizing each sweep's flash
+// into shared multi-query sweeps (Do), amortizing each sweep's flash
 // and weight-streaming traffic across the batch, behind per-tenant
 // weighted-fair queues with priority aging, per-tenant admission control (an
 // over-budget tenant sheds its own traffic and nobody else's), and
@@ -245,7 +241,7 @@ func (s *Server) submitLocked(tenant string, spec QuerySpec, arrival sim.Time) (
 	}
 	tenant = ts.cfg.Name
 	if len(ts.queue) >= ts.depth {
-		ts.shed++
+		ts.stats.Shed++
 		s.ds.obs.Counter("serve_shed_" + tenant).Inc()
 		s.ds.obs.Counter("serve_shed").Inc()
 		return nil, fmt.Errorf("core: tenant %q over budget (%d queued): %w", tenant, len(ts.queue), ErrQueueFull)
@@ -270,7 +266,7 @@ func (s *Server) submitLocked(tenant string, spec QuerySpec, arrival sim.Time) (
 	}
 	ts.queue = append(ts.queue, item)
 	s.pending++
-	ts.submitted++
+	ts.stats.Submitted++
 	s.ds.obs.Counter("serve_submitted_" + tenant).Inc()
 	s.ds.obs.Counter("serve_submitted").Inc()
 	return item.ch, nil
@@ -388,8 +384,10 @@ func (s *Server) takeBatchLocked(now sim.Time) []servItem {
 	return batch
 }
 
-// runBatchLocked runs one dispatched batch through the shared-sweep engine,
-// delivers every result and settles the per-tenant accounts.
+// runBatchLocked runs one dispatched batch through Do and delivers each
+// result on its channel: with Err set (sched_errors) for a refused spec, or
+// all if the scan failed; else with the sched_queue stage and span, the wait
+// from arrival to dispatch, so its stages still sum to Latency.
 func (s *Server) runBatchLocked(batch []servItem, cause cutCause, started sim.Time) {
 	specs := make([]QuerySpec, len(batch))
 	for i, it := range batch {
@@ -402,21 +400,29 @@ func (s *Server) runBatchLocked(batch []servItem, cause cutCause, started sim.Ti
 	if cause == cutDeadline {
 		s.ds.obs.Counter("serve_deadline_cuts").Inc()
 	}
-	errs := runSharedBatch(s.ds, batch, specs, started)
+	results, err := s.ds.Do(specs)
 	for i, it := range batch {
-		wait := sim.Duration(started - it.submitted)
-		if wait < 0 {
-			wait = 0
-		}
+		wait := max(sim.Duration(started-it.submitted), 0)
 		name := it.tenant.cfg.Name
 		s.ds.obs.Histogram("serve_wait_"+name+"_ms", latencyBucketsMs).Observe(wait.Seconds() * 1e3)
-		if errs[i] != nil {
-			s.ds.obs.Counter("serve_failed_" + name).Inc()
-			it.tenant.failed++
-		} else {
-			s.ds.obs.Counter("serve_served_" + name).Inc()
-			it.tenant.served++
+		res := &QueryResult{Err: err}
+		if err == nil {
+			res = results[i]
 		}
+		if res.Err != nil {
+			s.ds.obs.Counter("sched_errors").Inc()
+			s.ds.obs.Counter("serve_failed_" + name).Inc()
+			it.tenant.stats.Failed++
+		} else {
+			res.Latency += wait
+			res.Stages = append([]obs.Stage{{Name: obs.StageSchedQueue, Dur: wait}}, res.Stages...)
+			s.ds.observeStage(obs.StageSchedQueue, wait)
+			s.ds.tracer.Add(obs.Span{Name: obs.StageSchedQueue, Cat: "core", TID: int64(res.ID), Start: started - sim.Time(wait), Dur: wait})
+			s.ds.obs.Counter("serve_served_" + name).Inc()
+			it.tenant.stats.Served++
+		}
+		it.ch <- res
+		close(it.ch)
 	}
 }
 
@@ -480,76 +486,7 @@ func (s *Server) TenantStats() map[string]TenantStats {
 	defer s.mu.Unlock()
 	out := make(map[string]TenantStats, len(s.order))
 	for _, ts := range s.order {
-		out[ts.cfg.Name] = TenantStats{
-			Submitted: ts.submitted,
-			Shed:      ts.shed,
-			Served:    ts.served,
-			Failed:    ts.failed,
-		}
+		out[ts.cfg.Name] = ts.stats
 	}
 	return out
-}
-
-// runSharedBatch executes one admitted batch as a shared multi-query sweep
-// and delivers every result. A batch-level validation error (all-or-nothing
-// QueryMulti) falls back to independent queries so one bad spec cannot sink
-// its batch-mates; the fallback is counted (sched_fallback) and a query that
-// still fails has its error delivered on its submission channel (never a
-// silent drop). The returned slice holds each item's delivery outcome (nil =
-// a real result was delivered) for the per-tenant failure accounts.
-func runSharedBatch(ds *DeepStore, batch []servItem, specs []QuerySpec, started sim.Time) []error {
-	errs := make([]error, len(batch))
-	ids, err := ds.QueryMulti(specs)
-	if err != nil {
-		ds.obs.Counter("sched_fallback").Inc()
-		for i, it := range batch {
-			started := ds.Now()
-			id, qerr := ds.Query(specs[i])
-			if qerr != nil {
-				failItem(ds, it, qerr)
-				errs[i] = qerr
-				continue
-			}
-			errs[i] = deliverItem(ds, it, id, started)
-		}
-		return errs
-	}
-	for i, it := range batch {
-		errs[i] = deliverItem(ds, it, ids[i], started)
-	}
-	return errs
-}
-
-// failItem completes a submission whose query failed: the channel delivers
-// a result carrying the typed error, then closes. Callers therefore always
-// receive exactly one value per accepted submission.
-func failItem(ds *DeepStore, it servItem, err error) {
-	ds.obs.Counter("sched_errors").Inc()
-	it.ch <- &QueryResult{Err: err}
-	close(it.ch)
-}
-
-// deliverItem fetches one query's result, prepends the sched_queue stage
-// (the simulated wait between arrival and batch dispatch, so stage durations
-// still sum to Latency) and its span on the query's track, ending where the
-// query's other spans begin, and completes the submission channel. The
-// channel is the result's only reader, so its entry leaves the engine's
-// result table. Returns the delivery error, nil on success.
-func deliverItem(ds *DeepStore, it servItem, id QueryID, started sim.Time) error {
-	res, err := ds.fetchResults(id, true)
-	if err != nil {
-		failItem(ds, it, err)
-		return err
-	}
-	qwait := sim.Duration(started - it.submitted)
-	if qwait < 0 {
-		qwait = 0
-	}
-	res.Latency += qwait
-	res.Stages = append([]obs.Stage{{Name: obs.StageSchedQueue, Dur: qwait}}, res.Stages...)
-	ds.observeStage(obs.StageSchedQueue, qwait)
-	ds.tracer.Add(obs.Span{Name: obs.StageSchedQueue, Cat: "core", TID: int64(id), Start: started - sim.Time(qwait), Dur: qwait})
-	it.ch <- res
-	close(it.ch)
-	return nil
 }

@@ -38,14 +38,18 @@ type TraceReport struct {
 // via SetQC — and its results retrieved. This is the §5 methodology: traces
 // collected from applications are fed to the simulated query engine.
 func (ds *DeepStore) ReplayTrace(tr *workload.Trace, model ModelID, db ftl.DBID, k int) (TraceReport, error) {
-	return ds.replayTrace(tr, model, db, k, 1, func(specs []QuerySpec) ([]QueryID, error) {
+	return ds.replayTrace(tr, model, db, k, 1, func(specs []QuerySpec) ([]*QueryResult, error) {
 		id, err := ds.Query(specs[0])
-		return []QueryID{id}, err
+		if err != nil {
+			return nil, err
+		}
+		res, err := ds.GetResults(id)
+		return []*QueryResult{res}, err
 	})
 }
 
 // ReplayTraceMulti replays the trace in groups of batch consecutive queries
-// submitted through QueryMulti, so each group shares one in-storage sweep.
+// submitted through Do, so each group shares one in-storage sweep.
 // Because the shared sweep preserves per-query cache semantics, latency, and
 // energy exactly, the report matches ReplayTrace on an identically
 // constructed engine — the shared_scan stage replacing scan in the breakdown
@@ -55,13 +59,13 @@ func (ds *DeepStore) ReplayTraceMulti(tr *workload.Trace, model ModelID, db ftl.
 	if batch < 1 {
 		return TraceReport{}, fmt.Errorf("core: batch %d invalid", batch)
 	}
-	return ds.replayTrace(tr, model, db, k, batch, ds.QueryMulti)
+	return ds.replayTrace(tr, model, db, k, batch, ds.Do)
 }
 
 // replayTrace is the replay loop: consecutive groups of batch trace queries
-// go through submit, and every result is fetched and folded into the report.
+// go through submit, and every delivered result is folded into the report.
 func (ds *DeepStore) replayTrace(tr *workload.Trace, model ModelID, db ftl.DBID, k, batch int,
-	submit func([]QuerySpec) ([]QueryID, error)) (TraceReport, error) {
+	submit func([]QuerySpec) ([]*QueryResult, error)) (TraceReport, error) {
 	if tr == nil || len(tr.Queries) == 0 {
 		return TraceReport{}, fmt.Errorf("core: empty trace")
 	}
@@ -84,14 +88,13 @@ func (ds *DeepStore) replayTrace(tr *workload.Trace, model ModelID, db ftl.DBID,
 				K:   k, Model: model, DB: db,
 			}
 		}
-		ids, err := submit(specs)
+		results, err := submit(specs)
 		if err != nil {
 			return TraceReport{}, fmt.Errorf("core: trace query %d: %w", group[0].ID, err)
 		}
-		for _, id := range ids {
-			res, err := ds.GetResults(id)
-			if err != nil {
-				return TraceReport{}, err
+		for i, res := range results {
+			if res.Err != nil {
+				return TraceReport{}, fmt.Errorf("core: trace query %d: %w", group[i].ID, res.Err)
 			}
 			report.Queries++
 			if res.CacheHit {
