@@ -36,9 +36,9 @@ func (ds *DeepStore) DeleteDB(id ftl.DBID) error {
 	return nil
 }
 
-// dropCachedAnswers clears the query cache (core_qcache_clears) when it holds
-// an answer of database id, whose features an admin op renumbers or removes:
-// qcache keeps no per-entry removal, so its slots stay dense.
+// dropCachedAnswers frees dead slots: it clears the query cache
+// (core_qcache_clears) when it holds an answer of database id, which an admin
+// op removes or re-identifies. qcache keeps no per-entry removal.
 func (ds *DeepStore) dropCachedAnswers(id ftl.DBID) {
 	if ds.qc != nil && slices.ContainsFunc(ds.qcr.scopes[:ds.qc.Len()], func(s cacheScope) bool { return s.db == id }) {
 		ds.qc.Clear()
@@ -60,8 +60,8 @@ func (ds *DeepStore) CompactFlash() int {
 // staged through controller DRAM, and reprogrammed. The derived tables are
 // rebuilt from scratch atomically with the move (refreshTables: every
 // stripe's membership and every int8 slot changed), its cached answers are
-// dropped (dropCachedAnswers), and the history records so far are marked as
-// naming the old feature order (dbState.reorgSeq).
+// dropped (dropCachedAnswers), and its identity is re-derived from the new
+// order, so no stored answer of the old order applies.
 func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -84,9 +84,7 @@ func (ds *DeepStore) ReorgDB(id ftl.DBID, order []int) error {
 		Depth: ssd.IssueAll, Prefix: "ssd_reorg", Span: obs.SpanReorg}, nil)
 	ds.engine.Run()
 	st.vectors = moved
-	if ds.hist != nil {
-		st.reorgSeq = ds.hist.NextSeq()
-	}
+	st.ident = contentIdent(moved)
 	ds.dropCachedAnswers(id)
 	ds.refreshTables(st, 0) // every slot moved
 	return nil

@@ -43,6 +43,7 @@ func (ds *DeepStore) WriteDB(features [][]float32) (ftl.DBID, error) {
 	}
 	ds.programRange(meta, 0, "ssd_write", obs.SpanWriteDB)
 	st := &dbState{meta: meta, vectors: appendClones(make([][]float32, 0, len(features)), features)}
+	st.ident = contentIdent(st.vectors)
 	ds.dbs[meta.ID] = st
 	ds.refreshTables(st, 0)
 	return meta.ID, nil
@@ -59,9 +60,26 @@ func (ds *DeepStore) DeclareDB(featureBytes, features int64) (ftl.DBID, error) {
 	if err != nil {
 		return 0, err
 	}
-	ds.dbs[meta.ID] = &dbState{meta: meta}
+	ds.dbs[meta.ID] = &dbState{meta: meta, ident: identFold(identFold(0, uint64(featureBytes)), uint64(features)) | 1<<63}
 	return meta.ID, nil
 }
+
+// contentIdent derives a written database's identity (dbState.ident) from its
+// feature count, dims and every element's bits, so equal content gets equal
+// identities on any engine. Bit 63 is clear; DeclareDB sets it in a declared
+// database's, so the two never meet. Host-only: nothing is charged.
+func contentIdent(vectors [][]float32) uint64 {
+	h := identFold(identFold(0, uint64(len(vectors))), uint64(len(vectors[0])))
+	for _, v := range vectors {
+		for _, x := range v {
+			h = identFold(h, uint64(math.Float32bits(x)))
+		}
+	}
+	return h &^ (1 << 63)
+}
+
+// identFold is one FNV-1a step over a whole word (64-bit prime).
+func identFold(h, w uint64) uint64 { return (h ^ w) * 1099511628211 }
 
 // programRange charges writing features [start, Features) of the database:
 // the pages holding them (each channel's partly filled first page included)
@@ -180,17 +198,18 @@ func (ds *DeepStore) LoadModelNetwork(net *nn.Network) (ModelID, error) {
 // touches the cache, the clock or the history.
 var ErrQCNWidth = errors.New("core: query width differs from the query cache's QCN")
 
-// cacheScope is what a cached answer answers: the query's database, model
-// and range as submitted (end 0 is the whole database, so a whole-database
-// entry outlives AppendDB). A lookup only matches entries of its own scope.
+// cacheScope is what a cached answer answers: the query's database and its
+// identity, model and range as submitted (end 0 is the whole database, so a
+// whole-database entry outlives AppendDB). A lookup matches only its scope.
 type cacheScope struct {
 	db         ftl.DBID
+	ident      uint64
 	model      ModelID
 	start, end int64
 }
 
-func scopeOf(spec QuerySpec) cacheScope {
-	return cacheScope{db: spec.DB, model: spec.Model, start: spec.DBStart, end: spec.DBEnd}
+func scopeOf(spec QuerySpec, st *dbState) cacheScope {
+	return cacheScope{db: spec.DB, ident: st.ident, model: spec.Model, start: spec.DBStart, end: spec.DBEnd}
 }
 
 // cacheQuery is a query cache entry's query: a query vector in its scope.
@@ -223,11 +242,11 @@ func (r *qcResident) Put(slot int, q cacheQuery) {
 func (r *qcResident) Keys(keys []float64, q cacheQuery) {
 	r.raw = slices.Grow(r.raw[:0], len(keys))[:len(keys)]
 	r.Logits(r.raw, q.qfv)
+	w := &q.scope
 	for i, l := range r.raw {
 		keys[i] = float64(l)
-	}
-	for i, s := range r.scopes[:len(keys)] {
-		if s != q.scope {
+		// Field by field: == on a five-field struct calls memequal per slot.
+		if s := &r.scopes[i]; s.db != w.db || s.ident != w.ident || s.model != w.model || s.start != w.start || s.end != w.end {
 			keys[i] = math.NaN()
 		}
 	}

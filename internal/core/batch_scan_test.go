@@ -197,22 +197,19 @@ func TestSweepInvariantAcrossShapes(t *testing.T) {
 }
 
 // TestRerankBatchedMatchesScalar: the pooled batched rerank scores cached
-// entries exactly as a per-feature Scorer walk would, including entries
-// whose feature IDs fall outside the database (dropped, not scored).
+// entries exactly as a per-feature Scorer walk would. Cached feature IDs are
+// always ones the database holds: PrefetchHistory refuses others where they
+// enter (TestPrefetchRefusesForeignFeatureIDs).
 func TestRerankBatchedMatchesScalar(t *testing.T) {
 	ds, _, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", 300)
 	st := ds.dbs[dbID]
 	net := ds.models[model]
 	qfv := st.vectors[5]
 	cached := referenceTopK(ds, scanKey{st: st, net: net, end: 300}, st.vectors[7], 40)
-	cached = append(cached, topk.Entry{FeatureID: -1}, topk.Entry{FeatureID: 300})
 
 	want := topk.New(10)
 	scorer := net.Scorer()
 	for _, e := range cached {
-		if e.FeatureID < 0 || e.FeatureID >= int64(len(st.vectors)) {
-			continue
-		}
 		want.Offer(topk.Entry{
 			FeatureID: e.FeatureID,
 			Score:     scorer.Score(qfv, st.vectors[e.FeatureID]),

@@ -168,9 +168,9 @@ type dbState struct {
 	// the move is routed around, not locked out. WriteDB always creates a
 	// fresh database, so it needs no interlock.
 	migrating bool
-	// reorgSeq is the history's next sequence number at the last ReorgDB:
-	// older records name a feature order that no longer exists.
-	reorgSeq uint64
+	// ident names the content (contentIdent; AppendDB keeps it): a cached or
+	// recorded answer applies iff it carries the current ident.
+	ident uint64
 }
 
 type queryState struct {
@@ -291,13 +291,10 @@ type DeepStore struct {
 	// Query-history store (DESIGN.md §15); nil unless Options.History.
 	// histMined is the learned admission model, always exactly
 	// qhist.MineGroups(hist.Records()): every append folds its record in and
-	// the record it retires out. It is nil unless History and
-	// AdmissionLearned are both on. histPrefetched counts cache entries
-	// re-warmed by PrefetchHistory. All guarded by mu, like the cache whose
-	// policy reads them.
-	hist           *qhist.Store
-	histMined      map[uint64]qhist.GroupStat
-	histPrefetched uint64
+	// the record it retires out; nil unless AdmissionLearned too. Both are
+	// guarded by mu, like the cache whose policy reads them.
+	hist      *qhist.Store
+	histMined map[uint64]qhist.GroupStat
 
 	// pools hands out per-worker batched-scoring contexts; keyed by
 	// network, safe for concurrent use without holding mu.

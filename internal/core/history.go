@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/ftl"
@@ -42,7 +42,7 @@ const histMineCyclesPerRecord = 8
 // model equal to MineGroups of the window: the new record is folded in and
 // the one it retires is read back and folded out. Callers hold ds.mu and must
 // call this BEFORE finishQuery, on hit and miss paths alike.
-func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
+func (ds *DeepStore) appendHistory(spec QuerySpec, st *dbState, r *QueryResult) {
 	if ds.hist == nil {
 		return
 	}
@@ -70,6 +70,7 @@ func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	rec := ds.hist.AppendQuery(qhist.Record{
 		Time:       int64(ds.engine.Now()),
 		DB:         uint64(spec.DB),
+		Ident:      st.ident,
 		Model:      uint64(spec.Model),
 		Group:      qhist.GroupOf(spec.QFV),
 		K:          uint32(spec.K),
@@ -177,7 +178,7 @@ func (ds *DeepStore) HistoryStats() HistoryStats {
 		HotBytes:   ds.hist.HotBytes(),
 		ColdBytes:  ds.hist.ColdBytes(),
 		Groups:     len(ds.histMined),
-		Prefetched: ds.histPrefetched,
+		Prefetched: uint64(ds.obs.Counter("core_hist_prefetches").Value()),
 	}
 }
 
@@ -254,12 +255,11 @@ func (ds *DeepStore) RestoreHistory(img []byte) error {
 // PrefetchHistory re-warms the query cache from history: the top max query
 // groups by admission score have their most recent payload decoded (charged
 // as a DRAM read of the cold bytes) and re-inserted in the record's
-// whole-database scope. Records it cannot re-warm are skipped and counted in
-// core_hist_prefetch_skipped: before their payload is read, a ranged one
-// (qhist.FlagRanged, its range not kept), one of a deleted database, and one
-// older than its database's last ReorgDB (its answer names the old order);
-// after it, a query of another width than the QCN compares. Returns how many
-// entries were inserted. Requires history and a configured cache.
+// whole-database scope. Skipped and counted in core_hist_prefetch_skipped:
+// before the payload is read, a record not of its database's current
+// identity or a ranged one (qhist.FlagRanged); after it, a query the QCN
+// cannot compare or an answer naming a feature outside the database.
+// Returns how many entries were inserted; requires history and a cache.
 func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -282,7 +282,7 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	for _, g := range ranked {
 		rec := records[mined[g].LastSeq-first]
 		st, ok := ds.dbs[ftl.DBID(rec.DB)]
-		if !ok || rec.Seq < st.reorgSeq || rec.Flags&qhist.FlagRanged != 0 {
+		if !ok || st.ident != rec.Ident || rec.Flags&qhist.FlagRanged != 0 {
 			ds.obs.Counter("core_hist_prefetch_skipped").Inc()
 			continue
 		}
@@ -296,17 +296,16 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 		}
 		ds.dev.DRAM.Transfer(int64(len(payload)), nil)
 		ds.engine.Run()
-		if len(qfv) != ds.qcn.FeatureElems() {
-			// A query of another width than the QCN compares — one the cache
-			// could never have held (ErrQCNWidth): read, counted, skipped.
+		if len(qfv) != ds.qcn.FeatureElems() || slices.ContainsFunc(tk, func(e topk.Entry) bool {
+			return e.FeatureID < 0 || e.FeatureID >= st.meta.Layout.Features
+		}) {
+			// A query the cache never held (ErrQCNWidth), or a forged answer.
 			ds.obs.Counter("core_hist_prefetch_skipped").Inc()
 			continue
 		}
-		scope := cacheScope{db: ftl.DBID(rec.DB), model: ModelID(rec.Model)}
-		ds.qc.Insert(cacheQuery{scope: scope, qfv: qfv}, append([]topk.Entry(nil), tk...))
+		ds.qc.Insert(cacheQuery{scope: cacheScope{db: ftl.DBID(rec.DB), ident: rec.Ident, model: ModelID(rec.Model)}, qfv: qfv}, tk)
 		inserted++
 	}
-	ds.histPrefetched += uint64(inserted)
 	ds.obs.Counter("core_hist_prefetches").Add(int64(inserted))
 	return inserted, nil
 }
@@ -317,8 +316,8 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 // features land in the earliest — lowest-latency — pages of every channel
 // stripe. The move runs through ReorgDB, which honors the ErrMigrating
 // interlock and rebuilds the prune/quantized tables. Heat counts only the
-// records since the database's last reorg, the ones that name its current
-// feature order. Returns the applied permutation.
+// records of the database's current identity, the ones that name its
+// current feature order. Returns the applied permutation.
 func (ds *DeepStore) ReorgByHistory(id ftl.DBID) ([]int, error) {
 	ds.mu.Lock()
 	if ds.hist == nil {
@@ -336,9 +335,7 @@ func (ds *DeepStore) ReorgByHistory(id ftl.DBID) ([]int, error) {
 	}
 	n := len(st.vectors)
 	stripe := ds.dev.Config.Geometry.Channels
-	records := ds.hist.Records()
-	since := sort.Search(len(records), func(i int) bool { return records[i].Seq >= st.reorgSeq })
-	heat := qhist.FeatureHeat(records[since:], uint64(id), int64(n))
+	heat := qhist.FeatureHeat(ds.hist.Records(), st.ident, int64(n))
 	ds.mu.Unlock()
 
 	rows, err := reorg.StripeHeat(heat, stripe)

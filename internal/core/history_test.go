@@ -575,11 +575,11 @@ func TestPrefetchRewarmsWhatItCanScope(t *testing.T) {
 
 // TestPrefetchOntoDeclaredDB: a history checkpointed by one engine is
 // restored and prefetched by another that declares (spec only) the same
-// database id with fewer features. The repeated query hits the prefetched
-// entry; a declared database has no vectors to re-score it against, so the
-// answer keeps only the cached features the database holds, each stamped
-// with its address there, and the features past its end are dropped rather
-// than panicking the stamp.
+// database id with fewer features. A declared database's identity is never a
+// written one's, so PrefetchHistory skips A's record
+// (core_hist_prefetch_skipped) and the repeat query misses: it returns the
+// declared database's own answer, which is empty (no vectors to score), not
+// A's answer, whose features lie past the declared database's end.
 func TestPrefetchOntoDeclaredDB(t *testing.T) {
 	const declared = 2
 	app := mustApp(t, "TIR")
@@ -626,27 +626,116 @@ func TestPrefetchOntoDeclaredDB(t *testing.T) {
 	if err := b.SetQC(perfectQCN(app.SCN.FeatureElems()), 1, 16, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := b.PrefetchHistory(4); err != nil || n != 1 {
-		t.Fatalf("prefetched %d (err %v), want 1", n, err)
+	n, err := b.PrefetchHistory(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped := b.MetricsSnapshot().Counters["core_hist_prefetch_skipped"]; n != 0 || skipped != 1 {
+		t.Fatalf("prefetched %d and skipped %d, want 0 and 1", n, skipped)
 	}
 	r := runQuery(t, b, spec)
-	if !r.CacheHit {
-		t.Fatal("the repeated query missed the prefetched entry")
+	if r.CacheHit || len(r.TopK) != 0 {
+		t.Fatalf("repeat query: hit %v with answer %+v, want a miss with the declared database's empty answer", r.CacheHit, r.TopK)
 	}
-	layout := b.dbs[id].meta.Layout
-	var want []int64
-	for _, e := range before.TopK {
-		if e.FeatureID < declared {
-			want = append(want, e.FeatureID)
+}
+
+// TestPrefetchNeedsSameContent: engines A and B hold 40 TIR features under
+// the same database and model ids, and B restores A's checkpointed history.
+// Over other content (seed 2 against A's seed 1) B's identity differs, so
+// PrefetchHistory inserts nothing and the repeat query scans for B's exact
+// answer, 2/28/16, rather than re-scoring A's cached 23/10/19 on B's vectors.
+// Over A's own vectors the identity is A's, so A's answer re-warms and the
+// repeat query hits with it.
+func TestPrefetchNeedsSameContent(t *testing.T) {
+	app := mustApp(t, "TIR")
+	app.SCN.InitRandom(1)
+	opts := DefaultOptions()
+	opts.History = true
+	q := workload.NewFeatureDB(app, 1, 99).Vectors[0]
+	a := newSCNEngine(t, opts, app.SCN, workload.NewFeatureDB(app, 40, 1).Vectors, 0)
+	spec := QuerySpec{QFV: q, K: 3, Model: a.model, DB: ftlID(a.db)}
+	before := runQuery(t, a.ds, spec)
+	if got := featureIDs(before.TopK); !slices.Equal(got, []int64{23, 10, 19}) {
+		t.Fatalf("A's answer names features %v, want 23 10 19", got)
+	}
+	img, err := a.ds.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		seed     int64
+		inserted int
+		want     []int64
+	}{
+		{"other content", 2, 0, []int64{2, 28, 16}},
+		{"same content", 1, 1, []int64{23, 10, 19}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			vectors := workload.NewFeatureDB(app, 40, c.seed).Vectors
+			b := newSCNEngine(t, opts, app.SCN, vectors, 0)
+			if b.db != a.db || b.model != a.model {
+				t.Fatalf("B's db %d model %d, want %d and %d", b.db, b.model, a.db, a.model)
+			}
+			if err := b.ds.RestoreHistory(img); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.ds.SetQC(perfectQCN(app.SCN.FeatureElems()), 1, 16, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			n, err := b.ds.PrefetchHistory(4)
+			if err != nil || n != c.inserted {
+				t.Fatalf("prefetched %d (err %v), want %d", n, err, c.inserted)
+			}
+			r := runQuery(t, b.ds, spec)
+			if r.CacheHit != (c.inserted == 1) {
+				t.Errorf("repeat query: hit %v with %d prefetched", r.CacheHit, n)
+			}
+			assertSameTopK(t, "repeat query", r.TopK, bruteTopK(b.ds, ftlID(b.db), app.SCN, vectors, q, 3))
+			if got := featureIDs(r.TopK); !slices.Equal(got, c.want) {
+				t.Errorf("repeat query names features %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestPrefetchRefusesForeignFeatureIDs: a restored image is outside input
+// and its checksum can be forged, so PrefetchHistory checks every FeatureID
+// it reads against the database before the cache holds it. A record of the
+// current identity whose answer names feature 99 of a 40-feature database is
+// read, counted in core_hist_prefetch_skipped and left out; the repeat query
+// misses and scans for the exact answer instead of panicking the rerank.
+func TestPrefetchRefusesForeignFeatureIDs(t *testing.T) {
+	app := mustApp(t, "TIR")
+	app.SCN.InitRandom(1)
+	opts := DefaultOptions()
+	opts.History = true
+	vectors := workload.NewFeatureDB(app, 40, 1).Vectors
+	e := newSCNEngine(t, opts, app.SCN, vectors, 0)
+	q := workload.NewFeatureDB(app, 1, 99).Vectors[0]
+	e.ds.mu.Lock()
+	e.ds.hist.AppendQuery(qhist.Record{
+		DB: e.db, Ident: e.ds.dbs[ftlID(e.db)].ident, Model: uint64(e.model),
+		Group: qhist.GroupOf(q), K: 3, TopFeature: 99,
+	}, q, []topk.Entry{{FeatureID: 99, Score: 1}, {FeatureID: 3, Score: 0.5}})
+	e.ds.mu.Unlock()
+	if err := e.ds.SetQC(perfectQCN(app.SCN.FeatureElems()), 1, 16, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	n, err := e.ds.PrefetchHistory(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped := e.ds.MetricsSnapshot().Counters["core_hist_prefetch_skipped"]; n != 0 || skipped != 1 {
+		t.Fatalf("prefetched %d and skipped %d, want 0 and 1", n, skipped)
+	}
+	spec := QuerySpec{QFV: q, K: 3, Model: e.model, DB: ftlID(e.db)}
+	for i := range 2 {
+		r := runQuery(t, e.ds, spec)
+		if r.CacheHit != (i == 1) {
+			t.Errorf("query %d: hit %v", i, r.CacheHit)
 		}
-	}
-	if len(r.TopK) != len(want) {
-		t.Fatalf("hit answer %+v, want features %v", r.TopK, want)
-	}
-	for i, e := range r.TopK {
-		if e.FeatureID != want[i] || e.ObjectID != layout.ObjectID(e.FeatureID) {
-			t.Errorf("entry %d: %+v, want feature %d at %d", i, e, want[i], layout.ObjectID(want[i]))
-		}
+		assertSameTopK(t, fmt.Sprintf("query %d", i), r.TopK, bruteTopK(e.ds, ftlID(e.db), app.SCN, vectors, q, 3))
 	}
 }
 

@@ -234,11 +234,12 @@ func TestHistoryWindowPrefetchAndReorg(t *testing.T) {
 	// Reorg orders by the window's heat: the permutation is the one the
 	// retained records alone produce.
 	records := e.ds.HistoryRecords()
+	ident := e.ds.dbs[ftlID(e.db)].ident
 	order, err := e.ds.ReorgByHistory(ftlID(e.db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	heat := qhist.FeatureHeat(records, e.db, 16)
+	heat := qhist.FeatureHeat(records, ident, 16)
 	var retainedVotes int64
 	for _, h := range heat {
 		retainedVotes += h

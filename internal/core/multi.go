@@ -153,7 +153,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]*QueryResu
 			// run on real hardware either way — omitting their joules would
 			// overstate the cache's Fig. 13/14 energy win).
 			entries := ds.qc.Len()
-			cached, hit := ds.qc.Lookup(cacheQuery{scope: scopeOf(it.spec), qfv: it.spec.QFV}, ds.qcThreshold)
+			cached, hit := ds.qc.Lookup(cacheQuery{scope: scopeOf(it.spec, it.st), qfv: it.spec.QFV}, ds.qcThreshold)
 			it.lookupLat, it.lookupEnergy = ds.comparisons(ds.qcn, accel.LevelChannel, int64(entries), 1, 0, true)
 			if hit {
 				it.hit, it.cached = true, cached.Results
@@ -172,7 +172,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]*QueryResu
 			if it.st.vectors != nil {
 				it.pending = make([]topk.Entry, min(int64(it.spec.K), it.end-it.start))
 			}
-			ds.qc.Insert(cacheQuery{scope: scopeOf(it.spec), qfv: cloneVec(it.spec.QFV)}, it.pending)
+			ds.qc.Insert(cacheQuery{scope: scopeOf(it.spec, it.st), qfv: cloneVec(it.spec.QFV)}, it.pending)
 		}
 	}
 
@@ -208,7 +208,7 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]*QueryResu
 		// sequential Query calls would each see their predecessors' records —
 		// top-K answers are unaffected, but admission decisions can differ.
 		stampObjectIDs(it.st.meta.Layout, r.TopK)
-		ds.appendHistory(it.spec, r)
+		ds.appendHistory(it.spec, it.st, r)
 		ds.finishQuery(r)
 		r.ID = ds.nextQueryID
 		ds.nextQueryID++

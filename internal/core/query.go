@@ -432,18 +432,12 @@ func skipStripe(bnd *nn.BoundScorer, tier *boundTier, qfv []float32, q *topk.Que
 // rerank re-scores cached top-K features against the new query at full
 // precision, batching them through the same pooled GEMM contexts the sweep
 // uses (a hit re-scores tens of features — one or two batches). Like the
-// sweep's, its entries carry no ObjectID, and it keeps only cached features
-// the database holds. A declared database has no vectors to re-score, so it
-// keeps those entries as cached.
+// sweep's, its entries carry no ObjectID. Every cached feature is in range:
+// an entry answers the database's current identity, and PrefetchHistory
+// checks what it inserts. A declared database keeps a copy as cached.
 func (ds *DeepStore) rerank(net *nn.Network, st *dbState, qfv []float32, cached []topk.Entry, k int) []topk.Entry {
 	if st.vectors == nil {
-		var top []topk.Entry
-		for _, e := range cached {
-			if e.FeatureID >= 0 && e.FeatureID < st.meta.Layout.Features {
-				top = append(top, e)
-			}
-		}
-		return top
+		return slices.Clone(cached)
 	}
 	q := []*topk.Queue{topk.New(k)}
 	ctx := ds.pools.get(net, ds.scoreBatch())
@@ -456,9 +450,6 @@ func (ds *DeepStore) rerank(net *nn.Network, st *dbState, qfv []float32, cached 
 		n = 0
 	}
 	for _, e := range cached {
-		if e.FeatureID < 0 || e.FeatureID >= int64(len(st.vectors)) {
-			continue
-		}
 		ctx.dfvs[n] = st.vectors[e.FeatureID]
 		ctx.ids[n] = e.FeatureID
 		ctx.chs[n] = 0

@@ -44,6 +44,7 @@ type Record struct {
 	Seq        uint64 // append sequence number, assigned by Append; consecutive, never reused
 	Time       int64  // simulated completion timestamp, picoseconds
 	DB         uint64 // database the query scanned
+	Ident      uint64 // that database's identity: the content the answer was computed over
 	Model      uint64 // SCN model used
 	Group      uint64 // coarse query-group fingerprint (GroupOf)
 	K          uint32 // requested top-K
@@ -72,7 +73,7 @@ func (r Record) marshal(b []byte) {
 	le.PutUint64(b[64:], r.Digest)
 	le.PutUint64(b[72:], uint64(r.PayloadOff))
 	le.PutUint64(b[80:], uint64(r.PayloadLen))
-	le.PutUint64(b[88:], 0) // reserved
+	le.PutUint64(b[88:], r.Ident)
 }
 
 func unmarshalRecord(b []byte) Record {
@@ -90,6 +91,7 @@ func unmarshalRecord(b []byte) Record {
 		Digest:     le.Uint64(b[64:]),
 		PayloadOff: int64(le.Uint64(b[72:])),
 		PayloadLen: int64(le.Uint64(b[80:])),
+		Ident:      le.Uint64(b[88:]),
 	}
 }
 
@@ -269,7 +271,7 @@ func (s *Store) Payload(r Record) ([]byte, error) {
 
 const (
 	snapshotMagic   = "DSQH"
-	snapshotVersion = 2
+	snapshotVersion = 3
 	headerBytes     = 4 + 4 + 8 + 8 // magic, version, first retained Seq, record count
 )
 
@@ -341,9 +343,6 @@ func restore(data []byte, window int) (*Store, error) {
 	st.buf = make([]Record, count)
 	for i := range st.buf {
 		st.buf[i] = unmarshalRecord(data[off:])
-		if le.Uint64(data[off+RecordBytes-8:]) != 0 {
-			return nil, fmt.Errorf("%w: record %d reserved word set", ErrCorrupt, i)
-		}
 		off += RecordBytes
 	}
 	plen := le.Uint64(data[off:])
@@ -612,13 +611,13 @@ func RankGroups(mined map[uint64]GroupStat, nowSeq uint64) []uint64 {
 	return ids
 }
 
-// FeatureHeat folds the hot records into a per-feature demand vector for
-// one database: each record votes for its top-scoring feature. The result
-// feeds reorg.StripeHeat for heat-directed placement.
-func FeatureHeat(records []Record, db uint64, features int64) []int64 {
+// FeatureHeat folds the records of one database identity into a per-feature
+// demand vector: each votes for its top-scoring feature. The result feeds
+// reorg.StripeHeat for heat-directed placement.
+func FeatureHeat(records []Record, ident uint64, features int64) []int64 {
 	heat := make([]int64, features)
 	for _, r := range records {
-		if r.DB == db && r.TopFeature >= 0 && r.TopFeature < features {
+		if r.Ident == ident && r.TopFeature >= 0 && r.TopFeature < features {
 			heat[r.TopFeature]++
 		}
 	}

@@ -37,7 +37,7 @@ func randStore(seed int64, n int) *Store {
 			flags = FlagHit
 		}
 		s.Append(Record{
-			Time: rng.Int63(), DB: rng.Uint64() % 4, Model: 1,
+			Time: rng.Int63(), DB: rng.Uint64() % 4, Ident: uint64(i+1) * 0x9e3779b97f4a7c15, Model: 1,
 			Group: GroupOf(qfv), K: uint32(len(tk)), Flags: flags,
 			Latency: rng.Int63n(1e9), TopFeature: top, Digest: Digest(tk),
 		}, EncodePayload(qfv, tk))
@@ -116,8 +116,8 @@ func TestRestoreCorruptionTyped(t *testing.T) {
 		bad := append([]byte(nil), img...)
 		bad[off] ^= 0x40
 		if st, err := Restore(bad); err == nil {
-			// A flip confined to reserved padding cannot be detected by
-			// field validation alone... but the checksum covers every byte.
+			// A flip in a field no validation bounds (an identity, a
+			// digest) is caught by the checksum, which covers every byte.
 			t.Fatalf("flip at %d accepted (len %d)", off, st.Len())
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: untyped error %v", off, err)
@@ -332,12 +332,12 @@ func TestAdmissionScoreRecency(t *testing.T) {
 
 func TestFeatureHeat(t *testing.T) {
 	s := NewStore()
-	s.Append(Record{DB: 1, TopFeature: 3}, nil)
-	s.Append(Record{DB: 1, TopFeature: 3}, nil)
-	s.Append(Record{DB: 1, TopFeature: 0}, nil)
-	s.Append(Record{DB: 2, TopFeature: 1}, nil)  // other DB
-	s.Append(Record{DB: 1, TopFeature: -1}, nil) // cache hit, no scan
-	s.Append(Record{DB: 1, TopFeature: 99}, nil) // out of range
+	s.Append(Record{Ident: 1, TopFeature: 3}, nil)
+	s.Append(Record{Ident: 1, TopFeature: 3}, nil)
+	s.Append(Record{Ident: 1, TopFeature: 0}, nil)
+	s.Append(Record{Ident: 2, TopFeature: 1}, nil)  // other content
+	s.Append(Record{Ident: 1, TopFeature: -1}, nil) // cache hit, no scan
+	s.Append(Record{Ident: 1, TopFeature: 99}, nil) // out of range
 	heat := FeatureHeat(s.Records(), 1, 4)
 	want := []int64{1, 0, 0, 2}
 	for i := range want {
