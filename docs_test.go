@@ -13,11 +13,13 @@ import (
 	"testing"
 )
 
-// Drift guards for the present-tense docs and the facade, built on the
-// standard library's Go parser alone. README.md and DESIGN.md name code as
-// `pkg.Name` and `Type.Member`, and TestDocsNamesResolve fails when such a
-// name is no longer declared. The facade re-exports only what some caller
-// uses, and TestFacadeExportsHaveCallers fails on an export nobody uses.
+// Drift guards for the present-tense docs, the facade and the packages
+// below it, built on the standard library's Go parser alone. README.md and
+// DESIGN.md name code as `pkg.Name` and `Type.Member`, and
+// TestDocsNamesResolve fails when such a name is no longer declared. The
+// facade re-exports only what some caller uses, and
+// TestFacadeExportsHaveCallers fails on an export nobody uses;
+// TestInternalExportsHaveCallers does the same for internal/.
 
 // parseModule parses every Go file of the module, tests included, keyed by
 // slash-separated path.
@@ -323,5 +325,162 @@ func TestFacadeExportsHaveCallers(t *testing.T) {
 		if !used[n] {
 			t.Errorf("facade exports %s, but no command, example, benchmark, root test or doc uses it", n)
 		}
+	}
+}
+
+// internalAllowed are the exported names under internal/ that no non-test
+// code calls but that stay, keyed "pkg.Name" or "pkg.Type.Method", each with
+// its reason. Some share their name with live code elsewhere, which a match
+// by name cannot tell apart; the entry records why they stay all the same.
+var internalAllowed = map[string]string{
+	"accel.AnalyticScanSeconds":   "the closed form TestAnalyticAgreesWithDES holds the event-driven scan to (ROADMAP item 4)",
+	"baseline.Wimpy.WimpyScanDES": "the event-driven wimpy scan TestWimpyDES* hold the analytic model to (ROADMAP item 4)",
+	"tensor.GemvInt8":             "refInt8, the oracle of GemmInt8's tests",
+	"ssd.Restore":                 "the power-cycle restore ROADMAP item 3 folds into the restart",
+	"racetest.Enabled":            "a test-support package by design",
+	"nn.NewElementwise":           "the element-wise layer family of PAPER.md §2's inventory, which LoadModel accepts",
+}
+
+// facadeTypes returns the internal types the facade governs, keyed
+// "pkg.Type": those it aliases (type X = pkg.T) and those named in the
+// signatures of the functions it declares or re-exports (var X = pkg.F).
+// Their methods are public API, held to callers by the facade guard.
+func facadeTypes(files map[string]*ast.File) map[string]bool {
+	out := map[string]bool{}
+	// sig adds every pkg.T a signature names; local is the package an
+	// unqualified name belongs to ("" at the facade, whose own names are
+	// not internal).
+	sig := func(ft *ast.FuncType, local string) {
+		ast.Inspect(ft, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if pkg, name := qualified(n); pkg != "" {
+					out[pkg+"."+name] = true
+				}
+				return false
+			case *ast.Ident:
+				if local != "" && ast.IsExported(n.Name) {
+					out[local+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	funcs := map[string]*ast.FuncType{} // "pkg.F" → signature, for var aliases
+	for path, f := range files {
+		if strings.HasPrefix(path, "internal/") && !strings.HasSuffix(path, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					funcs[f.Name.Name+"."+fn.Name.Name] = fn.Type
+				}
+			}
+		}
+	}
+	for _, path := range []string{"deepstore.go", "remote.go"} {
+		for _, d := range files[path].Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				sig(d.Type, "")
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if pkg, name := qualified(spec.Type); pkg != "" && spec.Assign.IsValid() {
+							out[pkg+"."+name] = true
+						}
+					case *ast.ValueSpec:
+						for _, v := range spec.Values {
+							if pkg, name := qualified(v); funcs[pkg+"."+name] != nil {
+								sig(funcs[pkg+"."+name], pkg)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// qualified splits x as pkg.Name, or returns "" for anything else.
+func qualified(x ast.Expr) (pkg, name string) {
+	if sel, ok := x.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			return id.Name, sel.Sel.Name
+		}
+	}
+	return "", ""
+}
+
+func TestInternalExportsHaveCallers(t *testing.T) {
+	files := parseModule(t)
+	// named holds every identifier of a non-test file other than the names
+	// of its top-level function, method and type declarations.
+	named := map[string]bool{}
+	for path, f := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		decl := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				decl[n.Name] = true
+			case *ast.TypeSpec:
+				decl[n.Name] = true
+			case *ast.Ident:
+				named[n.Name] = named[n.Name] || !decl[n]
+			}
+			return true
+		})
+	}
+	facade := facadeTypes(files)
+	var dead []string
+	for path, f := range files {
+		if !strings.HasPrefix(path, "internal/") || strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		pkg := f.Name.Name
+		for _, d := range f.Decls {
+			var keys []string
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					keys = append(keys, pkg+"."+d.Name.Name)
+					break
+				}
+				recv := d.Recv.List[0].Type
+				for {
+					switch r := recv.(type) {
+					case *ast.StarExpr:
+						recv = r.X
+						continue
+					case *ast.IndexExpr:
+						recv = r.X
+						continue
+					}
+					break
+				}
+				if id, ok := recv.(*ast.Ident); ok && !facade[pkg+"."+id.Name] {
+					keys = append(keys, pkg+"."+id.Name+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && !facade[pkg+"."+ts.Name.Name] {
+						keys = append(keys, pkg+"."+ts.Name.Name)
+					}
+				}
+			}
+			for _, key := range keys {
+				name := key[strings.LastIndexByte(key, '.')+1:]
+				if ast.IsExported(name) && !named[name] && internalAllowed[key] == "" {
+					dead = append(dead, key+" ("+path+")")
+				}
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is exported, but no non-test code names it: delete it, or allowlist it with a reason", d)
 	}
 }

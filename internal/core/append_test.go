@@ -117,17 +117,7 @@ func TestAppendsKeepTablesInPlace(t *testing.T) {
 		}
 		return rs
 	}
-	wear := func(rs []ftl.Region) []uint64 {
-		var w []uint64
-		for _, r := range rs {
-			for b := r.StartBlock; b < r.StartBlock+r.Blocks; b++ {
-				w = append(w, ds.dev.FTL.Wear(b))
-			}
-		}
-		return w
-	}
 	before := regions()
-	wear0 := wear(before)
 	extra := appendVectors(100, 2)
 	for i := range extra {
 		if err := ds.AppendDB(id, extra[i:i+1]); err != nil {
@@ -137,11 +127,10 @@ func TestAppendsKeepTablesInPlace(t *testing.T) {
 	if got, want := fmt.Sprint(regions()), fmt.Sprint(before); got != want {
 		t.Errorf("100 appends moved the tables: %s → %s", want, got)
 	}
-	if got := wear(before); fmt.Sprint(got) != fmt.Sprint(wear0) {
-		t.Errorf("100 appends erased the tables' columns: wear %v → %v", wear0, got)
-	}
+	// Every allocatable column starts unworn, so an erased table column
+	// shows as skew.
 	if skew := ds.dev.FTL.MaxWearSkew(); skew != 0 {
-		t.Errorf("wear skew %d after appends that fit", skew)
+		t.Errorf("wear skew %d after appends that fit: the tables' columns were erased", skew)
 	}
 }
 

@@ -51,9 +51,13 @@ func referenceTopK(ds *DeepStore, key scanKey, qfv []float32, k int) []topk.Entr
 	st := key.st
 	scorer := key.net.Scorer()
 	score := func(i int64) float32 { return scorer.Score(qfv, st.vectors[i]) }
-	if qt := ds.quantFor(st); qt != nil {
-		qsc, qq := key.net.Quantize().Scorer(), nn.PrepareQuantQuery(qfv)
-		score = func(i int64) float32 { return qsc.Score(qq, qt.vecs[i]) }
+	if qt := st.quant; qt != nil {
+		qbs, qq := key.net.Quantize().BatchScorer(1), []nn.QuantQuery{nn.PrepareQuantQuery(qfv)}
+		var s [1]float32
+		score = func(i int64) float32 {
+			qbs.ScoreMulti([][]float32{s[:]}, qq, []nn.QuantizedVector{qt.vecs[i]})
+			return s[0]
+		}
 	}
 	q := topk.New(k)
 	for i := key.start; i < key.end; i++ {

@@ -339,6 +339,46 @@ func TestCacheHitsStayInScope(t *testing.T) {
 	}
 }
 
+// TestDeliveredTopKIsTheCallers: a miss's delivered top-K does not share its
+// array with the cache entry the miss fills, so a caller that edits it —
+// through Query and GetResults or through Do — changes no later answer: the
+// repeat query hits and equals the brute-force reference.
+func TestDeliveredTopKIsTheCallers(t *testing.T) {
+	for _, via := range []string{"Query", "Do"} {
+		t.Run(via, func(t *testing.T) {
+			ds, app, model, dbID := newEngine(t, 150)
+			if err := ds.SetQC(perfectQCN(app.SCN.FeatureElems()), 1, 16, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			q := workload.NewFeatureDB(app, 1, 99).Vectors[0]
+			spec := QuerySpec{QFV: q, K: 3, Model: model, DB: ftlID(dbID)}
+			run := func() *QueryResult {
+				if via == "Query" {
+					return runQuery(t, ds, spec)
+				}
+				res, err := ds.Do([]QuerySpec{spec})
+				if err != nil || res[0].Err != nil {
+					t.Fatal(err, res[0].Err)
+				}
+				return res[0]
+			}
+			if r := run(); r.CacheHit {
+				t.Fatal("the first query hit an empty cache")
+			} else {
+				for i := range r.TopK {
+					r.TopK[i].FeatureID = 7
+				}
+			}
+			again := run()
+			if !again.CacheHit {
+				t.Error("the repeat query missed")
+			}
+			want := referenceTopK(ds, scanKey{st: ds.dbs[spec.DB], net: ds.models[model], end: 150}, q, 3)
+			assertSameTopK(t, via+" repeat", again.TopK, want)
+		})
+	}
+}
+
 // TestQCResidentKeysOnlyItsScope: qcResident keys each slot of the query's
 // scope with the QCN's logit and every other slot NaN, through slot reuse
 // that leaves the cache in one scope and out of it again, and over fewer
@@ -411,10 +451,10 @@ func TestQCacheActivatesRecordsOnly(t *testing.T) {
 	}
 	keys, want := make([]float64, entries), make([]float32, entries)
 	r.Keys(keys, cacheQuery{qfv: qs[2*entries]})
-	r.ScoreAll(want, qs[2*entries])
+	qcn.BatchScorer(entries).ScoreBatch(want, qs[2*entries], qs[:entries])
 	for s, k := range keys {
 		if got, w := r.Score(k), min(max(float64(want[s]), 0), 1); math.Float64bits(got) != math.Float64bits(w) {
-			t.Errorf("slot %d: Score(%v) = %v, clamped ScoreAll = %v", s, k, got, w)
+			t.Errorf("slot %d: Score(%v) = %v, clamped ScoreBatch = %v", s, k, got, w)
 		}
 	}
 }

@@ -186,7 +186,8 @@ type queryState struct {
 // pins every top-K it ever returned.
 const resultKeep = 1024
 
-// QueryResult is what getResults returns, plus the simulated cost.
+// QueryResult is what getResults returns, plus the simulated cost. A
+// delivered TopK belongs to the caller: no later query reads its array.
 type QueryResult struct {
 	// ID is the query's id, also on Do's results, which no table keeps.
 	ID   QueryID

@@ -272,7 +272,10 @@ func (ds *DeepStore) PrefetchHistory(max int) (int, error) {
 	if max <= 0 {
 		return 0, fmt.Errorf("core: prefetch of %d groups", max)
 	}
-	mined := qhist.MineGroups(ds.hist.Records())
+	mined := ds.histMined // the window's groups, kept in learned mode
+	if mined == nil {
+		mined = qhist.MineGroups(ds.hist.Records())
+	}
 	ranked := qhist.RankGroups(mined, ds.hist.NextSeq())
 	if len(ranked) > max {
 		ranked = ranked[:max]

@@ -231,8 +231,8 @@ func (ds *DeepStore) runBatch(items []batchItem, scanStage string) ([]*QueryResu
 // exact top-K before the cache entry is filled.
 func (ds *DeepStore) scanGroup(items []batchItem, g scanGroup, scanStage string) error {
 	st, net, level := g.key.st, g.key.net, g.key.level
-	tier := ds.pruneTier(st)
-	exact := ds.quantFor(st) != nil && ds.opts.RerankMargin > 0
+	tier := st.bounds
+	exact := st.quant != nil && ds.opts.RerankMargin > 0
 	qfvs := make([][]float32, len(g.members))
 	ks := make([]int, len(g.members))
 	for j, qi := range g.members {
@@ -279,8 +279,7 @@ func (ds *DeepStore) scanGroup(items []batchItem, g scanGroup, scanStage string)
 			r.charge(obs.StageRerankExact, lat, e)
 		}
 		if it.pending != nil {
-			copy(it.pending, final)
-			final = it.pending
+			copy(it.pending, final) // the cache entry keeps its own copy
 		}
 		r.TopK = final
 	}

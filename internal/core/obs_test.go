@@ -245,8 +245,8 @@ func TestTracerDropsSurfaceInMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	dropped := ds.Tracer().Dropped()
-	if dropped != 131074 || ds.Tracer().Len() != obs.DefaultTraceCap {
-		t.Fatalf("ESTP exact scan kept %d spans and dropped %d, want the cap and 131 074", ds.Tracer().Len(), dropped)
+	if kept := len(ds.Tracer().Spans()); dropped != 131074 || kept != obs.DefaultTraceCap {
+		t.Fatalf("ESTP exact scan kept %d spans and dropped %d, want the cap and 131 074", kept, dropped)
 	}
 	if got := ds.MetricsSnapshot().Counters["obs_tracer_dropped_spans"]; got != dropped {
 		t.Errorf("obs_tracer_dropped_spans = %d, tracer dropped %d", got, dropped)

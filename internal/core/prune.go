@@ -38,15 +38,6 @@ func (ds *DeepStore) pruneStripeFeatures() int64 {
 	return DefaultPruneStripe
 }
 
-// pruneTier returns the database's bound tier when pruning is enabled and a
-// table exists, nil otherwise. With a nil tier the sweep walks every stripe.
-func (ds *DeepStore) pruneTier(st *dbState) *boundTier {
-	if !ds.opts.Prune {
-		return nil
-	}
-	return st.bounds
-}
-
 // boundEntryBytes is the serialized size of one table entry: per-dimension
 // lo/hi float32 pairs plus the max norm, the count, and a feature-count
 // header — 16 bytes of metadata plus 8 per dimension.

@@ -25,16 +25,6 @@ type quantState struct {
 	vecs []nn.QuantizedVector
 }
 
-// quantFor returns the database's quant state when the quantized path is
-// enabled and a table exists, nil otherwise. With a nil state the sweep
-// scores in fp32.
-func (ds *DeepStore) quantFor(st *dbState) *quantState {
-	if !ds.opts.Quantized {
-		return nil
-	}
-	return st.quant
-}
-
 // refreshQuantState brings the int8 table up to the database's current
 // layout: it quantizes the vectors from oldFeatures on into the DRAM mirror,
 // grown in place (per-vector scales make every existing entry independent of

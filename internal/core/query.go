@@ -202,7 +202,7 @@ func (ds *DeepStore) comparisons(net *nn.Network, level accel.Level, n, passes, 
 // flash, NoC, and DRAM bytes per feature — and the fp32 data otherwise.
 func (ds *DeepStore) scanTarget(st *dbState, level accel.Level) (accel.Spec, ftl.DBLayout) {
 	spec, layout := specFor(ds, level), st.meta.Layout
-	if ds.quantFor(st) != nil {
+	if st.quant != nil {
 		if ql, ok := st.meta.QuantTable(); ok {
 			layout = ql
 			spec.Array.Precision = systolic.INT8
@@ -276,8 +276,7 @@ func (ds *DeepStore) sweep(key scanKey, qfvs [][]float32, ks []int, workers int)
 	}
 	channels := st.meta.Layout.Geom.Channels
 	stride := int64(channels)
-	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
+	tier, qt := st.bounds, st.quant
 	var qqs []nn.QuantQuery
 	if qt != nil {
 		qqs = make([]nn.QuantQuery, nq)
@@ -521,7 +520,8 @@ func (ds *DeepStore) record(r *QueryResult) QueryID {
 // GetResults retrieves a query's top-K results (getResults), charging the
 // DMA of the results to host memory on the external link (deliver). A result
 // stays re-fetchable until resultKeep newer ones have been fetched; after
-// that its id is unknown.
+// that its id is unknown. The returned TopK belongs to the caller: editing it
+// changes no later query's answer.
 func (ds *DeepStore) GetResults(id QueryID) (*QueryResult, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()

@@ -41,25 +41,6 @@ type Candidate struct {
 	Feasible bool
 }
 
-// PowerEstimate returns the average dynamic power of an accelerator
-// executing the network continuously: per-feature energy (MACs + scratchpad
-// traffic) divided by per-feature time.
-func PowerEstimate(cfg systolic.Config, plan []nn.LayerDims, kind energy.SRAMKind) float64 {
-	cost := cfg.NetworkCost(plan)
-	if cost.Cycles == 0 {
-		return 0
-	}
-	act := energy.Activity{
-		MACs:      cost.MACs,
-		SRAMBytes: cost.SRAMReadBytes + cost.SRAMWriteBytes,
-		SRAMSize:  maxI64(cfg.ScratchpadBytes, 64<<10),
-		SRAMKind:  kind,
-	}
-	joules := energy.Energy(act).Total()
-	seconds := float64(cost.Cycles) / cfg.FreqHz
-	return joules / seconds
-}
-
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/energy"
-	"repro/internal/nn"
 	"repro/internal/systolic"
-	"repro/internal/workload"
 )
 
 func channelConstraints() Constraints {
@@ -67,20 +65,16 @@ func TestExploreChipLevelSmall(t *testing.T) {
 	}
 }
 
+// TestPowerMonotonicInPEs: the power a budget caps rises with the PE count.
 func TestPowerMonotonicInPEs(t *testing.T) {
 	cons := channelConstraints()
-	prev := -1.0
+	prev := 0.0
 	for pes := 128; pes <= 8192; pes *= 4 {
 		cfg := systolic.Config{Rows: 16, Cols: pes / 16, FreqHz: 800e6,
 			Dataflow: systolic.OutputStationary, ScratchpadBytes: cons.ScratchpadBytes, LayerOverhead: 64}
-		var p float64
-		for _, plan := range plansForTest() {
-			if pp := PowerEstimate(cfg, plan, cons.SRAMKind); pp > p {
-				p = pp
-			}
-		}
-		if p < prev*0.8 {
-			t.Errorf("power dropped sharply with more PEs: %v -> %v at %d", prev, p, pes)
+		p := PeakPowerW(cfg, cons.SRAMKind)
+		if p <= prev {
+			t.Errorf("power did not rise with more PEs: %v -> %v at %d", prev, p, pes)
 		}
 		prev = p
 	}
@@ -128,12 +122,4 @@ func TestLargestLayers(t *testing.T) {
 	if conv.Kind.String() != "CONV" {
 		t.Errorf("largest conv kind = %v", conv.Kind)
 	}
-}
-
-func plansForTest() [][]nn.LayerDims {
-	var plans [][]nn.LayerDims
-	for _, app := range workload.Apps() {
-		plans = append(plans, app.SCN.LayerPlan())
-	}
-	return plans
 }

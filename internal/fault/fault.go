@@ -28,12 +28,10 @@ var ErrInjected = errors.New("injected fault")
 // concurrent use, but concurrent draws race for positions in the stream; for
 // reproducible schedules give each concurrent consumer its own Fork.
 type Injector struct {
-	seed  uint64
-	label string
+	seed uint64
 
 	mu    sync.Mutex
 	state uint64
-	draws uint64
 }
 
 // New returns an injector rooted at seed.
@@ -48,13 +46,7 @@ func (in *Injector) Fork(label string) *Injector {
 	h := fnv.New64a()
 	h.Write([]byte(label))
 	seed := splitmix64(in.seed ^ h.Sum64())
-	child := &Injector{seed: seed, state: seed}
-	if in.label != "" {
-		child.label = in.label + "/" + label
-	} else {
-		child.label = label
-	}
-	return child
+	return &Injector{seed: seed, state: seed}
 }
 
 // Forkf is Fork with a formatted label.
@@ -62,22 +54,11 @@ func (in *Injector) Forkf(format string, args ...any) *Injector {
 	return in.Fork(fmt.Sprintf(format, args...))
 }
 
-// Label returns the fork path of this injector ("" for a root).
-func (in *Injector) Label() string { return in.label }
-
-// Draws returns how many values this injector has produced.
-func (in *Injector) Draws() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.draws
-}
-
 // next advances the splitmix64 stream.
 func (in *Injector) next() uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.state += 0x9e3779b97f4a7c15
-	in.draws++
 	return mix(in.state)
 }
 

@@ -50,19 +50,6 @@ func (g Geometry) Validate() error {
 // Chips returns the total chip count.
 func (g Geometry) Chips() int { return g.Channels * g.ChipsPerChannel }
 
-// PagesPerPlane returns pages in one plane.
-func (g Geometry) PagesPerPlane() int64 {
-	return int64(g.BlocksPerPlane) * int64(g.PagesPerBlock)
-}
-
-// TotalPages returns the page count of the whole array.
-func (g Geometry) TotalPages() int64 {
-	return int64(g.Channels) * int64(g.ChipsPerChannel) * int64(g.PlanesPerChip) * g.PagesPerPlane()
-}
-
-// TotalBytes returns the raw capacity.
-func (g Geometry) TotalBytes() int64 { return g.TotalPages() * g.PageBytes }
-
 // PageAddr is a physical page address.
 type PageAddr struct {
 	Channel, Chip, Plane, Block, Page int
@@ -92,24 +79,6 @@ func (g Geometry) Linear(a PageAddr) int64 {
 	idx = idx*int64(g.ChipsPerChannel) + int64(a.Chip)
 	idx = idx*int64(g.Channels) + int64(a.Channel)
 	return idx
-}
-
-// FromLinear is the inverse of Linear.
-func (g Geometry) FromLinear(idx int64) PageAddr {
-	if idx < 0 || idx >= g.TotalPages() {
-		panic(fmt.Sprintf("flash: linear index %d outside geometry", idx))
-	}
-	var a PageAddr
-	a.Channel = int(idx % int64(g.Channels))
-	idx /= int64(g.Channels)
-	a.Chip = int(idx % int64(g.ChipsPerChannel))
-	idx /= int64(g.ChipsPerChannel)
-	a.Plane = int(idx % int64(g.PlanesPerChip))
-	idx /= int64(g.PlanesPerChip)
-	a.Page = int(idx % int64(g.PagesPerBlock))
-	idx /= int64(g.PagesPerBlock)
-	a.Block = int(idx)
-	return a
 }
 
 // Timing holds the NAND operation latencies and channel bandwidth.
@@ -280,12 +249,6 @@ func NewArray(e *sim.Engine, geom Geometry, timing Timing) (*Array, error) {
 	a.planes = sim.NewResources(e, 1, names...)
 	return a, nil
 }
-
-// Geometry returns the array geometry.
-func (a *Array) Geometry() Geometry { return a.geom }
-
-// Timing returns the array timing.
-func (a *Array) Timing() Timing { return a.timing }
 
 // Stats returns a snapshot of activity counters.
 func (a *Array) Stats() Stats { return a.stats }
@@ -479,10 +442,4 @@ func (a *Array) ProgramPage(addr PageAddr, done func()) {
 func (a *Array) EraseBlock(addr PageAddr, done func()) {
 	a.stats.BlockErases++
 	a.plane(addr).Hold(a.timing.EraseLatency, done)
-}
-
-// InternalBandwidth returns the aggregate channel-bus bandwidth in bytes/s —
-// the SSD's internal read roofline.
-func (a *Array) InternalBandwidth() float64 {
-	return float64(a.geom.Channels) * a.timing.ChannelBandwidth
 }

@@ -1,7 +1,7 @@
 package flash
 
 import (
-	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +16,25 @@ func smallGeometry() Geometry {
 		BlocksPerPlane: 4, PagesPerBlock: 8, PageBytes: 16 << 10}
 }
 
+func totalPages(g Geometry) int64 {
+	return int64(g.Channels*g.ChipsPerChannel*g.PlanesPerChip) * int64(g.BlocksPerPlane*g.PagesPerBlock)
+}
+
+// fromLinear is the inverse of Linear: idx mod totalPages(g) as an address.
+func fromLinear(g Geometry, idx int64) PageAddr {
+	idx %= totalPages(g)
+	var a PageAddr
+	for _, f := range []struct {
+		field *int
+		n     int
+	}{{&a.Channel, g.Channels}, {&a.Chip, g.ChipsPerChannel}, {&a.Plane, g.PlanesPerChip}, {&a.Page, g.PagesPerBlock}} {
+		*f.field = int(idx % int64(f.n))
+		idx /= int64(f.n)
+	}
+	a.Block = int(idx)
+	return a
+}
+
 func TestDefaultGeometryMatchesPaper(t *testing.T) {
 	g := DefaultGeometry()
 	if g.Channels != 32 || g.ChipsPerChannel != 4 || g.PlanesPerChip != 8 ||
@@ -24,8 +43,8 @@ func TestDefaultGeometryMatchesPaper(t *testing.T) {
 	}
 	// 32ch * 4chips * 8planes * 512blocks * 128pages * 16KB = 1 TiB raw,
 	// matching the 1 TB evaluation SSD.
-	if g.TotalBytes() != 1<<40 {
-		t.Errorf("capacity = %d, want 1 TiB", g.TotalBytes())
+	if got := totalPages(g) * g.PageBytes; got != 1<<40 {
+		t.Errorf("capacity = %d, want 1 TiB", got)
 	}
 	if g.Chips() != 128 {
 		t.Errorf("chips = %d, want 128", g.Chips())
@@ -42,33 +61,29 @@ func TestDefaultTimingMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestLinearRoundTrip: Linear numbers the geometry's pages densely, each
+// address its own index.
 func TestLinearRoundTrip(t *testing.T) {
 	g := smallGeometry()
-	f := func(seed int64) bool {
-		if seed < 0 {
-			seed = -seed
+	seen := make([]bool, totalPages(g))
+	for idx := range seen {
+		a := fromLinear(g, int64(idx))
+		if !g.Valid(a) || g.Linear(a) != int64(idx) || seen[idx] {
+			t.Fatalf("index %d: address %+v maps back to %d", idx, a, g.Linear(a))
 		}
-		idx := seed % g.TotalPages()
-		a := g.FromLinear(idx)
-		return g.Valid(a) && g.Linear(a) == idx
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+		seen[idx] = true
 	}
 }
 
 func TestLinearStripesAcrossChannels(t *testing.T) {
 	// Consecutive linear indices must land on consecutive channels (§4.4).
 	g := smallGeometry()
-	a0 := g.FromLinear(0)
-	a1 := g.FromLinear(1)
-	if a0.Channel == a1.Channel {
-		t.Errorf("consecutive pages on same channel: %+v, %+v", a0, a1)
+	if got := g.Linear(PageAddr{Channel: 1}); got != 1 {
+		t.Errorf("channel 1's first page has index %d, want 1", got)
 	}
 	// After a full channel rotation, the chip advances.
-	a2 := g.FromLinear(int64(g.Channels))
-	if a2.Chip == a0.Chip {
-		t.Errorf("page %d did not advance chip: %+v", g.Channels, a2)
+	if got := g.Linear(PageAddr{Chip: 1}); got != int64(g.Channels) {
+		t.Errorf("chip 1's first page has index %d, want %d", got, g.Channels)
 	}
 }
 
@@ -76,10 +91,10 @@ func TestLinearOutOfRangePanics(t *testing.T) {
 	g := smallGeometry()
 	defer func() {
 		if recover() == nil {
-			t.Error("out-of-range FromLinear did not panic")
+			t.Error("out-of-range Linear did not panic")
 		}
 	}()
-	g.FromLinear(g.TotalPages())
+	g.Linear(PageAddr{Block: g.BlocksPerPlane})
 }
 
 // TestPlaneTableIndexesEveryPlane: the flat plane table hands every
@@ -91,14 +106,16 @@ func TestPlaneTableIndexesEveryPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := map[*sim.Resource]bool{}
 	for ch := 0; ch < g.Channels; ch++ {
 		for cp := 0; cp < g.ChipsPerChannel; cp++ {
 			for pl := 0; pl < g.PlanesPerChip; pl++ {
-				want := fmt.Sprintf("ch%d-chip%d-plane%d", ch, cp, pl)
 				addr := PageAddr{Channel: ch, Chip: cp, Plane: pl, Block: (ch + cp) % 4, Page: pl * 7}
-				if got := a.plane(addr).Name(); got != want {
-					t.Errorf("%+v: plane %s, want %s", addr, got, want)
+				r := a.plane(addr)
+				if r != a.plane(PageAddr{Channel: ch, Chip: cp, Plane: pl}) || seen[r] {
+					t.Errorf("%+v: plane resource shared or not fixed by (channel, chip, plane)", addr)
 				}
+				seen[r] = true
 			}
 		}
 	}
@@ -219,7 +236,7 @@ func TestReadPageToBufferSkipsBus(t *testing.T) {
 	if doneAt != sim.Time(53*sim.Microsecond) {
 		t.Errorf("buffer read done at %v, want 53us", doneAt)
 	}
-	if a.Bus(0).Transferred() != 0 {
+	if a.Stats().BusBytes != 0 {
 		t.Error("buffer read used the channel bus")
 	}
 }
@@ -245,10 +262,21 @@ func TestProgramAndErase(t *testing.T) {
 	}
 }
 
+// TestInternalBandwidth: past the first sense, reads spread over every
+// plane stream at the aggregate channel-bus bandwidth, 32 × 800 MB/s.
 func TestInternalBandwidth(t *testing.T) {
 	e := sim.NewEngine()
-	a, _ := NewArray(e, DefaultGeometry(), DefaultTiming())
-	if got := a.InternalBandwidth(); got != 32*800e6 {
+	g, tm := DefaultGeometry(), DefaultTiming()
+	a, _ := NewArray(e, g, tm)
+	const perChannel = 8 // fewer than a channel's planes, so every sense overlaps
+	for ch := 0; ch < g.Channels; ch++ {
+		for k := 0; k < perChannel; k++ {
+			a.ReadPage(PageAddr{Channel: ch, Chip: k % g.ChipsPerChannel, Plane: k / g.ChipsPerChannel}, nil)
+		}
+	}
+	streaming := sim.Duration(e.Run()) - tm.ReadLatency
+	bytes := float64(g.Channels*perChannel) * float64(g.PageBytes)
+	if got := bytes / streaming.Seconds(); math.Abs(got-25.6e9) > 1e3 {
 		t.Errorf("internal bandwidth = %v, want 25.6e9", got)
 	}
 }
@@ -273,7 +301,7 @@ func TestParallelReadScalingProperty(t *testing.T) {
 		g := smallGeometry()
 		a, _ := NewArray(e, g, DefaultTiming())
 		for i := 0; i < n; i++ {
-			a.ReadPage(g.FromLinear(int64(i%int(g.TotalPages()))), nil)
+			a.ReadPage(fromLinear(g, int64(i)), nil)
 		}
 		end := e.Run()
 		transfer := sim.FromSeconds(16384.0 / 800e6)
@@ -323,7 +351,7 @@ func TestReadFaultsDeterministic(t *testing.T) {
 			}
 		}
 		for i := int64(0); i < 64; i++ {
-			a.ReadPage(g.FromLinear(i%g.TotalPages()), nil)
+			a.ReadPage(fromLinear(g, i), nil)
 		}
 		return e.Run(), a.Stats()
 	}
@@ -392,8 +420,8 @@ func TestWarmedReadsDoNotAllocate(t *testing.T) {
 	const reads = 64
 	window := func() {
 		for i := int64(0); i < reads/2; i++ {
-			a.ReadPage(g.FromLinear(i), done)
-			a.ReadPageToBuffer(g.FromLinear(i+reads/2), done)
+			a.ReadPage(fromLinear(g, i), done)
+			a.ReadPageToBuffer(fromLinear(g, i+reads/2), done)
 		}
 		e.Run()
 	}
@@ -418,7 +446,7 @@ func TestPageReadSpansReachTracerInOrder(t *testing.T) {
 	a.SetTracer(first)
 	var finished []obs.Interval
 	read := func(i int64) {
-		addr := g.FromLinear(i % g.TotalPages())
+		addr := fromLinear(g, i)
 		start := e.Now()
 		a.ReadPage(addr, func() {
 			finished = append(finished, obs.Interval{TID: int64(addr.Channel), Start: start, Dur: sim.Duration(e.Now() - start)})
@@ -429,7 +457,7 @@ func TestPageReadSpansReachTracerInOrder(t *testing.T) {
 		read(i)
 	}
 	e.Run()
-	if got := first.Len(); got != spanBatch {
+	if got := len(first.Spans()); got != spanBatch {
 		t.Fatalf("before a flush the tracer holds %d spans, want the one full batch of %d", got, spanBatch)
 	}
 	a.FlushSpans()
@@ -452,13 +480,14 @@ func TestPageReadSpansReachTracerInOrder(t *testing.T) {
 	finished = finished[:0]
 	read(0)
 	read(1)
-	e.RunUntil(e.Now() + sim.Time(sim.Microsecond))
-	a.SetTracer(second)
-	read(2)
+	e.After(sim.Microsecond, func() {
+		a.SetTracer(second)
+		read(2)
+	})
 	e.Run()
 	a.FlushSpans()
 	check(second, finished[2:])
-	if first.Len() != reads+2 {
-		t.Errorf("first holds %d spans, want %d", first.Len(), reads+2)
+	if got := len(first.Spans()); got != reads+2 {
+		t.Errorf("first holds %d spans, want %d", got, reads+2)
 	}
 }

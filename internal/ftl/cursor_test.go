@@ -84,7 +84,7 @@ func TestPageCursorRandomGeometries(t *testing.T) {
 			FeatureBytes: 1 + rng.Int63n(3*g.PageBytes),
 			StartBlock:   rng.Intn(g.BlocksPerPlane),
 		}
-		l.Features = rng.Int63n(g.TotalPages() + 1)
+		l.Features = rng.Int63n(int64(g.Channels*g.ChipsPerChannel*g.PlanesPerChip*g.BlocksPerPlane*g.PagesPerBlock) + 1)
 		for ch := 0; ch < g.Channels; ch++ {
 			walkCursor(t, l, ch, 0, 1, -1)
 			for chip := 0; chip < g.ChipsPerChannel; chip++ {

@@ -3,7 +3,7 @@ package ftl
 import "testing"
 
 // TestFeatureAddrMatchesFirstPage: the allocation-free FeatureAddr always
-// equals FeaturePages(i)[0], and ObjectID is that page's linear index, for
+// equals the first of featurePages(i), and ObjectID is that page's linear index, for
 // packed, page-exact, and page-spanning feature sizes.
 func TestFeatureAddrMatchesFirstPage(t *testing.T) {
 	layouts := []struct {
@@ -16,9 +16,9 @@ func TestFeatureAddrMatchesFirstPage(t *testing.T) {
 	}
 	for _, tc := range layouts {
 		for i := int64(0); i < tc.l.Features; i++ {
-			first := tc.l.FeaturePages(i)[0]
+			first := featurePages(tc.l, i)[0]
 			if got := tc.l.FeatureAddr(i); got != first {
-				t.Fatalf("%s: FeatureAddr(%d) = %+v, FeaturePages[0] = %+v", tc.name, i, got, first)
+				t.Fatalf("%s: FeatureAddr(%d) = %+v, first page %+v", tc.name, i, got, first)
 			}
 			if got, want := tc.l.ObjectID(i), uint64(tc.l.Geom.Linear(first)); got != want {
 				t.Fatalf("%s: ObjectID(%d) = %d, want %d", tc.name, i, got, want)

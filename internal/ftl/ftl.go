@@ -205,9 +205,6 @@ func (f *FTL) DeleteDB(id DBID) error {
 	return nil
 }
 
-// Wear returns the erase count of a block column.
-func (f *FTL) Wear(block int) uint64 { return f.wear[block] }
-
 // MaxWearSkew returns max-min erase counts across allocatable block columns,
 // a wear-leveling health metric.
 func (f *FTL) MaxWearSkew() uint64 {

@@ -113,8 +113,8 @@ func TestDeleteFreesAndWears(t *testing.T) {
 	if f.FreeBlocks() != free0 {
 		t.Errorf("delete did not free all blocks: %d vs %d", f.FreeBlocks(), free0)
 	}
-	if f.Wear(start) != 1 {
-		t.Errorf("wear = %d, want 1", f.Wear(start))
+	if f.wear[start] != 1 {
+		t.Errorf("wear = %d, want 1", f.wear[start])
 	}
 	if _, ok := f.Lookup(meta.ID); ok {
 		t.Error("deleted DB still present")
@@ -147,8 +147,8 @@ func TestWearLevelingPrefersLeastWorn(t *testing.T) {
 	var maxWear uint64
 	maxBlock := 0
 	for b := 1; b < 32; b++ {
-		if f.Wear(b) > maxWear {
-			maxWear, maxBlock = f.Wear(b), b
+		if f.wear[b] > maxWear {
+			maxWear, maxBlock = f.wear[b], b
 		}
 	}
 	if m.Layout.StartBlock == maxBlock {

@@ -91,12 +91,12 @@ func TestCompactIncrementsWear(t *testing.T) {
 	f, _ := fragment(t)
 	var wearBefore uint64
 	for b := 1; b < 17; b++ {
-		wearBefore += f.Wear(b)
+		wearBefore += f.wear[b]
 	}
 	f.Compact()
 	var wearAfter uint64
 	for b := 1; b < 17; b++ {
-		wearAfter += f.Wear(b)
+		wearAfter += f.wear[b]
 	}
 	if wearAfter <= wearBefore {
 		t.Error("compaction did not charge erases")

@@ -267,8 +267,8 @@ func (l DBLayout) FeatureChannel(i int64) int {
 // move of the data changes the ObjectIDs answers carry and nothing else.
 func (l DBLayout) ObjectID(i int64) uint64 { return uint64(l.Geom.Linear(l.FeatureAddr(i))) }
 
-// FeatureAddr returns the first physical page of feature i without
-// allocating the full page list; FeaturePages(i)[0] is always equal to it.
+// FeatureAddr returns the first physical page of feature i; a feature
+// larger than a page continues on the channel's next pages.
 func (l DBLayout) FeatureAddr(i int64) flash.PageAddr {
 	ch := l.FeatureChannel(i)
 	slot := i / int64(l.Geom.Channels)
@@ -276,52 +276,4 @@ func (l DBLayout) FeatureAddr(i int64) flash.PageAddr {
 		return l.ChannelPageAddr(ch, slot/int64(fp))
 	}
 	return l.ChannelPageAddr(ch, slot*int64(l.PagesPerFeature()))
-}
-
-// FeaturePages returns the physical pages holding feature i, in read order.
-func (l DBLayout) FeaturePages(i int64) []flash.PageAddr {
-	ch := l.FeatureChannel(i)
-	slot := i / int64(l.Geom.Channels) // index within the channel's share
-	if fp := l.FeaturesPerPage(); fp > 0 {
-		return []flash.PageAddr{l.ChannelPageAddr(ch, slot/int64(fp))}
-	}
-	ppf := int64(l.PagesPerFeature())
-	pages := make([]flash.PageAddr, ppf)
-	for k := int64(0); k < ppf; k++ {
-		pages[k] = l.ChannelPageAddr(ch, slot*ppf+k)
-	}
-	return pages
-}
-
-// ChipFeatures returns the number of features stored on pages of the given
-// chip — the share a chip-level accelerator processes.
-func (l DBLayout) ChipFeatures(ch, chip int) int64 {
-	if chip < 0 || chip >= l.Geom.ChipsPerChannel {
-		panic(fmt.Sprintf("ftl: chip %d outside geometry", chip))
-	}
-	pages := l.ChannelPages(ch)
-	chips := int64(l.Geom.ChipsPerChannel)
-	chipPages := pages / chips
-	if int64(chip) < pages%chips {
-		chipPages++
-	}
-	if fp := l.FeaturesPerPage(); fp > 0 {
-		// Every full page carries fp features; the final partial page may
-		// carry fewer, but at this granularity the approximation is exact
-		// except for at most one page.
-		feats := chipPages * int64(fp)
-		if total := l.ChannelFeatures(ch); feats > totalSharePerChip(total, chips, chip) {
-			return totalSharePerChip(total, chips, chip)
-		}
-		return feats
-	}
-	return chipPages / int64(l.PagesPerFeature())
-}
-
-func totalSharePerChip(total, chips int64, chip int) int64 {
-	n := total / chips
-	if int64(chip) < total%chips {
-		n++
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,7 +66,7 @@ func TestFeaturePagesWithinOneChannel(t *testing.T) {
 	// channel-level accelerator can stream it without crossing channels.
 	l := layoutFor(44<<10, 500)
 	for i := int64(0); i < 500; i += 37 {
-		pages := l.FeaturePages(i)
+		pages := featurePages(l, i)
 		if len(pages) != 3 {
 			t.Fatalf("feature %d has %d pages", i, len(pages))
 		}
@@ -86,12 +87,12 @@ func TestPackedFeaturesShareAPage(t *testing.T) {
 	// Features i and i+Channels are consecutive slots on the same channel;
 	// with 8 features per page, slots 0..7 share channel page 0.
 	ch := l.FeatureChannel(0)
-	p0 := l.FeaturePages(0)[0]
-	p1 := l.FeaturePages(int64(l.Geom.Channels))[0] // slot 1, same channel
+	p0 := featurePages(l, 0)[0]
+	p1 := featurePages(l, int64(l.Geom.Channels))[0] // slot 1, same channel
 	if p0 != p1 {
 		t.Errorf("packed slots 0 and 1 on different pages: %+v vs %+v", p0, p1)
 	}
-	p8 := l.FeaturePages(int64(8 * l.Geom.Channels))[0] // slot 8 -> next page
+	p8 := featurePages(l, int64(8*l.Geom.Channels))[0] // slot 8 -> next page
 	if p8 == p0 {
 		t.Error("slot 8 shares page 0 despite 8 features/page")
 	}
@@ -135,22 +136,23 @@ func TestBlocksPerPlane(t *testing.T) {
 	}
 }
 
+// TestChipFeaturesSumToChannel: a channel's features, counted on the chip of
+// their first page, are balanced over its chips to within one page's worth,
+// the share a chip-level accelerator processes.
 func TestChipFeaturesSumToChannel(t *testing.T) {
 	for _, fb := range []int64{800, 2048, 16 << 10, 44 << 10} {
 		l := layoutFor(fb, 100000)
 		for _, ch := range []int{0, 5, 31} {
+			perChip := make([]int64, l.Geom.ChipsPerChannel)
 			var sum int64
-			for chip := 0; chip < l.Geom.ChipsPerChannel; chip++ {
-				sum += l.ChipFeatures(ch, chip)
+			for i := int64(ch); i < l.Features; i += int64(l.Geom.Channels) {
+				perChip[l.FeatureAddr(i).Chip]++
+				sum++
 			}
-			total := l.ChannelFeatures(ch)
-			// Packing rounds at page granularity; allow one page of slack.
-			slack := int64(l.FeaturesPerPage())
-			if slack == 0 {
-				slack = 1
-			}
-			if diff := sum - total; diff < -slack || diff > slack {
-				t.Errorf("fb=%d ch=%d: chip features sum %d vs channel %d", fb, ch, sum, total)
+			slack := max(int64(l.FeaturesPerPage()), 1)
+			lo, hi := slices.Min(perChip), slices.Max(perChip)
+			if sum != l.ChannelFeatures(ch) || hi-lo > slack {
+				t.Errorf("fb=%d ch=%d: chip shares %v sum %d, channel %d", fb, ch, perChip, sum, l.ChannelFeatures(ch))
 			}
 		}
 	}
@@ -169,8 +171,8 @@ func TestLayoutNoAliasingProperty(t *testing.T) {
 		if i == j {
 			return true
 		}
-		pi := l.FeaturePages(i)
-		pj := l.FeaturePages(j)
+		pi := featurePages(l, i)
+		pj := featurePages(l, j)
 		for _, a := range pi {
 			for _, b := range pj {
 				if a == b {
@@ -200,4 +202,19 @@ func TestLayoutValidate(t *testing.T) {
 	if err := layoutFor(2048, 100).Validate(); err != nil {
 		t.Errorf("good layout rejected: %v", err)
 	}
+}
+
+// featurePages returns the physical pages holding feature i, in read order.
+func featurePages(l DBLayout, i int64) []flash.PageAddr {
+	ch := l.FeatureChannel(i)
+	slot := i / int64(l.Geom.Channels) // index within the channel's share
+	if fp := l.FeaturesPerPage(); fp > 0 {
+		return []flash.PageAddr{l.ChannelPageAddr(ch, slot/int64(fp))}
+	}
+	ppf := int64(l.PagesPerFeature())
+	pages := make([]flash.PageAddr, ppf)
+	for k := int64(0); k < ppf; k++ {
+		pages[k] = l.ChannelPageAddr(ch, slot*ppf+k)
+	}
+	return pages
 }

@@ -49,7 +49,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if g.FreeBlocks() != f.FreeBlocks() {
 		t.Errorf("free blocks %d vs %d", g.FreeBlocks(), f.FreeBlocks())
 	}
-	if g.Wear(a.Layout.StartBlock) != f.Wear(a.Layout.StartBlock) {
+	if g.wear[a.Layout.StartBlock] != f.wear[a.Layout.StartBlock] {
 		t.Error("wear counters lost")
 	}
 	// New allocations continue with fresh IDs and do not collide.

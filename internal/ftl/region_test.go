@@ -203,14 +203,14 @@ func TestSetRegionGrowsInPlace(t *testing.T) {
 	if !fresh {
 		t.Error("a new region is not fresh")
 	}
-	wear, free := f.Wear(first.StartBlock), f.FreeBlocks()
+	wear, free := f.wear[first.StartBlock], f.FreeBlocks()
 	if grown, fresh := set(4 * 64); fresh || grown.StartBlock != first.StartBlock || grown.Blocks != first.Blocks ||
-		f.Wear(first.StartBlock) != wear || f.FreeBlocks() != free {
+		f.wear[first.StartBlock] != wear || f.FreeBlocks() != free {
 		t.Errorf("a table that still fits moved or erased: %+v → %+v (fresh %v), wear %d → %d",
-			first, grown, fresh, wear, f.Wear(first.StartBlock))
+			first, grown, fresh, wear, f.wear[first.StartBlock])
 	}
-	if moved, fresh := set(1000); !fresh || moved.Blocks != 4 || f.Wear(first.StartBlock) != wear+1 {
-		t.Errorf("an outgrown table was not re-placed: %+v (fresh %v), old column wear %d", moved, fresh, f.Wear(first.StartBlock))
+	if moved, fresh := set(1000); !fresh || moved.Blocks != 4 || f.wear[first.StartBlock] != wear+1 {
+		t.Errorf("an outgrown table was not re-placed: %+v (fresh %v), old column wear %d", moved, fresh, f.wear[first.StartBlock])
 	}
 }
 

@@ -76,7 +76,7 @@ func randVecs(rng *rand.Rand, count, n int) [][]float32 {
 
 // scorers is one precision's three entry points over float32 operands, so a
 // single table drives both: one is the per-feature oracle (Scorer for fp32,
-// the one-row QuantScorer for int8), batch and multi the batched paths of one
+// the one-row quantScorer for int8), batch and multi the batched paths of one
 // reused scorer of capacity max. The int8 adapters quantize at the call.
 type scorers struct {
 	one   func(q, d []float32) float32
@@ -94,7 +94,7 @@ var precisions = []struct {
 	}},
 	{"int8", func(net *Network, max int) scorers {
 		qn := net.Quantize()
-		ref, bs := qn.Scorer(), qn.BatchScorer(max)
+		ref, bs := newQuantScorer(qn), qn.BatchScorer(max)
 		prepare := func(qs [][]float32) []QuantQuery {
 			out := make([]QuantQuery, len(qs))
 			for i, q := range qs {
@@ -105,7 +105,7 @@ var precisions = []struct {
 		return scorers{
 			one: func(q, d []float32) float32 { return ref.Score(PrepareQuantQuery(q), QuantizeVector(d)) },
 			batch: func(scores, q []float32, ds [][]float32) {
-				bs.ScoreBatch(scores, PrepareQuantQuery(q), QuantizeDB(ds))
+				quantScore(bs, scores, PrepareQuantQuery(q), QuantizeDB(ds))
 			},
 			multi: func(scores [][]float32, qs, ds [][]float32) {
 				bs.ScoreMulti(scores, prepare(qs), QuantizeDB(ds))
@@ -208,35 +208,38 @@ func TestQuantScorerBatchIdentity(t *testing.T) {
 }
 
 // misuse is the validation table of both batched entry points: capacity and
-// shape misuse panics rather than corrupting scratch.
+// shape misuse panics rather than corrupting scratch. Only fp32 has a
+// single-query batch call with a capacity to exceed; int8's runs ScoreMulti,
+// which walks any grid in capacity-sized chunks.
 var misuse = []struct {
-	name  string
-	multi bool
-	call  func(mk func(max int) scorers, good []float32)
+	name     string
+	multi    bool
+	fp32Only bool
+	call     func(mk func(max int) scorers, good []float32)
 }{
-	{"zero capacity", false, func(mk func(int) scorers, good []float32) { mk(0) }},
-	{"over capacity", false, func(mk func(int) scorers, good []float32) {
+	{"zero capacity", false, false, func(mk func(int) scorers, good []float32) { mk(0) }},
+	{"over capacity", false, true, func(mk func(int) scorers, good []float32) {
 		mk(2).batch(make([]float32, 3), good, [][]float32{good, good, good})
 	}},
-	{"short scores", false, func(mk func(int) scorers, good []float32) {
+	{"short scores", false, false, func(mk func(int) scorers, good []float32) {
 		mk(2).batch(make([]float32, 1), good, [][]float32{good, good})
 	}},
-	{"bad qfv", false, func(mk func(int) scorers, good []float32) {
+	{"bad qfv", false, false, func(mk func(int) scorers, good []float32) {
 		mk(2).batch(make([]float32, 1), good[:3], [][]float32{good})
 	}},
-	{"bad dfv", false, func(mk func(int) scorers, good []float32) {
+	{"bad dfv", false, false, func(mk func(int) scorers, good []float32) {
 		mk(2).batch(make([]float32, 1), good, [][]float32{good[:3]})
 	}},
-	{"short score rows", true, func(mk func(int) scorers, good []float32) {
+	{"short score rows", true, false, func(mk func(int) scorers, good []float32) {
 		mk(8).multi(nil, [][]float32{good}, [][]float32{good})
 	}},
-	{"short score row", true, func(mk func(int) scorers, good []float32) {
+	{"short score row", true, false, func(mk func(int) scorers, good []float32) {
 		mk(8).multi([][]float32{{}}, [][]float32{good}, [][]float32{good})
 	}},
-	{"bad qfv", true, func(mk func(int) scorers, good []float32) {
+	{"bad qfv", true, false, func(mk func(int) scorers, good []float32) {
 		mk(8).multi([][]float32{make([]float32, 1)}, [][]float32{good[1:]}, [][]float32{good})
 	}},
-	{"bad dfv", true, func(mk func(int) scorers, good []float32) {
+	{"bad dfv", true, false, func(mk func(int) scorers, good []float32) {
 		mk(8).multi([][]float32{make([]float32, 1)}, [][]float32{good}, [][]float32{append(good, 0)})
 	}},
 }
@@ -250,6 +253,9 @@ func checkMisuse(t *testing.T, multi bool) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			for _, p := range precisions {
+				if tc.fp32Only && p.name != "fp32" {
+					continue
+				}
 				func() {
 					defer func() {
 						if recover() == nil {
@@ -276,7 +282,7 @@ func TestScoreMultiValidation(t *testing.T) { checkMisuse(t, true) }
 
 // TestScoreBatchAllocFree: steady-state ScoreBatch and ScoreMulti calls
 // allocate nothing in either precision, on the narrow lanes path as on the
-// combine path, nor does a Resident's ScoreAll, Logits or a Put into a slot
+// combine path, nor does a Resident's Logits or a Put into a slot
 // it has room for, nor Network.Activate — the property that keeps the
 // scan's and the cache sweep's hot loops off the garbage collector.
 func TestScoreBatchAllocFree(t *testing.T) {
@@ -295,14 +301,12 @@ func TestScoreBatchAllocFree(t *testing.T) {
 		grid := [][]float32{make([]float32, 32), make([]float32, 32), make([]float32, 32)}
 		all := make([]float32, 100)
 		for name, call := range map[string]func(){
-			"ScoreBatch":        func() { bs.ScoreBatch(grid[0], qfvs[0], pool) },
-			"ScoreMulti":        func() { bs.ScoreMulti(grid, qfvs, pool) },
-			"int8 ScoreBatch":   func() { qbs.ScoreBatch(grid[0], qqs[0], qpool) },
-			"int8 ScoreMulti":   func() { qbs.ScoreMulti(grid, qqs, qpool) },
-			"Resident.Put":      func() { res.Put(99, pool[0]) },
-			"Resident.ScoreAll": func() { res.ScoreAll(all, qfvs[0]) },
-			"Resident.Logits":   func() { res.Logits(all, qfvs[0]) },
-			"Network.Activate":  func() { all[0] = net.Activate(all[1]) },
+			"ScoreBatch":       func() { bs.ScoreBatch(grid[0], qfvs[0], pool) },
+			"ScoreMulti":       func() { bs.ScoreMulti(grid, qfvs, pool) },
+			"int8 ScoreMulti":  func() { qbs.ScoreMulti(grid, qqs, qpool) },
+			"Resident.Put":     func() { res.Put(99, pool[0]) },
+			"Resident.Logits":  func() { res.Logits(all, qfvs[0]) },
+			"Network.Activate": func() { all[0] = net.Activate(all[1]) },
 		} {
 			call() // warm up
 			if n := testing.AllocsPerRun(10, call); n != 0 {

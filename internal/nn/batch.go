@@ -84,13 +84,6 @@ func newExecutor(n *Network, fcs []*quantFC, maxBatch int, comb bool) executor {
 	return e
 }
 
-// Network returns the (float) network this scorer executes.
-func (e *executor) Network() *Network { return e.net }
-
-// MaxBatch returns the largest dfv count one ScoreBatch call accepts, which
-// is also the row count of one ScoreMulti chunk.
-func (e *executor) MaxBatch() int { return e.max }
-
 // checkLen panics unless operand i of the named kind has the network's
 // feature length.
 func (e *executor) checkLen(kind string, i, got int) {

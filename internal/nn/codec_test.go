@@ -172,7 +172,7 @@ func FuzzUnmarshal(f *testing.F) {
 		var got [1]float32
 		n.Score(v, v)
 		n.BatchScorer(1).ScoreBatch(got[:], v, [][]float32{v})
-		n.Quantize().BatchScorer(1).ScoreBatch(got[:], PrepareQuantQuery(v), QuantizeDB([][]float32{v}))
+		quantScore(n.Quantize().BatchScorer(1), got[:], PrepareQuantQuery(v), QuantizeDB([][]float32{v}))
 		env := NewEnvelope(len(v))
 		env.Absorb(v)
 		n.BoundScorer().UpperBound(v, &env)

@@ -9,12 +9,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// forward runs l's per-sample kernel and its activation on in, returning a
-// fresh output tensor.
-func forward(l Layer, in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(l.OutputShape(in.Shape)...)
-	l.forwardInto(out.Data, in.Data)
-	l.activation().apply(out.Data)
+// forward runs l's per-sample kernel and its activation on in, of the given
+// shape, returning a fresh output.
+func forward(l Layer, in []float32, shape ...int) []float32 {
+	out := make([]float32, l.OutputShape(shape).Elems())
+	l.forwardInto(out, in)
+	l.activation().apply(out)
 	return out
 }
 
@@ -22,9 +22,9 @@ func TestFCForwardAndCounts(t *testing.T) {
 	l := NewFC("fc", 3, 2, ActNone)
 	copy(l.W, []float32{1, 2, 3, 4, 5, 6})
 	copy(l.B, []float32{1, -1})
-	out := forward(l, tensor.FromSlice([]float32{1, 1, 1}, 3))
-	if out.Data[0] != 7 || out.Data[1] != 14 {
-		t.Errorf("fc forward = %v, want [7 14]", out.Data)
+	out := forward(l, []float32{1, 1, 1}, 3)
+	if out[0] != 7 || out[1] != 14 {
+		t.Errorf("fc forward = %v, want [7 14]", out)
 	}
 	if got := l.FLOPs(tensor.Shape{3}); got != 12 {
 		t.Errorf("fc flops = %d, want 12", got)
@@ -40,17 +40,16 @@ func TestFCForwardAndCounts(t *testing.T) {
 func TestFCReLU(t *testing.T) {
 	l := NewFC("fc", 1, 2, ActReLU)
 	copy(l.W, []float32{1, -1})
-	out := forward(l, tensor.FromSlice([]float32{5}, 1))
-	if out.Data[0] != 5 || out.Data[1] != 0 {
-		t.Errorf("relu fc = %v, want [5 0]", out.Data)
+	out := forward(l, []float32{5}, 1)
+	if out[0] != 5 || out[1] != 0 {
+		t.Errorf("relu fc = %v, want [5 0]", out)
 	}
 }
 
 func TestFCFlattensInput(t *testing.T) {
 	l := NewFC("fc", 6, 1, ActNone)
-	in := tensor.New(2, 3)
 	// Should not panic: FC accepts any shape with matching element count.
-	forward(l, in)
+	forward(l, make([]float32, 6), 2, 3)
 	if !slices.Equal(l.OutputShape(tensor.Shape{2, 3}), tensor.Shape{1}) {
 		t.Error("fc did not flatten input shape")
 	}
@@ -86,10 +85,9 @@ func TestConvForwardMatchesTensorOp(t *testing.T) {
 	for i := range l.Wt {
 		l.Wt[i] = 1
 	}
-	in := tensor.FromSlice([]float32{1, 1, 1, 1, 1, 1, 1, 1, 1}, 3, 3, 1)
-	out := forward(l, in)
-	if out.At(1, 1, 0) != 9 {
-		t.Errorf("conv center = %v, want 9", out.At(1, 1, 0))
+	out := forward(l, []float32{1, 1, 1, 1, 1, 1, 1, 1, 1}, 3, 3, 1)
+	if out[4] != 9 { // (1, 1, 0) in HWC order
+		t.Errorf("conv center = %v, want 9", out[4])
 	}
 }
 
@@ -103,7 +101,7 @@ func TestConvEmptyOutputPanics(t *testing.T) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	in := tensor.FromSlice([]float32{1, 2, 3}, 3)
+	in := []float32{1, 2, 3}
 	cases := []struct {
 		op   EWOp
 		want []float32
@@ -116,10 +114,10 @@ func TestElementwiseOps(t *testing.T) {
 	for _, c := range cases {
 		l := NewElementwise("ew", 3, c.op)
 		copy(l.Operand, []float32{2, 2, 2})
-		out := forward(l, in)
+		out := forward(l, in, 3)
 		for i := range c.want {
-			if out.Data[i] != c.want[i] {
-				t.Errorf("%v forward = %v, want %v", c.op, out.Data, c.want)
+			if out[i] != c.want[i] {
+				t.Errorf("%v forward = %v, want %v", c.op, out, c.want)
 				break
 			}
 		}

@@ -22,8 +22,8 @@ func scoreGrid(bs *BatchScorer, qfvs, pool [][]float32) (multi, batch []float32)
 	}
 	bs.ScoreMulti(rows, qfvs, pool)
 	for q, qfv := range qfvs {
-		for lo := 0; lo < nb; lo += bs.MaxBatch() {
-			hi := min(lo+bs.MaxBatch(), nb)
+		for lo := 0; lo < nb; lo += bs.max {
+			hi := min(lo+bs.max, nb)
 			bs.ScoreBatch(batch[q*nb+lo:q*nb+hi], qfv, pool[lo:hi])
 		}
 	}
@@ -110,8 +110,11 @@ func TestExecutorSeesRewrittenWeights(t *testing.T) {
 				sameScoreBits(t, "ScoreBatch", batch, want)
 				all := make([]float32, len(pool))
 				for q, qfv := range qfvs {
-					res.ScoreAll(all, qfv)
-					sameScoreBits(t, "Resident.ScoreAll", all, want[q*len(pool):(q+1)*len(pool)])
+					res.Logits(all, qfv)
+					for i, l := range all {
+						all[i] = net.Activate(l)
+					}
+					sameScoreBits(t, "Activate∘Resident.Logits", all, want[q*len(pool):(q+1)*len(pool)])
 				}
 			}
 		})

@@ -66,7 +66,7 @@ func sameScores(t *testing.T, what string, got, want []float32) {
 // subtract combine into a first FC of one to three computed outputs, one to
 // three layers deep — 1–130 features and 1–3 queries, with signed zeros,
 // NaN and infinities planted in the queries, the features and the weights,
-// ScoreBatch (walked in MaxBatch chunks) and ScoreMulti, which pack the
+// ScoreBatch (walked in capacity-sized chunks) and ScoreMulti, which pack the
 // feature rows once per chunk and run GemmLanes per query, give every pair
 // the bits per-pair Scorer.Score gives it. A control network whose first FC
 // has four outputs must not be narrow and must agree the same way through

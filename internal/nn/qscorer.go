@@ -1,7 +1,5 @@
 package nn
 
-import "fmt"
-
 // Quantized scoring — the execution half of the §7 precision extension.
 // A QuantNetwork holds an int8 image of every FC layer's weights (per-output-
 // row max-abs scales); QuantBatchScorer is BatchScorer's int8 counterpart:
@@ -51,9 +49,6 @@ func (n *Network) Quantize() *QuantNetwork {
 	return qn
 }
 
-// Network returns the underlying float network.
-func (qn *QuantNetwork) Network() *Network { return qn.net }
-
 // QuantQuery is a query prepared for quantized scanning: the int8 image and
 // its dequantized values. Preparing once per scan avoids re-quantizing the
 // query for every feature (the same O(Q·D) pathology ScoreDrift had).
@@ -78,15 +73,6 @@ type QuantBatchScorer struct{ executor }
 // features per call.
 func (qn *QuantNetwork) BatchScorer(maxBatch int) *QuantBatchScorer {
 	return &QuantBatchScorer{newExecutor(qn.net, qn.fcs, maxBatch, true)}
-}
-
-// ScoreBatch scores a prepared query against quantized feature vectors,
-// writing scores[i] for dfvs[i]. Mirrors BatchScorer.ScoreBatch.
-func (s *QuantBatchScorer) ScoreBatch(scores []float32, q QuantQuery, dfvs []QuantizedVector) {
-	if len(dfvs) > s.max {
-		panic(fmt.Sprintf("nn: quant batch of %d exceeds scorer capacity %d", len(dfvs), s.max))
-	}
-	s.ScoreMulti([][]float32{scores}, []QuantQuery{q}, dfvs)
 }
 
 // ScoreMulti scores every prepared query against every quantized feature,
@@ -134,25 +120,4 @@ func (s *QuantBatchScorer) fillRow(row, deq []float32, d QuantizedVector) {
 			row[fe+i] = float32(d.Data[i]) * d.Scale
 		}
 	}
-}
-
-// QuantScorer is the per-feature quantized scorer: a 1-row QuantBatchScorer,
-// so its scores are bit-identical to the batched path by construction.
-type QuantScorer struct {
-	bs    *QuantBatchScorer
-	score [1]float32
-	dfv   [1]QuantizedVector
-}
-
-// Scorer returns a single-feature quantized scorer.
-func (qn *QuantNetwork) Scorer() *QuantScorer {
-	return &QuantScorer{bs: qn.BatchScorer(1)}
-}
-
-// Score scores one prepared query against one quantized feature vector.
-func (s *QuantScorer) Score(q QuantQuery, d QuantizedVector) float32 {
-	s.dfv[0] = d
-	s.bs.ScoreBatch(s.score[:], q, s.dfv[:])
-	s.dfv[0] = QuantizedVector{}
-	return s.score[0]
 }

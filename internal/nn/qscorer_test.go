@@ -8,6 +8,27 @@ import (
 	"repro/internal/tensor"
 )
 
+// quantScorer is the per-feature int8 oracle: a one-row QuantBatchScorer, so
+// its scores are the batched path's by construction.
+type quantScorer struct {
+	bs    *QuantBatchScorer
+	score [1]float32
+}
+
+func newQuantScorer(qn *QuantNetwork) *quantScorer { return &quantScorer{bs: qn.BatchScorer(1)} }
+
+// Score scores one prepared query against one quantized feature vector.
+func (s *quantScorer) Score(q QuantQuery, d QuantizedVector) float32 {
+	quantScore(s.bs, s.score[:], q, []QuantizedVector{d})
+	return s.score[0]
+}
+
+// quantScore scores one prepared query against quantized features, writing
+// scores[i] for dfvs[i]: ScoreMulti with a single query.
+func quantScore(bs *QuantBatchScorer, scores []float32, q QuantQuery, dfvs []QuantizedVector) {
+	bs.ScoreMulti([][]float32{scores}, []QuantQuery{q}, dfvs)
+}
+
 func quantTestNet(t *testing.T, combine CombineOp, fe int, seed int64) *Network {
 	t.Helper()
 	in := fe
@@ -32,7 +53,7 @@ func TestQuantScorerTracksFloat(t *testing.T) {
 	const fe = 32
 	net := quantTestNet(t, CombineHadamard, fe, 7)
 	qn := net.Quantize()
-	sc := qn.Scorer()
+	sc := newQuantScorer(qn)
 	rng := rand.New(rand.NewSource(21))
 	var maxErr float64
 	for trial := 0; trial < 50; trial++ {
@@ -54,7 +75,7 @@ func TestQuantScorerTracksFloat(t *testing.T) {
 func TestQuantScorerZeroVector(t *testing.T) {
 	const fe = 16
 	net := quantTestNet(t, CombineHadamard, fe, 1)
-	sc := net.Quantize().Scorer()
+	sc := newQuantScorer(net.Quantize())
 	got := sc.Score(PrepareQuantQuery(make([]float32, fe)), QuantizeVector(make([]float32, fe)))
 	if math.IsNaN(float64(got)) {
 		t.Fatalf("zero-vector quantized score is NaN")

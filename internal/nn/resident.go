@@ -65,14 +65,6 @@ func (r *Resident) Put(slot int, dfv []float32) {
 	}
 }
 
-// ScoreAll writes scores[s], the network's score of (qfv, slot s's vector),
-// for every slot s in [0, len(scores)): Logits, then the network's Activate
-// in place. It panics as Logits does.
-func (r *Resident) ScoreAll(scores, qfv []float32) {
-	r.Logits(scores, qfv)
-	r.exec.net.scoreAct().apply(scores)
-}
-
 // Logits writes logits[s], the network's output for (qfv, slot s's vector)
 // before the last layer's activation, for every slot s in [0, len(logits));
 // a slot never Put holds the zero vector. The network's Activate maps a

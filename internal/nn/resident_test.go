@@ -61,10 +61,9 @@ func residentFuzzNet(seed int64) *Network {
 // or unpacks (an FC of four or more outputs feeding another layer, an
 // element-wise layer, a convolution, any concat network), one to three
 // layers deep — and random
-// sequences of Put that fill, overwrite and skip slots, ScoreAll over any
-// prefix of the slots — and Activate of every Logits output — is
-// bit-identical to ScoreBatch over the same vectors in slot order, slots
-// never Put being zero vectors.
+// sequences of Put that fill, overwrite and skip slots, Activate of every
+// Logits output over any prefix of the slots is bit-identical to ScoreBatch
+// over the same vectors in slot order, slots never Put being zero vectors.
 func FuzzResidentMatchesScoreBatch(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, []byte{0, 1, 2, 3, 64, 65, 7, 0, 129, 200, 17, 16, 15, 66})
@@ -86,9 +85,7 @@ func FuzzResidentMatchesScoreBatch(f *testing.F) {
 			want, got := make([]float32, m), make([]float32, m)
 			q := randVec(rng, fe)
 			bs.ScoreBatch(want, q, slots[:m])
-			r.ScoreAll(got, q)
 			what := fmt.Sprintf("%s, %d of %d slots", net, m, capacity)
-			sameScoreBits(t, what, got, want)
 			r.Logits(got, q)
 			for i, l := range got {
 				got[i] = net.Activate(l)
@@ -111,7 +108,7 @@ func FuzzResidentMatchesScoreBatch(f *testing.F) {
 }
 
 // TestResidentMisuse: a vector or query of the wrong width, a slot outside
-// the capacity and more scores than the capacity all panic, and scoring no
+// the capacity and more logits than the capacity all panic, and scoring no
 // slots is a no-op that checks nothing.
 func TestResidentMisuse(t *testing.T) {
 	net := qcnNeuronNet()
@@ -121,8 +118,7 @@ func TestResidentMisuse(t *testing.T) {
 		"short dfv":       func() { net.Resident(4).Put(0, good[:3]) },
 		"negative slot":   func() { net.Resident(4).Put(-1, good) },
 		"slot past cap":   func() { net.Resident(4).Put(4, good) },
-		"short qfv":       func() { net.Resident(4).ScoreAll(make([]float32, 1), good[1:]) },
-		"scores past cap": func() { net.Resident(4).ScoreAll(make([]float32, 5), good) },
+		"short qfv":       func() { net.Resident(4).Logits(make([]float32, 1), good[1:]) },
 		"logits past cap": func() { net.Resident(4).Logits(make([]float32, 5), good) },
 	} {
 		func() {
@@ -134,7 +130,7 @@ func TestResidentMisuse(t *testing.T) {
 			call()
 		}()
 	}
-	net.Resident(4).ScoreAll(nil, nil)
+	net.Resident(4).Logits(nil, nil)
 }
 
 // TestResidentNarrowHasNoComb: a narrow network's Resident runs its first

@@ -36,9 +36,6 @@ func (n *Network) Scorer() *Scorer {
 	return s
 }
 
-// Network returns the network this scorer executes.
-func (s *Scorer) Network() *Network { return s.net }
-
 // Score runs one comparison through the reused buffers and returns the
 // similarity score: the first element of the final layer's output.
 func (s *Scorer) Score(qfv, dfv []float32) float32 {

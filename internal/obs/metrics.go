@@ -95,29 +95,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile returns the nearest-rank p-th percentile at bucket resolution:
-// the upper bound of the bucket containing rank ⌈p·n/100⌉, clamped to the
-// observed [min, max] so single-bucket distributions do not report a bound
-// far above anything seen. Returns NaN with no observations.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(p)
-}
-
 func (h *Histogram) quantileLocked(p float64) float64 {
 	if h.count == 0 {
 		return math.NaN()

@@ -104,23 +104,23 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	// Ranks: p50 → rank 2 → the 2nd observation in bucket order: bucket
 	// le=2 (holds 1.5 and 1.7). Bucket resolution reports the upper bound.
-	if got := h.Quantile(50); got != 2 {
+	if got := h.quantileLocked(50); got != 2 {
 		t.Errorf("p50 = %v, want bucket bound 2", got)
 	}
-	if got := h.Quantile(100); got != 4 {
+	if got := h.quantileLocked(100); got != 4 {
 		t.Errorf("p100 = %v, want max 4 (clamped below bound 5)", got)
 	}
-	if got := h.Quantile(0); got != 1 {
+	if got := h.quantileLocked(0); got != 1 {
 		t.Errorf("p0 = %v, want first bucket bound 1", got)
 	}
 	h.Observe(99) // overflow
-	if got := h.Quantile(100); got != 99 {
+	if got := h.quantileLocked(100); got != 99 {
 		t.Errorf("overflow p100 = %v, want observed max", got)
 	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
+	if h.count != 5 {
+		t.Errorf("count = %d", h.count)
 	}
-	if !math.IsNaN(NewHistogram(nil).Quantile(50)) {
+	if !math.IsNaN(NewHistogram(nil).quantileLocked(50)) {
 		t.Error("empty histogram quantile not NaN")
 	}
 }

@@ -148,16 +148,6 @@ func (t *Tracer) CountDrops(c *Counter) {
 	t.onDrop = c
 }
 
-// Len returns the number of retained spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
 // Dropped returns how many spans were discarded at capacity.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
@@ -186,21 +176,6 @@ func (t *Tracer) Spans() []Span {
 		}
 	}
 	return out
-}
-
-// Reset discards every retained span and the drop count.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	clear(t.chunks)
-	t.chunks = t.chunks[:0]
-	clear(t.metas)
-	t.metas = t.metas[:0]
-	t.n = 0
-	t.dropped = 0
 }
 
 // traceEvent is one Chrome trace-event ("X" complete events; timestamps and

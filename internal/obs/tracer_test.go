@@ -16,8 +16,8 @@ func TestTracerCollectsAndCaps(t *testing.T) {
 	tr.Add(Span{Name: "a", Cat: "core", Start: 0, Dur: sim.Millisecond})
 	tr.Add(Span{Name: "b", Cat: "core", Start: sim.Time(sim.Millisecond), Dur: sim.Millisecond})
 	tr.Add(Span{Name: "c", Cat: "core"})
-	if tr.Len() != 2 {
-		t.Errorf("len = %d, want capped at 2", tr.Len())
+	if tr.n != 2 {
+		t.Errorf("len = %d, want capped at 2", tr.n)
 	}
 	if tr.Dropped() != 1 {
 		t.Errorf("dropped = %d, want 1", tr.Dropped())
@@ -26,15 +26,11 @@ func TestTracerCollectsAndCaps(t *testing.T) {
 	if spans[0].Name != "a" || spans[1].Name != "b" {
 		t.Errorf("spans = %+v", spans)
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Error("reset did not clear")
-	}
 
 	// nil tracer is a no-op everywhere.
 	var nilTr *Tracer
 	nilTr.Add(Span{})
-	if nilTr.Len() != 0 || nilTr.Spans() != nil || nilTr.Dropped() != 0 {
+	if nilTr.Spans() != nil || nilTr.Dropped() != 0 {
 		t.Error("nil tracer not inert")
 	}
 }
@@ -91,31 +87,25 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestTracerSpansAcrossChunks: storage is chunked, the view is not — order,
-// length, the cap (here not a multiple of the chunk size) and the drop count
-// are what a single slice would give, and Reset starts over.
+// TestTracerSpansAcrossChunks: spans stored across several chunks come back
+// in arrival order, and the length, the cap (here not a multiple of the
+// chunk size) and the drop count are what a single slice would give.
 func TestTracerSpansAcrossChunks(t *testing.T) {
 	const capacity = 2*traceChunk + 5
 	tr := NewTracer(capacity)
-	for round := 0; round < 2; round++ {
-		for i := 0; i < capacity+7; i++ {
-			tr.Add(Span{Name: "s", TID: int64(i)})
-		}
-		if tr.Len() != capacity || tr.Dropped() != 7 {
-			t.Fatalf("round %d: len %d dropped %d, want %d and 7", round, tr.Len(), tr.Dropped(), capacity)
-		}
-		spans := tr.Spans()
-		if len(spans) != capacity {
-			t.Fatalf("round %d: Spans() returned %d", round, len(spans))
-		}
-		for i, s := range spans {
-			if s.TID != int64(i) {
-				t.Fatalf("round %d: span %d has TID %d: arrival order lost", round, i, s.TID)
-			}
-		}
-		tr.Reset()
-		if tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
-			t.Fatalf("round %d: reset did not clear", round)
+	for i := 0; i < capacity+7; i++ {
+		tr.Add(Span{Name: "s", TID: int64(i)})
+	}
+	if tr.n != capacity || tr.Dropped() != 7 {
+		t.Fatalf("len %d dropped %d, want %d and 7", tr.n, tr.Dropped(), capacity)
+	}
+	spans := tr.Spans()
+	if len(spans) != capacity {
+		t.Fatalf("Spans() returned %d", len(spans))
+	}
+	for i, s := range spans {
+		if s.TID != int64(i) {
+			t.Fatalf("span %d has TID %d: arrival order lost", i, s.TID)
 		}
 	}
 }
@@ -127,9 +117,8 @@ func TestTracerAddIsAmortisedAllocationFree(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const spans = 100_000
-	tr := NewTracer(0)
 	allocs := testing.AllocsPerRun(1, func() {
-		tr.Reset()
+		tr := NewTracer(0)
 		for i := 0; i < spans; i++ {
 			tr.Add(Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i)})
 		}
@@ -138,7 +127,7 @@ func TestTracerAddIsAmortisedAllocationFree(t *testing.T) {
 		t.Errorf("Tracer.Add: %v allocs per span, want < 0.01", perSpan)
 	}
 
-	tr.Reset()
+	tr := NewTracer(0)
 	tr.Add(Span{Name: "first", TID: 42})
 	first := &tr.chunks[0][0]
 	for i := 0; i < 10*traceChunk; i++ {
@@ -151,14 +140,14 @@ func TestTracerAddIsAmortisedAllocationFree(t *testing.T) {
 
 // TestTracerSpansRoundTrip: Spans() rebuilds exactly the spans that were
 // added — names and categories that change from span to span or hold for a
-// run of spans, args (the same map, not a copy) — up to the cap and again
-// after Reset, while a run of spans that share a name and a category and have
-// no args shares one side-table entry.
+// run of spans, args (the same map, not a copy) — up to the cap, while a run
+// of spans that share a name and a category and have no args shares one
+// side-table entry.
 func TestTracerSpansRoundTrip(t *testing.T) {
 	const capacity = traceChunk + 3
-	tr := NewTracer(capacity)
 	shared := map[string]string{"mode": "batched"}
 	for round := 0; round < 2; round++ {
+		tr := NewTracer(capacity)
 		var want []Span
 		for i := 0; i < capacity+9; i++ {
 			s := Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i % 7), Start: sim.Time(3 * i), Dur: sim.Duration(i + round)}
@@ -191,12 +180,9 @@ func TestTracerSpansRoundTrip(t *testing.T) {
 				t.Fatalf("round %d: span %d: args were copied", round, i)
 			}
 		}
-		tr.Reset()
-		if tr.Spans() != nil || len(tr.metas) != 0 {
-			t.Fatalf("round %d: Reset left %d spans and %d side-table entries", round, len(tr.Spans()), len(tr.metas))
-		}
 	}
 
+	tr := NewTracer(0)
 	for i := 0; i < 1000; i++ {
 		tr.Add(Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i)})
 	}
@@ -230,7 +216,7 @@ func TestAddIntervalsIsRepeatedAdd(t *testing.T) {
 	if !reflect.DeepEqual(one.Spans(), batched.Spans()) || one.Dropped() != batched.Dropped() ||
 		len(one.metas) != len(batched.metas) || c1.Value() != c2.Value() || c1.Value() != one.Dropped() {
 		t.Errorf("batched: %d spans, %d dropped (counter %d), %d side-table entries; one by one: %d, %d (%d), %d",
-			batched.Len(), batched.Dropped(), c2.Value(), len(batched.metas), one.Len(), one.Dropped(), c1.Value(), len(one.metas))
+			batched.n, batched.Dropped(), c2.Value(), len(batched.metas), one.n, one.Dropped(), c1.Value(), len(one.metas))
 	}
 	if one.Dropped() == 0 {
 		t.Error("the batches never crossed the cap")
@@ -238,8 +224,7 @@ func TestAddIntervalsIsRepeatedAdd(t *testing.T) {
 }
 
 // TestTracerCountsDropsInRegistry: the drop counter is 0 until the cap is
-// hit, then moves with every dropped span, and survives Reset (counters are
-// monotonic; Dropped() is per trace).
+// hit, then moves with every dropped span.
 func TestTracerCountsDropsInRegistry(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(3)
@@ -255,21 +240,17 @@ func TestTracerCountsDropsInRegistry(t *testing.T) {
 	if got := reg.Snapshot().Counters["obs_tracer_dropped_spans"]; got != 2 || tr.Dropped() != 2 {
 		t.Errorf("past the cap: dropped counter = %d, Dropped() = %d, want 2 and 2", got, tr.Dropped())
 	}
-	tr.Reset()
-	if got := reg.Counter("obs_tracer_dropped_spans").Value(); got != 2 {
-		t.Errorf("after Reset: dropped counter = %d, want 2", got)
-	}
 }
 
 // BenchmarkTracerAdd records flash-read spans, the always-on tracer's hottest
-// call, resetting at the cap so that every Add stores a record.
+// call, starting a new tracer at the cap so that every Add stores a record.
 func BenchmarkTracerAdd(b *testing.B) {
 	tr := NewTracer(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%DefaultTraceCap == 0 {
-			tr.Reset()
+			tr = NewTracer(0)
 		}
 		tr.Add(Span{Name: SpanFlashRead, Cat: "flash", TID: int64(i & 31), Start: sim.Time(i), Dur: 53 * sim.Microsecond})
 	}

@@ -75,14 +75,6 @@ type Stats struct {
 	Activations uint64
 }
 
-// MissRate returns misses/lookups (0 when no lookups yet).
-func (s Stats) MissRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Lookups)
-}
-
 // Policy customizes admission and eviction when the cache is full. Both
 // hooks run synchronously inside Insert under the caller's lock; they must
 // not call back into the cache. A nil policy is plain LRU.
@@ -197,9 +189,6 @@ func (t *table[Q]) Score(key float64) float64 { return key }
 
 // Len returns the number of cached entries.
 func (c *Cache[Q]) Len() int { return len(c.entries) }
-
-// Capacity returns the entry limit.
-func (c *Cache[Q]) Capacity() int { return c.capacity }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache[Q]) Stats() Stats { return c.stats }
@@ -329,10 +318,4 @@ func (c *Cache[Q]) Clear() {
 		clear(t.slots)
 		t.slots = t.slots[:0]
 	}
-}
-
-// EntryBytes estimates one entry's DRAM footprint (§4.6): the query feature
-// vector plus K cached feature vectors and their 8-byte ObjectIDs.
-func EntryBytes(featureBytes int64, k int) int64 {
-	return featureBytes + int64(k)*(featureBytes+8)
 }

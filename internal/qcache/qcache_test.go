@@ -137,11 +137,8 @@ func TestMissRate(t *testing.T) {
 	c.Lookup(1, 0.1) // hit
 	c.Lookup(2, 0.1) // miss
 	c.Lookup(3, 0.1) // miss
-	if got := c.Stats().MissRate(); got < 0.66 || got > 0.67 {
-		t.Errorf("miss rate = %v, want 2/3", got)
-	}
-	if (Stats{}).MissRate() != 0 {
-		t.Error("empty stats miss rate not 0")
+	if s := c.Stats(); s.Lookups != 3 || s.Misses != 2 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 3 lookups, 2 misses, 1 hit", s)
 	}
 }
 
@@ -176,11 +173,18 @@ func TestLookupThresholdPanics(t *testing.T) {
 	c.Lookup(1, 1.5)
 }
 
+// TestEntryBytes: an entry holds its query and its top-K (§4.6), and a hit
+// returns all K results in rank order.
 func TestEntryBytes(t *testing.T) {
-	// §4.6's ReId example: 44 KB features, top-10 => ~484 KB per entry.
-	got := EntryBytes(44<<10, 10)
-	if got < 480<<10 || got > 500<<10 {
-		t.Errorf("ReId entry bytes = %d, want ~484 KB", got)
+	c := New[int](4, 1.0, intScorer)
+	var res []topk.Entry
+	for i := 0; i < 10; i++ {
+		res = append(res, topk.Entry{FeatureID: int64(100 - i), Score: float32(10 - i)})
+	}
+	c.Insert(5, res)
+	got, hit := c.Lookup(5, 0.05)
+	if !hit || got.Query != 5 || len(got.Results) != 10 || got.Results[9] != res[9] {
+		t.Errorf("hit %v: entry %+v, want query 5 and the 10 results inserted", hit, got)
 	}
 }
 

@@ -215,11 +215,6 @@ func sqDist(a, b []float32) float64 {
 	return s
 }
 
-// ClusterSize returns the number of features in cluster c.
-func (cl *Clustering) ClusterSize(c int) int {
-	return cl.Offsets[c+1] - cl.Offsets[c]
-}
-
 // RankClusters orders cluster indices by a query's affinity to their
 // centroids, using the provided scorer (e.g. the SCN or QCN itself, so the
 // pruning decision uses the same learned similarity as the scan).

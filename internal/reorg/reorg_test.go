@@ -73,7 +73,7 @@ func TestClusteringOrderIsPermutation(t *testing.T) {
 		// Offsets partition the order and sizes sum to n.
 		total := 0
 		for c := range cl.Centroids {
-			total += cl.ClusterSize(c)
+			total += cl.Offsets[c+1] - cl.Offsets[c]
 		}
 		return total == len(vectors)
 	}

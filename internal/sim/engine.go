@@ -64,10 +64,6 @@ func (d Duration) String() string {
 	}
 }
 
-// Seconds reports the timestamp as floating-point seconds since simulation
-// start.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // event is a single calendar entry. seq breaks ties so that events scheduled
 // for the same instant run in FIFO order, which keeps the simulation
 // deterministic.
@@ -127,12 +123,11 @@ type Engine struct {
 	hint     int  // the lane laneFor returned last
 	instant  ring[func()]
 	draining bool // instant holds callbacks and nothing else is due at Now()
-	stopped  bool
 
 	// Executed counts events run so far; useful for debugging runaway
 	// simulations.
 	Executed uint64
-	// MaxEvents, when non-zero, is a watchdog: Run and RunUntil panic after
+	// MaxEvents, when non-zero, is a watchdog: Run panics after
 	// executing that many events, turning a silently spinning model (a
 	// process that reschedules itself at zero delay, a barrier that never
 	// releases) into a loud failure with the event count in hand.
@@ -197,43 +192,13 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.At(e.now+Time(d), fn)
 }
 
-// Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int {
-	n := len(e.heap) + e.instant.len()
-	for i := range e.lanes {
-		n += e.lanes[i].q.len()
-	}
-	return n
-}
-
-// Stop aborts the run loop after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in timestamp order until the calendar is empty or Stop
-// is called. It returns the final virtual time.
+// Run executes events in timestamp order until the calendar is empty. It
+// returns the final virtual time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.step(maxTime) {
+	for e.step() {
 	}
 	return e.now
 }
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (if the simulation had not already passed it) and
-// returns. Events scheduled beyond the deadline remain queued. When Stop ends
-// the loop with events still due by the deadline, the clock stays at the
-// last event run, so the clock never has to move backwards to run them.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped && e.step(deadline) {
-	}
-	if _, next := e.next(); e.now < deadline && e.instant.len() == 0 && (next == nil || next.at > deadline) {
-		e.now = deadline
-	}
-	return e.now
-}
-
-const maxTime = Time(1<<63 - 1)
 
 // next returns the (at, seq)-least pending heap or lane event and where it
 // sits: a lane index, or laneCount for the heap top. It returns a nil event
@@ -252,14 +217,13 @@ func (e *Engine) next() (int, *event) {
 	return src, best
 }
 
-// step runs the earliest event if it is due by deadline and reports whether
-// it ran one.
-func (e *Engine) step(deadline Time) bool {
+// step runs the earliest event and reports whether there was one.
+func (e *Engine) step() bool {
 	var fn func()
 	if !e.draining {
 		src, head := e.next()
 		if e.draining = e.instant.len() > 0 && (head == nil || head.at > e.now); !e.draining {
-			if head == nil || head.at > deadline {
+			if head == nil {
 				return false
 			}
 			var ev event
@@ -272,9 +236,6 @@ func (e *Engine) step(deadline Time) bool {
 		}
 	}
 	if e.draining {
-		if e.now > deadline {
-			return false
-		}
 		fn = e.instant.pop()
 		e.draining = e.instant.len() > 0
 	}

@@ -80,37 +80,46 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func() {})
 }
 
+// pending counts the events e holds: heap, lanes and the instant FIFO.
+func pending(e *Engine) int {
+	n := len(e.heap) + e.instant.len()
+	for i := range e.lanes {
+		n += e.lanes[i].q.len()
+	}
+	return n
+}
+
+// TestEngineStop: Run stops when the calendar is empty and returns the time
+// of the last event it ran.
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.After(1, func() { ran++; e.Stop() })
+	e.After(1, func() { ran++; e.After(3, func() { ran++ }) })
 	e.After(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Errorf("ran %d events after Stop, want 1", ran)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if end := e.Run(); end != 4 || ran != 3 || pending(e) != 0 {
+		t.Errorf("Run returned %d after %d events with %d pending, want 4, 3 and 0", end, ran, pending(e))
 	}
 }
 
+// TestEngineRunUntil: Run drains the calendar each time it is called; events
+// scheduled from outside between runs are relative to where the last run
+// left the clock.
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	ran := []Time{}
-	for _, d := range []Duration{10, 20, 30, 40} {
-		e.After(d*Nanosecond, func() { ran = append(ran, e.Now()) })
-	}
-	e.RunUntil(Time(25 * Nanosecond))
-	if len(ran) != 2 {
-		t.Fatalf("ran %d events, want 2", len(ran))
-	}
-	if e.Now() != Time(25*Nanosecond) {
-		t.Errorf("now = %d, want %d", e.Now(), 25*Nanosecond)
-	}
-	// Remaining events still run afterwards.
+	rec := func() { ran = append(ran, e.Now()) }
+	e.After(10*Nanosecond, rec)
+	e.After(20*Nanosecond, rec)
 	e.Run()
-	if len(ran) != 4 {
-		t.Errorf("after Run, ran %d events, want 4", len(ran))
+	e.After(15*Nanosecond, rec)
+	e.After(5*Nanosecond, rec)
+	e.At(e.Now(), rec)
+	if end := e.Run(); end != Time(35*Nanosecond) {
+		t.Errorf("second Run returned %d, want %d", end, 35*Nanosecond)
+	}
+	want := []Time{10000, 20000, 20000, 25000, 35000}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("ran at %v, want %v", ran, want)
 	}
 }
 
@@ -155,32 +164,25 @@ func TestDurationString(t *testing.T) {
 }
 
 // TestWatchdogTripsOnRunawayLoop: a zero-delay self-rescheduling process must
-// panic with the event count in hand from either entry point (RunUntil used
-// to spin forever).
+// panic with the event count in hand.
 func TestWatchdogTripsOnRunawayLoop(t *testing.T) {
-	entries := map[string]func(*Engine){
-		"Run":      func(e *Engine) { e.Run() },
-		"RunUntil": func(e *Engine) { e.RunUntil(Time(Second)) },
-	}
-	for name, enter := range entries {
-		t.Run(name, func(t *testing.T) {
-			e := NewEngine()
-			e.MaxEvents = 100
-			var spin func()
-			spin = func() { e.After(0, spin) } // zero-delay self-reschedule
-			e.After(1, spin)
-			defer func() {
-				msg, _ := recover().(string)
-				if want := "watchdog tripped after 101 events"; !strings.Contains(msg, want) {
-					t.Errorf("panic = %q, want it to contain %q", msg, want)
-				}
-				if e.Executed != 101 {
-					t.Errorf("executed %d events, want 101", e.Executed)
-				}
-			}()
-			enter(e)
-		})
-	}
+	t.Run("Run", func(t *testing.T) {
+		e := NewEngine()
+		e.MaxEvents = 100
+		var spin func()
+		spin = func() { e.After(0, spin) } // zero-delay self-reschedule
+		e.After(1, spin)
+		defer func() {
+			msg, _ := recover().(string)
+			if want := "watchdog tripped after 101 events"; !strings.Contains(msg, want) {
+				t.Errorf("panic = %q, want it to contain %q", msg, want)
+			}
+			if e.Executed != 101 {
+				t.Errorf("executed %d events, want 101", e.Executed)
+			}
+		}()
+		e.Run()
+	})
 }
 
 // TestPendingCountsSameInstantEvents: callbacks scheduled for the current
@@ -191,59 +193,58 @@ func TestPendingCountsSameInstantEvents(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	rec := func(name string) func() { return func() { order = append(order, name) } }
+	want := 3 + 2*laneCount
 	e.After(0, func() {
 		order = append(order, "0:a")
 		e.After(Nanosecond, rec("1ns:c"))
 	})
 	e.At(e.Now(), rec("0:b"))
 	e.After(Nanosecond, func() {
+		// 0:a and 0:b ran, 0:a scheduled 1ns:c, and this one is running.
+		if got := pending(e); got != want-2 {
+			t.Errorf("pending after the instant drained = %d, want %d", got, want-2)
+		}
 		order = append(order, "1ns:a")
-		e.After(0, rec("1ns:instant"))
+		e.After(0, func() {
+			if got := pending(e); got != want-4 {
+				t.Errorf("pending after 1 ns drained = %d, want %d", got, want-4)
+			}
+			order = append(order, "1ns:instant")
+		})
 	})
 	for i := 1; i < 2*laneCount; i++ { // more delays than lanes
 		e.After(Duration(1+i)*Nanosecond, rec(fmt.Sprint(1+i, "ns")))
 	}
 	e.After(Nanosecond, rec("1ns:b"))
-	want := 3 + 2*laneCount
-	if got := e.Pending(); got != want {
+	if got := pending(e); got != want {
 		t.Errorf("pending = %d, want %d", got, want)
 	}
-	e.RunUntil(0)
-	if got := e.Pending(); got != want-1 { // two ran, 0:a scheduled 1ns:c
-		t.Errorf("pending after the instant drained = %d, want %d", got, want-1)
-	}
-	e.RunUntil(Time(Nanosecond))
-	if got := e.Pending(); got != want-4 {
-		t.Errorf("pending after 1 ns drained = %d, want %d", got, want-4)
-	}
-	if got, want := fmt.Sprint(order), "[0:a 0:b 1ns:a 1ns:b 1ns:c 1ns:instant]"; got != want {
+	e.Run()
+	if got, want := fmt.Sprint(order[:6]), "[0:a 0:b 1ns:a 1ns:b 1ns:c 1ns:instant]"; got != want {
 		t.Errorf("ran %s, want %s", got, want)
 	}
-	e.Run()
-	if e.Pending() != 0 || e.Executed != uint64(want+2) {
-		t.Errorf("after Run: pending %d, executed %d; want 0, %d", e.Pending(), e.Executed, want+2)
+	if pending(e) != 0 || e.Executed != uint64(want+2) {
+		t.Errorf("after Run: pending %d, executed %d; want 0, %d", pending(e), e.Executed, want+2)
 	}
 }
 
-// TestRunUntilStopKeepsClockMonotone: a Stop inside RunUntil that leaves
-// events due by the deadline must not advance the clock past them, or the
-// next Run would move Now() backwards.
+// TestRunUntilStopKeepsClockMonotone: a callback scheduled from outside for
+// the instant a Run ended on runs at that instant, after which the clock
+// moves only forwards.
 func TestRunUntilStopKeepsClockMonotone(t *testing.T) {
 	e := NewEngine()
 	var at []Time
-	e.After(1, e.Stop)
-	e.After(2, func() { at = append(at, e.Now()) })
-	if end := e.RunUntil(10); end != 1 {
-		t.Errorf("RunUntil(10) stopped with an event due at 2 returned %d, want 1", end)
-	}
+	rec := func() { at = append(at, e.Now()) }
+	e.After(2, rec)
 	e.Run()
-	if len(at) != 1 || at[0] != 2 || e.Now() != 2 {
-		t.Errorf("ran at %v, now %d: want one event at 2", at, e.Now())
+	e.After(1, rec)
+	e.At(e.Now(), rec)
+	e.After(0, rec)
+	if end := e.Run(); end != 3 {
+		t.Errorf("second Run returned %d, want 3", end)
 	}
-	// With nothing due, RunUntil still advances to its deadline.
-	e.After(20, func() {})
-	if end := e.RunUntil(10); end != 10 {
-		t.Errorf("RunUntil(10) with only an event at 22 returned %d, want 10", end)
+	if fmt.Sprint(at) != "[2 2 2 3]" {
+		t.Errorf("ran at %v, want [2 2 2 3]", at)
 	}
 }
 
@@ -254,24 +255,31 @@ func TestLanesRekeyAfterDrain(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
+	// The event at 3 drains the lanes keyed 1..3 and schedules from there.
+	atThree := func() {
+		rec()
+		e.After(50, rec) // re-keys lane 0
+		e.After(4, rec)  // joins lane 3, which still holds its event at 4
+		if e.lanes[0].delay != 50 || e.lanes[3].delay != 4 || e.lanes[3].q.len() != 2 {
+			t.Errorf("lane keys %d and %d (lane 3 holds %d): want 50 and 4 (2 events)",
+				e.lanes[0].delay, e.lanes[3].delay, e.lanes[3].q.len())
+		}
+		if len(e.heap) != 2 {
+			t.Errorf("heap holds %d events, want 2", len(e.heap))
+		}
+	}
 	for d := Duration(1); d <= laneCount; d++ {
-		e.After(d, rec)
+		if d == 3 {
+			e.After(d, atThree)
+		} else {
+			e.After(d, rec)
+		}
 	}
 	e.After(laneCount+1, rec)
 	if len(e.heap) != 1 {
 		t.Fatalf("heap holds %d events, want the one delay beyond the lanes", len(e.heap))
 	}
 	e.After(100, rec) // the heap again: lane keys 1..8 still hold events
-	e.RunUntil(3)     // drains the lanes keyed 1..3
-	e.After(50, rec)  // re-keys lane 0
-	e.After(4, rec)   // joins lane 3, which still holds its event at 4
-	if e.lanes[0].delay != 50 || e.lanes[3].delay != 4 || e.lanes[3].q.len() != 2 {
-		t.Errorf("lane keys %d and %d (lane 3 holds %d): want 50 and 4 (2 events)",
-			e.lanes[0].delay, e.lanes[3].delay, e.lanes[3].q.len())
-	}
-	if len(e.heap) != 2 {
-		t.Errorf("heap holds %d events, want 2", len(e.heap))
-	}
 	e.Run()
 	want := []Time{1, 2, 3, 4, 5, 6, 7, 7, 8, 9, 53, 100}
 	if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -8,8 +8,8 @@ import (
 
 // The order oracle: random schedules run on the Engine and on a reference
 // that keeps its calendar as a plain list and picks the (at, seq) minimum by
-// scanning it. Execution order, Now() at each event, Executed and Pending()
-// must match exactly — the heap, the fixed-delay lanes and the merge between
+// scanning it. Execution order, Now() and the pending count at each event,
+// and Executed must match exactly — the heap, the fixed-delay lanes and the merge between
 // them are invisible — and the clock never moves backwards.
 
 // child is one scheduling call an event's handler makes.
@@ -37,7 +37,6 @@ func (c child) at(now Time) Time {
 // (seed, id), so both sides replay the same behaviour.
 type plan struct {
 	children []child
-	stop     bool
 }
 
 // mix is a splitmix64 stream: cheap enough to seed one per event.
@@ -78,13 +77,13 @@ func planFor(seed int64, id int) plan {
 		}
 		p.children = append(p.children, c)
 	}
-	p.stop = rng.Intn(25) == 0
 	return p
 }
 
 type ran struct {
-	id  int
-	now Time
+	id      int
+	now     Time
+	pending int // events still queued when it ran
 }
 
 // scheduler is the surface the driver needs from either side.
@@ -92,8 +91,6 @@ type scheduler interface {
 	Now() Time
 	schedule(c child)
 	Run() Time
-	RunUntil(Time) Time
-	Pending() int
 	executed() uint64
 	log() []ran
 }
@@ -116,13 +113,9 @@ func (s *engineSide) schedule(c child) {
 	id := s.nextID
 	s.nextID++
 	fn := func() {
-		s.trace = append(s.trace, ran{id, s.Engine.Now()})
-		p := planFor(s.seed, id)
-		for _, c := range p.children {
+		s.trace = append(s.trace, ran{id, s.Engine.Now(), pending(s.Engine)})
+		for _, c := range planFor(s.seed, id).children {
 			s.schedule(c)
-		}
-		if p.stop {
-			s.Stop()
 		}
 	}
 	if c.atNow || c.align {
@@ -136,14 +129,13 @@ func (s *engineSide) log() []ran       { return s.trace }
 
 // refSide is the reference model.
 type refSide struct {
-	seed    int64
-	nextID  int
-	now     Time
-	seq     uint64
-	stopped bool
-	ran     uint64
-	cal     []refEvent
-	trace   []ran
+	seed   int64
+	nextID int
+	now    Time
+	seq    uint64
+	ran    uint64
+	cal    []refEvent
+	trace  []ran
 }
 
 type refEvent struct {
@@ -153,7 +145,6 @@ type refEvent struct {
 }
 
 func (s *refSide) Now() Time        { return s.now }
-func (s *refSide) Pending() int     { return len(s.cal) }
 func (s *refSide) executed() uint64 { return s.ran }
 func (s *refSide) log() []ran       { return s.trace }
 
@@ -166,72 +157,33 @@ func (s *refSide) schedule(c child) {
 	s.nextID++
 }
 
-// step runs the (at, seq)-least event if it is due by deadline.
-func (s *refSide) step(deadline Time) bool {
-	best := -1
-	for i, ev := range s.cal {
-		if best < 0 || ev.at < s.cal[best].at || (ev.at == s.cal[best].at && ev.seq < s.cal[best].seq) {
-			best = i
-		}
-	}
-	if best < 0 || s.cal[best].at > deadline {
-		return false
-	}
-	ev := s.cal[best]
-	s.cal = append(s.cal[:best], s.cal[best+1:]...)
-	s.now = ev.at
-	s.ran++
-	s.trace = append(s.trace, ran{ev.id, s.now})
-	p := planFor(s.seed, ev.id)
-	for _, c := range p.children {
-		s.schedule(c)
-	}
-	if p.stop {
-		s.stopped = true
-	}
-	return true
-}
-
+// Run runs the (at, seq)-least event until the calendar is empty.
 func (s *refSide) Run() Time {
-	s.stopped = false
-	for !s.stopped && s.step(maxTime) {
-	}
-	return s.now
-}
-
-func (s *refSide) RunUntil(deadline Time) Time {
-	s.stopped = false
-	for !s.stopped && s.step(deadline) {
-	}
-	for _, ev := range s.cal {
-		if ev.at <= deadline { // stopped with events due: the clock stays
-			return s.now
+	for len(s.cal) > 0 {
+		best := 0
+		for i, ev := range s.cal {
+			if ev.at < s.cal[best].at || (ev.at == s.cal[best].at && ev.seq < s.cal[best].seq) {
+				best = i
+			}
+		}
+		ev := s.cal[best]
+		s.cal = append(s.cal[:best], s.cal[best+1:]...)
+		s.now = ev.at
+		s.ran++
+		s.trace = append(s.trace, ran{ev.id, s.now, len(s.cal)})
+		for _, c := range planFor(s.seed, ev.id).children {
+			s.schedule(c)
 		}
 	}
-	if s.now < deadline {
-		s.now = deadline
-	}
 	return s.now
 }
 
-// drive replays one seeded schedule: rounds of top-level scheduling followed
-// by Run or by RunUntil with a deadline that lands on, between or short of
-// the queued timestamps (leaving events queued past it). Handlers Stop the
-// loop now and then, inside RunUntil too; the next round resumes it. After
-// half the rounds the driver schedules again from outside the run and runs
-// the current instant (or the next). It fails
-// t if the clock ever moves backwards, and also returns how many RunUntil
-// calls a Stop cut short of their deadline.
-func drive(t testing.TB, seed int64, s scheduler) (states []string, cut int) {
+// drive replays one seeded schedule: rounds of top-level scheduling from
+// outside a run (at the instant the last run left the clock on, or later)
+// followed by Run. It fails t if the clock ever moves backwards.
+func drive(t testing.TB, seed int64, s scheduler) (states []string) {
 	rng := rand.New(rand.NewSource(seed))
 	var last Time
-	monotone := func(where string) {
-		t.Helper()
-		if s.Now() < last {
-			t.Fatalf("seed %d: %s: clock went back from %d to %d", seed, where, last, s.Now())
-		}
-		last = s.Now()
-	}
 	for round := 0; round < 40; round++ {
 		for n := 1 + rng.Intn(5); n > 0; n-- {
 			switch rng.Intn(5) {
@@ -245,61 +197,29 @@ func drive(t testing.TB, seed int64, s scheduler) (states []string, cut int) {
 				s.schedule(child{delay: Duration(rng.Intn(12))})
 			}
 		}
-		var end Time
-		if rng.Intn(3) == 0 {
-			end = s.Run()
-		} else {
-			deadline := s.Now() + Time(rng.Intn(7))
-			if end = s.RunUntil(deadline); end < deadline {
-				cut++
-			}
+		end := s.Run()
+		if s.Now() < last {
+			t.Fatalf("seed %d: round %d: clock went back from %d to %d", seed, round, last, s.Now())
 		}
-		monotone(fmt.Sprintf("round %d", round))
-		states = append(states, fmt.Sprintf("round %d: end %d now %d executed %d pending %d",
-			round, end, s.Now(), s.executed(), s.Pending()))
-		// Schedule from outside a run at the instant the loop left the
-		// clock on: a Stop can leave events due at it in the lanes or the
-		// heap, and a RunUntil can leave the clock one step short of the
-		// lane heads that the delayed calls here then land beside. The
-		// instant's callbacks must still run after what was due first.
-		if rng.Intn(2) == 0 {
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				switch rng.Intn(3) {
-				case 0:
-					s.schedule(child{atNow: true})
-				case 1:
-					s.schedule(child{delay: 0})
-				default:
-					s.schedule(child{delay: Duration(1 + rng.Intn(3))})
-				}
-			}
-			end = s.RunUntil(s.Now() + Time(rng.Intn(2)))
-			monotone(fmt.Sprintf("round %d, outside", round))
-			states = append(states, fmt.Sprintf("round %d outside: end %d now %d executed %d pending %d",
-				round, end, s.Now(), s.executed(), s.Pending()))
-		}
+		last = s.Now()
+		states = append(states, fmt.Sprintf("round %d: end %d now %d executed %d", round, end, s.Now(), s.executed()))
 	}
-	s.Run()
-	for s.Pending() > 0 { // a handler stopped the drain
-		s.Run()
-	}
-	monotone("drain")
 	for i, r := range s.log() {
 		if i > 0 && r.now < s.log()[i-1].now {
 			t.Fatalf("seed %d: event %d ran at %d, after an event at %d", seed, i, r.now, s.log()[i-1].now)
 		}
 	}
-	return append(states, fmt.Sprintf("drained: now %d executed %d", s.Now(), s.executed())), cut
+	return states
 }
 
 // checkOrder runs seed's schedule on both sides and fails t on the first
-// difference. It returns the events run and the RunUntil calls cut short.
-func checkOrder(t testing.TB, seed int64) (events, cut int) {
+// difference. It returns the events run.
+func checkOrder(t testing.TB, seed int64) int {
 	t.Helper()
 	eng := &engineSide{Engine: NewEngine(), seed: seed}
 	ref := &refSide{seed: seed}
-	got, cut := drive(t, seed, eng)
-	want, _ := drive(t, seed, ref)
+	got := drive(t, seed, eng)
+	want := drive(t, seed, ref)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("seed %d: engine %q, reference %q", seed, got[i], want[i])
@@ -311,25 +231,20 @@ func checkOrder(t testing.TB, seed int64) (events, cut int) {
 	}
 	for i := range wl {
 		if gl[i] != wl[i] {
-			t.Fatalf("seed %d: event %d: engine ran id %d at %d, reference id %d at %d",
-				seed, i, gl[i].id, gl[i].now, wl[i].id, wl[i].now)
+			t.Fatalf("seed %d: event %d: engine ran id %d at %d with %d pending, reference id %d at %d with %d",
+				seed, i, gl[i].id, gl[i].now, gl[i].pending, wl[i].id, wl[i].now, wl[i].pending)
 		}
 	}
-	return len(wl), cut
+	return len(wl)
 }
 
 func TestOrderMatchesReference(t *testing.T) {
-	var total, cut int
+	total := 0
 	for seed := int64(1); seed <= 200; seed++ {
-		n, c := checkOrder(t, seed)
-		total += n
-		cut += c
+		total += checkOrder(t, seed)
 	}
 	if total < 200*100 {
 		t.Errorf("schedules too small to mean anything: %d events over 200 seeds", total)
-	}
-	if cut == 0 {
-		t.Error("no Stop ever cut a RunUntil short: the monotone-clock case went untested")
 	}
 }
 

@@ -14,7 +14,6 @@ type Resource struct {
 	// freeHolds recycles the per-Hold records, so a steady stream of holds
 	// allocates nothing once the peak number in flight has been reached.
 	freeHolds []*hold
-	grants    uint64
 }
 
 // hold is the state of one Hold call from request to release. Its one
@@ -47,19 +46,12 @@ func NewResources(e *Engine, capacity int, names ...string) []Resource {
 	return rs
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
-// Grants returns the total number of acquisitions granted so far.
-func (r *Resource) Grants() uint64 { return r.grants }
-
 // Acquire requests one server. fn runs (possibly immediately, possibly at a
 // later virtual time) once a server is granted. The holder must call Release
 // exactly once when done.
 func (r *Resource) Acquire(fn func()) {
 	if r.busy < r.capacity {
 		r.busy++
-		r.grants++
 		fn()
 		return
 	}
@@ -74,8 +66,7 @@ func (r *Resource) Release() {
 	}
 	if r.waiters.len() > 0 {
 		// Hand the server directly to the next waiter: busy count is
-		// unchanged, but the grant still counts.
-		r.grants++
+		// unchanged.
 		// Run the waiter as a fresh event so deeply chained handoffs
 		// do not grow the call stack.
 		r.e.After(0, r.waiters.pop())
@@ -119,7 +110,6 @@ func (h *hold) advance() {
 // occupies the link for n/bandwidth seconds.
 type Link struct {
 	res          *Resource
-	transferred  uint64
 	perByteDelay float64 // picoseconds per byte
 }
 
@@ -145,9 +135,5 @@ func (l *Link) Transfer(n int64, done func()) {
 	if n < 0 {
 		panic("sim: negative transfer size")
 	}
-	l.transferred += uint64(n)
 	l.res.Hold(l.TransferTime(n), done)
 }
-
-// Transferred returns total bytes moved (including queued/in-flight).
-func (l *Link) Transferred() uint64 { return l.transferred }

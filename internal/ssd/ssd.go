@@ -377,9 +377,6 @@ func (d *Device) StreamRange(meta *ftl.DBMeta, start, end int64, prefix, span st
 	}, prefix, span), done)
 }
 
-// InternalBandwidth returns the aggregate flash-channel bandwidth.
-func (d *Device) InternalBandwidth() float64 { return d.Flash.InternalBandwidth() }
-
 // PersistMetadata snapshots the FTL's durable state and programs it into the
 // reserved metadata block column (§4.4: database metadata "is persisted in a
 // reserved flash block"). It returns the image that a power-cycled device

@@ -45,14 +45,19 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// internalBandwidth is the aggregate flash-channel bandwidth of cfg, the
+// SSD's internal read roofline.
+func internalBandwidth(cfg Config) float64 {
+	return float64(cfg.Geometry.Channels) * cfg.Timing.ChannelBandwidth
+}
+
 func TestNewDevice(t *testing.T) {
 	e := sim.NewEngine()
-	d, err := New(e, DefaultConfig())
-	if err != nil {
+	if _, err := New(e, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if d.InternalBandwidth() != 25.6e9 {
-		t.Errorf("internal bandwidth = %v, want 25.6e9", d.InternalBandwidth())
+	if got := internalBandwidth(DefaultConfig()); got != 25.6e9 {
+		t.Errorf("internal bandwidth = %v, want 25.6e9", got)
 	}
 }
 
@@ -98,8 +103,8 @@ func TestStreamToHostExternalBound(t *testing.T) {
 	}
 	// Effective bandwidth must be far below internal bandwidth.
 	eff := float64(got.Bytes) / secs
-	if eff > d.InternalBandwidth()/4 {
-		t.Errorf("external eff %.2e too close to internal %.2e", eff, d.InternalBandwidth())
+	if internal := internalBandwidth(DefaultConfig()); eff > internal/4 {
+		t.Errorf("external eff %.2e too close to internal %.2e", eff, internal)
 	}
 }
 

@@ -254,11 +254,6 @@ type NetworkCost struct {
 	WeightLoadCycles int64
 }
 
-// Utilization is the aggregate PE utilization across the network.
-func (n NetworkCost) Utilization(c Config) float64 {
-	return util(n.MACs, n.Cycles, int64(c.PEs()))
-}
-
 // NetworkCost models a full similarity comparison (all layers, one feature).
 func (c Config) NetworkCost(plan []nn.LayerDims) NetworkCost {
 	var nc NetworkCost

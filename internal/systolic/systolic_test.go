@@ -230,7 +230,7 @@ func TestUtilizationBounds(t *testing.T) {
 	cfg := channelConfig()
 	for _, a := range workload.Apps() {
 		nc := cfg.NetworkCost(a.SCN.LayerPlan())
-		u := nc.Utilization(cfg)
+		u := util(nc.MACs, nc.Cycles, int64(cfg.PEs()))
 		if u <= 0 || u > 1 {
 			t.Errorf("%s: utilization = %v", a.Name, u)
 		}

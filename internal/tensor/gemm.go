@@ -15,7 +15,7 @@ import "fmt"
 //	((((0 + a₀w₀) + a₁w₁) + …) + b)
 //
 // in increasing-k order with one float32 rounding per multiply and one per
-// add, and the bias added after the full reduction. Gemv, Dot, Conv2D and
+// add, and the bias added after the full reduction. Gemv, Conv2D and
 // every kernel here implement exactly that, so they agree bit for bit on
 // finite inputs (and on which outputs are NaN). The Go kernels spell every
 // product float32(a*b): the spec lets a compiler fuse x*y+z into one

@@ -35,80 +35,6 @@ func (s Shape) Clone() Shape {
 // String renders the shape as, e.g., "[32 22 16]".
 func (s Shape) String() string { return fmt.Sprint([]int(s)) }
 
-// Tensor is a dense row-major float32 tensor.
-type Tensor struct {
-	Shape Shape
-	Data  []float32
-}
-
-// New allocates a zero tensor of the given shape.
-func New(shape ...int) *Tensor {
-	s := Shape(shape).Clone()
-	return &Tensor{Shape: s, Data: make([]float32, s.Elems())}
-}
-
-// FromSlice wraps data in a tensor of the given shape. The length must match.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	s := Shape(shape).Clone()
-	if len(data) != s.Elems() {
-		panic(fmt.Sprintf("tensor: %d elements do not fit shape %v (%d)", len(data), s, s.Elems()))
-	}
-	return &Tensor{Shape: s, Data: data}
-}
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Elems returns the element count.
-func (t *Tensor) Elems() int { return len(t.Data) }
-
-// Bytes returns the size of the tensor payload in bytes (float32).
-func (t *Tensor) Bytes() int64 { return int64(len(t.Data)) * 4 }
-
-// At returns the element at the given indices (row-major).
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %d out of range for dim %d (size %d)", x, i, t.Shape[i]))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
-// Dot returns the inner product of two equal-length vectors, accumulated in
-// index order under the package's arithmetic contract: one float32 rounding
-// per multiply and one per add (see gemm.go). The explicit float32(a*b)
-// conversions here, in Gemv and in Conv2D are what forbid the compiler from
-// fusing the pair into an FMA with a single rounding.
-func Dot(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: dot of mismatched lengths %d, %d", len(a), len(b)))
-	}
-	var s float32
-	for i := range a {
-		s += float32(a[i] * b[i])
-	}
-	return s
-}
-
 // Gemv computes y = W*x + b where W is out×in row-major, x has length in and
 // b (optional, may be nil) has length out. The result is written into y,
 // which must have length out. Each output is ((((0 + w₀x₀) + w₁x₁) + …) + b),
@@ -225,18 +151,6 @@ func Sigmoid(x []float32) {
 	for i, v := range x {
 		x[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-}
-
-// CosineSimilarity returns the cosine of the angle between a and b, or 0 if
-// either has zero norm.
-func CosineSimilarity(a, b []float32) float32 {
-	d := Dot(a, b)
-	na := Dot(a, a)
-	nb := Dot(b, b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return d / float32(math.Sqrt(float64(na))*math.Sqrt(float64(nb)))
 }
 
 // ConvOutput returns the output spatial size of a convolution dimension.

@@ -37,30 +37,34 @@ func TestShapeEqualClone(t *testing.T) {
 	}
 }
 
+// TestTensorAtSet: activations are row-major HWC, and Conv2D writes output
+// channel k of pixel (h, w) at ((h·W)+w)·K+k.
 func TestTensorAtSet(t *testing.T) {
-	x := New(2, 3)
-	x.Set(7, 1, 2)
-	if x.At(1, 2) != 7 {
-		t.Error("At/Set round-trip failed")
-	}
-	if x.Data[5] != 7 {
-		t.Error("row-major layout violated")
+	in := []float32{1, 2, 3, 4, 5, 6} // 2×3×1
+	out := make([]float32, 12)
+	Conv2D(out, in, []float32{1, 2}, nil, 2, 3, 1, 2, 1, 1, 1, 0) // 1×1, K = 2
+	if out[(1*3+2)*2+1] != 2*in[1*3+2] || out[(0*3+1)*2] != in[1] {
+		t.Errorf("conv output %v not in row-major HWC order", out)
 	}
 }
 
+// TestFromSliceValidates: a kernel rejects an operand whose length does not
+// fit the shape the others give it.
 func TestFromSliceValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("mismatched FromSlice did not panic")
+			t.Error("mismatched Gemv weights did not panic")
 		}
 	}()
-	FromSlice([]float32{1, 2, 3}, 2, 2)
+	Gemv(make([]float32, 2), []float32{1, 2, 3}, []float32{1, 2}, nil)
 }
 
+// TestDot: a one-row Gemv is the inner product.
 func TestDot(t *testing.T) {
-	got := Dot([]float32{1, 2, 3}, []float32{4, 5, 6})
-	if got != 32 {
-		t.Errorf("dot = %v, want 32", got)
+	var got [1]float32
+	Gemv(got[:], []float32{1, 2, 3}, []float32{4, 5, 6}, nil)
+	if got[0] != 32 {
+		t.Errorf("dot = %v, want 32", got[0])
 	}
 }
 
@@ -187,14 +191,27 @@ func TestSigmoidRange(t *testing.T) {
 	}
 }
 
+// cosine is the cosine of the angle between a and b from three one-row
+// Gemv products, or 0 if either has zero norm.
+func cosine(a, b []float32) float32 {
+	var ab, aa, bb [1]float32
+	Gemv(ab[:], a, b, nil)
+	Gemv(aa[:], a, a, nil)
+	Gemv(bb[:], b, b, nil)
+	if aa[0] == 0 || bb[0] == 0 {
+		return 0
+	}
+	return ab[0] / float32(math.Sqrt(float64(aa[0]))*math.Sqrt(float64(bb[0])))
+}
+
 func TestCosineSimilarity(t *testing.T) {
-	if got := CosineSimilarity([]float32{1, 0}, []float32{1, 0}); math.Abs(float64(got)-1) > 1e-6 {
+	if got := cosine([]float32{1, 0}, []float32{1, 0}); math.Abs(float64(got)-1) > 1e-6 {
 		t.Errorf("cos(same) = %v, want 1", got)
 	}
-	if got := CosineSimilarity([]float32{1, 0}, []float32{0, 1}); got != 0 {
+	if got := cosine([]float32{1, 0}, []float32{0, 1}); got != 0 {
 		t.Errorf("cos(orthogonal) = %v, want 0", got)
 	}
-	if got := CosineSimilarity([]float32{0, 0}, []float32{1, 1}); got != 0 {
+	if got := cosine([]float32{0, 0}, []float32{1, 1}); got != 0 {
 		t.Errorf("cos(zero) = %v, want 0", got)
 	}
 }
@@ -204,7 +221,7 @@ func TestCosineSimilarityBounds(t *testing.T) {
 	f := func(a1, a2, b1, b2 int8) bool {
 		a := []float32{float32(a1), float32(a2)}
 		b := []float32{float32(b1), float32(b2)}
-		c := CosineSimilarity(a, b)
+		c := cosine(a, b)
 		return c >= -1.0001 && c <= 1.0001
 	}
 	if err := quick.Check(f, nil); err != nil {

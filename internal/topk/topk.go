@@ -40,12 +40,6 @@ func New(k int) *Queue {
 	return &Queue{k: k, entries: make([]Entry, 0, k)}
 }
 
-// K returns the queue's capacity.
-func (q *Queue) K() int { return q.k }
-
-// Len returns the current entry count.
-func (q *Queue) Len() int { return len(q.entries) }
-
 // less reports whether a outranks b.
 func less(a, b Entry) bool {
 	if a.Score != b.Score {

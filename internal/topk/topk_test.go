@@ -67,7 +67,7 @@ func TestReset(t *testing.T) {
 	q := New(2)
 	q.Offer(Entry{FeatureID: 1, Score: 1})
 	q.Reset()
-	if q.Len() != 0 {
+	if len(q.entries) != 0 {
 		t.Error("reset did not empty queue")
 	}
 }
@@ -150,8 +150,8 @@ func TestMergeHandlesNil(t *testing.T) {
 	q := New(2)
 	q.Offer(Entry{FeatureID: 1, Score: 0.5})
 	m := Merge(2, nil, q, nil)
-	if m.Len() != 1 {
-		t.Errorf("merge with nils lost entries: %d", m.Len())
+	if len(m.entries) != 1 {
+		t.Errorf("merge with nils lost entries: %d", len(m.entries))
 	}
 }
 

@@ -124,8 +124,8 @@ func TestPaperSpec(t *testing.T) {
 	if spec.Features != wantFeatures {
 		t.Errorf("MIR features = %d, want %d", spec.Features, wantFeatures)
 	}
-	if spec.Bytes() > PaperDBBytes {
-		t.Errorf("spec bytes %d exceed 25 GiB", spec.Bytes())
+	if b := spec.Features * spec.FeatureBytes; b > PaperDBBytes {
+		t.Errorf("spec bytes %d exceed 25 GiB", b)
 	}
 	if spec.String() == "" {
 		t.Error("empty spec string")

@@ -60,9 +60,6 @@ const PaperDBBytes = 25 << 30 // 25 GiB
 // PaperSpec builds the §6.1 evaluation database for an application.
 func PaperSpec(app *App) DBSpec { return SpecForBytes(app, PaperDBBytes) }
 
-// Bytes returns the dense payload size of the database.
-func (s DBSpec) Bytes() int64 { return s.Features * s.FeatureBytes }
-
 // String renders, e.g., "MIR: 13107200 features x 2048 B".
 func (s DBSpec) String() string {
 	return fmt.Sprintf("%s: %d features x %d B", s.AppName, s.Features, s.FeatureBytes)

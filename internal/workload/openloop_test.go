@@ -36,9 +36,6 @@ func TestTraceConfigValidate(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("Validate() = %v, want %v", err, tc.want)
 			}
-			if _, err := NewTrace(cfg); !errors.Is(err, tc.want) {
-				t.Fatalf("NewTrace error = %v, want %v", err, tc.want)
-			}
 			// GenerateTrace keeps the panicking contract for literal configs.
 			func() {
 				defer func() {
@@ -59,15 +56,17 @@ func TestTraceConfigValidate(t *testing.T) {
 	}
 }
 
-// TestNewTraceMatchesGenerateTrace: the error-returning and panicking entry
-// points generate the identical trace.
+// TestNewTraceMatchesGenerateTrace: a config that passes Validate generates
+// a trace that records it, identical from one call to the next.
 func TestNewTraceMatchesGenerateTrace(t *testing.T) {
 	cfg := TraceConfig{Universe: 500, Length: 200, Dist: Zipfian, Alpha: 0.8, MaxJitter: 0.05, Seed: 42}
-	a, err := NewTrace(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b := GenerateTrace(cfg)
+	a, b := GenerateTrace(cfg), GenerateTrace(cfg)
+	if a.Config != cfg {
+		t.Fatalf("trace records config %+v, want %+v", a.Config, cfg)
+	}
 	if len(a.Queries) != len(b.Queries) {
 		t.Fatalf("lengths differ: %d vs %d", len(a.Queries), len(b.Queries))
 	}

@@ -137,28 +137,14 @@ func (cfg TraceConfig) Validate() error {
 	return nil
 }
 
-// NewTrace builds a deterministic query trace, rejecting degenerate
-// configurations with the typed Validate errors.
-func NewTrace(cfg TraceConfig) (*Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return generateTrace(cfg), nil
-}
-
 // GenerateTrace builds a deterministic query trace, panicking on a
 // degenerate configuration — the convenience entry point for literal,
 // known-good configs (benchmarks, tests). Code handling external input
-// should use NewTrace and classify the typed error instead.
+// should call Validate first and classify its typed error.
 func GenerateTrace(cfg TraceConfig) *Trace {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return generateTrace(cfg)
-}
-
-// generateTrace assumes cfg has been validated.
-func generateTrace(cfg TraceConfig) *Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &Trace{Config: cfg, Queries: make([]Query, cfg.Length)}
 	var zipf *zipfSampler

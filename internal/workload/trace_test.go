@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/tensor"
 )
 
 func TestGenerateTraceDeterministic(t *testing.T) {
@@ -118,8 +116,16 @@ func TestQueryVectorSimilarity(t *testing.T) {
 	a := QueryVector(Query{ID: 1, SemanticID: 42, Jitter: 0.05}, dims, 9)
 	b := QueryVector(Query{ID: 2, SemanticID: 42, Jitter: 0.05}, dims, 9)
 	c := QueryVector(Query{ID: 3, SemanticID: 77, Jitter: 0.05}, dims, 9)
-	same := tensor.CosineSimilarity(a, b)
-	diff := tensor.CosineSimilarity(a, c)
+	cosine := func(x, y []float32) float64 {
+		var xy, xx, yy float64
+		for i := range x {
+			xy += float64(x[i]) * float64(y[i])
+			xx += float64(x[i]) * float64(x[i])
+			yy += float64(y[i]) * float64(y[i])
+		}
+		return xy / math.Sqrt(xx*yy)
+	}
+	same, diff := cosine(a, b), cosine(a, c)
 	if same < 0.95 {
 		t.Errorf("same-intent cosine = %v, want > 0.95", same)
 	}
